@@ -24,7 +24,7 @@ from .coupling import (
     coupling_from_lagrangian,
     structure_tensor,
 )
-from .diagonalize import fano_residual, mode_coefficients, streamed_mode_checks
+from .diagonalize import mode_coefficients, momentum_family, streamed_mode_checks, wave_diagnostic
 from .errors import ConfigError, DampolError
 from .fields import (
     constitutive_check,
@@ -191,7 +191,13 @@ class Pipeline:
         return self._get("sweep", lambda: sweep_at_nodes(self.chi, side=-1))
 
     @property
+    def streamed(self):
+        return self._get("streamed", lambda: streamed_mode_checks(
+            self.coupling, self.sweep, self.structure))
+
+    @property
     def modes(self):
+        """Node-pair kernel stacks; only the oracle's explicit rows need them."""
         return self._get("modes", lambda: mode_coefficients(self.coupling, self.sweep))
 
     @property
@@ -290,11 +296,10 @@ def stage_green(pipe: Pipeline, out: Path | None) -> dict:
 
 
 def stage_diag(pipe: Pipeline) -> dict:
-    sc = streamed_mode_checks(pipe.coupling, pipe.sweep, pipe.structure)
-    rep = fano_residual(pipe.modes, pipe.coupling, pipe.structure)
+    sc = pipe.streamed
     checks = [
         pipe.entry("diag.potential_ratio", sc.potential_ratio, TOL_EXACT),
-        pipe.entry("diag.wave_diagnostic", rep.wave_diagnostic, TOL_EXACT),
+        pipe.entry("diag.wave_diagnostic", wave_diagnostic(pipe.coupling, pipe.sweep), TOL_EXACT),
         # regularized residuals: values are resolution-dependent; the cap is
         # a sanity bound and their acceptance lives in the refinement study
         pipe.entry("diag.wave_equation", sc.wave, 2.0),
@@ -312,7 +317,8 @@ def stage_fields(pipe: Pipeline, out: Path | None = None) -> dict:
     forms = {kind: field_form(kind, coupling, sweep) for kind in ("A", "B", "E", "P", "Pn", "D")}
     checks = [
         pipe.entry("fields.vector_potential_routes",
-                   vector_potential_route_defect(forms["A"], pipe.modes), TOL_EXACT),
+                   vector_potential_route_defect(forms["A"], momentum_family(coupling, sweep)),
+                   TOL_EXACT),
         pipe.entry("fields.displacement_transverse",
                    float(np.linalg.norm(pipe.lattice.longitudinal_matrix[None] @ forms["D"].alpha)
                          / max(np.linalg.norm(forms["D"].alpha), 1e-300)), 1e-12),
@@ -376,8 +382,7 @@ def stage_oracle(pipe: Pipeline, out: Path | None = None) -> dict:
                              float(spec["n_positive"] != expected_pairs or spec["n_negative"] != expected_pairs),
                              0.0, min_positive=spec["min_positive"]))
     master = diagonal_form_check(ham, pipe.modes)
-    fano = fano_residual(pipe.modes, pipe.coupling, pipe.structure)
-    peak = max(fano.max_residual(), 1e-300)
+    peak = max(pipe.streamed.max_residual(), 1e-300)
     agreement = abs(np.log(max(master, 1e-300) / peak)) / np.log(3.0)
     checks.append(pipe.entry("oracle.mode_eigen_residual", master, 2.0))
     checks.append(pipe.entry("oracle.route_agreement_factor3", agreement, 1.0,
@@ -480,7 +485,7 @@ def refine(config: ScenarioConfig, levels: int) -> int:
             "noise_commutator": _noise_residual(pipe),
         }
         if track == "kernels":
-            sc = streamed_mode_checks(pipe.coupling, pipe.sweep, pipe.structure)
+            sc = pipe.streamed
             vals["wave_equation"] = sc.wave
             vals["resonant_relation"] = max(sc.resonant.values())
             vals["antiresonant_relation"] = max(sc.antiresonant.values())

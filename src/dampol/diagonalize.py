@@ -16,13 +16,21 @@ symbolically so the free-medium sector closes exactly.
 
 Two-frequency identities hold distributionally, so their residuals are
 reported in frequency-averaged (weak) form: the pair index is summed
-against smooth profiles before taking norms.  Pair-resolved kernels remain
-available for diagnostics.
+against smooth profiles before taking norms.
+
+Every family is built from the per-node formulas of `_NodeKernels`, which
+also validates the propagator sweep.  `streamed_mode_checks` is the
+production evaluator of the identities: it forms the node-pair rows one
+node at a time and holds O(K d^2) numbers.  The stack route
+(`mode_coefficients` with `fano_residual`, the ``smeared_*`` norms and the
+pair-resolved commutators) materializes the 2 K^2 d^2 pair families; it
+serves the assembled-Hamiltonian oracle, which needs explicit rows, and is
+the reference the streamed pass is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,8 +38,8 @@ import numpy as np
 from .constants import EPS0, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
 from .errors import DampolError
-from .green import GreenSweep
-from .lattice import FrequencyGrid, Lattice, TensorKernel
+from .green import GreenSweep, wave_operator
+from .lattice import FrequencyGrid, Lattice, TensorKernel, pair_contract
 
 #: smearing profiles used for weak-form residuals, as functions of w/w_max
 SMEAR_PROFILES = {
@@ -51,7 +59,6 @@ class ModeCoefficients:
     resonant: np.ndarray       # (K, K, d, d), regular part only
     antiresonant: np.ndarray   # (K, K, d, d)
     eta: float
-    greens: GreenSweep | None = field(default=None, repr=False)
 
     def potential_kernel(self, k: int) -> TensorKernel:
         return TensorKernel(self.lattice, self.potential[k])
@@ -74,69 +81,103 @@ class ModeCoefficients:
         return {name: fn(x) for name, fn in SMEAR_PROFILES.items()}
 
 
+class _NodeKernels:
+    """The per-node formulas of the four coefficient families.
 
-def _sum_pair_products(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """sum_l rows[l] @ mats[l] via one flat GEMM."""
-    K, d = rows.shape[0], rows.shape[1]
-    return rows.transpose(1, 0, 2).reshape(d, K * d) @ mats.reshape(K * d, mats.shape[2])
+    `g_sweep` must hold the propagator at every node just below the cut
+    (w_k - i eta); the pole factor between node pairs uses the same eta.
+    Node-pair rows are formed one node at a time, so nothing held here
+    grows beyond K d^2.
+    """
+
+    def __init__(self, coupling: CouplingTensor, g_sweep: GreenSweep,
+                 grid: FrequencyGrid | None = None):
+        grid = grid or coupling.grid
+        K = grid.n_nodes
+        if len(g_sweep) != K:
+            raise DampolError(f"propagator sweep has {len(g_sweep)} entries for {K} nodes")
+        g_sweep.require_complete()
+        if grid.eta <= 0:
+            raise DampolError("eta must be positive: coincident nodes make the pole factor singular")
+        expected = grid.nodes - 1j * grid.eta
+        zs = np.array(g_sweep.z_values)
+        if not np.allclose(zs, expected, rtol=0, atol=1e-12 * max(1.0, grid.omega_max)):
+            raise DampolError("sweep points do not match the grid nodes just below the cut")
+        self.grid, self.sweep, self.kernels = grid, g_sweep, coupling.kernels
+        self.lattice = coupling.lattice
+        # second-argument contractions with T and T*: [b, (l, a)] = T(w_l)[a, b]
+        self._tt_flat = np.ascontiguousarray(
+            coupling.kernels.transpose(2, 0, 1).reshape(self.lattice.dim, -1))
+        self._th_flat = self._tt_flat.conj()
+
+    def transfer(self, k: int) -> np.ndarray:
+        """X_k = v T*(w_k) o G(w_k - i eta)."""
+        return self.lattice.cell_volume * self.kernels[k].conj() @ self.sweep[k].kernel.mat
+
+    def families(self, k: int) -> tuple:
+        """X_k, its transverse part X_k o P_T, and the potential and momentum kernels."""
+        om = self.grid.nodes[k]
+        x = self.transfer(k)
+        xt = x @ self.lattice.transverse_matrix
+        return x, xt, om**2 * xt, 1j * MU0 * om * xt
+
+    def pair_rows(self, k: int, x: np.ndarray, xt: np.ndarray) -> tuple:
+        """Row k of the resonant (regular part) and antiresonant families, (K, d, d) each."""
+        K, d, v = self.grid.n_nodes, self.lattice.dim, self.lattice.cell_volume
+        nodes, om = self.grid.nodes, self.grid.nodes[k]
+        pole = (om**2 / (om - nodes - 1j * self.grid.eta))[:, None, None]
+        anti = (om**2 / (om + nodes))[:, None, None]
+        both = np.concatenate([xt, x])
+        proj, full = (v * both @ self._tt_flat).reshape(2, d, K, d).transpose(0, 2, 1, 3)
+        proj_h, full_h = (v * both @ self._th_flat).reshape(2, d, K, d).transpose(0, 2, 1, 3)
+        return (MU0 * HBAR * (-om * proj + pole * full),
+                MU0 * HBAR * (om * proj_h - anti * full_h))
 
 
-def _row_times_stack(mat: np.ndarray, stack_flat: np.ndarray, K: int, d: int) -> np.ndarray:
-    """mat @ stack[l] for every l, with the stack pre-flattened to (d, K*d)."""
-    return (mat @ stack_flat).reshape(d, K, d).transpose(1, 0, 2)
+def momentum_family(coupling: CouplingTensor, g_sweep: GreenSweep) -> np.ndarray:
+    """The momentum coefficient kernels of every node, (K, d, d)."""
+    rows = _NodeKernels(coupling, g_sweep)
+    return np.stack([rows.families(k)[3] for k in range(rows.grid.n_nodes)])
 
 
 def mode_coefficients(coupling: CouplingTensor, g_sweep: GreenSweep,
                       grid: FrequencyGrid | None = None) -> ModeCoefficients:
-    """Assemble the four coefficient families from the propagator sweep.
-
-    `g_sweep` must hold the propagator at every node just below the cut
-    (w_k - i eta); the pole factor between node pairs uses the same eta.
-    """
-    grid = grid or coupling.grid
-    lattice = coupling.lattice
-    K, d, v = grid.n_nodes, lattice.dim, lattice.cell_volume
-    if len(g_sweep) != K:
-        raise DampolError(f"propagator sweep has {len(g_sweep)} entries for {K} nodes")
-    g_sweep.require_complete()
-    eta = grid.eta
-    if eta <= 0:
-        raise DampolError("eta must be positive: coincident nodes make the pole factor singular")
-    expected = grid.nodes - 1j * eta
-    zs = np.array(g_sweep.z_values)
-    if not np.allclose(zs, expected, rtol=0, atol=1e-12 * max(1.0, grid.omega_max)):
-        raise DampolError("sweep points do not match the grid nodes just below the cut")
-
-    pt = lattice.transverse_matrix
-    gmats = np.stack([g_sweep[k].kernel.mat for k in range(K)])
-    # X_k = T*(w_k) o G(w_k - i eta);  XT_k additionally projected transverse
-    x = v * np.einsum("kab,kbc->kac", coupling.kernels.conj(), gmats)
-    xt = x @ pt
-    nodes = grid.nodes
-
-    potential = (nodes**2)[:, None, None] * xt
-    momentum = (1j * MU0 * nodes)[:, None, None] * xt
-
-    t_t = coupling.kernels.transpose(0, 2, 1)          # second-argument contraction with T
-    t_h = coupling.kernels.conj().transpose(0, 2, 1)   # ... with T*
-    pole = (nodes**2)[:, None] / (nodes[:, None] - nodes[None, :] - 1j * eta)
-    anti = (nodes**2)[:, None] / (nodes[:, None] + nodes[None, :])
-
-    tt_flat = np.ascontiguousarray(t_t.transpose(1, 0, 2).reshape(d, K * d))
-    th_flat = np.ascontiguousarray(t_h.transpose(1, 0, 2).reshape(d, K * d))
+    """Assemble the four coefficient families, node-pair stacks included."""
+    rows = _NodeKernels(coupling, g_sweep, grid)
+    grid, lattice = rows.grid, rows.lattice
+    K, d = grid.n_nodes, lattice.dim
+    potential = np.empty((K, d, d), dtype=complex)
+    momentum = np.empty((K, d, d), dtype=complex)
     resonant = np.empty((K, K, d, d), dtype=complex)
     antiresonant = np.empty((K, K, d, d), dtype=complex)
     for k in range(K):
-        proj = v * _row_times_stack(xt[k], tt_flat, K, d)
-        full = v * _row_times_stack(x[k], tt_flat, K, d)
-        resonant[k] = MU0 * HBAR * (-nodes[k] * proj + pole[k][:, None, None] * full)
-        proj_h = v * _row_times_stack(xt[k], th_flat, K, d)
-        full_h = v * _row_times_stack(x[k], th_flat, K, d)
-        antiresonant[k] = MU0 * HBAR * (nodes[k] * proj_h - anti[k][:, None, None] * full_h)
-
+        x, xt, potential[k], momentum[k] = rows.families(k)
+        resonant[k], antiresonant[k] = rows.pair_rows(k, x, xt)
     return ModeCoefficients(lattice=lattice, grid=grid, potential=potential,
                             momentum=momentum, resonant=resonant,
-                            antiresonant=antiresonant, eta=eta, greens=g_sweep)
+                            antiresonant=antiresonant, eta=grid.eta)
+
+
+def wave_diagnostic(coupling: CouplingTensor, g_sweep: GreenSweep) -> float:
+    """Residual of the inhomogeneous wave equation for the auxiliary kernel.
+
+    The auxiliary combination -w_k^2 X_k equals the source -w_k^2 T*(w_k)
+    contracted with the propagator by construction, so v X_k o W(z_k) =
+    T*(w_k) with W the wave operator at the sweep point; the residual
+    vanishes to solver precision and validates the plumbing rather than the
+    regularization.
+    """
+    rows = _NodeKernels(coupling, g_sweep)
+    lattice = coupling.lattice
+    v = lattice.cell_volume
+    out = 0.0
+    for k in range(rows.grid.n_nodes):
+        entry = g_sweep[k]
+        wave = wave_operator(entry.chi_ref.at(entry.z), entry.z, lattice).mat
+        source = coupling.kernels[k].conj()
+        res = np.linalg.norm(v * rows.transfer(k) @ wave - source)
+        out = max(out, res / max(np.linalg.norm(source), 1e-300))
+    return float(out)
 
 
 # -- residuals of the defining equations ---------------------------------
@@ -144,21 +185,18 @@ def mode_coefficients(coupling: CouplingTensor, g_sweep: GreenSweep,
 
 @dataclass(frozen=True)
 class FanoReport:
-    """Relative residuals of the four defining equations, plus a diagnostic.
+    """Relative residuals of the four defining equations.
 
     `potential_ratio` is the algebraic ratio identity between the first two
     families (zero by construction); `wave` is the transverse wave-type
     equation; `resonant` and `antiresonant` are the two-frequency relations
     in weak (frequency-averaged) form over the stated profiles.
-    `wave_diagnostic` checks the inhomogeneous wave equation satisfied by
-    the auxiliary combination behind the construction.
     """
 
     potential_ratio: float
     wave: float
     resonant: float
     antiresonant: float
-    wave_diagnostic: float
     details: dict
 
     def max_residual(self) -> float:
@@ -259,44 +297,12 @@ def fano_residual(modes: ModeCoefficients, coupling: CouplingTensor,
         res_vals.append(val35)
         anti_vals.append(val36)
 
-    diag = _wave_diagnostic(modes, coupling)
     return FanoReport(potential_ratio=r_ratio, wave=r_wave,
                       resonant=max(res_vals), antiresonant=max(anti_vals),
-                      wave_diagnostic=diag, details=details)
-
-
-def _wave_diagnostic(modes: ModeCoefficients, coupling: CouplingTensor) -> float:
-    """Residual of the inhomogeneous wave equation for the auxiliary kernel.
-
-    The auxiliary combination equals the source contracted with the
-    propagator by construction, so this vanishes to solver precision; it
-    validates the plumbing rather than the regularization.
-    """
-    if modes.greens is None:
-        return float("nan")
-    lattice = modes.lattice
-    v = lattice.cell_volume
-    out = 0.0
-    K = modes.grid.n_nodes
-    for k in range(K):
-        omega = modes.grid.nodes[k]
-        z = modes.greens[k].z
-        gk = modes.greens[k].kernel
-        source = coupling.kernels[k].conj()
-        aux = -(omega**2) * v * source @ gk.mat
-        chi_lower = modes.greens[k].chi_ref.at(z)
-        wave = -lattice.double_curl_matrix / v + z**2 * (np.eye(lattice.dim) / v + chi_lower.mat)
-        lhs = v * aux @ wave
-        res = np.linalg.norm(lhs + omega**2 * source)
-        out = max(out, res / max(np.linalg.norm(omega**2 * source), 1e-300))
-    return out
+                      details=details)
 
 
 # -- commutation checks ---------------------------------------------------
-
-
-def _pair_compose(a: np.ndarray, b: np.ndarray, v: float) -> np.ndarray:
-    return v * a @ b
 
 
 def commutation_matrix(modes: ModeCoefficients, k: int, l: int) -> TensorKernel:
@@ -315,8 +321,8 @@ def commutation_matrix(modes: ModeCoefficients, k: int, l: int) -> TensorKernel:
     if k == l:
         out = out + np.eye(lattice.dim) / v / w[k]
     out = out + modes.resonant[k, l] + modes.resonant[l, k].conj().T
-    out = out + v * np.einsum("m,mab,mcb->ac", w, modes.resonant[k], modes.resonant[l].conj())
-    out = out - v * np.einsum("m,mab,mcb->ac", w, modes.antiresonant[k], modes.antiresonant[l].conj())
+    out = out + v * pair_contract(w, modes.resonant[k], modes.resonant[l].conj())
+    out = out - v * pair_contract(w, modes.antiresonant[k], modes.antiresonant[l].conj())
     return TensorKernel(lattice, out)
 
 
@@ -338,8 +344,8 @@ def annihilator_commutator(modes: ModeCoefficients, k: int, l: int) -> TensorKer
     f1l, f2l = modes.potential[l], modes.momentum[l]
     out = 1j * HBAR * v * (f1k @ f2l.T - f2k @ f1l.T)
     out = out + modes.antiresonant[l, k].T - modes.antiresonant[k, l]
-    out = out + v * np.einsum("m,mab,mcb->ac", w, modes.resonant[k], modes.antiresonant[l])
-    out = out - v * np.einsum("m,mab,mcb->ac", w, modes.antiresonant[k], modes.resonant[l])
+    out = out + v * pair_contract(w, modes.resonant[k], modes.antiresonant[l])
+    out = out - v * pair_contract(w, modes.antiresonant[k], modes.resonant[l])
     return TensorKernel(lattice, out)
 
 
@@ -362,8 +368,8 @@ def smeared_commutation_deviation(modes: ModeCoefficients) -> dict:
         dev = dev + r_sum + r_sum.conj().T
         s3 = np.einsum("k,kmab->mab", wp, modes.resonant)
         s4 = np.einsum("k,kmab->mab", wp, modes.antiresonant)
-        dev = dev + v * np.einsum("m,mab,mcb->ac", w, s3, s3.conj())
-        dev = dev - v * np.einsum("m,mab,mcb->ac", w, s4, s4.conj())
+        dev = dev + v * pair_contract(w, s3, s3.conj())
+        dev = dev - v * pair_contract(w, s4, s4.conj())
         expected = float(np.sum(wp * prof)) * np.eye(lattice.dim) / v
         scale = max(v * np.linalg.norm(expected), 1e-300)
         out[name] = v * np.linalg.norm(dev) / scale
@@ -386,52 +392,37 @@ class StreamedModeChecks:
     commutation: dict
     annihilator: dict
 
-    def worst(self) -> dict:
-        return {
-            "wave": self.wave,
-            "resonant": max(self.resonant.values()),
-            "antiresonant": max(self.antiresonant.values()),
-            "commutation": max(self.commutation.values()),
-            "annihilator": max(self.annihilator.values()),
-        }
+    def max_residual(self) -> float:
+        """Worst defining-equation residual, as `FanoReport.max_residual`."""
+        return max(self.potential_ratio, self.wave,
+                   max(self.resonant.values()), max(self.antiresonant.values()))
 
 
 def streamed_mode_checks(coupling: CouplingTensor, g_sweep: GreenSweep,
-                         structure: StructureTensor,
-                         commutation_only: bool = False) -> StreamedModeChecks:
-    """Single-pass weak-form verification of the mode-kernel identities.
-
-    With `commutation_only` the defining-equation residuals are skipped
-    (reported as nan), roughly halving the cost of deep refinement levels
-    that only track the commutator deviations.
-    """
+                         structure: StructureTensor) -> StreamedModeChecks:
+    """Single-pass weak-form verification of the mode-kernel identities."""
+    rows = _NodeKernels(coupling, g_sweep)
     grid = coupling.grid
     lattice = coupling.lattice
     K, d, v = grid.n_nodes, lattice.dim, lattice.cell_volume
     nodes, w = grid.nodes, grid.weights
-    g_sweep.require_complete()
-    if len(g_sweep) != K:
-        raise DampolError("sweep length does not match the grid")
 
     pt = lattice.transverse_matrix
     pl = lattice.longitudinal_matrix
     lap = lattice.laplacian_matrix
     f_pt = structure.kernel.mat @ pt
-    t_t = coupling.kernels.transpose(0, 2, 1)
-    t_h = coupling.kernels.conj().transpose(0, 2, 1)
-    t_proj = coupling.kernels.conj() @ pt
-    tt_proj = coupling.kernels @ pt
-    tt_flat = np.ascontiguousarray(t_t.transpose(1, 0, 2).reshape(d, K * d))
-    th_flat = np.ascontiguousarray(t_h.transpose(1, 0, 2).reshape(d, K * d))
-    tc_flat = coupling.kernels.conj().reshape(K * d, d)
-    tk_flat = coupling.kernels.reshape(K * d, d)
-    tproj_flat = t_proj.reshape(K * d, d)
-    ttproj_flat = tt_proj.reshape(K * d, d)
+    t, tc = coupling.kernels, coupling.kernels.conj()
+    t_proj = tc @ pt
+    tt_proj = t @ pt
+    # pair_contract takes its second stack transposed: sum_l a_l @ b_l
+    # is pair_contract(w, a, b.transpose(0, 2, 1)), free for contiguous b
+    t_proj_tr, tt_proj_tr = t_proj.transpose(0, 2, 1), tt_proj.transpose(0, 2, 1)
+    t_tr, tc_tr = t.transpose(0, 2, 1), tc.transpose(0, 2, 1)
 
     x = grid.nodes / grid.omega_max
     profiles = {name: fn(x) for name, fn in SMEAR_PROFILES.items()}
-    t_sm = {n: np.einsum("l,lab->ab", w * p, coupling.kernels) for n, p in profiles.items()}
-    t_sm_w = {n: np.einsum("l,lab->ab", w * p * nodes, coupling.kernels) for n, p in profiles.items()}
+    t_sm = {n: np.einsum("l,lab->ab", w * p, t) for n, p in profiles.items()}
+    t_sm_w = {n: np.einsum("l,lab->ab", w * p * nodes, t) for n, p in profiles.items()}
     tc_sm = {n: m.conj() for n, m in t_sm.items()}
     tc_sm_w = {n: m.conj() for n, m in t_sm_w.items()}
 
@@ -450,53 +441,39 @@ def streamed_mode_checks(coupling: CouplingTensor, g_sweep: GreenSweep,
 
     for k in range(K):
         om, wk = nodes[k], w[k]
-        gmat = g_sweep[k].kernel.mat
-        xk = v * coupling.kernels[k].conj() @ gmat
-        xtk = xk @ pt
-        pot = om**2 * xtk
-        mom = 1j * MU0 * om * xtk
-        pole = om**2 / (om - nodes - 1j * grid.eta)
-        antif = om**2 / (om + nodes)
-        proj = v * _row_times_stack(xtk, tt_flat, K, d)
-        full = v * _row_times_stack(xk, tt_flat, K, d)
-        res_row = MU0 * HBAR * (-om * proj + pole[:, None, None] * full)
-        proj_h = v * _row_times_stack(xtk, th_flat, K, d)
-        full_h = v * _row_times_stack(xk, th_flat, K, d)
-        anti_row = MU0 * HBAR * (om * proj_h - antif[:, None, None] * full_h)
+        xk, xtk, pot, mom = rows.families(k)
+        res_row, anti_row = rows.pair_rows(k, xk, xtk)
 
-        if not commutation_only:
-            # ratio identity
-            diff = (1j / EPS0) * pot - om * mom
-            sq["ratio_n"] += wk * np.linalg.norm(diff) ** 2
-            sq["ratio_d"] += wk * np.linalg.norm(om * mom) ** 2
+        # ratio identity
+        diff = (1j / EPS0) * pot - om * mom
+        sq["ratio_n"] += wk * np.linalg.norm(diff) ** 2
+        sq["ratio_d"] += wk * np.linalg.norm(om * mom) ** 2
 
-            # wave-type equation for this node
-            term = (1j / MU0) * (mom @ lap) - 1j * HBAR * v * mom @ f_pt
-            term += v * _sum_pair_products((w * nodes)[:, None, None] * res_row, tproj_flat.reshape(K, d, d))
-            term -= v * _sum_pair_products((w * nodes)[:, None, None] * anti_row, ttproj_flat.reshape(K, d, d))
-            term += om * t_proj[k]
-            rhs = om * pot
-            sq["wave_n"] += wk * np.linalg.norm(term - rhs) ** 2
-            sq["wave_d"] += wk * np.linalg.norm(rhs) ** 2
+        # wave-type equation for this node
+        term = (1j / MU0) * (mom @ lap) - 1j * HBAR * v * mom @ f_pt
+        term += v * pair_contract(w * nodes, res_row, t_proj_tr)
+        term -= v * pair_contract(w * nodes, anti_row, tt_proj_tr)
+        term += om * t_proj[k]
+        rhs = om * pot
+        sq["wave_n"] += wk * np.linalg.norm(term - rhs) ** 2
+        sq["wave_d"] += wk * np.linalg.norm(rhs) ** 2
 
-            # longitudinal brace for the two-frequency relations
-            brace = (v * _sum_pair_products(w[:, None, None] * res_row, coupling.kernels.conj())
-                     + v * _sum_pair_products(w[:, None, None] * anti_row, coupling.kernels)
-                     + coupling.kernels[k].conj()) @ pl
+        # longitudinal brace for the two-frequency relations
+        brace = (v * pair_contract(w, res_row, tc_tr)
+                 + v * pair_contract(w, anti_row, t_tr) + tc[k]) @ pl
 
         for n, p in profiles.items():
             wp = w * p
-            if not commutation_only:
-                omdiff = np.einsum("l,l,lab->ab", wp, nodes - om, res_row)
-                r35 = (-1j * HBAR * v * mom @ t_sm_w[n].T + omdiff
-                       + (HBAR / EPS0) * v * brace @ t_sm[n].T)
-                rhs35 = om * (p[k] * np.eye(d) / v + np.einsum("l,lab->ab", wp, res_row))
-                res_n[n] += wk * np.linalg.norm(r35) ** 2
-                res_d[n] += wk * np.linalg.norm(rhs35) ** 2
-                omsum = np.einsum("l,l,lab->ab", wp, nodes + om, anti_row)
-                r36 = (-1j * HBAR * v * mom @ tc_sm_w[n].T - omsum
-                       - (HBAR / EPS0) * v * brace @ tc_sm[n].T)
-                anti_n[n] += wk * np.linalg.norm(r36) ** 2
+            omdiff = np.einsum("l,l,lab->ab", wp, nodes - om, res_row)
+            r35 = (-1j * HBAR * v * mom @ t_sm_w[n].T + omdiff
+                   + (HBAR / EPS0) * v * brace @ t_sm[n].T)
+            rhs35 = om * (p[k] * np.eye(d) / v + np.einsum("l,lab->ab", wp, res_row))
+            res_n[n] += wk * np.linalg.norm(r35) ** 2
+            res_d[n] += wk * np.linalg.norm(rhs35) ** 2
+            omsum = np.einsum("l,l,lab->ab", wp, nodes + om, anti_row)
+            r36 = (-1j * HBAR * v * mom @ tc_sm_w[n].T - omsum
+                   - (HBAR / EPS0) * v * brace @ tc_sm[n].T)
+            anti_n[n] += wk * np.linalg.norm(r36) ** 2
 
             # accumulate smeared families
             phi = wp[k]
@@ -513,8 +490,8 @@ def streamed_mode_checks(coupling: CouplingTensor, g_sweep: GreenSweep,
     for n, p in profiles.items():
         dev = 1j * HBAR * v * (f1s[n] @ f2s[n].conj().T - f2s[n] @ f1s[n].conj().T)
         dev = dev + r_sum[n] + r_sum[n].conj().T
-        dev = dev + v * np.einsum("m,mab,mcb->ac", w, s3[n], s3[n].conj())
-        dev = dev - v * np.einsum("m,mab,mcb->ac", w, s4[n], s4[n].conj())
+        dev = dev + v * pair_contract(w, s3[n], s3[n].conj())
+        dev = dev - v * pair_contract(w, s4[n], s4[n].conj())
         expected = float(np.sum(w * p * p)) * np.eye(d) / v
         commutation[n] = v * np.linalg.norm(dev) / max(v * np.linalg.norm(expected), 1e-300)
 
@@ -522,17 +499,16 @@ def streamed_mode_checks(coupling: CouplingTensor, g_sweep: GreenSweep,
     for (a, b) in f4_sum:
         dev = 1j * HBAR * v * (f1s[a] @ f2s[b].T - f2s[a] @ f1s[b].T)
         dev = dev + f4_sum[(b, a)].T - f4_sum[(a, b)]
-        dev = dev + v * np.einsum("m,mab,mcb->ac", w, s3[a], s4[b])
-        dev = dev - v * np.einsum("m,mab,mcb->ac", w, s4[a], s3[b])
+        dev = dev + v * pair_contract(w, s3[a], s4[b])
+        dev = dev - v * pair_contract(w, s4[a], s3[b])
         expected = float(np.sum(w * profiles[a] * profiles[b])) * np.eye(d) / v
         annihilator[f"{a}*{b}"] = v * np.linalg.norm(dev) / max(v * np.linalg.norm(expected), 1e-300)
 
-    nan = float("nan")
     return StreamedModeChecks(
-        potential_ratio=float(np.sqrt(sq["ratio_n"] / max(sq["ratio_d"], 1e-300))) if not commutation_only else nan,
-        wave=float(np.sqrt(sq["wave_n"] / max(sq["wave_d"], 1e-300))) if not commutation_only else nan,
-        resonant={n: float(np.sqrt(res_n[n] / max(res_d[n], 1e-300))) for n in profiles} if not commutation_only else {},
-        antiresonant={n: float(np.sqrt(anti_n[n] / max(res_d[n], 1e-300))) for n in profiles} if not commutation_only else {},
+        potential_ratio=float(np.sqrt(sq["ratio_n"] / max(sq["ratio_d"], 1e-300))),
+        wave=float(np.sqrt(sq["wave_n"] / max(sq["wave_d"], 1e-300))),
+        resonant={n: float(np.sqrt(res_n[n] / max(res_d[n], 1e-300))) for n in profiles},
+        antiresonant={n: float(np.sqrt(anti_n[n] / max(res_d[n], 1e-300))) for n in profiles},
         commutation=commutation,
         annihilator=annihilator,
     )
@@ -566,8 +542,8 @@ def smeared_annihilator_norm(modes: ModeCoefficients) -> dict:
         s4a = np.einsum("k,kmab->mab", wa, modes.antiresonant)
         s3b = np.einsum("k,kmab->mab", wb, modes.resonant)
         s4b = np.einsum("k,kmab->mab", wb, modes.antiresonant)
-        dev = dev + v * np.einsum("m,mab,mcb->ac", w, s3a, s4b)
-        dev = dev - v * np.einsum("m,mab,mcb->ac", w, s4a, s3b)
+        dev = dev + v * pair_contract(w, s3a, s4b)
+        dev = dev - v * pair_contract(w, s4a, s3b)
         expected = float(np.sum(wa * profs[nb])) * np.eye(lattice.dim) / v
         scale = max(v * np.linalg.norm(expected), 1e-300)
         out[f"{na}*{nb}"] = v * np.linalg.norm(dev) / scale

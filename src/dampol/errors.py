@@ -5,10 +5,6 @@ class DampolError(Exception):
     """Base class for all package-specific failures."""
 
 
-class ModelError(DampolError, ValueError):
-    """Unknown model id or parameters outside the admissible range."""
-
-
 class PoleError(DampolError, ValueError):
     """Evaluation requested exactly on a resolvent pole."""
 
@@ -32,3 +28,11 @@ class DegenerateCouplingError(DampolError, RuntimeError):
 
 class ConfigError(DampolError, ValueError):
     """Scenario configuration could not be parsed or is inconsistent."""
+
+
+class ModelError(ConfigError):
+    """Unknown model id or parameters outside the admissible range.
+
+    A configuration error: the CLI reports it with the usage exit code even
+    when it surfaces inside a stage.
+    """

@@ -23,7 +23,7 @@ from .coupling import CouplingTensor, StructureTensor
 from .diagonalize import ModeCoefficients
 from .errors import DampolError
 from .green import GreenSweep, upper_from_lower
-from .lattice import TensorKernel
+from .lattice import TensorKernel, pair_contract
 from .susceptibility import Susceptibility
 
 #: mode families a form can live over
@@ -98,21 +98,12 @@ def time_derivative(form: LinearBosonicForm) -> LinearBosonicForm:
                    label="d/dt " + form.label)
 
 
-def apply_operator(op: TensorKernel, form: LinearBosonicForm) -> LinearBosonicForm:
-    """Compose a one-point operator kernel onto the form's free index."""
-    v = form.lattice.cell_volume
-    return replace(form, alpha=v * op.mat[None] @ form.alpha,
-                   beta=v * op.mat[None] @ form.beta,
-                   label=form.label)
-
-
 def commutator(a: LinearBosonicForm, b: LinearBosonicForm) -> TensorKernel:
     """c-number commutator kernel of two forms over the same mode family."""
     a._check(b)
     v = a.lattice.cell_volume
     w = a.grid.weights
-    mat = v * (np.einsum("l,lab,lcb->ac", w, a.alpha, b.beta)
-               - np.einsum("l,lab,lcb->ac", w, a.beta, b.alpha))
+    mat = v * (pair_contract(w, a.alpha, b.beta) - pair_contract(w, a.beta, b.alpha))
     return TensorKernel(a.lattice, mat)
 
 
@@ -168,7 +159,7 @@ def field_form(kind: str, coupling: CouplingTensor, g_sweep: GreenSweep,
     form = LinearBosonicForm(lattice=lattice, grid=grid, alpha=alpha, beta=alpha.conj(),
                              basis=BASIS_DIAGONAL, label=kind)
     if kind == "A" and modes is not None:
-        defect = vector_potential_route_defect(form, modes)
+        defect = vector_potential_route_defect(form, modes.momentum)
         if defect > 1e-9:
             raise DampolError(f"vector-potential routes disagree by {defect:.3e}")
     return form
@@ -178,14 +169,15 @@ def curl_rows(lattice) -> np.ndarray:
     return lattice.curl_matrix / lattice.cell_volume
 
 
-def vector_potential_route_defect(a_form: LinearBosonicForm, modes: ModeCoefficients) -> float:
+def vector_potential_route_defect(a_form: LinearBosonicForm, momentum: np.ndarray) -> float:
     """Relative mismatch between the propagator route and the inversion route.
 
     Inverting the diagonalizing transformation by the canonical commutators
     expresses the vector potential through the adjoint of the momentum
-    coefficient family; both routes agree exactly at the discrete level.
+    coefficient family (K, d, d); both routes agree exactly at the discrete
+    level.
     """
-    alt = 1j * HBAR * modes.momentum.conj().transpose(0, 2, 1)
+    alt = 1j * HBAR * momentum.conj().transpose(0, 2, 1)
     scale = max(np.linalg.norm(a_form.alpha), 1e-300)
     return float(np.linalg.norm(a_form.alpha - alt) / scale)
 

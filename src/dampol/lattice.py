@@ -219,9 +219,6 @@ class TensorKernel:
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
 
-    def real_part(self) -> "TensorKernel":
-        return TensorKernel(self.lattice, self.mat.real.astype(complex))
-
     def allclose(self, other: "TensorKernel", tol: float = 1e-12) -> bool:
         scale = max(self.norm(), other.norm(), 1e-300)
         return (self - other).norm() <= tol * scale
@@ -239,6 +236,17 @@ class TensorKernel:
     @classmethod
     def zero(cls, lattice: Lattice) -> "TensorKernel":
         return cls(lattice, np.zeros((lattice.dim, lattice.dim)))
+
+
+def pair_contract(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_m w[m] a[m] @ b[m].T over node stacks, as one flat GEMM.
+
+    The node and column indices are contracted jointly; when `b` is the
+    transposed view of a contiguous stack its flattening is free.
+    """
+    n, p, q = a.shape
+    lhs = (w[:, None, None] * a).transpose(1, 0, 2).reshape(p, n * q)
+    return lhs @ b.transpose(0, 2, 1).reshape(n * q, b.shape[1])
 
 
 def transverse_projector(lattice: Lattice) -> TensorKernel:

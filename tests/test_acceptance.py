@@ -112,7 +112,7 @@ def refinement_data():
             coupling = make_coupling(name, K)
             st = structure_tensor(coupling)
             sweep = sweep_at_nodes(Susceptibility(coupling), side=-1)
-            sc = streamed_mode_checks(coupling, sweep, st, commutation_only=True)
+            sc = streamed_mode_checks(coupling, sweep, st)
             seq["commutation"].append(max(sc.commutation.values()))
             seq["annihilator"].append(max(sc.annihilator.values()))
         seq.update({"equivalence": [], "master": [], "fano_peak": []})

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,14 @@ class TestConfigParsing:
 
     def test_usage_exit_code(self, tmp_path):
         assert main(["verify-all", "--config", str(tmp_path / "none.ini")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("key,value", [("name", "bogus"), ("width", "-1")])
+    def test_bad_model_exits_usage(self, tmp_path, key, value):
+        text = (CONFIG_DIR / "lorentz.ini").read_text().replace(
+            f"\n{key} = ", f"\n{key} = {value}\n# was: ", 1)
+        cfg = tmp_path / "bad_model.ini"
+        cfg.write_text(text)
+        assert main(["model", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
 
 class TestRun:
@@ -83,6 +92,34 @@ class TestRun:
         assert run(cfg) == EXIT_NUMERICAL
         rep = read_report(cfg.out, "bath")
         assert "not invertible" in rep["error"]
+
+
+def _forbid_stack_route(monkeypatch):
+    """Make every binding of the node-pair stack builders fail when called."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("node-pair stacks built outside the oracle")
+    for name, mod in list(sys.modules.items()):
+        if name == "dampol" or name.startswith("dampol."):
+            for attr in ("mode_coefficients", "fano_residual"):
+                if hasattr(mod, attr):
+                    monkeypatch.setattr(mod, attr, forbidden)
+
+
+class TestStackFreeProduction:
+    def test_stages_before_oracle(self, tmp_path, monkeypatch):
+        _forbid_stack_route(monkeypatch)
+        cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
+        cfg.out = str(tmp_path / "o")
+        cfg.n_nodes = 8
+        assert run(cfg, stages=["model", "chi", "green", "diag", "fields", "bath"]) == EXIT_PASS
+
+    def test_kernels_refine_track(self, tmp_path, monkeypatch):
+        _forbid_stack_route(monkeypatch)
+        cfg = ScenarioConfig.from_file(CONFIG_DIR / "refine_kernels.ini")
+        cfg.out = str(tmp_path)
+        cfg.n_nodes = 8
+        assert refine(cfg, 2) in (EXIT_PASS, EXIT_NUMERICAL)
+        assert read_report(cfg.out, "refine")["checks"]
 
 
 class TestRefine:

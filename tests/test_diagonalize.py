@@ -13,6 +13,7 @@ from dampol.diagonalize import (
     smeared_annihilator_norm,
     smeared_commutation_deviation,
     streamed_mode_checks,
+    wave_diagnostic,
 )
 from dampol.green import green_sweep, sweep_at_nodes
 from dampol.lattice import FrequencyGrid, TensorKernel
@@ -64,6 +65,15 @@ class TestAssembly:
         with pytest.raises(DampolError):
             mode_coefficients(random_lagrangian, bad)
 
+    def test_every_evaluator_rejects_sweep_above_cut(self, lorentz_coupling, lorentz_structure):
+        above = sweep_at_nodes(Susceptibility(lorentz_coupling), side=+1)
+        with pytest.raises(DampolError, match="below the cut"):
+            mode_coefficients(lorentz_coupling, above)
+        with pytest.raises(DampolError, match="below the cut"):
+            streamed_mode_checks(lorentz_coupling, above, lorentz_structure)
+        with pytest.raises(DampolError, match="below the cut"):
+            wave_diagnostic(lorentz_coupling, above)
+
 
 class TestFanoResiduals:
     def test_ratio_identity_machine_zero(self, random_lagrangian):
@@ -86,10 +96,8 @@ class TestFanoResiduals:
         assert rep.antiresonant == 0.0
 
     def test_wave_diagnostic_machine_zero(self, lorentz_coupling):
-        modes, _ = make_modes(lorentz_coupling)
-        st = structure_tensor(lorentz_coupling)
-        rep = fano_residual(modes, lorentz_coupling, st)
-        assert rep.wave_diagnostic <= 1e-12
+        sweep = sweep_at_nodes(Susceptibility(lorentz_coupling), side=-1)
+        assert wave_diagnostic(lorentz_coupling, sweep) <= 1e-12
 
     def test_residuals_converge_first_order(self, small_lattice):
         vals = []
@@ -142,6 +150,8 @@ class TestCommutationChecks:
         st = structure_tensor(lorentz_coupling)
         rep = fano_residual(modes, lorentz_coupling, st)
         sc = streamed_mode_checks(lorentz_coupling, sweep, st)
+        assert sc.max_residual() == pytest.approx(rep.max_residual(), rel=1e-12)
+        assert sc.potential_ratio == pytest.approx(rep.potential_ratio, rel=1e-12)
         assert sc.wave == pytest.approx(rep.wave, rel=1e-12)
         assert max(sc.resonant.values()) == pytest.approx(rep.resonant, rel=1e-12)
         assert max(sc.antiresonant.values()) == pytest.approx(rep.antiresonant, rel=1e-12)

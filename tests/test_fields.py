@@ -4,7 +4,7 @@ import pytest
 from dampol.constants import HBAR
 from dampol.errors import DampolError
 from dampol.coupling import structure_tensor
-from dampol.diagonalize import mode_coefficients
+from dampol.diagonalize import mode_coefficients, momentum_family
 from dampol.fields import (
     commutator,
     constitutive_check,
@@ -113,7 +113,11 @@ class TestFieldForms:
     def test_vector_potential_two_routes_agree(self, setup):
         lat, grid, coupling, st, chi, sweep, modes = setup
         a_form = field_form("A", coupling, sweep, modes=modes)
-        assert vector_potential_route_defect(a_form, modes) <= 1e-10
+        assert vector_potential_route_defect(a_form, modes.momentum) <= 1e-10
+        # the stack-free family the CLI reads is the same kernel set
+        momentum = momentum_family(coupling, sweep)
+        assert np.array_equal(momentum, modes.momentum)
+        assert vector_potential_route_defect(a_form, momentum) <= 1e-10
 
     def test_single_site_electric_field_scalar(self, single_site):
         from dampol.lattice import FrequencyGrid

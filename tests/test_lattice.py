@@ -11,6 +11,7 @@ from dampol.lattice import (
     double_curl_left,
     double_curl_operator,
     longitudinal_projector,
+    pair_contract,
     transverse_projector,
 )
 
@@ -182,6 +183,19 @@ class TestKernelAlgebra:
         rng = np.random.default_rng(5)
         a, b = random_kernel(lat, rng), random_kernel(lat, rng)
         assert (a @ b).T.allclose(b.T @ a.T)
+
+    def test_pair_contract_matches_einsum(self):
+        rng = np.random.default_rng(6)
+        shape = (7, 5, 4)
+        a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+        w = rng.uniform(0.1, 1.0, shape[0])
+        ref = np.einsum("m,mab,mcb->ac", w, a, b)
+        scale = np.linalg.norm(ref)
+        assert np.linalg.norm(pair_contract(w, a, b) - ref) <= 1e-14 * scale
+        # a transposed view of a contiguous stack, as the streamed pass passes it
+        c = np.ascontiguousarray(b.transpose(0, 2, 1))
+        got = pair_contract(w, a, c.transpose(0, 2, 1))
+        assert np.linalg.norm(got - ref) <= 1e-14 * scale
 
     def test_rejects_nonfinite(self):
         lat = build_lattice(1, 1.0)
