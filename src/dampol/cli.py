@@ -387,7 +387,7 @@ def stage_oracle(pipe: Pipeline, out: Path | None = None) -> dict:
     checks.append(pipe.entry("oracle.mode_eigen_residual", master, 2.0))
     checks.append(pipe.entry("oracle.route_agreement_factor3", agreement, 1.0,
                              oracle_residual=master, kernel_residual=peak))
-    equiv = bath_mod.hamiltonian_equivalence(pipe.coupling, pipe.structure, pipe.bath, ham, pipe.chi)
+    equiv = bath_mod.hamiltonian_equivalence(pipe.coupling, pipe.structure, pipe.bath, ham)
     checks.append(pipe.entry("oracle.hamiltonian_forms_weak", equiv["weak"], 2.0,
                              frobenius=equiv["frobenius"]))
     if out is not None and pipe.config.dump_hamiltonian:
@@ -493,8 +493,7 @@ def refine(config: ScenarioConfig, levels: int) -> int:
             vals["annihilator_norm"] = max(sc.annihilator.values())
         else:
             ham = pipe.hamiltonian
-            equiv = bath_mod.hamiltonian_equivalence(pipe.coupling, pipe.structure, pipe.bath,
-                                                     ham, pipe.chi)
+            equiv = bath_mod.hamiltonian_equivalence(pipe.coupling, pipe.structure, pipe.bath, ham)
             vals["hamiltonian_forms_weak"] = equiv["weak"]
             vals["mode_eigen_residual"] = diagonal_form_check(ham, pipe.modes)
         for name, value in vals.items():

@@ -19,7 +19,7 @@ reported in frequency-averaged (weak) form: the pair index is summed
 against smooth profiles before taking norms.
 
 Every family is built from the per-node formulas of `_NodeKernels`, which
-also validates the propagator sweep.  `streamed_mode_checks` is the
+also validates the propagator sweep (`green.require_node_sweep`).  `streamed_mode_checks` is the
 production evaluator of the identities: it forms the node-pair rows one
 node at a time and holds O(K d^2) numbers.  The stack route
 (`mode_coefficients` with `fano_residual`, the ``smeared_*`` norms and the
@@ -38,7 +38,7 @@ import numpy as np
 from .constants import EPS0, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
 from .errors import DampolError
-from .green import GreenSweep, wave_operator
+from .green import GreenSweep, require_node_sweep, wave_operator
 from .lattice import FrequencyGrid, Lattice, TensorKernel, pair_contract
 
 #: smearing profiles used for weak-form residuals, as functions of w/w_max
@@ -60,20 +60,11 @@ class ModeCoefficients:
     antiresonant: np.ndarray   # (K, K, d, d)
     eta: float
 
-    def potential_kernel(self, k: int) -> TensorKernel:
-        return TensorKernel(self.lattice, self.potential[k])
-
-    def momentum_kernel(self, k: int) -> TensorKernel:
-        return TensorKernel(self.lattice, self.momentum[k])
-
     def resonant_kernel(self, k: int, l: int, include_delta: bool = True) -> TensorKernel:
         mat = self.resonant[k, l].copy()
         if include_delta and k == l:
             mat += np.eye(self.lattice.dim) / self.lattice.cell_volume / self.grid.weights[k]
         return TensorKernel(self.lattice, mat)
-
-    def antiresonant_kernel(self, k: int, l: int) -> TensorKernel:
-        return TensorKernel(self.lattice, self.antiresonant[k, l])
 
     @cached_property
     def _profiles(self) -> dict:
@@ -93,16 +84,9 @@ class _NodeKernels:
     def __init__(self, coupling: CouplingTensor, g_sweep: GreenSweep,
                  grid: FrequencyGrid | None = None):
         grid = grid or coupling.grid
-        K = grid.n_nodes
-        if len(g_sweep) != K:
-            raise DampolError(f"propagator sweep has {len(g_sweep)} entries for {K} nodes")
-        g_sweep.require_complete()
         if grid.eta <= 0:
             raise DampolError("eta must be positive: coincident nodes make the pole factor singular")
-        expected = grid.nodes - 1j * grid.eta
-        zs = np.array(g_sweep.z_values)
-        if not np.allclose(zs, expected, rtol=0, atol=1e-12 * max(1.0, grid.omega_max)):
-            raise DampolError("sweep points do not match the grid nodes just below the cut")
+        require_node_sweep(grid, g_sweep)
         self.grid, self.sweep, self.kernels = grid, g_sweep, coupling.kernels
         self.lattice = coupling.lattice
         # second-argument contractions with T and T*: [b, (l, a)] = T(w_l)[a, b]

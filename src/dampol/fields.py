@@ -20,9 +20,8 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
-from .diagonalize import ModeCoefficients
 from .errors import DampolError
-from .green import GreenSweep, upper_from_lower
+from .green import GreenSweep, require_node_sweep, upper_from_lower
 from .lattice import TensorKernel, pair_contract
 from .susceptibility import Susceptibility
 
@@ -110,17 +109,7 @@ def commutator(a: LinearBosonicForm, b: LinearBosonicForm) -> TensorKernel:
 # -- field operators over the diagonal modes ------------------------------
 
 
-def _require_node_sweep(coupling: CouplingTensor, g_sweep: GreenSweep):
-    grid = coupling.grid
-    g_sweep.require_complete()
-    expected = grid.nodes - 1j * grid.eta
-    zs = np.asarray(g_sweep.z_values)
-    if len(g_sweep) != grid.n_nodes or not np.allclose(zs, expected, rtol=0, atol=1e-12):
-        raise DampolError("field forms need the propagator sweep at the nodes below the cut")
-
-
-def field_form(kind: str, coupling: CouplingTensor, g_sweep: GreenSweep,
-               modes: ModeCoefficients | None = None) -> LinearBosonicForm:
+def field_form(kind: str, coupling: CouplingTensor, g_sweep: GreenSweep) -> LinearBosonicForm:
     """Construct a physical field operator over the diagonal modes.
 
     Kinds: vector potential ``A``, magnetic field ``B``, electric field
@@ -130,7 +119,7 @@ def field_form(kind: str, coupling: CouplingTensor, g_sweep: GreenSweep,
     """
     if kind not in FIELD_KINDS:
         raise DampolError(f"unknown field kind {kind!r}; expected one of {FIELD_KINDS}")
-    _require_node_sweep(coupling, g_sweep)
+    require_node_sweep(coupling.grid, g_sweep)
     lattice = coupling.lattice
     grid = coupling.grid
     K, d, v = grid.n_nodes, lattice.dim, lattice.cell_volume
@@ -156,13 +145,8 @@ def field_form(kind: str, coupling: CouplingTensor, g_sweep: GreenSweep,
     else:  # D
         alpha = 1j * HBAR * (lattice.double_curl_matrix @ gt)
 
-    form = LinearBosonicForm(lattice=lattice, grid=grid, alpha=alpha, beta=alpha.conj(),
+    return LinearBosonicForm(lattice=lattice, grid=grid, alpha=alpha, beta=alpha.conj(),
                              basis=BASIS_DIAGONAL, label=kind)
-    if kind == "A" and modes is not None:
-        defect = vector_potential_route_defect(form, modes.momentum)
-        if defect > 1e-9:
-            raise DampolError(f"vector-potential routes disagree by {defect:.3e}")
-    return form
 
 
 def curl_rows(lattice) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .errors import DampolError, SingularOperatorError
-from .lattice import Lattice, TensorKernel
+from .lattice import FrequencyGrid, Lattice, TensorKernel
 from .susceptibility import Susceptibility
 
 #: relative residual every emitted kernel must satisfy
@@ -171,6 +171,17 @@ def sweep_at_nodes(chi: Susceptibility, side: int = -1) -> GreenSweep:
     if grid.eta <= 0:
         raise DampolError("grid eta must be positive to pick a side of the cut")
     return green_sweep(chi, grid.nodes + 1j * side * grid.eta)
+
+
+def require_node_sweep(grid: FrequencyGrid, sweep: GreenSweep):
+    """Raise unless `sweep` holds a solve at every node just below the cut."""
+    if len(sweep) != grid.n_nodes:
+        raise DampolError(f"propagator sweep has {len(sweep)} entries for {grid.n_nodes} nodes")
+    sweep.require_complete()
+    expected = grid.nodes - 1j * grid.eta
+    zs = np.asarray(sweep.z_values)
+    if not np.allclose(zs, expected, rtol=0, atol=1e-12 * max(1.0, grid.omega_max)):
+        raise DampolError("sweep points do not match the grid nodes just below the cut")
 
 
 def upper_from_lower(green: GreenKernel) -> TensorKernel:

@@ -63,16 +63,15 @@ class QuadraticHamiltonian:
         return slice(base + k * d, base + (k + 1) * d)
 
     @cached_property
-    def dagger_permutation(self) -> np.ndarray:
-        """Matrix X with zeta^dag = X zeta (a, p Hermitian; c <-> c^dag)."""
-        x = np.zeros((self.dim, self.dim))
-        x[self.slice_a, self.slice_a] = np.eye(self.mt)
-        x[self.slice_p, self.slice_p] = np.eye(self.mt)
-        d = self.lattice.dim
-        for k in range(self.grid.n_nodes):
-            x[self.slice_c(k), self.slice_cdag(k)] = np.eye(d)
-            x[self.slice_cdag(k), self.slice_c(k)] = np.eye(d)
-        return x
+    def dagger_index(self) -> np.ndarray:
+        """Involution perm with zeta^dag = zeta[perm] (a, p Hermitian; c <-> c^dag).
+
+        As a 0/1 matrix X it acts by indexing: X @ M = M[perm] and
+        M @ X = M[:, perm].
+        """
+        base, n_ladder = 2 * self.mt, self.grid.n_nodes * self.lattice.dim
+        return np.concatenate([np.arange(base), base + n_ladder + np.arange(n_ladder),
+                               base + np.arange(n_ladder)])
 
     @cached_property
     def commutation_matrix(self) -> np.ndarray:
@@ -105,8 +104,8 @@ class QuadraticHamiltonian:
 
     def hermiticity_defect(self) -> float:
         h_sym = (self.h + self.h.T) / 2.0
-        x = self.dagger_permutation
-        adj = (x @ h_sym.conj() @ x).T
+        perm = self.dagger_index
+        adj = h_sym.conj()[np.ix_(perm, perm)].T
         return float(np.linalg.norm(adj - h_sym) / max(np.linalg.norm(h_sym), 1e-300))
 
     # -- canonical rows of the basic operators -----------------------------
@@ -136,7 +135,7 @@ class QuadraticHamiltonian:
         return rows
 
     def hc_rows(self, rows: np.ndarray) -> np.ndarray:
-        return rows.conj() @ self.dagger_permutation
+        return rows.conj()[..., self.dagger_index]
 
     def commutator_rows(self, rows: np.ndarray) -> np.ndarray:
         """Rows of [O, H] for an operator with the given coefficient rows."""

@@ -125,7 +125,7 @@ def refinement_data():
             ham = assemble_hamiltonian(coupling, st)
             bath = bath_coefficients(coupling, chi)
             seq["equivalence"].append(
-                hamiltonian_equivalence(coupling, st, bath, ham, chi)["weak"])
+                hamiltonian_equivalence(coupling, st, bath, ham)["weak"])
             seq["master"].append(diagonal_form_check(ham, modes))
             seq["fano_peak"].append(fano_residual(modes, coupling, st).max_residual())
         data[name] = seq

@@ -58,6 +58,27 @@ class TestCoefficients:
         assert err.value.node == 0
 
 
+class TestRowBuilder:
+    def test_rows_match_pair_formulas(self, small_lattice):
+        K = 8
+        grid = FrequencyGrid.midpoint(K, 3.0, eta_factor=1.0)
+        coupling = coupling_from_lagrangian(builtin_model("local_lorentz", small_lattice, grid))
+        bath = bath_coefficients(coupling, Susceptibility(coupling))
+        v, nodes, t = small_lattice.cell_volume, grid.nodes, coupling.kernels
+
+        def close(got, ref):
+            return np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+        for k in range(K):
+            co, counter = bath.rows(coupling, k)
+            for l in range(K):
+                pole = 1.0 / (nodes[k] - nodes[l] + 1j * bath.eta)
+                assert close(co[l], pole * v * bath.pole_coeff[k] @ t[l].T)
+                anti = -1.0 / (nodes[k] + nodes[l])
+                assert close(counter[l], anti * v * bath.pole_coeff[k] @ t[l].conj().T)
+            assert close(bath.delta_row(coupling, k), v * bath.delta_coeff[k] @ t[k].T)
+
+
 class TestCanonicalIdentity:
     def test_machine_exact(self, bath_setup):
         lat, grid, coupling, st, chi, bath = bath_setup
@@ -92,6 +113,29 @@ class TestIndependence:
         report = verify_bath_independence(bath, coupling, st)
         assert report["route_agreement"] <= 1e-10
 
+    @pytest.mark.parametrize("K", [4, 16])
+    def test_form_route_runs_once(self, small_lattice, monkeypatch, K):
+        # the form-commutator route is only the node-0 cross-check, whatever K
+        import dampol.bath as bath_mod
+        calls = {"bath_mode_form": 0, "commutator": 0}
+
+        def counting(name):
+            inner = getattr(bath_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bath_mod, name, counting(name))
+        grid = FrequencyGrid.midpoint(K, 3.0, eta_factor=1.0)
+        coupling = coupling_from_lagrangian(builtin_model("local_lorentz", small_lattice, grid))
+        bath = bath_coefficients(coupling, Susceptibility(coupling))
+        report = verify_bath_independence(bath, coupling, structure_tensor(coupling))
+        assert calls == {"bath_mode_form": 1, "commutator": 1}
+        assert set(report) == {"polarization", "momentum", "route_agreement"}
+
     def test_bath_mode_commutes_weakly(self, bath_setup):
         # a single sanity point: the commutator with the polarization is much
         # smaller than the generic mode-polarization commutator scale
@@ -114,14 +158,14 @@ class TestHamiltonianForms:
             chi = Susceptibility(coupling)
             bath = bath_coefficients(coupling, chi)
             ham = assemble_hamiltonian(coupling, st)
-            vals.append(hamiltonian_equivalence(coupling, st, bath, ham, chi))
+            vals.append(hamiltonian_equivalence(coupling, st, bath, ham))
         assert vals[0]["hermiticity_defect"] <= 1e-12
         assert vals[0]["weak"] / vals[1]["weak"] >= 1.8
 
     def test_bath_form_field_sector_exact(self, bath_setup):
         lat, grid, coupling, st, chi, bath = bath_setup
         ham = assemble_hamiltonian(coupling, st)
-        ham2 = assemble_bath_hamiltonian(coupling, st, bath, chi, ham)
+        ham2 = assemble_bath_hamiltonian(coupling, st, bath, ham)
         fs = slice(0, 2 * ham.mt)
         ms = slice(2 * ham.mt, ham.dim)
         diff = ham2.h - ham.h

@@ -15,6 +15,7 @@ from dampol.diagonalize import (
     streamed_mode_checks,
     wave_diagnostic,
 )
+from dampol.fields import field_form
 from dampol.green import green_sweep, sweep_at_nodes
 from dampol.lattice import FrequencyGrid, TensorKernel
 from dampol.susceptibility import Susceptibility
@@ -73,6 +74,8 @@ class TestAssembly:
             streamed_mode_checks(lorentz_coupling, above, lorentz_structure)
         with pytest.raises(DampolError, match="below the cut"):
             wave_diagnostic(lorentz_coupling, above)
+        with pytest.raises(DampolError, match="below the cut"):
+            field_form("E", lorentz_coupling, above)
 
 
 class TestFanoResiduals:

@@ -112,7 +112,7 @@ class TestFieldForms:
 
     def test_vector_potential_two_routes_agree(self, setup):
         lat, grid, coupling, st, chi, sweep, modes = setup
-        a_form = field_form("A", coupling, sweep, modes=modes)
+        a_form = field_form("A", coupling, sweep)
         assert vector_potential_route_defect(a_form, modes.momentum) <= 1e-10
         # the stack-free family the CLI reads is the same kernel set
         momentum = momentum_family(coupling, sweep)

@@ -14,6 +14,7 @@ from dampol.diagonalize import fano_residual, mode_coefficients
 from dampol.green import sweep_at_nodes
 from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice
 from dampol.oracle import (
+    QuadraticHamiltonian,
     assemble_hamiltonian,
     diagonal_form_check,
     heisenberg_residual,
@@ -45,6 +46,24 @@ class TestAssembly:
     def test_hermiticity(self, lorentz_setup):
         lat, grid, coupling, st, ham = lorentz_setup
         assert ham.hermiticity_defect() <= 1e-13
+
+    def test_dagger_index_matches_dense_permutation(self, lorentz_setup):
+        lat, grid, coupling, st, ham = lorentz_setup
+        rng = np.random.default_rng(5)
+        dim = ham.dim
+        h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rand = QuadraticHamiltonian(lattice=lat, grid=grid, h=h, mt=ham.mt)
+        x = np.zeros((dim, dim))
+        x[rand.slice_a, rand.slice_a] = np.eye(ham.mt)
+        x[rand.slice_p, rand.slice_p] = np.eye(ham.mt)
+        for k in range(grid.n_nodes):
+            x[rand.slice_c(k), rand.slice_cdag(k)] = np.eye(lat.dim)
+            x[rand.slice_cdag(k), rand.slice_c(k)] = np.eye(lat.dim)
+        rows = rng.standard_normal((lat.dim, dim)) + 1j * rng.standard_normal((lat.dim, dim))
+        assert np.array_equal(rand.hc_rows(rows), rows.conj() @ x)
+        h_sym = (h + h.T) / 2.0
+        adj = (x @ h_sym.conj() @ x).T
+        assert rand.hermiticity_defect() == float(np.linalg.norm(adj - h_sym) / np.linalg.norm(h_sym))
 
     def test_zero_coupling_decouples(self, small_lattice):
         grid = FrequencyGrid.midpoint(4, 3.0)
