@@ -20,8 +20,10 @@ against smooth profiles before taking norms.
 
 Every family is built from the per-node formulas of `_NodeKernels`, which
 also validates the propagator sweep (`green.require_node_sweep`).  `streamed_mode_checks` is the
-production evaluator of the identities: it forms the node-pair rows one
-node at a time and holds O(K d^2) numbers.  The stack route
+production evaluator of the identities: the node-pair rows factorize into
+a per-node transfer kernel, a (K, K) frequency factor and the coupling, so
+every sum over the pair index is a (K, K) @ (K, d^2) GEMM and no pair row
+is ever formed; it costs O(K^2 d^2 + K d^3) time and O(K d^2) memory.  The stack route
 (`mode_coefficients` with `fano_residual`, the ``smeared_*`` norms and the
 pair-resolved commutators) materializes the 2 K^2 d^2 pair families; it
 serves the assembled-Hamiltonian oracle, which needs explicit rows, and is
@@ -77,8 +79,14 @@ class _NodeKernels:
 
     `g_sweep` must hold the propagator at every node just below the cut
     (w_k - i eta); the pole factor between node pairs uses the same eta.
-    Node-pair rows are formed one node at a time, so nothing held here
-    grows beyond K d^2.
+    The pair rows factorize as
+
+        resonant[k, l]     = mu0 hbar v (-w_k Xt_k + pole[k, l] X_k) T(w_l)^T
+        antiresonant[k, l] = mu0 hbar v ( w_k Xt_k - anti[k, l] X_k) T(w_l)^H
+
+    with X_k = `transfer(k)`, Xt_k = X_k o P_T and the (K, K) coefficient
+    matrices `pole` and `anti` held here; nothing else held grows beyond
+    K d^2.
     """
 
     def __init__(self, coupling: CouplingTensor, g_sweep: GreenSweep,
@@ -89,10 +97,15 @@ class _NodeKernels:
         require_node_sweep(grid, g_sweep)
         self.grid, self.sweep, self.kernels = grid, g_sweep, coupling.kernels
         self.lattice = coupling.lattice
-        # second-argument contractions with T and T*: [b, (l, a)] = T(w_l)[a, b]
-        self._tt_flat = np.ascontiguousarray(
-            coupling.kernels.transpose(2, 0, 1).reshape(self.lattice.dim, -1))
-        self._th_flat = self._tt_flat.conj()
+        om, nodes = grid.nodes[:, None], grid.nodes
+        self.pole = om**2 / (om - nodes - 1j * grid.eta)   # [k, l] = w_k^2 / (w_k - w_l - i eta)
+        self.anti = om**2 / (om + nodes)                    # [k, l] = w_k^2 / (w_k + w_l)
+
+    @cached_property
+    def _t_cols(self) -> tuple:
+        """T and T* for second-argument contractions: [b, (l, a)] = T(w_l)[a, b]."""
+        tt = np.ascontiguousarray(self.kernels.transpose(2, 0, 1).reshape(self.lattice.dim, -1))
+        return tt, tt.conj()
 
     def transfer(self, k: int) -> np.ndarray:
         """X_k = v T*(w_k) o G(w_k - i eta)."""
@@ -108,14 +121,13 @@ class _NodeKernels:
     def pair_rows(self, k: int, x: np.ndarray, xt: np.ndarray) -> tuple:
         """Row k of the resonant (regular part) and antiresonant families, (K, d, d) each."""
         K, d, v = self.grid.n_nodes, self.lattice.dim, self.lattice.cell_volume
-        nodes, om = self.grid.nodes, self.grid.nodes[k]
-        pole = (om**2 / (om - nodes - 1j * self.grid.eta))[:, None, None]
-        anti = (om**2 / (om + nodes))[:, None, None]
+        om = self.grid.nodes[k]
+        tt, th = self._t_cols
         both = np.concatenate([xt, x])
-        proj, full = (v * both @ self._tt_flat).reshape(2, d, K, d).transpose(0, 2, 1, 3)
-        proj_h, full_h = (v * both @ self._th_flat).reshape(2, d, K, d).transpose(0, 2, 1, 3)
-        return (MU0 * HBAR * (-om * proj + pole * full),
-                MU0 * HBAR * (om * proj_h - anti * full_h))
+        proj, full = (v * both @ tt).reshape(2, d, K, d).transpose(0, 2, 1, 3)
+        proj_h, full_h = (v * both @ th).reshape(2, d, K, d).transpose(0, 2, 1, 3)
+        return (MU0 * HBAR * (-om * proj + self.pole[k][:, None, None] * full),
+                MU0 * HBAR * (om * proj_h - self.anti[k][:, None, None] * full_h))
 
 
 def momentum_family(coupling: CouplingTensor, g_sweep: GreenSweep) -> np.ndarray:
@@ -384,40 +396,71 @@ class StreamedModeChecks:
 
 def streamed_mode_checks(coupling: CouplingTensor, g_sweep: GreenSweep,
                          structure: StructureTensor) -> StreamedModeChecks:
-    """Single-pass weak-form verification of the mode-kernel identities."""
+    """Single-pass weak-form verification of the mode-kernel identities.
+
+    With the factorized pair rows of `_NodeKernels`, a weighted sum over the
+    pair index l against any kernels M_l is
+
+        sum_l a[k, l] resonant[k, l] M_l
+            = mu0 hbar v [-w_k Xt_k (a @ Q)_k + X_k ((a * pole) @ Q)_k]
+
+    with Q_l = T_l^T M_l (T_l^H M_l and `anti` for the antiresonant rows): one
+    (K, K) @ (K, d^2) GEMM per coefficient matrix, formed from the coupling
+    alone before the node loop.  The smeared families summed over k follow
+    the same way from (phi * pole)^T @ X.  Cost O(K^2 d^2 + K d^3); only X,
+    the coupling and the GEMM results are held as (K, d, d) stacks.
+    """
     rows = _NodeKernels(coupling, g_sweep)
     grid = coupling.grid
     lattice = coupling.lattice
     K, d, v = grid.n_nodes, lattice.dim, lattice.cell_volume
     nodes, w = grid.nodes, grid.weights
+    c = MU0 * HBAR * v
+    pole, anti = rows.pole, rows.anti
 
     pt = lattice.transverse_matrix
     pl = lattice.longitudinal_matrix
     lap = lattice.laplacian_matrix
     f_pt = structure.kernel.mat @ pt
     t, tc = coupling.kernels, coupling.kernels.conj()
-    t_proj = tc @ pt
-    tt_proj = t @ pt
-    # pair_contract takes its second stack transposed: sum_l a_l @ b_l
-    # is pair_contract(w, a, b.transpose(0, 2, 1)), free for contiguous b
-    t_proj_tr, tt_proj_tr = t_proj.transpose(0, 2, 1), tt_proj.transpose(0, 2, 1)
-    t_tr, tc_tr = t.transpose(0, 2, 1), tc.transpose(0, 2, 1)
+    t_flat, tc_flat = t.reshape(K, d * d), tc.reshape(K, d * d)
+
+    def gemm(coeff, flat):
+        """sum_l coeff[..., k, l] flat[l] as (..., K, d, d)."""
+        return (coeff @ flat).reshape(coeff.shape[:-1] + (d, d))
+
+    # wave and brace: M_l = T_l* (Q3_l = T_l^T T_l*) and M_l = T_l (Q4_l = T_l^H T_l);
+    # P_T and P_L are applied after the sums
+    q4 = (tc.transpose(0, 2, 1) @ t).reshape(K, d * d)
+    q3 = q4.conj()
+    wn = w * nodes
+    s_wave = ((wn @ q3) + (wn @ q4)).reshape(d, d)
+    s_brace = ((w @ q4) - (w @ q3)).reshape(d, d)
+    g_wave = gemm(wn * pole, q3) + gemm(wn * anti, q4)
+    g_brace = gemm(w * pole, q3) - gemm(w * anti, q4)
+    del q3, q4
 
     x = grid.nodes / grid.omega_max
     profiles = {name: fn(x) for name, fn in SMEAR_PROFILES.items()}
-    t_sm = {n: np.einsum("l,lab->ab", w * p, t) for n, p in profiles.items()}
-    t_sm_w = {n: np.einsum("l,lab->ab", w * p * nodes, t) for n, p in profiles.items()}
+    wps = {n: w * p for n, p in profiles.items()}
+    t_sm = {n: (wp @ t_flat).reshape(d, d).T for n, wp in wps.items()}   # sum_l phi_l T_l^T
+    t_sm_w = {n: (wp * nodes @ t_flat).reshape(d, d).T for n, wp in wps.items()}
     tc_sm = {n: m.conj() for n, m in t_sm.items()}
     tc_sm_w = {n: m.conj() for n, m in t_sm_w.items()}
+    # per profile, M_l = identity: [row sum, omdiff] over T^T, [row sum, omsum] over T^H
+    gap = nodes[None, :] - nodes[:, None]   # (k, l) -> w_l - w_k
+    tot = nodes[None, :] + nodes[:, None]
+    g_res = {n: gemm(np.stack([wp * pole, wp * gap * pole]), t_flat) for n, wp in wps.items()}
+    g_anti = {n: gemm(np.stack([wp * anti, wp * tot * anti]), tc_flat) for n, wp in wps.items()}
 
-    # accumulators
-    s3 = {n: np.zeros((K, d, d), dtype=complex) for n in profiles}
-    s4 = {n: np.zeros((K, d, d), dtype=complex) for n in profiles}
+    x_stack = np.empty((K, d, d), dtype=complex)
+    eye_v = np.eye(d) / v
+    f1s = {n: np.zeros((d, d), dtype=complex) for n in profiles}
+    f2s = {n: np.zeros((d, d), dtype=complex) for n in profiles}
+    y = {n: np.zeros((d, d), dtype=complex) for n in profiles}   # sum_k phi_k w_k Xt_k
     r_sum = {n: np.zeros((d, d), dtype=complex) for n in profiles}
     f4_sum = {(a, b): np.zeros((d, d), dtype=complex)
               for a in profiles for b in profiles if a != b}
-    f1s = {n: np.zeros((d, d), dtype=complex) for n in profiles}
-    f2s = {n: np.zeros((d, d), dtype=complex) for n in profiles}
     sq = {"ratio_n": 0.0, "ratio_d": 0.0, "wave_n": 0.0, "wave_d": 0.0}
     res_n = {n: 0.0 for n in profiles}
     res_d = {n: 0.0 for n in profiles}
@@ -426,7 +469,7 @@ def streamed_mode_checks(coupling: CouplingTensor, g_sweep: GreenSweep,
     for k in range(K):
         om, wk = nodes[k], w[k]
         xk, xtk, pot, mom = rows.families(k)
-        res_row, anti_row = rows.pair_rows(k, xk, xtk)
+        x_stack[k] = xk
 
         # ratio identity
         diff = (1j / EPS0) * pot - om * mom
@@ -435,40 +478,45 @@ def streamed_mode_checks(coupling: CouplingTensor, g_sweep: GreenSweep,
 
         # wave-type equation for this node
         term = (1j / MU0) * (mom @ lap) - 1j * HBAR * v * mom @ f_pt
-        term += v * pair_contract(w * nodes, res_row, t_proj_tr)
-        term -= v * pair_contract(w * nodes, anti_row, tt_proj_tr)
-        term += om * t_proj[k]
+        term += (v * c * (xk @ g_wave[k] - om * xtk @ s_wave) + om * tc[k]) @ pt
         rhs = om * pot
         sq["wave_n"] += wk * np.linalg.norm(term - rhs) ** 2
         sq["wave_d"] += wk * np.linalg.norm(rhs) ** 2
 
         # longitudinal brace for the two-frequency relations
-        brace = (v * pair_contract(w, res_row, tc_tr)
-                 + v * pair_contract(w, anti_row, t_tr) + tc[k]) @ pl
+        brace = (v * c * (xk @ g_brace[k] + om * xtk @ s_brace) + tc[k]) @ pl
 
+        anti_sum = {}
         for n, p in profiles.items():
-            wp = w * p
-            omdiff = np.einsum("l,l,lab->ab", wp, nodes - om, res_row)
-            r35 = (-1j * HBAR * v * mom @ t_sm_w[n].T + omdiff
-                   + (HBAR / EPS0) * v * brace @ t_sm[n].T)
-            rhs35 = om * (p[k] * np.eye(d) / v + np.einsum("l,lab->ab", wp, res_row))
+            phi = wps[n][k]
+            res_sum = c * (xk @ g_res[n][0, k].T - om * xtk @ t_sm[n])
+            omdiff = c * (xk @ g_res[n][1, k].T - om * xtk @ (t_sm_w[n] - om * t_sm[n]))
+            r35 = (-1j * HBAR * v * mom @ t_sm_w[n] + omdiff
+                   + (HBAR / EPS0) * v * brace @ t_sm[n])
+            rhs35 = om * (p[k] * eye_v + res_sum)
             res_n[n] += wk * np.linalg.norm(r35) ** 2
             res_d[n] += wk * np.linalg.norm(rhs35) ** 2
-            omsum = np.einsum("l,l,lab->ab", wp, nodes + om, anti_row)
-            r36 = (-1j * HBAR * v * mom @ tc_sm_w[n].T - omsum
-                   - (HBAR / EPS0) * v * brace @ tc_sm[n].T)
+            anti_sum[n] = c * (om * xtk @ tc_sm[n] - xk @ g_anti[n][0, k].T)
+            omsum = c * (om * xtk @ (tc_sm_w[n] + om * tc_sm[n]) - xk @ g_anti[n][1, k].T)
+            r36 = (-1j * HBAR * v * mom @ tc_sm_w[n] - omsum
+                   - (HBAR / EPS0) * v * brace @ tc_sm[n])
             anti_n[n] += wk * np.linalg.norm(r36) ** 2
 
             # accumulate smeared families
-            phi = wp[k]
             f1s[n] += phi * pot
             f2s[n] += phi * mom
-            s3[n] += phi * res_row
-            s4[n] += phi * anti_row
-            r_sum[n] += phi * np.einsum("l,lab->ab", wp, res_row)
+            y[n] += (phi * om) * xtk
+            r_sum[n] += phi * res_sum
         for (a, b) in f4_sum:
-            f4_sum[(a, b)] += (w * profiles[a])[k] * np.einsum(
-                "l,lab->ab", w * profiles[b], anti_row)
+            f4_sum[(a, b)] += wps[a][k] * anti_sum[b]
+    del g_wave, g_brace, g_res, g_anti
+
+    # s3[l] = sum_k phi_k resonant[k, l], s4 likewise
+    x_flat = x_stack.reshape(K, d * d)
+    s3 = {n: (c * (gemm((wp[:, None] * pole).T, x_flat) - y[n])) @ t.transpose(0, 2, 1)
+          for n, wp in wps.items()}
+    s4 = {n: (c * (y[n] - gemm((wp[:, None] * anti).T, x_flat))) @ tc.transpose(0, 2, 1)
+          for n, wp in wps.items()}
 
     commutation = {}
     for n, p in profiles.items():

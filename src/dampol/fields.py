@@ -136,7 +136,7 @@ def field_form(kind: str, coupling: CouplingTensor, g_sweep: GreenSweep) -> Line
     elif kind == "E":
         alpha = 1j * MU0 * HBAR * (nodes**2)[:, None, None] * gt
     elif kind == "P":
-        chi_up = np.stack([Susceptibility(coupling).at(nodes[k] + 1j * grid.eta).mat
+        chi_up = np.stack([g_sweep[k].chi_ref.at(nodes[k] + 1j * grid.eta).mat
                            for k in range(K)])
         alpha = (1j * HBAR / C_LIGHT**2) * (nodes**2)[:, None, None] * (v * chi_up @ gt) \
             - 1j * HBAR * t_t

@@ -31,9 +31,11 @@ def chi_at(coupling: CouplingTensor, z: complex) -> TensorKernel:
         raise PoleError(f"z = {z} sits on a quadrature node; offset it from the real axis")
     w = coupling.grid.weights
     dens = coupling.density_stack
-    res = np.einsum("k,kij->ij", w / (nodes - z), dens)
-    anti = np.einsum("k,kij->ij", w / (nodes + z), dens.conj())
-    return TensorKernel(coupling.lattice, (HBAR / EPS0) * (res + anti))
+    # sum_k c_k conj(D_k) = conj(sum_k conj(c_k) D_k): both node sums in one GEMM
+    coeff = np.stack([w / (nodes - z), np.conj(w / (nodes + z))])
+    res, anti = coeff @ dens.reshape(nodes.size, -1)
+    mat = (res + anti.conj()).reshape(dens.shape[1:])
+    return TensorKernel(coupling.lattice, (HBAR / EPS0) * mat)
 
 
 def chi_discontinuity(coupling: CouplingTensor, omega: float) -> TensorKernel:

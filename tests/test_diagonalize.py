@@ -1,10 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dampol.constants import MU0
 from dampol.errors import DampolError
-from dampol.coupling import CouplingTensor, builtin_model, coupling_from_lagrangian, structure_tensor
+from dampol.coupling import (
+    CouplingTensor,
+    builtin_model,
+    coupling_from_lagrangian,
+    random_coupling,
+    structure_tensor,
+)
 from dampol.diagonalize import (
+    _NodeKernels,
     annihilator_commutator,
     commutation_deviation,
     commutation_matrix,
@@ -17,7 +26,7 @@ from dampol.diagonalize import (
 )
 from dampol.fields import field_form
 from dampol.green import green_sweep, sweep_at_nodes
-from dampol.lattice import FrequencyGrid, TensorKernel
+from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice
 from dampol.susceptibility import Susceptibility
 
 from test_coupling import scalar_coupling
@@ -148,20 +157,33 @@ class TestCommutationChecks:
         assert c1[0] / c1[1] >= 1.5
         assert c13[0] / c13[1] >= 1.5
 
-    def test_streamed_matches_stacked(self, lorentz_coupling):
-        modes, sweep = make_modes(lorentz_coupling)
-        st = structure_tensor(lorentz_coupling)
-        rep = fano_residual(modes, lorentz_coupling, st)
-        sc = streamed_mode_checks(lorentz_coupling, sweep, st)
+    @pytest.mark.parametrize("name, n", [
+        pytest.param("local_lorentz", 2, id="local_lorentz-n2"),
+        pytest.param("uniaxial_local", 2, id="uniaxial_local-n2"),
+        pytest.param("gaussian_nonlocal", 2, id="gaussian_nonlocal-n2"),
+        pytest.param("random_coupling", 2, id="random_coupling-n2"),
+        pytest.param("local_lorentz", 3, id="local_lorentz-n3"),
+    ])
+    def test_streamed_matches_stacked(self, name, n):
+        lattice, grid = build_lattice(n, 1.0), FrequencyGrid.midpoint(12, 8.0)
+        if name == "random_coupling":
+            model = random_coupling(lattice, grid, np.random.default_rng(20240817))
+        else:
+            model = builtin_model(name, lattice, grid)
+        coupling = coupling_from_lagrangian(model)
+        modes, sweep = make_modes(coupling)
+        st = structure_tensor(coupling)
+        rep = fano_residual(modes, coupling, st)
+        sc = streamed_mode_checks(coupling, sweep, st)
         assert sc.max_residual() == pytest.approx(rep.max_residual(), rel=1e-12)
         assert sc.potential_ratio == pytest.approx(rep.potential_ratio, rel=1e-12)
         assert sc.wave == pytest.approx(rep.wave, rel=1e-12)
-        assert max(sc.resonant.values()) == pytest.approx(rep.resonant, rel=1e-12)
-        assert max(sc.antiresonant.values()) == pytest.approx(rep.antiresonant, rel=1e-12)
-        assert max(sc.commutation.values()) == pytest.approx(
-            max(smeared_commutation_deviation(modes).values()), rel=1e-12)
-        assert max(sc.annihilator.values()) == pytest.approx(
-            max(smeared_annihilator_norm(modes).values()), rel=1e-12)
+        assert sc.resonant == pytest.approx(
+            {p: v["resonant"] for p, v in rep.details.items()}, rel=1e-12)
+        assert sc.antiresonant == pytest.approx(
+            {p: v["antiresonant"] for p, v in rep.details.items()}, rel=1e-12)
+        assert sc.commutation == pytest.approx(smeared_commutation_deviation(modes), rel=1e-12)
+        assert sc.annihilator == pytest.approx(smeared_annihilator_norm(modes), rel=1e-12)
 
     def test_offdiagonal_pair_decreases_under_refinement(self, small_lattice):
         norms = []
@@ -175,3 +197,34 @@ class TestCommutationChecks:
             norms.append(commutation_deviation(modes, k, l).norm()
                          * grid.weights[k])
         assert norms[1] < norms[0]
+
+
+class TestStreamedCost:
+    """The streamed pass sums pair rows by GEMM and holds O(K d^2) numbers."""
+
+    def test_never_forms_pair_rows(self, lorentz_coupling, lorentz_structure, monkeypatch):
+        sweep = sweep_at_nodes(Susceptibility(lorentz_coupling), side=-1)
+        expected = streamed_mode_checks(lorentz_coupling, sweep, lorentz_structure)
+
+        def refuse(*args):
+            raise AssertionError("the streamed pass formed a pair row")
+
+        monkeypatch.setattr(_NodeKernels, "pair_rows", refuse)
+        assert streamed_mode_checks(lorentz_coupling, sweep, lorentz_structure) == expected
+
+    def test_traced_peak_within_eighteen_stacks(self):
+        # the refine_kernels lattice and model at its second level
+        lattice = build_lattice(2, 1.0)
+        grid = FrequencyGrid.midpoint(128, 3.0, eta_factor=1.0)
+        coupling = coupling_from_lagrangian(builtin_model(
+            "local_lorentz", lattice, grid, {"resonance": 1.5, "width": 0.6, "strength": 1.0}))
+        st = structure_tensor(coupling)
+        sweep = sweep_at_nodes(Susceptibility(coupling), side=-1)
+        K, d = grid.n_nodes, lattice.dim
+        tracemalloc.start()
+        try:
+            streamed_mode_checks(coupling, sweep, st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * K * d * d * 16, f"traced peak {peak / (K * d * d * 16):.1f} stacks"

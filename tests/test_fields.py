@@ -200,6 +200,16 @@ class TestConsistencyChecks:
         pn_form = field_form("Pn", coupling, sweep)
         assert constitutive_check(p_form, e_form, pn_form, chi) <= 1e-10
 
+    def test_constitutive_with_perturbed_chi(self, setup):
+        # the P form must carry the susceptibility the sweep was solved with
+        lat, grid, coupling, st, chi, sweep, modes = setup
+        pert = np.zeros((lat.dim, lat.dim))
+        pert[0, 1] = 0.05
+        broken = chi.perturbed(TensorKernel(lat, pert))
+        broken_sweep = sweep_at_nodes(broken, side=-1)
+        forms = {kind: field_form(kind, coupling, broken_sweep) for kind in ("P", "E", "Pn")}
+        assert constitutive_check(forms["P"], forms["E"], forms["Pn"], broken) <= 1e-10
+
     def test_maxwell_identity(self, setup):
         lat, grid, coupling, st, chi, sweep, modes = setup
         b_form = field_form("B", coupling, sweep)

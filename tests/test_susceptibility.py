@@ -59,6 +59,17 @@ class TestChiAt:
         with pytest.raises(PoleError):
             chi_at(lorentz_coupling, complex(node))
 
+    @pytest.mark.parametrize("side", [+1, -1])
+    def test_matches_einsum_definition(self, random_lagrangian, side):
+        grid = random_lagrangian.grid
+        dens = random_lagrangian.density_stack
+        for z in (grid.nodes[3] + side * 1j * grid.eta, 2.3 + side * 0.7j, -1.1 + side * 0.05j):
+            res = np.einsum("k,kij->ij", grid.weights / (grid.nodes - z), dens)
+            anti = np.einsum("k,kij->ij", grid.weights / (grid.nodes + z), dens.conj())
+            ref = (HBAR / EPS0) * (res + anti)
+            got = chi_at(random_lagrangian, z).mat
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
 
 class TestDiscontinuity:
     def test_node_value_matches_kernel_product(self, random_lagrangian):
