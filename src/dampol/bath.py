@@ -93,7 +93,7 @@ def bath_coefficients(coupling: CouplingTensor, chi: Susceptibility) -> BathCoef
                 f"(singular-value ratio {sv[-1] / max(sv[0], 1e-300):.3e})",
                 cond=sv[0] / max(sv[-1], 1e-300), node=k)
         delta_coeff[k] = np.linalg.inv(tmat.T) / v**2
-        chi_up = chi.at(grid.nodes[k] + 1j * grid.eta).mat
+        chi_up = chi.above_cut[k]
         svc = np.linalg.svd(chi_up, compute_uv=False)
         if svc[-1] <= INVERTIBILITY_RTOL * svc[0] or svc[0] == 0.0:
             raise SingularOperatorError(
@@ -111,7 +111,7 @@ def verify_linkage(bath: BathCoefficients, coupling: CouplingTensor,
     v = coupling.lattice.cell_volume
     worst = 0.0
     for k in range(grid.n_nodes):
-        chi_up = chi.at(grid.nodes[k] + 1j * grid.eta).mat
+        chi_up = chi.above_cut[k]
         lhs = v * bath.pole_coeff[k] @ chi_up
         disc = discontinuity_at_node(coupling, k).mat
         rhs = (1.0 / (2.0j * np.pi)) * v * bath.delta_coeff[k] @ disc
@@ -196,11 +196,6 @@ def verify_bath_canonical(bath: BathCoefficients, coupling: CouplingTensor) -> f
 # -- Hamiltonian in bath form -------------------------------------------------
 
 
-def _adjoint_form(q: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Coefficient matrix of the Hermitian conjugate of a quadratic form."""
-    return q.conj()[np.ix_(perm, perm)].T
-
-
 def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTensor,
                               bath: BathCoefficients,
                               reference: QuadraticHamiltonian) -> QuadraticHamiltonian:
@@ -254,10 +249,12 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     # coefficient up to hbar / eps0
     exch_left = (w[:, None, None] * u_cbd).reshape(K * d, ham.dim)
     exch_right = (bath.pole_coeff @ u_p).reshape(K * d, ham.dim)
-    exchange = -1j * v**2 * (exch_left.T @ exch_right)
+    exchange = exch_left.T @ exch_right
+    exchange *= -1j * v**2
     # the minus on the conjugate bracket is absorbed by conjugating the -i
     # prefactor: the Hermitian total is the accumulated half plus its adjoint
-    h[:] += exchange + _adjoint_form(exchange, ham.dagger_index)
+    exchange += ham.adjoint(exchange)
+    h[:] += exchange
 
     # cubic-moment polarization self-energy
     selfenergy = polarization_selfenergy_kernel(coupling, structure).mat

@@ -39,7 +39,13 @@ from .fields import (
 )
 from .green import sweep_at_nodes, verify_adjoint, verify_conjugation, verify_reciprocity
 from .lattice import FrequencyGrid, TensorKernel, build_lattice
-from .oracle import assemble_hamiltonian, diagonal_form_check, heisenberg_residual, symplectic_spectrum
+from .oracle import (
+    HERMITICITY_TOL,
+    assemble_hamiltonian,
+    diagonal_form_check,
+    heisenberg_residual,
+    symplectic_spectrum,
+)
 from .susceptibility import (
     Susceptibility,
     asymptote_residual,
@@ -328,6 +334,13 @@ def stage_fields(pipe: Pipeline, out: Path | None = None) -> dict:
         pipe.entry("fields.maxwell", maxwell_check(forms["B"], forms["D"]),
                    max(10.0 * green_res, 1e-12), green_solve_residual=green_res),
     ]
+    if out is not None:
+        rng = np.random.default_rng(pipe.config.seed + 2)
+        amp = rng.standard_normal((pipe.grid.n_nodes, pipe.lattice.dim)) \
+            + 1j * rng.standard_normal((pipe.grid.n_nodes, pipe.lattice.dim))
+        reports.field_trace_csv(out / "field_trace.csv", forms["E"], amp,
+                                np.linspace(0.0, 4.0 * np.pi / pipe.grid.omega_max, 32))
+    del forms   # the commutator checks below read none of the field forms
     worst = 0.0
     for k in (0, pipe.grid.n_nodes // 2, pipe.grid.n_nodes - 1):
         pn = noise_mode_form(coupling, k)
@@ -344,12 +357,6 @@ def stage_fields(pipe: Pipeline, out: Path | None = None) -> dict:
     ww = commutator(w_form, w_form).norm() / (HBAR * ident.norm())
     checks.append(pipe.entry("fields.polarization_selfcommutator", float(pp), TOL_EXACT))
     checks.append(pipe.entry("fields.momentum_selfcommutator", float(ww), TOL_EXACT))
-    if out is not None:
-        rng = np.random.default_rng(pipe.config.seed + 2)
-        amp = rng.standard_normal((pipe.grid.n_nodes, pipe.lattice.dim)) \
-            + 1j * rng.standard_normal((pipe.grid.n_nodes, pipe.lattice.dim))
-        reports.field_trace_csv(out / "field_trace.csv", forms["E"], amp,
-                                np.linspace(0.0, 4.0 * np.pi / pipe.grid.omega_max, 32))
     return reports.stage_report("fields", checks)
 
 
@@ -371,7 +378,7 @@ def stage_bath(pipe: Pipeline) -> dict:
 def stage_oracle(pipe: Pipeline, out: Path | None = None) -> dict:
     ham = pipe.hamiltonian
     res = heisenberg_residual(ham, pipe.coupling, pipe.structure)
-    checks = [pipe.entry("oracle.hermiticity", ham.hermiticity_defect(), 1e-12)]
+    checks = [pipe.entry("oracle.hermiticity", ham.hermiticity_defect(), HERMITICITY_TOL)]
     for name, value in res.items():
         checks.append(pipe.entry(f"oracle.heisenberg_{name}", value, TOL_EXACT))
     spec = symplectic_spectrum(ham)

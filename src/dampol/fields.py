@@ -136,8 +136,7 @@ def field_form(kind: str, coupling: CouplingTensor, g_sweep: GreenSweep) -> Line
     elif kind == "E":
         alpha = 1j * MU0 * HBAR * (nodes**2)[:, None, None] * gt
     elif kind == "P":
-        chi_up = np.stack([g_sweep[k].chi_ref.at(nodes[k] + 1j * grid.eta).mat
-                           for k in range(K)])
+        chi_up = g_sweep[0].chi_ref.above_cut   # a node sweep is solved with one chi
         alpha = (1j * HBAR / C_LIGHT**2) * (nodes**2)[:, None, None] * (v * chi_up @ gt) \
             - 1j * HBAR * t_t
     elif kind == "Pn":
@@ -235,8 +234,7 @@ def constitutive_check(p_form: LinearBosonicForm, e_form: LinearBosonicForm,
     v = p_form.lattice.cell_volume
     worst = 0.0
     for l in range(grid.n_nodes):
-        chi_up = chi.at(grid.nodes[l] + 1j * chi.eta)
-        pred = v * chi_up.mat @ e_form.alpha[l] + pn_form.alpha[l]
+        pred = v * chi.above_cut[l] @ e_form.alpha[l] + pn_form.alpha[l]
         scale = max(np.linalg.norm(p_form.alpha[l]), np.linalg.norm(pred), 1e-300)
         worst = max(worst, np.linalg.norm(p_form.alpha[l] - pred) / scale)
     return worst

@@ -28,6 +28,9 @@ from .lattice import FrequencyGrid, Lattice
 
 MAX_CANONICAL_DIM = 8000
 
+#: relative dagger-Hermiticity defect a quadratic form may carry
+HERMITICITY_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
@@ -102,11 +105,15 @@ class QuadraticHamiltonian:
             out[self.slice_cdag(k)] = -2.0 * h_sym[self.slice_c(k)]
         return out
 
+    def adjoint(self, q: np.ndarray) -> np.ndarray:
+        """Coefficient matrix of the Hermitian conjugate of the form zeta^T q zeta."""
+        out = q[np.ix_(self.dagger_index, self.dagger_index)]
+        np.conj(out, out=out)   # on the permuted copy: one dim x dim temporary, not two
+        return out.T
+
     def hermiticity_defect(self) -> float:
         h_sym = (self.h + self.h.T) / 2.0
-        perm = self.dagger_index
-        adj = h_sym.conj()[np.ix_(perm, perm)].T
-        return float(np.linalg.norm(adj - h_sym) / max(np.linalg.norm(h_sym), 1e-300))
+        return float(np.linalg.norm(self.adjoint(h_sym) - h_sym) / max(np.linalg.norm(h_sym), 1e-300))
 
     # -- canonical rows of the basic operators -----------------------------
 
@@ -381,6 +388,54 @@ def diagonal_form_check(ham: QuadraticHamiltonian, modes: ModeCoefficients) -> f
     return max(float(np.sqrt(num[g] / max(den[g], 1e-300))) for g in groups)
 
 
+def quadrature_matrix(ham: QuadraticHamiltonian) -> tuple[np.ndarray, float]:
+    """The dynamical matrix in Hermitian quadratures: the real R = -i U^dag K U.
+
+    U keeps the a, p sectors and maps each ladder pair to quadratures,
+    c = (x + i y)/sqrt(2) and c^dag = (x - i y)/sqrt(2).  A dagger-Hermitian
+    form has a real coefficient matrix in Hermitian variables, so R is real
+    and K has the spectrum i * eig(R) (Colpa, Physica A 93, 327, 1978).  R is
+    built block by block from K, with no complex dim x dim temporary.
+    Returns R and the discarded imaginary part relative to R.
+    """
+    kd = ham.dynamical_matrix
+    base, n_ladder = 2 * ham.mt, ham.grid.n_nodes * ham.lattice.dim
+    c, cdag = slice(base, base + n_ladder), slice(base + n_ladder, ham.dim)
+    s = np.sqrt(0.5)
+    # per sector (a and p; x in the c slots; y in the c^dag slots): its slice,
+    # and the (slice of K, entry of U) pairs it draws on
+    sectors = [(slice(0, base), [(slice(0, base), 1.0)]),
+               (c, [(c, s), (cdag, s)]),
+               (cdag, [(c, 1j * s), (cdag, -1j * s)])]
+    r = np.empty(kd.shape)
+    lost_sq = 0.0
+    for rows, src_rows in sectors:
+        for cols, src_cols in sectors:
+            block = np.zeros(kd[rows, cols].shape, dtype=complex)
+            for i, ui in src_rows:
+                for j, uj in src_cols:
+                    block += (-1j * np.conj(ui) * uj) * kd[i, j]
+            r[rows, cols] = block.real
+            lost_sq += np.linalg.norm(block.imag) ** 2
+    return r, float(np.sqrt(lost_sq) / max(np.linalg.norm(r), 1e-300))
+
+
+def mode_frequencies(ham: QuadraticHamiltonian) -> np.ndarray:
+    """Every eigenvalue of K / hbar, from the real quadrature-basis matrix.
+
+    The solver is the general nonsymmetric one, so complex frequencies of
+    an unstable form still show.  A form that is not dagger-Hermitian has
+    no real quadrature matrix and raises instead of losing its imaginary
+    part.
+    """
+    r, imag_rel = quadrature_matrix(ham)
+    if imag_rel > HERMITICITY_TOL:
+        raise DampolError(
+            f"quadratic form is not dagger-Hermitian: its quadrature-basis dynamical matrix "
+            f"has an imaginary part {imag_rel:.3e} relative to R (limit {HERMITICITY_TOL:g})")
+    return 1j * np.linalg.eigvals(r) / HBAR
+
+
 def symplectic_spectrum(ham: QuadraticHamiltonian, zero_tol: float = 1e-6) -> dict:
     """Eigenvalues of the dynamical matrix: the discrete mode frequencies.
 
@@ -393,7 +448,7 @@ def symplectic_spectrum(ham: QuadraticHamiltonian, zero_tol: float = 1e-6) -> di
     scatter at the square root of machine precision, hence the loose
     `zero_tol`.
     """
-    evals = np.linalg.eigvals(ham.dynamical_matrix) / HBAR
+    evals = mode_frequencies(ham)
     scale = max(np.max(np.abs(evals)), 1e-300)
     nonzero = evals[np.abs(evals) > zero_tol * scale]
     max_imag = float(np.max(np.abs(nonzero.imag)) / scale) if nonzero.size else 0.0

@@ -94,6 +94,25 @@ class TestRun:
         assert "not invertible" in rep["error"]
 
 
+class TestSusceptibilityReuse:
+    def test_above_cut_values_evaluated_once(self, tmp_path, monkeypatch):
+        # bath coefficients, linkage, the P form and the constitutive check
+        # share one chi(w_k + i eta) stack (36 evaluations fewer at K = 12),
+        # and the asymptote check sums moments instead (2 fewer): 134 -> 96
+        import dampol.susceptibility as sus
+        calls = []
+        evaluate = sus.chi_at
+
+        def counted(coupling, z):
+            calls.append(z)
+            return evaluate(coupling, z)
+        monkeypatch.setattr(sus, "chi_at", counted)
+        cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
+        cfg.out = str(tmp_path / "o")
+        assert run(cfg) == EXIT_PASS
+        assert len(calls) == 96
+
+
 def _forbid_stack_route(monkeypatch):
     """Make every binding of the node-pair stack builders fail when called."""
     def forbidden(*args, **kwargs):

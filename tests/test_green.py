@@ -158,3 +158,20 @@ class TestSweep:
         chi = vacuum_chi(small_lattice, grid)
         w = wave_operator(chi.at(1.0 + 1.0j), 1.0 + 1.0j, small_lattice)
         assert w.mat.shape == (small_lattice.dim, small_lattice.dim)
+
+
+class TestConditionNumber:
+    def test_one_norm_condition_from_the_inverse(self, random_lagrangian):
+        chi = Susceptibility(random_lagrangian)
+        z = 1.1 - 0.3j
+        g = solve_green(chi, z)
+        mat = random_lagrangian.lattice.cell_volume * wave_operator(chi.at(z), z, g.lattice).mat
+        assert g.cond == pytest.approx(np.linalg.cond(mat, 1), rel=1e-12, abs=0)
+
+    def test_exactly_singular_raises_singular_operator(self, small_lattice, monkeypatch):
+        def singular(mat):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        chi = vacuum_chi(small_lattice, FrequencyGrid.midpoint(4, 3.0))
+        with pytest.raises(SingularOperatorError, match="near-singular"):
+            solve_green(chi, 1.0 - 0.3j)

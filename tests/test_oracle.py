@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
+from dampol import oracle
 from dampol.constants import HBAR
 from dampol.errors import DampolError
 from dampol.coupling import (
@@ -8,6 +11,7 @@ from dampol.coupling import (
     StructureTensor,
     builtin_model,
     coupling_from_lagrangian,
+    random_coupling,
     structure_tensor,
 )
 from dampol.diagonalize import fano_residual, mode_coefficients
@@ -18,7 +22,9 @@ from dampol.oracle import (
     assemble_hamiltonian,
     diagonal_form_check,
     heisenberg_residual,
+    mode_frequencies,
     mode_rows,
+    quadrature_matrix,
     symplectic_spectrum,
 )
 from dampol.susceptibility import Susceptibility
@@ -175,6 +181,38 @@ class TestDiagonalForm:
         assert vals[0] / vals[1] >= 1.5
 
 
+def complex_route(ham):
+    """The reference spectrum: the complex eigensolver on the dynamical matrix."""
+    return np.linalg.eigvals(ham.dynamical_matrix) / HBAR
+
+
+def positive_frequencies(evals, zero_tol=1e-6):
+    keep = (evals.real > 0) & (np.abs(evals) > zero_tol * np.max(np.abs(evals)))
+    return np.sort(evals.real[keep])
+
+
+def random_form(lat, grid, rng, dagger_hermitian=True):
+    """A random quadratic form on the canonical basis of (lat, grid)."""
+    mt = lat.transverse_basis.shape[1]
+    dim = 2 * mt + 2 * grid.n_nodes * lat.dim
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    ham = QuadraticHamiltonian(lattice=lat, grid=grid, h=x, mt=mt)
+    if dagger_hermitian:
+        ham = QuadraticHamiltonian(lattice=lat, grid=grid, h=x + ham.adjoint(x), mt=mt)
+    return ham
+
+
+def same_multiset(a, b, tol):
+    """Greedy nearest matching of two eigenvalue lists within tol."""
+    rest = list(b)
+    for x in a:
+        j = int(np.argmin(np.abs(np.asarray(rest) - x)))
+        if abs(rest[j] - x) > tol:
+            return False
+        rest.pop(j)
+    return not rest
+
+
 class TestSpectrum:
     def test_real_positive_spectrum(self, lorentz_setup):
         # positive away from the three structural zero modes of the flat
@@ -191,3 +229,46 @@ class TestSpectrum:
         modes = mode_coefficients(coupling, sweep_at_nodes(Susceptibility(coupling), side=-1))
         rows = mode_rows(ham, modes, 0)
         assert rows.shape == (lat.dim, ham.dim)
+
+    @pytest.mark.parametrize("model", ["local_lorentz", "gaussian_nonlocal", "uniaxial_local",
+                                       "random_coupling"])
+    def test_matches_complex_route(self, small_lattice, model, monkeypatch):
+        grid = FrequencyGrid.midpoint(6, 3.0, eta_factor=1.0)
+        if model == "random_coupling":
+            raw = random_coupling(small_lattice, grid, np.random.default_rng(3))
+        else:
+            raw = builtin_model(model, small_lattice, grid)
+        coupling = coupling_from_lagrangian(raw)
+        ham = assemble_hamiltonian(coupling, structure_tensor(coupling))
+        got, ref = positive_frequencies(mode_frequencies(ham)), positive_frequencies(complex_route(ham))
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref) / ref) <= 1e-10
+        spec = symplectic_spectrum(ham)
+        monkeypatch.setattr(oracle, "mode_frequencies", complex_route)
+        spec_ref = symplectic_spectrum(ham)
+        for key in ("n_positive", "n_negative", "n_zero_modes"):
+            assert spec[key] == spec_ref[key]
+        assert spec["n_positive"] == (ham.dim - spec["n_zero_modes"]) // 2
+
+    def test_unstable_form_still_flagged(self, single_site, monkeypatch):
+        ham = random_form(single_site, FrequencyGrid.midpoint(4, 3.0), np.random.default_rng(11))
+        assert ham.hermiticity_defect() <= 1e-14
+        assert symplectic_spectrum(ham)["max_imag_rel"] > 1e-6
+        monkeypatch.setattr(oracle, "mode_frequencies", complex_route)
+        assert symplectic_spectrum(ham)["max_imag_rel"] > 1e-6
+
+    def test_non_hermitian_form_raises(self, single_site):
+        ham = random_form(single_site, FrequencyGrid.midpoint(4, 3.0), np.random.default_rng(12),
+                          dagger_hermitian=False)
+        with pytest.raises(DampolError, match="not dagger-Hermitian"):
+            symplectic_spectrum(ham)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n_nodes=st_.integers(1, 4), seed=st_.integers(0, 2**32 - 1))
+    def test_random_dagger_hermitian_forms(self, single_site, n_nodes, seed):
+        ham = random_form(single_site, FrequencyGrid.midpoint(n_nodes, 3.0),
+                          np.random.default_rng(seed))
+        _, imag_rel = quadrature_matrix(ham)
+        assert imag_rel < 1e-13
+        ref = complex_route(ham)
+        assert same_multiset(mode_frequencies(ham), ref, 1e-9 * np.max(np.abs(ref)))

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from dampol.constants import EPS0, HBAR
 from dampol.errors import DampolError, PoleError
-from dampol.coupling import CouplingTensor, structure_tensor
+from dampol.coupling import CouplingTensor, builtin_model, coupling_from_lagrangian, structure_tensor
 from dampol.lattice import FrequencyGrid, TensorKernel
 from dampol.susceptibility import (
     Susceptibility,
@@ -153,6 +155,63 @@ class TestAsymptotics:
         r1 = asymptote_residual(lorentz_coupling, st, z1)
         r2 = asymptote_residual(lorentz_coupling, st, 2 * z1)
         assert r1 / r2 == pytest.approx(16.0, rel=0.3)
+
+
+def asymptote_residual_extended(coupling, structure, z):
+    """chi(z) - chi_asymptotic(z) by direct subtraction in extended precision."""
+    nodes = coupling.grid.nodes.astype(np.longdouble)
+    w = coupling.grid.weights.astype(np.longdouble)
+    dens = coupling.density_stack.astype(np.clongdouble)
+    z = np.clongdouble(z)
+    chi = np.einsum("k,kij->ij", w / (nodes - z), dens) \
+        + np.einsum("k,kij->ij", w / (nodes + z), dens.conj())
+    corr = chi + structure.kernel.mat.astype(np.clongdouble) / z**2
+    return HBAR / EPS0 * float(np.sqrt(np.sum(np.abs(corr) ** 2)) / np.linalg.norm(structure.kernel.mat))
+
+
+def shipped_or_violating_coupling(name, lattice):
+    """A shipped model on the shipped grid, or a random complex coupling that
+    breaks the even-moment sum rules."""
+    grid = FrequencyGrid.midpoint(12, 3.0)
+    if name != "sum_rule_violator":
+        return coupling_from_lagrangian(builtin_model(name, lattice, grid))
+    rng = np.random.default_rng(8)
+    d = lattice.dim
+    kernels = 0.5 * (rng.standard_normal((12, d, d)) + 1j * rng.standard_normal((12, d, d)))
+    return CouplingTensor(lattice, grid, kernels / lattice.cell_volume)
+
+
+class TestAsymptoteExpansion:
+    @pytest.mark.parametrize("name", ["local_lorentz", "gaussian_nonlocal", "uniaxial_local",
+                                      "sum_rule_violator"])
+    def test_matches_extended_precision_subtraction(self, small_lattice, name):
+        coupling = shipped_or_violating_coupling(name, small_lattice)
+        st = structure_tensor(coupling)
+        for z in (150j, 300j):
+            assert asymptote_residual(coupling, st, z) == pytest.approx(
+                asymptote_residual_extended(coupling, st, z), rel=1e-10, abs=0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="no extended precision on this platform")
+    def test_quartic_ratio_independent_of_node_order(self, small_lattice):
+        # the stage-chi figure |ratio/16 - 1| is a difference of two nearly
+        # equal ratios; a 1e-12 error in either residual moves it by 1e-8
+        coupling = shipped_or_violating_coupling("gaussian_nonlocal", small_lattice)
+        st = structure_tensor(coupling)
+        grid = coupling.grid
+        reversed_order = SimpleNamespace(
+            lattice=coupling.lattice, density_stack=coupling.density_stack[::-1],
+            grid=SimpleNamespace(nodes=grid.nodes[::-1], weights=grid.weights[::-1]))
+
+        def quartic(c):
+            return abs(asymptote_residual(c, st, 150j) / asymptote_residual(c, st, 300j) / 16 - 1)
+        assert quartic(reversed_order) == pytest.approx(quartic(coupling), rel=1e-9, abs=0)
+
+    def test_violator_breaks_quartic_decay(self, small_lattice):
+        coupling = shipped_or_violating_coupling("sum_rule_violator", small_lattice)
+        st = structure_tensor(coupling)
+        ratio = asymptote_residual(coupling, st, 150j) / asymptote_residual(coupling, st, 300j)
+        assert abs(ratio / 16.0 - 1.0) > 0.3
 
 
 class TestSusceptibilityObject:
