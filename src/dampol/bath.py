@@ -218,7 +218,9 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     w, nodes = grid.weights, grid.nodes
 
     def acc(left, right, coef):
-        h[:] += coef * (left.T @ right)
+        prod = left.T @ right
+        prod *= coef
+        h[:] += prod
 
     u_a = ham.rows_vector_potential
     u_pi = ham.rows_field_momentum
@@ -270,7 +272,8 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     acc(u_w, fmat @ u_a, -HBAR * v**2)
     acc(u_a, fmat @ u_a, 0.5 * HBAR * v**2)
 
-    h[:] = (h + h.T) / 2.0
+    h += h.T   # numpy buffers the overlapping transpose: one temporary, not two
+    h /= 2.0
     return ham
 
 

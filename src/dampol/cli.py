@@ -482,6 +482,9 @@ def refine(config: ScenarioConfig, levels: int) -> int:
     for lvl in range(levels):
         pipe = Pipeline(config, n_nodes=config.n_nodes * 2**lvl)
         level_meta.append((pipe.grid.n_nodes, pipe.grid.eta))
+        # the streamed pass sets the kernels track's peak memory, so it runs
+        # before the bath sums cache chi above the cut
+        sc = pipe.streamed if track == "kernels" else None
         indep = bath_mod.verify_bath_independence(pipe.bath, pipe.coupling, pipe.structure)
         vals = {
             "bath_independence_polarization": indep["polarization"],
@@ -491,8 +494,7 @@ def refine(config: ScenarioConfig, levels: int) -> int:
             "bath_canonical": bath_mod.verify_bath_canonical(pipe.bath, pipe.coupling),
             "noise_commutator": _noise_residual(pipe),
         }
-        if track == "kernels":
-            sc = pipe.streamed
+        if sc is not None:
             vals["wave_equation"] = sc.wave
             vals["resonant_relation"] = max(sc.resonant.values())
             vals["antiresonant_relation"] = max(sc.antiresonant.values())

@@ -28,38 +28,43 @@ IMAG_RESIDUE_TOL = 1e-12
 INVERTIBILITY_RTOL = 1e-10
 
 
+def gram_stack(a: np.ndarray) -> np.ndarray:
+    """Per-node Gram products a_k^T conj(a_k) of a (K, n, n) stack, as one stacked GEMM."""
+    return np.matmul(a.transpose(0, 2, 1), a.conj())
+
+
 @dataclass(frozen=True, eq=False)
 class RealCoupling:
     """Lagrangian-route input: real coefficient kernels plus a unitary gauge.
 
     `t0` and `unitary` are stacks of shape (K, 3M, 3M), one kernel per
-    frequency node.
+    frequency node.  `unitary=None` is the identity gauge I/v, which is
+    implicit: no stack is stored and no product is formed with it.
     """
 
     lattice: Lattice
     grid: FrequencyGrid
     t0: np.ndarray
-    unitary: np.ndarray
+    unitary: np.ndarray | None = None
 
     def __post_init__(self):
         t0 = np.asarray(self.t0, dtype=float)
-        uni = np.asarray(self.unitary, dtype=complex)
+        uni = None if self.unitary is None else np.asarray(self.unitary, dtype=complex)
         shape = (self.grid.n_nodes, self.lattice.dim, self.lattice.dim)
-        if t0.shape != shape or uni.shape != shape:
+        if t0.shape != shape or (uni is not None and uni.shape != shape):
             raise DampolError(f"coupling stacks must have shape {shape}")
-        v = self.lattice.cell_volume
-        # kernel unitarity: Utilde o U* = delta  <=>  v^2 U^T conj(U) = 1
-        gram = v**2 * np.einsum("kji,kjl->kil", uni, uni.conj())
-        if not np.allclose(gram, np.eye(self.lattice.dim), atol=1e-10):
-            raise DampolError("unitary gauge kernels are not unitary")
+        if uni is not None:
+            # kernel unitarity: Utilde o U* = delta  <=>  v^2 U^T conj(U) = 1
+            gram = gram_stack(uni)
+            gram *= self.lattice.cell_volume**2
+            if not np.allclose(gram, np.eye(self.lattice.dim), atol=1e-10):
+                raise DampolError("unitary gauge kernels are not unitary")
         object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "unitary", uni)
 
     @classmethod
     def identity_gauge(cls, lattice: Lattice, grid: FrequencyGrid, t0: np.ndarray) -> "RealCoupling":
-        ident = np.eye(lattice.dim) / lattice.cell_volume
-        uni = np.broadcast_to(ident, (grid.n_nodes, lattice.dim, lattice.dim)).astype(complex)
-        return cls(lattice=lattice, grid=grid, t0=t0, unitary=uni.copy())
+        return cls(lattice=lattice, grid=grid, t0=t0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +99,9 @@ class CouplingTensor:
         the medium; the cut discontinuity of the susceptibility is
         proportional to them.
         """
-        v = self.lattice.cell_volume
-        return v * np.einsum("kji,kjl->kil", self.kernels, self.kernels.conj())
+        dens = gram_stack(self.kernels)
+        dens *= self.lattice.cell_volume
+        return dens
 
     def spectral_density(self, k: int) -> TensorKernel:
         return TensorKernel(self.lattice, self.density_stack[k])
@@ -166,14 +172,17 @@ def coupling_from_lagrangian(t0: RealCoupling, grid: FrequencyGrid | None = None
                              tol: float = DEFAULT_TOL_CONSTRAINT) -> CouplingTensor:
     """Build the coupling tensor from real coefficients and a unitary gauge.
 
-    Per node, T(w) = -(2 hbar w)^(-1/2) U(w) o T0(w).  The resulting
+    Per node, T(w) = -(2 hbar w)^(-1/2) U(w) o T0(w), which is
+    -(2 hbar w)^(-1/2) T0(w) in the identity gauge.  The resulting
     spectral density is real node by node, so the quadrature constraints
     hold automatically; residuals above `tol` signal corrupted inputs.
     """
     grid = grid or t0.grid
-    v = t0.lattice.cell_volume
-    pref = -((2.0 * HBAR * grid.nodes) ** -0.5)
-    kernels = pref[:, None, None] * v * np.einsum("kij,kjl->kil", t0.unitary, t0.t0)
+    pref = -((2.0 * HBAR * grid.nodes) ** -0.5)[:, None, None]
+    if t0.unitary is None:
+        kernels = pref * t0.t0
+    else:
+        kernels = pref * t0.lattice.cell_volume * np.matmul(t0.unitary, t0.t0)
     coupling = CouplingTensor(t0.lattice, grid, kernels)
     report = check_constraints(coupling, tol=tol)
     if not report.passed:

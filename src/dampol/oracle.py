@@ -96,7 +96,7 @@ class QuadraticHamiltonian:
         The commutation matrix is a scaled sector permutation, so the
         product is assembled by row moves instead of a dense matmul.
         """
-        h_sym = (self.h + self.h.T) / 2.0
+        h_sym = self.symmetric_h()
         out = np.empty_like(h_sym)
         out[self.slice_a] = 2j * HBAR * h_sym[self.slice_p]
         out[self.slice_p] = -2j * HBAR * h_sym[self.slice_a]
@@ -111,9 +111,17 @@ class QuadraticHamiltonian:
         np.conj(out, out=out)   # on the permuted copy: one dim x dim temporary, not two
         return out.T
 
+    def symmetric_h(self) -> np.ndarray:
+        """(h + h^T)/2: `h` itself when it is exactly symmetric, as both assemblers store it."""
+        if np.array_equal(self.h, self.h.T):
+            return self.h
+        return (self.h + self.h.T) / 2.0
+
     def hermiticity_defect(self) -> float:
-        h_sym = (self.h + self.h.T) / 2.0
-        return float(np.linalg.norm(self.adjoint(h_sym) - h_sym) / max(np.linalg.norm(h_sym), 1e-300))
+        h_sym = self.symmetric_h()
+        gap = self.adjoint(h_sym)
+        gap -= h_sym
+        return float(np.linalg.norm(gap) / max(np.linalg.norm(h_sym), 1e-300))
 
     # -- canonical rows of the basic operators -----------------------------
 
@@ -201,7 +209,9 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor,
     h = ham.h
 
     def acc(left: np.ndarray, right: np.ndarray, coef: complex):
-        h[:] += coef * (left.T @ right)
+        prod = left.T @ right
+        prod *= coef
+        h[:] += prod
 
     u_a = ham.rows_vector_potential
     u_pi = ham.rows_field_momentum
@@ -227,7 +237,8 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor,
     u_p_long = lattice.longitudinal_matrix @ _polarization_rows(ham, coupling)
     acc(u_p_long, u_p_long, v / (2.0 * EPS0))
 
-    h[:] = (h + h.T) / 2.0
+    h += h.T   # numpy buffers the overlapping transpose: one temporary, not two
+    h /= 2.0
     return ham
 
 

@@ -54,20 +54,26 @@ def write_json(path, payload: dict):
 
 
 def chi_trace_csv(path, coupling, z_values):
-    """Susceptibility entries at the requested complex frequencies."""
+    """Susceptibility entries at the requested complex frequencies.
+
+    The bytes are those `csv.writer` gives for the same rows (no field
+    needs quoting); each row block of a node is written as one batch, so
+    no more than one row's text is held at a time.
+    """
     from .susceptibility import chi_at
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     d = coupling.lattice.dim
+    # the "site_prime,i,j," fields of every column, per row component i
+    mids = [[f"{b // 3},{i},{b % 3}," for b in range(d)] for i in range(3)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re_z", "im_z", "site", "site_prime", "i", "j", "re_chi", "im_chi"])
+        fh.write("re_z,im_z,site,site_prime,i,j,re_chi,im_chi\r\n")
         for z in z_values:
             mat = chi_at(coupling, z).mat
+            zs = f"{z.real:.12g},{z.imag:.12g},"
             for a in range(d):
-                for b in range(d):
-                    writer.writerow([f"{z.real:.12g}", f"{z.imag:.12g}",
-                                     a // 3, b // 3, a % 3, b % 3,
-                                     f"{mat[a, b].real:.12g}", f"{mat[a, b].imag:.12g}"])
+                head = f"{zs}{a // 3},"
+                fh.writelines(f"{head}{mid}{x.real:.12g},{x.imag:.12g}\r\n"
+                              for mid, x in zip(mids[a % 3], mat[a].tolist()))
 
 
 def green_trace_csv(path, sweep):

@@ -142,6 +142,28 @@ class TestStackFreeProduction:
 
 
 class TestRefine:
+    def test_streamed_pass_precedes_chi_above_cut(self, tmp_path, monkeypatch):
+        # the cached chi stack must not be alive at the streamed pass's peak
+        import dampol.cli as cli
+        pipes, calls = [], []
+        init, streamed = cli.Pipeline.__init__, cli.streamed_mode_checks
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            pipes.append(self)
+
+        def checked(*args):
+            assert "above_cut" not in pipes[-1].chi.__dict__
+            calls.append(1)
+            return streamed(*args)
+        monkeypatch.setattr(cli.Pipeline, "__init__", recording)
+        monkeypatch.setattr(cli, "streamed_mode_checks", checked)
+        cfg = ScenarioConfig.from_file(CONFIG_DIR / "refine_kernels.ini")
+        cfg.out = str(tmp_path)
+        cfg.n_nodes = 8
+        assert refine(cfg, 2) in (EXIT_PASS, EXIT_NUMERICAL)
+        assert len(calls) == 2
+
     def test_requires_two_levels(self):
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "refine.ini")
         with pytest.raises(ConfigError):

@@ -9,6 +9,7 @@ from dampol.coupling import (
     builtin_model,
     check_constraints,
     coupling_from_lagrangian,
+    gram_stack,
     momentum_kernel,
     pernode_reality_residual,
     random_coupling,
@@ -51,6 +52,27 @@ class TestLagrangianRoute:
         bad = 2.0 * np.eye(3)[None, :, :].repeat(2, axis=0).astype(complex)
         with pytest.raises(DampolError):
             RealCoupling(lattice=single_site, grid=grid, t0=t0, unitary=bad)
+
+
+class TestGaugeAndGram:
+    @pytest.mark.parametrize("name", ["local_lorentz", "uniaxial_local", "gaussian_nonlocal"])
+    def test_implicit_identity_gauge_matches_dense(self, small_lattice, grid12, name):
+        model = builtin_model(name, small_lattice, grid12)
+        assert model.unitary is None
+        d, v = small_lattice.dim, small_lattice.cell_volume
+        dense = RealCoupling(lattice=small_lattice, grid=grid12, t0=model.t0,
+                             unitary=np.broadcast_to(np.eye(d) / v, (grid12.n_nodes, d, d)))
+        assert np.array_equal(coupling_from_lagrangian(model).kernels,
+                              coupling_from_lagrangian(dense).kernels)
+
+    def test_gram_products_match_einsum(self, small_lattice, grid12, rng):
+        model = random_coupling(small_lattice, grid12, rng)
+        built = coupling_from_lagrangian(model)
+        # the unitarity Gram of the gauge, and the spectral densities
+        for fast, stack, scale in ((gram_stack(model.unitary), model.unitary, 1.0),
+                                   (built.density_stack, built.kernels, small_lattice.cell_volume)):
+            ref = scale * np.einsum("kji,kjl->kil", stack, stack.conj())
+            assert np.linalg.norm(fast - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 class TestConstraints:

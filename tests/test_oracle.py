@@ -53,6 +53,13 @@ class TestAssembly:
         lat, grid, coupling, st, ham = lorentz_setup
         assert ham.hermiticity_defect() <= 1e-13
 
+    def test_stored_form_is_its_own_symmetric_part(self, lorentz_setup):
+        lat, grid, coupling, st, ham = lorentz_setup
+        assert ham.symmetric_h() is ham.h
+        h = np.arange(ham.dim**2, dtype=complex).reshape(ham.dim, ham.dim)
+        rand = QuadraticHamiltonian(lattice=lat, grid=grid, h=h, mt=ham.mt)
+        assert np.array_equal(rand.symmetric_h(), (h + h.T) / 2.0)
+
     def test_dagger_index_matches_dense_permutation(self, lorentz_setup):
         lat, grid, coupling, st, ham = lorentz_setup
         rng = np.random.default_rng(5)
