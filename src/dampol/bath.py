@@ -25,9 +25,15 @@ import numpy as np
 from .constants import EPS0, HBAR, MU0
 from .coupling import INVERTIBILITY_RTOL, CouplingTensor, StructureTensor
 from .errors import SingularOperatorError
-from .fields import BASIS_MEDIUM, LinearBosonicForm, commutator, medium_polarization_form
+from .fields import (
+    BASIS_MEDIUM,
+    LinearBosonicForm,
+    commutator,
+    medium_momentum_form,
+    medium_polarization_form,
+)
 from .lattice import TensorKernel
-from .oracle import QuadraticHamiltonian, _polarization_rows, _momentum_density_rows
+from .oracle import QuadraticHamiltonian
 from .susceptibility import Susceptibility, discontinuity_at_node
 
 
@@ -224,25 +230,18 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
 
     u_a = ham.rows_vector_potential
     u_pi = ham.rows_field_momentum
-    u_p = _polarization_rows(ham, coupling)
-    u_w = _momentum_density_rows(ham, coupling, structure)
+    pol, mom = medium_polarization_form(coupling), medium_momentum_form(coupling, structure)
+    u_p, u_w = ham.ladder_rows(pol.alpha, pol.beta), ham.ladder_rows(mom.alpha, mom.beta)
 
     # field energy
     acc(u_pi, u_pi, v / (2.0 * EPS0))
     acc(u_a, lattice.double_curl_matrix @ u_a, v / (2.0 * MU0))
 
     # bath oscillators and the bath-polarization exchange; the per-node rows
-    # span every ladder block, so stack them once and contract with BLAS.
-    # The annihilator and creator blocks of all nodes are contiguous, so a
-    # node's pair rows fill each sector with one slice assignment.
-    sec_c = slice(ham.slice_c(0).start, ham.slice_c(K - 1).stop)
-    sec_cdag = slice(ham.slice_cdag(0).start, ham.slice_cdag(K - 1).stop)
-    s = np.sqrt(v * w)[:, None, None]
-    u_cb = np.zeros((K, d, ham.dim), dtype=complex)   # bath annihilator rows
+    # span every ladder block, so stack them once and contract with BLAS
+    u_cb = np.empty((K, d, ham.dim), dtype=complex)   # bath annihilator rows
     for k in range(K):
-        co, counter = bath.rows(coupling, k)
-        u_cb[k, :, sec_c] = (s * co).transpose(1, 0, 2).reshape(d, K * d)
-        u_cb[k, :, sec_cdag] = (s * counter).transpose(1, 0, 2).reshape(d, K * d)
+        u_cb[k] = ham.ladder_rows(*bath.rows(coupling, k))
         u_cb[k, :, ham.slice_c(k)] += np.sqrt(v / w[k]) * bath.delta_row(coupling, k)
     u_cbd = ham.hc_rows(u_cb)
     scale = np.sqrt(HBAR * w * nodes * v)[:, None, None]
@@ -287,9 +286,8 @@ def hamiltonian_equivalence(coupling: CouplingTensor, structure: StructureTensor
     matrix distance `frobenius` retains the pointwise pole-ridge content,
     which only agrees distributionally, and is reported as a diagnostic.
     """
-    from .oracle import _smear_columns
     rewritten = assemble_bath_hamiltonian(coupling, structure, bath, reference)
-    cols = _smear_columns(reference)
+    cols = reference.smear_columns()
     diff = rewritten.h - reference.h
     weak = np.linalg.norm(cols.T @ diff @ cols) \
         / max(np.linalg.norm(cols.T @ reference.h @ cols), 1e-300)

@@ -12,6 +12,7 @@ import argparse
 import configparser
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,9 @@ from .green import sweep_at_nodes, verify_adjoint, verify_conjugation, verify_re
 from .lattice import FrequencyGrid, TensorKernel, build_lattice
 from .oracle import (
     HERMITICITY_TOL,
+    MAX_CANONICAL_DIM,
     assemble_hamiltonian,
+    canonical_dim,
     diagonal_form_check,
     heisenberg_residual,
     symplectic_spectrum,
@@ -63,6 +66,16 @@ VIOLATIONS = ("none", "chi_symmetry", "h1_scale")
 #: machine-identity tolerance (relative); scaled by the config's tol_scale
 TOL_EXACT = 1e-10
 
+#: the keys each config section accepts; `[model]` keys are the model's own
+#: parameters, which `builtin_model` checks
+CONFIG_KEYS = {
+    "lattice": ("n_per_axis", "spacing", "k0_transverse"),
+    "grid": ("n_nodes", "omega_max", "eta_factor"),
+    "model": None,
+    "run": ("stages", "seed", "tol_scale", "out", "refine_track", "dump_hamiltonian"),
+    "violation": ("kind", "magnitude"),
+}
+
 
 @dataclass
 class ScenarioConfig:
@@ -80,7 +93,6 @@ class ScenarioConfig:
     out: str = "./out"
     violation: str = "none"
     violation_magnitude: float = 0.1
-    dim_cap: int = 4000
     refine_track: str = "hamiltonian"
     dump_hamiltonian: bool = False
 
@@ -90,6 +102,13 @@ class ScenarioConfig:
         read = parser.read(path)
         if not read:
             raise ConfigError(f"cannot read config file {path}")
+        for name in parser.sections():
+            if name not in CONFIG_KEYS:
+                raise ConfigError(f"unknown config section [{name}]; valid: {list(CONFIG_KEYS)}")
+            keys = CONFIG_KEYS[name]
+            unknown = sorted(set(parser[name]) - set(keys)) if keys is not None else []
+            if unknown:
+                raise ConfigError(f"unknown keys {unknown} in [{name}]; valid: {keys}")
         cfg = cls()
         try:
             if parser.has_section("lattice"):
@@ -115,7 +134,6 @@ class ScenarioConfig:
                 cfg.seed = sec.getint("seed", cfg.seed)
                 cfg.tol_scale = sec.getfloat("tol_scale", cfg.tol_scale)
                 cfg.out = sec.get("out", cfg.out)
-                cfg.dim_cap = sec.getint("dim_cap", cfg.dim_cap)
                 cfg.refine_track = sec.get("refine_track", cfg.refine_track)
                 cfg.dump_hamiltonian = sec.getboolean("dump_hamiltonian", cfg.dump_hamiltonian)
             if parser.has_section("violation"):
@@ -163,68 +181,49 @@ class Pipeline:
         self.lattice = build_lattice(config.n_per_axis, config.spacing, config.k0_transverse)
         self.grid = FrequencyGrid.midpoint(n_nodes or config.n_nodes, config.omega_max,
                                            config.eta_factor)
-        self._cache = {}
 
-    def _get(self, name, builder):
-        if name not in self._cache:
-            self._cache[name] = builder()
-        return self._cache[name]
-
-    @property
+    @cached_property
     def coupling(self):
-        return self._get("coupling", lambda: coupling_from_lagrangian(
-            builtin_model(self.config.model, self.lattice, self.grid,
-                          dict(self.config.model_params))))
+        return coupling_from_lagrangian(builtin_model(
+            self.config.model, self.lattice, self.grid, dict(self.config.model_params)))
 
-    @property
+    @cached_property
     def structure(self):
-        return self._get("structure", lambda: structure_tensor(self.coupling))
+        return structure_tensor(self.coupling)
 
-    @property
+    @cached_property
     def chi(self):
-        def build():
-            chi = Susceptibility(self.coupling)
-            if self.config.violation == "chi_symmetry":
-                d = self.lattice.dim
-                pert = np.zeros((d, d))
-                pert[0, 1] = self.config.violation_magnitude
-                chi = chi.perturbed(TensorKernel(self.lattice, pert))
-            return chi
-        return self._get("chi", build)
+        chi = Susceptibility(self.coupling)
+        if self.config.violation == "chi_symmetry":
+            d = self.lattice.dim
+            pert = np.zeros((d, d))
+            pert[0, 1] = self.config.violation_magnitude
+            chi = chi.perturbed(TensorKernel(self.lattice, pert))
+        return chi
 
-    @property
+    @cached_property
     def sweep(self):
-        return self._get("sweep", lambda: sweep_at_nodes(self.chi, side=-1))
+        return sweep_at_nodes(self.chi, side=-1)
 
-    @property
+    @cached_property
     def streamed(self):
-        return self._get("streamed", lambda: streamed_mode_checks(
-            self.coupling, self.sweep, self.structure))
+        return streamed_mode_checks(self.coupling, self.sweep, self.structure)
 
-    @property
+    @cached_property
     def modes(self):
         """Node-pair kernel stacks; only the oracle's explicit rows need them."""
-        return self._get("modes", lambda: mode_coefficients(self.coupling, self.sweep))
+        return mode_coefficients(self.coupling, self.sweep)
 
-    @property
+    @cached_property
     def bath(self):
-        def build():
-            b = bath_mod.bath_coefficients(self.coupling, self.chi)
-            if self.config.violation == "h1_scale":
-                b = b.perturbed_delta(1.0 + self.config.violation_magnitude)
-            return b
-        return self._get("bath", build)
+        b = bath_mod.bath_coefficients(self.coupling, self.chi)
+        if self.config.violation == "h1_scale":
+            b = b.perturbed_delta(1.0 + self.config.violation_magnitude)
+        return b
 
-    @property
+    @cached_property
     def hamiltonian(self):
-        def build():
-            mt = self.lattice.transverse_basis.shape[1]
-            dim = 2 * mt + 2 * self.grid.n_nodes * self.lattice.dim
-            if dim > self.config.dim_cap:
-                raise ConfigError(
-                    f"projected canonical dimension {dim} exceeds the cap {self.config.dim_cap}")
-            return assemble_hamiltonian(self.coupling, self.structure)
-        return self._get("hamiltonian", build)
+        return assemble_hamiltonian(self.coupling, self.structure)
 
     def entry(self, check_id, residual, tolerance, **extra):
         return reports.check_entry(
@@ -468,14 +467,13 @@ def refine(config: ScenarioConfig, levels: int) -> int:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     track = config.refine_track
+    lattice = build_lattice(config.n_per_axis, config.spacing, config.k0_transverse)
     if track == "hamiltonian":
-        mt = build_lattice(config.n_per_axis, config.spacing, config.k0_transverse).transverse_basis.shape[1]
-        final_nodes = config.n_nodes * 2 ** (levels - 1)
-        dim = 2 * mt + 2 * final_nodes * 3 * config.n_per_axis**3
-        if dim > config.dim_cap:
+        dim = canonical_dim(lattice, config.n_nodes * 2 ** (levels - 1))
+        if dim > MAX_CANONICAL_DIM:
             raise ConfigError(
-                f"refinement would reach canonical dimension {dim} > cap {config.dim_cap}; "
-                "lower n_nodes, levels, or raise dim_cap")
+                f"refinement would reach canonical dimension {dim} > cap {MAX_CANONICAL_DIM}; "
+                "lower n_nodes or levels")
 
     level_meta = []
     seq = {}
@@ -515,14 +513,14 @@ def refine(config: ScenarioConfig, levels: int) -> int:
             checks.append(reports.check_entry(
                 f"refine.{name}", worst, TOL_EXACT * config.tol_scale,
                 eta=level_meta[-1][1], n_nodes=level_meta[-1][0],
-                lattice=Pipeline(config).lattice, extra={"values": values}))
+                lattice=lattice, extra={"values": values}))
         else:
             ratios = [a / b if b > 0 else float("inf") for a, b in zip(values[:-1], values[1:])]
             worst_ratio = min(ratios)
             checks.append(reports.check_entry(
                 f"refine.{name}", CONVERGENCE_FACTOR / max(worst_ratio, 1e-300), 1.0,
                 eta=level_meta[-1][1], n_nodes=level_meta[-1][0],
-                lattice=Pipeline(config).lattice,
+                lattice=lattice,
                 extra={"values": values, "ratios": ratios,
                        "orders": reports.convergence_orders(values)}))
     report = reports.stage_report("refine", checks,

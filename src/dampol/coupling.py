@@ -168,8 +168,7 @@ def pernode_reality_residual(coupling: CouplingTensor) -> float:
     return float(np.max(num / den))
 
 
-def coupling_from_lagrangian(t0: RealCoupling, grid: FrequencyGrid | None = None,
-                             tol: float = DEFAULT_TOL_CONSTRAINT) -> CouplingTensor:
+def coupling_from_lagrangian(t0: RealCoupling, tol: float = DEFAULT_TOL_CONSTRAINT) -> CouplingTensor:
     """Build the coupling tensor from real coefficients and a unitary gauge.
 
     Per node, T(w) = -(2 hbar w)^(-1/2) U(w) o T0(w), which is
@@ -177,13 +176,12 @@ def coupling_from_lagrangian(t0: RealCoupling, grid: FrequencyGrid | None = None
     spectral density is real node by node, so the quadrature constraints
     hold automatically; residuals above `tol` signal corrupted inputs.
     """
-    grid = grid or t0.grid
-    pref = -((2.0 * HBAR * grid.nodes) ** -0.5)[:, None, None]
+    pref = -((2.0 * HBAR * t0.grid.nodes) ** -0.5)[:, None, None]
     if t0.unitary is None:
         kernels = pref * t0.t0
     else:
         kernels = pref * t0.lattice.cell_volume * np.matmul(t0.unitary, t0.t0)
-    coupling = CouplingTensor(t0.lattice, grid, kernels)
+    coupling = CouplingTensor(t0.lattice, t0.grid, kernels)
     report = check_constraints(coupling, tol=tol)
     if not report.passed:
         raise DampolError(
@@ -225,15 +223,6 @@ def structure_tensor(coupling: CouplingTensor, imag_tol: float = IMAG_RESIDUE_TO
         raise DegenerateCouplingError(
             f"structure tensor not positive-definite (min eigenvalue {evals[0]:.3e})")
     return StructureTensor(kernel=TensorKernel(coupling.lattice, mat), source=coupling)
-
-
-def momentum_kernel(coupling: CouplingTensor, structure: StructureTensor) -> list[TensorKernel]:
-    """Per-node kernels -w T(w) o F^-1 entering the canonical momentum density."""
-    finv = structure.inverse
-    out = []
-    for k, w in enumerate(coupling.grid.nodes):
-        out.append(-w * (coupling.kernel(k) @ finv))
-    return out
 
 
 # -- model library -------------------------------------------------------

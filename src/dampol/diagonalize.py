@@ -89,9 +89,8 @@ class _NodeKernels:
     K d^2.
     """
 
-    def __init__(self, coupling: CouplingTensor, g_sweep: GreenSweep,
-                 grid: FrequencyGrid | None = None):
-        grid = grid or coupling.grid
+    def __init__(self, coupling: CouplingTensor, g_sweep: GreenSweep):
+        grid = coupling.grid
         if grid.eta <= 0:
             raise DampolError("eta must be positive: coincident nodes make the pole factor singular")
         require_node_sweep(grid, g_sweep)
@@ -136,10 +135,9 @@ def momentum_family(coupling: CouplingTensor, g_sweep: GreenSweep) -> np.ndarray
     return np.stack([rows.families(k)[3] for k in range(rows.grid.n_nodes)])
 
 
-def mode_coefficients(coupling: CouplingTensor, g_sweep: GreenSweep,
-                      grid: FrequencyGrid | None = None) -> ModeCoefficients:
+def mode_coefficients(coupling: CouplingTensor, g_sweep: GreenSweep) -> ModeCoefficients:
     """Assemble the four coefficient families, node-pair stacks included."""
-    rows = _NodeKernels(coupling, g_sweep, grid)
+    rows = _NodeKernels(coupling, g_sweep)
     grid, lattice = rows.grid, rows.lattice
     K, d = grid.n_nodes, lattice.dim
     potential = np.empty((K, d, d), dtype=complex)

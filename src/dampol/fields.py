@@ -240,9 +240,9 @@ def constitutive_check(p_form: LinearBosonicForm, e_form: LinearBosonicForm,
     return worst
 
 
-def maxwell_check(b_form: LinearBosonicForm, d_form: LinearBosonicForm, grid=None) -> float:
+def maxwell_check(b_form: LinearBosonicForm, d_form: LinearBosonicForm) -> float:
     """Max relative residual of curl B = mu0 dD/dt per node."""
-    grid = grid or b_form.grid
+    grid = b_form.grid
     lattice = b_form.lattice
     curl = lattice.curl_matrix
     worst = 0.0

@@ -48,7 +48,7 @@ def wave_operator(chi_kernel: TensorKernel, z: complex, lattice: Lattice) -> Ten
     return TensorKernel(lattice, mat)
 
 
-def solve_green(chi: Susceptibility, z: complex, lattice: Lattice | None = None) -> GreenKernel:
+def solve_green(chi: Susceptibility, z: complex) -> GreenKernel:
     """Solve the defining wave equation for the propagator at z.
 
     z must sit off the real axis; pick a side of the cut explicitly via the
@@ -59,7 +59,7 @@ def solve_green(chi: Susceptibility, z: complex, lattice: Lattice | None = None)
     2-norm (singular-value) condition number on either side.
     """
     z = complex(z)
-    lattice = lattice or chi.lattice
+    lattice = chi.lattice
     if z.imag == 0.0:
         raise DampolError("solve_green needs Im z != 0; offset by the grid eta to pick a side")
     w_kernel = wave_operator(chi.at(z), z, lattice)
@@ -92,18 +92,17 @@ def defining_residual(green: GreenKernel) -> float:
     return ((green.kernel @ w_kernel) - ident).norm() / ident.norm()
 
 
-def verify_adjoint(green: GreenKernel, chi: Susceptibility | None = None) -> float:
+def verify_adjoint(green: GreenKernel) -> float:
     """Residual of the adjoint equation (double curl on the unprimed argument).
 
     The adjoint equation is a consequence of the susceptibility's
     transpose-reversal symmetry, so it is evaluated with the reflected
     kernel chi(-z)^T; a symmetry-broken susceptibility is flagged here.
     """
-    chi = chi or green.chi_ref
     lattice = green.lattice
     z = green.z
     zsq = (z / C_LIGHT) ** 2
-    chi_reflected = chi.at(-z).T
+    chi_reflected = green.chi_ref.at(-z).T
     g = green.kernel
     lhs_mat = (-lattice.double_curl_matrix @ g.mat
                + zsq * (g.mat + lattice.cell_volume * chi_reflected.mat @ g.mat))

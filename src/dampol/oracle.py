@@ -8,7 +8,10 @@ commutators) together with the medium ladder operators per frequency node:
 
 The Hamiltonian becomes H = zeta^T h zeta up to an additive constant, and
 every Heisenberg equation and mode identity reduces to matrix algebra with
-the dynamical matrix built from h and the commutation structure.  Nothing
+the dynamical matrix built from h and the commutation structure.  Only
+`QuadraticHamiltonian` knows this layout: the medium operators keep their one
+definition as forms over the medium modes (`fields.py`, `bath.py`), and
+`QuadraticHamiltonian.ladder_rows` places a form's coefficients.  Nothing
 here uses the propagator or the analytic mode formulas, which is what makes
 the checks in this module an independent route.
 """
@@ -23,13 +26,21 @@ import numpy as np
 from .constants import EPS0, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
 from .diagonalize import SMEAR_PROFILES, ModeCoefficients
-from .errors import DampolError
+from .errors import ConfigError, DampolError
+from .fields import medium_mode_form, medium_momentum_form, medium_polarization_form
 from .lattice import FrequencyGrid, Lattice
 
-MAX_CANONICAL_DIM = 8000
+#: largest canonical dimension the dense oracle assembles; one dim x dim
+#: complex array is 16 dim^2 bytes, 256 MB at the cap
+MAX_CANONICAL_DIM = 4000
 
 #: relative dagger-Hermiticity defect a quadratic form may carry
 HERMITICITY_TOL = 1e-12
+
+
+def canonical_dim(lattice: Lattice, n_nodes: int) -> int:
+    """Size of the canonical basis (a, p, c, c^dag) on a lattice with n_nodes nodes."""
+    return 2 * lattice.transverse_basis.shape[1] + 2 * n_nodes * lattice.dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,17 +148,43 @@ class QuadraticHamiltonian:
         rows[:, self.slice_p] = self.lattice.transverse_basis / np.sqrt(self.lattice.cell_volume)
         return rows
 
-    def rows_medium(self, k: int) -> np.ndarray:
-        rows = np.zeros((self.lattice.dim, self.dim), dtype=complex)
-        scale = 1.0 / np.sqrt(self.lattice.cell_volume * self.grid.weights[k])
-        rows[:, self.slice_c(k)] = scale * np.eye(self.lattice.dim)
+    def ladder_rows(self, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """Canonical rows of sum_l w_l v [alpha_l C(w_l) + beta_l C^dag(w_l)].
+
+        The basis holds c_l = sqrt(v w_l) C(w_l), so each (K, d, d) stack
+        enters its ladder sector with the weight sqrt(v w_l).  The c blocks
+        of all nodes are contiguous, and so are the c^dag blocks.
+        """
+        K, d = self.grid.n_nodes, self.lattice.dim
+        base = 2 * self.mt
+        s = np.sqrt(self.lattice.cell_volume * self.grid.weights)[:, None, None]
+        rows = np.zeros((d, self.dim), dtype=complex)
+        rows[:, base:base + K * d] = (s * alpha).transpose(1, 0, 2).reshape(d, K * d)
+        rows[:, base + K * d:] = (s * beta).transpose(1, 0, 2).reshape(d, K * d)
         return rows
 
-    def rows_medium_dagger(self, k: int) -> np.ndarray:
-        rows = np.zeros((self.lattice.dim, self.dim), dtype=complex)
-        scale = 1.0 / np.sqrt(self.lattice.cell_volume * self.grid.weights[k])
-        rows[:, self.slice_cdag(k)] = scale * np.eye(self.lattice.dim)
-        return rows
+    def smear_columns(self) -> np.ndarray:
+        """Test matrix condensing the ladder sectors with the smear profiles.
+
+        The two-frequency content of the master check is distributional, so
+        its residual rows are paired against smooth frequency profiles,
+        mirroring the weak-form residuals of the defining equations.
+        """
+        grid, d, v = self.grid, self.lattice.dim, self.lattice.cell_volume
+        x = grid.nodes / grid.omega_max
+        profs = [fn(x) for fn in SMEAR_PROFILES.values()]
+        n_prof = len(profs)
+        cols = np.zeros((self.dim, 2 * self.mt + 2 * n_prof * d))
+        cols[self.slice_a, :self.mt] = np.eye(self.mt)
+        cols[self.slice_p, self.mt:2 * self.mt] = np.eye(self.mt)
+        for p, prof in enumerate(profs):
+            for l in range(grid.n_nodes):
+                scale = np.sqrt(grid.weights[l] / v) * prof[l]
+                base = 2 * self.mt + p * d
+                cols[self.slice_c(l), base:base + d] = scale * np.eye(d)
+                base = 2 * self.mt + (n_prof + p) * d
+                cols[self.slice_cdag(l), base:base + d] = scale * np.eye(d)
+        return cols
 
     def hc_rows(self, rows: np.ndarray) -> np.ndarray:
         return rows.conj()[..., self.dagger_index]
@@ -157,32 +194,7 @@ class QuadraticHamiltonian:
         return rows @ self.dynamical_matrix
 
 
-def _polarization_rows(ham: QuadraticHamiltonian, coupling: CouplingTensor) -> np.ndarray:
-    v = ham.lattice.cell_volume
-    rows = np.zeros((ham.lattice.dim, ham.dim), dtype=complex)
-    for k in range(ham.grid.n_nodes):
-        s = np.sqrt(v * ham.grid.weights[k])
-        rows[:, ham.slice_c(k)] += -1j * HBAR * s * coupling.kernels[k].T
-        rows[:, ham.slice_cdag(k)] += 1j * HBAR * s * coupling.kernels[k].conj().T
-    return rows
-
-
-def _momentum_density_rows(ham: QuadraticHamiltonian, coupling: CouplingTensor,
-                           structure: StructureTensor) -> np.ndarray:
-    v = ham.lattice.cell_volume
-    finv = structure.inverse.mat
-    rows = np.zeros((ham.lattice.dim, ham.dim), dtype=complex)
-    for k in range(ham.grid.n_nodes):
-        s = np.sqrt(v * ham.grid.weights[k])
-        coeff = -ham.grid.nodes[k] * (v * coupling.kernels[k] @ finv).T
-        rows[:, ham.slice_c(k)] += s * coeff
-        rows[:, ham.slice_cdag(k)] += s * coeff.conj()
-    return rows
-
-
-def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor,
-                         lattice: Lattice | None = None,
-                         grid: FrequencyGrid | None = None) -> QuadraticHamiltonian:
+def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor) -> QuadraticHamiltonian:
     """Assemble the five pieces of the model Hamiltonian term by term.
 
     Pieces: transverse field energy, medium oscillators, bilinear
@@ -190,22 +202,17 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor,
     structure tensor, and the electrostatic energy of the longitudinal
     polarization.  The bilinear and quadratic coupling pieces enter
     together or not at all: both are linear/quadratic in the same kernels.
+    A canonical dimension above `MAX_CANONICAL_DIM` is a configuration
+    error, raised before anything is allocated.
     """
-    lattice = lattice or coupling.lattice
-    grid = grid or coupling.grid
-    if not lattice.compatible(coupling.lattice):
-        raise DampolError("lattice does not match the coupling")
-    if grid.n_nodes != coupling.grid.n_nodes or not np.allclose(grid.nodes, coupling.grid.nodes):
-        raise DampolError("grid does not match the coupling")
-    mt = lattice.transverse_basis.shape[1]
-    d = lattice.dim
-    K = grid.n_nodes
-    dim = 2 * mt + 2 * K * d
+    lattice, grid = coupling.lattice, coupling.grid
+    d, K, v = lattice.dim, grid.n_nodes, lattice.cell_volume
+    dim = canonical_dim(lattice, K)
     if dim > MAX_CANONICAL_DIM:
-        raise DampolError(f"canonical dimension {dim} exceeds the safety cap {MAX_CANONICAL_DIM}")
-    v = lattice.cell_volume
-
-    ham = QuadraticHamiltonian(lattice=lattice, grid=grid, h=np.zeros((dim, dim), dtype=complex), mt=mt)
+        raise ConfigError(
+            f"projected canonical dimension {dim} exceeds the cap {MAX_CANONICAL_DIM}")
+    ham = QuadraticHamiltonian(lattice=lattice, grid=grid, h=np.zeros((dim, dim), dtype=complex),
+                               mt=lattice.transverse_basis.shape[1])
     h = ham.h
 
     def acc(left: np.ndarray, right: np.ndarray, coef: complex):
@@ -234,7 +241,8 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor,
     acc(u_a, structure.kernel.mat @ u_a, 0.5 * HBAR * v**2)
 
     # electrostatic energy of the longitudinal polarization
-    u_p_long = lattice.longitudinal_matrix @ _polarization_rows(ham, coupling)
+    pol = medium_polarization_form(coupling)
+    u_p_long = lattice.longitudinal_matrix @ ham.ladder_rows(pol.alpha, pol.beta)
     acc(u_p_long, u_p_long, v / (2.0 * EPS0))
 
     h += h.T   # numpy buffers the overlapping transpose: one temporary, not two
@@ -258,16 +266,20 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     canonical-pair constraints of the coupling.
     """
     lattice, grid = ham.lattice, ham.grid
-    v, d, K = lattice.cell_volume, lattice.dim, grid.n_nodes
+    v, K = lattice.cell_volume, grid.n_nodes
     u_a, u_pi = ham.rows_vector_potential, ham.rows_field_momentum
-    u_p = _polarization_rows(ham, coupling)
-    u_w = _momentum_density_rows(ham, coupling, structure)
+    pol, mom = medium_polarization_form(coupling), medium_momentum_form(coupling, structure)
+    u_p, u_w = ham.ladder_rows(pol.alpha, pol.beta), ham.ladder_rows(mom.alpha, mom.beta)
     pt, pl = lattice.transverse_matrix, lattice.longitudinal_matrix
     fmat = structure.kernel.mat
     out = {}
 
     def ddt(rows):
         return (-1j / HBAR) * ham.commutator_rows(rows)
+
+    def medium_rows(k):
+        cm = medium_mode_form(coupling, k)
+        return ham.ladder_rows(cm.alpha, cm.beta)
 
     # potential rate
     rhs = u_pi / EPS0
@@ -282,7 +294,7 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     worst = 0.0
     long_p = pl @ u_p
     for k in range(K):
-        u_c = ham.rows_medium(k)
+        u_c = medium_rows(k)
         om = grid.nodes[k]
         rhs = -1j * om * u_c \
             - 1j * om * v * coupling.kernels[k].conj() @ u_a \
@@ -298,7 +310,7 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     finv = structure.inverse.mat
     for k in range(K):
         wk, om = grid.weights[k], grid.nodes[k]
-        t1 += -HBAR * wk * om * v * coupling.kernels[k].T @ ham.rows_medium(k)
+        t1 += -HBAR * wk * om * v * coupling.kernels[k].T @ medium_rows(k)
         s_bar = v * coupling.kernels[k].conj() @ finv    # conj of the momentum coefficient
         chain = v**2 * coupling.kernels[k].T @ s_bar @ fmat
         t2 += -HBAR * wk * om * v * chain @ u_a
@@ -322,45 +334,15 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
 
 def mode_rows(ham: QuadraticHamiltonian, modes: ModeCoefficients, k: int) -> np.ndarray:
     """Canonical rows of the diagonalizing annihilator at node k."""
-    lattice, grid = ham.lattice, ham.grid
+    lattice = ham.lattice
     v = lattice.cell_volume
     sqv = np.sqrt(v)
     phi = lattice.transverse_basis
-    rows = np.zeros((lattice.dim, ham.dim), dtype=complex)
+    rows = ham.ladder_rows(modes.resonant[k], modes.antiresonant[k])
     rows[:, ham.slice_a] = sqv * modes.potential[k] @ phi
     rows[:, ham.slice_p] = sqv * modes.momentum[k] @ phi
-    for l in range(grid.n_nodes):
-        s = np.sqrt(v * grid.weights[l])
-        rows[:, ham.slice_c(l)] += s * modes.resonant[k, l]
-        rows[:, ham.slice_cdag(l)] += s * modes.antiresonant[k, l]
-    rows[:, ham.slice_c(k)] += np.eye(lattice.dim) / np.sqrt(v * grid.weights[k])
+    rows[:, ham.slice_c(k)] += np.eye(lattice.dim) / np.sqrt(v * ham.grid.weights[k])
     return rows
-
-
-def _smear_columns(ham: QuadraticHamiltonian) -> np.ndarray:
-    """Test matrix condensing the ladder sectors with the smear profiles.
-
-    The two-frequency content of the master check is distributional, so its
-    residual rows are paired against smooth frequency profiles, mirroring
-    the weak-form residuals of the defining equations.
-    """
-    lattice, grid = ham.lattice, ham.grid
-    d = lattice.dim
-    v = lattice.cell_volume
-    x = grid.nodes / grid.omega_max
-    profs = [fn(x) for fn in SMEAR_PROFILES.values()]
-    n_prof = len(profs)
-    cols = np.zeros((ham.dim, 2 * ham.mt + 2 * n_prof * d))
-    cols[ham.slice_a, :ham.mt] = np.eye(ham.mt)
-    cols[ham.slice_p, ham.mt:2 * ham.mt] = np.eye(ham.mt)
-    for p, prof in enumerate(profs):
-        for l in range(grid.n_nodes):
-            scale = np.sqrt(grid.weights[l] / v) * prof[l]
-            base = 2 * ham.mt + p * d
-            cols[ham.slice_c(l), base:base + d] = scale * np.eye(d)
-            base = 2 * ham.mt + (n_prof + p) * d
-            cols[ham.slice_cdag(l), base:base + d] = scale * np.eye(d)
-    return cols
 
 
 def diagonal_form_check(ham: QuadraticHamiltonian, modes: ModeCoefficients) -> float:
@@ -378,7 +360,7 @@ def diagonal_form_check(ham: QuadraticHamiltonian, modes: ModeCoefficients) -> f
     grid = ham.grid
     d = ham.lattice.dim
     n_prof = len(SMEAR_PROFILES)
-    cols = _smear_columns(ham)
+    cols = ham.smear_columns()
     kdyn_cols = ham.dynamical_matrix @ cols
     groups = {
         "a": np.s_[:, 0:ham.mt],

@@ -43,6 +43,41 @@ class TestConfigParsing:
         cfg.write_text(text)
         assert main(["model", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("old,new", [
+        ("\n[run]\n", "\n[run]\ndim_cap = 8000\n"),         # a key that no longer exists
+        ("\nn_nodes = ", "\nn_node = "),                       # a typo
+        ("\n[run]\n", "\n[solver]\nmethod = lu\n\n[run]\n"),  # an unknown section
+    ], ids=["dim_cap", "typo", "section"])
+    def test_unknown_input_exits_usage(self, tmp_path, old, new):
+        text = (CONFIG_DIR / "lorentz.ini").read_text()
+        assert old in text
+        cfg = tmp_path / "unknown.ini"
+        cfg.write_text(text.replace(old, new, 1))
+        assert main(["model", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+
+
+class TestDimensionCap:
+    def test_oracle_over_cap_exits_usage(self, tmp_path, capsys):
+        # n = 3, K = 25: canonical dimension 2 * 55 + 2 * 25 * 81 = 4160 > 4000
+        text = (CONFIG_DIR / "lorentz.ini").read_text().replace(
+            "n_per_axis = 2", "n_per_axis = 3").replace("n_nodes = 12", "n_nodes = 25")
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(text)
+        assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "4160" in capsys.readouterr().err
+
+    def test_refine_over_cap_exits_before_level_zero(self, tmp_path, capsys, monkeypatch):
+        # refine.ini at 5 levels ends at K = 128: 2 * 17 + 2 * 128 * 24 = 6178 > 4000
+        import dampol.cli as cli
+
+        def no_level(*args, **kwargs):
+            raise AssertionError("a refinement level ran")
+        monkeypatch.setattr(cli.Pipeline, "__init__", no_level)
+        argv = ["refine", "--config", str(CONFIG_DIR / "refine.ini"), "--levels", "5",
+                "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert "6178" in capsys.readouterr().err
+
 
 class TestRun:
     def test_smoke_two_stages(self, tmp_path):

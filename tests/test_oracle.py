@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from dampol import oracle
+from dampol.bath import bath_coefficients
 from dampol.constants import HBAR
 from dampol.errors import DampolError
 from dampol.coupling import (
@@ -15,11 +16,13 @@ from dampol.coupling import (
     structure_tensor,
 )
 from dampol.diagonalize import fano_residual, mode_coefficients
+from dampol.fields import medium_mode_form, medium_momentum_form, medium_polarization_form
 from dampol.green import sweep_at_nodes
 from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice
 from dampol.oracle import (
     QuadraticHamiltonian,
     assemble_hamiltonian,
+    canonical_dim,
     diagonal_form_check,
     heisenberg_residual,
     mode_frequencies,
@@ -125,6 +128,75 @@ class TestAssembly:
             assemble_hamiltonian(coupling, st)
 
 
+class TestLadderRows:
+    """`ladder_rows` against the per-node formulas each operator had written out."""
+
+    @pytest.fixture(scope="class", params=["random_n1_K7", "lorentz_n2_K12"])
+    def case(self, request):
+        if request.param == "random_n1_K7":   # w = 3/7 is not dyadic
+            lat, grid = build_lattice(1, 1.0), FrequencyGrid.midpoint(7, 3.0, eta_factor=1.0)
+            raw = random_coupling(lat, grid, np.random.default_rng(7), diag_weight=3.0)
+        else:
+            lat, grid = build_lattice(2, 1.0), FrequencyGrid.midpoint(12, 3.0, eta_factor=1.0)
+            raw = builtin_model("local_lorentz", lat, grid)
+        coupling = coupling_from_lagrangian(raw)
+        st = structure_tensor(coupling)
+        return lat, grid, coupling, st, assemble_hamiltonian(coupling, st)
+
+    def test_polarization_and_momentum(self, case):
+        lat, grid, coupling, st, ham = case
+        v, finv = lat.cell_volume, st.inverse.mat
+        u_p = np.zeros((lat.dim, ham.dim), dtype=complex)
+        u_w = np.zeros((lat.dim, ham.dim), dtype=complex)
+        for k in range(grid.n_nodes):
+            s = np.sqrt(v * grid.weights[k])
+            u_p[:, ham.slice_c(k)] += -1j * HBAR * s * coupling.kernels[k].T
+            u_p[:, ham.slice_cdag(k)] += 1j * HBAR * s * coupling.kernels[k].conj().T
+            coeff = -grid.nodes[k] * (v * coupling.kernels[k] @ finv).T
+            u_w[:, ham.slice_c(k)] += s * coeff
+            u_w[:, ham.slice_cdag(k)] += s * coeff.conj()
+        pol, mom = medium_polarization_form(coupling), medium_momentum_form(coupling, st)
+        assert np.array_equal(ham.ladder_rows(pol.alpha, pol.beta), u_p)
+        assert np.array_equal(ham.ladder_rows(mom.alpha, mom.beta), u_w)
+
+    def test_medium_modes(self, case):
+        # sqrt(v w) / (v w) against 1 / sqrt(v w): equal up to one rounding
+        lat, grid, coupling, st, ham = case
+        for k in range(grid.n_nodes):
+            old = np.zeros((lat.dim, ham.dim), dtype=complex)
+            old[:, ham.slice_c(k)] = np.eye(lat.dim) / np.sqrt(lat.cell_volume * grid.weights[k])
+            cm = medium_mode_form(coupling, k)
+            new = ham.ladder_rows(cm.alpha, cm.beta)
+            assert np.linalg.norm(new - old) <= 1e-15 * np.linalg.norm(old)
+
+    def test_bath_rows(self, case):
+        lat, grid, coupling, st, ham = case
+        bath = bath_coefficients(coupling, Susceptibility(coupling))
+        v, w = lat.cell_volume, grid.weights
+        for k in range(grid.n_nodes):
+            co, counter = bath.rows(coupling, k)
+            old = np.zeros((lat.dim, ham.dim), dtype=complex)
+            for l in range(grid.n_nodes):
+                old[:, ham.slice_c(l)] = np.sqrt(v * w[l]) * co[l]
+                old[:, ham.slice_cdag(l)] = np.sqrt(v * w[l]) * counter[l]
+            assert np.array_equal(ham.ladder_rows(co, counter), old)
+
+    def test_mode_rows(self, case):
+        lat, grid, coupling, st, ham = case
+        modes = mode_coefficients(coupling, sweep_at_nodes(Susceptibility(coupling), side=-1))
+        v, phi = lat.cell_volume, lat.transverse_basis
+        for k in range(grid.n_nodes):
+            old = np.zeros((lat.dim, ham.dim), dtype=complex)
+            old[:, ham.slice_a] = np.sqrt(v) * modes.potential[k] @ phi
+            old[:, ham.slice_p] = np.sqrt(v) * modes.momentum[k] @ phi
+            for l in range(grid.n_nodes):
+                s = np.sqrt(v * grid.weights[l])
+                old[:, ham.slice_c(l)] += s * modes.resonant[k, l]
+                old[:, ham.slice_cdag(l)] += s * modes.antiresonant[k, l]
+            old[:, ham.slice_c(k)] += np.eye(lat.dim) / np.sqrt(v * grid.weights[k])
+            assert np.array_equal(mode_rows(ham, modes, k), old)
+
+
 class TestHeisenberg:
     def test_all_equations_machine_exact(self, lorentz_setup):
         lat, grid, coupling, st, ham = lorentz_setup
@@ -146,10 +218,10 @@ class TestHeisenberg:
         assert max(res.values()) <= 1e-11
 
     def test_canonical_pair_via_rows(self, lorentz_setup):
-        from dampol.oracle import _momentum_density_rows, _polarization_rows
         lat, grid, coupling, st, ham = lorentz_setup
-        u_p = _polarization_rows(ham, coupling)
-        u_w = _momentum_density_rows(ham, coupling, st)
+        pol, mom = medium_polarization_form(coupling), medium_momentum_form(coupling, st)
+        u_p = ham.ladder_rows(pol.alpha, pol.beta)
+        u_w = ham.ladder_rows(mom.alpha, mom.beta)
         comm = u_w @ ham.commutation_matrix @ u_p.T
         expected = -1j * HBAR * np.eye(lat.dim) / lat.cell_volume
         assert np.allclose(comm, expected, atol=1e-12)
@@ -201,7 +273,7 @@ def positive_frequencies(evals, zero_tol=1e-6):
 def random_form(lat, grid, rng, dagger_hermitian=True):
     """A random quadratic form on the canonical basis of (lat, grid)."""
     mt = lat.transverse_basis.shape[1]
-    dim = 2 * mt + 2 * grid.n_nodes * lat.dim
+    dim = canonical_dim(lat, grid.n_nodes)
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     ham = QuadraticHamiltonian(lattice=lat, grid=grid, h=x, mt=mt)
     if dagger_hermitian:
