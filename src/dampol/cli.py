@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -28,23 +28,21 @@ from .coupling import (
 from .diagonalize import mode_coefficients, momentum_family, streamed_mode_checks, wave_diagnostic
 from .errors import ConfigError, DampolError
 from .fields import (
-    constitutive_check,
-    field_form,
     commutator,
+    constitutive_check,
+    field_forms,
     maxwell_check,
     medium_momentum_form,
     medium_polarization_form,
-    noise_commutator_expected,
-    noise_mode_form,
+    noise_commutator_residual,
     vector_potential_route_defect,
 )
-from .green import sweep_at_nodes, verify_adjoint, verify_conjugation, verify_reciprocity
+from .green import node_propagator, verify_adjoint, verify_conjugation, verify_reciprocity
 from .lattice import FrequencyGrid, TensorKernel, build_lattice
 from .oracle import (
     HERMITICITY_TOL,
-    MAX_CANONICAL_DIM,
     assemble_hamiltonian,
-    canonical_dim,
+    check_canonical_dim,
     diagonal_form_check,
     heisenberg_residual,
     symplectic_spectrum,
@@ -176,11 +174,10 @@ class ScenarioConfig:
 class Pipeline:
     """Lazy shared state for the staged verification run."""
 
-    def __init__(self, config: ScenarioConfig, n_nodes: int | None = None):
+    def __init__(self, config: ScenarioConfig):
         self.config = config
         self.lattice = build_lattice(config.n_per_axis, config.spacing, config.k0_transverse)
-        self.grid = FrequencyGrid.midpoint(n_nodes or config.n_nodes, config.omega_max,
-                                           config.eta_factor)
+        self.grid = FrequencyGrid.midpoint(config.n_nodes, config.omega_max, config.eta_factor)
 
     @cached_property
     def coupling(self):
@@ -202,17 +199,17 @@ class Pipeline:
         return chi
 
     @cached_property
-    def sweep(self):
-        return sweep_at_nodes(self.chi, side=-1)
+    def propagator(self):
+        return node_propagator(self.chi)
 
     @cached_property
     def streamed(self):
-        return streamed_mode_checks(self.coupling, self.sweep, self.structure)
+        return streamed_mode_checks(self.propagator, self.structure)
 
     @cached_property
     def modes(self):
         """Node-pair kernel stacks; only the oracle's explicit rows need them."""
-        return mode_coefficients(self.coupling, self.sweep)
+        return mode_coefficients(self.propagator)
 
     @cached_property
     def bath(self):
@@ -281,11 +278,9 @@ def stage_chi(pipe: Pipeline, out: Path | None) -> dict:
 
 def stage_green(pipe: Pipeline, out: Path | None) -> dict:
     rng = np.random.default_rng(pipe.config.seed + 1)
-    sweep = pipe.sweep
-    sweep.require_complete()
-    checks = [pipe.entry("green.defining_residual",
-                         max(sweep[k].residual for k in range(len(sweep))), TOL_EXACT)]
-    adj = max(verify_adjoint(sweep[k]) for k in range(len(sweep)))
+    prop = pipe.propagator
+    checks = [pipe.entry("green.defining_residual", max(g.residual for g in prop.solves), TOL_EXACT)]
+    adj = max(verify_adjoint(g) for g in prop.solves)
     checks.append(pipe.entry("green.adjoint_residual", adj, 1e-9))
     rec = con = 0.0
     for _ in range(4):
@@ -296,7 +291,7 @@ def stage_green(pipe: Pipeline, out: Path | None) -> dict:
     checks.append(pipe.entry("green.reciprocity", rec, 1e-9))
     checks.append(pipe.entry("green.conjugation", con, 1e-9))
     if out is not None:
-        reports.green_trace_csv(out / "green_trace.csv", sweep)
+        reports.green_trace_csv(out / "green_trace.csv", prop)
     return reports.stage_report("green", checks)
 
 
@@ -304,7 +299,7 @@ def stage_diag(pipe: Pipeline) -> dict:
     sc = pipe.streamed
     checks = [
         pipe.entry("diag.potential_ratio", sc.potential_ratio, TOL_EXACT),
-        pipe.entry("diag.wave_diagnostic", wave_diagnostic(pipe.coupling, pipe.sweep), TOL_EXACT),
+        pipe.entry("diag.wave_diagnostic", wave_diagnostic(pipe.propagator), TOL_EXACT),
         # regularized residuals: values are resolution-dependent; the cap is
         # a sanity bound and their acceptance lives in the refinement study
         pipe.entry("diag.wave_equation", sc.wave, 2.0),
@@ -317,18 +312,17 @@ def stage_diag(pipe: Pipeline) -> dict:
 
 
 def stage_fields(pipe: Pipeline, out: Path | None = None) -> dict:
-    coupling, sweep, chi = pipe.coupling, pipe.sweep, pipe.chi
-    green_res = max(sweep[k].residual for k in range(len(sweep)))
-    forms = {kind: field_form(kind, coupling, sweep) for kind in ("A", "B", "E", "P", "Pn", "D")}
+    coupling, prop = pipe.coupling, pipe.propagator
+    green_res = max(g.residual for g in prop.solves)
+    forms = field_forms(prop)
     checks = [
         pipe.entry("fields.vector_potential_routes",
-                   vector_potential_route_defect(forms["A"], momentum_family(coupling, sweep)),
-                   TOL_EXACT),
+                   vector_potential_route_defect(forms["A"], momentum_family(prop)), TOL_EXACT),
         pipe.entry("fields.displacement_transverse",
                    float(np.linalg.norm(pipe.lattice.longitudinal_matrix[None] @ forms["D"].alpha)
                          / max(np.linalg.norm(forms["D"].alpha), 1e-300)), 1e-12),
         pipe.entry("fields.constitutive",
-                   constitutive_check(forms["P"], forms["E"], forms["Pn"], chi),
+                   constitutive_check(forms["P"], forms["E"], forms["Pn"], pipe.chi),
                    max(10.0 * green_res, 1e-12), green_solve_residual=green_res),
         pipe.entry("fields.maxwell", maxwell_check(forms["B"], forms["D"]),
                    max(10.0 * green_res, 1e-12), green_solve_residual=green_res),
@@ -340,12 +334,8 @@ def stage_fields(pipe: Pipeline, out: Path | None = None) -> dict:
         reports.field_trace_csv(out / "field_trace.csv", forms["E"], amp,
                                 np.linspace(0.0, 4.0 * np.pi / pipe.grid.omega_max, 32))
     del forms   # the commutator checks below read none of the field forms
-    worst = 0.0
-    for k in (0, pipe.grid.n_nodes // 2, pipe.grid.n_nodes - 1):
-        pn = noise_mode_form(coupling, k)
-        got = commutator(pn, pn.dagger())
-        expected = noise_commutator_expected(coupling, k)
-        worst = max(worst, (got - expected).norm() / max(expected.norm(), 1e-300))
+    worst = max(noise_commutator_residual(coupling, k)
+                for k in (0, pipe.grid.n_nodes // 2, pipe.grid.n_nodes - 1))
     checks.append(pipe.entry("fields.noise_commutator", worst, TOL_EXACT))
     w_form = medium_momentum_form(coupling, pipe.structure)
     p_form = medium_polarization_form(coupling)
@@ -415,10 +405,12 @@ _STAGE_FUNCS = {
 
 def run(config: ScenarioConfig, stages=None) -> int:
     """Execute the requested stages in dependency order; write reports."""
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     stages = [s for s in STAGES if s in (stages or config.stages)]
     pipe = Pipeline(config)
+    if "oracle" in stages:
+        check_canonical_dim(pipe.lattice, pipe.grid.n_nodes)
+    out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
     summary = {"format_version": reports.FORMAT_VERSION, "config": config.provenance(),
                "stages": {}, "passed": True}
     status = EXIT_PASS
@@ -469,16 +461,12 @@ def refine(config: ScenarioConfig, levels: int) -> int:
     track = config.refine_track
     lattice = build_lattice(config.n_per_axis, config.spacing, config.k0_transverse)
     if track == "hamiltonian":
-        dim = canonical_dim(lattice, config.n_nodes * 2 ** (levels - 1))
-        if dim > MAX_CANONICAL_DIM:
-            raise ConfigError(
-                f"refinement would reach canonical dimension {dim} > cap {MAX_CANONICAL_DIM}; "
-                "lower n_nodes or levels")
+        check_canonical_dim(lattice, config.n_nodes * 2 ** (levels - 1))
 
     level_meta = []
     seq = {}
     for lvl in range(levels):
-        pipe = Pipeline(config, n_nodes=config.n_nodes * 2**lvl)
+        pipe = Pipeline(replace(config, n_nodes=config.n_nodes * 2**lvl))
         level_meta.append((pipe.grid.n_nodes, pipe.grid.eta))
         # the streamed pass sets the kernels track's peak memory, so it runs
         # before the bath sums cache chi above the cut
@@ -490,7 +478,7 @@ def refine(config: ScenarioConfig, levels: int) -> int:
             "kramers_kronig": verify_kramers_kronig(pipe.coupling, 1j * pipe.grid.omega_max / 3),
             "sum_rule": verify_sum_rules(pipe.coupling, pipe.structure).max_residual(),
             "bath_canonical": bath_mod.verify_bath_canonical(pipe.bath, pipe.coupling),
-            "noise_commutator": _noise_residual(pipe),
+            "noise_commutator": noise_commutator_residual(pipe.coupling, pipe.grid.n_nodes // 2),
         }
         if sc is not None:
             vals["wave_equation"] = sc.wave
@@ -529,13 +517,6 @@ def refine(config: ScenarioConfig, levels: int) -> int:
     reports.write_json(out / "refine.json", report)
     reports.refinement_csv(out / "refinement.csv", level_meta, seq)
     return EXIT_PASS if report["passed"] else EXIT_NUMERICAL
-
-
-def _noise_residual(pipe: Pipeline) -> float:
-    k = pipe.grid.n_nodes // 2
-    pn = noise_mode_form(pipe.coupling, k)
-    expected = noise_commutator_expected(pipe.coupling, k)
-    return (commutator(pn, pn.dagger()) - expected).norm() / max(expected.norm(), 1e-300)
 
 
 def main(argv=None) -> int:

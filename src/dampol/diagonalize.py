@@ -18,8 +18,9 @@ Two-frequency identities hold distributionally, so their residuals are
 reported in frequency-averaged (weak) form: the pair index is summed
 against smooth profiles before taking norms.
 
-Every family is built from the per-node formulas of `_NodeKernels`, which
-also validates the propagator sweep (`green.require_node_sweep`).  `streamed_mode_checks` is the
+Every family is built from the per-node formulas of `_NodeKernels`, read
+from one `green.NodePropagator`: the propagator at every node just below
+the cut, with the coupling it was solved for.  `streamed_mode_checks` is the
 production evaluator of the identities: the node-pair rows factorize into
 a per-node transfer kernel, a (K, K) frequency factor and the coupling, so
 every sum over the pair index is a (K, K) @ (K, d^2) GEMM and no pair row
@@ -39,8 +40,7 @@ import numpy as np
 
 from .constants import EPS0, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
-from .errors import DampolError
-from .green import GreenSweep, require_node_sweep, wave_operator
+from .green import NodePropagator, wave_operator
 from .lattice import FrequencyGrid, Lattice, TensorKernel, pair_contract
 
 #: smearing profiles used for weak-form residuals, as functions of w/w_max
@@ -77,9 +77,9 @@ class ModeCoefficients:
 class _NodeKernels:
     """The per-node formulas of the four coefficient families.
 
-    `g_sweep` must hold the propagator at every node just below the cut
-    (w_k - i eta); the pole factor between node pairs uses the same eta.
-    The pair rows factorize as
+    The propagator sits at every node just below the cut (w_k - i eta);
+    the pole factor between node pairs uses the same eta.  The pair rows
+    factorize as
 
         resonant[k, l]     = mu0 hbar v (-w_k Xt_k + pole[k, l] X_k) T(w_l)^T
         antiresonant[k, l] = mu0 hbar v ( w_k Xt_k - anti[k, l] X_k) T(w_l)^H
@@ -89,12 +89,10 @@ class _NodeKernels:
     K d^2.
     """
 
-    def __init__(self, coupling: CouplingTensor, g_sweep: GreenSweep):
+    def __init__(self, prop: NodePropagator):
+        coupling = prop.coupling
         grid = coupling.grid
-        if grid.eta <= 0:
-            raise DampolError("eta must be positive: coincident nodes make the pole factor singular")
-        require_node_sweep(grid, g_sweep)
-        self.grid, self.sweep, self.kernels = grid, g_sweep, coupling.kernels
+        self.grid, self.solves, self.kernels = grid, prop.solves, coupling.kernels
         self.lattice = coupling.lattice
         om, nodes = grid.nodes[:, None], grid.nodes
         self.pole = om**2 / (om - nodes - 1j * grid.eta)   # [k, l] = w_k^2 / (w_k - w_l - i eta)
@@ -108,7 +106,7 @@ class _NodeKernels:
 
     def transfer(self, k: int) -> np.ndarray:
         """X_k = v T*(w_k) o G(w_k - i eta)."""
-        return self.lattice.cell_volume * self.kernels[k].conj() @ self.sweep[k].kernel.mat
+        return self.lattice.cell_volume * self.kernels[k].conj() @ self.solves[k].kernel.mat
 
     def families(self, k: int) -> tuple:
         """X_k, its transverse part X_k o P_T, and the potential and momentum kernels."""
@@ -129,15 +127,15 @@ class _NodeKernels:
                 MU0 * HBAR * (om * proj_h - self.anti[k][:, None, None] * full_h))
 
 
-def momentum_family(coupling: CouplingTensor, g_sweep: GreenSweep) -> np.ndarray:
+def momentum_family(prop: NodePropagator) -> np.ndarray:
     """The momentum coefficient kernels of every node, (K, d, d)."""
-    rows = _NodeKernels(coupling, g_sweep)
+    rows = _NodeKernels(prop)
     return np.stack([rows.families(k)[3] for k in range(rows.grid.n_nodes)])
 
 
-def mode_coefficients(coupling: CouplingTensor, g_sweep: GreenSweep) -> ModeCoefficients:
+def mode_coefficients(prop: NodePropagator) -> ModeCoefficients:
     """Assemble the four coefficient families, node-pair stacks included."""
-    rows = _NodeKernels(coupling, g_sweep)
+    rows = _NodeKernels(prop)
     grid, lattice = rows.grid, rows.lattice
     K, d = grid.n_nodes, lattice.dim
     potential = np.empty((K, d, d), dtype=complex)
@@ -152,23 +150,22 @@ def mode_coefficients(coupling: CouplingTensor, g_sweep: GreenSweep) -> ModeCoef
                             antiresonant=antiresonant, eta=grid.eta)
 
 
-def wave_diagnostic(coupling: CouplingTensor, g_sweep: GreenSweep) -> float:
+def wave_diagnostic(prop: NodePropagator) -> float:
     """Residual of the inhomogeneous wave equation for the auxiliary kernel.
 
     The auxiliary combination -w_k^2 X_k equals the source -w_k^2 T*(w_k)
     contracted with the propagator by construction, so v X_k o W(z_k) =
-    T*(w_k) with W the wave operator at the sweep point; the residual
+    T*(w_k) with W the wave operator at the solve's point; the residual
     vanishes to solver precision and validates the plumbing rather than the
     regularization.
     """
-    rows = _NodeKernels(coupling, g_sweep)
-    lattice = coupling.lattice
+    rows = _NodeKernels(prop)
+    lattice = rows.lattice
     v = lattice.cell_volume
     out = 0.0
-    for k in range(rows.grid.n_nodes):
-        entry = g_sweep[k]
-        wave = wave_operator(entry.chi_ref.at(entry.z), entry.z, lattice).mat
-        source = coupling.kernels[k].conj()
+    for k, entry in enumerate(prop.solves):
+        wave = wave_operator(prop.chi.at(entry.z), entry.z, lattice).mat
+        source = rows.kernels[k].conj()
         res = np.linalg.norm(v * rows.transfer(k) @ wave - source)
         out = max(out, res / max(np.linalg.norm(source), 1e-300))
     return float(out)
@@ -392,8 +389,7 @@ class StreamedModeChecks:
                    max(self.resonant.values()), max(self.antiresonant.values()))
 
 
-def streamed_mode_checks(coupling: CouplingTensor, g_sweep: GreenSweep,
-                         structure: StructureTensor) -> StreamedModeChecks:
+def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> StreamedModeChecks:
     """Single-pass weak-form verification of the mode-kernel identities.
 
     With the factorized pair rows of `_NodeKernels`, a weighted sum over the
@@ -408,7 +404,8 @@ def streamed_mode_checks(coupling: CouplingTensor, g_sweep: GreenSweep,
     the same way from (phi * pole)^T @ X.  Cost O(K^2 d^2 + K d^3); only X,
     the coupling and the GEMM results are held as (K, d, d) stacks.
     """
-    rows = _NodeKernels(coupling, g_sweep)
+    rows = _NodeKernels(prop)
+    coupling = prop.coupling
     grid = coupling.grid
     lattice = coupling.lattice
     K, d, v = grid.n_nodes, lattice.dim, lattice.cell_volume

@@ -21,15 +21,13 @@ import numpy as np
 from .constants import C_LIGHT, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
 from .errors import DampolError
-from .green import GreenSweep, require_node_sweep, upper_from_lower
+from .green import NodePropagator
 from .lattice import TensorKernel, pair_contract
 from .susceptibility import Susceptibility
 
 #: mode families a form can live over
 BASIS_DIAGONAL = "diagonal"   # the modes that diagonalize the Hamiltonian
 BASIS_MEDIUM = "medium"       # the bare medium modes
-
-FIELD_KINDS = ("A", "B", "E", "P", "Pn", "D")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,43 +107,37 @@ def commutator(a: LinearBosonicForm, b: LinearBosonicForm) -> TensorKernel:
 # -- field operators over the diagonal modes ------------------------------
 
 
-def field_form(kind: str, coupling: CouplingTensor, g_sweep: GreenSweep) -> LinearBosonicForm:
-    """Construct a physical field operator over the diagonal modes.
+def field_forms(prop: NodePropagator) -> dict:
+    """The physical field operators over the diagonal modes, by kind.
 
     Kinds: vector potential ``A``, magnetic field ``B``, electric field
     ``E``, polarization density ``P``, noise polarization ``Pn``, and
-    displacement ``D``.  The propagator above the cut is obtained from the
-    sweep below it by the exact adjoint relation.
+    displacement ``D``.  All but ``Pn`` contract the coupling with the
+    propagator above the cut, the exact adjoint of the solve below it; that
+    product is formed once and freed before the conjugate halves are built.
     """
-    if kind not in FIELD_KINDS:
-        raise DampolError(f"unknown field kind {kind!r}; expected one of {FIELD_KINDS}")
-    require_node_sweep(coupling.grid, g_sweep)
+    coupling = prop.coupling
     lattice = coupling.lattice
     grid = coupling.grid
-    K, d, v = grid.n_nodes, lattice.dim, lattice.cell_volume
+    v = lattice.cell_volume
     nodes = grid.nodes
     t_t = coupling.kernels.transpose(0, 2, 1)
 
-    g_up = np.stack([upper_from_lower(g_sweep[k]).mat for k in range(K)])
-    gt = v * g_up @ t_t   # G(w + i eta) o T-transpose contraction per node
-
-    if kind == "A":
-        alpha = MU0 * HBAR * nodes[:, None, None] * (lattice.transverse_matrix @ gt)
-    elif kind == "B":
-        alpha = MU0 * HBAR * nodes[:, None, None] * (v * curl_rows(lattice) @ gt)
-    elif kind == "E":
-        alpha = 1j * MU0 * HBAR * (nodes**2)[:, None, None] * gt
-    elif kind == "P":
-        chi_up = g_sweep[0].chi_ref.above_cut   # a node sweep is solved with one chi
-        alpha = (1j * HBAR / C_LIGHT**2) * (nodes**2)[:, None, None] * (v * chi_up @ gt) \
-            - 1j * HBAR * t_t
-    elif kind == "Pn":
-        alpha = -1j * HBAR * t_t
-    else:  # D
-        alpha = 1j * HBAR * (lattice.double_curl_matrix @ gt)
-
-    return LinearBosonicForm(lattice=lattice, grid=grid, alpha=alpha, beta=alpha.conj(),
-                             basis=BASIS_DIAGONAL, label=kind)
+    # G(w + i eta) o T-transpose contraction per node
+    gt = v * np.stack([g.kernel.H.mat for g in prop.solves]) @ t_t
+    alphas = {
+        "A": MU0 * HBAR * nodes[:, None, None] * (lattice.transverse_matrix @ gt),
+        "B": MU0 * HBAR * nodes[:, None, None] * (v * curl_rows(lattice) @ gt),
+        "E": 1j * MU0 * HBAR * (nodes**2)[:, None, None] * gt,
+        "P": (1j * HBAR / C_LIGHT**2) * (nodes**2)[:, None, None] * (v * prop.chi.above_cut @ gt)
+             - 1j * HBAR * t_t,
+        "Pn": -1j * HBAR * t_t,
+        "D": 1j * HBAR * (lattice.double_curl_matrix @ gt),
+    }
+    del gt
+    return {kind: LinearBosonicForm(lattice=lattice, grid=grid, alpha=alpha, beta=alpha.conj(),
+                                    basis=BASIS_DIAGONAL, label=kind)
+            for kind, alpha in alphas.items()}
 
 
 def curl_rows(lattice) -> np.ndarray:
@@ -184,6 +176,13 @@ def noise_commutator_expected(coupling: CouplingTensor, k: int) -> TensorKernel:
     """Exact value of [Pn(w_k), Pn(w_k)^dag] from the cut discontinuity."""
     dens = coupling.spectral_density(k)
     return (HBAR**2 / coupling.grid.weights[k]) * dens
+
+
+def noise_commutator_residual(coupling: CouplingTensor, k: int) -> float:
+    """Relative residual of [Pn(w_k), Pn(w_k)^dag] against its exact value."""
+    pn = noise_mode_form(coupling, k)
+    expected = noise_commutator_expected(coupling, k)
+    return (commutator(pn, pn.dagger()) - expected).norm() / max(expected.norm(), 1e-300)
 
 
 # -- canonical matter operators over the medium modes ---------------------

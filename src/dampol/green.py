@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT
+from .coupling import CouplingTensor
 from .errors import DampolError, SingularOperatorError
-from .lattice import FrequencyGrid, Lattice, TensorKernel
+from .lattice import Lattice, TensorKernel
 from .susceptibility import Susceptibility
 
 #: relative residual every emitted kernel must satisfy
@@ -84,14 +85,6 @@ def solve_green(chi: Susceptibility, z: complex) -> GreenKernel:
                        residual=residual, cond=cond)
 
 
-def defining_residual(green: GreenKernel) -> float:
-    """Relative residual of the (right-composed) defining equation."""
-    lattice = green.lattice
-    w_kernel = wave_operator(green.chi_ref.at(green.z), green.z, lattice)
-    ident = TensorKernel.identity(lattice)
-    return ((green.kernel @ w_kernel) - ident).norm() / ident.norm()
-
-
 def verify_adjoint(green: GreenKernel) -> float:
     """Residual of the adjoint equation (double curl on the unprimed argument).
 
@@ -127,73 +120,38 @@ def verify_conjugation(chi: Susceptibility, z: complex) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class GreenSweep:
-    """Order-preserving batch of solves; per-point failures do not abort."""
+class NodePropagator:
+    """The propagator at every grid node just below the cut, G(w_k - i eta).
 
-    z_values: list
-    entries: list          # GreenKernel or None per z
-    failures: dict         # index -> error message
+    Only `node_propagator` builds one, so it is complete and sits below the
+    cut by construction.  The solves were made with `chi`, whose source is
+    the coupling that every consumer contracts the propagator with; the
+    upper side is the exact adjoint, G(w + i eta) = G(w - i eta)^dagger.
+    """
 
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i) -> GreenKernel:
-        entry = self.entries[i]
-        if entry is None:
-            raise SingularOperatorError(f"no solution at sweep index {i}: {self.failures[i]}")
-        return entry
+    chi: Susceptibility
+    solves: tuple          # GreenKernel per node, in node order
 
     @property
-    def complete(self) -> bool:
-        return not self.failures
-
-    def require_complete(self):
-        if self.failures:
-            raise SingularOperatorError(f"sweep failed at indices {sorted(self.failures)}: {self.failures}")
+    def coupling(self) -> CouplingTensor:
+        return self.chi.source
 
 
-def green_sweep(chi: Susceptibility, z_values) -> GreenSweep:
-    """Solve the propagator at every requested point independently."""
-    z_values = [complex(z) for z in z_values]
-    entries, failures = [], {}
-    for i, z in enumerate(z_values):
-        try:
-            entries.append(solve_green(chi, z))
-        except DampolError as exc:
-            entries.append(None)
-            failures[i] = str(exc)
-    return GreenSweep(z_values=z_values, entries=entries, failures=failures)
+def node_propagator(chi: Susceptibility) -> NodePropagator:
+    """Solve the propagator at every grid node w_k - i eta.
 
-
-def sweep_at_nodes(chi: Susceptibility, side: int = -1) -> GreenSweep:
-    """Sweep over the grid nodes at w_k + i * side * eta.
-
-    The mode-kernel assembly wants the lower side (side = -1); the upper
-    side follows from it by the adjoint, see `upper_from_lower`.
+    Every node is attempted; if any fails, one `SingularOperatorError`
+    names all the failed nodes.
     """
-    if side not in (+1, -1):
-        raise DampolError("side must be +1 or -1")
     grid = chi.grid
     if grid.eta <= 0:
         raise DampolError("grid eta must be positive to pick a side of the cut")
-    return green_sweep(chi, grid.nodes + 1j * side * grid.eta)
-
-
-def require_node_sweep(grid: FrequencyGrid, sweep: GreenSweep):
-    """Raise unless `sweep` holds a solve at every node just below the cut."""
-    if len(sweep) != grid.n_nodes:
-        raise DampolError(f"propagator sweep has {len(sweep)} entries for {grid.n_nodes} nodes")
-    sweep.require_complete()
-    expected = grid.nodes - 1j * grid.eta
-    zs = np.asarray(sweep.z_values)
-    if not np.allclose(zs, expected, rtol=0, atol=1e-12 * max(1.0, grid.omega_max)):
-        raise DampolError("sweep points do not match the grid nodes just below the cut")
-
-
-def upper_from_lower(green: GreenKernel) -> TensorKernel:
-    """Propagator just above the cut from the solve just below it.
-
-    Conjugation plus reciprocity give G(w + i eta) = G(w - i eta)^dagger,
-    exactly at the discrete level.
-    """
-    return green.kernel.H
+    solves, failures = [], {}
+    for i, z in enumerate(grid.nodes - 1j * grid.eta):
+        try:
+            solves.append(solve_green(chi, z))
+        except DampolError as exc:
+            failures[i] = str(exc)
+    if failures:
+        raise SingularOperatorError(f"sweep failed at indices {sorted(failures)}: {failures}")
+    return NodePropagator(chi=chi, solves=tuple(solves))

@@ -43,6 +43,15 @@ def canonical_dim(lattice: Lattice, n_nodes: int) -> int:
     return 2 * lattice.transverse_basis.shape[1] + 2 * n_nodes * lattice.dim
 
 
+def check_canonical_dim(lattice: Lattice, n_nodes: int) -> int:
+    """The canonical dimension, or `ConfigError` when it exceeds `MAX_CANONICAL_DIM`."""
+    dim = canonical_dim(lattice, n_nodes)
+    if dim > MAX_CANONICAL_DIM:
+        raise ConfigError(
+            f"projected canonical dimension {dim} exceeds the cap {MAX_CANONICAL_DIM}")
+    return dim
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
     """Hermitian quadratic form over the canonical operator basis."""
@@ -207,10 +216,7 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor) -
     """
     lattice, grid = coupling.lattice, coupling.grid
     d, K, v = lattice.dim, grid.n_nodes, lattice.cell_volume
-    dim = canonical_dim(lattice, K)
-    if dim > MAX_CANONICAL_DIM:
-        raise ConfigError(
-            f"projected canonical dimension {dim} exceeds the cap {MAX_CANONICAL_DIM}")
+    dim = check_canonical_dim(lattice, K)
     ham = QuadraticHamiltonian(lattice=lattice, grid=grid, h=np.zeros((dim, dim), dtype=complex),
                                mt=lattice.transverse_basis.shape[1])
     h = ham.h

@@ -76,19 +76,15 @@ def chi_trace_csv(path, coupling, z_values):
                               for mid, x in zip(mids[a % 3], mat[a].tolist()))
 
 
-def green_trace_csv(path, sweep):
-    """Frobenius magnitude of the propagator along a frequency sweep."""
+def green_trace_csv(path, prop):
+    """Frobenius magnitude, residual and condition of the propagator at each node."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["re_z", "im_z", "norm", "residual", "cond"])
-        for i, z in enumerate(sweep.z_values):
-            if i in sweep.failures:
-                writer.writerow([f"{z.real:.12g}", f"{z.imag:.12g}", "nan", "nan", "nan"])
-            else:
-                g = sweep[i]
-                writer.writerow([f"{z.real:.12g}", f"{z.imag:.12g}",
-                                 f"{g.kernel.norm():.12g}", f"{g.residual:.6g}", f"{g.cond:.6g}"])
+        for g in prop.solves:
+            writer.writerow([f"{g.z.real:.12g}", f"{g.z.imag:.12g}",
+                             f"{g.kernel.norm():.12g}", f"{g.residual:.6g}", f"{g.cond:.6g}"])
 
 
 def refinement_csv(path, levels: list, sequences: dict):

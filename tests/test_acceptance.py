@@ -31,15 +31,15 @@ from dampol.coupling import (
 from dampol.diagonalize import fano_residual, mode_coefficients, streamed_mode_checks
 from dampol.fields import (
     commutator,
-    field_form,
+    field_forms,
     medium_momentum_form,
     medium_polarization_form,
     noise_commutator_expected,
     noise_mode_form,
 )
 from dampol.green import (
+    node_propagator,
     solve_green,
-    sweep_at_nodes,
     verify_adjoint,
     verify_conjugation,
     verify_reciprocity,
@@ -99,8 +99,7 @@ def refinement_data():
             coupling = make_coupling(name, K)
             st = structure_tensor(coupling)
             chi = Susceptibility(coupling)
-            sweep = sweep_at_nodes(chi, side=-1)
-            sc = streamed_mode_checks(coupling, sweep, st)
+            sc = streamed_mode_checks(node_propagator(chi), st)
             seq["wave"].append(sc.wave)
             seq["resonant"].append(max(sc.resonant.values()))
             seq["antiresonant"].append(max(sc.antiresonant.values()))
@@ -111,8 +110,7 @@ def refinement_data():
         for K in (64, 128, 256):
             coupling = make_coupling(name, K)
             st = structure_tensor(coupling)
-            sweep = sweep_at_nodes(Susceptibility(coupling), side=-1)
-            sc = streamed_mode_checks(coupling, sweep, st)
+            sc = streamed_mode_checks(node_propagator(Susceptibility(coupling)), st)
             seq["commutation"].append(max(sc.commutation.values()))
             seq["annihilator"].append(max(sc.annihilator.values()))
         seq.update({"equivalence": [], "master": [], "fano_peak": []})
@@ -120,8 +118,7 @@ def refinement_data():
             coupling = make_coupling(name, K)
             st = structure_tensor(coupling)
             chi = Susceptibility(coupling)
-            sweep = sweep_at_nodes(chi, side=-1)
-            modes = mode_coefficients(coupling, sweep)
+            modes = mode_coefficients(node_propagator(chi))
             ham = assemble_hamiltonian(coupling, st)
             bath = bath_coefficients(coupling, chi)
             seq["equivalence"].append(
@@ -255,12 +252,12 @@ class TestCriterion5MaxwellConstitutive:
     def test_residuals_bounded_by_solver(self, name):
         coupling = make_coupling(name, 12)
         chi = Susceptibility(coupling)
-        sweep = sweep_at_nodes(chi, side=-1)
-        forms = {k: field_form(k, coupling, sweep) for k in ("B", "D", "P", "E", "Pn")}
+        prop = node_propagator(chi)
+        forms = field_forms(prop)
         lattice = coupling.lattice
         curl = lattice.curl_matrix
         for l in range(coupling.grid.n_nodes):
-            bound = 10.0 * sweep[l].residual
+            bound = 10.0 * prop.solves[l].residual
             lhs = curl @ forms["B"].alpha[l]
             rhs = -1j * coupling.grid.nodes[l] * forms["D"].alpha[l]
             mx = np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-300)
@@ -283,8 +280,7 @@ class TestCriterion6Structural:
 
     def test_displacement_transverse(self):
         coupling = make_coupling("local_lorentz", 12)
-        sweep = sweep_at_nodes(Susceptibility(coupling), side=-1)
-        d_form = field_form("D", coupling, sweep)
+        d_form = field_forms(node_propagator(Susceptibility(coupling)))["D"]
         long_part = LATTICE.longitudinal_matrix[None] @ d_form.alpha
         assert np.linalg.norm(long_part) <= 1e-12 * np.linalg.norm(d_form.alpha)
 

@@ -56,15 +56,28 @@ class TestConfigParsing:
         assert main(["model", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
 
+def over_cap_config(tmp_path):
+    # n = 3, K = 25: canonical dimension 2 * 55 + 2 * 25 * 81 = 4160 > 4000
+    text = (CONFIG_DIR / "lorentz.ini").read_text().replace(
+        "n_per_axis = 2", "n_per_axis = 3").replace("n_nodes = 12", "n_nodes = 25")
+    cfg = tmp_path / "big.ini"
+    cfg.write_text(text)
+    return cfg
+
+
 class TestDimensionCap:
     def test_oracle_over_cap_exits_usage(self, tmp_path, capsys):
-        # n = 3, K = 25: canonical dimension 2 * 55 + 2 * 25 * 81 = 4160 > 4000
-        text = (CONFIG_DIR / "lorentz.ini").read_text().replace(
-            "n_per_axis = 2", "n_per_axis = 3").replace("n_nodes = 12", "n_nodes = 25")
-        cfg = tmp_path / "big.ini"
-        cfg.write_text(text)
+        cfg = over_cap_config(tmp_path)
         assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert "4160" in capsys.readouterr().err
+
+    def test_verify_all_refused_before_any_stage(self, tmp_path, capsys):
+        # the cap depends on the config alone, so model..bath must not run first
+        cfg = over_cap_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["verify-all", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "4160" in capsys.readouterr().err
+        assert not any(out.glob("*"))
 
     def test_refine_over_cap_exits_before_level_zero(self, tmp_path, capsys, monkeypatch):
         # refine.ini at 5 levels ends at K = 128: 2 * 17 + 2 * 128 * 24 = 6178 > 4000

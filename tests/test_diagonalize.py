@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dampol.constants import MU0
-from dampol.errors import DampolError
 from dampol.coupling import (
     CouplingTensor,
     builtin_model,
@@ -24,8 +23,7 @@ from dampol.diagonalize import (
     streamed_mode_checks,
     wave_diagnostic,
 )
-from dampol.fields import field_form
-from dampol.green import green_sweep, sweep_at_nodes
+from dampol.green import node_propagator
 from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice
 from dampol.susceptibility import Susceptibility
 
@@ -33,8 +31,8 @@ from test_coupling import scalar_coupling
 
 
 def make_modes(coupling):
-    sweep = sweep_at_nodes(Susceptibility(coupling), side=-1)
-    return mode_coefficients(coupling, sweep), sweep
+    prop = node_propagator(Susceptibility(coupling))
+    return mode_coefficients(prop), prop
 
 
 class TestAssembly:
@@ -56,10 +54,10 @@ class TestAssembly:
         grid = FrequencyGrid.midpoint(3, 3.0)
         tau = 0.6
         coupling = scalar_coupling(single_site, grid, tau)
-        modes, sweep = make_modes(coupling)
+        modes, prop = make_modes(coupling)
         k = 1
         om = grid.nodes[k]
-        g = sweep[k].kernel.mat[0, 0]
+        g = prop.solves[k].kernel.mat[0, 0]
         assert modes.momentum[k][0, 0] == pytest.approx(1j * MU0 * om * tau * g)
 
     def test_transversality_of_first_two_families(self, random_lagrangian):
@@ -68,23 +66,6 @@ class TestAssembly:
         for fam in (modes.potential, modes.momentum):
             proj = fam @ pt
             assert np.linalg.norm(proj - fam) <= 1e-12 * max(np.linalg.norm(fam), 1e-300)
-
-    def test_requires_matching_sweep(self, random_lagrangian):
-        chi = Susceptibility(random_lagrangian)
-        bad = green_sweep(chi, random_lagrangian.grid.nodes[:-1] - 1j * random_lagrangian.grid.eta)
-        with pytest.raises(DampolError):
-            mode_coefficients(random_lagrangian, bad)
-
-    def test_every_evaluator_rejects_sweep_above_cut(self, lorentz_coupling, lorentz_structure):
-        above = sweep_at_nodes(Susceptibility(lorentz_coupling), side=+1)
-        with pytest.raises(DampolError, match="below the cut"):
-            mode_coefficients(lorentz_coupling, above)
-        with pytest.raises(DampolError, match="below the cut"):
-            streamed_mode_checks(lorentz_coupling, above, lorentz_structure)
-        with pytest.raises(DampolError, match="below the cut"):
-            wave_diagnostic(lorentz_coupling, above)
-        with pytest.raises(DampolError, match="below the cut"):
-            field_form("E", lorentz_coupling, above)
 
 
 class TestFanoResiduals:
@@ -108,8 +89,7 @@ class TestFanoResiduals:
         assert rep.antiresonant == 0.0
 
     def test_wave_diagnostic_machine_zero(self, lorentz_coupling):
-        sweep = sweep_at_nodes(Susceptibility(lorentz_coupling), side=-1)
-        assert wave_diagnostic(lorentz_coupling, sweep) <= 1e-12
+        assert wave_diagnostic(node_propagator(Susceptibility(lorentz_coupling))) <= 1e-12
 
     def test_residuals_converge_first_order(self, small_lattice):
         vals = []
@@ -171,10 +151,10 @@ class TestCommutationChecks:
         else:
             model = builtin_model(name, lattice, grid)
         coupling = coupling_from_lagrangian(model)
-        modes, sweep = make_modes(coupling)
+        modes, prop = make_modes(coupling)
         st = structure_tensor(coupling)
         rep = fano_residual(modes, coupling, st)
-        sc = streamed_mode_checks(coupling, sweep, st)
+        sc = streamed_mode_checks(prop, st)
         assert sc.max_residual() == pytest.approx(rep.max_residual(), rel=1e-12)
         assert sc.potential_ratio == pytest.approx(rep.potential_ratio, rel=1e-12)
         assert sc.wave == pytest.approx(rep.wave, rel=1e-12)
@@ -203,14 +183,14 @@ class TestStreamedCost:
     """The streamed pass sums pair rows by GEMM and holds O(K d^2) numbers."""
 
     def test_never_forms_pair_rows(self, lorentz_coupling, lorentz_structure, monkeypatch):
-        sweep = sweep_at_nodes(Susceptibility(lorentz_coupling), side=-1)
-        expected = streamed_mode_checks(lorentz_coupling, sweep, lorentz_structure)
+        prop = node_propagator(Susceptibility(lorentz_coupling))
+        expected = streamed_mode_checks(prop, lorentz_structure)
 
         def refuse(*args):
             raise AssertionError("the streamed pass formed a pair row")
 
         monkeypatch.setattr(_NodeKernels, "pair_rows", refuse)
-        assert streamed_mode_checks(lorentz_coupling, sweep, lorentz_structure) == expected
+        assert streamed_mode_checks(prop, lorentz_structure) == expected
 
     def test_traced_peak_within_eighteen_stacks(self):
         # the refine_kernels lattice and model at its second level
@@ -219,11 +199,11 @@ class TestStreamedCost:
         coupling = coupling_from_lagrangian(builtin_model(
             "local_lorentz", lattice, grid, {"resonance": 1.5, "width": 0.6, "strength": 1.0}))
         st = structure_tensor(coupling)
-        sweep = sweep_at_nodes(Susceptibility(coupling), side=-1)
+        prop = node_propagator(Susceptibility(coupling))
         K, d = grid.n_nodes, lattice.dim
         tracemalloc.start()
         try:
-            streamed_mode_checks(coupling, sweep, st)
+            streamed_mode_checks(prop, st)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

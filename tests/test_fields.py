@@ -9,7 +9,7 @@ from dampol.fields import (
     commutator,
     constitutive_check,
     evolve,
-    field_form,
+    field_forms,
     maxwell_check,
     medium_mode_form,
     medium_momentum_form,
@@ -19,7 +19,7 @@ from dampol.fields import (
     time_derivative,
     vector_potential_route_defect,
 )
-from dampol.green import sweep_at_nodes
+from dampol.green import node_propagator
 from dampol.lattice import TensorKernel
 from dampol.susceptibility import Susceptibility
 
@@ -36,33 +36,33 @@ def setup(request):
     coupling = coupling_from_lagrangian(random_coupling(lat, grid, rng))
     st = structure_tensor(coupling)
     chi = Susceptibility(coupling)
-    sweep = sweep_at_nodes(chi, side=-1)
-    modes = mode_coefficients(coupling, sweep)
-    return lat, grid, coupling, st, chi, sweep, modes
+    prop = node_propagator(chi)
+    modes = mode_coefficients(prop)
+    return lat, grid, coupling, st, chi, prop, modes
 
 
 class TestCanonicalMatterAlgebra:
     def test_momentum_polarization_commutator(self, setup):
-        lat, grid, coupling, st, chi, sweep, modes = setup
+        lat, grid, coupling, st, chi, prop, modes = setup
         w = medium_momentum_form(coupling, st)
         p = medium_polarization_form(coupling)
         expected = -1j * HBAR * TensorKernel.identity(lat)
         assert commutator(w, p).allclose(expected, tol=1e-10)
 
     def test_polarization_self_commutator_vanishes(self, setup):
-        lat, grid, coupling, st, chi, sweep, modes = setup
+        lat, grid, coupling, st, chi, prop, modes = setup
         p = medium_polarization_form(coupling)
         scale = HBAR * TensorKernel.identity(lat).norm()
         assert commutator(p, p).norm() <= 1e-10 * scale
 
     def test_momentum_self_commutator_vanishes(self, setup):
-        lat, grid, coupling, st, chi, sweep, modes = setup
+        lat, grid, coupling, st, chi, prop, modes = setup
         w = medium_momentum_form(coupling, st)
         scale = HBAR * TensorKernel.identity(lat).norm()
         assert commutator(w, w).norm() <= 1e-10 * scale
 
     def test_medium_mode_canonical(self, setup):
-        lat, grid, coupling, st, chi, sweep, modes = setup
+        lat, grid, coupling, st, chi, prop, modes = setup
         k = 3
         c = medium_mode_form(coupling, k)
         got = commutator(c, c.dagger())
@@ -70,16 +70,16 @@ class TestCanonicalMatterAlgebra:
         assert got.allclose(expected, tol=1e-12)
 
     def test_cross_basis_commutator_rejected(self, setup):
-        lat, grid, coupling, st, chi, sweep, modes = setup
+        lat, grid, coupling, st, chi, prop, modes = setup
         p = medium_polarization_form(coupling)
-        pn = field_form("Pn", coupling, sweep)
+        pn = field_forms(prop)["Pn"]
         with pytest.raises(DampolError):
             commutator(p, pn)
 
 
 class TestNoiseCommutator:
     def test_matches_cut_discontinuity(self, setup):
-        lat, grid, coupling, st, chi, sweep, modes = setup
+        lat, grid, coupling, st, chi, prop, modes = setup
         for k in (0, 4, grid.n_nodes - 1):
             pn = noise_mode_form(coupling, k)
             got = commutator(pn, pn.dagger())
@@ -87,7 +87,7 @@ class TestNoiseCommutator:
             assert got.allclose(expected, tol=1e-10)
 
     def test_distinct_nodes_commute(self, setup):
-        lat, grid, coupling, st, chi, sweep, modes = setup
+        lat, grid, coupling, st, chi, prop, modes = setup
         a = noise_mode_form(coupling, 2)
         b = noise_mode_form(coupling, 7)
         assert commutator(a, b.dagger()).norm() == 0.0
@@ -99,23 +99,37 @@ class TestFieldForms:
         from dampol.lattice import FrequencyGrid
         grid = FrequencyGrid.midpoint(4, 3.0)
         zero = CouplingTensor.zero(small_lattice, grid)
-        sweep = sweep_at_nodes(Susceptibility(zero), side=-1)
-        assert np.linalg.norm(field_form("Pn", zero, sweep).alpha) == 0.0
-        assert np.linalg.norm(field_form("P", zero, sweep).alpha) == 0.0
+        forms = field_forms(node_propagator(Susceptibility(zero)))
+        assert np.linalg.norm(forms["Pn"].alpha) == 0.0
+        assert np.linalg.norm(forms["P"].alpha) == 0.0
+
+    def test_one_adjoint_per_node_for_all_kinds(self, setup, monkeypatch):
+        # the six kinds share one upper-cut stack: K adjoints, not 6 K
+        lat, grid, coupling, st, chi, prop, modes = setup
+        calls = []
+        adjoint = TensorKernel.H.fget
+
+        def counted(kernel):
+            calls.append(1)
+            return adjoint(kernel)
+        monkeypatch.setattr(TensorKernel, "H", property(counted))
+        forms = field_forms(prop)
+        assert sorted(forms) == sorted(("A", "B", "E", "P", "Pn", "D"))
+        assert len(calls) == grid.n_nodes
 
     def test_displacement_is_transverse(self, setup):
-        lat, grid, coupling, st, chi, sweep, modes = setup
-        d_form = field_form("D", coupling, sweep)
+        lat, grid, coupling, st, chi, prop, modes = setup
+        d_form = field_forms(prop)["D"]
         pl = lat.longitudinal_matrix
         long_part = pl[None] @ d_form.alpha
         assert np.linalg.norm(long_part) <= 1e-12 * np.linalg.norm(d_form.alpha)
 
     def test_vector_potential_two_routes_agree(self, setup):
-        lat, grid, coupling, st, chi, sweep, modes = setup
-        a_form = field_form("A", coupling, sweep)
+        lat, grid, coupling, st, chi, prop, modes = setup
+        a_form = field_forms(prop)["A"]
         assert vector_potential_route_defect(a_form, modes.momentum) <= 1e-10
         # the stack-free family the CLI reads is the same kernel set
-        momentum = momentum_family(coupling, sweep)
+        momentum = momentum_family(prop)
         assert np.array_equal(momentum, modes.momentum)
         assert vector_potential_route_defect(a_form, momentum) <= 1e-10
 
@@ -126,8 +140,8 @@ class TestFieldForms:
         tau = 0.8
         coupling = scalar_coupling(single_site, grid, tau)
         chi = Susceptibility(coupling)
-        sweep = sweep_at_nodes(chi, side=-1)
-        e_form = field_form("E", coupling, sweep)
+        prop = node_propagator(chi)
+        e_form = field_forms(prop)["E"]
         from dampol.green import solve_green
         om = grid.nodes[0]
         g_up = solve_green(chi, om + 1j * grid.eta).kernel
@@ -135,14 +149,15 @@ class TestFieldForms:
         assert e_form.alpha[0][0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_hermitian_fields(self, setup):
-        lat, grid, coupling, st, chi, sweep, modes = setup
+        lat, grid, coupling, st, chi, prop, modes = setup
+        forms = field_forms(prop)
         for kind in ("A", "B", "E", "P", "Pn", "D"):
-            assert field_form(kind, coupling, sweep).hermiticity_defect() == 0.0
+            assert forms[kind].hermiticity_defect() == 0.0
 
     def test_electric_field_transverse_part_is_potential_rate(self, setup):
-        lat, grid, coupling, st, chi, sweep, modes = setup
-        e_form = field_form("E", coupling, sweep)
-        a_form = field_form("A", coupling, sweep)
+        lat, grid, coupling, st, chi, prop, modes = setup
+        forms = field_forms(prop)
+        e_form, a_form = forms["E"], forms["A"]
         et = lat.transverse_matrix[None] @ e_form.alpha
         adot = time_derivative(a_form).alpha
         assert np.linalg.norm(et + adot) <= 1e-10 * np.linalg.norm(et)
@@ -150,16 +165,15 @@ class TestFieldForms:
     def test_longitudinal_decomposition_converges(self, setup):
         # [E]_L = -[P]_L holds in the vanishing-offset limit; the defect per
         # node is controlled by eta over the node frequency
-        lat, _, coupling0, st, chi, sweep, modes = setup
+        lat, _, coupling0, st, chi, prop, modes = setup
         from dampol.coupling import builtin_model, coupling_from_lagrangian
         from dampol.lattice import FrequencyGrid
         defects = []
         for K in (16, 32):
             grid = FrequencyGrid.midpoint(K, 3.0, eta_factor=1.0)
             coupling = coupling_from_lagrangian(builtin_model("local_lorentz", lat, grid))
-            sw = sweep_at_nodes(Susceptibility(coupling), side=-1)
-            e_form = field_form("E", coupling, sw)
-            p_form = field_form("P", coupling, sw)
+            forms = field_forms(node_propagator(Susceptibility(coupling)))
+            e_form, p_form = forms["E"], forms["P"]
             pl = lat.longitudinal_matrix
             num = np.linalg.norm(pl[None] @ (e_form.alpha + p_form.alpha))
             den = max(np.linalg.norm(pl[None] @ e_form.alpha), 1e-300)
@@ -169,23 +183,23 @@ class TestFieldForms:
 
 class TestEvolution:
     def test_zero_time_identity(self, setup):
-        lat, grid, coupling, st, chi, sweep, modes = setup
-        form = field_form("E", coupling, sweep)
+        lat, grid, coupling, st, chi, prop, modes = setup
+        form = field_forms(prop)["E"]
         out = evolve(form, 0.0)
         assert np.array_equal(out.alpha, form.alpha)
 
     def test_group_property(self, setup):
-        lat, grid, coupling, st, chi, sweep, modes = setup
-        form = field_form("B", coupling, sweep)
+        lat, grid, coupling, st, chi, prop, modes = setup
+        form = field_forms(prop)["B"]
         a = evolve(evolve(form, 0.7), 1.1)
         b = evolve(form, 1.8)
         assert np.allclose(a.alpha, b.alpha, atol=1e-14)
         assert a.time == pytest.approx(b.time)
 
     def test_equal_time_commutator_time_independent(self, setup):
-        lat, grid, coupling, st, chi, sweep, modes = setup
-        a_form = field_form("A", coupling, sweep)
-        e_form = field_form("E", coupling, sweep)
+        lat, grid, coupling, st, chi, prop, modes = setup
+        forms = field_forms(prop)
+        a_form, e_form = forms["A"], forms["E"]
         base = commutator(e_form, a_form)
         for t in (0.7, 3.1):
             moved = commutator(evolve(e_form, t), evolve(a_form, t))
@@ -194,37 +208,31 @@ class TestEvolution:
 
 class TestConsistencyChecks:
     def test_constitutive_identity(self, setup):
-        lat, grid, coupling, st, chi, sweep, modes = setup
-        p_form = field_form("P", coupling, sweep)
-        e_form = field_form("E", coupling, sweep)
-        pn_form = field_form("Pn", coupling, sweep)
-        assert constitutive_check(p_form, e_form, pn_form, chi) <= 1e-10
+        lat, grid, coupling, st, chi, prop, modes = setup
+        forms = field_forms(prop)
+        assert constitutive_check(forms["P"], forms["E"], forms["Pn"], chi) <= 1e-10
 
     def test_constitutive_with_perturbed_chi(self, setup):
-        # the P form must carry the susceptibility the sweep was solved with
-        lat, grid, coupling, st, chi, sweep, modes = setup
+        # the P form must carry the susceptibility the propagator was solved with
+        lat, grid, coupling, st, chi, prop, modes = setup
         pert = np.zeros((lat.dim, lat.dim))
         pert[0, 1] = 0.05
         broken = chi.perturbed(TensorKernel(lat, pert))
-        broken_sweep = sweep_at_nodes(broken, side=-1)
-        forms = {kind: field_form(kind, coupling, broken_sweep) for kind in ("P", "E", "Pn")}
+        forms = field_forms(node_propagator(broken))
         assert constitutive_check(forms["P"], forms["E"], forms["Pn"], broken) <= 1e-10
 
     def test_maxwell_identity(self, setup):
-        lat, grid, coupling, st, chi, sweep, modes = setup
-        b_form = field_form("B", coupling, sweep)
-        d_form = field_form("D", coupling, sweep)
-        assert maxwell_check(b_form, d_form) <= 1e-10
+        lat, grid, coupling, st, chi, prop, modes = setup
+        forms = field_forms(prop)
+        assert maxwell_check(forms["B"], forms["D"]) <= 1e-10
 
     def test_maxwell_vacuum(self, small_lattice):
         from dampol.coupling import CouplingTensor
         from dampol.lattice import FrequencyGrid
         grid = FrequencyGrid.midpoint(4, 3.0)
         zero = CouplingTensor.zero(small_lattice, grid)
-        sweep = sweep_at_nodes(Susceptibility(zero), side=-1)
-        b_form = field_form("B", zero, sweep)
-        d_form = field_form("D", zero, sweep)
-        assert maxwell_check(b_form, d_form) <= 1e-12
+        forms = field_forms(node_propagator(Susceptibility(zero)))
+        assert maxwell_check(forms["B"], forms["D"]) <= 1e-12
 
 
 class TestEqualTimeCanonicalCommutator:
@@ -247,8 +255,7 @@ class TestEqualTimeCanonicalCommutator:
             coupling = coupling_from_lagrangian(builtin_model(
                 "local_lorentz", lat, grid,
                 {"resonance": 3.5, "width": 2.0, "strength": 2.0}))
-            sweep = sweep_at_nodes(Susceptibility(coupling), side=-1)
-            a_form = field_form("A", coupling, sweep)
+            a_form = field_forms(node_propagator(Susceptibility(coupling)))["A"]
             pi_form = EPS0 * time_derivative(a_form)
             got = commutator(pi_form, a_form).mat
             expected = -1j * HBAR * q / lat.cell_volume

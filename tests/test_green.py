@@ -5,11 +5,8 @@ from dampol.errors import DampolError, SingularOperatorError
 from dampol.coupling import CouplingTensor
 from dampol.green import (
     TOL_SOLVE,
-    defining_residual,
-    green_sweep,
+    node_propagator,
     solve_green,
-    sweep_at_nodes,
-    upper_from_lower,
     verify_adjoint,
     verify_conjugation,
     verify_reciprocity,
@@ -77,7 +74,6 @@ class TestResiduals:
             z = complex(rng.uniform(0.3, 5.0), -rng.uniform(0.05, 1.0))
             g = solve_green(chi, z)
             assert g.residual <= TOL_SOLVE
-            assert defining_residual(g) <= TOL_SOLVE
 
     def test_adjoint_residual_small(self, random_lagrangian, rng):
         chi = Susceptibility(random_lagrangian)
@@ -109,49 +105,42 @@ class TestSymmetries:
             assert verify_conjugation(chi, z) <= 1e-9
 
     def test_upper_from_lower(self, random_lagrangian):
+        # the field forms read the propagator above the cut as this adjoint
         chi = Susceptibility(random_lagrangian)
         omega = random_lagrangian.grid.nodes[4]
         eta = random_lagrangian.grid.eta
         lower = solve_green(chi, omega - 1j * eta)
         upper = solve_green(chi, omega + 1j * eta)
-        assert upper_from_lower(lower).allclose(upper.kernel, tol=1e-10)
+        assert lower.kernel.H.allclose(upper.kernel, tol=1e-10)
 
 
 class TestSweep:
-    def test_empty(self, random_lagrangian):
-        sweep = green_sweep(Susceptibility(random_lagrangian), [])
-        assert len(sweep) == 0 and sweep.complete
-
     def test_node_sweep(self, lorentz_coupling):
         chi = Susceptibility(lorentz_coupling)
-        sweep = sweep_at_nodes(chi)
-        sweep.require_complete()
-        assert len(sweep) == lorentz_coupling.grid.n_nodes
-        for i in range(len(sweep)):
-            assert sweep[i].residual <= TOL_SOLVE
-            assert sweep[i].eta_used == pytest.approx(lorentz_coupling.grid.eta)
+        prop = node_propagator(chi)
+        assert prop.coupling is lorentz_coupling
+        assert len(prop.solves) == lorentz_coupling.grid.n_nodes
+        for g in prop.solves:
+            assert g.residual <= TOL_SOLVE
+            assert g.eta_used == pytest.approx(lorentz_coupling.grid.eta)
+
+    def test_entries_sit_at_nodes_below_cut(self, random_lagrangian):
+        grid = random_lagrangian.grid
+        prop = node_propagator(Susceptibility(random_lagrangian))
+        assert [g.z for g in prop.solves] == list(grid.nodes - 1j * grid.eta)
 
     def test_duplicates_identical(self, lorentz_coupling):
         chi = Susceptibility(lorentz_coupling)
         z = 1.0 - 0.2j
-        sweep = green_sweep(chi, [z, z])
-        assert np.array_equal(sweep[0].kernel.mat, sweep[1].kernel.mat)
+        assert np.array_equal(solve_green(chi, z).kernel.mat, solve_green(chi, z).kernel.mat)
 
-    def test_failures_reported_not_raised(self, small_lattice):
-        grid = FrequencyGrid.midpoint(4, 3.0)
-        chi = vacuum_chi(small_lattice, grid)
-        # z = i*|k| for a lattice mode makes the vacuum operator singular?
-        # no: z imaginary keeps it regular; instead z with tiny imag near a
-        # vacuum resonance drives the condition number up
-        kmag = np.linalg.norm(small_lattice.kvecs[1])
-        bad = complex(kmag, 1e-14)
-        sweep = green_sweep(chi, [1.0 - 0.3j, bad])
-        assert 0 not in sweep.failures
-        assert 1 in sweep.failures
-        with pytest.raises(SingularOperatorError):
-            sweep.require_complete()
-        with pytest.raises(SingularOperatorError):
-            sweep[1]
+    def test_failed_node_raises_naming_it(self, small_lattice):
+        # vacuum with node 1 on the light line |k| = pi of the n = 2 lattice:
+        # a vanishing offset makes that wave operator singular
+        assert np.isclose(np.linalg.norm(small_lattice.kvecs, axis=1), np.pi).any()
+        grid = FrequencyGrid(nodes=[1.0, np.pi], weights=[2.0, 2.0], eta=1e-14, omega_max=4.0)
+        with pytest.raises(SingularOperatorError, match=r"sweep failed at indices \[1\]: \{1: "):
+            node_propagator(vacuum_chi(small_lattice, grid))
 
     def test_wave_operator_shape(self, small_lattice):
         grid = FrequencyGrid.midpoint(2, 2.0)

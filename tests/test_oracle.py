@@ -17,7 +17,7 @@ from dampol.coupling import (
 )
 from dampol.diagonalize import fano_residual, mode_coefficients
 from dampol.fields import medium_mode_form, medium_momentum_form, medium_polarization_form
-from dampol.green import sweep_at_nodes
+from dampol.green import node_propagator
 from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice
 from dampol.oracle import (
     QuadraticHamiltonian,
@@ -183,7 +183,7 @@ class TestLadderRows:
 
     def test_mode_rows(self, case):
         lat, grid, coupling, st, ham = case
-        modes = mode_coefficients(coupling, sweep_at_nodes(Susceptibility(coupling), side=-1))
+        modes = mode_coefficients(node_propagator(Susceptibility(coupling)))
         v, phi = lat.cell_volume, lat.transverse_basis
         for k in range(grid.n_nodes):
             old = np.zeros((lat.dim, ham.dim), dtype=complex)
@@ -235,12 +235,12 @@ class TestDiagonalForm:
         zero = CouplingTensor.zero(small_lattice, grid)
         st = StructureTensor(kernel=TensorKernel.zero(small_lattice), source=zero)
         ham = assemble_hamiltonian(zero, st)
-        modes = mode_coefficients(zero, sweep_at_nodes(Susceptibility(zero), side=-1))
+        modes = mode_coefficients(node_propagator(Susceptibility(zero)))
         assert diagonal_form_check(ham, modes) <= 1e-13
 
     def test_matches_kernel_route_within_factor_three(self, lorentz_setup):
         lat, grid, coupling, st, ham = lorentz_setup
-        modes = mode_coefficients(coupling, sweep_at_nodes(Susceptibility(coupling), side=-1))
+        modes = mode_coefficients(node_propagator(Susceptibility(coupling)))
         oracle_res = diagonal_form_check(ham, modes)
         fano = fano_residual(modes, coupling, st)
         peak = fano.max_residual()
@@ -255,7 +255,7 @@ class TestDiagonalForm:
             coupling = coupling_from_lagrangian(builtin_model("local_lorentz", lat, grid))
             st = structure_tensor(coupling)
             ham = assemble_hamiltonian(coupling, st)
-            modes = mode_coefficients(coupling, sweep_at_nodes(Susceptibility(coupling), side=-1))
+            modes = mode_coefficients(node_propagator(Susceptibility(coupling)))
             vals.append(diagonal_form_check(ham, modes))
         assert vals[0] / vals[1] >= 1.5
 
@@ -305,7 +305,7 @@ class TestSpectrum:
 
     def test_mode_rows_shape(self, lorentz_setup):
         lat, grid, coupling, st, ham = lorentz_setup
-        modes = mode_coefficients(coupling, sweep_at_nodes(Susceptibility(coupling), side=-1))
+        modes = mode_coefficients(node_propagator(Susceptibility(coupling)))
         rows = mode_rows(ham, modes, 0)
         assert rows.shape == (lat.dim, ham.dim)
 
