@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import EPS0, HBAR, MU0
+from .constants import EPS0, HBAR
 from .coupling import INVERTIBILITY_RTOL, CouplingTensor, StructureTensor
 from .errors import SingularOperatorError
 from .fields import (
@@ -223,19 +223,10 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     K = grid.n_nodes
     w, nodes = grid.weights, grid.nodes
 
-    def acc(left, right, coef):
-        prod = left.T @ right
-        prod *= coef
-        h[:] += prod
-
+    ham.add_field_energy()
     u_a = ham.rows_vector_potential
-    u_pi = ham.rows_field_momentum
     pol, mom = medium_polarization_form(coupling), medium_momentum_form(coupling, structure)
     u_p, u_w = ham.ladder_rows(pol.alpha, pol.beta), ham.ladder_rows(mom.alpha, mom.beta)
-
-    # field energy
-    acc(u_pi, u_pi, v / (2.0 * EPS0))
-    acc(u_a, lattice.double_curl_matrix @ u_a, v / (2.0 * MU0))
 
     # bath oscillators and the bath-polarization exchange; the per-node rows
     # span every ladder block, so stack them once and contract with BLAS
@@ -251,28 +242,28 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     exch_left = (w[:, None, None] * u_cbd).reshape(K * d, ham.dim)
     exch_right = (bath.pole_coeff @ u_p).reshape(K * d, ham.dim)
     exchange = exch_left.T @ exch_right
+    del u_cb, u_cbd, exch_left, exch_right   # the row stacks are done: free them before the dim^2 work
     exchange *= -1j * v**2
     # the minus on the conjugate bracket is absorbed by conjugating the -i
     # prefactor: the Hermitian total is the accumulated half plus its adjoint
     exchange += ham.adjoint(exchange)
     h[:] += exchange
+    del exchange
 
     # cubic-moment polarization self-energy
     selfenergy = polarization_selfenergy_kernel(coupling, structure).mat
-    acc(u_p, selfenergy @ u_p, v**2)
+    ham.accumulate(u_p, selfenergy @ u_p, v**2)
 
     # electrostatic term
     u_p_long = lattice.longitudinal_matrix @ u_p
-    acc(u_p_long, u_p_long, v / (2.0 * EPS0))
+    ham.accumulate(u_p_long, u_p_long, v / (2.0 * EPS0))
 
     # momentum and potential coupling through the structure tensor
     fmat = structure.kernel.mat
-    acc(u_w, fmat @ u_w, 0.5 * HBAR * v**2)
-    acc(u_w, fmat @ u_a, -HBAR * v**2)
-    acc(u_a, fmat @ u_a, 0.5 * HBAR * v**2)
-
-    h += h.T   # numpy buffers the overlapping transpose: one temporary, not two
-    h /= 2.0
+    ham.accumulate(u_w, fmat @ u_w, 0.5 * HBAR * v**2)
+    ham.accumulate(u_w, fmat @ u_a, -HBAR * v**2)
+    ham.accumulate(u_a, fmat @ u_a, 0.5 * HBAR * v**2)
+    ham.symmetrize()
     return ham
 
 

@@ -26,7 +26,7 @@ from .coupling import (
     structure_tensor,
 )
 from .diagonalize import mode_coefficients, momentum_family, streamed_mode_checks, wave_diagnostic
-from .errors import ConfigError, DampolError
+from .errors import ConfigError, DampolError, SingularOperatorError
 from .fields import (
     commutator,
     constitutive_check,
@@ -178,6 +178,7 @@ class Pipeline:
         self.config = config
         self.lattice = build_lattice(config.n_per_axis, config.spacing, config.k0_transverse)
         self.grid = FrequencyGrid.midpoint(config.n_nodes, config.omega_max, config.eta_factor)
+        self._sweep_failure = None
 
     @cached_property
     def coupling(self):
@@ -200,7 +201,14 @@ class Pipeline:
 
     @cached_property
     def propagator(self):
-        return node_propagator(self.chi)
+        """The node propagator; a failed sweep is kept and raised again, never re-solved."""
+        if self._sweep_failure is None:
+            chi = self.chi
+            try:
+                return node_propagator(chi)
+            except SingularOperatorError as exc:
+                self._sweep_failure = exc
+        raise self._sweep_failure
 
     @cached_property
     def streamed(self):

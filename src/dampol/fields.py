@@ -127,7 +127,7 @@ def field_forms(prop: NodePropagator) -> dict:
     gt = v * np.stack([g.kernel.H.mat for g in prop.solves]) @ t_t
     alphas = {
         "A": MU0 * HBAR * nodes[:, None, None] * (lattice.transverse_matrix @ gt),
-        "B": MU0 * HBAR * nodes[:, None, None] * (v * curl_rows(lattice) @ gt),
+        "B": MU0 * HBAR * nodes[:, None, None] * (lattice.curl_matrix @ gt),
         "E": 1j * MU0 * HBAR * (nodes**2)[:, None, None] * gt,
         "P": (1j * HBAR / C_LIGHT**2) * (nodes**2)[:, None, None] * (v * prop.chi.above_cut @ gt)
              - 1j * HBAR * t_t,
@@ -138,10 +138,6 @@ def field_forms(prop: NodePropagator) -> dict:
     return {kind: LinearBosonicForm(lattice=lattice, grid=grid, alpha=alpha, beta=alpha.conj(),
                                     basis=BASIS_DIAGONAL, label=kind)
             for kind, alpha in alphas.items()}
-
-
-def curl_rows(lattice) -> np.ndarray:
-    return lattice.curl_matrix / lattice.cell_volume
 
 
 def vector_potential_route_defect(a_form: LinearBosonicForm, momentum: np.ndarray) -> float:

@@ -267,10 +267,6 @@ def double_curl_operator(lattice: Lattice) -> TensorKernel:
     return TensorKernel(lattice, lattice.double_curl_matrix / lattice.cell_volume)
 
 
-def laplacian_operator(lattice: Lattice) -> TensorKernel:
-    return TensorKernel(lattice, lattice.laplacian_matrix / lattice.cell_volume)
-
-
 def double_curl(kernel: TensorKernel, lattice: Lattice | None = None) -> TensorKernel:
     """Repeated left-acting curl on the primed (second) kernel argument.
 

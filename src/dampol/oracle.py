@@ -25,7 +25,7 @@ import numpy as np
 
 from .constants import EPS0, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
-from .diagonalize import SMEAR_PROFILES, ModeCoefficients
+from .diagonalize import ModeCoefficients, smear_profiles
 from .errors import ConfigError, DampolError
 from .fields import medium_mode_form, medium_momentum_form, medium_polarization_form
 from .lattice import FrequencyGrid, Lattice
@@ -137,6 +137,26 @@ class QuadraticHamiltonian:
             return self.h
         return (self.h + self.h.T) / 2.0
 
+    # -- dense assembly -----------------------------------------------------
+
+    def accumulate(self, left: np.ndarray, right: np.ndarray, coef: complex):
+        """h += coef left^T right, the product scaled in place."""
+        prod = left.T @ right
+        prod *= coef
+        self.h[:] += prod
+
+    def add_field_energy(self):
+        """The transverse field energy: the momentum and the double-curl potential terms."""
+        v, u_a = self.lattice.cell_volume, self.rows_vector_potential
+        self.accumulate(self.rows_field_momentum, self.rows_field_momentum, v / (2.0 * EPS0))
+        self.accumulate(u_a, self.lattice.double_curl_matrix @ u_a, v / (2.0 * MU0))
+
+    def symmetrize(self):
+        """h = (h + h^T)/2 in place."""
+        h = self.h
+        h += h.T   # numpy buffers the overlapping transpose: one temporary, not two
+        h /= 2.0
+
     def hermiticity_defect(self) -> float:
         h_sym = self.symmetric_h()
         gap = self.adjoint(h_sym)
@@ -180,8 +200,7 @@ class QuadraticHamiltonian:
         mirroring the weak-form residuals of the defining equations.
         """
         grid, d, v = self.grid, self.lattice.dim, self.lattice.cell_volume
-        x = grid.nodes / grid.omega_max
-        profs = [fn(x) for fn in SMEAR_PROFILES.values()]
+        profs = list(smear_profiles(grid).values())
         n_prof = len(profs)
         cols = np.zeros((self.dim, 2 * self.mt + 2 * n_prof * d))
         cols[self.slice_a, :self.mt] = np.eye(self.mt)
@@ -220,21 +239,11 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor) -
     ham = QuadraticHamiltonian(lattice=lattice, grid=grid, h=np.zeros((dim, dim), dtype=complex),
                                mt=lattice.transverse_basis.shape[1])
     h = ham.h
-
-    def acc(left: np.ndarray, right: np.ndarray, coef: complex):
-        prod = left.T @ right
-        prod *= coef
-        h[:] += prod
-
-    u_a = ham.rows_vector_potential
-    u_pi = ham.rows_field_momentum
-
-    # field energy
-    acc(u_pi, u_pi, v / (2.0 * EPS0))
-    acc(u_a, lattice.double_curl_matrix @ u_a, v / (2.0 * MU0))
+    ham.add_field_energy()
 
     # medium oscillators and the bilinear coupling; the per-node rows only
     # touch their own blocks, so write those directly
+    u_a = ham.rows_vector_potential
     phi_a = u_a[:, ham.slice_a]
     for k in range(K):
         wk, om = grid.weights[k], grid.nodes[k]
@@ -244,15 +253,13 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor) -
         h[ham.slice_cdag(k), ham.slice_a] += block.conj()
 
     # quadratic vector-potential term
-    acc(u_a, structure.kernel.mat @ u_a, 0.5 * HBAR * v**2)
+    ham.accumulate(u_a, structure.kernel.mat @ u_a, 0.5 * HBAR * v**2)
 
     # electrostatic energy of the longitudinal polarization
     pol = medium_polarization_form(coupling)
     u_p_long = lattice.longitudinal_matrix @ ham.ladder_rows(pol.alpha, pol.beta)
-    acc(u_p_long, u_p_long, v / (2.0 * EPS0))
-
-    h += h.T   # numpy buffers the overlapping transpose: one temporary, not two
-    h /= 2.0
+    ham.accumulate(u_p_long, u_p_long, v / (2.0 * EPS0))
+    ham.symmetrize()
     return ham
 
 
@@ -364,15 +371,14 @@ def diagonal_form_check(ham: QuadraticHamiltonian, modes: ModeCoefficients) -> f
     directly comparable.
     """
     grid = ham.grid
-    d = ham.lattice.dim
-    n_prof = len(SMEAR_PROFILES)
     cols = ham.smear_columns()
+    cdag = (cols.shape[1] + 2 * ham.mt) // 2   # first c^dag column: the halves are equal
     kdyn_cols = ham.dynamical_matrix @ cols
     groups = {
         "a": np.s_[:, 0:ham.mt],
         "p": np.s_[:, ham.mt:2 * ham.mt],
-        "c": np.s_[:, 2 * ham.mt:2 * ham.mt + n_prof * d],
-        "cdag": np.s_[:, 2 * ham.mt + n_prof * d:],
+        "c": np.s_[:, 2 * ham.mt:cdag],
+        "cdag": np.s_[:, cdag:],
     }
     num = {g: 0.0 for g in groups}
     den = {g: 0.0 for g in groups}

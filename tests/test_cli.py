@@ -161,6 +161,30 @@ class TestSusceptibilityReuse:
         assert len(calls) == 96
 
 
+class TestSweepFailure:
+    def test_failed_sweep_solved_once(self, tmp_path, monkeypatch):
+        import dampol.green as green
+        from dampol.errors import SingularOperatorError
+        from dampol.lattice import FrequencyGrid
+        cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
+        cfg.out = str(tmp_path / "o")
+        node1 = FrequencyGrid.midpoint(cfg.n_nodes, cfg.omega_max, cfg.eta_factor).nodes[1]
+        solve, calls = green.solve_green, []
+
+        def failing(chi, z):
+            calls.append(z)
+            if z.real == node1:
+                raise SingularOperatorError("forced failure", node=1)
+            return solve(chi, z)
+        monkeypatch.setattr(green, "solve_green", failing)
+        assert run(cfg) == EXIT_NUMERICAL
+        assert len(calls) == cfg.n_nodes
+        errors = {stage: read_report(cfg.out, stage)["error"]
+                  for stage in ("green", "diag", "fields", "oracle")}
+        assert errors["green"].startswith("sweep failed at indices [1]")
+        assert set(errors.values()) == {errors["green"]}
+
+
 def _forbid_stack_route(monkeypatch):
     """Make every binding of the node-pair stack builders fail when called."""
     def forbidden(*args, **kwargs):

@@ -1,8 +1,12 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
+from dampol import diagonalize
 from dampol.constants import MU0
 from dampol.coupling import (
     CouplingTensor,
@@ -12,14 +16,13 @@ from dampol.coupling import (
     structure_tensor,
 )
 from dampol.diagonalize import (
+    ModeChecks,
     _NodeKernels,
     annihilator_commutator,
     commutation_deviation,
     commutation_matrix,
     fano_residual,
     mode_coefficients,
-    smeared_annihilator_norm,
-    smeared_commutation_deviation,
     streamed_mode_checks,
     wave_diagnostic,
 )
@@ -85,8 +88,8 @@ class TestFanoResiduals:
         st = StructureTensor(kernel=TensorKernel.zero(small_lattice), source=zero)
         rep = fano_residual(modes, zero, st)
         assert rep.wave == 0.0
-        assert rep.resonant == 0.0
-        assert rep.antiresonant == 0.0
+        assert max(rep.resonant.values()) == 0.0
+        assert max(rep.antiresonant.values()) == 0.0
 
     def test_wave_diagnostic_machine_zero(self, lorentz_coupling):
         assert wave_diagnostic(node_propagator(Susceptibility(lorentz_coupling))) <= 1e-12
@@ -100,8 +103,8 @@ class TestFanoResiduals:
             rep = fano_residual(modes, coupling, structure_tensor(coupling))
             vals.append(rep)
         assert vals[0].wave / vals[1].wave >= 1.7
-        assert vals[0].resonant / vals[1].resonant >= 1.7
-        assert vals[0].antiresonant / vals[1].antiresonant >= 1.7
+        assert max(vals[0].resonant.values()) / max(vals[1].resonant.values()) >= 1.7
+        assert max(vals[0].antiresonant.values()) / max(vals[1].antiresonant.values()) >= 1.7
 
 
 class TestCommutationChecks:
@@ -132,8 +135,9 @@ class TestCommutationChecks:
             grid = FrequencyGrid.midpoint(K, 3.0, eta_factor=1.0)
             coupling = coupling_from_lagrangian(builtin_model("local_lorentz", small_lattice, grid))
             modes, _ = make_modes(coupling)
-            c1.append(max(smeared_commutation_deviation(modes).values()))
-            c13.append(max(smeared_annihilator_norm(modes).values()))
+            rep = fano_residual(modes, coupling, structure_tensor(coupling))
+            c1.append(max(rep.commutation.values()))
+            c13.append(max(rep.annihilator.values()))
         assert c1[0] / c1[1] >= 1.5
         assert c13[0] / c13[1] >= 1.5
 
@@ -143,27 +147,36 @@ class TestCommutationChecks:
         pytest.param("gaussian_nonlocal", 2, id="gaussian_nonlocal-n2"),
         pytest.param("random_coupling", 2, id="random_coupling-n2"),
         pytest.param("local_lorentz", 3, id="local_lorentz-n3"),
+        pytest.param("third_profile", 2, id="third_profile-n2"),
     ])
-    def test_streamed_matches_stacked(self, name, n):
+    def test_streamed_matches_stacked(self, name, n, monkeypatch):
         lattice, grid = build_lattice(n, 1.0), FrequencyGrid.midpoint(12, 8.0)
         if name == "random_coupling":
             model = random_coupling(lattice, grid, np.random.default_rng(20240817))
         else:
-            model = builtin_model(name, lattice, grid)
+            model = builtin_model("local_lorentz" if name == "third_profile" else name,
+                                  lattice, grid)
+        if name == "third_profile":
+            monkeypatch.setitem(diagonalize.SMEAR_PROFILES, "quadratic", lambda x: x**2)
         coupling = coupling_from_lagrangian(model)
         modes, prop = make_modes(coupling)
         st = structure_tensor(coupling)
         rep = fano_residual(modes, coupling, st)
         sc = streamed_mode_checks(prop, st)
-        assert sc.max_residual() == pytest.approx(rep.max_residual(), rel=1e-12)
-        assert sc.potential_ratio == pytest.approx(rep.potential_ratio, rel=1e-12)
-        assert sc.wave == pytest.approx(rep.wave, rel=1e-12)
-        assert sc.resonant == pytest.approx(
-            {p: v["resonant"] for p, v in rep.details.items()}, rel=1e-12)
-        assert sc.antiresonant == pytest.approx(
-            {p: v["antiresonant"] for p, v in rep.details.items()}, rel=1e-12)
-        assert sc.commutation == pytest.approx(smeared_commutation_deviation(modes), rel=1e-12)
-        assert sc.annihilator == pytest.approx(smeared_annihilator_norm(modes), rel=1e-12)
+        if name == "third_profile":
+            assert len(sc.resonant) == 3 and len(sc.annihilator) == 6
+        assert_same_checks(sc, rep, rel=1e-12)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(n_nodes=st_.integers(1, 6), seed=st_.integers(0, 2**32 - 1))
+    def test_streamed_matches_stacked_random_single_site(self, single_site, n_nodes, seed):
+        grid = FrequencyGrid.midpoint(n_nodes, 3.0)
+        coupling = coupling_from_lagrangian(
+            random_coupling(single_site, grid, np.random.default_rng(seed)))
+        modes, prop = make_modes(coupling)
+        st = structure_tensor(coupling)
+        assert_same_checks(streamed_mode_checks(prop, st), fano_residual(modes, coupling, st),
+                           rel=1e-11)
 
     def test_offdiagonal_pair_decreases_under_refinement(self, small_lattice):
         norms = []
@@ -177,6 +190,16 @@ class TestCommutationChecks:
             norms.append(commutation_deviation(modes, k, l).norm()
                          * grid.weights[k])
         assert norms[1] < norms[0]
+
+
+def assert_same_checks(got: ModeChecks, expected: ModeChecks, rel: float):
+    """Every field of two `ModeChecks` equal to `rel`, key sets included."""
+    for name in (f.name for f in dataclasses.fields(ModeChecks)):
+        a, b = getattr(got, name), getattr(expected, name)
+        if isinstance(b, dict):
+            assert a.keys() == b.keys(), name
+        assert a == pytest.approx(b, rel=rel), name
+    assert got.max_residual() == pytest.approx(expected.max_residual(), rel=rel)
 
 
 class TestStreamedCost:
