@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import EPS0, HBAR
-from .coupling import INVERTIBILITY_RTOL, CouplingTensor, StructureTensor
+from .coupling import CouplingTensor, StructureTensor
 from .errors import SingularOperatorError
 from .fields import (
     BASIS_MEDIUM,
@@ -35,6 +35,19 @@ from .fields import (
 from .lattice import TensorKernel
 from .oracle import QuadraticHamiltonian
 from .susceptibility import Susceptibility, discontinuity_at_node
+
+#: singular-value ratio below which an operator counts as non-invertible
+INVERTIBILITY_RTOL = 1e-10
+
+
+def require_invertible(mat: np.ndarray, what: str, node: int) -> None:
+    """Raise `SingularOperatorError`, naming `what` and the node, unless `mat` is invertible."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    if sv[-1] <= INVERTIBILITY_RTOL * sv[0] or sv[0] == 0.0:
+        raise SingularOperatorError(
+            f"{what} not invertible at node {node} "
+            f"(singular-value ratio {sv[-1] / max(sv[0], 1e-300):.3e})",
+            cond=sv[0] / max(sv[-1], 1e-300), node=node)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,18 +105,10 @@ def bath_coefficients(coupling: CouplingTensor, chi: Susceptibility) -> BathCoef
     pole_coeff = np.empty((K, d, d), dtype=complex)
     for k in range(K):
         tmat = coupling.kernels[k]
-        sv = np.linalg.svd(tmat, compute_uv=False)
-        if sv[-1] <= INVERTIBILITY_RTOL * sv[0] or sv[0] == 0.0:
-            raise SingularOperatorError(
-                f"coupling kernel not invertible at node {k} "
-                f"(singular-value ratio {sv[-1] / max(sv[0], 1e-300):.3e})",
-                cond=sv[0] / max(sv[-1], 1e-300), node=k)
+        require_invertible(tmat, "coupling kernel", k)
         delta_coeff[k] = np.linalg.inv(tmat.T) / v**2
         chi_up = chi.above_cut[k]
-        svc = np.linalg.svd(chi_up, compute_uv=False)
-        if svc[-1] <= INVERTIBILITY_RTOL * svc[0] or svc[0] == 0.0:
-            raise SingularOperatorError(
-                f"susceptibility not invertible at node {k}", node=k)
+        require_invertible(chi_up, "susceptibility", k)
         chi_inv = np.linalg.inv(chi_up) / v**2
         pole_coeff[k] = (HBAR / EPS0) * v * tmat.conj() @ chi_inv
     return BathCoefficients(lattice=lattice, grid=grid, delta_coeff=delta_coeff,
@@ -290,12 +295,10 @@ def hamiltonian_equivalence(coupling: CouplingTensor, structure: StructureTensor
 def polarization_selfenergy_kernel(coupling: CouplingTensor, structure: StructureTensor) -> TensorKernel:
     """Kernel of the cubic-moment polarization self-energy term.
 
-    For a local isotropic medium this kernel is site-diagonal: no cross
-    coupling between distinct sites appears when the bath is integrated
-    back in.
+    It is S^-1 o s_3 o S^-1 / hbar, with s_3 the cubic frequency moment of
+    the spectral densities.  For a local isotropic medium this kernel is
+    site-diagonal: no cross coupling between distinct sites appears when
+    the bath is integrated back in.
     """
-    grid = coupling.grid
     finv = structure.inverse
-    xi = TensorKernel(coupling.lattice, (2.0j * np.pi * HBAR / EPS0) * np.einsum(
-        "l,lab->ab", grid.weights * grid.nodes**3, coupling.density_stack))
-    return (EPS0 / (2.0j * np.pi * HBAR**2)) * (finv @ xi @ finv)
+    return (1.0 / HBAR) * (finv @ TensorKernel(coupling.lattice, coupling.moments.cubic) @ finv)

@@ -1,10 +1,13 @@
-"""Medium coupling tensors: construction, constraint checks, model library.
+"""Medium coupling tensors: construction, spectral-density moments, model library.
 
 The frequency-indexed coupling tensor T(r, r', w) is the single free input
 of the model.  Couplings are generated through the Lagrangian route (a real
 coefficient tensor plus a unitary gauge per node), which makes the canonical
 pair constraints hold per node at machine precision instead of merely to
-quadrature accuracy.
+quadrature accuracy.  The frequency moments s_n = sum_k w_k w_k^n D_k of the
+spectral densities have one evaluator, `CouplingTensor.moments`, which the
+constraints, the structure tensor, the sum rules, the asymptote and the
+self-energy all read.
 """
 
 from __future__ import annotations
@@ -18,14 +21,8 @@ from .constants import HBAR
 from .errors import DampolError, DegenerateCouplingError, ModelError
 from .lattice import FrequencyGrid, Lattice, TensorKernel
 
-#: relative tolerance used by default for the canonical-pair constraints
+#: relative tolerance of the canonical-pair constraints
 DEFAULT_TOL_CONSTRAINT = 1e-10
-
-#: relative imaginary residue allowed when extracting the structure tensor
-IMAG_RESIDUE_TOL = 1e-12
-
-#: singular-value ratio below which an operator counts as non-invertible
-INVERTIBILITY_RTOL = 1e-10
 
 
 def gram_stack(a: np.ndarray) -> np.ndarray:
@@ -68,6 +65,40 @@ class RealCoupling:
 
 
 @dataclass(frozen=True, eq=False)
+class SpectralMoments:
+    """The parts of s_n = sum_k w_k w_k^n D_k, n = 0..3, that the checks read.
+
+    Each is summed in extended precision and rounded to float64 once, so no
+    value depends on the order of the node sum.
+    """
+
+    imag0: np.ndarray         # Im s_0, zero under the polarization constraint
+    structure: np.ndarray     # S = 2 Re s_1, read-only complex: the structure tensor's kernel
+    structure_lo: np.ndarray  # 2 Re s_1 - S, which rounding S to float64 dropped
+    imag2: np.ndarray         # Im s_2, zero under the momentum constraint
+    cubic: np.ndarray         # s_3, for the polarization self-energy
+
+    def structure_gap(self, mat: np.ndarray) -> np.ndarray:
+        """2 Re s_1 - mat, exact up to one rounding for any mat within a factor 2 of S."""
+        return (self.structure - mat) + self.structure_lo
+
+
+def spectral_moments(nodes: np.ndarray, weights: np.ndarray, density: np.ndarray) -> SpectralMoments:
+    """s_0..s_3 of a (K, d, d) density stack: one (4, K) @ (K, d^2) extended-precision product."""
+    powers = np.vander(np.asarray(nodes, np.longdouble), 4, increasing=True).T \
+        * np.asarray(weights, np.longdouble)
+    flat = density.reshape(len(nodes), -1)
+    # blocks of 128 columns keep the extended-precision copy of the densities small
+    s = np.concatenate([powers @ flat[:, j:j + 128].astype(np.clongdouble)
+                        for j in range(0, flat.shape[1], 128)], axis=1).reshape(4, *density.shape[1:])
+    first = 2 * s[1].real
+    structure = first.astype(complex)
+    structure.flags.writeable = False
+    return SpectralMoments(s[0].imag.astype(float), structure, (first - structure.real).astype(float),
+                           s[2].imag.astype(float), s[3].astype(complex))
+
+
+@dataclass(frozen=True, eq=False)
 class CouplingTensor:
     """Coupling kernels T(w_k) stacked over the frequency grid."""
 
@@ -103,15 +134,16 @@ class CouplingTensor:
         dens *= self.lattice.cell_volume
         return dens
 
+    @cached_property
+    def moments(self) -> SpectralMoments:
+        """The frequency moments s_0..s_3 of the spectral densities, evaluated once."""
+        return spectral_moments(self.grid.nodes, self.grid.weights, self.density_stack)
+
     def spectral_density(self, k: int) -> TensorKernel:
         return TensorKernel(self.lattice, self.density_stack[k])
 
     def is_zero(self) -> bool:
         return not np.any(self.kernels)
-
-    def node_invertible(self, k: int, rtol: float = INVERTIBILITY_RTOL) -> bool:
-        sv = np.linalg.svd(self.kernels[k], compute_uv=False)
-        return sv[-1] > rtol * sv[0]
 
 
 @dataclass(frozen=True)
@@ -126,34 +158,18 @@ class ConstraintReport:
     moment0: float
     moment2: float
     scale: float
-    tol: float
-
-    @property
-    def moment0_pass(self) -> bool:
-        return self.moment0 <= self.tol * self.scale
-
-    @property
-    def moment2_pass(self) -> bool:
-        return self.moment2 <= self.tol * self.scale
 
     @property
     def passed(self) -> bool:
-        return self.moment0_pass and self.moment2_pass
+        return max(self.moment0, self.moment2) <= DEFAULT_TOL_CONSTRAINT * self.scale
 
 
-def check_constraints(coupling: CouplingTensor, tol: float = DEFAULT_TOL_CONSTRAINT) -> ConstraintReport:
-    """Evaluate both coupling constraints under the grid quadrature (report only)."""
-    w = coupling.grid.weights
-    nodes = coupling.grid.nodes
-    dens = coupling.density_stack
-    v = coupling.lattice.cell_volume
-    imbalance = dens - dens.conj()
-    m0 = v * np.linalg.norm(np.einsum("k,kij->ij", w, imbalance))
-    m2 = v * np.linalg.norm(np.einsum("k,kij->ij", w * nodes**2, imbalance))
-    scale = v * float(np.einsum("k,k->", w, np.linalg.norm(dens, axis=(1, 2))))
-    if scale == 0.0:
-        scale = 1.0
-    return ConstraintReport(moment0=float(m0), moment2=float(m2), scale=scale, tol=tol)
+def check_constraints(coupling: CouplingTensor) -> ConstraintReport:
+    """Both coupling constraints, v ||s_n - conj(s_n)|| = 2 v ||Im s_n|| for n = 0, 2 (report only)."""
+    mom, v = coupling.moments, coupling.lattice.cell_volume
+    scale = v * float(coupling.grid.weights @ np.linalg.norm(coupling.density_stack, axis=(1, 2)))
+    return ConstraintReport(moment0=2.0 * v * float(np.linalg.norm(mom.imag0)),
+                            moment2=2.0 * v * float(np.linalg.norm(mom.imag2)), scale=scale or 1.0)
 
 
 def pernode_reality_residual(coupling: CouplingTensor) -> float:
@@ -168,13 +184,13 @@ def pernode_reality_residual(coupling: CouplingTensor) -> float:
     return float(np.max(num / den))
 
 
-def coupling_from_lagrangian(t0: RealCoupling, tol: float = DEFAULT_TOL_CONSTRAINT) -> CouplingTensor:
+def coupling_from_lagrangian(t0: RealCoupling) -> CouplingTensor:
     """Build the coupling tensor from real coefficients and a unitary gauge.
 
     Per node, T(w) = -(2 hbar w)^(-1/2) U(w) o T0(w), which is
     -(2 hbar w)^(-1/2) T0(w) in the identity gauge.  The resulting
     spectral density is real node by node, so the quadrature constraints
-    hold automatically; residuals above `tol` signal corrupted inputs.
+    hold automatically; residuals above tolerance signal corrupted inputs.
     """
     pref = -((2.0 * HBAR * t0.grid.nodes) ** -0.5)[:, None, None]
     if t0.unitary is None:
@@ -182,7 +198,7 @@ def coupling_from_lagrangian(t0: RealCoupling, tol: float = DEFAULT_TOL_CONSTRAI
     else:
         kernels = pref * t0.lattice.cell_volume * np.matmul(t0.unitary, t0.t0)
     coupling = CouplingTensor(t0.lattice, t0.grid, kernels)
-    report = check_constraints(coupling, tol=tol)
+    report = check_constraints(coupling)
     if not report.passed:
         raise DampolError(
             f"constraint residuals {report.moment0:.3e}/{report.moment2:.3e} "
@@ -195,34 +211,25 @@ class StructureTensor:
     """Real positive-definite kernel mediating the field-medium coupling."""
 
     kernel: TensorKernel
-    source: CouplingTensor
 
     @cached_property
     def inverse(self) -> TensorKernel:
         return self.kernel.inv()
 
 
-def structure_tensor(coupling: CouplingTensor, imag_tol: float = IMAG_RESIDUE_TOL) -> StructureTensor:
-    """First frequency moment of the symmetrized spectral density.
+def structure_tensor(coupling: CouplingTensor) -> StructureTensor:
+    """First frequency moment of the symmetrized spectral density, S = s_1 + conj(s_1).
 
-    Fails loudly if the imaginary residue is above `imag_tol` (relative) or
-    if the resulting Hermitian form is not positive-definite; a degenerate
-    structure tensor has no inverse and the canonical momentum density is
-    then undefined.
+    S is real by construction.  Fails loudly if it is not positive-definite:
+    a degenerate structure tensor has no inverse, and the canonical momentum
+    density is then undefined.
     """
-    grid = coupling.grid
-    dens = coupling.density_stack
-    raw = np.einsum("k,kij->ij", grid.weights * grid.nodes, dens + dens.conj())
-    scale = np.linalg.norm(raw)
-    if scale > 0 and np.linalg.norm(raw.imag) > imag_tol * scale:
-        raise DegenerateCouplingError(
-            f"structure tensor has imaginary residue {np.linalg.norm(raw.imag) / scale:.3e}")
-    mat = raw.real
-    evals = np.linalg.eigvalsh((mat + mat.T) / 2.0)
+    mat = coupling.moments.structure
+    evals = np.linalg.eigvalsh((mat.real + mat.real.T) / 2.0)
     if evals.size and evals[0] <= 1e-12 * max(abs(evals[-1]), 1e-300):
         raise DegenerateCouplingError(
             f"structure tensor not positive-definite (min eigenvalue {evals[0]:.3e})")
-    return StructureTensor(kernel=TensorKernel(coupling.lattice, mat), source=coupling)
+    return StructureTensor(kernel=TensorKernel(coupling.lattice, mat))
 
 
 # -- model library -------------------------------------------------------

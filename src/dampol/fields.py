@@ -148,9 +148,12 @@ def vector_potential_route_defect(a_form: LinearBosonicForm, momentum: np.ndarra
     coefficient family (K, d, d); both routes agree exactly at the discrete
     level.
     """
-    alt = 1j * HBAR * momentum.conj().transpose(0, 2, 1)
+    # alpha - i hbar momentum^dagger, formed transposed in one (K, d, d) temporary
+    diff = momentum.conj()
+    diff *= 1j * HBAR
+    np.subtract(a_form.alpha.transpose(0, 2, 1), diff, out=diff)
     scale = max(np.linalg.norm(a_form.alpha), 1e-300)
-    return float(np.linalg.norm(a_form.alpha - alt) / scale)
+    return float(np.linalg.norm(diff) / scale)
 
 
 def noise_mode_form(coupling: CouplingTensor, k: int) -> LinearBosonicForm:

@@ -92,15 +92,9 @@ def verify_adjoint(green: GreenKernel) -> float:
     transpose-reversal symmetry, so it is evaluated with the reflected
     kernel chi(-z)^T; a symmetry-broken susceptibility is flagged here.
     """
-    lattice = green.lattice
-    z = green.z
-    zsq = (z / C_LIGHT) ** 2
-    chi_reflected = green.chi_ref.at(-z).T
-    g = green.kernel
-    lhs_mat = (-lattice.double_curl_matrix @ g.mat
-               + zsq * (g.mat + lattice.cell_volume * chi_reflected.mat @ g.mat))
-    ident = TensorKernel.identity(lattice)
-    return (TensorKernel(lattice, lhs_mat) - ident).norm() / ident.norm()
+    reflected = wave_operator(green.chi_ref.at(-green.z).T, green.z, green.lattice)
+    ident = TensorKernel.identity(green.lattice)
+    return ((reflected @ green.kernel) - ident).norm() / ident.norm()
 
 
 def verify_reciprocity(chi: Susceptibility, z: complex) -> float:

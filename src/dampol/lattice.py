@@ -90,6 +90,14 @@ class Lattice:
         op = np.einsum("rk,kab,sk->rasb", ph, blocks, ph.conj(), optimize=True)
         return np.ascontiguousarray(op.reshape(self.dim, self.dim))
 
+    def _real(self, mat: np.ndarray, name: str) -> np.ndarray:
+        """Real part of an operator that must be real; even n >= 4 alias the Nyquist vector and fail."""
+        residue = np.linalg.norm(mat.imag) / max(np.linalg.norm(mat), 1e-300)
+        if residue > 1e-12:
+            raise DampolError(f"n_per_axis = {self.n_per_axis}: the assembled {name} has relative "
+                              f"imaginary residue {residue:.2e} (the Nyquist wave vector aliases)")
+        return mat.real
+
     @cached_property
     def _unit_k(self) -> np.ndarray:
         k = self.kvecs
@@ -104,9 +112,7 @@ class Lattice:
         blocks = np.eye(3)[None, :, :] - khat[:, :, None] * khat[:, None, :]
         zero = np.linalg.norm(self.kvecs, axis=1) == 0
         blocks[zero] = np.eye(3) if self.k0_transverse else np.zeros((3, 3))
-        mat = self._assemble(blocks)
-        # exact spectral construction is real symmetric
-        return mat.real
+        return self._real(self._assemble(blocks), "transverse projector")
 
     @cached_property
     def longitudinal_matrix(self) -> np.ndarray:
@@ -125,14 +131,14 @@ class Lattice:
         ksq = np.einsum("ki,ki->k", k, k)
         khat = self._unit_k
         blocks = ksq[:, None, None] * (np.eye(3)[None] - khat[:, :, None] * khat[:, None, :])
-        return self._assemble(blocks).real
+        return self._real(self._assemble(blocks), "double curl")
 
     @cached_property
     def laplacian_matrix(self) -> np.ndarray:
         """Vector Laplacian, spectrally -k^2 on every component."""
         ksq = np.einsum("ki,ki->k", self.kvecs, self.kvecs)
         blocks = -ksq[:, None, None] * np.eye(3)[None]
-        return self._assemble(blocks).real
+        return self._real(self._assemble(blocks), "Laplacian")
 
     @cached_property
     def transverse_basis(self) -> np.ndarray:

@@ -319,7 +319,6 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     # constraint and is also reported alone
     t1 = np.zeros_like(u_p)
     t2 = np.zeros_like(u_p)
-    t3 = np.zeros_like(u_p)
     finv = structure.inverse.mat
     for k in range(K):
         wk, om = grid.weights[k], grid.nodes[k]
@@ -327,7 +326,8 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
         s_bar = v * coupling.kernels[k].conj() @ finv    # conj of the momentum coefficient
         chain = v**2 * coupling.kernels[k].T @ s_bar @ fmat
         t2 += -HBAR * wk * om * v * chain @ u_a
-        t3 += (-1j * HBAR / EPS0) * wk * v * coupling.density_stack[k] @ pl @ u_p
+    # P is Hermitian, so the last term (-i hbar/eps0) v s_0 P_L P plus its adjoint reads only Im s_0
+    t3 = (HBAR / EPS0) * v * coupling.moments.imag0 @ pl @ u_p
     rhs_half = t1 + t2 + t3
     rhs = rhs_half + ham.hc_rows(rhs_half)
     out["polarization_rate"] = _rel(ddt(u_p) - rhs, rhs)

@@ -4,7 +4,9 @@ The susceptibility is assembled as a node sum over the coupling's spectral
 densities, is analytic off the real axis, and jumps across a cut on the
 real frequency line.  The discontinuity is always computed directly from
 the coupling (never by subtracting two regularized evaluations), so the
-dissipative part carries no regularization error.
+dissipative part carries no regularization error.  The sum rules and the
+asymptote read the coupling's moments (`CouplingTensor.moments`), as the
+structure tensor does; `chi_at` and the Kramers-Kronig check stay independent.
 """
 
 from __future__ import annotations
@@ -161,24 +163,17 @@ class SumRuleReport:
 def verify_sum_rules(coupling: CouplingTensor, structure: StructureTensor) -> SumRuleReport:
     """Moments of the cut discontinuity over the whole real line.
 
-    The zeroth and second moments must vanish; the first reproduces the
-    structure tensor.  All three reduce to node sums of the spectral
-    density and close exactly for Lagrangian-built couplings.
+    The n-th moment is 2 pi i hbar/eps0 (s_n - (-1)^n conj(s_n)), and the
+    factor cancels in every ratio.  The zeroth and second must vanish, the
+    first reproduces the structure tensor; all three close exactly for
+    Lagrangian-built couplings.
     """
-    grid = coupling.grid
-    disc = (2.0j * np.pi * HBAR / EPS0) * coupling.density_stack
-    w, nodes = grid.weights, grid.nodes
-    even = disc + disc.conj()   # disc(w) + disc(-w)
-    odd = disc - disc.conj()
-    m0 = np.einsum("k,kij->ij", w, even)
-    m1 = np.einsum("k,kij->ij", w * nodes, odd)
-    m2 = np.einsum("k,kij->ij", w * nodes**2, even)
-    target1 = (2.0j * np.pi * HBAR / EPS0) * structure.kernel.mat
-    scale = max(float(np.linalg.norm(target1)), 1e-300)
+    mom = coupling.moments
+    scale = max(float(np.linalg.norm(structure.kernel.mat)), 1e-300)
     return SumRuleReport(
-        moment0=float(np.linalg.norm(m0)) / scale,
-        moment1=float(np.linalg.norm(m1 - target1)) / scale,
-        moment2=float(np.linalg.norm(m2)) / scale / max(grid.omega_max**2, 1.0),
+        moment0=2.0 * float(np.linalg.norm(mom.imag0)) / scale,
+        moment1=float(np.linalg.norm(mom.structure_gap(structure.kernel.mat))) / scale,
+        moment2=2.0 * float(np.linalg.norm(mom.imag2)) / scale / max(coupling.grid.omega_max**2, 1.0),
     )
 
 
@@ -190,38 +185,29 @@ def chi_asymptotic(structure: StructureTensor, z: complex) -> TensorKernel:
 def asymptote_residual(coupling: CouplingTensor, structure: StructureTensor, z: complex) -> float:
     """Correction to the leading large-|z| asymptote, in structure-tensor units.
 
-    Normalizing by the (z-independent) structure tensor makes the quartic
-    decay of the correction directly visible: doubling |z| should shrink
-    this number by about 16.  The correction chi(z) - chi_asymptotic(z) is
-    formed as its exact moment expansion,
+    Doubling |z| should shrink this number by about 16.  The correction
+    chi(z) - chi_asymptotic(z) is formed as its exact moment expansion,
 
         (hbar/eps0) [-m0/z - (m1 - S)/z^2 - m2/z^3
                      + sum_k wt_k w_k^3 (D_k/(w_k - z) - conj(D_k)/(w_k + z)) / z^3],
 
-    with the moments m_n = sum_k wt_k w_k^n (D_k - (-1)^n conj(D_k)) of the
-    spectral densities D_k at nodes w_k with weights wt_k, and S the
-    structure-tensor kernel.  Nothing cancels between
-    the resonant and antiresonant node sums, and no sum rule is assumed: a
-    coupling that breaks one shows in the 1/z to 1/z^3 terms.  The one
-    cancellation left, m1 against S, is taken with the moments summed in
-    extended precision, so the value is the correction for the given S to
-    round-off, whatever the order of the node sums.
+    with m_n = s_n - (-1)^n conj(s_n) from the coupling's moments and S the
+    structure-tensor kernel.  Nothing cancels between the resonant and
+    antiresonant sums, and no sum rule is assumed: a coupling that breaks one
+    shows in the 1/z to 1/z^3 terms.  The one cancellation left, m1 - S, is
+    the moments' exact `structure_gap`, so the value is the correction for
+    the given S to round-off, whatever the node order.
     """
     z = complex(z)
     nodes, w = coupling.grid.nodes, coupling.grid.weights
-    shape = coupling.density_stack.shape
-    dens = coupling.density_stack.reshape(nodes.size, -1)
-    wide_nodes, wide_w = nodes.astype(np.longdouble), w.astype(np.longdouble)
-    s0, s1, s2 = np.stack([wide_w, wide_w * wide_nodes, wide_w * wide_nodes**2]) \
-        @ dens.astype(np.clongdouble)
-    m0, m2 = (s0 - s0.conj()).astype(complex), (s2 - s2.conj()).astype(complex)
-    m1_gap = (s1 + s1.conj() - structure.kernel.mat.ravel()).astype(complex)
+    dens, mom = coupling.density_stack, coupling.moments
     # sum_k c_k conj(D_k) = conj(sum_k conj(c_k) D_k): both tail sums in one GEMM
-    tail_res, tail_anti = np.stack([w * nodes**3 / (nodes - z),
-                                    np.conj(w * nodes**3 / (nodes + z))]) @ dens
-    corr = -m0 / z - m1_gap / z**2 + (tail_res - tail_anti.conj() - m2) / z**3
-    correction = TensorKernel(coupling.lattice, (HBAR / EPS0) * corr.reshape(shape[1:]))
-    return correction.norm() / max(structure.kernel.norm(), 1e-300)
+    tail_res, tail_anti = np.stack([w * nodes**3 / (nodes - z), np.conj(w * nodes**3 / (nodes + z))]) \
+        @ dens.reshape(nodes.size, -1)
+    tail = (tail_res - tail_anti.conj()).reshape(dens.shape[1:])
+    corr = -2j * mom.imag0 / z - mom.structure_gap(structure.kernel.mat) / z**2 \
+        + (tail - 2j * mom.imag2) / z**3
+    return TensorKernel(coupling.lattice, (HBAR / EPS0) * corr).norm() / max(structure.kernel.norm(), 1e-300)
 
 
 def symmetry_residuals(chi: Susceptibility, z: complex) -> dict:

@@ -160,6 +160,26 @@ class TestSusceptibilityReuse:
         assert run(cfg) == EXIT_PASS
         assert len(calls) == 96
 
+    def test_moments_evaluated_once(self, tmp_path, monkeypatch):
+        # the constraints, S, the sum rules, both asymptote residuals, the
+        # bath self-energy and the oracle's polarization rate share one sum
+        import dampol.coupling as cpl
+        calls = []
+        evaluate = cpl.spectral_moments
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+        monkeypatch.setattr(cpl, "spectral_moments", counted)
+        cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
+        cfg.out = str(tmp_path / "o")
+        assert run(cfg, stages=("model", "chi")) == EXIT_PASS
+        assert len(calls) == 1
+        cfg.out = str(tmp_path / "all")
+        calls.clear()
+        assert run(cfg) == EXIT_PASS
+        assert len(calls) == 1
+
 
 class TestSweepFailure:
     def test_failed_sweep_solved_once(self, tmp_path, monkeypatch):

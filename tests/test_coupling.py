@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
-from dampol.constants import HBAR
-from dampol.errors import DampolError, DegenerateCouplingError, ModelError
+from dampol.constants import EPS0, HBAR
+from dampol.bath import polarization_selfenergy_kernel, require_invertible
+from dampol.errors import DampolError, DegenerateCouplingError, ModelError, SingularOperatorError
 from dampol.coupling import (
     CouplingTensor,
     RealCoupling,
@@ -15,7 +18,8 @@ from dampol.coupling import (
     structure_tensor,
 )
 from dampol.fields import medium_momentum_form
-from dampol.lattice import FrequencyGrid, TensorKernel
+from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice
+from dampol.susceptibility import verify_sum_rules
 
 
 def scalar_coupling(lattice, grid, tau):
@@ -194,11 +198,70 @@ class TestBuiltinModels:
 class TestInvertibility:
     def test_builtin_nodes_invertible(self, lorentz_coupling):
         for k in range(lorentz_coupling.grid.n_nodes):
-            assert lorentz_coupling.node_invertible(k)
+            require_invertible(lorentz_coupling.kernels[k], "coupling kernel", k)
 
-    def test_zero_singular_value_detected(self, single_site):
-        grid = FrequencyGrid.midpoint(1, 2.0)
-        kern = np.zeros((1, 3, 3), dtype=complex)
-        kern[0] = np.diag([1.0, 1.0, 0.0])
-        coupling = CouplingTensor(single_site, grid, kern)
-        assert not coupling.node_invertible(0)
+    def test_zero_singular_value_detected(self):
+        with pytest.raises(SingularOperatorError, match="coupling kernel not invertible at node 0") as exc:
+            require_invertible(np.diag([1.0, 1.0, 0.0]), "coupling kernel", 0)
+        assert exc.value.node == 0 and exc.value.cond > 1e10
+
+
+def einsum_moment_reference(coupling, structure):
+    """The per-consumer float64 node sums the moments evaluator replaced.
+
+    Returns the constraint residuals, the structure tensor, the sum-rule
+    residuals for the given structure tensor, and the self-energy kernel.
+    """
+    grid, dens, v = coupling.grid, coupling.density_stack, coupling.lattice.cell_volume
+    w, nodes = grid.weights, grid.nodes
+    imbalance = dens - dens.conj()
+    m0 = v * np.linalg.norm(np.einsum("k,kij->ij", w, imbalance))
+    m2 = v * np.linalg.norm(np.einsum("k,kij->ij", w * nodes**2, imbalance))
+    s_mat = np.einsum("k,kij->ij", w * nodes, dens + dens.conj()).real
+    disc = (2.0j * np.pi * HBAR / EPS0) * dens
+    even, odd = disc + disc.conj(), disc - disc.conj()
+    target1 = (2.0j * np.pi * HBAR / EPS0) * structure.kernel.mat
+    scale = np.linalg.norm(target1)
+    rules = (np.linalg.norm(np.einsum("k,kij->ij", w, even)) / scale,
+             np.linalg.norm(np.einsum("k,kij->ij", w * nodes, odd) - target1) / scale,
+             np.linalg.norm(np.einsum("k,kij->ij", w * nodes**2, even)) / scale
+             / max(grid.omega_max**2, 1.0))
+    finv = structure.inverse
+    xi = TensorKernel(coupling.lattice, (2.0j * np.pi * HBAR / EPS0) * np.einsum(
+        "l,lab->ab", w * nodes**3, dens))
+    selfenergy = (EPS0 / (2.0j * np.pi * HBAR**2)) * (finv @ xi @ finv)
+    return (m0, m2), s_mat, rules, selfenergy
+
+
+class TestSpectralMoments:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n_nodes=st_.integers(1, 6), seed=st_.integers(0, 2**32 - 1))
+    def test_consumers_match_einsum_formulas(self, n_nodes, seed):
+        # a Lagrangian coupling, whose constraints and sum rules close to
+        # round-off, and complex kernels that break them
+        lattice = build_lattice(1, 1.0)
+        grid = FrequencyGrid.midpoint(n_nodes, 3.0)
+        rng = np.random.default_rng(seed)
+        lagrangian = coupling_from_lagrangian(random_coupling(lattice, grid, rng))
+        shape = (n_nodes, lattice.dim, lattice.dim)
+        violator = CouplingTensor(lattice, grid, rng.standard_normal(shape)
+                                  + 1j * rng.standard_normal(shape))
+        eps = np.finfo(float).eps
+
+        def close(new, ref, size):
+            # 1e-12 relative, or absolute round-off at the quantity's size
+            return abs(new - ref) <= 1e-12 * abs(ref) + 64 * eps * size
+
+        for coupling in (lagrangian, violator):
+            st = structure_tensor(coupling)
+            (m0, m2), s_mat, rules, selfenergy = einsum_moment_reference(coupling, st)
+            report = check_constraints(coupling)
+            assert close(report.moment0, m0, report.scale)
+            assert close(report.moment2, m2, report.scale)
+            assert np.linalg.norm(st.kernel.mat - s_mat) <= 1e-12 * np.linalg.norm(s_mat)
+            got = verify_sum_rules(coupling, st)
+            for new, ref in zip((got.moment0, got.moment1, got.moment2), rules):
+                assert close(new, ref, 1.0)
+            diff = polarization_selfenergy_kernel(coupling, st) - selfenergy
+            assert diff.norm() <= 1e-12 * selfenergy.norm()
+        assert not check_constraints(violator).passed

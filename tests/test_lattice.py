@@ -52,6 +52,23 @@ class TestBuildLattice:
             build_lattice(2, -1.0)
 
 
+class TestRealOperators:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("k0_transverse", [True, False])
+    def test_odd_and_small_lattices_build(self, n, k0_transverse):
+        lat = build_lattice(n, 1.0, k0_transverse)
+        for op in (lat.transverse_matrix, lat.double_curl_matrix, lat.laplacian_matrix):
+            assert op.dtype == float and op.shape == (lat.dim, lat.dim)
+
+    def test_even_nyquist_lattice_raises(self):
+        # the Nyquist wave vector leaves an imaginary part of order one
+        lat = build_lattice(4, 1.0)
+        with pytest.raises(DampolError, match=r"n_per_axis = 4: the assembled transverse projector"):
+            lat.transverse_matrix
+        with pytest.raises(DampolError, match=r"n_per_axis = 4: the assembled double curl"):
+            lat.double_curl_matrix
+
+
 class TestProjectors:
     def test_single_site_transverse_is_identity(self):
         lat = build_lattice(1, 2.0)

@@ -84,7 +84,7 @@ class TestAssembly:
     def test_zero_coupling_decouples(self, small_lattice):
         grid = FrequencyGrid.midpoint(4, 3.0)
         zero = CouplingTensor.zero(small_lattice, grid)
-        st = StructureTensor(kernel=TensorKernel.zero(small_lattice), source=zero)
+        st = StructureTensor(kernel=TensorKernel.zero(small_lattice))
         ham = assemble_hamiltonian(zero, st)
         # no cross blocks between field and medium sectors
         fs = slice(0, 2 * ham.mt)
@@ -123,7 +123,7 @@ class TestAssembly:
     def test_dimension_cap(self, small_lattice):
         grid = FrequencyGrid.midpoint(512, 3.0)
         coupling = CouplingTensor.zero(small_lattice, grid)
-        st = StructureTensor(kernel=TensorKernel.zero(small_lattice), source=coupling)
+        st = StructureTensor(kernel=TensorKernel.zero(small_lattice))
         with pytest.raises(DampolError):
             assemble_hamiltonian(coupling, st)
 
@@ -233,7 +233,7 @@ class TestDiagonalForm:
     def test_zero_coupling_exact(self, small_lattice):
         grid = FrequencyGrid.midpoint(4, 3.0)
         zero = CouplingTensor.zero(small_lattice, grid)
-        st = StructureTensor(kernel=TensorKernel.zero(small_lattice), source=zero)
+        st = StructureTensor(kernel=TensorKernel.zero(small_lattice))
         ham = assemble_hamiltonian(zero, st)
         modes = mode_coefficients(node_propagator(Susceptibility(zero)))
         assert diagonal_form_check(ham, modes) <= 1e-13

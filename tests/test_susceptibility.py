@@ -5,7 +5,13 @@ import pytest
 
 from dampol.constants import EPS0, HBAR
 from dampol.errors import DampolError, PoleError
-from dampol.coupling import CouplingTensor, builtin_model, coupling_from_lagrangian, structure_tensor
+from dampol.coupling import (
+    CouplingTensor,
+    builtin_model,
+    coupling_from_lagrangian,
+    spectral_moments,
+    structure_tensor,
+)
 from dampol.lattice import FrequencyGrid, TensorKernel
 from dampol.susceptibility import (
     Susceptibility,
@@ -181,6 +187,19 @@ def shipped_or_violating_coupling(name, lattice):
     return CouplingTensor(lattice, grid, kernels / lattice.cell_volume)
 
 
+def reversed_nodes(coupling):
+    """The coupling with its node order reversed, moments included.
+
+    A grid must be increasing, so this stands in for a coupling with the
+    fields the asymptote and the structure tensor read.
+    """
+    grid = coupling.grid
+    nodes, weights, dens = grid.nodes[::-1], grid.weights[::-1], coupling.density_stack[::-1]
+    return SimpleNamespace(lattice=coupling.lattice, density_stack=dens,
+                           grid=SimpleNamespace(nodes=nodes, weights=weights),
+                           moments=spectral_moments(nodes, weights, dens))
+
+
 class TestAsymptoteExpansion:
     @pytest.mark.parametrize("name", ["local_lorentz", "gaussian_nonlocal", "uniaxial_local",
                                       "sum_rule_violator"])
@@ -193,19 +212,40 @@ class TestAsymptoteExpansion:
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="no extended precision on this platform")
+    @pytest.mark.parametrize("name", ["local_lorentz", "gaussian_nonlocal", "uniaxial_local"])
+    def test_quartic_figure_matches_extended_precision_subtraction(self, small_lattice, name):
+        # the m1 - S gap must keep what rounding S to float64 dropped: without
+        # it the figure moves by 5e-9 on local_lorentz
+        coupling = shipped_or_violating_coupling(name, small_lattice)
+        st = structure_tensor(coupling)
+
+        def quartic(residual):
+            return abs(residual(coupling, st, 150j) / residual(coupling, st, 300j) / 16 - 1)
+        assert quartic(asymptote_residual) == pytest.approx(
+            quartic(asymptote_residual_extended), rel=1e-9, abs=0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="no extended precision on this platform")
     def test_quartic_ratio_independent_of_node_order(self, small_lattice):
         # the stage-chi figure |ratio/16 - 1| is a difference of two nearly
-        # equal ratios; a 1e-12 error in either residual moves it by 1e-8
+        # equal ratios; a 1e-12 error in either residual moves it by 1e-8.
+        # The ratio is ill-conditioned in S, so S must not depend on the node
+        # order either: a float64 node sum moves this figure by 5.6e-9
+        # figure; the reversed coupling brings its own S, from the same evaluator
         coupling = shipped_or_violating_coupling("gaussian_nonlocal", small_lattice)
-        st = structure_tensor(coupling)
-        grid = coupling.grid
-        reversed_order = SimpleNamespace(
-            lattice=coupling.lattice, density_stack=coupling.density_stack[::-1],
-            grid=SimpleNamespace(nodes=grid.nodes[::-1], weights=grid.weights[::-1]))
+        reversed_order = reversed_nodes(coupling)
 
         def quartic(c):
+            st = structure_tensor(c)
             return abs(asymptote_residual(c, st, 150j) / asymptote_residual(c, st, 300j) / 16 - 1)
         assert quartic(reversed_order) == pytest.approx(quartic(coupling), rel=1e-9, abs=0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="no extended precision on this platform")
+    def test_structure_bit_identical_under_node_reversal(self, small_lattice):
+        coupling = shipped_or_violating_coupling("gaussian_nonlocal", small_lattice)
+        assert np.array_equal(structure_tensor(reversed_nodes(coupling)).kernel.mat,
+                              structure_tensor(coupling).kernel.mat)
 
     def test_violator_breaks_quartic_decay(self, small_lattice):
         coupling = shipped_or_violating_coupling("sum_rule_violator", small_lattice)
