@@ -142,9 +142,6 @@ class CouplingTensor:
     def spectral_density(self, k: int) -> TensorKernel:
         return TensorKernel(self.lattice, self.density_stack[k])
 
-    def is_zero(self) -> bool:
-        return not np.any(self.kernels)
-
 
 @dataclass(frozen=True)
 class ConstraintReport:
@@ -170,18 +167,6 @@ def check_constraints(coupling: CouplingTensor) -> ConstraintReport:
     scale = v * float(coupling.grid.weights @ np.linalg.norm(coupling.density_stack, axis=(1, 2)))
     return ConstraintReport(moment0=2.0 * v * float(np.linalg.norm(mom.imag0)),
                             moment2=2.0 * v * float(np.linalg.norm(mom.imag2)), scale=scale or 1.0)
-
-
-def pernode_reality_residual(coupling: CouplingTensor) -> float:
-    """Largest per-node imaginary part of the spectral density, relative.
-
-    Lagrangian-built couplings satisfy this stronger per-node condition at
-    machine precision, which implies both quadrature constraints.
-    """
-    dens = coupling.density_stack
-    num = np.linalg.norm(dens.imag, axis=(1, 2))
-    den = np.maximum(np.linalg.norm(dens, axis=(1, 2)), 1e-300)
-    return float(np.max(num / den))
 
 
 def coupling_from_lagrangian(t0: RealCoupling) -> CouplingTensor:

@@ -68,12 +68,6 @@ class ModeCoefficients:
     antiresonant: np.ndarray   # (K, K, d, d)
     eta: float
 
-    def resonant_kernel(self, k: int, l: int, include_delta: bool = True) -> TensorKernel:
-        mat = self.resonant[k, l].copy()
-        if include_delta and k == l:
-            mat += np.eye(self.lattice.dim) / self.lattice.cell_volume / self.grid.weights[k]
-        return TensorKernel(self.lattice, mat)
-
 
 class _NodeKernels:
     """The per-node formulas of the four coefficient families.
@@ -131,7 +125,11 @@ class _NodeKernels:
 def momentum_family(prop: NodePropagator) -> np.ndarray:
     """The momentum coefficient kernels of every node, (K, d, d)."""
     rows = _NodeKernels(prop)
-    return np.stack([rows.families(k)[3] for k in range(rows.grid.n_nodes)])
+    K, d = rows.grid.n_nodes, rows.lattice.dim
+    momentum = np.empty((K, d, d), dtype=complex)
+    for k in range(K):
+        momentum[k] = rows.families(k)[3]
+    return momentum
 
 
 def mode_coefficients(prop: NodePropagator) -> ModeCoefficients:
@@ -467,27 +465,4 @@ def commutation_matrix(modes: ModeCoefficients, k: int, l: int) -> TensorKernel:
     out = out + modes.resonant[k, l] + modes.resonant[l, k].conj().T
     out = out + v * pair_contract(w, modes.resonant[k], modes.resonant[l].conj())
     out = out - v * pair_contract(w, modes.antiresonant[k], modes.antiresonant[l].conj())
-    return TensorKernel(lattice, out)
-
-
-def commutation_deviation(modes: ModeCoefficients, k: int, l: int) -> TensorKernel:
-    """Deviation of the canonical commutator from its exact value."""
-    lattice = modes.lattice
-    out = commutation_matrix(modes, k, l).mat.copy()
-    if k == l:
-        out -= np.eye(lattice.dim) / lattice.cell_volume / modes.grid.weights[k]
-    return TensorKernel(lattice, out)
-
-
-def annihilator_commutator(modes: ModeCoefficients, k: int, l: int) -> TensorKernel:
-    """Commutator of two annihilators for a node pair; vanishes in the limit."""
-    lattice = modes.lattice
-    v = lattice.cell_volume
-    w = modes.grid.weights
-    f1k, f2k = modes.potential[k], modes.momentum[k]
-    f1l, f2l = modes.potential[l], modes.momentum[l]
-    out = 1j * HBAR * v * (f1k @ f2l.T - f2k @ f1l.T)
-    out = out + modes.antiresonant[l, k].T - modes.antiresonant[k, l]
-    out = out + v * pair_contract(w, modes.resonant[k], modes.antiresonant[l])
-    out = out - v * pair_contract(w, modes.antiresonant[k], modes.resonant[l])
     return TensorKernel(lattice, out)

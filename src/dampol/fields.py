@@ -40,7 +40,6 @@ class LinearBosonicForm:
     beta: np.ndarray    # (K, 3M, 3M)
     basis: str
     label: str
-    time: float = 0.0
 
     def __post_init__(self):
         shape = (self.grid.n_nodes, self.lattice.dim, self.lattice.dim)
@@ -78,14 +77,6 @@ class LinearBosonicForm:
             raise DampolError(f"forms live over different mode families: {self.basis} vs {other.basis}")
         if not self.lattice.compatible(other.lattice):
             raise DampolError("forms live on incompatible lattices")
-
-
-def evolve(form: LinearBosonicForm, t: float) -> LinearBosonicForm:
-    """Heisenberg evolution: each node picks up its phase."""
-    phases = np.exp(-1j * form.grid.nodes * t)
-    return replace(form, alpha=phases[:, None, None] * form.alpha,
-                   beta=phases.conj()[:, None, None] * form.beta,
-                   time=form.time + t)
 
 
 def time_derivative(form: LinearBosonicForm) -> LinearBosonicForm:

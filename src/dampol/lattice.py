@@ -91,16 +91,29 @@ class Lattice:
         return np.ascontiguousarray(op.reshape(self.dim, self.dim))
 
     def _real(self, mat: np.ndarray, name: str) -> np.ndarray:
-        """Real part of an operator that must be real; even n >= 4 alias the Nyquist vector and fail."""
+        """Real part of a real operator; raises if the imaginary part is more than round-off."""
         residue = np.linalg.norm(mat.imag) / max(np.linalg.norm(mat), 1e-300)
         if residue > 1e-12:
             raise DampolError(f"n_per_axis = {self.n_per_axis}: the assembled {name} has relative "
-                              f"imaginary residue {residue:.2e} (the Nyquist wave vector aliases)")
+                              f"imaginary residue {residue:.2e}")
         return mat.real
 
     @cached_property
+    def _dkvecs(self) -> np.ndarray:
+        """Wave vectors of the derivative blocks: `kvecs` with Nyquist components zeroed.
+
+        An even lattice stores the Nyquist component as -pi/a only, so an odd
+        derivative there has no conjugate partner; spectral differentiation
+        sets it to 0.  At n = 2 the blocks are real as they are and stay so.
+        """
+        n, k = self.n_per_axis, self.kvecs.copy()
+        if n % 2 == 0 and n >= 4:
+            k[np.indices((n, n, n)).reshape(3, -1).T == n // 2] = 0.0
+        return k
+
+    @cached_property
     def _unit_k(self) -> np.ndarray:
-        k = self.kvecs
+        k = self._dkvecs
         norms = np.linalg.norm(k, axis=1)
         safe = np.where(norms > 0, norms, 1.0)
         return k / safe[:, None]
@@ -110,7 +123,7 @@ class Lattice:
         """Orthogonal projector matrix onto the transverse subspace."""
         khat = self._unit_k
         blocks = np.eye(3)[None, :, :] - khat[:, :, None] * khat[:, None, :]
-        zero = np.linalg.norm(self.kvecs, axis=1) == 0
+        zero = np.linalg.norm(self._dkvecs, axis=1) == 0
         blocks[zero] = np.eye(3) if self.k0_transverse else np.zeros((3, 3))
         return self._real(self._assemble(blocks), "transverse projector")
 
@@ -121,13 +134,13 @@ class Lattice:
     @cached_property
     def curl_matrix(self) -> np.ndarray:
         """Spectral curl acting on position-space vector fields (Hermitian)."""
-        blocks = 1j * np.einsum("abc,kb->kac", _LEVI_CIVITA, self.kvecs)
+        blocks = 1j * np.einsum("abc,kb->kac", _LEVI_CIVITA, self._dkvecs)
         return self._assemble(blocks)
 
     @cached_property
     def double_curl_matrix(self) -> np.ndarray:
         """curl-of-curl operator, spectrally k^2 (1 - khat khat); real PSD."""
-        k = self.kvecs
+        k = self._dkvecs
         ksq = np.einsum("ki,ki->k", k, k)
         khat = self._unit_k
         blocks = ksq[:, None, None] * (np.eye(3)[None] - khat[:, :, None] * khat[:, None, :])
@@ -136,7 +149,7 @@ class Lattice:
     @cached_property
     def laplacian_matrix(self) -> np.ndarray:
         """Vector Laplacian, spectrally -k^2 on every component."""
-        ksq = np.einsum("ki,ki->k", self.kvecs, self.kvecs)
+        ksq = np.einsum("ki,ki->k", self._dkvecs, self._dkvecs)
         blocks = -ksq[:, None, None] * np.eye(3)[None]
         return self._real(self._assemble(blocks), "Laplacian")
 
@@ -222,9 +235,6 @@ class TensorKernel:
         """Frobenius norm in kernel units (volume-weighted)."""
         return self.lattice.cell_volume * float(np.linalg.norm(self.mat))
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
     def allclose(self, other: "TensorKernel", tol: float = 1e-12) -> bool:
         scale = max(self.norm(), other.norm(), 1e-300)
         return (self - other).norm() <= tol * scale
@@ -301,7 +311,6 @@ class FrequencyGrid:
     weights: np.ndarray
     eta: float
     omega_max: float
-    eta_factor: float | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -331,8 +340,7 @@ class FrequencyGrid:
         step = omega_max / n_nodes
         nodes = (np.arange(n_nodes) + 0.5) * step
         weights = np.full(n_nodes, step)
-        return cls(nodes=nodes, weights=weights, eta=eta_factor * step,
-                   omega_max=omega_max, eta_factor=eta_factor)
+        return cls(nodes=nodes, weights=weights, eta=eta_factor * step, omega_max=omega_max)
 
     @property
     def n_nodes(self) -> int:
@@ -341,13 +349,3 @@ class FrequencyGrid:
     @property
     def spacing(self) -> float:
         return float(np.min(np.diff(self.nodes))) if self.n_nodes > 1 else self.omega_max
-
-    def refined(self, factor: int = 2) -> "FrequencyGrid":
-        """Same cutoff with `factor` times the nodes and eta reduced alike."""
-        if self.eta_factor is None:
-            raise DampolError("refined() requires a grid built by FrequencyGrid.midpoint")
-        return FrequencyGrid.midpoint(self.n_nodes * factor, self.omega_max, self.eta_factor)
-
-    def delta_weight(self, k: int) -> float:
-        """Discrete frequency delta at coincident nodes: 1 / w_k."""
-        return 1.0 / float(self.weights[k])

@@ -1,7 +1,8 @@
-"""Versioned binary dumps for kernels and couplings.
+"""Versioned binary dump of an assembled quadratic form, and its reader.
 
-Layout: a magic line, one JSON header line (lattice dims, optional grid
-nodes, array shape), then raw row-major complex128 bytes.
+Layout: a magic line, one JSON header line (lattice dims, grid nodes,
+canonical-basis bookkeeping, array shape), then raw row-major complex128
+bytes.
 """
 
 from __future__ import annotations
@@ -10,93 +11,45 @@ import json
 
 import numpy as np
 
-from .coupling import CouplingTensor
 from .errors import DampolError
-from .lattice import FrequencyGrid, Lattice, TensorKernel
 
 MAGIC = b"DAMPOLK1"
 FORMAT_VERSION = 1
 
 
-def _header(lattice: Lattice, shape, grid: FrequencyGrid | None, label: str) -> dict:
-    head = {
+def dump_quadratic_form(path, ham, label: str = "hamiltonian"):
+    """Dump an assembled quadratic form with its basis bookkeeping."""
+    lattice, grid = ham.lattice, ham.grid
+    header = {
         "format_version": FORMAT_VERSION,
         "n_per_axis": lattice.n_per_axis,
         "spacing": lattice.spacing,
         "k0_transverse": lattice.k0_transverse,
-        "shape": list(shape),
+        "shape": list(ham.h.shape),
         "dtype": "complex128",
         "label": label,
-    }
-    if grid is not None:
-        head["grid"] = {
+        "grid": {
             "nodes": grid.nodes.tolist(),
             "weights": grid.weights.tolist(),
             "eta": grid.eta,
             "omega_max": grid.omega_max,
-        }
-    return head
-
-
-def _write(path, header: dict, array: np.ndarray):
+        },
+        "canonical_basis": {"transverse_dim": ham.mt, "n_nodes": grid.n_nodes},
+    }
     with open(path, "wb") as fh:
         fh.write(MAGIC + b"\n")
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(np.ascontiguousarray(array, dtype=np.complex128).tobytes())
+        fh.write(np.ascontiguousarray(ham.h, dtype=np.complex128).tobytes())
 
 
-def _read(path):
+def load_quadratic_form(path):
+    """Load a quadratic-form dump; returns the coefficient array and header."""
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != MAGIC:
             raise DampolError(f"{path} is not a kernel dump (bad magic {magic!r})")
         header = json.loads(fh.readline().decode())
         raw = fh.read()
-    array = np.frombuffer(raw, dtype=np.complex128).reshape(header["shape"])
-    return header, array
-
-
-def _lattice_from(header: dict) -> Lattice:
-    return Lattice(n_per_axis=header["n_per_axis"], spacing=header["spacing"],
-                   k0_transverse=header.get("k0_transverse", True))
-
-
-def dump_kernel(path, kernel: TensorKernel, label: str = "", grid: FrequencyGrid | None = None):
-    _write(path, _header(kernel.lattice, kernel.mat.shape, grid, label), kernel.mat)
-
-
-def load_kernel(path) -> tuple[TensorKernel, dict]:
-    header, array = _read(path)
-    if len(header["shape"]) != 2:
-        raise DampolError("expected a single two-point kernel in the dump")
-    return TensorKernel(_lattice_from(header), array.copy()), header
-
-
-def dump_coupling(path, coupling: CouplingTensor, label: str = ""):
-    _write(path, _header(coupling.lattice, coupling.kernels.shape, coupling.grid, label),
-           coupling.kernels)
-
-
-def load_coupling(path) -> tuple[CouplingTensor, dict]:
-    header, array = _read(path)
-    if "grid" not in header or len(header["shape"]) != 3:
-        raise DampolError("dump does not contain a frequency-indexed coupling")
-    g = header["grid"]
-    grid = FrequencyGrid(nodes=np.array(g["nodes"]), weights=np.array(g["weights"]),
-                         eta=g["eta"], omega_max=g["omega_max"])
-    return CouplingTensor(_lattice_from(header), grid, array.copy()), header
-
-
-def dump_quadratic_form(path, ham, label: str = "hamiltonian"):
-    """Dump an assembled quadratic form with its basis bookkeeping."""
-    header = _header(ham.lattice, ham.h.shape, ham.grid, label)
-    header["canonical_basis"] = {"transverse_dim": ham.mt, "n_nodes": ham.grid.n_nodes}
-    _write(path, header, ham.h)
-
-
-def load_quadratic_form(path):
-    """Load a quadratic-form dump; returns the coefficient array and header."""
-    header, array = _read(path)
     if "canonical_basis" not in header:
         raise DampolError("dump does not contain a quadratic form")
-    return array.copy(), header
+    return np.frombuffer(raw, dtype=np.complex128).reshape(header["shape"]).copy(), header

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import EPS0, HBAR
 from .coupling import CouplingTensor, StructureTensor
-from .errors import DampolError, PoleError
+from .errors import PoleError
 from .lattice import TensorKernel
 
 
@@ -39,37 +39,6 @@ def chi_at(coupling: CouplingTensor, z: complex) -> TensorKernel:
     res, anti = coeff @ dens.reshape(nodes.size, -1)
     mat = (res + anti.conj()).reshape(dens.shape[1:])
     return TensorKernel(coupling.lattice, (HBAR / EPS0) * mat)
-
-
-def chi_discontinuity(coupling: CouplingTensor, omega: float) -> TensorKernel:
-    """Jump of the susceptibility across the real-axis cut at frequency omega.
-
-    Built directly from the coupling's spectral density: exact at the
-    quadrature nodes, linearly interpolated between them, zero outside the
-    node support, and undefined beyond the cutoff.  Negative frequencies
-    use the mirror relation disc(-w) = conj(disc(w)).
-    """
-    if omega == 0.0:
-        raise PoleError("the discontinuity is not defined at omega = 0")
-    grid = coupling.grid
-    a = abs(omega)
-    if a > grid.omega_max:
-        raise DampolError(f"|omega| = {a} beyond the grid cutoff {grid.omega_max}")
-    nodes = grid.nodes
-    dens = coupling.density_stack
-    if a < nodes[0] or a > nodes[-1]:
-        mat = np.zeros_like(dens[0])
-    elif nodes.size == 1:
-        mat = dens[0].copy()
-    else:
-        hi = int(np.clip(np.searchsorted(nodes, a), 1, nodes.size - 1))
-        lo = hi - 1
-        t = float(np.clip((a - nodes[lo]) / (nodes[hi] - nodes[lo]), 0.0, 1.0))
-        mat = (1.0 - t) * dens[lo] + t * dens[hi]
-    out = (2.0j * np.pi * HBAR / EPS0) * mat
-    if omega < 0:
-        out = out.conj()
-    return TensorKernel(coupling.lattice, out)
 
 
 def discontinuity_at_node(coupling: CouplingTensor, k: int) -> TensorKernel:
@@ -118,12 +87,6 @@ class Susceptibility:
         stack = np.stack([self.at(z).mat for z in self.grid.nodes + 1j * self.eta])
         stack.flags.writeable = False
         return stack
-
-    def on_cut(self, omega: float, side: int = +1) -> TensorKernel:
-        """Evaluate just above (+1) or below (-1) the real axis."""
-        if side not in (+1, -1):
-            raise DampolError("side must be +1 or -1")
-        return self.at(omega + 1j * side * self.eta)
 
     def perturbed(self, kernel: TensorKernel) -> "Susceptibility":
         return Susceptibility(source=self.source, perturbation=kernel)

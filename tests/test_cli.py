@@ -146,7 +146,8 @@ class TestSusceptibilityReuse:
     def test_above_cut_values_evaluated_once(self, tmp_path, monkeypatch):
         # bath coefficients, linkage, the P form and the constitutive check
         # share one chi(w_k + i eta) stack (36 evaluations fewer at K = 12),
-        # and the asymptote check sums moments instead (2 fewer): 134 -> 96
+        # the asymptote check sums moments instead (2 fewer), and the green
+        # stage solves each random point once (4 fewer): 134 -> 92
         import dampol.susceptibility as sus
         calls = []
         evaluate = sus.chi_at
@@ -158,7 +159,7 @@ class TestSusceptibilityReuse:
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
         cfg.out = str(tmp_path / "o")
         assert run(cfg) == EXIT_PASS
-        assert len(calls) == 96
+        assert len(calls) == 92
 
     def test_moments_evaluated_once(self, tmp_path, monkeypatch):
         # the constraints, S, the sum rules, both asymptote residuals, the
@@ -203,6 +204,40 @@ class TestSweepFailure:
                   for stage in ("green", "diag", "fields", "oracle")}
         assert errors["green"].startswith("sweep failed at indices [1]")
         assert set(errors.values()) == {errors["green"]}
+
+
+class TestEvenLattice:
+    def test_verify_all_n4_passes(self, tmp_path):
+        # the Nyquist components drop out of the derivative blocks, so every
+        # exact check closes on an even lattice with n_per_axis >= 4
+        text = (CONFIG_DIR / "lorentz.ini").read_text().replace(
+            "n_per_axis = 2", "n_per_axis = 4").replace("n_nodes = 12", "n_nodes = 4").replace(
+            "stages = all", "stages = model,chi,green,diag,fields,bath")
+        cfg = tmp_path / "n4.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["verify-all", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
+        assert read_report(out, "fields")["passed"]
+
+
+class TestGreenStage:
+    def test_each_point_solved_once(self, tmp_path, monkeypatch):
+        # the K node solves, then each random z and its reflections -z and
+        # -conj(z): 12 + 4 * 3 solves, no point solved twice
+        import dampol.cli as cli_mod
+        import dampol.green as green
+        solve, calls = green.solve_green, []
+
+        def counted(chi, z):
+            calls.append(z)
+            return solve(chi, z)
+        for mod in (green, cli_mod):
+            monkeypatch.setattr(mod, "solve_green", counted)
+        cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
+        cfg.out = str(tmp_path / "o")
+        assert run(cfg, stages=("green",)) == EXIT_PASS
+        assert len(calls) == 24
+        assert len(set(calls)) == 24
 
 
 def _forbid_stack_route(monkeypatch):

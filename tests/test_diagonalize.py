@@ -18,8 +18,6 @@ from dampol.coupling import (
 from dampol.diagonalize import (
     ModeChecks,
     _NodeKernels,
-    annihilator_commutator,
-    commutation_deviation,
     commutation_matrix,
     fano_residual,
     mode_coefficients,
@@ -47,11 +45,6 @@ class TestAssembly:
         assert np.linalg.norm(modes.momentum) == 0.0
         assert np.linalg.norm(modes.resonant) == 0.0
         assert np.linalg.norm(modes.antiresonant) == 0.0
-        # the resonant family is then the pure Kronecker part
-        k = 2
-        got = modes.resonant_kernel(k, k)
-        expected = (1.0 / grid.weights[k]) * TensorKernel.identity(small_lattice)
-        assert got.allclose(expected)
 
     def test_single_site_momentum_scalar(self, single_site):
         grid = FrequencyGrid.midpoint(3, 3.0)
@@ -69,6 +62,28 @@ class TestAssembly:
         for fam in (modes.potential, modes.momentum):
             proj = fam @ pt
             assert np.linalg.norm(proj - fam) <= 1e-12 * max(np.linalg.norm(fam), 1e-300)
+
+
+class TestMomentumFamily:
+    def test_matches_mode_coefficients(self, random_lagrangian):
+        modes, prop = make_modes(random_lagrangian)
+        assert np.array_equal(diagonalize.momentum_family(prop), modes.momentum)
+
+    def test_traced_peak_below_two_stacks(self):
+        # the shipped lattice and node count: one (K, d, d) result, filled in place
+        lattice = build_lattice(2, 1.0)
+        grid = FrequencyGrid.midpoint(12, 3.0, eta_factor=1.0)
+        coupling = coupling_from_lagrangian(builtin_model("local_lorentz", lattice, grid))
+        prop = node_propagator(Susceptibility(coupling))
+        lattice.transverse_matrix   # cached on the lattice, as in a run, before tracing
+        K, d = grid.n_nodes, lattice.dim
+        tracemalloc.start()
+        try:
+            diagonalize.momentum_family(prop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * K * d * d * 16, f"traced peak {peak / (K * d * d * 16):.2f} stacks"
 
 
 class TestFanoResiduals:
@@ -119,15 +134,6 @@ class TestCommutationChecks:
                 assert got.allclose(expected)
             else:
                 assert got.norm() == 0.0
-            assert annihilator_commutator(modes, k, l).norm() == 0.0
-
-    def test_deviation_kernel_is_matrix_minus_delta(self, lorentz_coupling):
-        modes, _ = make_modes(lorentz_coupling)
-        k = 3
-        dev = commutation_deviation(modes, k, k)
-        mat = commutation_matrix(modes, k, k)
-        delta = (1.0 / lorentz_coupling.grid.weights[k]) * TensorKernel.identity(lorentz_coupling.lattice)
-        assert dev.allclose(mat - delta, tol=1e-13)
 
     def test_smeared_deviations_converge(self, small_lattice):
         c1, c13 = [], []
@@ -184,10 +190,11 @@ class TestCommutationChecks:
             grid = FrequencyGrid.midpoint(K, 3.0, eta_factor=1.0)
             coupling = coupling_from_lagrangian(builtin_model("local_lorentz", small_lattice, grid))
             modes, _ = make_modes(coupling)
-            # same physical frequency pair at both resolutions, well separated
+            # same physical frequency pair at both resolutions, well separated;
+            # off the diagonal the exact value is zero
             k = K // 4
             l = 3 * K // 4
-            norms.append(commutation_deviation(modes, k, l).norm()
+            norms.append(commutation_matrix(modes, k, l).norm()
                          * grid.weights[k])
         assert norms[1] < norms[0]
 

@@ -2,49 +2,34 @@ import numpy as np
 import pytest
 
 from dampol.errors import DampolError
-from dampol.lattice import TensorKernel
-from dampol.serialize import dump_coupling, dump_kernel, load_coupling, load_kernel
+from dampol.oracle import assemble_hamiltonian
+from dampol.serialize import dump_quadratic_form, load_quadratic_form
 
 
 class TestKernelDump:
-    def test_roundtrip(self, tmp_path, small_lattice, rng):
-        d = small_lattice.dim
-        kern = TensorKernel(small_lattice, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        path = tmp_path / "k.dak"
-        dump_kernel(path, kern, label="test")
-        back, header = load_kernel(path)
-        assert np.array_equal(back.mat, kern.mat)
-        assert back.lattice.compatible(small_lattice)
+    def test_roundtrip(self, tmp_path, lorentz_coupling, lorentz_structure):
+        # the header records the lattice, the grid and the format version
+        ham = assemble_hamiltonian(lorentz_coupling, lorentz_structure)
+        path = tmp_path / "h.dak"
+        dump_quadratic_form(path, ham, label="test")
+        _, header = load_quadratic_form(path)
         assert header["label"] == "test"
         assert header["format_version"] == 1
+        lattice = lorentz_coupling.lattice
+        assert (header["n_per_axis"], header["spacing"], header["k0_transverse"]) == (
+            lattice.n_per_axis, lattice.spacing, lattice.k0_transverse)
+        assert header["grid"]["nodes"] == lorentz_coupling.grid.nodes.tolist()
+        assert header["grid"]["eta"] == lorentz_coupling.grid.eta
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.dak"
         path.write_bytes(b"NOTMAGIC\n{}\n")
         with pytest.raises(DampolError):
-            load_kernel(path)
-
-
-class TestCouplingDump:
-    def test_roundtrip(self, tmp_path, lorentz_coupling):
-        path = tmp_path / "c.dak"
-        dump_coupling(path, lorentz_coupling, label="lorentz")
-        back, header = load_coupling(path)
-        assert np.array_equal(back.kernels, lorentz_coupling.kernels)
-        assert np.allclose(back.grid.nodes, lorentz_coupling.grid.nodes)
-        assert back.grid.eta == lorentz_coupling.grid.eta
-
-    def test_kernel_dump_is_not_a_coupling(self, tmp_path, small_lattice):
-        path = tmp_path / "k.dak"
-        dump_kernel(path, TensorKernel.identity(small_lattice))
-        with pytest.raises(DampolError):
-            load_coupling(path)
+            load_quadratic_form(path)
 
 
 class TestQuadraticFormDump:
     def test_roundtrip(self, tmp_path, lorentz_coupling, lorentz_structure):
-        from dampol.oracle import assemble_hamiltonian
-        from dampol.serialize import dump_quadratic_form, load_quadratic_form
         ham = assemble_hamiltonian(lorentz_coupling, lorentz_structure)
         path = tmp_path / "h.dak"
         dump_quadratic_form(path, ham)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dampol.constants import EPS0, HBAR
-from dampol.errors import DampolError, PoleError
+from dampol.errors import PoleError
 from dampol.coupling import (
     CouplingTensor,
     builtin_model,
@@ -18,7 +18,6 @@ from dampol.susceptibility import (
     asymptote_residual,
     chi_asymptotic,
     chi_at,
-    chi_discontinuity,
     discontinuity_at_node,
     symmetry_residuals,
     verify_kramers_kronig,
@@ -85,33 +84,16 @@ class TestDiscontinuity:
         k = 4
         t = random_lagrangian.kernel(k)
         oracle = (2.0j * np.pi * HBAR / EPS0) * (t.T @ t.conj())
-        omega = random_lagrangian.grid.nodes[k]
-        assert chi_discontinuity(random_lagrangian, omega).allclose(oracle, tol=1e-12)
         assert discontinuity_at_node(random_lagrangian, k).allclose(oracle, tol=1e-12)
 
-    def test_outside_support_is_zero(self, lorentz_coupling):
-        grid = lorentz_coupling.grid
-        omega = 0.5 * grid.nodes[0]
-        assert chi_discontinuity(lorentz_coupling, omega).norm() == 0.0
-
-    def test_beyond_cutoff_raises(self, lorentz_coupling):
-        with pytest.raises(DampolError):
-            chi_discontinuity(lorentz_coupling, 2.0 * lorentz_coupling.grid.omega_max)
-        with pytest.raises(PoleError):
-            chi_discontinuity(lorentz_coupling, 0.0)
-
     def test_negative_frequency_mirror(self, random_lagrangian):
-        # evaluate both branches and compare: disc(-w) = conj(disc(w)) = -disc(w).T
-        omega = random_lagrangian.grid.nodes[5]
-        pos = chi_discontinuity(random_lagrangian, omega)
-        neg = chi_discontinuity(random_lagrangian, -omega)
-        assert neg.allclose(pos.conj(), tol=1e-12)
-        assert neg.allclose(-pos.T, tol=1e-12)
+        # the mirror relation disc(-w) = conj(disc(w)) = -disc(w).T at a node
+        disc = discontinuity_at_node(random_lagrangian, 5)
+        assert disc.conj().allclose(-disc.T, tol=1e-12)
 
     def test_lossy_sign(self, random_lagrangian):
         # -i * disc must be positive semidefinite for a lossy medium
-        omega = random_lagrangian.grid.nodes[6]
-        mat = (-1j * chi_discontinuity(random_lagrangian, omega).mat)
+        mat = (-1j * discontinuity_at_node(random_lagrangian, 6).mat)
         evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
         assert evals[0] >= -1e-12 * max(evals[-1], 1e-300)
 
@@ -259,7 +241,7 @@ class TestSusceptibilityObject:
         chi = Susceptibility(random_lagrangian)
         k = 5
         omega = random_lagrangian.grid.nodes[k]
-        jump = chi.on_cut(omega, +1) - chi.on_cut(omega, -1)
+        jump = chi.at(omega + 1j * chi.eta) - chi.at(omega - 1j * chi.eta)
         # finite-eta jump approaches the exact node discontinuity
         exact = discontinuity_at_node(random_lagrangian, k)
         assert jump.norm() > 0.2 * exact.norm()
