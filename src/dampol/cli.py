@@ -25,7 +25,7 @@ from .coupling import (
     coupling_from_lagrangian,
     structure_tensor,
 )
-from .diagonalize import mode_coefficients, momentum_family, streamed_mode_checks, wave_diagnostic
+from .diagonalize import momentum_family, streamed_mode_checks, wave_diagnostic
 from .errors import ConfigError, DampolError, SingularOperatorError
 from .fields import (
     commutator,
@@ -216,11 +216,6 @@ class Pipeline:
         return streamed_mode_checks(self.propagator, self.structure)
 
     @cached_property
-    def modes(self):
-        """Node-pair kernel stacks; only the oracle's explicit rows need them."""
-        return mode_coefficients(self.propagator)
-
-    @cached_property
     def bath(self):
         b = bath_mod.bath_coefficients(self.coupling, self.chi)
         if self.config.violation == "h1_scale":
@@ -387,7 +382,7 @@ def stage_oracle(pipe: Pipeline, out: Path | None = None) -> dict:
     checks.append(pipe.entry("oracle.spectrum_positive",
                              float(spec["n_positive"] != expected_pairs or spec["n_negative"] != expected_pairs),
                              0.0, min_positive=spec["min_positive"]))
-    master = diagonal_form_check(ham, pipe.modes)
+    master = diagonal_form_check(ham, pipe.propagator)
     peak = max(pipe.streamed.max_residual(), 1e-300)
     agreement = abs(np.log(max(master, 1e-300) / peak)) / np.log(3.0)
     checks.append(pipe.entry("oracle.mode_eigen_residual", master, 2.0))
@@ -500,7 +495,7 @@ def refine(config: ScenarioConfig, levels: int) -> int:
             ham = pipe.hamiltonian
             equiv = bath_mod.hamiltonian_equivalence(pipe.coupling, pipe.structure, pipe.bath, ham)
             vals["hamiltonian_forms_weak"] = equiv["weak"]
-            vals["mode_eigen_residual"] = diagonal_form_check(ham, pipe.modes)
+            vals["mode_eigen_residual"] = diagonal_form_check(ham, pipe.propagator)
         for name, value in vals.items():
             seq.setdefault(name, []).append(value)
 

@@ -119,9 +119,6 @@ class CouplingTensor:
     def zero(cls, lattice: Lattice, grid: FrequencyGrid) -> "CouplingTensor":
         return cls(lattice, grid, np.zeros((grid.n_nodes, lattice.dim, lattice.dim), dtype=complex))
 
-    def kernel(self, k: int) -> TensorKernel:
-        return TensorKernel(self.lattice, self.kernels[k])
-
     @cached_property
     def density_stack(self) -> np.ndarray:
         """Per-node spectral densities Ttilde o T*, shape (K, 3M, 3M).

@@ -16,7 +16,8 @@ symbolically so the free-medium sector closes exactly.
 
 Two-frequency identities hold distributionally, so their residuals are
 reported in frequency-averaged (weak) form: the pair index is summed
-against smooth profiles before taking norms.
+against smooth profiles before taking norms, every profile at once: the
+profiles are the leading axis of each smeared array.
 
 Every family is built from the per-node formulas of `_NodeKernels`, read
 from one `green.NodePropagator`: the propagator at every node just below
@@ -27,8 +28,9 @@ production route, factorizes the pair rows into a per-node transfer
 kernel, a (K, K) frequency factor and the coupling, so every sum over the
 pair index is a (K, K) @ (K, d^2) GEMM and no pair row is ever formed:
 O(K^2 d^2 + K d^3) time and O(K d^2) memory.  `fano_residual`, the
-reference, sums the 2 K^2 d^2 pair families of `mode_coefficients`, whose
-explicit rows also serve the assembled-Hamiltonian oracle.
+tests' reference, sums the 2 K^2 d^2 pair families that `mode_coefficients`
+stacks.  The assembled-Hamiltonian oracle reads the explicit rows one node
+at a time from `node_families`, so no production path holds those stacks.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ SMEAR_PROFILES = {
 }
 
 
-def smear_profiles(grid: FrequencyGrid) -> dict:
-    """Every smearing profile at the grid nodes, by name."""
+def smear_profiles(grid: FrequencyGrid) -> np.ndarray:
+    """Every smearing profile at the grid nodes, (P, K) in `SMEAR_PROFILES` order."""
     x = grid.nodes / grid.omega_max
-    return {name: fn(x) for name, fn in SMEAR_PROFILES.items()}
+    return np.array([fn(x) for fn in SMEAR_PROFILES.values()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +68,6 @@ class ModeCoefficients:
     momentum: np.ndarray       # (K, d, d)
     resonant: np.ndarray       # (K, K, d, d), regular part only
     antiresonant: np.ndarray   # (K, K, d, d)
-    eta: float
 
 
 class _NodeKernels:
@@ -132,21 +133,21 @@ def momentum_family(prop: NodePropagator) -> np.ndarray:
     return momentum
 
 
-def mode_coefficients(prop: NodePropagator) -> ModeCoefficients:
-    """Assemble the four coefficient families, node-pair stacks included."""
+def node_families(prop: NodePropagator):
+    """Per node k, in order: its potential and momentum kernels (d, d) and its
+    resonant (regular part) and antiresonant rows (K, d, d)."""
     rows = _NodeKernels(prop)
-    grid, lattice = rows.grid, rows.lattice
-    K, d = grid.n_nodes, lattice.dim
-    potential = np.empty((K, d, d), dtype=complex)
-    momentum = np.empty((K, d, d), dtype=complex)
-    resonant = np.empty((K, K, d, d), dtype=complex)
-    antiresonant = np.empty((K, K, d, d), dtype=complex)
-    for k in range(K):
-        x, xt, potential[k], momentum[k] = rows.families(k)
-        resonant[k], antiresonant[k] = rows.pair_rows(k, x, xt)
-    return ModeCoefficients(lattice=lattice, grid=grid, potential=potential,
-                            momentum=momentum, resonant=resonant,
-                            antiresonant=antiresonant, eta=grid.eta)
+    for k in range(rows.grid.n_nodes):
+        x, xt, pot, mom = rows.families(k)
+        yield (pot, mom, *rows.pair_rows(k, x, xt))
+
+
+def mode_coefficients(prop: NodePropagator) -> ModeCoefficients:
+    """The four coefficient families stacked over the nodes, node-pair stacks included."""
+    potential, momentum, resonant, antiresonant = map(np.stack, zip(*node_families(prop)))
+    return ModeCoefficients(lattice=prop.coupling.lattice, grid=prop.coupling.grid,
+                            potential=potential, momentum=momentum, resonant=resonant,
+                            antiresonant=antiresonant)
 
 
 def wave_diagnostic(prop: NodePropagator) -> float:
@@ -198,6 +199,11 @@ class ModeChecks:
                    max(self.resonant.values()), max(self.antiresonant.values()))
 
 
+def _sq_norms(stack: np.ndarray) -> np.ndarray:
+    """The squared Frobenius norm of each matrix of a stack."""
+    return np.array([np.linalg.norm(m) ** 2 for m in stack])
+
+
 class _ModeCheckSums:
     """The one definition of every `ModeChecks` identity, fed node by node.
 
@@ -209,14 +215,14 @@ class _ModeCheckSums:
         wave  = v sum_l q_l w_l [resonant[k, l] T*(w_l) - antiresonant[k, l] T(w_l)]
         brace = v sum_l q_l     [resonant[k, l] T*(w_l) + antiresonant[k, l] T(w_l)]
 
-    and, one smear profile at a time with phi_l = q_l profile(w_l), pairs of
-    the profile's name and the tuple
+    and, with phi[p, l] = q_l profile_p(w_l) for the smear profiles in
+    `SMEAR_PROFILES` order, the four (P, d, d) smeared pair sums
 
         (sum_l phi_l resonant[k, l],     sum_l phi_l (w_l - w_k) resonant[k, l],
          sum_l phi_l antiresonant[k, l], sum_l phi_l (w_l + w_k) antiresonant[k, l]).
 
-    `finish` takes the families smeared over k, s3[l] = sum_k phi_k
-    resonant[k, l] and s4[l] likewise for the antiresonant family.
+    `finish` takes the (P, K, d, d) families smeared over k, s3[p, l] =
+    sum_k phi[p, k] resonant[k, l] and s4 likewise for the antiresonant one.
 
     Residuals use one global normalization, the quadrature norm of the
     residuals over the same norm of the scales, rather than per-node ratios:
@@ -236,26 +242,23 @@ class _ModeCheckSums:
         self.grid, self.lattice, self.kernels = grid, lattice, coupling.kernels
         self.eye_v = np.eye(d) / lattice.cell_volume
         self.f_pt = structure.kernel.mat @ lattice.transverse_matrix
+        self.names = list(SMEAR_PROFILES)
         self.profiles = smear_profiles(grid)
-        self.phi = {n: grid.weights * p for n, p in self.profiles.items()}
-        self.pairs = [(a, b) for a in self.profiles for b in self.profiles if a != b]
-        # per profile: sum_l phi_l T_l^T, sum_l phi_l w_l T_l^T and their conjugates
+        self.phi = grid.weights * self.profiles
+        P = len(self.names)
+        self.pairs = [(a, b) for a in range(P) for b in range(P) if a != b]
+        # sum_l phi_l T_l^T, sum_l phi_l w_l T_l^T and their conjugates, (P, d, d) each
         t_flat = coupling.kernels.reshape(K, d * d)
-        self.t_sm = {}
-        for n, phi in self.phi.items():
-            t_sm = (phi @ t_flat).reshape(d, d).T
-            t_sm_w = (phi * grid.nodes @ t_flat).reshape(d, d).T
-            self.t_sm[n] = (t_sm, t_sm_w, t_sm.conj(), t_sm_w.conj())
-
-        def zeros(keys):
-            return {n: np.zeros((d, d), dtype=complex) for n in keys}
-        self.f1s, self.f2s, self.r_sum = (zeros(self.profiles) for _ in range(3))
-        self.f4_sum = zeros(self.pairs)
+        t_sm, t_sm_w = ((phi[:, None] @ t_flat).reshape(P, d, d).transpose(0, 2, 1)
+                        for phi in (self.phi, self.phi * grid.nodes))
+        self.t_sm = (t_sm, t_sm_w, t_sm.conj(), t_sm_w.conj())
+        self.f1s, self.f2s, self.r_sum = (np.zeros((P, d, d), dtype=complex) for _ in range(3))
+        self.f4_sum = np.zeros((P, P, d, d), dtype=complex)
         self.sq = dict.fromkeys(("ratio_n", "ratio_d", "wave_n", "wave_d"), 0.0)
-        self.res_n, self.res_d, self.anti_n = ({n: 0.0 for n in self.profiles} for _ in range(3))
+        self.res_n, self.res_d, self.anti_n = (np.zeros(P) for _ in range(3))
 
     def add(self, k: int, pot: np.ndarray, mom: np.ndarray, wave: np.ndarray,
-            brace: np.ndarray, smeared):
+            brace: np.ndarray, smeared: tuple):
         lattice, sq = self.lattice, self.sq
         v = lattice.cell_volume
         om, wk = self.grid.nodes[k], self.grid.weights[k]
@@ -273,33 +276,30 @@ class _ModeCheckSums:
         sq["wave_n"] += wk * np.linalg.norm(term - rhs) ** 2
         sq["wave_d"] += wk * np.linalg.norm(rhs) ** 2
 
-        # two-frequency relations in weak form; the Kronecker parts of the
-        # resonant family cancel between the two sides exactly
+        # two-frequency relations in weak form, every profile at once; the
+        # Kronecker parts of the resonant family cancel between the two sides exactly
         brace = (brace + tck) @ lattice.longitudinal_matrix
-        anti_sum = {}
-        for n, (res_sum, omdiff, anti, omsum) in smeared:
-            p, (t_sm, t_sm_w, tc_sm, tc_sm_w) = self.profiles[n], self.t_sm[n]
-            anti_sum[n] = anti
-            r35 = (-1j * HBAR * v * mom @ t_sm_w + omdiff
-                   + (HBAR / EPS0) * v * brace @ t_sm)
-            rhs35 = om * (p[k] * self.eye_v + res_sum)
-            self.res_n[n] += wk * np.linalg.norm(r35) ** 2
-            self.res_d[n] += wk * np.linalg.norm(rhs35) ** 2
-            r36 = (-1j * HBAR * v * mom @ tc_sm_w - omsum
-                   - (HBAR / EPS0) * v * brace @ tc_sm)
-            self.anti_n[n] += wk * np.linalg.norm(r36) ** 2
+        res_sum, omdiff, anti, omsum = smeared
+        t_sm, t_sm_w, tc_sm, tc_sm_w = self.t_sm
+        r35 = (-1j * HBAR * v * mom @ t_sm_w + omdiff
+               + (HBAR / EPS0) * v * brace @ t_sm)
+        rhs35 = om * (self.profiles[:, k, None, None] * self.eye_v + res_sum)
+        self.res_n += wk * _sq_norms(r35)
+        self.res_d += wk * _sq_norms(rhs35)
+        r36 = (-1j * HBAR * v * mom @ tc_sm_w - omsum
+               - (HBAR / EPS0) * v * brace @ tc_sm)
+        self.anti_n += wk * _sq_norms(r36)
 
-            phi = self.phi[n][k]
-            self.f1s[n] += phi * pot
-            self.f2s[n] += phi * mom
-            self.r_sum[n] += phi * res_sum
-        for (a, b) in self.pairs:
-            self.f4_sum[(a, b)] += self.phi[a][k] * anti_sum[b]
+        phi = self.phi[:, k, None, None]
+        self.f1s += phi * pot
+        self.f2s += phi * mom
+        self.r_sum += phi * res_sum
+        self.f4_sum += phi[:, None] * anti   # [a, b] += phi[a, k] anti[b]
 
-    def finish(self, s3: dict, s4: dict) -> ModeChecks:
+    def finish(self, s3: np.ndarray, s4: np.ndarray) -> ModeChecks:
         """The commutator norms from the k-smeared families, and every residual."""
         v, w, d = self.lattice.cell_volume, self.grid.weights, self.lattice.dim
-        f1s, f2s, r_sum, f4_sum = self.f1s, self.f2s, self.r_sum, self.f4_sum
+        f1s, f2s, r_sum, f4_sum, names = self.f1s, self.f2s, self.r_sum, self.f4_sum, self.names
 
         def relative(dev, a, b):
             """Norm of dev over the smeared exact part, profiles a and b."""
@@ -307,30 +307,30 @@ class _ModeCheckSums:
             return v * np.linalg.norm(dev) / max(v * np.linalg.norm(expected), 1e-300)
 
         commutation = {}
-        for n in self.profiles:
-            dev = 1j * HBAR * v * (f1s[n] @ f2s[n].conj().T - f2s[n] @ f1s[n].conj().T)
-            dev = dev + r_sum[n] + r_sum[n].conj().T
-            dev = dev + v * pair_contract(w, s3[n], s3[n].conj())
-            dev = dev - v * pair_contract(w, s4[n], s4[n].conj())
-            commutation[n] = relative(dev, n, n)
+        for p, n in enumerate(names):
+            dev = 1j * HBAR * v * (f1s[p] @ f2s[p].conj().T - f2s[p] @ f1s[p].conj().T)
+            dev = dev + r_sum[p] + r_sum[p].conj().T
+            dev = dev + v * pair_contract(w, s3[p], s3[p].conj())
+            dev = dev - v * pair_contract(w, s4[p], s4[p].conj())
+            commutation[n] = relative(dev, p, p)
 
         annihilator = {}
         for (a, b) in self.pairs:
             dev = 1j * HBAR * v * (f1s[a] @ f2s[b].T - f2s[a] @ f1s[b].T)
-            dev = dev + f4_sum[(b, a)].T - f4_sum[(a, b)]
+            dev = dev + f4_sum[b, a].T - f4_sum[a, b]
             dev = dev + v * pair_contract(w, s3[a], s4[b])
             dev = dev - v * pair_contract(w, s4[a], s3[b])
-            annihilator[f"{a}*{b}"] = relative(dev, a, b)
+            annihilator[f"{names[a]}*{names[b]}"] = relative(dev, a, b)
 
         def ratio(num, den):
-            return float(np.sqrt(num / max(den, 1e-300)))
+            return np.sqrt(num / np.maximum(den, 1e-300)).tolist()
 
         sq = self.sq
         return ModeChecks(
             potential_ratio=ratio(sq["ratio_n"], sq["ratio_d"]),
             wave=ratio(sq["wave_n"], sq["wave_d"]),
-            resonant={n: ratio(self.res_n[n], self.res_d[n]) for n in self.profiles},
-            antiresonant={n: ratio(self.anti_n[n], self.res_d[n]) for n in self.profiles},
+            resonant=dict(zip(names, ratio(self.res_n, self.res_d))),
+            antiresonant=dict(zip(names, ratio(self.anti_n, self.res_d))),
             commutation=commutation,
             annihilator=annihilator,
         )
@@ -348,16 +348,15 @@ def fano_residual(modes: ModeCoefficients, coupling: CouplingTensor,
     t, tc_t = coupling.kernels, coupling.kernels.conj().transpose(0, 2, 1)
     t_t = t.transpose(0, 2, 1)
     sums = _ModeCheckSums(coupling, structure)
+    phi = sums.phi
     for k in range(grid.n_nodes):
         res, anti = modes.resonant[k], modes.antiresonant[k]
         wave = v * (pair_contract(w * nodes, res, tc_t) - pair_contract(w * nodes, anti, t_t))
         brace = v * (pair_contract(w, res, tc_t) + pair_contract(w, anti, t_t))
-        smeared = ((n, (np.tensordot(phi, res, 1), np.tensordot(phi * (nodes - nodes[k]), res, 1),
-                        np.tensordot(phi, anti, 1), np.tensordot(phi * (nodes + nodes[k]), anti, 1)))
-                   for n, phi in sums.phi.items())
+        smeared = (np.tensordot(phi, res, 1), np.tensordot(phi * (nodes - nodes[k]), res, 1),
+                   np.tensordot(phi, anti, 1), np.tensordot(phi * (nodes + nodes[k]), anti, 1))
         sums.add(k, modes.potential[k], modes.momentum[k], wave, brace, smeared)
-    return sums.finish({n: np.tensordot(phi, modes.resonant, 1) for n, phi in sums.phi.items()},
-                       {n: np.tensordot(phi, modes.antiresonant, 1) for n, phi in sums.phi.items()})
+    return sums.finish(np.tensordot(phi, modes.resonant, 1), np.tensordot(phi, modes.antiresonant, 1))
 
 
 def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> ModeChecks:
@@ -371,9 +370,10 @@ def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> Mo
 
     with Q_l = T_l^T M_l (T_l^H M_l and `anti` for the antiresonant rows): one
     (K, K) @ (K, d^2) GEMM per coefficient matrix, formed from the coupling
-    alone before the node loop.  The smeared families summed over k follow
-    the same way from (phi * pole)^T @ X.  Cost O(K^2 d^2 + K d^3); only X,
-    the coupling and the GEMM results are held as (K, d, d) stacks.
+    alone before the node loop, the smear profiles a leading axis filled
+    one profile at a time.  The smeared families summed over k follow the
+    same way from (phi * pole)^T @ X.  Cost O(K^2 d^2 + K d^3); only X, the
+    coupling and the GEMM results are held as (K, d, d) stacks.
     """
     rows = _NodeKernels(prop)
     coupling = prop.coupling
@@ -383,6 +383,8 @@ def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> Mo
     c = MU0 * HBAR * v
     pole, anti = rows.pole, rows.anti
     sums = _ModeCheckSums(coupling, structure)
+    phi, (t_sm, t_sm_w, tc_sm, tc_sm_w) = sums.phi, sums.t_sm
+    P = len(phi)
     t = coupling.kernels
     t_flat = t.reshape(K, d * d)
 
@@ -400,47 +402,52 @@ def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> Mo
     g_brace = gemm(w * pole, q3) - gemm(w * anti, q4)
     del q3, q4
 
-    # per profile, M_l = identity: [row sum, omdiff] over T^T, [row sum, omsum] over T^H;
-    # the antiresonant coefficients are real, so their sums over T* are the
-    # conjugated sums over T, conjugated in place to hold no second stack
+    # M_l = identity, per profile: [row sum, omdiff] over T^T, [row sum, omsum]
+    # over T^H; the antiresonant coefficients are real, so their sums over T*
+    # are the conjugated sums over T, conjugated in place to hold no second stack
     gap = nodes[None, :] - nodes[:, None]   # (k, l) -> w_l - w_k
     tot = nodes[None, :] + nodes[:, None]
-    g_res = {n: gemm(np.stack([phi * pole, phi * gap * pole]), t_flat)
-             for n, phi in sums.phi.items()}
-    g_anti = {n: gemm(np.stack([phi * anti, phi * tot * anti]), t_flat)
-              for n, phi in sums.phi.items()}
-    for g in g_anti.values():
-        np.conj(g, out=g)
+    g_res = np.empty((P, 2, K, d, d), dtype=complex)
+    g_anti = np.empty_like(g_res)
+    coeff = np.empty((2, K, K), dtype=complex)   # one profile at a time: all at once raise the peak
+    for p, ph in enumerate(phi):
+        for g, f, shift in ((g_res, pole, gap), (g_anti, anti, tot)):
+            np.multiply(ph, f, out=coeff[0])
+            np.multiply(ph * shift, f, out=coeff[1])
+            np.matmul(coeff, t_flat, out=g[p].reshape(2, K, -1))
+    del coeff, g   # g names g_anti, which must be freeable after the node loop
+    np.conj(g_anti, out=g_anti)
 
     def smeared(k, xk, xtk):
-        """The four smeared pair sums of node k, formed one profile at a time."""
+        """The four smeared pair sums of node k, (P, d, d) each."""
         om = nodes[k]
-        for n, (t_sm, t_sm_w, tc_sm, tc_sm_w) in sums.t_sm.items():
-            yield n, (c * (xk @ g_res[n][0, k].T - om * xtk @ t_sm),
-                      c * (xk @ g_res[n][1, k].T - om * xtk @ (t_sm_w - om * t_sm)),
-                      c * (om * xtk @ tc_sm - xk @ g_anti[n][0, k].T),
-                      c * (om * xtk @ (tc_sm_w + om * tc_sm) - xk @ g_anti[n][1, k].T))
+        res = xk @ g_res[:, :, k].swapaxes(-1, -2)
+        ant = xk @ g_anti[:, :, k].swapaxes(-1, -2)
+        return (c * (res[:, 0] - om * xtk @ t_sm),
+                c * (res[:, 1] - om * xtk @ (t_sm_w - om * t_sm)),
+                c * (om * xtk @ tc_sm - ant[:, 0]),
+                c * (om * xtk @ (tc_sm_w + om * tc_sm) - ant[:, 1]))
 
     x_stack = np.empty((K, d, d), dtype=complex)
-    y = {n: np.zeros((d, d), dtype=complex) for n in sums.phi}   # sum_k phi_k w_k Xt_k
+    y = np.zeros((P, d, d), dtype=complex)   # sum_k phi_k w_k Xt_k
     for k in range(K):
         om = nodes[k]
         xk, xtk, pot, mom = rows.families(k)
         x_stack[k] = xk
-        for n, phi in sums.phi.items():
-            y[n] += (phi[k] * om) * xtk
+        y += (phi[:, k, None, None] * om) * xtk
         sums.add(k, pot, mom, v * c * (xk @ g_wave[k] - om * xtk @ s_wave),
                  v * c * (xk @ g_brace[k] + om * xtk @ s_brace), smeared(k, xk, xtk))
     del g_wave, g_brace, g_res, g_anti
 
-    # s3[l] = sum_k phi_k resonant[k, l], s4 likewise
+    # s3[p, l] = sum_k phi[p, k] resonant[k, l], s4 likewise
     x_flat = x_stack.reshape(K, d * d)
     t_t = t.transpose(0, 2, 1)
     t_h = t_t.conj()
-    s3 = {n: (c * (gemm((phi[:, None] * pole).T, x_flat) - y[n])) @ t_t
-          for n, phi in sums.phi.items()}
-    s4 = {n: (c * (y[n] - gemm((phi[:, None] * anti).T, x_flat))) @ t_h
-          for n, phi in sums.phi.items()}
+    s3 = np.empty((P, K, d, d), dtype=complex)
+    s4 = np.empty_like(s3)
+    for p, ph in enumerate(phi):
+        np.matmul(c * (gemm((ph[:, None] * pole).T, x_flat) - y[p]), t_t, out=s3[p])
+        np.matmul(c * (y[p] - gemm((ph[:, None] * anti).T, x_flat)), t_h, out=s4[p])
     return sums.finish(s3, s4)
 
 

@@ -51,11 +51,6 @@ class LinearBosonicForm:
         return replace(self, alpha=self.beta.conj(), beta=self.alpha.conj(),
                        label=self.label + "^dag")
 
-    def hermiticity_defect(self) -> float:
-        """Relative size of beta - conj(alpha); zero for Hermitian fields."""
-        scale = max(np.linalg.norm(self.alpha), 1e-300)
-        return float(np.linalg.norm(self.beta - self.alpha.conj()) / scale)
-
     def __add__(self, other: "LinearBosonicForm") -> "LinearBosonicForm":
         self._check(other)
         return replace(self, alpha=self.alpha + other.alpha, beta=self.beta + other.beta,

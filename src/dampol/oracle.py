@@ -11,9 +11,10 @@ every Heisenberg equation and mode identity reduces to matrix algebra with
 the dynamical matrix built from h and the commutation structure.  Only
 `QuadraticHamiltonian` knows this layout: the medium operators keep their one
 definition as forms over the medium modes (`fields.py`, `bath.py`), and
-`QuadraticHamiltonian.ladder_rows` places a form's coefficients.  Nothing
-here uses the propagator or the analytic mode formulas, which is what makes
-the checks in this module an independent route.
+`QuadraticHamiltonian.ladder_rows` places a form's coefficients.  The
+assembly, Heisenberg equations and spectrum use neither the propagator nor
+the analytic mode formulas, so they are an independent route; the master
+check tests those formulas against it, one node's kernels at a time.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import numpy as np
 
 from .constants import EPS0, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
-from .diagonalize import ModeCoefficients, smear_profiles
+from .diagonalize import node_families, smear_profiles
 from .errors import ConfigError, DampolError
 from .fields import medium_mode_form, medium_momentum_form, medium_polarization_form
+from .green import NodePropagator
 from .lattice import FrequencyGrid, Lattice
 
 #: largest canonical dimension the dense oracle assembles; one dim x dim
@@ -199,19 +201,15 @@ class QuadraticHamiltonian:
         its residual rows are paired against smooth frequency profiles,
         mirroring the weak-form residuals of the defining equations.
         """
-        grid, d, v = self.grid, self.lattice.dim, self.lattice.cell_volume
-        profs = list(smear_profiles(grid).values())
-        n_prof = len(profs)
-        cols = np.zeros((self.dim, 2 * self.mt + 2 * n_prof * d))
-        cols[self.slice_a, :self.mt] = np.eye(self.mt)
-        cols[self.slice_p, self.mt:2 * self.mt] = np.eye(self.mt)
-        for p, prof in enumerate(profs):
-            for l in range(grid.n_nodes):
-                scale = np.sqrt(grid.weights[l] / v) * prof[l]
-                base = 2 * self.mt + p * d
-                cols[self.slice_c(l), base:base + d] = scale * np.eye(d)
-                base = 2 * self.mt + (n_prof + p) * d
-                cols[self.slice_cdag(l), base:base + d] = scale * np.eye(d)
+        grid, d, base = self.grid, self.lattice.dim, 2 * self.mt
+        scale = np.sqrt(grid.weights / self.lattice.cell_volume) * smear_profiles(grid)
+        n_ladder, n_cols = grid.n_nodes * d, len(scale) * d
+        # block (l, p) of either ladder sector: sqrt(q_l / v) profile_p(w_l) times the identity
+        ladder = np.kron(scale.T, np.eye(d))
+        cols = np.zeros((self.dim, base + 2 * n_cols))
+        cols[:base, :base] = np.eye(base)
+        cols[base:base + n_ladder, base:base + n_cols] = ladder
+        cols[base + n_ladder:, base + n_cols:] = ladder
         return cols
 
     def hc_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -345,30 +343,31 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
 # -- diagonal-form master check ---------------------------------------------
 
 
-def mode_rows(ham: QuadraticHamiltonian, modes: ModeCoefficients, k: int) -> np.ndarray:
-    """Canonical rows of the diagonalizing annihilator at node k."""
+def mode_rows(ham: QuadraticHamiltonian, k: int, potential: np.ndarray, momentum: np.ndarray,
+              resonant: np.ndarray, antiresonant: np.ndarray) -> np.ndarray:
+    """Canonical rows of the diagonalizing annihilator at node k, from its four families."""
     lattice = ham.lattice
     v = lattice.cell_volume
     sqv = np.sqrt(v)
     phi = lattice.transverse_basis
-    rows = ham.ladder_rows(modes.resonant[k], modes.antiresonant[k])
-    rows[:, ham.slice_a] = sqv * modes.potential[k] @ phi
-    rows[:, ham.slice_p] = sqv * modes.momentum[k] @ phi
+    rows = ham.ladder_rows(resonant, antiresonant)
+    rows[:, ham.slice_a] = sqv * potential @ phi
+    rows[:, ham.slice_p] = sqv * momentum @ phi
     rows[:, ham.slice_c(k)] += np.eye(lattice.dim) / np.sqrt(v * ham.grid.weights[k])
     return rows
 
 
-def diagonal_form_check(ham: QuadraticHamiltonian, modes: ModeCoefficients) -> float:
+def diagonal_form_check(ham: QuadraticHamiltonian, prop: NodePropagator) -> float:
     """Weak-form residual of [C(w_k), H] = hbar w_k C(w_k) over all nodes.
 
     This is the master identity equivalent to the four defining equations at
     once, evaluated through the assembled Hamiltonian rather than through
-    kernel arithmetic.  The residual rows are split by canonical sector and
-    each sector is normalized by its own right-hand-side size (the creator
-    sector borrows the annihilator sector's scale, which carries the exact
-    singular part); the reported value is the worst sector.  This mirrors
-    how the kernel-route residuals are normalized, so the two routes are
-    directly comparable.
+    kernel arithmetic, one node's kernels at a time.  The residual rows are
+    split by canonical sector and each sector is normalized by its own
+    right-hand-side size (the creator sector borrows the annihilator
+    sector's scale, which carries the exact singular part); the reported
+    value is the worst sector.  This mirrors how the kernel-route residuals
+    are normalized, so the two routes are directly comparable.
     """
     grid = ham.grid
     cols = ham.smear_columns()
@@ -382,10 +381,10 @@ def diagonal_form_check(ham: QuadraticHamiltonian, modes: ModeCoefficients) -> f
     }
     num = {g: 0.0 for g in groups}
     den = {g: 0.0 for g in groups}
-    for k in range(grid.n_nodes):
-        rows = mode_rows(ham, modes, k)
-        res = rows @ kdyn_cols - HBAR * grid.nodes[k] * (rows @ cols)
+    for k, families in enumerate(node_families(prop)):
+        rows = mode_rows(ham, k, *families)
         rhs = HBAR * grid.nodes[k] * (rows @ cols)
+        res = rows @ kdyn_cols - rhs
         for g, sl in groups.items():
             num[g] += grid.weights[k] * np.linalg.norm(res[sl]) ** 2
             den[g] += grid.weights[k] * np.linalg.norm(rhs[sl]) ** 2

@@ -119,13 +119,14 @@ def refinement_data():
             coupling = make_coupling(name, K)
             st = structure_tensor(coupling)
             chi = Susceptibility(coupling)
-            modes = mode_coefficients(node_propagator(chi))
+            prop = node_propagator(chi)
             ham = assemble_hamiltonian(coupling, st)
             bath = bath_coefficients(coupling, chi)
             seq["equivalence"].append(
                 hamiltonian_equivalence(coupling, st, bath, ham)["weak"])
-            seq["master"].append(diagonal_form_check(ham, modes))
-            seq["fano_peak"].append(fano_residual(modes, coupling, st).max_residual())
+            seq["master"].append(diagonal_form_check(ham, prop))
+            seq["fano_peak"].append(
+                fano_residual(mode_coefficients(prop), coupling, st).max_residual())
         data[name] = seq
     return data
 

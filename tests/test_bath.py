@@ -159,7 +159,7 @@ class TestHamiltonianForms:
             bath = bath_coefficients(coupling, chi)
             ham = assemble_hamiltonian(coupling, st)
             vals.append(hamiltonian_equivalence(coupling, st, bath, ham))
-        assert vals[0]["hermiticity_defect"] <= 1e-12
+            assert assemble_bath_hamiltonian(coupling, st, bath, ham).hermiticity_defect() <= 1e-12
         assert vals[0]["weak"] / vals[1]["weak"] >= 1.8
 
     def test_bath_form_field_sector_exact(self, bath_setup):

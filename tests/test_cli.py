@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from dampol.cli import EXIT_NUMERICAL, EXIT_PASS, EXIT_USAGE, ScenarioConfig, main, refine, run
+from dampol.cli import (EXIT_NUMERICAL, EXIT_PASS, EXIT_USAGE, STAGES, ScenarioConfig, main, refine,
+                        run)
 from dampol.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -243,7 +244,7 @@ class TestGreenStage:
 def _forbid_stack_route(monkeypatch):
     """Make every binding of the node-pair stack builders fail when called."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("node-pair stacks built outside the oracle")
+        raise AssertionError("node-pair stacks built in a production run")
     for name, mod in list(sys.modules.items()):
         if name == "dampol" or name.startswith("dampol."):
             for attr in ("mode_coefficients", "fano_residual"):
@@ -252,12 +253,22 @@ def _forbid_stack_route(monkeypatch):
 
 
 class TestStackFreeProduction:
-    def test_stages_before_oracle(self, tmp_path, monkeypatch):
+    def test_every_stage(self, tmp_path, monkeypatch):
         _forbid_stack_route(monkeypatch)
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
         cfg.out = str(tmp_path / "o")
         cfg.n_nodes = 8
-        assert run(cfg, stages=["model", "chi", "green", "diag", "fields", "bath"]) == EXIT_PASS
+        assert run(cfg, stages=STAGES) == EXIT_PASS
+        assert read_report(cfg.out, "oracle")["passed"]
+
+    def test_hamiltonian_refine_track(self, tmp_path, monkeypatch):
+        _forbid_stack_route(monkeypatch)
+        cfg = ScenarioConfig.from_file(CONFIG_DIR / "refine.ini")
+        cfg.out = str(tmp_path)
+        cfg.n_nodes = 4
+        assert refine(cfg, 2) in (EXIT_PASS, EXIT_NUMERICAL)
+        assert "refine.mode_eigen_residual" in {
+            c["check_id"] for c in read_report(cfg.out, "refine")["checks"]}
 
     def test_kernels_refine_track(self, tmp_path, monkeypatch):
         _forbid_stack_route(monkeypatch)

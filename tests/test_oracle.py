@@ -15,7 +15,7 @@ from dampol.coupling import (
     random_coupling,
     structure_tensor,
 )
-from dampol.diagonalize import fano_residual, mode_coefficients
+from dampol.diagonalize import fano_residual, mode_coefficients, node_families
 from dampol.fields import medium_mode_form, medium_momentum_form, medium_polarization_form
 from dampol.green import node_propagator
 from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice
@@ -183,7 +183,8 @@ class TestLadderRows:
 
     def test_mode_rows(self, case):
         lat, grid, coupling, st, ham = case
-        modes = mode_coefficients(node_propagator(Susceptibility(coupling)))
+        prop = node_propagator(Susceptibility(coupling))
+        modes = mode_coefficients(prop)
         v, phi = lat.cell_volume, lat.transverse_basis
         for k in range(grid.n_nodes):
             old = np.zeros((lat.dim, ham.dim), dtype=complex)
@@ -194,7 +195,8 @@ class TestLadderRows:
                 old[:, ham.slice_c(l)] += s * modes.resonant[k, l]
                 old[:, ham.slice_cdag(l)] += s * modes.antiresonant[k, l]
             old[:, ham.slice_c(k)] += np.eye(lat.dim) / np.sqrt(v * grid.weights[k])
-            assert np.array_equal(mode_rows(ham, modes, k), old)
+            assert np.array_equal(mode_rows(ham, k, modes.potential[k], modes.momentum[k],
+                                            modes.resonant[k], modes.antiresonant[k]), old)
 
 
 class TestHeisenberg:
@@ -235,14 +237,13 @@ class TestDiagonalForm:
         zero = CouplingTensor.zero(small_lattice, grid)
         st = StructureTensor(kernel=TensorKernel.zero(small_lattice))
         ham = assemble_hamiltonian(zero, st)
-        modes = mode_coefficients(node_propagator(Susceptibility(zero)))
-        assert diagonal_form_check(ham, modes) <= 1e-13
+        assert diagonal_form_check(ham, node_propagator(Susceptibility(zero))) <= 1e-13
 
     def test_matches_kernel_route_within_factor_three(self, lorentz_setup):
         lat, grid, coupling, st, ham = lorentz_setup
-        modes = mode_coefficients(node_propagator(Susceptibility(coupling)))
-        oracle_res = diagonal_form_check(ham, modes)
-        fano = fano_residual(modes, coupling, st)
+        prop = node_propagator(Susceptibility(coupling))
+        oracle_res = diagonal_form_check(ham, prop)
+        fano = fano_residual(mode_coefficients(prop), coupling, st)
         peak = fano.max_residual()
         assert oracle_res <= 3.0 * peak
         assert oracle_res >= peak / 3.0
@@ -255,8 +256,7 @@ class TestDiagonalForm:
             coupling = coupling_from_lagrangian(builtin_model("local_lorentz", lat, grid))
             st = structure_tensor(coupling)
             ham = assemble_hamiltonian(coupling, st)
-            modes = mode_coefficients(node_propagator(Susceptibility(coupling)))
-            vals.append(diagonal_form_check(ham, modes))
+            vals.append(diagonal_form_check(ham, node_propagator(Susceptibility(coupling))))
         assert vals[0] / vals[1] >= 1.5
 
 
@@ -305,8 +305,8 @@ class TestSpectrum:
 
     def test_mode_rows_shape(self, lorentz_setup):
         lat, grid, coupling, st, ham = lorentz_setup
-        modes = mode_coefficients(node_propagator(Susceptibility(coupling)))
-        rows = mode_rows(ham, modes, 0)
+        prop = node_propagator(Susceptibility(coupling))
+        rows = mode_rows(ham, 0, *next(node_families(prop)))
         assert rows.shape == (lat.dim, ham.dim)
 
     @pytest.mark.parametrize("model", ["local_lorentz", "gaussian_nonlocal", "uniaxial_local",

@@ -82,7 +82,7 @@ class TestDiscontinuity:
     def test_node_value_matches_kernel_product(self, random_lagrangian):
         # direct kernel-multiply oracle at a node
         k = 4
-        t = random_lagrangian.kernel(k)
+        t = TensorKernel(random_lagrangian.lattice, random_lagrangian.kernels[k])
         oracle = (2.0j * np.pi * HBAR / EPS0) * (t.T @ t.conj())
         assert discontinuity_at_node(random_lagrangian, k).allclose(oracle, tol=1e-12)
 
