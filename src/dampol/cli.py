@@ -377,7 +377,8 @@ def stage_oracle(pipe: Pipeline, out: Path | None = None) -> dict:
         checks.append(pipe.entry(f"oracle.heisenberg_{name}", value, TOL_EXACT))
     spec = symplectic_spectrum(ham)
     checks.append(pipe.entry("oracle.spectrum_real", spec["max_imag_rel"], 1e-6,
-                             n_zero_modes=spec["n_zero_modes"]))
+                             n_zero_modes=spec["n_zero_modes"], n_sectors=spec["n_sectors"],
+                             sector_leak=spec["sector_leak"]))
     expected_pairs = (ham.dim - spec["n_zero_modes"]) // 2
     checks.append(pipe.entry("oracle.spectrum_positive",
                              float(spec["n_positive"] != expected_pairs or spec["n_negative"] != expected_pairs),

@@ -119,13 +119,18 @@ class Lattice:
         return k / safe[:, None]
 
     @cached_property
-    def transverse_matrix(self) -> np.ndarray:
-        """Orthogonal projector matrix onto the transverse subspace."""
+    def _transverse_blocks(self) -> np.ndarray:
+        """(M, 3, 3) per-k blocks of the transverse projector."""
         khat = self._unit_k
         blocks = np.eye(3)[None, :, :] - khat[:, :, None] * khat[:, None, :]
         zero = np.linalg.norm(self._dkvecs, axis=1) == 0
         blocks[zero] = np.eye(3) if self.k0_transverse else np.zeros((3, 3))
-        return self._real(self._assemble(blocks), "transverse projector")
+        return blocks
+
+    @cached_property
+    def transverse_matrix(self) -> np.ndarray:
+        """Orthogonal projector matrix onto the transverse subspace."""
+        return self._real(self._assemble(self._transverse_blocks), "transverse projector")
 
     @cached_property
     def longitudinal_matrix(self) -> np.ndarray:
@@ -154,11 +159,49 @@ class Lattice:
         return self._real(self._assemble(blocks), "Laplacian")
 
     @cached_property
+    def _conjugate(self) -> np.ndarray:
+        """(M,) index of -kvecs[j], modulo the reciprocal lattice."""
+        n = self.n_per_axis
+        idx = np.indices((n, n, n)).reshape(3, -1)
+        return np.ravel_multi_index((-idx) % n, (n, n, n))
+
+    @cached_property
+    def momentum_sector(self) -> np.ndarray:
+        """(M,) sector label of each `momentum_basis` column: the lower index of {q, -q}."""
+        return np.minimum(np.arange(self.n_sites), self._conjugate)
+
+    @cached_property
+    def momentum_basis(self) -> np.ndarray:
+        """Real orthogonal (M, M) site matrix adapted to the lattice-momentum sectors.
+
+        Column j belongs to wave vector ``kvecs[j]``.  A self-conjugate q
+        (q = -q modulo the reciprocal lattice) has its plane wave, which is
+        real; a pair {q, -q} has sqrt(2) cos(q.r) at the lower index and
+        sqrt(2) sin(q.r) at the higher.  A real translation-invariant
+        operator maps each sector's span into itself.
+        """
+        j, conj = np.arange(self.n_sites), self._conjugate
+        waves = self._phases[:, self.momentum_sector] * np.where(j == conj, 1.0, np.sqrt(2.0))
+        return np.where(j <= conj, waves.real, waves.imag)
+
+    @cached_property
+    def _transverse_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        # column kron(F[:, j], e) for each unit eigenvector e of the 3x3 block at kvecs[j]
+        evals, evecs = np.linalg.eigh(self._transverse_blocks)
+        keep = (evals > 0.5).ravel()
+        cols = np.einsum("rj,jae->raje", self.momentum_basis, evecs).reshape(self.dim, -1)
+        sector = np.repeat(self.momentum_sector, 3)
+        return np.ascontiguousarray(cols[:, keep]), sector[keep]
+
+    @property
     def transverse_basis(self) -> np.ndarray:
-        """Real orthonormal (3M, M_T) basis of the transverse subspace."""
-        evals, evecs = np.linalg.eigh(self.transverse_matrix)
-        cols = evecs[:, evals > 0.5]
-        return np.ascontiguousarray(cols)
+        """Real orthonormal (3M, M_T) basis of the transverse subspace, one sector per column."""
+        return self._transverse_columns[0]
+
+    @property
+    def transverse_sector(self) -> np.ndarray:
+        """(M_T,) `momentum_sector` label of each `transverse_basis` column."""
+        return self._transverse_columns[1]
 
     def compatible(self, other: "Lattice") -> bool:
         return (

@@ -39,6 +39,13 @@ MAX_CANONICAL_DIM = 4000
 #: relative dagger-Hermiticity defect a quadratic form may carry
 HERMITICITY_TOL = 1e-12
 
+#: largest off-sector part of the momentum-rotated R, relative to R, for
+#: which the spectrum is solved sector by sector
+SECTOR_LEAK_TOL = 1e-13
+
+#: eigenvalues smaller than this fraction of the largest are zero modes
+ZERO_MODE_TOL = 1e-6
+
 
 def canonical_dim(lattice: Lattice, n_nodes: int) -> int:
     """Size of the canonical basis (a, p, c, c^dag) on a lattice with n_nodes nodes."""
@@ -288,10 +295,6 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     def ddt(rows):
         return (-1j / HBAR) * ham.commutator_rows(rows)
 
-    def medium_rows(k):
-        cm = medium_mode_form(coupling, k)
-        return ham.ladder_rows(cm.alpha, cm.beta)
-
     # potential rate
     rhs = u_pi / EPS0
     out["potential_rate"] = _rel(ddt(u_a) - rhs, rhs)
@@ -301,29 +304,27 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
         + HBAR * v * pt @ fmat @ u_w - HBAR * v * pt @ fmat @ u_a
     out["momentum_rate"] = _rel(ddt(u_pi) - rhs, rhs)
 
-    # medium-mode rate, worst node
+    # medium-mode rate at the worst node, and the node sums of the
+    # polarization rate, whose last term must vanish through the coupling
+    # constraint and is also reported alone
     worst = 0.0
     long_p = pl @ u_p
-    for k in range(K):
-        u_c = medium_rows(k)
-        om = grid.nodes[k]
-        rhs = -1j * om * u_c \
-            - 1j * om * v * coupling.kernels[k].conj() @ u_a \
-            + (1.0 / EPS0) * v * coupling.kernels[k].conj() @ long_p
-        worst = max(worst, _rel(ddt(u_c) - rhs, rhs))
-    out["medium_rate"] = worst
-
-    # polarization rate; the last term must vanish through the coupling
-    # constraint and is also reported alone
     t1 = np.zeros_like(u_p)
     t2 = np.zeros_like(u_p)
     finv = structure.inverse.mat
     for k in range(K):
+        cm = medium_mode_form(coupling, k)
+        u_c = ham.ladder_rows(cm.alpha, cm.beta)
         wk, om = grid.weights[k], grid.nodes[k]
-        t1 += -HBAR * wk * om * v * coupling.kernels[k].T @ medium_rows(k)
+        rhs = -1j * om * u_c \
+            - 1j * om * v * coupling.kernels[k].conj() @ u_a \
+            + (1.0 / EPS0) * v * coupling.kernels[k].conj() @ long_p
+        worst = max(worst, _rel(ddt(u_c) - rhs, rhs))
+        t1 += -HBAR * wk * om * v * coupling.kernels[k].T @ u_c
         s_bar = v * coupling.kernels[k].conj() @ finv    # conj of the momentum coefficient
         chain = v**2 * coupling.kernels[k].T @ s_bar @ fmat
         t2 += -HBAR * wk * om * v * chain @ u_a
+    out["medium_rate"] = worst
     # P is Hermitian, so the last term (-i hbar/eps0) v s_0 P_L P plus its adjoint reads only Im s_0
     t3 = (HBAR / EPS0) * v * coupling.moments.imag0 @ pl @ u_p
     rhs_half = t1 + t2 + t3
@@ -424,23 +425,51 @@ def quadrature_matrix(ham: QuadraticHamiltonian) -> tuple[np.ndarray, float]:
     return r, float(np.sqrt(lost_sq) / max(np.linalg.norm(r), 1e-300))
 
 
-def mode_frequencies(ham: QuadraticHamiltonian) -> np.ndarray:
+def mode_frequencies(ham: QuadraticHamiltonian) -> tuple[np.ndarray, int, float]:
     """Every eigenvalue of K / hbar, from the real quadrature-basis matrix.
 
-    The solver is the general nonsymmetric one, so complex frequencies of
-    an unstable form still show.  A form that is not dagger-Hermitian has
-    no real quadrature matrix and raises instead of losing its imaginary
-    part.
+    Each ladder quadrature block of R is rotated from lattice sites to the
+    real `Lattice.momentum_basis`, one block at a time, in place.  A
+    translation-invariant form then couples no two momentum sectors, and
+    each sector is solved alone.  When the off-sector part of the rotated R
+    exceeds `SECTOR_LEAK_TOL` relative to R, as for a random coupling, the
+    whole matrix is one group instead.  The solver is the general
+    nonsymmetric one, so complex frequencies of an unstable form still
+    show.  A form that is not dagger-Hermitian has no real quadrature
+    matrix and raises instead of losing its imaginary part.  Returns the
+    eigenvalues, the number of groups solved and the relative off-sector
+    norm.
     """
     r, imag_rel = quadrature_matrix(ham)
     if imag_rel > HERMITICITY_TOL:
         raise DampolError(
             f"quadratic form is not dagger-Hermitian: its quadrature-basis dynamical matrix "
             f"has an imaginary part {imag_rel:.3e} relative to R (limit {HERMITICITY_TOL:g})")
-    return 1j * np.linalg.eigvals(r) / HBAR
+    lattice = ham.lattice
+    f, d, m = lattice.momentum_basis, lattice.dim, lattice.n_sites
+    for start in range(2 * ham.mt, ham.dim, d):
+        blk = slice(start, start + d)
+        r[blk] = (f.T @ r[blk].reshape(m, -1)).reshape(d, -1)
+        rotated = r[:, blk].reshape(-1, m, 3).transpose(0, 2, 1) @ f
+        r[:, blk] = rotated.transpose(0, 2, 1).reshape(-1, d)
+    # a and p follow the transverse basis; each rotated ladder block is (momentum column, component)
+    labels = np.concatenate([lattice.transverse_sector, lattice.transverse_sector,
+                             np.tile(np.repeat(lattice.momentum_sector, 3), 2 * ham.grid.n_nodes)])
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    off_sq = 0.0
+    for g in groups:
+        rows = r[g]
+        rows[:, g] = 0.0
+        off_sq += float(np.vdot(rows, rows))
+    leak = float(np.sqrt(off_sq) / max(np.linalg.norm(r), 1e-300))
+    if leak > SECTOR_LEAK_TOL:
+        groups = [np.arange(ham.dim)]
+    evals = np.concatenate([np.linalg.eigvals(r[np.ix_(g, g)]) for g in groups])
+    return 1j * evals / HBAR, len(groups), leak
 
 
-def symplectic_spectrum(ham: QuadraticHamiltonian, zero_tol: float = 1e-6) -> dict:
+def symplectic_spectrum(ham: QuadraticHamiltonian) -> dict:
     """Eigenvalues of the dynamical matrix: the discrete mode frequencies.
 
     For a stable quadratic form the spectrum is real and comes in opposite
@@ -450,11 +479,11 @@ def symplectic_spectrum(ham: QuadraticHamiltonian, zero_tol: float = 1e-6) -> di
     structural zero modes; they are counted separately, not as
     instabilities.  Their Jordan structure makes the numerical eigenvalues
     scatter at the square root of machine precision, hence the loose
-    `zero_tol`.
+    `ZERO_MODE_TOL`.  The scale and the counts are taken over all sectors.
     """
-    evals = mode_frequencies(ham)
+    evals, n_sectors, leak = mode_frequencies(ham)
     scale = max(np.max(np.abs(evals)), 1e-300)
-    nonzero = evals[np.abs(evals) > zero_tol * scale]
+    nonzero = evals[np.abs(evals) > ZERO_MODE_TOL * scale]
     max_imag = float(np.max(np.abs(nonzero.imag)) / scale) if nonzero.size else 0.0
     pos = np.sort(nonzero.real[nonzero.real > 0])
     return {
@@ -464,4 +493,6 @@ def symplectic_spectrum(ham: QuadraticHamiltonian, zero_tol: float = 1e-6) -> di
         "n_positive": int(pos.size),
         "n_zero_modes": int(evals.size - nonzero.size),
         "n_negative": int(np.sum(nonzero.real < 0)),
+        "n_sectors": n_sectors,
+        "sector_leak": leak,
     }

@@ -92,6 +92,29 @@ class TestRealOperators:
         assert np.linalg.norm(gap) <= 1e-13 * scale * np.linalg.norm(field)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("k0_transverse", [True, False])
+class TestMomentumSectors:
+    def test_momentum_basis_orthogonal(self, n, k0_transverse):
+        f = build_lattice(n, 1.0, k0_transverse).momentum_basis
+        assert f.dtype == float
+        assert np.max(np.abs(f.T @ f - np.eye(n**3))) <= 1e-13
+
+    def test_transverse_basis_spans_projector(self, n, k0_transverse):
+        lat = build_lattice(n, 1.0, k0_transverse)
+        phi = lat.transverse_basis
+        assert np.max(np.abs(phi.T @ phi - np.eye(phi.shape[1])), initial=0.0) <= 1e-13
+        assert np.max(np.abs(phi @ phi.T - lat.transverse_matrix)) <= 1e-13
+
+    def test_transverse_columns_stay_in_their_sector(self, n, k0_transverse):
+        lat = build_lattice(n, 1.0, k0_transverse)
+        phi = lat.transverse_basis
+        coef = np.einsum("rj,rac->jac", lat.momentum_basis, phi.reshape(lat.n_sites, 3, -1))
+        outside = lat.momentum_sector[:, None] != lat.transverse_sector[None, :]
+        assert lat.transverse_sector.shape == (phi.shape[1],)
+        assert np.max(np.abs(coef.transpose(0, 2, 1)[outside]), initial=0.0) <= 1e-13
+
+
 class TestProjectors:
     def test_single_site_transverse_is_identity(self):
         lat = build_lattice(1, 2.0)

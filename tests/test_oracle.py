@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,7 +267,17 @@ def complex_route(ham):
     return np.linalg.eigvals(ham.dynamical_matrix) / HBAR
 
 
-def positive_frequencies(evals, zero_tol=1e-6):
+def complex_route_spectrum(ham):
+    """`complex_route` in the return shape of `mode_frequencies`: one group, no leak."""
+    return complex_route(ham), 1, 0.0
+
+
+def dense_route(ham):
+    """The whole quadrature matrix in one real eigensolve, with no sector split."""
+    return 1j * np.linalg.eigvals(quadrature_matrix(ham)[0]) / HBAR
+
+
+def positive_frequencies(evals, zero_tol=oracle.ZERO_MODE_TOL):
     keep = (evals.real > 0) & (np.abs(evals) > zero_tol * np.max(np.abs(evals)))
     return np.sort(evals.real[keep])
 
@@ -319,11 +331,12 @@ class TestSpectrum:
             raw = builtin_model(model, small_lattice, grid)
         coupling = coupling_from_lagrangian(raw)
         ham = assemble_hamiltonian(coupling, structure_tensor(coupling))
-        got, ref = positive_frequencies(mode_frequencies(ham)), positive_frequencies(complex_route(ham))
+        got = positive_frequencies(mode_frequencies(ham)[0])
+        ref = positive_frequencies(complex_route(ham))
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref) / ref) <= 1e-10
         spec = symplectic_spectrum(ham)
-        monkeypatch.setattr(oracle, "mode_frequencies", complex_route)
+        monkeypatch.setattr(oracle, "mode_frequencies", complex_route_spectrum)
         spec_ref = symplectic_spectrum(ham)
         for key in ("n_positive", "n_negative", "n_zero_modes"):
             assert spec[key] == spec_ref[key]
@@ -333,7 +346,7 @@ class TestSpectrum:
         ham = random_form(single_site, FrequencyGrid.midpoint(4, 3.0), np.random.default_rng(11))
         assert ham.hermiticity_defect() <= 1e-14
         assert symplectic_spectrum(ham)["max_imag_rel"] > 1e-6
-        monkeypatch.setattr(oracle, "mode_frequencies", complex_route)
+        monkeypatch.setattr(oracle, "mode_frequencies", complex_route_spectrum)
         assert symplectic_spectrum(ham)["max_imag_rel"] > 1e-6
 
     def test_non_hermitian_form_raises(self, single_site):
@@ -350,4 +363,59 @@ class TestSpectrum:
         _, imag_rel = quadrature_matrix(ham)
         assert imag_rel < 1e-13
         ref = complex_route(ham)
-        assert same_multiset(mode_frequencies(ham), ref, 1e-9 * np.max(np.abs(ref)))
+        assert same_multiset(mode_frequencies(ham)[0], ref, 1e-9 * np.max(np.abs(ref)))
+
+
+def spectrum_counts(evals):
+    """(zero, positive, negative) counts with the oracle's zero-mode rule."""
+    nonzero = evals[np.abs(evals) > oracle.ZERO_MODE_TOL * np.max(np.abs(evals))]
+    return evals.size - nonzero.size, int(np.sum(nonzero.real > 0)), int(np.sum(nonzero.real < 0))
+
+
+class TestSectorSpectrum:
+    """The per-sector solve against one dense eigensolve of the same quadrature matrix."""
+
+    @pytest.mark.parametrize("model,n,K,k0_transverse", [
+        ("local_lorentz", 2, 6, True),
+        ("gaussian_nonlocal", 2, 6, True),
+        ("uniaxial_local", 2, 6, True),
+        ("local_lorentz", 2, 6, False),
+        ("local_lorentz", 3, 3, True),
+        ("local_lorentz", 4, 1, True),
+    ])
+    def test_matches_dense_eigvals(self, model, n, K, k0_transverse):
+        lat = build_lattice(n, 1.0, k0_transverse)
+        grid = FrequencyGrid.midpoint(K, 3.0, eta_factor=1.0)
+        coupling = coupling_from_lagrangian(builtin_model(model, lat, grid))
+        ham = assemble_hamiltonian(coupling, structure_tensor(coupling))
+        got, n_sectors, leak = mode_frequencies(ham)
+        ref = dense_route(ham)
+        assert n_sectors == np.unique(lat.momentum_sector).size > 1
+        assert leak <= oracle.SECTOR_LEAK_TOL
+        assert spectrum_counts(got) == spectrum_counts(ref)
+        scale = np.max(np.abs(ref))
+        keep = np.abs(ref) > oracle.ZERO_MODE_TOL * scale
+        assert same_multiset(got[np.abs(got) > oracle.ZERO_MODE_TOL * scale], ref[keep],
+                             1e-10 * scale)
+        spec = symplectic_spectrum(ham)
+        assert spec["n_sectors"] == n_sectors and spec["sector_leak"] == leak
+
+    def test_random_coupling_is_one_group(self, small_lattice):
+        grid = FrequencyGrid.midpoint(6, 3.0, eta_factor=1.0)
+        coupling = coupling_from_lagrangian(
+            random_coupling(small_lattice, grid, np.random.default_rng(3)))
+        spec = symplectic_spectrum(assemble_hamiltonian(coupling, structure_tensor(coupling)))
+        assert spec["n_sectors"] == 1
+        assert spec["sector_leak"] > oracle.SECTOR_LEAK_TOL
+
+    def test_traced_peak_within_two_arrays(self, lorentz_setup):
+        lat, grid, coupling, st, ham = lorentz_setup
+        ham.dynamical_matrix   # cached on the form, not part of the spectrum's own peak
+        lat.momentum_basis
+        tracemalloc.start()
+        try:
+            symplectic_spectrum(ham)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * ham.dim**2
