@@ -10,10 +10,11 @@ rewrites the Hamiltonian in bath form to compare against the direct
 assembly.
 
 Every bath coefficient comes from one per-node row builder,
-`BathCoefficients.rows` (plus `delta_row` for the Kronecker part); the bath
-mode forms and the bath-form Hamiltonian both read it.  Independence is
-evaluated once, by collapsed quadrature sums; the generic form-commutator
-route runs at node 0 only, as a cross-check of that evaluator.
+`BathCoefficients.rows` (plus `delta_row` for the Kronecker part), read
+through the bath mode forms; the bath-form Hamiltonian places those forms
+in the canonical basis.  Independence is evaluated once, by collapsed
+quadrature sums; the generic form-commutator route runs at node 0 only, as
+a cross-check of that evaluator.
 """
 
 from __future__ import annotations
@@ -237,23 +238,23 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     # span every ladder block, so stack them once and contract with BLAS
     u_cb = np.empty((K, d, ham.dim), dtype=complex)   # bath annihilator rows
     for k in range(K):
-        u_cb[k] = ham.ladder_rows(*bath.rows(coupling, k))
-        u_cb[k, :, ham.slice_c(k)] += np.sqrt(v / w[k]) * bath.delta_row(coupling, k)
-    u_cbd = ham.hc_rows(u_cb)
-    scale = np.sqrt(HBAR * w * nodes * v)[:, None, None]
-    h[:] += (scale * u_cbd).reshape(K * d, ham.dim).T @ (scale * u_cb).reshape(K * d, ham.dim)
-    # the exchange chain v T*(w_k) chi(w_k + i eta)^-1 / v^2 is the pole
-    # coefficient up to hbar / eps0
-    exch_left = (w[:, None, None] * u_cbd).reshape(K * d, ham.dim)
-    exch_right = (bath.pole_coeff @ u_p).reshape(K * d, ham.dim)
-    exchange = exch_left.T @ exch_right
-    del u_cb, u_cbd, exch_left, exch_right   # the row stacks are done: free them before the dim^2 work
-    exchange *= -1j * v**2
-    # the minus on the conjugate bracket is absorbed by conjugating the -i
-    # prefactor: the Hermitian total is the accumulated half plus its adjoint
-    exchange += ham.adjoint(exchange)
-    h[:] += exchange
-    del exchange
+        form = bath_mode_form(bath, coupling, k)
+        u_cb[k] = ham.ladder_rows(form.alpha, form.beta)
+    # both terms pair the bath creators with a right factor: the oscillators
+    # sum_k w_k v hbar omega_k Cb_k^dag Cb_k, and the exchange, whose chain
+    # v T*(omega_k) chi(omega_k + i eta)^-1 / v^2 is the pole coefficient up
+    # to hbar / eps0.  One GEMM forms half the oscillators plus the exchange,
+    # and adding the adjoint completes both: the oscillator term is its own
+    # adjoint, and the minus on the exchange's conjugate bracket is absorbed
+    # by conjugating the -i prefactor.
+    right = (0.5 * HBAR * v) * nodes[:, None, None] * u_cb
+    right -= 1j * v**2 * (bath.pole_coeff @ u_p)
+    left = (w[:, None, None] * u_cb.conj()).reshape(K * d, ham.dim)
+    half = left.T @ right.reshape(K * d, ham.dim)
+    del u_cb, left, right   # the row stacks are done: free them before the dim^2 work
+    h[:] += half
+    h[:] += half.conj().T
+    del half
 
     # cubic-moment polarization self-energy
     selfenergy = polarization_selfenergy_kernel(coupling, structure).mat
@@ -263,11 +264,9 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     u_p_long = lattice.longitudinal_matrix @ u_p
     ham.accumulate(u_p_long, u_p_long, v / (2.0 * EPS0))
 
-    # momentum and potential coupling through the structure tensor
-    fmat = structure.kernel.mat
-    ham.accumulate(u_w, fmat @ u_w, 0.5 * HBAR * v**2)
-    ham.accumulate(u_w, fmat @ u_a, -HBAR * v**2)
-    ham.accumulate(u_a, fmat @ u_a, 0.5 * HBAR * v**2)
+    # the squared momentum-minus-potential coupling through the structure tensor
+    u_wa = u_w - u_a
+    ham.accumulate(u_wa, structure.kernel.mat @ u_wa, 0.5 * HBAR * v**2)
     ham.symmetrize()
     return ham
 

@@ -2,15 +2,19 @@
 
 The canonical operator vector collects the transverse field amplitudes and
 their momenta (in a real orthonormal transverse basis, rescaled to unit
-commutators) together with the medium ladder operators per frequency node:
+commutators) together with the Hermitian quadratures of the medium ladder
+operators per frequency node, c = (x + i y)/sqrt(2):
 
-    zeta = ( a, p, c[k=0..K-1], c^dag[k=0..K-1] )
+    xi = ( a, p, x[k=0..K-1], y[k=0..K-1] )
 
-The Hamiltonian becomes H = zeta^T h zeta up to an additive constant, and
-every Heisenberg equation and mode identity reduces to matrix algebra with
-the dynamical matrix built from h and the commutation structure.  Only
-`QuadraticHamiltonian` knows this layout: the medium operators keep their one
-definition as forms over the medium modes (`fields.py`, `bath.py`), and
+The Hamiltonian becomes H = xi^T h xi up to an additive constant.  Every
+basis operator is Hermitian, so the adjoint of a form or of an operator's
+rows is its complex conjugate, H is Hermitian exactly when the symmetric
+part of h is real, and the dynamical matrix is i times a real matrix R
+(Colpa, Physica A 93, 327, 1978).  Every Heisenberg equation and mode
+identity reduces to matrix algebra with R.  Only `QuadraticHamiltonian`
+knows this layout: the medium operators keep their one definition as forms
+over the medium modes (`fields.py`, `bath.py`), and
 `QuadraticHamiltonian.ladder_rows` places a form's coefficients.  The
 assembly, Heisenberg equations and spectrum use neither the propagator nor
 the analytic mode formulas, so they are an independent route; the master
@@ -48,7 +52,7 @@ ZERO_MODE_TOL = 1e-6
 
 
 def canonical_dim(lattice: Lattice, n_nodes: int) -> int:
-    """Size of the canonical basis (a, p, c, c^dag) on a lattice with n_nodes nodes."""
+    """Size of the canonical basis (a, p, x, y) on a lattice with n_nodes nodes."""
     return 2 * lattice.transverse_basis.shape[1] + 2 * n_nodes * lattice.dim
 
 
@@ -84,61 +88,43 @@ class QuadraticHamiltonian:
     def slice_p(self):
         return slice(self.mt, 2 * self.mt)
 
-    def slice_c(self, k: int):
-        d = self.lattice.dim
-        base = 2 * self.mt
-        return slice(base + k * d, base + (k + 1) * d)
+    @property
+    def slice_x(self):
+        """The x quadratures of every node, node-major: node k at 2 mt + k d."""
+        return slice(2 * self.mt, 2 * self.mt + self.grid.n_nodes * self.lattice.dim)
 
-    def slice_cdag(self, k: int):
-        d = self.lattice.dim
-        base = 2 * self.mt + self.grid.n_nodes * d
-        return slice(base + k * d, base + (k + 1) * d)
-
-    @cached_property
-    def dagger_index(self) -> np.ndarray:
-        """Involution perm with zeta^dag = zeta[perm] (a, p Hermitian; c <-> c^dag).
-
-        As a 0/1 matrix X it acts by indexing: X @ M = M[perm] and
-        M @ X = M[:, perm].
-        """
-        base, n_ladder = 2 * self.mt, self.grid.n_nodes * self.lattice.dim
-        return np.concatenate([np.arange(base), base + n_ladder + np.arange(n_ladder),
-                               base + np.arange(n_ladder)])
+    @property
+    def slice_y(self):
+        """The y quadratures, in the same order as the x slots."""
+        return slice(2 * self.mt + self.grid.n_nodes * self.lattice.dim, self.dim)
 
     @cached_property
     def commutation_matrix(self) -> np.ndarray:
-        """c-number matrix Sigma with [zeta_i, zeta_j] = Sigma_ij."""
+        """c-number matrix Sigma with [xi_i, xi_j] = Sigma_ij: i hbar on (a, p), i on (x, y)."""
         sig = np.zeros((self.dim, self.dim), dtype=complex)
-        eye = np.eye(self.mt)
-        sig[self.slice_a, self.slice_p] = 1j * HBAR * eye
-        sig[self.slice_p, self.slice_a] = -1j * HBAR * eye
-        d = self.lattice.dim
-        for k in range(self.grid.n_nodes):
-            sig[self.slice_c(k), self.slice_cdag(k)] = np.eye(d)
-            sig[self.slice_cdag(k), self.slice_c(k)] = -np.eye(d)
+        for first, second, value in ((self.slice_a, self.slice_p, 1j * HBAR),
+                                     (self.slice_x, self.slice_y, 1j)):
+            eye = np.eye(first.stop - first.start)
+            sig[first, second] = value * eye
+            sig[second, first] = -value * eye
         return sig
 
-    @cached_property
-    def dynamical_matrix(self) -> np.ndarray:
-        """Matrix realizing [zeta, H] = K zeta.
+    def dynamics(self) -> np.ndarray:
+        """The real matrix R with [xi, H] = i R xi, a fresh array the caller owns.
 
-        The commutation matrix is a scaled sector permutation, so the
-        product is assembled by row moves instead of a dense matmul.
+        The commutation matrix pairs a with p and x with y, so R = -2 i Sigma
+        Re(h_sym) is assembled by row moves of the real part instead of a
+        dense matmul.  The imaginary part of h is the form's Hermiticity
+        defect, which `hermiticity_defect` measures.
         """
-        h_sym = self.symmetric_h()
-        out = np.empty_like(h_sym)
-        out[self.slice_a] = 2j * HBAR * h_sym[self.slice_p]
-        out[self.slice_p] = -2j * HBAR * h_sym[self.slice_a]
-        for k in range(self.grid.n_nodes):
-            out[self.slice_c(k)] = 2.0 * h_sym[self.slice_cdag(k)]
-            out[self.slice_cdag(k)] = -2.0 * h_sym[self.slice_c(k)]
+        h_real = self.symmetric_h().real
+        out = np.empty(self.h.shape)
+        for dst, src, coef in ((self.slice_a, self.slice_p, 2.0 * HBAR),
+                               (self.slice_p, self.slice_a, -2.0 * HBAR),
+                               (self.slice_x, self.slice_y, 2.0),
+                               (self.slice_y, self.slice_x, -2.0)):
+            np.multiply(h_real[src], coef, out=out[dst])
         return out
-
-    def adjoint(self, q: np.ndarray) -> np.ndarray:
-        """Coefficient matrix of the Hermitian conjugate of the form zeta^T q zeta."""
-        out = q[np.ix_(self.dagger_index, self.dagger_index)]
-        np.conj(out, out=out)   # on the permuted copy: one dim x dim temporary, not two
-        return out.T
 
     def symmetric_h(self) -> np.ndarray:
         """(h + h^T)/2: `h` itself when it is exactly symmetric, as both assemblers store it."""
@@ -167,10 +153,14 @@ class QuadraticHamiltonian:
         h /= 2.0
 
     def hermiticity_defect(self) -> float:
+        """||h_sym - h_sym^dag|| / ||h_sym||, the adjoint form being the conjugate.
+
+        Every basis operator is Hermitian, so the adjoint of the form
+        xi^T q xi has the coefficients conj(q)^T, and the defect of the
+        symmetric part is twice its imaginary part.
+        """
         h_sym = self.symmetric_h()
-        gap = self.adjoint(h_sym)
-        gap -= h_sym
-        return float(np.linalg.norm(gap) / max(np.linalg.norm(h_sym), 1e-300))
+        return float(2.0 * np.linalg.norm(h_sym.imag) / max(np.linalg.norm(h_sym), 1e-300))
 
     # -- canonical rows of the basic operators -----------------------------
 
@@ -189,42 +179,40 @@ class QuadraticHamiltonian:
     def ladder_rows(self, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """Canonical rows of sum_l w_l v [alpha_l C(w_l) + beta_l C^dag(w_l)].
 
-        The basis holds c_l = sqrt(v w_l) C(w_l), so each (K, d, d) stack
-        enters its ladder sector with the weight sqrt(v w_l).  The c blocks
-        of all nodes are contiguous, and so are the c^dag blocks.
+        The basis holds the quadratures of c_l = sqrt(v w_l) C(w_l) =
+        (x_l + i y_l)/sqrt(2), so a (K, n, d) stack pair enters the x slots
+        as s (alpha + beta) and the y slots as i s (alpha - beta), with
+        s = sqrt(v w_l / 2).  The adjoint of the operator has the conjugate
+        rows.
         """
-        K, d = self.grid.n_nodes, self.lattice.dim
-        base = 2 * self.mt
-        s = np.sqrt(self.lattice.cell_volume * self.grid.weights)[:, None, None]
-        rows = np.zeros((d, self.dim), dtype=complex)
-        rows[:, base:base + K * d] = (s * alpha).transpose(1, 0, 2).reshape(d, K * d)
-        rows[:, base + K * d:] = (s * beta).transpose(1, 0, 2).reshape(d, K * d)
+        K, n, d = alpha.shape
+        s = np.sqrt(0.5 * self.lattice.cell_volume * self.grid.weights)[:, None, None]
+        rows = np.zeros((n, self.dim), dtype=complex)
+        rows[:, self.slice_x] = (s * (alpha + beta)).transpose(1, 0, 2).reshape(n, K * d)
+        rows[:, self.slice_y] = (1j * s * (alpha - beta)).transpose(1, 0, 2).reshape(n, K * d)
         return rows
 
     def smear_columns(self) -> np.ndarray:
-        """Test matrix condensing the ladder sectors with the smear profiles.
+        """Test matrix condensing the ladder coefficients with the smear profiles.
 
         The two-frequency content of the master check is distributional, so
         its residual rows are paired against smooth frequency profiles,
-        mirroring the weak-form residuals of the defining equations.
+        mirroring the weak-form residuals of the defining equations.  The
+        columns read an operator's a and p coefficients, then its smeared c
+        and its smeared c^dag coefficients, one group per profile each: of
+        a row r, the c coefficient is (r_x - i r_y)/sqrt(2) and the c^dag
+        coefficient (r_x + i r_y)/sqrt(2).
         """
         grid, d, base = self.grid, self.lattice.dim, 2 * self.mt
-        scale = np.sqrt(grid.weights / self.lattice.cell_volume) * smear_profiles(grid)
-        n_ladder, n_cols = grid.n_nodes * d, len(scale) * d
-        # block (l, p) of either ladder sector: sqrt(q_l / v) profile_p(w_l) times the identity
+        scale = np.sqrt(0.5 * grid.weights / self.lattice.cell_volume) * smear_profiles(grid)
+        n_cols = len(scale) * d
+        # block (l, p) of a ladder sector: sqrt(q_l / (2 v)) profile_p(w_l) times the identity
         ladder = np.kron(scale.T, np.eye(d))
-        cols = np.zeros((self.dim, base + 2 * n_cols))
+        cols = np.zeros((self.dim, base + 2 * n_cols), dtype=complex)
         cols[:base, :base] = np.eye(base)
-        cols[base:base + n_ladder, base:base + n_cols] = ladder
-        cols[base + n_ladder:, base + n_cols:] = ladder
+        cols[self.slice_x, base:] = np.hstack([ladder, ladder])
+        cols[self.slice_y, base:] = np.hstack([-1j * ladder, 1j * ladder])
         return cols
-
-    def hc_rows(self, rows: np.ndarray) -> np.ndarray:
-        return rows.conj()[..., self.dagger_index]
-
-    def commutator_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Rows of [O, H] for an operator with the given coefficient rows."""
-        return rows @ self.dynamical_matrix
 
 
 def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor) -> QuadraticHamiltonian:
@@ -239,23 +227,23 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor) -
     error, raised before anything is allocated.
     """
     lattice, grid = coupling.lattice, coupling.grid
-    d, K, v = lattice.dim, grid.n_nodes, lattice.cell_volume
-    dim = check_canonical_dim(lattice, K)
+    d, v = lattice.dim, lattice.cell_volume
+    dim = check_canonical_dim(lattice, grid.n_nodes)
     ham = QuadraticHamiltonian(lattice=lattice, grid=grid, h=np.zeros((dim, dim), dtype=complex),
                                mt=lattice.transverse_basis.shape[1])
     h = ham.h
     ham.add_field_energy()
 
-    # medium oscillators and the bilinear coupling; the per-node rows only
-    # touch their own blocks, so write those directly
+    # medium oscillators: hbar omega_k c^dag c = hbar omega_k (x^2 + y^2)/2 up to a constant
+    ladder = np.arange(2 * ham.mt, dim)
+    h[ladder, ladder] += np.tile(np.repeat(0.5 * HBAR * grid.nodes, d), 2)
+
+    # bilinear coupling: each a times the medium operator with the node
+    # kernels hbar omega_k v (T_k phi)^T, the c^dag kernels their conjugates
     u_a = ham.rows_vector_potential
-    phi_a = u_a[:, ham.slice_a]
-    for k in range(K):
-        wk, om = grid.weights[k], grid.nodes[k]
-        h[ham.slice_cdag(k), ham.slice_c(k)] += HBAR * om * np.eye(d)
-        block = HBAR * wk * om * v**2 / np.sqrt(v * wk) * (coupling.kernels[k] @ phi_a)
-        h[ham.slice_c(k), ham.slice_a] += block
-        h[ham.slice_cdag(k), ham.slice_a] += block.conj()
+    alpha = (HBAR * v * grid.nodes[:, None, None]
+             * (coupling.kernels @ u_a[:, ham.slice_a])).transpose(0, 2, 1)
+    h[ham.slice_a] += ham.ladder_rows(alpha, alpha.conj())
 
     # quadratic vector-potential term
     ham.accumulate(u_a, structure.kernel.mat @ u_a, 0.5 * HBAR * v**2)
@@ -290,10 +278,12 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     u_p, u_w = ham.ladder_rows(pol.alpha, pol.beta), ham.ladder_rows(mom.alpha, mom.beta)
     pt, pl = lattice.transverse_matrix, lattice.longitudinal_matrix
     fmat = structure.kernel.mat
+    r = ham.dynamics()
     out = {}
 
     def ddt(rows):
-        return (-1j / HBAR) * ham.commutator_rows(rows)
+        # (-i / hbar) [O, H] = rows R / hbar, as real GEMMs: no complex copy of R
+        return (rows.real @ r + 1j * (rows.imag @ r)) / HBAR
 
     # potential rate
     rhs = u_pi / EPS0
@@ -328,14 +318,13 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     # P is Hermitian, so the last term (-i hbar/eps0) v s_0 P_L P plus its adjoint reads only Im s_0
     t3 = (HBAR / EPS0) * v * coupling.moments.imag0 @ pl @ u_p
     rhs_half = t1 + t2 + t3
-    rhs = rhs_half + ham.hc_rows(rhs_half)
+    rhs = rhs_half + rhs_half.conj()
     out["polarization_rate"] = _rel(ddt(u_p) - rhs, rhs)
-    vanishing = t3 + ham.hc_rows(t3)
+    vanishing = t3 + t3.conj()
     out["polarization_rate_last_term"] = _rel(vanishing, rhs)
 
     # wave equation with the transverse polarization rate as source
-    accel = (-1.0 / HBAR**2) * u_a @ ham.dynamical_matrix @ ham.dynamical_matrix
-    lhs = lattice.laplacian_matrix @ u_a - accel
+    lhs = lattice.laplacian_matrix @ u_a - ddt(ddt(u_a))
     src = -MU0 * pt @ ddt(u_p)
     out["wave_source"] = _rel(lhs - src, src)
     return out
@@ -346,15 +335,20 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
 
 def mode_rows(ham: QuadraticHamiltonian, k: int, potential: np.ndarray, momentum: np.ndarray,
               resonant: np.ndarray, antiresonant: np.ndarray) -> np.ndarray:
-    """Canonical rows of the diagonalizing annihilator at node k, from its four families."""
+    """Canonical rows of the diagonalizing annihilator at node k, from its four families.
+
+    The medium part is the resonant family plus the node's own mode C(w_k),
+    whose kernel is the Kronecker delta over the quadrature weight.
+    """
     lattice = ham.lattice
     v = lattice.cell_volume
     sqv = np.sqrt(v)
     phi = lattice.transverse_basis
-    rows = ham.ladder_rows(resonant, antiresonant)
+    alpha = resonant.copy()
+    alpha[k] += np.eye(lattice.dim) / (v * ham.grid.weights[k])
+    rows = ham.ladder_rows(alpha, antiresonant)
     rows[:, ham.slice_a] = sqv * potential @ phi
     rows[:, ham.slice_p] = sqv * momentum @ phi
-    rows[:, ham.slice_c(k)] += np.eye(lattice.dim) / np.sqrt(v * ham.grid.weights[k])
     return rows
 
 
@@ -373,7 +367,9 @@ def diagonal_form_check(ham: QuadraticHamiltonian, prop: NodePropagator) -> floa
     grid = ham.grid
     cols = ham.smear_columns()
     cdag = (cols.shape[1] + 2 * ham.mt) // 2   # first c^dag column: the halves are equal
-    kdyn_cols = ham.dynamical_matrix @ cols
+    r = ham.dynamics()
+    kdyn_cols = 1j * (r @ cols.real + 1j * (r @ cols.imag))   # K cols with K = i R
+    del r
     groups = {
         "a": np.s_[:, 0:ham.mt],
         "p": np.s_[:, ham.mt:2 * ham.mt],
@@ -393,40 +389,8 @@ def diagonal_form_check(ham: QuadraticHamiltonian, prop: NodePropagator) -> floa
     return max(float(np.sqrt(num[g] / max(den[g], 1e-300))) for g in groups)
 
 
-def quadrature_matrix(ham: QuadraticHamiltonian) -> tuple[np.ndarray, float]:
-    """The dynamical matrix in Hermitian quadratures: the real R = -i U^dag K U.
-
-    U keeps the a, p sectors and maps each ladder pair to quadratures,
-    c = (x + i y)/sqrt(2) and c^dag = (x - i y)/sqrt(2).  A dagger-Hermitian
-    form has a real coefficient matrix in Hermitian variables, so R is real
-    and K has the spectrum i * eig(R) (Colpa, Physica A 93, 327, 1978).  R is
-    built block by block from K, with no complex dim x dim temporary.
-    Returns R and the discarded imaginary part relative to R.
-    """
-    kd = ham.dynamical_matrix
-    base, n_ladder = 2 * ham.mt, ham.grid.n_nodes * ham.lattice.dim
-    c, cdag = slice(base, base + n_ladder), slice(base + n_ladder, ham.dim)
-    s = np.sqrt(0.5)
-    # per sector (a and p; x in the c slots; y in the c^dag slots): its slice,
-    # and the (slice of K, entry of U) pairs it draws on
-    sectors = [(slice(0, base), [(slice(0, base), 1.0)]),
-               (c, [(c, s), (cdag, s)]),
-               (cdag, [(c, 1j * s), (cdag, -1j * s)])]
-    r = np.empty(kd.shape)
-    lost_sq = 0.0
-    for rows, src_rows in sectors:
-        for cols, src_cols in sectors:
-            block = np.zeros(kd[rows, cols].shape, dtype=complex)
-            for i, ui in src_rows:
-                for j, uj in src_cols:
-                    block += (-1j * np.conj(ui) * uj) * kd[i, j]
-            r[rows, cols] = block.real
-            lost_sq += np.linalg.norm(block.imag) ** 2
-    return r, float(np.sqrt(lost_sq) / max(np.linalg.norm(r), 1e-300))
-
-
 def mode_frequencies(ham: QuadraticHamiltonian) -> tuple[np.ndarray, int, float]:
-    """Every eigenvalue of K / hbar, from the real quadrature-basis matrix.
+    """Every eigenvalue of K / hbar, as i eig(R) / hbar.
 
     Each ladder quadrature block of R is rotated from lattice sites to the
     real `Lattice.momentum_basis`, one block at a time, in place.  A
@@ -435,16 +399,16 @@ def mode_frequencies(ham: QuadraticHamiltonian) -> tuple[np.ndarray, int, float]
     exceeds `SECTOR_LEAK_TOL` relative to R, as for a random coupling, the
     whole matrix is one group instead.  The solver is the general
     nonsymmetric one, so complex frequencies of an unstable form still
-    show.  A form that is not dagger-Hermitian has no real quadrature
-    matrix and raises instead of losing its imaginary part.  Returns the
-    eigenvalues, the number of groups solved and the relative off-sector
-    norm.
+    show.  A form that is not dagger-Hermitian has no real R and raises
+    instead of losing its imaginary part.  Returns the eigenvalues, the
+    number of groups solved and the relative off-sector norm.
     """
-    r, imag_rel = quadrature_matrix(ham)
-    if imag_rel > HERMITICITY_TOL:
+    defect = ham.hermiticity_defect()
+    if defect > HERMITICITY_TOL:
         raise DampolError(
-            f"quadratic form is not dagger-Hermitian: its quadrature-basis dynamical matrix "
-            f"has an imaginary part {imag_rel:.3e} relative to R (limit {HERMITICITY_TOL:g})")
+            f"quadratic form is not dagger-Hermitian: relative defect {defect:.3e} "
+            f"(limit {HERMITICITY_TOL:g})")
+    r = ham.dynamics()
     lattice = ham.lattice
     f, d, m = lattice.momentum_basis, lattice.dim, lattice.n_sites
     for start in range(2 * ham.mt, ham.dim, d):

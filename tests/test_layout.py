@@ -1,4 +1,5 @@
-"""Every function in `src/dampol` has a caller in `src/`, or is documented.
+"""Every function in `src/dampol` has a caller in `src/`, or is documented,
+and only `oracle.py` reads the canonical-basis layout.
 
 A function (dunders excluded) passes when its name is read somewhere in
 `src/dampol` outside its own body, is exported in `dampol.__all__`, or
@@ -7,6 +8,10 @@ for the tests" names each function that is kept only as a reference for the
 tests.  A module-level function counts as read through a `Name` or an
 `Attribute`, a method only through an `Attribute`; an attribute of `np`
 never counts, so `np.allclose` is no call of a method `allclose`.
+
+The slot accessors of `QuadraticHamiltonian` (its `slice_*` members) are the
+canonical-basis layout; every other module places a medium operator through
+`QuadraticHamiltonian.ladder_rows` instead.
 """
 
 import ast
@@ -76,3 +81,31 @@ def test_np_attributes_and_bare_names_call_no_method(tmp_path):
     readme = tmp_path / "README.md"
     readme.write_text("`scale`\n")
     assert uncalled_functions([source], readme) == ["mod.py:3 allclose", "mod.py:4 zero"]
+
+
+def layout_reads(sources=SOURCES, owner="oracle.py") -> list:
+    """Reads of a `QuadraticHamiltonian` slot accessor in any module but `owner`."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sources}
+    accessors = {fn.name for cls in ast.walk(trees[owner])
+                 if isinstance(cls, ast.ClassDef) and cls.name == "QuadraticHamiltonian"
+                 for fn in cls.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name.startswith("slice_")}
+    return [f"{module}:{node.lineno} {node.attr}"
+            for module, tree in trees.items() if module != owner
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in accessors]
+
+
+def test_only_the_oracle_reads_the_basis_layout():
+    assert layout_reads() == []
+
+
+def test_layout_reads_found_outside_the_owner(tmp_path):
+    owner = tmp_path / "oracle.py"
+    owner.write_text(
+        "class QuadraticHamiltonian:\n"
+        "    def slice_x(self): pass\n"
+        "    def ladder_rows(self): pass\n")
+    other = tmp_path / "bath.py"
+    other.write_text("def f(ham):\n    ham.ladder_rows()\n    return ham.slice_x\n")
+    assert layout_reads([owner, other]) == ["bath.py:3 slice_x"]

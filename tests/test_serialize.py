@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from dampol.errors import DampolError
 from dampol.oracle import assemble_hamiltonian
-from dampol.serialize import dump_quadratic_form, load_quadratic_form
+from dampol.serialize import MAGIC, dump_quadratic_form, load_quadratic_form
 
 
 class TestKernelDump:
@@ -14,7 +16,8 @@ class TestKernelDump:
         dump_quadratic_form(path, ham, label="test")
         _, header = load_quadratic_form(path)
         assert header["label"] == "test"
-        assert header["format_version"] == 1
+        assert header["format_version"] == 2
+        assert header["basis"] == "a,p,x,y"
         lattice = lorentz_coupling.lattice
         assert (header["n_per_axis"], header["spacing"], header["k0_transverse"]) == (
             lattice.n_per_axis, lattice.spacing, lattice.k0_transverse)
@@ -25,6 +28,23 @@ class TestKernelDump:
         path = tmp_path / "junk.dak"
         path.write_bytes(b"NOTMAGIC\n{}\n")
         with pytest.raises(DampolError):
+            load_quadratic_form(path)
+
+    @pytest.mark.parametrize("header_line", [b"not json", b"\xff\xfe", b"[1, 2]"])
+    def test_malformed_header_rejected(self, tmp_path, header_line):
+        path = tmp_path / "bad.dak"
+        path.write_bytes(MAGIC + b"\n" + header_line + b"\n")
+        with pytest.raises(DampolError):
+            load_quadratic_form(path)
+
+    def test_version_one_rejected(self, tmp_path):
+        # version 1 held the form over the ladder operators (a, p, c, c^dag)
+        header = {"format_version": 1, "shape": [2, 2], "dtype": "complex128",
+                  "canonical_basis": {"transverse_dim": 1, "n_nodes": 0}}
+        path = tmp_path / "v1.dak"
+        path.write_bytes(MAGIC + b"\n" + json.dumps(header).encode() + b"\n"
+                         + np.eye(2, dtype=complex).tobytes())
+        with pytest.raises(DampolError, match="format version 1"):
             load_quadratic_form(path)
 
 
