@@ -34,7 +34,7 @@ from .fields import (
     medium_polarization_form,
 )
 from .lattice import TensorKernel
-from .oracle import QuadraticHamiltonian
+from .oracle import QuadraticHamiltonian, sector_leak
 from .susceptibility import Susceptibility, discontinuity_at_node
 
 #: singular-value ratio below which an operator counts as non-invertible
@@ -209,52 +209,51 @@ def verify_bath_canonical(bath: BathCoefficients, coupling: CouplingTensor) -> f
 
 
 def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTensor,
-                              bath: BathCoefficients,
-                              reference: QuadraticHamiltonian) -> QuadraticHamiltonian:
+                              bath: BathCoefficients) -> QuadraticHamiltonian:
     """Rewrite the Hamiltonian over the bath operators, in the same basis.
 
     Terms: field energy, bath oscillators, the cubic-moment self-energy of
     the polarization, the electrostatic term, the squared momentum-minus-
     potential coupling, and the bilinear bath-polarization exchange.  All
     operators are converted to canonical rows, so the result is directly
-    comparable with the reference assembly.
+    comparable with the reference assembly.  The form is stored per
+    momentum sector when the bath coefficients conserve lattice momentum
+    too, else as one block.
     """
     lattice, grid = coupling.lattice, coupling.grid
-    ham = QuadraticHamiltonian(lattice=lattice, grid=grid,
-                               h=np.zeros((reference.dim, reference.dim), dtype=complex),
-                               mt=reference.mt)
-    h = ham.h
+    # the bath coefficients are the only site operators read here beyond the reference's
+    leak = sector_leak(coupling, structure, bath.delta_coeff, bath.pole_coeff)
+    ham = QuadraticHamiltonian.zero(lattice, grid, leak)
     v = lattice.cell_volume
     d = lattice.dim
     K = grid.n_nodes
     w, nodes = grid.weights, grid.nodes
 
-    ham.add_field_energy()
     u_a = ham.rows_vector_potential
     pol, mom = medium_polarization_form(coupling), medium_momentum_form(coupling, structure)
     u_p, u_w = ham.ladder_rows(pol.alpha, pol.beta), ham.ladder_rows(mom.alpha, mom.beta)
 
-    # bath oscillators and the bath-polarization exchange; the per-node rows
-    # span every ladder block, so stack them once and contract with BLAS
-    u_cb = np.empty((K, d, ham.dim), dtype=complex)   # bath annihilator rows
+    # bath oscillators and the bath-polarization exchange.  Both pair the bath
+    # creators with a right factor: the oscillators sum_k w_k v hbar omega_k
+    # Cb_k^dag Cb_k, and the exchange, whose chain v T*(omega_k)
+    # chi(omega_k + i eta)^-1 / v^2 is the pole coefficient up to hbar / eps0.
+    # The per-node rows span every ladder block, so they are stacked once and
+    # one GEMM per block forms half the oscillators plus the exchange; adding
+    # the adjoint completes both: the oscillator term is its own adjoint, and
+    # the minus on the exchange's conjugate bracket is absorbed by
+    # conjugating the -i prefactor.
+    right = bath.pole_coeff @ u_p
+    right *= -1j * v**2
+    left = np.empty_like(right)   # the weighted bath creator rows
     for k in range(K):
         form = bath_mode_form(bath, coupling, k)
-        u_cb[k] = ham.ladder_rows(form.alpha, form.beta)
-    # both terms pair the bath creators with a right factor: the oscillators
-    # sum_k w_k v hbar omega_k Cb_k^dag Cb_k, and the exchange, whose chain
-    # v T*(omega_k) chi(omega_k + i eta)^-1 / v^2 is the pole coefficient up
-    # to hbar / eps0.  One GEMM forms half the oscillators plus the exchange,
-    # and adding the adjoint completes both: the oscillator term is its own
-    # adjoint, and the minus on the exchange's conjugate bracket is absorbed
-    # by conjugating the -i prefactor.
-    right = (0.5 * HBAR * v) * nodes[:, None, None] * u_cb
-    right -= 1j * v**2 * (bath.pole_coeff @ u_p)
-    left = (w[:, None, None] * u_cb.conj()).reshape(K * d, ham.dim)
-    half = left.T @ right.reshape(K * d, ham.dim)
-    del u_cb, left, right   # the row stacks are done: free them before the dim^2 work
-    h[:] += half
-    h[:] += half.conj().T
-    del half
+        u_cb = ham.ladder_rows(form.alpha, form.beta)   # bath annihilator rows
+        right[k] += (0.5 * HBAR * v * nodes[k]) * u_cb
+        left[k] = w[k] * u_cb.conj()
+    ham.add_hermitian(left.reshape(K * d, ham.dim), right.reshape(K * d, ham.dim))
+    del left, right
+
+    ham.add_field_energy()
 
     # cubic-moment polarization self-energy
     selfenergy = polarization_selfenergy_kernel(coupling, structure).mat
@@ -280,13 +279,26 @@ def hamiltonian_equivalence(coupling: CouplingTensor, structure: StructureTensor
     quantity that converges as the regularization is refined; the raw
     matrix distance `frobenius` retains the pointwise pole-ridge content,
     which only agrees distributionally, and is reported as a diagnostic.
+    Both are summed block by block.  When the bath coefficients leak across
+    momentum sectors and the reference's inputs do not, both forms are
+    compared as one block, which is exact for the reference: its off-sector
+    entries are zero by construction.
     """
-    diff = assemble_bath_hamiltonian(coupling, structure, bath, reference).h
-    diff -= reference.h
+    form = assemble_bath_hamiltonian(coupling, structure, bath)
+    if len(form.blocks) != len(reference.blocks):
+        form, reference = form.merged(), reference.merged()
     cols = reference.smear_columns()
-    weak = np.linalg.norm(cols.T @ diff @ cols) \
-        / max(np.linalg.norm(cols.T @ reference.h @ cols), 1e-300)
-    frob = np.linalg.norm(diff) / max(np.linalg.norm(reference.h), 1e-300)
+    weak_diff = weak_ref = 0.0
+    frob_diff = frob_ref = 0.0
+    for group, diff, ref in zip(reference.groups, form.blocks, reference.blocks, strict=True):
+        diff -= ref
+        c = cols[group]
+        weak_diff = weak_diff + c.T @ diff @ c
+        weak_ref = weak_ref + c.T @ ref @ c
+        frob_diff += np.linalg.norm(diff) ** 2
+        frob_ref += np.linalg.norm(ref) ** 2
+    weak = np.linalg.norm(weak_diff) / max(np.linalg.norm(weak_ref), 1e-300)
+    frob = np.sqrt(frob_diff) / max(np.sqrt(frob_ref), 1e-300)
     return {"weak": float(weak), "frobenius": float(frob)}
 
 

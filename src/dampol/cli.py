@@ -152,6 +152,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown violation {self.violation!r}; valid: {VIOLATIONS}")
         if self.tol_scale <= 0:
             raise ConfigError("tol_scale must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.n_nodes < 1 or self.omega_max <= 0 or self.eta_factor <= 0:
             raise ConfigError("grid parameters out of range")
         if self.n_per_axis < 1 or self.spacing <= 0:
@@ -546,7 +548,7 @@ def main(argv=None) -> int:
             config.seed = args.seed
         if args.tol_scale is not None:
             config.tol_scale = args.tol_scale
-            config.validate()
+        config.validate()
         if args.command == "refine":
             return refine(config, args.levels)
         stages = None if args.command == "verify-all" else [args.command]

@@ -7,14 +7,20 @@ operators per frequency node, c = (x + i y)/sqrt(2):
 
     xi = ( a, p, x[k=0..K-1], y[k=0..K-1] )
 
-The Hamiltonian becomes H = xi^T h xi up to an additive constant.  Every
-basis operator is Hermitian, so the adjoint of a form or of an operator's
-rows is its complex conjugate, H is Hermitian exactly when the symmetric
-part of h is real, and the dynamical matrix is i times a real matrix R
-(Colpa, Physica A 93, 327, 1978).  Every Heisenberg equation and mode
-identity reduces to matrix algebra with R.  Only `QuadraticHamiltonian`
-knows this layout: the medium operators keep their one definition as forms
-over the medium modes (`fields.py`, `bath.py`), and
+Each node's x and y slots run over the real `Lattice.momentum_basis`
+(momentum column, then component) instead of the lattice sites; the
+transverse basis of a and p is built per momentum sector already.  The
+Hamiltonian becomes H = xi^T h xi up to an additive constant.  Every basis
+operator is Hermitian, so the adjoint of a form or of an operator's rows is
+its complex conjugate, H is Hermitian exactly when the symmetric part of h
+is real, and the dynamical matrix is i times a real matrix R (Colpa,
+Physica A 93, 327, 1978).  A translation-invariant medium couples lattice
+momentum q only with -q, so h is stored as one block per {q, -q} sector;
+when an operator the assembly reads leaks across sectors, as a random
+coupling does, the form is one block.  Every Heisenberg equation and mode
+identity reduces to matrix algebra with R, block by block.  Only
+`QuadraticHamiltonian` knows this layout: the medium operators keep their
+one definition as forms over the medium modes (`fields.py`, `bath.py`), and
 `QuadraticHamiltonian.ladder_rows` places a form's coefficients.  The
 assembly, Heisenberg equations and spectrum use neither the propagator nor
 the analytic mode formulas, so they are an independent route; the master
@@ -23,7 +29,7 @@ check tests those formulas against it, one node's kernels at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -36,15 +42,16 @@ from .fields import medium_mode_form, medium_momentum_form, medium_polarization_
 from .green import NodePropagator
 from .lattice import FrequencyGrid, Lattice
 
-#: largest canonical dimension the dense oracle assembles; one dim x dim
-#: complex array is 16 dim^2 bytes, 256 MB at the cap
+#: largest canonical dimension the oracle assembles; it bounds the full-width
+#: row stacks, of which the bath form's (K, d, dim) complex stack is the
+#: largest: 16 K d dim bytes, below 8 dim^2 as 2 K d < dim, 128 MB at the cap
 MAX_CANONICAL_DIM = 4000
 
 #: relative dagger-Hermiticity defect a quadratic form may carry
 HERMITICITY_TOL = 1e-12
 
-#: largest off-sector part of the momentum-rotated R, relative to R, for
-#: which the spectrum is solved sector by sector
+#: largest off-sector part of an assembly's site operators in the momentum
+#: basis, relative to each operator, for which the form is stored per sector
 SECTOR_LEAK_TOL = 1e-13
 
 #: eigenvalues smaller than this fraction of the largest are zero modes
@@ -65,18 +72,70 @@ def check_canonical_dim(lattice: Lattice, n_nodes: int) -> int:
     return dim
 
 
+def sector_leak(coupling: CouplingTensor, structure: StructureTensor, *extra: np.ndarray) -> float:
+    """Largest off-sector part of the site operators an assembler reads, each relative to its whole.
+
+    The operators are the coupling kernels, the structure kernel and any
+    `extra` (..., d, d) operators; every other operator an assembler reads
+    must be the lattice's own or built from these, since the blocks keep
+    no product between two sectors.  Each operator is rotated to
+    `Lattice.momentum_basis` on both site indices; a translation-invariant
+    operator maps every {q, -q} sector into itself, so its off-sector part
+    is round-off.
+    """
+    lattice = coupling.lattice
+    operators = (coupling.kernels, structure.kernel.mat, *extra)
+    f, m, d = lattice.momentum_basis, lattice.n_sites, lattice.dim
+    label = np.repeat(lattice.momentum_sector, 3)
+    off = label[:, None] != label[None, :]
+    worst = 0.0
+    for op in operators:
+        sites = op.reshape(-1, m, 3, m, 3)
+        rot = np.einsum("ri,nrasb,sj->niajb", f, sites, f, optimize=True).reshape(-1, d, d)
+        worst = max(worst, float(np.linalg.norm(rot[:, off]) / max(np.linalg.norm(rot), 1e-300)))
+    return worst
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
-    """Hermitian quadratic form over the canonical operator basis."""
+    """Hermitian quadratic form over the canonical operator basis, one block per slot group.
+
+    `groups[i]` holds the canonical slots of `blocks[i]` in ascending order,
+    so inside a block the a, p, x and y slots follow one another and pair
+    in order; no term of the form couples two groups.  `sector_leak` is the
+    off-sector part of the site operators the assembly read, which decided
+    the grouping.
+    """
 
     lattice: Lattice
     grid: FrequencyGrid
-    h: np.ndarray
     mt: int
+    groups: tuple
+    blocks: list
+    sector_leak: float
+
+    @classmethod
+    def zero(cls, lattice: Lattice, grid: FrequencyGrid, leak: float) -> "QuadraticHamiltonian":
+        """The zero form, one block per momentum sector unless `leak` exceeds `SECTOR_LEAK_TOL`.
+
+        The sector of a and p is the label of their transverse-basis
+        column, that of x and y the label of their momentum column.
+        """
+        mt = lattice.transverse_basis.shape[1]
+        labels = np.concatenate([lattice.transverse_sector, lattice.transverse_sector,
+                                 np.tile(np.repeat(lattice.momentum_sector, 3), 2 * grid.n_nodes)])
+        if leak > SECTOR_LEAK_TOL:
+            groups = (np.arange(labels.size),)
+        else:
+            order = np.argsort(labels, kind="stable")
+            groups = tuple(np.split(order, np.flatnonzero(np.diff(labels[order])) + 1))
+        return cls(lattice=lattice, grid=grid, mt=mt, groups=groups,
+                   blocks=[np.zeros((g.size, g.size), dtype=complex) for g in groups],
+                   sector_leak=leak)
 
     @property
     def dim(self) -> int:
-        return self.h.shape[0]
+        return sum(g.size for g in self.groups)
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -98,6 +157,13 @@ class QuadraticHamiltonian:
         """The y quadratures, in the same order as the x slots."""
         return slice(2 * self.mt + self.grid.n_nodes * self.lattice.dim, self.dim)
 
+    def _local_slices(self, group: np.ndarray) -> tuple:
+        """The a, p, x and y slots of a group, as slices of its block."""
+        na = int(np.count_nonzero(group < self.mt))
+        nx = group.size // 2 - na
+        return (slice(0, na), slice(na, 2 * na), slice(2 * na, 2 * na + nx),
+                slice(2 * na + nx, group.size))
+
     @cached_property
     def commutation_matrix(self) -> np.ndarray:
         """c-number matrix Sigma with [xi_i, xi_j] = Sigma_ij: i hbar on (a, p), i on (x, y)."""
@@ -109,36 +175,54 @@ class QuadraticHamiltonian:
             sig[second, first] = -value * eye
         return sig
 
-    def dynamics(self) -> np.ndarray:
-        """The real matrix R with [xi, H] = i R xi, a fresh array the caller owns.
+    def dynamics(self) -> list:
+        """The real R with [xi, H] = i R xi, one fresh block per group.
 
-        The commutation matrix pairs a with p and x with y, so R = -2 i Sigma
-        Re(h_sym) is assembled by row moves of the real part instead of a
-        dense matmul.  The imaginary part of h is the form's Hermiticity
-        defect, which `hermiticity_defect` measures.
+        The commutation matrix pairs a with p and x with y inside each
+        group, so R = -2 i Sigma Re(h_sym) is assembled by row moves of the
+        real part instead of a dense matmul.  The imaginary part of h is
+        the form's Hermiticity defect, which `hermiticity_defect` measures.
         """
-        h_real = self.symmetric_h().real
-        out = np.empty(self.h.shape)
-        for dst, src, coef in ((self.slice_a, self.slice_p, 2.0 * HBAR),
-                               (self.slice_p, self.slice_a, -2.0 * HBAR),
-                               (self.slice_x, self.slice_y, 2.0),
-                               (self.slice_y, self.slice_x, -2.0)):
-            np.multiply(h_real[src], coef, out=out[dst])
+        out = []
+        for group, h in zip(self.groups, self.symmetric_blocks()):
+            a, p, x, y = self._local_slices(group)
+            h_real, r = h.real, np.empty(h.shape)
+            for dst, src, coef in ((a, p, 2.0 * HBAR), (p, a, -2.0 * HBAR),
+                                   (x, y, 2.0), (y, x, -2.0)):
+                np.multiply(h_real[src], coef, out=r[dst])
+            out.append(r)
         return out
 
-    def symmetric_h(self) -> np.ndarray:
-        """(h + h^T)/2: `h` itself when it is exactly symmetric, as both assemblers store it."""
-        if np.array_equal(self.h, self.h.T):
-            return self.h
-        return (self.h + self.h.T) / 2.0
+    def symmetric_blocks(self) -> list:
+        """(h + h^T)/2 per block: the stored block itself when exactly symmetric, as both assemblers store it."""
+        return [b if np.array_equal(b, b.T) else (b + b.T) / 2.0 for b in self.blocks]
 
-    # -- dense assembly -----------------------------------------------------
+    def merged(self) -> "QuadraticHamiltonian":
+        """The same form as one block over every slot: the dense embedding of the blocks."""
+        h = np.zeros((self.dim, self.dim), dtype=complex)
+        for group, b in zip(self.groups, self.blocks):
+            h[np.ix_(group, group)] = b
+        return replace(self, groups=(np.arange(self.dim),), blocks=[h])
+
+    # -- assembly, block by block -------------------------------------------
+
+    def _products(self, left: np.ndarray, right: np.ndarray):
+        # only the columns of one group meet: the other products are zero as long as
+        # `sector_leak` saw every operator that built the rows
+        for group, block in zip(self.groups, self.blocks):
+            yield block, left[:, group].T @ right[:, group]
 
     def accumulate(self, left: np.ndarray, right: np.ndarray, coef: complex):
-        """h += coef left^T right, the product scaled in place."""
-        prod = left.T @ right
-        prod *= coef
-        self.h[:] += prod
+        """h += coef left^T right, each block's product scaled in place."""
+        for block, prod in self._products(left, right):
+            prod *= coef
+            block += prod
+
+    def add_hermitian(self, left: np.ndarray, right: np.ndarray):
+        """h += left^T right plus its adjoint."""
+        for block, half in self._products(left, right):
+            block += half
+            block += half.conj().T
 
     def add_field_energy(self):
         """The transverse field energy: the momentum and the double-curl potential terms."""
@@ -148,19 +232,22 @@ class QuadraticHamiltonian:
 
     def symmetrize(self):
         """h = (h + h^T)/2 in place."""
-        h = self.h
-        h += h.T   # numpy buffers the overlapping transpose: one temporary, not two
-        h /= 2.0
+        for block in self.blocks:
+            block += block.T   # numpy buffers the overlapping transpose: one temporary, not two
+            block /= 2.0
 
     def hermiticity_defect(self) -> float:
         """||h_sym - h_sym^dag|| / ||h_sym||, the adjoint form being the conjugate.
 
         Every basis operator is Hermitian, so the adjoint of the form
         xi^T q xi has the coefficients conj(q)^T, and the defect of the
-        symmetric part is twice its imaginary part.
+        symmetric part is twice its imaginary part.  The squared norms are
+        summed over the blocks.
         """
-        h_sym = self.symmetric_h()
-        return float(2.0 * np.linalg.norm(h_sym.imag) / max(np.linalg.norm(h_sym), 1e-300))
+        sym = self.symmetric_blocks()
+        imag = np.sqrt(sum(np.linalg.norm(b.imag) ** 2 for b in sym))
+        whole = np.sqrt(sum(np.linalg.norm(b) ** 2 for b in sym))
+        return float(2.0 * imag / max(whole, 1e-300))
 
     # -- canonical rows of the basic operators -----------------------------
 
@@ -182,14 +269,17 @@ class QuadraticHamiltonian:
         The basis holds the quadratures of c_l = sqrt(v w_l) C(w_l) =
         (x_l + i y_l)/sqrt(2), so a (K, n, d) stack pair enters the x slots
         as s (alpha + beta) and the y slots as i s (alpha - beta), with
-        s = sqrt(v w_l / 2).  The adjoint of the operator has the conjugate
-        rows.
+        s = sqrt(v w_l / 2), its site index rotated to the momentum basis.
+        The adjoint of the operator has the conjugate rows.
         """
         K, n, d = alpha.shape
+        f, m = self.lattice.momentum_basis, self.lattice.n_sites
         s = np.sqrt(0.5 * self.lattice.cell_volume * self.grid.weights)[:, None, None]
         rows = np.zeros((n, self.dim), dtype=complex)
-        rows[:, self.slice_x] = (s * (alpha + beta)).transpose(1, 0, 2).reshape(n, K * d)
-        rows[:, self.slice_y] = (1j * s * (alpha - beta)).transpose(1, 0, 2).reshape(n, K * d)
+        for slots, coef in ((self.slice_x, s * (alpha + beta)), (self.slice_y, 1j * s * (alpha - beta))):
+            # contract the sites of the (K, n, M, 3) view: (K, n, 3, M) in momentum columns
+            rotated = np.tensordot(coef.reshape(K, n, m, 3), f, axes=([2], [0]))
+            rows[:, slots] = rotated.transpose(1, 0, 3, 2).reshape(n, K * d)
         return rows
 
     def smear_columns(self) -> np.ndarray:
@@ -199,15 +289,17 @@ class QuadraticHamiltonian:
         its residual rows are paired against smooth frequency profiles,
         mirroring the weak-form residuals of the defining equations.  The
         columns read an operator's a and p coefficients, then its smeared c
-        and its smeared c^dag coefficients, one group per profile each: of
-        a row r, the c coefficient is (r_x - i r_y)/sqrt(2) and the c^dag
-        coefficient (r_x + i r_y)/sqrt(2).
+        and its smeared c^dag coefficients at each lattice site, one group
+        per profile each: of a row r, the c coefficient is (r_x - i r_y)/sqrt(2)
+        and the c^dag coefficient (r_x + i r_y)/sqrt(2), rotated back from
+        the momentum basis.
         """
-        grid, d, base = self.grid, self.lattice.dim, 2 * self.mt
-        scale = np.sqrt(0.5 * grid.weights / self.lattice.cell_volume) * smear_profiles(grid)
-        n_cols = len(scale) * d
-        # block (l, p) of a ladder sector: sqrt(q_l / (2 v)) profile_p(w_l) times the identity
-        ladder = np.kron(scale.T, np.eye(d))
+        grid, lattice, base = self.grid, self.lattice, 2 * self.mt
+        scale = np.sqrt(0.5 * grid.weights / lattice.cell_volume) * smear_profiles(grid)
+        n_cols = len(scale) * lattice.dim
+        # block (l, p) of a ladder sector: sqrt(q_l / (2 v)) profile_p(w_l) times the
+        # transposed momentum basis, so that rows @ cols is the site-basis product
+        ladder = np.kron(scale.T, np.kron(lattice.momentum_basis, np.eye(3)).T)
         cols = np.zeros((self.dim, base + 2 * n_cols), dtype=complex)
         cols[:base, :base] = np.eye(base)
         cols[self.slice_x, base:] = np.hstack([ladder, ladder])
@@ -223,27 +315,30 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor) -
     structure tensor, and the electrostatic energy of the longitudinal
     polarization.  The bilinear and quadratic coupling pieces enter
     together or not at all: both are linear/quadratic in the same kernels.
+    The form is stored per momentum sector when the coupling kernels and
+    the structure kernel conserve lattice momentum (`sector_leak`).
     A canonical dimension above `MAX_CANONICAL_DIM` is a configuration
     error, raised before anything is allocated.
     """
     lattice, grid = coupling.lattice, coupling.grid
     d, v = lattice.dim, lattice.cell_volume
-    dim = check_canonical_dim(lattice, grid.n_nodes)
-    ham = QuadraticHamiltonian(lattice=lattice, grid=grid, h=np.zeros((dim, dim), dtype=complex),
-                               mt=lattice.transverse_basis.shape[1])
-    h = ham.h
+    check_canonical_dim(lattice, grid.n_nodes)
+    ham = QuadraticHamiltonian.zero(lattice, grid, sector_leak(coupling, structure))
     ham.add_field_energy()
 
-    # medium oscillators: hbar omega_k c^dag c = hbar omega_k (x^2 + y^2)/2 up to a constant
-    ladder = np.arange(2 * ham.mt, dim)
-    h[ladder, ladder] += np.tile(np.repeat(0.5 * HBAR * grid.nodes, d), 2)
-
-    # bilinear coupling: each a times the medium operator with the node
-    # kernels hbar omega_k v (T_k phi)^T, the c^dag kernels their conjugates
+    # medium oscillators: hbar omega_k c^dag c = hbar omega_k (x^2 + y^2)/2 up to a
+    # constant; and the bilinear coupling, each a times the medium operator with
+    # the node kernels hbar omega_k v (T_k phi)^T, the c^dag kernels their conjugates
+    oscillators = np.zeros(ham.dim)
+    oscillators[2 * ham.mt:] = np.tile(np.repeat(0.5 * HBAR * grid.nodes, d), 2)
     u_a = ham.rows_vector_potential
     alpha = (HBAR * v * grid.nodes[:, None, None]
              * (coupling.kernels @ u_a[:, ham.slice_a])).transpose(0, 2, 1)
-    h[ham.slice_a] += ham.ladder_rows(alpha, alpha.conj())
+    a_rows = ham.ladder_rows(alpha, alpha.conj())
+    for group, block in zip(ham.groups, ham.blocks):
+        block[np.diag_indices(group.size)] += oscillators[group]
+        a = ham._local_slices(group)[0]
+        block[a] += a_rows[np.ix_(group[a], group)]
 
     # quadratic vector-potential term
     ham.accumulate(u_a, structure.kernel.mat @ u_a, 0.5 * HBAR * v**2)
@@ -282,8 +377,12 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     out = {}
 
     def ddt(rows):
-        # (-i / hbar) [O, H] = rows R / hbar, as real GEMMs: no complex copy of R
-        return (rows.real @ r + 1j * (rows.imag @ r)) / HBAR
+        # (-i / hbar) [O, H] = rows R / hbar, block by block as real GEMMs: no complex copy of R
+        rate = np.empty_like(rows)
+        for group, r_g in zip(ham.groups, r):
+            sub = rows[:, group]
+            rate[:, group] = (sub.real @ r_g + 1j * (sub.imag @ r_g)) / HBAR
+        return rate
 
     # potential rate
     rhs = u_pi / EPS0
@@ -367,9 +466,10 @@ def diagonal_form_check(ham: QuadraticHamiltonian, prop: NodePropagator) -> floa
     grid = ham.grid
     cols = ham.smear_columns()
     cdag = (cols.shape[1] + 2 * ham.mt) // 2   # first c^dag column: the halves are equal
-    r = ham.dynamics()
-    kdyn_cols = 1j * (r @ cols.real + 1j * (r @ cols.imag))   # K cols with K = i R
-    del r
+    kdyn_cols = np.empty_like(cols)   # K cols with K = i R, block by block
+    for group, r_g in zip(ham.groups, ham.dynamics()):
+        sub = cols[group]
+        kdyn_cols[group] = 1j * (r_g @ sub.real + 1j * (r_g @ sub.imag))
     groups = {
         "a": np.s_[:, 0:ham.mt],
         "p": np.s_[:, ham.mt:2 * ham.mt],
@@ -390,47 +490,23 @@ def diagonal_form_check(ham: QuadraticHamiltonian, prop: NodePropagator) -> floa
 
 
 def mode_frequencies(ham: QuadraticHamiltonian) -> tuple[np.ndarray, int, float]:
-    """Every eigenvalue of K / hbar, as i eig(R) / hbar.
+    """Every eigenvalue of K / hbar, as i eig(R) / hbar, one block of R at a time.
 
-    Each ladder quadrature block of R is rotated from lattice sites to the
-    real `Lattice.momentum_basis`, one block at a time, in place.  A
-    translation-invariant form then couples no two momentum sectors, and
-    each sector is solved alone.  When the off-sector part of the rotated R
-    exceeds `SECTOR_LEAK_TOL` relative to R, as for a random coupling, the
-    whole matrix is one group instead.  The solver is the general
-    nonsymmetric one, so complex frequencies of an unstable form still
-    show.  A form that is not dagger-Hermitian has no real R and raises
-    instead of losing its imaginary part.  Returns the eigenvalues, the
-    number of groups solved and the relative off-sector norm.
+    A form stored per momentum sector has one block per sector; a form
+    whose inputs leak across sectors, as a random coupling's do, is one
+    block.  The solver is the general nonsymmetric one, so complex
+    frequencies of an unstable form still show.  A form that is not
+    dagger-Hermitian has no real R and raises instead of losing its
+    imaginary part.  Returns the eigenvalues, the number of blocks solved
+    and the form's input `sector_leak`.
     """
     defect = ham.hermiticity_defect()
     if defect > HERMITICITY_TOL:
         raise DampolError(
             f"quadratic form is not dagger-Hermitian: relative defect {defect:.3e} "
             f"(limit {HERMITICITY_TOL:g})")
-    r = ham.dynamics()
-    lattice = ham.lattice
-    f, d, m = lattice.momentum_basis, lattice.dim, lattice.n_sites
-    for start in range(2 * ham.mt, ham.dim, d):
-        blk = slice(start, start + d)
-        r[blk] = (f.T @ r[blk].reshape(m, -1)).reshape(d, -1)
-        rotated = r[:, blk].reshape(-1, m, 3).transpose(0, 2, 1) @ f
-        r[:, blk] = rotated.transpose(0, 2, 1).reshape(-1, d)
-    # a and p follow the transverse basis; each rotated ladder block is (momentum column, component)
-    labels = np.concatenate([lattice.transverse_sector, lattice.transverse_sector,
-                             np.tile(np.repeat(lattice.momentum_sector, 3), 2 * ham.grid.n_nodes)])
-    order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    off_sq = 0.0
-    for g in groups:
-        rows = r[g]
-        rows[:, g] = 0.0
-        off_sq += float(np.vdot(rows, rows))
-    leak = float(np.sqrt(off_sq) / max(np.linalg.norm(r), 1e-300))
-    if leak > SECTOR_LEAK_TOL:
-        groups = [np.arange(ham.dim)]
-    evals = np.concatenate([np.linalg.eigvals(r[np.ix_(g, g)]) for g in groups])
-    return 1j * evals / HBAR, len(groups), leak
+    evals = np.concatenate([np.linalg.eigvals(r_g) for r_g in ham.dynamics()])
+    return 1j * evals / HBAR, len(ham.blocks), ham.sector_leak
 
 
 def symplectic_spectrum(ham: QuadraticHamiltonian) -> dict:

@@ -159,16 +159,17 @@ class TestHamiltonianForms:
             bath = bath_coefficients(coupling, chi)
             ham = assemble_hamiltonian(coupling, st)
             vals.append(hamiltonian_equivalence(coupling, st, bath, ham))
-            assert assemble_bath_hamiltonian(coupling, st, bath, ham).hermiticity_defect() <= 1e-12
+            assert assemble_bath_hamiltonian(coupling, st, bath).hermiticity_defect() <= 1e-12
         assert vals[0]["weak"] / vals[1]["weak"] >= 1.8
 
     def test_bath_form_field_sector_exact(self, bath_setup):
         lat, grid, coupling, st, chi, bath = bath_setup
         ham = assemble_hamiltonian(coupling, st)
-        ham2 = assemble_bath_hamiltonian(coupling, st, bath, ham)
+        ham2 = assemble_bath_hamiltonian(coupling, st, bath)
+        assert [g.tolist() for g in ham2.groups] == [g.tolist() for g in ham.groups]
         fs = slice(0, 2 * ham.mt)
         ms = slice(2 * ham.mt, ham.dim)
-        diff = ham2.h - ham.h
+        diff = ham2.merged().blocks[0] - ham.merged().blocks[0]
         assert np.linalg.norm(diff[fs, fs]) <= 1e-12
         assert np.linalg.norm(diff[fs, ms]) <= 1e-12
 

@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,6 +56,26 @@ class TestConfigParsing:
         cfg = tmp_path / "unknown.ini"
         cfg.write_text(text.replace(old, new, 1))
         assert main(["model", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exits_usage(self, tmp_path, where):
+        # numpy's generators take no negative seed; the config refuses it
+        # before any stage runs, whether it comes from [run] or --seed
+        cfg = CONFIG_DIR / "lorentz.ini"
+        extra = ["--seed", "-1"]
+        if where == "config":
+            cfg = tmp_path / "seed.ini"
+            cfg.write_text((CONFIG_DIR / "lorentz.ini").read_text().replace(
+                "seed = 1234", "seed = -3"))
+            extra = []
+        proc = subprocess.run([sys.executable, "-m", "dampol.cli", "chi", "--config", str(cfg),
+                               "--out", str(tmp_path / "o"), *extra],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert "seed must be non-negative" in proc.stderr
+        assert not (tmp_path / "o").exists()
 
 
 def over_cap_config(tmp_path):
@@ -141,6 +162,31 @@ class TestRun:
         assert run(cfg) == EXIT_NUMERICAL
         rep = read_report(cfg.out, "bath")
         assert "not invertible" in rep["error"]
+
+
+class TestOneBlockBathForm:
+    def test_violator_chi_oracle_matches_dense(self, tmp_path, monkeypatch):
+        # the chi_symmetry violation leaks the bath coefficients across momentum
+        # sectors while the coupling conserves momentum: the bath form is one
+        # block, compared with the merged reference; the values are the dense
+        # oracle's, whose form was one dim x dim matrix
+        import dampol.bath as bath_mod
+        assemble, blocks = bath_mod.assemble_bath_hamiltonian, []
+
+        def spy(*args):
+            form = assemble(*args)
+            blocks.append(len(form.blocks))
+            return form
+        monkeypatch.setattr(bath_mod, "assemble_bath_hamiltonian", spy)
+        out = tmp_path / "o"
+        argv = ["oracle", "--config", str(CONFIG_DIR / "violator_chi.ini"), "--out", str(out)]
+        assert main(argv) == EXIT_PASS
+        assert blocks == [1]
+        checks = {c["check_id"]: c for c in read_report(out, "oracle")["checks"]}
+        assert checks["oracle.spectrum_real"]["n_sectors"] == 8
+        weak = checks["oracle.hamiltonian_forms_weak"]
+        assert weak["residual"] == pytest.approx(0.057270887986579914, rel=1e-10)
+        assert weak["frobenius"] == pytest.approx(0.05982854450409224, rel=1e-10)
 
 
 class TestSusceptibilityReuse:

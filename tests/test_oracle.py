@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st_
 
 from dampol import oracle
 from dampol.bath import bath_coefficients
+from dampol.cli import Pipeline, ScenarioConfig, stage_oracle
 from dampol.constants import HBAR
 from dampol.errors import DampolError
 from dampol.coupling import (
@@ -34,6 +36,8 @@ from dampol.oracle import (
 from dampol.susceptibility import Susceptibility
 
 from test_coupling import scalar_coupling
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +92,41 @@ def close(got, ref, rtol):
     return np.linalg.norm(got - ref) <= rtol * np.linalg.norm(ref)
 
 
+# -- the dense reference: one dim x dim matrix over the canonical slots ---------
+
+
+def embed(ham, blocks):
+    """Per-group blocks (of h or of R) placed in one dense dim x dim matrix."""
+    out = np.zeros((ham.dim, ham.dim), dtype=blocks[0].dtype)
+    for g, b in zip(ham.groups, blocks):
+        out[np.ix_(g, g)] = b
+    return out
+
+
+def dense(ham):
+    """The dense symmetric coefficient matrix of a form."""
+    return embed(ham, ham.symmetric_blocks())
+
+
+def one_block(lat, grid, h):
+    """A form stored as one block over every canonical slot."""
+    return QuadraticHamiltonian(lattice=lat, grid=grid, mt=lat.transverse_basis.shape[1],
+                                groups=(np.arange(h.shape[0]),), blocks=[h], sector_leak=np.inf)
+
+
+def momentum_rotation(ham):
+    """Orthogonal Q with site-ordered rows @ Q the rows in the form's slot order.
+
+    Each node's x and y slots run over the momentum basis: the d sites of
+    a slot block are rotated by kron(F, I_3); a and p are kept.
+    """
+    q = np.eye(ham.dim)
+    ladder = slice(2 * ham.mt, ham.dim)
+    f3 = np.kron(ham.lattice.momentum_basis, np.eye(3))
+    q[ladder, ladder] = np.kron(np.eye(2 * ham.grid.n_nodes), f3)
+    return q
+
+
 class TestAssembly:
     def test_dimensions(self, lorentz_setup):
         lat, grid, coupling, st, ham = lorentz_setup
@@ -101,10 +140,10 @@ class TestAssembly:
 
     def test_stored_form_is_its_own_symmetric_part(self, lorentz_setup):
         lat, grid, coupling, st, ham = lorentz_setup
-        assert ham.symmetric_h() is ham.h
+        assert all(s is b for s, b in zip(ham.symmetric_blocks(), ham.blocks))
         h = np.arange(ham.dim**2, dtype=complex).reshape(ham.dim, ham.dim)
-        rand = QuadraticHamiltonian(lattice=lat, grid=grid, h=h, mt=ham.mt)
-        assert np.array_equal(rand.symmetric_h(), (h + h.T) / 2.0)
+        rand = one_block(lat, grid, h)
+        assert np.array_equal(rand.symmetric_blocks()[0], (h + h.T) / 2.0)
 
     def test_hermiticity_defect_matches_permuted_adjoint(self, lorentz_setup):
         # the ladder-basis definition: the adjoint of zeta^T q zeta has the
@@ -116,8 +155,8 @@ class TestAssembly:
             x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             h = x + x.conj().T + noise * y
-            rand = QuadraticHamiltonian(lattice=lat, grid=grid, h=h, mt=ham.mt)
-            h_zeta = u.conj() @ rand.symmetric_h() @ u.conj().T   # h_xi = U^T h_zeta U
+            rand = one_block(lat, grid, h)
+            h_zeta = u.conj() @ dense(rand) @ u.conj().T   # h_xi = U^T h_zeta U
             adj = h_zeta[np.ix_(perm, perm)].conj().T
             ref = np.linalg.norm(adj - h_zeta) / np.linalg.norm(h_zeta)
             assert abs(rand.hermiticity_defect() - ref) <= 1e-9 * ref
@@ -131,10 +170,10 @@ class TestAssembly:
         lat, grid, coupling, st, ham = lorentz_setup
         u = ladder_unitary(ham)
         for form in (ham, random_form(lat, grid, np.random.default_rng(8))):
-            h_zeta = u.conj() @ form.symmetric_h() @ u.conj().T
+            h_zeta = u.conj() @ dense(form) @ u.conj().T
             ref = -1j * u.conj().T @ (2.0 * ladder_commutation(form) @ h_zeta) @ u
             assert np.linalg.norm(ref.imag) <= 1e-15 * np.linalg.norm(ref)
-            assert close(form.dynamics(), ref.real, 1e-14)
+            assert close(embed(form, form.dynamics()), ref.real, 1e-14)
         sig_xi = u.conj().T @ ladder_commutation(ham) @ u.conj()   # [xi, xi^T] = U^-1 Sigma_zeta U^-T
         assert close(ham.commutation_matrix, sig_xi, 1e-15)
 
@@ -146,8 +185,9 @@ class TestAssembly:
         # no cross blocks between field and medium sectors
         fs = slice(0, 2 * ham.mt)
         ms = slice(2 * ham.mt, ham.dim)
-        assert np.linalg.norm(ham.h[fs, ms]) == 0.0
-        assert np.linalg.norm(ham.h[ms, fs]) == 0.0
+        h = dense(ham)
+        assert np.linalg.norm(h[fs, ms]) == 0.0
+        assert np.linalg.norm(h[ms, fs]) == 0.0
 
     def test_coupling_and_quadratic_terms_together(self, small_lattice, lorentz_setup):
         # structural: cross blocks and the quadratic potential term are both
@@ -155,11 +195,12 @@ class TestAssembly:
         lat, grid, coupling, st, ham = lorentz_setup
         fs = slice(0, 2 * ham.mt)
         ms = slice(2 * ham.mt, ham.dim)
-        assert np.linalg.norm(ham.h[fs, ms]) > 0
+        h = dense(ham)
+        assert np.linalg.norm(h[fs, ms]) > 0
         a = ham.slice_a
         curl_energy = lat.cell_volume / 2.0 * lat.transverse_basis.T @ lat.double_curl_matrix \
             @ lat.transverse_basis / lat.cell_volume
-        quad_extra = ham.h[a, a] - curl_energy
+        quad_extra = h[a, a] - curl_energy
         assert np.linalg.norm(quad_extra) > 0
 
     def test_single_site_single_node_entries(self, single_site):
@@ -170,15 +211,16 @@ class TestAssembly:
         ham = assemble_hamiltonian(coupling, st)
         om, w = grid.nodes[0], grid.weights[0]
         x, y = ham.slice_x, ham.slice_y
+        h = dense(ham)   # one site: the momentum basis is the site itself
         # medium oscillator: hbar omega c^dag c = hbar omega (x^2 + y^2)/2
-        assert np.allclose(ham.h[x, x], 0.5 * HBAR * om * np.eye(3))
-        assert np.allclose(ham.h[y, y], 0.5 * HBAR * om * np.eye(3))
-        assert not np.any(ham.h[x, y])
+        assert np.allclose(h[x, x], 0.5 * HBAR * om * np.eye(3))
+        assert np.allclose(h[y, y], 0.5 * HBAR * om * np.eye(3))
+        assert not np.any(h[x, y])
         # bilinear coupling: hbar omega sqrt(w) tau / 2 on each symmetrized c
         # and c^dag block of the ladder basis; with real tau both land in x
         expected = 0.5 * HBAR * om * np.sqrt(w) * tau * np.eye(3)
-        assert np.allclose(ham.h[x, ham.slice_a], np.sqrt(2.0) * expected)
-        assert not np.any(ham.h[y, ham.slice_a])
+        assert np.allclose(h[x, ham.slice_a], np.sqrt(2.0) * expected)
+        assert not np.any(h[y, ham.slice_a])
 
     def test_dimension_cap(self, small_lattice):
         grid = FrequencyGrid.midpoint(512, 3.0)
@@ -189,7 +231,11 @@ class TestAssembly:
 
 
 class TestLadderRows:
-    """`ladder_rows` against the per-node ladder-basis formulas each operator had, times U."""
+    """`ladder_rows` against the per-node ladder-basis formulas each operator had, times U Q.
+
+    U converts the ladder slots to quadratures and Q rotates their sites to
+    the momentum basis (`momentum_rotation`).
+    """
 
     @pytest.fixture(scope="class", params=["random_n1_K7", "lorentz_n2_K12"])
     def case(self, request):
@@ -217,13 +263,13 @@ class TestLadderRows:
             u_w[:, c] += s * coeff
             u_w[:, cdag] += s * coeff.conj()
         pol, mom = medium_polarization_form(coupling), medium_momentum_form(coupling, st)
-        u = ladder_unitary(ham)
+        u = ladder_unitary(ham) @ momentum_rotation(ham)
         assert close(ham.ladder_rows(pol.alpha, pol.beta), u_p @ u, 1e-15)
         assert close(ham.ladder_rows(mom.alpha, mom.beta), u_w @ u, 1e-15)
 
     def test_medium_modes(self, case):
         lat, grid, coupling, st, ham = case
-        u = ladder_unitary(ham)
+        u = ladder_unitary(ham) @ momentum_rotation(ham)
         for k in range(grid.n_nodes):
             old = np.zeros((lat.dim, ham.dim), dtype=complex)
             old[:, ladder_slices(ham, k)[0]] = np.eye(lat.dim) / np.sqrt(
@@ -235,7 +281,7 @@ class TestLadderRows:
         lat, grid, coupling, st, ham = case
         bath = bath_coefficients(coupling, Susceptibility(coupling))
         v, w = lat.cell_volume, grid.weights
-        u = ladder_unitary(ham)
+        u = ladder_unitary(ham) @ momentum_rotation(ham)
         for k in range(grid.n_nodes):
             co, counter = bath.rows(coupling, k)
             old = np.zeros((lat.dim, ham.dim), dtype=complex)
@@ -250,7 +296,7 @@ class TestLadderRows:
         prop = node_propagator(Susceptibility(coupling))
         modes = mode_coefficients(prop)
         v, phi = lat.cell_volume, lat.transverse_basis
-        u = ladder_unitary(ham)
+        u = ladder_unitary(ham) @ momentum_rotation(ham)
         for k in range(grid.n_nodes):
             old = np.zeros((lat.dim, ham.dim), dtype=complex)
             old[:, ham.slice_a] = np.sqrt(v) * modes.potential[k] @ phi
@@ -331,7 +377,7 @@ class TestDiagonalForm:
 
 def complex_route(ham):
     """The reference spectrum: the complex eigensolver on K = 2 Sigma h_sym."""
-    return np.linalg.eigvals(2.0 * ham.commutation_matrix @ ham.symmetric_h()) / HBAR
+    return np.linalg.eigvals(2.0 * ham.commutation_matrix @ dense(ham)) / HBAR
 
 
 def complex_route_spectrum(ham):
@@ -339,9 +385,17 @@ def complex_route_spectrum(ham):
     return complex_route(ham), 1, 0.0
 
 
-def dense_route(ham):
-    """The whole of R in one real eigensolve, with no sector split."""
-    return 1j * np.linalg.eigvals(ham.dynamics()) / HBAR
+def dense_route(r):
+    """The frequencies of one real eigensolve of a whole R."""
+    return 1j * np.linalg.eigvals(r) / HBAR
+
+
+def off_group(groups, m):
+    """The entries of m that couple two different groups."""
+    label = np.empty(m.shape[0], dtype=int)
+    for i, g in enumerate(groups):
+        label[g] = i
+    return m[label[:, None] != label[None, :]]
 
 
 def positive_frequencies(evals, zero_tol=oracle.ZERO_MODE_TOL):
@@ -351,13 +405,11 @@ def positive_frequencies(evals, zero_tol=oracle.ZERO_MODE_TOL):
 
 def random_form(lat, grid, rng, dagger_hermitian=True):
     """A random quadratic form on the canonical basis of (lat, grid)."""
-    mt = lat.transverse_basis.shape[1]
     dim = canonical_dim(lat, grid.n_nodes)
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    ham = QuadraticHamiltonian(lattice=lat, grid=grid, h=x, mt=mt)
     if dagger_hermitian:   # the adjoint form has the coefficients conj(x)^T
-        ham = QuadraticHamiltonian(lattice=lat, grid=grid, h=x + x.conj().T, mt=mt)
-    return ham
+        x = x + x.conj().T
+    return one_block(lat, grid, x)
 
 
 def same_multiset(a, b, tol):
@@ -428,8 +480,8 @@ class TestSpectrum:
         ham = random_form(single_site, FrequencyGrid.midpoint(n_nodes, 3.0),
                           np.random.default_rng(seed))
         assert ham.hermiticity_defect() < 1e-13
-        k_dyn = 2.0 * ham.commutation_matrix @ ham.symmetric_h()
-        assert close(1j * ham.dynamics(), k_dyn, 1e-15)
+        k_dyn = 2.0 * ham.commutation_matrix @ ham.symmetric_blocks()[0]
+        assert close(1j * ham.dynamics()[0], k_dyn, 1e-15)
         ref = complex_route(ham)
         assert same_multiset(mode_frequencies(ham)[0], ref, 1e-9 * np.max(np.abs(ref)))
 
@@ -451,15 +503,21 @@ class TestSectorSpectrum:
         ("local_lorentz", 3, 3, True),
         ("local_lorentz", 4, 1, True),
     ])
-    def test_matches_dense_eigvals(self, model, n, K, k0_transverse):
+    def test_matches_dense_eigvals(self, model, n, K, k0_transverse, monkeypatch):
         lat = build_lattice(n, 1.0, k0_transverse)
         grid = FrequencyGrid.midpoint(K, 3.0, eta_factor=1.0)
         coupling = coupling_from_lagrangian(builtin_model(model, lat, grid))
-        ham = assemble_hamiltonian(coupling, structure_tensor(coupling))
+        st = structure_tensor(coupling)
+        ham = assemble_hamiltonian(coupling, st)
         got, n_sectors, leak = mode_frequencies(ham)
-        ref = dense_route(ham)
+        leak_tol = oracle.SECTOR_LEAK_TOL
+        monkeypatch.setattr(oracle, "SECTOR_LEAK_TOL", -1.0)   # the assembly unsplit
+        whole = assemble_hamiltonian(coupling, st)
+        (r,) = whole.dynamics()
+        ref = dense_route(r)
         assert n_sectors == np.unique(lat.momentum_sector).size > 1
-        assert leak <= oracle.SECTOR_LEAK_TOL
+        assert leak <= leak_tol
+        assert np.linalg.norm(off_group(ham.groups, r)) <= leak_tol * np.linalg.norm(r)
         assert spectrum_counts(got) == spectrum_counts(ref)
         scale = np.max(np.abs(ref))
         keep = np.abs(ref) > oracle.ZERO_MODE_TOL * scale
@@ -472,19 +530,92 @@ class TestSectorSpectrum:
         grid = FrequencyGrid.midpoint(6, 3.0, eta_factor=1.0)
         coupling = coupling_from_lagrangian(
             random_coupling(small_lattice, grid, np.random.default_rng(3)))
-        spec = symplectic_spectrum(assemble_hamiltonian(coupling, structure_tensor(coupling)))
-        assert spec["n_sectors"] == 1
+        ham = assemble_hamiltonian(coupling, structure_tensor(coupling))
+        spec = symplectic_spectrum(ham)
+        assert spec["n_sectors"] == len(ham.blocks) == 1
         assert spec["sector_leak"] > oracle.SECTOR_LEAK_TOL
+        # the one block is the whole form, and its spectrum the dense eigvals of R
+        assert ham.blocks[0].shape == (ham.dim, ham.dim)
+        got = mode_frequencies(ham)[0]
+        ref = dense_route(ham.dynamics()[0])
+        assert same_multiset(got, ref, 1e-10 * np.max(np.abs(ref)))
 
-    def test_traced_peak_within_one_and_a_half_arrays(self, lorentz_setup):
-        # one dim x dim float64 R, rotated in place, plus the sector row
-        # copies: 1.31 arrays measured at n = 2, K = 10
+    def test_traced_peak_within_the_block_bytes(self, lorentz_setup):
+        # the R blocks, all alive at once, plus one block's eigensolver
+        # workspace: 1.05 times the float64 bytes of the blocks, 8 sum b^2,
+        # measured at n = 2, K = 10
         lat, grid, coupling, st, ham = lorentz_setup
-        lat.momentum_basis
+        symplectic_spectrum(ham)
         tracemalloc.start()
         try:
             symplectic_spectrum(ham)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 8 * ham.dim**2
+        assert peak <= 1.25 * 8 * sum(g.size**2 for g in ham.groups)
+
+
+def oracle_pipeline(model, n, K, k0_transverse=True):
+    return Pipeline(ScenarioConfig(n_per_axis=n, k0_transverse=k0_transverse, n_nodes=K,
+                                   omega_max=3.0, eta_factor=1.0, model=model))
+
+
+def agree(a, b):
+    return abs(a - b) <= 1e-10 * abs(b) or max(abs(a), abs(b)) <= 1e-13
+
+
+class TestSectorBlocks:
+    """The per-sector form against the same assembly stored as one block."""
+
+    @pytest.mark.parametrize("model,n,K,k0_transverse", [
+        ("local_lorentz", 2, 6, True),
+        ("gaussian_nonlocal", 2, 6, True),
+        ("uniaxial_local", 2, 6, True),
+        ("local_lorentz", 2, 6, False),
+        ("local_lorentz", 3, 4, True),
+        ("local_lorentz", 4, 1, True),
+    ])
+    def test_sector_route_matches_one_block(self, model, n, K, k0_transverse, monkeypatch):
+        pipe = oracle_pipeline(model, n, K, k0_transverse)
+        sectors = stage_oracle(pipe)
+        ham = pipe.hamiltonian
+        leak_tol = oracle.SECTOR_LEAK_TOL
+        monkeypatch.setattr(oracle, "SECTOR_LEAK_TOL", -1.0)   # every form one block
+        del pipe.hamiltonian
+        whole = stage_oracle(pipe)
+        one = pipe.hamiltonian
+        assert len(one.blocks) == 1
+        assert len(ham.blocks) == np.unique(pipe.lattice.momentum_sector).size > 1
+
+        h = one.blocks[0]
+        for g, block in zip(ham.groups, ham.blocks):
+            assert close(block, h[np.ix_(g, g)], 1e-13)
+        assert np.linalg.norm(off_group(ham.groups, h)) <= leak_tol * np.linalg.norm(h)
+
+        for a, b in zip(sectors["checks"], whole["checks"], strict=True):
+            assert (a["check_id"], a["passed"]) == (b["check_id"], b["passed"])
+            for key in ("residual", "min_positive", "frobenius", "oracle_residual",
+                        "kernel_residual", "n_zero_modes"):
+                if key in a:
+                    assert agree(a[key], b[key]), (a["check_id"], key, a[key], b[key])
+
+        got, ref = mode_frequencies(ham)[0], mode_frequencies(one)[0]
+        scale = np.max(np.abs(ref))
+        assert spectrum_counts(got) == spectrum_counts(ref)
+        assert same_multiset(got[np.abs(got) > oracle.ZERO_MODE_TOL * scale],
+                             ref[np.abs(ref) > oracle.ZERO_MODE_TOL * scale], 1e-10 * scale)
+
+    def test_oracle_stage_traced_peak(self):
+        # lorentz.ini, n = 2, K = 12, inputs cached: 3.6 times the bath form's
+        # (K, d, dim) complex row stack, its two row stacks alive at once
+        # being the peak; the dense stage held 10.1
+        pipe = Pipeline(ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini"))
+        pipe.propagator, pipe.streamed, pipe.bath, pipe.chi.above_cut
+        tracemalloc.start()
+        try:
+            stage_oracle(pipe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = 16 * pipe.grid.n_nodes * pipe.lattice.dim * pipe.hamiltonian.dim
+        assert peak <= 3.75 * stack

@@ -16,8 +16,9 @@ class TestKernelDump:
         dump_quadratic_form(path, ham, label="test")
         _, header = load_quadratic_form(path)
         assert header["label"] == "test"
-        assert header["format_version"] == 2
+        assert header["format_version"] == 3
         assert header["basis"] == "a,p,x,y"
+        assert header["ladder_sites"] == "momentum_basis"
         lattice = lorentz_coupling.lattice
         assert (header["n_per_axis"], header["spacing"], header["k0_transverse"]) == (
             lattice.n_per_axis, lattice.spacing, lattice.k0_transverse)
@@ -47,6 +48,18 @@ class TestKernelDump:
         with pytest.raises(DampolError, match="format version 1"):
             load_quadratic_form(path)
 
+    def test_version_two_rejected(self, tmp_path, lorentz_coupling, lorentz_structure):
+        # version 2 had every node's x and y slots in site order
+        path = tmp_path / "v2.dak"
+        dump_quadratic_form(path, assemble_hamiltonian(lorentz_coupling, lorentz_structure))
+        magic, header, raw = path.read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        fields["format_version"] = 2
+        del fields["ladder_sites"]
+        path.write_bytes(magic + b"\n" + json.dumps(fields).encode() + b"\n" + raw)
+        with pytest.raises(DampolError, match="format version 2"):
+            load_quadratic_form(path)
+
 
 class TestQuadraticFormDump:
     def test_roundtrip(self, tmp_path, lorentz_coupling, lorentz_structure):
@@ -54,5 +67,8 @@ class TestQuadraticFormDump:
         path = tmp_path / "h.dak"
         dump_quadratic_form(path, ham)
         arr, header = load_quadratic_form(path)
-        assert np.array_equal(arr, ham.h)
+        assert arr.shape == (ham.dim, ham.dim)
+        for g, block in zip(ham.groups, ham.blocks):   # the dense embedding of the blocks
+            assert np.array_equal(arr[np.ix_(g, g)], block)
+        assert np.count_nonzero(arr) == sum(np.count_nonzero(b) for b in ham.blocks)
         assert header["canonical_basis"]["transverse_dim"] == ham.mt
