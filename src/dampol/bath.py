@@ -33,18 +33,29 @@ from .fields import (
     medium_momentum_form,
     medium_polarization_form,
 )
-from .lattice import TensorKernel
+from .lattice import TensorKernel, sq_norms
 from .oracle import QuadraticHamiltonian, sector_leak
-from .susceptibility import Susceptibility, discontinuity_at_node
+from .susceptibility import Susceptibility, discontinuity
 
 #: singular-value ratio below which an operator counts as non-invertible
 INVERTIBILITY_RTOL = 1e-10
 
 
-def require_invertible(mat: np.ndarray, what: str, node: int) -> None:
-    """Raise `SingularOperatorError`, naming `what` and the node, unless `mat` is invertible."""
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[-1] <= INVERTIBILITY_RTOL * sv[0] or sv[0] == 0.0:
+def require_invertible(*named: tuple) -> None:
+    """Raise `SingularOperatorError` unless every (what, (K, d, d) stack) pair is invertible.
+
+    Each stack is checked by one batched SVD.  The error names the first
+    failing node, and at that node the first failing stack in the order
+    given, with the node's singular-value ratio.
+    """
+    first = None
+    for what, stack in named:
+        sv = np.linalg.svd(stack, compute_uv=False)
+        bad = np.flatnonzero((sv[:, -1] <= INVERTIBILITY_RTOL * sv[:, 0]) | (sv[:, 0] == 0.0))
+        if bad.size and (first is None or bad[0] < first[0]):
+            first = (int(bad[0]), what, sv[bad[0]])
+    if first is not None:
+        node, what, sv = first
         raise SingularOperatorError(
             f"{what} not invertible at node {node} "
             f"(singular-value ratio {sv[-1] / max(sv[0], 1e-300):.3e})",
@@ -98,37 +109,30 @@ def bath_coefficients(coupling: CouplingTensor, chi: Susceptibility) -> BathCoef
 
     Requires the coupling kernel and the susceptibility just above the cut
     to be invertible at every node; degenerate nodes raise with the node
-    named rather than silently pseudo-inverting.
+    named rather than silently pseudo-inverting.  Every node is checked,
+    inverted and multiplied as one batched operation over the node axis.
     """
     lattice, grid = coupling.lattice, coupling.grid
-    K, d, v = grid.n_nodes, lattice.dim, lattice.cell_volume
-    delta_coeff = np.empty((K, d, d), dtype=complex)
-    pole_coeff = np.empty((K, d, d), dtype=complex)
-    for k in range(K):
-        tmat = coupling.kernels[k]
-        require_invertible(tmat, "coupling kernel", k)
-        delta_coeff[k] = np.linalg.inv(tmat.T) / v**2
-        chi_up = chi.above_cut[k]
-        require_invertible(chi_up, "susceptibility", k)
-        chi_inv = np.linalg.inv(chi_up) / v**2
-        pole_coeff[k] = (HBAR / EPS0) * v * tmat.conj() @ chi_inv
+    v = lattice.cell_volume
+    require_invertible(("coupling kernel", coupling.kernels), ("susceptibility", chi.above_cut))
+    delta_coeff = np.linalg.inv(coupling.kernels.transpose(0, 2, 1))
+    delta_coeff /= v**2
+    chi_inv = np.linalg.inv(chi.above_cut)
+    chi_inv /= v**2
+    pole_coeff = (HBAR / EPS0) * v * coupling.kernels.conj() @ chi_inv
+    del chi_inv
     return BathCoefficients(lattice=lattice, grid=grid, delta_coeff=delta_coeff,
                             pole_coeff=pole_coeff, eta=grid.eta)
 
 
 def verify_linkage(bath: BathCoefficients, coupling: CouplingTensor,
                    chi: Susceptibility) -> float:
-    """Residual of the pole-coefficient linkage at the nodes (definitional)."""
-    grid = coupling.grid
+    """Residual of the pole-coefficient linkage at the nodes (definitional), worst node."""
     v = coupling.lattice.cell_volume
-    worst = 0.0
-    for k in range(grid.n_nodes):
-        chi_up = chi.above_cut[k]
-        lhs = v * bath.pole_coeff[k] @ chi_up
-        disc = discontinuity_at_node(coupling, k).mat
-        rhs = (1.0 / (2.0j * np.pi)) * v * bath.delta_coeff[k] @ disc
-        worst = max(worst, np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300))
-    return worst
+    rhs = (1.0 / (2.0j * np.pi)) * v * bath.delta_coeff @ discontinuity(coupling)
+    diff = v * bath.pole_coeff @ chi.above_cut
+    diff -= rhs
+    return float(np.max(np.sqrt(sq_norms(diff)) / np.maximum(np.sqrt(sq_norms(rhs)), 1e-300)))
 
 
 def bath_mode_form(bath: BathCoefficients, coupling: CouplingTensor, k: int) -> LinearBosonicForm:
@@ -144,44 +148,71 @@ def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
     """Residuals of the bath's commutation with the canonical pair.
 
     The production route collapses each commutator into kernel quadrature
-    sums over the spectral densities, one GEMM per node.  The generic
-    form-commutator route is evaluated once, for the polarization at node 0,
-    and `route_agreement` reports how far the two routes differ there.
+    sums over the spectral densities D_l.  With q_l the weights, the
+    (K, K) coefficient matrices res[k, l] = q_l / (w_k - w_l + i eta) and
+    anti[k, l] = q_l / (w_k + w_l), and the exact pole-shift identities
+
+        w_l res[k, l]  = (w_k + i eta) res[k, l] - q_l,
+        w_l anti[k, l] = q_l - w_k anti[k, l],
+
+    the four node sums of every node follow from two (K, K) @ (K, d^2)
+    GEMMs and the one sum sum_l q_l D_l; the products with the bath
+    coefficients are batched over the nodes.  The generic form-commutator
+    route is evaluated once, for the polarization at node 0, and
+    `route_agreement` reports how far the two routes differ there.
     """
     lattice, grid = coupling.lattice, coupling.grid
     K, d, v = grid.n_nodes, lattice.dim, lattice.cell_volume
     w, nodes = grid.weights, grid.nodes
     dens = coupling.density_stack
     dens_flat = dens.reshape(K, d * d)
+    om = nodes[:, None, None]
 
-    num_p = num_w = den_p = den_w = 0.0
-    for k in range(K):
-        res = w / (nodes[k] - nodes + 1j * bath.eta)
-        anti = w / (nodes[k] + nodes)
-        # the anti-resonant weights are real, so their sums against
-        # conj(dens) are the conjugates of the product rows
-        sums = (np.stack([res, anti, res * nodes, anti * nodes]) @ dens_flat).reshape(4, d, d)
-        base = v * bath.delta_coeff[k] @ dens[k]
-        pol = base + v * bath.pole_coeff[k] @ (sums[0] - sums[1].conj())
-        mom = nodes[k] * base + v * bath.pole_coeff[k] @ (sums[2] + sums[3].conj())
-        # global normalization: the edge nodes sit a fixed number of
-        # spacings into the band, so per-node ratios would never shrink
-        num_p += w[k] * np.linalg.norm(pol) ** 2
-        den_p += w[k] * np.linalg.norm(base) ** 2
-        num_w += w[k] * np.linalg.norm(mom) ** 2
-        den_w += w[k] * (nodes[k] * np.linalg.norm(base)) ** 2
-        if k == 0:
-            pol_0 = pol
+    # every step works in place, so at most four (K, d, d) stacks are live
+    res = w / (nodes[:, None] - nodes + 1j * bath.eta)
+    anti = w / (nodes[:, None] + nodes)
+    s_res = (res @ dens_flat).reshape(K, d, d)
+    # the anti-resonant weights are real, so their sums against conj(dens)
+    # are the conjugates of the product rows
+    pol_sum = (anti @ dens_flat).reshape(K, d, d)
+    del res, anti
+    np.conj(pol_sum, out=pol_sum)
+    np.subtract(s_res, pol_sum, out=pol_sum)   # sum_l res D_l - anti conj(D_l)
+    base = bath.delta_coeff @ dens
+    base *= v
+    base_sq = sq_norms(base)
+    pol = bath.pole_coeff @ pol_sum
+    pol *= v
+    pol += base
+    pol_sq, pol_0 = sq_norms(pol), pol[0].copy()
+    del pol
+
+    # sum_l w_l (res D_l + anti conj(D_l)), w_l the nodes, by the shift identities
+    mom_sum = s_res
+    mom_sum *= 1j * bath.eta
+    pol_sum *= om
+    mom_sum += pol_sum
+    del pol_sum
+    mom_sum -= 2j * (w @ dens_flat).imag.reshape(d, d)
+    mom = bath.pole_coeff @ mom_sum
+    del mom_sum, s_res
+    mom *= v
+    base *= om
+    mom += base
+    mom_sq = sq_norms(mom)
+    del mom, base
 
     comm_p = commutator(bath_mode_form(bath, coupling, 0), medium_polarization_form(coupling)).mat
     agree_p = np.linalg.norm(comm_p - 1j * HBAR * pol_0) / max(np.linalg.norm(comm_p), 1e-300)
 
+    # global normalization: the edge nodes sit a fixed number of
+    # spacings into the band, so per-node ratios would never shrink
     def rel(num, den):
         return float(np.sqrt(num / max(den, 1e-300)))
 
     return {
-        "polarization": rel(num_p, den_p),
-        "momentum": rel(num_w, den_w),
+        "polarization": rel(w @ pol_sq, w @ base_sq),
+        "momentum": rel(w @ mom_sq, w @ (nodes * np.sqrt(base_sq)) ** 2),
         "route_agreement": float(agree_p),
     }
 
@@ -193,16 +224,12 @@ def verify_bath_canonical(bath: BathCoefficients, coupling: CouplingTensor) -> f
     residual sits at machine precision; rescaling the diagonal coefficient
     (the shipped violator fixture) shows up quadratically.
     """
-    grid = coupling.grid
     v = coupling.lattice.cell_volume
-    ident = np.eye(coupling.lattice.dim) / v
-    worst = 0.0
-    for k in range(grid.n_nodes):
-        disc = discontinuity_at_node(coupling, k).mat
-        form = (0.5 / 1j) * v**2 * bath.delta_coeff[k] @ disc @ bath.delta_coeff[k].conj().T
-        target = (np.pi * HBAR / EPS0) * ident
-        worst = max(worst, np.linalg.norm(form - target) / np.linalg.norm(target))
-    return worst
+    target = (np.pi * HBAR / EPS0) * np.eye(coupling.lattice.dim) / v
+    form = (0.5 / 1j) * v**2 * bath.delta_coeff @ discontinuity(coupling)
+    form = form @ bath.delta_coeff.conj().transpose(0, 2, 1)
+    form -= target
+    return float(np.sqrt(sq_norms(form).max()) / np.linalg.norm(target))
 
 
 # -- Hamiltonian in bath form -------------------------------------------------

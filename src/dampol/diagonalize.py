@@ -26,7 +26,8 @@ once, in `_ModeCheckSums`, from per-node sums of the pair rows; two routes
 form those sums and both return `ModeChecks`.  `streamed_mode_checks`, the
 production route, factorizes the pair rows into a per-node transfer
 kernel, a (K, K) frequency factor and the coupling, so every sum over the
-pair index is a (K, K) @ (K, d^2) GEMM and no pair row is ever formed:
+pair index is a (K, K) @ (K, d^2) GEMM, shifted sums reduce to unshifted
+ones by exact pole-shift identities, and no pair row is ever formed:
 O(K^2 d^2 + K d^3) time and O(K d^2) memory.  `fano_residual`, the
 tests' reference, sums the 2 K^2 d^2 pair families that `mode_coefficients`
 stacks.  The assembled-Hamiltonian oracle reads the explicit rows one node
@@ -43,7 +44,7 @@ import numpy as np
 from .constants import EPS0, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
 from .green import NodePropagator, wave_operator
-from .lattice import FrequencyGrid, Lattice, TensorKernel, pair_contract
+from .lattice import FrequencyGrid, Lattice, TensorKernel, pair_contract, sq_norms
 
 #: smearing profiles used for weak-form residuals, as functions of w/w_max
 SMEAR_PROFILES = {
@@ -80,15 +81,25 @@ class _NodeKernels:
         resonant[k, l]     = mu0 hbar v (-w_k Xt_k + pole[k, l] X_k) T(w_l)^T
         antiresonant[k, l] = mu0 hbar v ( w_k Xt_k - anti[k, l] X_k) T(w_l)^H
 
-    with X_k = `transfer(k)`, Xt_k = X_k o P_T and the (K, K) coefficient
-    matrices `pole` and `anti` held here; nothing else held grows beyond
-    K d^2.
+    with X_k = `transfer(k)`, read from the propagator's (K, d, d) kernel
+    stack, Xt_k = X_k o P_T and the (K, K) coefficient matrices `pole` and
+    `anti` held here; nothing else held grows beyond K d^2.  A shift of
+    either by the pair's node frequency is exact algebra on the same
+    matrices, with no new sum over l:
+
+        (w_l - w_k) pole[k, l] = -w_k^2 - i eta pole[k, l]
+        (w_l + w_k) anti[k, l] =  w_k^2
+        w_l pole[k, l]         = (w_k - i eta) pole[k, l] - w_k^2
+        w_l anti[k, l]         =  w_k^2 - w_k anti[k, l]
+
+    These apply only the shift, never a smear profile, so they hold for any
+    `SMEAR_PROFILES`.
     """
 
     def __init__(self, prop: NodePropagator):
         coupling = prop.coupling
         grid = coupling.grid
-        self.grid, self.solves, self.kernels = grid, prop.solves, coupling.kernels
+        self.grid, self.green, self.kernels = grid, prop.kernels, coupling.kernels
         self.lattice = coupling.lattice
         om, nodes = grid.nodes[:, None], grid.nodes
         self.pole = om**2 / (om - nodes - 1j * grid.eta)   # [k, l] = w_k^2 / (w_k - w_l - i eta)
@@ -102,7 +113,7 @@ class _NodeKernels:
 
     def transfer(self, k: int) -> np.ndarray:
         """X_k = v T*(w_k) o G(w_k - i eta)."""
-        return self.lattice.cell_volume * self.kernels[k].conj() @ self.solves[k].kernel.mat
+        return self.lattice.cell_volume * self.kernels[k].conj() @ self.green[k]
 
     def families(self, k: int) -> tuple:
         """X_k, its transverse part X_k o P_T, and the potential and momentum kernels."""
@@ -162,9 +173,9 @@ def wave_diagnostic(prop: NodePropagator) -> float:
     rows = _NodeKernels(prop)
     lattice = rows.lattice
     v = lattice.cell_volume
+    waves = wave_operator(prop.chi.stack(prop.z), prop.z, lattice)
     out = 0.0
-    for k, entry in enumerate(prop.solves):
-        wave = wave_operator(prop.chi.at(entry.z), entry.z, lattice).mat
+    for k, wave in enumerate(waves):
         source = rows.kernels[k].conj()
         res = np.linalg.norm(v * rows.transfer(k) @ wave - source)
         out = max(out, res / max(np.linalg.norm(source), 1e-300))
@@ -197,11 +208,6 @@ class ModeChecks:
         """Worst defining-equation residual."""
         return max(self.potential_ratio, self.wave,
                    max(self.resonant.values()), max(self.antiresonant.values()))
-
-
-def _sq_norms(stack: np.ndarray) -> np.ndarray:
-    """The squared Frobenius norm of each matrix of a stack."""
-    return np.array([np.linalg.norm(m) ** 2 for m in stack])
 
 
 class _ModeCheckSums:
@@ -284,11 +290,11 @@ class _ModeCheckSums:
         r35 = (-1j * HBAR * v * mom @ t_sm_w + omdiff
                + (HBAR / EPS0) * v * brace @ t_sm)
         rhs35 = om * (self.profiles[:, k, None, None] * self.eye_v + res_sum)
-        self.res_n += wk * _sq_norms(r35)
-        self.res_d += wk * _sq_norms(rhs35)
+        self.res_n += wk * sq_norms(r35)
+        self.res_d += wk * sq_norms(rhs35)
         r36 = (-1j * HBAR * v * mom @ tc_sm_w - omsum
                - (HBAR / EPS0) * v * brace @ tc_sm)
-        self.anti_n += wk * _sq_norms(r36)
+        self.anti_n += wk * sq_norms(r36)
 
         phi = self.phi[:, k, None, None]
         self.f1s += phi * pot
@@ -371,15 +377,20 @@ def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> Mo
     with Q_l = T_l^T M_l (T_l^H M_l and `anti` for the antiresonant rows): one
     (K, K) @ (K, d^2) GEMM per coefficient matrix, formed from the coupling
     alone before the node loop, the smear profiles a leading axis filled
-    one profile at a time.  The smeared families summed over k follow the
-    same way from (phi * pole)^T @ X.  Cost O(K^2 d^2 + K d^3); only X, the
-    coupling and the GEMM results are held as (K, d, d) stacks.
+    one profile at a time.  Every sum whose coefficient carries a shift
+    w_l, w_l - w_k or w_l + w_k follows from the unshifted one by the
+    pole-shift identities of `_NodeKernels`, so the pass makes 2 + 4 P
+    node GEMMs for P smear profiles, 10 for the two shipped ones: two for
+    the wave and brace sums, 2 P for the smeared row sums and 2 P for the
+    smeared families summed over k, (phi * pole)^T @ X.  The per-node loop
+    is d^3-bound, so it stays a loop.  Cost O(K^2 d^2 + K d^3); only X, the coupling and the GEMM
+    results, (2 + 2 P) (K, d, d) stacks in the loop, are held.
     """
     rows = _NodeKernels(prop)
     coupling = prop.coupling
     grid = coupling.grid
     K, d, v = grid.n_nodes, coupling.lattice.dim, coupling.lattice.cell_volume
-    nodes, w = grid.nodes, grid.weights
+    nodes, w, eta = grid.nodes, grid.weights, grid.eta
     c = MU0 * HBAR * v
     pole, anti = rows.pole, rows.anti
     sums = _ModeCheckSums(coupling, structure)
@@ -392,41 +403,44 @@ def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> Mo
         """sum_l coeff[..., k, l] flat[l] as (..., K, d, d)."""
         return (coeff @ flat).reshape(coeff.shape[:-1] + (d, d))
 
-    # wave and brace: M_l = T_l* (Q3_l = T_l^T T_l*) and M_l = T_l (Q4_l = T_l^H T_l)
+    # wave and brace: M_l = T_l* (Q3_l = T_l^T T_l*) and M_l = T_l (Q4_l = T_l^H T_l);
+    # by the shift identities the w_l-weighted GEMMs are the unweighted ones,
+    # g_wave = w_k g_brace - i eta (pole @ Q3) + w_k^2 s_brace
     q4 = (t.conj().transpose(0, 2, 1) @ t).reshape(K, d * d)
     q3 = q4.conj()
     wn = w * nodes
     s_wave = ((wn @ q3) + (wn @ q4)).reshape(d, d)
     s_brace = ((w @ q4) - (w @ q3)).reshape(d, d)
-    g_wave = gemm(wn * pole, q3) + gemm(wn * anti, q4)
-    g_brace = gemm(w * pole, q3) - gemm(w * anti, q4)
+    g_wave = gemm(w * pole, q3)
+    g_brace = gemm(w * anti, q4)
     del q3, q4
+    np.subtract(g_wave, g_brace, out=g_brace)
+    g_wave *= -1j * eta
+    g_wave += nodes[:, None, None] * g_brace
+    g_wave += nodes[:, None, None] ** 2 * s_brace
 
-    # M_l = identity, per profile: [row sum, omdiff] over T^T, [row sum, omsum]
-    # over T^H; the antiresonant coefficients are real, so their sums over T*
-    # are the conjugated sums over T, conjugated in place to hold no second stack
-    gap = nodes[None, :] - nodes[:, None]   # (k, l) -> w_l - w_k
-    tot = nodes[None, :] + nodes[:, None]
-    g_res = np.empty((P, 2, K, d, d), dtype=complex)
+    # M_l = identity, per profile: the row sums over T^T and over T^H; the
+    # shifted rows (w_l - w_k) pole = -w_k^2 - i eta pole and (w_l + w_k) anti
+    # = w_k^2 need no GEMM.  The antiresonant coefficients are real, so their
+    # sums over T* are the conjugated sums over T, conjugated in place
+    g_res = np.empty((P, K, d, d), dtype=complex)
     g_anti = np.empty_like(g_res)
-    coeff = np.empty((2, K, K), dtype=complex)   # one profile at a time: all at once raise the peak
     for p, ph in enumerate(phi):
-        for g, f, shift in ((g_res, pole, gap), (g_anti, anti, tot)):
-            np.multiply(ph, f, out=coeff[0])
-            np.multiply(ph * shift, f, out=coeff[1])
-            np.matmul(coeff, t_flat, out=g[p].reshape(2, K, -1))
-    del coeff, g   # g names g_anti, which must be freeable after the node loop
+        np.matmul(ph * pole, t_flat, out=g_res[p].reshape(K, -1))
+        np.matmul(ph * anti, t_flat, out=g_anti[p].reshape(K, -1))
     np.conj(g_anti, out=g_anti)
 
     def smeared(k, xk, xtk):
         """The four smeared pair sums of node k, (P, d, d) each."""
         om = nodes[k]
-        res = xk @ g_res[:, :, k].swapaxes(-1, -2)
-        ant = xk @ g_anti[:, :, k].swapaxes(-1, -2)
-        return (c * (res[:, 0] - om * xtk @ t_sm),
-                c * (res[:, 1] - om * xtk @ (t_sm_w - om * t_sm)),
-                c * (om * xtk @ tc_sm - ant[:, 0]),
-                c * (om * xtk @ (tc_sm_w + om * tc_sm) - ant[:, 1]))
+        res = xk @ g_res[:, k].swapaxes(-1, -2)
+        ant = xk @ g_anti[:, k].swapaxes(-1, -2)
+        res_w = -om**2 * (xk @ t_sm) - 1j * eta * res   # the (w_l - w_k)-weighted row sums
+        ant_w = om**2 * (xk @ tc_sm)                     # the (w_l + w_k)-weighted ones
+        return (c * (res - om * xtk @ t_sm),
+                c * (res_w - om * xtk @ (t_sm_w - om * t_sm)),
+                c * (om * xtk @ tc_sm - ant),
+                c * (om * xtk @ (tc_sm_w + om * tc_sm) - ant_w))
 
     x_stack = np.empty((K, d, d), dtype=complex)
     y = np.zeros((P, d, d), dtype=complex)   # sum_k phi_k w_k Xt_k

@@ -110,7 +110,7 @@ def field_forms(prop: NodePropagator) -> dict:
     t_t = coupling.kernels.transpose(0, 2, 1)
 
     # G(w + i eta) o T-transpose contraction per node
-    gt = v * np.stack([g.kernel.H.mat for g in prop.solves]) @ t_t
+    gt = v * prop.kernels.conj().transpose(0, 2, 1) @ t_t
     alphas = {
         "A": MU0 * HBAR * nodes[:, None, None] * (lattice.transverse_matrix @ gt),
         "B": MU0 * HBAR * nodes[:, None, None] * (lattice.curl_matrix @ gt),

@@ -265,10 +265,6 @@ class TensorKernel:
     def conj(self) -> "TensorKernel":
         return TensorKernel(self.lattice, self.mat.conj())
 
-    @property
-    def H(self) -> "TensorKernel":
-        return TensorKernel(self.lattice, self.mat.conj().T)
-
     def inv(self) -> "TensorKernel":
         """Kernel inverse: K o K.inv() = identity."""
         v = self.lattice.cell_volume
@@ -295,6 +291,14 @@ class TensorKernel:
     @classmethod
     def zero(cls, lattice: Lattice) -> "TensorKernel":
         return cls(lattice, np.zeros((lattice.dim, lattice.dim)))
+
+
+def sq_norms(stack: np.ndarray) -> np.ndarray:
+    """The squared Frobenius norm of each matrix of a stack, (n,), with no temporary stack."""
+    flat = np.ascontiguousarray(stack).reshape(len(stack), -1)
+    if np.iscomplexobj(flat):
+        flat = flat.view(float)
+    return np.einsum("ni,ni->n", flat, flat)
 
 
 def pair_contract(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -60,15 +60,15 @@ def chi_trace_csv(path, coupling, z_values):
     needs quoting); each row block of a node is written as one batch, so
     no more than one row's text is held at a time.
     """
-    from .susceptibility import chi_at
+    from .susceptibility import chi_stack
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     d = coupling.lattice.dim
+    mats = chi_stack(coupling, z_values)
     # the "site_prime,i,j," fields of every column, per row component i
     mids = [[f"{b // 3},{i},{b % 3}," for b in range(d)] for i in range(3)]
     with open(path, "w", newline="") as fh:
         fh.write("re_z,im_z,site,site_prime,i,j,re_chi,im_chi\r\n")
-        for z in z_values:
-            mat = chi_at(coupling, z).mat
+        for z, mat in zip(z_values, mats):
             zs = f"{z.real:.12g},{z.imag:.12g},"
             for a in range(d):
                 head = f"{zs}{a // 3},"
@@ -82,9 +82,10 @@ def green_trace_csv(path, prop):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["re_z", "im_z", "norm", "residual", "cond"])
-        for g in prop.solves:
-            writer.writerow([f"{g.z.real:.12g}", f"{g.z.imag:.12g}",
-                             f"{g.kernel.norm():.12g}", f"{g.residual:.6g}", f"{g.cond:.6g}"])
+        v = prop.lattice.cell_volume
+        for z, mat, residual, cond in zip(prop.z, prop.kernels, prop.residual, prop.cond):
+            writer.writerow([f"{z.real:.12g}", f"{z.imag:.12g}",
+                             f"{v * float(np.linalg.norm(mat)):.12g}", f"{residual:.6g}", f"{cond:.6g}"])
 
 
 def refinement_csv(path, levels: list, sequences: dict):

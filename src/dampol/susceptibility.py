@@ -22,28 +22,41 @@ from .errors import PoleError
 from .lattice import TensorKernel
 
 
-def chi_at(coupling: CouplingTensor, z: complex) -> TensorKernel:
-    """Evaluate the susceptibility kernel at complex frequency z.
+def chi_stack(coupling: CouplingTensor, zs) -> np.ndarray:
+    """The susceptibility kernel matrices at the complex frequencies zs, (n, d, d).
 
+    Both node sums of every point come from one (2 n, K) @ (K, d^2) GEMM.
     For real z the evaluation is only defined away from the quadrature
     nodes; use an explicit imaginary offset to pick a side of the cut.
     """
-    z = complex(z)
-    nodes = coupling.grid.nodes
-    if z.imag == 0.0 and np.any(np.isclose(z.real, nodes, rtol=0, atol=1e-14)):
-        raise PoleError(f"z = {z} sits on a quadrature node; offset it from the real axis")
+    zs = np.asarray(zs, dtype=complex)
+    n, nodes = zs.size, coupling.grid.nodes
+    on_axis = zs.real[zs.imag == 0.0]
+    if on_axis.size:
+        poles = on_axis[np.isclose(on_axis[:, None], nodes, rtol=0, atol=1e-14).any(axis=1)]
+        if poles.size:
+            raise PoleError(f"z = {complex(poles[0])} sits on a quadrature node; "
+                            "offset it from the real axis")
     w = coupling.grid.weights
     dens = coupling.density_stack
+    zc = zs[:, None]
     # sum_k c_k conj(D_k) = conj(sum_k conj(c_k) D_k): both node sums in one GEMM
-    coeff = np.stack([w / (nodes - z), np.conj(w / (nodes + z))])
-    res, anti = coeff @ dens.reshape(nodes.size, -1)
-    mat = (res + anti.conj()).reshape(dens.shape[1:])
-    return TensorKernel(coupling.lattice, (HBAR / EPS0) * mat)
+    coeff = np.concatenate([w / (nodes - zc), np.conj(w / (nodes + zc))])
+    both = coeff @ dens.reshape(nodes.size, -1)
+    mat = both[n:].conj()
+    mat += both[:n]
+    mat *= HBAR / EPS0
+    return mat.reshape((n,) + dens.shape[1:])
 
 
-def discontinuity_at_node(coupling: CouplingTensor, k: int) -> TensorKernel:
-    """Exact cut discontinuity at quadrature node k."""
-    return (2.0j * np.pi * HBAR / EPS0) * coupling.spectral_density(k)
+def chi_at(coupling: CouplingTensor, z: complex) -> TensorKernel:
+    """The susceptibility kernel at one complex frequency z: `chi_stack` at one point."""
+    return TensorKernel(coupling.lattice, chi_stack(coupling, (z,))[0])
+
+
+def discontinuity(coupling: CouplingTensor) -> np.ndarray:
+    """Exact cut discontinuity at every quadrature node, (K, d, d)."""
+    return (2.0j * np.pi * HBAR / EPS0) * coupling.density_stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,11 +83,15 @@ class Susceptibility:
     def eta(self) -> float:
         return self.source.grid.eta
 
-    def at(self, z: complex) -> TensorKernel:
-        out = chi_at(self.source, z)
+    def stack(self, zs) -> np.ndarray:
+        """The evaluations at the points zs, perturbation included, (n, d, d)."""
+        out = chi_stack(self.source, zs)
         if self.perturbation is not None:
-            out = out + self.perturbation
+            out += self.perturbation.mat
         return out
+
+    def at(self, z: complex) -> TensorKernel:
+        return TensorKernel(self.lattice, self.stack((z,))[0])
 
     @cached_property
     def above_cut(self) -> np.ndarray:
@@ -84,7 +101,7 @@ class Susceptibility:
         the constitutive check all read these values, so each is evaluated
         once per susceptibility.
         """
-        stack = np.stack([self.at(z).mat for z in self.grid.nodes + 1j * self.eta])
+        stack = self.stack(self.grid.nodes + 1j * self.eta)
         stack.flags.writeable = False
         return stack
 
@@ -103,7 +120,7 @@ def verify_kramers_kronig(coupling: CouplingTensor, z: complex) -> float:
         raise PoleError("the cut representation check needs Im z != 0")
     lhs = chi_at(coupling, z)
     grid = coupling.grid
-    disc = (2.0j * np.pi * HBAR / EPS0) * coupling.density_stack
+    disc = discontinuity(coupling)
     pos = np.einsum("k,kij->ij", grid.weights / (grid.nodes - z), disc)
     neg = np.einsum("k,kij->ij", grid.weights / (-grid.nodes - z), disc.conj())
     rhs = TensorKernel(coupling.lattice, (pos + neg) / (2.0j * np.pi))

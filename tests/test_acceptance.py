@@ -259,7 +259,7 @@ class TestCriterion5MaxwellConstitutive:
         lattice = coupling.lattice
         curl = lattice.curl_matrix
         for l in range(coupling.grid.n_nodes):
-            bound = 10.0 * prop.solves[l].residual
+            bound = 10.0 * prop.residual[l]
             lhs = curl @ forms["B"].alpha[l]
             rhs = -1j * coupling.grid.nodes[l] * forms["D"].alpha[l]
             mx = np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-300)

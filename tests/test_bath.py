@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from dampol.constants import EPS0, HBAR
 from dampol.errors import SingularOperatorError
-from dampol.coupling import CouplingTensor, builtin_model, coupling_from_lagrangian, structure_tensor
+from dampol.coupling import (
+    CouplingTensor,
+    builtin_model,
+    coupling_from_lagrangian,
+    random_coupling,
+    structure_tensor,
+)
 from dampol.bath import (
+    INVERTIBILITY_RTOL,
     assemble_bath_hamiltonian,
     bath_coefficients,
     bath_mode_form,
@@ -14,7 +23,8 @@ from dampol.bath import (
     verify_bath_independence,
     verify_linkage,
 )
-from dampol.lattice import FrequencyGrid, build_lattice
+from dampol.fields import commutator, medium_polarization_form
+from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice
 from dampol.oracle import assemble_hamiltonian
 from dampol.susceptibility import Susceptibility, chi_at
 
@@ -57,6 +67,38 @@ class TestCoefficients:
             bath_coefficients(coupling, Susceptibility(coupling))
         assert err.value.node == 0
 
+    @pytest.mark.parametrize("coupling_node, chi_node", [(1, None), (None, 2), (2, 1), (1, 1)])
+    def test_first_singular_node_named(self, single_site, coupling_node, chi_node):
+        # the batched check names the node and cond that the per-node loop,
+        # coupling kernel before susceptibility at each node, would name
+        grid = FrequencyGrid.midpoint(4, 2.0)
+        kern = np.stack([np.diag([1.0, 1.2, 0.8]) + 0.1j * k for k in range(4)])
+        if coupling_node is not None:
+            kern[coupling_node] = np.diag([1.0, 1.0, 0.0])
+        coupling = CouplingTensor(single_site, grid, kern)
+        chi = Susceptibility(coupling)
+        if chi_node is not None:
+            # remove one direction of chi at that node: rank d - 1 up to round-off
+            up = chi.above_cut[chi_node]
+            u = np.linalg.svd(up)[2][0].conj()
+            chi = chi.perturbed(TensorKernel(single_site, -up @ np.outer(u, u.conj())))
+        what, node, cond = first_singular_reference(coupling, chi)
+        with pytest.raises(SingularOperatorError, match=f"^{what} not invertible at node {node} ") as err:
+            bath_coefficients(coupling, chi)
+        assert err.value.node == node
+        assert err.value.cond == pytest.approx(cond, rel=1e-12)
+
+
+def first_singular_reference(coupling, chi):
+    """The per-node invertibility loop the batched check replaced: (what, node, cond)."""
+    for k in range(coupling.grid.n_nodes):
+        for what, mat in (("coupling kernel", coupling.kernels[k]),
+                          ("susceptibility", chi.above_cut[k])):
+            sv = np.linalg.svd(mat, compute_uv=False)
+            if sv[-1] <= INVERTIBILITY_RTOL * sv[0] or sv[0] == 0.0:
+                return what, k, sv[0] / max(sv[-1], 1e-300)
+    raise AssertionError("every node invertible")
+
 
 class TestRowBuilder:
     def test_rows_match_pair_formulas(self, small_lattice):
@@ -96,7 +138,55 @@ class TestCanonicalIdentity:
         assert verify_bath_canonical(bath, coupling) <= 1e-13
 
 
+def independence_reference(bath, coupling):
+    """The per-node loop `verify_bath_independence` replaced: four node sums
+    per node, each its own product, and the node-0 form-commutator route."""
+    lattice, grid = coupling.lattice, coupling.grid
+    K, d, v = grid.n_nodes, lattice.dim, lattice.cell_volume
+    w, nodes = grid.weights, grid.nodes
+    dens = coupling.density_stack
+    dens_flat = dens.reshape(K, d * d)
+    num_p = num_w = den_p = den_w = 0.0
+    for k in range(K):
+        res = w / (nodes[k] - nodes + 1j * bath.eta)
+        anti = w / (nodes[k] + nodes)
+        sums = (np.stack([res, anti, res * nodes, anti * nodes]) @ dens_flat).reshape(4, d, d)
+        base = v * bath.delta_coeff[k] @ dens[k]
+        pol = base + v * bath.pole_coeff[k] @ (sums[0] - sums[1].conj())
+        mom = nodes[k] * base + v * bath.pole_coeff[k] @ (sums[2] + sums[3].conj())
+        num_p += w[k] * np.linalg.norm(pol) ** 2
+        den_p += w[k] * np.linalg.norm(base) ** 2
+        num_w += w[k] * np.linalg.norm(mom) ** 2
+        den_w += w[k] * (nodes[k] * np.linalg.norm(base)) ** 2
+        if k == 0:
+            pol_0 = pol
+    comm_p = commutator(bath_mode_form(bath, coupling, 0), medium_polarization_form(coupling)).mat
+    agree_p = np.linalg.norm(comm_p - 1j * HBAR * pol_0) / np.linalg.norm(comm_p)
+    return {"polarization": np.sqrt(num_p / den_p), "momentum": np.sqrt(num_w / den_w),
+            "route_agreement": agree_p}
+
+
 class TestIndependence:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n_nodes=st_.integers(1, 6), seed=st_.integers(0, 2**32 - 1))
+    def test_matches_per_node_loop(self, single_site, n_nodes, seed):
+        # a Lagrangian coupling, and complex kernels whose spectral densities
+        # have the nonzero imaginary node sum that a sum rule would cancel
+        grid = FrequencyGrid.midpoint(n_nodes, 3.0)
+        rng = np.random.default_rng(seed)
+        lagrangian = coupling_from_lagrangian(random_coupling(single_site, grid, rng))
+        shape = (n_nodes, single_site.dim, single_site.dim)
+        violator = CouplingTensor(single_site, grid, rng.standard_normal(shape)
+                                  + 1j * rng.standard_normal(shape))
+        for coupling in (lagrangian, violator):
+            bath = bath_coefficients(coupling, Susceptibility(coupling))
+            got = verify_bath_independence(bath, coupling, structure_tensor(coupling))
+            ref = independence_reference(bath, coupling)
+            assert got["polarization"] == pytest.approx(ref["polarization"], rel=1e-12)
+            assert got["momentum"] == pytest.approx(ref["momentum"], rel=1e-12)
+            assert got["route_agreement"] == pytest.approx(ref["route_agreement"],
+                                                           rel=1e-12, abs=1e-15)
+
     def test_residuals_converge(self, small_lattice):
         vals = []
         for K in (12, 24):

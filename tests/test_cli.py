@@ -194,19 +194,20 @@ class TestSusceptibilityReuse:
         # bath coefficients, linkage, the P form and the constitutive check
         # share one chi(w_k + i eta) stack (36 evaluations fewer at K = 12),
         # the asymptote check sums moments instead (2 fewer), and the green
-        # stage solves each random point once (4 fewer): 134 -> 92
+        # stage solves each random point once (4 fewer): 134 -> 92 points,
+        # counted through the one stacked evaluator every point goes through
         import dampol.susceptibility as sus
-        calls = []
-        evaluate = sus.chi_at
+        points = []
+        evaluate = sus.chi_stack
 
-        def counted(coupling, z):
-            calls.append(z)
-            return evaluate(coupling, z)
-        monkeypatch.setattr(sus, "chi_at", counted)
+        def counted(coupling, zs):
+            points.extend(zs)
+            return evaluate(coupling, zs)
+        monkeypatch.setattr(sus, "chi_stack", counted)
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
         cfg.out = str(tmp_path / "o")
         assert run(cfg) == EXIT_PASS
-        assert len(calls) == 92
+        assert len(points) == 92
 
     def test_moments_evaluated_once(self, tmp_path, monkeypatch):
         # the constraints, S, the sum rules, both asymptote residuals, the
@@ -237,16 +238,17 @@ class TestSweepFailure:
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
         cfg.out = str(tmp_path / "o")
         node1 = FrequencyGrid.midpoint(cfg.n_nodes, cfg.omega_max, cfg.eta_factor).nodes[1]
-        solve, calls = green.solve_green, []
+        solve, calls = green.solve_stack, []
 
-        def failing(chi, z):
-            calls.append(z)
-            if z.real == node1:
-                raise SingularOperatorError("forced failure", node=1)
-            return solve(chi, z)
-        monkeypatch.setattr(green, "solve_green", failing)
+        def failing(chi, zs):
+            calls.append(len(zs))
+            kernels, residual, cond, failures = solve(chi, zs)
+            failures.update({i: "forced failure" for i, z in enumerate(zs) if z.real == node1})
+            return kernels, residual, cond, failures
+        monkeypatch.setattr(green, "solve_stack", failing)
         assert run(cfg) == EXIT_NUMERICAL
-        assert len(calls) == cfg.n_nodes
+        # the sweep is attempted once, over all K nodes at once
+        assert calls == [cfg.n_nodes]
         errors = {stage: read_report(cfg.out, stage)["error"]
                   for stage in ("green", "diag", "fields", "oracle")}
         assert errors["green"].startswith("sweep failed at indices [1]")
@@ -269,22 +271,21 @@ class TestEvenLattice:
 
 class TestGreenStage:
     def test_each_point_solved_once(self, tmp_path, monkeypatch):
-        # the K node solves, then each random z and its reflections -z and
-        # -conj(z): 12 + 4 * 3 solves, no point solved twice
-        import dampol.cli as cli_mod
+        # the K node points, then each random z and its reflections -z and
+        # -conj(z): 12 + 4 * 3 points, counted through the one stacked solve
+        # every point goes through, and no point solved twice
         import dampol.green as green
-        solve, calls = green.solve_green, []
+        solve, points = green.solve_stack, []
 
-        def counted(chi, z):
-            calls.append(z)
-            return solve(chi, z)
-        for mod in (green, cli_mod):
-            monkeypatch.setattr(mod, "solve_green", counted)
+        def counted(chi, zs):
+            points.extend(complex(z) for z in zs)
+            return solve(chi, zs)
+        monkeypatch.setattr(green, "solve_stack", counted)
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
         cfg.out = str(tmp_path / "o")
         assert run(cfg, stages=("green",)) == EXIT_PASS
-        assert len(calls) == 24
-        assert len(set(calls)) == 24
+        assert len(points) == 24
+        assert len(set(points)) == 24
 
 
 def _forbid_stack_route(monkeypatch):

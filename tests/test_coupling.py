@@ -208,12 +208,11 @@ class TestBuiltinModels:
 
 class TestInvertibility:
     def test_builtin_nodes_invertible(self, lorentz_coupling):
-        for k in range(lorentz_coupling.grid.n_nodes):
-            require_invertible(lorentz_coupling.kernels[k], "coupling kernel", k)
+        require_invertible(("coupling kernel", lorentz_coupling.kernels))
 
     def test_zero_singular_value_detected(self):
         with pytest.raises(SingularOperatorError, match="coupling kernel not invertible at node 0") as exc:
-            require_invertible(np.diag([1.0, 1.0, 0.0]), "coupling kernel", 0)
+            require_invertible(("coupling kernel", np.diag([1.0, 1.0, 0.0])[None]))
         assert exc.value.node == 0 and exc.value.cond > 1e10
 
 

@@ -112,23 +112,55 @@ class TestSymmetries:
         eta = random_lagrangian.grid.eta
         lower = solve_green(chi, omega - 1j * eta)
         upper = solve_green(chi, omega + 1j * eta)
-        assert lower.kernel.H.allclose(upper.kernel, tol=1e-10)
+        assert lower.kernel.conj().T.allclose(upper.kernel, tol=1e-10)
 
 
 class TestSweep:
     def test_node_sweep(self, lorentz_coupling):
         chi = Susceptibility(lorentz_coupling)
         prop = node_propagator(chi)
+        grid, d = lorentz_coupling.grid, lorentz_coupling.lattice.dim
         assert prop.coupling is lorentz_coupling
-        assert len(prop.solves) == lorentz_coupling.grid.n_nodes
-        for g in prop.solves:
-            assert g.residual <= TOL_SOLVE
-            assert g.eta_used == pytest.approx(lorentz_coupling.grid.eta)
+        assert prop.kernels.shape == (grid.n_nodes, d, d)
+        assert prop.residual.shape == prop.cond.shape == (grid.n_nodes,)
+        assert np.all(prop.residual <= TOL_SOLVE)
+        assert np.all(prop.z.imag == -grid.eta)
 
     def test_entries_sit_at_nodes_below_cut(self, random_lagrangian):
         grid = random_lagrangian.grid
         prop = node_propagator(Susceptibility(random_lagrangian))
-        assert [g.z for g in prop.solves] == list(grid.nodes - 1j * grid.eta)
+        assert list(prop.z) == list(grid.nodes - 1j * grid.eta)
+
+    def test_stack_equals_one_point_solves(self, random_lagrangian):
+        chi = Susceptibility(random_lagrangian)
+        prop = node_propagator(chi)
+        for k, z in enumerate(prop.z):
+            g = solve_green(chi, z)
+            ref = g.kernel.mat
+            assert np.linalg.norm(prop.kernels[k] - ref) <= 1e-13 * np.linalg.norm(ref)
+            assert prop.residual[k] == pytest.approx(g.residual, rel=1e-12, abs=1e-15)
+            assert prop.cond[k] == pytest.approx(g.cond, rel=1e-12)
+
+    def test_exactly_singular_nodes_named_together(self, lorentz_coupling, monkeypatch):
+        # an exactly singular node makes the batched inv raise for the whole
+        # stack; the sweep still names every failed node in one error
+        chi = Susceptibility(lorentz_coupling)
+        grid, v = lorentz_coupling.grid, lorentz_coupling.lattice.cell_volume
+        zs = grid.nodes - 1j * grid.eta
+        mats = wave_operator(chi.stack(zs), zs, chi.lattice)
+        mats *= v
+        singular = [mats[1], mats[3]]
+        inv = np.linalg.inv
+
+        def inv_failing_on_singular(a):
+            stack = a if a.ndim == 3 else a[None]
+            if any(np.array_equal(m, s) for m in stack for s in singular):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(a)
+        monkeypatch.setattr(np.linalg, "inv", inv_failing_on_singular)
+        with pytest.raises(SingularOperatorError, match=r"sweep failed at indices \[1, 3\]: \{1: ") as err:
+            node_propagator(chi)
+        assert str(err.value).count("near-singular (cond = inf)") == 2
 
     def test_duplicates_identical(self, lorentz_coupling):
         chi = Susceptibility(lorentz_coupling)
@@ -146,8 +178,8 @@ class TestSweep:
     def test_wave_operator_shape(self, small_lattice):
         grid = FrequencyGrid.midpoint(2, 2.0)
         chi = vacuum_chi(small_lattice, grid)
-        w = wave_operator(chi.at(1.0 + 1.0j), 1.0 + 1.0j, small_lattice)
-        assert w.mat.shape == (small_lattice.dim, small_lattice.dim)
+        w = wave_operator(chi.at(1.0 + 1.0j).mat, 1.0 + 1.0j, small_lattice)
+        assert w.shape == (small_lattice.dim, small_lattice.dim)
 
 
 class TestConditionNumber:
@@ -155,7 +187,7 @@ class TestConditionNumber:
         chi = Susceptibility(random_lagrangian)
         z = 1.1 - 0.3j
         g = solve_green(chi, z)
-        mat = random_lagrangian.lattice.cell_volume * wave_operator(chi.at(z), z, g.lattice).mat
+        mat = random_lagrangian.lattice.cell_volume * wave_operator(chi.at(z).mat, z, g.lattice)
         assert g.cond == pytest.approx(np.linalg.cond(mat, 1), rel=1e-12, abs=0)
 
     def test_exactly_singular_raises_singular_operator(self, small_lattice, monkeypatch):

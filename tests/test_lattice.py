@@ -135,7 +135,7 @@ class TestProjectors:
     def test_hermitian(self):
         lat = build_lattice(2, 1.0)
         for proj in (transverse_projector(lat), longitudinal_projector(lat)):
-            assert proj.allclose(proj.H, tol=1e-13)
+            assert proj.allclose(proj.conj().T, tol=1e-13)
 
     def test_trace_consistency_n2(self):
         # oracle: sum the 3x3 Fourier blocks directly

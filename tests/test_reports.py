@@ -7,7 +7,7 @@ import pytest
 from dampol.coupling import coupling_from_lagrangian, random_coupling
 from dampol.lattice import FrequencyGrid, build_lattice
 from dampol.reports import chi_trace_csv
-from dampol.susceptibility import chi_at
+from dampol.susceptibility import chi_at, chi_stack
 
 
 def reference_chi_trace(path, coupling, z_values):
@@ -50,16 +50,15 @@ class TestChiTrace:
         assert ref.count(b"\r\n") == 1 + zs.size * coupling.lattice.dim**2
 
     def test_memory_flat_in_the_node_text(self, tmp_path):
-        # the writer holds one chi result while the next is evaluated, and
-        # at most one row's text besides: far below a d x d complex matrix
+        # the writer holds the one stacked chi evaluation of every point,
+        # and at most one row's text besides: far below a d x d complex matrix
         coupling = random_trace_coupling(3, 4)
         coupling.density_stack   # cached before tracing: it is shared input, not writer memory
         zs = coupling.grid.nodes + 1j * coupling.grid.eta
         d = coupling.lattice.dim
         tracemalloc.start()
         try:
-            held = chi_at(coupling, zs[0])
-            chi_at(coupling, zs[1])
+            held = chi_stack(coupling, zs)
             _, evaluate_peak = tracemalloc.get_traced_memory()
             del held
             tracemalloc.reset_peak()

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,8 @@ from dampol.susceptibility import (
     asymptote_residual,
     chi_asymptotic,
     chi_at,
-    discontinuity_at_node,
+    chi_stack,
+    discontinuity,
     symmetry_residuals,
     verify_kramers_kronig,
     verify_sum_rules,
@@ -78,22 +80,48 @@ class TestChiAt:
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
+class TestChiStack:
+    def test_matches_chi_at_at_each_point(self, random_lagrangian, rng):
+        grid = random_lagrangian.grid
+        zs = np.concatenate([grid.nodes + 1j * grid.eta, grid.nodes - 1j * grid.eta,
+                             rng.uniform(-4, 4, 5) + 1j * rng.uniform(-1, 1, 5), [0.5 * grid.nodes[0]]])
+        stack = chi_stack(random_lagrangian, zs)
+        assert stack.shape == (zs.size,) + random_lagrangian.density_stack.shape[1:]
+        for z, mat in zip(zs, stack):
+            ref = chi_at(random_lagrangian, z).mat
+            assert np.linalg.norm(mat - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_perturbed_stack_matches_at(self, random_lagrangian):
+        d = random_lagrangian.lattice.dim
+        pert = np.zeros((d, d))
+        pert[0, 1] = 0.3
+        chi = Susceptibility(random_lagrangian).perturbed(TensorKernel(random_lagrangian.lattice, pert))
+        zs = np.array([1.2 + 0.3j, -0.7 - 0.1j])
+        for z, mat in zip(zs, chi.stack(zs)):
+            assert np.array_equal(mat, chi.at(z).mat)
+
+    def test_pole_error_names_the_point_on_a_node(self, lorentz_coupling):
+        node = lorentz_coupling.grid.nodes[3]
+        with pytest.raises(PoleError, match=re.escape(f"z = {complex(node)} sits on a quadrature node")):
+            chi_stack(lorentz_coupling, [1.0 + 0.5j, node, 0.3])
+
+
 class TestDiscontinuity:
     def test_node_value_matches_kernel_product(self, random_lagrangian):
         # direct kernel-multiply oracle at a node
         k = 4
         t = TensorKernel(random_lagrangian.lattice, random_lagrangian.kernels[k])
         oracle = (2.0j * np.pi * HBAR / EPS0) * (t.T @ t.conj())
-        assert discontinuity_at_node(random_lagrangian, k).allclose(oracle, tol=1e-12)
+        assert TensorKernel(t.lattice, discontinuity(random_lagrangian)[k]).allclose(oracle, tol=1e-12)
 
     def test_negative_frequency_mirror(self, random_lagrangian):
         # the mirror relation disc(-w) = conj(disc(w)) = -disc(w).T at a node
-        disc = discontinuity_at_node(random_lagrangian, 5)
+        disc = TensorKernel(random_lagrangian.lattice, discontinuity(random_lagrangian)[5])
         assert disc.conj().allclose(-disc.T, tol=1e-12)
 
     def test_lossy_sign(self, random_lagrangian):
         # -i * disc must be positive semidefinite for a lossy medium
-        mat = (-1j * discontinuity_at_node(random_lagrangian, 6).mat)
+        mat = -1j * discontinuity(random_lagrangian)[6]
         evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
         assert evals[0] >= -1e-12 * max(evals[-1], 1e-300)
 
@@ -243,7 +271,7 @@ class TestSusceptibilityObject:
         omega = random_lagrangian.grid.nodes[k]
         jump = chi.at(omega + 1j * chi.eta) - chi.at(omega - 1j * chi.eta)
         # finite-eta jump approaches the exact node discontinuity
-        exact = discontinuity_at_node(random_lagrangian, k)
+        exact = TensorKernel(random_lagrangian.lattice, discontinuity(random_lagrangian)[k])
         assert jump.norm() > 0.2 * exact.norm()
 
     def test_symmetries(self, random_lagrangian, rng):
