@@ -56,9 +56,10 @@ def write_json(path, payload: dict):
 def chi_trace_csv(path, coupling, z_values):
     """Susceptibility entries at the requested complex frequencies.
 
-    The bytes are those `csv.writer` gives for the same rows (no field
-    needs quoting); each row block of a node is written as one batch, so
-    no more than one row's text is held at a time.
+    Every point is evaluated by one `chi_stack` call.  The bytes are those
+    `csv.writer` gives for the same rows (no field needs quoting); each row
+    block of a node is written as one batch, so no more than one row's text
+    is held at a time.
     """
     from .susceptibility import chi_stack
     Path(path).parent.mkdir(parents=True, exist_ok=True)
