@@ -20,6 +20,7 @@ a cross-check of that evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .fields import (
     medium_momentum_form,
     medium_polarization_form,
 )
-from .lattice import TensorKernel, sq_norms
+from .lattice import SectorLayout, TensorKernel, sq_norms
 from .oracle import QuadraticHamiltonian, sector_leak
 from .susceptibility import Susceptibility, discontinuity
 
@@ -41,96 +42,122 @@ from .susceptibility import Susceptibility, discontinuity
 INVERTIBILITY_RTOL = 1e-10
 
 
-def require_invertible(*named: tuple) -> None:
-    """Raise `SingularOperatorError` unless every (what, (K, d, d) stack) pair is invertible.
+def require_invertible(layout: SectorLayout, *named: tuple) -> None:
+    """Raise `SingularOperatorError` unless every (what, (K, size) stack in `layout`) pair is invertible.
 
-    Each stack is checked by one batched SVD.  The error names the first
-    failing node, and at that node the first failing stack in the order
-    given, with the node's singular-value ratio.
+    Each stack is checked by one batched SVD per block size; a node's
+    singular values are the union of its blocks'.  The error names the
+    first failing node, and at that node the first failing stack in the
+    order given, with the node's singular-value ratio.
     """
     first = None
     for what, stack in named:
-        sv = np.linalg.svd(stack, compute_uv=False)
-        bad = np.flatnonzero((sv[:, -1] <= INVERTIBILITY_RTOL * sv[:, 0]) | (sv[:, 0] == 0.0))
+        sv = layout.svdvals(stack)
+        top, low = sv.max(axis=-1), sv.min(axis=-1)
+        bad = np.flatnonzero((low <= INVERTIBILITY_RTOL * top) | (top == 0.0))
         if bad.size and (first is None or bad[0] < first[0]):
-            first = (int(bad[0]), what, sv[bad[0]])
+            first = (int(bad[0]), what, top[bad[0]], low[bad[0]])
     if first is not None:
-        node, what, sv = first
+        node, what, top, low = first
         raise SingularOperatorError(
             f"{what} not invertible at node {node} "
-            f"(singular-value ratio {sv[-1] / max(sv[0], 1e-300):.3e})",
-            cond=sv[0] / max(sv[-1], 1e-300), node=node)
+            f"(singular-value ratio {low / max(top, 1e-300):.3e})",
+            cond=top / max(low, 1e-300), node=node)
 
 
 @dataclass(frozen=True, eq=False)
 class BathCoefficients:
-    """Per-node coefficient kernels of the bath ladder operators.
+    """Per-node coefficient kernels of the bath ladder operators, as blocks in `layout`.
 
-    `delta_coeff` multiplies the frequency delta (it equals the inverse of
-    the transposed coupling in the chosen gauge); `pole_coeff` multiplies
-    the resolvent pole and is tied to `delta_coeff` through the
-    susceptibility linkage, exactly at the nodes.
+    `delta_blocks` multiplies the frequency delta (it equals the inverse of
+    the transposed coupling in the chosen gauge); `pole_blocks` multiplies
+    the resolvent pole and is tied to the delta coefficient through the
+    susceptibility linkage, exactly at the nodes.  `delta_coeff` and
+    `pole_coeff` are their (K, d, d) site stacks, rotated back once for the
+    oracle's sector check; the row builders rotate back one node at a time.
     """
 
     lattice: object
     grid: object
-    delta_coeff: np.ndarray   # (K, d, d)
-    pole_coeff: np.ndarray    # (K, d, d)
+    layout: SectorLayout
+    delta_blocks: np.ndarray   # (K, size)
+    pole_blocks: np.ndarray    # (K, size)
     eta: float
+
+    @cached_property
+    def delta_coeff(self) -> np.ndarray:
+        return self.layout.sites(self.delta_blocks)
+
+    @cached_property
+    def pole_coeff(self) -> np.ndarray:
+        return self.layout.sites(self.pole_blocks)
 
     def rows(self, coupling: CouplingTensor, k: int) -> tuple:
         """Pair rows of node k over every node l, (K, d, d) each.
 
         The co-rotating row multiplies the medium annihilators (regular
-        part), the counter-rotating row the creators.  Both come from one
-        GEMM of the pole coefficient against the stacked [T; T*] kernels.
+        part), the counter-rotating row the creators.  Each is one GEMM of
+        the pole coefficient against the transposed kernels T^T, the
+        counter-rotating one conjugated: v P T^H = conj(conj(v P) T^T).
+        The rows are views of the two products, scaled in place.
         """
-        K, d, v = self.grid.n_nodes, self.lattice.dim, self.lattice.cell_volume
+        K, d = self.grid.n_nodes, self.lattice.dim
         nodes = self.grid.nodes
-        # second-argument contractions: [b, (s, l, a)] = [T; T*](w_l)[a, b]
-        stacked = np.concatenate([coupling.kernels, coupling.kernels.conj()])
-        flat = stacked.transpose(2, 0, 1).reshape(d, 2 * K * d)
-        co, counter = (v * self.pole_coeff[k] @ flat).reshape(d, 2, K, d).transpose(1, 2, 0, 3)
-        pole = 1.0 / (nodes[k] - nodes + 1j * self.eta)
-        anti = -1.0 / (nodes[k] + nodes)
-        return pole[:, None, None] * co, anti[:, None, None] * counter
+        # second-argument contractions: [b, (l, a)] = T(w_l)[a, b]
+        t_cols = coupling.kernels.transpose(2, 0, 1).reshape(d, K * d)
+        pole_k = self.lattice.cell_volume * self.layout.sites(self.pole_blocks[k])
+        co = pole_k @ t_cols
+        counter = pole_k.conj() @ t_cols
+        np.conj(counter, out=counter)
+        co, counter = (a.reshape(d, K, d).transpose(1, 0, 2) for a in (co, counter))
+        co *= (1.0 / (nodes[k] - nodes + 1j * self.eta))[:, None, None]
+        counter *= (-1.0 / (nodes[k] + nodes))[:, None, None]
+        return co, counter
 
     def delta_row(self, coupling: CouplingTensor, k: int) -> np.ndarray:
         """Kernel multiplying the node Kronecker in the annihilator pairing."""
-        return self.lattice.cell_volume * self.delta_coeff[k] @ coupling.kernels[k].T
+        delta_k = self.layout.sites(self.delta_blocks[k])
+        return self.lattice.cell_volume * delta_k @ coupling.kernels[k].T
 
     def perturbed_delta(self, scale: float) -> "BathCoefficients":
         """Violator fixture: rescale the frequency-diagonal coefficient."""
-        return replace(self, delta_coeff=scale * self.delta_coeff)
+        return replace(self, delta_blocks=scale * self.delta_blocks)
 
 
 def bath_coefficients(coupling: CouplingTensor, chi: Susceptibility) -> BathCoefficients:
-    """Construct the bath coefficients in the inverse-coupling gauge.
+    """Construct the bath coefficients in the inverse-coupling gauge, in `chi.layout`.
 
     Requires the coupling kernel and the susceptibility just above the cut
     to be invertible at every node; degenerate nodes raise with the node
     named rather than silently pseudo-inverting.  Every node is checked,
-    inverted and multiplied as one batched operation over the node axis.
+    inverted and multiplied as one batched operation per block size over
+    the node axis; about five to seven (K, size) block stacks are live at
+    the peak.
     """
-    lattice, grid = coupling.lattice, coupling.grid
+    lattice, grid, layout = coupling.lattice, coupling.grid, chi.layout
     v = lattice.cell_volume
-    require_invertible(("coupling kernel", coupling.kernels), ("susceptibility", chi.above_cut))
-    delta_coeff = np.linalg.inv(coupling.kernels.transpose(0, 2, 1))
-    delta_coeff /= v**2
-    chi_inv = np.linalg.inv(chi.above_cut)
+    t = coupling.blocks(layout)
+    require_invertible(layout, ("coupling kernel", t), ("susceptibility", chi.above_cut_blocks))
+    delta = layout.inv(layout.transpose(t))
+    delta /= v**2
+    chi_inv = layout.inv(chi.above_cut_blocks)
     chi_inv /= v**2
-    pole_coeff = (HBAR / EPS0) * v * coupling.kernels.conj() @ chi_inv
+    pole = layout.matmul((HBAR / EPS0) * v * t.conj(), chi_inv)
     del chi_inv
-    return BathCoefficients(lattice=lattice, grid=grid, delta_coeff=delta_coeff,
-                            pole_coeff=pole_coeff, eta=grid.eta)
+    return BathCoefficients(lattice=lattice, grid=grid, layout=layout, delta_blocks=delta,
+                            pole_blocks=pole, eta=grid.eta)
 
 
 def verify_linkage(bath: BathCoefficients, coupling: CouplingTensor,
                    chi: Susceptibility) -> float:
-    """Residual of the pole-coefficient linkage at the nodes (definitional), worst node."""
-    v = coupling.lattice.cell_volume
-    rhs = (1.0 / (2.0j * np.pi)) * v * bath.delta_coeff @ discontinuity(coupling)
-    diff = v * bath.pole_coeff @ chi.above_cut
+    """Residual of the pole-coefficient linkage at the nodes (definitional), worst node.
+
+    Three (K, size) block stacks are live.
+    """
+    layout, v = bath.layout, coupling.lattice.cell_volume
+    rhs = layout.matmul((1.0 / (2.0j * np.pi)) * v * bath.delta_blocks,
+                        discontinuity(coupling, layout))
+    diff = layout.matmul(v * bath.pole_blocks, chi.above_cut_blocks)
     diff -= rhs
     return float(np.max(np.sqrt(sq_norms(diff)) / np.maximum(np.sqrt(sq_norms(rhs)), 1e-300)))
 
@@ -155,36 +182,37 @@ def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
         w_l res[k, l]  = (w_k + i eta) res[k, l] - q_l,
         w_l anti[k, l] = q_l - w_k anti[k, l],
 
-    the four node sums of every node follow from two (K, K) @ (K, d^2)
-    GEMMs and the one sum sum_l q_l D_l; the products with the bath
-    coefficients are batched over the nodes.  The generic form-commutator
-    route is evaluated once, for the polarization at node 0, and
-    `route_agreement` reports how far the two routes differ there.
+    the four node sums of every node follow from two (K, K) @ (K, size)
+    GEMMs and the one sum sum_l q_l D_l, in the bath's layout; the products
+    with the bath coefficients are batched over the nodes.  The generic
+    form-commutator route is evaluated once, for the polarization at node 0,
+    and `route_agreement` reports how far the two routes differ there.  The
+    sums hold at most four (K, size) block stacks; the cross-check's dense
+    (K, d, d) forms set the peak, about five such stacks.
     """
-    lattice, grid = coupling.lattice, coupling.grid
-    K, d, v = grid.n_nodes, lattice.dim, lattice.cell_volume
+    layout, grid = bath.layout, coupling.grid
+    v = coupling.lattice.cell_volume
     w, nodes = grid.weights, grid.nodes
-    dens = coupling.density_stack
-    dens_flat = dens.reshape(K, d * d)
-    om = nodes[:, None, None]
+    dens = coupling.density_blocks(layout)
+    om = nodes[:, None]
 
-    # every step works in place, so at most four (K, d, d) stacks are live
+    # every step works in place, so at most four (K, size) block stacks are live
     res = w / (nodes[:, None] - nodes + 1j * bath.eta)
     anti = w / (nodes[:, None] + nodes)
-    s_res = (res @ dens_flat).reshape(K, d, d)
+    s_res = res @ dens
     # the anti-resonant weights are real, so their sums against conj(dens)
     # are the conjugates of the product rows
-    pol_sum = (anti @ dens_flat).reshape(K, d, d)
+    pol_sum = anti @ dens
     del res, anti
     np.conj(pol_sum, out=pol_sum)
     np.subtract(s_res, pol_sum, out=pol_sum)   # sum_l res D_l - anti conj(D_l)
-    base = bath.delta_coeff @ dens
+    base = layout.matmul(bath.delta_blocks, dens)
     base *= v
     base_sq = sq_norms(base)
-    pol = bath.pole_coeff @ pol_sum
+    pol = layout.matmul(bath.pole_blocks, pol_sum)
     pol *= v
     pol += base
-    pol_sq, pol_0 = sq_norms(pol), pol[0].copy()
+    pol_sq, pol_0 = sq_norms(pol), layout.sites(pol[0])
     del pol
 
     # sum_l w_l (res D_l + anti conj(D_l)), w_l the nodes, by the shift identities
@@ -193,8 +221,8 @@ def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
     pol_sum *= om
     mom_sum += pol_sum
     del pol_sum
-    mom_sum -= 2j * (w @ dens_flat).imag.reshape(d, d)
-    mom = bath.pole_coeff @ mom_sum
+    mom_sum -= 2j * (w @ dens).imag
+    mom = layout.matmul(bath.pole_blocks, mom_sum)
     del mom_sum, s_res
     mom *= v
     base *= om
@@ -218,16 +246,17 @@ def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
 
 
 def verify_bath_canonical(bath: BathCoefficients, coupling: CouplingTensor) -> float:
-    """Residual of the canonical bath commutator against the cut density.
+    """Residual of the canonical bath commutator against the cut density, worst node.
 
     In the chosen gauge the bilinear form collapses algebraically, so the
     residual sits at machine precision; rescaling the diagonal coefficient
-    (the shipped violator fixture) shows up quadratically.
+    (the shipped violator fixture) shows up quadratically.  Three (K, size)
+    block stacks are live.
     """
-    v = coupling.lattice.cell_volume
-    target = (np.pi * HBAR / EPS0) * np.eye(coupling.lattice.dim) / v
-    form = (0.5 / 1j) * v**2 * bath.delta_coeff @ discontinuity(coupling)
-    form = form @ bath.delta_coeff.conj().transpose(0, 2, 1)
+    layout, v = bath.layout, coupling.lattice.cell_volume
+    target = (np.pi * HBAR / EPS0) * layout.identity / v
+    form = layout.matmul((0.5 / 1j) * v**2 * bath.delta_blocks, discontinuity(coupling, layout))
+    form = layout.matmul(form, layout.transpose(bath.delta_blocks).conj())
     form -= target
     return float(np.sqrt(sq_norms(form).max()) / np.linalg.norm(target))
 

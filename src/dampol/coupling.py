@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import DampolError, DegenerateCouplingError, ModelError
-from .lattice import FrequencyGrid, Lattice, TensorKernel
+from .lattice import FrequencyGrid, Lattice, SectorLayout, TensorKernel
 
 #: relative tolerance of the canonical-pair constraints
 DEFAULT_TOL_CONSTRAINT = 1e-10
@@ -130,6 +130,35 @@ class CouplingTensor:
         dens = gram_stack(self.kernels)
         dens *= self.lattice.cell_volume
         return dens
+
+    @cached_property
+    def _sector_split(self) -> tuple:
+        """(off-sector leak, sector blocks) of the kernels, from one rotation."""
+        return self.lattice.sector_layout.split(self.kernels)
+
+    @property
+    def sector_leak(self) -> float:
+        """Off-sector part of the kernels in the momentum basis, relative to the stack."""
+        return self._sector_split[0]
+
+    def blocks(self, layout: SectorLayout) -> np.ndarray:
+        """The kernels in `layout`, (K, size): the sector blocks are built once, the site stack is a view."""
+        if layout is self.lattice.sector_layout:
+            return self._sector_split[1]
+        return layout.blocks(self.kernels)
+
+    @cached_property
+    def _sector_density(self) -> np.ndarray:
+        t = self.blocks(self.lattice.sector_layout)
+        dens = self.lattice.sector_layout.matmul(self.lattice.sector_layout.transpose(t), t.conj())
+        dens *= self.lattice.cell_volume
+        return dens
+
+    def density_blocks(self, layout: SectorLayout) -> np.ndarray:
+        """The spectral densities in `layout`, (K, size): `density_stack` itself in the site basis."""
+        if layout is self.lattice.sector_layout:
+            return self._sector_density
+        return layout.blocks(self.density_stack)
 
     @cached_property
     def moments(self) -> SpectralMoments:

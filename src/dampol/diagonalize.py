@@ -22,16 +22,20 @@ profiles are the leading axis of each smeared array.
 Every family is built from the per-node formulas of `_NodeKernels`, read
 from one `green.NodePropagator`: the propagator at every node just below
 the cut, with the coupling it was solved for.  Every identity is defined
-once, in `_ModeCheckSums`, from per-node sums of the pair rows; two routes
-form those sums and both return `ModeChecks`.  `streamed_mode_checks`, the
-production route, factorizes the pair rows into a per-node transfer
-kernel, a (K, K) frequency factor and the coupling, so every sum over the
-pair index is a (K, K) @ (K, d^2) GEMM, shifted sums reduce to unshifted
-ones by exact pole-shift identities, and no pair row is ever formed:
-O(K^2 d^2 + K d^3) time and O(K d^2) memory.  `fano_residual`, the
-tests' reference, sums the 2 K^2 d^2 pair families that `mode_coefficients`
-stacks.  The assembled-Hamiltonian oracle reads the explicit rows one node
-at a time from `node_families`, so no production path holds those stacks.
+once, in `_ModeCheckSums`, from per-node sums of the pair rows, taken for
+every node at once as flat block stacks in a `lattice.SectorLayout`; two
+routes form those sums and both return `ModeChecks`.
+`streamed_mode_checks`, the production route, factorizes the pair rows into
+a per-node transfer kernel, a (K, K) frequency factor and the coupling, so
+every sum over the pair index is a (K, K) @ (K, size) GEMM, shifted sums
+reduce to unshifted ones by exact pole-shift identities, and no pair row is
+ever formed; it runs in the propagator's momentum-sector layout:
+O(K^2 size + K sum_b S_b b^3) time and O(K size) memory, with size =
+sum_b S_b b^2 the entries of the S_b blocks of each size b.
+`fano_residual`, the tests' reference, sums the 2 K^2 d^2 pair families
+that `mode_coefficients` stacks and feeds them as one site-basis block.
+The assembled-Hamiltonian oracle reads the explicit rows one node at a
+time from `node_families`, so no production path holds those stacks.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import numpy as np
 from .constants import EPS0, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
 from .green import NodePropagator, wave_operator
-from .lattice import FrequencyGrid, Lattice, TensorKernel, pair_contract, sq_norms
+from .lattice import FrequencyGrid, Lattice, SectorLayout, TensorKernel, pair_contract, sq_norms
 
 #: smearing profiles used for weak-form residuals, as functions of w/w_max
 SMEAR_PROFILES = {
@@ -81,11 +85,11 @@ class _NodeKernels:
         resonant[k, l]     = mu0 hbar v (-w_k Xt_k + pole[k, l] X_k) T(w_l)^T
         antiresonant[k, l] = mu0 hbar v ( w_k Xt_k - anti[k, l] X_k) T(w_l)^H
 
-    with X_k = `transfer(k)`, read from the propagator's (K, d, d) kernel
-    stack, Xt_k = X_k o P_T and the (K, K) coefficient matrices `pole` and
-    `anti` held here; nothing else held grows beyond K d^2.  A shift of
-    either by the pair's node frequency is exact algebra on the same
-    matrices, with no new sum over l:
+    with X_k = v T*(w_k) o G(w_k - i eta) the transfer kernel, Xt_k = X_k o
+    P_T and the (K, K) coefficient matrices `pole` and `anti` held here;
+    nothing else held grows beyond K d^2.  A shift of either by the pair's
+    node frequency is exact algebra on the same matrices, with no new sum
+    over l:
 
         (w_l - w_k) pole[k, l] = -w_k^2 - i eta pole[k, l]
         (w_l + w_k) anti[k, l] =  w_k^2
@@ -93,13 +97,15 @@ class _NodeKernels:
         w_l anti[k, l]         =  w_k^2 - w_k anti[k, l]
 
     These apply only the shift, never a smear profile, so they hold for any
-    `SMEAR_PROFILES`.
+    `SMEAR_PROFILES`.  The methods here form one node's site operators, as
+    the oracle reads them; `_transfer_blocks` forms X for every node at once
+    in a kernel layout.
     """
 
     def __init__(self, prop: NodePropagator):
         coupling = prop.coupling
         grid = coupling.grid
-        self.grid, self.green, self.kernels = grid, prop.kernels, coupling.kernels
+        self.prop, self.grid, self.kernels = prop, grid, coupling.kernels
         self.lattice = coupling.lattice
         om, nodes = grid.nodes[:, None], grid.nodes
         self.pole = om**2 / (om - nodes - 1j * grid.eta)   # [k, l] = w_k^2 / (w_k - w_l - i eta)
@@ -113,7 +119,7 @@ class _NodeKernels:
 
     def transfer(self, k: int) -> np.ndarray:
         """X_k = v T*(w_k) o G(w_k - i eta)."""
-        return self.lattice.cell_volume * self.kernels[k].conj() @ self.green[k]
+        return self.lattice.cell_volume * self.kernels[k].conj() @ self.prop.kernels[k]
 
     def families(self, k: int) -> tuple:
         """X_k, its transverse part X_k o P_T, and the potential and momentum kernels."""
@@ -134,14 +140,23 @@ class _NodeKernels:
                 MU0 * HBAR * (om * proj_h - self.anti[k][:, None, None] * full_h))
 
 
+def _transfer_blocks(prop: NodePropagator, layout: SectorLayout) -> np.ndarray:
+    """X_k = v T*(w_k) o G(w_k - i eta) of every node in `layout`, (K, size): one stacked product."""
+    g = prop.blocks if layout is prop.layout else layout.blocks(prop.kernels)
+    return layout.matmul(prop.lattice.cell_volume * prop.coupling.blocks(layout).conj(), g)
+
+
 def momentum_family(prop: NodePropagator) -> np.ndarray:
-    """The momentum coefficient kernels of every node, (K, d, d)."""
-    rows = _NodeKernels(prop)
-    K, d = rows.grid.n_nodes, rows.lattice.dim
-    momentum = np.empty((K, d, d), dtype=complex)
-    for k in range(K):
-        momentum[k] = rows.families(k)[3]
-    return momentum
+    """The momentum coefficient kernels i mu0 w_k X_k o P_T of every node, (K, d, d).
+
+    Formed in the propagator's layout, two stacked products, and rotated
+    back a chunk of nodes at a time: the site result, two block stacks and
+    one chunk's site operators are live, 1.4 (K, d, d) stacks at n = 2.
+    """
+    layout = prop.layout
+    xt = layout.matmul(_transfer_blocks(prop, layout), layout.op("transverse_matrix"))
+    xt *= (1j * MU0 * prop.coupling.grid.nodes)[:, None]
+    return layout.sites(xt)
 
 
 def node_families(prop: NodePropagator):
@@ -162,24 +177,23 @@ def mode_coefficients(prop: NodePropagator) -> ModeCoefficients:
 
 
 def wave_diagnostic(prop: NodePropagator) -> float:
-    """Residual of the inhomogeneous wave equation for the auxiliary kernel.
+    """Residual of the inhomogeneous wave equation for the auxiliary kernel, worst node.
 
     The auxiliary combination -w_k^2 X_k equals the source -w_k^2 T*(w_k)
     contracted with the propagator by construction, so v X_k o W(z_k) =
     T*(w_k) with W the wave operator at the solve's point; the residual
     vanishes to solver precision and validates the plumbing rather than the
-    regularization.
+    regularization.  Every node is one stacked product in the propagator's
+    layout, with chi at the nodes summed again from the density blocks: at
+    most about six (K, size) block stacks are live.
     """
-    rows = _NodeKernels(prop)
-    lattice = rows.lattice
-    v = lattice.cell_volume
-    waves = wave_operator(prop.chi.stack(prop.z), prop.z, lattice)
-    out = 0.0
-    for k, wave in enumerate(waves):
-        source = rows.kernels[k].conj()
-        res = np.linalg.norm(v * rows.transfer(k) @ wave - source)
-        out = max(out, res / max(np.linalg.norm(source), 1e-300))
-    return float(out)
+    layout, v = prop.layout, prop.lattice.cell_volume
+    source = prop.coupling.blocks(layout).conj()
+    res = layout.matmul(_transfer_blocks(prop, layout),
+                        wave_operator(prop.chi.blocks_at(prop.z), prop.z, layout))
+    res *= v
+    res -= source
+    return float(np.max(np.sqrt(sq_norms(res)) / np.maximum(np.sqrt(sq_norms(source)), 1e-300)))
 
 
 # -- the mode-kernel identities -------------------------------------------
@@ -211,23 +225,25 @@ class ModeChecks:
 
 
 class _ModeCheckSums:
-    """The one definition of every `ModeChecks` identity, fed node by node.
+    """The one definition of every `ModeChecks` identity, fed every node at once.
 
-    With q_l the quadrature weights, w_l the nodes, v the cell volume and
-    resonant[k, l] the regular part (the Kronecker part is added here,
-    symbolically), `add` takes the potential and momentum kernels of node k
-    and its pair sums
+    Every operator is a flat block stack in one `SectorLayout`: (K, size)
+    per node, (P, K, size) per smear profile and node.  With q_l the
+    quadrature weights, w_l the nodes, v the cell volume and resonant[k, l]
+    the regular part (the Kronecker part is added here, symbolically), `add`
+    takes the potential and momentum kernels of every node k and its pair
+    sums
 
         wave  = v sum_l q_l w_l [resonant[k, l] T*(w_l) - antiresonant[k, l] T(w_l)]
         brace = v sum_l q_l     [resonant[k, l] T*(w_l) + antiresonant[k, l] T(w_l)]
 
     and, with phi[p, l] = q_l profile_p(w_l) for the smear profiles in
-    `SMEAR_PROFILES` order, the four (P, d, d) smeared pair sums
+    `SMEAR_PROFILES` order, the four (P, K, size) smeared pair sums
 
         (sum_l phi_l resonant[k, l],     sum_l phi_l (w_l - w_k) resonant[k, l],
          sum_l phi_l antiresonant[k, l], sum_l phi_l (w_l + w_k) antiresonant[k, l]).
 
-    `finish` takes the (P, K, d, d) families smeared over k, s3[p, l] =
+    `finish` takes the (P, K, size) families smeared over k, s3[p, l] =
     sum_k phi[p, k] resonant[k, l] and s4 likewise for the antiresonant one.
 
     Residuals use one global normalization, the quadrature norm of the
@@ -239,93 +255,98 @@ class _ModeCheckSums:
     The annihilator norm smears its two node indices with different
     profiles: the pair commutator is antisymmetric under a joint swap and
     transpose, so equal profiles would cancel it identically for any
-    isotropic model and test nothing.
+    isotropic model and test nothing.  Norms are those of the flat rows, the
+    site operators' Frobenius norms.
     """
 
-    def __init__(self, coupling: CouplingTensor, structure: StructureTensor):
+    def __init__(self, coupling: CouplingTensor, structure: StructureTensor, layout: SectorLayout):
         grid, lattice = coupling.grid, coupling.lattice
-        K, d = grid.n_nodes, lattice.dim
-        self.grid, self.lattice, self.kernels = grid, lattice, coupling.kernels
-        self.eye_v = np.eye(d) / lattice.cell_volume
-        self.f_pt = structure.kernel.mat @ lattice.transverse_matrix
+        v = lattice.cell_volume
+        self.grid, self.layout, self.v = grid, layout, v
+        self.t = coupling.blocks(layout)
+        self.eye_v = layout.identity / v
+        self.pt, self.pl = layout.op("transverse_matrix"), layout.op("longitudinal_matrix")
+        # the momentum family's own terms of the wave equation, as one operator
+        f_pt = layout.matmul(layout.blocks(structure.kernel.mat), self.pt)
+        self.mom_wave = (1j / MU0) * layout.op("laplacian_matrix") - 1j * HBAR * v * f_pt
         self.names = list(SMEAR_PROFILES)
         self.profiles = smear_profiles(grid)
         self.phi = grid.weights * self.profiles
         P = len(self.names)
         self.pairs = [(a, b) for a in range(P) for b in range(P) if a != b]
-        # sum_l phi_l T_l^T, sum_l phi_l w_l T_l^T and their conjugates, (P, d, d) each
-        t_flat = coupling.kernels.reshape(K, d * d)
-        t_sm, t_sm_w = ((phi[:, None] @ t_flat).reshape(P, d, d).transpose(0, 2, 1)
-                        for phi in (self.phi, self.phi * grid.nodes))
+        # sum_l phi_l T_l^T, sum_l phi_l w_l T_l^T and their conjugates, (P, size) each
+        self.t_t = layout.transpose(self.t)
+        t_sm, t_sm_w = (phi @ self.t_t for phi in (self.phi, self.phi * grid.nodes))
         self.t_sm = (t_sm, t_sm_w, t_sm.conj(), t_sm_w.conj())
-        self.f1s, self.f2s, self.r_sum = (np.zeros((P, d, d), dtype=complex) for _ in range(3))
-        self.f4_sum = np.zeros((P, P, d, d), dtype=complex)
-        self.sq = dict.fromkeys(("ratio_n", "ratio_d", "wave_n", "wave_d"), 0.0)
-        self.res_n, self.res_d, self.anti_n = (np.zeros(P) for _ in range(3))
 
-    def add(self, k: int, pot: np.ndarray, mom: np.ndarray, wave: np.ndarray,
-            brace: np.ndarray, smeared: tuple):
-        lattice, sq = self.lattice, self.sq
-        v = lattice.cell_volume
-        om, wk = self.grid.nodes[k], self.grid.weights[k]
-        tck = self.kernels[k].conj()
+    def add(self, pot: np.ndarray, mom: np.ndarray, wave: np.ndarray, brace: np.ndarray,
+            smeared: tuple):
+        layout, v, hv = self.layout, self.v, HBAR * self.v
+        mm = layout.matmul
+        om, wk = self.grid.nodes[:, None], self.grid.weights
+        tc = self.t.conj()
 
         # ratio identity
-        diff = (1j / EPS0) * pot - om * mom
-        sq["ratio_n"] += wk * np.linalg.norm(diff) ** 2
-        sq["ratio_d"] += wk * np.linalg.norm(om * mom) ** 2
+        scale = om * mom
+        diff = (1j / EPS0) * pot - scale
+        self.sq = {"ratio_n": wk @ sq_norms(diff), "ratio_d": wk @ sq_norms(scale)}
+        del diff, scale
 
-        # wave-type equation for this node
-        term = (1j / MU0) * (mom @ lattice.laplacian_matrix) - 1j * HBAR * v * mom @ self.f_pt
-        term += (wave + om * tck) @ lattice.transverse_matrix
+        # wave-type equation of every node
+        term = mm(mom, self.mom_wave)
+        term += mm(wave + om * tc, self.pt)
         rhs = om * pot
-        sq["wave_n"] += wk * np.linalg.norm(term - rhs) ** 2
-        sq["wave_d"] += wk * np.linalg.norm(rhs) ** 2
+        term -= rhs
+        self.sq["wave_n"], self.sq["wave_d"] = wk @ sq_norms(term), wk @ sq_norms(rhs)
+        del term, rhs
 
         # two-frequency relations in weak form, every profile at once; the
         # Kronecker parts of the resonant family cancel between the two sides exactly
-        brace = (brace + tck) @ lattice.longitudinal_matrix
+        brace = mm(brace + tc, self.pl)
         res_sum, omdiff, anti, omsum = smeared
-        t_sm, t_sm_w, tc_sm, tc_sm_w = self.t_sm
-        r35 = (-1j * HBAR * v * mom @ t_sm_w + omdiff
-               + (HBAR / EPS0) * v * brace @ t_sm)
-        rhs35 = om * (self.profiles[:, k, None, None] * self.eye_v + res_sum)
-        self.res_n += wk * sq_norms(r35)
-        self.res_d += wk * sq_norms(rhs35)
-        r36 = (-1j * HBAR * v * mom @ tc_sm_w - omsum
-               - (HBAR / EPS0) * v * brace @ tc_sm)
-        self.anti_n += wk * sq_norms(r36)
+        t_sm, t_sm_w, tc_sm, tc_sm_w = (a[:, None] for a in self.t_sm)
+        r35 = mm(mom, -1j * hv * t_sm_w)
+        r35 += omdiff
+        r35 += mm(brace, (hv / EPS0) * t_sm)
+        rhs35 = self.profiles[:, :, None] * self.eye_v + res_sum
+        rhs35 *= om
+        self.res_n, self.res_d = sq_norms(r35) @ wk, sq_norms(rhs35) @ wk
+        del r35, rhs35
+        r36 = mm(mom, -1j * hv * tc_sm_w)
+        r36 -= omsum
+        r36 -= mm(brace, (hv / EPS0) * tc_sm)
+        self.anti_n = sq_norms(r36) @ wk
+        del r36
 
-        phi = self.phi[:, k, None, None]
-        self.f1s += phi * pot
-        self.f2s += phi * mom
-        self.r_sum += phi * res_sum
-        self.f4_sum += phi[:, None] * anti   # [a, b] += phi[a, k] anti[b]
+        self.f1s, self.f2s = self.phi @ pot, self.phi @ mom
+        self.r_sum = np.einsum("pk,pkn->pn", self.phi, res_sum)
+        self.f4_sum = np.tensordot(self.phi, anti, axes=(1, 1))   # [a, b] = sum_k phi[a, k] anti[b, k]
 
     def finish(self, s3: np.ndarray, s4: np.ndarray) -> ModeChecks:
         """The commutator norms from the k-smeared families, and every residual."""
-        v, w, d = self.lattice.cell_volume, self.grid.weights, self.lattice.dim
+        layout, v, w = self.layout, self.v, self.grid.weights
+        mm, tr, contract = layout.matmul, layout.transpose, layout.pair_contract
         f1s, f2s, r_sum, f4_sum, names = self.f1s, self.f2s, self.r_sum, self.f4_sum, self.names
+        eye_norm = np.linalg.norm(self.eye_v)
 
         def relative(dev, a, b):
             """Norm of dev over the smeared exact part, profiles a and b."""
-            expected = float(np.sum(w * self.profiles[a] * self.profiles[b])) * np.eye(d) / v
-            return v * np.linalg.norm(dev) / max(v * np.linalg.norm(expected), 1e-300)
+            expected = abs(float(np.sum(w * self.profiles[a] * self.profiles[b]))) * eye_norm
+            return v * np.linalg.norm(dev) / max(v * expected, 1e-300)
 
-        commutation = {}
-        for p, n in enumerate(names):
-            dev = 1j * HBAR * v * (f1s[p] @ f2s[p].conj().T - f2s[p] @ f1s[p].conj().T)
-            dev = dev + r_sum[p] + r_sum[p].conj().T
-            dev = dev + v * pair_contract(w, s3[p], s3[p].conj())
-            dev = dev - v * pair_contract(w, s4[p], s4[p].conj())
-            commutation[n] = relative(dev, p, p)
+        # every profile at once
+        dev = 1j * HBAR * v * (mm(f1s, tr(f2s).conj()) - mm(f2s, tr(f1s).conj()))
+        dev += r_sum + tr(r_sum).conj()
+        dev += v * contract(w, s3, s3.conj())
+        dev -= v * contract(w, s4, s4.conj())
+        commutation = {n: relative(dev[p], p, p) for p, n in enumerate(names)}
 
         annihilator = {}
         for (a, b) in self.pairs:
-            dev = 1j * HBAR * v * (f1s[a] @ f2s[b].T - f2s[a] @ f1s[b].T)
-            dev = dev + f4_sum[b, a].T - f4_sum[a, b]
-            dev = dev + v * pair_contract(w, s3[a], s4[b])
-            dev = dev - v * pair_contract(w, s4[a], s3[b])
+            dev = 1j * HBAR * v * (mm(f1s[a], tr(f2s[b])) - mm(f2s[a], tr(f1s[b])))
+            dev += tr(f4_sum[b, a]) - f4_sum[a, b]
+            dev += v * contract(w, s3[a], s4[b])
+            dev -= v * contract(w, s4[a], s3[b])
             annihilator[f"{names[a]}*{names[b]}"] = relative(dev, a, b)
 
         def ratio(num, den):
@@ -346,27 +367,37 @@ def fano_residual(modes: ModeCoefficients, coupling: CouplingTensor,
                   structure: StructureTensor) -> ModeChecks:
     """Every mode-kernel identity, with the pair sums taken over the stacks.
 
-    The reference of `streamed_mode_checks`: it shares `_ModeCheckSums`
-    and sums the rows of `mode_coefficients` directly.
+    The reference of `streamed_mode_checks`: it sums the rows of
+    `mode_coefficients` directly, node by node, and feeds `_ModeCheckSums`
+    the resulting dense stacks as one site-basis block.
     """
-    grid, v = modes.grid, modes.lattice.cell_volume
+    grid, lattice = modes.grid, modes.lattice
+    v, K, d = lattice.cell_volume, grid.n_nodes, lattice.dim
     nodes, w = grid.nodes, grid.weights
     t, tc_t = coupling.kernels, coupling.kernels.conj().transpose(0, 2, 1)
     t_t = t.transpose(0, 2, 1)
-    sums = _ModeCheckSums(coupling, structure)
+    sums = _ModeCheckSums(coupling, structure, lattice.one_block)
     phi = sums.phi
-    for k in range(grid.n_nodes):
+    wave, brace = (np.empty((K, d, d), dtype=complex) for _ in range(2))
+    smeared = [np.empty((len(phi), K, d, d), dtype=complex) for _ in range(4)]
+    for k in range(K):
         res, anti = modes.resonant[k], modes.antiresonant[k]
-        wave = v * (pair_contract(w * nodes, res, tc_t) - pair_contract(w * nodes, anti, t_t))
-        brace = v * (pair_contract(w, res, tc_t) + pair_contract(w, anti, t_t))
-        smeared = (np.tensordot(phi, res, 1), np.tensordot(phi * (nodes - nodes[k]), res, 1),
-                   np.tensordot(phi, anti, 1), np.tensordot(phi * (nodes + nodes[k]), anti, 1))
-        sums.add(k, modes.potential[k], modes.momentum[k], wave, brace, smeared)
-    return sums.finish(np.tensordot(phi, modes.resonant, 1), np.tensordot(phi, modes.antiresonant, 1))
+        wave[k] = v * (pair_contract(w * nodes, res, tc_t) - pair_contract(w * nodes, anti, t_t))
+        brace[k] = v * (pair_contract(w, res, tc_t) + pair_contract(w, anti, t_t))
+        for out, coef, rows in ((smeared[0], phi, res), (smeared[1], phi * (nodes - nodes[k]), res),
+                                (smeared[2], phi, anti), (smeared[3], phi * (nodes + nodes[k]), anti)):
+            out[:, k] = np.tensordot(coef, rows, 1)
+
+    def flat(a):
+        return a.reshape(a.shape[:-2] + (d * d,))
+    sums.add(flat(modes.potential), flat(modes.momentum), flat(wave), flat(brace),
+             tuple(map(flat, smeared)))
+    return sums.finish(flat(np.tensordot(phi, modes.resonant, 1)),
+                       flat(np.tensordot(phi, modes.antiresonant, 1)))
 
 
 def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> ModeChecks:
-    """Single-pass weak-form verification of the mode-kernel identities.
+    """Single-pass weak-form verification of the mode-kernel identities, every node at once.
 
     With the factorized pair rows of `_NodeKernels`, a weighted sum over the
     pair index l against any kernels M_l is
@@ -375,93 +406,84 @@ def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> Mo
             = mu0 hbar v [-w_k Xt_k (a @ Q)_k + X_k ((a * pole) @ Q)_k]
 
     with Q_l = T_l^T M_l (T_l^H M_l and `anti` for the antiresonant rows): one
-    (K, K) @ (K, d^2) GEMM per coefficient matrix, formed from the coupling
-    alone before the node loop, the smear profiles a leading axis filled
-    one profile at a time.  Every sum whose coefficient carries a shift
-    w_l, w_l - w_k or w_l + w_k follows from the unshifted one by the
-    pole-shift identities of `_NodeKernels`, so the pass makes 2 + 4 P
-    node GEMMs for P smear profiles, 10 for the two shipped ones: two for
-    the wave and brace sums, 2 P for the smeared row sums and 2 P for the
-    smeared families summed over k, (phi * pole)^T @ X.  The per-node loop
-    is d^3-bound, so it stays a loop.  Cost O(K^2 d^2 + K d^3); only X, the coupling and the GEMM
-    results, (2 + 2 P) (K, d, d) stacks in the loop, are held.
+    (K, K) @ (K, size) GEMM per coefficient matrix, formed from the coupling
+    alone, the smear profiles a leading axis.  Every sum whose coefficient
+    carries a shift w_l, w_l - w_k or w_l + w_k follows from the unshifted
+    one by the pole-shift identities of `_NodeKernels`, so the pass makes
+    2 + 4 P node GEMMs for P smear profiles, 10 for the two shipped ones:
+    two for the wave and brace sums, 2 P for the smeared row sums and 2 P
+    for the smeared families summed over k, (phi * pole)^T @ X.
+
+    Every operator is a flat block stack in the propagator's layout (one
+    site-basis block if the structure kernel leaks across sectors), and
+    every product one batched `matmul` per block size over the node and
+    profile axes: there is no per-node loop.  Cost O(K^2 size + K sum_b S_b
+    b^3).  The peak comes while the four smeared sums are formed: about 29
+    (K, size) block stacks for the two shipped profiles, beside the
+    propagator and the coupling (28.9 at n = 2, K = 128, where a block stack
+    is an eighth of a (K, d, d) one).
     """
     rows = _NodeKernels(prop)
     coupling = prop.coupling
-    grid = coupling.grid
-    K, d, v = grid.n_nodes, coupling.lattice.dim, coupling.lattice.cell_volume
+    grid, lattice = coupling.grid, coupling.lattice
+    v = lattice.cell_volume
     nodes, w, eta = grid.nodes, grid.weights, grid.eta
+    om = nodes[:, None]
     c = MU0 * HBAR * v
     pole, anti = rows.pole, rows.anti
-    sums = _ModeCheckSums(coupling, structure)
-    phi, (t_sm, t_sm_w, tc_sm, tc_sm_w) = sums.phi, sums.t_sm
-    P = len(phi)
-    t = coupling.kernels
-    t_flat = t.reshape(K, d * d)
-
-    def gemm(coeff, flat):
-        """sum_l coeff[..., k, l] flat[l] as (..., K, d, d)."""
-        return (coeff @ flat).reshape(coeff.shape[:-1] + (d, d))
+    layout = lattice.layout(max(prop.chi.sector_leak, lattice.sector_leak(structure.kernel.mat)))
+    mm = layout.matmul
+    sums = _ModeCheckSums(coupling, structure, layout)
+    phi = sums.phi
+    t_sm, t_sm_w, tc_sm, tc_sm_w = (a[:, None] for a in sums.t_sm)
+    t, t_t = sums.t, sums.t_t
+    x = _transfer_blocks(prop, layout)
+    xt = mm(x, sums.pt)
 
     # wave and brace: M_l = T_l* (Q3_l = T_l^T T_l*) and M_l = T_l (Q4_l = T_l^H T_l);
     # by the shift identities the w_l-weighted GEMMs are the unweighted ones,
     # g_wave = w_k g_brace - i eta (pole @ Q3) + w_k^2 s_brace
-    q4 = (t.conj().transpose(0, 2, 1) @ t).reshape(K, d * d)
+    q4 = mm(t_t.conj(), t)
     q3 = q4.conj()
     wn = w * nodes
-    s_wave = ((wn @ q3) + (wn @ q4)).reshape(d, d)
-    s_brace = ((w @ q4) - (w @ q3)).reshape(d, d)
-    g_wave = gemm(w * pole, q3)
-    g_brace = gemm(w * anti, q4)
+    s_wave = (wn @ q3) + (wn @ q4)
+    s_brace = (w @ q4) - (w @ q3)
+    g_wave = (w * pole) @ q3
+    g_brace = (w * anti) @ q4
     del q3, q4
     np.subtract(g_wave, g_brace, out=g_brace)
     g_wave *= -1j * eta
-    g_wave += nodes[:, None, None] * g_brace
-    g_wave += nodes[:, None, None] ** 2 * s_brace
+    g_wave += om * g_brace
+    g_wave += om**2 * s_brace
+    wave = mm(x, g_wave)
+    wave -= om * mm(xt, s_wave)
+    wave *= v * c
+    brace = mm(x, g_brace)
+    brace += om * mm(xt, s_brace)
+    brace *= v * c
+    del g_wave, g_brace
 
     # M_l = identity, per profile: the row sums over T^T and over T^H; the
     # shifted rows (w_l - w_k) pole = -w_k^2 - i eta pole and (w_l + w_k) anti
-    # = w_k^2 need no GEMM.  The antiresonant coefficients are real, so their
-    # sums over T* are the conjugated sums over T, conjugated in place
-    g_res = np.empty((P, K, d, d), dtype=complex)
-    g_anti = np.empty_like(g_res)
-    for p, ph in enumerate(phi):
-        np.matmul(ph * pole, t_flat, out=g_res[p].reshape(K, -1))
-        np.matmul(ph * anti, t_flat, out=g_anti[p].reshape(K, -1))
-    np.conj(g_anti, out=g_anti)
-
-    def smeared(k, xk, xtk):
-        """The four smeared pair sums of node k, (P, d, d) each."""
-        om = nodes[k]
-        res = xk @ g_res[:, k].swapaxes(-1, -2)
-        ant = xk @ g_anti[:, k].swapaxes(-1, -2)
-        res_w = -om**2 * (xk @ t_sm) - 1j * eta * res   # the (w_l - w_k)-weighted row sums
-        ant_w = om**2 * (xk @ tc_sm)                     # the (w_l + w_k)-weighted ones
-        return (c * (res - om * xtk @ t_sm),
-                c * (res_w - om * xtk @ (t_sm_w - om * t_sm)),
-                c * (om * xtk @ tc_sm - ant),
-                c * (om * xtk @ (tc_sm_w + om * tc_sm) - ant_w))
-
-    x_stack = np.empty((K, d, d), dtype=complex)
-    y = np.zeros((P, d, d), dtype=complex)   # sum_k phi_k w_k Xt_k
-    for k in range(K):
-        om = nodes[k]
-        xk, xtk, pot, mom = rows.families(k)
-        x_stack[k] = xk
-        y += (phi[:, k, None, None] * om) * xtk
-        sums.add(k, pot, mom, v * c * (xk @ g_wave[k] - om * xtk @ s_wave),
-                 v * c * (xk @ g_brace[k] + om * xtk @ s_brace), smeared(k, xk, xtk))
-    del g_wave, g_brace, g_res, g_anti
+    # = w_k^2 need no GEMM.  The transposed sums come from the transposed
+    # coupling, and the antiresonant coefficients are real, so their sums
+    # over T^H are the conjugated sums over T^T
+    res = mm(x, (phi[:, None, :] * pole) @ t_t)
+    ant = mm(x, ((phi[:, None, :] * anti) @ t_t).conj())
+    xt_t = mm(xt, t_sm)
+    xt_tc = mm(xt, tc_sm)
+    smeared = (c * (res - om * xt_t),
+               c * (-om**2 * mm(x, t_sm) - 1j * eta * res - om * (mm(xt, t_sm_w) - om * xt_t)),
+               c * (om * xt_tc - ant),
+               c * (om * (mm(xt, tc_sm_w) + om * xt_tc) - om**2 * mm(x, tc_sm)))
+    del res, ant, xt_t, xt_tc
+    sums.add(om**2 * xt, (1j * MU0) * om * xt, wave, brace, smeared)
+    del wave, brace, smeared
 
     # s3[p, l] = sum_k phi[p, k] resonant[k, l], s4 likewise
-    x_flat = x_stack.reshape(K, d * d)
-    t_t = t.transpose(0, 2, 1)
-    t_h = t_t.conj()
-    s3 = np.empty((P, K, d, d), dtype=complex)
-    s4 = np.empty_like(s3)
-    for p, ph in enumerate(phi):
-        np.matmul(c * (gemm((ph[:, None] * pole).T, x_flat) - y[p]), t_t, out=s3[p])
-        np.matmul(c * (y[p] - gemm((ph[:, None] * anti).T, x_flat)), t_h, out=s4[p])
+    y = (phi * nodes) @ xt   # sum_k phi_k w_k Xt_k, (P, size)
+    s3 = mm(c * ((phi[:, :, None] * pole).transpose(0, 2, 1) @ x - y[:, None]), t_t)
+    s4 = mm(c * (y[:, None] - (phi[:, :, None] * anti).transpose(0, 2, 1) @ x), t_t.conj())
     return sums.finish(s3, s4)
 
 

@@ -9,13 +9,14 @@ systems are rejected instead of silently regularized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .constants import C_LIGHT
 from .coupling import CouplingTensor
 from .errors import DampolError, SingularOperatorError
-from .lattice import Lattice, TensorKernel, sq_norms
+from .lattice import Lattice, SectorLayout, TensorKernel, sq_norms
 from .susceptibility import Susceptibility
 
 #: relative residual every emitted kernel must satisfy
@@ -41,59 +42,60 @@ class GreenKernel:
         return self.kernel.lattice
 
 
-def wave_operator(chi_mats: np.ndarray, z, lattice: Lattice) -> np.ndarray:
-    """Matrices of the dispersive wave operator kernel at the points z.
+def wave_operator(chi_blocks: np.ndarray, z, layout: SectorLayout) -> np.ndarray:
+    """Blocks of the dispersive wave operator kernel at the points z.
 
-    `chi_mats` holds the susceptibility matrices at those points, (n, d, d)
-    or one (d, d) matrix for a scalar z; the result has the same shape.
+    `chi_blocks` holds the susceptibility at those points in `layout`,
+    (n, size), or (size,) for a scalar z; the result has the same shape.
     """
-    v = lattice.cell_volume
+    v = layout.lattice.cell_volume
     zsq = (np.asarray(z) / C_LIGHT) ** 2
-    out = chi_mats + np.eye(lattice.dim) / v
-    out *= zsq[..., None, None]
-    out -= lattice.double_curl_matrix / v
+    out = chi_blocks + layout.identity / v
+    out *= zsq[..., None]
+    out -= layout.op("double_curl_matrix") / v
     return out
 
 
-def _identity_residuals(prod: np.ndarray, v: float) -> np.ndarray:
-    """|| prod_n - I / v || / || I / v || for each matrix of a stack; `prod` is overwritten."""
-    d = prod.shape[-1]
-    prod.reshape(len(prod), -1)[:, ::d + 1] -= 1.0 / v
-    return np.sqrt(sq_norms(prod)) / np.linalg.norm(np.eye(d) / v)
+def _identity_residuals(prod: np.ndarray, layout: SectorLayout, v: float) -> np.ndarray:
+    """|| prod_n - I / v || / || I / v || for each operator of an (n, size) stack; `prod` is overwritten."""
+    eye = layout.identity / v
+    prod -= eye
+    return np.sqrt(sq_norms(prod)) / np.linalg.norm(eye)
 
 
 def solve_stack(chi: Susceptibility, zs) -> tuple:
-    """Solve the defining wave equation at every point of zs at once.
+    """Solve the defining wave equation at every point of zs at once, in `chi.layout`.
 
     Every point must sit off the real axis.  The inverses come from one
-    batched `inv`; only when a point is exactly singular, which makes the
-    batched call raise, are the points inverted one at a time to find it.
-    The condition number is the 1-norm one, ||A||_1 ||A^-1||_1, read off the
-    inverse the solve forms anyway; it lies within a factor dim of the
-    2-norm (singular-value) condition number on either side.  Returns the
-    kernel matrices (n, d, d), the relative residuals and condition numbers
-    (n,), and a dict from the index of each failed point to its message: a
-    point fails when its condition number is beyond `COND_LIMIT` or its
-    residual beyond `TOL_SOLVE`.
+    batched `inv` per block size; only when a point is exactly singular,
+    which makes the batched call raise, are the points inverted one at a
+    time to find it.  The condition number is the 1-norm one of the site
+    operators, ||A||_1 ||A^-1||_1, read off the inverse the solve forms
+    anyway, rotated back a chunk at a time; it lies within a factor dim of
+    the 2-norm (singular-value) condition number on either side.  Returns
+    the kernel blocks (n, size), the relative residuals and condition
+    numbers (n,), and a dict from the index of each failed point to its
+    message: a point fails when its condition number is beyond `COND_LIMIT`
+    or its residual beyond `TOL_SOLVE`.
     """
     zs = np.asarray(zs, dtype=complex)
-    lattice = chi.lattice
-    v = lattice.cell_volume
-    mat = wave_operator(chi.stack(zs), zs, lattice)
+    layout = chi.layout
+    v = layout.lattice.cell_volume
+    mat = wave_operator(chi.blocks_at(zs), zs, layout)
     mat *= v   # matrix form of the operator
     try:
-        inv = np.linalg.inv(mat)
+        inv = layout.inv(mat)
     except np.linalg.LinAlgError:
         inv = np.empty_like(mat)
         for i, m in enumerate(mat):
             try:
-                inv[i] = np.linalg.inv(m)
+                inv[i] = layout.inv(m)
             except np.linalg.LinAlgError:
                 inv[i] = np.nan   # an exactly singular point
-    cond = np.abs(mat).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
+    cond = layout.norm1(mat) * layout.norm1(inv)
     cond[np.isnan(cond)] = np.inf
     inv /= v   # the kernel matrices
-    residual = _identity_residuals(inv @ mat, v)
+    residual = _identity_residuals(layout.matmul(inv, mat), layout, v)
     failures = {}
     for i, z in enumerate(zs.tolist()):
         if not cond[i] <= COND_LIMIT:
@@ -114,10 +116,11 @@ def solve_green(chi: Susceptibility, z: complex) -> GreenKernel:
     z = complex(z)
     if z.imag == 0.0:
         raise DampolError("solve_green needs Im z != 0; offset by the grid eta to pick a side")
-    kernels, residual, cond, failures = solve_stack(chi, (z,))
+    blocks, residual, cond, failures = solve_stack(chi, (z,))
     if failures:
         raise SingularOperatorError(failures[0], cond=float(cond[0]))
-    return GreenKernel(kernel=TensorKernel(chi.lattice, kernels[0]), z=z, eta_used=abs(z.imag),
+    kernel = TensorKernel(chi.lattice, chi.layout.sites(blocks[0]))
+    return GreenKernel(kernel=kernel, z=z, eta_used=abs(z.imag),
                        chi_ref=chi, residual=float(residual[0]), cond=float(cond[0]))
 
 
@@ -128,16 +131,18 @@ def verify_adjoint(green) -> float:
     transpose-reversal symmetry, so it is evaluated with the reflected
     kernel chi(-z)^T; a symmetry-broken susceptibility is flagged here.
     `green` is one solve or a `NodePropagator`, whose nodes are checked as
-    one stack; the worst residual is returned.
+    one stack in its layout; the worst residual is returned.
     """
     if isinstance(green, GreenKernel):
-        chi, zs, kernels = green.chi_ref, np.array([green.z]), green.kernel.mat[None]
+        chi, zs = green.chi_ref, np.array([green.z])
+        kernels = chi.layout.blocks(green.kernel.mat[None])
     else:
-        chi, zs, kernels = green.chi, green.z, green.kernels
-    reflected = wave_operator(chi.stack(-zs).transpose(0, 2, 1), zs, green.lattice)
-    prod = reflected @ kernels
-    prod *= green.lattice.cell_volume
-    return float(_identity_residuals(prod, green.lattice.cell_volume).max())
+        chi, zs, kernels = green.chi, green.z, green.blocks
+    layout, v = chi.layout, green.lattice.cell_volume
+    reflected = wave_operator(layout.transpose(chi.blocks_at(-zs)), zs, layout)
+    prod = layout.matmul(reflected, kernels)
+    prod *= v
+    return float(_identity_residuals(prod, layout, v).max())
 
 
 def verify_reciprocity(green: GreenKernel) -> float:
@@ -159,17 +164,28 @@ class NodePropagator:
     """The propagator at every grid node just below the cut, G(w_k - i eta).
 
     Only `node_propagator` builds one, so it is complete and sits below the
-    cut by construction.  It holds the (K, d, d) stack of kernel matrices
-    and the (K,) residuals and condition numbers of the solves, made with
-    `chi`, whose source is the coupling that every consumer contracts the
-    propagator with; the upper side is the exact adjoint,
-    G(w + i eta) = G(w - i eta)^dagger.
+    cut by construction.  It holds the (K, size) kernel blocks in
+    `chi.layout` and the (K,) residuals and condition numbers of the solves,
+    made with `chi`, whose source is the coupling that every consumer
+    contracts the propagator with; the upper side is the exact adjoint,
+    G(w + i eta) = G(w - i eta)^dagger.  The consumers that read site
+    operators (the field forms and the oracle) read `kernels`, rotated
+    back once.
     """
 
     chi: Susceptibility
-    kernels: np.ndarray    # (K, d, d), in node order
+    blocks: np.ndarray     # (K, size), in node order
     residual: np.ndarray   # (K,)
     cond: np.ndarray       # (K,)
+
+    @property
+    def layout(self) -> SectorLayout:
+        return self.chi.layout
+
+    @cached_property
+    def kernels(self) -> np.ndarray:
+        """The (K, d, d) site stack of kernel matrices, rotated back from the blocks once."""
+        return self.layout.sites(self.blocks)
 
     @property
     def coupling(self) -> CouplingTensor:
@@ -188,16 +204,18 @@ class NodePropagator:
 def node_propagator(chi: Susceptibility) -> NodePropagator:
     """Solve the propagator at every grid node w_k - i eta, as one `solve_stack`.
 
-    chi at every node is one (2 K, K) @ (K, d^2) GEMM, the inverses one
-    batched `inv` and the residuals one batched (K, d, d) product; the
-    condition numbers are read off the stacks.  At most about four
-    (K, d, d) stacks are live.  Every node is attempted; if any fails, one
-    `SingularOperatorError` names all the failed nodes.
+    chi at every node is one (2 K, K) @ (K, size) GEMM, the inverses one
+    batched `inv` per block size and the residuals one batched product; the
+    condition numbers are read off the stacks.  The peak holds about seven
+    (K, size) block stacks: chi's two node sums, the operator, its inverse
+    and the site operators of one rotation chunk (7.2 at n = 2, K = 128).
+    Every node is attempted; if any fails, one `SingularOperatorError`
+    names all the failed nodes.
     """
     grid = chi.grid
     if grid.eta <= 0:
         raise DampolError("grid eta must be positive to pick a side of the cut")
-    kernels, residual, cond, failures = solve_stack(chi, grid.nodes - 1j * grid.eta)
+    blocks, residual, cond, failures = solve_stack(chi, grid.nodes - 1j * grid.eta)
     if failures:
         raise SingularOperatorError(f"sweep failed at indices {sorted(failures)}: {failures}")
-    return NodePropagator(chi=chi, kernels=kernels, residual=residual, cond=cond)
+    return NodePropagator(chi=chi, blocks=blocks, residual=residual, cond=cond)

@@ -25,6 +25,14 @@ import numpy as np
 
 from .errors import DampolError
 
+#: largest off-sector part of a site operator in `Lattice.momentum_basis`,
+#: relative to the operator, for which it is stored per momentum sector: in the
+#: kernel stacks (`SectorLayout`) and in the oracle's quadratic form
+SECTOR_LEAK_TOL = 1e-13
+
+#: largest (d, d) complex stack a layout rotation holds at once, in bytes
+_ROTATION_CHUNK_BYTES = 1 << 20
+
 _LEVI_CIVITA = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _LEVI_CIVITA[_i, _j, _k] = 1.0
@@ -203,6 +211,50 @@ class Lattice:
         """(M_T,) `momentum_sector` label of each `transverse_basis` column."""
         return self._transverse_columns[1]
 
+    @cached_property
+    def sector_layout(self) -> "SectorLayout":
+        """Per-sector storage: one block per {q, -q} sector of `momentum_basis`, 3x3 or 6x6.
+
+        The basis columns are those of kron(F, I_3) with F the momentum basis,
+        ordered by block size, then by sector label, then by momentum column
+        and component.
+        """
+        m, label = self.n_sites, self.momentum_sector
+        count = np.bincount(label)[label]   # momentum columns in each column's sector
+        order = np.argsort(count * m + label, kind="stable")
+        starts = np.flatnonzero(np.r_[True, np.diff(label[order]) != 0])
+        basis = self.momentum_basis[:, order, None, None] * np.eye(3)[None, None]
+        return SectorLayout(self, 3 * count[order[starts]],
+                            basis.transpose(0, 2, 1, 3).reshape(self.dim, self.dim))
+
+    @cached_property
+    def one_block(self) -> "SectorLayout":
+        """The dense reference layout: one d x d block in the site basis."""
+        return SectorLayout(self, np.array([self.dim]), None)
+
+    def layout(self, leak: float) -> "SectorLayout":
+        """`sector_layout` when `leak` is within `SECTOR_LEAK_TOL`, else `one_block`."""
+        return self.sector_layout if leak <= SECTOR_LEAK_TOL else self.one_block
+
+    def sector_leak(self, *operators: np.ndarray) -> float:
+        """Largest off-sector part of (..., d, d) site operators, each relative to its whole stack."""
+        return max((self.sector_layout.split(op)[0] for op in operators), default=0.0)
+
+    def sector_groups(self, n_transverse: int, n_site: int, leak: float) -> tuple:
+        """Index groups of `n_transverse` transverse-basis copies, then `n_site` momentum-basis ones.
+
+        A transverse-basis slot belongs to the sector of its column, a
+        momentum-basis slot (momentum column, then component) to that of its
+        column.  Each group holds one sector's slots in ascending order;
+        when `leak` exceeds `SECTOR_LEAK_TOL` there is one group of every slot.
+        """
+        labels = np.concatenate([np.tile(self.transverse_sector, n_transverse),
+                                 np.tile(np.repeat(self.momentum_sector, 3), n_site)])
+        if leak > SECTOR_LEAK_TOL:
+            return (np.arange(labels.size),)
+        order = np.argsort(labels, kind="stable")
+        return tuple(np.split(order, np.flatnonzero(np.diff(labels[order])) + 1))
+
     def compatible(self, other: "Lattice") -> bool:
         return (
             self.n_per_axis == other.n_per_axis
@@ -293,12 +345,165 @@ class TensorKernel:
         return cls(lattice, np.zeros((lattice.dim, lattice.dim)))
 
 
-def sq_norms(stack: np.ndarray) -> np.ndarray:
-    """The squared Frobenius norm of each matrix of a stack, (n,), with no temporary stack."""
-    flat = np.ascontiguousarray(stack).reshape(len(stack), -1)
+class SectorLayout:
+    """Block-diagonal (..., d, d) site operators stored as flat (..., size) arrays.
+
+    `basis` is a real orthogonal (d, d) matrix whose columns run over the
+    blocks in order, `None` for the site basis itself; the blocks are the
+    diagonal blocks of basis^T A basis, of the sizes in `sizes`, stored
+    row-major one after the other.  Blocks of one size are adjacent, so a
+    flat array is viewed as one (..., count, b, b) array per block size
+    (`parts`) and every product is one batched `matmul` per size, over every
+    leading axis at once.  The Frobenius norm of an operator is that of its
+    flat row, and a sum over a node axis is one GEMM on the flat rows.
+
+    A translation-invariant operator maps every {q, -q} sector of
+    `Lattice.momentum_basis` into itself, so `Lattice.sector_layout` keeps it
+    whole in blocks of 3 or 6; `Lattice.one_block` keeps any operator as
+    one d x d block with no rotation, which is the dense reference.
+    """
+
+    def __init__(self, lattice: Lattice, sizes: np.ndarray, basis: np.ndarray | None):
+        self.lattice, self.basis, self.sizes = lattice, basis, sizes
+        self.part_sizes, self.size = [], 0   # (block size, count, flat offset) of each run
+        for b in sizes.tolist():
+            if self.part_sizes and self.part_sizes[-1][0] == b:
+                self.part_sizes[-1][1] += 1
+            else:
+                self.part_sizes.append([b, 1, self.size])
+            self.size += b * b
+        self._ops = {}
+
+    @cached_property
+    def _entries(self) -> tuple:
+        """The rows and columns of basis^T A basis that the blocks keep, in flat order."""
+        first = np.cumsum(self.sizes) - self.sizes
+        return (np.concatenate([f + np.repeat(np.arange(b), b) for f, b in zip(first, self.sizes)]),
+                np.concatenate([f + np.tile(np.arange(b), b) for f, b in zip(first, self.sizes)]))
+
+    def parts(self, flat: np.ndarray) -> list:
+        """Views of a (..., size) array as one (..., count, b, b) array per block size."""
+        lead = flat.shape[:-1]
+        return [flat[..., o:o + c * b * b].reshape(lead + (c, b, b)) for b, c, o in self.part_sizes]
+
+    # -- conversion ------------------------------------------------------
+
+    def _chunks(self, n: int):
+        """Slices of a leading axis of n operators, each at most an eighth of it and of bounded bytes."""
+        step = max(1, min(_ROTATION_CHUNK_BYTES // (16 * self.lattice.dim**2), -(-n // 8)))
+        return (slice(i, i + step) for i in range(0, n, step))
+
+    def split(self, stack: np.ndarray) -> tuple:
+        """(leak, blocks) of a (..., d, d) stack of site operators.
+
+        The leak is the norm of the part outside the blocks relative to the
+        whole stack's; the site basis has none.  The rotation runs a chunk
+        of operators at a time, so its temporaries stay below a fraction of
+        the stack.
+        """
+        stack = np.asarray(stack)
+        lead, d = stack.shape[:-2], self.lattice.dim
+        if self.basis is None:
+            return 0.0, stack.reshape(lead + (self.size,))
+        mats, (rows, cols) = stack.reshape(-1, d, d), self._entries
+        out = np.empty((len(mats), self.size), dtype=stack.dtype)
+        off = whole = 0.0
+        for chunk in self._chunks(len(mats)):
+            rot = self.basis.T @ mats[chunk] @ self.basis
+            out[chunk] = rot[:, rows, cols]
+            whole += float(sq_norms(rot.ravel()))
+            rot[:, rows, cols] = 0.0
+            off += float(sq_norms(rot.ravel()))
+        return np.sqrt(off) / max(np.sqrt(whole), 1e-300), out.reshape(lead + (self.size,))
+
+    def blocks(self, stack: np.ndarray) -> np.ndarray:
+        """The blocks of a (..., d, d) stack of site operators, (..., size); a view in the site basis."""
+        return self.split(stack)[1]
+
+    def sites(self, flat: np.ndarray) -> np.ndarray:
+        """The (..., d, d) site operators of a (..., size) array; a view in the site basis."""
+        lead, d = flat.shape[:-1], self.lattice.dim
+        if self.basis is None:
+            return flat.reshape(lead + (d, d))
+        ops, (rows, cols) = flat.reshape(-1, self.size), self._entries
+        out = np.empty((len(ops), d, d), dtype=flat.dtype)
+        for chunk in self._chunks(len(ops)):
+            dense = np.zeros((len(ops[chunk]), d, d), dtype=flat.dtype)
+            dense[:, rows, cols] = ops[chunk]
+            np.matmul(self.basis @ dense, self.basis.T, out=out[chunk])
+        return out.reshape(lead + (d, d))
+
+    def norm1(self, flat: np.ndarray) -> np.ndarray:
+        """The 1-norm (largest column sum of moduli) of each site operator of an (n, size) stack."""
+        return np.concatenate([np.abs(self.sites(flat[chunk])).sum(axis=-2).max(axis=-1)
+                               for chunk in self._chunks(len(flat))])
+
+    def op(self, name: str) -> np.ndarray:
+        """The blocks of the lattice operator `Lattice.<name>`, (size,), built once."""
+        if name not in self._ops:
+            self._ops[name] = self.blocks(getattr(self.lattice, name))
+        return self._ops[name]
+
+    @cached_property
+    def identity(self) -> np.ndarray:
+        """The identity, (size,)."""
+        return np.concatenate([np.tile(np.eye(b).ravel(), c) for b, c, _ in self.part_sizes])
+
+    # -- block algebra ----------------------------------------------------
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b for every operator pair, leading axes broadcast: one batched `matmul` per block size."""
+        lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        out = np.empty(lead + (self.size,), dtype=np.result_type(a, b))
+        for pa, pb, po in zip(self.parts(a), self.parts(b), self.parts(out)):
+            np.matmul(pa, pb, out=po)
+        return out
+
+    def transpose(self, a: np.ndarray) -> np.ndarray:
+        """The transpose of every operator; the basis is real, so it is each block's."""
+        out = np.empty_like(a)
+        for pa, po in zip(self.parts(a), self.parts(out)):
+            po[...] = pa.swapaxes(-1, -2)
+        return out
+
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        """The inverse of every operator: raises `LinAlgError` if any block is exactly singular."""
+        out = np.empty(a.shape, dtype=np.result_type(a, float))
+        for pa, po in zip(self.parts(a), self.parts(out)):
+            po[...] = np.linalg.inv(pa)
+        return out
+
+    def svdvals(self, a: np.ndarray) -> np.ndarray:
+        """The singular values of every operator, the union of its blocks', (..., d) unsorted."""
+        lead = a.shape[:-1]
+        return np.concatenate([np.linalg.svd(p, compute_uv=False).reshape(lead + (-1,))
+                               for p in self.parts(a)], axis=-1)
+
+    def pair_contract(self, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum_m w[m] a[..., m] @ b[..., m]^T over the node axis -2 of (..., n, size) arrays.
+
+        One GEMM per block size: the node and column indices are contracted jointly.
+        """
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        out = np.empty(lead + (self.size,), dtype=np.result_type(a, b))
+        for pa, pb, po in zip(self.parts(a), self.parts(b), self.parts(out)):
+            n, (c, k) = pa.shape[-4], pa.shape[-3:-1]
+            lhs = np.moveaxis(w[:, None, None, None] * pa, -4, -2).reshape(pa.shape[:-4] + (c, k, n * k))
+            rhs = np.moveaxis(pb, -4, -3).swapaxes(-1, -2).reshape(pb.shape[:-4] + (c, n * k, k))
+            np.matmul(lhs, rhs, out=po)
+        return out
+
+
+def sq_norms(flat: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of a (..., n) array, with no temporary of its size.
+
+    On a flat stack of block-diagonal operators this is the squared
+    Frobenius norm of each operator.
+    """
+    flat = np.ascontiguousarray(flat)
     if np.iscomplexobj(flat):
         flat = flat.view(float)
-    return np.einsum("ni,ni->n", flat, flat)
+    return np.einsum("...i,...i->...", flat, flat)
 
 
 def pair_contract(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -50,10 +50,6 @@ MAX_CANONICAL_DIM = 4000
 #: relative dagger-Hermiticity defect a quadratic form may carry
 HERMITICITY_TOL = 1e-12
 
-#: largest off-sector part of an assembly's site operators in the momentum
-#: basis, relative to each operator, for which the form is stored per sector
-SECTOR_LEAK_TOL = 1e-13
-
 #: eigenvalues smaller than this fraction of the largest are zero modes
 ZERO_MODE_TOL = 1e-6
 
@@ -78,22 +74,11 @@ def sector_leak(coupling: CouplingTensor, structure: StructureTensor, *extra: np
     The operators are the coupling kernels, the structure kernel and any
     `extra` (..., d, d) operators; every other operator an assembler reads
     must be the lattice's own or built from these, since the blocks keep
-    no product between two sectors.  Each operator is rotated to
-    `Lattice.momentum_basis` on both site indices; a translation-invariant
-    operator maps every {q, -q} sector into itself, so its off-sector part
-    is round-off.
+    no product between two sectors.  A translation-invariant operator maps
+    every {q, -q} sector of `Lattice.momentum_basis` into itself, so its
+    off-sector part is round-off (`Lattice.sector_leak`).
     """
-    lattice = coupling.lattice
-    operators = (coupling.kernels, structure.kernel.mat, *extra)
-    f, m, d = lattice.momentum_basis, lattice.n_sites, lattice.dim
-    label = np.repeat(lattice.momentum_sector, 3)
-    off = label[:, None] != label[None, :]
-    worst = 0.0
-    for op in operators:
-        sites = op.reshape(-1, m, 3, m, 3)
-        rot = np.einsum("ri,nrasb,sj->niajb", f, sites, f, optimize=True).reshape(-1, d, d)
-        worst = max(worst, float(np.linalg.norm(rot[:, off]) / max(np.linalg.norm(rot), 1e-300)))
-    return worst
+    return max(coupling.sector_leak, coupling.lattice.sector_leak(structure.kernel.mat, *extra))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,19 +101,13 @@ class QuadraticHamiltonian:
 
     @classmethod
     def zero(cls, lattice: Lattice, grid: FrequencyGrid, leak: float) -> "QuadraticHamiltonian":
-        """The zero form, one block per momentum sector unless `leak` exceeds `SECTOR_LEAK_TOL`.
+        """The zero form, one block per momentum sector unless `leak` exceeds the lattice's tolerance.
 
-        The sector of a and p is the label of their transverse-basis
-        column, that of x and y the label of their momentum column.
+        The sector of a and p is that of their transverse-basis column, that
+        of x and y that of their momentum column (`Lattice.sector_groups`).
         """
         mt = lattice.transverse_basis.shape[1]
-        labels = np.concatenate([lattice.transverse_sector, lattice.transverse_sector,
-                                 np.tile(np.repeat(lattice.momentum_sector, 3), 2 * grid.n_nodes)])
-        if leak > SECTOR_LEAK_TOL:
-            groups = (np.arange(labels.size),)
-        else:
-            order = np.argsort(labels, kind="stable")
-            groups = tuple(np.split(order, np.flatnonzero(np.diff(labels[order])) + 1))
+        groups = lattice.sector_groups(2, 2 * grid.n_nodes, leak)
         return cls(lattice=lattice, grid=grid, mt=mt, groups=groups,
                    blocks=[np.zeros((g.size, g.size), dtype=complex) for g in groups],
                    sector_leak=leak)
@@ -163,17 +142,6 @@ class QuadraticHamiltonian:
         nx = group.size // 2 - na
         return (slice(0, na), slice(na, 2 * na), slice(2 * na, 2 * na + nx),
                 slice(2 * na + nx, group.size))
-
-    @cached_property
-    def commutation_matrix(self) -> np.ndarray:
-        """c-number matrix Sigma with [xi_i, xi_j] = Sigma_ij: i hbar on (a, p), i on (x, y)."""
-        sig = np.zeros((self.dim, self.dim), dtype=complex)
-        for first, second, value in ((self.slice_a, self.slice_p, 1j * HBAR),
-                                     (self.slice_x, self.slice_y, 1j)):
-            eye = np.eye(first.stop - first.start)
-            sig[first, second] = value * eye
-            sig[second, first] = -value * eye
-        return sig
 
     def dynamics(self) -> list:
         """The real R with [xi, H] = i R xi, one fresh block per group.

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .lattice import sq_norms
+
 FORMAT_VERSION = 1
 
 
@@ -83,10 +85,10 @@ def green_trace_csv(path, prop):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["re_z", "im_z", "norm", "residual", "cond"])
-        v = prop.lattice.cell_volume
-        for z, mat, residual, cond in zip(prop.z, prop.kernels, prop.residual, prop.cond):
+        norms = prop.lattice.cell_volume * np.sqrt(sq_norms(prop.blocks))   # basis-independent
+        for z, norm, residual, cond in zip(prop.z, norms.tolist(), prop.residual, prop.cond):
             writer.writerow([f"{z.real:.12g}", f"{z.imag:.12g}",
-                             f"{v * float(np.linalg.norm(mat)):.12g}", f"{residual:.6g}", f"{cond:.6g}"])
+                             f"{norm:.12g}", f"{residual:.6g}", f"{cond:.6g}"])
 
 
 def refinement_csv(path, levels: list, sequences: dict):

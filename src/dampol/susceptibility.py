@@ -19,15 +19,17 @@ import numpy as np
 from .constants import EPS0, HBAR
 from .coupling import CouplingTensor, StructureTensor
 from .errors import PoleError
-from .lattice import TensorKernel
+from .lattice import SectorLayout, TensorKernel
 
 
-def chi_stack(coupling: CouplingTensor, zs) -> np.ndarray:
+def chi_stack(coupling: CouplingTensor, zs, layout: SectorLayout | None = None) -> np.ndarray:
     """The susceptibility kernel matrices at the complex frequencies zs, (n, d, d).
 
-    Both node sums of every point come from one (2 n, K) @ (K, d^2) GEMM.
-    For real z the evaluation is only defined away from the quadrature
-    nodes; use an explicit imaginary offset to pick a side of the cut.
+    With a `layout` the result is the (n, size) blocks, summed from the
+    coupling's density blocks.  Both node sums of every point come from one
+    (2 n, K) @ (K, d^2) GEMM, or (2 n, K) @ (K, size).  For real z the
+    evaluation is only defined away from the quadrature nodes; use an
+    explicit imaginary offset to pick a side of the cut.
     """
     zs = np.asarray(zs, dtype=complex)
     n, nodes = zs.size, coupling.grid.nodes
@@ -38,7 +40,7 @@ def chi_stack(coupling: CouplingTensor, zs) -> np.ndarray:
             raise PoleError(f"z = {complex(poles[0])} sits on a quadrature node; "
                             "offset it from the real axis")
     w = coupling.grid.weights
-    dens = coupling.density_stack
+    dens = coupling.density_stack if layout is None else coupling.density_blocks(layout)
     zc = zs[:, None]
     # sum_k c_k conj(D_k) = conj(sum_k conj(c_k) D_k): both node sums in one GEMM
     coeff = np.concatenate([w / (nodes - zc), np.conj(w / (nodes + zc))])
@@ -54,9 +56,10 @@ def chi_at(coupling: CouplingTensor, z: complex) -> TensorKernel:
     return TensorKernel(coupling.lattice, chi_stack(coupling, (z,))[0])
 
 
-def discontinuity(coupling: CouplingTensor) -> np.ndarray:
-    """Exact cut discontinuity at every quadrature node, (K, d, d)."""
-    return (2.0j * np.pi * HBAR / EPS0) * coupling.density_stack
+def discontinuity(coupling: CouplingTensor, layout: SectorLayout | None = None) -> np.ndarray:
+    """Exact cut discontinuity at every quadrature node, (K, d, d), or its (K, size) blocks in `layout`."""
+    dens = coupling.density_stack if layout is None else coupling.density_blocks(layout)
+    return (2.0j * np.pi * HBAR / EPS0) * dens
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,14 +97,46 @@ class Susceptibility:
         return TensorKernel(self.lattice, self.stack((z,))[0])
 
     @cached_property
-    def above_cut(self) -> np.ndarray:
-        """chi(w_k + i eta) at every node, perturbation included: a read-only (K, d, d) stack.
+    def sector_leak(self) -> float:
+        """Off-sector part of the inputs, the coupling and the perturbation, in the momentum basis."""
+        leak = self.source.sector_leak
+        if self.perturbation is not None:
+            leak = max(leak, self.lattice.sector_leak(self.perturbation.mat))
+        return leak
 
-        The bath coefficients, the linkage check, the polarization form and
-        the constitutive check all read these values, so each is evaluated
-        once per susceptibility.
+    @cached_property
+    def layout(self) -> SectorLayout:
+        """The kernel layout of everything solved with this susceptibility.
+
+        Per momentum sector when both inputs conserve lattice momentum; a
+        leaking input (a random coupling, a symmetry-violating
+        perturbation) makes it one site-basis block, the dense reference.
         """
-        stack = self.stack(self.grid.nodes + 1j * self.eta)
+        return self.lattice.layout(self.sector_leak)
+
+    def blocks_at(self, zs) -> np.ndarray:
+        """The evaluations at the points zs in `layout`, perturbation included, (n, size)."""
+        out = chi_stack(self.source, zs, self.layout)
+        if self.perturbation is not None:
+            out += self.layout.blocks(self.perturbation.mat)
+        return out
+
+    @cached_property
+    def above_cut_blocks(self) -> np.ndarray:
+        """chi(w_k + i eta) at every node in `layout`, perturbation included: read-only (K, size).
+
+        The bath coefficients and the linkage check read these values, and
+        the polarization form and the constitutive check their site
+        operators (`above_cut`), so each is evaluated once per susceptibility.
+        """
+        blocks = self.blocks_at(self.grid.nodes + 1j * self.eta)
+        blocks.flags.writeable = False
+        return blocks
+
+    @cached_property
+    def above_cut(self) -> np.ndarray:
+        """The site operators of `above_cut_blocks`: a read-only (K, d, d) stack, rotated once."""
+        stack = self.layout.sites(self.above_cut_blocks)
         stack.flags.writeable = False
         return stack
 

@@ -200,9 +200,9 @@ class TestSusceptibilityReuse:
         points = []
         evaluate = sus.chi_stack
 
-        def counted(coupling, zs):
+        def counted(coupling, zs, *layout):
             points.extend(zs)
-            return evaluate(coupling, zs)
+            return evaluate(coupling, zs, *layout)
         monkeypatch.setattr(sus, "chi_stack", counted)
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
         cfg.out = str(tmp_path / "o")
@@ -348,6 +348,25 @@ class TestRefine:
         cfg.n_nodes = 8
         assert refine(cfg, 2) in (EXIT_PASS, EXIT_NUMERICAL)
         assert len(calls) == 2
+
+    def test_kernels_track_builds_no_site_stack(self, tmp_path, monkeypatch):
+        # the kernel stages run on sector blocks; no site stack is rotated back
+        import dampol.cli as cli
+        pipes, init = [], cli.Pipeline.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            pipes.append(self)
+        monkeypatch.setattr(cli.Pipeline, "__init__", recording)
+        cfg = ScenarioConfig.from_file(CONFIG_DIR / "refine_kernels.ini")
+        cfg.out = str(tmp_path)
+        cfg.n_nodes = 8
+        assert refine(cfg, 2) in (EXIT_PASS, EXIT_NUMERICAL)
+        for pipe in pipes:
+            assert pipe.propagator.layout is pipe.lattice.sector_layout
+            assert "kernels" not in pipe.propagator.__dict__
+            assert "above_cut" not in pipe.chi.__dict__
+            assert not {"delta_coeff", "pole_coeff"} & set(pipe.bath.__dict__)
 
     def test_requires_two_levels(self):
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "refine.ini")

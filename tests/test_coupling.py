@@ -208,11 +208,13 @@ class TestBuiltinModels:
 
 class TestInvertibility:
     def test_builtin_nodes_invertible(self, lorentz_coupling):
-        require_invertible(("coupling kernel", lorentz_coupling.kernels))
+        for layout in (lorentz_coupling.lattice.sector_layout, lorentz_coupling.lattice.one_block):
+            require_invertible(layout, ("coupling kernel", lorentz_coupling.blocks(layout)))
 
-    def test_zero_singular_value_detected(self):
+    def test_zero_singular_value_detected(self, single_site):
+        layout = single_site.one_block
         with pytest.raises(SingularOperatorError, match="coupling kernel not invertible at node 0") as exc:
-            require_invertible(("coupling kernel", np.diag([1.0, 1.0, 0.0])[None]))
+            require_invertible(layout, ("coupling kernel", layout.blocks(np.diag([1.0, 1.0, 0.0])[None])))
         assert exc.value.node == 0 and exc.value.cond > 1e10
 
 

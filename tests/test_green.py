@@ -144,16 +144,18 @@ class TestSweep:
     def test_exactly_singular_nodes_named_together(self, lorentz_coupling, monkeypatch):
         # an exactly singular node makes the batched inv raise for the whole
         # stack; the sweep still names every failed node in one error
+        # with the blocks of one size of the n = 2 sector layout
         chi = Susceptibility(lorentz_coupling)
         grid, v = lorentz_coupling.grid, lorentz_coupling.lattice.cell_volume
         zs = grid.nodes - 1j * grid.eta
-        mats = wave_operator(chi.stack(zs), zs, chi.lattice)
+        mats = wave_operator(chi.blocks_at(zs), zs, chi.layout)
         mats *= v
-        singular = [mats[1], mats[3]]
+        (part,) = chi.layout.parts(mats)
+        singular = [part[1], part[3]]
         inv = np.linalg.inv
 
         def inv_failing_on_singular(a):
-            stack = a if a.ndim == 3 else a[None]
+            stack = a if a.ndim == 4 else a[None]
             if any(np.array_equal(m, s) for m in stack for s in singular):
                 raise np.linalg.LinAlgError("Singular matrix")
             return inv(a)
@@ -178,8 +180,10 @@ class TestSweep:
     def test_wave_operator_shape(self, small_lattice):
         grid = FrequencyGrid.midpoint(2, 2.0)
         chi = vacuum_chi(small_lattice, grid)
-        w = wave_operator(chi.at(1.0 + 1.0j).mat, 1.0 + 1.0j, small_lattice)
-        assert w.shape == (small_lattice.dim, small_lattice.dim)
+        layout = small_lattice.sector_layout
+        w = wave_operator(layout.blocks(chi.at(1.0 + 1.0j).mat), 1.0 + 1.0j, layout)
+        assert w.shape == (layout.size,)
+        assert layout.sites(w).shape == (small_lattice.dim, small_lattice.dim)
 
 
 class TestConditionNumber:
@@ -187,7 +191,8 @@ class TestConditionNumber:
         chi = Susceptibility(random_lagrangian)
         z = 1.1 - 0.3j
         g = solve_green(chi, z)
-        mat = random_lagrangian.lattice.cell_volume * wave_operator(chi.at(z).mat, z, g.lattice)
+        dense = g.lattice.one_block
+        mat = g.lattice.cell_volume * dense.sites(wave_operator(dense.blocks(chi.at(z).mat), z, dense))
         assert g.cond == pytest.approx(np.linalg.cond(mat, 1), rel=1e-12, abs=0)
 
     def test_exactly_singular_raises_singular_operator(self, small_lattice, monkeypatch):

@@ -1,5 +1,6 @@
 """Every function in `src/dampol` has a caller in `src/`, or is documented,
-and only `oracle.py` reads the canonical-basis layout.
+only `oracle.py` reads the canonical-basis layout, and only `lattice.py`
+builds or indexes the momentum-sector partition.
 
 A function (dunders excluded) passes when its name is read somewhere in
 `src/dampol` outside its own body, is exported in `dampol.__all__`, or
@@ -12,6 +13,12 @@ never counts, so `np.allclose` is no call of a method `allclose`.
 The slot accessors of `QuadraticHamiltonian` (its `slice_*` members) are the
 canonical-basis layout; every other module places a medium operator through
 `QuadraticHamiltonian.ladder_rows` instead.
+
+The sector partition is the sector labels of `Lattice` and the block
+indexing of `SectorLayout`; every other module converts and multiplies
+kernel stacks through the layout's methods (`SectorLayout.blocks`,
+`SectorLayout.matmul`, ...), gets a layout from `Lattice.layout`, and groups
+its slots through `Lattice.sector_groups`.
 """
 
 import ast
@@ -109,3 +116,36 @@ def test_layout_reads_found_outside_the_owner(tmp_path):
     other = tmp_path / "bath.py"
     other.write_text("def f(ham):\n    ham.ladder_rows()\n    return ham.slice_x\n")
     assert layout_reads([owner, other]) == ["bath.py:3 slice_x"]
+
+
+#: the members that hold or index the sector partition
+PARTITION = ("momentum_sector", "transverse_sector", "sizes", "part_sizes", "_entries", "parts")
+
+
+def partition_reads(sources=SOURCES, owner="lattice.py") -> list:
+    """Reads of a partition member, or calls building a `SectorLayout`, in any module but `owner`."""
+    found = []
+    for path in sources:
+        if path.name == owner:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in PARTITION:
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SectorLayout":
+                found.append(f"{path.name}:{node.lineno} SectorLayout()")
+    return sorted(found)
+
+
+def test_only_the_lattice_builds_or_indexes_the_partition():
+    assert partition_reads() == []
+
+
+def test_partition_reads_found_outside_the_owner(tmp_path):
+    owner = tmp_path / "lattice.py"
+    owner.write_text("class SectorLayout:\n    part_sizes = ()\n"
+                     "def f(lat):\n    return SectorLayout(lat.momentum_sector)\n")
+    other = tmp_path / "green.py"
+    other.write_text("def g(lat, layout, x):\n    layout.matmul(x, x)\n"
+                     "    return lat.transverse_sector, layout.parts(x), SectorLayout(lat)\n")
+    assert partition_reads([owner, other]) == [
+        "green.py:3 SectorLayout()", "green.py:3 parts", "green.py:3 transverse_sector"]

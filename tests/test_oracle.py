@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from dampol import oracle
+from dampol import lattice, oracle
 from dampol.bath import bath_coefficients
 from dampol.cli import Pipeline, ScenarioConfig, stage_oracle
 from dampol.constants import HBAR
@@ -85,6 +85,17 @@ def ladder_commutation(ham):
     n = ham.slice_x.stop - ham.slice_x.start
     sig[ham.slice_x, ham.slice_y] = np.eye(n)
     sig[ham.slice_y, ham.slice_x] = -np.eye(n)
+    return sig
+
+
+def commutation(ham):
+    """Dense Sigma with [xi_i, xi_j] = Sigma_ij: i hbar on (a, p), i on (x, y)."""
+    sig = np.zeros((ham.dim, ham.dim), dtype=complex)
+    for first, second, value in ((ham.slice_a, ham.slice_p, 1j * HBAR),
+                                 (ham.slice_x, ham.slice_y, 1j)):
+        eye = np.eye(first.stop - first.start)
+        sig[first, second] = value * eye
+        sig[second, first] = -value * eye
     return sig
 
 
@@ -175,7 +186,7 @@ class TestAssembly:
             assert np.linalg.norm(ref.imag) <= 1e-15 * np.linalg.norm(ref)
             assert close(embed(form, form.dynamics()), ref.real, 1e-14)
         sig_xi = u.conj().T @ ladder_commutation(ham) @ u.conj()   # [xi, xi^T] = U^-1 Sigma_zeta U^-T
-        assert close(ham.commutation_matrix, sig_xi, 1e-15)
+        assert close(commutation(ham), sig_xi, 1e-15)
 
     def test_zero_coupling_decouples(self, small_lattice):
         grid = FrequencyGrid.midpoint(4, 3.0)
@@ -339,10 +350,10 @@ class TestHeisenberg:
         pol, mom = medium_polarization_form(coupling), medium_momentum_form(coupling, st)
         u_p = ham.ladder_rows(pol.alpha, pol.beta)
         u_w = ham.ladder_rows(mom.alpha, mom.beta)
-        comm = u_w @ ham.commutation_matrix @ u_p.T
+        comm = u_w @ commutation(ham) @ u_p.T
         expected = -1j * HBAR * np.eye(lat.dim) / lat.cell_volume
         assert np.allclose(comm, expected, atol=1e-12)
-        self_comm = u_p @ ham.commutation_matrix @ u_p.T
+        self_comm = u_p @ commutation(ham) @ u_p.T
         assert np.linalg.norm(self_comm) <= 1e-12
 
 
@@ -377,7 +388,7 @@ class TestDiagonalForm:
 
 def complex_route(ham):
     """The reference spectrum: the complex eigensolver on K = 2 Sigma h_sym."""
-    return np.linalg.eigvals(2.0 * ham.commutation_matrix @ dense(ham)) / HBAR
+    return np.linalg.eigvals(2.0 * commutation(ham) @ dense(ham)) / HBAR
 
 
 def complex_route_spectrum(ham):
@@ -480,7 +491,7 @@ class TestSpectrum:
         ham = random_form(single_site, FrequencyGrid.midpoint(n_nodes, 3.0),
                           np.random.default_rng(seed))
         assert ham.hermiticity_defect() < 1e-13
-        k_dyn = 2.0 * ham.commutation_matrix @ ham.symmetric_blocks()[0]
+        k_dyn = 2.0 * commutation(ham) @ ham.symmetric_blocks()[0]
         assert close(1j * ham.dynamics()[0], k_dyn, 1e-15)
         ref = complex_route(ham)
         assert same_multiset(mode_frequencies(ham)[0], ref, 1e-9 * np.max(np.abs(ref)))
@@ -510,8 +521,8 @@ class TestSectorSpectrum:
         st = structure_tensor(coupling)
         ham = assemble_hamiltonian(coupling, st)
         got, n_sectors, leak = mode_frequencies(ham)
-        leak_tol = oracle.SECTOR_LEAK_TOL
-        monkeypatch.setattr(oracle, "SECTOR_LEAK_TOL", -1.0)   # the assembly unsplit
+        leak_tol = lattice.SECTOR_LEAK_TOL
+        monkeypatch.setattr(lattice, "SECTOR_LEAK_TOL", -1.0)   # the assembly unsplit
         whole = assemble_hamiltonian(coupling, st)
         (r,) = whole.dynamics()
         ref = dense_route(r)
@@ -533,7 +544,7 @@ class TestSectorSpectrum:
         ham = assemble_hamiltonian(coupling, structure_tensor(coupling))
         spec = symplectic_spectrum(ham)
         assert spec["n_sectors"] == len(ham.blocks) == 1
-        assert spec["sector_leak"] > oracle.SECTOR_LEAK_TOL
+        assert spec["sector_leak"] > lattice.SECTOR_LEAK_TOL
         # the one block is the whole form, and its spectrum the dense eigvals of R
         assert ham.blocks[0].shape == (ham.dim, ham.dim)
         got = mode_frequencies(ham)[0]
@@ -579,8 +590,8 @@ class TestSectorBlocks:
         pipe = oracle_pipeline(model, n, K, k0_transverse)
         sectors = stage_oracle(pipe)
         ham = pipe.hamiltonian
-        leak_tol = oracle.SECTOR_LEAK_TOL
-        monkeypatch.setattr(oracle, "SECTOR_LEAK_TOL", -1.0)   # every form one block
+        leak_tol = lattice.SECTOR_LEAK_TOL
+        monkeypatch.setattr(lattice, "SECTOR_LEAK_TOL", -1.0)   # every form one block
         del pipe.hamiltonian
         whole = stage_oracle(pipe)
         one = pipe.hamiltonian
