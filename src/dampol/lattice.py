@@ -461,7 +461,7 @@ class SectorLayout:
 
     def transpose(self, a: np.ndarray) -> np.ndarray:
         """The transpose of every operator; the basis is real, so it is each block's."""
-        out = np.empty_like(a)
+        out = np.empty(a.shape, dtype=a.dtype)   # C order, so `parts` views it
         for pa, po in zip(self.parts(a), self.parts(out)):
             po[...] = pa.swapaxes(-1, -2)
         return out

@@ -2,7 +2,7 @@
 
 Every kernel stage stores its (K, d, d) stacks as flat sector blocks in
 `Lattice.sector_layout` when its inputs conserve lattice momentum, and as
-one site-basis block (`Lattice.one_block`, today's dense arithmetic)
+one site-basis block (`Lattice.one_block`, the dense reference arithmetic)
 otherwise.  Forcing one block by a negative leak tolerance, as the oracle's
 `TestSectorBlocks` does, runs the same inputs through the dense reference.
 """
