@@ -169,3 +169,22 @@ def test_invertibility_ratio_over_the_union_of_blocks(small_lattice):
     assert err.value.node == 1
     assert err.value.cond == pytest.approx(3e10, rel=1e-12)
     assert err.value.cond == pytest.approx(sv[0] / sv[-1], rel=1e-4)   # dense SVD: 1e-16 absolute
+
+
+def test_leaking_structure_kernel_takes_one_block(small_lattice):
+    # a structure kernel that mixes sectors sends the streamed pass to one
+    # block even when the propagator is stored per sector
+    from dampol.coupling import StructureTensor
+    from dampol.diagonalize import fano_residual, mode_coefficients
+    from dampol.lattice import TensorKernel
+    from test_diagonalize import assert_same_checks
+    grid = FrequencyGrid.midpoint(5, 3.0, eta_factor=1.0)
+    coupling = coupling_from_lagrangian(builtin_model("local_lorentz", small_lattice, grid))
+    st = structure_tensor(coupling).kernel.mat
+    noise = np.random.default_rng(6).standard_normal(st.shape)
+    leaky = StructureTensor(TensorKernel(small_lattice, st + 1e-3 * (noise + noise.T)))
+    assert small_lattice.sector_leak(leaky.kernel.mat) > lattice.SECTOR_LEAK_TOL
+    prop = node_propagator(Susceptibility(coupling))
+    assert prop.layout is small_lattice.sector_layout
+    assert_same_checks(streamed_mode_checks(prop, leaky),
+                       fano_residual(mode_coefficients(prop), coupling, leaky), rel=1e-12)
