@@ -74,7 +74,8 @@ class BathCoefficients:
     the resolvent pole and is tied to the delta coefficient through the
     susceptibility linkage, exactly at the nodes.  `delta_coeff` and
     `pole_coeff` are their (K, d, d) site stacks, rotated back once for the
-    oracle's sector check; the row builders rotate back one node at a time.
+    oracle's bath form; the row builders work in any layout the bath's
+    inputs stay within, rotating one node at a time when it is not `layout`.
     """
 
     lattice: object
@@ -92,32 +93,32 @@ class BathCoefficients:
     def pole_coeff(self) -> np.ndarray:
         return self.layout.sites(self.pole_blocks)
 
-    def rows(self, coupling: CouplingTensor, k: int) -> tuple:
-        """Pair rows of node k over every node l, (K, d, d) each.
+    def _node(self, blocks: np.ndarray, k: int, layout: SectorLayout) -> np.ndarray:
+        """Node k of a coefficient stack in `layout`, (size,): rotated unless `layout` is the bath's."""
+        return blocks[k] if layout is self.layout else layout.blocks(self.layout.sites(blocks[k]))
+
+    def rows(self, coupling: CouplingTensor, k: int, layout: SectorLayout) -> tuple:
+        """Pair rows of node k over every node l in `layout`, (K, size) each.
 
         The co-rotating row multiplies the medium annihilators (regular
-        part), the counter-rotating row the creators.  Each is one GEMM of
-        the pole coefficient against the transposed kernels T^T, the
-        counter-rotating one conjugated: v P T^H = conj(conj(v P) T^T).
-        The rows are views of the two products, scaled in place.
+        part), the counter-rotating row the creators.  Each is one stacked
+        product of the pole coefficient against the transposed kernels T^T,
+        the counter-rotating one conjugated: v P T^H = conj(conj(v P) T^T).
         """
-        K, d = self.grid.n_nodes, self.lattice.dim
         nodes = self.grid.nodes
-        # second-argument contractions: [b, (l, a)] = T(w_l)[a, b]
-        t_cols = coupling.kernels.transpose(2, 0, 1).reshape(d, K * d)
-        pole_k = self.lattice.cell_volume * self.layout.sites(self.pole_blocks[k])
-        co = pole_k @ t_cols
-        counter = pole_k.conj() @ t_cols
+        t_t = layout.transpose(coupling.blocks(layout))
+        pole_k = self.lattice.cell_volume * self._node(self.pole_blocks, k, layout)
+        co = layout.matmul(pole_k, t_t)
+        counter = layout.matmul(pole_k.conj(), t_t)
         np.conj(counter, out=counter)
-        co, counter = (a.reshape(d, K, d).transpose(1, 0, 2) for a in (co, counter))
-        co *= (1.0 / (nodes[k] - nodes + 1j * self.eta))[:, None, None]
-        counter *= (-1.0 / (nodes[k] + nodes))[:, None, None]
+        co *= (1.0 / (nodes[k] - nodes + 1j * self.eta))[:, None]
+        counter *= (-1.0 / (nodes[k] + nodes))[:, None]
         return co, counter
 
-    def delta_row(self, coupling: CouplingTensor, k: int) -> np.ndarray:
-        """Kernel multiplying the node Kronecker in the annihilator pairing."""
-        delta_k = self.layout.sites(self.delta_blocks[k])
-        return self.lattice.cell_volume * delta_k @ coupling.kernels[k].T
+    def delta_row(self, coupling: CouplingTensor, k: int, layout: SectorLayout) -> np.ndarray:
+        """Kernel multiplying the node Kronecker in the annihilator pairing, (size,) in `layout`."""
+        delta_k = self.lattice.cell_volume * self._node(self.delta_blocks, k, layout)
+        return layout.matmul(delta_k, layout.transpose(coupling.blocks(layout)[k]))
 
     def perturbed_delta(self, scale: float) -> "BathCoefficients":
         """Violator fixture: rescale the frequency-diagonal coefficient."""
@@ -162,12 +163,12 @@ def verify_linkage(bath: BathCoefficients, coupling: CouplingTensor,
     return float(np.max(np.sqrt(sq_norms(diff)) / np.maximum(np.sqrt(sq_norms(rhs)), 1e-300)))
 
 
-def bath_mode_form(bath: BathCoefficients, coupling: CouplingTensor, k: int) -> LinearBosonicForm:
-    """The bath annihilator at node k as a form over the medium modes."""
-    alpha, beta = bath.rows(coupling, k)
-    alpha[k] += bath.delta_row(coupling, k) / coupling.grid.weights[k]
-    return LinearBosonicForm(lattice=coupling.lattice, grid=coupling.grid, alpha=alpha,
-                             beta=beta, basis=BASIS_MEDIUM, label=f"Cb[{k}]")
+def bath_mode_form(bath: BathCoefficients, coupling: CouplingTensor, k: int,
+                   layout: SectorLayout) -> LinearBosonicForm:
+    """The bath annihilator at node k as a form over the medium modes, in `layout`."""
+    alpha, beta = bath.rows(coupling, k, layout)
+    alpha[k] += bath.delta_row(coupling, k, layout) / coupling.grid.weights[k]
+    return LinearBosonicForm(layout=layout, grid=coupling.grid, alpha=alpha, beta=beta, basis=BASIS_MEDIUM)
 
 
 def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
@@ -186,9 +187,10 @@ def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
     GEMMs and the one sum sum_l q_l D_l, in the bath's layout; the products
     with the bath coefficients are batched over the nodes.  The generic
     form-commutator route is evaluated once, for the polarization at node 0,
-    and `route_agreement` reports how far the two routes differ there.  The
-    sums hold at most four (K, size) block stacks; the cross-check's dense
-    (K, d, d) forms set the peak, about five such stacks.
+    and `route_agreement` reports how far the two routes differ there, with
+    both forms in the bath's layout.  The sums hold at most four (K, size)
+    block stacks and the cross-check at most about six, its two forms and
+    the pair contraction's copies (6.45 in all at n = 2, K = 128).
     """
     layout, grid = bath.layout, coupling.grid
     v = coupling.lattice.cell_volume
@@ -230,7 +232,8 @@ def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
     mom_sq = sq_norms(mom)
     del mom, base
 
-    comm_p = commutator(bath_mode_form(bath, coupling, 0), medium_polarization_form(coupling)).mat
+    comm_p = commutator(bath_mode_form(bath, coupling, 0, layout),
+                        medium_polarization_form(coupling, layout)).mat
     agree_p = np.linalg.norm(comm_p - 1j * HBAR * pol_0) / max(np.linalg.norm(comm_p), 1e-300)
 
     # global normalization: the edge nodes sit a fixed number of
@@ -286,8 +289,9 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     w, nodes = grid.weights, grid.nodes
 
     u_a = ham.rows_vector_potential
-    pol, mom = medium_polarization_form(coupling), medium_momentum_form(coupling, structure)
-    u_p, u_w = ham.ladder_rows(pol.alpha, pol.beta), ham.ladder_rows(mom.alpha, mom.beta)
+    one = lattice.one_block
+    pol, mom = medium_polarization_form(coupling, one), medium_momentum_form(coupling, structure, one)
+    u_p, u_w = ham.ladder_rows(*pol.sites()), ham.ladder_rows(*mom.sites())
 
     # bath oscillators and the bath-polarization exchange.  Both pair the bath
     # creators with a right factor: the oscillators sum_k w_k v hbar omega_k
@@ -302,8 +306,7 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     right *= -1j * v**2
     left = np.empty_like(right)   # the weighted bath creator rows
     for k in range(K):
-        form = bath_mode_form(bath, coupling, k)
-        u_cb = ham.ladder_rows(form.alpha, form.beta)   # bath annihilator rows
+        u_cb = ham.ladder_rows(*bath_mode_form(bath, coupling, k, one).sites())   # annihilator rows
         right[k] += (0.5 * HBAR * v * nodes[k]) * u_cb
         left[k] = w[k] * u_cb.conj()
     ham.add_hermitian(left.reshape(K * d, ham.dim), right.reshape(K * d, ham.dim))

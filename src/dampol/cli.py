@@ -31,6 +31,7 @@ from .fields import (
     commutator,
     constitutive_check,
     field_forms,
+    longitudinal_defect,
     maxwell_check,
     medium_momentum_form,
     medium_polarization_form,
@@ -145,6 +146,13 @@ class ScenarioConfig:
         return cfg
 
     def validate(self):
+        numbers = {"[lattice] spacing": self.spacing, "[grid] omega_max": self.omega_max,
+                   "[grid] eta_factor": self.eta_factor, "[run] tol_scale": self.tol_scale,
+                   "[violation] magnitude": self.violation_magnitude,
+                   **{f"[model] {k}": v for k, v in self.model_params.items() if k != "axis"}}
+        for key, value in numbers.items():
+            if not np.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         unknown = [s for s in self.stages if s not in STAGES]
         if unknown:
             raise ConfigError(f"unknown stages {unknown}; valid: {STAGES}")
@@ -325,27 +333,28 @@ def stage_fields(pipe: Pipeline, out: Path | None = None) -> dict:
     checks = [
         pipe.entry("fields.vector_potential_routes",
                    vector_potential_route_defect(forms["A"], momentum_family(prop)), TOL_EXACT),
-        pipe.entry("fields.displacement_transverse",
-                   float(np.linalg.norm(pipe.lattice.longitudinal_matrix[None] @ forms["D"].alpha)
-                         / max(np.linalg.norm(forms["D"].alpha), 1e-300)), 1e-12),
+        pipe.entry("fields.displacement_transverse", longitudinal_defect(forms["D"]), 1e-12),
         pipe.entry("fields.constitutive",
                    constitutive_check(forms["P"], forms["E"], forms["Pn"], pipe.chi),
                    max(10.0 * green_res, 1e-12), green_solve_residual=green_res),
         pipe.entry("fields.maxwell", maxwell_check(forms["B"], forms["D"]),
                    max(10.0 * green_res, 1e-12), green_solve_residual=green_res),
     ]
+    e_form = forms["E"]
+    del forms   # the trace reads E alone, the commutator checks below no field form
     if out is not None:
         rng = np.random.default_rng(pipe.config.seed + 2)
         amp = rng.standard_normal((pipe.grid.n_nodes, pipe.lattice.dim)) \
             + 1j * rng.standard_normal((pipe.grid.n_nodes, pipe.lattice.dim))
-        reports.field_trace_csv(out / "field_trace.csv", forms["E"], amp,
+        reports.field_trace_csv(out / "field_trace.csv", e_form, amp,
                                 np.linspace(0.0, 4.0 * np.pi / pipe.grid.omega_max, 32))
-    del forms   # the commutator checks below read none of the field forms
-    worst = max(noise_commutator_residual(coupling, k)
+    worst = max(noise_commutator_residual(coupling, k, pipe.chi.layout)
                 for k in (0, pipe.grid.n_nodes // 2, pipe.grid.n_nodes - 1))
     checks.append(pipe.entry("fields.noise_commutator", worst, TOL_EXACT))
-    w_form = medium_momentum_form(coupling, pipe.structure)
-    p_form = medium_polarization_form(coupling)
+    # the canonical pair reads the structure kernel too, so it takes the streamed pass's layout
+    layout = pipe.chi.layout_with(pipe.structure)
+    w_form = medium_momentum_form(coupling, pipe.structure, layout)
+    p_form = medium_polarization_form(coupling, layout)
     ident = TensorKernel.identity(pipe.lattice)
     wp_res = (commutator(w_form, p_form) - (-1j * HBAR) * ident).norm() / (HBAR * ident.norm())
     checks.append(pipe.entry("fields.canonical_pair", float(wp_res), TOL_EXACT))
@@ -486,7 +495,8 @@ def refine(config: ScenarioConfig, levels: int) -> int:
             "kramers_kronig": verify_kramers_kronig(pipe.coupling, 1j * pipe.grid.omega_max / 3),
             "sum_rule": verify_sum_rules(pipe.coupling, pipe.structure).max_residual(),
             "bath_canonical": bath_mod.verify_bath_canonical(pipe.bath, pipe.coupling),
-            "noise_commutator": noise_commutator_residual(pipe.coupling, pipe.grid.n_nodes // 2),
+            "noise_commutator": noise_commutator_residual(pipe.coupling, pipe.grid.n_nodes // 2,
+                                                          pipe.chi.layout),
         }
         if sc is not None:
             vals["wave_equation"] = sc.wave

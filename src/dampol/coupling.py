@@ -165,9 +165,6 @@ class CouplingTensor:
         """The frequency moments s_0..s_3 of the spectral densities, evaluated once."""
         return spectral_moments(self.grid.nodes, self.grid.weights, self.density_stack)
 
-    def spectral_density(self, k: int) -> TensorKernel:
-        return TensorKernel(self.lattice, self.density_stack[k])
-
 
 @dataclass(frozen=True)
 class ConstraintReport:

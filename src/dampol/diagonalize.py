@@ -48,7 +48,7 @@ import numpy as np
 from .constants import EPS0, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
 from .green import NodePropagator, wave_operator
-from .lattice import FrequencyGrid, Lattice, SectorLayout, TensorKernel, pair_contract, sq_norms
+from .lattice import FrequencyGrid, Lattice, SectorLayout, TensorKernel, sq_norms
 
 #: smearing profiles used for weak-form residuals, as functions of w/w_max
 SMEAR_PROFILES = {
@@ -118,8 +118,9 @@ class _NodeKernels:
         return tt, tt.conj()
 
     def transfer(self, k: int) -> np.ndarray:
-        """X_k = v T*(w_k) o G(w_k - i eta)."""
-        return self.lattice.cell_volume * self.kernels[k].conj() @ self.prop.kernels[k]
+        """X_k = v T*(w_k) o G(w_k - i eta), with node k of the propagator rotated back to sites."""
+        g = self.prop.layout.sites(self.prop.blocks[k])
+        return self.lattice.cell_volume * self.kernels[k].conj() @ g
 
     def families(self, k: int) -> tuple:
         """X_k, its transverse part X_k o P_T, and the potential and momentum kernels."""
@@ -142,21 +143,20 @@ class _NodeKernels:
 
 def _transfer_blocks(prop: NodePropagator, layout: SectorLayout) -> np.ndarray:
     """X_k = v T*(w_k) o G(w_k - i eta) of every node in `layout`, (K, size): one stacked product."""
-    g = prop.blocks if layout is prop.layout else layout.blocks(prop.kernels)
+    g = prop.blocks if layout is prop.layout else layout.blocks(prop.layout.sites(prop.blocks))
     return layout.matmul(prop.lattice.cell_volume * prop.coupling.blocks(layout).conj(), g)
 
 
 def momentum_family(prop: NodePropagator) -> np.ndarray:
-    """The momentum coefficient kernels i mu0 w_k X_k o P_T of every node, (K, d, d).
+    """The momentum coefficient kernels i mu0 w_k X_k o P_T of every node, (K, size).
 
-    Formed in the propagator's layout, two stacked products, and rotated
-    back a chunk of nodes at a time: the site result, two block stacks and
-    one chunk's site operators are live, 1.4 (K, d, d) stacks at n = 2.
+    Formed in the propagator's layout by two stacked products: two block
+    stacks are live.
     """
     layout = prop.layout
     xt = layout.matmul(_transfer_blocks(prop, layout), layout.op("transverse_matrix"))
     xt *= (1j * MU0 * prop.coupling.grid.nodes)[:, None]
-    return layout.sites(xt)
+    return xt
 
 
 def node_families(prop: NodePropagator):
@@ -368,32 +368,27 @@ def fano_residual(modes: ModeCoefficients, coupling: CouplingTensor,
     """Every mode-kernel identity, with the pair sums taken over the stacks.
 
     The reference of `streamed_mode_checks`: it sums the rows of
-    `mode_coefficients` directly, node by node, and feeds `_ModeCheckSums`
-    the resulting dense stacks as one site-basis block.
+    `mode_coefficients` directly and feeds `_ModeCheckSums` the resulting
+    dense stacks as one site-basis block.
     """
     grid, lattice = modes.grid, modes.lattice
     v, K, d = lattice.cell_volume, grid.n_nodes, lattice.dim
     nodes, w = grid.nodes, grid.weights
-    t, tc_t = coupling.kernels, coupling.kernels.conj().transpose(0, 2, 1)
-    t_t = t.transpose(0, 2, 1)
-    sums = _ModeCheckSums(coupling, structure, lattice.one_block)
+    one = lattice.one_block
+    sums = _ModeCheckSums(coupling, structure, one)
     phi = sums.phi
-    wave, brace = (np.empty((K, d, d), dtype=complex) for _ in range(2))
-    smeared = [np.empty((len(phi), K, d, d), dtype=complex) for _ in range(4)]
+    res, anti = one.blocks(modes.resonant), one.blocks(modes.antiresonant)   # views
+    # the pair sums against T* and T of every row: sum_l q_l rows[k, l] @ (T^H_l)^T, ...
+    t_h, t_t = (one.blocks(t.transpose(0, 2, 1)) for t in (coupling.kernels.conj(), coupling.kernels))
+    wave = v * (one.pair_contract(w * nodes, res, t_h) - one.pair_contract(w * nodes, anti, t_t))
+    brace = v * (one.pair_contract(w, res, t_h) + one.pair_contract(w, anti, t_t))
+    smeared = [np.empty((len(phi), K, d * d), dtype=complex) for _ in range(4)]
     for k in range(K):
-        res, anti = modes.resonant[k], modes.antiresonant[k]
-        wave[k] = v * (pair_contract(w * nodes, res, tc_t) - pair_contract(w * nodes, anti, t_t))
-        brace[k] = v * (pair_contract(w, res, tc_t) + pair_contract(w, anti, t_t))
-        for out, coef, rows in ((smeared[0], phi, res), (smeared[1], phi * (nodes - nodes[k]), res),
-                                (smeared[2], phi, anti), (smeared[3], phi * (nodes + nodes[k]), anti)):
+        for out, coef, rows in ((smeared[0], phi, res[k]), (smeared[1], phi * (nodes - nodes[k]), res[k]),
+                                (smeared[2], phi, anti[k]), (smeared[3], phi * (nodes + nodes[k]), anti[k])):
             out[:, k] = np.tensordot(coef, rows, 1)
-
-    def flat(a):
-        return a.reshape(a.shape[:-2] + (d * d,))
-    sums.add(flat(modes.potential), flat(modes.momentum), flat(wave), flat(brace),
-             tuple(map(flat, smeared)))
-    return sums.finish(flat(np.tensordot(phi, modes.resonant, 1)),
-                       flat(np.tensordot(phi, modes.antiresonant, 1)))
+    sums.add(one.blocks(modes.potential), one.blocks(modes.momentum), wave, brace, tuple(smeared))
+    return sums.finish(np.tensordot(phi, res, 1), np.tensordot(phi, anti, 1))
 
 
 def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> ModeChecks:
@@ -431,7 +426,7 @@ def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> Mo
     om = nodes[:, None]
     c = MU0 * HBAR * v
     pole, anti = rows.pole, rows.anti
-    layout = lattice.layout(max(prop.chi.sector_leak, lattice.sector_leak(structure.kernel.mat)))
+    layout = prop.chi.layout_with(structure)
     mm = layout.matmul
     sums = _ModeCheckSums(coupling, structure, layout)
     phi = sums.phi
@@ -506,6 +501,7 @@ def commutation_matrix(modes: ModeCoefficients, k: int, l: int) -> TensorKernel:
     if k == l:
         out = out + np.eye(lattice.dim) / v / w[k]
     out = out + modes.resonant[k, l] + modes.resonant[l, k].conj().T
-    out = out + v * pair_contract(w, modes.resonant[k], modes.resonant[l].conj())
-    out = out - v * pair_contract(w, modes.antiresonant[k], modes.antiresonant[l].conj())
-    return TensorKernel(lattice, out)
+    one = lattice.one_block
+    res, anti = one.blocks(modes.resonant), one.blocks(modes.antiresonant)   # views
+    pairs = one.pair_contract(w, res[k], res[l].conj()) - one.pair_contract(w, anti[k], anti[l].conj())
+    return TensorKernel(lattice, out + v * one.sites(pairs))

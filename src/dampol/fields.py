@@ -10,6 +10,11 @@ cell volume, i.e. the operator represented is
 
 Commutators therefore come out as c-number kernels computed exactly at the
 discrete level.  Forms never materialize operators on a Fock space.
+
+The coefficients are (K, size) block stacks in a `lattice.SectorLayout` that
+the caller picks from the inputs' leak; the checks run on every node at
+once, and a commutator rotates back only its (d, d) result.  The oracle
+builds its forms in `Lattice.one_block`, the site basis.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .constants import C_LIGHT, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
 from .errors import DampolError
 from .green import NodePropagator
-from .lattice import TensorKernel, pair_contract
+from .lattice import SectorLayout, TensorKernel, sq_norms
 from .susceptibility import Susceptibility
 
 #: mode families a form can live over
@@ -32,97 +37,102 @@ BASIS_MEDIUM = "medium"       # the bare medium modes
 
 @dataclass(frozen=True, eq=False)
 class LinearBosonicForm:
-    """Coefficient kernels of an operator over a bosonic mode family."""
+    """Coefficient kernels of an operator over a bosonic mode family, as blocks in `layout`.
 
-    lattice: object
+    No input of a form may leak out of its layout's blocks: the caller
+    picks the layout from the inputs' leak, as the kernel stages do.
+    """
+
+    layout: SectorLayout
     grid: object
-    alpha: np.ndarray   # (K, 3M, 3M)
-    beta: np.ndarray    # (K, 3M, 3M)
+    alpha: np.ndarray   # (K, size)
+    beta: np.ndarray    # (K, size)
     basis: str
-    label: str
 
     def __post_init__(self):
-        shape = (self.grid.n_nodes, self.lattice.dim, self.lattice.dim)
+        shape = (self.grid.n_nodes, self.layout.size)
         for arr in (self.alpha, self.beta):
             if np.asarray(arr).shape != shape:
                 raise DampolError(f"form coefficients must have shape {shape}")
 
     def dagger(self) -> "LinearBosonicForm":
-        return replace(self, alpha=self.beta.conj(), beta=self.alpha.conj(),
-                       label=self.label + "^dag")
-
-    def __add__(self, other: "LinearBosonicForm") -> "LinearBosonicForm":
-        self._check(other)
-        return replace(self, alpha=self.alpha + other.alpha, beta=self.beta + other.beta,
-                       label=f"({self.label}+{other.label})")
-
-    def __sub__(self, other):
-        self._check(other)
-        return replace(self, alpha=self.alpha - other.alpha, beta=self.beta - other.beta,
-                       label=f"({self.label}-{other.label})")
+        return replace(self, alpha=self.beta.conj(), beta=self.alpha.conj())
 
     def __mul__(self, scalar):
-        return replace(self, alpha=scalar * self.alpha, beta=np.conj(scalar) * self.beta,
-                       label=self.label)
+        return replace(self, alpha=scalar * self.alpha, beta=np.conj(scalar) * self.beta)
 
     __rmul__ = __mul__
+
+    def sites(self) -> tuple:
+        """The (K, d, d) site stacks of alpha and beta: views in `Lattice.one_block`."""
+        return self.layout.sites(self.alpha), self.layout.sites(self.beta)
 
     def _check(self, other):
         if self.basis != other.basis:
             raise DampolError(f"forms live over different mode families: {self.basis} vs {other.basis}")
-        if not self.lattice.compatible(other.lattice):
-            raise DampolError("forms live on incompatible lattices")
+        if self.layout is not other.layout:
+            raise DampolError("forms live in different kernel layouts")
 
 
 def time_derivative(form: LinearBosonicForm) -> LinearBosonicForm:
-    nodes = form.grid.nodes
-    return replace(form, alpha=(-1j * nodes)[:, None, None] * form.alpha,
-                   beta=(1j * nodes)[:, None, None] * form.beta,
-                   label="d/dt " + form.label)
+    nodes = form.grid.nodes[:, None]
+    return replace(form, alpha=-1j * nodes * form.alpha, beta=1j * nodes * form.beta)
 
 
 def commutator(a: LinearBosonicForm, b: LinearBosonicForm) -> TensorKernel:
-    """c-number commutator kernel of two forms over the same mode family."""
+    """c-number commutator kernel of two forms over the same mode family, in one layout.
+
+    The pair sums are taken on the blocks; only the (d, d) result is
+    rotated back.
+    """
     a._check(b)
-    v = a.lattice.cell_volume
-    w = a.grid.weights
-    mat = v * (pair_contract(w, a.alpha, b.beta) - pair_contract(w, a.beta, b.alpha))
-    return TensorKernel(a.lattice, mat)
+    layout, w = a.layout, a.grid.weights
+    flat = layout.pair_contract(w, a.alpha, b.beta)
+    flat -= layout.pair_contract(w, a.beta, b.alpha)
+    return TensorKernel(layout.lattice, layout.lattice.cell_volume * layout.sites(flat))
+
+
+def _worst(num_sq: np.ndarray, den_sq: np.ndarray) -> float:
+    """The largest per-node ratio sqrt(num_sq / den_sq), a zero scale counting as 1e-300."""
+    return float(np.max(np.sqrt(num_sq) / np.maximum(np.sqrt(den_sq), 1e-300)))
 
 
 # -- field operators over the diagonal modes ------------------------------
 
 
 def field_forms(prop: NodePropagator) -> dict:
-    """The physical field operators over the diagonal modes, by kind.
+    """The physical field operators over the diagonal modes, by kind, in the propagator's layout.
 
     Kinds: vector potential ``A``, magnetic field ``B``, electric field
     ``E``, polarization density ``P``, noise polarization ``Pn``, and
     displacement ``D``.  All but ``Pn`` contract the coupling with the
     propagator above the cut, the exact adjoint of the solve below it; that
     product is formed once and freed before the conjugate halves are built.
+    Every input (the coupling, chi above the cut and the lattice operators)
+    stays within the propagator's layout, which chi's leak picked.  The
+    twelve (K, size) block stacks of the result set the peak, about 13.
     """
-    coupling = prop.coupling
-    lattice = coupling.lattice
-    grid = coupling.grid
-    v = lattice.cell_volume
-    nodes = grid.nodes
-    t_t = coupling.kernels.transpose(0, 2, 1)
+    layout = prop.layout
+    grid = prop.coupling.grid
+    v = layout.lattice.cell_volume
+    nodes = grid.nodes[:, None]
+    t_t = layout.transpose(prop.coupling.blocks(layout))
+    mm = layout.matmul
 
     # G(w + i eta) o T-transpose contraction per node
-    gt = v * prop.kernels.conj().transpose(0, 2, 1) @ t_t
+    gt = mm(v * layout.transpose(prop.blocks).conj(), t_t)
     alphas = {
-        "A": MU0 * HBAR * nodes[:, None, None] * (lattice.transverse_matrix @ gt),
-        "B": MU0 * HBAR * nodes[:, None, None] * (lattice.curl_matrix @ gt),
-        "E": 1j * MU0 * HBAR * (nodes**2)[:, None, None] * gt,
-        "P": (1j * HBAR / C_LIGHT**2) * (nodes**2)[:, None, None] * (v * prop.chi.above_cut @ gt)
+        "A": MU0 * HBAR * nodes * mm(layout.op("transverse_matrix"), gt),
+        "B": MU0 * HBAR * nodes * mm(layout.op("curl_matrix"), gt),
+        "E": 1j * MU0 * HBAR * nodes**2 * gt,
+        "P": (1j * HBAR / C_LIGHT**2) * nodes**2 * mm(v * prop.chi.above_cut_blocks, gt)
              - 1j * HBAR * t_t,
         "Pn": -1j * HBAR * t_t,
-        "D": 1j * HBAR * (lattice.double_curl_matrix @ gt),
+        "D": 1j * HBAR * mm(layout.op("double_curl_matrix"), gt),
     }
     del gt
-    return {kind: LinearBosonicForm(lattice=lattice, grid=grid, alpha=alpha, beta=alpha.conj(),
-                                    basis=BASIS_DIAGONAL, label=kind)
+    return {kind: LinearBosonicForm(layout=layout, grid=grid, alpha=alpha, beta=alpha.conj(),
+                                    basis=BASIS_DIAGONAL)
             for kind, alpha in alphas.items()}
 
 
@@ -131,76 +141,78 @@ def vector_potential_route_defect(a_form: LinearBosonicForm, momentum: np.ndarra
 
     Inverting the diagonalizing transformation by the canonical commutators
     expresses the vector potential through the adjoint of the momentum
-    coefficient family (K, d, d); both routes agree exactly at the discrete
-    level.
+    coefficient family, (K, size) in the form's layout; both routes agree
+    exactly at the discrete level.
     """
-    # alpha - i hbar momentum^dagger, formed transposed in one (K, d, d) temporary
+    # alpha^T - i hbar conj(momentum), the adjoint taken blockwise, in one (K, size) temporary
     diff = momentum.conj()
     diff *= 1j * HBAR
-    np.subtract(a_form.alpha.transpose(0, 2, 1), diff, out=diff)
-    scale = max(np.linalg.norm(a_form.alpha), 1e-300)
-    return float(np.linalg.norm(diff) / scale)
+    np.subtract(a_form.layout.transpose(a_form.alpha), diff, out=diff)
+    return float(np.linalg.norm(diff) / max(np.linalg.norm(a_form.alpha), 1e-300))
 
 
-def noise_mode_form(coupling: CouplingTensor, k: int) -> LinearBosonicForm:
+def longitudinal_defect(form: LinearBosonicForm) -> float:
+    """The norm of the longitudinal part of a form's alpha, relative to alpha."""
+    layout = form.layout
+    part = layout.matmul(layout.op("longitudinal_matrix"), form.alpha)
+    return float(np.linalg.norm(part) / max(np.linalg.norm(form.alpha), 1e-300))
+
+
+def noise_mode_form(coupling: CouplingTensor, k: int, layout: SectorLayout) -> LinearBosonicForm:
     """Single-node noise polarization operator at node k.
 
     The 1/w_k undoes the quadrature weight of the pairing convention so the
     form represents the bare per-frequency operator.
     """
     grid = coupling.grid
-    d = coupling.lattice.dim
-    alpha = np.zeros((grid.n_nodes, d, d), dtype=complex)
-    alpha[k] = -1j * HBAR * coupling.kernels[k].T / grid.weights[k]
-    beta = np.zeros_like(alpha)
-    return LinearBosonicForm(lattice=coupling.lattice, grid=grid, alpha=alpha, beta=beta,
-                             basis=BASIS_DIAGONAL, label=f"Pn[{k}]")
+    alpha = np.zeros((grid.n_nodes, layout.size), dtype=complex)
+    alpha[k] = (-1j * HBAR / grid.weights[k]) * layout.transpose(coupling.blocks(layout)[k])
+    return LinearBosonicForm(layout=layout, grid=grid, alpha=alpha, beta=np.zeros_like(alpha),
+                             basis=BASIS_DIAGONAL)
 
 
-def noise_commutator_expected(coupling: CouplingTensor, k: int) -> TensorKernel:
+def noise_commutator_expected(coupling: CouplingTensor, k: int, layout: SectorLayout) -> TensorKernel:
     """Exact value of [Pn(w_k), Pn(w_k)^dag] from the cut discontinuity."""
-    dens = coupling.spectral_density(k)
-    return (HBAR**2 / coupling.grid.weights[k]) * dens
+    dens = layout.sites(coupling.density_blocks(layout)[k])
+    return TensorKernel(coupling.lattice, (HBAR**2 / coupling.grid.weights[k]) * dens)
 
 
-def noise_commutator_residual(coupling: CouplingTensor, k: int) -> float:
+def noise_commutator_residual(coupling: CouplingTensor, k: int, layout: SectorLayout) -> float:
     """Relative residual of [Pn(w_k), Pn(w_k)^dag] against its exact value."""
-    pn = noise_mode_form(coupling, k)
-    expected = noise_commutator_expected(coupling, k)
+    pn = noise_mode_form(coupling, k, layout)
+    expected = noise_commutator_expected(coupling, k, layout)
     return (commutator(pn, pn.dagger()) - expected).norm() / max(expected.norm(), 1e-300)
 
 
 # -- canonical matter operators over the medium modes ---------------------
 
 
-def medium_polarization_form(coupling: CouplingTensor) -> LinearBosonicForm:
+def medium_polarization_form(coupling: CouplingTensor, layout: SectorLayout) -> LinearBosonicForm:
     """Polarization density expressed over the bare medium modes."""
-    t_t = coupling.kernels.transpose(0, 2, 1)
-    alpha = -1j * HBAR * t_t
-    return LinearBosonicForm(lattice=coupling.lattice, grid=coupling.grid,
-                             alpha=alpha, beta=alpha.conj(), basis=BASIS_MEDIUM, label="P")
+    alpha = layout.transpose(coupling.blocks(layout))
+    alpha *= -1j * HBAR
+    return LinearBosonicForm(layout=layout, grid=coupling.grid,
+                             alpha=alpha, beta=alpha.conj(), basis=BASIS_MEDIUM)
 
 
-def medium_momentum_form(coupling: CouplingTensor, structure: StructureTensor) -> LinearBosonicForm:
+def medium_momentum_form(coupling: CouplingTensor, structure: StructureTensor,
+                         layout: SectorLayout) -> LinearBosonicForm:
     """Canonical momentum density conjugate to the polarization."""
-    finv = structure.inverse
     v = coupling.lattice.cell_volume
-    nodes = coupling.grid.nodes
-    tf = v * coupling.kernels @ finv.mat[None]
-    alpha = -nodes[:, None, None] * tf.transpose(0, 2, 1)
-    return LinearBosonicForm(lattice=coupling.lattice, grid=coupling.grid,
-                             alpha=alpha, beta=alpha.conj(), basis=BASIS_MEDIUM, label="W")
+    tf = layout.matmul(v * coupling.blocks(layout), layout.blocks(structure.inverse.mat))
+    alpha = layout.transpose(tf)
+    alpha *= -coupling.grid.nodes[:, None]
+    return LinearBosonicForm(layout=layout, grid=coupling.grid,
+                             alpha=alpha, beta=alpha.conj(), basis=BASIS_MEDIUM)
 
 
-def medium_mode_form(coupling: CouplingTensor, k: int) -> LinearBosonicForm:
+def medium_mode_form(coupling: CouplingTensor, k: int, layout: SectorLayout) -> LinearBosonicForm:
     """The bare medium annihilation operator at node k, as a form."""
     grid = coupling.grid
-    d = coupling.lattice.dim
-    v = coupling.lattice.cell_volume
-    alpha = np.zeros((grid.n_nodes, d, d), dtype=complex)
-    alpha[k] = np.eye(d) / (v * grid.weights[k])
-    return LinearBosonicForm(lattice=coupling.lattice, grid=grid, alpha=alpha,
-                             beta=np.zeros_like(alpha), basis=BASIS_MEDIUM, label=f"Cm[{k}]")
+    alpha = np.zeros((grid.n_nodes, layout.size), dtype=complex)
+    alpha[k] = layout.identity / (coupling.lattice.cell_volume * grid.weights[k])
+    return LinearBosonicForm(layout=layout, grid=grid, alpha=alpha,
+                             beta=np.zeros_like(alpha), basis=BASIS_MEDIUM)
 
 
 # -- consistency checks ----------------------------------------------------
@@ -210,29 +222,24 @@ def constitutive_check(p_form: LinearBosonicForm, e_form: LinearBosonicForm,
                        pn_form: LinearBosonicForm, chi: Susceptibility) -> float:
     """Max relative residual of P = chi * E + Pn per node, above the cut.
 
-    The time-domain convolution form of the causal response is equivalent
-    to this per-node statement under the mode expansion (each node evolves
-    with its own phase), so no separate time-domain check is performed.
+    The forms live in `chi.layout`.  The time-domain convolution form of
+    the causal response is equivalent to this per-node statement under the
+    mode expansion (each node evolves with its own phase), so no separate
+    time-domain check is performed.
     """
-    grid = p_form.grid
-    v = p_form.lattice.cell_volume
-    worst = 0.0
-    for l in range(grid.n_nodes):
-        pred = v * chi.above_cut[l] @ e_form.alpha[l] + pn_form.alpha[l]
-        scale = max(np.linalg.norm(p_form.alpha[l]), np.linalg.norm(pred), 1e-300)
-        worst = max(worst, np.linalg.norm(p_form.alpha[l] - pred) / scale)
-    return worst
+    pred = p_form.layout.matmul(chi.above_cut_blocks, e_form.alpha)
+    pred *= p_form.layout.lattice.cell_volume
+    pred += pn_form.alpha
+    scale = np.maximum(sq_norms(p_form.alpha), sq_norms(pred))
+    pred -= p_form.alpha
+    return _worst(sq_norms(pred), scale)
 
 
 def maxwell_check(b_form: LinearBosonicForm, d_form: LinearBosonicForm) -> float:
     """Max relative residual of curl B = mu0 dD/dt per node."""
-    grid = b_form.grid
-    lattice = b_form.lattice
-    curl = lattice.curl_matrix
-    worst = 0.0
-    for l in range(grid.n_nodes):
-        lhs = curl @ b_form.alpha[l]
-        rhs = MU0 * (-1j * grid.nodes[l]) * d_form.alpha[l]
-        scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
-        worst = max(worst, np.linalg.norm(lhs - rhs) / scale)
-    return worst
+    layout = b_form.layout
+    lhs = layout.matmul(layout.op("curl_matrix"), b_form.alpha)
+    rhs = (-1j * MU0 * b_form.grid.nodes)[:, None] * d_form.alpha
+    scale = np.maximum(sq_norms(lhs), sq_norms(rhs))
+    lhs -= rhs
+    return _worst(sq_norms(lhs), scale)

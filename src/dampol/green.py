@@ -9,7 +9,6 @@ systems are rejected instead of silently regularized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -168,9 +167,8 @@ class NodePropagator:
     `chi.layout` and the (K,) residuals and condition numbers of the solves,
     made with `chi`, whose source is the coupling that every consumer
     contracts the propagator with; the upper side is the exact adjoint,
-    G(w + i eta) = G(w - i eta)^dagger.  The consumers that read site
-    operators (the field forms and the oracle) read `kernels`, rotated
-    back once.
+    G(w + i eta) = G(w - i eta)^dagger.  Every consumer reads the blocks;
+    the oracle rotates one node at a time back to sites.
     """
 
     chi: Susceptibility
@@ -181,11 +179,6 @@ class NodePropagator:
     @property
     def layout(self) -> SectorLayout:
         return self.chi.layout
-
-    @cached_property
-    def kernels(self) -> np.ndarray:
-        """The (K, d, d) site stack of kernel matrices, rotated back from the blocks once."""
-        return self.layout.sites(self.blocks)
 
     @property
     def coupling(self) -> CouplingTensor:

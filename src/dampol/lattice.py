@@ -506,17 +506,6 @@ def sq_norms(flat: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", flat, flat)
 
 
-def pair_contract(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_m w[m] a[m] @ b[m].T over node stacks, as one flat GEMM.
-
-    The node and column indices are contracted jointly; when `b` is the
-    transposed view of a contiguous stack its flattening is free.
-    """
-    n, p, q = a.shape
-    lhs = (w[:, None, None] * a).transpose(1, 0, 2).reshape(p, n * q)
-    return lhs @ b.transpose(0, 2, 1).reshape(n * q, b.shape[1])
-
-
 def transverse_projector(lattice: Lattice) -> TensorKernel:
     """Transverse delta kernel; idempotent under kernel composition."""
     return TensorKernel(lattice, lattice.transverse_matrix / lattice.cell_volume)

@@ -20,8 +20,9 @@ when an operator the assembly reads leaks across sectors, as a random
 coupling does, the form is one block.  Every Heisenberg equation and mode
 identity reduces to matrix algebra with R, block by block.  Only
 `QuadraticHamiltonian` knows this layout: the medium operators keep their
-one definition as forms over the medium modes (`fields.py`, `bath.py`), and
-`QuadraticHamiltonian.ladder_rows` places a form's coefficients.  The
+one definition as forms over the medium modes (`fields.py`, `bath.py`),
+built here in `Lattice.one_block`, whose site stacks are views of the
+blocks, and `QuadraticHamiltonian.ladder_rows` places a form's coefficients.  The
 assembly, Heisenberg equations and spectrum use neither the propagator nor
 the analytic mode formulas, so they are an independent route; the master
 check tests those formulas against it, one node's kernels at a time.
@@ -312,8 +313,8 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor) -
     ham.accumulate(u_a, structure.kernel.mat @ u_a, 0.5 * HBAR * v**2)
 
     # electrostatic energy of the longitudinal polarization
-    pol = medium_polarization_form(coupling)
-    u_p_long = lattice.longitudinal_matrix @ ham.ladder_rows(pol.alpha, pol.beta)
+    pol = medium_polarization_form(coupling, lattice.one_block)
+    u_p_long = lattice.longitudinal_matrix @ ham.ladder_rows(*pol.sites())
     ham.accumulate(u_p_long, u_p_long, v / (2.0 * EPS0))
     ham.symmetrize()
     return ham
@@ -337,8 +338,9 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     lattice, grid = ham.lattice, ham.grid
     v, K = lattice.cell_volume, grid.n_nodes
     u_a, u_pi = ham.rows_vector_potential, ham.rows_field_momentum
-    pol, mom = medium_polarization_form(coupling), medium_momentum_form(coupling, structure)
-    u_p, u_w = ham.ladder_rows(pol.alpha, pol.beta), ham.ladder_rows(mom.alpha, mom.beta)
+    one = lattice.one_block
+    pol, mom = medium_polarization_form(coupling, one), medium_momentum_form(coupling, structure, one)
+    u_p, u_w = ham.ladder_rows(*pol.sites()), ham.ladder_rows(*mom.sites())
     pt, pl = lattice.transverse_matrix, lattice.longitudinal_matrix
     fmat = structure.kernel.mat
     r = ham.dynamics()
@@ -370,8 +372,7 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     t2 = np.zeros_like(u_p)
     finv = structure.inverse.mat
     for k in range(K):
-        cm = medium_mode_form(coupling, k)
-        u_c = ham.ladder_rows(cm.alpha, cm.beta)
+        u_c = ham.ladder_rows(*medium_mode_form(coupling, k, one).sites())
         wk, om = grid.weights[k], grid.nodes[k]
         rhs = -1j * om * u_c \
             - 1j * om * v * coupling.kernels[k].conj() @ u_a \

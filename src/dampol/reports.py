@@ -120,18 +120,18 @@ def field_trace_csv(path, form, amplitudes, times):
 
     `amplitudes` assigns a complex amplitude per (node, site, component);
     the emitted expectation is the amplitude-weighted coefficient sum at
-    each requested time.  Diagnostic output for plotting only.
+    each requested time.  The form's site operators are rotated back once
+    and contracted with the amplitudes once, so each time is one
+    (K,) @ (K, d) product.  Diagnostic output for plotting only.
     """
-    amplitudes = np.asarray(amplitudes)
-    grid, lattice = form.grid, form.lattice
-    v, w = lattice.cell_volume, grid.weights
+    grid, layout = form.grid, form.layout
+    weighted = np.matmul(layout.sites(form.alpha), np.asarray(amplitudes)[:, :, None])[:, :, 0]
+    weighted *= (layout.lattice.cell_volume * grid.weights)[:, None]
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "site", "component", "value"])
         for t in times:
-            phases = np.exp(-1j * grid.nodes * t)
-            contrib = np.einsum("l,l,lab,lb->a", w * v, phases, form.alpha, amplitudes)
-            values = 2.0 * contrib.real   # plus the conjugate pairing
+            values = 2.0 * (np.exp(-1j * grid.nodes * t) @ weighted).real   # plus the conjugate pairing
             for a, val in enumerate(values):
                 writer.writerow([f"{t:.12g}", a // 3, a % 3, f"{val:.12g}"])

@@ -121,24 +121,26 @@ class Susceptibility:
             out += self.layout.blocks(self.perturbation.mat)
         return out
 
+    def layout_with(self, structure: StructureTensor) -> SectorLayout:
+        """The layout of kernels built from chi's inputs and the structure kernel.
+
+        `layout`, or one block when the structure kernel leaks across
+        sectors: no kernel may be stored in a layout an input leaks out of.
+        """
+        lattice = self.lattice
+        return lattice.layout(max(self.sector_leak, lattice.sector_leak(structure.kernel.mat)))
+
     @cached_property
     def above_cut_blocks(self) -> np.ndarray:
         """chi(w_k + i eta) at every node in `layout`, perturbation included: read-only (K, size).
 
-        The bath coefficients and the linkage check read these values, and
-        the polarization form and the constitutive check their site
-        operators (`above_cut`), so each is evaluated once per susceptibility.
+        The bath coefficients, the linkage check, the polarization form and
+        the constitutive check read these values, so each is evaluated once
+        per susceptibility.
         """
         blocks = self.blocks_at(self.grid.nodes + 1j * self.eta)
         blocks.flags.writeable = False
         return blocks
-
-    @cached_property
-    def above_cut(self) -> np.ndarray:
-        """The site operators of `above_cut_blocks`: a read-only (K, d, d) stack, rotated once."""
-        stack = self.layout.sites(self.above_cut_blocks)
-        stack.flags.writeable = False
-        return stack
 
     def perturbed(self, kernel: TensorKernel) -> "Susceptibility":
         return Susceptibility(source=self.source, perturbation=kernel)

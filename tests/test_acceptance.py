@@ -153,11 +153,12 @@ class TestCriterion1ExactIdentities:
 
     def _assert_exact(self, coupling, st):
         grid = coupling.grid
+        chi = Susceptibility(coupling)   # the fields stage's layouts
         # noise-polarization commutator against the cut discontinuity
         for k in (0, grid.n_nodes // 2, grid.n_nodes - 1):
-            pn = noise_mode_form(coupling, k)
+            pn = noise_mode_form(coupling, k, chi.layout)
             got = commutator(pn, pn.dagger())
-            expected = noise_commutator_expected(coupling, k)
+            expected = noise_commutator_expected(coupling, k, chi.layout)
             assert (got - expected).norm() <= self.TOL * expected.norm()
         # cut representation of the susceptibility
         rng = np.random.default_rng(7)
@@ -170,11 +171,12 @@ class TestCriterion1ExactIdentities:
         # per-node reality of the spectral density
         assert pernode_reality_residual(coupling) <= self.TOL
         # canonical bath identity
-        bath = bath_coefficients(coupling, Susceptibility(coupling))
+        bath = bath_coefficients(coupling, chi)
         assert verify_bath_canonical(bath, coupling) <= self.TOL
         # canonical matter pair
-        w_form = medium_momentum_form(coupling, st)
-        p_form = medium_polarization_form(coupling)
+        layout = chi.layout_with(st)
+        w_form = medium_momentum_form(coupling, st, layout)
+        p_form = medium_polarization_form(coupling, layout)
         ident = TensorKernel.identity(coupling.lattice)
         scale = HBAR * ident.norm()
         assert (commutator(w_form, p_form) - (-1j * HBAR) * ident).norm() <= self.TOL * scale
@@ -255,19 +257,18 @@ class TestCriterion5MaxwellConstitutive:
         coupling = make_coupling(name, 12)
         chi = Susceptibility(coupling)
         prop = node_propagator(chi)
-        forms = field_forms(prop)
+        alpha = {kind: form.layout.sites(form.alpha) for kind, form in field_forms(prop).items()}
         lattice = coupling.lattice
         curl = lattice.curl_matrix
         for l in range(coupling.grid.n_nodes):
             bound = 10.0 * prop.residual[l]
-            lhs = curl @ forms["B"].alpha[l]
-            rhs = -1j * coupling.grid.nodes[l] * forms["D"].alpha[l]
+            lhs = curl @ alpha["B"][l]
+            rhs = -1j * coupling.grid.nodes[l] * alpha["D"][l]
             mx = np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-300)
             assert mx <= bound, f"maxwell node {l}: {mx} > {bound}"
             chi_up = chi.at(coupling.grid.nodes[l] + 1j * chi.eta)
-            pred = lattice.cell_volume * chi_up.mat @ forms["E"].alpha[l] + forms["Pn"].alpha[l]
-            cn = np.linalg.norm(forms["P"].alpha[l] - pred) \
-                / max(np.linalg.norm(forms["P"].alpha[l]), 1e-300)
+            pred = lattice.cell_volume * chi_up.mat @ alpha["E"][l] + alpha["Pn"][l]
+            cn = np.linalg.norm(alpha["P"][l] - pred) / max(np.linalg.norm(alpha["P"][l]), 1e-300)
             assert cn <= bound, f"constitutive node {l}: {cn} > {bound}"
         if name == sorted(MODELS)[-1]:
             announce(5, "maxwell-and-constitutive")
@@ -283,8 +284,9 @@ class TestCriterion6Structural:
     def test_displacement_transverse(self):
         coupling = make_coupling("local_lorentz", 12)
         d_form = field_forms(node_propagator(Susceptibility(coupling)))["D"]
-        long_part = LATTICE.longitudinal_matrix[None] @ d_form.alpha
-        assert np.linalg.norm(long_part) <= 1e-12 * np.linalg.norm(d_form.alpha)
+        alpha = d_form.layout.sites(d_form.alpha)
+        long_part = LATTICE.longitudinal_matrix[None] @ alpha
+        assert np.linalg.norm(long_part) <= 1e-12 * np.linalg.norm(alpha)
 
     def test_susceptibility_symmetries(self):
         coupling = make_coupling("uniaxial_local", 12)

@@ -79,7 +79,7 @@ class TestCoefficients:
         chi = Susceptibility(coupling)
         if chi_node is not None:
             # remove one direction of chi at that node: rank d - 1 up to round-off
-            up = chi.above_cut[chi_node]
+            up = chi.layout.sites(chi.above_cut_blocks[chi_node])
             u = np.linalg.svd(up)[2][0].conj()
             chi = chi.perturbed(TensorKernel(single_site, -up @ np.outer(u, u.conj())))
         what, node, cond = first_singular_reference(coupling, chi)
@@ -93,7 +93,7 @@ def first_singular_reference(coupling, chi):
     """The per-node invertibility loop the batched check replaced: (what, node, cond)."""
     for k in range(coupling.grid.n_nodes):
         for what, mat in (("coupling kernel", coupling.kernels[k]),
-                          ("susceptibility", chi.above_cut[k])):
+                          ("susceptibility", chi.layout.sites(chi.above_cut_blocks[k]))):
             sv = np.linalg.svd(mat, compute_uv=False)
             if sv[-1] <= INVERTIBILITY_RTOL * sv[0] or sv[0] == 0.0:
                 return what, k, sv[0] / max(sv[-1], 1e-300)
@@ -111,14 +111,17 @@ class TestRowBuilder:
         def close(got, ref):
             return np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
-        for k in range(K):
-            co, counter = bath.rows(coupling, k)
-            for l in range(K):
-                pole = 1.0 / (nodes[k] - nodes[l] + 1j * bath.eta)
-                assert close(co[l], pole * v * bath.pole_coeff[k] @ t[l].T)
-                anti = -1.0 / (nodes[k] + nodes[l])
-                assert close(counter[l], anti * v * bath.pole_coeff[k] @ t[l].conj().T)
-            assert close(bath.delta_row(coupling, k), v * bath.delta_coeff[k] @ t[k].T)
+        # in the bath's own sector layout, and in the one block the oracle reads
+        for layout in (bath.layout, small_lattice.one_block):
+            for k in range(K):
+                co, counter = (layout.sites(r) for r in bath.rows(coupling, k, layout))
+                for l in range(K):
+                    pole = 1.0 / (nodes[k] - nodes[l] + 1j * bath.eta)
+                    assert close(co[l], pole * v * bath.pole_coeff[k] @ t[l].T)
+                    anti = -1.0 / (nodes[k] + nodes[l])
+                    assert close(counter[l], anti * v * bath.pole_coeff[k] @ t[l].conj().T)
+                delta = layout.sites(bath.delta_row(coupling, k, layout))
+                assert close(delta, v * bath.delta_coeff[k] @ t[k].T)
 
 
 class TestCanonicalIdentity:
@@ -160,7 +163,8 @@ def independence_reference(bath, coupling):
         den_w += w[k] * (nodes[k] * np.linalg.norm(base)) ** 2
         if k == 0:
             pol_0 = pol
-    comm_p = commutator(bath_mode_form(bath, coupling, 0), medium_polarization_form(coupling)).mat
+    comm_p = commutator(bath_mode_form(bath, coupling, 0, bath.layout),
+                        medium_polarization_form(coupling, bath.layout)).mat
     agree_p = np.linalg.norm(comm_p - 1j * HBAR * pol_0) / np.linalg.norm(comm_p)
     return {"polarization": np.sqrt(num_p / den_p), "momentum": np.sqrt(num_w / den_w),
             "route_agreement": agree_p}
@@ -232,9 +236,9 @@ class TestIndependence:
         from dampol.fields import commutator, medium_polarization_form, medium_mode_form
         lat, grid, coupling, st, chi, bath = bath_setup
         k = grid.n_nodes // 2
-        cb = bath_mode_form(bath, coupling, k)
-        p = medium_polarization_form(coupling)
-        raw = commutator(medium_mode_form(coupling, k), p).norm()
+        cb = bath_mode_form(bath, coupling, k, bath.layout)
+        p = medium_polarization_form(coupling, bath.layout)
+        raw = commutator(medium_mode_form(coupling, k, bath.layout), p).norm()
         assert commutator(cb, p).norm() <= 0.2 * raw
 
 
@@ -290,7 +294,7 @@ class TestBathModeAlgebra:
         bath = bath_coefficients(coupling, Susceptibility(coupling))
         from dampol.fields import commutator
         w = grid.weights
-        forms = [bath_mode_form(bath, coupling, k) for k in range(K)]
+        forms = [bath_mode_form(bath, coupling, k, bath.layout) for k in range(K)]
         dev = np.zeros((lat.dim, lat.dim), dtype=complex)
         dev_cc = np.zeros_like(dev)
         for k in range(K):

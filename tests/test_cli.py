@@ -1,8 +1,10 @@
+import configparser
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dampol.cli import (EXIT_NUMERICAL, EXIT_PASS, EXIT_USAGE, STAGES, ScenarioConfig, main, refine,
@@ -57,6 +59,30 @@ class TestConfigParsing:
         cfg.write_text(text.replace(old, new, 1))
         assert main(["model", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("section,key", [
+        ("lattice", "spacing"), ("grid", "omega_max"), ("grid", "eta_factor"), ("run", "tol_scale"),
+        ("violation", "magnitude"), ("model", "resonance"), ("model", "width"),
+        ("model", "strength"), ("flag", "--tol-scale")])
+    def test_nonfinite_number_exits_usage(self, tmp_path, capsys, section, key, value):
+        # NaN passes every range test written as `<= 0`, and inf some: the
+        # config names the key and refuses it before any stage runs
+        parser = configparser.ConfigParser()
+        parser.read(CONFIG_DIR / "lorentz.ini")
+        extra = [key, value] if section == "flag" else []
+        if not extra:
+            if not parser.has_section(section):
+                parser.add_section(section)
+            parser[section][key] = value
+        cfg, out = tmp_path / "nonfinite.ini", tmp_path / "o"
+        with open(cfg, "w") as fh:
+            parser.write(fh)
+        assert main(["verify-all", "--config", str(cfg), "--out", str(out), *extra]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{key.lstrip('-').replace('-', '_')} must be finite, got {value}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_negative_seed_exits_usage(self, tmp_path, where):
@@ -308,6 +334,25 @@ class TestStackFreeProduction:
         assert run(cfg, stages=STAGES) == EXIT_PASS
         assert read_report(cfg.out, "oracle")["passed"]
 
+    def test_kernel_stages_rotate_back_only_the_traced_field(self, tmp_path, monkeypatch):
+        # on a translation-invariant medium the field forms, the noise and
+        # canonical-pair commutators and the bath cross-check stay in blocks:
+        # beside single operators and the condition numbers' chunks of K / 8
+        # nodes, the one stack of site operators is the field trace's E
+        from dampol.lattice import SectorLayout
+        sites, rotated = SectorLayout.sites, []
+
+        def counted(self, flat):
+            rotated.append(int(np.prod(flat.shape[:-1])))
+            return sites(self, flat)
+        monkeypatch.setattr(SectorLayout, "sites", counted)
+        cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
+        cfg.out = str(tmp_path / "o")
+        cfg.n_nodes = 16
+        assert run(cfg, stages=("fields", "bath")) == EXIT_PASS
+        assert [n for n in rotated if n > 2] == [16]
+        assert (Path(cfg.out) / "field_trace.csv").exists()
+
     def test_hamiltonian_refine_track(self, tmp_path, monkeypatch):
         _forbid_stack_route(monkeypatch)
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "refine.ini")
@@ -328,7 +373,7 @@ class TestStackFreeProduction:
 
 class TestRefine:
     def test_streamed_pass_precedes_chi_above_cut(self, tmp_path, monkeypatch):
-        # the cached chi stack must not be alive at the streamed pass's peak
+        # the cached chi blocks above the cut must not be alive at the streamed pass's peak
         import dampol.cli as cli
         pipes, calls = [], []
         init, streamed = cli.Pipeline.__init__, cli.streamed_mode_checks
@@ -338,7 +383,7 @@ class TestRefine:
             pipes.append(self)
 
         def checked(*args):
-            assert "above_cut" not in pipes[-1].chi.__dict__
+            assert "above_cut_blocks" not in pipes[-1].chi.__dict__
             calls.append(1)
             return streamed(*args)
         monkeypatch.setattr(cli.Pipeline, "__init__", recording)
@@ -350,22 +395,30 @@ class TestRefine:
         assert len(calls) == 2
 
     def test_kernels_track_builds_no_site_stack(self, tmp_path, monkeypatch):
-        # the kernel stages run on sector blocks; no site stack is rotated back
+        # the kernel stages run on sector blocks; no stack of site operators
+        # over every node is rotated back, only single operators and the
+        # condition numbers' chunks of at most K / 8 nodes
         import dampol.cli as cli
-        pipes, init = [], cli.Pipeline.__init__
+        from dampol.lattice import SectorLayout
+        pipes, init, sites = [], cli.Pipeline.__init__, SectorLayout.sites
+        rotated = []   # (operators rotated back, nodes of the run)
 
         def recording(self, *args, **kwargs):
             init(self, *args, **kwargs)
             pipes.append(self)
+
+        def counted(self, flat):
+            rotated.append((int(np.prod(flat.shape[:-1])), pipes[-1].grid.n_nodes))
+            return sites(self, flat)
         monkeypatch.setattr(cli.Pipeline, "__init__", recording)
+        monkeypatch.setattr(SectorLayout, "sites", counted)
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "refine_kernels.ini")
         cfg.out = str(tmp_path)
         cfg.n_nodes = 8
         assert refine(cfg, 2) in (EXIT_PASS, EXIT_NUMERICAL)
+        assert rotated and all(n <= -(-K // 8) for n, K in rotated)
         for pipe in pipes:
             assert pipe.propagator.layout is pipe.lattice.sector_layout
-            assert "kernels" not in pipe.propagator.__dict__
-            assert "above_cut" not in pipe.chi.__dict__
             assert not {"delta_coeff", "pole_coeff"} & set(pipe.bath.__dict__)
 
     def test_requires_two_levels(self):

@@ -143,7 +143,7 @@ class TestStructureTensor:
         grid = random_lagrangian.grid
         acc = np.zeros_like(random_lagrangian.kernels[0])
         for k in range(grid.n_nodes):
-            dens = random_lagrangian.spectral_density(k).mat
+            dens = random_lagrangian.density_stack[k]
             acc = acc + grid.weights[k] * grid.nodes[k] * (dens + dens.conj())
         st = structure_tensor(random_lagrangian)
         assert np.allclose(st.kernel.mat, acc.real, atol=1e-12 * np.linalg.norm(acc))
@@ -156,7 +156,8 @@ class TestMomentumKernel:
         coupling = scalar_coupling(single_site, grid, tau)
         st = structure_tensor(coupling)
         # the momentum form's kernel -w T(w) o F^-1 at the one node
-        kernel = TensorKernel(single_site, medium_momentum_form(coupling, st).alpha[0].T)
+        one = single_site.one_block
+        kernel = TensorKernel(single_site, one.sites(medium_momentum_form(coupling, st, one).alpha)[0].T)
         # -w tau / (2 w w1 |tau|^2) times the identity kernel
         expected = -tau / (2.0 * grid.weights[0] * abs(tau) ** 2)
         ident = TensorKernel.identity(single_site)

@@ -1,6 +1,10 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dampol.cli import Pipeline, ScenarioConfig, stage_fields
 from dampol.constants import HBAR
 from dampol.errors import DampolError
 from dampol.coupling import structure_tensor
@@ -9,6 +13,7 @@ from dampol.fields import (
     commutator,
     constitutive_check,
     field_forms,
+    longitudinal_defect,
     maxwell_check,
     medium_mode_form,
     medium_momentum_form,
@@ -43,52 +48,59 @@ def setup(request):
 class TestCanonicalMatterAlgebra:
     def test_momentum_polarization_commutator(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
-        w = medium_momentum_form(coupling, st)
-        p = medium_polarization_form(coupling)
+        layout = chi.layout_with(st)
+        w = medium_momentum_form(coupling, st, layout)
+        p = medium_polarization_form(coupling, layout)
         expected = -1j * HBAR * TensorKernel.identity(lat)
         assert commutator(w, p).allclose(expected, tol=1e-10)
 
     def test_polarization_self_commutator_vanishes(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
-        p = medium_polarization_form(coupling)
+        p = medium_polarization_form(coupling, chi.layout)
         scale = HBAR * TensorKernel.identity(lat).norm()
         assert commutator(p, p).norm() <= 1e-10 * scale
 
     def test_momentum_self_commutator_vanishes(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
-        w = medium_momentum_form(coupling, st)
+        w = medium_momentum_form(coupling, st, chi.layout_with(st))
         scale = HBAR * TensorKernel.identity(lat).norm()
         assert commutator(w, w).norm() <= 1e-10 * scale
 
     def test_medium_mode_canonical(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
         k = 3
-        c = medium_mode_form(coupling, k)
+        c = medium_mode_form(coupling, k, chi.layout)
         got = commutator(c, c.dagger())
         expected = (1.0 / grid.weights[k]) * TensorKernel.identity(lat)
         assert got.allclose(expected, tol=1e-12)
 
     def test_cross_basis_commutator_rejected(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
-        p = medium_polarization_form(coupling)
+        p = medium_polarization_form(coupling, prop.layout)
         pn = field_forms(prop)["Pn"]
-        with pytest.raises(DampolError):
+        with pytest.raises(DampolError, match="different mode families"):
             commutator(p, pn)
+
+    def test_cross_layout_commutator_rejected(self, lorentz_coupling):
+        lattice = lorentz_coupling.lattice
+        p = medium_polarization_form(lorentz_coupling, lattice.sector_layout)
+        with pytest.raises(DampolError, match="different kernel layouts"):
+            commutator(p, medium_polarization_form(lorentz_coupling, lattice.one_block))
 
 
 class TestNoiseCommutator:
     def test_matches_cut_discontinuity(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
         for k in (0, 4, grid.n_nodes - 1):
-            pn = noise_mode_form(coupling, k)
+            pn = noise_mode_form(coupling, k, chi.layout)
             got = commutator(pn, pn.dagger())
-            expected = noise_commutator_expected(coupling, k)
+            expected = noise_commutator_expected(coupling, k, chi.layout)
             assert got.allclose(expected, tol=1e-10)
 
     def test_distinct_nodes_commute(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
-        a = noise_mode_form(coupling, 2)
-        b = noise_mode_form(coupling, 7)
+        a = noise_mode_form(coupling, 2, chi.layout)
+        b = noise_mode_form(coupling, 7, chi.layout)
         assert commutator(a, b.dagger()).norm() == 0.0
 
 
@@ -111,11 +123,12 @@ class TestFieldForms:
         class CountedReads:
             coupling = prop.coupling
             chi = prop.chi
+            layout = prop.layout
 
             @property
-            def kernels(self):
+            def blocks(self):
                 calls.append(1)
-                return prop.kernels
+                return prop.blocks
         forms = field_forms(CountedReads())
         assert sorted(forms) == sorted(("A", "B", "E", "P", "Pn", "D"))
         assert len(calls) == 1
@@ -123,17 +136,19 @@ class TestFieldForms:
     def test_displacement_is_transverse(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
         d_form = field_forms(prop)["D"]
-        pl = lat.longitudinal_matrix
-        long_part = pl[None] @ d_form.alpha
-        assert np.linalg.norm(long_part) <= 1e-12 * np.linalg.norm(d_form.alpha)
+        alpha = d_form.layout.sites(d_form.alpha)
+        long_part = lat.longitudinal_matrix[None] @ alpha
+        assert np.linalg.norm(long_part) <= 1e-12 * np.linalg.norm(alpha)
+        assert longitudinal_defect(d_form) <= 1e-12
 
     def test_vector_potential_two_routes_agree(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
         a_form = field_forms(prop)["A"]
-        assert vector_potential_route_defect(a_form, modes.momentum) <= 1e-10
+        layout = a_form.layout
+        assert vector_potential_route_defect(a_form, layout.blocks(modes.momentum)) <= 1e-10
         # the stack-free family the CLI reads is the same kernel set
         momentum = momentum_family(prop)
-        assert np.array_equal(momentum, modes.momentum)
+        assert np.array_equal(layout.sites(momentum), modes.momentum)
         assert vector_potential_route_defect(a_form, momentum) <= 1e-10
 
     def test_single_site_electric_field_scalar(self, single_site):
@@ -149,7 +164,7 @@ class TestFieldForms:
         om = grid.nodes[0]
         g_up = solve_green(chi, om + 1j * grid.eta).kernel
         expected = 1j * HBAR * om**2 * g_up.mat[0, 0] * tau
-        assert e_form.alpha[0][0, 0] == pytest.approx(expected, rel=1e-12)
+        assert e_form.layout.sites(e_form.alpha)[0][0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_hermitian_fields(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
@@ -161,8 +176,8 @@ class TestFieldForms:
         lat, grid, coupling, st, chi, prop, modes = setup
         forms = field_forms(prop)
         e_form, a_form = forms["E"], forms["A"]
-        et = lat.transverse_matrix[None] @ e_form.alpha
-        adot = time_derivative(a_form).alpha
+        et = lat.transverse_matrix[None] @ e_form.layout.sites(e_form.alpha)
+        adot = a_form.layout.sites(time_derivative(a_form).alpha)
         assert np.linalg.norm(et + adot) <= 1e-10 * np.linalg.norm(et)
 
     def test_longitudinal_decomposition_converges(self, setup):
@@ -176,10 +191,10 @@ class TestFieldForms:
             grid = FrequencyGrid.midpoint(K, 3.0, eta_factor=1.0)
             coupling = coupling_from_lagrangian(builtin_model("local_lorentz", lat, grid))
             forms = field_forms(node_propagator(Susceptibility(coupling)))
-            e_form, p_form = forms["E"], forms["P"]
+            e_alpha, p_alpha = (forms[kind].layout.sites(forms[kind].alpha) for kind in "EP")
             pl = lat.longitudinal_matrix
-            num = np.linalg.norm(pl[None] @ (e_form.alpha + p_form.alpha))
-            den = max(np.linalg.norm(pl[None] @ e_form.alpha), 1e-300)
+            num = np.linalg.norm(pl[None] @ (e_alpha + p_alpha))
+            den = max(np.linalg.norm(pl[None] @ e_alpha), 1e-300)
             defects.append(num / den)
         assert defects[1] < defects[0] / 1.5
 
@@ -252,3 +267,27 @@ class TestEqualTimeCanonicalCommutator:
             expected = -1j * HBAR * q / lat.cell_volume
             devs.append(np.linalg.norm(q @ got @ q - expected) / np.linalg.norm(expected))
         assert devs[1] < devs[0] / 1.3
+
+
+class TestFieldsStageCost:
+    # traced peak of the whole fields stage, field trace included, on
+    # lorentz.ini at n = 3 (d = 81, one 3 x 3 and thirteen 6 x 6 blocks),
+    # K = 12, in (K, size) complex block stacks: one (K, d, d) site stack is
+    # 13.75 of them.  The only site stack is the trace's E, rotated back once
+    PEAK_STACKS = 27.1   # measured 25.8; the dense forms held 224.6
+
+    def test_traced_peak_in_block_stacks(self, tmp_path):
+        cfg = ScenarioConfig.from_file(Path(__file__).parent.parent / "configs" / "lorentz.ini")
+        cfg.n_per_axis = 3
+        pipe = Pipeline(cfg)
+        pipe.propagator, pipe.structure, np.random.default_rng(0)   # inputs, as in a run
+        stack = 16 * pipe.grid.n_nodes * pipe.lattice.sector_layout.size
+        tracemalloc.start()
+        try:
+            report = stage_fields(pipe, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1] / stack
+        finally:
+            tracemalloc.stop()
+        assert report["passed"]
+        assert (tmp_path / "field_trace.csv").exists()
+        assert peak <= self.PEAK_STACKS, f"traced peak {peak:.2f} block stacks"

@@ -121,7 +121,7 @@ class TestSweep:
         prop = node_propagator(chi)
         grid, d = lorentz_coupling.grid, lorentz_coupling.lattice.dim
         assert prop.coupling is lorentz_coupling
-        assert prop.kernels.shape == (grid.n_nodes, d, d)
+        assert prop.layout.sites(prop.blocks).shape == (grid.n_nodes, d, d)
         assert prop.residual.shape == prop.cond.shape == (grid.n_nodes,)
         assert np.all(prop.residual <= TOL_SOLVE)
         assert np.all(prop.z.imag == -grid.eta)
@@ -137,7 +137,7 @@ class TestSweep:
         for k, z in enumerate(prop.z):
             g = solve_green(chi, z)
             ref = g.kernel.mat
-            assert np.linalg.norm(prop.kernels[k] - ref) <= 1e-13 * np.linalg.norm(ref)
+            assert np.linalg.norm(prop.layout.sites(prop.blocks[k]) - ref) <= 1e-13 * np.linalg.norm(ref)
             assert prop.residual[k] == pytest.approx(g.residual, rel=1e-12, abs=1e-15)
             assert prop.cond[k] == pytest.approx(g.cond, rel=1e-12)
 

@@ -273,10 +273,11 @@ class TestLadderRows:
             coeff = -grid.nodes[k] * (v * coupling.kernels[k] @ finv).T
             u_w[:, c] += s * coeff
             u_w[:, cdag] += s * coeff.conj()
-        pol, mom = medium_polarization_form(coupling), medium_momentum_form(coupling, st)
+        one = lat.one_block
+        pol, mom = medium_polarization_form(coupling, one), medium_momentum_form(coupling, st, one)
         u = ladder_unitary(ham) @ momentum_rotation(ham)
-        assert close(ham.ladder_rows(pol.alpha, pol.beta), u_p @ u, 1e-15)
-        assert close(ham.ladder_rows(mom.alpha, mom.beta), u_w @ u, 1e-15)
+        assert close(ham.ladder_rows(*pol.sites()), u_p @ u, 1e-15)
+        assert close(ham.ladder_rows(*mom.sites()), u_w @ u, 1e-15)
 
     def test_medium_modes(self, case):
         lat, grid, coupling, st, ham = case
@@ -285,8 +286,8 @@ class TestLadderRows:
             old = np.zeros((lat.dim, ham.dim), dtype=complex)
             old[:, ladder_slices(ham, k)[0]] = np.eye(lat.dim) / np.sqrt(
                 lat.cell_volume * grid.weights[k])
-            cm = medium_mode_form(coupling, k)
-            assert close(ham.ladder_rows(cm.alpha, cm.beta), old @ u, 1e-15)
+            cm = medium_mode_form(coupling, k, lat.one_block)
+            assert close(ham.ladder_rows(*cm.sites()), old @ u, 1e-15)
 
     def test_bath_rows(self, case):
         lat, grid, coupling, st, ham = case
@@ -294,7 +295,7 @@ class TestLadderRows:
         v, w = lat.cell_volume, grid.weights
         u = ladder_unitary(ham) @ momentum_rotation(ham)
         for k in range(grid.n_nodes):
-            co, counter = bath.rows(coupling, k)
+            co, counter = (lat.one_block.sites(r) for r in bath.rows(coupling, k, lat.one_block))
             old = np.zeros((lat.dim, ham.dim), dtype=complex)
             for l in range(grid.n_nodes):
                 c, cdag = ladder_slices(ham, l)
@@ -347,9 +348,10 @@ class TestHeisenberg:
 
     def test_canonical_pair_via_rows(self, lorentz_setup):
         lat, grid, coupling, st, ham = lorentz_setup
-        pol, mom = medium_polarization_form(coupling), medium_momentum_form(coupling, st)
-        u_p = ham.ladder_rows(pol.alpha, pol.beta)
-        u_w = ham.ladder_rows(mom.alpha, mom.beta)
+        one = lat.one_block
+        pol, mom = medium_polarization_form(coupling, one), medium_momentum_form(coupling, st, one)
+        u_p = ham.ladder_rows(*pol.sites())
+        u_w = ham.ladder_rows(*mom.sites())
         comm = u_w @ commutation(ham) @ u_p.T
         expected = -1j * HBAR * np.eye(lat.dim) / lat.cell_volume
         assert np.allclose(comm, expected, atol=1e-12)
@@ -621,7 +623,7 @@ class TestSectorBlocks:
         # (K, d, dim) complex row stack, its two row stacks alive at once
         # being the peak; the dense stage held 10.1
         pipe = Pipeline(ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini"))
-        pipe.propagator, pipe.streamed, pipe.bath, pipe.chi.above_cut
+        pipe.propagator, pipe.streamed, pipe.bath, pipe.chi.above_cut_blocks
         tracemalloc.start()
         try:
             stage_oracle(pipe)

@@ -71,7 +71,7 @@ class TestLayout:
         b = ops * (rng.standard_normal((3, 1, 1)) + 1j)
         w = rng.standard_normal(3)
         got = layout.sites(layout.pair_contract(w, layout.blocks(a), layout.blocks(b)))
-        assert np.allclose(got, lattice.pair_contract(w, a, b), atol=1e-12)
+        assert np.allclose(got, np.einsum("m,mab,mcb->ac", w, a, b), atol=1e-12)
 
     def test_a_random_operator_leaks(self):
         lat = build_lattice(2, 1.0)
@@ -111,8 +111,8 @@ def kernel_values(model, n, K):
     prop = node_propagator(chi)
     bath = bath_coefficients(coupling, chi)
     values = {
-        "kernels": prop.kernels,
-        "momentum": momentum_family(prop),
+        "kernels": prop.layout.sites(prop.blocks),
+        "momentum": prop.layout.sites(momentum_family(prop)),
         "residual": prop.residual,
         "cond": prop.cond,
         "adjoint": verify_adjoint(prop),
@@ -188,3 +188,37 @@ def test_leaking_structure_kernel_takes_one_block(small_lattice):
     assert prop.layout is small_lattice.sector_layout
     assert_same_checks(streamed_mode_checks(prop, leaky),
                        fano_residual(mode_coefficients(prop), coupling, leaky), rel=1e-12)
+
+
+def test_leaking_structure_kernel_sends_the_canonical_pair_to_one_block(tmp_path):
+    # the fields stage's canonical pair reads the structure kernel, so a
+    # leaking one puts its forms in one block, as it does the streamed pass,
+    # while the field forms stay per sector with the propagator
+    from dampol.cli import stage_fields
+    from dampol.constants import HBAR
+    from dampol.coupling import StructureTensor
+    from dampol.fields import commutator, medium_momentum_form, medium_polarization_form
+    from dampol.lattice import TensorKernel
+    pipe = Pipeline(ScenarioConfig(n_nodes=5, eta_factor=1.0, out=str(tmp_path)))
+    st = pipe.structure.kernel.mat
+    noise = np.random.default_rng(6).standard_normal(st.shape)
+    pipe.structure = StructureTensor(TensorKernel(pipe.lattice, st + 1e-3 * (noise + noise.T)))
+    assert pipe.lattice.sector_leak(pipe.structure.kernel.mat) > lattice.SECTOR_LEAK_TOL
+    checks = {c["check_id"]: c["residual"] for c in stage_fields(pipe)["checks"]}
+    assert pipe.propagator.layout is pipe.lattice.sector_layout
+
+    ident = TensorKernel.identity(pipe.lattice)
+
+    def canonical_pair(layout):
+        w = medium_momentum_form(pipe.coupling, pipe.structure, layout)
+        p = medium_polarization_form(pipe.coupling, layout)
+        return {"fields.canonical_pair": (commutator(w, p) + 1j * HBAR * ident).norm(),
+                "fields.polarization_selfcommutator": commutator(p, p).norm(),
+                "fields.momentum_selfcommutator": commutator(w, w).norm()}
+
+    one = {key: value / (HBAR * ident.norm()) for key, value in canonical_pair(pipe.lattice.one_block).items()}
+    sectors = canonical_pair(pipe.lattice.sector_layout)["fields.canonical_pair"] / (HBAR * ident.norm())
+    assert one["fields.canonical_pair"] > 1e-4   # the leak shows, and dropping it would show
+    assert abs(sectors - one["fields.canonical_pair"]) > 1e-6 * one["fields.canonical_pair"]
+    for key, value in one.items():
+        assert agree(checks[key], value), (key, checks[key], value)
