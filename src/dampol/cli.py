@@ -12,7 +12,7 @@ import argparse
 import configparser
 import sys
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +38,7 @@ from .fields import (
     noise_commutator_residual,
     vector_potential_route_defect,
 )
-from .green import (node_propagator, solve_green, verify_adjoint, verify_conjugation,
-                    verify_reciprocity)
+from .green import node_propagator, solve_green, verify_adjoint
 from .lattice import FrequencyGrid, TensorKernel, build_lattice
 from .oracle import (
     HERMITICITY_TOL,
@@ -52,7 +51,7 @@ from .oracle import (
 from .susceptibility import (
     Susceptibility,
     asymptote_residual,
-    symmetry_residuals,
+    reflection_residuals,
     verify_kramers_kronig,
     verify_sum_rules,
 )
@@ -266,22 +265,19 @@ def stage_chi(pipe: Pipeline, out: Path | None) -> dict:
     coupling = pipe.coupling
     st = pipe.structure
     checks = []
-    kk_worst = max(verify_kramers_kronig(coupling, complex(rng.uniform(-3, 3), rng.uniform(0.2, 1.5)))
-                   for _ in range(5))
-    checks.append(pipe.entry("chi.kramers_kronig", kk_worst, TOL_EXACT))
+    zs = [complex(rng.uniform(-3, 3), rng.uniform(0.2, 1.5)) for _ in range(5)]
+    checks.append(pipe.entry("chi.kramers_kronig", verify_kramers_kronig(pipe.chi, zs), TOL_EXACT))
     rules = verify_sum_rules(coupling, st)
     checks.append(pipe.entry("chi.sum_rule_moment0", rules.moment0, TOL_EXACT))
     checks.append(pipe.entry("chi.sum_rule_moment1", rules.moment1, TOL_EXACT))
     checks.append(pipe.entry("chi.sum_rule_moment2", rules.moment2, TOL_EXACT))
-    sym_worst = {"transpose": 0.0, "conjugation": 0.0}
-    for _ in range(5):
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 1.5) * rng.choice([-1, 1]))
-        res = symmetry_residuals(pipe.chi, z)
-        sym_worst = {k: max(sym_worst[k], res[k]) for k in sym_worst}
-    checks.append(pipe.entry("chi.symmetry_transpose", sym_worst["transpose"], TOL_EXACT))
-    checks.append(pipe.entry("chi.symmetry_conjugation", sym_worst["conjugation"], TOL_EXACT))
+    zs = [complex(rng.uniform(-2, 2), rng.uniform(0.2, 1.5) * rng.choice([-1, 1])) for _ in range(5)]
+    sym = reflection_residuals(pipe.chi.layout, pipe.chi.blocks_at, zs)
+    checks.append(pipe.entry("chi.symmetry_transpose", sym["transpose"], TOL_EXACT))
+    checks.append(pipe.entry("chi.symmetry_conjugation", sym["conjugation"], TOL_EXACT))
     z0 = 50.0 * pipe.grid.omega_max * 1j
-    ratio = asymptote_residual(coupling, st, z0) / asymptote_residual(coupling, st, 2 * z0)
+    near, far = asymptote_residual(coupling, st, z0), asymptote_residual(coupling, st, 2 * z0)
+    ratio = near / far if far > 0 else float("inf")   # a correction that underflows has no measured decay
     checks.append(pipe.entry("chi.asymptote_quartic_ratio", abs(ratio / 16.0 - 1.0), 0.3,
                              measured_ratio=float(ratio)))
     if out is not None:
@@ -294,17 +290,13 @@ def stage_green(pipe: Pipeline, out: Path | None) -> dict:
     rng = np.random.default_rng(pipe.config.seed + 1)
     prop = pipe.propagator
     checks = [pipe.entry("green.defining_residual", float(prop.residual.max()), TOL_EXACT)]
-    adj = verify_adjoint(prop)
+    adj = verify_adjoint(prop.chi, prop.z, prop.blocks)
     checks.append(pipe.entry("green.adjoint_residual", adj, 1e-9))
-    rec = con = 0.0
-    for _ in range(4):
-        z = complex(rng.uniform(0.3, 0.9) * pipe.grid.omega_max,
-                    -rng.uniform(0.5, 2.0) * pipe.grid.eta)
-        here = solve_green(pipe.chi, z)
-        rec = max(rec, verify_reciprocity(here))
-        con = max(con, verify_conjugation(here))
-    checks.append(pipe.entry("green.reciprocity", rec, 1e-9))
-    checks.append(pipe.entry("green.conjugation", con, 1e-9))
+    zs = [complex(rng.uniform(0.3, 0.9) * pipe.grid.omega_max, -rng.uniform(0.5, 2.0) * pipe.grid.eta)
+          for _ in range(4)]
+    sym = reflection_residuals(pipe.chi.layout, partial(solve_green, pipe.chi), zs)
+    checks.append(pipe.entry("green.reciprocity", sym["transpose"], 1e-9))
+    checks.append(pipe.entry("green.conjugation", sym["conjugation"], 1e-9))
     if out is not None:
         reports.green_trace_csv(out / "green_trace.csv", prop)
     return reports.stage_report("green", checks)
@@ -492,7 +484,7 @@ def refine(config: ScenarioConfig, levels: int) -> int:
         vals = {
             "bath_independence_polarization": indep["polarization"],
             "bath_independence_momentum": indep["momentum"],
-            "kramers_kronig": verify_kramers_kronig(pipe.coupling, 1j * pipe.grid.omega_max / 3),
+            "kramers_kronig": verify_kramers_kronig(pipe.chi, [1j * pipe.grid.omega_max / 3]),
             "sum_rule": verify_sum_rules(pipe.coupling, pipe.structure).max_residual(),
             "bath_canonical": bath_mod.verify_bath_canonical(pipe.bath, pipe.coupling),
             "noise_commutator": noise_commutator_residual(pipe.coupling, pipe.grid.n_nodes // 2,

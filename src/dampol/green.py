@@ -15,7 +15,7 @@ import numpy as np
 from .constants import C_LIGHT
 from .coupling import CouplingTensor
 from .errors import DampolError, SingularOperatorError
-from .lattice import Lattice, SectorLayout, TensorKernel, sq_norms
+from .lattice import Lattice, SectorLayout, sq_norms
 from .susceptibility import Susceptibility
 
 #: relative residual every emitted kernel must satisfy
@@ -23,22 +23,6 @@ TOL_SOLVE = 1e-10
 
 #: condition-number ceiling; beyond it the system counts as singular
 COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True, eq=False)
-class GreenKernel:
-    """Solved propagator kernel at one complex frequency."""
-
-    kernel: TensorKernel
-    z: complex
-    eta_used: float
-    chi_ref: Susceptibility
-    residual: float
-    cond: float
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.kernel.lattice
 
 
 def wave_operator(chi_blocks: np.ndarray, z, layout: SectorLayout) -> np.ndarray:
@@ -105,57 +89,39 @@ def solve_stack(chi: Susceptibility, zs) -> tuple:
     return inv, residual, cond, failures
 
 
-def solve_green(chi: Susceptibility, z: complex) -> GreenKernel:
-    """Solve the defining wave equation for the propagator at z: `solve_stack` at one point.
+def solve_green(chi: Susceptibility, zs) -> np.ndarray:
+    """The propagator at the points zs as (n, size) blocks in `chi.layout`: `solve_stack` that raises.
 
-    z must sit off the real axis; pick a side of the cut explicitly via the
-    susceptibility's eta.  Near-singular systems (condition number beyond
-    `COND_LIMIT`) raise instead of returning a silently regularized kernel.
+    Every z must sit off the real axis; pick a side of the cut explicitly via
+    the susceptibility's eta.  A failed point (condition number beyond
+    `COND_LIMIT`, or residual beyond `TOL_SOLVE`) raises for the first one
+    instead of returning a silently regularized kernel.
     """
-    z = complex(z)
-    if z.imag == 0.0:
+    zs = np.asarray(zs, dtype=complex)
+    if np.any(zs.imag == 0.0):
         raise DampolError("solve_green needs Im z != 0; offset by the grid eta to pick a side")
-    blocks, residual, cond, failures = solve_stack(chi, (z,))
+    blocks, _, cond, failures = solve_stack(chi, zs)
     if failures:
-        raise SingularOperatorError(failures[0], cond=float(cond[0]))
-    kernel = TensorKernel(chi.lattice, chi.layout.sites(blocks[0]))
-    return GreenKernel(kernel=kernel, z=z, eta_used=abs(z.imag),
-                       chi_ref=chi, residual=float(residual[0]), cond=float(cond[0]))
+        first = min(failures)
+        raise SingularOperatorError(failures[first], cond=float(cond[first]))
+    return blocks
 
 
-def verify_adjoint(green) -> float:
+def verify_adjoint(chi: Susceptibility, zs, blocks: np.ndarray) -> float:
     """Residual of the adjoint equation (double curl on the unprimed argument).
 
     The adjoint equation is a consequence of the susceptibility's
     transpose-reversal symmetry, so it is evaluated with the reflected
     kernel chi(-z)^T; a symmetry-broken susceptibility is flagged here.
-    `green` is one solve or a `NodePropagator`, whose nodes are checked as
-    one stack in its layout; the worst residual is returned.
+    `blocks` holds the propagator at the points zs in `chi.layout`, (n, size),
+    checked as one stack; the worst residual is returned.
     """
-    if isinstance(green, GreenKernel):
-        chi, zs = green.chi_ref, np.array([green.z])
-        kernels = chi.layout.blocks(green.kernel.mat[None])
-    else:
-        chi, zs, kernels = green.chi, green.z, green.blocks
-    layout, v = chi.layout, green.lattice.cell_volume
+    layout, v = chi.layout, chi.lattice.cell_volume
+    zs = np.asarray(zs, dtype=complex)
     reflected = wave_operator(layout.transpose(chi.blocks_at(-zs)), zs, layout)
-    prod = layout.matmul(reflected, kernels)
+    prod = layout.matmul(reflected, blocks)
     prod *= v
     return float(_identity_residuals(prod, layout, v).max())
-
-
-def verify_reciprocity(green: GreenKernel) -> float:
-    """Transpose-reversal residual of a solve against an independent solve at -z."""
-    there = solve_green(green.chi_ref, -green.z)
-    scale = max(green.kernel.norm(), 1e-300)
-    return (green.kernel.T - there.kernel).norm() / scale
-
-
-def verify_conjugation(green: GreenKernel) -> float:
-    """Conjugation-symmetry residual of a solve against an independent solve at -conj(z)."""
-    there = solve_green(green.chi_ref, -np.conj(green.z))
-    scale = max(green.kernel.norm(), 1e-300)
-    return (green.kernel.conj() - there.kernel).norm() / scale
 
 
 @dataclass(frozen=True, eq=False)

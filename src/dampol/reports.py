@@ -58,15 +58,16 @@ def write_json(path, payload: dict):
 def chi_trace_csv(path, coupling, z_values):
     """Susceptibility entries at the requested complex frequencies.
 
-    Every point is evaluated by one `chi_stack` call.  The bytes are those
+    Every point is evaluated by one `chi_stack` call in `Lattice.one_block`,
+    whose blocks are views of the site operators.  The bytes are those
     `csv.writer` gives for the same rows (no field needs quoting); each row
     block of a node is written as one batch, so no more than one row's text
     is held at a time.
     """
     from .susceptibility import chi_stack
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    d = coupling.lattice.dim
-    mats = chi_stack(coupling, z_values)
+    d, one = coupling.lattice.dim, coupling.lattice.one_block
+    mats = one.sites(chi_stack(coupling, z_values, one))
     # the "site_prime,i,j," fields of every column, per row component i
     mids = [[f"{b // 3},{i},{b % 3}," for b in range(d)] for i in range(3)]
     with open(path, "w", newline="") as fh:

@@ -6,7 +6,9 @@ real frequency line.  The discontinuity is always computed directly from
 the coupling (never by subtracting two regularized evaluations), so the
 dissipative part carries no regularization error.  The sum rules and the
 asymptote read the coupling's moments (`CouplingTensor.moments`), as the
-structure tensor does; `chi_at` and the Kramers-Kronig check stay independent.
+structure tensor does; `chi_stack` and the Kramers-Kronig check stay
+independent.  Every point check evaluates its points as one stack of blocks
+in a `SectorLayout`.
 """
 
 from __future__ import annotations
@@ -19,15 +21,14 @@ import numpy as np
 from .constants import EPS0, HBAR
 from .coupling import CouplingTensor, StructureTensor
 from .errors import PoleError
-from .lattice import SectorLayout, TensorKernel
+from .lattice import SectorLayout, TensorKernel, sq_norms
 
 
-def chi_stack(coupling: CouplingTensor, zs, layout: SectorLayout | None = None) -> np.ndarray:
-    """The susceptibility kernel matrices at the complex frequencies zs, (n, d, d).
+def chi_stack(coupling: CouplingTensor, zs, layout: SectorLayout) -> np.ndarray:
+    """The susceptibility kernels at the complex frequencies zs, as (n, size) blocks in `layout`.
 
-    With a `layout` the result is the (n, size) blocks, summed from the
-    coupling's density blocks.  Both node sums of every point come from one
-    (2 n, K) @ (K, d^2) GEMM, or (2 n, K) @ (K, size).  For real z the
+    The blocks are summed from the coupling's density blocks: both node sums
+    of every point come from one (2 n, K) @ (K, size) GEMM.  For real z the
     evaluation is only defined away from the quadrature nodes; use an
     explicit imaginary offset to pick a side of the cut.
     """
@@ -40,26 +41,20 @@ def chi_stack(coupling: CouplingTensor, zs, layout: SectorLayout | None = None) 
             raise PoleError(f"z = {complex(poles[0])} sits on a quadrature node; "
                             "offset it from the real axis")
     w = coupling.grid.weights
-    dens = coupling.density_stack if layout is None else coupling.density_blocks(layout)
+    dens = coupling.density_blocks(layout)
     zc = zs[:, None]
     # sum_k c_k conj(D_k) = conj(sum_k conj(c_k) D_k): both node sums in one GEMM
     coeff = np.concatenate([w / (nodes - zc), np.conj(w / (nodes + zc))])
-    both = coeff @ dens.reshape(nodes.size, -1)
+    both = coeff @ dens
     mat = both[n:].conj()
     mat += both[:n]
     mat *= HBAR / EPS0
-    return mat.reshape((n,) + dens.shape[1:])
+    return mat
 
 
-def chi_at(coupling: CouplingTensor, z: complex) -> TensorKernel:
-    """The susceptibility kernel at one complex frequency z: `chi_stack` at one point."""
-    return TensorKernel(coupling.lattice, chi_stack(coupling, (z,))[0])
-
-
-def discontinuity(coupling: CouplingTensor, layout: SectorLayout | None = None) -> np.ndarray:
-    """Exact cut discontinuity at every quadrature node, (K, d, d), or its (K, size) blocks in `layout`."""
-    dens = coupling.density_stack if layout is None else coupling.density_blocks(layout)
-    return (2.0j * np.pi * HBAR / EPS0) * dens
+def discontinuity(coupling: CouplingTensor, layout: SectorLayout) -> np.ndarray:
+    """Exact cut discontinuity at every quadrature node, as (K, size) blocks in `layout`."""
+    return (2.0j * np.pi * HBAR / EPS0) * coupling.density_blocks(layout)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,16 +80,6 @@ class Susceptibility:
     @property
     def eta(self) -> float:
         return self.source.grid.eta
-
-    def stack(self, zs) -> np.ndarray:
-        """The evaluations at the points zs, perturbation included, (n, d, d)."""
-        out = chi_stack(self.source, zs)
-        if self.perturbation is not None:
-            out += self.perturbation.mat
-        return out
-
-    def at(self, z: complex) -> TensorKernel:
-        return TensorKernel(self.lattice, self.stack((z,))[0])
 
     @cached_property
     def sector_leak(self) -> float:
@@ -146,23 +131,23 @@ class Susceptibility:
         return Susceptibility(source=self.source, perturbation=kernel)
 
 
-def verify_kramers_kronig(coupling: CouplingTensor, z: complex) -> float:
-    """Relative residual of the cut representation of the susceptibility.
+def verify_kramers_kronig(chi: Susceptibility, zs) -> float:
+    """Worst relative residual of the cut representation of chi's source over the points zs.
 
-    Both sides are evaluated with the same node sums, so the residual is a
-    machine-precision identity check, not a quadrature-accuracy statement.
+    Both sides are evaluated with the same node sums, as one stack of blocks
+    in `chi.layout`, so the residual is a machine-precision identity check,
+    not a quadrature-accuracy statement.
     """
-    z = complex(z)
-    if z.imag == 0.0:
+    zs = np.asarray(zs, dtype=complex)
+    if np.any(zs.imag == 0.0):
         raise PoleError("the cut representation check needs Im z != 0")
-    lhs = chi_at(coupling, z)
-    grid = coupling.grid
-    disc = discontinuity(coupling)
-    pos = np.einsum("k,kij->ij", grid.weights / (grid.nodes - z), disc)
-    neg = np.einsum("k,kij->ij", grid.weights / (-grid.nodes - z), disc.conj())
-    rhs = TensorKernel(coupling.lattice, (pos + neg) / (2.0j * np.pi))
-    scale = max(lhs.norm(), 1e-300)
-    return (lhs - rhs).norm() / scale
+    coupling, layout, grid = chi.source, chi.layout, chi.grid
+    lhs = chi_stack(coupling, zs, layout)
+    scale = np.maximum(np.sqrt(sq_norms(lhs)), 1e-300)
+    disc, zc = discontinuity(coupling, layout), zs[:, None]
+    lhs -= ((grid.weights / (grid.nodes - zc)) @ disc
+            + (grid.weights / (-grid.nodes - zc)) @ disc.conj()) / (2.0j * np.pi)
+    return float((np.sqrt(sq_norms(lhs)) / scale).max())
 
 
 @dataclass(frozen=True)
@@ -227,14 +212,19 @@ def asymptote_residual(coupling: CouplingTensor, structure: StructureTensor, z: 
     return TensorKernel(coupling.lattice, (HBAR / EPS0) * corr).norm() / max(structure.kernel.norm(), 1e-300)
 
 
-def symmetry_residuals(chi: Susceptibility, z: complex) -> dict:
-    """Transpose-reversal and conjugation symmetry residuals at z.
+def reflection_residuals(layout: SectorLayout, evaluate, zs) -> dict:
+    """Worst transpose-reversal and conjugation residuals of a kernel function over the points zs.
 
-    The full matrix transpose of a kernel swaps positions and components
-    jointly, which is how the reversal symmetry is stated.
+    `evaluate` maps (m,) points to their (m, size) blocks in `layout`; it is
+    called once, on zs, -zs and -conj(zs) as one stack.  The full matrix
+    transpose of a kernel swaps positions and components jointly, which is
+    how the reversal symmetry is stated.  The layout basis is real, so the
+    transpose and the conjugate are taken block by block.
     """
-    here = chi.at(z)
-    scale = max(here.norm(), 1e-300)
-    transpose = (here.T - chi.at(-z)).norm() / scale
-    conjugation = (here.conj() - chi.at(-np.conj(z))).norm() / scale
-    return {"transpose": transpose, "conjugation": conjugation}
+    zs = np.asarray(zs, dtype=complex)
+    here, minus, mirror = np.split(evaluate(np.concatenate([zs, -zs, -zs.conj()])), 3)
+    scale = np.maximum(np.sqrt(sq_norms(here)), 1e-300)
+    minus -= layout.transpose(here)
+    mirror -= here.conj()
+    return {"transpose": float((np.sqrt(sq_norms(minus)) / scale).max()),
+            "conjugation": float((np.sqrt(sq_norms(mirror)) / scale).max())}

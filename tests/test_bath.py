@@ -26,7 +26,7 @@ from dampol.bath import (
 from dampol.fields import commutator, medium_polarization_form
 from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice
 from dampol.oracle import assemble_hamiltonian
-from dampol.susceptibility import Susceptibility, chi_at
+from dampol.susceptibility import Susceptibility, chi_stack
 
 from test_coupling import scalar_coupling
 
@@ -50,7 +50,7 @@ class TestCoefficients:
         chi = Susceptibility(coupling)
         bath = bath_coefficients(coupling, chi)
         assert np.allclose(bath.delta_coeff[0], np.eye(3) / tau)
-        chi_up = chi_at(coupling, grid.nodes[0] + 1j * grid.eta).mat[0, 0]
+        chi_up = chi_stack(coupling, [grid.nodes[0] + 1j * grid.eta], single_site.one_block)[0, 0]
         assert np.allclose(bath.pole_coeff[0], (HBAR / EPS0) * tau / chi_up * np.eye(3))
 
     def test_linkage_definitional(self, bath_setup):

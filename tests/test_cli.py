@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st_
 
-from dampol.cli import (EXIT_NUMERICAL, EXIT_PASS, EXIT_USAGE, STAGES, ScenarioConfig, main, refine,
-                        run)
+from dampol.cli import (EXIT_NUMERICAL, EXIT_PASS, EXIT_USAGE, STAGES, VIOLATIONS, ScenarioConfig, main,
+                        refine, run)
 from dampol.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -104,6 +106,71 @@ class TestConfigParsing:
         assert not (tmp_path / "o").exists()
 
 
+#: each number a random config sets: the open range it is drawn from, and
+#: the values at or just past the range's ends that one key may take instead
+CONFIG_NUMBERS = {
+    ("lattice", "spacing"): (0.5, 2.0, [0.0, -1.0]),
+    ("grid", "eta_factor"): (0.1, 3.0, [0.0, -0.1]),
+    ("model", "resonance"): (0.0, 3.0, [0.0, 3.0, 3.001, -0.1]),
+    ("model", "width"): (0.1, 2.0, [0.0, -1e-3]),
+    ("model", "strength"): (0.0, 2.0, [0.0, -1e-3]),
+    ("model", "ratio"): (0.1, 3.0, [0.0, -1e-3]),
+    ("model", "corr_length"): (0.1, 1.0, [0.0, -1e-3]),
+    ("violation", "magnitude"): (0.0, 0.2, [0.0]),
+}
+
+
+@st_.composite
+def small_configs(draw):
+    """The text of a random small config; at most one number is at or past its range, or not finite."""
+    model = draw(st_.sampled_from(["local_lorentz", "uniaxial_local", "gaussian_nonlocal"]))
+    own = {"uniaxial_local": ("model", "ratio"), "gaussian_nonlocal": ("model", "corr_length")}
+    keys = [k for k in CONFIG_NUMBERS if k not in own.values() or k == own.get(model)]
+    defect = draw(st_.one_of(st_.none(), st_.sampled_from(keys)))
+    sections = {"lattice": {"n_per_axis": draw(st_.integers(1, 2))},
+                "grid": {"n_nodes": draw(st_.integers(1, 12)), "omega_max": 3.0},
+                "model": {"name": model},
+                "run": {"stages": ",".join(draw(st_.lists(st_.sampled_from(STAGES), min_size=1,
+                                                          unique=True))), "seed": 1},
+                "violation": {"kind": draw(st_.sampled_from(VIOLATIONS))}}
+    for key in keys:
+        low, high, edges = CONFIG_NUMBERS[key]
+        sections[key[0]][key[1]] = draw(
+            st_.sampled_from(edges + ["nan", "inf", "-inf"]) if key == defect
+            else st_.floats(low, high, exclude_min=True, exclude_max=True))
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in sec.items()) + "\n"
+                   for name, sec in sections.items())
+
+
+class TestRobustness:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=small_configs())
+    def test_random_small_configs_exit_cleanly(self, tmp_path, text):
+        # a config is run, refused with exit 2, or fails a check with exit 1,
+        # and nothing escapes as an exception
+        run_dir = tmp_path / str(len(list(tmp_path.iterdir())))
+        run_dir.mkdir()
+        cfg = run_dir / "random.ini"
+        cfg.write_text(text)
+        assert main(["verify-all", "--config", str(cfg), "--out", str(run_dir / "o")]) in (
+            EXIT_PASS, EXIT_NUMERICAL, EXIT_USAGE)
+
+    def test_underflowing_asymptote_fails_its_check(self, tmp_path):
+        # at strength 1e-101 the squared entries of the asymptotic correction
+        # underflow and its norm at 2 z0 reads 0: the quartic ratio has no
+        # measured value, so its check fails instead of dividing by zero
+        text = (CONFIG_DIR / "lorentz.ini").read_text().replace(
+            "strength = 1.0", "strength = 1e-101").replace("stages = all", "stages = chi")
+        cfg = tmp_path / "tiny.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["verify-all", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        checks = {c["check_id"]: c for c in read_report(out, "chi")["checks"]}
+        assert not checks["chi.asymptote_quartic_ratio"]["passed"]
+        assert checks["chi.asymptote_quartic_ratio"]["measured_ratio"] == float("inf")
+
+
 def over_cap_config(tmp_path):
     # n = 3, K = 25: canonical dimension 2 * 55 + 2 * 25 * 81 = 4160 > 4000
     text = (CONFIG_DIR / "lorentz.ini").read_text().replace(
@@ -172,6 +239,36 @@ class TestRun:
         rep = read_report(cfg.out, "green")
         failed = {c["check_id"] for c in rep["checks"] if not c["passed"]}
         assert "green.adjoint_residual" in failed
+
+    def test_chi_violator_flagged_in_every_stage(self, tmp_path):
+        # the perturbation leaks across sectors, so every check runs in one
+        # site-basis block; the stacked checks keep the per-point values
+        text = (CONFIG_DIR / "violator_chi.ini").read_text().replace("stages = green", "stages = all")
+        cfg = tmp_path / "violator_all.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["verify-all", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        checks = {c["check_id"]: c for stage in ("chi", "green") for c in read_report(out, stage)["checks"]}
+        expected = {"chi.symmetry_transpose": 0.13797609459874696,
+                    "green.reciprocity": 0.010087685611143055,
+                    "green.adjoint_residual": 0.022201714029470045}
+        for check_id, residual in expected.items():
+            assert not checks[check_id]["passed"]
+            assert checks[check_id]["residual"] == pytest.approx(residual, rel=1e-12)
+        assert {c for c, entry in checks.items() if not entry["passed"]} == set(expected)
+
+    @pytest.mark.parametrize("strength", ["1e-4", "1e-6"])
+    def test_weak_coupling_passes(self, tmp_path, strength):
+        # L A and the second potential rate nearly cancel to the source term,
+        # which shrinks with the coupling: the wave-source check is scaled by
+        # the largest of the three terms, so its rounding stays at 1e-15
+        text = (CONFIG_DIR / "lorentz.ini").read_text().replace("strength = 1.0", f"strength = {strength}")
+        cfg = tmp_path / "weak.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["verify-all", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
+        wave = {c["check_id"]: c for c in read_report(out, "oracle")["checks"]}["oracle.heisenberg_wave_source"]
+        assert wave["residual"] <= 1e-14
 
     def test_bath_violator_flagged(self, tmp_path):
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "violator_bath.ini")
@@ -312,6 +409,33 @@ class TestGreenStage:
         assert run(cfg, stages=("green",)) == EXIT_PASS
         assert len(points) == 24
         assert len(set(points)) == 24
+
+
+class TestPointChecksStacked:
+    def test_one_call_per_check(self, tmp_path, monkeypatch):
+        # Kramers-Kronig is one chi_stack of its 5 points, the chi reflection
+        # check one blocks_at of 5 points and their reflections, and the green
+        # reflection check one solve_green of 4 points and their reflections
+        import dampol.cli as cli
+        import dampol.susceptibility as sus
+        calls = []
+
+        def spy(name, evaluate):
+            def counted(*args):
+                calls.append((name, len(args[1])))
+                return evaluate(*args)
+            return counted
+        monkeypatch.setattr(sus, "chi_stack", spy("chi_stack", sus.chi_stack))
+        monkeypatch.setattr(sus.Susceptibility, "blocks_at", spy("blocks_at", sus.Susceptibility.blocks_at))
+        monkeypatch.setattr(cli, "solve_green", spy("solve_green", cli.solve_green))
+        cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
+        cfg.out = str(tmp_path / "o")
+        assert run(cfg, stages=("chi",)) == EXIT_PASS
+        # the last evaluation is the chi trace's, at the 12 nodes
+        assert calls == [("chi_stack", 5), ("blocks_at", 15), ("chi_stack", 15), ("chi_stack", 12)]
+        calls.clear()
+        assert run(cfg, stages=("green",)) == EXIT_PASS
+        assert [c for c in calls if c[0] == "solve_green"] == [("solve_green", 12)]
 
 
 def _forbid_stack_route(monkeypatch):

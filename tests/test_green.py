@@ -7,13 +7,12 @@ from dampol.green import (
     TOL_SOLVE,
     node_propagator,
     solve_green,
+    solve_stack,
     verify_adjoint,
-    verify_conjugation,
-    verify_reciprocity,
     wave_operator,
 )
 from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice, longitudinal_projector
-from dampol.susceptibility import Susceptibility, chi_at
+from dampol.susceptibility import Susceptibility, chi_stack, reflection_residuals
 
 from test_coupling import scalar_coupling
 
@@ -22,21 +21,26 @@ def vacuum_chi(lattice, grid):
     return Susceptibility(CouplingTensor.zero(lattice, grid))
 
 
+def green_at(chi, z):
+    """The propagator kernel at one point, rotated back to sites."""
+    return TensorKernel(chi.lattice, chi.layout.sites(solve_green(chi, [z]))[0])
+
+
 class TestVacuumClosedForms:
     def test_longitudinal_block(self):
         lat = build_lattice(2, 1.0)
         grid = FrequencyGrid.midpoint(4, 3.0)
         z = 1.3 - 0.4j
-        g = solve_green(vacuum_chi(lat, grid), z)
+        g = green_at(vacuum_chi(lat, grid), z)
         pl = longitudinal_projector(lat)
-        gl = g.kernel @ pl
+        gl = g @ pl
         assert gl.allclose((1.0 / z**2) * pl, tol=1e-12)
 
     def test_transverse_fourier_modes(self):
         lat = build_lattice(2, 1.0)
         grid = FrequencyGrid.midpoint(4, 3.0)
         z = 0.9 - 0.7j
-        g = solve_green(vacuum_chi(lat, grid), z)
+        g = green_at(vacuum_chi(lat, grid), z)
         # per-mode oracle: assemble from Fourier blocks
         oracle = np.zeros((lat.dim, lat.dim), dtype=complex)
         for kidx in range(lat.n_sites):
@@ -51,7 +55,7 @@ class TestVacuumClosedForms:
             phase = np.exp(1j * (lat.sites @ kvec))
             site_mat = np.outer(phase, phase.conj()) / lat.n_sites
             oracle += np.kron(site_mat, block)
-        assert np.allclose(g.kernel.mat, oracle / lat.cell_volume, atol=1e-12)
+        assert np.allclose(g.mat, oracle / lat.cell_volume, atol=1e-12)
 
 
 class TestSingleSiteClosedForm:
@@ -61,26 +65,25 @@ class TestSingleSiteClosedForm:
         tau = 0.8
         coupling = scalar_coupling(lat, grid, tau)
         z = 1.4 - 0.3j
-        g = solve_green(Susceptibility(coupling), z)
-        chi_scalar = chi_at(coupling, z).mat[0, 0]
+        g = green_at(Susceptibility(coupling), z)
+        chi_scalar = chi_stack(coupling, [z], lat.one_block)[0, 0]
         expected = 1.0 / (z**2 * (1.0 + chi_scalar))
-        assert np.allclose(g.kernel.mat, expected * np.eye(3), atol=1e-12 * abs(expected))
+        assert np.allclose(g.mat, expected * np.eye(3), atol=1e-12 * abs(expected))
 
 
 class TestResiduals:
     def test_defining_residual_small(self, random_lagrangian, rng):
         chi = Susceptibility(random_lagrangian)
-        for _ in range(3):
-            z = complex(rng.uniform(0.3, 5.0), -rng.uniform(0.05, 1.0))
-            g = solve_green(chi, z)
-            assert g.residual <= TOL_SOLVE
+        zs = [complex(rng.uniform(0.3, 5.0), -rng.uniform(0.05, 1.0)) for _ in range(3)]
+        _, residual, _, failures = solve_stack(chi, zs)
+        assert not failures
+        assert np.all(residual <= TOL_SOLVE)
 
     def test_adjoint_residual_small(self, random_lagrangian, rng):
+        # points above the cut, where the node propagator never sits
         chi = Susceptibility(random_lagrangian)
-        for _ in range(3):
-            z = complex(rng.uniform(0.3, 5.0), rng.uniform(0.05, 1.0))
-            g = solve_green(chi, z)
-            assert verify_adjoint(g) <= TOL_SOLVE
+        zs = [complex(rng.uniform(0.3, 5.0), rng.uniform(0.05, 1.0)) for _ in range(3)]
+        assert verify_adjoint(chi, zs, solve_green(chi, zs)) <= TOL_SOLVE
 
     def test_adjoint_flags_broken_symmetry(self, random_lagrangian):
         chi = Susceptibility(random_lagrangian)
@@ -88,31 +91,39 @@ class TestResiduals:
         pert = np.zeros((d, d))
         pert[0, 1] = 0.05
         broken = chi.perturbed(TensorKernel(random_lagrangian.lattice, pert))
-        g = solve_green(broken, 1.0 - 0.4j)
-        assert verify_adjoint(g) > 1e-6
+        assert verify_adjoint(broken, [1.0 - 0.4j], solve_green(broken, [1.0 - 0.4j])) > 1e-6
 
     def test_real_z_rejected(self, random_lagrangian):
         with pytest.raises(DampolError):
-            solve_green(Susceptibility(random_lagrangian), 1.0)
+            solve_green(Susceptibility(random_lagrangian), [1.0 - 0.5j, 1.0])
 
 
 class TestSymmetries:
     def test_reciprocity_and_conjugation(self, random_lagrangian, rng):
         chi = Susceptibility(random_lagrangian)
-        for _ in range(4):
-            z = complex(rng.uniform(-4, 4), rng.choice([-1, 1]) * rng.uniform(0.1, 1.0))
-            g = solve_green(chi, z)
-            assert verify_reciprocity(g) <= 1e-9
-            assert verify_conjugation(g) <= 1e-9
+        zs = [complex(rng.uniform(-4, 4), rng.choice([-1, 1]) * rng.uniform(0.1, 1.0)) for _ in range(4)]
+        sym = reflection_residuals(chi.layout, lambda pts: solve_green(chi, pts), zs)
+        assert sym["transpose"] <= 1e-9
+        assert sym["conjugation"] <= 1e-9
+
+    def test_reflection_matches_site_kernels(self, lorentz_coupling):
+        # the block-by-block transpose and conjugate are the site kernels'
+        chi = Susceptibility(lorentz_coupling)
+        z = 1.2 - 0.3j
+        here, minus, mirror = (green_at(chi, p) for p in (z, -z, -np.conj(z)))
+        sym = reflection_residuals(chi.layout, lambda pts: solve_green(chi, pts), [z])
+        assert sym["transpose"] == pytest.approx((here.T - minus).norm() / here.norm(), rel=1e-6, abs=1e-15)
+        assert sym["conjugation"] == pytest.approx((here.conj() - mirror).norm() / here.norm(),
+                                                   rel=1e-6, abs=1e-15)
 
     def test_upper_from_lower(self, random_lagrangian):
         # the field forms read the propagator above the cut as this adjoint
         chi = Susceptibility(random_lagrangian)
         omega = random_lagrangian.grid.nodes[4]
         eta = random_lagrangian.grid.eta
-        lower = solve_green(chi, omega - 1j * eta)
-        upper = solve_green(chi, omega + 1j * eta)
-        assert lower.kernel.conj().T.allclose(upper.kernel, tol=1e-10)
+        lower = green_at(chi, omega - 1j * eta)
+        upper = green_at(chi, omega + 1j * eta)
+        assert lower.conj().T.allclose(upper, tol=1e-10)
 
 
 class TestSweep:
@@ -135,11 +146,11 @@ class TestSweep:
         chi = Susceptibility(random_lagrangian)
         prop = node_propagator(chi)
         for k, z in enumerate(prop.z):
-            g = solve_green(chi, z)
-            ref = g.kernel.mat
+            blocks, residual, cond, _ = solve_stack(chi, [z])
+            ref = prop.layout.sites(blocks[0])
             assert np.linalg.norm(prop.layout.sites(prop.blocks[k]) - ref) <= 1e-13 * np.linalg.norm(ref)
-            assert prop.residual[k] == pytest.approx(g.residual, rel=1e-12, abs=1e-15)
-            assert prop.cond[k] == pytest.approx(g.cond, rel=1e-12)
+            assert prop.residual[k] == pytest.approx(residual[0], rel=1e-12, abs=1e-15)
+            assert prop.cond[k] == pytest.approx(cond[0], rel=1e-12)
 
     def test_exactly_singular_nodes_named_together(self, lorentz_coupling, monkeypatch):
         # an exactly singular node makes the batched inv raise for the whole
@@ -167,7 +178,7 @@ class TestSweep:
     def test_duplicates_identical(self, lorentz_coupling):
         chi = Susceptibility(lorentz_coupling)
         z = 1.0 - 0.2j
-        assert np.array_equal(solve_green(chi, z).kernel.mat, solve_green(chi, z).kernel.mat)
+        assert np.array_equal(solve_green(chi, [z]), solve_green(chi, [z]))
 
     def test_failed_node_raises_naming_it(self, small_lattice):
         # vacuum with node 1 on the light line |k| = pi of the n = 2 lattice:
@@ -181,7 +192,7 @@ class TestSweep:
         grid = FrequencyGrid.midpoint(2, 2.0)
         chi = vacuum_chi(small_lattice, grid)
         layout = small_lattice.sector_layout
-        w = wave_operator(layout.blocks(chi.at(1.0 + 1.0j).mat), 1.0 + 1.0j, layout)
+        w = wave_operator(chi.blocks_at([1.0 + 1.0j])[0], 1.0 + 1.0j, layout)
         assert w.shape == (layout.size,)
         assert layout.sites(w).shape == (small_lattice.dim, small_lattice.dim)
 
@@ -190,10 +201,11 @@ class TestConditionNumber:
     def test_one_norm_condition_from_the_inverse(self, random_lagrangian):
         chi = Susceptibility(random_lagrangian)
         z = 1.1 - 0.3j
-        g = solve_green(chi, z)
-        dense = g.lattice.one_block
-        mat = g.lattice.cell_volume * dense.sites(wave_operator(dense.blocks(chi.at(z).mat), z, dense))
-        assert g.cond == pytest.approx(np.linalg.cond(mat, 1), rel=1e-12, abs=0)
+        _, _, cond, _ = solve_stack(chi, [z])
+        dense = chi.lattice.one_block
+        chi_z = chi_stack(random_lagrangian, [z], dense)[0]
+        mat = chi.lattice.cell_volume * dense.sites(wave_operator(chi_z, z, dense))
+        assert cond[0] == pytest.approx(np.linalg.cond(mat, 1), rel=1e-12, abs=0)
 
     def test_exactly_singular_raises_singular_operator(self, small_lattice, monkeypatch):
         def singular(mat):
@@ -201,4 +213,4 @@ class TestConditionNumber:
         monkeypatch.setattr(np.linalg, "inv", singular)
         chi = vacuum_chi(small_lattice, FrequencyGrid.midpoint(4, 3.0))
         with pytest.raises(SingularOperatorError, match="near-singular"):
-            solve_green(chi, 1.0 - 0.3j)
+            solve_green(chi, [1.0 - 0.3j])

@@ -19,6 +19,10 @@ indexing of `SectorLayout`; every other module converts and multiplies
 kernel stacks through the layout's methods (`SectorLayout.blocks`,
 `SectorLayout.matmul`, ...), gets a layout from `Lattice.layout`, and groups
 its slots through `Lattice.sector_groups`.
+
+`susceptibility.py` and `green.py` evaluate, solve and check every kernel
+as blocks: neither calls `SectorLayout.sites`, and the propagator's 1-norm
+condition number comes from `SectorLayout.norm1`.
 """
 
 import ast
@@ -149,3 +153,29 @@ def test_partition_reads_found_outside_the_owner(tmp_path):
                      "    return lat.transverse_sector, layout.parts(x), SectorLayout(lat)\n")
     assert partition_reads([owner, other]) == [
         "green.py:3 SectorLayout()", "green.py:3 parts", "green.py:3 transverse_sector"]
+
+
+#: the modules that hold every kernel as blocks and rotate none back to sites
+BLOCK_ONLY = ("susceptibility.py", "green.py")
+
+
+def site_rotations(sources=SOURCES, modules=BLOCK_ONLY) -> list:
+    """Calls of a `sites` method in the block-only modules."""
+    return sorted(f"{path.name}:{node.lineno} sites()"
+                  for path in sources if path.name in modules
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "sites")
+
+
+def test_chi_and_green_rotate_nothing_back_to_sites():
+    assert site_rotations() == []
+
+
+def test_site_rotations_found_in_the_block_only_modules(tmp_path):
+    green = tmp_path / "green.py"
+    green.write_text("def f(lat, layout, x):\n    cond = layout.norm1(x)\n"
+                     "    return lat.sites, layout.sites(x)\n")
+    other = tmp_path / "fields.py"
+    other.write_text("def g(layout, x):\n    return layout.sites(x)\n")
+    assert site_rotations([green, other]) == ["green.py:3 sites()"]

@@ -337,6 +337,14 @@ class TestHeisenberg:
         assert res["polarization_rate_last_term"] <= 1e-12
         assert res["wave_source"] <= 1e-12
 
+    def test_wave_source_flags_a_source_defect(self, lorentz_setup, monkeypatch):
+        # the scale is the largest of L A, the second rate and the source, about
+        # 18 times the source on this model: a 1e-8 relative defect in the
+        # source term alone still shows well above TOL_EXACT = 1e-10
+        lat, grid, coupling, st, ham = lorentz_setup
+        monkeypatch.setattr(oracle, "MU0", oracle.MU0 * (1.0 + 1e-8))
+        assert heisenberg_residual(ham, coupling, st)["wave_source"] > 2e-10
+
     def test_random_model(self, small_lattice, rng):
         grid = FrequencyGrid.midpoint(6, 4.0)
         from dampol.coupling import random_coupling

@@ -7,17 +7,17 @@ import pytest
 from dampol.coupling import coupling_from_lagrangian, random_coupling
 from dampol.lattice import FrequencyGrid, build_lattice
 from dampol.reports import chi_trace_csv
-from dampol.susceptibility import chi_at, chi_stack
+from dampol.susceptibility import chi_stack
 
 
 def reference_chi_trace(path, coupling, z_values):
     """The trace as `csv.writer` writes it, one row per entry."""
-    d = coupling.lattice.dim
+    d, one = coupling.lattice.dim, coupling.lattice.one_block
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["re_z", "im_z", "site", "site_prime", "i", "j", "re_chi", "im_chi"])
         for z in z_values:
-            mat = chi_at(coupling, z).mat
+            mat = one.sites(chi_stack(coupling, [z], one))[0]
             for a in range(d):
                 for b in range(d):
                     writer.writerow([f"{z.real:.12g}", f"{z.imag:.12g}",
@@ -58,7 +58,7 @@ class TestChiTrace:
         d = coupling.lattice.dim
         tracemalloc.start()
         try:
-            held = chi_stack(coupling, zs)
+            held = chi_stack(coupling, zs, coupling.lattice.one_block)
             _, evaluate_peak = tracemalloc.get_traced_memory()
             del held
             tracemalloc.reset_peak()

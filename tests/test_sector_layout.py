@@ -115,7 +115,7 @@ def kernel_values(model, n, K):
         "momentum": prop.layout.sites(momentum_family(prop)),
         "residual": prop.residual,
         "cond": prop.cond,
-        "adjoint": verify_adjoint(prop),
+        "adjoint": verify_adjoint(chi, prop.z, prop.blocks),
         "wave_diagnostic": wave_diagnostic(prop),
         "delta_coeff": bath.delta_coeff,
         "pole_coeff": bath.pole_coeff,

@@ -18,15 +18,26 @@ from dampol.susceptibility import (
     Susceptibility,
     asymptote_residual,
     chi_asymptotic,
-    chi_at,
     chi_stack,
     discontinuity,
-    symmetry_residuals,
+    reflection_residuals,
     verify_kramers_kronig,
     verify_sum_rules,
 )
 
 from test_coupling import scalar_coupling
+
+
+def chi_kernel(coupling, z):
+    """The susceptibility kernel at one point, read through the site basis's one block."""
+    one = coupling.lattice.one_block
+    return TensorKernel(coupling.lattice, one.sites(chi_stack(coupling, [z], one))[0])
+
+
+def site_discontinuity(coupling):
+    """The (K, d, d) cut discontinuity in the site basis."""
+    one = coupling.lattice.one_block
+    return one.sites(discontinuity(coupling, one))
 
 
 def scalar_chi_oracle(grid, tau, z):
@@ -36,9 +47,11 @@ def scalar_chi_oracle(grid, tau, z):
 
 
 class TestChiAt:
+    """One-point evaluations."""
+
     def test_zero_coupling(self, small_lattice):
         grid = FrequencyGrid.midpoint(4, 3.0)
-        chi = chi_at(CouplingTensor.zero(small_lattice, grid), 1.0 + 0.5j)
+        chi = chi_kernel(CouplingTensor.zero(small_lattice, grid), 1.0 + 0.5j)
         assert chi.norm() == 0.0
 
     def test_single_node_scalar_closed_form(self, single_site):
@@ -46,7 +59,7 @@ class TestChiAt:
         tau = 0.8
         coupling = scalar_coupling(single_site, grid, tau)
         z = 0.4 + 0.3j
-        chi = chi_at(coupling, z)
+        chi = chi_kernel(coupling, z)
         w1, g = grid.nodes[0], HBAR * grid.weights[0] * tau**2 / EPS0
         expected = 2.0 * g * w1 / (w1**2 - z**2)
         assert np.allclose(chi.mat, expected * np.eye(3))
@@ -56,17 +69,17 @@ class TestChiAt:
         tau = 0.5
         coupling = scalar_coupling(single_site, grid, tau)
         z = 1.1 + 0.2j
-        chi = chi_at(coupling, z)
+        chi = chi_kernel(coupling, z)
         assert np.allclose(chi.mat, scalar_chi_oracle(grid, tau, z) * np.eye(3))
 
     def test_real_on_imaginary_axis(self, random_lagrangian):
-        chi = chi_at(random_lagrangian, 2.0j)
+        chi = chi_kernel(random_lagrangian, 2.0j)
         assert np.linalg.norm(chi.mat.imag) <= 1e-14 * chi.norm()
 
     def test_pole_error_on_node(self, lorentz_coupling):
         node = lorentz_coupling.grid.nodes[3]
         with pytest.raises(PoleError):
-            chi_at(lorentz_coupling, complex(node))
+            chi_kernel(lorentz_coupling, complex(node))
 
     @pytest.mark.parametrize("side", [+1, -1])
     def test_matches_einsum_definition(self, random_lagrangian, side):
@@ -76,34 +89,42 @@ class TestChiAt:
             res = np.einsum("k,kij->ij", grid.weights / (grid.nodes - z), dens)
             anti = np.einsum("k,kij->ij", grid.weights / (grid.nodes + z), dens.conj())
             ref = (HBAR / EPS0) * (res + anti)
-            got = chi_at(random_lagrangian, z).mat
+            got = chi_kernel(random_lagrangian, z).mat
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 class TestChiStack:
-    def test_matches_chi_at_at_each_point(self, random_lagrangian, rng):
+    def test_matches_one_point_evaluations(self, random_lagrangian, rng):
         grid = random_lagrangian.grid
         zs = np.concatenate([grid.nodes + 1j * grid.eta, grid.nodes - 1j * grid.eta,
                              rng.uniform(-4, 4, 5) + 1j * rng.uniform(-1, 1, 5), [0.5 * grid.nodes[0]]])
-        stack = chi_stack(random_lagrangian, zs)
-        assert stack.shape == (zs.size,) + random_lagrangian.density_stack.shape[1:]
+        one = random_lagrangian.lattice.one_block
+        stack = chi_stack(random_lagrangian, zs, one)
+        assert stack.shape == (zs.size, one.size)
         for z, mat in zip(zs, stack):
-            ref = chi_at(random_lagrangian, z).mat
+            ref = chi_stack(random_lagrangian, [z], one)[0]
             assert np.linalg.norm(mat - ref) <= 1e-14 * np.linalg.norm(ref)
 
-    def test_perturbed_stack_matches_at(self, random_lagrangian):
+    def test_sector_blocks_match_site_stack(self, lorentz_coupling):
+        zs = np.array([1.2 + 0.3j, -0.7 - 0.1j, 2.0j])
+        sector, one = lorentz_coupling.lattice.sector_layout, lorentz_coupling.lattice.one_block
+        ref = one.sites(chi_stack(lorentz_coupling, zs, one))
+        got = sector.sites(chi_stack(lorentz_coupling, zs, sector))
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_perturbed_blocks_add_the_perturbation(self, random_lagrangian):
         d = random_lagrangian.lattice.dim
         pert = np.zeros((d, d))
         pert[0, 1] = 0.3
         chi = Susceptibility(random_lagrangian).perturbed(TensorKernel(random_lagrangian.lattice, pert))
         zs = np.array([1.2 + 0.3j, -0.7 - 0.1j])
-        for z, mat in zip(zs, chi.stack(zs)):
-            assert np.array_equal(mat, chi.at(z).mat)
+        assert chi.layout is random_lagrangian.lattice.one_block
+        assert np.array_equal(chi.blocks_at(zs), chi_stack(random_lagrangian, zs, chi.layout) + pert.ravel())
 
     def test_pole_error_names_the_point_on_a_node(self, lorentz_coupling):
         node = lorentz_coupling.grid.nodes[3]
         with pytest.raises(PoleError, match=re.escape(f"z = {complex(node)} sits on a quadrature node")):
-            chi_stack(lorentz_coupling, [1.0 + 0.5j, node, 0.3])
+            chi_stack(lorentz_coupling, [1.0 + 0.5j, node, 0.3], lorentz_coupling.lattice.sector_layout)
 
 
 class TestDiscontinuity:
@@ -112,16 +133,16 @@ class TestDiscontinuity:
         k = 4
         t = TensorKernel(random_lagrangian.lattice, random_lagrangian.kernels[k])
         oracle = (2.0j * np.pi * HBAR / EPS0) * (t.T @ t.conj())
-        assert TensorKernel(t.lattice, discontinuity(random_lagrangian)[k]).allclose(oracle, tol=1e-12)
+        assert TensorKernel(t.lattice, site_discontinuity(random_lagrangian)[k]).allclose(oracle, tol=1e-12)
 
     def test_negative_frequency_mirror(self, random_lagrangian):
         # the mirror relation disc(-w) = conj(disc(w)) = -disc(w).T at a node
-        disc = TensorKernel(random_lagrangian.lattice, discontinuity(random_lagrangian)[5])
+        disc = TensorKernel(random_lagrangian.lattice, site_discontinuity(random_lagrangian)[5])
         assert disc.conj().allclose(-disc.T, tol=1e-12)
 
     def test_lossy_sign(self, random_lagrangian):
         # -i * disc must be positive semidefinite for a lossy medium
-        mat = -1j * discontinuity(random_lagrangian)[6]
+        mat = -1j * site_discontinuity(random_lagrangian)[6]
         evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
         assert evals[0] >= -1e-12 * max(evals[-1], 1e-300)
 
@@ -130,17 +151,33 @@ class TestKramersKronig:
     def test_zero_coupling(self, small_lattice):
         grid = FrequencyGrid.midpoint(4, 3.0)
         coupling = CouplingTensor.zero(small_lattice, grid)
-        assert verify_kramers_kronig(coupling, 1.0 + 1.0j) == 0.0
+        assert verify_kramers_kronig(Susceptibility(coupling), [1.0 + 1.0j]) == 0.0
 
     def test_one_node_model(self, single_site):
         grid = FrequencyGrid.midpoint(1, 2.0)
         coupling = scalar_coupling(single_site, grid, 0.7)
-        assert verify_kramers_kronig(coupling, 1j * grid.nodes[0]) <= 1e-12
+        assert verify_kramers_kronig(Susceptibility(coupling), [1j * grid.nodes[0]]) <= 1e-12
 
     def test_random_model_machine_precision(self, random_lagrangian, rng):
-        for _ in range(5):
-            z = complex(rng.uniform(-3, 3), rng.uniform(0.1, 2.0) * rng.choice([-1, 1]))
-            assert verify_kramers_kronig(random_lagrangian, z) <= 1e-10
+        zs = [complex(rng.uniform(-3, 3), rng.uniform(0.1, 2.0) * rng.choice([-1, 1])) for _ in range(5)]
+        assert verify_kramers_kronig(Susceptibility(random_lagrangian), zs) <= 1e-10
+
+    def test_real_point_rejected(self, lorentz_coupling):
+        with pytest.raises(PoleError, match="needs Im z != 0"):
+            verify_kramers_kronig(Susceptibility(lorentz_coupling), [1.0 + 0.5j, 0.7])
+
+    def test_flags_a_broken_representation(self, lorentz_coupling, monkeypatch):
+        # the right side reads the discontinuity, not chi_stack: a 1e-6 defect in
+        # one node's discontinuity shows at first order
+        import dampol.susceptibility as sus
+        exact = sus.discontinuity
+
+        def broken(coupling, layout):
+            disc = exact(coupling, layout)
+            disc[3] *= 1.0 + 1e-6
+            return disc
+        monkeypatch.setattr(sus, "discontinuity", broken)
+        assert verify_kramers_kronig(Susceptibility(lorentz_coupling), [1.0 + 0.5j]) > 1e-9
 
 
 class TestSumRules:
@@ -161,7 +198,7 @@ class TestAsymptotics:
     def test_large_z_matches_structure(self, lorentz_coupling):
         st = structure_tensor(lorentz_coupling)
         z = 1e3 * lorentz_coupling.grid.omega_max * (1.0 + 0.3j)
-        chi = chi_at(lorentz_coupling, z)
+        chi = chi_kernel(lorentz_coupling, z)
         asym = chi_asymptotic(st, z)
         assert (chi - asym).norm() <= 1e-5 * asym.norm()
 
@@ -269,18 +306,47 @@ class TestSusceptibilityObject:
         chi = Susceptibility(random_lagrangian)
         k = 5
         omega = random_lagrangian.grid.nodes[k]
-        jump = chi.at(omega + 1j * chi.eta) - chi.at(omega - 1j * chi.eta)
+        jump = chi_kernel(random_lagrangian, omega + 1j * chi.eta) \
+            - chi_kernel(random_lagrangian, omega - 1j * chi.eta)
         # finite-eta jump approaches the exact node discontinuity
-        exact = TensorKernel(random_lagrangian.lattice, discontinuity(random_lagrangian)[k])
+        exact = TensorKernel(random_lagrangian.lattice, site_discontinuity(random_lagrangian)[k])
         assert jump.norm() > 0.2 * exact.norm()
 
     def test_symmetries(self, random_lagrangian, rng):
         chi = Susceptibility(random_lagrangian)
-        for _ in range(4):
-            z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 1.5))
-            res = symmetry_residuals(chi, z)
-            assert res["transpose"] <= 1e-12
-            assert res["conjugation"] <= 1e-12
+        zs = [complex(rng.uniform(-2, 2), rng.uniform(0.2, 1.5)) for _ in range(4)]
+        res = reflection_residuals(chi.layout, chi.blocks_at, zs)
+        assert res["transpose"] <= 1e-12
+        assert res["conjugation"] <= 1e-12
+
+    def test_reflection_evaluates_one_stack(self, lorentz_coupling):
+        # every point and both reflections of it in one call, in order
+        chi, calls = Susceptibility(lorentz_coupling), []
+
+        def evaluate(pts):
+            calls.append(pts)
+            return chi.blocks_at(pts)
+        zs = np.array([1.0 + 0.5j, -0.3 - 0.2j])
+        reflection_residuals(chi.layout, evaluate, zs)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.concatenate([zs, -zs, -zs.conj()]))
+
+    def test_sector_residuals_match_site_kernels(self, lorentz_coupling):
+        # the block-by-block transpose and conjugate are those of the site kernels
+        chi = Susceptibility(lorentz_coupling)
+        d = lorentz_coupling.lattice.dim
+        rng = np.random.default_rng(3)
+        pert = rng.standard_normal((d, d)) * 1e-3
+        broken = chi.perturbed(TensorKernel(lorentz_coupling.lattice, pert))
+        z = 1.1 + 0.4j
+        for c in (chi, broken):
+            here, minus, mirror = (TensorKernel(c.lattice, m) for m in c.layout.sites(
+                c.blocks_at([z, -z, -np.conj(z)])))
+            res = reflection_residuals(c.layout, c.blocks_at, [z])
+            assert res["transpose"] == pytest.approx((here.T - minus).norm() / here.norm(),
+                                                     rel=1e-8, abs=1e-15)
+            assert res["conjugation"] == pytest.approx((here.conj() - mirror).norm() / here.norm(),
+                                                       rel=1e-8, abs=1e-15)
 
     def test_perturbation_breaks_transpose_symmetry(self, random_lagrangian, rng):
         chi = Susceptibility(random_lagrangian)
@@ -288,7 +354,7 @@ class TestSusceptibilityObject:
         asym = np.zeros((d, d))
         asym[0, 1] = 0.05
         broken = chi.perturbed(TensorKernel(random_lagrangian.lattice, asym))
-        res = symmetry_residuals(broken, 1.0 + 0.5j)
+        res = reflection_residuals(broken.layout, broken.blocks_at, [1.0 + 0.5j])
         assert res["transpose"] > 1e-6
 
 
@@ -298,6 +364,6 @@ class TestLagrangianEvenSymmetry:
         # which adds an even-frequency symmetry on top of the generic ones
         for _ in range(4):
             z = complex(rng.uniform(-2, 2), rng.uniform(0.3, 1.5))
-            here = chi_at(random_lagrangian, z)
-            there = chi_at(random_lagrangian, -z)
+            here = chi_kernel(random_lagrangian, z)
+            there = chi_kernel(random_lagrangian, -z)
             assert (here - there).norm() <= 1e-12 * here.norm()
