@@ -11,16 +11,15 @@ assembly.
 
 Every bath coefficient comes from one per-node row builder,
 `BathCoefficients.rows` (plus `delta_row` for the Kronecker part), read
-through the bath mode forms; the bath-form Hamiltonian places those forms
-in the canonical basis.  Independence is evaluated once, by collapsed
-quadrature sums; the generic form-commutator route runs at node 0 only, as
-a cross-check of that evaluator.
+through the bath mode forms; the bath-form Hamiltonian places those forms,
+built in its own layout, in the canonical basis.  Independence is
+evaluated once, by collapsed quadrature sums; the generic form-commutator
+route runs at node 0 only, as a cross-check of that evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .fields import (
     medium_polarization_form,
 )
 from .lattice import SectorLayout, TensorKernel, sq_norms
-from .oracle import QuadraticHamiltonian, sector_leak
+from .oracle import QuadraticHamiltonian
 from .susceptibility import Susceptibility, discontinuity
 
 #: singular-value ratio below which an operator counts as non-invertible
@@ -72,10 +71,9 @@ class BathCoefficients:
     `delta_blocks` multiplies the frequency delta (it equals the inverse of
     the transposed coupling in the chosen gauge); `pole_blocks` multiplies
     the resolvent pole and is tied to the delta coefficient through the
-    susceptibility linkage, exactly at the nodes.  `delta_coeff` and
-    `pole_coeff` are their (K, d, d) site stacks, rotated back once for the
-    oracle's bath form; the row builders work in any layout the bath's
-    inputs stay within, rotating one node at a time when it is not `layout`.
+    susceptibility linkage, exactly at the nodes.  The row builders work in
+    any layout the bath's inputs stay within, rotating the coefficients
+    through sites only when it is not `layout`.
     """
 
     lattice: object
@@ -85,17 +83,9 @@ class BathCoefficients:
     pole_blocks: np.ndarray    # (K, size)
     eta: float
 
-    @cached_property
-    def delta_coeff(self) -> np.ndarray:
-        return self.layout.sites(self.delta_blocks)
-
-    @cached_property
-    def pole_coeff(self) -> np.ndarray:
-        return self.layout.sites(self.pole_blocks)
-
-    def _node(self, blocks: np.ndarray, k: int, layout: SectorLayout) -> np.ndarray:
-        """Node k of a coefficient stack in `layout`, (size,): rotated unless `layout` is the bath's."""
-        return blocks[k] if layout is self.layout else layout.blocks(self.layout.sites(blocks[k]))
+    def _in(self, blocks: np.ndarray, layout: SectorLayout) -> np.ndarray:
+        """Coefficient blocks in `layout`: themselves when it is the bath's, else rotated through sites."""
+        return blocks if layout is self.layout else layout.blocks(self.layout.sites(blocks))
 
     def rows(self, coupling: CouplingTensor, k: int, layout: SectorLayout) -> tuple:
         """Pair rows of node k over every node l in `layout`, (K, size) each.
@@ -107,7 +97,7 @@ class BathCoefficients:
         """
         nodes = self.grid.nodes
         t_t = layout.transpose(coupling.blocks(layout))
-        pole_k = self.lattice.cell_volume * self._node(self.pole_blocks, k, layout)
+        pole_k = self.lattice.cell_volume * self._in(self.pole_blocks[k], layout)
         co = layout.matmul(pole_k, t_t)
         counter = layout.matmul(pole_k.conj(), t_t)
         np.conj(counter, out=counter)
@@ -117,7 +107,7 @@ class BathCoefficients:
 
     def delta_row(self, coupling: CouplingTensor, k: int, layout: SectorLayout) -> np.ndarray:
         """Kernel multiplying the node Kronecker in the annihilator pairing, (size,) in `layout`."""
-        delta_k = self.lattice.cell_volume * self._node(self.delta_blocks, k, layout)
+        delta_k = self.lattice.cell_volume * self._in(self.delta_blocks[k], layout)
         return layout.matmul(delta_k, layout.transpose(coupling.blocks(layout)[k]))
 
     def perturbed_delta(self, scale: float) -> "BathCoefficients":
@@ -276,55 +266,57 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     potential coupling, and the bilinear bath-polarization exchange.  All
     operators are converted to canonical rows, so the result is directly
     comparable with the reference assembly.  The form is stored per
-    momentum sector when the bath coefficients conserve lattice momentum
-    too, else as one block.
+    momentum sector when the bath coefficients are stored so too (chi does
+    not leak) and the reference's inputs conserve lattice momentum, else as
+    one block.  The bath rows of every node are held at once, (K, E).
     """
     lattice, grid = coupling.lattice, coupling.grid
-    # the bath coefficients are the only site operators read here beyond the reference's
-    leak = sector_leak(coupling, structure, bath.delta_coeff, bath.pole_coeff)
-    ham = QuadraticHamiltonian.zero(lattice, grid, leak)
+    ham = QuadraticHamiltonian.zero(coupling, structure, bath.layout)
+    layout, act = ham.layout, ham.act
     v = lattice.cell_volume
-    d = lattice.dim
     K = grid.n_nodes
     w, nodes = grid.weights, grid.nodes
 
     u_a = ham.rows_vector_potential
-    one = lattice.one_block
-    pol, mom = medium_polarization_form(coupling, one), medium_momentum_form(coupling, structure, one)
-    u_p, u_w = ham.ladder_rows(*pol.sites()), ham.ladder_rows(*mom.sites())
+    pol, mom = medium_polarization_form(coupling, layout), medium_momentum_form(coupling, structure, layout)
+    u_p, u_w = ham.ladder_rows(pol.alpha, pol.beta), ham.ladder_rows(mom.alpha, mom.beta)
 
     # bath oscillators and the bath-polarization exchange.  Both pair the bath
     # creators with a right factor: the oscillators sum_k w_k v hbar omega_k
     # Cb_k^dag Cb_k, and the exchange, whose chain v T*(omega_k)
     # chi(omega_k + i eta)^-1 / v^2 is the pole coefficient up to hbar / eps0.
-    # The per-node rows span every ladder block, so they are stacked once and
-    # one GEMM per block forms half the oscillators plus the exchange; adding
-    # the adjoint completes both: the oscillator term is its own adjoint, and
-    # the minus on the exchange's conjugate bracket is absorbed by
-    # conjugating the -i prefactor.
-    right = bath.pole_coeff @ u_p
-    right *= -1j * v**2
-    left = np.empty_like(right)   # the weighted bath creator rows
+    # The rows of every node are stacked, so one product per group forms half
+    # the oscillators plus the exchange; adding the adjoint completes both: the
+    # oscillator term is its own adjoint, and the minus on the exchange's
+    # conjugate bracket is absorbed by conjugating the -i prefactor.
+    alpha = np.empty((K, K, layout.size), dtype=complex)   # row k: the bath mode of node k
+    beta = np.empty_like(alpha)
     for k in range(K):
-        u_cb = ham.ladder_rows(*bath_mode_form(bath, coupling, k, one).sites())   # annihilator rows
-        right[k] += (0.5 * HBAR * v * nodes[k]) * u_cb
-        left[k] = w[k] * u_cb.conj()
-    ham.add_hermitian(left.reshape(K * d, ham.dim), right.reshape(K * d, ham.dim))
-    del left, right
+        form = bath_mode_form(bath, coupling, k, layout)
+        alpha[k], beta[k] = form.alpha, form.beta
+    u_cb = ham.ladder_rows(alpha, beta)
+    del alpha, beta, form
+    right = act(bath._in(bath.pole_blocks, layout), u_p)
+    right *= -1j * v**2
+    right += (0.5 * HBAR * v * nodes)[:, None] * u_cb
+    np.conj(u_cb, out=u_cb)
+    u_cb *= w[:, None]   # the weighted bath creator rows
+    ham.add_hermitian(u_cb, right)
+    del u_cb, right
 
     ham.add_field_energy()
 
     # cubic-moment polarization self-energy
-    selfenergy = polarization_selfenergy_kernel(coupling, structure).mat
-    ham.accumulate(u_p, selfenergy @ u_p, v**2)
+    selfenergy = layout.blocks(polarization_selfenergy_kernel(coupling, structure).mat)
+    ham.accumulate(u_p, act(selfenergy, u_p), v**2)
 
     # electrostatic term
-    u_p_long = lattice.longitudinal_matrix @ u_p
+    u_p_long = act(layout.op("longitudinal_matrix"), u_p)
     ham.accumulate(u_p_long, u_p_long, v / (2.0 * EPS0))
 
     # the squared momentum-minus-potential coupling through the structure tensor
     u_wa = u_w - u_a
-    ham.accumulate(u_wa, structure.kernel.mat @ u_wa, 0.5 * HBAR * v**2)
+    ham.accumulate(u_wa, act(layout.blocks(structure.kernel.mat), u_wa), 0.5 * HBAR * v**2)
     ham.symmetrize()
     return ham
 
@@ -334,30 +326,24 @@ def hamiltonian_equivalence(coupling: CouplingTensor, structure: StructureTensor
     """Coefficient distance between the two Hamiltonian forms.
 
     `weak` pairs both coefficient matrices against smooth canonical test
-    directions (the same smear columns the master check uses) and is the
-    quantity that converges as the regularization is refined; the raw
-    matrix distance `frobenius` retains the pointwise pole-ridge content,
-    which only agrees distributionally, and is reported as a diagnostic.
-    Both are summed block by block.  When the bath coefficients leak across
-    momentum sectors and the reference's inputs do not, both forms are
-    compared as one block, which is exact for the reference: its off-sector
-    entries are zero by construction.
+    directions (the same smear columns the master check uses,
+    `QuadraticHamiltonian.weak_norm`) and is the quantity that converges as
+    the regularization is refined; the raw matrix distance `frobenius`
+    retains the pointwise pole-ridge content, which only agrees
+    distributionally, and is reported as a diagnostic.  Both are summed
+    block by block.  When the bath form is stored in another layout than
+    the reference (its coefficients leak across momentum sectors and the
+    reference's inputs do not), both forms are compared as one block, which
+    is exact for the reference: its off-sector entries are zero by
+    construction.
     """
     form = assemble_bath_hamiltonian(coupling, structure, bath)
-    if len(form.blocks) != len(reference.blocks):
+    if form.layout is not reference.layout:
         form, reference = form.merged(), reference.merged()
-    cols = reference.smear_columns()
-    weak_diff = weak_ref = 0.0
-    frob_diff = frob_ref = 0.0
-    for group, diff, ref in zip(reference.groups, form.blocks, reference.blocks, strict=True):
-        diff -= ref
-        c = cols[group]
-        weak_diff = weak_diff + c.T @ diff @ c
-        weak_ref = weak_ref + c.T @ ref @ c
-        frob_diff += np.linalg.norm(diff) ** 2
-        frob_ref += np.linalg.norm(ref) ** 2
-    weak = np.linalg.norm(weak_diff) / max(np.linalg.norm(weak_ref), 1e-300)
-    frob = np.sqrt(frob_diff) / max(np.sqrt(frob_ref), 1e-300)
+    diffs = [diff - ref for diff, ref in zip(form.blocks, reference.blocks, strict=True)]
+    weak = reference.weak_norm(diffs) / max(reference.weak_norm(reference.blocks), 1e-300)
+    frob = np.sqrt(sum(np.linalg.norm(diff) ** 2 for diff in diffs)) \
+        / max(np.sqrt(sum(np.linalg.norm(ref) ** 2 for ref in reference.blocks)), 1e-300)
     return {"weak": float(weak), "frobenius": float(frob)}
 
 

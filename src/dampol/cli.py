@@ -165,6 +165,16 @@ class ScenarioConfig:
             raise ConfigError("grid parameters out of range")
         if self.n_per_axis < 1 or self.spacing <= 0:
             raise ConfigError("lattice parameters out of range")
+        # every kernel carries the cell volume spacing**3 and every resolvent 1 / eta:
+        # each must be a normal float, neither overflowing nor underflowing to zero
+        with np.errstate(over="ignore", under="ignore"):
+            volume = np.float64(self.spacing) ** 3
+            eta = np.float64(self.eta_factor) * (self.omega_max / self.n_nodes)   # as the grid forms it
+        for key, name, value in (("[lattice] spacing", "the cell volume spacing**3", volume),
+                                 ("[grid] eta_factor", "the offset eta", eta)):
+            if not np.finfo(float).tiny <= value < np.inf:
+                raise ConfigError(f"{key} gives {name} = {value:g}, not a finite, positive, "
+                                  "normal float")
         if self.refine_track not in ("hamiltonian", "kernels"):
             raise ConfigError("refine_track must be 'hamiltonian' or 'kernels'")
 

@@ -224,6 +224,11 @@ class StructureTensor:
     def inverse(self) -> TensorKernel:
         return self.kernel.inv()
 
+    @cached_property
+    def sector_leak(self) -> float:
+        """Off-sector part of the kernel in the momentum basis, relative to the kernel."""
+        return self.kernel.lattice.sector_leak(self.kernel.mat)
+
 
 def structure_tensor(coupling: CouplingTensor) -> StructureTensor:
     """First frequency moment of the symmetrized spectral density, S = s_1 + conj(s_1).
@@ -243,6 +248,9 @@ def structure_tensor(coupling: CouplingTensor) -> StructureTensor:
 # -- model library -------------------------------------------------------
 
 _MODEL_NAMES = ("local_lorentz", "uniaxial_local", "gaussian_nonlocal")
+
+#: the line width and the correlation length enter squared: below this their squares are finite
+_SQUARABLE = float(np.sqrt(np.finfo(float).max))
 
 
 def _line_shape(nodes: np.ndarray, omega_max: float, resonance: float, width: float,
@@ -289,7 +297,7 @@ def builtin_model(name: str, lattice: Lattice, grid: FrequencyGrid, params: dict
     resonance = float(params.pop("resonance", 0.5 * grid.omega_max))
     width = float(params.pop("width", 0.2 * grid.omega_max))
     strength = float(params.pop("strength", 1.0))
-    if width <= 0 or strength < 0 or not (0 < resonance < grid.omega_max):
+    if not 0 < width < _SQUARABLE or strength < 0 or not (0 < resonance < grid.omega_max):
         raise ModelError("line-shape parameters out of range")
     tau = _line_shape(grid.nodes, grid.omega_max, resonance, width, strength)
 
@@ -313,8 +321,8 @@ def builtin_model(name: str, lattice: Lattice, grid: FrequencyGrid, params: dict
         corr = float(params.pop("corr_length", 0.75 * lattice.spacing))
         if params:
             raise ModelError(f"unexpected parameters {sorted(params)} for gaussian_nonlocal")
-        if corr <= 0:
-            raise ModelError("corr_length must be positive")
+        if not 0 < corr < _SQUARABLE:
+            raise ModelError("corr_length must be positive, with a finite square")
         site_kernel = np.exp(-_min_image_sq_dist(lattice) / (2.0 * corr**2))
         base = np.kron(site_kernel, np.eye(3)) / v
 

@@ -34,14 +34,14 @@ O(K^2 size + K sum_b S_b b^3) time and O(K size) memory, with size =
 sum_b S_b b^2 the entries of the S_b blocks of each size b.
 `fano_residual`, the tests' reference, sums the 2 K^2 d^2 pair families
 that `mode_coefficients` stacks and feeds them as one site-basis block.
-The assembled-Hamiltonian oracle reads the explicit rows one node at a
-time from `node_families`, so no production path holds those stacks.
+The assembled-Hamiltonian oracle reads the explicit rows of every node from
+`node_families` as (K, K, size) blocks in its own layout; no production path
+holds a (K, K, d, d) site stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class ModeCoefficients:
 
 
 class _NodeKernels:
-    """The per-node formulas of the four coefficient families.
+    """The pole factors of the per-node formulas of the four coefficient families.
 
     The propagator sits at every node just below the cut (w_k - i eta);
     the pole factor between node pairs uses the same eta.  The pair rows
@@ -97,48 +97,15 @@ class _NodeKernels:
         w_l anti[k, l]         =  w_k^2 - w_k anti[k, l]
 
     These apply only the shift, never a smear profile, so they hold for any
-    `SMEAR_PROFILES`.  The methods here form one node's site operators, as
-    the oracle reads them; `_transfer_blocks` forms X for every node at once
-    in a kernel layout.
+    `SMEAR_PROFILES`.  `node_families` forms the families of every node
+    from X in a kernel layout (`_transfer_blocks`).
     """
 
     def __init__(self, prop: NodePropagator):
-        coupling = prop.coupling
-        grid = coupling.grid
-        self.prop, self.grid, self.kernels = prop, grid, coupling.kernels
-        self.lattice = coupling.lattice
+        grid = prop.coupling.grid
         om, nodes = grid.nodes[:, None], grid.nodes
         self.pole = om**2 / (om - nodes - 1j * grid.eta)   # [k, l] = w_k^2 / (w_k - w_l - i eta)
         self.anti = om**2 / (om + nodes)                    # [k, l] = w_k^2 / (w_k + w_l)
-
-    @cached_property
-    def _t_cols(self) -> tuple:
-        """T and T* for second-argument contractions: [b, (l, a)] = T(w_l)[a, b]."""
-        tt = np.ascontiguousarray(self.kernels.transpose(2, 0, 1).reshape(self.lattice.dim, -1))
-        return tt, tt.conj()
-
-    def transfer(self, k: int) -> np.ndarray:
-        """X_k = v T*(w_k) o G(w_k - i eta), with node k of the propagator rotated back to sites."""
-        g = self.prop.layout.sites(self.prop.blocks[k])
-        return self.lattice.cell_volume * self.kernels[k].conj() @ g
-
-    def families(self, k: int) -> tuple:
-        """X_k, its transverse part X_k o P_T, and the potential and momentum kernels."""
-        om = self.grid.nodes[k]
-        x = self.transfer(k)
-        xt = x @ self.lattice.transverse_matrix
-        return x, xt, om**2 * xt, 1j * MU0 * om * xt
-
-    def pair_rows(self, k: int, x: np.ndarray, xt: np.ndarray) -> tuple:
-        """Row k of the resonant (regular part) and antiresonant families, (K, d, d) each."""
-        K, d, v = self.grid.n_nodes, self.lattice.dim, self.lattice.cell_volume
-        om = self.grid.nodes[k]
-        tt, th = self._t_cols
-        both = np.concatenate([xt, x])
-        proj, full = (v * both @ tt).reshape(2, d, K, d).transpose(0, 2, 1, 3)
-        proj_h, full_h = (v * both @ th).reshape(2, d, K, d).transpose(0, 2, 1, 3)
-        return (MU0 * HBAR * (-om * proj + self.pole[k][:, None, None] * full),
-                MU0 * HBAR * (om * proj_h - self.anti[k][:, None, None] * full_h))
 
 
 def _transfer_blocks(prop: NodePropagator, layout: SectorLayout) -> np.ndarray:
@@ -159,18 +126,30 @@ def momentum_family(prop: NodePropagator) -> np.ndarray:
     return xt
 
 
-def node_families(prop: NodePropagator):
-    """Per node k, in order: its potential and momentum kernels (d, d) and its
-    resonant (regular part) and antiresonant rows (K, d, d)."""
-    rows = _NodeKernels(prop)
-    for k in range(rows.grid.n_nodes):
-        x, xt, pot, mom = rows.families(k)
-        yield (pot, mom, *rows.pair_rows(k, x, xt))
+def node_families(prop: NodePropagator, layout: SectorLayout) -> tuple:
+    """The four coefficient families of every node as blocks in `layout`.
+
+    Returns the potential and momentum kernels, (K, size), and the resonant
+    (regular part) and antiresonant rows, (K, K, size) with row k the
+    node's: each pair stack is one broadcast product against the coupling.
+    The propagator is rotated into `layout` unless it is stored there.
+    """
+    grid, v = prop.coupling.grid, prop.lattice.cell_volume
+    rows, om = _NodeKernels(prop), grid.nodes[:, None]
+    c = MU0 * HBAR * v
+    x = _transfer_blocks(prop, layout)
+    xt = layout.matmul(x, layout.op("transverse_matrix"))
+    t_t = layout.transpose(prop.coupling.blocks(layout))
+    resonant = layout.matmul(c * (rows.pole[:, :, None] * x[:, None] - (om * xt)[:, None]), t_t)
+    antiresonant = layout.matmul(c * ((om * xt)[:, None] - rows.anti[:, :, None] * x[:, None]),
+                                 t_t.conj())
+    return om**2 * xt, 1j * MU0 * om * xt, resonant, antiresonant
 
 
 def mode_coefficients(prop: NodePropagator) -> ModeCoefficients:
-    """The four coefficient families stacked over the nodes, node-pair stacks included."""
-    potential, momentum, resonant, antiresonant = map(np.stack, zip(*node_families(prop)))
+    """The four coefficient families as site stacks, node-pair stacks included."""
+    one = prop.lattice.one_block
+    potential, momentum, resonant, antiresonant = map(one.sites, node_families(prop, one))
     return ModeCoefficients(lattice=prop.coupling.lattice, grid=prop.coupling.grid,
                             potential=potential, momentum=momentum, resonant=resonant,
                             antiresonant=antiresonant)

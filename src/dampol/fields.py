@@ -14,7 +14,8 @@ discrete level.  Forms never materialize operators on a Fock space.
 The coefficients are (K, size) block stacks in a `lattice.SectorLayout` that
 the caller picks from the inputs' leak; the checks run on every node at
 once, and a commutator rotates back only its (d, d) result.  The oracle
-builds its forms in `Lattice.one_block`, the site basis.
+builds its forms in its quadratic form's layout and places their blocks
+in its canonical rows as they are.
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ class LinearBosonicForm:
         return replace(self, alpha=scalar * self.alpha, beta=np.conj(scalar) * self.beta)
 
     __rmul__ = __mul__
-
-    def sites(self) -> tuple:
-        """The (K, d, d) site stacks of alpha and beta: views in `Lattice.one_block`."""
-        return self.layout.sites(self.alpha), self.layout.sites(self.beta)
 
     def _check(self, other):
         if self.basis != other.basis:

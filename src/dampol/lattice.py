@@ -193,23 +193,20 @@ class Lattice:
         return np.where(j <= conj, waves.real, waves.imag)
 
     @cached_property
-    def _transverse_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        # column kron(F[:, j], e) for each unit eigenvector e of the 3x3 block at kvecs[j]
+    def _transverse_columns(self) -> tuple:
+        # columns kron(F[:, j], e) for each unit eigenvector e of the 3x3 block at kvecs[j],
+        # with the momentum column j and the vector e of each
         evals, evecs = np.linalg.eigh(self._transverse_blocks)
         keep = (evals > 0.5).ravel()
         cols = np.einsum("rj,jae->raje", self.momentum_basis, evecs).reshape(self.dim, -1)
-        sector = np.repeat(self.momentum_sector, 3)
-        return np.ascontiguousarray(cols[:, keep]), sector[keep]
+        column = np.repeat(np.arange(self.n_sites), 3)
+        vectors = evecs.transpose(0, 2, 1).reshape(-1, 3)
+        return np.ascontiguousarray(cols[:, keep]), column[keep], vectors[keep]
 
     @property
     def transverse_basis(self) -> np.ndarray:
-        """Real orthonormal (3M, M_T) basis of the transverse subspace, one sector per column."""
+        """Real orthonormal (3M, M_T) basis of the transverse subspace, one momentum column per column."""
         return self._transverse_columns[0]
-
-    @property
-    def transverse_sector(self) -> np.ndarray:
-        """(M_T,) `momentum_sector` label of each `transverse_basis` column."""
-        return self._transverse_columns[1]
 
     @cached_property
     def sector_layout(self) -> "SectorLayout":
@@ -223,14 +220,21 @@ class Lattice:
         count = np.bincount(label)[label]   # momentum columns in each column's sector
         order = np.argsort(count * m + label, kind="stable")
         starts = np.flatnonzero(np.r_[True, np.diff(label[order]) != 0])
-        basis = self.momentum_basis[:, order, None, None] * np.eye(3)[None, None]
-        return SectorLayout(self, 3 * count[order[starts]],
-                            basis.transpose(0, 2, 1, 3).reshape(self.dim, self.dim))
+        return SectorLayout(self, 3 * count[order[starts]], (3 * order[:, None] + np.arange(3)).ravel())
 
     @cached_property
     def one_block(self) -> "SectorLayout":
         """The dense reference layout: one d x d block in the site basis."""
         return SectorLayout(self, np.array([self.dim]), None)
+
+    @cached_property
+    def momentum_block(self) -> "SectorLayout":
+        """One d x d block in the basis kron(F, I_3) of `momentum_basis`, in its column order.
+
+        The dense reference of the oracle's forms, whose ladder slots run
+        over that basis: its one slot group is every slot, in order.
+        """
+        return SectorLayout(self, np.array([self.dim]), np.arange(self.dim))
 
     def layout(self, leak: float) -> "SectorLayout":
         """`sector_layout` when `leak` is within `SECTOR_LEAK_TOL`, else `one_block`."""
@@ -239,21 +243,6 @@ class Lattice:
     def sector_leak(self, *operators: np.ndarray) -> float:
         """Largest off-sector part of (..., d, d) site operators, each relative to its whole stack."""
         return max((self.sector_layout.split(op)[0] for op in operators), default=0.0)
-
-    def sector_groups(self, n_transverse: int, n_site: int, leak: float) -> tuple:
-        """Index groups of `n_transverse` transverse-basis copies, then `n_site` momentum-basis ones.
-
-        A transverse-basis slot belongs to the sector of its column, a
-        momentum-basis slot (momentum column, then component) to that of its
-        column.  Each group holds one sector's slots in ascending order;
-        when `leak` exceeds `SECTOR_LEAK_TOL` there is one group of every slot.
-        """
-        labels = np.concatenate([np.tile(self.transverse_sector, n_transverse),
-                                 np.tile(np.repeat(self.momentum_sector, 3), n_site)])
-        if leak > SECTOR_LEAK_TOL:
-            return (np.arange(labels.size),)
-        order = np.argsort(labels, kind="stable")
-        return tuple(np.split(order, np.flatnonzero(np.diff(labels[order])) + 1))
 
     def compatible(self, other: "Lattice") -> bool:
         return (
@@ -351,11 +340,13 @@ class SectorLayout:
     `basis` is a real orthogonal (d, d) matrix whose columns run over the
     blocks in order, `None` for the site basis itself; the blocks are the
     diagonal blocks of basis^T A basis, of the sizes in `sizes`, stored
-    row-major one after the other.  Blocks of one size are adjacent, so a
-    flat array is viewed as one (..., count, b, b) array per block size
-    (`parts`) and every product is one batched `matmul` per size, over every
-    leading axis at once.  The Frobenius norm of an operator is that of its
-    flat row, and a sum over a node axis is one GEMM on the flat rows.
+    row-major one after the other.  A basis is a column selection
+    `columns` of kron(F, I_3), F the lattice's `momentum_basis`.  Blocks of
+    one size are adjacent, so a flat array is viewed as one
+    (..., count, b, b) array per block size (`parts`) and every product is
+    one batched `matmul` per size, over every leading axis at once.  The
+    Frobenius norm of an operator is that of its flat row, and a sum over a
+    node axis is one GEMM on the flat rows.
 
     A translation-invariant operator maps every {q, -q} sector of
     `Lattice.momentum_basis` into itself, so `Lattice.sector_layout` keeps it
@@ -363,8 +354,10 @@ class SectorLayout:
     one d x d block with no rotation, which is the dense reference.
     """
 
-    def __init__(self, lattice: Lattice, sizes: np.ndarray, basis: np.ndarray | None):
-        self.lattice, self.basis, self.sizes = lattice, basis, sizes
+    def __init__(self, lattice: Lattice, sizes: np.ndarray, columns: np.ndarray | None):
+        self.lattice, self.sizes, self.columns = lattice, sizes, columns
+        self.basis = None if columns is None else \
+            np.ascontiguousarray(np.kron(lattice.momentum_basis, np.eye(3))[:, columns])
         self.part_sizes, self.size = [], 0   # (block size, count, flat offset) of each run
         for b in sizes.tolist():
             if self.part_sizes and self.part_sizes[-1][0] == b:
@@ -385,6 +378,39 @@ class SectorLayout:
         """Views of a (..., size) array as one (..., count, b, b) array per block size."""
         lead = flat.shape[:-1]
         return [flat[..., o:o + c * b * b].reshape(lead + (c, b, b)) for b, c, o in self.part_sizes]
+
+    def per_block(self, flat: np.ndarray) -> list:
+        """Views of a (..., size) array as one (..., b, b) array per block, in order."""
+        return [part[..., i, :, :] for part in self.parts(flat) for i in range(part.shape[-3])]
+
+    @cached_property
+    def transverse(self) -> list:
+        """Per block, the `transverse_basis` columns in its span, ascending, and their (b, n) coordinates.
+
+        The coordinates are in the block's basis columns; the layout must
+        have one (`columns` set).
+        """
+        _, column, vectors = self.lattice._transverse_columns
+        pos = np.argsort(self.columns)[3 * column]   # a column's 3 components are adjacent, in order
+        first = np.cumsum(self.sizes) - self.sizes
+        block = np.repeat(np.arange(self.sizes.size), self.sizes)[pos]
+        out = []
+        for g, (f, b) in enumerate(zip(first, self.sizes)):
+            mine = np.flatnonzero(block == g)
+            coords = np.zeros((b, mine.size))
+            coords[pos[mine] - f + np.arange(3)[:, None], np.arange(mine.size)] = vectors[mine].T
+            out.append((mine, coords))
+        return out
+
+    def slot_groups(self, n_transverse: int, n_site: int) -> tuple:
+        """Per block, ascending, its slots among `n_transverse` transverse-basis copies, then `n_site`
+        momentum-basis ones (momentum column, then component), each copy of one basis in order."""
+        mt, d = self.lattice.transverse_basis.shape[1], self.lattice.dim
+        first = np.cumsum(self.sizes) - self.sizes
+        return tuple(np.r_[(mine + mt * np.arange(n_transverse)[:, None]).ravel(),
+                           (self.columns[f:f + b] + n_transverse * mt
+                            + d * np.arange(n_site)[:, None]).ravel()]
+                     for (mine, _), f, b in zip(self.transverse, first, self.sizes))
 
     # -- conversion ------------------------------------------------------
 
@@ -432,6 +458,18 @@ class SectorLayout:
             dense[:, rows, cols] = ops[chunk]
             np.matmul(self.basis @ dense, self.basis.T, out=out[chunk])
         return out.reshape(lead + (d, d))
+
+    def apply(self, flat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """The site operators of a (..., size) array applied to (..., d) site vectors, leading axes broadcast.
+
+        The vectors are rotated into the basis and back, A v = B A_blocks
+        (B^T v), so no site operator is formed.
+        """
+        rot = vecs if self.basis is None else vecs @ self.basis
+        first = np.cumsum(self.sizes) - self.sizes
+        out = np.concatenate([(blk @ rot[..., f:f + b, None])[..., 0]
+                              for blk, f, b in zip(self.per_block(flat), first, self.sizes)], axis=-1)
+        return out if self.basis is None else out @ self.basis.T
 
     def norm1(self, flat: np.ndarray) -> np.ndarray:
         """The 1-norm (largest column sum of moduli) of each site operator of an (n, size) stack."""
@@ -504,6 +542,26 @@ def sq_norms(flat: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(flat):
         flat = flat.view(float)
     return np.einsum("...i,...i->...", flat, flat)
+
+
+def unit_scale(big) -> np.ndarray:
+    """2^-e for big = m 2^e with 0.5 <= m < 1, and 1 for 0: an exact scale bringing big into [0.5, 1).
+
+    Scaling by an exact power of two before squaring keeps the squares of
+    tiny or huge entries from underflowing or overflowing, and changes no
+    ratio of two norms of the scaled arrays, bit for bit.
+    """
+    return np.ldexp(1.0, -np.frexp(big)[1])
+
+
+def rel_norms(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """||num|| / ||den|| for each row of two (..., n) arrays, a zero scale counting as 1e-300.
+
+    Each pair of rows is scaled by one power of two (`unit_scale` of their
+    largest modulus) before its squared norms are summed.
+    """
+    unit = unit_scale(np.maximum(np.abs(num).max(axis=-1), np.abs(den).max(axis=-1)))[..., None]
+    return np.sqrt(sq_norms(num * unit)) / np.maximum(np.sqrt(sq_norms(den * unit)), 1e-300)
 
 
 def transverse_projector(lattice: Lattice) -> TensorKernel:

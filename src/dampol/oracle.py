@@ -18,14 +18,20 @@ Physica A 93, 327, 1978).  A translation-invariant medium couples lattice
 momentum q only with -q, so h is stored as one block per {q, -q} sector;
 when an operator the assembly reads leaks across sectors, as a random
 coupling does, the form is one block.  Every Heisenberg equation and mode
-identity reduces to matrix algebra with R, block by block.  Only
-`QuadraticHamiltonian` knows this layout: the medium operators keep their
-one definition as forms over the medium modes (`fields.py`, `bath.py`),
-built here in `Lattice.one_block`, whose site stacks are views of the
-blocks, and `QuadraticHamiltonian.ladder_rows` places a form's coefficients.  The
-assembly, Heisenberg equations and spectrum use neither the propagator nor
-the analytic mode formulas, so they are an independent route; the master
-check tests those formulas against it, one node's kernels at a time.
+identity reduces to matrix algebra with R, block by block.
+
+Only `QuadraticHamiltonian` knows this layout.  Its slot groups are the
+blocks of a kernel layout, `Lattice.sector_layout` or, for a leaking form,
+`Lattice.momentum_block`, and the medium operators keep their one definition
+as forms over the medium modes (`fields.py`, `bath.py`), built in that
+layout.  The canonical rows of an operator are stored the same way: their
+row index is rotated into the layout's basis, so the rows are one (b, G)
+block per group, b the block's size and G the group's, and
+`QuadraticHamiltonian.ladder_rows` places a form's (K, size) blocks by a
+reshape.  No row stack spans two groups.  The assembly, Heisenberg
+equations and spectrum use neither the propagator nor the analytic mode
+formulas, so they are an independent route; the master check tests those
+formulas against it, every node's families at once.
 """
 
 from __future__ import annotations
@@ -41,11 +47,13 @@ from .diagonalize import node_families, smear_profiles
 from .errors import ConfigError, DampolError
 from .fields import medium_mode_form, medium_momentum_form, medium_polarization_form
 from .green import NodePropagator
-from .lattice import FrequencyGrid, Lattice
+from .lattice import FrequencyGrid, Lattice, SectorLayout, sq_norms
 
-#: largest canonical dimension the oracle assembles; it bounds the full-width
-#: row stacks, of which the bath form's (K, d, dim) complex stack is the
-#: largest: 16 K d dim bytes, below 8 dim^2 as 2 K d < dim, 128 MB at the cap
+#: largest canonical dimension the oracle assembles.  It bounds the largest
+#: row stacks, the rows of every node at once (the master check's and the bath
+#: form's): 16 K E bytes, with E = sum_g b_g G_g <= d dim the entries of one
+#: operator's rows, below 8 dim^2 as 2 K d < dim, 128 MB at the cap.  Per
+#: momentum sector E is about 2 K size, at most about 6 / d of d dim.
 MAX_CANONICAL_DIM = 4000
 
 #: relative dagger-Hermiticity defect a quadratic form may carry
@@ -69,31 +77,23 @@ def check_canonical_dim(lattice: Lattice, n_nodes: int) -> int:
     return dim
 
 
-def sector_leak(coupling: CouplingTensor, structure: StructureTensor, *extra: np.ndarray) -> float:
-    """Largest off-sector part of the site operators an assembler reads, each relative to its whole.
-
-    The operators are the coupling kernels, the structure kernel and any
-    `extra` (..., d, d) operators; every other operator an assembler reads
-    must be the lattice's own or built from these, since the blocks keep
-    no product between two sectors.  A translation-invariant operator maps
-    every {q, -q} sector of `Lattice.momentum_basis` into itself, so its
-    off-sector part is round-off (`Lattice.sector_leak`).
-    """
-    return max(coupling.sector_leak, coupling.lattice.sector_leak(structure.kernel.mat, *extra))
-
-
 @dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
     """Hermitian quadratic form over the canonical operator basis, one block per slot group.
 
+    The groups are those of the blocks of `layout` (`SectorLayout.slot_groups`):
     `groups[i]` holds the canonical slots of `blocks[i]` in ascending order,
     so inside a block the a, p, x and y slots follow one another and pair
     in order; no term of the form couples two groups.  `sector_leak` is the
-    off-sector part of the site operators the assembly read, which decided
-    the grouping.
+    off-sector part of the operators the assembly read, which decided the
+    layout.
+
+    The canonical rows of operators are flat (..., E) arrays: each is one
+    (b, G) block per group, its rows the block's basis columns and its
+    columns the group's slots, stored one after the other (`row_views`).
     """
 
-    lattice: Lattice
+    layout: SectorLayout
     grid: FrequencyGrid
     mt: int
     groups: tuple
@@ -101,17 +101,29 @@ class QuadraticHamiltonian:
     sector_leak: float
 
     @classmethod
-    def zero(cls, lattice: Lattice, grid: FrequencyGrid, leak: float) -> "QuadraticHamiltonian":
-        """The zero form, one block per momentum sector unless `leak` exceeds the lattice's tolerance.
+    def zero(cls, coupling: CouplingTensor, structure: StructureTensor,
+             *stored: SectorLayout) -> "QuadraticHamiltonian":
+        """The zero form of an assembly from the coupling, the structure kernel and kernels in `stored` layouts.
 
-        The sector of a and p is that of their transverse-basis column, that
-        of x and y that of their momentum column (`Lattice.sector_groups`).
+        The layout is `Lattice.sector_layout` unless the coupling or the
+        structure kernel leaks beyond `lattice.SECTOR_LEAK_TOL` or a kernel is kept
+        in another layout, whose leak counts as infinite; then it is
+        `Lattice.momentum_block`, one group of every slot.
         """
-        mt = lattice.transverse_basis.shape[1]
-        groups = lattice.sector_groups(2, 2 * grid.n_nodes, leak)
-        return cls(lattice=lattice, grid=grid, mt=mt, groups=groups,
-                   blocks=[np.zeros((g.size, g.size), dtype=complex) for g in groups],
+        lattice = coupling.lattice
+        leak = max([coupling.sector_leak, structure.sector_leak]
+                   + [0.0 if s is lattice.sector_layout else np.inf for s in stored])
+        layout = lattice.layout(leak)
+        if layout is not lattice.sector_layout:
+            layout = lattice.momentum_block
+        groups = layout.slot_groups(2, 2 * coupling.grid.n_nodes)
+        return cls(layout=layout, grid=coupling.grid, mt=lattice.transverse_basis.shape[1],
+                   groups=groups, blocks=[np.zeros((g.size, g.size), dtype=complex) for g in groups],
                    sector_leak=leak)
+
+    @property
+    def lattice(self) -> Lattice:
+        return self.layout.lattice
 
     @property
     def dim(self) -> int:
@@ -137,12 +149,31 @@ class QuadraticHamiltonian:
         """The y quadratures, in the same order as the x slots."""
         return slice(2 * self.mt + self.grid.n_nodes * self.lattice.dim, self.dim)
 
-    def _local_slices(self, group: np.ndarray) -> tuple:
-        """The a, p, x and y slots of a group, as slices of its block."""
-        na = int(np.count_nonzero(group < self.mt))
-        nx = group.size // 2 - na
-        return (slice(0, na), slice(na, 2 * na), slice(2 * na, 2 * na + nx),
-                slice(2 * na + nx, group.size))
+    def _slots(self, na: int, b: int) -> tuple:
+        """The a, p, x and y slots of a group with n_a a slots and block size b, as slices of its block."""
+        x = 2 * na + self.grid.n_nodes * b
+        return slice(0, na), slice(na, 2 * na), slice(2 * na, x), slice(x, 2 * x - 2 * na)
+
+    @cached_property
+    def _frame(self) -> list:
+        """Per group: its block size b, its number n_a of a slots, their (b, n_a) coordinates, its row offset."""
+        out, offset = [], 0
+        for (_, coords), group in zip(self.layout.transverse, self.groups):
+            out.append((coords.shape[0], coords.shape[1], coords, offset))
+            offset += coords.shape[0] * group.size
+        return out
+
+    @property
+    def row_size(self) -> int:
+        """E, the entries of one operator's canonical rows."""
+        b, _, _, offset = self._frame[-1]
+        return offset + b * self.groups[-1].size
+
+    def row_views(self, rows: np.ndarray) -> list:
+        """Views of (..., E) rows as one (..., b, G) array per group."""
+        lead = rows.shape[:-1]
+        return [rows[..., o:o + b * g.size].reshape(lead + (b, g.size))
+                for (b, _, _, o), g in zip(self._frame, self.groups)]
 
     def dynamics(self) -> list:
         """The real R with [xi, H] = i R xi, one fresh block per group.
@@ -153,8 +184,8 @@ class QuadraticHamiltonian:
         the form's Hermiticity defect, which `hermiticity_defect` measures.
         """
         out = []
-        for group, h in zip(self.groups, self.symmetric_blocks()):
-            a, p, x, y = self._local_slices(group)
+        for (b, na, _, _), h in zip(self._frame, self.symmetric_blocks()):
+            a, p, x, y = self._slots(na, b)
             h_real, r = h.real, np.empty(h.shape)
             for dst, src, coef in ((a, p, 2.0 * HBAR), (p, a, -2.0 * HBAR),
                                    (x, y, 2.0), (y, x, -2.0)):
@@ -167,19 +198,29 @@ class QuadraticHamiltonian:
         return [b if np.array_equal(b, b.T) else (b + b.T) / 2.0 for b in self.blocks]
 
     def merged(self) -> "QuadraticHamiltonian":
-        """The same form as one block over every slot: the dense embedding of the blocks."""
+        """The same form as one block over every slot, in `Lattice.momentum_block`: the dense embedding."""
         h = np.zeros((self.dim, self.dim), dtype=complex)
         for group, b in zip(self.groups, self.blocks):
             h[np.ix_(group, group)] = b
-        return replace(self, groups=(np.arange(self.dim),), blocks=[h])
+        return replace(self, layout=self.lattice.momentum_block, groups=(np.arange(self.dim),),
+                       blocks=[h])
 
     # -- assembly, block by block -------------------------------------------
 
+    def act(self, op: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """op @ rows for (..., size) blocks in `layout` and (..., E) rows, leading axes broadcast."""
+        lead = np.broadcast_shapes(op.shape[:-1], rows.shape[:-1])
+        out = np.empty(lead + (self.row_size,), dtype=np.result_type(op, rows))
+        for o, r, dst in zip(self.layout.per_block(op), self.row_views(rows), self.row_views(out)):
+            np.matmul(o, r, out=dst)
+        return out
+
     def _products(self, left: np.ndarray, right: np.ndarray):
-        # only the columns of one group meet: the other products are zero as long as
-        # `sector_leak` saw every operator that built the rows
-        for group, block in zip(self.groups, self.blocks):
-            yield block, left[:, group].T @ right[:, group]
+        # each group's rows meet only their own group: the cross-group products are
+        # zero as long as no operator that built the rows leaks out of the layout's blocks
+        for block, lv, rv in zip(self.blocks, self.row_views(left), self.row_views(right)):
+            size = block.shape[0]
+            yield block, lv.reshape(-1, size).T @ rv.reshape(-1, size)
 
     def accumulate(self, left: np.ndarray, right: np.ndarray, coef: complex):
         """h += coef left^T right, each block's product scaled in place."""
@@ -197,7 +238,7 @@ class QuadraticHamiltonian:
         """The transverse field energy: the momentum and the double-curl potential terms."""
         v, u_a = self.lattice.cell_volume, self.rows_vector_potential
         self.accumulate(self.rows_field_momentum, self.rows_field_momentum, v / (2.0 * EPS0))
-        self.accumulate(u_a, self.lattice.double_curl_matrix @ u_a, v / (2.0 * MU0))
+        self.accumulate(u_a, self.act(self.layout.op("double_curl_matrix"), u_a), v / (2.0 * MU0))
 
     def symmetrize(self):
         """h = (h + h^T)/2 in place."""
@@ -220,62 +261,79 @@ class QuadraticHamiltonian:
 
     # -- canonical rows of the basic operators -----------------------------
 
+    def _field_rows(self, first: int) -> np.ndarray:
+        rows = np.zeros(self.row_size, dtype=complex)
+        for (b, na, coords, _), view in zip(self._frame, self.row_views(rows)):
+            view[:, self._slots(na, b)[first]] = coords / np.sqrt(self.lattice.cell_volume)
+        return rows
+
     @cached_property
     def rows_vector_potential(self) -> np.ndarray:
-        rows = np.zeros((self.lattice.dim, self.dim), dtype=complex)
-        rows[:, self.slice_a] = self.lattice.transverse_basis / np.sqrt(self.lattice.cell_volume)
-        return rows
+        return self._field_rows(0)
 
     @cached_property
     def rows_field_momentum(self) -> np.ndarray:
-        rows = np.zeros((self.lattice.dim, self.dim), dtype=complex)
-        rows[:, self.slice_p] = self.lattice.transverse_basis / np.sqrt(self.lattice.cell_volume)
-        return rows
+        return self._field_rows(1)
 
     def ladder_rows(self, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        """Canonical rows of sum_l w_l v [alpha_l C(w_l) + beta_l C^dag(w_l)].
+        """Canonical rows of sum_l w_l v [alpha_l C(w_l) + beta_l C^dag(w_l)], (..., E).
 
-        The basis holds the quadratures of c_l = sqrt(v w_l) C(w_l) =
-        (x_l + i y_l)/sqrt(2), so a (K, n, d) stack pair enters the x slots
-        as s (alpha + beta) and the y slots as i s (alpha - beta), with
-        s = sqrt(v w_l / 2), its site index rotated to the momentum basis.
-        The adjoint of the operator has the conjugate rows.
+        alpha and beta are (..., K, size) blocks in `layout`.  The basis
+        holds the quadratures of c_l = sqrt(v w_l) C(w_l) = (x_l + i y_l)/sqrt(2),
+        so the pair enters the x slots as s (alpha + beta) and the y slots as
+        i s (alpha - beta), with s = sqrt(v w_l / 2).  A group's x slots of
+        node l are its block's basis columns, so each block of the
+        coefficients is placed as it is: a reshape, no rotation.  The
+        adjoint of the operator has the conjugate rows.
         """
-        K, n, d = alpha.shape
-        f, m = self.lattice.momentum_basis, self.lattice.n_sites
-        s = np.sqrt(0.5 * self.lattice.cell_volume * self.grid.weights)[:, None, None]
-        rows = np.zeros((n, self.dim), dtype=complex)
-        for slots, coef in ((self.slice_x, s * (alpha + beta)), (self.slice_y, 1j * s * (alpha - beta))):
-            # contract the sites of the (K, n, M, 3) view: (K, n, 3, M) in momentum columns
-            rotated = np.tensordot(coef.reshape(K, n, m, 3), f, axes=([2], [0]))
-            rows[:, slots] = rotated.transpose(1, 0, 3, 2).reshape(n, K * d)
+        K = self.grid.n_nodes
+        s = np.sqrt(0.5 * self.lattice.cell_volume * self.grid.weights)[:, None]
+        x, y = alpha + beta, alpha - beta
+        x *= s
+        y *= 1j * s
+        rows = np.zeros(alpha.shape[:-2] + (self.row_size,), dtype=complex)
+        for (b, na, _, _), view, xg, yg in zip(self._frame, self.row_views(rows),
+                                               self.layout.per_block(x), self.layout.per_block(y)):
+            for coef, slots in zip((xg, yg), self._slots(na, b)[2:]):
+                # (..., l, row, column) coefficients into (..., row, (l, column)) slots
+                dst = view[..., slots].reshape(view.shape[:-1] + (K, b))
+                dst[...] = coef.swapaxes(-3, -2)
         return rows
 
-    def smear_columns(self) -> np.ndarray:
-        """Test matrix condensing the ladder coefficients with the smear profiles.
+    @cached_property
+    def _smear_scale(self) -> np.ndarray:
+        """(P, K): sqrt(q_l / (2 v)) profile_p(w_l)."""
+        return np.sqrt(0.5 * self.grid.weights / self.lattice.cell_volume) * smear_profiles(self.grid)
+
+    def _smear(self, na: int, b: int, arr: np.ndarray) -> np.ndarray:
+        """A group's smear columns applied to the (..., G) slot axis of `arr`, (..., C).
+
+        The columns read an operator's a and p coefficients, then its
+        smeared c and its smeared c^dag coefficients at each slot of the
+        block, profile by profile: of a row r, the c coefficient is
+        (r_x - i r_y)/sqrt(2) and the c^dag coefficient (r_x + i r_y)/sqrt(2),
+        and the smearing is the contraction kron(scale.T, I_b) over the
+        ladder slots, scale[p, l] = sqrt(q_l / (2 v)) profile_p(w_l).
+        """
+        K, scale, lead = self.grid.n_nodes, self._smear_scale, arr.shape[:-1]
+        _, p, xs, ys = self._slots(na, b)
+        x, y = (arr[..., s].reshape(lead + (K, b)) for s in (xs, ys))
+        return np.concatenate([arr[..., :p.stop], (scale @ (x - 1j * y)).reshape(lead + (-1,)),
+                               (scale @ (x + 1j * y)).reshape(lead + (-1,))], axis=-1)
+
+    def weak_norm(self, blocks: list) -> float:
+        """The norm of blocks of this form's groups paired against the smear columns on both sides.
 
         The two-frequency content of the master check is distributional, so
         its residual rows are paired against smooth frequency profiles,
-        mirroring the weak-form residuals of the defining equations.  The
-        columns read an operator's a and p coefficients, then its smeared c
-        and its smeared c^dag coefficients at each lattice site, one group
-        per profile each: of a row r, the c coefficient is (r_x - i r_y)/sqrt(2)
-        and the c^dag coefficient (r_x + i r_y)/sqrt(2), in the momentum
-        basis of the ladder slots.  Every weak norm is taken over whole groups
-        of columns, which an orthogonal rotation within a group leaves
-        unchanged, so no rotation back to sites is needed and each column
-        reads one momentum sector.
+        mirroring the weak-form residuals of the defining equations; the
+        same columns condense a form's coefficients.  Every weak norm is
+        taken over whole groups of columns, which an orthogonal rotation
+        within a group leaves unchanged, so each column reads one block.
         """
-        grid, lattice, base = self.grid, self.lattice, 2 * self.mt
-        scale = np.sqrt(0.5 * grid.weights / lattice.cell_volume) * smear_profiles(grid)
-        n_cols = len(scale) * lattice.dim
-        # block (l, p) of a ladder sector: sqrt(q_l / (2 v)) profile_p(w_l) times the identity
-        ladder = np.kron(scale.T, np.eye(lattice.dim))
-        cols = np.zeros((self.dim, base + 2 * n_cols), dtype=complex)
-        cols[:base, :base] = np.eye(base)
-        cols[self.slice_x, base:] = np.hstack([ladder, ladder])
-        cols[self.slice_y, base:] = np.hstack([-1j * ladder, 1j * ladder])
-        return cols
+        return float(np.sqrt(sum(
+            np.linalg.norm(self._smear(na, b, self._smear(na, b, blk).T)) ** 2
+            for (b, na, _, _), blk in zip(self._frame, blocks))))
 
 
 def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor) -> QuadraticHamiltonian:
@@ -287,36 +345,37 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor) -
     polarization.  The bilinear and quadratic coupling pieces enter
     together or not at all: both are linear/quadratic in the same kernels.
     The form is stored per momentum sector when the coupling kernels and
-    the structure kernel conserve lattice momentum (`sector_leak`).
-    A canonical dimension above `MAX_CANONICAL_DIM` is a configuration
-    error, raised before anything is allocated.
+    the structure kernel conserve lattice momentum.  A canonical dimension
+    above `MAX_CANONICAL_DIM` is a configuration error, raised before
+    anything is allocated.
     """
     lattice, grid = coupling.lattice, coupling.grid
-    d, v = lattice.dim, lattice.cell_volume
+    v = lattice.cell_volume
     check_canonical_dim(lattice, grid.n_nodes)
-    ham = QuadraticHamiltonian.zero(lattice, grid, sector_leak(coupling, structure))
+    ham = QuadraticHamiltonian.zero(coupling, structure)
+    layout = ham.layout
     ham.add_field_energy()
 
     # medium oscillators: hbar omega_k c^dag c = hbar omega_k (x^2 + y^2)/2 up to a
     # constant; and the bilinear coupling, each a times the medium operator with
-    # the node kernels hbar omega_k v (T_k phi)^T, the c^dag kernels their conjugates
-    oscillators = np.zeros(ham.dim)
-    oscillators[2 * ham.mt:] = np.tile(np.repeat(0.5 * HBAR * grid.nodes, d), 2)
-    u_a = ham.rows_vector_potential
-    alpha = (HBAR * v * grid.nodes[:, None, None]
-             * (coupling.kernels @ u_a[:, ham.slice_a])).transpose(0, 2, 1)
+    # the node kernels hbar omega_k v (T_k phi)^T, the c^dag kernels their
+    # conjugates: the rows of hbar omega_k sqrt(v) T_k^T, whose a rows are phi^T times them
+    alpha = (HBAR * np.sqrt(v) * grid.nodes)[:, None] * layout.transpose(coupling.blocks(layout))
     a_rows = ham.ladder_rows(alpha, alpha.conj())
-    for group, block in zip(ham.groups, ham.blocks):
-        block[np.diag_indices(group.size)] += oscillators[group]
-        a = ham._local_slices(group)[0]
-        block[a] += a_rows[np.ix_(group[a], group)]
+    for (b, na, coords, _), view, group, block in zip(ham._frame, ham.row_views(a_rows),
+                                                     ham.groups, ham.blocks):
+        a, _, x, _ = ham._slots(na, b)
+        ladder = np.arange(x.start, group.size)
+        block[ladder, ladder] += np.tile(np.repeat(0.5 * HBAR * grid.nodes, b), 2)
+        block[a] += coords.T @ view
 
     # quadratic vector-potential term
-    ham.accumulate(u_a, structure.kernel.mat @ u_a, 0.5 * HBAR * v**2)
+    u_a = ham.rows_vector_potential
+    ham.accumulate(u_a, ham.act(layout.blocks(structure.kernel.mat), u_a), 0.5 * HBAR * v**2)
 
     # electrostatic energy of the longitudinal polarization
-    pol = medium_polarization_form(coupling, lattice.one_block)
-    u_p_long = lattice.longitudinal_matrix @ ham.ladder_rows(*pol.sites())
+    pol = medium_polarization_form(coupling, layout)
+    u_p_long = ham.act(layout.op("longitudinal_matrix"), ham.ladder_rows(pol.alpha, pol.beta))
     ham.accumulate(u_p_long, u_p_long, v / (2.0 * EPS0))
     ham.symmetrize()
     return ham
@@ -335,25 +394,28 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
 
     Every equation is exact discrete algebra, so these come out at machine
     precision; they validate the assembly, the basis bookkeeping, and the
-    canonical-pair constraints of the coupling.
+    canonical-pair constraints of the coupling.  Every operator acts on
+    the rows block by block in the form's layout, every node at once.
     """
-    lattice, grid = ham.lattice, ham.grid
-    v, K = lattice.cell_volume, grid.n_nodes
+    layout, grid = ham.layout, ham.grid
+    v, K, nodes = ham.lattice.cell_volume, grid.n_nodes, grid.nodes
+    act, mm = ham.act, layout.matmul
     u_a, u_pi = ham.rows_vector_potential, ham.rows_field_momentum
-    one = lattice.one_block
-    pol, mom = medium_polarization_form(coupling, one), medium_momentum_form(coupling, structure, one)
-    u_p, u_w = ham.ladder_rows(*pol.sites()), ham.ladder_rows(*mom.sites())
-    pt, pl = lattice.transverse_matrix, lattice.longitudinal_matrix
-    fmat = structure.kernel.mat
+    pol, mom = medium_polarization_form(coupling, layout), medium_momentum_form(coupling, structure, layout)
+    u_p, u_w = ham.ladder_rows(pol.alpha, pol.beta), ham.ladder_rows(mom.alpha, mom.beta)
+    pt, pl = layout.op("transverse_matrix"), layout.op("longitudinal_matrix")
+    lap = layout.op("laplacian_matrix")
+    fmat = layout.blocks(structure.kernel.mat)
+    t = coupling.blocks(layout)
     r = ham.dynamics()
     out = {}
 
     def ddt(rows):
-        # (-i / hbar) [O, H] = rows R / hbar, block by block as real GEMMs: no complex copy of R
+        # (-i / hbar) [O, H] = rows R / hbar, group by group as real GEMMs: no complex copy of R
         rate = np.empty_like(rows)
-        for group, r_g in zip(ham.groups, r):
-            sub = rows[:, group]
-            rate[:, group] = (sub.real @ r_g + 1j * (sub.imag @ r_g)) / HBAR
+        for src, dst, r_g in zip(ham.row_views(rows), ham.row_views(rate), r):
+            dst[...] = src.real @ r_g + 1j * (src.imag @ r_g)
+        rate /= HBAR
         return rate
 
     # potential rate
@@ -361,32 +423,35 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     out["potential_rate"] = _rel(ddt(u_a) - rhs, rhs)
 
     # field-momentum rate
-    rhs = (lattice.laplacian_matrix @ u_a) / MU0 \
-        + HBAR * v * pt @ fmat @ u_w - HBAR * v * pt @ fmat @ u_a
+    pt_f = mm(pt, fmat)
+    rhs = act(lap, u_a) / MU0 + HBAR * v * act(pt_f, u_w) - HBAR * v * act(pt_f, u_a)
     out["momentum_rate"] = _rel(ddt(u_pi) - rhs, rhs)
 
     # medium-mode rate at the worst node, and the node sums of the
     # polarization rate, whose last term must vanish through the coupling
     # constraint and is also reported alone
-    worst = 0.0
-    long_p = pl @ u_p
-    t1 = np.zeros_like(u_p)
-    t2 = np.zeros_like(u_p)
-    finv = structure.inverse.mat
+    alpha = np.zeros((K, K, layout.size), dtype=complex)   # row k: the medium mode of node k
     for k in range(K):
-        u_c = ham.ladder_rows(*medium_mode_form(coupling, k, one).sites())
-        wk, om = grid.weights[k], grid.nodes[k]
-        rhs = -1j * om * u_c \
-            - 1j * om * v * coupling.kernels[k].conj() @ u_a \
-            + (1.0 / EPS0) * v * coupling.kernels[k].conj() @ long_p
-        worst = max(worst, _rel(ddt(u_c) - rhs, rhs))
-        t1 += -HBAR * wk * om * v * coupling.kernels[k].T @ u_c
-        s_bar = v * coupling.kernels[k].conj() @ finv    # conj of the momentum coefficient
-        chain = v**2 * coupling.kernels[k].T @ s_bar @ fmat
-        t2 += -HBAR * wk * om * v * chain @ u_a
-    out["medium_rate"] = worst
+        alpha[k] = medium_mode_form(coupling, k, layout).alpha
+    u_c = ham.ladder_rows(alpha, np.zeros_like(alpha))
+    del alpha
+    tc = t.conj()
+    rhs = act(tc, act(pl, u_p))
+    rhs *= v / EPS0
+    rhs -= (1j * v * nodes)[:, None] * act(tc, u_a)
+    rhs -= 1j * nodes[:, None] * u_c
+    res = ddt(u_c)
+    res -= rhs
+    out["medium_rate"] = float(np.max(np.sqrt(sq_norms(res))
+                                      / np.maximum(np.sqrt(sq_norms(rhs)), 1e-300)))
+    del res, rhs
+    coef, tt = -HBAR * v * grid.weights * nodes, layout.transpose(t)
+    t1 = coef @ act(tt, u_c)
+    s_bar = mm(v * tc, layout.blocks(structure.inverse.mat))   # conj of the momentum coefficient
+    chain = v**2 * coef @ mm(mm(tt, s_bar), fmat)
+    t2 = act(chain, u_a)
     # P is Hermitian, so the last term (-i hbar/eps0) v s_0 P_L P plus its adjoint reads only Im s_0
-    t3 = (HBAR / EPS0) * v * coupling.moments.imag0 @ pl @ u_p
+    t3 = (HBAR / EPS0) * v * act(mm(layout.blocks(coupling.moments.imag0), pl), u_p)
     rhs_half = t1 + t2 + t3
     rhs = rhs_half + rhs_half.conj()
     out["polarization_rate"] = _rel(ddt(u_p) - rhs, rhs)
@@ -396,32 +461,34 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     # wave equation with the transverse polarization rate as source; L A and
     # the second rate nearly cancel at weak coupling, so the scale is the
     # largest of the three terms, not the source alone
-    lap, acc = lattice.laplacian_matrix @ u_a, ddt(ddt(u_a))
-    src = -MU0 * pt @ ddt(u_p)
-    scale = max(np.linalg.norm(lap), np.linalg.norm(acc), np.linalg.norm(src), 1e-300)
-    out["wave_source"] = float(np.linalg.norm(lap - acc - src) / scale)
+    lap_a, acc = act(lap, u_a), ddt(ddt(u_a))
+    src = -MU0 * act(pt, ddt(u_p))
+    scale = max(np.linalg.norm(lap_a), np.linalg.norm(acc), np.linalg.norm(src), 1e-300)
+    out["wave_source"] = float(np.linalg.norm(lap_a - acc - src) / scale)
     return out
 
 
 # -- diagonal-form master check ---------------------------------------------
 
 
-def mode_rows(ham: QuadraticHamiltonian, k: int, potential: np.ndarray, momentum: np.ndarray,
+def mode_rows(ham: QuadraticHamiltonian, potential: np.ndarray, momentum: np.ndarray,
               resonant: np.ndarray, antiresonant: np.ndarray) -> np.ndarray:
-    """Canonical rows of the diagonalizing annihilator at node k, from its four families.
+    """Canonical rows of the diagonalizing annihilator of every node, (K, E), from its four families.
 
-    The medium part is the resonant family plus the node's own mode C(w_k),
-    whose kernel is the Kronecker delta over the quadrature weight.
+    The families are blocks in the form's layout (`diagonalize.node_families`).
+    The medium part of node k is its resonant row plus the node's own mode
+    C(w_k), whose kernel is the Kronecker delta over the quadrature weight.
     """
-    lattice = ham.lattice
-    v = lattice.cell_volume
-    sqv = np.sqrt(v)
-    phi = lattice.transverse_basis
+    layout, grid = ham.layout, ham.grid
+    v, K = ham.lattice.cell_volume, grid.n_nodes
     alpha = resonant.copy()
-    alpha[k] += np.eye(lattice.dim) / (v * ham.grid.weights[k])
+    alpha[np.arange(K), np.arange(K)] += layout.identity / (v * grid.weights)[:, None]
     rows = ham.ladder_rows(alpha, antiresonant)
-    rows[:, ham.slice_a] = sqv * potential @ phi
-    rows[:, ham.slice_p] = sqv * momentum @ phi
+    for (b, na, coords, _), view, pot, mom in zip(ham._frame, ham.row_views(rows),
+                                                  layout.per_block(potential), layout.per_block(momentum)):
+        a, p, _, _ = ham._slots(na, b)
+        view[..., a] = np.sqrt(v) * pot @ coords
+        view[..., p] = np.sqrt(v) * mom @ coords
     return rows
 
 
@@ -430,37 +497,35 @@ def diagonal_form_check(ham: QuadraticHamiltonian, prop: NodePropagator) -> floa
 
     This is the master identity equivalent to the four defining equations at
     once, evaluated through the assembled Hamiltonian rather than through
-    kernel arithmetic, one node's kernels at a time.  The residual rows are
-    split by canonical sector and each sector is normalized by its own
-    right-hand-side size (the creator sector borrows the annihilator
-    sector's scale, which carries the exact singular part); the reported
-    value is the worst sector.  This mirrors how the kernel-route residuals
-    are normalized, so the two routes are directly comparable.
+    kernel arithmetic, every node's rows at once, group by group: the
+    residual of a group is (rows R) smeared, against hbar w_k times the
+    rows smeared.  The residual columns are split by canonical sector (a,
+    p, c, c^dag) and each sector is normalized by its own right-hand-side
+    size (the creator sector borrows the annihilator sector's scale, which
+    carries the exact singular part); the reported value is the worst
+    sector.  This mirrors how the kernel-route residuals are normalized, so
+    the two routes are directly comparable.  A propagator that leaks across
+    momentum sectors (a leaking chi) is read with the form merged into one
+    block, the dense reference.
     """
+    if len(ham.groups) > 1 and prop.layout is not ham.layout:   # the propagator leaks: one block
+        ham = ham.merged()
     grid = ham.grid
-    cols = ham.smear_columns()
-    cdag = (cols.shape[1] + 2 * ham.mt) // 2   # first c^dag column: the halves are equal
-    kdyn_cols = np.empty_like(cols)   # K cols with K = i R, block by block
-    for group, r_g in zip(ham.groups, ham.dynamics()):
-        sub = cols[group]
-        kdyn_cols[group] = 1j * (r_g @ sub.real + 1j * (r_g @ sub.imag))
-    groups = {
-        "a": np.s_[:, 0:ham.mt],
-        "p": np.s_[:, ham.mt:2 * ham.mt],
-        "c": np.s_[:, 2 * ham.mt:cdag],
-        "cdag": np.s_[:, cdag:],
-    }
-    num = {g: 0.0 for g in groups}
-    den = {g: 0.0 for g in groups}
-    for k, families in enumerate(node_families(prop)):
-        rows = mode_rows(ham, k, *families)
-        rhs = HBAR * grid.nodes[k] * (rows @ cols)
-        res = rows @ kdyn_cols - rhs
-        for g, sl in groups.items():
-            num[g] += grid.weights[k] * np.linalg.norm(res[sl]) ** 2
-            den[g] += grid.weights[k] * np.linalg.norm(rhs[sl]) ** 2
-    den["cdag"] = den["c"]
-    return max(float(np.sqrt(num[g] / max(den[g], 1e-300))) for g in groups)
+    K, w = grid.n_nodes, grid.weights
+    P = len(ham._smear_scale)
+    rows = mode_rows(ham, *node_families(prop, ham.layout))
+    num, den = np.zeros(4), np.zeros(4)
+    for (b, na, _, _), view, r_g in zip(ham._frame, ham.row_views(rows), ham.dynamics()):
+        flat = view.reshape(-1, view.shape[-1])
+        kr = (flat.real @ r_g + 1j * (flat.imag @ r_g)).reshape(view.shape)
+        rhs = (HBAR * grid.nodes)[:, None, None] * ham._smear(na, b, view)
+        res = 1j * ham._smear(na, b, kr) - rhs
+        edges = (0, na, 2 * na, 2 * na + P * b, res.shape[-1])   # a, p, c, c^dag
+        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            num[i] += w @ sq_norms(res[..., lo:hi].reshape(K, -1))
+            den[i] += w @ sq_norms(rhs[..., lo:hi].reshape(K, -1))
+    den[3] = den[2]
+    return float(np.max(np.sqrt(num / np.maximum(den, 1e-300))))
 
 
 def mode_frequencies(ham: QuadraticHamiltonian) -> tuple[np.ndarray, int, float]:

@@ -121,12 +121,13 @@ def field_trace_csv(path, form, amplitudes, times):
 
     `amplitudes` assigns a complex amplitude per (node, site, component);
     the emitted expectation is the amplitude-weighted coefficient sum at
-    each requested time.  The form's site operators are rotated back once
-    and contracted with the amplitudes once, so each time is one
-    (K,) @ (K, d) product.  Diagnostic output for plotting only.
+    each requested time.  The form's blocks are contracted with the
+    amplitudes once, rotated into the layout basis and back
+    (`SectorLayout.apply`), so no site operator is formed and each time is
+    one (K,) @ (K, d) product.  Diagnostic output for plotting only.
     """
     grid, layout = form.grid, form.layout
-    weighted = np.matmul(layout.sites(form.alpha), np.asarray(amplitudes)[:, :, None])[:, :, 0]
+    weighted = layout.apply(form.alpha, np.asarray(amplitudes))
     weighted *= (layout.lattice.cell_volume * grid.weights)[:, None]
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:

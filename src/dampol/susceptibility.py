@@ -21,7 +21,7 @@ import numpy as np
 from .constants import EPS0, HBAR
 from .coupling import CouplingTensor, StructureTensor
 from .errors import PoleError
-from .lattice import SectorLayout, TensorKernel, sq_norms
+from .lattice import SectorLayout, TensorKernel, rel_norms, unit_scale
 
 
 def chi_stack(coupling: CouplingTensor, zs, layout: SectorLayout) -> np.ndarray:
@@ -112,8 +112,7 @@ class Susceptibility:
         `layout`, or one block when the structure kernel leaks across
         sectors: no kernel may be stored in a layout an input leaks out of.
         """
-        lattice = self.lattice
-        return lattice.layout(max(self.sector_leak, lattice.sector_leak(structure.kernel.mat)))
+        return self.lattice.layout(max(self.sector_leak, structure.sector_leak))
 
     @cached_property
     def above_cut_blocks(self) -> np.ndarray:
@@ -143,11 +142,10 @@ def verify_kramers_kronig(chi: Susceptibility, zs) -> float:
         raise PoleError("the cut representation check needs Im z != 0")
     coupling, layout, grid = chi.source, chi.layout, chi.grid
     lhs = chi_stack(coupling, zs, layout)
-    scale = np.maximum(np.sqrt(sq_norms(lhs)), 1e-300)
     disc, zc = discontinuity(coupling, layout), zs[:, None]
-    lhs -= ((grid.weights / (grid.nodes - zc)) @ disc
-            + (grid.weights / (-grid.nodes - zc)) @ disc.conj()) / (2.0j * np.pi)
-    return float((np.sqrt(sq_norms(lhs)) / scale).max())
+    rhs = ((grid.weights / (grid.nodes - zc)) @ disc
+           + (grid.weights / (-grid.nodes - zc)) @ disc.conj()) / (2.0j * np.pi)
+    return float(rel_norms(lhs - rhs, lhs).max())
 
 
 @dataclass(frozen=True)
@@ -168,14 +166,18 @@ def verify_sum_rules(coupling: CouplingTensor, structure: StructureTensor) -> Su
     The n-th moment is 2 pi i hbar/eps0 (s_n - (-1)^n conj(s_n)), and the
     factor cancels in every ratio.  The zeroth and second must vanish, the
     first reproduces the structure tensor; all three close exactly for
-    Lagrangian-built couplings.
+    Lagrangian-built couplings.  Every matrix is scaled by one power of two
+    (`unit_scale`) before its norm is taken, so a tiny coupling's squares
+    do not underflow to a vacuous zero.
     """
-    mom = coupling.moments
-    scale = max(float(np.linalg.norm(structure.kernel.mat)), 1e-300)
+    mom, mat = coupling.moments, structure.kernel.mat
+    gap = mom.structure_gap(mat)
+    unit = unit_scale(max(float(np.abs(a).max(initial=0.0)) for a in (mat, mom.imag0, gap, mom.imag2)))
+    scale = max(float(np.linalg.norm(unit * mat)), 1e-300)
     return SumRuleReport(
-        moment0=2.0 * float(np.linalg.norm(mom.imag0)) / scale,
-        moment1=float(np.linalg.norm(mom.structure_gap(structure.kernel.mat))) / scale,
-        moment2=2.0 * float(np.linalg.norm(mom.imag2)) / scale / max(coupling.grid.omega_max**2, 1.0),
+        moment0=2.0 * float(np.linalg.norm(unit * mom.imag0)) / scale,
+        moment1=float(np.linalg.norm(unit * gap)) / scale,
+        moment2=2.0 * float(np.linalg.norm(unit * mom.imag2)) / scale / max(coupling.grid.omega_max**2, 1.0),
     )
 
 
@@ -223,8 +225,7 @@ def reflection_residuals(layout: SectorLayout, evaluate, zs) -> dict:
     """
     zs = np.asarray(zs, dtype=complex)
     here, minus, mirror = np.split(evaluate(np.concatenate([zs, -zs, -zs.conj()])), 3)
-    scale = np.maximum(np.sqrt(sq_norms(here)), 1e-300)
     minus -= layout.transpose(here)
     mirror -= here.conj()
-    return {"transpose": float((np.sqrt(sq_norms(minus)) / scale).max()),
-            "conjugation": float((np.sqrt(sq_norms(mirror)) / scale).max())}
+    return {"transpose": float(rel_norms(minus, here).max()),
+            "conjugation": float(rel_norms(mirror, here).max())}

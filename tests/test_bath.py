@@ -49,9 +49,9 @@ class TestCoefficients:
         coupling = scalar_coupling(single_site, grid, tau)
         chi = Susceptibility(coupling)
         bath = bath_coefficients(coupling, chi)
-        assert np.allclose(bath.delta_coeff[0], np.eye(3) / tau)
+        assert np.allclose(bath.layout.sites(bath.delta_blocks[0]), np.eye(3) / tau)
         chi_up = chi_stack(coupling, [grid.nodes[0] + 1j * grid.eta], single_site.one_block)[0, 0]
-        assert np.allclose(bath.pole_coeff[0], (HBAR / EPS0) * tau / chi_up * np.eye(3))
+        assert np.allclose(bath.layout.sites(bath.pole_blocks[0]), (HBAR / EPS0) * tau / chi_up * np.eye(3))
 
     def test_linkage_definitional(self, bath_setup):
         lat, grid, coupling, st, chi, bath = bath_setup
@@ -111,17 +111,19 @@ class TestRowBuilder:
         def close(got, ref):
             return np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
-        # in the bath's own sector layout, and in the one block the oracle reads
-        for layout in (bath.layout, small_lattice.one_block):
+        delta_coeff, pole_coeff = (bath.layout.sites(b) for b in (bath.delta_blocks, bath.pole_blocks))
+        # in the bath's own sector layout, in the site basis, and in the momentum
+        # block a leaking oracle form reads
+        for layout in (bath.layout, small_lattice.one_block, small_lattice.momentum_block):
             for k in range(K):
                 co, counter = (layout.sites(r) for r in bath.rows(coupling, k, layout))
                 for l in range(K):
                     pole = 1.0 / (nodes[k] - nodes[l] + 1j * bath.eta)
-                    assert close(co[l], pole * v * bath.pole_coeff[k] @ t[l].T)
+                    assert close(co[l], pole * v * pole_coeff[k] @ t[l].T)
                     anti = -1.0 / (nodes[k] + nodes[l])
-                    assert close(counter[l], anti * v * bath.pole_coeff[k] @ t[l].conj().T)
+                    assert close(counter[l], anti * v * pole_coeff[k] @ t[l].conj().T)
                 delta = layout.sites(bath.delta_row(coupling, k, layout))
-                assert close(delta, v * bath.delta_coeff[k] @ t[k].T)
+                assert close(delta, v * delta_coeff[k] @ t[k].T)
 
 
 class TestCanonicalIdentity:
@@ -149,14 +151,15 @@ def independence_reference(bath, coupling):
     w, nodes = grid.weights, grid.nodes
     dens = coupling.density_stack
     dens_flat = dens.reshape(K, d * d)
+    delta_coeff, pole_coeff = (bath.layout.sites(b) for b in (bath.delta_blocks, bath.pole_blocks))
     num_p = num_w = den_p = den_w = 0.0
     for k in range(K):
         res = w / (nodes[k] - nodes + 1j * bath.eta)
         anti = w / (nodes[k] + nodes)
         sums = (np.stack([res, anti, res * nodes, anti * nodes]) @ dens_flat).reshape(4, d, d)
-        base = v * bath.delta_coeff[k] @ dens[k]
-        pol = base + v * bath.pole_coeff[k] @ (sums[0] - sums[1].conj())
-        mom = nodes[k] * base + v * bath.pole_coeff[k] @ (sums[2] + sums[3].conj())
+        base = v * delta_coeff[k] @ dens[k]
+        pol = base + v * pole_coeff[k] @ (sums[0] - sums[1].conj())
+        mom = nodes[k] * base + v * pole_coeff[k] @ (sums[2] + sums[3].conj())
         num_p += w[k] * np.linalg.norm(pol) ** 2
         den_p += w[k] * np.linalg.norm(base) ** 2
         num_w += w[k] * np.linalg.norm(mom) ** 2

@@ -17,7 +17,6 @@ from dampol.coupling import (
 )
 from dampol.diagonalize import (
     ModeChecks,
-    _NodeKernels,
     commutation_matrix,
     fano_residual,
     mode_coefficients,
@@ -224,9 +223,9 @@ class TestStreamedCost:
         expected = streamed_mode_checks(prop, lorentz_structure)
 
         def refuse(*args):
-            raise AssertionError("the streamed pass formed a pair row")
+            raise AssertionError("the streamed pass formed the pair rows")
 
-        monkeypatch.setattr(_NodeKernels, "pair_rows", refuse)
+        monkeypatch.setattr(diagonalize, "node_families", refuse)
         assert streamed_mode_checks(prop, lorentz_structure) == expected
 
     # traced peaks in (K, size) complex block stacks of the n = 2 sector layout

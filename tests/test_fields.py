@@ -273,8 +273,9 @@ class TestFieldsStageCost:
     # traced peak of the whole fields stage, field trace included, on
     # lorentz.ini at n = 3 (d = 81, one 3 x 3 and thirteen 6 x 6 blocks),
     # K = 12, in (K, size) complex block stacks: one (K, d, d) site stack is
-    # 13.75 of them.  The only site stack is the trace's E, rotated back once
-    PEAK_STACKS = 27.1   # measured 25.8; the dense forms held 224.6
+    # 13.75 of them.  The trace rotates its amplitudes into the layout basis,
+    # so no site stack is formed
+    PEAK_STACKS = 20.1   # measured 19.15
 
     def test_traced_peak_in_block_stacks(self, tmp_path):
         cfg = ScenarioConfig.from_file(Path(__file__).parent.parent / "configs" / "lorentz.ini")

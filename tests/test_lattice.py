@@ -106,12 +106,22 @@ class TestMomentumSectors:
         assert np.max(np.abs(phi @ phi.T - lat.transverse_matrix)) <= 1e-13
 
     def test_transverse_columns_stay_in_their_sector(self, n, k0_transverse):
+        # every column lies in the span of one block of the sector layout, whose
+        # coordinates there are the layout's, and each column is in one block
         lat = build_lattice(n, 1.0, k0_transverse)
         phi = lat.transverse_basis
-        coef = np.einsum("rj,rac->jac", lat.momentum_basis, phi.reshape(lat.n_sites, 3, -1))
-        outside = lat.momentum_sector[:, None] != lat.transverse_sector[None, :]
-        assert lat.transverse_sector.shape == (phi.shape[1],)
-        assert np.max(np.abs(coef.transpose(0, 2, 1)[outside]), initial=0.0) <= 1e-13
+        for layout in (lat.sector_layout, lat.momentum_block):
+            rot = layout.basis.T @ phi
+            first, seen = 0, []
+            for mine, coords in layout.transverse:
+                inside = np.zeros(lat.dim, dtype=bool)
+                inside[first:first + coords.shape[0]] = True
+                assert np.max(np.abs(rot[np.ix_(inside, mine)] - coords), initial=0.0) <= 1e-13
+                assert np.max(np.abs(rot[np.ix_(~inside, mine)]), initial=0.0) <= 1e-13
+                assert np.all(np.diff(mine) > 0)
+                seen.extend(mine.tolist())
+                first += coords.shape[0]
+            assert sorted(seen) == list(range(phi.shape[1]))
 
 
 class TestProjectors:

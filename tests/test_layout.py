@@ -18,11 +18,13 @@ The sector partition is the sector labels of `Lattice` and the block
 indexing of `SectorLayout`; every other module converts and multiplies
 kernel stacks through the layout's methods (`SectorLayout.blocks`,
 `SectorLayout.matmul`, ...), gets a layout from `Lattice.layout`, and groups
-its slots through `Lattice.sector_groups`.
+its slots through `SectorLayout.slot_groups`.
 
 `susceptibility.py` and `green.py` evaluate, solve and check every kernel
 as blocks: neither calls `SectorLayout.sites`, and the propagator's 1-norm
-condition number comes from `SectorLayout.norm1`.
+condition number comes from `SectorLayout.norm1`.  `oracle.py` forms every
+canonical row stack per slot group, in its form's layout: it calls no
+`sites` method and no `tensordot`, so no row is rotated through sites.
 """
 
 import ast
@@ -123,7 +125,8 @@ def test_layout_reads_found_outside_the_owner(tmp_path):
 
 
 #: the members that hold or index the sector partition
-PARTITION = ("momentum_sector", "transverse_sector", "sizes", "part_sizes", "_entries", "parts")
+PARTITION = ("momentum_sector", "transverse_sector", "sizes", "part_sizes", "_entries", "parts",
+             "columns")
 
 
 def partition_reads(sources=SOURCES, owner="lattice.py") -> list:
@@ -179,3 +182,28 @@ def test_site_rotations_found_in_the_block_only_modules(tmp_path):
     other = tmp_path / "fields.py"
     other.write_text("def g(layout, x):\n    return layout.sites(x)\n")
     assert site_rotations([green, other]) == ["green.py:3 sites()"]
+
+
+def oracle_site_work(sources=SOURCES, module="oracle.py") -> list:
+    """Calls of a `sites` method or of `tensordot` in the oracle."""
+    return sorted(f"{path.name}:{node.lineno} {name}()"
+                  for path in sources if path.name == module
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call)
+                  for name in [getattr(node.func, "attr", getattr(node.func, "id", None))]
+                  if name in ("sites", "tensordot"))
+
+
+def test_oracle_forms_its_rows_in_blocks():
+    assert oracle_site_work() == []
+
+
+def test_oracle_site_work_found(tmp_path):
+    oracle = tmp_path / "oracle.py"
+    oracle.write_text("import numpy as np\nfrom numpy import tensordot\n"
+                      "def f(layout, x, f3):\n    y = layout.sites(x)\n"
+                      "    return np.tensordot(y, f3, 1), tensordot(y, f3, 1), layout.blocks(y)\n")
+    other = tmp_path / "fields.py"
+    other.write_text("import numpy as np\ndef g(layout, x):\n    return np.tensordot(layout.sites(x), x, 1)\n")
+    assert oracle_site_work([oracle, other]) == [
+        "oracle.py:4 sites()", "oracle.py:5 tensordot()", "oracle.py:5 tensordot()"]

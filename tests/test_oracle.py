@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -121,8 +122,24 @@ def dense(ham):
 
 def one_block(lat, grid, h):
     """A form stored as one block over every canonical slot."""
-    return QuadraticHamiltonian(lattice=lat, grid=grid, mt=lat.transverse_basis.shape[1],
+    return QuadraticHamiltonian(layout=lat.momentum_block, grid=grid, mt=lat.transverse_basis.shape[1],
                                 groups=(np.arange(h.shape[0]),), blocks=[h], sector_leak=np.inf)
+
+
+def dense_rows(ham, rows):
+    """The (..., d, dim) site rows of (..., E) canonical rows.
+
+    Each group's (b, G) block has the rows of its block's basis columns:
+    they are rotated back to sites and placed in the group's slots.
+    """
+    basis = ham.layout.basis
+    out = np.zeros(rows.shape[:-1] + (ham.lattice.dim, ham.dim), dtype=complex)
+    first = 0
+    for group, view in zip(ham.groups, ham.row_views(rows)):
+        b = view.shape[-2]
+        out[..., group] = basis[:, first:first + b] @ view
+        first += b
+    return out
 
 
 def momentum_rotation(ham):
@@ -245,7 +262,9 @@ class TestLadderRows:
     """`ladder_rows` against the per-node ladder-basis formulas each operator had, times U Q.
 
     U converts the ladder slots to quadratures and Q rotates their sites to
-    the momentum basis (`momentum_rotation`).
+    the momentum basis (`momentum_rotation`).  The rows, stored per group
+    in the form's layout basis, are rotated back to site rows first
+    (`dense_rows`).
     """
 
     @pytest.fixture(scope="class", params=["random_n1_K7", "lorentz_n2_K12"])
@@ -273,11 +292,11 @@ class TestLadderRows:
             coeff = -grid.nodes[k] * (v * coupling.kernels[k] @ finv).T
             u_w[:, c] += s * coeff
             u_w[:, cdag] += s * coeff.conj()
-        one = lat.one_block
-        pol, mom = medium_polarization_form(coupling, one), medium_momentum_form(coupling, st, one)
+        layout = ham.layout
+        pol, mom = medium_polarization_form(coupling, layout), medium_momentum_form(coupling, st, layout)
         u = ladder_unitary(ham) @ momentum_rotation(ham)
-        assert close(ham.ladder_rows(*pol.sites()), u_p @ u, 1e-15)
-        assert close(ham.ladder_rows(*mom.sites()), u_w @ u, 1e-15)
+        assert close(dense_rows(ham, ham.ladder_rows(pol.alpha, pol.beta)), u_p @ u, 1e-15)
+        assert close(dense_rows(ham, ham.ladder_rows(mom.alpha, mom.beta)), u_w @ u, 1e-15)
 
     def test_medium_modes(self, case):
         lat, grid, coupling, st, ham = case
@@ -286,8 +305,8 @@ class TestLadderRows:
             old = np.zeros((lat.dim, ham.dim), dtype=complex)
             old[:, ladder_slices(ham, k)[0]] = np.eye(lat.dim) / np.sqrt(
                 lat.cell_volume * grid.weights[k])
-            cm = medium_mode_form(coupling, k, lat.one_block)
-            assert close(ham.ladder_rows(*cm.sites()), old @ u, 1e-15)
+            cm = medium_mode_form(coupling, k, ham.layout)
+            assert close(dense_rows(ham, ham.ladder_rows(cm.alpha, cm.beta)), old @ u, 1e-15)
 
     def test_bath_rows(self, case):
         lat, grid, coupling, st, ham = case
@@ -301,7 +320,8 @@ class TestLadderRows:
                 c, cdag = ladder_slices(ham, l)
                 old[:, c] = np.sqrt(v * w[l]) * co[l]
                 old[:, cdag] = np.sqrt(v * w[l]) * counter[l]
-            assert close(ham.ladder_rows(co, counter), old @ u, 1e-15)
+            got = ham.ladder_rows(*bath.rows(coupling, k, ham.layout))
+            assert close(dense_rows(ham, got), old @ u, 1e-15)
 
     def test_mode_rows(self, case):
         lat, grid, coupling, st, ham = case
@@ -309,6 +329,9 @@ class TestLadderRows:
         modes = mode_coefficients(prop)
         v, phi = lat.cell_volume, lat.transverse_basis
         u = ladder_unitary(ham) @ momentum_rotation(ham)
+        families = node_families(prop, ham.layout)
+        resonant = families[2].copy()
+        got = dense_rows(ham, mode_rows(ham, *families))
         for k in range(grid.n_nodes):
             old = np.zeros((lat.dim, ham.dim), dtype=complex)
             old[:, ham.slice_a] = np.sqrt(v) * modes.potential[k] @ phi
@@ -319,11 +342,8 @@ class TestLadderRows:
                 old[:, c] += s * modes.resonant[k, l]
                 old[:, cdag] += s * modes.antiresonant[k, l]
             old[:, ladder_slices(ham, k)[0]] += np.eye(lat.dim) / np.sqrt(v * grid.weights[k])
-            resonant = modes.resonant[k].copy()
-            got = mode_rows(ham, k, modes.potential[k], modes.momentum[k],
-                            resonant, modes.antiresonant[k])
-            assert close(got, old @ u, 1e-15)
-            assert np.array_equal(resonant, modes.resonant[k])   # the caller's stack is kept
+            assert close(got[k], old @ u, 1e-15)
+        assert np.array_equal(resonant, families[2])   # the caller's stack is kept
 
 
 class TestHeisenberg:
@@ -356,10 +376,10 @@ class TestHeisenberg:
 
     def test_canonical_pair_via_rows(self, lorentz_setup):
         lat, grid, coupling, st, ham = lorentz_setup
-        one = lat.one_block
-        pol, mom = medium_polarization_form(coupling, one), medium_momentum_form(coupling, st, one)
-        u_p = ham.ladder_rows(*pol.sites())
-        u_w = ham.ladder_rows(*mom.sites())
+        layout = ham.layout
+        pol, mom = medium_polarization_form(coupling, layout), medium_momentum_form(coupling, st, layout)
+        u_p = dense_rows(ham, ham.ladder_rows(pol.alpha, pol.beta))
+        u_w = dense_rows(ham, ham.ladder_rows(mom.alpha, mom.beta))
         comm = u_w @ commutation(ham) @ u_p.T
         expected = -1j * HBAR * np.eye(lat.dim) / lat.cell_volume
         assert np.allclose(comm, expected, atol=1e-12)
@@ -458,8 +478,10 @@ class TestSpectrum:
     def test_mode_rows_shape(self, lorentz_setup):
         lat, grid, coupling, st, ham = lorentz_setup
         prop = node_propagator(Susceptibility(coupling))
-        rows = mode_rows(ham, 0, *next(node_families(prop)))
-        assert rows.shape == (lat.dim, ham.dim)
+        rows = mode_rows(ham, *node_families(prop, ham.layout))
+        assert rows.shape == (grid.n_nodes, ham.row_size)
+        assert [v.shape for v in ham.row_views(rows)] == [
+            (grid.n_nodes, 3, g.size) for g in ham.groups]
 
     @pytest.mark.parametrize("model", ["local_lorentz", "gaussian_nonlocal", "uniaxial_local",
                                        "random_coupling"])
@@ -626,11 +648,12 @@ class TestSectorBlocks:
         assert same_multiset(got[np.abs(got) > oracle.ZERO_MODE_TOL * scale],
                              ref[np.abs(ref) > oracle.ZERO_MODE_TOL * scale], 1e-10 * scale)
 
-    def test_oracle_stage_traced_peak(self):
-        # lorentz.ini, n = 2, K = 12, inputs cached: 3.6 times the bath form's
-        # (K, d, dim) complex row stack, its two row stacks alive at once
-        # being the peak; the dense stage held 10.1
-        pipe = Pipeline(ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini"))
+    @staticmethod
+    def stage_peak(n):
+        """The traced peak of the oracle stage on lorentz.ini at n_per_axis = n, inputs cached,
+        in units of the rows of every node, 16 K E bytes: the bath form's row stack, its
+        (K, d, dim) site rows stored as one (b, G) block per slot group."""
+        pipe = Pipeline(replace(ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini"), n_per_axis=n))
         pipe.propagator, pipe.streamed, pipe.bath, pipe.chi.above_cut_blocks
         tracemalloc.start()
         try:
@@ -638,5 +661,14 @@ class TestSectorBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        stack = 16 * pipe.grid.n_nodes * pipe.lattice.dim * pipe.hamiltonian.dim
-        assert peak <= 3.75 * stack
+        ham = pipe.hamiltonian
+        assert ham.row_size < pipe.lattice.dim * ham.dim / 7   # the blocks hold a fraction of d dim
+        return peak / (16 * pipe.grid.n_nodes * ham.row_size)
+
+    def test_oracle_stage_traced_peak(self):
+        # K = 12, n = 2: measured 8.22 (2.9 MB)
+        assert self.stage_peak(2) <= 8.75
+
+    def test_oracle_stage_traced_peak_n3(self):
+        # K = 12, n = 3: measured 7.88 (18.3 MB)
+        assert self.stage_peak(3) <= 8.5

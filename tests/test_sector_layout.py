@@ -117,8 +117,8 @@ def kernel_values(model, n, K):
         "cond": prop.cond,
         "adjoint": verify_adjoint(chi, prop.z, prop.blocks),
         "wave_diagnostic": wave_diagnostic(prop),
-        "delta_coeff": bath.delta_coeff,
-        "pole_coeff": bath.pole_coeff,
+        "delta_coeff": bath.layout.sites(bath.delta_blocks),
+        "pole_coeff": bath.layout.sites(bath.pole_blocks),
         "linkage": verify_linkage(bath, coupling, chi),
         "canonical": verify_bath_canonical(bath, coupling),
         **verify_bath_independence(bath, coupling, st),

@@ -13,7 +13,7 @@ from dampol.coupling import (
     spectral_moments,
     structure_tensor,
 )
-from dampol.lattice import FrequencyGrid, TensorKernel
+from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice, rel_norms, sq_norms, unit_scale
 from dampol.susceptibility import (
     Susceptibility,
     asymptote_residual,
@@ -192,6 +192,68 @@ class TestSumRules:
         st = structure_tensor(lorentz_coupling)
         report = verify_sum_rules(lorentz_coupling, st)
         assert report.moment1 <= 1e-13
+
+
+class TestTinyCoupling:
+    """At strength 1e-101 chi is about 1e-203 and its squared entries underflow.
+
+    Unscaled, every residual of the chi stage reads exactly 0; the norms are
+    taken after one exact power-of-two scale, so a 1e-8 relative defect
+    injected into one chi block fails its check (TOL_EXACT = 1e-10).
+    """
+
+    ZS = [0.4 + 0.7j, -1.1 + 0.3j, 2.0 - 1.2j]
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        lat = build_lattice(2, 1.0)
+        grid = FrequencyGrid.midpoint(12, 3.0, eta_factor=1.0)
+        coupling = coupling_from_lagrangian(builtin_model(
+            "local_lorentz", lat, grid, {"resonance": 1.5, "width": 0.6, "strength": 1e-101}))
+        top = np.abs(chi_stack(coupling, self.ZS, lat.one_block)).max()
+        assert 1e-210 < top < 1e-195
+        return coupling, structure_tensor(coupling), top
+
+    def test_kramers_kronig_measures_and_flags_a_defect(self, tiny, monkeypatch):
+        import dampol.susceptibility as sus
+        coupling, _, top = tiny
+        assert 0.0 < verify_kramers_kronig(Susceptibility(coupling), self.ZS) <= 1e-14
+        exact = sus.chi_stack
+
+        def defective(*args):
+            out = exact(*args)
+            out[1, 0] += 1e-8 * top   # one entry of one block at the second point
+            return out
+        monkeypatch.setattr(sus, "chi_stack", defective)
+        assert verify_kramers_kronig(Susceptibility(coupling), self.ZS) > 1e-9
+
+    def test_reflections_flag_a_defect(self, tiny):
+        coupling, _, top = tiny
+        chi = Susceptibility(coupling)
+        d = coupling.lattice.dim
+        pert = np.zeros((d, d), dtype=complex)
+        pert[0, 1] = (1.0 + 1.0j) * 1e-8 * top   # breaks both reflections in the block it enters
+        bad = chi.perturbed(TensorKernel(coupling.lattice, pert))
+        res = reflection_residuals(bad.layout, bad.blocks_at, self.ZS)
+        assert res["transpose"] > 1e-9 and res["conjugation"] > 1e-9
+
+    def test_sum_rules_flag_a_defect(self, tiny):
+        coupling, st, _ = tiny
+        assert verify_sum_rules(coupling, st).moment1 <= 1e-15
+        mat = st.kernel.mat
+        off = TensorKernel(coupling.lattice, mat * (1.0 + 1e-8))
+        assert verify_sum_rules(coupling, type(st)(kernel=off)).moment1 > 1e-9
+        mom = coupling.moments
+        for name in ("imag0", "imag2"):
+            broken = SimpleNamespace(**{**vars(mom), name: getattr(mom, name) + 1e-8 * mat.real},
+                                     structure_gap=mom.structure_gap)
+            report = verify_sum_rules(SimpleNamespace(moments=broken, grid=coupling.grid), st)
+            assert getattr(report, name.replace("imag", "moment")) > 1e-9
+
+    def test_scaled_ratio_is_the_unscaled_one_bit_for_bit(self, rng):
+        num, den = rng.standard_normal((2, 4, 30)) * 37.0
+        assert np.array_equal(rel_norms(num, den), np.sqrt(sq_norms(num)) / np.sqrt(sq_norms(den)))
+        assert unit_scale(0.0) == 1.0 and unit_scale(3.0) == 0.25 and unit_scale(1e-300) * 1e-300 >= 0.5
 
 
 class TestAsymptotics:
