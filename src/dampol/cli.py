@@ -165,18 +165,26 @@ class ScenarioConfig:
             raise ConfigError("grid parameters out of range")
         if self.n_per_axis < 1 or self.spacing <= 0:
             raise ConfigError("lattice parameters out of range")
-        # every kernel carries the cell volume spacing**3 and every resolvent 1 / eta:
-        # each must be a normal float, neither overflowing nor underflowing to zero
+        self.check_normal()
+        if self.refine_track not in ("hamiltonian", "kernels"):
+            raise ConfigError("refine_track must be 'hamiltonian' or 'kernels'")
+
+    def check_normal(self, level: int = 0):
+        """Refuse a cell volume, or an offset eta at refinement `level`, that is not a normal float.
+
+        Every kernel carries the volume and every resolvent 1 / eta; each
+        level halves eta, exactly while it stays normal.
+        """
         with np.errstate(over="ignore", under="ignore"):
             volume = np.float64(self.spacing) ** 3
             eta = np.float64(self.eta_factor) * (self.omega_max / self.n_nodes)   # as the grid forms it
+            eta /= np.float64(2.0) ** level
+        at = f" at refinement level {level}" if level else ""
         for key, name, value in (("[lattice] spacing", "the cell volume spacing**3", volume),
-                                 ("[grid] eta_factor", "the offset eta", eta)):
+                                 ("[grid] eta_factor", f"the offset eta{at}", eta)):
             if not np.finfo(float).tiny <= value < np.inf:
                 raise ConfigError(f"{key} gives {name} = {value:g}, not a finite, positive, "
                                   "normal float")
-        if self.refine_track not in ("hamiltonian", "kernels"):
-            raise ConfigError("refine_track must be 'hamiltonian' or 'kernels'")
 
     def provenance(self) -> dict:
         return {
@@ -292,7 +300,7 @@ def stage_chi(pipe: Pipeline, out: Path | None) -> dict:
                              measured_ratio=float(ratio)))
     if out is not None:
         zs = pipe.grid.nodes + 1j * pipe.grid.eta
-        reports.chi_trace_csv(out / "chi_trace.csv", coupling, zs)
+        reports.chi_trace_csv(out / "chi_trace.csv", pipe.chi, zs)
     return reports.stage_report("chi", checks)
 
 
@@ -475,6 +483,7 @@ def refine(config: ScenarioConfig, levels: int) -> int:
     """
     if levels < 2:
         raise ConfigError("refine needs at least 2 levels")
+    config.check_normal(levels - 1)   # the deepest level's eta is the smallest
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     track = config.refine_track

@@ -17,7 +17,7 @@ import numpy as np
 
 from .lattice import sq_norms
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def check_entry(check_id: str, residual: float, tolerance: float, *,
@@ -55,29 +55,27 @@ def write_json(path, payload: dict):
         fh.write("\n")
 
 
-def chi_trace_csv(path, coupling, z_values):
-    """Susceptibility entries at the requested complex frequencies.
+def chi_trace_csv(path, chi, zs):
+    """chi(r, 0), the response at every site to a unit source at site 0, at the points zs.
 
-    Every point is evaluated by one `chi_stack` call in `Lattice.one_block`,
-    whose blocks are views of the site operators.  The bytes are those
-    `csv.writer` gives for the same rows (no field needs quoting); each row
-    block of a node is written as one batch, so no more than one row's text
-    is held at a time.
+    Row (site, i, j) of a point is chi[(site, i), (0, j)], 3 d rows per point:
+    on a translation-invariant medium they carry every entry of chi, on a
+    leaking input they are a partial trace, a diagnostic and not a check.
+    One `blocks_at` stack, the perturbation included, is applied to the three
+    source vectors, so no site operator is formed.  The rows of a point are
+    one `writelines` batch of the bytes `csv.writer` gives (no field needs
+    quoting), so no more than one row's text is held at a time.
     """
-    from .susceptibility import chi_stack
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    d, one = coupling.lattice.dim, coupling.lattice.one_block
-    mats = one.sites(chi_stack(coupling, z_values, one))
-    # the "site_prime,i,j," fields of every column, per row component i
-    mids = [[f"{b // 3},{i},{b % 3}," for b in range(d)] for i in range(3)]
+    d = chi.lattice.dim
+    cols = chi.layout.apply(chi.blocks_at(zs)[:, None], np.eye(3, d))   # cols[n, j, a]
+    mids = [f"{a // 3},{a % 3},{j}," for a in range(d) for j in range(3)]
     with open(path, "w", newline="") as fh:
-        fh.write("re_z,im_z,site,site_prime,i,j,re_chi,im_chi\r\n")
-        for z, mat in zip(z_values, mats):
-            zs = f"{z.real:.12g},{z.imag:.12g},"
-            for a in range(d):
-                head = f"{zs}{a // 3},"
-                fh.writelines(f"{head}{mid}{x.real:.12g},{x.imag:.12g}\r\n"
-                              for mid, x in zip(mids[a % 3], mat[a].tolist()))
+        fh.write("re_z,im_z,site,i,j,re_chi,im_chi\r\n")
+        for z, col in zip(zs, cols):
+            head = f"{z.real:.12g},{z.imag:.12g},"
+            fh.writelines(f"{head}{mid}{x.real:.12g},{x.imag:.12g}\r\n"
+                          for mid, x in zip(mids, col.T.ravel().tolist()))
 
 
 def green_trace_csv(path, prop):

@@ -463,8 +463,9 @@ class TestPointChecksStacked:
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
         cfg.out = str(tmp_path / "o")
         assert run(cfg, stages=("chi",)) == EXIT_PASS
-        # the last evaluation is the chi trace's, at the 12 nodes
-        assert calls == [("chi_stack", 5), ("blocks_at", 15), ("chi_stack", 15), ("chi_stack", 12)]
+        # the last evaluation is the chi trace's, at the 12 nodes, perturbation included
+        assert calls == [("chi_stack", 5), ("blocks_at", 15), ("chi_stack", 15),
+                         ("blocks_at", 12), ("chi_stack", 12)]
         calls.clear()
         assert run(cfg, stages=("green",)) == EXIT_PASS
         assert [c for c in calls if c[0] == "solve_green"] == [("solve_green", 12)]
@@ -491,11 +492,12 @@ class TestStackFreeProduction:
         assert read_report(cfg.out, "oracle")["passed"]
 
     def test_kernel_stages_rotate_back_no_site_stack(self, tmp_path, monkeypatch):
-        # on a translation-invariant medium the field forms, the noise and
-        # canonical-pair commutators and the bath cross-check stay in blocks,
-        # and the field trace rotates its amplitudes, not E: beside single
-        # operators and the condition numbers' chunks of K / 8 nodes, no stack
-        # of site operators is rotated back
+        # on a translation-invariant medium the chi trace, the field forms, the
+        # noise and canonical-pair commutators and the bath cross-check stay
+        # in blocks, and the chi and field traces rotate their source vectors
+        # and amplitudes, not chi or E: beside single operators and the
+        # condition numbers' chunks of K / 8 nodes, no stack of site operators
+        # is rotated back
         from dampol.lattice import SectorLayout
         sites, rotated = SectorLayout.sites, []
 
@@ -506,8 +508,9 @@ class TestStackFreeProduction:
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
         cfg.out = str(tmp_path / "o")
         cfg.n_nodes = 16
-        assert run(cfg, stages=("fields", "bath")) == EXIT_PASS
+        assert run(cfg, stages=("chi", "fields", "bath")) == EXIT_PASS
         assert rotated and [n for n in rotated if n > 2] == []
+        assert (Path(cfg.out) / "chi_trace.csv").exists()
         assert (Path(cfg.out) / "field_trace.csv").exists()
 
     def test_hamiltonian_refine_track(self, tmp_path, monkeypatch):
@@ -576,6 +579,28 @@ class TestRefine:
         assert rotated and all(n <= -(-K // 8) for n, K in rotated)
         for pipe in pipes:
             assert pipe.propagator.layout is pipe.lattice.sector_layout
+
+    def test_subnormal_deepest_eta_exits_usage(self, tmp_path, capsys, monkeypatch):
+        # level 0's eta is normal, but three levels halve it twice into the
+        # subnormals: refused before any level runs, with the level named
+        import dampol.cli as cli
+        pipes, init = [], cli.Pipeline.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            pipes.append(self)
+        monkeypatch.setattr(cli.Pipeline, "__init__", recording)
+        cfg = tmp_path / "refine.ini"
+        cfg.write_text((CONFIG_DIR / "refine.ini").read_text().replace(
+            "eta_factor = 1.0", "eta_factor = 2e-307"))
+        out = tmp_path / "o"
+        argv = ["refine", "--config", str(cfg), "--out", str(out)]
+        assert main([*argv, "--levels", "3"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "[grid] eta_factor gives the offset eta at refinement level 2 = " in err
+        assert pipes == [] and not out.exists()
+        ScenarioConfig.from_file(cfg).check_normal(1)   # two levels stay normal
 
     def test_requires_two_levels(self):
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "refine.ini")

@@ -1,17 +1,21 @@
 import csv
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dampol.cli import Pipeline, ScenarioConfig
 from dampol.coupling import coupling_from_lagrangian, random_coupling
 from dampol.lattice import FrequencyGrid, build_lattice
 from dampol.reports import chi_trace_csv
-from dampol.susceptibility import chi_stack
+from dampol.susceptibility import Susceptibility, chi_stack
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def reference_chi_trace(path, coupling, z_values):
-    """The trace as `csv.writer` writes it, one row per entry."""
+    """Every entry of chi, dense in `Lattice.one_block`, as `csv.writer` writes it, one row per entry."""
     d, one = coupling.lattice.dim, coupling.lattice.one_block
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -31,40 +35,90 @@ def random_trace_coupling(n, n_nodes):
     return coupling_from_lagrangian(random_coupling(lat, grid, np.random.default_rng(11 + n)))
 
 
+def site0_rows(path) -> bytes:
+    """The reference rows with `site_prime == 0`, that column dropped, in the writer's bytes."""
+    header, *rows = Path(path).read_bytes().decode().splitlines()
+    kept = [header.replace("site_prime,", "")]
+    kept += [",".join(f[:3] + f[4:]) for f in (row.split(",") for row in rows) if f[3] == "0"]
+    return "".join(f"{row}\r\n" for row in kept).encode()
+
+
+def read_trace(path):
+    """(index and z columns, complex values) of a trace written by `chi_trace_csv`."""
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    return table[:, :5], table[:, 5] + 1j * table[:, 6]
+
+
 class TestChiTrace:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_bytes_match_csv_writer(self, tmp_path, n):
+        # a random coupling leaks across sectors (at n >= 2), so chi is one
+        # site-basis block and applying it to a source vector selects entries
         coupling = random_trace_coupling(n, 3)
         grid = coupling.grid
         # on the imaginary axis both node sums share their coefficients, so
-        # every imaginary part is an exact zero
-        zs = np.append(grid.nodes + 1j * grid.eta, 1j * grid.omega_max / 3)
-        chi_trace_csv(tmp_path / "fast.csv", coupling, zs)
+        # every imaginary part is an exact zero; far up it chi is small
+        # enough to print with an exponent
+        zs = np.append(grid.nodes + 1j * grid.eta, 1j * grid.omega_max * np.array([1 / 3, 1e4]))
+        chi_trace_csv(tmp_path / "fast.csv", Susceptibility(coupling), zs)
         reference_chi_trace(tmp_path / "ref.csv", coupling, zs)
-        ref = (tmp_path / "ref.csv").read_bytes()
+        ref = site0_rows(tmp_path / "ref.csv")
         assert (tmp_path / "fast.csv").read_bytes() == ref
-        values = [f for row in ref.decode().split("\r\n")[1:] for f in row.split(",")[6:]]
+        values = [f for row in ref.decode().split("\r\n")[1:] for f in row.split(",")[5:]]
         assert any(v.startswith("-") for v in values)
         assert any("e" in v for v in values)
         assert "0" in values
-        assert ref.count(b"\r\n") == 1 + zs.size * coupling.lattice.dim**2
+        assert ref.count(b"\r\n") == 1 + zs.size * 3 * coupling.lattice.dim
+
+    @pytest.mark.parametrize("name,n", [("lorentz.ini", 2), ("gaussian.ini", 2),
+                                        ("uniaxial.ini", 2), ("lorentz.ini", 3)])
+    def test_sector_blocks_match_dense_trace(self, tmp_path, name, n):
+        cfg = ScenarioConfig.from_file(CONFIG_DIR / name)
+        cfg.n_per_axis = n
+        pipe = Pipeline(cfg)
+        assert pipe.chi.layout is pipe.lattice.sector_layout
+        zs = pipe.grid.nodes + 1j * pipe.grid.eta
+        chi_trace_csv(tmp_path / "fast.csv", pipe.chi, zs)
+        reference_chi_trace(tmp_path / "ref.csv", pipe.coupling, zs)
+        (tmp_path / "ref0.csv").write_bytes(site0_rows(tmp_path / "ref.csv"))
+        index, values = read_trace(tmp_path / "fast.csv")
+        ref_index, ref_values = read_trace(tmp_path / "ref0.csv")
+        assert np.array_equal(index, ref_index)
+        assert np.abs(values - ref_values).max() <= 1e-12 * np.abs(ref_values).max()
+
+    def test_perturbation_included(self, tmp_path):
+        # the violator adds its magnitude at entry (0, 1) of every evaluation:
+        # the trace shows the chi that the checks read, not the unperturbed source
+        pipe = Pipeline(ScenarioConfig.from_file(CONFIG_DIR / "violator_chi.ini"))
+        zs = pipe.grid.nodes + 1j * pipe.grid.eta
+        chi_trace_csv(tmp_path / "perturbed.csv", pipe.chi, zs)
+        chi_trace_csv(tmp_path / "source.csv", Susceptibility(pipe.coupling), zs)
+        index, values = read_trace(tmp_path / "perturbed.csv")
+        src_index, src_values = read_trace(tmp_path / "source.csv")
+        assert np.array_equal(index, src_index)
+        hit = (index[:, 2] == 0) & (index[:, 3] == 0) & (index[:, 4] == 1)
+        assert hit.sum() == zs.size
+        assert np.all(values[hit] - src_values[hit] == pipe.config.violation_magnitude)
+        assert np.abs(values[~hit] - src_values[~hit]).max() <= 1e-12 * np.abs(src_values).max()
 
     def test_memory_flat_in_the_node_text(self, tmp_path):
-        # the writer holds the one stacked chi evaluation of every point,
-        # and at most one row's text besides: far below a d x d complex matrix
-        coupling = random_trace_coupling(3, 4)
-        coupling.density_stack   # cached before tracing: it is shared input, not writer memory
-        zs = coupling.grid.nodes + 1j * coupling.grid.eta
-        d = coupling.lattice.dim
+        # the writer holds the one stacked chi evaluation of every point, the
+        # (K, 3, d) source columns and at most one row's text besides: no
+        # d x d site operator
+        chi = Susceptibility(random_trace_coupling(3, 4))
+        chi.source.density_stack, chi.layout   # cached before tracing: shared input, not writer memory
+        zs = chi.grid.nodes + 1j * chi.eta
+        d = chi.lattice.dim
         tracemalloc.start()
         try:
-            held = chi_stack(coupling, zs, coupling.lattice.one_block)
+            held = chi.blocks_at(zs)
             _, evaluate_peak = tracemalloc.get_traced_memory()
             del held
             tracemalloc.reset_peak()
             base, _ = tracemalloc.get_traced_memory()
-            chi_trace_csv(tmp_path / "chi.csv", coupling, zs)
+            chi_trace_csv(tmp_path / "chi.csv", chi, zs)
             _, write_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert write_peak - base < evaluate_peak + d * d * 16
+        row = max(len(line) for line in (tmp_path / "chi.csv").read_bytes().splitlines())
+        assert write_peak - base < evaluate_peak + zs.size * 3 * d * 16 + row
