@@ -33,7 +33,7 @@ from .fields import (
     medium_momentum_form,
     medium_polarization_form,
 )
-from .lattice import SectorLayout, TensorKernel, sq_norms
+from .lattice import SectorLayout, sq_norms
 from .oracle import QuadraticHamiltonian
 from .susceptibility import Susceptibility, discontinuity
 
@@ -83,10 +83,6 @@ class BathCoefficients:
     pole_blocks: np.ndarray    # (K, size)
     eta: float
 
-    def _in(self, blocks: np.ndarray, layout: SectorLayout) -> np.ndarray:
-        """Coefficient blocks in `layout`: themselves when it is the bath's, else rotated through sites."""
-        return blocks if layout is self.layout else layout.blocks(self.layout.sites(blocks))
-
     def rows(self, coupling: CouplingTensor, k: int, layout: SectorLayout) -> tuple:
         """Pair rows of node k over every node l in `layout`, (K, size) each.
 
@@ -97,7 +93,7 @@ class BathCoefficients:
         """
         nodes = self.grid.nodes
         t_t = layout.transpose(coupling.blocks(layout))
-        pole_k = self.lattice.cell_volume * self._in(self.pole_blocks[k], layout)
+        pole_k = self.lattice.cell_volume * self.layout.convert(self.pole_blocks[k], layout)
         co = layout.matmul(pole_k, t_t)
         counter = layout.matmul(pole_k.conj(), t_t)
         np.conj(counter, out=counter)
@@ -107,7 +103,7 @@ class BathCoefficients:
 
     def delta_row(self, coupling: CouplingTensor, k: int, layout: SectorLayout) -> np.ndarray:
         """Kernel multiplying the node Kronecker in the annihilator pairing, (size,) in `layout`."""
-        delta_k = self.lattice.cell_volume * self._in(self.delta_blocks[k], layout)
+        delta_k = self.lattice.cell_volume * self.layout.convert(self.delta_blocks[k], layout)
         return layout.matmul(delta_k, layout.transpose(coupling.blocks(layout)[k]))
 
     def perturbed_delta(self, scale: float) -> "BathCoefficients":
@@ -271,7 +267,7 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     one block.  The bath rows of every node are held at once, (K, E).
     """
     lattice, grid = coupling.lattice, coupling.grid
-    ham = QuadraticHamiltonian.zero(coupling, structure, bath.layout)
+    ham = QuadraticHamiltonian.zero(coupling, bath.layout)
     layout, act = ham.layout, ham.act
     v = lattice.cell_volume
     K = grid.n_nodes
@@ -296,7 +292,7 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
         alpha[k], beta[k] = form.alpha, form.beta
     u_cb = ham.ladder_rows(alpha, beta)
     del alpha, beta, form
-    right = act(bath._in(bath.pole_blocks, layout), u_p)
+    right = act(bath.layout.convert(bath.pole_blocks, layout), u_p)
     right *= -1j * v**2
     right += (0.5 * HBAR * v * nodes)[:, None] * u_cb
     np.conj(u_cb, out=u_cb)
@@ -307,7 +303,7 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     ham.add_field_energy()
 
     # cubic-moment polarization self-energy
-    selfenergy = layout.blocks(polarization_selfenergy_kernel(coupling, structure).mat)
+    selfenergy = structure.layout.convert(polarization_selfenergy_kernel(coupling, structure), layout)
     ham.accumulate(u_p, act(selfenergy, u_p), v**2)
 
     # electrostatic term
@@ -316,7 +312,7 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
 
     # the squared momentum-minus-potential coupling through the structure tensor
     u_wa = u_w - u_a
-    ham.accumulate(u_wa, act(layout.blocks(structure.kernel.mat), u_wa), 0.5 * HBAR * v**2)
+    ham.accumulate(u_wa, act(structure.layout.convert(structure.blocks, layout), u_wa), 0.5 * HBAR * v**2)
     ham.symmetrize()
     return ham
 
@@ -347,13 +343,13 @@ def hamiltonian_equivalence(coupling: CouplingTensor, structure: StructureTensor
     return {"weak": float(weak), "frobenius": float(frob)}
 
 
-def polarization_selfenergy_kernel(coupling: CouplingTensor, structure: StructureTensor) -> TensorKernel:
-    """Kernel of the cubic-moment polarization self-energy term.
+def polarization_selfenergy_kernel(coupling: CouplingTensor, structure: StructureTensor) -> np.ndarray:
+    """Kernel of the cubic-moment polarization self-energy term, (size,) in the structure tensor's layout.
 
     It is S^-1 o s_3 o S^-1 / hbar, with s_3 the cubic frequency moment of
     the spectral densities.  For a local isotropic medium this kernel is
     site-diagonal: no cross coupling between distinct sites appears when
     the bath is integrated back in.
     """
-    finv = structure.inverse
-    return (1.0 / HBAR) * (finv @ TensorKernel(coupling.lattice, coupling.moments.cubic) @ finv)
+    mm, finv = structure.layout.matmul, structure.inverse
+    return (coupling.lattice.cell_volume**2 / HBAR) * mm(mm(finv, coupling.moments.cubic), finv)

@@ -266,8 +266,8 @@ class Pipeline:
 def stage_model(pipe: Pipeline) -> dict:
     report = check_constraints(pipe.coupling)
     st = pipe.structure
-    evals = np.linalg.eigvalsh(st.kernel.mat)
-    sym = (st.kernel - st.kernel.T).norm() / max(st.kernel.norm(), 1e-300)
+    evals = st.eigenvalues
+    sym = np.linalg.norm(st.blocks - st.layout.transpose(st.blocks)) / max(np.linalg.norm(st.blocks), 1e-300)
     checks = [
         pipe.entry("model.constraint_moment0", report.moment0 / report.scale, TOL_EXACT),
         pipe.entry("model.constraint_moment2", report.moment2 / report.scale, TOL_EXACT),
@@ -361,10 +361,8 @@ def stage_fields(pipe: Pipeline, out: Path | None = None) -> dict:
     worst = max(noise_commutator_residual(coupling, k, pipe.chi.layout)
                 for k in (0, pipe.grid.n_nodes // 2, pipe.grid.n_nodes - 1))
     checks.append(pipe.entry("fields.noise_commutator", worst, TOL_EXACT))
-    # the canonical pair reads the structure kernel too, so it takes the streamed pass's layout
-    layout = pipe.chi.layout_with(pipe.structure)
-    w_form = medium_momentum_form(coupling, pipe.structure, layout)
-    p_form = medium_polarization_form(coupling, layout)
+    w_form = medium_momentum_form(coupling, pipe.structure, pipe.chi.layout)
+    p_form = medium_polarization_form(coupling, pipe.chi.layout)
     ident = TensorKernel.identity(pipe.lattice)
     wp_res = (commutator(w_form, p_form) - (-1j * HBAR) * ident).norm() / (HBAR * ident.norm())
     checks.append(pipe.entry("fields.canonical_pair", float(wp_res), TOL_EXACT))

@@ -7,7 +7,8 @@ pair constraints hold per node at machine precision instead of merely to
 quadrature accuracy.  The frequency moments s_n = sum_k w_k w_k^n D_k of the
 spectral densities have one evaluator, `CouplingTensor.moments`, which the
 constraints, the structure tensor, the sum rules, the asymptote and the
-self-energy all read.
+self-energy all read; like the densities, they are blocks in the coupling's
+layout, `CouplingTensor.layout`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import DampolError, DegenerateCouplingError, ModelError
-from .lattice import FrequencyGrid, Lattice, SectorLayout, TensorKernel
+from .lattice import FrequencyGrid, Lattice, SectorLayout
 
 #: relative tolerance of the canonical-pair constraints
 DEFAULT_TOL_CONSTRAINT = 1e-10
@@ -66,14 +67,14 @@ class RealCoupling:
 
 @dataclass(frozen=True, eq=False)
 class SpectralMoments:
-    """The parts of s_n = sum_k w_k w_k^n D_k, n = 0..3, that the checks read.
+    """The parts of s_n = sum_k w_k w_k^n D_k, n = 0..3, that the checks read, (size,) blocks each.
 
     Each is summed in extended precision and rounded to float64 once, so no
     value depends on the order of the node sum.
     """
 
     imag0: np.ndarray         # Im s_0, zero under the polarization constraint
-    structure: np.ndarray     # S = 2 Re s_1, read-only complex: the structure tensor's kernel
+    structure: np.ndarray     # S = 2 Re s_1, read-only complex: the structure tensor's blocks
     structure_lo: np.ndarray  # 2 Re s_1 - S, which rounding S to float64 dropped
     imag2: np.ndarray         # Im s_2, zero under the momentum constraint
     cubic: np.ndarray         # s_3, for the polarization self-energy
@@ -84,7 +85,7 @@ class SpectralMoments:
 
 
 def spectral_moments(nodes: np.ndarray, weights: np.ndarray, density: np.ndarray) -> SpectralMoments:
-    """s_0..s_3 of a (K, d, d) density stack: one (4, K) @ (K, d^2) extended-precision product."""
+    """s_0..s_3 of a (K, ...) density stack: one (4, K) @ (K, n) extended-precision product."""
     powers = np.vander(np.asarray(nodes, np.longdouble), 4, increasing=True).T \
         * np.asarray(weights, np.longdouble)
     flat = density.reshape(len(nodes), -1)
@@ -100,7 +101,7 @@ def spectral_moments(nodes: np.ndarray, weights: np.ndarray, density: np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class CouplingTensor:
-    """Coupling kernels T(w_k) stacked over the frequency grid."""
+    """Coupling kernels T(w_k) stacked over the frequency grid; what derives from them is blocks in `layout`."""
 
     lattice: Lattice
     grid: FrequencyGrid
@@ -120,18 +121,6 @@ class CouplingTensor:
         return cls(lattice, grid, np.zeros((grid.n_nodes, lattice.dim, lattice.dim), dtype=complex))
 
     @cached_property
-    def density_stack(self) -> np.ndarray:
-        """Per-node spectral densities Ttilde o T*, shape (K, 3M, 3M).
-
-        These positive-semidefinite kernels carry the dissipative content of
-        the medium; the cut discontinuity of the susceptibility is
-        proportional to them.
-        """
-        dens = gram_stack(self.kernels)
-        dens *= self.lattice.cell_volume
-        return dens
-
-    @cached_property
     def _sector_split(self) -> tuple:
         """(off-sector leak, sector blocks) of the kernels, from one rotation."""
         return self.lattice.sector_layout.split(self.kernels)
@@ -141,29 +130,39 @@ class CouplingTensor:
         """Off-sector part of the kernels in the momentum basis, relative to the stack."""
         return self._sector_split[0]
 
+    @cached_property
+    def layout(self) -> SectorLayout:
+        """The layout of every operator derived from the coupling: per momentum sector unless it leaks."""
+        return self.lattice.layout(self.sector_leak)
+
     def blocks(self, layout: SectorLayout) -> np.ndarray:
         """The kernels in `layout`, (K, size): the sector blocks are built once, the site stack is a view."""
-        if layout is self.lattice.sector_layout:
-            return self._sector_split[1]
-        return layout.blocks(self.kernels)
+        return self._sector_split[1] if layout is self.lattice.sector_layout else layout.blocks(self.kernels)
 
     @cached_property
-    def _sector_density(self) -> np.ndarray:
-        t = self.blocks(self.lattice.sector_layout)
-        dens = self.lattice.sector_layout.matmul(self.lattice.sector_layout.transpose(t), t.conj())
+    def _density(self) -> np.ndarray:
+        """Per-node spectral densities Ttilde o T*, (K, size) in `layout`: one stacked block Gram product.
+
+        These positive-semidefinite kernels carry the dissipative content of
+        the medium; the cut discontinuity of the susceptibility is
+        proportional to them.
+        """
+        t, layout = self.blocks(self.layout), self.layout
+        dens = layout.matmul(layout.transpose(t), t.conj())
         dens *= self.lattice.cell_volume
         return dens
 
     def density_blocks(self, layout: SectorLayout) -> np.ndarray:
-        """The spectral densities in `layout`, (K, size): `density_stack` itself in the site basis."""
-        if layout is self.lattice.sector_layout:
-            return self._sector_density
-        return layout.blocks(self.density_stack)
+        """The spectral densities in `layout`, (K, size), converted once from the coupling's own."""
+        converted = self.__dict__.setdefault("_converted_density", {})
+        if layout not in converted:
+            converted[layout] = self.layout.convert(self._density, layout)
+        return converted[layout]
 
     @cached_property
     def moments(self) -> SpectralMoments:
-        """The frequency moments s_0..s_3 of the spectral densities, evaluated once."""
-        return spectral_moments(self.grid.nodes, self.grid.weights, self.density_stack)
+        """The frequency moments s_0..s_3 of the spectral densities, (size,) each in `layout`, evaluated once."""
+        return spectral_moments(self.grid.nodes, self.grid.weights, self._density)
 
 
 @dataclass(frozen=True)
@@ -187,7 +186,7 @@ class ConstraintReport:
 def check_constraints(coupling: CouplingTensor) -> ConstraintReport:
     """Both coupling constraints, v ||s_n - conj(s_n)|| = 2 v ||Im s_n|| for n = 0, 2 (report only)."""
     mom, v = coupling.moments, coupling.lattice.cell_volume
-    scale = v * float(coupling.grid.weights @ np.linalg.norm(coupling.density_stack, axis=(1, 2)))
+    scale = v * float(coupling.grid.weights @ np.linalg.norm(coupling.density_blocks(coupling.layout), axis=-1))
     return ConstraintReport(moment0=2.0 * v * float(np.linalg.norm(mom.imag0)),
                             moment2=2.0 * v * float(np.linalg.norm(mom.imag2)), scale=scale or 1.0)
 
@@ -216,33 +215,36 @@ def coupling_from_lagrangian(t0: RealCoupling) -> CouplingTensor:
 
 @dataclass(frozen=True, eq=False)
 class StructureTensor:
-    """Real positive-definite kernel mediating the field-medium coupling."""
+    """Real positive-definite kernel mediating the field-medium coupling, as (size,) blocks in `layout`."""
 
-    kernel: TensorKernel
-
-    @cached_property
-    def inverse(self) -> TensorKernel:
-        return self.kernel.inv()
+    layout: SectorLayout
+    blocks: np.ndarray
 
     @cached_property
-    def sector_leak(self) -> float:
-        """Off-sector part of the kernel in the momentum basis, relative to the kernel."""
-        return self.kernel.lattice.sector_leak(self.kernel.mat)
+    def inverse(self) -> np.ndarray:
+        """The kernel inverse, S o S^-1 = identity, (size,) in `layout`."""
+        return self.layout.inv(self.blocks) / self.layout.lattice.cell_volume**2
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of the symmetric part, the union of every block's, ascending."""
+        return np.sort(self.layout.eigvalsh((self.blocks.real + self.layout.transpose(self.blocks.real)) / 2.0))
 
 
 def structure_tensor(coupling: CouplingTensor) -> StructureTensor:
     """First frequency moment of the symmetrized spectral density, S = s_1 + conj(s_1).
 
-    S is real by construction.  Fails loudly if it is not positive-definite:
-    a degenerate structure tensor has no inverse, and the canonical momentum
-    density is then undefined.
+    S is real by construction and summed from the coupling's blocks, so it
+    lives in the coupling's layout.  Fails loudly if it is not
+    positive-definite: a degenerate structure tensor has no inverse, and the
+    canonical momentum density is then undefined.
     """
-    mat = coupling.moments.structure
-    evals = np.linalg.eigvalsh((mat.real + mat.real.T) / 2.0)
+    st = StructureTensor(coupling.layout, coupling.moments.structure)
+    evals = st.eigenvalues
     if evals.size and evals[0] <= 1e-12 * max(abs(evals[-1]), 1e-300):
         raise DegenerateCouplingError(
             f"structure tensor not positive-definite (min eigenvalue {evals[0]:.3e})")
-    return StructureTensor(kernel=TensorKernel(coupling.lattice, mat))
+    return st
 
 
 # -- model library -------------------------------------------------------

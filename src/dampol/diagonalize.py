@@ -110,7 +110,7 @@ class _NodeKernels:
 
 def _transfer_blocks(prop: NodePropagator, layout: SectorLayout) -> np.ndarray:
     """X_k = v T*(w_k) o G(w_k - i eta) of every node in `layout`, (K, size): one stacked product."""
-    g = prop.blocks if layout is prop.layout else layout.blocks(prop.layout.sites(prop.blocks))
+    g = prop.layout.convert(prop.blocks, layout)
     return layout.matmul(prop.lattice.cell_volume * prop.coupling.blocks(layout).conj(), g)
 
 
@@ -246,7 +246,7 @@ class _ModeCheckSums:
         self.eye_v = layout.identity / v
         self.pt, self.pl = layout.op("transverse_matrix"), layout.op("longitudinal_matrix")
         # the momentum family's own terms of the wave equation, as one operator
-        f_pt = layout.matmul(layout.blocks(structure.kernel.mat), self.pt)
+        f_pt = layout.matmul(structure.layout.convert(structure.blocks, layout), self.pt)
         self.mom_wave = (1j / MU0) * layout.op("laplacian_matrix") - 1j * HBAR * v * f_pt
         self.names = list(SMEAR_PROFILES)
         self.profiles = smear_profiles(grid)
@@ -388,8 +388,7 @@ def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> Mo
     two for the wave and brace sums, 2 P for the smeared row sums and 2 P
     for the smeared families summed over k, (phi * pole)^T @ X.
 
-    Every operator is a flat block stack in the propagator's layout (one
-    site-basis block if the structure kernel leaks across sectors), and
+    Every operator is a flat block stack in the propagator's layout, and
     every product one batched `matmul` per block size over the node and
     profile axes: there is no per-node loop.  Cost O(K^2 size + K sum_b S_b
     b^3).  The peak comes while the four smeared sums are formed: about 29
@@ -405,7 +404,7 @@ def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> Mo
     om = nodes[:, None]
     c = MU0 * HBAR * v
     pole, anti = rows.pole, rows.anti
-    layout = prop.chi.layout_with(structure)
+    layout = prop.layout
     mm = layout.matmul
     sums = _ModeCheckSums(coupling, structure, layout)
     phi = sums.phi

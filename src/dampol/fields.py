@@ -168,16 +168,16 @@ def noise_mode_form(coupling: CouplingTensor, k: int, layout: SectorLayout) -> L
                              basis=BASIS_DIAGONAL)
 
 
-def noise_commutator_expected(coupling: CouplingTensor, k: int, layout: SectorLayout) -> TensorKernel:
+def noise_commutator_expected(coupling: CouplingTensor, k: int) -> TensorKernel:
     """Exact value of [Pn(w_k), Pn(w_k)^dag] from the cut discontinuity."""
-    dens = layout.sites(coupling.density_blocks(layout)[k])
+    dens = coupling.layout.sites(coupling.density_blocks(coupling.layout)[k])
     return TensorKernel(coupling.lattice, (HBAR**2 / coupling.grid.weights[k]) * dens)
 
 
 def noise_commutator_residual(coupling: CouplingTensor, k: int, layout: SectorLayout) -> float:
     """Relative residual of [Pn(w_k), Pn(w_k)^dag] against its exact value."""
     pn = noise_mode_form(coupling, k, layout)
-    expected = noise_commutator_expected(coupling, k, layout)
+    expected = noise_commutator_expected(coupling, k)
     return (commutator(pn, pn.dagger()) - expected).norm() / max(expected.norm(), 1e-300)
 
 
@@ -196,7 +196,7 @@ def medium_momentum_form(coupling: CouplingTensor, structure: StructureTensor,
                          layout: SectorLayout) -> LinearBosonicForm:
     """Canonical momentum density conjugate to the polarization."""
     v = coupling.lattice.cell_volume
-    tf = layout.matmul(v * coupling.blocks(layout), layout.blocks(structure.inverse.mat))
+    tf = layout.matmul(v * coupling.blocks(layout), structure.layout.convert(structure.inverse, layout))
     alpha = layout.transpose(tf)
     alpha *= -coupling.grid.nodes[:, None]
     return LinearBosonicForm(layout=layout, grid=coupling.grid,

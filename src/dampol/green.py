@@ -21,7 +21,7 @@ from .susceptibility import Susceptibility
 #: relative residual every emitted kernel must satisfy
 TOL_SOLVE = 1e-10
 
-#: condition-number ceiling; beyond it the system counts as singular
+#: ceiling of dim times the 2-norm condition number; beyond it the system counts as singular
 COND_LIMIT = 1e12
 
 
@@ -52,18 +52,18 @@ def solve_stack(chi: Susceptibility, zs) -> tuple:
     Every point must sit off the real axis.  The inverses come from one
     batched `inv` per block size; only when a point is exactly singular,
     which makes the batched call raise, are the points inverted one at a
-    time to find it.  The condition number is the 1-norm one of the site
-    operators, ||A||_1 ||A^-1||_1, read off the inverse the solve forms
-    anyway, rotated back a chunk at a time; it lies within a factor dim of
-    the 2-norm (singular-value) condition number on either side.  Returns
-    the kernel blocks (n, size), the relative residuals and condition
-    numbers (n,), and a dict from the index of each failed point to its
-    message: a point fails when its condition number is beyond `COND_LIMIT`
-    or its residual beyond `TOL_SOLVE`.
+    time to find it.  The condition number is the 2-norm one, sigma_max /
+    sigma_min over the union of a point's blocks, as in
+    `bath.require_invertible`; it is infinite at an exactly singular or a
+    non-finite point.  Returns the kernel blocks (n, size), the relative
+    residuals and condition numbers (n,), and a dict from the index of each
+    failed point to its message: a point fails when dim times its condition
+    number, a bound of the 1-norm one, is beyond `COND_LIMIT` or its
+    residual beyond `TOL_SOLVE`.
     """
     zs = np.asarray(zs, dtype=complex)
     layout = chi.layout
-    v = layout.lattice.cell_volume
+    v, dim = layout.lattice.cell_volume, layout.lattice.dim
     mat = wave_operator(chi.blocks_at(zs), zs, layout)
     mat *= v   # matrix form of the operator
     try:
@@ -75,15 +75,17 @@ def solve_stack(chi: Susceptibility, zs) -> tuple:
                 inv[i] = layout.inv(m)
             except np.linalg.LinAlgError:
                 inv[i] = np.nan   # an exactly singular point
-    cond = layout.norm1(mat) * layout.norm1(inv)
-    cond[np.isnan(cond)] = np.inf
+    cond = np.full(len(mat), np.inf)   # at an exactly singular or a non-finite point
+    ok = np.isfinite(mat).all(axis=-1) & np.isfinite(inv).all(axis=-1)
+    sv = layout.svdvals(mat if ok.all() else mat[ok])
+    cond[ok] = sv.max(axis=-1) / sv.min(axis=-1)
     inv /= v   # the kernel matrices
     residual = _identity_residuals(layout.matmul(inv, mat), layout, v)
     failures = {}
     for i, z in enumerate(zs.tolist()):
-        if not cond[i] <= COND_LIMIT:
+        if not dim * cond[i] <= COND_LIMIT:
             failures[i] = (f"wave operator at z = {z} is near-singular (cond = {cond[i]:.3e}); "
-                           "increase eta or move z")
+                           f"dim * cond is beyond {COND_LIMIT:.0e}; increase eta or move z")
         elif not residual[i] <= TOL_SOLVE:
             failures[i] = f"solve at z = {z} left relative residual {residual[i]:.3e} > {TOL_SOLVE}"
     return inv, residual, cond, failures
@@ -93,9 +95,9 @@ def solve_green(chi: Susceptibility, zs) -> np.ndarray:
     """The propagator at the points zs as (n, size) blocks in `chi.layout`: `solve_stack` that raises.
 
     Every z must sit off the real axis; pick a side of the cut explicitly via
-    the susceptibility's eta.  A failed point (condition number beyond
-    `COND_LIMIT`, or residual beyond `TOL_SOLVE`) raises for the first one
-    instead of returning a silently regularized kernel.
+    the susceptibility's eta.  A failed point (dim times its condition
+    number beyond `COND_LIMIT`, or residual beyond `TOL_SOLVE`) raises for
+    the first one instead of returning a silently regularized kernel.
     """
     zs = np.asarray(zs, dtype=complex)
     if np.any(zs.imag == 0.0):
@@ -165,9 +167,9 @@ def node_propagator(chi: Susceptibility) -> NodePropagator:
 
     chi at every node is one (2 K, K) @ (K, size) GEMM, the inverses one
     batched `inv` per block size and the residuals one batched product; the
-    condition numbers are read off the stacks.  The peak holds about seven
-    (K, size) block stacks: chi's two node sums, the operator, its inverse
-    and the site operators of one rotation chunk (7.2 at n = 2, K = 128).
+    condition numbers are one batched SVD per block size.  The peak holds
+    about seven (K, size) block stacks, among them chi's two node sums, the
+    operator and its inverse (7.15 at n = 2, K = 128).
     Every node is attempted; if any fails, one `SingularOperatorError`
     names all the failed nodes.
     """

@@ -463,18 +463,21 @@ class SectorLayout:
         """The site operators of a (..., size) array applied to (..., d) site vectors, leading axes broadcast.
 
         The vectors are rotated into the basis and back, A v = B A_blocks
-        (B^T v), so no site operator is formed.
+        (B^T v), so no site operator is formed; the real basis multiplies
+        the real and imaginary parts apart, so it is never cast to a complex copy.
         """
-        rot = vecs if self.basis is None else vecs @ self.basis
+        rot = vecs if self.basis is None else _real_matmul(vecs, self.basis)
+        out = np.empty(np.broadcast_shapes(flat.shape[:-1], vecs.shape[:-1]) + (self.lattice.dim,),
+                       dtype=np.result_type(flat, vecs))
         first = np.cumsum(self.sizes) - self.sizes
-        out = np.concatenate([(blk @ rot[..., f:f + b, None])[..., 0]
-                              for blk, f, b in zip(self.per_block(flat), first, self.sizes)], axis=-1)
-        return out if self.basis is None else out @ self.basis.T
+        for blk, f, b in zip(self.per_block(flat), first, self.sizes):
+            out[..., f:f + b] = (blk @ rot[..., f:f + b, None])[..., 0]
+        return out if self.basis is None else _real_matmul(out, self.basis.T)
 
-    def norm1(self, flat: np.ndarray) -> np.ndarray:
-        """The 1-norm (largest column sum of moduli) of each site operator of an (n, size) stack."""
-        return np.concatenate([np.abs(self.sites(flat[chunk])).sum(axis=-2).max(axis=-1)
-                               for chunk in self._chunks(len(flat))])
+    def convert(self, flat: np.ndarray, layout: "SectorLayout") -> np.ndarray:
+        """A (..., size) stack of this layout as blocks of `layout`: `flat` itself when it is this one,
+        else rotated through sites."""
+        return flat if layout is self else layout.blocks(self.sites(flat))
 
     def op(self, name: str) -> np.ndarray:
         """The blocks of the lattice operator `Lattice.<name>`, (size,), built once."""
@@ -514,7 +517,13 @@ class SectorLayout:
     def svdvals(self, a: np.ndarray) -> np.ndarray:
         """The singular values of every operator, the union of its blocks', (..., d) unsorted."""
         lead = a.shape[:-1]
-        return np.concatenate([np.linalg.svd(p, compute_uv=False).reshape(lead + (-1,))
+        return np.concatenate([np.linalg.svd(p, compute_uv=False).reshape(lead + (p.shape[-3] * p.shape[-1],))
+                               for p in self.parts(a)], axis=-1)
+
+    def eigvalsh(self, a: np.ndarray) -> np.ndarray:
+        """The eigenvalues of every Hermitian operator, the union of its blocks', (..., d) unsorted."""
+        lead = a.shape[:-1]
+        return np.concatenate([np.linalg.eigvalsh(p).reshape(lead + (p.shape[-3] * p.shape[-1],))
                                for p in self.parts(a)], axis=-1)
 
     def pair_contract(self, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -530,6 +539,16 @@ class SectorLayout:
             rhs = np.moveaxis(pb, -4, -3).swapaxes(-1, -2).reshape(pb.shape[:-4] + (c, n * k, k))
             np.matmul(lhs, rhs, out=po)
         return out
+
+
+def _real_matmul(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """a @ basis for a real basis: a complex `a` is multiplied part by part, into the result's own parts."""
+    if not np.iscomplexobj(a):
+        return a @ basis
+    out = np.empty(a.shape[:-1] + basis.shape[-1:], dtype=a.dtype)
+    np.matmul(a.real, basis, out=out.real)
+    np.matmul(a.imag, basis, out=out.imag)
+    return out
 
 
 def sq_norms(flat: np.ndarray) -> np.ndarray:

@@ -101,21 +101,17 @@ class QuadraticHamiltonian:
     sector_leak: float
 
     @classmethod
-    def zero(cls, coupling: CouplingTensor, structure: StructureTensor,
-             *stored: SectorLayout) -> "QuadraticHamiltonian":
-        """The zero form of an assembly from the coupling, the structure kernel and kernels in `stored` layouts.
+    def zero(cls, coupling: CouplingTensor, *stored: SectorLayout) -> "QuadraticHamiltonian":
+        """The zero form of an assembly from the coupling, what derives from it and kernels in `stored` layouts.
 
-        The layout is `Lattice.sector_layout` unless the coupling or the
-        structure kernel leaks beyond `lattice.SECTOR_LEAK_TOL` or a kernel is kept
-        in another layout, whose leak counts as infinite; then it is
+        The layout is `Lattice.sector_layout` unless the coupling leaks
+        beyond `lattice.SECTOR_LEAK_TOL` or a kernel is kept in another
+        layout, whose leak counts as infinite; then it is
         `Lattice.momentum_block`, one group of every slot.
         """
         lattice = coupling.lattice
-        leak = max([coupling.sector_leak, structure.sector_leak]
-                   + [0.0 if s is lattice.sector_layout else np.inf for s in stored])
-        layout = lattice.layout(leak)
-        if layout is not lattice.sector_layout:
-            layout = lattice.momentum_block
+        leak = max([coupling.sector_leak] + [0.0 if s is lattice.sector_layout else np.inf for s in stored])
+        layout = lattice.sector_layout if lattice.layout(leak) is lattice.sector_layout else lattice.momentum_block
         groups = layout.slot_groups(2, 2 * coupling.grid.n_nodes)
         return cls(layout=layout, grid=coupling.grid, mt=lattice.transverse_basis.shape[1],
                    groups=groups, blocks=[np.zeros((g.size, g.size), dtype=complex) for g in groups],
@@ -344,15 +340,15 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor) -
     structure tensor, and the electrostatic energy of the longitudinal
     polarization.  The bilinear and quadratic coupling pieces enter
     together or not at all: both are linear/quadratic in the same kernels.
-    The form is stored per momentum sector when the coupling kernels and
-    the structure kernel conserve lattice momentum.  A canonical dimension
+    The form is stored per momentum sector when the coupling kernels
+    conserve lattice momentum.  A canonical dimension
     above `MAX_CANONICAL_DIM` is a configuration error, raised before
     anything is allocated.
     """
     lattice, grid = coupling.lattice, coupling.grid
     v = lattice.cell_volume
     check_canonical_dim(lattice, grid.n_nodes)
-    ham = QuadraticHamiltonian.zero(coupling, structure)
+    ham = QuadraticHamiltonian.zero(coupling)
     layout = ham.layout
     ham.add_field_energy()
 
@@ -371,7 +367,7 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor) -
 
     # quadratic vector-potential term
     u_a = ham.rows_vector_potential
-    ham.accumulate(u_a, ham.act(layout.blocks(structure.kernel.mat), u_a), 0.5 * HBAR * v**2)
+    ham.accumulate(u_a, ham.act(structure.layout.convert(structure.blocks, layout), u_a), 0.5 * HBAR * v**2)
 
     # electrostatic energy of the longitudinal polarization
     pol = medium_polarization_form(coupling, layout)
@@ -405,7 +401,7 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     u_p, u_w = ham.ladder_rows(pol.alpha, pol.beta), ham.ladder_rows(mom.alpha, mom.beta)
     pt, pl = layout.op("transverse_matrix"), layout.op("longitudinal_matrix")
     lap = layout.op("laplacian_matrix")
-    fmat = layout.blocks(structure.kernel.mat)
+    fmat = structure.layout.convert(structure.blocks, layout)
     t = coupling.blocks(layout)
     r = ham.dynamics()
     out = {}
@@ -447,11 +443,11 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     del res, rhs
     coef, tt = -HBAR * v * grid.weights * nodes, layout.transpose(t)
     t1 = coef @ act(tt, u_c)
-    s_bar = mm(v * tc, layout.blocks(structure.inverse.mat))   # conj of the momentum coefficient
+    s_bar = mm(v * tc, structure.layout.convert(structure.inverse, layout))   # conj of the momentum coefficient
     chain = v**2 * coef @ mm(mm(tt, s_bar), fmat)
     t2 = act(chain, u_a)
     # P is Hermitian, so the last term (-i hbar/eps0) v s_0 P_L P plus its adjoint reads only Im s_0
-    t3 = (HBAR / EPS0) * v * act(mm(layout.blocks(coupling.moments.imag0), pl), u_p)
+    t3 = (HBAR / EPS0) * v * act(mm(coupling.layout.convert(coupling.moments.imag0, layout), pl), u_p)
     rhs_half = t1 + t2 + t3
     rhs = rhs_half + rhs_half.conj()
     out["polarization_rate"] = _rel(ddt(u_p) - rhs, rhs)

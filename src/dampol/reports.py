@@ -17,7 +17,7 @@ import numpy as np
 
 from .lattice import sq_norms
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def check_entry(check_id: str, residual: float, tolerance: float, *,

@@ -82,22 +82,16 @@ class Susceptibility:
         return self.source.grid.eta
 
     @cached_property
-    def sector_leak(self) -> float:
-        """Off-sector part of the inputs, the coupling and the perturbation, in the momentum basis."""
-        leak = self.source.sector_leak
-        if self.perturbation is not None:
-            leak = max(leak, self.lattice.sector_leak(self.perturbation.mat))
-        return leak
-
-    @cached_property
     def layout(self) -> SectorLayout:
         """The kernel layout of everything solved with this susceptibility.
 
-        Per momentum sector when both inputs conserve lattice momentum; a
-        leaking input (a random coupling, a symmetry-violating
-        perturbation) makes it one site-basis block, the dense reference.
+        The coupling's layout, or one site-basis block, the dense reference,
+        when the perturbation leaks across momentum sectors, as a
+        symmetry-violating one does.
         """
-        return self.lattice.layout(self.sector_leak)
+        if self.perturbation is None:
+            return self.source.layout
+        return self.lattice.layout(max(self.source.sector_leak, self.lattice.sector_leak(self.perturbation.mat)))
 
     def blocks_at(self, zs) -> np.ndarray:
         """The evaluations at the points zs in `layout`, perturbation included, (n, size)."""
@@ -105,14 +99,6 @@ class Susceptibility:
         if self.perturbation is not None:
             out += self.layout.blocks(self.perturbation.mat)
         return out
-
-    def layout_with(self, structure: StructureTensor) -> SectorLayout:
-        """The layout of kernels built from chi's inputs and the structure kernel.
-
-        `layout`, or one block when the structure kernel leaks across
-        sectors: no kernel may be stored in a layout an input leaks out of.
-        """
-        return self.lattice.layout(max(self.sector_leak, structure.sector_leak))
 
     @cached_property
     def above_cut_blocks(self) -> np.ndarray:
@@ -166,11 +152,12 @@ def verify_sum_rules(coupling: CouplingTensor, structure: StructureTensor) -> Su
     The n-th moment is 2 pi i hbar/eps0 (s_n - (-1)^n conj(s_n)), and the
     factor cancels in every ratio.  The zeroth and second must vanish, the
     first reproduces the structure tensor; all three close exactly for
-    Lagrangian-built couplings.  Every matrix is scaled by one power of two
-    (`unit_scale`) before its norm is taken, so a tiny coupling's squares
-    do not underflow to a vacuous zero.
+    Lagrangian-built couplings.  Every operator is a (size,) block row in
+    the coupling's layout, whose norm is the operator's, and is scaled by
+    one power of two (`unit_scale`) before its norm is taken, so a tiny
+    coupling's squares do not underflow to a vacuous zero.
     """
-    mom, mat = coupling.moments, structure.kernel.mat
+    mom, mat = coupling.moments, structure.blocks
     gap = mom.structure_gap(mat)
     unit = unit_scale(max(float(np.abs(a).max(initial=0.0)) for a in (mat, mom.imag0, gap, mom.imag2)))
     scale = max(float(np.linalg.norm(unit * mat)), 1e-300)
@@ -181,9 +168,9 @@ def verify_sum_rules(coupling: CouplingTensor, structure: StructureTensor) -> Su
     )
 
 
-def chi_asymptotic(structure: StructureTensor, z: complex) -> TensorKernel:
-    """Leading large-|z| behaviour of the susceptibility."""
-    return (-HBAR / EPS0 / z**2) * structure.kernel
+def chi_asymptotic(structure: StructureTensor, z: complex) -> np.ndarray:
+    """Leading large-|z| behaviour of the susceptibility, (size,) in the structure tensor's layout."""
+    return (-HBAR / EPS0 / z**2) * structure.blocks
 
 
 def asymptote_residual(coupling: CouplingTensor, structure: StructureTensor, z: complex) -> float:
@@ -203,15 +190,14 @@ def asymptote_residual(coupling: CouplingTensor, structure: StructureTensor, z: 
     the given S to round-off, whatever the node order.
     """
     z = complex(z)
-    nodes, w = coupling.grid.nodes, coupling.grid.weights
-    dens, mom = coupling.density_stack, coupling.moments
+    nodes, w, v = coupling.grid.nodes, coupling.grid.weights, coupling.lattice.cell_volume
+    dens, mom = coupling.density_blocks(coupling.layout), coupling.moments
     # sum_k c_k conj(D_k) = conj(sum_k conj(c_k) D_k): both tail sums in one GEMM
-    tail_res, tail_anti = np.stack([w * nodes**3 / (nodes - z), np.conj(w * nodes**3 / (nodes + z))]) \
-        @ dens.reshape(nodes.size, -1)
-    tail = (tail_res - tail_anti.conj()).reshape(dens.shape[1:])
-    corr = -2j * mom.imag0 / z - mom.structure_gap(structure.kernel.mat) / z**2 \
-        + (tail - 2j * mom.imag2) / z**3
-    return TensorKernel(coupling.lattice, (HBAR / EPS0) * corr).norm() / max(structure.kernel.norm(), 1e-300)
+    tail_res, tail_anti = np.stack([w * nodes**3 / (nodes - z), np.conj(w * nodes**3 / (nodes + z))]) @ dens
+    corr = -2j * mom.imag0 / z - mom.structure_gap(structure.blocks) / z**2 \
+        + (tail_res - tail_anti.conj() - 2j * mom.imag2) / z**3
+    scale = v * float(np.linalg.norm(structure.blocks))
+    return v * float(np.linalg.norm((HBAR / EPS0) * corr)) / max(scale, 1e-300)
 
 
 def reflection_residuals(layout: SectorLayout, evaluate, zs) -> dict:

@@ -9,6 +9,7 @@ from dampol.coupling import (
     CouplingTensor,
     builtin_model,
     coupling_from_lagrangian,
+    gram_stack,
     random_coupling,
     structure_tensor,
 )
@@ -149,7 +150,7 @@ def independence_reference(bath, coupling):
     lattice, grid = coupling.lattice, coupling.grid
     K, d, v = grid.n_nodes, lattice.dim, lattice.cell_volume
     w, nodes = grid.weights, grid.nodes
-    dens = coupling.density_stack
+    dens = v * gram_stack(coupling.kernels)
     dens_flat = dens.reshape(K, d * d)
     delta_coeff, pole_coeff = (bath.layout.sites(b) for b in (bath.delta_blocks, bath.pole_blocks))
     num_p = num_w = den_p = den_w = 0.0
@@ -272,21 +273,21 @@ class TestHamiltonianForms:
 
     def test_local_model_selfenergy_site_diagonal(self, bath_setup):
         lat, grid, coupling, st, chi, bath = bath_setup
-        se = polarization_selfenergy_kernel(coupling, st)
-        offsite = se.mat.copy()
+        se = st.layout.sites(polarization_selfenergy_kernel(coupling, st))
+        offsite = se.copy()
         for s in range(lat.n_sites):
             offsite[3 * s: 3 * s + 3, 3 * s: 3 * s + 3] = 0.0
-        assert np.linalg.norm(offsite) <= 1e-12 * np.linalg.norm(se.mat)
+        assert np.linalg.norm(offsite) <= 1e-12 * np.linalg.norm(se)
 
     def test_nonlocal_model_selfenergy_has_offsite_parts(self, small_lattice, grid12):
         coupling = coupling_from_lagrangian(
             builtin_model("gaussian_nonlocal", small_lattice, grid12, {"corr_length": 0.9}))
         st = structure_tensor(coupling)
-        se = polarization_selfenergy_kernel(coupling, st)
-        offsite = se.mat.copy()
+        se = st.layout.sites(polarization_selfenergy_kernel(coupling, st))
+        offsite = se.copy()
         for s in range(small_lattice.n_sites):
             offsite[3 * s: 3 * s + 3, 3 * s: 3 * s + 3] = 0.0
-        assert np.linalg.norm(offsite) > 1e-6 * np.linalg.norm(se.mat)
+        assert np.linalg.norm(offsite) > 1e-6 * np.linalg.norm(se)
 
 
 class TestBathModeAlgebra:

@@ -492,12 +492,12 @@ class TestStackFreeProduction:
         assert read_report(cfg.out, "oracle")["passed"]
 
     def test_kernel_stages_rotate_back_no_site_stack(self, tmp_path, monkeypatch):
-        # on a translation-invariant medium the chi trace, the field forms, the
-        # noise and canonical-pair commutators and the bath cross-check stay
-        # in blocks, and the chi and field traces rotate their source vectors
-        # and amplitudes, not chi or E: beside single operators and the
-        # condition numbers' chunks of K / 8 nodes, no stack of site operators
-        # is rotated back
+        # on a translation-invariant medium the coupling's derived operators,
+        # the node sweep and its condition numbers, the streamed pass, the chi
+        # trace, the field forms, the noise and canonical-pair commutators and
+        # the bath cross-check stay in blocks, and the chi and field traces
+        # rotate their source vectors and amplitudes, not chi or E: beside
+        # single operators, no stack of site operators is rotated back
         from dampol.lattice import SectorLayout
         sites, rotated = SectorLayout.sites, []
 
@@ -508,8 +508,8 @@ class TestStackFreeProduction:
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
         cfg.out = str(tmp_path / "o")
         cfg.n_nodes = 16
-        assert run(cfg, stages=("chi", "fields", "bath")) == EXIT_PASS
-        assert rotated and [n for n in rotated if n > 2] == []
+        assert run(cfg, stages=("model", "chi", "green", "diag", "fields", "bath")) == EXIT_PASS
+        assert rotated and [n for n in rotated if n > 1] == []
         assert (Path(cfg.out) / "chi_trace.csv").exists()
         assert (Path(cfg.out) / "field_trace.csv").exists()
 
@@ -556,19 +556,18 @@ class TestRefine:
 
     def test_kernels_track_builds_no_site_stack(self, tmp_path, monkeypatch):
         # the kernel stages run on sector blocks; no stack of site operators
-        # over every node is rotated back, only single operators and the
-        # condition numbers' chunks of at most K / 8 nodes
+        # is rotated back, only single operators
         import dampol.cli as cli
         from dampol.lattice import SectorLayout
         pipes, init, sites = [], cli.Pipeline.__init__, SectorLayout.sites
-        rotated = []   # (operators rotated back, nodes of the run)
+        rotated = []   # operators rotated back per call
 
         def recording(self, *args, **kwargs):
             init(self, *args, **kwargs)
             pipes.append(self)
 
         def counted(self, flat):
-            rotated.append((int(np.prod(flat.shape[:-1])), pipes[-1].grid.n_nodes))
+            rotated.append(int(np.prod(flat.shape[:-1])))
             return sites(self, flat)
         monkeypatch.setattr(cli.Pipeline, "__init__", recording)
         monkeypatch.setattr(SectorLayout, "sites", counted)
@@ -576,7 +575,7 @@ class TestRefine:
         cfg.out = str(tmp_path)
         cfg.n_nodes = 8
         assert refine(cfg, 2) in (EXIT_PASS, EXIT_NUMERICAL)
-        assert rotated and all(n <= -(-K // 8) for n, K in rotated)
+        assert rotated and max(rotated) == 1
         for pipe in pipes:
             assert pipe.propagator.layout is pipe.lattice.sector_layout
 

@@ -14,6 +14,7 @@ from dampol.coupling import (
     coupling_from_lagrangian,
     gram_stack,
     random_coupling,
+    spectral_moments,
     structure_tensor,
 )
 from dampol.fields import medium_momentum_form
@@ -27,10 +28,20 @@ def pernode_reality_residual(coupling):
     Lagrangian-built couplings satisfy this stronger per-node condition at
     machine precision, which implies both quadrature constraints.
     """
-    dens = coupling.density_stack
+    dens = dense_density(coupling)
     num = np.linalg.norm(dens.imag, axis=(1, 2))
     den = np.maximum(np.linalg.norm(dens, axis=(1, 2)), 1e-300)
     return float(np.max(num / den))
+
+
+def dense_density(coupling):
+    """The dense reference of the spectral densities, v gram_stack(T), (K, d, d)."""
+    return coupling.lattice.cell_volume * gram_stack(coupling.kernels)
+
+
+def dense_structure(st):
+    """The structure tensor as one (d, d) site matrix."""
+    return st.layout.sites(st.blocks)
 
 
 def scalar_coupling(lattice, grid, tau):
@@ -85,7 +96,7 @@ class TestGaugeAndGram:
         built = coupling_from_lagrangian(model)
         # the unitarity Gram of the gauge, and the spectral densities
         for fast, stack, scale in ((gram_stack(model.unitary), model.unitary, 1.0),
-                                   (built.density_stack, built.kernels, small_lattice.cell_volume)):
+                                   (dense_density(built), built.kernels, small_lattice.cell_volume)):
             ref = scale * np.einsum("kji,kjl->kil", stack, stack.conj())
             assert np.linalg.norm(fast - ref) <= 1e-14 * np.linalg.norm(ref)
 
@@ -120,7 +131,7 @@ class TestStructureTensor:
         coupling = scalar_coupling(single_site, grid, tau)
         st = structure_tensor(coupling)
         expected = 2.0 * grid.weights[0] * grid.nodes[0] * abs(tau) ** 2 * np.eye(3) / single_site.cell_volume
-        assert np.allclose(st.kernel.mat, expected)
+        assert np.allclose(dense_structure(st), expected)
 
     def test_zero_coupling_fails(self, small_lattice):
         grid = FrequencyGrid.midpoint(4, 3.0)
@@ -128,25 +139,26 @@ class TestStructureTensor:
             structure_tensor(CouplingTensor.zero(small_lattice, grid))
 
     def test_symmetry(self, random_lagrangian):
-        st = structure_tensor(random_lagrangian)
-        assert st.kernel.allclose(st.kernel.T, tol=1e-12)
+        mat = dense_structure(structure_tensor(random_lagrangian))
+        assert np.linalg.norm(mat - mat.T) <= 1e-12 * np.linalg.norm(mat)
 
     def test_positive_definite_on_builtins(self, small_lattice, grid12):
         for name in ("local_lorentz", "uniaxial_local", "gaussian_nonlocal"):
             built = coupling_from_lagrangian(builtin_model(name, small_lattice, grid12))
             st = structure_tensor(built)
-            evals = np.linalg.eigvalsh(st.kernel.mat)
+            evals = np.linalg.eigvalsh(dense_structure(st))
             assert evals[0] > 0
+            assert np.allclose(st.eigenvalues, evals, rtol=0, atol=1e-13 * evals[-1])
 
     def test_matches_first_moment_quadrature(self, random_lagrangian):
         # independent oracle: loop-accumulated quadrature of the density
         grid = random_lagrangian.grid
         acc = np.zeros_like(random_lagrangian.kernels[0])
         for k in range(grid.n_nodes):
-            dens = random_lagrangian.density_stack[k]
+            dens = dense_density(random_lagrangian)[k]
             acc = acc + grid.weights[k] * grid.nodes[k] * (dens + dens.conj())
         st = structure_tensor(random_lagrangian)
-        assert np.allclose(st.kernel.mat, acc.real, atol=1e-12 * np.linalg.norm(acc))
+        assert np.allclose(dense_structure(st), acc.real, atol=1e-12 * np.linalg.norm(acc))
 
 
 class TestMomentumKernel:
@@ -183,7 +195,8 @@ class TestBuiltinModels:
         model = builtin_model("uniaxial_local", single_site, grid, {"axis": "z", "ratio": 2.0})
         built = coupling_from_lagrangian(model)
         st = structure_tensor(built)
-        assert st.kernel.mat[2, 2] == pytest.approx(4.0 * st.kernel.mat[0, 0])
+        mat = dense_structure(st)
+        assert mat[2, 2] == pytest.approx(4.0 * mat[0, 0])
 
     def test_gaussian_offsite_vanishes_as_length_shrinks(self, small_lattice, grid12):
         tight = builtin_model("gaussian_nonlocal", small_lattice, grid12, {"corr_length": 0.05})
@@ -225,7 +238,7 @@ def einsum_moment_reference(coupling, structure):
     Returns the constraint residuals, the structure tensor, the sum-rule
     residuals for the given structure tensor, and the self-energy kernel.
     """
-    grid, dens, v = coupling.grid, coupling.density_stack, coupling.lattice.cell_volume
+    grid, dens, v = coupling.grid, dense_density(coupling), coupling.lattice.cell_volume
     w, nodes = grid.weights, grid.nodes
     imbalance = dens - dens.conj()
     m0 = v * np.linalg.norm(np.einsum("k,kij->ij", w, imbalance))
@@ -233,13 +246,13 @@ def einsum_moment_reference(coupling, structure):
     s_mat = np.einsum("k,kij->ij", w * nodes, dens + dens.conj()).real
     disc = (2.0j * np.pi * HBAR / EPS0) * dens
     even, odd = disc + disc.conj(), disc - disc.conj()
-    target1 = (2.0j * np.pi * HBAR / EPS0) * structure.kernel.mat
+    target1 = (2.0j * np.pi * HBAR / EPS0) * dense_structure(structure)
     scale = np.linalg.norm(target1)
     rules = (np.linalg.norm(np.einsum("k,kij->ij", w, even)) / scale,
              np.linalg.norm(np.einsum("k,kij->ij", w * nodes, odd) - target1) / scale,
              np.linalg.norm(np.einsum("k,kij->ij", w * nodes**2, even)) / scale
              / max(grid.omega_max**2, 1.0))
-    finv = structure.inverse
+    finv = TensorKernel(coupling.lattice, dense_structure(structure)).inv()
     xi = TensorKernel(coupling.lattice, (2.0j * np.pi * HBAR / EPS0) * np.einsum(
         "l,lab->ab", w * nodes**3, dens))
     selfenergy = (EPS0 / (2.0j * np.pi * HBAR**2)) * (finv @ xi @ finv)
@@ -271,10 +284,66 @@ class TestSpectralMoments:
             report = check_constraints(coupling)
             assert close(report.moment0, m0, report.scale)
             assert close(report.moment2, m2, report.scale)
-            assert np.linalg.norm(st.kernel.mat - s_mat) <= 1e-12 * np.linalg.norm(s_mat)
+            assert np.linalg.norm(dense_structure(st) - s_mat) <= 1e-12 * np.linalg.norm(s_mat)
             got = verify_sum_rules(coupling, st)
             for new, ref in zip((got.moment0, got.moment1, got.moment2), rules):
                 assert close(new, ref, 1.0)
-            diff = polarization_selfenergy_kernel(coupling, st) - selfenergy
-            assert diff.norm() <= 1e-12 * selfenergy.norm()
+            diff = st.layout.sites(polarization_selfenergy_kernel(coupling, st)) - selfenergy.mat
+            assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(selfenergy.mat)
         assert not check_constraints(violator).passed
+
+
+def dense_reference(coupling):
+    """Every coupling-derived operator from the dense densities v gram_stack(T), (K, d, d).
+
+    Returns the densities, the moments of `spectral_moments` over the dense
+    stack, and the structure tensor, its inverse and the self-energy as
+    (d, d) site matrices.
+    """
+    v, grid = coupling.lattice.cell_volume, coupling.grid
+    dens = dense_density(coupling)
+    mom = spectral_moments(grid.nodes, grid.weights, dens)
+    s_mat = mom.structure
+    s_inv = np.linalg.inv(s_mat) / v**2
+    selfenergy = v**2 * (s_inv @ mom.cubic @ s_inv) / HBAR
+    return dens, mom, s_mat, s_inv, selfenergy
+
+
+class TestBlockRouteMatchesDense:
+    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @given(n=st_.integers(1, 4), model=st_.sampled_from(["local_lorentz", "uniaxial_local",
+                                                          "gaussian_nonlocal", "random"]),
+           n_nodes=st_.integers(1, 6), seed=st_.integers(0, 2**32 - 1))
+    def test_density_moments_and_structure(self, n, model, n_nodes, seed):
+        # the built-in models conserve lattice momentum and run per sector; a
+        # random coupling leaks, beyond one site, and runs as one site-basis block
+        lattice = build_lattice(n, 1.0)
+        grid = FrequencyGrid.midpoint(n_nodes, 3.0)
+        if model == "random":
+            coupling = coupling_from_lagrangian(random_coupling(lattice, grid, np.random.default_rng(seed)))
+        else:
+            coupling = coupling_from_lagrangian(builtin_model(model, lattice, grid))
+        layout = coupling.layout
+        assert layout is (lattice.one_block if model == "random" and n > 1 else lattice.sector_layout)
+        dens, mom, s_mat, s_inv, selfenergy = dense_reference(coupling)
+        st = structure_tensor(coupling)
+        assert st.layout is layout
+
+        def close(got, ref, scale=None):
+            ref = layout.blocks(ref)
+            scale = np.linalg.norm(ref) if scale is None else scale
+            return np.linalg.norm(got - ref) <= 1e-13 * scale
+
+        assert close(coupling.density_blocks(layout), dens)
+        # each moment field against the dense one, relative to the moment it is part of
+        s0, s1 = np.linalg.norm(layout.blocks(mom.imag0)), np.linalg.norm(s_mat)
+        assert close(coupling.moments.imag0, mom.imag0, max(s0, np.linalg.norm(
+            np.einsum("k,kab->ab", grid.weights, dens))))
+        assert close(coupling.moments.structure, mom.structure)
+        assert close(coupling.moments.structure_lo, mom.structure_lo, s1)
+        assert close(coupling.moments.imag2, mom.imag2, np.linalg.norm(
+            np.einsum("k,kab->ab", grid.weights * grid.nodes**2, dens)))
+        assert close(coupling.moments.cubic, mom.cubic)
+        assert close(st.blocks, s_mat)
+        assert close(st.inverse, s_inv)
+        assert close(polarization_selfenergy_kernel(coupling, st), selfenergy)

@@ -48,9 +48,8 @@ def setup(request):
 class TestCanonicalMatterAlgebra:
     def test_momentum_polarization_commutator(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
-        layout = chi.layout_with(st)
-        w = medium_momentum_form(coupling, st, layout)
-        p = medium_polarization_form(coupling, layout)
+        w = medium_momentum_form(coupling, st, chi.layout)
+        p = medium_polarization_form(coupling, chi.layout)
         expected = -1j * HBAR * TensorKernel.identity(lat)
         assert commutator(w, p).allclose(expected, tol=1e-10)
 
@@ -62,7 +61,7 @@ class TestCanonicalMatterAlgebra:
 
     def test_momentum_self_commutator_vanishes(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
-        w = medium_momentum_form(coupling, st, chi.layout_with(st))
+        w = medium_momentum_form(coupling, st, chi.layout)
         scale = HBAR * TensorKernel.identity(lat).norm()
         assert commutator(w, w).norm() <= 1e-10 * scale
 
@@ -94,7 +93,7 @@ class TestNoiseCommutator:
         for k in (0, 4, grid.n_nodes - 1):
             pn = noise_mode_form(coupling, k, chi.layout)
             got = commutator(pn, pn.dagger())
-            expected = noise_commutator_expected(coupling, k, chi.layout)
+            expected = noise_commutator_expected(coupling, k)
             assert got.allclose(expected, tol=1e-10)
 
     def test_distinct_nodes_commute(self, setup):

@@ -20,9 +20,9 @@ kernel stacks through the layout's methods (`SectorLayout.blocks`,
 `SectorLayout.matmul`, ...), gets a layout from `Lattice.layout`, and groups
 its slots through `SectorLayout.slot_groups`.
 
-`susceptibility.py` and `green.py` evaluate, solve and check every kernel
-as blocks: neither calls `SectorLayout.sites`, and the propagator's 1-norm
-condition number comes from `SectorLayout.norm1`.  `oracle.py` forms every
+`coupling.py`, `susceptibility.py` and `green.py` derive, evaluate, solve
+and check every kernel as blocks: none calls `SectorLayout.sites`, and the
+propagator's condition number comes from `SectorLayout.svdvals`.  `oracle.py` forms every
 canonical row stack per slot group, in its form's layout: it calls no
 `sites` method and no `tensordot`, so no row is rotated through sites.
 """
@@ -159,7 +159,7 @@ def test_partition_reads_found_outside_the_owner(tmp_path):
 
 
 #: the modules that hold every kernel as blocks and rotate none back to sites
-BLOCK_ONLY = ("susceptibility.py", "green.py")
+BLOCK_ONLY = ("coupling.py", "susceptibility.py", "green.py")
 
 
 def site_rotations(sources=SOURCES, modules=BLOCK_ONLY) -> list:
@@ -177,7 +177,7 @@ def test_chi_and_green_rotate_nothing_back_to_sites():
 
 def test_site_rotations_found_in_the_block_only_modules(tmp_path):
     green = tmp_path / "green.py"
-    green.write_text("def f(lat, layout, x):\n    cond = layout.norm1(x)\n"
+    green.write_text("def f(lat, layout, x):\n    cond = layout.svdvals(x)\n"
                      "    return lat.sites, layout.sites(x)\n")
     other = tmp_path / "fields.py"
     other.write_text("def g(layout, x):\n    return layout.sites(x)\n")

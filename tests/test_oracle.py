@@ -23,7 +23,7 @@ from dampol.coupling import (
 from dampol.diagonalize import fano_residual, mode_coefficients, node_families
 from dampol.fields import medium_mode_form, medium_momentum_form, medium_polarization_form
 from dampol.green import node_propagator
-from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice
+from dampol.lattice import FrequencyGrid, build_lattice
 from dampol.oracle import (
     QuadraticHamiltonian,
     assemble_hamiltonian,
@@ -208,7 +208,7 @@ class TestAssembly:
     def test_zero_coupling_decouples(self, small_lattice):
         grid = FrequencyGrid.midpoint(4, 3.0)
         zero = CouplingTensor.zero(small_lattice, grid)
-        st = StructureTensor(kernel=TensorKernel.zero(small_lattice))
+        st = StructureTensor(zero.layout, np.zeros(zero.layout.size, dtype=complex))
         ham = assemble_hamiltonian(zero, st)
         # no cross blocks between field and medium sectors
         fs = slice(0, 2 * ham.mt)
@@ -253,7 +253,7 @@ class TestAssembly:
     def test_dimension_cap(self, small_lattice):
         grid = FrequencyGrid.midpoint(512, 3.0)
         coupling = CouplingTensor.zero(small_lattice, grid)
-        st = StructureTensor(kernel=TensorKernel.zero(small_lattice))
+        st = StructureTensor(coupling.layout, np.zeros(coupling.layout.size, dtype=complex))
         with pytest.raises(DampolError):
             assemble_hamiltonian(coupling, st)
 
@@ -281,7 +281,7 @@ class TestLadderRows:
 
     def test_polarization_and_momentum(self, case):
         lat, grid, coupling, st, ham = case
-        v, finv = lat.cell_volume, st.inverse.mat
+        v, finv = lat.cell_volume, st.layout.sites(st.inverse)
         u_p = np.zeros((lat.dim, ham.dim), dtype=complex)
         u_w = np.zeros((lat.dim, ham.dim), dtype=complex)
         for k in range(grid.n_nodes):
@@ -391,7 +391,7 @@ class TestDiagonalForm:
     def test_zero_coupling_exact(self, small_lattice):
         grid = FrequencyGrid.midpoint(4, 3.0)
         zero = CouplingTensor.zero(small_lattice, grid)
-        st = StructureTensor(kernel=TensorKernel.zero(small_lattice))
+        st = StructureTensor(zero.layout, np.zeros(zero.layout.size, dtype=complex))
         ham = assemble_hamiltonian(zero, st)
         assert diagonal_form_check(ham, node_propagator(Susceptibility(zero))) <= 1e-13
 

@@ -106,7 +106,7 @@ class TestChiTrace:
         # (K, 3, d) source columns and at most one row's text besides: no
         # d x d site operator
         chi = Susceptibility(random_trace_coupling(3, 4))
-        chi.source.density_stack, chi.layout   # cached before tracing: shared input, not writer memory
+        chi.source.density_blocks(chi.source.layout), chi.layout   # cached before tracing: shared input, not writer memory
         zs = chi.grid.nodes + 1j * chi.eta
         d = chi.lattice.dim
         tracemalloc.start()
