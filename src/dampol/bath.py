@@ -154,7 +154,7 @@ def bath_mode_form(bath: BathCoefficients, coupling: CouplingTensor, k: int,
     """The bath annihilator at node k as a form over the medium modes, in `layout`."""
     alpha, beta = bath.rows(coupling, k, layout)
     alpha[k] += bath.delta_row(coupling, k, layout) / coupling.grid.weights[k]
-    return LinearBosonicForm(layout=layout, grid=coupling.grid, alpha=alpha, beta=beta, basis=BASIS_MEDIUM)
+    return LinearBosonicForm(layout=layout, grid=coupling.grid, alpha=alpha, basis=BASIS_MEDIUM, creators=beta)
 
 
 def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
@@ -200,7 +200,7 @@ def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
     pol = layout.matmul(bath.pole_blocks, pol_sum)
     pol *= v
     pol += base
-    pol_sq, pol_0 = sq_norms(pol), layout.sites(pol[0])
+    pol_sq, pol_0 = sq_norms(pol), pol[0].copy()
     del pol
 
     # sum_l w_l (res D_l + anti conj(D_l)), w_l the nodes, by the shift identities
@@ -218,9 +218,10 @@ def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
     mom_sq = sq_norms(mom)
     del mom, base
 
-    comm_p = commutator(bath_mode_form(bath, coupling, 0, layout),
-                        medium_polarization_form(coupling, layout)).mat
-    agree_p = np.linalg.norm(comm_p - 1j * HBAR * pol_0) / max(np.linalg.norm(comm_p), 1e-300)
+    comm_p = commutator(bath_mode_form(bath, coupling, 0, layout), medium_polarization_form(coupling, layout))
+    scale = np.linalg.norm(comm_p)
+    comm_p -= 1j * HBAR * pol_0
+    agree_p = np.linalg.norm(comm_p) / max(scale, 1e-300)
 
     # global normalization: the edge nodes sit a fixed number of
     # spacings into the band, so per-node ratios would never shrink

@@ -168,6 +168,11 @@ class ScenarioConfig:
         self.check_normal()
         if self.refine_track not in ("hamiltonian", "kernels"):
             raise ConfigError("refine_track must be 'hamiltonian' or 'kernels'")
+        # the model's own parameters: `builtin_model` checks them while it builds the per-k
+        # symbols, which is cheap, and raises `ModelError`, a usage error
+        builtin_model(self.model, build_lattice(self.n_per_axis, self.spacing, self.k0_transverse),
+                      FrequencyGrid.midpoint(self.n_nodes, self.omega_max, self.eta_factor),
+                      dict(self.model_params))
 
     def check_normal(self, level: int = 0):
         """Refuse a cell volume, or an offset eta at refinement `level`, that is not a normal float.
@@ -361,13 +366,16 @@ def stage_fields(pipe: Pipeline, out: Path | None = None) -> dict:
     worst = max(noise_commutator_residual(coupling, k, pipe.chi.layout)
                 for k in (0, pipe.grid.n_nodes // 2, pipe.grid.n_nodes - 1))
     checks.append(pipe.entry("fields.noise_commutator", worst, TOL_EXACT))
-    w_form = medium_momentum_form(coupling, pipe.structure, pipe.chi.layout)
-    p_form = medium_polarization_form(coupling, pipe.chi.layout)
-    ident = TensorKernel.identity(pipe.lattice)
-    wp_res = (commutator(w_form, p_form) - (-1j * HBAR) * ident).norm() / (HBAR * ident.norm())
-    checks.append(pipe.entry("fields.canonical_pair", float(wp_res), TOL_EXACT))
-    pp = commutator(p_form, p_form).norm() / (HBAR * ident.norm())
-    ww = commutator(w_form, w_form).norm() / (HBAR * ident.norm())
+    layout = pipe.chi.layout
+    w_form = medium_momentum_form(coupling, pipe.structure, layout)
+    p_form = medium_polarization_form(coupling, layout)
+    ident = layout.identity / pipe.lattice.cell_volume   # the delta kernel's blocks
+    scale = HBAR * np.linalg.norm(ident)
+    wp = commutator(w_form, p_form)
+    wp += 1j * HBAR * ident   # [W, P] - (-i hbar) delta
+    checks.append(pipe.entry("fields.canonical_pair", float(np.linalg.norm(wp) / scale), TOL_EXACT))
+    pp = np.linalg.norm(commutator(p_form, p_form)) / scale
+    ww = np.linalg.norm(commutator(w_form, w_form)) / scale
     checks.append(pipe.entry("fields.polarization_selfcommutator", float(pp), TOL_EXACT))
     checks.append(pipe.entry("fields.momentum_selfcommutator", float(ww), TOL_EXACT))
     return reports.stage_report("fields", checks)

@@ -4,7 +4,11 @@ The frequency-indexed coupling tensor T(r, r', w) is the single free input
 of the model.  Couplings are generated through the Lagrangian route (a real
 coefficient tensor plus a unitary gauge per node), which makes the canonical
 pair constraints hold per node at machine precision instead of merely to
-quadrature accuracy.  The frequency moments s_n = sum_k w_k w_k^n D_k of the
+quadrature accuracy.  The built-in models are lattice convolutions, given by
+one 3x3 symbol per wave vector (`SymbolCoupling`), so their kernels are built
+per momentum sector with no site operator; a dense input (`RealCoupling`) is
+split into the sector blocks once, or kept as one block when it leaks across
+sectors.  The frequency moments s_n = sum_k w_k w_k^n D_k of the
 spectral densities have one evaluator, `CouplingTensor.moments`, which the
 constraints, the structure tensor, the sum rules, the asymptote and the
 self-energy all read; like the densities, they are blocks in the coupling's
@@ -36,33 +40,44 @@ class RealCoupling:
     """Lagrangian-route input: real coefficient kernels plus a unitary gauge.
 
     `t0` and `unitary` are stacks of shape (K, 3M, 3M), one kernel per
-    frequency node.  `unitary=None` is the identity gauge I/v, which is
-    implicit: no stack is stored and no product is formed with it.
+    frequency node.
     """
 
     lattice: Lattice
     grid: FrequencyGrid
     t0: np.ndarray
-    unitary: np.ndarray | None = None
+    unitary: np.ndarray
 
     def __post_init__(self):
         t0 = np.asarray(self.t0, dtype=float)
-        uni = None if self.unitary is None else np.asarray(self.unitary, dtype=complex)
+        uni = np.asarray(self.unitary, dtype=complex)
         shape = (self.grid.n_nodes, self.lattice.dim, self.lattice.dim)
-        if t0.shape != shape or (uni is not None and uni.shape != shape):
+        if t0.shape != shape or uni.shape != shape:
             raise DampolError(f"coupling stacks must have shape {shape}")
-        if uni is not None:
-            # kernel unitarity: Utilde o U* = delta  <=>  v^2 U^T conj(U) = 1
-            gram = gram_stack(uni)
-            gram *= self.lattice.cell_volume**2
-            if not np.allclose(gram, np.eye(self.lattice.dim), atol=1e-10):
-                raise DampolError("unitary gauge kernels are not unitary")
+        # kernel unitarity: Utilde o U* = delta  <=>  v^2 U^T conj(U) = 1
+        gram = gram_stack(uni)
+        gram *= self.lattice.cell_volume**2
+        if not np.allclose(gram, np.eye(self.lattice.dim), atol=1e-10):
+            raise DampolError("unitary gauge kernels are not unitary")
         object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "unitary", uni)
 
-    @classmethod
-    def identity_gauge(cls, lattice: Lattice, grid: FrequencyGrid, t0: np.ndarray) -> "RealCoupling":
-        return cls(lattice=lattice, grid=grid, t0=t0)
+
+@dataclass(frozen=True, eq=False)
+class SymbolCoupling:
+    """Lagrangian-route input of a translation-invariant medium in the identity gauge I/v.
+
+    The coefficient kernel at node k is tau[k] times the lattice
+    convolution whose 3x3 symbol at the wave vector ``kvecs[j]`` is
+    ``symbols[j]`` (`Lattice.sector_blocks`): `tau` is (K,) and `symbols`
+    (M, 3, 3), real.  The coupling is built per momentum sector from them,
+    with no site operator.
+    """
+
+    lattice: Lattice
+    grid: FrequencyGrid
+    tau: np.ndarray
+    symbols: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,43 +116,69 @@ def spectral_moments(nodes: np.ndarray, weights: np.ndarray, density: np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class CouplingTensor:
-    """Coupling kernels T(w_k) stacked over the frequency grid; what derives from them is blocks in `layout`."""
+    """Coupling kernels T(w_k) stacked over the frequency grid, as (K, size) blocks `flat` in `layout`.
+
+    `layout` is `Lattice.sector_layout` unless the kernels leak out of its
+    blocks by more than `lattice.SECTOR_LEAK_TOL`, then `Lattice.one_block`;
+    `sector_leak` is that leak, exactly 0 for kernels built from per-k
+    symbols.  Every operator derived from the coupling is blocks in
+    `layout` too.
+    """
 
     lattice: Lattice
     grid: FrequencyGrid
-    kernels: np.ndarray  # (K, 3M, 3M) complex
+    layout: SectorLayout
+    flat: np.ndarray   # (K, size) complex
+    sector_leak: float = 0.0
 
     def __post_init__(self):
-        kern = np.asarray(self.kernels, dtype=complex)
-        shape = (self.grid.n_nodes, self.lattice.dim, self.lattice.dim)
+        flat = np.asarray(self.flat, dtype=complex)
+        shape = (self.grid.n_nodes, self.layout.size)
+        if flat.shape != shape:
+            raise DampolError(f"coupling blocks must have shape {shape}")
+        if not np.all(np.isfinite(flat)):
+            raise DampolError("coupling kernels contain non-finite entries")
+        object.__setattr__(self, "flat", flat)
+
+    @classmethod
+    def from_kernels(cls, lattice: Lattice, grid: FrequencyGrid, kernels: np.ndarray) -> "CouplingTensor":
+        """The coupling of a dense (K, 3M, 3M) kernel stack: split into the sector blocks once, or kept
+        as one site-basis block when it leaks out of them."""
+        kern = np.asarray(kernels, dtype=complex)
+        shape = (grid.n_nodes, lattice.dim, lattice.dim)
         if kern.shape != shape:
             raise DampolError(f"coupling kernel stack must have shape {shape}")
         if not np.all(np.isfinite(kern)):
             raise DampolError("coupling kernels contain non-finite entries")
-        object.__setattr__(self, "kernels", kern)
+        leak, blocks = lattice.sector_layout.split(kern)
+        layout = lattice.layout(leak)
+        return cls(lattice, grid, layout, blocks if layout is lattice.sector_layout else layout.blocks(kern), leak)
 
     @classmethod
     def zero(cls, lattice: Lattice, grid: FrequencyGrid) -> "CouplingTensor":
-        return cls(lattice, grid, np.zeros((grid.n_nodes, lattice.dim, lattice.dim), dtype=complex))
+        return cls(lattice, grid, lattice.sector_layout,
+                   np.zeros((grid.n_nodes, lattice.sector_layout.size), dtype=complex))
 
-    @cached_property
-    def _sector_split(self) -> tuple:
-        """(off-sector leak, sector blocks) of the kernels, from one rotation."""
-        return self.lattice.sector_layout.split(self.kernels)
-
-    @property
-    def sector_leak(self) -> float:
-        """Off-sector part of the kernels in the momentum basis, relative to the stack."""
-        return self._sector_split[0]
-
-    @cached_property
-    def layout(self) -> SectorLayout:
-        """The layout of every operator derived from the coupling: per momentum sector unless it leaks."""
-        return self.lattice.layout(self.sector_leak)
+    def _converted(self, name: str, flat: np.ndarray, layout: SectorLayout) -> np.ndarray:
+        """A (K, size) stack of `layout`, kept under `name`, converted once from `flat` in the coupling's own."""
+        converted = self.__dict__.setdefault("_conversions", {})
+        if (name, layout) not in converted:
+            converted[name, layout] = self.layout.convert(flat, layout)
+        return converted[name, layout]
 
     def blocks(self, layout: SectorLayout) -> np.ndarray:
-        """The kernels in `layout`, (K, size): the sector blocks are built once, the site stack is a view."""
-        return self._sector_split[1] if layout is self.lattice.sector_layout else layout.blocks(self.kernels)
+        """The kernels in `layout`, (K, size): `flat` itself in the coupling's layout, else converted once."""
+        return self._converted("kernels", self.flat, layout)
+
+    @property
+    def kernels(self) -> np.ndarray:
+        """The (K, 3M, 3M) site stack: a view of `flat` on the one-block path, else rotated back once.
+
+        The dense reference of the tests; no production path reads it on a
+        momentum-conserving run.
+        """
+        d = self.lattice.dim
+        return self.blocks(self.lattice.one_block).reshape(self.grid.n_nodes, d, d)
 
     @cached_property
     def _density(self) -> np.ndarray:
@@ -147,17 +188,14 @@ class CouplingTensor:
         the medium; the cut discontinuity of the susceptibility is
         proportional to them.
         """
-        t, layout = self.blocks(self.layout), self.layout
+        t, layout = self.flat, self.layout
         dens = layout.matmul(layout.transpose(t), t.conj())
         dens *= self.lattice.cell_volume
         return dens
 
     def density_blocks(self, layout: SectorLayout) -> np.ndarray:
         """The spectral densities in `layout`, (K, size), converted once from the coupling's own."""
-        converted = self.__dict__.setdefault("_converted_density", {})
-        if layout not in converted:
-            converted[layout] = self.layout.convert(self._density, layout)
-        return converted[layout]
+        return self._converted("density", self._density, layout)
 
     @cached_property
     def moments(self) -> SpectralMoments:
@@ -191,20 +229,27 @@ def check_constraints(coupling: CouplingTensor) -> ConstraintReport:
                             moment2=2.0 * v * float(np.linalg.norm(mom.imag2)), scale=scale or 1.0)
 
 
-def coupling_from_lagrangian(t0: RealCoupling) -> CouplingTensor:
+def _lagrangian_prefactor(nodes: np.ndarray) -> np.ndarray:
+    """-(2 hbar w)^(-1/2) at every node: the Lagrangian route's scale of the coefficients."""
+    return -((2.0 * HBAR * nodes) ** -0.5)
+
+
+def coupling_from_lagrangian(t0: RealCoupling | SymbolCoupling) -> CouplingTensor:
     """Build the coupling tensor from real coefficients and a unitary gauge.
 
     Per node, T(w) = -(2 hbar w)^(-1/2) U(w) o T0(w), which is
-    -(2 hbar w)^(-1/2) T0(w) in the identity gauge.  The resulting
-    spectral density is real node by node, so the quadrature constraints
-    hold automatically; residuals above tolerance signal corrupted inputs.
+    -(2 hbar w)^(-1/2) T0(w) in the identity gauge of a `SymbolCoupling`,
+    built per momentum sector from its symbols.  The resulting spectral
+    density is real node by node, so the quadrature constraints hold
+    automatically; residuals above tolerance signal corrupted inputs.
     """
-    pref = -((2.0 * HBAR * t0.grid.nodes) ** -0.5)[:, None, None]
-    if t0.unitary is None:
-        kernels = pref * t0.t0
+    lattice, grid, pref = t0.lattice, t0.grid, _lagrangian_prefactor(t0.grid.nodes)
+    if isinstance(t0, SymbolCoupling):
+        flat = pref[:, None] * (t0.tau[:, None] * lattice.sector_blocks(t0.symbols))
+        coupling = CouplingTensor(lattice, grid, lattice.sector_layout, flat)
     else:
-        kernels = pref * t0.lattice.cell_volume * np.matmul(t0.unitary, t0.t0)
-    coupling = CouplingTensor(t0.lattice, t0.grid, kernels)
+        kernels = pref[:, None, None] * lattice.cell_volume * np.matmul(t0.unitary, t0.t0)
+        coupling = CouplingTensor.from_kernels(lattice, grid, kernels)
     report = check_constraints(coupling)
     if not report.passed:
         raise DampolError(
@@ -271,27 +316,36 @@ def _line_shape(nodes: np.ndarray, omega_max: float, resonance: float, width: fl
     return strength * window * np.sqrt(lor)
 
 
-def _min_image_sq_dist(lattice: Lattice) -> np.ndarray:
-    """(M, M) squared minimum-image distances on the periodic lattice."""
-    period = lattice.n_per_axis * lattice.spacing
-    diff = np.abs(lattice.sites[:, None, :] - lattice.sites[None, :, :])
-    diff = np.minimum(diff, period - diff)
-    return np.einsum("ijk,ijk->ij", diff, diff)
+def _gaussian_symbol(lattice: Lattice, corr: float) -> np.ndarray:
+    """(M,) symbol of the convolution with exp(-|r|^2 / 2 l^2), |r| the minimum-image distance.
+
+    It is the DFT of the kernel's row at site 0, which is even in r, so
+    the symbol is real.
+    """
+    n = lattice.n_per_axis
+    idx = np.indices((n, n, n))
+    dist = np.minimum(idx, n - idx) * lattice.spacing   # minimum image, exactly even in r
+    row = np.exp(-np.einsum("i...,i...->...", dist, dist) / (2.0 * corr**2))
+    return np.fft.fftn(row).real.ravel()
 
 
-def builtin_model(name: str, lattice: Lattice, grid: FrequencyGrid, params: dict | None = None) -> RealCoupling:
-    """Construct one of the shipped medium models as a Lagrangian coupling.
+def builtin_model(name: str, lattice: Lattice, grid: FrequencyGrid, params: dict | None = None) -> SymbolCoupling:
+    """Construct one of the shipped medium models as a Lagrangian coupling, from its per-k symbols.
 
     Models:
 
     * ``local_lorentz``     isotropic, on-site, single-resonance line shape;
-    * ``uniaxial_local``    like the above with a distinct strength along one axis;
+      symbol I_3 / v;
+    * ``uniaxial_local``    like the above with a distinct strength along one
+      axis; symbol diag(scale) / v;
     * ``gaussian_nonlocal`` spatial kernel exp(-|r-r'|^2 / 2 l^2), genuine
-      spatial dispersion with correlation length ``l``.
+      spatial dispersion with correlation length ``l``; symbol g(k) I_3 / v,
+      g the DFT of the kernel.
 
     Shared parameters (defaults relative to the grid cutoff): ``resonance``,
     ``width``, ``strength``.  ``uniaxial_local`` adds ``axis`` and ``ratio``;
-    ``gaussian_nonlocal`` adds ``corr_length``.
+    ``gaussian_nonlocal`` adds ``corr_length``.  Parameters out of range, or
+    a strength whose spectral densities overflow, raise `ModelError`.
     """
     params = dict(params or {})
     if name not in _MODEL_NAMES:
@@ -304,11 +358,10 @@ def builtin_model(name: str, lattice: Lattice, grid: FrequencyGrid, params: dict
     tau = _line_shape(grid.nodes, grid.omega_max, resonance, width, strength)
 
     v = lattice.cell_volume
-    d = lattice.dim
     if name == "local_lorentz":
         if params:
             raise ModelError(f"unexpected parameters {sorted(params)} for local_lorentz")
-        base = np.eye(d) / v
+        symbol = np.eye(3) / v
     elif name == "uniaxial_local":
         axis = str(params.pop("axis", "z"))
         ratio = float(params.pop("ratio", 2.0))
@@ -318,18 +371,25 @@ def builtin_model(name: str, lattice: Lattice, grid: FrequencyGrid, params: dict
             raise ModelError("uniaxial axis must be x/y/z with positive ratio")
         scale = np.ones(3)
         scale["xyz".index(axis)] = ratio
-        base = np.kron(np.eye(lattice.n_sites), np.diag(scale)) / v
+        symbol = np.diag(scale) / v
     else:  # gaussian_nonlocal
         corr = float(params.pop("corr_length", 0.75 * lattice.spacing))
         if params:
             raise ModelError(f"unexpected parameters {sorted(params)} for gaussian_nonlocal")
         if not 0 < corr < _SQUARABLE:
             raise ModelError("corr_length must be positive, with a finite square")
-        site_kernel = np.exp(-_min_image_sq_dist(lattice) / (2.0 * corr**2))
-        base = np.kron(site_kernel, np.eye(3)) / v
+        symbol = _gaussian_symbol(lattice, corr)[:, None, None] * (np.eye(3) / v)
+    symbols = np.broadcast_to(symbol, (lattice.n_sites, 3, 3))
 
-    t0 = tau[:, None, None] * base[None, :, :]
-    return RealCoupling.identity_gauge(lattice, grid, t0)
+    # a spectral density is v T^T conj(T) per block, and a 6 x 6 block holds two symbols,
+    # so 2 v |pref tau|^2 |B|^2 over the nodes and symbols bounds every entry
+    with np.errstate(over="ignore"):
+        peak = np.sqrt(v) * np.max(np.abs(_lagrangian_prefactor(grid.nodes) * tau)) \
+            * np.max(np.linalg.norm(symbols, axis=(1, 2)))
+        bound = 2.0 * peak**2
+    if not np.isfinite(bound):
+        raise ModelError(f"[model] strength = {strength:g} makes the spectral densities overflow")
+    return SymbolCoupling(lattice, grid, tau, symbols)
 
 
 def random_coupling(lattice: Lattice, grid: FrequencyGrid, rng: np.random.Generator,

@@ -13,7 +13,8 @@ discrete level.  Forms never materialize operators on a Fock space.
 
 The coefficients are (K, size) block stacks in a `lattice.SectorLayout` that
 the caller picks from the inputs' leak; the checks run on every node at
-once, and a commutator rotates back only its (d, d) result.  The oracle
+once, and a commutator is a (size,) block kernel in the same layout.  A
+Hermitian operator stores only its annihilator coefficients.  The oracle
 builds its forms in its quadratic form's layout and places their blocks
 in its canonical rows as they are.
 """
@@ -28,7 +29,7 @@ from .constants import C_LIGHT, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
 from .errors import DampolError
 from .green import NodePropagator
-from .lattice import SectorLayout, TensorKernel, sq_norms
+from .lattice import SectorLayout, sq_norms
 from .susceptibility import Susceptibility
 
 #: mode families a form can live over
@@ -46,21 +47,26 @@ class LinearBosonicForm:
 
     layout: SectorLayout
     grid: object
-    alpha: np.ndarray   # (K, size)
-    beta: np.ndarray    # (K, size)
+    alpha: np.ndarray   # (K, size), the annihilator coefficients
     basis: str
+    creators: np.ndarray | None = None   # (K, size) beta; None for a Hermitian operator
 
     def __post_init__(self):
         shape = (self.grid.n_nodes, self.layout.size)
-        for arr in (self.alpha, self.beta):
-            if np.asarray(arr).shape != shape:
+        for arr in (self.alpha, self.creators):
+            if arr is not None and np.asarray(arr).shape != shape:
                 raise DampolError(f"form coefficients must have shape {shape}")
 
+    @property
+    def beta(self) -> np.ndarray:
+        """The creator coefficients, (K, size): of a Hermitian operator conj(alpha), formed on each read."""
+        return self.alpha.conj() if self.creators is None else self.creators
+
     def dagger(self) -> "LinearBosonicForm":
-        return replace(self, alpha=self.beta.conj(), beta=self.alpha.conj())
+        return replace(self, alpha=self.beta.conj(), creators=self.alpha.conj())
 
     def __mul__(self, scalar):
-        return replace(self, alpha=scalar * self.alpha, beta=np.conj(scalar) * self.beta)
+        return replace(self, alpha=scalar * self.alpha, creators=np.conj(scalar) * self.beta)
 
     __rmul__ = __mul__
 
@@ -73,20 +79,22 @@ class LinearBosonicForm:
 
 def time_derivative(form: LinearBosonicForm) -> LinearBosonicForm:
     nodes = form.grid.nodes[:, None]
-    return replace(form, alpha=-1j * nodes * form.alpha, beta=1j * nodes * form.beta)
+    return replace(form, alpha=-1j * nodes * form.alpha, creators=1j * nodes * form.beta)
 
 
-def commutator(a: LinearBosonicForm, b: LinearBosonicForm) -> TensorKernel:
-    """c-number commutator kernel of two forms over the same mode family, in one layout.
+def commutator(a: LinearBosonicForm, b: LinearBosonicForm) -> np.ndarray:
+    """c-number commutator kernel of two forms over the same mode family, as (size,) blocks in their layout.
 
-    The pair sums are taken on the blocks; only the (d, d) result is
-    rotated back.
+    The pair sums are taken on the blocks and nothing is rotated back: the
+    layout basis is orthogonal, so the kernel's Frobenius norm is that of
+    the blocks, times the cell volume as in `TensorKernel.norm`.
     """
     a._check(b)
     layout, w = a.layout, a.grid.weights
     flat = layout.pair_contract(w, a.alpha, b.beta)
     flat -= layout.pair_contract(w, a.beta, b.alpha)
-    return TensorKernel(layout.lattice, layout.lattice.cell_volume * layout.sites(flat))
+    flat *= layout.lattice.cell_volume
+    return flat
 
 
 def _worst(num_sq: np.ndarray, den_sq: np.ndarray) -> float:
@@ -104,10 +112,11 @@ def field_forms(prop: NodePropagator) -> dict:
     ``E``, polarization density ``P``, noise polarization ``Pn``, and
     displacement ``D``.  All but ``Pn`` contract the coupling with the
     propagator above the cut, the exact adjoint of the solve below it; that
-    product is formed once and freed before the conjugate halves are built.
-    Every input (the coupling, chi above the cut and the lattice operators)
-    stays within the propagator's layout, which chi's leak picked.  The
-    twelve (K, size) block stacks of the result set the peak, about 13.
+    product is formed once and freed.  Every input (the coupling, chi
+    above the cut and the lattice operators) stays within the propagator's
+    layout, which chi's leak picked.  Each operator is Hermitian, so a form
+    stores alpha alone; the six (K, size) block stacks of the result and
+    the product set the peak.
     """
     layout = prop.layout
     grid = prop.coupling.grid
@@ -128,8 +137,7 @@ def field_forms(prop: NodePropagator) -> dict:
         "D": 1j * HBAR * mm(layout.op("double_curl_matrix"), gt),
     }
     del gt
-    return {kind: LinearBosonicForm(layout=layout, grid=grid, alpha=alpha, beta=alpha.conj(),
-                                    basis=BASIS_DIAGONAL)
+    return {kind: LinearBosonicForm(layout=layout, grid=grid, alpha=alpha, basis=BASIS_DIAGONAL)
             for kind, alpha in alphas.items()}
 
 
@@ -164,21 +172,22 @@ def noise_mode_form(coupling: CouplingTensor, k: int, layout: SectorLayout) -> L
     grid = coupling.grid
     alpha = np.zeros((grid.n_nodes, layout.size), dtype=complex)
     alpha[k] = (-1j * HBAR / grid.weights[k]) * layout.transpose(coupling.blocks(layout)[k])
-    return LinearBosonicForm(layout=layout, grid=grid, alpha=alpha, beta=np.zeros_like(alpha),
-                             basis=BASIS_DIAGONAL)
+    return LinearBosonicForm(layout=layout, grid=grid, alpha=alpha, basis=BASIS_DIAGONAL,
+                             creators=np.zeros_like(alpha))
 
 
-def noise_commutator_expected(coupling: CouplingTensor, k: int) -> TensorKernel:
-    """Exact value of [Pn(w_k), Pn(w_k)^dag] from the cut discontinuity."""
-    dens = coupling.layout.sites(coupling.density_blocks(coupling.layout)[k])
-    return TensorKernel(coupling.lattice, (HBAR**2 / coupling.grid.weights[k]) * dens)
+def noise_commutator_expected(coupling: CouplingTensor, k: int, layout: SectorLayout) -> np.ndarray:
+    """Exact value of [Pn(w_k), Pn(w_k)^dag] from the cut discontinuity, (size,) blocks in `layout`."""
+    return (HBAR**2 / coupling.grid.weights[k]) * coupling.density_blocks(layout)[k]
 
 
 def noise_commutator_residual(coupling: CouplingTensor, k: int, layout: SectorLayout) -> float:
-    """Relative residual of [Pn(w_k), Pn(w_k)^dag] against its exact value."""
+    """Relative residual of [Pn(w_k), Pn(w_k)^dag] against its exact value, from the blocks."""
     pn = noise_mode_form(coupling, k, layout)
-    expected = noise_commutator_expected(coupling, k)
-    return (commutator(pn, pn.dagger()) - expected).norm() / max(expected.norm(), 1e-300)
+    expected = noise_commutator_expected(coupling, k, layout)
+    diff = commutator(pn, pn.dagger())
+    diff -= expected
+    return float(np.linalg.norm(diff) / max(np.linalg.norm(expected), 1e-300))
 
 
 # -- canonical matter operators over the medium modes ---------------------
@@ -188,8 +197,7 @@ def medium_polarization_form(coupling: CouplingTensor, layout: SectorLayout) -> 
     """Polarization density expressed over the bare medium modes."""
     alpha = layout.transpose(coupling.blocks(layout))
     alpha *= -1j * HBAR
-    return LinearBosonicForm(layout=layout, grid=coupling.grid,
-                             alpha=alpha, beta=alpha.conj(), basis=BASIS_MEDIUM)
+    return LinearBosonicForm(layout=layout, grid=coupling.grid, alpha=alpha, basis=BASIS_MEDIUM)
 
 
 def medium_momentum_form(coupling: CouplingTensor, structure: StructureTensor,
@@ -199,8 +207,7 @@ def medium_momentum_form(coupling: CouplingTensor, structure: StructureTensor,
     tf = layout.matmul(v * coupling.blocks(layout), structure.layout.convert(structure.inverse, layout))
     alpha = layout.transpose(tf)
     alpha *= -coupling.grid.nodes[:, None]
-    return LinearBosonicForm(layout=layout, grid=coupling.grid,
-                             alpha=alpha, beta=alpha.conj(), basis=BASIS_MEDIUM)
+    return LinearBosonicForm(layout=layout, grid=coupling.grid, alpha=alpha, basis=BASIS_MEDIUM)
 
 
 def medium_mode_form(coupling: CouplingTensor, k: int, layout: SectorLayout) -> LinearBosonicForm:
@@ -208,8 +215,8 @@ def medium_mode_form(coupling: CouplingTensor, k: int, layout: SectorLayout) -> 
     grid = coupling.grid
     alpha = np.zeros((grid.n_nodes, layout.size), dtype=complex)
     alpha[k] = layout.identity / (coupling.lattice.cell_volume * grid.weights[k])
-    return LinearBosonicForm(layout=layout, grid=grid, alpha=alpha,
-                             beta=np.zeros_like(alpha), basis=BASIS_MEDIUM)
+    return LinearBosonicForm(layout=layout, grid=grid, alpha=alpha, basis=BASIS_MEDIUM,
+                             creators=np.zeros_like(alpha))
 
 
 # -- consistency checks ----------------------------------------------------

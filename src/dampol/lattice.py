@@ -98,14 +98,6 @@ class Lattice:
         op = np.einsum("rk,kab,sk->rasb", ph, blocks, ph.conj(), optimize=True)
         return np.ascontiguousarray(op.reshape(self.dim, self.dim))
 
-    def _real(self, mat: np.ndarray, name: str) -> np.ndarray:
-        """Real part of a real operator; raises if the imaginary part is more than round-off."""
-        residue = np.linalg.norm(mat.imag) / max(np.linalg.norm(mat), 1e-300)
-        if residue > 1e-12:
-            raise DampolError(f"n_per_axis = {self.n_per_axis}: the assembled {name} has relative "
-                              f"imaginary residue {residue:.2e}")
-        return mat.real
-
     @cached_property
     def _dkvecs(self) -> np.ndarray:
         """Wave vectors of the derivative blocks: `kvecs` with Nyquist components zeroed.
@@ -136,9 +128,35 @@ class Lattice:
         return blocks
 
     @cached_property
+    def _symbols(self) -> dict:
+        """Per-k 3x3 symbols of the spectral operators, (M, 3, 3) each, by the name of their matrix.
+
+        The operator acts on the plane wave of ``kvecs[j]`` as the 3x3
+        matrix ``symbols[j]``.  Every operator but the curl has real-valued
+        symbols and is real: B(-q) = conj(B(q)), which is checked here.
+        """
+        k, khat = self._dkvecs, self._unit_k
+        ksq = np.einsum("ki,ki->k", k, k)
+        trans = self._transverse_blocks
+        symbols = {
+            "transverse_matrix": trans,
+            "longitudinal_matrix": np.eye(3) - trans,
+            "curl_matrix": 1j * np.einsum("abc,kb->kac", _LEVI_CIVITA, k),
+            "double_curl_matrix": ksq[:, None, None] * (np.eye(3)[None] - khat[:, :, None] * khat[:, None, :]),
+            "laplacian_matrix": -ksq[:, None, None] * np.eye(3)[None],
+        }
+        for name, sym in symbols.items():
+            if np.isrealobj(sym):
+                residue = np.linalg.norm(sym[self._conjugate] - sym.conj()) / max(np.linalg.norm(sym), 1e-300)
+                if residue > 1e-12:
+                    raise DampolError(f"n_per_axis = {self.n_per_axis}: the {name} symbol is not even "
+                                      f"in k (relative residue {residue:.2e}), so the operator is not real")
+        return symbols
+
+    @cached_property
     def transverse_matrix(self) -> np.ndarray:
         """Orthogonal projector matrix onto the transverse subspace."""
-        return self._real(self._assemble(self._transverse_blocks), "transverse projector")
+        return self._assemble(self._symbols["transverse_matrix"]).real
 
     @cached_property
     def longitudinal_matrix(self) -> np.ndarray:
@@ -147,24 +165,17 @@ class Lattice:
     @cached_property
     def curl_matrix(self) -> np.ndarray:
         """Spectral curl acting on position-space vector fields (Hermitian)."""
-        blocks = 1j * np.einsum("abc,kb->kac", _LEVI_CIVITA, self._dkvecs)
-        return self._assemble(blocks)
+        return self._assemble(self._symbols["curl_matrix"])
 
     @cached_property
     def double_curl_matrix(self) -> np.ndarray:
         """curl-of-curl operator, spectrally k^2 (1 - khat khat); real PSD."""
-        k = self._dkvecs
-        ksq = np.einsum("ki,ki->k", k, k)
-        khat = self._unit_k
-        blocks = ksq[:, None, None] * (np.eye(3)[None] - khat[:, :, None] * khat[:, None, :])
-        return self._real(self._assemble(blocks), "double curl")
+        return self._assemble(self._symbols["double_curl_matrix"]).real
 
     @cached_property
     def laplacian_matrix(self) -> np.ndarray:
         """Vector Laplacian, spectrally -k^2 on every component."""
-        ksq = np.einsum("ki,ki->k", self._dkvecs, self._dkvecs)
-        blocks = -ksq[:, None, None] * np.eye(3)[None]
-        return self._real(self._assemble(blocks), "Laplacian")
+        return self._assemble(self._symbols["laplacian_matrix"]).real
 
     @cached_property
     def _conjugate(self) -> np.ndarray:
@@ -221,6 +232,33 @@ class Lattice:
         order = np.argsort(count * m + label, kind="stable")
         starts = np.flatnonzero(np.r_[True, np.diff(label[order]) != 0])
         return SectorLayout(self, 3 * count[order[starts]], (3 * order[:, None] + np.arange(3)).ravel())
+
+    def sector_blocks(self, symbols: np.ndarray) -> np.ndarray:
+        """The `sector_layout` blocks, (..., size), of translation-invariant operators with per-k symbols.
+
+        `symbols` is (..., M, 3, 3), one 3x3 matrix per row of `kvecs`, as
+        in `_symbols`.  A self-conjugate q gives the 3x3 block B(q); a pair
+        {q, -q}, its cos column first as in `momentum_basis`, gives the 6x6
+        block [[P, -iQ], [iQ, P]] with P = (B(q) + B(-q)) / 2 and
+        Q = (B(q) - B(-q)) / 2.  No site operator is formed.
+        """
+        layout = self.sector_layout
+        out = np.empty(symbols.shape[:-3] + (layout.size,), dtype=complex)
+        column = layout.columns[::3] // 3   # the momentum column of each triple of basis columns, in order
+        start = 0
+        for part, (b, count, _) in zip(layout.parts(out), layout.part_sizes):
+            cols = column[start:start + count * b // 3].reshape(count, b // 3)
+            start += cols.size
+            if b == 3:
+                part[...] = symbols[..., cols[:, 0], :, :]
+                continue
+            plus, minus = symbols[..., cols[:, 0], :, :], symbols[..., cols[:, 1], :, :]
+            p, q = (plus + minus) / 2.0, (plus - minus) / 2.0
+            part[..., :3, :3] = p
+            part[..., 3:, 3:] = p
+            part[..., :3, 3:] = -1j * q
+            part[..., 3:, :3] = 1j * q
+        return out
 
     @cached_property
     def one_block(self) -> "SectorLayout":
@@ -338,7 +376,8 @@ class SectorLayout:
     """Block-diagonal (..., d, d) site operators stored as flat (..., size) arrays.
 
     `basis` is a real orthogonal (d, d) matrix whose columns run over the
-    blocks in order, `None` for the site basis itself; the blocks are the
+    blocks in order, `None` for the site basis itself (built only when a
+    site operator is rotated, by `split` or `sites`); the blocks are the
     diagonal blocks of basis^T A basis, of the sizes in `sizes`, stored
     row-major one after the other.  A basis is a column selection
     `columns` of kron(F, I_3), F the lattice's `momentum_basis`.  Blocks of
@@ -356,8 +395,6 @@ class SectorLayout:
 
     def __init__(self, lattice: Lattice, sizes: np.ndarray, columns: np.ndarray | None):
         self.lattice, self.sizes, self.columns = lattice, sizes, columns
-        self.basis = None if columns is None else \
-            np.ascontiguousarray(np.kron(lattice.momentum_basis, np.eye(3))[:, columns])
         self.part_sizes, self.size = [], 0   # (block size, count, flat offset) of each run
         for b in sizes.tolist():
             if self.part_sizes and self.part_sizes[-1][0] == b:
@@ -366,6 +403,13 @@ class SectorLayout:
                 self.part_sizes.append([b, 1, self.size])
             self.size += b * b
         self._ops = {}
+
+    @cached_property
+    def basis(self) -> np.ndarray | None:
+        """The (d, d) basis matrix, `None` for the site basis; built when a site operator is first rotated."""
+        if self.columns is None:
+            return None
+        return np.ascontiguousarray(np.kron(self.lattice.momentum_basis, np.eye(3))[:, self.columns])
 
     @cached_property
     def _entries(self) -> tuple:
@@ -463,16 +507,19 @@ class SectorLayout:
         """The site operators of a (..., size) array applied to (..., d) site vectors, leading axes broadcast.
 
         The vectors are rotated into the basis and back, A v = B A_blocks
-        (B^T v), so no site operator is formed; the real basis multiplies
-        the real and imaginary parts apart, so it is never cast to a complex copy.
+        (B^T v).  The basis B = kron(F, I_3)[:, columns] is applied as the
+        (M, M) momentum basis F and the column selection, so no site
+        operator and no d x d matrix is formed.
         """
-        rot = vecs if self.basis is None else _real_matmul(vecs, self.basis)
+        kron = self.columns is not None
+        rot = _momentum_rotate(vecs, self.lattice.momentum_basis.T) if kron else vecs
         out = np.empty(np.broadcast_shapes(flat.shape[:-1], vecs.shape[:-1]) + (self.lattice.dim,),
                        dtype=np.result_type(flat, vecs))
         first = np.cumsum(self.sizes) - self.sizes
         for blk, f, b in zip(self.per_block(flat), first, self.sizes):
-            out[..., f:f + b] = (blk @ rot[..., f:f + b, None])[..., 0]
-        return out if self.basis is None else _real_matmul(out, self.basis.T)
+            rows = self.columns[f:f + b] if kron else slice(f, f + b)   # in kron(F, I_3) column order
+            out[..., rows] = (blk @ rot[..., rows, None])[..., 0]
+        return _momentum_rotate(out, self.lattice.momentum_basis) if kron else out
 
     def convert(self, flat: np.ndarray, layout: "SectorLayout") -> np.ndarray:
         """A (..., size) stack of this layout as blocks of `layout`: `flat` itself when it is this one,
@@ -480,9 +527,20 @@ class SectorLayout:
         return flat if layout is self else layout.blocks(self.sites(flat))
 
     def op(self, name: str) -> np.ndarray:
-        """The blocks of the lattice operator `Lattice.<name>`, (size,), built once."""
+        """The blocks of the lattice operator `Lattice.<name>`, (size,), built once.
+
+        In `Lattice.sector_layout` they come from the operator's per-k
+        symbols (`Lattice.sector_blocks`), real for a real operator; in a
+        one-block layout, from the dense matrix.
+        """
         if name not in self._ops:
-            self._ops[name] = self.blocks(getattr(self.lattice, name))
+            lat = self.lattice
+            if self is lat.sector_layout:
+                symbols = lat._symbols[name]
+                blocks = lat.sector_blocks(symbols)
+                self._ops[name] = np.ascontiguousarray(blocks.real) if np.isrealobj(symbols) else blocks
+            else:
+                self._ops[name] = self.blocks(getattr(lat, name))
         return self._ops[name]
 
     @cached_property
@@ -541,14 +599,18 @@ class SectorLayout:
         return out
 
 
-def _real_matmul(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """a @ basis for a real basis: a complex `a` is multiplied part by part, into the result's own parts."""
-    if not np.iscomplexobj(a):
-        return a @ basis
-    out = np.empty(a.shape[:-1] + basis.shape[-1:], dtype=a.dtype)
-    np.matmul(a.real, basis, out=out.real)
-    np.matmul(a.imag, basis, out=out.imag)
-    return out
+def _momentum_rotate(vecs: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """f @ V for the (M, 3) view V of every (..., 3M) vector, f a real (M, M) matrix, as (..., 3M).
+
+    A complex V is multiplied part by part, into the result's own parts,
+    so f is never cast to a complex copy.
+    """
+    lead, m = vecs.shape[:-1], f.shape[0]
+    grid = vecs.reshape(lead + (m, 3))
+    out = np.empty(grid.shape, dtype=np.result_type(vecs, f))
+    for part, res in ((grid.real, out.real), (grid.imag, out.imag)) if np.iscomplexobj(vecs) else ((grid, out),):
+        np.matmul(f, part, out=res)
+    return out.reshape(vecs.shape)
 
 
 def sq_norms(flat: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ from dampol.coupling import (
 )
 from dampol.diagonalize import fano_residual, mode_coefficients, streamed_mode_checks
 from dampol.fields import (
-    commutator,
     field_forms,
     medium_momentum_form,
     medium_polarization_form,
@@ -54,6 +53,7 @@ from dampol.susceptibility import (
 )
 
 from test_coupling import pernode_reality_residual
+from test_fields import site_commutator
 
 OMEGA_MAX = 3.0
 ETA_FACTOR = 1.0
@@ -152,8 +152,9 @@ class TestCriterion1ExactIdentities:
         # noise-polarization commutator against the cut discontinuity
         for k in (0, grid.n_nodes // 2, grid.n_nodes - 1):
             pn = noise_mode_form(coupling, k, chi.layout)
-            got = commutator(pn, pn.dagger())
-            expected = noise_commutator_expected(coupling, k)
+            got = site_commutator(pn, pn.dagger())
+            expected = TensorKernel(coupling.lattice,
+                                    chi.layout.sites(noise_commutator_expected(coupling, k, chi.layout)))
             assert (got - expected).norm() <= self.TOL * expected.norm()
         # cut representation of the susceptibility
         rng = np.random.default_rng(7)
@@ -172,9 +173,9 @@ class TestCriterion1ExactIdentities:
         p_form = medium_polarization_form(coupling, chi.layout)
         ident = TensorKernel.identity(coupling.lattice)
         scale = HBAR * ident.norm()
-        assert (commutator(w_form, p_form) - (-1j * HBAR) * ident).norm() <= self.TOL * scale
-        assert commutator(p_form, p_form).norm() <= self.TOL * scale
-        assert commutator(w_form, w_form).norm() <= self.TOL * scale
+        assert (site_commutator(w_form, p_form) - (-1j * HBAR) * ident).norm() <= self.TOL * scale
+        assert site_commutator(p_form, p_form).norm() <= self.TOL * scale
+        assert site_commutator(w_form, w_form).norm() <= self.TOL * scale
 
 
 class TestCriterion2GreenSuite:

@@ -24,12 +24,13 @@ from dampol.bath import (
     verify_bath_independence,
     verify_linkage,
 )
-from dampol.fields import commutator, medium_polarization_form
+from dampol.fields import medium_polarization_form
 from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice
 from dampol.oracle import assemble_hamiltonian
 from dampol.susceptibility import Susceptibility, chi_stack
 
 from test_coupling import scalar_coupling
+from test_fields import site_commutator
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +64,7 @@ class TestCoefficients:
         kern = np.zeros((2, 3, 3), dtype=complex)
         kern[0] = np.diag([1.0, 1.0, 0.0])
         kern[1] = np.eye(3)
-        coupling = CouplingTensor(single_site, grid, kern)
+        coupling = CouplingTensor.from_kernels(single_site, grid, kern)
         with pytest.raises(SingularOperatorError) as err:
             bath_coefficients(coupling, Susceptibility(coupling))
         assert err.value.node == 0
@@ -76,7 +77,7 @@ class TestCoefficients:
         kern = np.stack([np.diag([1.0, 1.2, 0.8]) + 0.1j * k for k in range(4)])
         if coupling_node is not None:
             kern[coupling_node] = np.diag([1.0, 1.0, 0.0])
-        coupling = CouplingTensor(single_site, grid, kern)
+        coupling = CouplingTensor.from_kernels(single_site, grid, kern)
         chi = Susceptibility(coupling)
         if chi_node is not None:
             # remove one direction of chi at that node: rank d - 1 up to round-off
@@ -167,8 +168,8 @@ def independence_reference(bath, coupling):
         den_w += w[k] * (nodes[k] * np.linalg.norm(base)) ** 2
         if k == 0:
             pol_0 = pol
-    comm_p = commutator(bath_mode_form(bath, coupling, 0, bath.layout),
-                        medium_polarization_form(coupling, bath.layout)).mat
+    comm_p = site_commutator(bath_mode_form(bath, coupling, 0, bath.layout),
+                             medium_polarization_form(coupling, bath.layout)).mat
     agree_p = np.linalg.norm(comm_p - 1j * HBAR * pol_0) / np.linalg.norm(comm_p)
     return {"polarization": np.sqrt(num_p / den_p), "momentum": np.sqrt(num_w / den_w),
             "route_agreement": agree_p}
@@ -184,7 +185,7 @@ class TestIndependence:
         rng = np.random.default_rng(seed)
         lagrangian = coupling_from_lagrangian(random_coupling(single_site, grid, rng))
         shape = (n_nodes, single_site.dim, single_site.dim)
-        violator = CouplingTensor(single_site, grid, rng.standard_normal(shape)
+        violator = CouplingTensor.from_kernels(single_site, grid, rng.standard_normal(shape)
                                   + 1j * rng.standard_normal(shape))
         for coupling in (lagrangian, violator):
             bath = bath_coefficients(coupling, Susceptibility(coupling))
@@ -237,13 +238,13 @@ class TestIndependence:
     def test_bath_mode_commutes_weakly(self, bath_setup):
         # a single sanity point: the commutator with the polarization is much
         # smaller than the generic mode-polarization commutator scale
-        from dampol.fields import commutator, medium_polarization_form, medium_mode_form
+        from dampol.fields import medium_polarization_form, medium_mode_form
         lat, grid, coupling, st, chi, bath = bath_setup
         k = grid.n_nodes // 2
         cb = bath_mode_form(bath, coupling, k, bath.layout)
         p = medium_polarization_form(coupling, bath.layout)
-        raw = commutator(medium_mode_form(coupling, k, bath.layout), p).norm()
-        assert commutator(cb, p).norm() <= 0.2 * raw
+        raw = site_commutator(medium_mode_form(coupling, k, bath.layout), p).norm()
+        assert site_commutator(cb, p).norm() <= 0.2 * raw
 
 
 class TestHamiltonianForms:
@@ -296,19 +297,18 @@ class TestBathModeAlgebra:
         grid = FrequencyGrid.midpoint(K, 3.0, eta_factor=1.0)
         coupling = coupling_from_lagrangian(builtin_model("local_lorentz", lat, grid))
         bath = bath_coefficients(coupling, Susceptibility(coupling))
-        from dampol.fields import commutator
         w = grid.weights
         forms = [bath_mode_form(bath, coupling, k, bath.layout) for k in range(K)]
         dev = np.zeros((lat.dim, lat.dim), dtype=complex)
         dev_cc = np.zeros_like(dev)
         for k in range(K):
             for l in range(K):
-                c = commutator(forms[k], forms[l].dagger()).mat
+                c = site_commutator(forms[k], forms[l].dagger()).mat
                 if k == l:
                     c = c - np.eye(lat.dim) / lat.cell_volume / w[k]
                 dev += w[k] * w[l] * c
                 dev_cc += w[k] * (w[l] * grid.nodes[l] / grid.omega_max) \
-                    * commutator(forms[k], forms[l]).mat
+                    * site_commutator(forms[k], forms[l]).mat
         scale = np.sum(w) * np.sqrt(lat.dim) / lat.cell_volume * lat.cell_volume
         return np.linalg.norm(dev) / scale, np.linalg.norm(dev_cc) / scale
 

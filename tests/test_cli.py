@@ -2,6 +2,7 @@ import configparser
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,11 +93,13 @@ class TestConfigParsing:
         ("grid", "eta_factor", "1e-320", "[grid] eta_factor gives the offset eta = "),
         ("model", "width", "1e300", "line-shape parameters out of range"),
         ("model", "corr_length", "1e300", "corr_length must be positive, with a finite square"),
+        ("model", "strength", "1e200", "[model] strength = 1e+200 makes the spectral densities overflow"),
     ])
     def test_extreme_number_exits_usage(self, tmp_path, capsys, section, key, value, message):
         # finite, but the cell volume overflows or underflows to 0 (I / v is
-        # NaN), eta is subnormal (1 / eta overflows), or a squared length
-        # overflows: refused with the usage exit code and the key named
+        # NaN), eta is subnormal (1 / eta overflows), a squared length
+        # overflows, or the spectral densities do: refused with the usage exit
+        # code and the key named, before any stage runs or numpy warns
         parser = configparser.ConfigParser()
         parser.read(CONFIG_DIR / "lorentz.ini")
         if key == "corr_length":
@@ -105,10 +108,13 @@ class TestConfigParsing:
         cfg, out = tmp_path / "extreme.ini", tmp_path / "o"
         with open(cfg, "w") as fh:
             parser.write(fh)
-        assert main(["verify-all", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["verify-all", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_negative_seed_exits_usage(self, tmp_path, where):
@@ -492,26 +498,32 @@ class TestStackFreeProduction:
         assert read_report(cfg.out, "oracle")["passed"]
 
     def test_kernel_stages_rotate_back_no_site_stack(self, tmp_path, monkeypatch):
-        # on a translation-invariant medium the coupling's derived operators,
-        # the node sweep and its condition numbers, the streamed pass, the chi
-        # trace, the field forms, the noise and canonical-pair commutators and
-        # the bath cross-check stay in blocks, and the chi and field traces
-        # rotate their source vectors and amplitudes, not chi or E: beside
-        # single operators, no stack of site operators is rotated back
-        from dampol.lattice import SectorLayout
-        sites, rotated = SectorLayout.sites, []
+        # on a translation-invariant medium the model and the lattice
+        # operators are built from their per-k symbols, and the coupling's
+        # derived operators, the node sweep and its condition numbers, the
+        # streamed pass, the chi trace, the field forms, the noise and
+        # canonical-pair commutators and the bath cross-check stay in blocks:
+        # no site operator is assembled, split into blocks or rotated back
+        from dampol.lattice import Lattice, SectorLayout
+        calls = []
 
-        def counted(self, flat):
-            rotated.append(int(np.prod(flat.shape[:-1])))
-            return sites(self, flat)
-        monkeypatch.setattr(SectorLayout, "sites", counted)
-        cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
-        cfg.out = str(tmp_path / "o")
-        cfg.n_nodes = 16
-        assert run(cfg, stages=("model", "chi", "green", "diag", "fields", "bath")) == EXIT_PASS
-        assert rotated and [n for n in rotated if n > 1] == []
-        assert (Path(cfg.out) / "chi_trace.csv").exists()
-        assert (Path(cfg.out) / "field_trace.csv").exists()
+        def recorded(owner, name):
+            original = getattr(owner, name)
+
+            def recording(self, *args):
+                calls.append(name)
+                return original(self, *args)
+            monkeypatch.setattr(owner, name, recording)
+        for owner, name in ((SectorLayout, "sites"), (SectorLayout, "split"), (Lattice, "_assemble")):
+            recorded(owner, name)
+        for config in ("lorentz", "gaussian", "uniaxial"):
+            cfg = ScenarioConfig.from_file(CONFIG_DIR / f"{config}.ini")
+            cfg.out = str(tmp_path / config)
+            cfg.n_nodes = 16
+            assert run(cfg, stages=("model", "chi", "green", "diag", "fields", "bath")) == EXIT_PASS
+            assert calls == [], config
+            assert (Path(cfg.out) / "chi_trace.csv").exists()
+            assert (Path(cfg.out) / "field_trace.csv").exists()
 
     def test_hamiltonian_refine_track(self, tmp_path, monkeypatch):
         _forbid_stack_route(monkeypatch)
@@ -555,8 +567,8 @@ class TestRefine:
         assert len(calls) == 2
 
     def test_kernels_track_builds_no_site_stack(self, tmp_path, monkeypatch):
-        # the kernel stages run on sector blocks; no stack of site operators
-        # is rotated back, only single operators
+        # the kernel stages run on sector blocks; no site operator is rotated
+        # back, not even a single commutator
         import dampol.cli as cli
         from dampol.lattice import SectorLayout
         pipes, init, sites = [], cli.Pipeline.__init__, SectorLayout.sites
@@ -575,7 +587,7 @@ class TestRefine:
         cfg.out = str(tmp_path)
         cfg.n_nodes = 8
         assert refine(cfg, 2) in (EXIT_PASS, EXIT_NUMERICAL)
-        assert rotated and max(rotated) == 1
+        assert pipes and rotated == []
         for pipe in pipes:
             assert pipe.propagator.layout is pipe.lattice.sector_layout
 

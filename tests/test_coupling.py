@@ -44,18 +44,58 @@ def dense_structure(st):
     return st.layout.sites(st.blocks)
 
 
+def identity_gauge(lattice, grid):
+    """The identity gauge I/v at every node, as an explicit (K, d, d) stack."""
+    return np.broadcast_to(np.eye(lattice.dim) / lattice.cell_volume, (grid.n_nodes, lattice.dim, lattice.dim))
+
+
+def min_image_sq_dist(lattice):
+    """(M, M) squared minimum-image distances on the periodic lattice."""
+    period = lattice.n_per_axis * lattice.spacing
+    diff = np.abs(lattice.sites[:, None, :] - lattice.sites[None, :, :])
+    diff = np.minimum(diff, period - diff)
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def dense_model_t0(name, lattice, grid, params=None):
+    """The (K, d, d) coefficient kernels of a built-in model, built in site space.
+
+    The dense reference of the symbol route: the identity, diag(scale) on
+    every site, or the minimum-image Gaussian kernel, times the model's
+    line shape.
+    """
+    params = dict(params or {})
+    tau = builtin_model(name, lattice, grid, params).tau
+    v = lattice.cell_volume
+    if name == "local_lorentz":
+        base = np.eye(lattice.dim) / v
+    elif name == "uniaxial_local":
+        scale = np.ones(3)
+        scale["xyz".index(params.get("axis", "z"))] = params.get("ratio", 2.0)
+        base = np.kron(np.eye(lattice.n_sites), np.diag(scale)) / v
+    else:
+        corr = params.get("corr_length", 0.75 * lattice.spacing)
+        base = np.kron(np.exp(-min_image_sq_dist(lattice) / (2.0 * corr**2)), np.eye(3)) / v
+    return tau[:, None, None] * base[None, :, :]
+
+
+def model_t0(model, k):
+    """The dense coefficient kernel of a built-in model at node k, assembled from its symbols."""
+    return model.tau[k] * model.lattice._assemble(model.symbols).real
+
+
 def scalar_coupling(lattice, grid, tau):
     """Coupling kernels tau * identity at every node (direct construction)."""
     d = lattice.dim
     kern = np.broadcast_to(tau * np.eye(d) / lattice.cell_volume, (grid.n_nodes, d, d))
-    return CouplingTensor(lattice, grid, kern.astype(complex).copy())
+    return CouplingTensor.from_kernels(lattice, grid, kern.astype(complex).copy())
 
 
 class TestLagrangianRoute:
     def test_zero_input_gives_zero_coupling(self, single_site):
         grid = FrequencyGrid.midpoint(4, 2.0)
         t0 = np.zeros((4, 3, 3))
-        built = coupling_from_lagrangian(RealCoupling.identity_gauge(single_site, grid, t0))
+        built = coupling_from_lagrangian(RealCoupling(single_site, grid, t0, identity_gauge(single_site, grid)))
         assert not np.any(built.kernels)
 
     def test_identity_gauge_scalar_formula(self, single_site):
@@ -63,7 +103,7 @@ class TestLagrangianRoute:
         grid = FrequencyGrid.midpoint(1, 2.0)
         tau = 0.7
         t0 = tau * np.eye(3)[None, :, :] / single_site.cell_volume
-        built = coupling_from_lagrangian(RealCoupling.identity_gauge(single_site, grid, t0))
+        built = coupling_from_lagrangian(RealCoupling(single_site, grid, t0, identity_gauge(single_site, grid)))
         expected = -((2.0 * HBAR * grid.nodes[0]) ** -0.5) * tau * np.eye(3) / single_site.cell_volume
         assert np.allclose(built.kernels[0], expected)
 
@@ -83,13 +123,15 @@ class TestLagrangianRoute:
 class TestGaugeAndGram:
     @pytest.mark.parametrize("name", ["local_lorentz", "uniaxial_local", "gaussian_nonlocal"])
     def test_implicit_identity_gauge_matches_dense(self, small_lattice, grid12, name):
+        # the symbol route, whose identity gauge is implicit, against the dense
+        # site kernels with an explicit gauge, split into the sector blocks
         model = builtin_model(name, small_lattice, grid12)
-        assert model.unitary is None
-        d, v = small_lattice.dim, small_lattice.cell_volume
-        dense = RealCoupling(lattice=small_lattice, grid=grid12, t0=model.t0,
-                             unitary=np.broadcast_to(np.eye(d) / v, (grid12.n_nodes, d, d)))
-        assert np.array_equal(coupling_from_lagrangian(model).kernels,
-                              coupling_from_lagrangian(dense).kernels)
+        dense = RealCoupling(lattice=small_lattice, grid=grid12, t0=dense_model_t0(name, small_lattice, grid12),
+                             unitary=identity_gauge(small_lattice, grid12))
+        built, ref = coupling_from_lagrangian(model), coupling_from_lagrangian(dense)
+        assert built.sector_leak == 0.0
+        assert built.layout is ref.layout is small_lattice.sector_layout
+        assert np.linalg.norm(built.flat - ref.flat) <= 1e-14 * np.linalg.norm(ref.flat)
 
     def test_gram_products_match_einsum(self, small_lattice, grid12, rng):
         model = random_coupling(small_lattice, grid12, rng)
@@ -119,7 +161,7 @@ class TestConstraints:
         grid = FrequencyGrid.midpoint(3, 3.0)
         kern = np.zeros((3, 3, 3), dtype=complex)
         kern[1] = np.eye(3) + 0.3j * np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        report = check_constraints(CouplingTensor(single_site, grid, kern))
+        report = check_constraints(CouplingTensor.from_kernels(single_site, grid, kern))
         assert not report.passed
         assert report.moment0 > 0
 
@@ -186,9 +228,10 @@ class TestBuiltinModels:
         grid = FrequencyGrid.midpoint(8, 6.0)
         model = builtin_model("local_lorentz", single_site, grid)
         for k in range(grid.n_nodes):
-            d = np.diagonal(model.t0[k])
+            t0 = model_t0(model, k)
+            d = np.diagonal(t0)
             assert np.allclose(d, d[0])
-            assert np.allclose(model.t0[k], np.diag(d))
+            assert np.allclose(t0, np.diag(d))
 
     def test_uniaxial_ratio_squares_in_structure(self, single_site):
         grid = FrequencyGrid.midpoint(8, 6.0)
@@ -200,7 +243,7 @@ class TestBuiltinModels:
 
     def test_gaussian_offsite_vanishes_as_length_shrinks(self, small_lattice, grid12):
         tight = builtin_model("gaussian_nonlocal", small_lattice, grid12, {"corr_length": 0.05})
-        t0 = tight.t0[grid12.n_nodes // 2]
+        t0 = model_t0(tight, grid12.n_nodes // 2)
         offsite = t0.copy()
         for s in range(small_lattice.n_sites):
             offsite[3 * s: 3 * s + 3, 3 * s: 3 * s + 3] = 0.0
@@ -208,7 +251,7 @@ class TestBuiltinModels:
 
     def test_gaussian_has_spatial_dispersion(self, small_lattice, grid12):
         model = builtin_model("gaussian_nonlocal", small_lattice, grid12, {"corr_length": 0.9})
-        t0 = model.t0[grid12.n_nodes // 2]
+        t0 = model_t0(model, grid12.n_nodes // 2)
         assert abs(t0[0, 3]) > 1e-6 or abs(t0[0, 4]) > 1e-6 or abs(t0[0, 5]) > 1e-6
 
     def test_unknown_model_and_bad_params(self, small_lattice, grid12):
@@ -270,7 +313,7 @@ class TestSpectralMoments:
         rng = np.random.default_rng(seed)
         lagrangian = coupling_from_lagrangian(random_coupling(lattice, grid, rng))
         shape = (n_nodes, lattice.dim, lattice.dim)
-        violator = CouplingTensor(lattice, grid, rng.standard_normal(shape)
+        violator = CouplingTensor.from_kernels(lattice, grid, rng.standard_normal(shape)
                                   + 1j * rng.standard_normal(shape))
         eps = np.finfo(float).eps
 

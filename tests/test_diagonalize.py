@@ -182,7 +182,7 @@ class TestCommutationChecks:
         rng = np.random.default_rng(seed)
         lagrangian = coupling_from_lagrangian(random_coupling(single_site, grid, rng))
         shape = (n_nodes, single_site.dim, single_site.dim)
-        violator = CouplingTensor(single_site, grid, rng.standard_normal(shape)
+        violator = CouplingTensor.from_kernels(single_site, grid, rng.standard_normal(shape)
                                   + 1j * rng.standard_normal(shape))
         for coupling in (lagrangian, violator):
             modes, prop = make_modes(coupling)

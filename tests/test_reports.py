@@ -8,7 +8,9 @@ import pytest
 from dampol.cli import Pipeline, ScenarioConfig
 from dampol.coupling import coupling_from_lagrangian, random_coupling
 from dampol.lattice import FrequencyGrid, build_lattice
-from dampol.reports import chi_trace_csv
+from dampol.fields import field_forms
+from dampol.green import node_propagator
+from dampol.reports import chi_trace_csv, field_trace_csv
 from dampol.susceptibility import Susceptibility, chi_stack
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -122,3 +124,37 @@ class TestChiTrace:
             tracemalloc.stop()
         row = max(len(line) for line in (tmp_path / "chi.csv").read_bytes().splitlines())
         assert write_peak - base < evaluate_peak + zs.size * 3 * d * 16 + row
+
+
+def reference_field_trace(path, form, amplitudes, times):
+    """`field_trace_csv` as `csv.writer` writes it, one `writerow` per row."""
+    grid, layout = form.grid, form.layout
+    weighted = layout.apply(form.alpha, np.asarray(amplitudes))
+    weighted *= (layout.lattice.cell_volume * grid.weights)[:, None]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "site", "component", "value"])
+        for t in times:
+            values = 2.0 * (np.exp(-1j * grid.nodes * t) @ weighted).real
+            for a, val in enumerate(values):
+                writer.writerow([f"{t:.12g}", a // 3, a % 3, f"{val:.12g}"])
+
+
+class TestFieldTrace:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bytes_match_csv_writer(self, tmp_path, n):
+        cfg = ScenarioConfig.from_file(CONFIG_DIR / "uniaxial.ini")
+        cfg.n_per_axis = n
+        pipe = Pipeline(cfg)
+        e_form = field_forms(node_propagator(pipe.chi))["E"]
+        rng = np.random.default_rng(n)
+        amp = rng.standard_normal((pipe.grid.n_nodes, pipe.lattice.dim)) \
+            + 1j * rng.standard_normal((pipe.grid.n_nodes, pipe.lattice.dim))
+        # a time far out makes some values print with an exponent
+        times = np.append(np.linspace(0.0, 4.0 * np.pi / pipe.grid.omega_max, 8), 1e13)
+        field_trace_csv(tmp_path / "fast.csv", e_form, amp, times)
+        reference_field_trace(tmp_path / "ref.csv", e_form, amp, times)
+        ref = (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "fast.csv").read_bytes() == ref
+        assert ref.count(b"\r\n") == 1 + times.size * pipe.lattice.dim
+        assert b"e+13," in ref and b",-" in ref

@@ -4,7 +4,9 @@ Every kernel stage stores its (K, d, d) stacks as flat sector blocks in
 `Lattice.sector_layout` when its inputs conserve lattice momentum, and as
 one site-basis block (`Lattice.one_block`, the dense reference arithmetic)
 otherwise.  Forcing one block by a negative leak tolerance, as the oracle's
-`TestSectorBlocks` does, runs the same inputs through the dense reference.
+`TestSectorBlocks` does, runs the same inputs through the dense reference;
+a built-in model, which has no leak, is rebuilt from its dense kernels for
+that.
 """
 
 import dataclasses
@@ -21,11 +23,19 @@ from dampol.bath import (
     verify_linkage,
 )
 from dampol.cli import Pipeline, ScenarioConfig
-from dampol.coupling import builtin_model, coupling_from_lagrangian, random_coupling, structure_tensor
+from dampol.coupling import (
+    CouplingTensor,
+    builtin_model,
+    coupling_from_lagrangian,
+    random_coupling,
+    structure_tensor,
+)
 from dampol.diagonalize import ModeChecks, momentum_family, streamed_mode_checks, wave_diagnostic
 from dampol.green import node_propagator, verify_adjoint
 from dampol.lattice import FrequencyGrid, build_lattice
 from dampol.susceptibility import Susceptibility
+
+from test_coupling import dense_model_t0
 
 
 def agree(a, b, rel=1e-12):
@@ -65,9 +75,8 @@ class TestLayout:
 
     @pytest.mark.parametrize("case", ["chi_trace", "field_trace"])
     def test_apply_peak_is_its_operands_and_result(self, case):
-        # the real basis multiplies the real and imaginary parts apart, so no
-        # complex d x d copy of it is made: 0.59 MB at n = 4, beside a
-        # 0.11 MB result for the chi trace's 12 points
+        # the vectors are rotated through the real (M, M) momentum basis, part
+        # by part, so no d x d basis and no complex copy of one is made
         lat, rng = build_lattice(4, 1.0), np.random.default_rng(5)
         layout, d, K = lat.sector_layout, lat.dim, 12
         if case == "chi_trace":   # every point against the three unit sources at site 0
@@ -76,7 +85,7 @@ class TestLayout:
         else:   # every node against its own complex amplitudes
             flat = rng.standard_normal((K, layout.size)) + 1j * rng.standard_normal((K, layout.size))
             vecs = rng.standard_normal((K, d)) + 1j * rng.standard_normal((K, d))
-        layout.apply(flat[:1], vecs[:1])   # the basis is built once, before tracing
+        layout.apply(flat[:1], vecs[:1])   # the momentum basis is built once, before tracing
         tracemalloc.start()
         try:
             out = layout.apply(flat, vecs)
@@ -84,6 +93,7 @@ class TestLayout:
         finally:
             tracemalloc.stop()
         assert peak <= flat.nbytes + vecs.nbytes + out.nbytes
+        assert "basis" not in layout.__dict__
         ref = (layout.sites(flat) @ vecs[..., None])[..., 0]
         assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
 
@@ -125,11 +135,55 @@ class TestLeakingInputsTakeOneBlock:
         assert pipe.propagator.layout is pipe.bath.layout is pipe.lattice.one_block
 
 
-def kernel_values(model, n, K):
-    """Every value of the node sweep, the bath checks and the streamed pass, and the layout."""
+class TestSymbolBlocks:
+    """The blocks built from per-k symbols against `split` of the dense site operators.
+
+    n = 2 to 5 covers odd and even lattices, and at even n >= 4 the
+    Nyquist components the derivative symbols set to 0.
+    """
+
+    OPERATORS = ("transverse_matrix", "longitudinal_matrix", "curl_matrix", "double_curl_matrix",
+                 "laplacian_matrix")
+
+    @staticmethod
+    def assert_close(blocks, dense, layout):
+        leak, ref = layout.split(dense)
+        assert leak <= 1e-14
+        assert np.linalg.norm(blocks - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_lattice_operators(self, n):
+        lat = build_lattice(n, 0.7)
+        layout = lat.sector_layout
+        for name in self.OPERATORS:
+            self.assert_close(layout.op(name), getattr(lat, name), layout)
+
+    @pytest.mark.parametrize("name, params", [
+        ("local_lorentz", {}),
+        ("uniaxial_local", {"axis": "x", "ratio": 3.0}),
+        ("gaussian_nonlocal", {"corr_length": 0.9}),
+    ])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_models(self, n, name, params):
+        lat, grid = build_lattice(n, 0.8), FrequencyGrid.midpoint(4, 3.0)
+        coupling = coupling_from_lagrangian(builtin_model(name, lat, grid, params))
+        assert coupling.layout is lat.sector_layout and coupling.sector_leak == 0.0
+        pref = -(2.0 * grid.nodes) ** -0.5   # hbar = 1
+        self.assert_close(coupling.flat, pref[:, None, None] * dense_model_t0(name, lat, grid, params),
+                          lat.sector_layout)
+
+
+def kernel_values(model, n, K, dense=False):
+    """Every value of the node sweep, the bath checks and the streamed pass, and the layout.
+
+    With `dense`, the coupling is rebuilt from its kernels as one dense
+    stack, which the leak rule may keep as one block.
+    """
     lat = build_lattice(n, 1.0)
     grid = FrequencyGrid.midpoint(K, 3.0, eta_factor=1.0)
     coupling = coupling_from_lagrangian(builtin_model(model, lat, grid))
+    if dense:
+        coupling = CouplingTensor.from_kernels(lat, grid, coupling.kernels)
     st = structure_tensor(coupling)
     chi = Susceptibility(coupling)
     prop = node_propagator(chi)
@@ -166,7 +220,7 @@ def kernel_values(model, n, K):
 def test_sector_layout_matches_one_block(model, n, K, monkeypatch):
     layout, sectors = kernel_values(model, n, K)
     monkeypatch.setattr(lattice, "SECTOR_LEAK_TOL", -1.0)   # every stack one block
-    one_layout, one = kernel_values(model, n, K)
+    one_layout, one = kernel_values(model, n, K, dense=True)
     assert layout.part_sizes != one_layout.part_sizes == [[3 * n**3, 1, 0]]
     assert sectors.keys() == one.keys()
     for key, a in sectors.items():

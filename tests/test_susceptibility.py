@@ -298,7 +298,7 @@ def shipped_or_violating_coupling(name, lattice):
     rng = np.random.default_rng(8)
     d = lattice.dim
     kernels = 0.5 * (rng.standard_normal((12, d, d)) + 1j * rng.standard_normal((12, d, d)))
-    return CouplingTensor(lattice, grid, kernels / lattice.cell_volume)
+    return CouplingTensor.from_kernels(lattice, grid, kernels / lattice.cell_volume)
 
 
 def reversed_nodes(coupling):
