@@ -65,6 +65,10 @@ VIOLATIONS = ("none", "chi_symmetry", "h1_scale")
 #: machine-identity tolerance (relative); scaled by the config's tol_scale
 TOL_EXACT = 1e-10
 
+#: largest cell volume, frequency or violation magnitude a config may give: the
+#: eighth root of the largest float, about 3.4e38
+MAX_SCALE = np.finfo(float).max ** 0.125
+
 #: the keys each config section accepts; `[model]` keys are the model's own
 #: parameters, which `builtin_model` checks
 CONFIG_KEYS = {
@@ -166,6 +170,7 @@ class ScenarioConfig:
         if self.n_per_axis < 1 or self.spacing <= 0:
             raise ConfigError("lattice parameters out of range")
         self.check_normal()
+        self.check_scales()
         if self.refine_track not in ("hamiltonian", "kernels"):
             raise ConfigError("refine_track must be 'hamiltonian' or 'kernels'")
         # the model's own parameters: `builtin_model` checks them while it builds the per-k
@@ -190,6 +195,25 @@ class ScenarioConfig:
             if not np.finfo(float).tiny <= value < np.inf:
                 raise ConfigError(f"{key} gives {name} = {value:g}, not a finite, positive, "
                                   "normal float")
+
+    def check_scales(self):
+        """Refuse a cell volume, frequency or violation magnitude above `MAX_SCALE`.
+
+        The stages multiply several factors of one scale and square the
+        norms of some products (a frequency enters the moment-2 tails as w^4,
+        whose squared norm is w^8), so a larger scale would run on
+        overflowed arithmetic.
+        """
+        with np.errstate(over="ignore"):
+            volume = np.float64(self.spacing) ** 3
+            eta = np.float64(self.eta_factor) * (self.omega_max / self.n_nodes)   # as the grid forms it
+        for key, name, value in (("[lattice] spacing", " gives the cell volume spacing**3", volume),
+                                 ("[grid] omega_max", "", self.omega_max),
+                                 ("[grid] eta_factor", " gives the offset eta", eta),
+                                 ("[violation] magnitude", "", abs(self.violation_magnitude))):
+            if value > MAX_SCALE:
+                raise ConfigError(f"{key}{name} = {value:g}, above {MAX_SCALE:.3g}: products of up to "
+                                  "eight factors of it overflow")
 
     def provenance(self) -> dict:
         return {

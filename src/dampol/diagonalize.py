@@ -390,11 +390,14 @@ def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> Mo
 
     Every operator is a flat block stack in the propagator's layout, and
     every product one batched `matmul` per block size over the node and
-    profile axes: there is no per-node loop.  Cost O(K^2 size + K sum_b S_b
-    b^3).  The peak comes while the four smeared sums are formed: about 29
-    (K, size) block stacks for the two shipped profiles, beside the
-    propagator and the coupling (28.9 at n = 2, K = 128, where a block stack
-    is an eighth of a (K, d, d) one).
+    profile axes: there is no per-node loop.  A product against a
+    node-independent operator (the projectors, `mom_wave`, the smeared
+    sums `t_sm`) folds the node axis into the GEMM rows: S_b b GEMMs of
+    (K x b) @ (b x b) per block size in place of K S_b of b x b, when
+    K > b.  Cost O(K^2 size + K sum_b S_b b^3).  The peak comes while the
+    four smeared sums are formed: about 29 (K, size) block stacks for the
+    two shipped profiles, beside the propagator and the coupling (28.9 at
+    n = 2, K = 128, where a block stack is an eighth of a (K, d, d) one).
     """
     rows = _NodeKernels(prop)
     coupling = prop.coupling

@@ -88,9 +88,16 @@ class Lattice:
 
     @cached_property
     def _phases(self) -> np.ndarray:
-        # (M, M) matrix exp(i k . r) / sqrt(M); columns indexed by k
-        ph = np.exp(1j * self.sites @ self.kvecs.T)
-        return ph / np.sqrt(self.n_sites)
+        # (M, M) matrix exp(i k . r) / sqrt(M); columns indexed by k.  Sites and wave
+        # vectors run C-ordered over integer triples, so it is kron(p, p, p) / sqrt(M)
+        # of the (n, n) axis factor p[x, j] = exp(2 pi i x j / n), whatever the
+        # spacing, read from the n-th roots of unity, each root past the half the
+        # exact conjugate of its partner
+        n = self.n_per_axis
+        m = np.arange(n)
+        low = np.exp(2j * np.pi * np.minimum(m, n - m) / n)
+        p = np.where(2 * m > n, low.conj(), low)[np.outer(m, m) % n]
+        return np.kron(np.kron(p, p), p) / np.sqrt(self.n_sites)
 
     def _assemble(self, blocks: np.ndarray) -> np.ndarray:
         """Assemble a position-space operator matrix from per-k 3x3 blocks."""
@@ -383,9 +390,11 @@ class SectorLayout:
     `columns` of kron(F, I_3), F the lattice's `momentum_basis`.  Blocks of
     one size are adjacent, so a flat array is viewed as one
     (..., count, b, b) array per block size (`parts`) and every product is
-    one batched `matmul` per size, over every leading axis at once.  The
-    Frobenius norm of an operator is that of its flat row, and a sum over a
-    node axis is one GEMM on the flat rows.
+    one batched `matmul` per size, over every leading axis at once; against
+    an operand that is the same at every node, the node axis is folded into
+    the GEMM rows through strides (`matmul`).  The Frobenius norm of an
+    operator is that of its flat row, and a sum over a node axis is one GEMM
+    on the flat rows.
 
     A translation-invariant operator maps every {q, -q} sector of
     `Lattice.momentum_basis` into itself, so `Lattice.sector_layout` keeps it
@@ -551,11 +560,37 @@ class SectorLayout:
     # -- block algebra ----------------------------------------------------
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b for every operator pair, leading axes broadcast: one batched `matmul` per block size."""
+        """a @ b for every operator pair, leading axes broadcast: one batched `matmul` per block size.
+
+        A leading axis i along which one operand is constant and the other
+        varies (a node axis against a node-independent operator) is folded
+        into the GEMM through strides, the longest such axis: with b
+        constant, row r of every block of a at all n_i values of i is one
+        (n_i, b) matrix of row stride `size`, so a block size of `count`
+        blocks makes count * b GEMMs (n_i x b) @ (b x b) in place of n_i *
+        count GEMMs b x b; with a constant, the transposed blocks are folded
+        likewise, b^T a^T.  Nothing is copied.  A block size folds only when
+        n_i > b, where folding makes fewer GEMMs; otherwise, and when both
+        operands vary along every axis, each operator pair is one GEMM.
+        """
         lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        n = len(lead)
         out = np.empty(lead + (self.size,), dtype=np.result_type(a, b))
-        for pa, pb, po in zip(self.parts(a), self.parts(b), self.parts(out)):
-            np.matmul(pa, pb, out=po)
+        a, b = a[(None,) * (n + 1 - a.ndim)], b[(None,) * (n + 1 - b.ndim)]
+        length, b_const, axis = max(((lead[j], b.shape[j] == 1, j) for j in range(n)
+                                     if (a.shape[j] == 1) != (b.shape[j] == 1)), default=(0, True, 0))
+        rest = [j for j in range(n) if j != axis]
+        # a part's axes are lead 0..n-1, block n, row n + 1, column n + 2:
+        # (rest, block, row, i, column) @ (rest, block, 1, column, column), or
+        # with a constant (rest, block, column, i, row) @ (rest, block, 1, row, row) of the transposes
+        rows, cols = (n + 1, n + 2) if b_const else (n + 2, n + 1)
+        perm, const_perm = [*rest, n, rows, axis, cols], [*rest, n, axis, rows, cols]
+        for (blk, _, _), pa, pb, po in zip(self.part_sizes, self.parts(a), self.parts(b), self.parts(out)):
+            if length <= blk:
+                np.matmul(pa, pb, out=po)
+            else:
+                vary, const = (pa, pb) if b_const else (pb, pa)
+                np.matmul(vary.transpose(perm), const.transpose(const_perm), out=po.transpose(perm))
         return out
 
     def transpose(self, a: np.ndarray) -> np.ndarray:

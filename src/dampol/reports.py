@@ -51,8 +51,7 @@ def stage_report(stage: str, checks: list, extra: dict | None = None) -> dict:
 def write_json(path, payload: dict):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")   # one write, not one per chunk
 
 
 def chi_trace_csv(path, chi, zs):

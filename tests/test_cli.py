@@ -94,16 +94,24 @@ class TestConfigParsing:
         ("model", "width", "1e300", "line-shape parameters out of range"),
         ("model", "corr_length", "1e300", "corr_length must be positive, with a finite square"),
         ("model", "strength", "1e200", "[model] strength = 1e+200 makes the spectral densities overflow"),
+        ("grid", "omega_max", "1e200", "[grid] omega_max = 1e+200, above 3.4e+38"),
+        ("lattice", "spacing", "1e100", "[lattice] spacing gives the cell volume spacing**3 = 1e+300, above 3.4e+38"),
+        ("grid", "eta_factor", "1e300", "[grid] eta_factor gives the offset eta = 2.5e+299, above 3.4e+38"),
+        ("violation", "magnitude", "1e200", "[violation] magnitude = 1e+200, above 3.4e+38"),
     ])
     def test_extreme_number_exits_usage(self, tmp_path, capsys, section, key, value, message):
         # finite, but the cell volume overflows or underflows to 0 (I / v is
         # NaN), eta is subnormal (1 / eta overflows), a squared length
-        # overflows, or the spectral densities do: refused with the usage exit
-        # code and the key named, before any stage runs or numpy warns
+        # overflows, the spectral densities do, or a cell volume, frequency or
+        # violation magnitude has an eighth power that overflows: refused with
+        # the usage exit code and the key named, before any stage runs or numpy warns
         parser = configparser.ConfigParser()
         parser.read(CONFIG_DIR / "lorentz.ini")
         if key == "corr_length":
             parser["model"]["name"] = "gaussian_nonlocal"
+        if section == "violation":
+            parser.add_section(section)
+            parser[section]["kind"] = "chi_symmetry"
         parser[section][key] = value
         cfg, out = tmp_path / "extreme.ini", tmp_path / "o"
         with open(cfg, "w") as fh:

@@ -94,6 +94,14 @@ class TestRealOperators:
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("k0_transverse", [True, False])
 class TestMomentumSectors:
+    @pytest.mark.parametrize("spacing", [1.0, 0.37, 2.5])
+    def test_phases_are_the_direct_plane_waves(self, n, k0_transverse, spacing):
+        # the Kronecker cube of one (n, n) axis factor against exp(i k . r) / sqrt(M)
+        lat = build_lattice(n, spacing, k0_transverse)
+        direct = np.exp(1j * lat.sites @ lat.kvecs.T) / np.sqrt(lat.n_sites)
+        assert lat._phases.shape == direct.shape
+        assert np.max(np.abs(lat._phases - direct)) <= 1e-15
+
     def test_momentum_basis_orthogonal(self, n, k0_transverse):
         f = build_lattice(n, 1.0, k0_transverse).momentum_basis
         assert f.dtype == float

@@ -14,6 +14,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from dampol import lattice
 from dampol.bath import (
@@ -114,6 +116,93 @@ class TestLayout:
         assert lat.layout(lat.sector_leak(r)) is lat.one_block
         assert lat.layout(lat.sector_leak(lat.transverse_matrix)) is lat.sector_layout
         assert lat.one_block.blocks(r).base is r   # the site basis is a view, no copy
+
+
+def per_operator_matmul(layout, a, b):
+    """The reference product: one `np.matmul` per block of every broadcast operator pair."""
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    a, b = np.broadcast_to(a, lead + a.shape[-1:]), np.broadcast_to(b, lead + b.shape[-1:])
+    out = np.empty(lead + (layout.size,), dtype=np.result_type(a, b))
+    for idx in np.ndindex(lead):
+        for pa, pb, po in zip(layout.per_block(a[idx]), layout.per_block(b[idx]), layout.per_block(out[idx])):
+            po[...] = np.matmul(pa, pb)
+    return out
+
+
+#: (lattice size, layout) pairs: the sector layout's 3x3 and 6x6 parts and the
+#: dense one-block reference, whose 3x3 (n = 1) and 24x24 (n = 2) blocks fold
+#: along an axis longer than the block
+FOLD_LAYOUTS = [(2, "sector_layout"), (3, "sector_layout"), (1, "one_block"), (2, "one_block")]
+
+#: leading shapes of the operands, by node count K and profile count P
+FOLD_SHAPES = [lambda P, K: (), lambda P, K: (K,), lambda P, K: (P, 1), lambda P, K: (1, K),
+               lambda P, K: (P, K)]
+
+
+class TestFoldedMatmul:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(where=st_.sampled_from(FOLD_LAYOUTS), P=st_.integers(1, 3), K=st_.sampled_from([1, 2, 4, 7, 25]),
+           shapes=st_.one_of(st_.tuples(st_.sampled_from(FOLD_SHAPES), st_.sampled_from(FOLD_SHAPES)),
+                             st_.sampled_from([(lambda P, K: (K, K), lambda P, K: (K,)),
+                                               (lambda P, K: (K,), lambda P, K: (K, K))])),
+           kinds=st_.sampled_from([(float, float), (complex, complex), (float, complex), (complex, float)]),
+           seed=st_.integers(0, 2**32 - 1))
+    def test_matches_per_operator_matmul(self, where, P, K, shapes, kinds, seed):
+        # every broadcast pattern against one np.matmul per block and operator
+        # pair; a fold reorders no sum, but numpy's strided loop (a constant)
+        # may round a complex product differently from BLAS, within the GEMM
+        # error bound
+        n, name = where
+        layout = getattr(build_lattice(n, 1.0), name)
+        rng = np.random.default_rng(seed)
+
+        def draw(lead, kind):
+            x = rng.standard_normal(lead + (layout.size,))
+            return x + 1j * rng.standard_normal(x.shape) if kind is complex else x
+
+        a, b = (draw(shape(P, K), kind) for shape, kind in zip(shapes, kinds))
+        got, want = layout.matmul(a, b), per_operator_matmul(layout, a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        bound = per_operator_matmul(layout, np.abs(a), np.abs(b)) * (4 * layout.sizes.max() * np.finfo(float).eps)
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("const, leads, shapes", [
+        ("b", [(256,), ()], [(8, 3, 256, 3), (8, 1, 3, 3)]),
+        ("a", [(), (256,)], [(8, 3, 256, 3), (8, 1, 3, 3)]),
+        ("b", [(2, 256), (256,)], [(256, 8, 3, 3)] * 2),   # two profiles: the 3x3 blocks are longer
+        ("neither", [(256,), (256,)], [(256, 8, 3, 3)] * 2),
+    ])
+    def test_node_axis_folded_into_the_rows(self, monkeypatch, const, leads, shapes):
+        # at n = 2 (eight 3x3 blocks) a node-independent operand makes the
+        # 256 nodes the rows of 8 * 3 GEMMs (256 x 3) @ (3 x 3)
+        layout = build_lattice(2, 1.0).sector_layout
+        calls, matmul = [], np.matmul
+
+        def spy(x, y, **kwargs):
+            calls.append([x.shape[-4:], y.shape[-4:]])
+            return matmul(x, y, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        layout.matmul(*(np.ones(lead + (layout.size,), dtype=complex) for lead in leads))
+        assert calls == [shapes]
+
+    @pytest.mark.parametrize("const", ["b", "a"])
+    def test_fold_copies_no_operand(self, const):
+        # one (256, size) @ (size,) product, or (size,) @ (256, size), at n = 2:
+        # beside its result it allocates under 5% of a (256, size) stack
+        layout, rng = build_lattice(2, 1.0).sector_layout, np.random.default_rng(3)
+        stack = rng.standard_normal((256, layout.size)) + 1j * rng.standard_normal((256, layout.size))
+        op = rng.standard_normal(layout.size) + 1j * rng.standard_normal(layout.size)
+        operands = (stack, op) if const == "b" else (op, stack)
+        layout.matmul(*operands)   # numpy's first-call set-up, before tracing
+        tracemalloc.start()
+        try:
+            out = layout.matmul(*operands)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 0.05 * stack.nbytes
+        assert np.allclose(out, per_operator_matmul(layout, *operands), rtol=0, atol=1e-13)
 
 
 class TestLeakingInputsTakeOneBlock:
