@@ -11,8 +11,9 @@ assembly.
 
 Every bath coefficient comes from one per-node row builder,
 `BathCoefficients.rows` (plus `delta_row` for the Kronecker part), read
-through the bath mode forms; the bath-form Hamiltonian places those forms,
-built in its own layout, in the canonical basis.  Independence is
+through the bath mode forms; the bath-form Hamiltonian places those forms
+in the canonical basis.  Every coefficient is blocks in the coupling's
+layout, which is the run's.  Independence is
 evaluated once, by collapsed quadrature sums; the generic form-commutator
 route runs at node 0 only, as a cross-check of that evaluator.
 """
@@ -47,7 +48,9 @@ def require_invertible(layout: SectorLayout, *named: tuple) -> None:
     Each stack is checked by one batched SVD per block size; a node's
     singular values are the union of its blocks'.  The error names the
     first failing node, and at that node the first failing stack in the
-    order given, with the node's singular-value ratio.
+    order given, with the node's singular-value ratio, and its condition
+    number, infinite when the ratio of the largest to the smallest
+    singular value overflows.
     """
     first = None
     for what, stack in named:
@@ -61,7 +64,7 @@ def require_invertible(layout: SectorLayout, *named: tuple) -> None:
         raise SingularOperatorError(
             f"{what} not invertible at node {node} "
             f"(singular-value ratio {low / max(top, 1e-300):.3e})",
-            cond=top / max(low, 1e-300), node=node)
+            cond=top / low if low > top / np.finfo(float).max else np.inf, node=node)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +74,8 @@ class BathCoefficients:
     `delta_blocks` multiplies the frequency delta (it equals the inverse of
     the transposed coupling in the chosen gauge); `pole_blocks` multiplies
     the resolvent pole and is tied to the delta coefficient through the
-    susceptibility linkage, exactly at the nodes.  The row builders work in
-    any layout the bath's inputs stay within, rotating the coefficients
-    through sites only when it is not `layout`.
+    susceptibility linkage, exactly at the nodes.  `layout` is the
+    coupling's, the layout of the row builders' inputs.
     """
 
     lattice: object
@@ -83,7 +85,7 @@ class BathCoefficients:
     pole_blocks: np.ndarray    # (K, size)
     eta: float
 
-    def rows(self, coupling: CouplingTensor, k: int, layout: SectorLayout) -> tuple:
+    def rows(self, coupling: CouplingTensor, k: int) -> tuple:
         """Pair rows of node k over every node l in `layout`, (K, size) each.
 
         The co-rotating row multiplies the medium annihilators (regular
@@ -91,9 +93,9 @@ class BathCoefficients:
         product of the pole coefficient against the transposed kernels T^T,
         the counter-rotating one conjugated: v P T^H = conj(conj(v P) T^T).
         """
-        nodes = self.grid.nodes
-        t_t = layout.transpose(coupling.blocks(layout))
-        pole_k = self.lattice.cell_volume * self.layout.convert(self.pole_blocks[k], layout)
+        nodes, layout = self.grid.nodes, self.layout
+        t_t = layout.transpose(coupling.flat)
+        pole_k = self.lattice.cell_volume * self.pole_blocks[k]
         co = layout.matmul(pole_k, t_t)
         counter = layout.matmul(pole_k.conj(), t_t)
         np.conj(counter, out=counter)
@@ -101,10 +103,10 @@ class BathCoefficients:
         counter *= (-1.0 / (nodes[k] + nodes))[:, None]
         return co, counter
 
-    def delta_row(self, coupling: CouplingTensor, k: int, layout: SectorLayout) -> np.ndarray:
+    def delta_row(self, coupling: CouplingTensor, k: int) -> np.ndarray:
         """Kernel multiplying the node Kronecker in the annihilator pairing, (size,) in `layout`."""
-        delta_k = self.lattice.cell_volume * self.layout.convert(self.delta_blocks[k], layout)
-        return layout.matmul(delta_k, layout.transpose(coupling.blocks(layout)[k]))
+        layout = self.layout
+        return layout.matmul(self.lattice.cell_volume * self.delta_blocks[k], layout.transpose(coupling.flat[k]))
 
     def perturbed_delta(self, scale: float) -> "BathCoefficients":
         """Violator fixture: rescale the frequency-diagonal coefficient."""
@@ -112,7 +114,7 @@ class BathCoefficients:
 
 
 def bath_coefficients(coupling: CouplingTensor, chi: Susceptibility) -> BathCoefficients:
-    """Construct the bath coefficients in the inverse-coupling gauge, in `chi.layout`.
+    """Construct the bath coefficients in the inverse-coupling gauge, in the coupling's layout.
 
     Requires the coupling kernel and the susceptibility just above the cut
     to be invertible at every node; degenerate nodes raise with the node
@@ -121,9 +123,9 @@ def bath_coefficients(coupling: CouplingTensor, chi: Susceptibility) -> BathCoef
     the node axis; about five to seven (K, size) block stacks are live at
     the peak.
     """
-    lattice, grid, layout = coupling.lattice, coupling.grid, chi.layout
+    lattice, grid, layout = coupling.lattice, coupling.grid, coupling.layout
     v = lattice.cell_volume
-    t = coupling.blocks(layout)
+    t = coupling.flat
     require_invertible(layout, ("coupling kernel", t), ("susceptibility", chi.above_cut_blocks))
     delta = layout.inv(layout.transpose(t))
     delta /= v**2
@@ -143,18 +145,18 @@ def verify_linkage(bath: BathCoefficients, coupling: CouplingTensor,
     """
     layout, v = bath.layout, coupling.lattice.cell_volume
     rhs = layout.matmul((1.0 / (2.0j * np.pi)) * v * bath.delta_blocks,
-                        discontinuity(coupling, layout))
+                        discontinuity(coupling))
     diff = layout.matmul(v * bath.pole_blocks, chi.above_cut_blocks)
     diff -= rhs
     return float(np.max(np.sqrt(sq_norms(diff)) / np.maximum(np.sqrt(sq_norms(rhs)), 1e-300)))
 
 
-def bath_mode_form(bath: BathCoefficients, coupling: CouplingTensor, k: int,
-                   layout: SectorLayout) -> LinearBosonicForm:
-    """The bath annihilator at node k as a form over the medium modes, in `layout`."""
-    alpha, beta = bath.rows(coupling, k, layout)
-    alpha[k] += bath.delta_row(coupling, k, layout) / coupling.grid.weights[k]
-    return LinearBosonicForm(layout=layout, grid=coupling.grid, alpha=alpha, basis=BASIS_MEDIUM, creators=beta)
+def bath_mode_form(bath: BathCoefficients, coupling: CouplingTensor, k: int) -> LinearBosonicForm:
+    """The bath annihilator at node k as a form over the medium modes, in the bath's layout."""
+    alpha, beta = bath.rows(coupling, k)
+    alpha[k] += bath.delta_row(coupling, k) / coupling.grid.weights[k]
+    return LinearBosonicForm(layout=bath.layout, grid=coupling.grid, alpha=alpha, basis=BASIS_MEDIUM,
+                             creators=beta)
 
 
 def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
@@ -173,15 +175,14 @@ def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
     GEMMs and the one sum sum_l q_l D_l, in the bath's layout; the products
     with the bath coefficients are batched over the nodes.  The generic
     form-commutator route is evaluated once, for the polarization at node 0,
-    and `route_agreement` reports how far the two routes differ there, with
-    both forms in the bath's layout.  The sums hold at most four (K, size)
+    and `route_agreement` reports how far the two routes differ there.  The sums hold at most four (K, size)
     block stacks and the cross-check at most about six, its two forms and
     the pair contraction's copies (6.45 in all at n = 2, K = 128).
     """
     layout, grid = bath.layout, coupling.grid
     v = coupling.lattice.cell_volume
     w, nodes = grid.weights, grid.nodes
-    dens = coupling.density_blocks(layout)
+    dens = coupling.density
     om = nodes[:, None]
 
     # every step works in place, so at most four (K, size) block stacks are live
@@ -218,7 +219,7 @@ def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
     mom_sq = sq_norms(mom)
     del mom, base
 
-    comm_p = commutator(bath_mode_form(bath, coupling, 0, layout), medium_polarization_form(coupling, layout))
+    comm_p = commutator(bath_mode_form(bath, coupling, 0), medium_polarization_form(coupling))
     scale = np.linalg.norm(comm_p)
     comm_p -= 1j * HBAR * pol_0
     agree_p = np.linalg.norm(comm_p) / max(scale, 1e-300)
@@ -245,7 +246,7 @@ def verify_bath_canonical(bath: BathCoefficients, coupling: CouplingTensor) -> f
     """
     layout, v = bath.layout, coupling.lattice.cell_volume
     target = (np.pi * HBAR / EPS0) * layout.identity / v
-    form = layout.matmul((0.5 / 1j) * v**2 * bath.delta_blocks, discontinuity(coupling, layout))
+    form = layout.matmul((0.5 / 1j) * v**2 * bath.delta_blocks, discontinuity(coupling))
     form = layout.matmul(form, layout.transpose(bath.delta_blocks).conj())
     form -= target
     return float(np.sqrt(sq_norms(form).max()) / np.linalg.norm(target))
@@ -262,20 +263,18 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     the polarization, the electrostatic term, the squared momentum-minus-
     potential coupling, and the bilinear bath-polarization exchange.  All
     operators are converted to canonical rows, so the result is directly
-    comparable with the reference assembly.  The form is stored per
-    momentum sector when the bath coefficients are stored so too (chi does
-    not leak) and the reference's inputs conserve lattice momentum, else as
-    one block.  The bath rows of every node are held at once, (K, E).
+    comparable with the reference assembly: both are stored in the
+    coupling's layout.  The bath rows of every node are held at once, (K, E).
     """
     lattice, grid = coupling.lattice, coupling.grid
-    ham = QuadraticHamiltonian.zero(coupling, bath.layout)
+    ham = QuadraticHamiltonian.zero(coupling)
     layout, act = ham.layout, ham.act
     v = lattice.cell_volume
     K = grid.n_nodes
     w, nodes = grid.weights, grid.nodes
 
     u_a = ham.rows_vector_potential
-    pol, mom = medium_polarization_form(coupling, layout), medium_momentum_form(coupling, structure, layout)
+    pol, mom = medium_polarization_form(coupling), medium_momentum_form(coupling, structure)
     u_p, u_w = ham.ladder_rows(pol.alpha, pol.beta), ham.ladder_rows(mom.alpha, mom.beta)
 
     # bath oscillators and the bath-polarization exchange.  Both pair the bath
@@ -289,11 +288,11 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     alpha = np.empty((K, K, layout.size), dtype=complex)   # row k: the bath mode of node k
     beta = np.empty_like(alpha)
     for k in range(K):
-        form = bath_mode_form(bath, coupling, k, layout)
+        form = bath_mode_form(bath, coupling, k)
         alpha[k], beta[k] = form.alpha, form.beta
     u_cb = ham.ladder_rows(alpha, beta)
     del alpha, beta, form
-    right = act(bath.layout.convert(bath.pole_blocks, layout), u_p)
+    right = act(bath.pole_blocks, u_p)
     right *= -1j * v**2
     right += (0.5 * HBAR * v * nodes)[:, None] * u_cb
     np.conj(u_cb, out=u_cb)
@@ -304,8 +303,7 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     ham.add_field_energy()
 
     # cubic-moment polarization self-energy
-    selfenergy = structure.layout.convert(polarization_selfenergy_kernel(coupling, structure), layout)
-    ham.accumulate(u_p, act(selfenergy, u_p), v**2)
+    ham.accumulate(u_p, act(polarization_selfenergy_kernel(coupling, structure), u_p), v**2)
 
     # electrostatic term
     u_p_long = act(layout.op("longitudinal_matrix"), u_p)
@@ -313,7 +311,7 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
 
     # the squared momentum-minus-potential coupling through the structure tensor
     u_wa = u_w - u_a
-    ham.accumulate(u_wa, act(structure.layout.convert(structure.blocks, layout), u_wa), 0.5 * HBAR * v**2)
+    ham.accumulate(u_wa, act(structure.blocks, u_wa), 0.5 * HBAR * v**2)
     ham.symmetrize()
     return ham
 
@@ -328,15 +326,9 @@ def hamiltonian_equivalence(coupling: CouplingTensor, structure: StructureTensor
     the regularization is refined; the raw matrix distance `frobenius`
     retains the pointwise pole-ridge content, which only agrees
     distributionally, and is reported as a diagnostic.  Both are summed
-    block by block.  When the bath form is stored in another layout than
-    the reference (its coefficients leak across momentum sectors and the
-    reference's inputs do not), both forms are compared as one block, which
-    is exact for the reference: its off-sector entries are zero by
-    construction.
+    block by block: the two forms share the coupling's layout.
     """
     form = assemble_bath_hamiltonian(coupling, structure, bath)
-    if form.layout is not reference.layout:
-        form, reference = form.merged(), reference.merged()
     diffs = [diff - ref for diff, ref in zip(form.blocks, reference.blocks, strict=True)]
     weak = reference.weak_norm(diffs) / max(reference.weak_norm(reference.blocks), 1e-300)
     frob = np.sqrt(sum(np.linalg.norm(diff) ** 2 for diff in diffs)) \

@@ -237,10 +237,10 @@ class Pipeline:
         self.grid = FrequencyGrid.midpoint(config.n_nodes, config.omega_max, config.eta_factor)
         self._sweep_failure = None
 
-    @cached_property
+    @property
     def coupling(self):
-        return coupling_from_lagrangian(builtin_model(
-            self.config.model, self.lattice, self.grid, dict(self.config.model_params)))
+        """The coupling in the run's layout, the one every derived operator inherits: chi's source."""
+        return self.chi.source
 
     @cached_property
     def structure(self):
@@ -248,7 +248,9 @@ class Pipeline:
 
     @cached_property
     def chi(self):
-        chi = Susceptibility(self.coupling)
+        """chi of the model's coupling; the chi_symmetry violation perturbs it, which picks the run's layout."""
+        chi = Susceptibility(coupling_from_lagrangian(builtin_model(
+            self.config.model, self.lattice, self.grid, dict(self.config.model_params))))
         if self.config.violation == "chi_symmetry":
             d = self.lattice.dim
             pert = np.zeros((d, d))
@@ -387,13 +389,11 @@ def stage_fields(pipe: Pipeline, out: Path | None = None) -> dict:
             + 1j * rng.standard_normal((pipe.grid.n_nodes, pipe.lattice.dim))
         reports.field_trace_csv(out / "field_trace.csv", e_form, amp,
                                 np.linspace(0.0, 4.0 * np.pi / pipe.grid.omega_max, 32))
-    worst = max(noise_commutator_residual(coupling, k, pipe.chi.layout)
-                for k in (0, pipe.grid.n_nodes // 2, pipe.grid.n_nodes - 1))
+    worst = max(noise_commutator_residual(coupling, k) for k in (0, pipe.grid.n_nodes // 2, pipe.grid.n_nodes - 1))
     checks.append(pipe.entry("fields.noise_commutator", worst, TOL_EXACT))
-    layout = pipe.chi.layout
-    w_form = medium_momentum_form(coupling, pipe.structure, layout)
-    p_form = medium_polarization_form(coupling, layout)
-    ident = layout.identity / pipe.lattice.cell_volume   # the delta kernel's blocks
+    w_form = medium_momentum_form(coupling, pipe.structure)
+    p_form = medium_polarization_form(coupling)
+    ident = coupling.layout.identity / pipe.lattice.cell_volume   # the delta kernel's blocks
     scale = HBAR * np.linalg.norm(ident)
     wp = commutator(w_form, p_form)
     wp += 1j * HBAR * ident   # [W, P] - (-i hbar) delta
@@ -536,8 +536,7 @@ def refine(config: ScenarioConfig, levels: int) -> int:
             "kramers_kronig": verify_kramers_kronig(pipe.chi, [1j * pipe.grid.omega_max / 3]),
             "sum_rule": verify_sum_rules(pipe.coupling, pipe.structure).max_residual(),
             "bath_canonical": bath_mod.verify_bath_canonical(pipe.bath, pipe.coupling),
-            "noise_commutator": noise_commutator_residual(pipe.coupling, pipe.grid.n_nodes // 2,
-                                                          pipe.chi.layout),
+            "noise_commutator": noise_commutator_residual(pipe.coupling, pipe.grid.n_nodes // 2),
         }
         if sc is not None:
             vals["wave_equation"] = sc.wave

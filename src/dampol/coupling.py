@@ -7,12 +7,12 @@ pair constraints hold per node at machine precision instead of merely to
 quadrature accuracy.  The built-in models are lattice convolutions, given by
 one 3x3 symbol per wave vector (`SymbolCoupling`), so their kernels are built
 per momentum sector with no site operator; a dense input (`RealCoupling`) is
-split into the sector blocks once, or kept as one block when it leaks across
-sectors.  The frequency moments s_n = sum_k w_k w_k^n D_k of the
-spectral densities have one evaluator, `CouplingTensor.moments`, which the
-constraints, the structure tensor, the sum rules, the asymptote and the
-self-energy all read; like the densities, they are blocks in the coupling's
-layout, `CouplingTensor.layout`.
+split into the sector blocks once, or kept as one dense block when it leaks
+across sectors.  The coupling's layout, `CouplingTensor.layout`, is the
+layout of the whole run: every operator derived from it is blocks in it.
+The frequency moments s_n = sum_k w_k w_k^n D_k of the spectral densities
+have one evaluator, `CouplingTensor.moments`, which the constraints, the
+structure tensor, the sum rules, the asymptote and the self-energy all read.
 """
 
 from __future__ import annotations
@@ -121,8 +121,9 @@ class CouplingTensor:
     `layout` is `Lattice.sector_layout` unless the kernels leak out of its
     blocks by more than `lattice.SECTOR_LEAK_TOL`, then `Lattice.one_block`;
     `sector_leak` is that leak, exactly 0 for kernels built from per-k
-    symbols.  Every operator derived from the coupling is blocks in
-    `layout` too.
+    symbols.  It is the layout of the run: every operator derived from the
+    coupling is blocks in `layout` too, and a run whose other inputs leak
+    works with the coupling re-laid into their layout (`relaid`).
     """
 
     lattice: Lattice
@@ -143,7 +144,7 @@ class CouplingTensor:
     @classmethod
     def from_kernels(cls, lattice: Lattice, grid: FrequencyGrid, kernels: np.ndarray) -> "CouplingTensor":
         """The coupling of a dense (K, 3M, 3M) kernel stack: split into the sector blocks once, or kept
-        as one site-basis block when it leaks out of them."""
+        as one dense block when it leaks out of them."""
         kern = np.asarray(kernels, dtype=complex)
         shape = (grid.n_nodes, lattice.dim, lattice.dim)
         if kern.shape != shape:
@@ -159,29 +160,20 @@ class CouplingTensor:
         return cls(lattice, grid, lattice.sector_layout,
                    np.zeros((grid.n_nodes, lattice.sector_layout.size), dtype=complex))
 
-    def _converted(self, name: str, flat: np.ndarray, layout: SectorLayout) -> np.ndarray:
-        """A (K, size) stack of `layout`, kept under `name`, converted once from `flat` in the coupling's own."""
-        converted = self.__dict__.setdefault("_conversions", {})
-        if (name, layout) not in converted:
-            converted[name, layout] = self.layout.convert(flat, layout)
-        return converted[name, layout]
+    def relaid(self, layout: SectorLayout) -> "CouplingTensor":
+        """The same coupling as blocks of `layout`, which must hold the blocks of its own.
 
-    def blocks(self, layout: SectorLayout) -> np.ndarray:
-        """The kernels in `layout`, (K, size): `flat` itself in the coupling's layout, else converted once."""
-        return self._converted("kernels", self.flat, layout)
-
-    @property
-    def kernels(self) -> np.ndarray:
-        """The (K, 3M, 3M) site stack: a view of `flat` on the one-block path, else rotated back once.
-
-        The dense reference of the tests; no production path reads it on a
-        momentum-conserving run.
+        A run whose other inputs leak out of the coupling's layout, as a
+        symmetry-violating perturbation of chi does, works in theirs; the
+        dense cross-checks of the sector route re-lay a built-in model into
+        `Lattice.one_block`.  The entries are placed, not rotated
+        (`SectorLayout.relay`), so the kernels are the same to the bit.
         """
-        d = self.lattice.dim
-        return self.blocks(self.lattice.one_block).reshape(self.grid.n_nodes, d, d)
+        return CouplingTensor(self.lattice, self.grid, layout, self.layout.relay(self.flat, layout),
+                              self.sector_leak)
 
     @cached_property
-    def _density(self) -> np.ndarray:
+    def density(self) -> np.ndarray:
         """Per-node spectral densities Ttilde o T*, (K, size) in `layout`: one stacked block Gram product.
 
         These positive-semidefinite kernels carry the dissipative content of
@@ -193,14 +185,10 @@ class CouplingTensor:
         dens *= self.lattice.cell_volume
         return dens
 
-    def density_blocks(self, layout: SectorLayout) -> np.ndarray:
-        """The spectral densities in `layout`, (K, size), converted once from the coupling's own."""
-        return self._converted("density", self._density, layout)
-
     @cached_property
     def moments(self) -> SpectralMoments:
         """The frequency moments s_0..s_3 of the spectral densities, (size,) each in `layout`, evaluated once."""
-        return spectral_moments(self.grid.nodes, self.grid.weights, self._density)
+        return spectral_moments(self.grid.nodes, self.grid.weights, self.density)
 
 
 @dataclass(frozen=True)
@@ -224,7 +212,7 @@ class ConstraintReport:
 def check_constraints(coupling: CouplingTensor) -> ConstraintReport:
     """Both coupling constraints, v ||s_n - conj(s_n)|| = 2 v ||Im s_n|| for n = 0, 2 (report only)."""
     mom, v = coupling.moments, coupling.lattice.cell_volume
-    scale = v * float(coupling.grid.weights @ np.linalg.norm(coupling.density_blocks(coupling.layout), axis=-1))
+    scale = v * float(coupling.grid.weights @ np.linalg.norm(coupling.density, axis=-1))
     return ConstraintReport(moment0=2.0 * v * float(np.linalg.norm(mom.imag0)),
                             moment2=2.0 * v * float(np.linalg.norm(mom.imag2)), scale=scale or 1.0)
 
@@ -260,7 +248,8 @@ def coupling_from_lagrangian(t0: RealCoupling | SymbolCoupling) -> CouplingTenso
 
 @dataclass(frozen=True, eq=False)
 class StructureTensor:
-    """Real positive-definite kernel mediating the field-medium coupling, as (size,) blocks in `layout`."""
+    """Real positive-definite kernel mediating the field-medium coupling, as (size,) blocks in `layout`,
+    the coupling's."""
 
     layout: SectorLayout
     blocks: np.ndarray

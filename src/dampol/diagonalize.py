@@ -23,20 +23,19 @@ Every family is built from the per-node formulas of `_NodeKernels`, read
 from one `green.NodePropagator`: the propagator at every node just below
 the cut, with the coupling it was solved for.  Every identity is defined
 once, in `_ModeCheckSums`, from per-node sums of the pair rows, taken for
-every node at once as flat block stacks in a `lattice.SectorLayout`; two
-routes form those sums and both return `ModeChecks`.
+every node at once as flat block stacks in the coupling's layout, the run's;
+two routes form those sums and both return `ModeChecks`.
 `streamed_mode_checks`, the production route, factorizes the pair rows into
 a per-node transfer kernel, a (K, K) frequency factor and the coupling, so
 every sum over the pair index is a (K, K) @ (K, size) GEMM, shifted sums
 reduce to unshifted ones by exact pole-shift identities, and no pair row is
-ever formed; it runs in the propagator's momentum-sector layout:
-O(K^2 size + K sum_b S_b b^3) time and O(K size) memory, with size =
-sum_b S_b b^2 the entries of the S_b blocks of each size b.
+ever formed: O(K^2 size + K sum_b S_b b^3) time and O(K size) memory, with
+size = sum_b S_b b^2 the entries of the S_b blocks of each size b.
 `fano_residual`, the tests' reference, sums the 2 K^2 d^2 pair families
-that `mode_coefficients` stacks and feeds them as one site-basis block.
-The assembled-Hamiltonian oracle reads the explicit rows of every node from
-`node_families` as (K, K, size) blocks in its own layout; no production path
-holds a (K, K, d, d) site stack.
+that `mode_coefficients` stacks as site operators, split into the same
+layout.  The assembled-Hamiltonian oracle reads the explicit rows of every
+node from `node_families` as (K, K, size) blocks; no production path holds a
+(K, K, d, d) site stack.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import numpy as np
 from .constants import EPS0, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
 from .green import NodePropagator, wave_operator
-from .lattice import FrequencyGrid, Lattice, SectorLayout, TensorKernel, sq_norms
+from .lattice import FrequencyGrid, Lattice, TensorKernel, sq_norms
 
 #: smearing profiles used for weak-form residuals, as functions of w/w_max
 SMEAR_PROFILES = {
@@ -98,7 +97,7 @@ class _NodeKernels:
 
     These apply only the shift, never a smear profile, so they hold for any
     `SMEAR_PROFILES`.  `node_families` forms the families of every node
-    from X in a kernel layout (`_transfer_blocks`).
+    from X (`_transfer_blocks`).
     """
 
     def __init__(self, prop: NodePropagator):
@@ -108,10 +107,9 @@ class _NodeKernels:
         self.anti = om**2 / (om + nodes)                    # [k, l] = w_k^2 / (w_k + w_l)
 
 
-def _transfer_blocks(prop: NodePropagator, layout: SectorLayout) -> np.ndarray:
-    """X_k = v T*(w_k) o G(w_k - i eta) of every node in `layout`, (K, size): one stacked product."""
-    g = prop.layout.convert(prop.blocks, layout)
-    return layout.matmul(prop.lattice.cell_volume * prop.coupling.blocks(layout).conj(), g)
+def _transfer_blocks(prop: NodePropagator) -> np.ndarray:
+    """X_k = v T*(w_k) o G(w_k - i eta) of every node in the propagator's layout, (K, size): one stacked product."""
+    return prop.layout.matmul(prop.lattice.cell_volume * prop.coupling.flat.conj(), prop.blocks)
 
 
 def momentum_family(prop: NodePropagator) -> np.ndarray:
@@ -121,25 +119,24 @@ def momentum_family(prop: NodePropagator) -> np.ndarray:
     stacks are live.
     """
     layout = prop.layout
-    xt = layout.matmul(_transfer_blocks(prop, layout), layout.op("transverse_matrix"))
+    xt = layout.matmul(_transfer_blocks(prop), layout.op("transverse_matrix"))
     xt *= (1j * MU0 * prop.coupling.grid.nodes)[:, None]
     return xt
 
 
-def node_families(prop: NodePropagator, layout: SectorLayout) -> tuple:
-    """The four coefficient families of every node as blocks in `layout`.
+def node_families(prop: NodePropagator) -> tuple:
+    """The four coefficient families of every node as blocks in the propagator's layout.
 
     Returns the potential and momentum kernels, (K, size), and the resonant
     (regular part) and antiresonant rows, (K, K, size) with row k the
     node's: each pair stack is one broadcast product against the coupling.
-    The propagator is rotated into `layout` unless it is stored there.
     """
-    grid, v = prop.coupling.grid, prop.lattice.cell_volume
+    grid, v, layout = prop.coupling.grid, prop.lattice.cell_volume, prop.layout
     rows, om = _NodeKernels(prop), grid.nodes[:, None]
     c = MU0 * HBAR * v
-    x = _transfer_blocks(prop, layout)
+    x = _transfer_blocks(prop)
     xt = layout.matmul(x, layout.op("transverse_matrix"))
-    t_t = layout.transpose(prop.coupling.blocks(layout))
+    t_t = layout.transpose(prop.coupling.flat)
     resonant = layout.matmul(c * (rows.pole[:, :, None] * x[:, None] - (om * xt)[:, None]), t_t)
     antiresonant = layout.matmul(c * ((om * xt)[:, None] - rows.anti[:, :, None] * x[:, None]),
                                  t_t.conj())
@@ -148,8 +145,7 @@ def node_families(prop: NodePropagator, layout: SectorLayout) -> tuple:
 
 def mode_coefficients(prop: NodePropagator) -> ModeCoefficients:
     """The four coefficient families as site stacks, node-pair stacks included."""
-    one = prop.lattice.one_block
-    potential, momentum, resonant, antiresonant = map(one.sites, node_families(prop, one))
+    potential, momentum, resonant, antiresonant = map(prop.layout.sites, node_families(prop))
     return ModeCoefficients(lattice=prop.coupling.lattice, grid=prop.coupling.grid,
                             potential=potential, momentum=momentum, resonant=resonant,
                             antiresonant=antiresonant)
@@ -167,8 +163,8 @@ def wave_diagnostic(prop: NodePropagator) -> float:
     most about six (K, size) block stacks are live.
     """
     layout, v = prop.layout, prop.lattice.cell_volume
-    source = prop.coupling.blocks(layout).conj()
-    res = layout.matmul(_transfer_blocks(prop, layout),
+    source = prop.coupling.flat.conj()
+    res = layout.matmul(_transfer_blocks(prop),
                         wave_operator(prop.chi.blocks_at(prop.z), prop.z, layout))
     res *= v
     res -= source
@@ -206,7 +202,7 @@ class ModeChecks:
 class _ModeCheckSums:
     """The one definition of every `ModeChecks` identity, fed every node at once.
 
-    Every operator is a flat block stack in one `SectorLayout`: (K, size)
+    Every operator is a flat block stack in the coupling's layout: (K, size)
     per node, (P, K, size) per smear profile and node.  With q_l the
     quadrature weights, w_l the nodes, v the cell volume and resonant[k, l]
     the regular part (the Kronecker part is added here, symbolically), `add`
@@ -238,15 +234,15 @@ class _ModeCheckSums:
     site operators' Frobenius norms.
     """
 
-    def __init__(self, coupling: CouplingTensor, structure: StructureTensor, layout: SectorLayout):
-        grid, lattice = coupling.grid, coupling.lattice
-        v = lattice.cell_volume
+    def __init__(self, coupling: CouplingTensor, structure: StructureTensor):
+        grid, layout = coupling.grid, coupling.layout
+        v = coupling.lattice.cell_volume
         self.grid, self.layout, self.v = grid, layout, v
-        self.t = coupling.blocks(layout)
+        self.t = coupling.flat
         self.eye_v = layout.identity / v
         self.pt, self.pl = layout.op("transverse_matrix"), layout.op("longitudinal_matrix")
         # the momentum family's own terms of the wave equation, as one operator
-        f_pt = layout.matmul(structure.layout.convert(structure.blocks, layout), self.pt)
+        f_pt = layout.matmul(structure.blocks, self.pt)
         self.mom_wave = (1j / MU0) * layout.op("laplacian_matrix") - 1j * HBAR * v * f_pt
         self.names = list(SMEAR_PROFILES)
         self.profiles = smear_profiles(grid)
@@ -347,26 +343,24 @@ def fano_residual(modes: ModeCoefficients, coupling: CouplingTensor,
     """Every mode-kernel identity, with the pair sums taken over the stacks.
 
     The reference of `streamed_mode_checks`: it sums the rows of
-    `mode_coefficients` directly and feeds `_ModeCheckSums` the resulting
-    dense stacks as one site-basis block.
+    `mode_coefficients` directly, split into the coupling's layout, and
+    feeds `_ModeCheckSums` the resulting stacks.
     """
-    grid, lattice = modes.grid, modes.lattice
-    v, K, d = lattice.cell_volume, grid.n_nodes, lattice.dim
-    nodes, w = grid.nodes, grid.weights
-    one = lattice.one_block
-    sums = _ModeCheckSums(coupling, structure, one)
+    grid, v, layout = modes.grid, modes.lattice.cell_volume, coupling.layout
+    K, nodes, w = grid.n_nodes, grid.nodes, grid.weights
+    sums = _ModeCheckSums(coupling, structure)
     phi = sums.phi
-    res, anti = one.blocks(modes.resonant), one.blocks(modes.antiresonant)   # views
+    res, anti = layout.blocks(modes.resonant), layout.blocks(modes.antiresonant)
     # the pair sums against T* and T of every row: sum_l q_l rows[k, l] @ (T^H_l)^T, ...
-    t_h, t_t = (one.blocks(t.transpose(0, 2, 1)) for t in (coupling.kernels.conj(), coupling.kernels))
-    wave = v * (one.pair_contract(w * nodes, res, t_h) - one.pair_contract(w * nodes, anti, t_t))
-    brace = v * (one.pair_contract(w, res, t_h) + one.pair_contract(w, anti, t_t))
-    smeared = [np.empty((len(phi), K, d * d), dtype=complex) for _ in range(4)]
+    t_h, t_t = sums.t_t.conj(), sums.t_t
+    wave = v * (layout.pair_contract(w * nodes, res, t_h) - layout.pair_contract(w * nodes, anti, t_t))
+    brace = v * (layout.pair_contract(w, res, t_h) + layout.pair_contract(w, anti, t_t))
+    smeared = [np.empty((len(phi), K, layout.size), dtype=complex) for _ in range(4)]
     for k in range(K):
         for out, coef, rows in ((smeared[0], phi, res[k]), (smeared[1], phi * (nodes - nodes[k]), res[k]),
                                 (smeared[2], phi, anti[k]), (smeared[3], phi * (nodes + nodes[k]), anti[k])):
             out[:, k] = np.tensordot(coef, rows, 1)
-    sums.add(one.blocks(modes.potential), one.blocks(modes.momentum), wave, brace, tuple(smeared))
+    sums.add(layout.blocks(modes.potential), layout.blocks(modes.momentum), wave, brace, tuple(smeared))
     return sums.finish(np.tensordot(phi, res, 1), np.tensordot(phi, anti, 1))
 
 
@@ -409,11 +403,11 @@ def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> Mo
     pole, anti = rows.pole, rows.anti
     layout = prop.layout
     mm = layout.matmul
-    sums = _ModeCheckSums(coupling, structure, layout)
+    sums = _ModeCheckSums(coupling, structure)
     phi = sums.phi
     t_sm, t_sm_w, tc_sm, tc_sm_w = (a[:, None] for a in sums.t_sm)
     t, t_t = sums.t, sums.t_t
-    x = _transfer_blocks(prop, layout)
+    x = _transfer_blocks(prop)
     xt = mm(x, sums.pt)
 
     # wave and brace: M_l = T_l* (Q3_l = T_l^T T_l*) and M_l = T_l (Q4_l = T_l^H T_l);
@@ -482,7 +476,7 @@ def commutation_matrix(modes: ModeCoefficients, k: int, l: int) -> TensorKernel:
     if k == l:
         out = out + np.eye(lattice.dim) / v / w[k]
     out = out + modes.resonant[k, l] + modes.resonant[l, k].conj().T
-    one = lattice.one_block
-    res, anti = one.blocks(modes.resonant), one.blocks(modes.antiresonant)   # views
-    pairs = one.pair_contract(w, res[k], res[l].conj()) - one.pair_contract(w, anti[k], anti[l].conj())
-    return TensorKernel(lattice, out + v * one.sites(pairs))
+    res, anti = modes.resonant, modes.antiresonant
+    pairs = np.einsum("m,mab,mcb->ac", w, res[k], res[l].conj()) \
+        - np.einsum("m,mab,mcb->ac", w, anti[k], anti[l].conj())
+    return TensorKernel(lattice, out + v * pairs)

@@ -11,12 +11,12 @@ cell volume, i.e. the operator represented is
 Commutators therefore come out as c-number kernels computed exactly at the
 discrete level.  Forms never materialize operators on a Fock space.
 
-The coefficients are (K, size) block stacks in a `lattice.SectorLayout` that
-the caller picks from the inputs' leak; the checks run on every node at
-once, and a commutator is a (size,) block kernel in the same layout.  A
-Hermitian operator stores only its annihilator coefficients.  The oracle
-builds its forms in its quadratic form's layout and places their blocks
-in its canonical rows as they are.
+The coefficients are (K, size) block stacks in the layout of the coupling
+they are built from, `CouplingTensor.layout`, which is the run's; the
+checks run on every node at once, and a commutator is a (size,) block
+kernel in the same layout.  A Hermitian operator stores only its annihilator
+coefficients.  The oracle's quadratic forms share that layout and place the
+forms' blocks in their canonical rows as they are.
 """
 
 from __future__ import annotations
@@ -39,11 +39,8 @@ BASIS_MEDIUM = "medium"       # the bare medium modes
 
 @dataclass(frozen=True, eq=False)
 class LinearBosonicForm:
-    """Coefficient kernels of an operator over a bosonic mode family, as blocks in `layout`.
-
-    No input of a form may leak out of its layout's blocks: the caller
-    picks the layout from the inputs' leak, as the kernel stages do.
-    """
+    """Coefficient kernels of an operator over a bosonic mode family, as blocks in `layout`,
+    the layout of the coupling it is built from."""
 
     layout: SectorLayout
     grid: object
@@ -113,8 +110,8 @@ def field_forms(prop: NodePropagator) -> dict:
     displacement ``D``.  All but ``Pn`` contract the coupling with the
     propagator above the cut, the exact adjoint of the solve below it; that
     product is formed once and freed.  Every input (the coupling, chi
-    above the cut and the lattice operators) stays within the propagator's
-    layout, which chi's leak picked.  Each operator is Hermitian, so a form
+    above the cut and the lattice operators) is blocks in the propagator's
+    layout, the coupling's.  Each operator is Hermitian, so a form
     stores alpha alone; the six (K, size) block stacks of the result and
     the product set the peak.
     """
@@ -122,7 +119,7 @@ def field_forms(prop: NodePropagator) -> dict:
     grid = prop.coupling.grid
     v = layout.lattice.cell_volume
     nodes = grid.nodes[:, None]
-    t_t = layout.transpose(prop.coupling.blocks(layout))
+    t_t = layout.transpose(prop.coupling.flat)
     mm = layout.matmul
 
     # G(w + i eta) o T-transpose contraction per node
@@ -163,28 +160,28 @@ def longitudinal_defect(form: LinearBosonicForm) -> float:
     return float(np.linalg.norm(part) / max(np.linalg.norm(form.alpha), 1e-300))
 
 
-def noise_mode_form(coupling: CouplingTensor, k: int, layout: SectorLayout) -> LinearBosonicForm:
+def noise_mode_form(coupling: CouplingTensor, k: int) -> LinearBosonicForm:
     """Single-node noise polarization operator at node k.
 
     The 1/w_k undoes the quadrature weight of the pairing convention so the
     form represents the bare per-frequency operator.
     """
-    grid = coupling.grid
+    grid, layout = coupling.grid, coupling.layout
     alpha = np.zeros((grid.n_nodes, layout.size), dtype=complex)
-    alpha[k] = (-1j * HBAR / grid.weights[k]) * layout.transpose(coupling.blocks(layout)[k])
+    alpha[k] = (-1j * HBAR / grid.weights[k]) * layout.transpose(coupling.flat[k])
     return LinearBosonicForm(layout=layout, grid=grid, alpha=alpha, basis=BASIS_DIAGONAL,
                              creators=np.zeros_like(alpha))
 
 
-def noise_commutator_expected(coupling: CouplingTensor, k: int, layout: SectorLayout) -> np.ndarray:
-    """Exact value of [Pn(w_k), Pn(w_k)^dag] from the cut discontinuity, (size,) blocks in `layout`."""
-    return (HBAR**2 / coupling.grid.weights[k]) * coupling.density_blocks(layout)[k]
+def noise_commutator_expected(coupling: CouplingTensor, k: int) -> np.ndarray:
+    """Exact value of [Pn(w_k), Pn(w_k)^dag] from the cut discontinuity, (size,) blocks in the coupling's layout."""
+    return (HBAR**2 / coupling.grid.weights[k]) * coupling.density[k]
 
 
-def noise_commutator_residual(coupling: CouplingTensor, k: int, layout: SectorLayout) -> float:
+def noise_commutator_residual(coupling: CouplingTensor, k: int) -> float:
     """Relative residual of [Pn(w_k), Pn(w_k)^dag] against its exact value, from the blocks."""
-    pn = noise_mode_form(coupling, k, layout)
-    expected = noise_commutator_expected(coupling, k, layout)
+    pn = noise_mode_form(coupling, k)
+    expected = noise_commutator_expected(coupling, k)
     diff = commutator(pn, pn.dagger())
     diff -= expected
     return float(np.linalg.norm(diff) / max(np.linalg.norm(expected), 1e-300))
@@ -193,26 +190,25 @@ def noise_commutator_residual(coupling: CouplingTensor, k: int, layout: SectorLa
 # -- canonical matter operators over the medium modes ---------------------
 
 
-def medium_polarization_form(coupling: CouplingTensor, layout: SectorLayout) -> LinearBosonicForm:
+def medium_polarization_form(coupling: CouplingTensor) -> LinearBosonicForm:
     """Polarization density expressed over the bare medium modes."""
-    alpha = layout.transpose(coupling.blocks(layout))
+    alpha = coupling.layout.transpose(coupling.flat)
     alpha *= -1j * HBAR
-    return LinearBosonicForm(layout=layout, grid=coupling.grid, alpha=alpha, basis=BASIS_MEDIUM)
+    return LinearBosonicForm(layout=coupling.layout, grid=coupling.grid, alpha=alpha, basis=BASIS_MEDIUM)
 
 
-def medium_momentum_form(coupling: CouplingTensor, structure: StructureTensor,
-                         layout: SectorLayout) -> LinearBosonicForm:
+def medium_momentum_form(coupling: CouplingTensor, structure: StructureTensor) -> LinearBosonicForm:
     """Canonical momentum density conjugate to the polarization."""
-    v = coupling.lattice.cell_volume
-    tf = layout.matmul(v * coupling.blocks(layout), structure.layout.convert(structure.inverse, layout))
+    layout, v = coupling.layout, coupling.lattice.cell_volume
+    tf = layout.matmul(v * coupling.flat, structure.inverse)
     alpha = layout.transpose(tf)
     alpha *= -coupling.grid.nodes[:, None]
     return LinearBosonicForm(layout=layout, grid=coupling.grid, alpha=alpha, basis=BASIS_MEDIUM)
 
 
-def medium_mode_form(coupling: CouplingTensor, k: int, layout: SectorLayout) -> LinearBosonicForm:
+def medium_mode_form(coupling: CouplingTensor, k: int) -> LinearBosonicForm:
     """The bare medium annihilation operator at node k, as a form."""
-    grid = coupling.grid
+    grid, layout = coupling.grid, coupling.layout
     alpha = np.zeros((grid.n_nodes, layout.size), dtype=complex)
     alpha[k] = layout.identity / (coupling.lattice.cell_volume * grid.weights[k])
     return LinearBosonicForm(layout=layout, grid=grid, alpha=alpha, basis=BASIS_MEDIUM,
@@ -226,7 +222,7 @@ def constitutive_check(p_form: LinearBosonicForm, e_form: LinearBosonicForm,
                        pn_form: LinearBosonicForm, chi: Susceptibility) -> float:
     """Max relative residual of P = chi * E + Pn per node, above the cut.
 
-    The forms live in `chi.layout`.  The time-domain convolution form of
+    The forms and chi share one layout.  The time-domain convolution form of
     the causal response is equivalent to this per-node statement under the
     mode expansion (each node evolves with its own phase), so no separate
     time-domain check is performed.

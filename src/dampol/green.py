@@ -135,8 +135,8 @@ class NodePropagator:
     `chi.layout` and the (K,) residuals and condition numbers of the solves,
     made with `chi`, whose source is the coupling that every consumer
     contracts the propagator with; the upper side is the exact adjoint,
-    G(w + i eta) = G(w - i eta)^dagger.  Every consumer reads the blocks,
-    rotated only into a layout other than `chi.layout` when one needs it.
+    G(w + i eta) = G(w - i eta)^dagger.  Every consumer reads the blocks
+    as they are: `chi.layout` is the coupling's, the run's.
     """
 
     chi: Susceptibility

@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import DampolError
 
-#: largest off-sector part of a site operator in `Lattice.momentum_basis`,
-#: relative to the operator, for which it is stored per momentum sector: in the
-#: kernel stacks (`SectorLayout`) and in the oracle's quadratic form
+#: largest off-sector part of a run's inputs in `Lattice.momentum_basis`,
+#: relative to each input, for which the run is laid out per momentum sector:
+#: its kernel stacks (`SectorLayout`) and the oracle's quadratic forms
 SECTOR_LEAK_TOL = 1e-13
 
 #: largest (d, d) complex stack a layout rotation holds at once, in bytes
@@ -269,20 +269,17 @@ class Lattice:
 
     @cached_property
     def one_block(self) -> "SectorLayout":
-        """The dense reference layout: one d x d block in the site basis."""
-        return SectorLayout(self, np.array([self.dim]), None)
+        """The dense layout: one d x d block in the basis kron(F, I_3) of `momentum_basis`, in its column order.
 
-    @cached_property
-    def momentum_block(self) -> "SectorLayout":
-        """One d x d block in the basis kron(F, I_3) of `momentum_basis`, in its column order.
-
-        The dense reference of the oracle's forms, whose ladder slots run
-        over that basis: its one slot group is every slot, in order.
+        It holds any operator, so it is the layout of a run whose inputs
+        leak across momentum sectors and the dense reference of the sector
+        route; an oracle form in it has one slot group, every slot in order.
         """
         return SectorLayout(self, np.array([self.dim]), np.arange(self.dim))
 
     def layout(self, leak: float) -> "SectorLayout":
-        """`sector_layout` when `leak` is within `SECTOR_LEAK_TOL`, else `one_block`."""
+        """The layout of a run whose inputs leak by `leak` in all: `sector_layout` within
+        `SECTOR_LEAK_TOL`, else `one_block`."""
         return self.sector_layout if leak <= SECTOR_LEAK_TOL else self.one_block
 
     def sector_leak(self, *operators: np.ndarray) -> float:
@@ -382,12 +379,12 @@ class TensorKernel:
 class SectorLayout:
     """Block-diagonal (..., d, d) site operators stored as flat (..., size) arrays.
 
-    `basis` is a real orthogonal (d, d) matrix whose columns run over the
-    blocks in order, `None` for the site basis itself (built only when a
-    site operator is rotated, by `split` or `sites`); the blocks are the
-    diagonal blocks of basis^T A basis, of the sizes in `sizes`, stored
-    row-major one after the other.  A basis is a column selection
-    `columns` of kron(F, I_3), F the lattice's `momentum_basis`.  Blocks of
+    `basis` is the real orthogonal (d, d) column selection `columns` of
+    kron(F, I_3), F the lattice's `momentum_basis`, its columns running over
+    the blocks in order; it is built only when a site operator is rotated,
+    by `split` or `sites`.  The blocks are the diagonal blocks of
+    basis^T A basis, of the sizes in `sizes`, stored row-major one after
+    the other.  Blocks of
     one size are adjacent, so a flat array is viewed as one
     (..., count, b, b) array per block size (`parts`) and every product is
     one batched `matmul` per size, over every leading axis at once; against
@@ -399,10 +396,12 @@ class SectorLayout:
     A translation-invariant operator maps every {q, -q} sector of
     `Lattice.momentum_basis` into itself, so `Lattice.sector_layout` keeps it
     whole in blocks of 3 or 6; `Lattice.one_block` keeps any operator as
-    one d x d block with no rotation, which is the dense reference.
+    one d x d block, which is the dense reference.  Both bases are columns
+    of one matrix, so an operator of one layout is laid into the other
+    entry by entry (`relay`).
     """
 
-    def __init__(self, lattice: Lattice, sizes: np.ndarray, columns: np.ndarray | None):
+    def __init__(self, lattice: Lattice, sizes: np.ndarray, columns: np.ndarray):
         self.lattice, self.sizes, self.columns = lattice, sizes, columns
         self.part_sizes, self.size = [], 0   # (block size, count, flat offset) of each run
         for b in sizes.tolist():
@@ -414,10 +413,8 @@ class SectorLayout:
         self._ops = {}
 
     @cached_property
-    def basis(self) -> np.ndarray | None:
-        """The (d, d) basis matrix, `None` for the site basis; built when a site operator is first rotated."""
-        if self.columns is None:
-            return None
+    def basis(self) -> np.ndarray:
+        """The (d, d) basis matrix, built when a site operator is first rotated."""
         return np.ascontiguousarray(np.kron(self.lattice.momentum_basis, np.eye(3))[:, self.columns])
 
     @cached_property
@@ -440,8 +437,7 @@ class SectorLayout:
     def transverse(self) -> list:
         """Per block, the `transverse_basis` columns in its span, ascending, and their (b, n) coordinates.
 
-        The coordinates are in the block's basis columns; the layout must
-        have one (`columns` set).
+        The coordinates are in the block's basis columns.
         """
         _, column, vectors = self.lattice._transverse_columns
         pos = np.argsort(self.columns)[3 * column]   # a column's 3 components are adjacent, in order
@@ -476,14 +472,12 @@ class SectorLayout:
         """(leak, blocks) of a (..., d, d) stack of site operators.
 
         The leak is the norm of the part outside the blocks relative to the
-        whole stack's; the site basis has none.  The rotation runs a chunk
+        whole stack's.  The rotation runs a chunk
         of operators at a time, so its temporaries stay below a fraction of
         the stack.
         """
         stack = np.asarray(stack)
         lead, d = stack.shape[:-2], self.lattice.dim
-        if self.basis is None:
-            return 0.0, stack.reshape(lead + (self.size,))
         mats, (rows, cols) = stack.reshape(-1, d, d), self._entries
         out = np.empty((len(mats), self.size), dtype=stack.dtype)
         off = whole = 0.0
@@ -496,14 +490,12 @@ class SectorLayout:
         return np.sqrt(off) / max(np.sqrt(whole), 1e-300), out.reshape(lead + (self.size,))
 
     def blocks(self, stack: np.ndarray) -> np.ndarray:
-        """The blocks of a (..., d, d) stack of site operators, (..., size); a view in the site basis."""
+        """The blocks of a (..., d, d) stack of site operators, (..., size)."""
         return self.split(stack)[1]
 
     def sites(self, flat: np.ndarray) -> np.ndarray:
-        """The (..., d, d) site operators of a (..., size) array; a view in the site basis."""
+        """The (..., d, d) site operators of a (..., size) array."""
         lead, d = flat.shape[:-1], self.lattice.dim
-        if self.basis is None:
-            return flat.reshape(lead + (d, d))
         ops, (rows, cols) = flat.reshape(-1, self.size), self._entries
         out = np.empty((len(ops), d, d), dtype=flat.dtype)
         for chunk in self._chunks(len(ops)):
@@ -520,36 +512,44 @@ class SectorLayout:
         (M, M) momentum basis F and the column selection, so no site
         operator and no d x d matrix is formed.
         """
-        kron = self.columns is not None
-        rot = _momentum_rotate(vecs, self.lattice.momentum_basis.T) if kron else vecs
+        rot = _momentum_rotate(vecs, self.lattice.momentum_basis.T)
         out = np.empty(np.broadcast_shapes(flat.shape[:-1], vecs.shape[:-1]) + (self.lattice.dim,),
                        dtype=np.result_type(flat, vecs))
         first = np.cumsum(self.sizes) - self.sizes
         for blk, f, b in zip(self.per_block(flat), first, self.sizes):
-            rows = self.columns[f:f + b] if kron else slice(f, f + b)   # in kron(F, I_3) column order
+            rows = self.columns[f:f + b]   # in kron(F, I_3) column order
             out[..., rows] = (blk @ rot[..., rows, None])[..., 0]
-        return _momentum_rotate(out, self.lattice.momentum_basis) if kron else out
+        return _momentum_rotate(out, self.lattice.momentum_basis)
 
-    def convert(self, flat: np.ndarray, layout: "SectorLayout") -> np.ndarray:
-        """A (..., size) stack of this layout as blocks of `layout`: `flat` itself when it is this one,
-        else rotated through sites."""
-        return flat if layout is self else layout.blocks(self.sites(flat))
+    def relay(self, flat: np.ndarray, layout: "SectorLayout") -> np.ndarray:
+        """A (..., size) array of this layout as blocks of `layout`, entry by entry.
+
+        Both bases are columns of kron(F, I_3), so no entry is rotated: each
+        keeps its value at its pair of kron(F, I_3) columns.  An entry
+        outside the blocks of `layout` is dropped, so a layout whose blocks
+        hold this one's, as `Lattice.one_block` holds every layout's, takes
+        the operators exactly.
+        """
+        d, (rows, cols), (to_rows, to_cols) = self.lattice.dim, self._entries, layout._entries
+        frame = np.zeros(flat.shape[:-1] + (d * d,), dtype=flat.dtype)
+        frame[..., self.columns[rows] * d + self.columns[cols]] = flat
+        return frame[..., layout.columns[to_rows] * d + layout.columns[to_cols]]
 
     def op(self, name: str) -> np.ndarray:
         """The blocks of the lattice operator `Lattice.<name>`, (size,), built once.
 
         In `Lattice.sector_layout` they come from the operator's per-k
-        symbols (`Lattice.sector_blocks`), real for a real operator; in a
-        one-block layout, from the dense matrix.
+        symbols (`Lattice.sector_blocks`), real for a real operator; in
+        another layout, from those blocks laid into it (`relay`).
         """
         if name not in self._ops:
-            lat = self.lattice
-            if self is lat.sector_layout:
+            lat, sector = self.lattice, self.lattice.sector_layout
+            if self is sector:
                 symbols = lat._symbols[name]
                 blocks = lat.sector_blocks(symbols)
                 self._ops[name] = np.ascontiguousarray(blocks.real) if np.isrealobj(symbols) else blocks
             else:
-                self._ops[name] = self.blocks(getattr(lat, name))
+                self._ops[name] = sector.relay(sector.op(name), self)
         return self._ops[name]
 
     @cached_property

@@ -16,13 +16,13 @@ its complex conjugate, H is Hermitian exactly when the symmetric part of h
 is real, and the dynamical matrix is i times a real matrix R (Colpa,
 Physica A 93, 327, 1978).  A translation-invariant medium couples lattice
 momentum q only with -q, so h is stored as one block per {q, -q} sector;
-when an operator the assembly reads leaks across sectors, as a random
-coupling does, the form is one block.  Every Heisenberg equation and mode
-identity reduces to matrix algebra with R, block by block.
+when the run's inputs leak across sectors, as a random coupling does, the
+form is one block.  Every Heisenberg equation and mode identity reduces to
+matrix algebra with R, block by block.
 
 Only `QuadraticHamiltonian` knows this layout.  Its slot groups are the
-blocks of a kernel layout, `Lattice.sector_layout` or, for a leaking form,
-`Lattice.momentum_block`, and the medium operators keep their one definition
+blocks of the coupling's kernel layout, `Lattice.sector_layout` or
+`Lattice.one_block`, and the medium operators keep their one definition
 as forms over the medium modes (`fields.py`, `bath.py`), built in that
 layout.  The canonical rows of an operator are stored the same way: their
 row index is rotated into the layout's basis, so the rows are one (b, G)
@@ -85,8 +85,7 @@ class QuadraticHamiltonian:
     `groups[i]` holds the canonical slots of `blocks[i]` in ascending order,
     so inside a block the a, p, x and y slots follow one another and pair
     in order; no term of the form couples two groups.  `sector_leak` is the
-    off-sector part of the operators the assembly read, which decided the
-    layout.
+    coupling's, the off-sector part of the kernels the assembly read.
 
     The canonical rows of operators are flat (..., E) arrays: each is one
     (b, G) block per group, its rows the block's basis columns and its
@@ -101,21 +100,16 @@ class QuadraticHamiltonian:
     sector_leak: float
 
     @classmethod
-    def zero(cls, coupling: CouplingTensor, *stored: SectorLayout) -> "QuadraticHamiltonian":
-        """The zero form of an assembly from the coupling, what derives from it and kernels in `stored` layouts.
+    def zero(cls, coupling: CouplingTensor) -> "QuadraticHamiltonian":
+        """The zero form of an assembly from the coupling and what derives from it, in the coupling's layout.
 
-        The layout is `Lattice.sector_layout` unless the coupling leaks
-        beyond `lattice.SECTOR_LEAK_TOL` or a kernel is kept in another
-        layout, whose leak counts as infinite; then it is
-        `Lattice.momentum_block`, one group of every slot.
+        In `Lattice.one_block` it is one group of every slot.
         """
-        lattice = coupling.lattice
-        leak = max([coupling.sector_leak] + [0.0 if s is lattice.sector_layout else np.inf for s in stored])
-        layout = lattice.sector_layout if lattice.layout(leak) is lattice.sector_layout else lattice.momentum_block
+        layout = coupling.layout
         groups = layout.slot_groups(2, 2 * coupling.grid.n_nodes)
-        return cls(layout=layout, grid=coupling.grid, mt=lattice.transverse_basis.shape[1],
+        return cls(layout=layout, grid=coupling.grid, mt=coupling.lattice.transverse_basis.shape[1],
                    groups=groups, blocks=[np.zeros((g.size, g.size), dtype=complex) for g in groups],
-                   sector_leak=leak)
+                   sector_leak=coupling.sector_leak)
 
     @property
     def lattice(self) -> Lattice:
@@ -194,11 +188,11 @@ class QuadraticHamiltonian:
         return [b if np.array_equal(b, b.T) else (b + b.T) / 2.0 for b in self.blocks]
 
     def merged(self) -> "QuadraticHamiltonian":
-        """The same form as one block over every slot, in `Lattice.momentum_block`: the dense embedding."""
+        """The same form as one block over every slot, in `Lattice.one_block`: the dense embedding."""
         h = np.zeros((self.dim, self.dim), dtype=complex)
         for group, b in zip(self.groups, self.blocks):
             h[np.ix_(group, group)] = b
-        return replace(self, layout=self.lattice.momentum_block, groups=(np.arange(self.dim),),
+        return replace(self, layout=self.lattice.one_block, groups=(np.arange(self.dim),),
                        blocks=[h])
 
     # -- assembly, block by block -------------------------------------------
@@ -340,8 +334,8 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor) -
     structure tensor, and the electrostatic energy of the longitudinal
     polarization.  The bilinear and quadratic coupling pieces enter
     together or not at all: both are linear/quadratic in the same kernels.
-    The form is stored per momentum sector when the coupling kernels
-    conserve lattice momentum.  A canonical dimension
+    The form is stored in the coupling's layout, per momentum sector when
+    its kernels conserve lattice momentum.  A canonical dimension
     above `MAX_CANONICAL_DIM` is a configuration error, raised before
     anything is allocated.
     """
@@ -356,7 +350,7 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor) -
     # constant; and the bilinear coupling, each a times the medium operator with
     # the node kernels hbar omega_k v (T_k phi)^T, the c^dag kernels their
     # conjugates: the rows of hbar omega_k sqrt(v) T_k^T, whose a rows are phi^T times them
-    alpha = (HBAR * np.sqrt(v) * grid.nodes)[:, None] * layout.transpose(coupling.blocks(layout))
+    alpha = (HBAR * np.sqrt(v) * grid.nodes)[:, None] * layout.transpose(coupling.flat)
     a_rows = ham.ladder_rows(alpha, alpha.conj())
     for (b, na, coords, _), view, group, block in zip(ham._frame, ham.row_views(a_rows),
                                                      ham.groups, ham.blocks):
@@ -367,10 +361,10 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor) -
 
     # quadratic vector-potential term
     u_a = ham.rows_vector_potential
-    ham.accumulate(u_a, ham.act(structure.layout.convert(structure.blocks, layout), u_a), 0.5 * HBAR * v**2)
+    ham.accumulate(u_a, ham.act(structure.blocks, u_a), 0.5 * HBAR * v**2)
 
     # electrostatic energy of the longitudinal polarization
-    pol = medium_polarization_form(coupling, layout)
+    pol = medium_polarization_form(coupling)
     u_p_long = ham.act(layout.op("longitudinal_matrix"), ham.ladder_rows(pol.alpha, pol.beta))
     ham.accumulate(u_p_long, u_p_long, v / (2.0 * EPS0))
     ham.symmetrize()
@@ -397,12 +391,11 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     v, K, nodes = ham.lattice.cell_volume, grid.n_nodes, grid.nodes
     act, mm = ham.act, layout.matmul
     u_a, u_pi = ham.rows_vector_potential, ham.rows_field_momentum
-    pol, mom = medium_polarization_form(coupling, layout), medium_momentum_form(coupling, structure, layout)
+    pol, mom = medium_polarization_form(coupling), medium_momentum_form(coupling, structure)
     u_p, u_w = ham.ladder_rows(pol.alpha, pol.beta), ham.ladder_rows(mom.alpha, mom.beta)
     pt, pl = layout.op("transverse_matrix"), layout.op("longitudinal_matrix")
     lap = layout.op("laplacian_matrix")
-    fmat = structure.layout.convert(structure.blocks, layout)
-    t = coupling.blocks(layout)
+    fmat, t = structure.blocks, coupling.flat
     r = ham.dynamics()
     out = {}
 
@@ -428,7 +421,7 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     # constraint and is also reported alone
     alpha = np.zeros((K, K, layout.size), dtype=complex)   # row k: the medium mode of node k
     for k in range(K):
-        alpha[k] = medium_mode_form(coupling, k, layout).alpha
+        alpha[k] = medium_mode_form(coupling, k).alpha
     u_c = ham.ladder_rows(alpha, np.zeros_like(alpha))
     del alpha
     tc = t.conj()
@@ -443,11 +436,11 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     del res, rhs
     coef, tt = -HBAR * v * grid.weights * nodes, layout.transpose(t)
     t1 = coef @ act(tt, u_c)
-    s_bar = mm(v * tc, structure.layout.convert(structure.inverse, layout))   # conj of the momentum coefficient
+    s_bar = mm(v * tc, structure.inverse)   # conj of the momentum coefficient
     chain = v**2 * coef @ mm(mm(tt, s_bar), fmat)
     t2 = act(chain, u_a)
     # P is Hermitian, so the last term (-i hbar/eps0) v s_0 P_L P plus its adjoint reads only Im s_0
-    t3 = (HBAR / EPS0) * v * act(mm(coupling.layout.convert(coupling.moments.imag0, layout), pl), u_p)
+    t3 = (HBAR / EPS0) * v * act(mm(coupling.moments.imag0, pl), u_p)
     rhs_half = t1 + t2 + t3
     rhs = rhs_half + rhs_half.conj()
     out["polarization_rate"] = _rel(ddt(u_p) - rhs, rhs)
@@ -500,16 +493,13 @@ def diagonal_form_check(ham: QuadraticHamiltonian, prop: NodePropagator) -> floa
     size (the creator sector borrows the annihilator sector's scale, which
     carries the exact singular part); the reported value is the worst
     sector.  This mirrors how the kernel-route residuals are normalized, so
-    the two routes are directly comparable.  A propagator that leaks across
-    momentum sectors (a leaking chi) is read with the form merged into one
-    block, the dense reference.
+    the two routes are directly comparable.  The form and the propagator
+    share the coupling's layout.
     """
-    if len(ham.groups) > 1 and prop.layout is not ham.layout:   # the propagator leaks: one block
-        ham = ham.merged()
     grid = ham.grid
     K, w = grid.n_nodes, grid.weights
     P = len(ham._smear_scale)
-    rows = mode_rows(ham, *node_families(prop, ham.layout))
+    rows = mode_rows(ham, *node_families(prop))
     num, den = np.zeros(4), np.zeros(4)
     for (b, na, _, _), view, r_g in zip(ham._frame, ham.row_views(rows), ham.dynamics()):
         flat = view.reshape(-1, view.shape[-1])

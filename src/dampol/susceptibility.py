@@ -8,7 +8,7 @@ dissipative part carries no regularization error.  The sum rules and the
 asymptote read the coupling's moments (`CouplingTensor.moments`), as the
 structure tensor does; `chi_stack` and the Kramers-Kronig check stay
 independent.  Every point check evaluates its points as one stack of blocks
-in a `SectorLayout`.
+in the coupling's layout, `CouplingTensor.layout`.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .errors import PoleError
 from .lattice import SectorLayout, TensorKernel, rel_norms, unit_scale
 
 
-def chi_stack(coupling: CouplingTensor, zs, layout: SectorLayout) -> np.ndarray:
-    """The susceptibility kernels at the complex frequencies zs, as (n, size) blocks in `layout`.
+def chi_stack(coupling: CouplingTensor, zs) -> np.ndarray:
+    """The susceptibility kernels at the complex frequencies zs, as (n, size) blocks in the coupling's layout.
 
     The blocks are summed from the coupling's density blocks: both node sums
     of every point come from one (2 n, K) @ (K, size) GEMM.  For real z the
@@ -41,7 +41,7 @@ def chi_stack(coupling: CouplingTensor, zs, layout: SectorLayout) -> np.ndarray:
             raise PoleError(f"z = {complex(poles[0])} sits on a quadrature node; "
                             "offset it from the real axis")
     w = coupling.grid.weights
-    dens = coupling.density_blocks(layout)
+    dens = coupling.density
     zc = zs[:, None]
     # sum_k c_k conj(D_k) = conj(sum_k conj(c_k) D_k): both node sums in one GEMM
     coeff = np.concatenate([w / (nodes - zc), np.conj(w / (nodes + zc))])
@@ -52,22 +52,22 @@ def chi_stack(coupling: CouplingTensor, zs, layout: SectorLayout) -> np.ndarray:
     return mat
 
 
-def discontinuity(coupling: CouplingTensor, layout: SectorLayout) -> np.ndarray:
-    """Exact cut discontinuity at every quadrature node, as (K, size) blocks in `layout`."""
-    return (2.0j * np.pi * HBAR / EPS0) * coupling.density_blocks(layout)
+def discontinuity(coupling: CouplingTensor) -> np.ndarray:
+    """Exact cut discontinuity at every quadrature node, as (K, size) blocks in the coupling's layout."""
+    return (2.0j * np.pi * HBAR / EPS0) * coupling.density
 
 
 @dataclass(frozen=True, eq=False)
 class Susceptibility:
     """Evaluator wrapper around a coupling tensor, with a fixture hook.
 
-    `perturbation`, when set, is added to every evaluation; it exists so
-    verification suites can inject symmetry violations and confirm the
-    downstream checks catch them.
+    `perturbation`, when set, is (size,) blocks in the source's layout
+    added to every evaluation; it exists so verification suites can inject
+    symmetry violations and confirm the downstream checks catch them.
     """
 
     source: CouplingTensor
-    perturbation: TensorKernel | None = field(default=None)
+    perturbation: np.ndarray | None = field(default=None)
 
     @property
     def lattice(self):
@@ -81,23 +81,16 @@ class Susceptibility:
     def eta(self) -> float:
         return self.source.grid.eta
 
-    @cached_property
+    @property
     def layout(self) -> SectorLayout:
-        """The kernel layout of everything solved with this susceptibility.
-
-        The coupling's layout, or one site-basis block, the dense reference,
-        when the perturbation leaks across momentum sectors, as a
-        symmetry-violating one does.
-        """
-        if self.perturbation is None:
-            return self.source.layout
-        return self.lattice.layout(max(self.source.sector_leak, self.lattice.sector_leak(self.perturbation.mat)))
+        """The kernel layout of everything solved with this susceptibility: the source's."""
+        return self.source.layout
 
     def blocks_at(self, zs) -> np.ndarray:
         """The evaluations at the points zs in `layout`, perturbation included, (n, size)."""
-        out = chi_stack(self.source, zs, self.layout)
+        out = chi_stack(self.source, zs)
         if self.perturbation is not None:
-            out += self.layout.blocks(self.perturbation.mat)
+            out += self.perturbation
         return out
 
     @cached_property
@@ -113,7 +106,18 @@ class Susceptibility:
         return blocks
 
     def perturbed(self, kernel: TensorKernel) -> "Susceptibility":
-        return Susceptibility(source=self.source, perturbation=kernel)
+        """chi plus the site matrix of `kernel` at every point, in the layout of the leak of both.
+
+        A perturbation that leaks across momentum sectors, as a
+        symmetry-violating one does, makes the run dense: the source is
+        re-laid into `Lattice.one_block` once, and every kernel derived
+        from it follows.
+        """
+        lat, source = self.lattice, self.source
+        layout = lat.layout(max(source.sector_leak, lat.sector_leak(kernel.mat)))
+        if layout is not source.layout:
+            source = source.relaid(layout)
+        return Susceptibility(source=source, perturbation=layout.blocks(kernel.mat))
 
 
 def verify_kramers_kronig(chi: Susceptibility, zs) -> float:
@@ -126,9 +130,9 @@ def verify_kramers_kronig(chi: Susceptibility, zs) -> float:
     zs = np.asarray(zs, dtype=complex)
     if np.any(zs.imag == 0.0):
         raise PoleError("the cut representation check needs Im z != 0")
-    coupling, layout, grid = chi.source, chi.layout, chi.grid
-    lhs = chi_stack(coupling, zs, layout)
-    disc, zc = discontinuity(coupling, layout), zs[:, None]
+    coupling, grid = chi.source, chi.grid
+    lhs = chi_stack(coupling, zs)
+    disc, zc = discontinuity(coupling), zs[:, None]
     rhs = ((grid.weights / (grid.nodes - zc)) @ disc
            + (grid.weights / (-grid.nodes - zc)) @ disc.conj()) / (2.0j * np.pi)
     return float(rel_norms(lhs - rhs, lhs).max())
@@ -191,7 +195,7 @@ def asymptote_residual(coupling: CouplingTensor, structure: StructureTensor, z: 
     """
     z = complex(z)
     nodes, w, v = coupling.grid.nodes, coupling.grid.weights, coupling.lattice.cell_volume
-    dens, mom = coupling.density_blocks(coupling.layout), coupling.moments
+    dens, mom = coupling.density, coupling.moments
     # sum_k c_k conj(D_k) = conj(sum_k conj(c_k) D_k): both tail sums in one GEMM
     tail_res, tail_anti = np.stack([w * nodes**3 / (nodes - z), np.conj(w * nodes**3 / (nodes + z))]) @ dens
     corr = -2j * mom.imag0 / z - mom.structure_gap(structure.blocks) / z**2 \

@@ -148,13 +148,13 @@ class TestCriterion1ExactIdentities:
 
     def _assert_exact(self, coupling, st):
         grid = coupling.grid
-        chi = Susceptibility(coupling)   # the fields stage's layouts
+        chi = Susceptibility(coupling)
         # noise-polarization commutator against the cut discontinuity
         for k in (0, grid.n_nodes // 2, grid.n_nodes - 1):
-            pn = noise_mode_form(coupling, k, chi.layout)
+            pn = noise_mode_form(coupling, k)
             got = site_commutator(pn, pn.dagger())
             expected = TensorKernel(coupling.lattice,
-                                    chi.layout.sites(noise_commutator_expected(coupling, k, chi.layout)))
+                                    chi.layout.sites(noise_commutator_expected(coupling, k)))
             assert (got - expected).norm() <= self.TOL * expected.norm()
         # cut representation of the susceptibility
         rng = np.random.default_rng(7)
@@ -169,8 +169,8 @@ class TestCriterion1ExactIdentities:
         bath = bath_coefficients(coupling, chi)
         assert verify_bath_canonical(bath, coupling) <= self.TOL
         # canonical matter pair
-        w_form = medium_momentum_form(coupling, st, chi.layout)
-        p_form = medium_polarization_form(coupling, chi.layout)
+        w_form = medium_momentum_form(coupling, st)
+        p_form = medium_polarization_form(coupling)
         ident = TensorKernel.identity(coupling.lattice)
         scale = HBAR * ident.norm()
         assert (site_commutator(w_form, p_form) - (-1j * HBAR) * ident).norm() <= self.TOL * scale
@@ -256,8 +256,7 @@ class TestCriterion5MaxwellConstitutive:
         alpha = {kind: form.layout.sites(form.alpha) for kind, form in field_forms(prop).items()}
         lattice = coupling.lattice
         curl = lattice.curl_matrix
-        chi_up = lattice.one_block.sites(
-            chi_stack(coupling, coupling.grid.nodes + 1j * chi.eta, lattice.one_block))
+        chi_up = chi.layout.sites(chi_stack(coupling, coupling.grid.nodes + 1j * chi.eta))
         for l in range(coupling.grid.n_nodes):
             bound = 10.0 * prop.residual[l]
             lhs = curl @ alpha["B"][l]
@@ -287,12 +286,11 @@ class TestCriterion6Structural:
 
     def test_susceptibility_symmetries(self):
         coupling = make_coupling("uniaxial_local", 12)
-        one = coupling.lattice.one_block
         rng = np.random.default_rng(11)
         for _ in range(6):
             z = complex(rng.uniform(-2.5, 2.5), rng.choice([-1, 1]) * rng.uniform(0.2, 1.4))
-            here, minus, mirror = (TensorKernel(coupling.lattice, m) for m in one.sites(
-                chi_stack(coupling, [z, -z, -np.conj(z)], one)))
+            here, minus, mirror = (TensorKernel(coupling.lattice, m) for m in coupling.layout.sites(
+                chi_stack(coupling, [z, -z, -np.conj(z)])))
             scale = max(here.norm(), 1e-300)
             assert (here.T - minus).norm() <= 1e-10 * scale
             assert (here.conj() - mirror).norm() <= 1e-10 * scale

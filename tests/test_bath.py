@@ -29,7 +29,7 @@ from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice
 from dampol.oracle import assemble_hamiltonian
 from dampol.susceptibility import Susceptibility, chi_stack
 
-from test_coupling import scalar_coupling
+from test_coupling import scalar_coupling, site_kernels
 from test_fields import site_commutator
 
 
@@ -52,7 +52,7 @@ class TestCoefficients:
         chi = Susceptibility(coupling)
         bath = bath_coefficients(coupling, chi)
         assert np.allclose(bath.layout.sites(bath.delta_blocks[0]), np.eye(3) / tau)
-        chi_up = chi_stack(coupling, [grid.nodes[0] + 1j * grid.eta], single_site.one_block)[0, 0]
+        chi_up = chi.layout.sites(chi_stack(coupling, [grid.nodes[0] + 1j * grid.eta]))[0, 0, 0]
         assert np.allclose(bath.layout.sites(bath.pole_blocks[0]), (HBAR / EPS0) * tau / chi_up * np.eye(3))
 
     def test_linkage_definitional(self, bath_setup):
@@ -94,11 +94,11 @@ class TestCoefficients:
 def first_singular_reference(coupling, chi):
     """The per-node invertibility loop the batched check replaced: (what, node, cond)."""
     for k in range(coupling.grid.n_nodes):
-        for what, mat in (("coupling kernel", coupling.kernels[k]),
+        for what, mat in (("coupling kernel", site_kernels(coupling)[k]),
                           ("susceptibility", chi.layout.sites(chi.above_cut_blocks[k]))):
             sv = np.linalg.svd(mat, compute_uv=False)
             if sv[-1] <= INVERTIBILITY_RTOL * sv[0] or sv[0] == 0.0:
-                return what, k, sv[0] / max(sv[-1], 1e-300)
+                return what, k, sv[0] / sv[-1] if sv[-1] > sv[0] / np.finfo(float).max else np.inf
     raise AssertionError("every node invertible")
 
 
@@ -106,25 +106,24 @@ class TestRowBuilder:
     def test_rows_match_pair_formulas(self, small_lattice):
         K = 8
         grid = FrequencyGrid.midpoint(K, 3.0, eta_factor=1.0)
-        coupling = coupling_from_lagrangian(builtin_model("local_lorentz", small_lattice, grid))
-        bath = bath_coefficients(coupling, Susceptibility(coupling))
-        v, nodes, t = small_lattice.cell_volume, grid.nodes, coupling.kernels
+        sectors = coupling_from_lagrangian(builtin_model("local_lorentz", small_lattice, grid))
+        v, nodes = small_lattice.cell_volume, grid.nodes
 
         def close(got, ref):
             return np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
-        delta_coeff, pole_coeff = (bath.layout.sites(b) for b in (bath.delta_blocks, bath.pole_blocks))
-        # in the bath's own sector layout, in the site basis, and in the momentum
-        # block a leaking oracle form reads
-        for layout in (bath.layout, small_lattice.one_block, small_lattice.momentum_block):
+        # in the sector layout, and in the dense layout a leaking run takes
+        for coupling in (sectors, sectors.relaid(small_lattice.one_block)):
+            bath, layout, t = bath_coefficients(coupling, Susceptibility(coupling)), coupling.layout, site_kernels(coupling)
+            delta_coeff, pole_coeff = (layout.sites(b) for b in (bath.delta_blocks, bath.pole_blocks))
             for k in range(K):
-                co, counter = (layout.sites(r) for r in bath.rows(coupling, k, layout))
+                co, counter = (layout.sites(r) for r in bath.rows(coupling, k))
                 for l in range(K):
                     pole = 1.0 / (nodes[k] - nodes[l] + 1j * bath.eta)
                     assert close(co[l], pole * v * pole_coeff[k] @ t[l].T)
                     anti = -1.0 / (nodes[k] + nodes[l])
                     assert close(counter[l], anti * v * pole_coeff[k] @ t[l].conj().T)
-                delta = layout.sites(bath.delta_row(coupling, k, layout))
+                delta = layout.sites(bath.delta_row(coupling, k))
                 assert close(delta, v * delta_coeff[k] @ t[k].T)
 
 
@@ -151,7 +150,7 @@ def independence_reference(bath, coupling):
     lattice, grid = coupling.lattice, coupling.grid
     K, d, v = grid.n_nodes, lattice.dim, lattice.cell_volume
     w, nodes = grid.weights, grid.nodes
-    dens = v * gram_stack(coupling.kernels)
+    dens = v * gram_stack(site_kernels(coupling))
     dens_flat = dens.reshape(K, d * d)
     delta_coeff, pole_coeff = (bath.layout.sites(b) for b in (bath.delta_blocks, bath.pole_blocks))
     num_p = num_w = den_p = den_w = 0.0
@@ -168,8 +167,8 @@ def independence_reference(bath, coupling):
         den_w += w[k] * (nodes[k] * np.linalg.norm(base)) ** 2
         if k == 0:
             pol_0 = pol
-    comm_p = site_commutator(bath_mode_form(bath, coupling, 0, bath.layout),
-                             medium_polarization_form(coupling, bath.layout)).mat
+    comm_p = site_commutator(bath_mode_form(bath, coupling, 0),
+                             medium_polarization_form(coupling)).mat
     agree_p = np.linalg.norm(comm_p - 1j * HBAR * pol_0) / np.linalg.norm(comm_p)
     return {"polarization": np.sqrt(num_p / den_p), "momentum": np.sqrt(num_w / den_w),
             "route_agreement": agree_p}
@@ -241,9 +240,9 @@ class TestIndependence:
         from dampol.fields import medium_polarization_form, medium_mode_form
         lat, grid, coupling, st, chi, bath = bath_setup
         k = grid.n_nodes // 2
-        cb = bath_mode_form(bath, coupling, k, bath.layout)
-        p = medium_polarization_form(coupling, bath.layout)
-        raw = site_commutator(medium_mode_form(coupling, k, bath.layout), p).norm()
+        cb = bath_mode_form(bath, coupling, k)
+        p = medium_polarization_form(coupling)
+        raw = site_commutator(medium_mode_form(coupling, k), p).norm()
         assert site_commutator(cb, p).norm() <= 0.2 * raw
 
 
@@ -298,7 +297,7 @@ class TestBathModeAlgebra:
         coupling = coupling_from_lagrangian(builtin_model("local_lorentz", lat, grid))
         bath = bath_coefficients(coupling, Susceptibility(coupling))
         w = grid.weights
-        forms = [bath_mode_form(bath, coupling, k, bath.layout) for k in range(K)]
+        forms = [bath_mode_form(bath, coupling, k) for k in range(K)]
         dev = np.zeros((lat.dim, lat.dim), dtype=complex)
         dev_cc = np.zeros_like(dev)
         for k in range(K):

@@ -216,6 +216,18 @@ class TestRobustness:
         assert not checks["chi.asymptote_quartic_ratio"]["passed"]
         assert checks["chi.asymptote_quartic_ratio"]["measured_ratio"] == float("inf")
 
+    def test_tiny_spacing_names_the_singular_coupling(self, tmp_path):
+        # at spacing 1e-34 (cell volume 1e-102) the coupling kernel's smallest
+        # singular value is 0 beside a largest one above 1e300: the bath stage
+        # names node 0 with an infinite condition number, where the ratio
+        # largest / max(smallest, 1e-300) overflowed
+        text = (CONFIG_DIR / "gaussian.ini").read_text().replace("spacing = 1.0", "spacing = 1e-34")
+        cfg = tmp_path / "tiny.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["verify-all", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        assert read_report(out, "bath")["error"].startswith("coupling kernel not invertible at node 0 ")
+
 
 def over_cap_config(tmp_path):
     # n = 3, K = 25: canonical dimension 2 * 55 + 2 * 25 * 81 = 4160 > 4000
@@ -288,7 +300,7 @@ class TestRun:
 
     def test_chi_violator_flagged_in_every_stage(self, tmp_path):
         # the perturbation leaks across sectors, so every check runs in one
-        # site-basis block; the stacked checks keep the per-point values
+        # dense block; the stacked checks keep the per-point values
         text = (CONFIG_DIR / "violator_chi.ini").read_text().replace("stages = green", "stages = all")
         cfg = tmp_path / "violator_all.ini"
         cfg.write_text(text)
@@ -335,9 +347,9 @@ class TestRun:
 
 class TestOneBlockBathForm:
     def test_violator_chi_oracle_matches_dense(self, tmp_path, monkeypatch):
-        # the chi_symmetry violation leaks the bath coefficients across momentum
-        # sectors while the coupling conserves momentum: the bath form is one
-        # block, compared with the merged reference; the values are the dense
+        # the chi_symmetry violation leaks across momentum sectors, so the whole
+        # run is dense: the coupling is re-laid into one block, and the bath
+        # form and the reference are each one block; the values are the dense
         # oracle's, whose form was one dim x dim matrix
         import dampol.bath as bath_mod
         assemble, blocks = bath_mod.assemble_bath_hamiltonian, []
@@ -352,7 +364,7 @@ class TestOneBlockBathForm:
         assert main(argv) == EXIT_PASS
         assert blocks == [1]
         checks = {c["check_id"]: c for c in read_report(out, "oracle")["checks"]}
-        assert checks["oracle.spectrum_real"]["n_sectors"] == 8
+        assert checks["oracle.spectrum_real"]["n_sectors"] == 1
         weak = checks["oracle.hamiltonian_forms_weak"]
         assert weak["residual"] == pytest.approx(0.057270887986579914, rel=1e-10)
         assert weak["frobenius"] == pytest.approx(0.05982854450409224, rel=1e-10)

@@ -34,9 +34,14 @@ def pernode_reality_residual(coupling):
     return float(np.max(num / den))
 
 
+def site_kernels(coupling):
+    """The coupling's (K, d, d) site kernels, its blocks rotated back to sites: the dense reference."""
+    return coupling.layout.sites(coupling.flat)
+
+
 def dense_density(coupling):
     """The dense reference of the spectral densities, v gram_stack(T), (K, d, d)."""
-    return coupling.lattice.cell_volume * gram_stack(coupling.kernels)
+    return coupling.lattice.cell_volume * gram_stack(site_kernels(coupling))
 
 
 def dense_structure(st):
@@ -96,7 +101,7 @@ class TestLagrangianRoute:
         grid = FrequencyGrid.midpoint(4, 2.0)
         t0 = np.zeros((4, 3, 3))
         built = coupling_from_lagrangian(RealCoupling(single_site, grid, t0, identity_gauge(single_site, grid)))
-        assert not np.any(built.kernels)
+        assert not np.any(site_kernels(built))
 
     def test_identity_gauge_scalar_formula(self, single_site):
         # single node, single site, scalar real coefficient
@@ -105,7 +110,7 @@ class TestLagrangianRoute:
         t0 = tau * np.eye(3)[None, :, :] / single_site.cell_volume
         built = coupling_from_lagrangian(RealCoupling(single_site, grid, t0, identity_gauge(single_site, grid)))
         expected = -((2.0 * HBAR * grid.nodes[0]) ** -0.5) * tau * np.eye(3) / single_site.cell_volume
-        assert np.allclose(built.kernels[0], expected)
+        assert np.allclose(site_kernels(built)[0], expected)
 
     def test_random_gauge_density_is_real_per_node(self, small_lattice, rng):
         grid = FrequencyGrid.midpoint(6, 5.0)
@@ -138,7 +143,7 @@ class TestGaugeAndGram:
         built = coupling_from_lagrangian(model)
         # the unitarity Gram of the gauge, and the spectral densities
         for fast, stack, scale in ((gram_stack(model.unitary), model.unitary, 1.0),
-                                   (dense_density(built), built.kernels, small_lattice.cell_volume)):
+                                   (dense_density(built), site_kernels(built), small_lattice.cell_volume)):
             ref = scale * np.einsum("kji,kjl->kil", stack, stack.conj())
             assert np.linalg.norm(fast - ref) <= 1e-14 * np.linalg.norm(ref)
 
@@ -195,7 +200,7 @@ class TestStructureTensor:
     def test_matches_first_moment_quadrature(self, random_lagrangian):
         # independent oracle: loop-accumulated quadrature of the density
         grid = random_lagrangian.grid
-        acc = np.zeros_like(random_lagrangian.kernels[0])
+        acc = np.zeros_like(site_kernels(random_lagrangian)[0])
         for k in range(grid.n_nodes):
             dens = dense_density(random_lagrangian)[k]
             acc = acc + grid.weights[k] * grid.nodes[k] * (dens + dens.conj())
@@ -210,8 +215,7 @@ class TestMomentumKernel:
         coupling = scalar_coupling(single_site, grid, tau)
         st = structure_tensor(coupling)
         # the momentum form's kernel -w T(w) o F^-1 at the one node
-        one = single_site.one_block
-        kernel = TensorKernel(single_site, one.sites(medium_momentum_form(coupling, st, one).alpha)[0].T)
+        kernel = TensorKernel(single_site, coupling.layout.sites(medium_momentum_form(coupling, st).alpha)[0].T)
         # -w tau / (2 w w1 |tau|^2) times the identity kernel
         expected = -tau / (2.0 * grid.weights[0] * abs(tau) ** 2)
         ident = TensorKernel.identity(single_site)
@@ -265,8 +269,8 @@ class TestBuiltinModels:
 
 class TestInvertibility:
     def test_builtin_nodes_invertible(self, lorentz_coupling):
-        for layout in (lorentz_coupling.lattice.sector_layout, lorentz_coupling.lattice.one_block):
-            require_invertible(layout, ("coupling kernel", lorentz_coupling.blocks(layout)))
+        for coupling in (lorentz_coupling, lorentz_coupling.relaid(lorentz_coupling.lattice.one_block)):
+            require_invertible(coupling.layout, ("coupling kernel", coupling.flat))
 
     def test_zero_singular_value_detected(self, single_site):
         layout = single_site.one_block
@@ -359,7 +363,7 @@ class TestBlockRouteMatchesDense:
            n_nodes=st_.integers(1, 6), seed=st_.integers(0, 2**32 - 1))
     def test_density_moments_and_structure(self, n, model, n_nodes, seed):
         # the built-in models conserve lattice momentum and run per sector; a
-        # random coupling leaks, beyond one site, and runs as one site-basis block
+        # random coupling leaks, beyond one site, and runs as one dense block
         lattice = build_lattice(n, 1.0)
         grid = FrequencyGrid.midpoint(n_nodes, 3.0)
         if model == "random":
@@ -372,12 +376,12 @@ class TestBlockRouteMatchesDense:
         st = structure_tensor(coupling)
         assert st.layout is layout
 
-        def close(got, ref, scale=None):
+        def close(got, ref, scale=None, rel=1e-13):
             ref = layout.blocks(ref)
             scale = np.linalg.norm(ref) if scale is None else scale
-            return np.linalg.norm(got - ref) <= 1e-13 * scale
+            return np.linalg.norm(got - ref) <= rel * scale
 
-        assert close(coupling.density_blocks(layout), dens)
+        assert close(coupling.density, dens)
         # each moment field against the dense one, relative to the moment it is part of
         s0, s1 = np.linalg.norm(layout.blocks(mom.imag0)), np.linalg.norm(s_mat)
         assert close(coupling.moments.imag0, mom.imag0, max(s0, np.linalg.norm(
@@ -388,5 +392,9 @@ class TestBlockRouteMatchesDense:
             np.einsum("k,kab->ab", grid.weights * grid.nodes**2, dens)))
         assert close(coupling.moments.cubic, mom.cubic)
         assert close(st.blocks, s_mat)
-        assert close(st.inverse, s_inv)
-        assert close(polarization_selfenergy_kernel(coupling, st), selfenergy)
+        # an inverse carries the rounding of S times its condition number: the
+        # dense route rounds S in the site basis, the blocks in theirs (the
+        # Gaussian model at n = 4 has 5.2e5, and its inverses differ by 1e-11)
+        rel_inv = max(1e-13, 16 * np.finfo(float).eps * np.linalg.cond(s_mat))
+        assert close(st.inverse, s_inv, rel=rel_inv)
+        assert close(polarization_selfenergy_kernel(coupling, st), selfenergy, rel=rel_inv)

@@ -242,8 +242,8 @@ class TestStreamedCost:
         grid = FrequencyGrid.midpoint(128, 3.0, eta_factor=1.0)
         coupling = coupling_from_lagrangian(builtin_model(
             "local_lorentz", lattice, grid, {"resonance": 1.5, "width": 0.6, "strength": 1.0}))
-        layout = Susceptibility(coupling).layout   # shared inputs, cached before tracing
-        coupling.density_blocks(layout)
+        layout = coupling.layout
+        coupling.density   # a shared input, cached before tracing
         assert layout is lattice.sector_layout and layout.size == lattice.dim**2 // 8
         return coupling, structure_tensor(coupling), grid.n_nodes * layout.size * 16
 

@@ -53,58 +53,58 @@ def setup(request):
 class TestCanonicalMatterAlgebra:
     def test_momentum_polarization_commutator(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
-        w = medium_momentum_form(coupling, st, chi.layout)
-        p = medium_polarization_form(coupling, chi.layout)
+        w = medium_momentum_form(coupling, st)
+        p = medium_polarization_form(coupling)
         expected = -1j * HBAR * TensorKernel.identity(lat)
         assert site_commutator(w, p).allclose(expected, tol=1e-10)
 
     def test_polarization_self_commutator_vanishes(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
-        p = medium_polarization_form(coupling, chi.layout)
+        p = medium_polarization_form(coupling)
         scale = HBAR * TensorKernel.identity(lat).norm()
         assert site_commutator(p, p).norm() <= 1e-10 * scale
 
     def test_momentum_self_commutator_vanishes(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
-        w = medium_momentum_form(coupling, st, chi.layout)
+        w = medium_momentum_form(coupling, st)
         scale = HBAR * TensorKernel.identity(lat).norm()
         assert site_commutator(w, w).norm() <= 1e-10 * scale
 
     def test_medium_mode_canonical(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
         k = 3
-        c = medium_mode_form(coupling, k, chi.layout)
+        c = medium_mode_form(coupling, k)
         got = site_commutator(c, c.dagger())
         expected = (1.0 / grid.weights[k]) * TensorKernel.identity(lat)
         assert got.allclose(expected, tol=1e-12)
 
     def test_cross_basis_commutator_rejected(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
-        p = medium_polarization_form(coupling, prop.layout)
+        p = medium_polarization_form(coupling)
         pn = field_forms(prop)["Pn"]
         with pytest.raises(DampolError, match="different mode families"):
             commutator(p, pn)
 
     def test_cross_layout_commutator_rejected(self, lorentz_coupling):
         lattice = lorentz_coupling.lattice
-        p = medium_polarization_form(lorentz_coupling, lattice.sector_layout)
+        p = medium_polarization_form(lorentz_coupling)
         with pytest.raises(DampolError, match="different kernel layouts"):
-            commutator(p, medium_polarization_form(lorentz_coupling, lattice.one_block))
+            commutator(p, medium_polarization_form(lorentz_coupling.relaid(lattice.one_block)))
 
 
 class TestNoiseCommutator:
     def test_matches_cut_discontinuity(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
         for k in (0, 4, grid.n_nodes - 1):
-            pn = noise_mode_form(coupling, k, chi.layout)
+            pn = noise_mode_form(coupling, k)
             got = site_commutator(pn, pn.dagger())
-            expected = TensorKernel(lat, chi.layout.sites(noise_commutator_expected(coupling, k, chi.layout)))
+            expected = TensorKernel(lat, chi.layout.sites(noise_commutator_expected(coupling, k)))
             assert got.allclose(expected, tol=1e-10)
 
     def test_distinct_nodes_commute(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
-        a = noise_mode_form(coupling, 2, chi.layout)
-        b = noise_mode_form(coupling, 7, chi.layout)
+        a = noise_mode_form(coupling, 2)
+        b = noise_mode_form(coupling, 7)
         assert site_commutator(a, b.dagger()).norm() == 0.0
 
 

@@ -66,7 +66,7 @@ class TestSingleSiteClosedForm:
         coupling = scalar_coupling(lat, grid, tau)
         z = 1.4 - 0.3j
         g = green_at(Susceptibility(coupling), z)
-        chi_scalar = chi_stack(coupling, [z], lat.one_block)[0, 0]
+        chi_scalar = coupling.layout.sites(chi_stack(coupling, [z]))[0, 0, 0]
         expected = 1.0 / (z**2 * (1.0 + chi_scalar))
         assert np.allclose(g.mat, expected * np.eye(3), atol=1e-12 * abs(expected))
 
@@ -202,9 +202,8 @@ class TestConditionNumber:
         chi = Susceptibility(random_lagrangian)
         z = 1.1 - 0.3j
         _, _, cond, _ = solve_stack(chi, [z])
-        dense = chi.lattice.one_block
-        chi_z = chi_stack(random_lagrangian, [z], dense)[0]
-        mat = chi.lattice.cell_volume * dense.sites(wave_operator(chi_z, z, dense))
+        layout = chi.layout
+        mat = chi.lattice.cell_volume * layout.sites(wave_operator(chi_stack(random_lagrangian, [z])[0], z, layout))
         assert cond[0] == pytest.approx(np.linalg.cond(mat), rel=1e-12, abs=0)
 
     def test_exactly_singular_raises_singular_operator(self, small_lattice, monkeypatch):

@@ -118,7 +118,7 @@ class TestMomentumSectors:
         # coordinates there are the layout's, and each column is in one block
         lat = build_lattice(n, 1.0, k0_transverse)
         phi = lat.transverse_basis
-        for layout in (lat.sector_layout, lat.momentum_block):
+        for layout in (lat.sector_layout, lat.one_block):
             rot = layout.basis.T @ phi
             first, seen = 0, []
             for mine, coords in layout.transverse:

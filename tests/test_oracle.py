@@ -36,7 +36,7 @@ from dampol.oracle import (
 )
 from dampol.susceptibility import Susceptibility
 
-from test_coupling import scalar_coupling
+from test_coupling import scalar_coupling, site_kernels
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -122,7 +122,7 @@ def dense(ham):
 
 def one_block(lat, grid, h):
     """A form stored as one block over every canonical slot."""
-    return QuadraticHamiltonian(layout=lat.momentum_block, grid=grid, mt=lat.transverse_basis.shape[1],
+    return QuadraticHamiltonian(layout=lat.one_block, grid=grid, mt=lat.transverse_basis.shape[1],
                                 groups=(np.arange(h.shape[0]),), blocks=[h], sector_leak=np.inf)
 
 
@@ -281,19 +281,18 @@ class TestLadderRows:
 
     def test_polarization_and_momentum(self, case):
         lat, grid, coupling, st, ham = case
-        v, finv = lat.cell_volume, st.layout.sites(st.inverse)
+        v, finv, t = lat.cell_volume, st.layout.sites(st.inverse), site_kernels(coupling)
         u_p = np.zeros((lat.dim, ham.dim), dtype=complex)
         u_w = np.zeros((lat.dim, ham.dim), dtype=complex)
         for k in range(grid.n_nodes):
             s = np.sqrt(v * grid.weights[k])
             c, cdag = ladder_slices(ham, k)
-            u_p[:, c] += -1j * HBAR * s * coupling.kernels[k].T
-            u_p[:, cdag] += 1j * HBAR * s * coupling.kernels[k].conj().T
-            coeff = -grid.nodes[k] * (v * coupling.kernels[k] @ finv).T
+            u_p[:, c] += -1j * HBAR * s * t[k].T
+            u_p[:, cdag] += 1j * HBAR * s * t[k].conj().T
+            coeff = -grid.nodes[k] * (v * t[k] @ finv).T
             u_w[:, c] += s * coeff
             u_w[:, cdag] += s * coeff.conj()
-        layout = ham.layout
-        pol, mom = medium_polarization_form(coupling, layout), medium_momentum_form(coupling, st, layout)
+        pol, mom = medium_polarization_form(coupling), medium_momentum_form(coupling, st)
         u = ladder_unitary(ham) @ momentum_rotation(ham)
         assert close(dense_rows(ham, ham.ladder_rows(pol.alpha, pol.beta)), u_p @ u, 1e-15)
         assert close(dense_rows(ham, ham.ladder_rows(mom.alpha, mom.beta)), u_w @ u, 1e-15)
@@ -305,7 +304,7 @@ class TestLadderRows:
             old = np.zeros((lat.dim, ham.dim), dtype=complex)
             old[:, ladder_slices(ham, k)[0]] = np.eye(lat.dim) / np.sqrt(
                 lat.cell_volume * grid.weights[k])
-            cm = medium_mode_form(coupling, k, ham.layout)
+            cm = medium_mode_form(coupling, k)
             assert close(dense_rows(ham, ham.ladder_rows(cm.alpha, cm.beta)), old @ u, 1e-15)
 
     def test_bath_rows(self, case):
@@ -314,13 +313,13 @@ class TestLadderRows:
         v, w = lat.cell_volume, grid.weights
         u = ladder_unitary(ham) @ momentum_rotation(ham)
         for k in range(grid.n_nodes):
-            co, counter = (lat.one_block.sites(r) for r in bath.rows(coupling, k, lat.one_block))
+            co, counter = (bath.layout.sites(r) for r in bath.rows(coupling, k))
             old = np.zeros((lat.dim, ham.dim), dtype=complex)
             for l in range(grid.n_nodes):
                 c, cdag = ladder_slices(ham, l)
                 old[:, c] = np.sqrt(v * w[l]) * co[l]
                 old[:, cdag] = np.sqrt(v * w[l]) * counter[l]
-            got = ham.ladder_rows(*bath.rows(coupling, k, ham.layout))
+            got = ham.ladder_rows(*bath.rows(coupling, k))
             assert close(dense_rows(ham, got), old @ u, 1e-15)
 
     def test_mode_rows(self, case):
@@ -329,7 +328,7 @@ class TestLadderRows:
         modes = mode_coefficients(prop)
         v, phi = lat.cell_volume, lat.transverse_basis
         u = ladder_unitary(ham) @ momentum_rotation(ham)
-        families = node_families(prop, ham.layout)
+        families = node_families(prop)
         resonant = families[2].copy()
         got = dense_rows(ham, mode_rows(ham, *families))
         for k in range(grid.n_nodes):
@@ -376,8 +375,7 @@ class TestHeisenberg:
 
     def test_canonical_pair_via_rows(self, lorentz_setup):
         lat, grid, coupling, st, ham = lorentz_setup
-        layout = ham.layout
-        pol, mom = medium_polarization_form(coupling, layout), medium_momentum_form(coupling, st, layout)
+        pol, mom = medium_polarization_form(coupling), medium_momentum_form(coupling, st)
         u_p = dense_rows(ham, ham.ladder_rows(pol.alpha, pol.beta))
         u_w = dense_rows(ham, ham.ladder_rows(mom.alpha, mom.beta))
         comm = u_w @ commutation(ham) @ u_p.T
@@ -478,7 +476,7 @@ class TestSpectrum:
     def test_mode_rows_shape(self, lorentz_setup):
         lat, grid, coupling, st, ham = lorentz_setup
         prop = node_propagator(Susceptibility(coupling))
-        rows = mode_rows(ham, *node_families(prop, ham.layout))
+        rows = mode_rows(ham, *node_families(prop))
         assert rows.shape == (grid.n_nodes, ham.row_size)
         assert [v.shape for v in ham.row_views(rows)] == [
             (grid.n_nodes, 3, g.size) for g in ham.groups]
@@ -546,7 +544,7 @@ class TestSectorSpectrum:
         ("local_lorentz", 3, 3, True),
         ("local_lorentz", 4, 1, True),
     ])
-    def test_matches_dense_eigvals(self, model, n, K, k0_transverse, monkeypatch):
+    def test_matches_dense_eigvals(self, model, n, K, k0_transverse):
         lat = build_lattice(n, 1.0, k0_transverse)
         grid = FrequencyGrid.midpoint(K, 3.0, eta_factor=1.0)
         coupling = coupling_from_lagrangian(builtin_model(model, lat, grid))
@@ -554,8 +552,8 @@ class TestSectorSpectrum:
         ham = assemble_hamiltonian(coupling, st)
         got, n_sectors, leak = mode_frequencies(ham)
         leak_tol = lattice.SECTOR_LEAK_TOL
-        monkeypatch.setattr(lattice, "SECTOR_LEAK_TOL", -1.0)   # the assembly unsplit
-        whole = assemble_hamiltonian(coupling, st)
+        dense = coupling.relaid(lat.one_block)   # the assembly unsplit
+        whole = assemble_hamiltonian(dense, structure_tensor(dense))
         (r,) = whole.dynamics()
         ref = dense_route(r)
         assert n_sectors == np.unique(lat.momentum_sector).size > 1
@@ -618,15 +616,15 @@ class TestSectorBlocks:
         ("local_lorentz", 3, 4, True),
         ("local_lorentz", 4, 1, True),
     ])
-    def test_sector_route_matches_one_block(self, model, n, K, k0_transverse, monkeypatch):
+    def test_sector_route_matches_one_block(self, model, n, K, k0_transverse):
         pipe = oracle_pipeline(model, n, K, k0_transverse)
         sectors = stage_oracle(pipe)
         ham = pipe.hamiltonian
         leak_tol = lattice.SECTOR_LEAK_TOL
-        monkeypatch.setattr(lattice, "SECTOR_LEAK_TOL", -1.0)   # every form one block
-        del pipe.hamiltonian
-        whole = stage_oracle(pipe)
-        one = pipe.hamiltonian
+        dense = oracle_pipeline(model, n, K, k0_transverse)
+        dense.chi = Susceptibility(pipe.coupling.relaid(pipe.lattice.one_block))   # every form one block
+        whole = stage_oracle(dense)
+        one = dense.hamiltonian
         assert len(one.blocks) == 1
         assert len(ham.blocks) == np.unique(pipe.lattice.momentum_sector).size > 1
 

@@ -16,14 +16,24 @@ from dampol.susceptibility import Susceptibility, chi_stack
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def reference_chi_trace(path, coupling, z_values):
-    """Every entry of chi, dense in `Lattice.one_block`, as `csv.writer` writes it, one row per entry."""
-    d, one = coupling.lattice.dim, coupling.lattice.one_block
+def site_chi(coupling, z_values):
+    """chi at the points rotated back to sites, (n, d, d): the dense reference of the values."""
+    return coupling.layout.sites(chi_stack(coupling, z_values))
+
+
+def applied_chi(coupling, z_values):
+    """chi at the points, (n, d, d), each column applied to its unit source as the writer applies it."""
+    flat, d = chi_stack(coupling, z_values), coupling.lattice.dim
+    return coupling.layout.apply(flat[:, None], np.eye(d)).swapaxes(-1, -2)
+
+
+def reference_chi_trace(path, z_values, mats):
+    """Every entry of the (n, d, d) chi matrices at the points, as `csv.writer` writes it, one row per entry."""
+    d = mats.shape[-1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["re_z", "im_z", "site", "site_prime", "i", "j", "re_chi", "im_chi"])
-        for z in z_values:
-            mat = one.sites(chi_stack(coupling, [z], one))[0]
+        for z, mat in zip(z_values, mats):
             for a in range(d):
                 for b in range(d):
                     writer.writerow([f"{z.real:.12g}", f"{z.imag:.12g}",
@@ -55,7 +65,9 @@ class TestChiTrace:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_bytes_match_csv_writer(self, tmp_path, n):
         # a random coupling leaks across sectors (at n >= 2), so chi is one
-        # site-basis block and applying it to a source vector selects entries
+        # dense block; the reference reads every column as the writer reads the
+        # site-0 ones, so the bytes compare the format (the values are compared
+        # with the site rotation below)
         coupling = random_trace_coupling(n, 3)
         grid = coupling.grid
         # on the imaginary axis both node sums share their coefficients, so
@@ -63,7 +75,7 @@ class TestChiTrace:
         # enough to print with an exponent
         zs = np.append(grid.nodes + 1j * grid.eta, 1j * grid.omega_max * np.array([1 / 3, 1e4]))
         chi_trace_csv(tmp_path / "fast.csv", Susceptibility(coupling), zs)
-        reference_chi_trace(tmp_path / "ref.csv", coupling, zs)
+        reference_chi_trace(tmp_path / "ref.csv", zs, applied_chi(coupling, zs))
         ref = site0_rows(tmp_path / "ref.csv")
         assert (tmp_path / "fast.csv").read_bytes() == ref
         values = [f for row in ref.decode().split("\r\n")[1:] for f in row.split(",")[5:]]
@@ -81,7 +93,22 @@ class TestChiTrace:
         assert pipe.chi.layout is pipe.lattice.sector_layout
         zs = pipe.grid.nodes + 1j * pipe.grid.eta
         chi_trace_csv(tmp_path / "fast.csv", pipe.chi, zs)
-        reference_chi_trace(tmp_path / "ref.csv", pipe.coupling, zs)
+        reference_chi_trace(tmp_path / "ref.csv", zs, site_chi(pipe.coupling, zs))
+        (tmp_path / "ref0.csv").write_bytes(site0_rows(tmp_path / "ref.csv"))
+        index, values = read_trace(tmp_path / "fast.csv")
+        ref_index, ref_values = read_trace(tmp_path / "ref0.csv")
+        assert np.array_equal(index, ref_index)
+        assert np.abs(values - ref_values).max() <= 1e-12 * np.abs(ref_values).max()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_dense_block_matches_site_trace(self, tmp_path, n):
+        # a leaking coupling's one block is in the momentum basis: the writer's
+        # columns against the site rotation of the same blocks
+        coupling = random_trace_coupling(n, 3)
+        assert coupling.layout is coupling.lattice.one_block
+        zs = coupling.grid.nodes + 1j * coupling.grid.eta
+        chi_trace_csv(tmp_path / "fast.csv", Susceptibility(coupling), zs)
+        reference_chi_trace(tmp_path / "ref.csv", zs, site_chi(coupling, zs))
         (tmp_path / "ref0.csv").write_bytes(site0_rows(tmp_path / "ref.csv"))
         index, values = read_trace(tmp_path / "fast.csv")
         ref_index, ref_values = read_trace(tmp_path / "ref0.csv")
@@ -108,7 +135,7 @@ class TestChiTrace:
         # (K, 3, d) source columns and at most one row's text besides: no
         # d x d site operator
         chi = Susceptibility(random_trace_coupling(3, 4))
-        chi.source.density_blocks(chi.source.layout), chi.layout   # cached before tracing: shared input, not writer memory
+        chi.source.density   # cached before tracing: shared input, not writer memory
         zs = chi.grid.nodes + 1j * chi.eta
         d = chi.lattice.dim
         tracemalloc.start()

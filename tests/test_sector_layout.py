@@ -1,16 +1,17 @@
 """The momentum-sector kernel layout against the dense one-block reference.
 
 Every kernel stage stores its (K, d, d) stacks as flat sector blocks in
-`Lattice.sector_layout` when its inputs conserve lattice momentum, and as
-one site-basis block (`Lattice.one_block`, the dense reference arithmetic)
-otherwise.  Forcing one block by a negative leak tolerance, as the oracle's
-`TestSectorBlocks` does, runs the same inputs through the dense reference;
-a built-in model, which has no leak, is rebuilt from its dense kernels for
-that.
+`Lattice.sector_layout` when the run's inputs conserve lattice momentum, and
+as one dense block in the momentum basis (`Lattice.one_block`, the dense
+reference arithmetic) otherwise; the layout is the coupling's, chosen once
+for the run.  A built-in model re-laid into one block
+(`CouplingTensor.relaid`), as the oracle's `TestSectorBlocks` does, runs the
+same inputs through the dense reference.
 """
 
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +20,23 @@ from hypothesis import strategies as st_
 
 from dampol import lattice
 from dampol.bath import (
+    assemble_bath_hamiltonian,
     bath_coefficients,
     verify_bath_canonical,
     verify_bath_independence,
     verify_linkage,
 )
-from dampol.cli import Pipeline, ScenarioConfig
+from dampol.cli import (
+    Pipeline,
+    ScenarioConfig,
+    stage_bath,
+    stage_chi,
+    stage_diag,
+    stage_fields,
+    stage_green,
+    stage_model,
+    stage_oracle,
+)
 from dampol.coupling import (
     CouplingTensor,
     builtin_model,
@@ -33,11 +45,15 @@ from dampol.coupling import (
     structure_tensor,
 )
 from dampol.diagonalize import ModeChecks, momentum_family, streamed_mode_checks, wave_diagnostic
+from dampol.fields import LinearBosonicForm
 from dampol.green import node_propagator, verify_adjoint
 from dampol.lattice import FrequencyGrid, build_lattice
+from dampol.oracle import QuadraticHamiltonian
 from dampol.susceptibility import Susceptibility
 
 from test_coupling import dense_model_t0
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def agree(a, b, rel=1e-12):
@@ -59,21 +75,22 @@ class TestLayout:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_lattice_operators_round_trip(self, n):
+        # in the sector blocks, and in the dense layout's one block
         lat = build_lattice(n, 1.0, k0_transverse=False)
-        layout = lat.sector_layout
         a = lat.transverse_matrix + 1j * lat.curl_matrix
         b = lat.laplacian_matrix + lat.longitudinal_matrix
-        leak, blocks = layout.split(np.stack([a, b]))
-        assert leak <= 1e-15
-        back = layout.sites(blocks)
-        assert np.linalg.norm(back - np.stack([a, b])) <= 1e-14 * np.linalg.norm(back)
-        prod = layout.sites(layout.matmul(blocks[0], blocks[1]))
-        assert np.linalg.norm(prod - a @ b) <= 1e-14 * np.linalg.norm(a @ b)
-        assert np.allclose(layout.sites(layout.transpose(blocks[0])), a.T, atol=1e-14)
-        assert np.allclose(layout.sites(layout.inv(blocks[1] + layout.identity)),
-                           np.linalg.inv(b + np.eye(lat.dim)), atol=1e-13)
-        assert np.allclose(np.sort(layout.svdvals(blocks[1])),
-                           np.linalg.svd(b, compute_uv=False)[::-1])
+        for layout in (lat.sector_layout, lat.one_block):
+            leak, blocks = layout.split(np.stack([a, b]))
+            assert leak <= 1e-15
+            back = layout.sites(blocks)
+            assert np.linalg.norm(back - np.stack([a, b])) <= 1e-14 * np.linalg.norm(back)
+            prod = layout.sites(layout.matmul(blocks[0], blocks[1]))
+            assert np.linalg.norm(prod - a @ b) <= 1e-14 * np.linalg.norm(a @ b)
+            assert np.allclose(layout.sites(layout.transpose(blocks[0])), a.T, atol=1e-14)
+            assert np.allclose(layout.sites(layout.inv(blocks[1] + layout.identity)),
+                               np.linalg.inv(b + np.eye(lat.dim)), atol=1e-13)
+            assert np.allclose(np.sort(layout.svdvals(blocks[1])),
+                               np.linalg.svd(b, compute_uv=False)[::-1])
 
     @pytest.mark.parametrize("case", ["chi_trace", "field_trace"])
     def test_apply_peak_is_its_operands_and_result(self, case):
@@ -115,7 +132,20 @@ class TestLayout:
         assert lat.sector_leak(r) > 0.5
         assert lat.layout(lat.sector_leak(r)) is lat.one_block
         assert lat.layout(lat.sector_leak(lat.transverse_matrix)) is lat.sector_layout
-        assert lat.one_block.blocks(r).base is r   # the site basis is a view, no copy
+        # the dense layout holds any operator, in the momentum basis
+        back = lat.one_block.sites(lat.one_block.blocks(r))
+        assert np.linalg.norm(back - r) <= 1e-14 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_relay_into_the_dense_layout_is_exact(self, n):
+        # the sector blocks placed entry by entry in the one block: the same
+        # site operators, and the entries back in the sector blocks unchanged
+        lat, rng = build_lattice(n, 1.0), np.random.default_rng(n)
+        sector, one = lat.sector_layout, lat.one_block
+        flat = rng.standard_normal((2, sector.size)) + 1j * rng.standard_normal((2, sector.size))
+        dense = sector.relay(flat, one)
+        assert np.linalg.norm(one.sites(dense) - sector.sites(flat)) <= 1e-14 * np.linalg.norm(dense)
+        assert np.array_equal(one.relay(dense, sector), flat)
 
 
 def per_operator_matmul(layout, a, b):
@@ -216,12 +246,76 @@ class TestLeakingInputsTakeOneBlock:
         assert prop.blocks.shape == (4, small_lattice.dim**2)
 
     def test_chi_symmetry_violation(self, tmp_path):
+        # the model conserves momentum, the perturbation does not: the run is dense
         cfg = ScenarioConfig(violation="chi_symmetry", n_nodes=4, out=str(tmp_path))
         pipe = Pipeline(cfg)
         assert pipe.coupling.sector_leak <= lattice.SECTOR_LEAK_TOL
-        assert Susceptibility(pipe.coupling).layout is pipe.lattice.sector_layout
-        assert pipe.chi.layout is pipe.lattice.one_block
+        assert pipe.coupling.layout is pipe.chi.layout is pipe.lattice.one_block
         assert pipe.propagator.layout is pipe.bath.layout is pipe.lattice.one_block
+
+
+class TestOneLayoutPerRun:
+    """Every layout-carrying object a run derives is in its coupling's layout, which is chosen once.
+
+    Every stage runs on a `Pipeline`; the spies record the layout of every
+    form and quadratic form built, and every re-lay of a coupling.
+    """
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        layouts, relaid = [], []
+        post_init, zero, relay = (LinearBosonicForm.__post_init__, QuadraticHamiltonian.zero.__func__,
+                                  CouplingTensor.relaid)
+
+        def form_init(form):
+            layouts.append(form.layout)
+            post_init(form)
+
+        def zero_form(cls, coupling):
+            ham = zero(cls, coupling)
+            layouts.append(ham.layout)
+            return ham
+
+        def counted(coupling, layout):
+            relaid.append(layout)
+            return relay(coupling, layout)
+        monkeypatch.setattr(LinearBosonicForm, "__post_init__", form_init)
+        monkeypatch.setattr(QuadraticHamiltonian, "zero", classmethod(zero_form))
+        monkeypatch.setattr(CouplingTensor, "relaid", counted)
+        return layouts, relaid
+
+    @staticmethod
+    def assert_one_layout(pipe, layouts, out):
+        for stage in (stage_model, stage_diag, stage_bath):
+            stage(pipe)
+        for stage in (stage_chi, stage_green, stage_fields, stage_oracle):
+            stage(pipe, out)
+        layout = pipe.coupling.layout
+        derived = [pipe.structure, pipe.chi, pipe.propagator, pipe.bath, pipe.hamiltonian,
+                   assemble_bath_hamiltonian(pipe.coupling, pipe.structure, pipe.bath)]
+        assert all(obj.layout is layout for obj in derived)
+        assert len(layouts) > 20 and all(form is layout for form in layouts)
+        return layout
+
+    def test_shipped_config(self, spies, tmp_path):
+        layouts, relaid = spies
+        pipe = Pipeline(ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini"))
+        assert self.assert_one_layout(pipe, layouts, tmp_path) is pipe.lattice.sector_layout
+        assert relaid == []
+
+    def test_violator_relays_its_coupling_once(self, spies, tmp_path):
+        layouts, relaid = spies
+        pipe = Pipeline(ScenarioConfig.from_file(CONFIG_DIR / "violator_chi.ini"))
+        assert self.assert_one_layout(pipe, layouts, tmp_path) is pipe.lattice.one_block
+        assert relaid == [pipe.lattice.one_block]
+
+    def test_random_coupling(self, spies, tmp_path):
+        layouts, relaid = spies
+        pipe = Pipeline(ScenarioConfig(n_nodes=6, omega_max=3.0))
+        pipe.chi = Susceptibility(coupling_from_lagrangian(
+            random_coupling(pipe.lattice, pipe.grid, np.random.default_rng(3), diag_weight=3.0)))
+        assert self.assert_one_layout(pipe, layouts, tmp_path) is pipe.lattice.one_block
+        assert relaid == []
 
 
 class TestSymbolBlocks:
@@ -265,14 +359,13 @@ class TestSymbolBlocks:
 def kernel_values(model, n, K, dense=False):
     """Every value of the node sweep, the bath checks and the streamed pass, and the layout.
 
-    With `dense`, the coupling is rebuilt from its kernels as one dense
-    stack, which the leak rule may keep as one block.
+    With `dense`, the coupling is re-laid into one dense block.
     """
     lat = build_lattice(n, 1.0)
     grid = FrequencyGrid.midpoint(K, 3.0, eta_factor=1.0)
     coupling = coupling_from_lagrangian(builtin_model(model, lat, grid))
     if dense:
-        coupling = CouplingTensor.from_kernels(lat, grid, coupling.kernels)
+        coupling = coupling.relaid(lat.one_block)
     st = structure_tensor(coupling)
     chi = Susceptibility(coupling)
     prop = node_propagator(chi)
@@ -306,9 +399,8 @@ def kernel_values(model, n, K, dense=False):
     ("gaussian_nonlocal", 3, 2),
     ("local_lorentz", 4, 2),
 ])
-def test_sector_layout_matches_one_block(model, n, K, monkeypatch):
+def test_sector_layout_matches_one_block(model, n, K):
     layout, sectors = kernel_values(model, n, K)
-    monkeypatch.setattr(lattice, "SECTOR_LEAK_TOL", -1.0)   # every stack one block
     one_layout, one = kernel_values(model, n, K, dense=True)
     assert layout.part_sizes != one_layout.part_sizes == [[3 * n**3, 1, 0]]
     assert sectors.keys() == one.keys()

@@ -26,19 +26,17 @@ from dampol.susceptibility import (
     verify_sum_rules,
 )
 
-from test_coupling import scalar_coupling
+from test_coupling import scalar_coupling, site_kernels
 
 
 def chi_kernel(coupling, z):
-    """The susceptibility kernel at one point, read through the site basis's one block."""
-    one = coupling.lattice.one_block
-    return TensorKernel(coupling.lattice, one.sites(chi_stack(coupling, [z], one))[0])
+    """The susceptibility kernel at one point, its blocks rotated back to sites."""
+    return TensorKernel(coupling.lattice, coupling.layout.sites(chi_stack(coupling, [z]))[0])
 
 
 def site_discontinuity(coupling):
     """The (K, d, d) cut discontinuity in the site basis."""
-    one = coupling.lattice.one_block
-    return one.sites(discontinuity(coupling, one))
+    return coupling.layout.sites(discontinuity(coupling))
 
 
 def scalar_chi_oracle(grid, tau, z):
@@ -85,7 +83,7 @@ class TestChiAt:
     @pytest.mark.parametrize("side", [+1, -1])
     def test_matches_einsum_definition(self, random_lagrangian, side):
         grid = random_lagrangian.grid
-        dens = random_lagrangian.lattice.cell_volume * gram_stack(random_lagrangian.kernels)
+        dens = random_lagrangian.lattice.cell_volume * gram_stack(site_kernels(random_lagrangian))
         for z in (grid.nodes[3] + side * 1j * grid.eta, 2.3 + side * 0.7j, -1.1 + side * 0.05j):
             res = np.einsum("k,kij->ij", grid.weights / (grid.nodes - z), dens)
             anti = np.einsum("k,kij->ij", grid.weights / (grid.nodes + z), dens.conj())
@@ -99,18 +97,17 @@ class TestChiStack:
         grid = random_lagrangian.grid
         zs = np.concatenate([grid.nodes + 1j * grid.eta, grid.nodes - 1j * grid.eta,
                              rng.uniform(-4, 4, 5) + 1j * rng.uniform(-1, 1, 5), [0.5 * grid.nodes[0]]])
-        one = random_lagrangian.lattice.one_block
-        stack = chi_stack(random_lagrangian, zs, one)
-        assert stack.shape == (zs.size, one.size)
+        stack = chi_stack(random_lagrangian, zs)
+        assert stack.shape == (zs.size, random_lagrangian.layout.size)
         for z, mat in zip(zs, stack):
-            ref = chi_stack(random_lagrangian, [z], one)[0]
+            ref = chi_stack(random_lagrangian, [z])[0]
             assert np.linalg.norm(mat - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_sector_blocks_match_site_stack(self, lorentz_coupling):
         zs = np.array([1.2 + 0.3j, -0.7 - 0.1j, 2.0j])
         sector, one = lorentz_coupling.lattice.sector_layout, lorentz_coupling.lattice.one_block
-        ref = one.sites(chi_stack(lorentz_coupling, zs, one))
-        got = sector.sites(chi_stack(lorentz_coupling, zs, sector))
+        ref = one.sites(chi_stack(lorentz_coupling.relaid(one), zs))
+        got = sector.sites(chi_stack(lorentz_coupling, zs))
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_perturbed_blocks_add_the_perturbation(self, random_lagrangian):
@@ -120,19 +117,20 @@ class TestChiStack:
         chi = Susceptibility(random_lagrangian).perturbed(TensorKernel(random_lagrangian.lattice, pert))
         zs = np.array([1.2 + 0.3j, -0.7 - 0.1j])
         assert chi.layout is random_lagrangian.lattice.one_block
-        assert np.array_equal(chi.blocks_at(zs), chi_stack(random_lagrangian, zs, chi.layout) + pert.ravel())
+        assert chi.source is random_lagrangian
+        assert np.array_equal(chi.blocks_at(zs), chi_stack(random_lagrangian, zs) + chi.layout.blocks(pert))
 
     def test_pole_error_names_the_point_on_a_node(self, lorentz_coupling):
         node = lorentz_coupling.grid.nodes[3]
         with pytest.raises(PoleError, match=re.escape(f"z = {complex(node)} sits on a quadrature node")):
-            chi_stack(lorentz_coupling, [1.0 + 0.5j, node, 0.3], lorentz_coupling.lattice.sector_layout)
+            chi_stack(lorentz_coupling, [1.0 + 0.5j, node, 0.3])
 
 
 class TestDiscontinuity:
     def test_node_value_matches_kernel_product(self, random_lagrangian):
         # direct kernel-multiply oracle at a node
         k = 4
-        t = TensorKernel(random_lagrangian.lattice, random_lagrangian.kernels[k])
+        t = TensorKernel(random_lagrangian.lattice, site_kernels(random_lagrangian)[k])
         oracle = (2.0j * np.pi * HBAR / EPS0) * (t.T @ t.conj())
         assert TensorKernel(t.lattice, site_discontinuity(random_lagrangian)[k]).allclose(oracle, tol=1e-12)
 
@@ -173,8 +171,8 @@ class TestKramersKronig:
         import dampol.susceptibility as sus
         exact = sus.discontinuity
 
-        def broken(coupling, layout):
-            disc = exact(coupling, layout)
+        def broken(coupling):
+            disc = exact(coupling)
             disc[3] *= 1.0 + 1e-6
             return disc
         monkeypatch.setattr(sus, "discontinuity", broken)
@@ -211,7 +209,7 @@ class TestTinyCoupling:
         grid = FrequencyGrid.midpoint(12, 3.0, eta_factor=1.0)
         coupling = coupling_from_lagrangian(builtin_model(
             "local_lorentz", lat, grid, {"resonance": 1.5, "width": 0.6, "strength": 1e-101}))
-        top = np.abs(chi_stack(coupling, self.ZS, lat.one_block)).max()
+        top = np.abs(chi_stack(coupling, self.ZS)).max()
         assert 1e-210 < top < 1e-195
         return coupling, structure_tensor(coupling), top
 
@@ -282,7 +280,7 @@ def asymptote_residual_extended(coupling, structure, z):
     """
     nodes = coupling.grid.nodes.astype(np.longdouble)
     w = coupling.grid.weights.astype(np.longdouble)
-    dens = coupling.density_blocks(coupling.layout).astype(np.clongdouble)
+    dens = coupling.density.astype(np.clongdouble)
     z = np.clongdouble(z)
     chi = np.einsum("k,kn->n", w / (nodes - z), dens) + np.einsum("k,kn->n", w / (nodes + z), dens.conj())
     corr = chi + structure.blocks.astype(np.clongdouble) / z**2
@@ -308,8 +306,8 @@ def reversed_nodes(coupling):
     fields the asymptote and the structure tensor read.
     """
     grid, layout = coupling.grid, coupling.layout
-    nodes, weights, dens = grid.nodes[::-1], grid.weights[::-1], coupling.density_blocks(layout)[::-1]
-    return SimpleNamespace(lattice=coupling.lattice, layout=layout, density_blocks=lambda _: dens,
+    nodes, weights, dens = grid.nodes[::-1], grid.weights[::-1], coupling.density[::-1]
+    return SimpleNamespace(lattice=coupling.lattice, layout=layout, density=dens,
                            grid=SimpleNamespace(nodes=nodes, weights=weights),
                            moments=spectral_moments(nodes, weights, dens))
 
