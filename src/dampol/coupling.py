@@ -7,9 +7,10 @@ pair constraints hold per node at machine precision instead of merely to
 quadrature accuracy.  The built-in models are lattice convolutions, given by
 one 3x3 symbol per wave vector (`SymbolCoupling`), so their kernels are built
 per momentum sector with no site operator; a dense input (`RealCoupling`) is
-split into the sector blocks once, or kept as one dense block when it leaks
-across sectors.  The coupling's layout, `CouplingTensor.layout`, is the
-layout of the whole run: every operator derived from it is blocks in it.
+rotated once into one dense block, which is laid into the sector blocks or
+kept when it leaks across sectors.  The coupling's layout,
+`CouplingTensor.layout`, is the layout of the whole run: every operator
+derived from it is blocks in it.
 The frequency moments s_n = sum_k w_k w_k^n D_k of the spectral densities
 have one evaluator, `CouplingTensor.moments`, which the constraints, the
 structure tensor, the sum rules, the asymptote and the self-energy all read.
@@ -120,10 +121,11 @@ class CouplingTensor:
 
     `layout` is `Lattice.sector_layout` unless the kernels leak out of its
     blocks by more than `lattice.SECTOR_LEAK_TOL`, then `Lattice.one_block`;
-    `sector_leak` is that leak, exactly 0 for kernels built from per-k
-    symbols.  It is the layout of the run: every operator derived from the
-    coupling is blocks in `layout` too, and a run whose other inputs leak
-    works with the coupling re-laid into their layout (`relaid`).
+    `sector_leak` is the leak that chose `layout`: the kernels', exactly 0
+    for kernels built from per-k symbols, or that of the run's other inputs
+    when they leak and the coupling is re-laid into their layout (`relaid`).
+    It is the layout of the run: every operator derived from the coupling is
+    blocks in `layout` too.
     """
 
     lattice: Lattice
@@ -143,34 +145,35 @@ class CouplingTensor:
 
     @classmethod
     def from_kernels(cls, lattice: Lattice, grid: FrequencyGrid, kernels: np.ndarray) -> "CouplingTensor":
-        """The coupling of a dense (K, 3M, 3M) kernel stack: split into the sector blocks once, or kept
-        as one dense block when it leaks out of them."""
+        """The coupling of a dense (K, 3M, 3M) kernel stack: rotated once into the one dense block
+        and laid into the sector blocks, or kept dense when it leaks out of them."""
         kern = np.asarray(kernels, dtype=complex)
         shape = (grid.n_nodes, lattice.dim, lattice.dim)
         if kern.shape != shape:
             raise DampolError(f"coupling kernel stack must have shape {shape}")
         if not np.all(np.isfinite(kern)):
             raise DampolError("coupling kernels contain non-finite entries")
-        leak, blocks = lattice.sector_layout.split(kern)
+        leak, dense = lattice.split(kern)
         layout = lattice.layout(leak)
-        return cls(lattice, grid, layout, blocks if layout is lattice.sector_layout else layout.blocks(kern), leak)
+        return cls(lattice, grid, layout, lattice.one_block.relay(dense, layout), leak)
 
     @classmethod
     def zero(cls, lattice: Lattice, grid: FrequencyGrid) -> "CouplingTensor":
         return cls(lattice, grid, lattice.sector_layout,
                    np.zeros((grid.n_nodes, lattice.sector_layout.size), dtype=complex))
 
-    def relaid(self, layout: SectorLayout) -> "CouplingTensor":
+    def relaid(self, layout: SectorLayout, leak: float | None = None) -> "CouplingTensor":
         """The same coupling as blocks of `layout`, which must hold the blocks of its own.
 
         A run whose other inputs leak out of the coupling's layout, as a
-        symmetry-violating perturbation of chi does, works in theirs; the
-        dense cross-checks of the sector route re-lay a built-in model into
-        `Lattice.one_block`.  The entries are placed, not rotated
-        (`SectorLayout.relay`), so the kernels are the same to the bit.
+        symmetry-violating perturbation of chi does, works in theirs and
+        passes their `leak`, kept as `sector_leak`; the dense cross-checks of
+        the sector route re-lay a built-in model into `Lattice.one_block`.
+        The entries are placed, not rotated (`SectorLayout.relay`), so the
+        kernels are the same to the bit.
         """
         return CouplingTensor(self.lattice, self.grid, layout, self.layout.relay(self.flat, layout),
-                              self.sector_leak)
+                              self.sector_leak if leak is None else leak)
 
     @cached_property
     def density(self) -> np.ndarray:

@@ -282,9 +282,16 @@ class Lattice:
         `SECTOR_LEAK_TOL`, else `one_block`."""
         return self.sector_layout if leak <= SECTOR_LEAK_TOL else self.one_block
 
-    def sector_leak(self, *operators: np.ndarray) -> float:
-        """Largest off-sector part of (..., d, d) site operators, each relative to its whole stack."""
-        return max((self.sector_layout.split(op)[0] for op in operators), default=0.0)
+    def split(self, stack: np.ndarray) -> tuple:
+        """(leak, blocks) of a (..., d, d) stack of site operators: its `one_block` blocks, rotated once,
+        and the norm of their part outside the `sector_layout` blocks relative to the whole stack's.
+
+        The blocks are laid into the layout the leak chooses by
+        `one_block.relay`, so no operator is rotated twice.
+        """
+        dense = self.one_block.blocks(stack)
+        outside = sq_norms(np.delete(dense, self.sector_layout.places, axis=-1).ravel())
+        return float(np.sqrt(outside) / max(np.sqrt(sq_norms(dense.ravel())), 1e-300)), dense
 
     def compatible(self, other: "Lattice") -> bool:
         return (
@@ -382,7 +389,7 @@ class SectorLayout:
     `basis` is the real orthogonal (d, d) column selection `columns` of
     kron(F, I_3), F the lattice's `momentum_basis`, its columns running over
     the blocks in order; it is built only when a site operator is rotated,
-    by `split` or `sites`.  The blocks are the diagonal blocks of
+    by `blocks` or `sites`.  The blocks are the diagonal blocks of
     basis^T A basis, of the sizes in `sizes`, stored row-major one after
     the other.  Blocks of
     one size are adjacent, so a flat array is viewed as one
@@ -423,6 +430,13 @@ class SectorLayout:
         first = np.cumsum(self.sizes) - self.sizes
         return (np.concatenate([f + np.repeat(np.arange(b), b) for f, b in zip(first, self.sizes)]),
                 np.concatenate([f + np.tile(np.arange(b), b) for f, b in zip(first, self.sizes)]))
+
+    @cached_property
+    def places(self) -> np.ndarray:
+        """The index of each entry of the blocks, in flat order, in a flat (d, d) matrix in the basis
+        kron(F, I_3): the flat order of `Lattice.one_block`."""
+        rows, cols = self._entries
+        return self.columns[rows] * self.lattice.dim + self.columns[cols]
 
     def parts(self, flat: np.ndarray) -> list:
         """Views of a (..., size) array as one (..., count, b, b) array per block size."""
@@ -468,30 +482,19 @@ class SectorLayout:
         step = max(1, min(_ROTATION_CHUNK_BYTES // (16 * self.lattice.dim**2), -(-n // 8)))
         return (slice(i, i + step) for i in range(0, n, step))
 
-    def split(self, stack: np.ndarray) -> tuple:
-        """(leak, blocks) of a (..., d, d) stack of site operators.
+    def blocks(self, stack: np.ndarray) -> np.ndarray:
+        """The blocks of a (..., d, d) stack of site operators, (..., size).
 
-        The leak is the norm of the part outside the blocks relative to the
-        whole stack's.  The rotation runs a chunk
-        of operators at a time, so its temporaries stay below a fraction of
-        the stack.
+        The rotation runs a chunk of operators at a time, so its temporaries
+        stay below a fraction of the stack.
         """
         stack = np.asarray(stack)
         lead, d = stack.shape[:-2], self.lattice.dim
         mats, (rows, cols) = stack.reshape(-1, d, d), self._entries
         out = np.empty((len(mats), self.size), dtype=stack.dtype)
-        off = whole = 0.0
         for chunk in self._chunks(len(mats)):
-            rot = self.basis.T @ mats[chunk] @ self.basis
-            out[chunk] = rot[:, rows, cols]
-            whole += float(sq_norms(rot.ravel()))
-            rot[:, rows, cols] = 0.0
-            off += float(sq_norms(rot.ravel()))
-        return np.sqrt(off) / max(np.sqrt(whole), 1e-300), out.reshape(lead + (self.size,))
-
-    def blocks(self, stack: np.ndarray) -> np.ndarray:
-        """The blocks of a (..., d, d) stack of site operators, (..., size)."""
-        return self.split(stack)[1]
+            out[chunk] = (self.basis.T @ mats[chunk] @ self.basis)[:, rows, cols]
+        return out.reshape(lead + (self.size,))
 
     def sites(self, flat: np.ndarray) -> np.ndarray:
         """The (..., d, d) site operators of a (..., size) array."""
@@ -522,7 +525,7 @@ class SectorLayout:
         return _momentum_rotate(out, self.lattice.momentum_basis)
 
     def relay(self, flat: np.ndarray, layout: "SectorLayout") -> np.ndarray:
-        """A (..., size) array of this layout as blocks of `layout`, entry by entry.
+        """A (..., size) array of this layout as blocks of `layout`, entry by entry; `flat` itself in this one.
 
         Both bases are columns of kron(F, I_3), so no entry is rotated: each
         keeps its value at its pair of kron(F, I_3) columns.  An entry
@@ -530,10 +533,11 @@ class SectorLayout:
         hold this one's, as `Lattice.one_block` holds every layout's, takes
         the operators exactly.
         """
-        d, (rows, cols), (to_rows, to_cols) = self.lattice.dim, self._entries, layout._entries
-        frame = np.zeros(flat.shape[:-1] + (d * d,), dtype=flat.dtype)
-        frame[..., self.columns[rows] * d + self.columns[cols]] = flat
-        return frame[..., layout.columns[to_rows] * d + layout.columns[to_cols]]
+        if layout is self:
+            return flat
+        frame = np.zeros(flat.shape[:-1] + (self.lattice.dim**2,), dtype=flat.dtype)
+        frame[..., self.places] = flat
+        return frame[..., layout.places]
 
     def op(self, name: str) -> np.ndarray:
         """The blocks of the lattice operator `Lattice.<name>`, (size,), built once.

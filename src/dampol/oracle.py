@@ -85,7 +85,7 @@ class QuadraticHamiltonian:
     `groups[i]` holds the canonical slots of `blocks[i]` in ascending order,
     so inside a block the a, p, x and y slots follow one another and pair
     in order; no term of the form couples two groups.  `sector_leak` is the
-    coupling's, the off-sector part of the kernels the assembly read.
+    coupling's, the off-sector part of the inputs that chose `layout`.
 
     The canonical rows of operators are flat (..., E) arrays: each is one
     (b, G) block per group, its rows the block's basis columns and its

@@ -110,14 +110,17 @@ class Susceptibility:
 
         A perturbation that leaks across momentum sectors, as a
         symmetry-violating one does, makes the run dense: the source is
-        re-laid into `Lattice.one_block` once, and every kernel derived
-        from it follows.
+        re-laid into `Lattice.one_block` once, carrying that leak as its
+        `sector_leak`, and every kernel derived from it follows.  The
+        perturbation is rotated once (`Lattice.split`).
         """
         lat, source = self.lattice, self.source
-        layout = lat.layout(max(source.sector_leak, lat.sector_leak(kernel.mat)))
+        leak, dense = lat.split(kernel.mat)
+        leak = max(source.sector_leak, leak)
+        layout = lat.layout(leak)
         if layout is not source.layout:
-            source = source.relaid(layout)
-        return Susceptibility(source=source, perturbation=layout.blocks(kernel.mat))
+            source = source.relaid(layout, leak)
+        return Susceptibility(source=source, perturbation=lat.one_block.relay(dense, layout))
 
 
 def verify_kramers_kronig(chi: Susceptibility, zs) -> float:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st_
 from dampol.cli import (EXIT_NUMERICAL, EXIT_PASS, EXIT_USAGE, STAGES, VIOLATIONS, ScenarioConfig, main,
                         refine, run)
 from dampol.errors import ConfigError
+from dampol.lattice import SECTOR_LEAK_TOL
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -365,6 +366,8 @@ class TestOneBlockBathForm:
         assert blocks == [1]
         checks = {c["check_id"]: c for c in read_report(out, "oracle")["checks"]}
         assert checks["oracle.spectrum_real"]["n_sectors"] == 1
+        # the leak that chose the dense layout: the perturbation's
+        assert checks["oracle.spectrum_real"]["sector_leak"] > SECTOR_LEAK_TOL
         weak = checks["oracle.hamiltonian_forms_weak"]
         assert weak["residual"] == pytest.approx(0.057270887986579914, rel=1e-10)
         assert weak["frobenius"] == pytest.approx(0.05982854450409224, rel=1e-10)
@@ -534,7 +537,7 @@ class TestStackFreeProduction:
                 calls.append(name)
                 return original(self, *args)
             monkeypatch.setattr(owner, name, recording)
-        for owner, name in ((SectorLayout, "sites"), (SectorLayout, "split"), (Lattice, "_assemble")):
+        for owner, name in ((SectorLayout, "sites"), (SectorLayout, "blocks"), (Lattice, "_assemble")):
             recorded(owner, name)
         for config in ("lorentz", "gaussian", "uniaxial"):
             cfg = ScenarioConfig.from_file(CONFIG_DIR / f"{config}.ini")

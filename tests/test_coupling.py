@@ -340,15 +340,15 @@ class TestSpectralMoments:
         assert not check_constraints(violator).passed
 
 
-def dense_reference(coupling):
-    """Every coupling-derived operator from the dense densities v gram_stack(T), (K, d, d).
+def dense_reference(coupling, kernels):
+    """Every coupling-derived operator from a dense (K, d, d) stack of the coupling's kernels.
 
-    Returns the densities, the moments of `spectral_moments` over the dense
-    stack, and the structure tensor, its inverse and the self-energy as
-    (d, d) site matrices.
+    Returns the densities v gram_stack(T), the moments of `spectral_moments`
+    over them, and the structure tensor, its inverse and the self-energy as
+    (d, d) matrices in the basis of `kernels`.
     """
     v, grid = coupling.lattice.cell_volume, coupling.grid
-    dens = dense_density(coupling)
+    dens = v * gram_stack(kernels)
     mom = spectral_moments(grid.nodes, grid.weights, dens)
     s_mat = mom.structure
     s_inv = np.linalg.inv(s_mat) / v**2
@@ -372,18 +372,28 @@ class TestBlockRouteMatchesDense:
             coupling = coupling_from_lagrangian(builtin_model(model, lattice, grid))
         layout = coupling.layout
         assert layout is (lattice.one_block if model == "random" and n > 1 else lattice.sector_layout)
-        dens, mom, s_mat, s_inv, selfenergy = dense_reference(coupling)
+        # the reference runs dense in the momentum basis, where the coupling
+        # re-laid into the one block holds its entries unrotated: an inverse
+        # amplifies the rounding of a change of basis by the condition number
+        # of S (5.2e5 for the Gaussian model at n = 4, which leaves 1.5e-11
+        # between a site-basis inverse and the blocks')
+        d, one = lattice.dim, lattice.one_block
+        dens, mom, s_mat, s_inv, selfenergy = dense_reference(coupling, coupling.relaid(one).flat.reshape(-1, d, d))
         st = structure_tensor(coupling)
         assert st.layout is layout
 
-        def close(got, ref, scale=None, rel=1e-13):
-            ref = layout.blocks(ref)
+        def close(got, ref, scale=None):
+            # in the dense block, where an entry of the reference outside the layout counts too
+            got, ref = layout.relay(got, one), ref.reshape(ref.shape[:-2] + (d * d,))
             scale = np.linalg.norm(ref) if scale is None else scale
-            return np.linalg.norm(got - ref) <= rel * scale
+            return np.linalg.norm(got - ref) <= 1e-13 * scale
 
+        # the densities also against the site-basis Gram, through the rotation
+        site = layout.blocks(dense_density(coupling))
+        assert np.linalg.norm(coupling.density - site) <= 1e-13 * np.linalg.norm(site)
         assert close(coupling.density, dens)
         # each moment field against the dense one, relative to the moment it is part of
-        s0, s1 = np.linalg.norm(layout.blocks(mom.imag0)), np.linalg.norm(s_mat)
+        s0, s1 = np.linalg.norm(mom.imag0), np.linalg.norm(s_mat)
         assert close(coupling.moments.imag0, mom.imag0, max(s0, np.linalg.norm(
             np.einsum("k,kab->ab", grid.weights, dens))))
         assert close(coupling.moments.structure, mom.structure)
@@ -392,9 +402,5 @@ class TestBlockRouteMatchesDense:
             np.einsum("k,kab->ab", grid.weights * grid.nodes**2, dens)))
         assert close(coupling.moments.cubic, mom.cubic)
         assert close(st.blocks, s_mat)
-        # an inverse carries the rounding of S times its condition number: the
-        # dense route rounds S in the site basis, the blocks in theirs (the
-        # Gaussian model at n = 4 has 5.2e5, and its inverses differ by 1e-11)
-        rel_inv = max(1e-13, 16 * np.finfo(float).eps * np.linalg.cond(s_mat))
-        assert close(st.inverse, s_inv, rel=rel_inv)
-        assert close(polarization_selfenergy_kernel(coupling, st), selfenergy, rel=rel_inv)
+        assert close(st.inverse, s_inv)
+        assert close(polarization_selfenergy_kernel(coupling, st), selfenergy)

@@ -147,15 +147,19 @@ class TestCommutationChecks:
         assert c1[0] / c1[1] >= 1.5
         assert c13[0] / c13[1] >= 1.5
 
-    @pytest.mark.parametrize("name, n", [
-        pytest.param("local_lorentz", 2, id="local_lorentz-n2"),
-        pytest.param("uniaxial_local", 2, id="uniaxial_local-n2"),
-        pytest.param("gaussian_nonlocal", 2, id="gaussian_nonlocal-n2"),
-        pytest.param("random_coupling", 2, id="random_coupling-n2"),
-        pytest.param("local_lorentz", 3, id="local_lorentz-n3"),
-        pytest.param("third_profile", 2, id="third_profile-n2"),
+    @pytest.mark.parametrize("name, n, dense", [
+        pytest.param("local_lorentz", 2, False, id="local_lorentz-n2"),
+        pytest.param("uniaxial_local", 2, False, id="uniaxial_local-n2"),
+        pytest.param("gaussian_nonlocal", 2, False, id="gaussian_nonlocal-n2"),
+        pytest.param("random_coupling", 2, False, id="random_coupling-n2"),
+        pytest.param("local_lorentz", 3, False, id="local_lorentz-n3"),
+        pytest.param("third_profile", 2, False, id="third_profile-n2"),
+        pytest.param("gaussian_nonlocal", 2, True, id="gaussian_nonlocal-n2-dense"),
+        pytest.param("local_lorentz", 3, True, id="local_lorentz-n3-dense"),
     ])
-    def test_streamed_matches_stacked(self, name, n, monkeypatch):
+    def test_streamed_matches_stacked(self, name, n, dense, monkeypatch):
+        # `dense`: the stacked reference runs on the coupling re-laid into the
+        # one dense block, the streamed pass in the sector blocks
         lattice, grid = build_lattice(n, 1.0), FrequencyGrid.midpoint(12, 8.0)
         if name == "random_coupling":
             model = random_coupling(lattice, grid, np.random.default_rng(20240817))
@@ -165,10 +169,10 @@ class TestCommutationChecks:
         if name == "third_profile":
             monkeypatch.setitem(diagonalize.SMEAR_PROFILES, "quadratic", lambda x: x**2)
         coupling = coupling_from_lagrangian(model)
-        modes, prop = make_modes(coupling)
-        st = structure_tensor(coupling)
-        rep = fano_residual(modes, coupling, st)
-        sc = streamed_mode_checks(prop, st)
+        ref = coupling.relaid(lattice.one_block) if dense else coupling
+        modes, _ = make_modes(ref)
+        rep = fano_residual(modes, ref, structure_tensor(ref))
+        sc = streamed_mode_checks(node_propagator(Susceptibility(coupling)), structure_tensor(coupling))
         if name == "third_profile":
             assert len(sc.resonant) == 3 and len(sc.annihilator) == 6
         assert_same_checks(sc, rep, rel=1e-12)

@@ -64,10 +64,12 @@ def read_trace(path):
 class TestChiTrace:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_bytes_match_csv_writer(self, tmp_path, n):
-        # a random coupling leaks across sectors (at n >= 2), so chi is one
-        # dense block; the reference reads every column as the writer reads the
+        # at n = 1 the basis is the identity, so the site rotation is exact and
+        # the bytes compare values and format; at n >= 2 a random coupling
+        # leaks across sectors and chi is one dense block, whose site rotation
+        # rounds: the reference reads every column as the writer reads the
         # site-0 ones, so the bytes compare the format (the values are compared
-        # with the site rotation below)
+        # with the site rotation in test_dense_block_matches_site_trace)
         coupling = random_trace_coupling(n, 3)
         grid = coupling.grid
         # on the imaginary axis both node sums share their coefficients, so
@@ -75,7 +77,8 @@ class TestChiTrace:
         # enough to print with an exponent
         zs = np.append(grid.nodes + 1j * grid.eta, 1j * grid.omega_max * np.array([1 / 3, 1e4]))
         chi_trace_csv(tmp_path / "fast.csv", Susceptibility(coupling), zs)
-        reference_chi_trace(tmp_path / "ref.csv", zs, applied_chi(coupling, zs))
+        reference_chi_trace(tmp_path / "ref.csv", zs,
+                            site_chi(coupling, zs) if n == 1 else applied_chi(coupling, zs))
         ref = site0_rows(tmp_path / "ref.csv")
         assert (tmp_path / "fast.csv").read_bytes() == ref
         values = [f for row in ref.decode().split("\r\n")[1:] for f in row.split(",")[5:]]

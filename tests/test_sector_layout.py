@@ -79,9 +79,9 @@ class TestLayout:
         lat = build_lattice(n, 1.0, k0_transverse=False)
         a = lat.transverse_matrix + 1j * lat.curl_matrix
         b = lat.laplacian_matrix + lat.longitudinal_matrix
+        assert lat.split(np.stack([a, b]))[0] <= 1e-15
         for layout in (lat.sector_layout, lat.one_block):
-            leak, blocks = layout.split(np.stack([a, b]))
-            assert leak <= 1e-15
+            blocks = layout.blocks(np.stack([a, b]))
             back = layout.sites(blocks)
             assert np.linalg.norm(back - np.stack([a, b])) <= 1e-14 * np.linalg.norm(back)
             prod = layout.sites(layout.matmul(blocks[0], blocks[1]))
@@ -129,9 +129,9 @@ class TestLayout:
     def test_a_random_operator_leaks(self):
         lat = build_lattice(2, 1.0)
         r = np.random.default_rng(1).standard_normal((lat.dim, lat.dim))
-        assert lat.sector_leak(r) > 0.5
-        assert lat.layout(lat.sector_leak(r)) is lat.one_block
-        assert lat.layout(lat.sector_leak(lat.transverse_matrix)) is lat.sector_layout
+        assert lat.split(r)[0] > 0.5
+        assert lat.layout(lat.split(r)[0]) is lat.one_block
+        assert lat.layout(lat.split(lat.transverse_matrix)[0]) is lat.sector_layout
         # the dense layout holds any operator, in the momentum basis
         back = lat.one_block.sites(lat.one_block.blocks(r))
         assert np.linalg.norm(back - r) <= 1e-14 * np.linalg.norm(r)
@@ -246,10 +246,11 @@ class TestLeakingInputsTakeOneBlock:
         assert prop.blocks.shape == (4, small_lattice.dim**2)
 
     def test_chi_symmetry_violation(self, tmp_path):
-        # the model conserves momentum, the perturbation does not: the run is dense
+        # the model conserves momentum, the perturbation does not: the run is
+        # dense, and its coupling carries the perturbation's leak
         cfg = ScenarioConfig(violation="chi_symmetry", n_nodes=4, out=str(tmp_path))
         pipe = Pipeline(cfg)
-        assert pipe.coupling.sector_leak <= lattice.SECTOR_LEAK_TOL
+        assert pipe.coupling.sector_leak > lattice.SECTOR_LEAK_TOL
         assert pipe.coupling.layout is pipe.chi.layout is pipe.lattice.one_block
         assert pipe.propagator.layout is pipe.bath.layout is pipe.lattice.one_block
 
@@ -276,9 +277,9 @@ class TestOneLayoutPerRun:
             layouts.append(ham.layout)
             return ham
 
-        def counted(coupling, layout):
+        def counted(coupling, layout, leak=None):
             relaid.append(layout)
-            return relay(coupling, layout)
+            return relay(coupling, layout, leak)
         monkeypatch.setattr(LinearBosonicForm, "__post_init__", form_init)
         monkeypatch.setattr(QuadraticHamiltonian, "zero", classmethod(zero_form))
         monkeypatch.setattr(CouplingTensor, "relaid", counted)
@@ -319,7 +320,7 @@ class TestOneLayoutPerRun:
 
 
 class TestSymbolBlocks:
-    """The blocks built from per-k symbols against `split` of the dense site operators.
+    """The blocks built from per-k symbols against the rotation of the dense site operators.
 
     n = 2 to 5 covers odd and even lattices, and at even n >= 4 the
     Nyquist components the derivative symbols set to 0.
@@ -330,8 +331,8 @@ class TestSymbolBlocks:
 
     @staticmethod
     def assert_close(blocks, dense, layout):
-        leak, ref = layout.split(dense)
-        assert leak <= 1e-14
+        assert layout.lattice.split(dense)[0] <= 1e-14
+        ref = layout.blocks(dense)
         assert np.linalg.norm(blocks - ref) <= 1e-14 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
