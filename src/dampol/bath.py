@@ -74,8 +74,9 @@ class BathCoefficients:
     `delta_blocks` multiplies the frequency delta (it equals the inverse of
     the transposed coupling in the chosen gauge); `pole_blocks` multiplies
     the resolvent pole and is tied to the delta coefficient through the
-    susceptibility linkage, exactly at the nodes.  `layout` is the
-    coupling's, the layout of the row builders' inputs.
+    susceptibility linkage, exactly at the nodes.  `coupling_t` holds the
+    transposed coupling kernels T^T, which every row multiplies.  `layout`
+    is the coupling's.
     """
 
     lattice: object
@@ -83,9 +84,9 @@ class BathCoefficients:
     layout: SectorLayout
     delta_blocks: np.ndarray   # (K, size)
     pole_blocks: np.ndarray    # (K, size)
-    eta: float
+    coupling_t: np.ndarray     # (K, size)
 
-    def rows(self, coupling: CouplingTensor, k: int) -> tuple:
+    def rows(self, k: int) -> tuple:
         """Pair rows of node k over every node l in `layout`, (K, size) each.
 
         The co-rotating row multiplies the medium annihilators (regular
@@ -94,19 +95,17 @@ class BathCoefficients:
         the counter-rotating one conjugated: v P T^H = conj(conj(v P) T^T).
         """
         nodes, layout = self.grid.nodes, self.layout
-        t_t = layout.transpose(coupling.flat)
         pole_k = self.lattice.cell_volume * self.pole_blocks[k]
-        co = layout.matmul(pole_k, t_t)
-        counter = layout.matmul(pole_k.conj(), t_t)
+        co = layout.matmul(pole_k, self.coupling_t)
+        counter = layout.matmul(pole_k.conj(), self.coupling_t)
         np.conj(counter, out=counter)
-        co *= (1.0 / (nodes[k] - nodes + 1j * self.eta))[:, None]
+        co *= (1.0 / (nodes[k] - nodes + 1j * self.grid.eta))[:, None]
         counter *= (-1.0 / (nodes[k] + nodes))[:, None]
         return co, counter
 
-    def delta_row(self, coupling: CouplingTensor, k: int) -> np.ndarray:
+    def delta_row(self, k: int) -> np.ndarray:
         """Kernel multiplying the node Kronecker in the annihilator pairing, (size,) in `layout`."""
-        layout = self.layout
-        return layout.matmul(self.lattice.cell_volume * self.delta_blocks[k], layout.transpose(coupling.flat[k]))
+        return self.layout.matmul(self.lattice.cell_volume * self.delta_blocks[k], self.coupling_t[k])
 
     def perturbed_delta(self, scale: float) -> "BathCoefficients":
         """Violator fixture: rescale the frequency-diagonal coefficient."""
@@ -127,14 +126,15 @@ def bath_coefficients(coupling: CouplingTensor, chi: Susceptibility) -> BathCoef
     v = lattice.cell_volume
     t = coupling.flat
     require_invertible(layout, ("coupling kernel", t), ("susceptibility", chi.above_cut_blocks))
-    delta = layout.inv(layout.transpose(t))
+    t_t = layout.transpose(t)
+    delta = layout.inv(t_t)
     delta /= v**2
     chi_inv = layout.inv(chi.above_cut_blocks)
     chi_inv /= v**2
     pole = layout.matmul((HBAR / EPS0) * v * t.conj(), chi_inv)
     del chi_inv
     return BathCoefficients(lattice=lattice, grid=grid, layout=layout, delta_blocks=delta,
-                            pole_blocks=pole, eta=grid.eta)
+                            pole_blocks=pole, coupling_t=t_t)
 
 
 def verify_linkage(bath: BathCoefficients, coupling: CouplingTensor,
@@ -151,11 +151,11 @@ def verify_linkage(bath: BathCoefficients, coupling: CouplingTensor,
     return float(np.max(np.sqrt(sq_norms(diff)) / np.maximum(np.sqrt(sq_norms(rhs)), 1e-300)))
 
 
-def bath_mode_form(bath: BathCoefficients, coupling: CouplingTensor, k: int) -> LinearBosonicForm:
+def bath_mode_form(bath: BathCoefficients, k: int) -> LinearBosonicForm:
     """The bath annihilator at node k as a form over the medium modes, in the bath's layout."""
-    alpha, beta = bath.rows(coupling, k)
-    alpha[k] += bath.delta_row(coupling, k) / coupling.grid.weights[k]
-    return LinearBosonicForm(layout=bath.layout, grid=coupling.grid, alpha=alpha, basis=BASIS_MEDIUM,
+    alpha, beta = bath.rows(k)
+    alpha[k] += bath.delta_row(k) / bath.grid.weights[k]
+    return LinearBosonicForm(layout=bath.layout, grid=bath.grid, alpha=alpha, basis=BASIS_MEDIUM,
                              creators=beta)
 
 
@@ -186,7 +186,7 @@ def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
     om = nodes[:, None]
 
     # every step works in place, so at most four (K, size) block stacks are live
-    res = w / (nodes[:, None] - nodes + 1j * bath.eta)
+    res = w / (nodes[:, None] - nodes + 1j * grid.eta)
     anti = w / (nodes[:, None] + nodes)
     s_res = res @ dens
     # the anti-resonant weights are real, so their sums against conj(dens)
@@ -206,7 +206,7 @@ def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
 
     # sum_l w_l (res D_l + anti conj(D_l)), w_l the nodes, by the shift identities
     mom_sum = s_res
-    mom_sum *= 1j * bath.eta
+    mom_sum *= 1j * grid.eta
     pol_sum *= om
     mom_sum += pol_sum
     del pol_sum
@@ -219,7 +219,7 @@ def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
     mom_sq = sq_norms(mom)
     del mom, base
 
-    comm_p = commutator(bath_mode_form(bath, coupling, 0), medium_polarization_form(coupling))
+    comm_p = commutator(bath_mode_form(bath, 0), medium_polarization_form(coupling))
     scale = np.linalg.norm(comm_p)
     comm_p -= 1j * HBAR * pol_0
     agree_p = np.linalg.norm(comm_p) / max(scale, 1e-300)
@@ -288,7 +288,7 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     alpha = np.empty((K, K, layout.size), dtype=complex)   # row k: the bath mode of node k
     beta = np.empty_like(alpha)
     for k in range(K):
-        form = bath_mode_form(bath, coupling, k)
+        form = bath_mode_form(bath, k)
         alpha[k], beta[k] = form.alpha, form.beta
     u_cb = ham.ladder_rows(alpha, beta)
     del alpha, beta, form

@@ -69,14 +69,15 @@ TOL_EXACT = 1e-10
 #: eighth root of the largest float, about 3.4e38
 MAX_SCALE = np.finfo(float).max ** 0.125
 
-#: the keys each config section accepts; `[model]` keys are the model's own
-#: parameters, which `builtin_model` checks
+#: each config key and the `ScenarioConfig` field it sets, by section; any
+#: other `[model]` key is a model parameter, which `builtin_model` checks
 CONFIG_KEYS = {
-    "lattice": ("n_per_axis", "spacing", "k0_transverse"),
-    "grid": ("n_nodes", "omega_max", "eta_factor"),
-    "model": None,
-    "run": ("stages", "seed", "tol_scale", "out", "refine_track", "dump_hamiltonian"),
-    "violation": ("kind", "magnitude"),
+    "lattice": {"n_per_axis": "n_per_axis", "spacing": "spacing", "k0_transverse": "k0_transverse"},
+    "grid": {"n_nodes": "n_nodes", "omega_max": "omega_max", "eta_factor": "eta_factor"},
+    "model": {"name": "model"},
+    "run": {"stages": "stages", "seed": "seed", "tol_scale": "tol_scale", "out": "out",
+            "refine_track": "refine_track", "dump_hamiltonian": "dump_hamiltonian"},
+    "violation": {"kind": "violation", "magnitude": "violation_magnitude"},
 }
 
 
@@ -100,59 +101,43 @@ class ScenarioConfig:
     dump_hamiltonian: bool = False
 
     @classmethod
-    def from_file(cls, path) -> "ScenarioConfig":
+    def from_file(cls, path, **overrides) -> "ScenarioConfig":
+        """Read the config at `path`, set the fields in `overrides` over it, and validate the result."""
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
+        try:
+            if not parser.read(path):
+                raise ConfigError(f"cannot read config file {path}")
+        except configparser.Error as exc:   # no section header, a key given twice, ...
+            raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
         for name in parser.sections():
             if name not in CONFIG_KEYS:
                 raise ConfigError(f"unknown config section [{name}]; valid: {list(CONFIG_KEYS)}")
-            keys = CONFIG_KEYS[name]
-            unknown = sorted(set(parser[name]) - set(keys)) if keys is not None else []
+            unknown = sorted(set(parser[name]) - set(CONFIG_KEYS[name])) if name != "model" else []
             if unknown:
-                raise ConfigError(f"unknown keys {unknown} in [{name}]; valid: {keys}")
-        cfg = cls()
+                raise ConfigError(f"unknown keys {unknown} in [{name}]; valid: {tuple(CONFIG_KEYS[name])}")
+        values = {}
         try:
-            if parser.has_section("lattice"):
-                sec = parser["lattice"]
-                cfg.n_per_axis = sec.getint("n_per_axis", cfg.n_per_axis)
-                cfg.spacing = sec.getfloat("spacing", cfg.spacing)
-                cfg.k0_transverse = sec.getboolean("k0_transverse", cfg.k0_transverse)
-            if parser.has_section("grid"):
-                sec = parser["grid"]
-                cfg.n_nodes = sec.getint("n_nodes", cfg.n_nodes)
-                cfg.omega_max = sec.getfloat("omega_max", cfg.omega_max)
-                cfg.eta_factor = sec.getfloat("eta_factor", cfg.eta_factor)
-            if parser.has_section("model"):
-                sec = parser["model"]
-                cfg.model = sec.get("name", cfg.model)
-                cfg.model_params = {k: float(v) if k != "axis" else v
-                                    for k, v in sec.items() if k != "name"}
-            if parser.has_section("run"):
-                sec = parser["run"]
-                stages = sec.get("stages", "all").strip()
-                cfg.stages = STAGES if stages in ("all", "") else \
-                    tuple(s.strip() for s in stages.split(","))
-                cfg.seed = sec.getint("seed", cfg.seed)
-                cfg.tol_scale = sec.getfloat("tol_scale", cfg.tol_scale)
-                cfg.out = sec.get("out", cfg.out)
-                cfg.refine_track = sec.get("refine_track", cfg.refine_track)
-                cfg.dump_hamiltonian = sec.getboolean("dump_hamiltonian", cfg.dump_hamiltonian)
-            if parser.has_section("violation"):
-                sec = parser["violation"]
-                cfg.violation = sec.get("kind", cfg.violation)
-                cfg.violation_magnitude = sec.getfloat("magnitude", cfg.violation_magnitude)
+            for name in parser.sections():
+                keys, sec = CONFIG_KEYS[name], parser[name]
+                for key, text in sec.items():
+                    fld = keys.get(key)
+                    if fld is None:   # a model parameter
+                        values.setdefault("model_params", {})[key] = text if key == "axis" else float(text)
+                    elif fld == "stages":
+                        values[fld] = STAGES if text in ("all", "") else tuple(s.strip() for s in text.split(","))
+                    else:   # read as the field's default is typed
+                        kind = type(getattr(cls, fld))
+                        values[fld] = sec.getboolean(key) if kind is bool else kind(text)
         except (ValueError, configparser.Error) as exc:
             raise ConfigError(f"bad configuration value: {exc}") from exc
+        cfg = cls(**{**values, **overrides})
         cfg.validate()
         return cfg
 
     def validate(self):
-        numbers = {"[lattice] spacing": self.spacing, "[grid] omega_max": self.omega_max,
-                   "[grid] eta_factor": self.eta_factor, "[run] tol_scale": self.tol_scale,
-                   "[violation] magnitude": self.violation_magnitude,
-                   **{f"[model] {k}": v for k, v in self.model_params.items() if k != "axis"}}
+        numbers = {f"[{name}] {key}": getattr(self, fld) for name, keys in CONFIG_KEYS.items()
+                   for key, fld in keys.items() if type(getattr(ScenarioConfig, fld)) is float}
+        numbers.update({f"[model] {k}": v for k, v in self.model_params.items() if k != "axis"})
         for key, value in numbers.items():
             if not np.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
@@ -169,7 +154,6 @@ class ScenarioConfig:
             raise ConfigError("grid parameters out of range")
         if self.n_per_axis < 1 or self.spacing <= 0:
             raise ConfigError("lattice parameters out of range")
-        self.check_normal()
         self.check_scales()
         if self.refine_track not in ("hamiltonian", "kernels"):
             raise ConfigError("refine_track must be 'hamiltonian' or 'kernels'")
@@ -179,38 +163,28 @@ class ScenarioConfig:
                       FrequencyGrid.midpoint(self.n_nodes, self.omega_max, self.eta_factor),
                       dict(self.model_params))
 
-    def check_normal(self, level: int = 0):
-        """Refuse a cell volume, or an offset eta at refinement `level`, that is not a normal float.
+    def check_scales(self, level: int = 0):
+        """Refuse a scale the stages cannot carry, eta formed as the grid forms it, halved per `level`.
 
-        Every kernel carries the volume and every resolvent 1 / eta; each
-        level halves eta, exactly while it stays normal.
+        Floors first: the cell volume and eta must be normal floats, as every
+        kernel carries the volume, every resolvent 1 / eta, and each level
+        halves eta.  Then ceilings: no scale may exceed `MAX_SCALE`, as the
+        stages multiply up to eight factors of one (a frequency enters the
+        moment-2 tails as w^4, whose squared norm is w^8).
         """
         with np.errstate(over="ignore", under="ignore"):
             volume = np.float64(self.spacing) ** 3
-            eta = np.float64(self.eta_factor) * (self.omega_max / self.n_nodes)   # as the grid forms it
-            eta /= np.float64(2.0) ** level
+            eta = np.float64(self.eta_factor) * (self.omega_max / self.n_nodes) / np.float64(2.0) ** level
         at = f" at refinement level {level}" if level else ""
-        for key, name, value in (("[lattice] spacing", "the cell volume spacing**3", volume),
-                                 ("[grid] eta_factor", f"the offset eta{at}", eta)):
-            if not np.finfo(float).tiny <= value < np.inf:
-                raise ConfigError(f"{key} gives {name} = {value:g}, not a finite, positive, "
-                                  "normal float")
-
-    def check_scales(self):
-        """Refuse a cell volume, frequency or violation magnitude above `MAX_SCALE`.
-
-        The stages multiply several factors of one scale and square the
-        norms of some products (a frequency enters the moment-2 tails as w^4,
-        whose squared norm is w^8), so a larger scale would run on
-        overflowed arithmetic.
-        """
-        with np.errstate(over="ignore"):
-            volume = np.float64(self.spacing) ** 3
-            eta = np.float64(self.eta_factor) * (self.omega_max / self.n_nodes)   # as the grid forms it
-        for key, name, value in (("[lattice] spacing", " gives the cell volume spacing**3", volume),
-                                 ("[grid] omega_max", "", self.omega_max),
-                                 ("[grid] eta_factor", " gives the offset eta", eta),
-                                 ("[violation] magnitude", "", abs(self.violation_magnitude))):
+        # key, what it gives, value, and whether it has a floor
+        scales = (("[lattice] spacing", " gives the cell volume spacing**3", volume, True),
+                  ("[grid] omega_max", "", self.omega_max, False),
+                  ("[grid] eta_factor", f" gives the offset eta{at}", eta, True),
+                  ("[violation] magnitude", "", abs(self.violation_magnitude), False))
+        for key, name, value, normal in scales:
+            if normal and not np.finfo(float).tiny <= value < np.inf:
+                raise ConfigError(f"{key}{name} = {value:g}, not a finite, positive, normal float")
+        for key, name, value, _ in scales:
             if value > MAX_SCALE:
                 raise ConfigError(f"{key}{name} = {value:g}, above {MAX_SCALE:.3g}: products of up to "
                                   "eight factors of it overflow")
@@ -225,6 +199,7 @@ class ScenarioConfig:
             "seed": self.seed,
             "tol_scale": self.tol_scale,
             "violation": self.violation,
+            **({"violation_magnitude": self.violation_magnitude} if self.violation != "none" else {}),
         }
 
 
@@ -513,7 +488,7 @@ def refine(config: ScenarioConfig, levels: int) -> int:
     """
     if levels < 2:
         raise ConfigError("refine needs at least 2 levels")
-    config.check_normal(levels - 1)   # the deepest level's eta is the smallest
+    config.check_scales(levels - 1)   # the deepest level's eta is the smallest
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     track = config.refine_track
@@ -591,14 +566,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        config = ScenarioConfig.from_file(args.config)
-        if args.out:
-            config.out = args.out
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.tol_scale is not None:
-            config.tol_scale = args.tol_scale
-        config.validate()
+        flags = {"out": args.out, "seed": args.seed, "tol_scale": args.tol_scale}
+        config = ScenarioConfig.from_file(args.config, **{k: v for k, v in flags.items() if v is not None})
         if args.command == "refine":
             return refine(config, args.levels)
         stages = None if args.command == "verify-all" else [args.command]

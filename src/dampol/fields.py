@@ -206,15 +206,6 @@ def medium_momentum_form(coupling: CouplingTensor, structure: StructureTensor) -
     return LinearBosonicForm(layout=layout, grid=coupling.grid, alpha=alpha, basis=BASIS_MEDIUM)
 
 
-def medium_mode_form(coupling: CouplingTensor, k: int) -> LinearBosonicForm:
-    """The bare medium annihilation operator at node k, as a form."""
-    grid, layout = coupling.grid, coupling.layout
-    alpha = np.zeros((grid.n_nodes, layout.size), dtype=complex)
-    alpha[k] = layout.identity / (coupling.lattice.cell_volume * grid.weights[k])
-    return LinearBosonicForm(layout=layout, grid=grid, alpha=alpha, basis=BASIS_MEDIUM,
-                             creators=np.zeros_like(alpha))
-
-
 # -- consistency checks ----------------------------------------------------
 
 

@@ -378,10 +378,6 @@ class TensorKernel:
     def identity(cls, lattice: Lattice) -> "TensorKernel":
         return cls(lattice, np.eye(lattice.dim) / lattice.cell_volume)
 
-    @classmethod
-    def zero(cls, lattice: Lattice) -> "TensorKernel":
-        return cls(lattice, np.zeros((lattice.dim, lattice.dim)))
-
 
 class SectorLayout:
     """Block-diagonal (..., d, d) site operators stored as flat (..., size) arrays.
@@ -764,7 +760,3 @@ class FrequencyGrid:
     @property
     def n_nodes(self) -> int:
         return self.nodes.size
-
-    @property
-    def spacing(self) -> float:
-        return float(np.min(np.diff(self.nodes))) if self.n_nodes > 1 else self.omega_max

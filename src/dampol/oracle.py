@@ -45,7 +45,7 @@ from .constants import EPS0, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
 from .diagonalize import node_families, smear_profiles
 from .errors import ConfigError, DampolError
-from .fields import medium_mode_form, medium_momentum_form, medium_polarization_form
+from .fields import medium_momentum_form, medium_polarization_form
 from .green import NodePropagator
 from .lattice import FrequencyGrid, Lattice, SectorLayout, sq_norms
 
@@ -419,9 +419,7 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     # medium-mode rate at the worst node, and the node sums of the
     # polarization rate, whose last term must vanish through the coupling
     # constraint and is also reported alone
-    alpha = np.zeros((K, K, layout.size), dtype=complex)   # row k: the medium mode of node k
-    for k in range(K):
-        alpha[k] = medium_mode_form(coupling, k).alpha
+    alpha = node_modes(layout, grid, np.zeros((K, K, layout.size), dtype=complex))
     u_c = ham.ladder_rows(alpha, np.zeros_like(alpha))
     del alpha
     tc = t.conj()
@@ -460,6 +458,17 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
 # -- diagonal-form master check ---------------------------------------------
 
 
+def node_modes(layout: SectorLayout, grid: FrequencyGrid, alpha: np.ndarray) -> np.ndarray:
+    """Add to row k of `alpha`, (K, K, size) in `layout`, the bare medium mode C(w_k) of node k.
+
+    Its kernel is the Kronecker delta over the cell volume and the node's
+    quadrature weight; `alpha` is changed in place and returned.
+    """
+    nodes = np.arange(grid.n_nodes)
+    alpha[nodes, nodes] += layout.identity / (layout.lattice.cell_volume * grid.weights)[:, None]
+    return alpha
+
+
 def mode_rows(ham: QuadraticHamiltonian, potential: np.ndarray, momentum: np.ndarray,
               resonant: np.ndarray, antiresonant: np.ndarray) -> np.ndarray:
     """Canonical rows of the diagonalizing annihilator of every node, (K, E), from its four families.
@@ -468,11 +477,8 @@ def mode_rows(ham: QuadraticHamiltonian, potential: np.ndarray, momentum: np.nda
     The medium part of node k is its resonant row plus the node's own mode
     C(w_k), whose kernel is the Kronecker delta over the quadrature weight.
     """
-    layout, grid = ham.layout, ham.grid
-    v, K = ham.lattice.cell_volume, grid.n_nodes
-    alpha = resonant.copy()
-    alpha[np.arange(K), np.arange(K)] += layout.identity / (v * grid.weights)[:, None]
-    rows = ham.ladder_rows(alpha, antiresonant)
+    layout, v = ham.layout, ham.lattice.cell_volume
+    rows = ham.ladder_rows(node_modes(layout, ham.grid, resonant.copy()), antiresonant)
     for (b, na, coords, _), view, pot, mom in zip(ham._frame, ham.row_views(rows),
                                                   layout.per_block(potential), layout.per_block(momentum)):
         a, p, _, _ = ham._slots(na, b)

@@ -1,8 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dampol.coupling import builtin_model, coupling_from_lagrangian, random_coupling, structure_tensor
 from dampol.lattice import FrequencyGrid, build_lattice
+
+# `pythonpath` in pyproject.toml puts src/ on the tests' own path; the CLI
+# subprocesses some tests start find the package through PYTHONPATH
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from dampol.oracle import assemble_hamiltonian
 from dampol.susceptibility import Susceptibility, chi_stack
 
 from test_coupling import scalar_coupling, site_kernels
-from test_fields import site_commutator
+from test_fields import medium_mode_form, site_commutator
 
 
 @pytest.fixture(scope="module")
@@ -117,13 +117,13 @@ class TestRowBuilder:
             bath, layout, t = bath_coefficients(coupling, Susceptibility(coupling)), coupling.layout, site_kernels(coupling)
             delta_coeff, pole_coeff = (layout.sites(b) for b in (bath.delta_blocks, bath.pole_blocks))
             for k in range(K):
-                co, counter = (layout.sites(r) for r in bath.rows(coupling, k))
+                co, counter = (layout.sites(r) for r in bath.rows(k))
                 for l in range(K):
-                    pole = 1.0 / (nodes[k] - nodes[l] + 1j * bath.eta)
+                    pole = 1.0 / (nodes[k] - nodes[l] + 1j * bath.grid.eta)
                     assert close(co[l], pole * v * pole_coeff[k] @ t[l].T)
                     anti = -1.0 / (nodes[k] + nodes[l])
                     assert close(counter[l], anti * v * pole_coeff[k] @ t[l].conj().T)
-                delta = layout.sites(bath.delta_row(coupling, k))
+                delta = layout.sites(bath.delta_row(k))
                 assert close(delta, v * delta_coeff[k] @ t[k].T)
 
 
@@ -155,7 +155,7 @@ def independence_reference(bath, coupling):
     delta_coeff, pole_coeff = (bath.layout.sites(b) for b in (bath.delta_blocks, bath.pole_blocks))
     num_p = num_w = den_p = den_w = 0.0
     for k in range(K):
-        res = w / (nodes[k] - nodes + 1j * bath.eta)
+        res = w / (nodes[k] - nodes + 1j * bath.grid.eta)
         anti = w / (nodes[k] + nodes)
         sums = (np.stack([res, anti, res * nodes, anti * nodes]) @ dens_flat).reshape(4, d, d)
         base = v * delta_coeff[k] @ dens[k]
@@ -167,7 +167,7 @@ def independence_reference(bath, coupling):
         den_w += w[k] * (nodes[k] * np.linalg.norm(base)) ** 2
         if k == 0:
             pol_0 = pol
-    comm_p = site_commutator(bath_mode_form(bath, coupling, 0),
+    comm_p = site_commutator(bath_mode_form(bath, 0),
                              medium_polarization_form(coupling)).mat
     agree_p = np.linalg.norm(comm_p - 1j * HBAR * pol_0) / np.linalg.norm(comm_p)
     return {"polarization": np.sqrt(num_p / den_p), "momentum": np.sqrt(num_w / den_w),
@@ -237,10 +237,9 @@ class TestIndependence:
     def test_bath_mode_commutes_weakly(self, bath_setup):
         # a single sanity point: the commutator with the polarization is much
         # smaller than the generic mode-polarization commutator scale
-        from dampol.fields import medium_polarization_form, medium_mode_form
         lat, grid, coupling, st, chi, bath = bath_setup
         k = grid.n_nodes // 2
-        cb = bath_mode_form(bath, coupling, k)
+        cb = bath_mode_form(bath, k)
         p = medium_polarization_form(coupling)
         raw = site_commutator(medium_mode_form(coupling, k), p).norm()
         assert site_commutator(cb, p).norm() <= 0.2 * raw
@@ -297,7 +296,7 @@ class TestBathModeAlgebra:
         coupling = coupling_from_lagrangian(builtin_model("local_lorentz", lat, grid))
         bath = bath_coefficients(coupling, Susceptibility(coupling))
         w = grid.weights
-        forms = [bath_mode_form(bath, coupling, k) for k in range(K)]
+        forms = [bath_mode_form(bath, k) for k in range(K)]
         dev = np.zeros((lat.dim, lat.dim), dtype=complex)
         dev_cc = np.zeros_like(dev)
         for k in range(K):

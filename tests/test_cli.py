@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +11,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st_
 
-from dampol.cli import (EXIT_NUMERICAL, EXIT_PASS, EXIT_USAGE, STAGES, VIOLATIONS, ScenarioConfig, main,
-                        refine, run)
+from dampol.cli import (CONFIG_KEYS, EXIT_NUMERICAL, EXIT_PASS, EXIT_USAGE, STAGES, VIOLATIONS, ScenarioConfig,
+                        main, refine, run)
 from dampol.errors import ConfigError
 from dampol.lattice import SECTOR_LEAK_TOL
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+#: the `[model]` parameters most shipped configs give
+LORENTZ = {"resonance": 1.5, "width": 0.6, "strength": 1.0}
 
 
 def read_report(out, stage):
@@ -39,6 +43,63 @@ class TestConfigParsing:
         bad.write_text("[run]\nstages = chi,warp\n")
         with pytest.raises(ConfigError):
             ScenarioConfig.from_file(bad)
+
+    def test_schema_sets_each_field_once(self):
+        # every field but the model's parameters is set by exactly one key
+        keys = [fld for section in CONFIG_KEYS.values() for fld in section.values()]
+        assert sorted(keys) == sorted(f.name for f in fields(ScenarioConfig) if f.name != "model_params")
+
+    @pytest.mark.parametrize("name,expected", [
+        ("degenerate.ini", dict(n_nodes=8, model_params=dict(LORENTZ, strength=0.0), stages=("bath",),
+                                out="./out/degenerate")),
+        ("gaussian.ini", dict(n_nodes=12, model="gaussian_nonlocal", model_params=dict(LORENTZ, corr_length=0.35),
+                              seed=1234, out="./out/gaussian")),
+        ("lorentz.ini", dict(n_nodes=12, model_params=LORENTZ, seed=1234, out="./out/lorentz")),
+        ("refine.ini", dict(n_nodes=8, model_params=LORENTZ, seed=1234, out="./out/refine")),
+        ("refine_kernels.ini", dict(n_nodes=64, model_params=LORENTZ, seed=1234, out="./out/refine_kernels",
+                                    refine_track="kernels")),
+        ("uniaxial.ini", dict(n_nodes=12, model="uniaxial_local", model_params=dict(LORENTZ, axis="z", ratio=2.0),
+                              seed=1234, out="./out/uniaxial")),
+        ("violator_bath.ini", dict(n_nodes=10, model_params=LORENTZ, stages=("bath",), seed=77,
+                                   out="./out/violator_bath", violation="h1_scale", violation_magnitude=0.1)),
+        ("violator_chi.ini", dict(n_nodes=10, model_params=LORENTZ, stages=("green",), seed=77,
+                                  out="./out/violator_chi", violation="chi_symmetry", violation_magnitude=0.05)),
+    ])
+    def test_shipped_config_fields(self, name, expected):
+        # each shipped config reads the field values it read before the key table
+        assert asdict(ScenarioConfig.from_file(CONFIG_DIR / name)) == asdict(ScenarioConfig(**expected))
+
+    def test_one_validation_after_the_flags(self, tmp_path, monkeypatch):
+        # the flags are applied before the config is validated, once per command
+        validate, seen = ScenarioConfig.validate, []
+
+        def spy(self):
+            seen.append((self.out, self.seed, self.tol_scale))
+            return validate(self)
+        monkeypatch.setattr(ScenarioConfig, "validate", spy)
+        out = str(tmp_path / "o")
+        argv = ["model", "--config", str(CONFIG_DIR / "lorentz.ini"), "--out", out]
+        assert main([*argv, "--seed", "5", "--tol-scale", "2"]) == EXIT_PASS
+        assert seen == [(out, 5, 2.0)]
+        seen.clear()
+        assert main(argv) == EXIT_PASS
+        assert seen == [(out, 1234, 1.0)]
+
+    @pytest.mark.parametrize("text", ["n_nodes = 8\n", "[grid]\nn_nodes = 8\nn_nodes = 9\n"],
+                             ids=["no_section", "duplicate_key"])
+    def test_unparsable_file_exits_usage(self, tmp_path, capsys, text):
+        cfg = tmp_path / "broken.ini"
+        cfg.write_text(text)
+        assert main(["model", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "cannot parse config file" in err
+
+    @pytest.mark.parametrize("name,recorded", [("lorentz.ini", None), ("violator_chi.ini", 0.05),
+                                               ("violator_bath.ini", 0.1)])
+    def test_provenance_records_the_violation_magnitude(self, name, recorded):
+        # a violator's reports carry what reproduces it; a clean run's are unchanged
+        provenance = ScenarioConfig.from_file(CONFIG_DIR / name).provenance()
+        assert provenance.get("violation_magnitude") == recorded
 
     def test_usage_exit_code(self, tmp_path):
         assert main(["verify-all", "--config", str(tmp_path / "none.ini")]) == EXIT_USAGE
@@ -634,7 +695,7 @@ class TestRefine:
         assert "Traceback" not in err
         assert "[grid] eta_factor gives the offset eta at refinement level 2 = " in err
         assert pipes == [] and not out.exists()
-        ScenarioConfig.from_file(cfg).check_normal(1)   # two levels stay normal
+        ScenarioConfig.from_file(cfg).check_scales(1)   # two levels stay normal
 
     def test_requires_two_levels(self):
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "refine.ini")

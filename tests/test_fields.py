@@ -10,12 +10,13 @@ from dampol.errors import DampolError
 from dampol.coupling import structure_tensor
 from dampol.diagonalize import mode_coefficients, momentum_family
 from dampol.fields import (
+    BASIS_MEDIUM,
+    LinearBosonicForm,
     commutator,
     constitutive_check,
     field_forms,
     longitudinal_defect,
     maxwell_check,
-    medium_mode_form,
     medium_momentum_form,
     medium_polarization_form,
     noise_commutator_expected,
@@ -25,7 +26,16 @@ from dampol.fields import (
 )
 from dampol.green import node_propagator
 from dampol.lattice import TensorKernel
+from dampol.oracle import node_modes
 from dampol.susceptibility import Susceptibility
+
+
+def medium_mode_form(coupling, k):
+    """The bare medium annihilator at node k as a form: row k of the oracle's `node_modes`."""
+    grid, layout = coupling.grid, coupling.layout
+    alpha = node_modes(layout, grid, np.zeros((grid.n_nodes, grid.n_nodes, layout.size), dtype=complex))[k]
+    return LinearBosonicForm(layout=layout, grid=grid, alpha=alpha, basis=BASIS_MEDIUM,
+                             creators=np.zeros_like(alpha))
 
 
 def site_commutator(a, b):

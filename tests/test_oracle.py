@@ -21,7 +21,7 @@ from dampol.coupling import (
     structure_tensor,
 )
 from dampol.diagonalize import fano_residual, mode_coefficients, node_families
-from dampol.fields import medium_mode_form, medium_momentum_form, medium_polarization_form
+from dampol.fields import medium_momentum_form, medium_polarization_form
 from dampol.green import node_propagator
 from dampol.lattice import FrequencyGrid, build_lattice
 from dampol.oracle import (
@@ -37,6 +37,7 @@ from dampol.oracle import (
 from dampol.susceptibility import Susceptibility
 
 from test_coupling import scalar_coupling, site_kernels
+from test_fields import medium_mode_form
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -313,13 +314,13 @@ class TestLadderRows:
         v, w = lat.cell_volume, grid.weights
         u = ladder_unitary(ham) @ momentum_rotation(ham)
         for k in range(grid.n_nodes):
-            co, counter = (bath.layout.sites(r) for r in bath.rows(coupling, k))
+            co, counter = (bath.layout.sites(r) for r in bath.rows(k))
             old = np.zeros((lat.dim, ham.dim), dtype=complex)
             for l in range(grid.n_nodes):
                 c, cdag = ladder_slices(ham, l)
                 old[:, c] = np.sqrt(v * w[l]) * co[l]
                 old[:, cdag] = np.sqrt(v * w[l]) * counter[l]
-            got = ham.ladder_rows(*bath.rows(coupling, k))
+            got = ham.ladder_rows(*bath.rows(k))
             assert close(dense_rows(ham, got), old @ u, 1e-15)
 
     def test_mode_rows(self, case):
