@@ -1,29 +1,7 @@
 """Damped-polariton engine for dispersive dielectrics on periodic lattices."""
 
-from .lattice import (
-    FrequencyGrid,
-    Lattice,
-    TensorKernel,
-    build_lattice,
-    curl_operator,
-    double_curl,
-    double_curl_left,
-    double_curl_operator,
-    longitudinal_projector,
-    transverse_projector,
-)
+from .lattice import FrequencyGrid, Lattice, build_lattice
 
-__all__ = [
-    "FrequencyGrid",
-    "Lattice",
-    "TensorKernel",
-    "build_lattice",
-    "curl_operator",
-    "double_curl",
-    "double_curl_left",
-    "double_curl_operator",
-    "longitudinal_projector",
-    "transverse_projector",
-]
+__all__ = ["FrequencyGrid", "Lattice", "build_lattice"]
 
 __version__ = "0.1.0"

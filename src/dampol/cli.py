@@ -39,7 +39,7 @@ from .fields import (
     vector_potential_route_defect,
 )
 from .green import node_propagator, solve_green, verify_adjoint
-from .lattice import FrequencyGrid, TensorKernel, build_lattice
+from .lattice import FrequencyGrid, Lattice, build_lattice
 from .oracle import (
     HERMITICITY_TOL,
     assemble_hamiltonian,
@@ -157,11 +157,7 @@ class ScenarioConfig:
         self.check_scales()
         if self.refine_track not in ("hamiltonian", "kernels"):
             raise ConfigError("refine_track must be 'hamiltonian' or 'kernels'")
-        # the model's own parameters: `builtin_model` checks them while it builds the per-k
-        # symbols, which is cheap, and raises `ModelError`, a usage error
-        builtin_model(self.model, build_lattice(self.n_per_axis, self.spacing, self.k0_transverse),
-                      FrequencyGrid.midpoint(self.n_nodes, self.omega_max, self.eta_factor),
-                      dict(self.model_params))
+        # the model's own parameters are checked where they are used, as `Pipeline` builds the model
 
     def check_scales(self, level: int = 0):
         """Refuse a scale the stages cannot carry, eta formed as the grid forms it, halved per `level`.
@@ -203,13 +199,32 @@ class ScenarioConfig:
         }
 
 
+def violation_blocks(lattice: Lattice, magnitude: float) -> np.ndarray:
+    """The `chi_symmetry` violation, the site operator whose one entry, at [0, 1], is `magnitude`,
+    as its (d*d,) `Lattice.one_block` block, complex as the chi blocks it is added to.
+
+    The block is magnitude outer(B[0], B[1]), B = kron(F, I_3) with F the
+    momentum basis: rows 0 and 1 of B are row 0 of F times the unit vectors
+    e_x and e_y.  No d x d operator is formed or rotated.
+    """
+    row = lattice.momentum_basis[0]
+    b0, b1 = np.kron(row, [1.0, 0.0, 0.0]), np.kron(row, [0.0, 1.0, 0.0])
+    return np.outer(magnitude * b0, b1).ravel().astype(complex)
+
+
 class Pipeline:
-    """Lazy shared state for the staged verification run."""
+    """Lazy shared state for the staged verification run.
+
+    The model's per-k symbols are built once, on construction: `builtin_model`
+    checks the `[model]` parameters as it builds them and raises `ModelError`,
+    a usage error, so a run constructs its pipeline before it writes anything.
+    """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.lattice = build_lattice(config.n_per_axis, config.spacing, config.k0_transverse)
         self.grid = FrequencyGrid.midpoint(config.n_nodes, config.omega_max, config.eta_factor)
+        self.model = builtin_model(config.model, self.lattice, self.grid, dict(config.model_params))
         self._sweep_failure = None
 
     @property
@@ -224,13 +239,9 @@ class Pipeline:
     @cached_property
     def chi(self):
         """chi of the model's coupling; the chi_symmetry violation perturbs it, which picks the run's layout."""
-        chi = Susceptibility(coupling_from_lagrangian(builtin_model(
-            self.config.model, self.lattice, self.grid, dict(self.config.model_params))))
+        chi = Susceptibility(coupling_from_lagrangian(self.model))
         if self.config.violation == "chi_symmetry":
-            d = self.lattice.dim
-            pert = np.zeros((d, d))
-            pert[0, 1] = self.config.violation_magnitude
-            chi = chi.perturbed(TensorKernel(self.lattice, pert))
+            chi = chi.perturbed(violation_blocks(self.lattice, self.config.violation_magnitude))
         return chi
 
     @cached_property
@@ -489,17 +500,19 @@ def refine(config: ScenarioConfig, levels: int) -> int:
     if levels < 2:
         raise ConfigError("refine needs at least 2 levels")
     config.check_scales(levels - 1)   # the deepest level's eta is the smallest
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     track = config.refine_track
     lattice = build_lattice(config.n_per_axis, config.spacing, config.k0_transverse)
     if track == "hamiltonian":
         check_canonical_dim(lattice, config.n_nodes * 2 ** (levels - 1))
+    pipe = Pipeline(config)   # level 0, built before anything is written
+    out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     level_meta = []
     seq = {}
     for lvl in range(levels):
-        pipe = Pipeline(replace(config, n_nodes=config.n_nodes * 2**lvl))
+        if lvl:
+            pipe = Pipeline(replace(config, n_nodes=config.n_nodes * 2**lvl))
         level_meta.append((pipe.grid.n_nodes, pipe.grid.eta))
         # the streamed pass sets the kernels track's peak memory, so it runs
         # before the bath sums cache chi above the cut

@@ -157,11 +157,6 @@ class CouplingTensor:
         layout = lattice.layout(leak)
         return cls(lattice, grid, layout, lattice.one_block.relay(dense, layout), leak)
 
-    @classmethod
-    def zero(cls, lattice: Lattice, grid: FrequencyGrid) -> "CouplingTensor":
-        return cls(lattice, grid, lattice.sector_layout,
-                   np.zeros((grid.n_nodes, lattice.sector_layout.size), dtype=complex))
-
     def relaid(self, layout: SectorLayout, leak: float | None = None) -> "CouplingTensor":
         """The same coupling as blocks of `layout`, which must hold the blocks of its own.
 
@@ -383,31 +378,3 @@ def builtin_model(name: str, lattice: Lattice, grid: FrequencyGrid, params: dict
         raise ModelError(f"[model] strength = {strength:g} makes the spectral densities overflow")
     return SymbolCoupling(lattice, grid, tau, symbols)
 
-
-def random_coupling(lattice: Lattice, grid: FrequencyGrid, rng: np.random.Generator,
-                    scale: float = 0.5, envelope: bool = True,
-                    diag_weight: float = 0.0) -> RealCoupling:
-    """Random Lagrangian coupling: i.i.d. real coefficients, random gauge.
-
-    Used by identity tests and the random draws of the verification suite;
-    an optional smooth envelope keeps the spectral weight away from the
-    grid edges.  `diag_weight` adds that multiple of the identity to the
-    raw coefficients, which keeps the per-node kernels well conditioned for
-    checks that invert them.
-    """
-    d = lattice.dim
-    v = lattice.cell_volume
-    K = grid.n_nodes
-    amp = scale / v
-    if envelope:
-        x = grid.nodes / grid.omega_max
-        amp = amp * np.sqrt(np.clip(np.sin(np.pi * x), 0.0, None))
-    else:
-        amp = np.full(K, amp)
-    t0 = amp[:, None, None] * (rng.standard_normal((K, d, d))
-                               + diag_weight * np.eye(d)[None])
-    unitaries = np.empty((K, d, d), dtype=complex)
-    for k in range(K):
-        q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        unitaries[k] = q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
-    return RealCoupling(lattice=lattice, grid=grid, t0=t0, unitary=unitaries / v)

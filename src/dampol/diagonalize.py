@@ -47,7 +47,7 @@ import numpy as np
 from .constants import EPS0, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
 from .green import NodePropagator, wave_operator
-from .lattice import FrequencyGrid, Lattice, TensorKernel, sq_norms
+from .lattice import FrequencyGrid, Lattice, sq_norms
 
 #: smearing profiles used for weak-form residuals, as functions of w/w_max
 SMEAR_PROFILES = {
@@ -456,27 +456,3 @@ def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> Mo
     s4 = mm(c * (y[:, None] - (phi[:, :, None] * anti).transpose(0, 2, 1) @ x), t_t.conj())
     return sums.finish(s3, s4)
 
-
-# -- pair-resolved commutators ---------------------------------------------
-
-
-def commutation_matrix(modes: ModeCoefficients, k: int, l: int) -> TensorKernel:
-    """Left-hand side of the canonical commutator condition for a node pair.
-
-    The expected value is the identity kernel times the node Kronecker over
-    the weight.
-    """
-    lattice = modes.lattice
-    v = lattice.cell_volume
-    w = modes.grid.weights
-    f1k, f2k = modes.potential[k], modes.momentum[k]
-    f1l, f2l = modes.potential[l], modes.momentum[l]
-    out = 1j * HBAR * v * (f1k @ f2l.conj().T - f2k @ f1l.conj().T)
-    # delta-delta and delta-regular cross terms of the resonant family
-    if k == l:
-        out = out + np.eye(lattice.dim) / v / w[k]
-    out = out + modes.resonant[k, l] + modes.resonant[l, k].conj().T
-    res, anti = modes.resonant, modes.antiresonant
-    pairs = np.einsum("m,mab,mcb->ac", w, res[k], res[l].conj()) \
-        - np.einsum("m,mab,mcb->ac", w, anti[k], anti[l].conj())
-    return TensorKernel(lattice, out + v * pairs)

@@ -74,17 +74,12 @@ class LinearBosonicForm:
             raise DampolError("forms live in different kernel layouts")
 
 
-def time_derivative(form: LinearBosonicForm) -> LinearBosonicForm:
-    nodes = form.grid.nodes[:, None]
-    return replace(form, alpha=-1j * nodes * form.alpha, creators=1j * nodes * form.beta)
-
-
 def commutator(a: LinearBosonicForm, b: LinearBosonicForm) -> np.ndarray:
     """c-number commutator kernel of two forms over the same mode family, as (size,) blocks in their layout.
 
     The pair sums are taken on the blocks and nothing is rotated back: the
     layout basis is orthogonal, so the kernel's Frobenius norm is that of
-    the blocks, times the cell volume as in `TensorKernel.norm`.
+    the blocks, and in kernel units that times the cell volume.
     """
     a._check(b)
     layout, w = a.layout, a.grid.weights

@@ -1,15 +1,18 @@
-"""Periodic cubic lattice, spectral vector-field operators, and kernel algebra.
+"""Periodic cubic lattice, spectral vector-field operators, and the block layout of kernels.
 
 Discretization conventions used by the whole package:
 
 * spatial integrals become cell sums, ``integral dr -> v * sum_r`` with
-  ``v`` the cell volume, so the spatial delta is the identity matrix
-  divided by ``v``;
+  ``v`` the cell volume, so the spatial delta is the identity divided by
+  ``v``;
 * frequency integrals become quadrature sums over a `FrequencyGrid`,
   with the frequency delta equal to ``1/w_k`` at node ``k``;
-* a two-point tensor kernel ``K_ij(r, r')`` is stored as a dense complex
-  square matrix of dimension ``3M`` with row index ``(site, component)``,
-  and kernel composition carries the volume factor, ``A o B = v * A @ B``.
+* a two-point tensor kernel ``K_ij(r, r')``, a ``3M x 3M`` operator on the
+  ``(site, component)`` index, is stored as its blocks in the real
+  orthogonal basis kron(F, I_3), F the momentum basis (`SectorLayout`): one
+  block per momentum sector, or one dense block for a run whose inputs
+  leak across sectors.  Kernel composition carries the volume factor,
+  ``A o B = v * A @ B``.
 
 Differential operators (curl, double curl, Laplacian) are realized
 spectrally with the exact discrete wave vectors, so transversality
@@ -72,13 +75,6 @@ class Lattice:
         return float(self.spacing) ** 3
 
     @cached_property
-    def sites(self) -> np.ndarray:
-        """(M, 3) array of site positions, C-ordered over integer triples."""
-        n = self.n_per_axis
-        idx = np.indices((n, n, n)).reshape(3, -1).T
-        return idx * self.spacing
-
-    @cached_property
     def kvecs(self) -> np.ndarray:
         """(M, 3) array of reciprocal vectors in the DFT convention."""
         n = self.n_per_axis
@@ -98,12 +94,6 @@ class Lattice:
         low = np.exp(2j * np.pi * np.minimum(m, n - m) / n)
         p = np.where(2 * m > n, low.conj(), low)[np.outer(m, m) % n]
         return np.kron(np.kron(p, p), p) / np.sqrt(self.n_sites)
-
-    def _assemble(self, blocks: np.ndarray) -> np.ndarray:
-        """Assemble a position-space operator matrix from per-k 3x3 blocks."""
-        ph = self._phases
-        op = np.einsum("rk,kab,sk->rasb", ph, blocks, ph.conj(), optimize=True)
-        return np.ascontiguousarray(op.reshape(self.dim, self.dim))
 
     @cached_property
     def _dkvecs(self) -> np.ndarray:
@@ -136,7 +126,7 @@ class Lattice:
 
     @cached_property
     def _symbols(self) -> dict:
-        """Per-k 3x3 symbols of the spectral operators, (M, 3, 3) each, by the name of their matrix.
+        """Per-k 3x3 symbols of the spectral operators, (M, 3, 3) each, by operator name.
 
         The operator acts on the plane wave of ``kvecs[j]`` as the 3x3
         matrix ``symbols[j]``.  Every operator but the curl has real-valued
@@ -159,30 +149,6 @@ class Lattice:
                     raise DampolError(f"n_per_axis = {self.n_per_axis}: the {name} symbol is not even "
                                       f"in k (relative residue {residue:.2e}), so the operator is not real")
         return symbols
-
-    @cached_property
-    def transverse_matrix(self) -> np.ndarray:
-        """Orthogonal projector matrix onto the transverse subspace."""
-        return self._assemble(self._symbols["transverse_matrix"]).real
-
-    @cached_property
-    def longitudinal_matrix(self) -> np.ndarray:
-        return np.eye(self.dim) - self.transverse_matrix
-
-    @cached_property
-    def curl_matrix(self) -> np.ndarray:
-        """Spectral curl acting on position-space vector fields (Hermitian)."""
-        return self._assemble(self._symbols["curl_matrix"])
-
-    @cached_property
-    def double_curl_matrix(self) -> np.ndarray:
-        """curl-of-curl operator, spectrally k^2 (1 - khat khat); real PSD."""
-        return self._assemble(self._symbols["double_curl_matrix"]).real
-
-    @cached_property
-    def laplacian_matrix(self) -> np.ndarray:
-        """Vector Laplacian, spectrally -k^2 on every component."""
-        return self._assemble(self._symbols["laplacian_matrix"]).real
 
     @cached_property
     def _conjugate(self) -> np.ndarray:
@@ -212,19 +178,21 @@ class Lattice:
 
     @cached_property
     def _transverse_columns(self) -> tuple:
-        # columns kron(F[:, j], e) for each unit eigenvector e of the 3x3 block at kvecs[j],
-        # with the momentum column j and the vector e of each
+        """The transverse basis, as the momentum column j and the vector e of each of its columns.
+
+        Its columns are kron(F[:, j], e), F the momentum basis, for each
+        unit eigenvector e of the transverse 3x3 block at kvecs[j].
+        """
         evals, evecs = np.linalg.eigh(self._transverse_blocks)
         keep = (evals > 0.5).ravel()
-        cols = np.einsum("rj,jae->raje", self.momentum_basis, evecs).reshape(self.dim, -1)
         column = np.repeat(np.arange(self.n_sites), 3)
         vectors = evecs.transpose(0, 2, 1).reshape(-1, 3)
-        return np.ascontiguousarray(cols[:, keep]), column[keep], vectors[keep]
+        return column[keep], vectors[keep]
 
     @property
-    def transverse_basis(self) -> np.ndarray:
-        """Real orthonormal (3M, M_T) basis of the transverse subspace, one momentum column per column."""
-        return self._transverse_columns[0]
+    def n_transverse(self) -> int:
+        """The dimension M_T of the transverse subspace: the columns of the transverse basis."""
+        return self._transverse_columns[0].size
 
     @cached_property
     def sector_layout(self) -> "SectorLayout":
@@ -282,101 +250,26 @@ class Lattice:
         `SECTOR_LEAK_TOL`, else `one_block`."""
         return self.sector_layout if leak <= SECTOR_LEAK_TOL else self.one_block
 
+    def leak(self, dense: np.ndarray) -> float:
+        """The norm of the part of (..., d*d) `one_block` blocks outside the `sector_layout` blocks,
+        relative to the whole stack's."""
+        outside = sq_norms(np.delete(dense, self.sector_layout.places, axis=-1).ravel())
+        return float(np.sqrt(outside) / max(np.sqrt(sq_norms(dense.ravel())), 1e-300))
+
     def split(self, stack: np.ndarray) -> tuple:
         """(leak, blocks) of a (..., d, d) stack of site operators: its `one_block` blocks, rotated once,
-        and the norm of their part outside the `sector_layout` blocks relative to the whole stack's.
+        and their `leak`.
 
         The blocks are laid into the layout the leak chooses by
         `one_block.relay`, so no operator is rotated twice.
         """
         dense = self.one_block.blocks(stack)
-        outside = sq_norms(np.delete(dense, self.sector_layout.places, axis=-1).ravel())
-        return float(np.sqrt(outside) / max(np.sqrt(sq_norms(dense.ravel())), 1e-300)), dense
-
-    def compatible(self, other: "Lattice") -> bool:
-        return (
-            self.n_per_axis == other.n_per_axis
-            and self.spacing == other.spacing
-            and self.k0_transverse == other.k0_transverse
-        )
+        return self.leak(dense), dense
 
 
 def build_lattice(n_per_axis: int, spacing: float, k0_transverse: bool = True) -> Lattice:
     """Construct a periodic lattice; rejects non-positive sizes."""
     return Lattice(n_per_axis=n_per_axis, spacing=spacing, k0_transverse=k0_transverse)
-
-
-@dataclass(frozen=True, eq=False)
-class TensorKernel:
-    """Dense two-point, two-index complex kernel K_ij(r, r') on a lattice.
-
-    The delta convention is ``delta(r - r') -> identity / cell_volume``, so
-    `TensorKernel.identity` composes as a true unit element.
-    """
-
-    lattice: Lattice
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
-        if mat.shape != (self.lattice.dim, self.lattice.dim):
-            raise DampolError(f"kernel shape {mat.shape} does not match lattice dim {self.lattice.dim}")
-        if not np.all(np.isfinite(mat)):
-            raise DampolError("kernel contains non-finite entries")
-        object.__setattr__(self, "mat", mat)
-
-    # -- algebra ---------------------------------------------------------
-
-    def __matmul__(self, other: "TensorKernel") -> "TensorKernel":
-        self._check(other)
-        return TensorKernel(self.lattice, self.lattice.cell_volume * (self.mat @ other.mat))
-
-    def __add__(self, other: "TensorKernel") -> "TensorKernel":
-        self._check(other)
-        return TensorKernel(self.lattice, self.mat + other.mat)
-
-    def __sub__(self, other: "TensorKernel") -> "TensorKernel":
-        self._check(other)
-        return TensorKernel(self.lattice, self.mat - other.mat)
-
-    def __mul__(self, scalar: complex) -> "TensorKernel":
-        return TensorKernel(self.lattice, self.mat * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "TensorKernel":
-        return TensorKernel(self.lattice, -self.mat)
-
-    @property
-    def T(self) -> "TensorKernel":
-        """Full transpose: swaps the two (site, component) slots jointly."""
-        return TensorKernel(self.lattice, self.mat.T)
-
-    def conj(self) -> "TensorKernel":
-        return TensorKernel(self.lattice, self.mat.conj())
-
-    def inv(self) -> "TensorKernel":
-        """Kernel inverse: K o K.inv() = identity."""
-        v = self.lattice.cell_volume
-        return TensorKernel(self.lattice, np.linalg.inv(self.mat) / v**2)
-
-    def norm(self) -> float:
-        """Frobenius norm in kernel units (volume-weighted)."""
-        return self.lattice.cell_volume * float(np.linalg.norm(self.mat))
-
-    def allclose(self, other: "TensorKernel", tol: float = 1e-12) -> bool:
-        scale = max(self.norm(), other.norm(), 1e-300)
-        return (self - other).norm() <= tol * scale
-
-    def _check(self, other: "TensorKernel"):
-        if not self.lattice.compatible(other.lattice):
-            raise DampolError("kernels live on incompatible lattices")
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def identity(cls, lattice: Lattice) -> "TensorKernel":
-        return cls(lattice, np.eye(lattice.dim) / lattice.cell_volume)
 
 
 class SectorLayout:
@@ -445,11 +338,11 @@ class SectorLayout:
 
     @cached_property
     def transverse(self) -> list:
-        """Per block, the `transverse_basis` columns in its span, ascending, and their (b, n) coordinates.
+        """Per block, the transverse-basis columns in its span, ascending, and their (b, n) coordinates.
 
         The coordinates are in the block's basis columns.
         """
-        _, column, vectors = self.lattice._transverse_columns
+        column, vectors = self.lattice._transverse_columns
         pos = np.argsort(self.columns)[3 * column]   # a column's 3 components are adjacent, in order
         first = np.cumsum(self.sizes) - self.sizes
         block = np.repeat(np.arange(self.sizes.size), self.sizes)[pos]
@@ -464,7 +357,7 @@ class SectorLayout:
     def slot_groups(self, n_transverse: int, n_site: int) -> tuple:
         """Per block, ascending, its slots among `n_transverse` transverse-basis copies, then `n_site`
         momentum-basis ones (momentum column, then component), each copy of one basis in order."""
-        mt, d = self.lattice.transverse_basis.shape[1], self.lattice.dim
+        mt, d = self.lattice.n_transverse, self.lattice.dim
         first = np.cumsum(self.sizes) - self.sizes
         return tuple(np.r_[(mine + mt * np.arange(n_transverse)[:, None]).ravel(),
                            (self.columns[f:f + b] + n_transverse * mt
@@ -536,7 +429,7 @@ class SectorLayout:
         return frame[..., layout.places]
 
     def op(self, name: str) -> np.ndarray:
-        """The blocks of the lattice operator `Lattice.<name>`, (size,), built once.
+        """The blocks of the lattice operator whose per-k symbols are `Lattice._symbols[name]`, (size,), built once.
 
         In `Lattice.sector_layout` they come from the operator's per-k
         symbols (`Lattice.sector_blocks`), real for a real operator; in
@@ -678,40 +571,6 @@ def rel_norms(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """
     unit = unit_scale(np.maximum(np.abs(num).max(axis=-1), np.abs(den).max(axis=-1)))[..., None]
     return np.sqrt(sq_norms(num * unit)) / np.maximum(np.sqrt(sq_norms(den * unit)), 1e-300)
-
-
-def transverse_projector(lattice: Lattice) -> TensorKernel:
-    """Transverse delta kernel; idempotent under kernel composition."""
-    return TensorKernel(lattice, lattice.transverse_matrix / lattice.cell_volume)
-
-
-def longitudinal_projector(lattice: Lattice) -> TensorKernel:
-    """Longitudinal delta kernel, identity minus the transverse one."""
-    return TensorKernel(lattice, lattice.longitudinal_matrix / lattice.cell_volume)
-
-
-def curl_operator(lattice: Lattice) -> TensorKernel:
-    return TensorKernel(lattice, lattice.curl_matrix / lattice.cell_volume)
-
-
-def double_curl_operator(lattice: Lattice) -> TensorKernel:
-    return TensorKernel(lattice, lattice.double_curl_matrix / lattice.cell_volume)
-
-
-def double_curl(kernel: TensorKernel, lattice: Lattice | None = None) -> TensorKernel:
-    """Repeated left-acting curl on the primed (second) kernel argument.
-
-    Annihilates kernels that are longitudinal in their second argument; on a
-    transverse plane-wave kernel at mode k it multiplies by -k^2.
-    """
-    lat = lattice or kernel.lattice
-    return TensorKernel(lat, -kernel.mat @ lat.double_curl_matrix)
-
-
-def double_curl_left(kernel: TensorKernel, lattice: Lattice | None = None) -> TensorKernel:
-    """Same operation applied to the unprimed (first) kernel argument."""
-    lat = lattice or kernel.lattice
-    return TensorKernel(lat, -lat.double_curl_matrix @ kernel.mat)
 
 
 @dataclass(frozen=True)

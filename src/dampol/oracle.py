@@ -65,7 +65,7 @@ ZERO_MODE_TOL = 1e-6
 
 def canonical_dim(lattice: Lattice, n_nodes: int) -> int:
     """Size of the canonical basis (a, p, x, y) on a lattice with n_nodes nodes."""
-    return 2 * lattice.transverse_basis.shape[1] + 2 * n_nodes * lattice.dim
+    return 2 * lattice.n_transverse + 2 * n_nodes * lattice.dim
 
 
 def check_canonical_dim(lattice: Lattice, n_nodes: int) -> int:
@@ -107,7 +107,7 @@ class QuadraticHamiltonian:
         """
         layout = coupling.layout
         groups = layout.slot_groups(2, 2 * coupling.grid.n_nodes)
-        return cls(layout=layout, grid=coupling.grid, mt=coupling.lattice.transverse_basis.shape[1],
+        return cls(layout=layout, grid=coupling.grid, mt=coupling.lattice.n_transverse,
                    groups=groups, blocks=[np.zeros((g.size, g.size), dtype=complex) for g in groups],
                    sector_leak=coupling.sector_leak)
 

@@ -21,7 +21,7 @@ import numpy as np
 from .constants import EPS0, HBAR
 from .coupling import CouplingTensor, StructureTensor
 from .errors import PoleError
-from .lattice import SectorLayout, TensorKernel, rel_norms, unit_scale
+from .lattice import SectorLayout, rel_norms, unit_scale
 
 
 def chi_stack(coupling: CouplingTensor, zs) -> np.ndarray:
@@ -105,18 +105,18 @@ class Susceptibility:
         blocks.flags.writeable = False
         return blocks
 
-    def perturbed(self, kernel: TensorKernel) -> "Susceptibility":
-        """chi plus the site matrix of `kernel` at every point, in the layout of the leak of both.
+    def perturbed(self, dense: np.ndarray) -> "Susceptibility":
+        """chi plus the operator of `dense`, its (d*d,) `Lattice.one_block` blocks, at every point,
+        in the layout of the leak of both.
 
         A perturbation that leaks across momentum sectors, as a
         symmetry-violating one does, makes the run dense: the source is
-        re-laid into `Lattice.one_block` once, carrying that leak as its
-        `sector_leak`, and every kernel derived from it follows.  The
-        perturbation is rotated once (`Lattice.split`).
+        re-laid into `Lattice.one_block` once, carrying that leak
+        (`Lattice.leak`) as its `sector_leak`, and every kernel derived from
+        it follows.
         """
         lat, source = self.lattice, self.source
-        leak, dense = lat.split(kernel.mat)
-        leak = max(source.sector_leak, leak)
+        leak = max(source.sector_leak, lat.leak(dense))
         layout = lat.layout(leak)
         if layout is not source.layout:
             source = source.relaid(layout, leak)
@@ -175,16 +175,12 @@ def verify_sum_rules(coupling: CouplingTensor, structure: StructureTensor) -> Su
     )
 
 
-def chi_asymptotic(structure: StructureTensor, z: complex) -> np.ndarray:
-    """Leading large-|z| behaviour of the susceptibility, (size,) in the structure tensor's layout."""
-    return (-HBAR / EPS0 / z**2) * structure.blocks
-
-
 def asymptote_residual(coupling: CouplingTensor, structure: StructureTensor, z: complex) -> float:
     """Correction to the leading large-|z| asymptote, in structure-tensor units.
 
     Doubling |z| should shrink this number by about 16.  The correction
-    chi(z) - chi_asymptotic(z) is formed as its exact moment expansion,
+    chi(z) + (hbar/eps0) S/z^2 to the leading form is formed as its exact
+    moment expansion,
 
         (hbar/eps0) [-m0/z - (m1 - S)/z^2 - m2/z^3
                      + sum_k wt_k w_k^3 (D_k/(w_k - z) - conj(D_k)/(w_k + z)) / z^3],

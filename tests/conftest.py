@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dampol.coupling import builtin_model, coupling_from_lagrangian, random_coupling, structure_tensor
+from dampol.coupling import builtin_model, coupling_from_lagrangian, structure_tensor
 from dampol.lattice import FrequencyGrid, build_lattice
+
+from reference import random_coupling
 
 # `pythonpath` in pyproject.toml puts src/ on the tests' own path; the CLI
 # subprocesses some tests start find the package through PYTHONPATH

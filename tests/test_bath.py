@@ -10,7 +10,6 @@ from dampol.coupling import (
     builtin_model,
     coupling_from_lagrangian,
     gram_stack,
-    random_coupling,
     structure_tensor,
 )
 from dampol.bath import (
@@ -25,10 +24,11 @@ from dampol.bath import (
     verify_linkage,
 )
 from dampol.fields import medium_polarization_form
-from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice
+from dampol.lattice import FrequencyGrid, build_lattice
 from dampol.oracle import assemble_hamiltonian
 from dampol.susceptibility import Susceptibility, chi_stack
 
+from reference import random_coupling
 from test_coupling import scalar_coupling, site_kernels
 from test_fields import medium_mode_form, site_commutator
 
@@ -83,7 +83,7 @@ class TestCoefficients:
             # remove one direction of chi at that node: rank d - 1 up to round-off
             up = chi.layout.sites(chi.above_cut_blocks[chi_node])
             u = np.linalg.svd(up)[2][0].conj()
-            chi = chi.perturbed(TensorKernel(single_site, -up @ np.outer(u, u.conj())))
+            chi = chi.perturbed(single_site.one_block.blocks(-up @ np.outer(u, u.conj())))
         what, node, cond = first_singular_reference(coupling, chi)
         with pytest.raises(SingularOperatorError, match=f"^{what} not invertible at node {node} ") as err:
             bath_coefficients(coupling, chi)

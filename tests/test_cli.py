@@ -12,9 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st_
 
 from dampol.cli import (CONFIG_KEYS, EXIT_NUMERICAL, EXIT_PASS, EXIT_USAGE, STAGES, VIOLATIONS, ScenarioConfig,
-                        main, refine, run)
+                        main, refine, run, violation_blocks)
+from dampol.coupling import builtin_model
 from dampol.errors import ConfigError
-from dampol.lattice import SECTOR_LEAK_TOL
+from dampol.lattice import SECTOR_LEAK_TOL, build_lattice
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -84,6 +85,33 @@ class TestConfigParsing:
         seen.clear()
         assert main(argv) == EXIT_PASS
         assert seen == [(out, 1234, 1.0)]
+
+    @pytest.mark.parametrize("command,builds", [
+        (["verify-all", "--config", "lorentz.ini"], 1),
+        (["refine", "--levels", "3", "--config", "refine.ini"], 3),
+        (["refine", "--levels", "3", "--config", "refine_kernels.ini"], 3),
+    ], ids=["verify_all", "refine", "refine_kernels"])
+    def test_one_model_build_per_pipeline(self, tmp_path, monkeypatch, command, builds):
+        # the per-k symbols are built once per pipeline, the build checking the
+        # [model] parameters: none is built to validate the config alone
+        import dampol.cli as cli
+        built = []
+
+        def counted(*args):
+            built.append(args[2].n_nodes)
+            return builtin_model(*args)
+        monkeypatch.setattr(cli, "builtin_model", counted)
+        *head, config = command
+        assert main([*head, str(CONFIG_DIR / config), "--out", str(tmp_path)]) == EXIT_PASS
+        assert len(built) == builds and len(set(built)) == builds
+
+    def test_bad_model_refine_writes_nothing(self, tmp_path, capsys):
+        # refine builds its first level's pipeline, and so the model, before its output directory
+        cfg, out = tmp_path / "bad_model.ini", tmp_path / "o"
+        cfg.write_text((CONFIG_DIR / "refine.ini").read_text().replace("width = 0.6", "width = -1"))
+        assert main(["refine", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "line-shape parameters out of range" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["n_nodes = 8\n", "[grid]\nn_nodes = 8\nn_nodes = 9\n"],
                              ids=["no_section", "duplicate_key"])
@@ -572,6 +600,44 @@ def _forbid_stack_route(monkeypatch):
                     monkeypatch.setattr(mod, attr, forbidden)
 
 
+class TestViolationBlocks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k0_transverse", [True, False])
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(magnitude=st_.floats(-1e3, 1e3))
+    def test_blocks_are_the_rotated_site_entry(self, n, k0_transverse, magnitude):
+        # the blocks built from two rows of the basis against the rotation of
+        # the site matrix with the one entry: equal in value, with the same
+        # leak; a zero entry may differ in sign, so they compare by ==
+        lat = build_lattice(n, 1.0, k0_transverse)
+        site = np.zeros((lat.dim, lat.dim), dtype=complex)
+        site[0, 1] = magnitude
+        leak, dense = lat.split(site)
+        blocks = violation_blocks(lat, magnitude)
+        assert blocks.dtype == dense.dtype and np.array_equal(blocks, dense)
+        assert lat.leak(blocks) == leak
+
+    def test_violator_rotates_no_site_operator(self, tmp_path, monkeypatch):
+        # the violator's perturbation is built as its block: no shipped
+        # command splits a site operator into blocks
+        from dampol.lattice import Lattice, SectorLayout
+        calls = []
+
+        def recorded(owner, name):
+            original = getattr(owner, name)
+
+            def recording(self, *args):
+                calls.append(name)
+                return original(self, *args)
+            monkeypatch.setattr(owner, name, recording)
+        for owner, name in ((Lattice, "split"), (SectorLayout, "blocks")):
+            recorded(owner, name)
+        argv = ["verify-all", "--config", str(CONFIG_DIR / "violator_chi.ini"), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_NUMERICAL
+        assert calls == []
+        assert not read_report(tmp_path, "green")["passed"]
+
+
 class TestStackFreeProduction:
     def test_every_stage(self, tmp_path, monkeypatch):
         _forbid_stack_route(monkeypatch)
@@ -587,7 +653,7 @@ class TestStackFreeProduction:
         # derived operators, the node sweep and its condition numbers, the
         # streamed pass, the chi trace, the field forms, the noise and
         # canonical-pair commutators and the bath cross-check stay in blocks:
-        # no site operator is assembled, split into blocks or rotated back
+        # no site operator is split into blocks or rotated back
         from dampol.lattice import Lattice, SectorLayout
         calls = []
 
@@ -598,7 +664,7 @@ class TestStackFreeProduction:
                 calls.append(name)
                 return original(self, *args)
             monkeypatch.setattr(owner, name, recording)
-        for owner, name in ((SectorLayout, "sites"), (SectorLayout, "blocks"), (Lattice, "_assemble")):
+        for owner, name in ((SectorLayout, "sites"), (SectorLayout, "blocks"), (Lattice, "split")):
             recorded(owner, name)
         for config in ("lorentz", "gaussian", "uniaxial"):
             cfg = ScenarioConfig.from_file(CONFIG_DIR / f"{config}.ini")

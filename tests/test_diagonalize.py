@@ -12,21 +12,20 @@ from dampol.coupling import (
     CouplingTensor,
     builtin_model,
     coupling_from_lagrangian,
-    random_coupling,
     structure_tensor,
 )
 from dampol.diagonalize import (
     ModeChecks,
-    commutation_matrix,
     fano_residual,
     mode_coefficients,
     streamed_mode_checks,
     wave_diagnostic,
 )
 from dampol.green import node_propagator
-from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice
+from dampol.lattice import FrequencyGrid, build_lattice
 from dampol.susceptibility import Susceptibility
 
+from reference import TensorKernel, commutation_matrix, random_coupling, transverse_matrix, zero_coupling
 from test_coupling import scalar_coupling
 
 
@@ -38,7 +37,7 @@ def make_modes(coupling):
 class TestAssembly:
     def test_zero_coupling(self, small_lattice):
         grid = FrequencyGrid.midpoint(4, 3.0)
-        zero = CouplingTensor.zero(small_lattice, grid)
+        zero = zero_coupling(small_lattice, grid)
         modes, _ = make_modes(zero)
         assert np.linalg.norm(modes.potential) == 0.0
         assert np.linalg.norm(modes.momentum) == 0.0
@@ -57,7 +56,7 @@ class TestAssembly:
 
     def test_transversality_of_first_two_families(self, random_lagrangian):
         modes, _ = make_modes(random_lagrangian)
-        pt = random_lagrangian.lattice.transverse_matrix
+        pt = transverse_matrix(random_lagrangian.lattice)
         for fam in (modes.potential, modes.momentum):
             proj = fam @ pt
             assert np.linalg.norm(proj - fam) <= 1e-12 * max(np.linalg.norm(fam), 1e-300)
@@ -75,7 +74,7 @@ class TestMomentumFamily:
         grid = FrequencyGrid.midpoint(12, 3.0, eta_factor=1.0)
         coupling = coupling_from_lagrangian(builtin_model("local_lorentz", lattice, grid))
         prop = node_propagator(Susceptibility(coupling))
-        lattice.transverse_matrix   # cached on the lattice, as in a run, before tracing
+        lattice._symbols   # the operator symbols, cached on the lattice as in a run, before tracing
         K, d = grid.n_nodes, lattice.dim
         tracemalloc.start()
         try:
@@ -95,7 +94,7 @@ class TestFanoResiduals:
 
     def test_zero_coupling_all_zero(self, small_lattice):
         grid = FrequencyGrid.midpoint(4, 3.0)
-        zero = CouplingTensor.zero(small_lattice, grid)
+        zero = zero_coupling(small_lattice, grid)
         modes, _ = make_modes(zero)
         # structure tensor is undefined for zero coupling; substitute the
         # zero kernel directly
@@ -125,7 +124,7 @@ class TestFanoResiduals:
 class TestCommutationChecks:
     def test_zero_coupling_exact(self, small_lattice):
         grid = FrequencyGrid.midpoint(4, 3.0)
-        zero = CouplingTensor.zero(small_lattice, grid)
+        zero = zero_coupling(small_lattice, grid)
         modes, _ = make_modes(zero)
         for k, l in ((0, 0), (1, 3)):
             got = commutation_matrix(modes, k, l)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dampol.errors import DampolError, SingularOperatorError
-from dampol.coupling import CouplingTensor
 from dampol.green import (
     TOL_SOLVE,
     node_propagator,
@@ -11,14 +10,15 @@ from dampol.green import (
     verify_adjoint,
     wave_operator,
 )
-from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice, longitudinal_projector
+from dampol.lattice import FrequencyGrid, build_lattice
 from dampol.susceptibility import Susceptibility, chi_stack, reflection_residuals
 
+from reference import TensorKernel, longitudinal_matrix, sites, zero_coupling
 from test_coupling import scalar_coupling
 
 
 def vacuum_chi(lattice, grid):
-    return Susceptibility(CouplingTensor.zero(lattice, grid))
+    return Susceptibility(zero_coupling(lattice, grid))
 
 
 def green_at(chi, z):
@@ -32,7 +32,7 @@ class TestVacuumClosedForms:
         grid = FrequencyGrid.midpoint(4, 3.0)
         z = 1.3 - 0.4j
         g = green_at(vacuum_chi(lat, grid), z)
-        pl = longitudinal_projector(lat)
+        pl = TensorKernel(lat, longitudinal_matrix(lat) / lat.cell_volume)
         gl = g @ pl
         assert gl.allclose((1.0 / z**2) * pl, tol=1e-12)
 
@@ -52,7 +52,7 @@ class TestVacuumClosedForms:
                 khat = kvec / np.sqrt(ksq)
                 pt_block = np.eye(3) - np.outer(khat, khat)
                 block = pt_block / (z**2 - ksq) + np.outer(khat, khat) / z**2
-            phase = np.exp(1j * (lat.sites @ kvec))
+            phase = np.exp(1j * (sites(lat) @ kvec))
             site_mat = np.outer(phase, phase.conj()) / lat.n_sites
             oracle += np.kron(site_mat, block)
         assert np.allclose(g.mat, oracle / lat.cell_volume, atol=1e-12)
@@ -90,7 +90,7 @@ class TestResiduals:
         d = random_lagrangian.lattice.dim
         pert = np.zeros((d, d))
         pert[0, 1] = 0.05
-        broken = chi.perturbed(TensorKernel(random_lagrangian.lattice, pert))
+        broken = chi.perturbed(random_lagrangian.lattice.one_block.blocks(pert))
         assert verify_adjoint(broken, [1.0 - 0.4j], solve_green(broken, [1.0 - 0.4j])) > 1e-6
 
     def test_real_z_rejected(self, random_lagrangian):

@@ -1,14 +1,16 @@
-"""Every function in `src/dampol` has a caller in `src/`, or is documented,
+"""Every function in `src/dampol` has a caller in `src/`, or is listed in README,
 only `oracle.py` reads the canonical-basis layout, and only `lattice.py`
 builds or indexes the momentum-sector partition.
 
 A function (dunders excluded) passes when its name is read somewhere in
-`src/dampol` outside its own body, is exported in `dampol.__all__`, or
-appears backticked in README.md, where the paragraph "Reference code kept
-for the tests" names each function that is kept only as a reference for the
-tests.  A module-level function counts as read through a `Name` or an
-`Attribute`, a method only through an `Attribute`; an attribute of `np`
-never counts, so `np.allclose` is no call of a method `allclose`.
+`src/dampol` outside its own body, or appears backticked in the README
+section "Reference code kept for the tests", which names each function kept
+only for the benchmark or for the tests; being exported in `dampol.__all__`
+exempts nothing, and a backticked name elsewhere in README neither.  Every
+name that section lists must be defined in `src/dampol`.  A module-level
+function counts as read through a `Name` or an `Attribute`, a method only
+through an `Attribute`; an attribute of `np` never counts, so `np.allclose`
+is no call of a method `allclose`.
 
 The slot accessors of `QuadraticHamiltonian` (its `slice_*` members) are the
 canonical-basis layout; every other module places a medium operator through
@@ -31,17 +33,36 @@ import ast
 import re
 from pathlib import Path
 
-import dampol
-
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "dampol").glob("*.py"))
 
+#: the README section that lists the functions kept without a caller in `src/`
+REFERENCE_SECTION = "## Reference code kept for the tests"
+
 
 def readme_names(readme: Path) -> set:
-    """Each component of every dotted name written in backticks in README.md."""
-    spans = re.findall(r"`([^`\n]+)`", readme.read_text())
+    """Each component of every dotted name written in backticks in README's `REFERENCE_SECTION`."""
+    text = readme.read_text()
+    start = text.find(REFERENCE_SECTION + "\n")
+    if start < 0:
+        return set()
+    section = re.split(r"^## ", text[start + len(REFERENCE_SECTION):], maxsplit=1, flags=re.M)[0]
+    spans = re.findall(r"`([^`\n]+)`", section)
     return {part for span in spans if re.fullmatch(r"[A-Za-z_][\w.]*(\(\))?", span)
             for part in span.removesuffix("()").split(".")}
+
+
+def defined_names(sources=SOURCES) -> set:
+    """Every function, class and assigned name (fields included) defined in the sources."""
+    names = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
 
 
 def uncalled_functions(sources=SOURCES, readme=ROOT / "README.md") -> list:
@@ -56,7 +77,7 @@ def uncalled_functions(sources=SOURCES, readme=ROOT / "README.md") -> list:
                 reads.append((node.attr, id(node), True))
     methods = {id(fn) for tree in trees.values() for cls in ast.walk(tree)
                if isinstance(cls, ast.ClassDef) for fn in cls.body}
-    documented = set(dampol.__all__) | readme_names(readme)
+    documented = readme_names(readme)
     found = []
     for module, tree in trees.items():
         for fn in ast.walk(tree):
@@ -92,8 +113,25 @@ def test_np_attributes_and_bare_names_call_no_method(tmp_path):
         "    zero = 0\n"
         "    return np.allclose(a.norm(), zero)\n")
     readme = tmp_path / "README.md"
-    readme.write_text("`scale`\n")
+    readme.write_text(f"{REFERENCE_SECTION}\n\n`scale`\n")
     assert uncalled_functions([source], readme) == ["mod.py:3 allclose", "mod.py:4 zero"]
+
+
+def test_readme_lists_only_names_defined_in_src():
+    listed = readme_names(ROOT / "README.md")
+    assert listed and sorted(listed - defined_names()) == []
+
+
+def test_only_the_reference_section_exempts(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("def kept(): pass\ndef named_elsewhere(): pass\ndef exported(): pass\n"
+                      "__all__ = ['exported']\n")
+    readme = tmp_path / "README.md"
+    readme.write_text(f"# mod\n\n`named_elsewhere`\n\n{REFERENCE_SECTION}\n\n* `kept`: a reference.\n\n"
+                      "## Usage\n\n`named_elsewhere()` again\n")
+    assert readme_names(readme) == {"kept"}
+    assert uncalled_functions([source], readme) == ["mod.py:2 named_elsewhere", "mod.py:3 exported"]
+    assert defined_names([source]) == {"kept", "named_elsewhere", "exported", "__all__"}
 
 
 def layout_reads(sources=SOURCES, owner="oracle.py") -> list:

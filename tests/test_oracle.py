@@ -13,11 +13,9 @@ from dampol.cli import Pipeline, ScenarioConfig, stage_oracle
 from dampol.constants import HBAR
 from dampol.errors import DampolError
 from dampol.coupling import (
-    CouplingTensor,
     StructureTensor,
     builtin_model,
     coupling_from_lagrangian,
-    random_coupling,
     structure_tensor,
 )
 from dampol.diagonalize import fano_residual, mode_coefficients, node_families
@@ -36,6 +34,7 @@ from dampol.oracle import (
 )
 from dampol.susceptibility import Susceptibility
 
+from reference import double_curl_matrix, random_coupling, transverse_basis, zero_coupling
 from test_coupling import scalar_coupling, site_kernels
 from test_fields import medium_mode_form
 
@@ -123,7 +122,7 @@ def dense(ham):
 
 def one_block(lat, grid, h):
     """A form stored as one block over every canonical slot."""
-    return QuadraticHamiltonian(layout=lat.one_block, grid=grid, mt=lat.transverse_basis.shape[1],
+    return QuadraticHamiltonian(layout=lat.one_block, grid=grid, mt=lat.n_transverse,
                                 groups=(np.arange(h.shape[0]),), blocks=[h], sector_leak=np.inf)
 
 
@@ -159,7 +158,7 @@ def momentum_rotation(ham):
 class TestAssembly:
     def test_dimensions(self, lorentz_setup):
         lat, grid, coupling, st, ham = lorentz_setup
-        mt = lat.transverse_basis.shape[1]
+        mt = lat.n_transverse
         assert ham.dim == 2 * mt + 2 * grid.n_nodes * lat.dim
         assert mt == 2 * (lat.n_sites - 1) + 3
 
@@ -208,7 +207,7 @@ class TestAssembly:
 
     def test_zero_coupling_decouples(self, small_lattice):
         grid = FrequencyGrid.midpoint(4, 3.0)
-        zero = CouplingTensor.zero(small_lattice, grid)
+        zero = zero_coupling(small_lattice, grid)
         st = StructureTensor(zero.layout, np.zeros(zero.layout.size, dtype=complex))
         ham = assemble_hamiltonian(zero, st)
         # no cross blocks between field and medium sectors
@@ -227,8 +226,8 @@ class TestAssembly:
         h = dense(ham)
         assert np.linalg.norm(h[fs, ms]) > 0
         a = ham.slice_a
-        curl_energy = lat.cell_volume / 2.0 * lat.transverse_basis.T @ lat.double_curl_matrix \
-            @ lat.transverse_basis / lat.cell_volume
+        curl_energy = lat.cell_volume / 2.0 * transverse_basis(lat).T @ double_curl_matrix(lat) \
+            @ transverse_basis(lat) / lat.cell_volume
         quad_extra = h[a, a] - curl_energy
         assert np.linalg.norm(quad_extra) > 0
 
@@ -253,7 +252,7 @@ class TestAssembly:
 
     def test_dimension_cap(self, small_lattice):
         grid = FrequencyGrid.midpoint(512, 3.0)
-        coupling = CouplingTensor.zero(small_lattice, grid)
+        coupling = zero_coupling(small_lattice, grid)
         st = StructureTensor(coupling.layout, np.zeros(coupling.layout.size, dtype=complex))
         with pytest.raises(DampolError):
             assemble_hamiltonian(coupling, st)
@@ -327,7 +326,7 @@ class TestLadderRows:
         lat, grid, coupling, st, ham = case
         prop = node_propagator(Susceptibility(coupling))
         modes = mode_coefficients(prop)
-        v, phi = lat.cell_volume, lat.transverse_basis
+        v, phi = lat.cell_volume, transverse_basis(lat)
         u = ladder_unitary(ham) @ momentum_rotation(ham)
         families = node_families(prop)
         resonant = families[2].copy()
@@ -367,7 +366,6 @@ class TestHeisenberg:
 
     def test_random_model(self, small_lattice, rng):
         grid = FrequencyGrid.midpoint(6, 4.0)
-        from dampol.coupling import random_coupling
         coupling = coupling_from_lagrangian(random_coupling(small_lattice, grid, rng))
         st = structure_tensor(coupling)
         ham = assemble_hamiltonian(coupling, st)
@@ -389,7 +387,7 @@ class TestHeisenberg:
 class TestDiagonalForm:
     def test_zero_coupling_exact(self, small_lattice):
         grid = FrequencyGrid.midpoint(4, 3.0)
-        zero = CouplingTensor.zero(small_lattice, grid)
+        zero = zero_coupling(small_lattice, grid)
         st = StructureTensor(zero.layout, np.zeros(zero.layout.size, dtype=complex))
         ham = assemble_hamiltonian(zero, st)
         assert diagonal_form_check(ham, node_propagator(Susceptibility(zero))) <= 1e-13

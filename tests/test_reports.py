@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from dampol.cli import Pipeline, ScenarioConfig
-from dampol.coupling import coupling_from_lagrangian, random_coupling
+from dampol.coupling import coupling_from_lagrangian
 from dampol.lattice import FrequencyGrid, build_lattice
 from dampol.fields import field_forms
 from dampol.green import node_propagator
 from dampol.reports import chi_trace_csv, field_trace_csv
 from dampol.susceptibility import Susceptibility, chi_stack
+
+from reference import random_coupling
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

@@ -14,11 +14,10 @@ from dampol.coupling import (
     spectral_moments,
     structure_tensor,
 )
-from dampol.lattice import FrequencyGrid, TensorKernel, build_lattice, rel_norms, sq_norms, unit_scale
+from dampol.lattice import FrequencyGrid, build_lattice, rel_norms, sq_norms, unit_scale
 from dampol.susceptibility import (
     Susceptibility,
     asymptote_residual,
-    chi_asymptotic,
     chi_stack,
     discontinuity,
     reflection_residuals,
@@ -26,6 +25,7 @@ from dampol.susceptibility import (
     verify_sum_rules,
 )
 
+from reference import TensorKernel, chi_asymptotic, zero_coupling
 from test_coupling import scalar_coupling, site_kernels
 
 
@@ -50,7 +50,7 @@ class TestChiAt:
 
     def test_zero_coupling(self, small_lattice):
         grid = FrequencyGrid.midpoint(4, 3.0)
-        chi = chi_kernel(CouplingTensor.zero(small_lattice, grid), 1.0 + 0.5j)
+        chi = chi_kernel(zero_coupling(small_lattice, grid), 1.0 + 0.5j)
         assert chi.norm() == 0.0
 
     def test_single_node_scalar_closed_form(self, single_site):
@@ -114,7 +114,7 @@ class TestChiStack:
         d = random_lagrangian.lattice.dim
         pert = np.zeros((d, d))
         pert[0, 1] = 0.3
-        chi = Susceptibility(random_lagrangian).perturbed(TensorKernel(random_lagrangian.lattice, pert))
+        chi = Susceptibility(random_lagrangian).perturbed(random_lagrangian.lattice.one_block.blocks(pert))
         zs = np.array([1.2 + 0.3j, -0.7 - 0.1j])
         assert chi.layout is random_lagrangian.lattice.one_block
         assert chi.source is random_lagrangian
@@ -149,7 +149,7 @@ class TestDiscontinuity:
 class TestKramersKronig:
     def test_zero_coupling(self, small_lattice):
         grid = FrequencyGrid.midpoint(4, 3.0)
-        coupling = CouplingTensor.zero(small_lattice, grid)
+        coupling = zero_coupling(small_lattice, grid)
         assert verify_kramers_kronig(Susceptibility(coupling), [1.0 + 1.0j]) == 0.0
 
     def test_one_node_model(self, single_site):
@@ -232,7 +232,7 @@ class TestTinyCoupling:
         d = coupling.lattice.dim
         pert = np.zeros((d, d), dtype=complex)
         pert[0, 1] = (1.0 + 1.0j) * 1e-8 * top   # breaks both reflections in the block it enters
-        bad = chi.perturbed(TensorKernel(coupling.lattice, pert))
+        bad = chi.perturbed(coupling.lattice.one_block.blocks(pert))
         res = reflection_residuals(bad.layout, bad.blocks_at, self.ZS)
         assert res["transpose"] > 1e-9 and res["conjugation"] > 1e-9
 
@@ -402,7 +402,7 @@ class TestSusceptibilityObject:
         d = lorentz_coupling.lattice.dim
         rng = np.random.default_rng(3)
         pert = rng.standard_normal((d, d)) * 1e-3
-        broken = chi.perturbed(TensorKernel(lorentz_coupling.lattice, pert))
+        broken = chi.perturbed(lorentz_coupling.lattice.one_block.blocks(pert))
         z = 1.1 + 0.4j
         for c in (chi, broken):
             here, minus, mirror = (TensorKernel(c.lattice, m) for m in c.layout.sites(
@@ -418,7 +418,7 @@ class TestSusceptibilityObject:
         d = random_lagrangian.lattice.dim
         asym = np.zeros((d, d))
         asym[0, 1] = 0.05
-        broken = chi.perturbed(TensorKernel(random_lagrangian.lattice, asym))
+        broken = chi.perturbed(random_lagrangian.lattice.one_block.blocks(asym))
         res = reflection_residuals(broken.layout, broken.blocks_at, [1.0 + 0.5j])
         assert res["transpose"] > 1e-6
 
