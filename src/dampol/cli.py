@@ -218,11 +218,12 @@ class Pipeline:
     The model's per-k symbols are built once, on construction: `builtin_model`
     checks the `[model]` parameters as it builds them and raises `ModelError`,
     a usage error, so a run constructs its pipeline before it writes anything.
+    The refinement levels share one `lattice`, which does not depend on the grid.
     """
 
-    def __init__(self, config: ScenarioConfig):
+    def __init__(self, config: ScenarioConfig, lattice: Lattice | None = None):
         self.config = config
-        self.lattice = build_lattice(config.n_per_axis, config.spacing, config.k0_transverse)
+        self.lattice = lattice or build_lattice(config.n_per_axis, config.spacing, config.k0_transverse)
         self.grid = FrequencyGrid.midpoint(config.n_nodes, config.omega_max, config.eta_factor)
         self.model = builtin_model(config.model, self.lattice, self.grid, dict(config.model_params))
         self._sweep_failure = None
@@ -501,10 +502,10 @@ def refine(config: ScenarioConfig, levels: int) -> int:
         raise ConfigError("refine needs at least 2 levels")
     config.check_scales(levels - 1)   # the deepest level's eta is the smallest
     track = config.refine_track
-    lattice = build_lattice(config.n_per_axis, config.spacing, config.k0_transverse)
+    lattice = build_lattice(config.n_per_axis, config.spacing, config.k0_transverse)   # shared by every level
     if track == "hamiltonian":
         check_canonical_dim(lattice, config.n_nodes * 2 ** (levels - 1))
-    pipe = Pipeline(config)   # level 0, built before anything is written
+    pipe = Pipeline(config, lattice)   # level 0, built before anything is written
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -512,7 +513,7 @@ def refine(config: ScenarioConfig, levels: int) -> int:
     seq = {}
     for lvl in range(levels):
         if lvl:
-            pipe = Pipeline(replace(config, n_nodes=config.n_nodes * 2**lvl))
+            pipe = Pipeline(replace(config, n_nodes=config.n_nodes * 2**lvl), lattice)
         level_meta.append((pipe.grid.n_nodes, pipe.grid.eta))
         # the streamed pass sets the kernels track's peak memory, so it runs
         # before the bath sums cache chi above the cut

@@ -252,7 +252,8 @@ class Lattice:
 
     def leak(self, dense: np.ndarray) -> float:
         """The norm of the part of (..., d*d) `one_block` blocks outside the `sector_layout` blocks,
-        relative to the whole stack's."""
+        relative to the whole stack's, read as complex: real blocks give their complex copy's, to the bit."""
+        dense = np.asarray(dense, dtype=complex)
         outside = sq_norms(np.delete(dense, self.sector_layout.places, axis=-1).ravel())
         return float(np.sqrt(outside) / max(np.sqrt(sq_norms(dense.ravel())), 1e-300))
 

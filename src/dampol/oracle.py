@@ -36,7 +36,7 @@ formulas against it, every node's families at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -121,24 +121,6 @@ class QuadraticHamiltonian:
 
     # -- basis bookkeeping -------------------------------------------------
 
-    @property
-    def slice_a(self):
-        return slice(0, self.mt)
-
-    @property
-    def slice_p(self):
-        return slice(self.mt, 2 * self.mt)
-
-    @property
-    def slice_x(self):
-        """The x quadratures of every node, node-major: node k at 2 mt + k d."""
-        return slice(2 * self.mt, 2 * self.mt + self.grid.n_nodes * self.lattice.dim)
-
-    @property
-    def slice_y(self):
-        """The y quadratures, in the same order as the x slots."""
-        return slice(2 * self.mt + self.grid.n_nodes * self.lattice.dim, self.dim)
-
     def _slots(self, na: int, b: int) -> tuple:
         """The a, p, x and y slots of a group with n_a a slots and block size b, as slices of its block."""
         x = 2 * na + self.grid.n_nodes * b
@@ -186,14 +168,6 @@ class QuadraticHamiltonian:
     def symmetric_blocks(self) -> list:
         """(h + h^T)/2 per block: the stored block itself when exactly symmetric, as both assemblers store it."""
         return [b if np.array_equal(b, b.T) else (b + b.T) / 2.0 for b in self.blocks]
-
-    def merged(self) -> "QuadraticHamiltonian":
-        """The same form as one block over every slot, in `Lattice.one_block`: the dense embedding."""
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        for group, b in zip(self.groups, self.blocks):
-            h[np.ix_(group, group)] = b
-        return replace(self, layout=self.lattice.one_block, groups=(np.arange(self.dim),),
-                       blocks=[h])
 
     # -- assembly, block by block -------------------------------------------
 

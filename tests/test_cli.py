@@ -105,6 +105,27 @@ class TestConfigParsing:
         assert main([*head, str(CONFIG_DIR / config), "--out", str(tmp_path)]) == EXIT_PASS
         assert len(built) == builds and len(set(built)) == builds
 
+    @pytest.mark.parametrize("config", ["refine.ini", "refine_kernels.ini"])
+    def test_one_lattice_per_refine(self, tmp_path, monkeypatch, config):
+        # the lattice does not depend on n_nodes: every level, and the dimension
+        # check, share one, so its symbols and sector layout are built once
+        import dampol.cli as cli
+        from dampol.lattice import Lattice
+        built = []
+
+        def counted(name, build):
+            def counting(*args, **kwargs):
+                built.append(name)
+                return build(*args, **kwargs)
+            return counting
+        monkeypatch.setattr(cli, "build_lattice", counted("build_lattice", cli.build_lattice))
+        for name in ("_symbols", "momentum_sector", "sector_layout"):
+            prop = Lattice.__dict__[name]
+            monkeypatch.setattr(prop, "func", counted(name, prop.func))
+        argv = ["refine", "--levels", "3", "--config", str(CONFIG_DIR / config), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_PASS
+        assert sorted(built) == ["_symbols", "build_lattice", "momentum_sector", "sector_layout"]
+
     def test_bad_model_refine_writes_nothing(self, tmp_path, capsys):
         # refine builds its first level's pipeline, and so the model, before its output directory
         cfg, out = tmp_path / "bad_model.ini", tmp_path / "o"
@@ -617,6 +638,14 @@ class TestViolationBlocks:
         assert blocks.dtype == dense.dtype and np.array_equal(blocks, dense)
         assert lat.leak(blocks) == leak
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_leak_reads_real_blocks_as_complex(self, n):
+        # the violator's block has real entries: held as real data or as its
+        # complex copy, its leak is the same to the bit
+        lat = build_lattice(n, 1.0)
+        blocks = violation_blocks(lat, 1.0)
+        assert lat.leak(blocks.real).hex() == lat.leak(blocks).hex()
+
     def test_violator_rotates_no_site_operator(self, tmp_path, monkeypatch):
         # the violator's perturbation is built as its block: no shipped
         # command splits a site operator into blocks
@@ -803,6 +832,8 @@ class TestOptionalOutputs:
         assert (Path(cfg.out) / "field_trace.csv").exists()
         assert (Path(cfg.out) / "hamiltonian.dak").exists()
         from dampol.serialize import load_quadratic_form
-        arr, header = load_quadratic_form(Path(cfg.out) / "hamiltonian.dak")
-        assert arr.shape[0] == header["canonical_basis"]["transverse_dim"] * 2 \
-            + 2 * 6 * 24
+        blocks, groups, header = load_quadratic_form(Path(cfg.out) / "hamiltonian.dak")
+        dim = header["canonical_basis"]["transverse_dim"] * 2 + 2 * 6 * 24
+        assert header["shape"] == [dim, dim] and len(blocks) == len(groups) > 1
+        assert [b.shape for b in blocks] == [(g.size, g.size) for g in groups]
+        assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(dim))

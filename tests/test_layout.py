@@ -12,12 +12,15 @@ function counts as read through a `Name` or an `Attribute`, a method only
 through an `Attribute`; an attribute of `np` never counts, so `np.allclose`
 is no call of a method `allclose`.
 
-The slot accessors of `QuadraticHamiltonian` (its `slice_*` members) are the
-canonical-basis layout; every other module places a medium operator through
-`QuadraticHamiltonian.ladder_rows` instead.
+The slot order of `QuadraticHamiltonian` (its members `_slots`, the a, p, x
+and y slots of a group, and `_frame`, each group's block size, transverse
+coordinates and row offset) is the canonical-basis layout; every other
+module places a medium operator through `QuadraticHamiltonian.ladder_rows`
+instead.
 
 The sector partition is the sector labels of `Lattice` and the block
-indexing of `SectorLayout`; every other module converts and multiplies
+indexing of `SectorLayout`, each member of it defined in `lattice.py`;
+every other module converts and multiplies
 kernel stacks through the layout's methods (`SectorLayout.blocks`,
 `SectorLayout.matmul`, ...), gets a layout from `Lattice.layout`, and groups
 its slots through `SectorLayout.slot_groups`.
@@ -53,7 +56,7 @@ def readme_names(readme: Path) -> set:
 
 
 def defined_names(sources=SOURCES) -> set:
-    """Every function, class and assigned name (fields included) defined in the sources."""
+    """Every function, class and assigned name (fields and `self` attributes included) defined in the sources."""
     names = set()
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -61,7 +64,12 @@ def defined_names(sources=SOURCES) -> set:
                 names.add(node.name)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names.update(t.id for t in targets if isinstance(t, ast.Name))
+                for t in targets:
+                    for elt in t.elts if isinstance(t, ast.Tuple) else [t]:
+                        if isinstance(elt, ast.Name):
+                            names.add(elt.id)
+                        elif isinstance(elt, ast.Attribute) and getattr(elt.value, "id", None) == "self":
+                            names.add(elt.attr)
     return names
 
 
@@ -134,37 +142,51 @@ def test_only_the_reference_section_exempts(tmp_path):
     assert defined_names([source]) == {"kept", "named_elsewhere", "exported", "__all__"}
 
 
+def test_defined_names_count_self_attributes(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("class Layout:\n    def __init__(self, a):\n        self.sizes, self.columns = a, a\n"
+                      "        self.size = 0\n        other.parts = a\n")
+    assert defined_names([source]) == {"Layout", "__init__", "sizes", "columns", "size"}
+
+
+#: the `QuadraticHamiltonian` members that hold the canonical slot order
+SLOT_ORDER = ("_slots", "_frame")
+
+
 def layout_reads(sources=SOURCES, owner="oracle.py") -> list:
-    """Reads of a `QuadraticHamiltonian` slot accessor in any module but `owner`."""
-    trees = {path.name: ast.parse(path.read_text()) for path in sources}
-    accessors = {fn.name for cls in ast.walk(trees[owner])
-                 if isinstance(cls, ast.ClassDef) and cls.name == "QuadraticHamiltonian"
-                 for fn in cls.body
-                 if isinstance(fn, ast.FunctionDef) and fn.name.startswith("slice_")}
-    return [f"{module}:{node.lineno} {node.attr}"
-            for module, tree in trees.items() if module != owner
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in accessors]
+    """Reads of a `SLOT_ORDER` member in any module but `owner`."""
+    return [f"{path.name}:{node.lineno} {node.attr}"
+            for path in sources if path.name != owner
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in SLOT_ORDER]
 
 
 def test_only_the_oracle_reads_the_basis_layout():
     assert layout_reads() == []
 
 
+def test_slot_order_names_defined_in_the_oracle():
+    assert sorted(set(SLOT_ORDER) - defined_names([ROOT / "src" / "dampol" / "oracle.py"])) == []
+
+
 def test_layout_reads_found_outside_the_owner(tmp_path):
     owner = tmp_path / "oracle.py"
     owner.write_text(
         "class QuadraticHamiltonian:\n"
-        "    def slice_x(self): pass\n"
-        "    def ladder_rows(self): pass\n")
+        "    def _frame(self): pass\n"
+        "    def ladder_rows(self): pass\n"
+        "def g(ham):\n    return ham._slots(1, 3)\n")
     other = tmp_path / "bath.py"
-    other.write_text("def f(ham):\n    ham.ladder_rows()\n    return ham.slice_x\n")
-    assert layout_reads([owner, other]) == ["bath.py:3 slice_x"]
+    other.write_text("def f(ham):\n    ham.ladder_rows()\n    return ham._frame, ham._slots(1, 3)\n")
+    assert layout_reads([owner, other]) == ["bath.py:3 _frame", "bath.py:3 _slots"]
 
 
 #: the members that hold or index the sector partition
-PARTITION = ("momentum_sector", "transverse_sector", "sizes", "part_sizes", "_entries", "parts",
-             "columns")
+PARTITION = ("momentum_sector", "sizes", "part_sizes", "_entries", "parts", "columns")
+
+
+def test_partition_names_defined_in_the_lattice():
+    assert sorted(set(PARTITION) - defined_names([ROOT / "src" / "dampol" / "lattice.py"])) == []
 
 
 def partition_reads(sources=SOURCES, owner="lattice.py") -> list:
@@ -191,9 +213,9 @@ def test_partition_reads_found_outside_the_owner(tmp_path):
                      "def f(lat):\n    return SectorLayout(lat.momentum_sector)\n")
     other = tmp_path / "green.py"
     other.write_text("def g(lat, layout, x):\n    layout.matmul(x, x)\n"
-                     "    return lat.transverse_sector, layout.parts(x), SectorLayout(lat)\n")
+                     "    return lat.momentum_sector, layout.parts(x), SectorLayout(lat)\n")
     assert partition_reads([owner, other]) == [
-        "green.py:3 SectorLayout()", "green.py:3 parts", "green.py:3 transverse_sector"]
+        "green.py:3 SectorLayout()", "green.py:3 momentum_sector", "green.py:3 parts"]
 
 
 #: the modules that hold every kernel as blocks and rotate none back to sites

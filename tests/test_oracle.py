@@ -51,20 +51,29 @@ def lorentz_setup():
     return lat, grid, coupling, st, ham
 
 
+# -- the canonical slots (a, p, x, y) in order, as the dense references index them
+
+
+def canonical_slices(ham):
+    """The a, p, x and y slot ranges, from mt, K and d: the x and y slots node-major, node k's at k d."""
+    mt, n = ham.mt, ham.grid.n_nodes * ham.lattice.dim
+    return slice(0, mt), slice(mt, 2 * mt), slice(2 * mt, 2 * mt + n), slice(2 * mt + n, 2 * mt + 2 * n)
+
+
 # -- the ladder basis zeta = (a, p, c, c^dag), kept here as the reference -------
 # The x and y slots of the quadrature basis hold c and c^dag in the ladder basis.
 
 
 def ladder_slices(ham, k):
     """The slots of node k's c and c^dag, which are its x and y slots."""
-    d = ham.lattice.dim
-    x0, y0 = ham.slice_x.start + k * d, ham.slice_y.start + k * d
+    d, (_, _, x, y) = ham.lattice.dim, canonical_slices(ham)
+    x0, y0 = x.start + k * d, y.start + k * d
     return slice(x0, x0 + d), slice(y0, y0 + d)
 
 
 def ladder_unitary(ham):
     """Dense U with zeta = U xi: a and p kept, c = (x + i y)/sqrt(2), c^dag = (x - i y)/sqrt(2)."""
-    x, y = ham.slice_x, ham.slice_y
+    _, _, x, y = canonical_slices(ham)
     s = np.sqrt(0.5) * np.eye(x.stop - x.start)
     u = np.eye(ham.dim, dtype=complex)
     u[x, x], u[x, y] = s, 1j * s
@@ -74,26 +83,27 @@ def ladder_unitary(ham):
 
 def ladder_dagger_index(ham):
     """The involution perm with zeta^dag = zeta[perm]: a and p Hermitian, c <-> c^dag."""
-    x, y = ham.slice_x, ham.slice_y
+    _, _, x, y = canonical_slices(ham)
     return np.r_[0:x.start, y, x]
 
 
 def ladder_commutation(ham):
     """Sigma_zeta with [zeta_i, zeta_j] = Sigma_ij: i hbar on (a, p), 1 on (c, c^dag)."""
     sig = np.zeros((ham.dim, ham.dim), dtype=complex)
-    sig[ham.slice_a, ham.slice_p] = 1j * HBAR * np.eye(ham.mt)
-    sig[ham.slice_p, ham.slice_a] = -1j * HBAR * np.eye(ham.mt)
-    n = ham.slice_x.stop - ham.slice_x.start
-    sig[ham.slice_x, ham.slice_y] = np.eye(n)
-    sig[ham.slice_y, ham.slice_x] = -np.eye(n)
+    a, p, x, y = canonical_slices(ham)
+    sig[a, p] = 1j * HBAR * np.eye(ham.mt)
+    sig[p, a] = -1j * HBAR * np.eye(ham.mt)
+    n = x.stop - x.start
+    sig[x, y] = np.eye(n)
+    sig[y, x] = -np.eye(n)
     return sig
 
 
 def commutation(ham):
     """Dense Sigma with [xi_i, xi_j] = Sigma_ij: i hbar on (a, p), i on (x, y)."""
     sig = np.zeros((ham.dim, ham.dim), dtype=complex)
-    for first, second, value in ((ham.slice_a, ham.slice_p, 1j * HBAR),
-                                 (ham.slice_x, ham.slice_y, 1j)):
+    a, p, x, y = canonical_slices(ham)
+    for first, second, value in ((a, p, 1j * HBAR), (x, y, 1j)):
         eye = np.eye(first.stop - first.start)
         sig[first, second] = value * eye
         sig[second, first] = -value * eye
@@ -225,7 +235,7 @@ class TestAssembly:
         ms = slice(2 * ham.mt, ham.dim)
         h = dense(ham)
         assert np.linalg.norm(h[fs, ms]) > 0
-        a = ham.slice_a
+        a = canonical_slices(ham)[0]
         curl_energy = lat.cell_volume / 2.0 * transverse_basis(lat).T @ double_curl_matrix(lat) \
             @ transverse_basis(lat) / lat.cell_volume
         quad_extra = h[a, a] - curl_energy
@@ -238,7 +248,7 @@ class TestAssembly:
         st = structure_tensor(coupling)
         ham = assemble_hamiltonian(coupling, st)
         om, w = grid.nodes[0], grid.weights[0]
-        x, y = ham.slice_x, ham.slice_y
+        a, _, x, y = canonical_slices(ham)
         h = dense(ham)   # one site: the momentum basis is the site itself
         # medium oscillator: hbar omega c^dag c = hbar omega (x^2 + y^2)/2
         assert np.allclose(h[x, x], 0.5 * HBAR * om * np.eye(3))
@@ -247,8 +257,8 @@ class TestAssembly:
         # bilinear coupling: hbar omega sqrt(w) tau / 2 on each symmetrized c
         # and c^dag block of the ladder basis; with real tau both land in x
         expected = 0.5 * HBAR * om * np.sqrt(w) * tau * np.eye(3)
-        assert np.allclose(h[x, ham.slice_a], np.sqrt(2.0) * expected)
-        assert not np.any(h[y, ham.slice_a])
+        assert np.allclose(h[x, a], np.sqrt(2.0) * expected)
+        assert not np.any(h[y, a])
 
     def test_dimension_cap(self, small_lattice):
         grid = FrequencyGrid.midpoint(512, 3.0)
@@ -328,13 +338,14 @@ class TestLadderRows:
         modes = mode_coefficients(prop)
         v, phi = lat.cell_volume, transverse_basis(lat)
         u = ladder_unitary(ham) @ momentum_rotation(ham)
+        a, p = canonical_slices(ham)[:2]
         families = node_families(prop)
         resonant = families[2].copy()
         got = dense_rows(ham, mode_rows(ham, *families))
         for k in range(grid.n_nodes):
             old = np.zeros((lat.dim, ham.dim), dtype=complex)
-            old[:, ham.slice_a] = np.sqrt(v) * modes.potential[k] @ phi
-            old[:, ham.slice_p] = np.sqrt(v) * modes.momentum[k] @ phi
+            old[:, a] = np.sqrt(v) * modes.potential[k] @ phi
+            old[:, p] = np.sqrt(v) * modes.momentum[k] @ phi
             for l in range(grid.n_nodes):
                 s = np.sqrt(v * grid.weights[l])
                 c, cdag = ladder_slices(ham, l)

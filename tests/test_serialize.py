@@ -1,9 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dampol.coupling import builtin_model, coupling_from_lagrangian, structure_tensor
 from dampol.errors import DampolError
+from dampol.lattice import FrequencyGrid, build_lattice
 from dampol.oracle import assemble_hamiltonian
 from dampol.serialize import MAGIC, dump_quadratic_form, load_quadratic_form
 
@@ -14,9 +17,9 @@ class TestKernelDump:
         ham = assemble_hamiltonian(lorentz_coupling, lorentz_structure)
         path = tmp_path / "h.dak"
         dump_quadratic_form(path, ham, label="test")
-        _, header = load_quadratic_form(path)
+        *_, header = load_quadratic_form(path)
         assert header["label"] == "test"
-        assert header["format_version"] == 3
+        assert header["format_version"] == 4
         assert header["basis"] == "a,p,x,y"
         assert header["ladder_sites"] == "momentum_basis"
         lattice = lorentz_coupling.lattice
@@ -60,15 +63,78 @@ class TestKernelDump:
         with pytest.raises(DampolError, match="format version 2"):
             load_quadratic_form(path)
 
+    def test_version_three_rejected(self, tmp_path, lorentz_coupling, lorentz_structure):
+        # version 3 held the form as its dense dim x dim embedding, with no slot groups
+        ham = assemble_hamiltonian(lorentz_coupling, lorentz_structure)
+        path = tmp_path / "v3.dak"
+        dump_quadratic_form(path, ham)
+        magic, header, _ = path.read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        fields["format_version"] = 3
+        del fields["groups"]
+        dense = np.zeros((ham.dim, ham.dim), dtype=complex)
+        for g, block in zip(ham.groups, ham.blocks):
+            dense[np.ix_(g, g)] = block
+        path.write_bytes(magic + b"\n" + json.dumps(fields).encode() + b"\n" + dense.tobytes())
+        with pytest.raises(DampolError, match="format version 3"):
+            load_quadratic_form(path)
+
 
 class TestQuadraticFormDump:
-    def test_roundtrip(self, tmp_path, lorentz_coupling, lorentz_structure):
-        ham = assemble_hamiltonian(lorentz_coupling, lorentz_structure)
+    def test_roundtrip(self, tmp_path, lorentz_coupling):
+        # the blocks and their slot groups come back as the form holds them, to
+        # the bit, per momentum sector and as the one block of the dense layout
+        counts = []
+        for coupling in (lorentz_coupling, lorentz_coupling.relaid(lorentz_coupling.lattice.one_block)):
+            ham = assemble_hamiltonian(coupling, structure_tensor(coupling))
+            counts.append(len(ham.blocks))
+            path = tmp_path / "h.dak"
+            dump_quadratic_form(path, ham)
+            blocks, groups, header = load_quadratic_form(path)
+            assert len(blocks) == len(ham.blocks) and len(groups) == len(ham.groups)
+            for got, want in zip(blocks, ham.blocks):
+                assert got.dtype == np.complex128 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            for got, want in zip(groups, ham.groups):
+                assert np.array_equal(got, want)
+            assert header["shape"] == [ham.dim, ham.dim]
+            assert header["canonical_basis"]["transverse_dim"] == ham.mt
+        assert counts[0] > 1 == counts[1]
+
+    @pytest.mark.parametrize("extra", [-16, -1, 16])
+    def test_block_bytes_must_match_the_groups(self, tmp_path, lorentz_coupling, lorentz_structure, extra):
         path = tmp_path / "h.dak"
-        dump_quadratic_form(path, ham)
-        arr, header = load_quadratic_form(path)
-        assert arr.shape == (ham.dim, ham.dim)
-        for g, block in zip(ham.groups, ham.blocks):   # the dense embedding of the blocks
-            assert np.array_equal(arr[np.ix_(g, g)], block)
-        assert np.count_nonzero(arr) == sum(np.count_nonzero(b) for b in ham.blocks)
-        assert header["canonical_basis"]["transverse_dim"] == ham.mt
+        dump_quadratic_form(path, assemble_hamiltonian(lorentz_coupling, lorentz_structure))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) + extra] + bytes(max(extra, 0)))
+        with pytest.raises(DampolError, match=f"{'fewer' if extra < 0 else 'more'} block bytes"):
+            load_quadratic_form(path)
+
+    @pytest.mark.parametrize("groups", [None, [[0, "a"]], 3])
+    def test_unreadable_groups_rejected(self, tmp_path, lorentz_coupling, lorentz_structure, groups):
+        path = tmp_path / "h.dak"
+        dump_quadratic_form(path, assemble_hamiltonian(lorentz_coupling, lorentz_structure))
+        magic, header, raw = path.read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        if groups is None:
+            del fields["groups"]
+        else:
+            fields["groups"] = groups
+        path.write_bytes(magic + b"\n" + json.dumps(fields).encode() + b"\n" + raw)
+        with pytest.raises(DampolError, match="no readable slot groups"):
+            load_quadratic_form(path)
+
+    def test_dump_forms_no_dense_embedding(self, tmp_path):
+        # lorentz at n = 3, K = 12: dim 2054, so the dense embedding alone is 67.5 MB
+        # while the blocks are 4.9 MB; the dump writes them from their own buffers
+        lat, grid = build_lattice(3, 1.0), FrequencyGrid.midpoint(12, 3.0, eta_factor=1.0)
+        coupling = coupling_from_lagrangian(builtin_model("local_lorentz", lat, grid))
+        ham = assemble_hamiltonian(coupling, structure_tensor(coupling))
+        assert ham.dim == 2054
+        tracemalloc.start()
+        try:
+            dump_quadratic_form(tmp_path / "h.dak", ham)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
