@@ -33,8 +33,9 @@ from .errors import DampolError
 #: its kernel stacks (`SectorLayout`) and the oracle's quadratic forms
 SECTOR_LEAK_TOL = 1e-13
 
-#: largest (d, d) complex stack a layout rotation holds at once, in bytes
-_ROTATION_CHUNK_BYTES = 1 << 20
+#: largest temporary a chunked loop holds at once, in bytes: the (d, d)
+#: stacks of a layout rotation and the coefficient rows of a node sum
+CHUNK_BYTES = 1 << 20
 
 _LEVI_CIVITA = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -369,7 +370,7 @@ class SectorLayout:
 
     def _chunks(self, n: int):
         """Slices of a leading axis of n operators, each at most an eighth of it and of bounded bytes."""
-        step = max(1, min(_ROTATION_CHUNK_BYTES // (16 * self.lattice.dim**2), -(-n // 8)))
+        step = max(1, min(CHUNK_BYTES // (16 * self.lattice.dim**2), -(-n // 8)))
         return (slice(i, i + step) for i in range(0, n, step))
 
     def blocks(self, stack: np.ndarray) -> np.ndarray:
@@ -540,6 +541,35 @@ def _momentum_rotate(vecs: np.ndarray, f: np.ndarray) -> np.ndarray:
     for part, res in ((grid.real, out.real), (grid.imag, out.imag)) if np.iscomplexobj(vecs) else ((grid, out),):
         np.matmul(f, part, out=res)
     return out.reshape(vecs.shape)
+
+
+def cauchy_sum(nodes: np.ndarray, weights: np.ndarray, poles, stack: np.ndarray) -> np.ndarray:
+    """sum_l weights_l stack[l] / (nodes_l - p) for every pole p, complex (n, ...) for n poles.
+
+    Every node sum with a resolvent coefficient, w_l / (w_l - z) in some
+    form, goes through here.  The (n, K) Cauchy coefficient matrix is
+    formed in place and multiplied a chunk of rows at a time: an eighth of
+    the matrix's rows, or more where an eighth of the stack's bytes holds
+    more, and at most `CHUNK_BYTES`.  The coefficients held thus stay below
+    an eighth of the matrix or of the stack, and a large stack, which every
+    chunk's product packs again, is passed over only a few times.  No chunk
+    is a single row out of several: a one-row product takes BLAS's
+    matrix-vector path, whose rounding differs from the matrix product's;
+    with OpenBLAS every row then comes out bit for bit as in the unchunked
+    product.
+    """
+    poles = np.asarray(poles)
+    n, flat = len(poles), stack.reshape(len(stack), -1)
+    out = np.empty((n, flat.shape[1]), dtype=complex)
+    row = 16 * len(stack)   # bytes of one coefficient row
+    step = max(1, min(CHUNK_BYTES // row, max(-(-n // 8), stack.nbytes // (8 * row))))
+    m = max(1, min(-(-n // step), n // 2))   # chunks of at least two rows
+    for i in range(m):
+        rows = slice(i * n // m, (i + 1) * n // m)
+        coef = nodes - poles[rows, None]
+        np.divide(weights, coef, out=coef)
+        np.matmul(coef, flat, out=out[rows])
+    return out.reshape((n,) + stack.shape[1:])
 
 
 def sq_norms(flat: np.ndarray) -> np.ndarray:

@@ -21,14 +21,16 @@ import numpy as np
 from .constants import EPS0, HBAR
 from .coupling import CouplingTensor, StructureTensor
 from .errors import PoleError
-from .lattice import SectorLayout, rel_norms, unit_scale
+from .lattice import SectorLayout, cauchy_sum, rel_norms, unit_scale
 
 
 def chi_stack(coupling: CouplingTensor, zs) -> np.ndarray:
     """The susceptibility kernels at the complex frequencies zs, as (n, size) blocks in the coupling's layout.
 
     The blocks are summed from the coupling's density blocks: both node sums
-    of every point come from one (2 n, K) @ (K, size) GEMM.  For real z the
+    of every point come from one `cauchy_sum`, a (2 n, K) @ (K, size) GEMM
+    whose coefficient rows are formed a bounded chunk at a time, so the two
+    (n, size) node sums, the result and one chunk are live.  For real z the
     evaluation is only defined away from the quadrature nodes; use an
     explicit imaginary offset to pick a side of the cut.
     """
@@ -40,12 +42,9 @@ def chi_stack(coupling: CouplingTensor, zs) -> np.ndarray:
         if poles.size:
             raise PoleError(f"z = {complex(poles[0])} sits on a quadrature node; "
                             "offset it from the real axis")
-    w = coupling.grid.weights
-    dens = coupling.density
-    zc = zs[:, None]
-    # sum_k c_k conj(D_k) = conj(sum_k conj(c_k) D_k): both node sums in one GEMM
-    coeff = np.concatenate([w / (nodes - zc), np.conj(w / (nodes + zc))])
-    both = coeff @ dens
+    # sum_k c_k conj(D_k) = conj(sum_k conj(c_k) D_k) with conj(w_k / (w_k + z))
+    # = w_k / (w_k - (-conj z)): both node sums of a point in one GEMM
+    both = cauchy_sum(nodes, coupling.grid.weights, np.concatenate([zs, -zs.conj()]), coupling.density)
     mat = both[n:].conj()
     mat += both[:n]
     mat *= HBAR / EPS0
@@ -133,11 +132,11 @@ def verify_kramers_kronig(chi: Susceptibility, zs) -> float:
     zs = np.asarray(zs, dtype=complex)
     if np.any(zs.imag == 0.0):
         raise PoleError("the cut representation check needs Im z != 0")
-    coupling, grid = chi.source, chi.grid
+    coupling, nodes, w = chi.source, chi.grid.nodes, chi.grid.weights
     lhs = chi_stack(coupling, zs)
-    disc, zc = discontinuity(coupling), zs[:, None]
-    rhs = ((grid.weights / (grid.nodes - zc)) @ disc
-           + (grid.weights / (-grid.nodes - zc)) @ disc.conj()) / (2.0j * np.pi)
+    disc = discontinuity(coupling)
+    # w_k / (-w_k - z) = -w_k / (w_k - (-z))
+    rhs = (cauchy_sum(nodes, w, zs, disc) - cauchy_sum(nodes, w, -zs, disc.conj())) / (2.0j * np.pi)
     return float(rel_norms(lhs - rhs, lhs).max())
 
 
@@ -195,8 +194,9 @@ def asymptote_residual(coupling: CouplingTensor, structure: StructureTensor, z: 
     z = complex(z)
     nodes, w, v = coupling.grid.nodes, coupling.grid.weights, coupling.lattice.cell_volume
     dens, mom = coupling.density, coupling.moments
-    # sum_k c_k conj(D_k) = conj(sum_k conj(c_k) D_k): both tail sums in one GEMM
-    tail_res, tail_anti = np.stack([w * nodes**3 / (nodes - z), np.conj(w * nodes**3 / (nodes + z))]) @ dens
+    # sum_k c_k conj(D_k) = conj(sum_k conj(c_k) D_k) with conj(c_k / (w_k + z))
+    # = c_k / (w_k - (-conj z)): both tail sums in one GEMM
+    tail_res, tail_anti = cauchy_sum(nodes, w * nodes**3, np.array([z, -z.conjugate()]), dens)
     corr = -2j * mom.imag0 / z - mom.structure_gap(structure.blocks) / z**2 \
         + (tail_res - tail_anti.conj() - 2j * mom.imag2) / z**3
     scale = v * float(np.linalg.norm(structure.blocks))

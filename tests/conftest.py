@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,16 @@ from reference import random_coupling
 # subprocesses some tests start find the package through PYTHONPATH
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, (str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH"))))
+
+
+def traced_peak(fn, *args):
+    """fn(*args) under tracemalloc: the peak bytes allocated during the call, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

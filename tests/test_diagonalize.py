@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from dampol.green import node_propagator
 from dampol.lattice import FrequencyGrid, build_lattice
 from dampol.susceptibility import Susceptibility
 
+from conftest import traced_peak
 from reference import TensorKernel, commutation_matrix, random_coupling, transverse_matrix, zero_coupling
 from test_coupling import scalar_coupling
 
@@ -76,12 +76,7 @@ class TestMomentumFamily:
         prop = node_propagator(Susceptibility(coupling))
         lattice._symbols   # the operator symbols, cached on the lattice as in a run, before tracing
         K, d = grid.n_nodes, lattice.dim
-        tracemalloc.start()
-        try:
-            diagonalize.momentum_family(prop)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(diagonalize.momentum_family, prop)
         assert peak < 0.3 * K * d * d * 16, f"traced peak {peak / (K * d * d * 16):.2f} stacks"
 
 
@@ -233,16 +228,20 @@ class TestStreamedCost:
 
     # traced peaks in (K, size) complex block stacks of the n = 2 sector layout
     # (eight 3 x 3 blocks, an eighth of a (K, d, d) stack) on the refine_kernels
-    # lattice and model at its second level, K = 128; the node sweep stays
-    # below the streamed pass, so it never sets the refine_kernels peak
-    STREAMED_STACKS = 30        # measured 28.9
-    SWEEP_STACKS = 7.5          # measured 7.15
-    INDEPENDENCE_STACKS = 6.8   # measured 6.45: the sums, then the node-0 cross-check
+    # lattice and model at its second level, K = 128; the node sweep and the
+    # bath sums stay below the streamed pass, which sets the refine_kernels peak
+    STREAMED_STACKS = 13.8      # measured 13.15
+    SWEEP_STACKS = 4.3          # measured 4.10
+    INDEPENDENCE_STACKS = 6.35  # measured 6.07: the sums, then the node-0 cross-check
+    # at K = 1024 a whole (2 K, K) Cauchy coefficient matrix of chi at the
+    # nodes would be 28 stacks by itself; its rows come in chunks instead
+    DEEP_SWEEP_STACKS = 4.25    # measured 4.06
 
-    @pytest.fixture(scope="class")
-    def refine_level(self):
+    @staticmethod
+    def refine_model(n_nodes):
+        """The refine_kernels coupling at n_nodes, its structure tensor and one (K, size) stack's bytes."""
         lattice = build_lattice(2, 1.0)
-        grid = FrequencyGrid.midpoint(128, 3.0, eta_factor=1.0)
+        grid = FrequencyGrid.midpoint(n_nodes, 3.0, eta_factor=1.0)
         coupling = coupling_from_lagrangian(builtin_model(
             "local_lorentz", lattice, grid, {"resonance": 1.5, "width": 0.6, "strength": 1.0}))
         layout = coupling.layout
@@ -250,29 +249,29 @@ class TestStreamedCost:
         assert layout is lattice.sector_layout and layout.size == lattice.dim**2 // 8
         return coupling, structure_tensor(coupling), grid.n_nodes * layout.size * 16
 
-    @staticmethod
-    def traced_peak(fn, *args):
-        tracemalloc.start()
-        try:
-            fn(*args)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    @pytest.fixture(scope="class")
+    def refine_level(self):
+        return self.refine_model(128)
 
-    def test_traced_peak_within_thirty_block_stacks(self, refine_level):
+    def test_streamed_pass_traced_peak(self, refine_level):
         coupling, st, stack = refine_level
         prop = node_propagator(Susceptibility(coupling))
-        peak = self.traced_peak(streamed_mode_checks, prop, st) / stack
+        peak = traced_peak(streamed_mode_checks, prop, st)[0] / stack
         assert peak <= self.STREAMED_STACKS, f"traced peak {peak:.2f} stacks"
 
     def test_node_sweep_traced_peak(self, refine_level):
         coupling, st, stack = refine_level
-        peak = self.traced_peak(node_propagator, Susceptibility(coupling)) / stack
+        peak = traced_peak(node_propagator, Susceptibility(coupling))[0] / stack
         assert peak <= self.SWEEP_STACKS, f"traced peak {peak:.2f} stacks"
+
+    def test_deep_node_sweep_traced_peak(self):
+        coupling, _, stack = self.refine_model(1024)
+        peak = traced_peak(node_propagator, Susceptibility(coupling))[0] / stack
+        assert peak <= self.DEEP_SWEEP_STACKS, f"traced peak {peak:.2f} stacks"
 
     def test_bath_independence_traced_peak(self, refine_level):
         from dampol.bath import bath_coefficients, verify_bath_independence
         coupling, st, stack = refine_level
         bath = bath_coefficients(coupling, Susceptibility(coupling))
-        peak = self.traced_peak(verify_bath_independence, bath, coupling, st) / stack
+        peak = traced_peak(verify_bath_independence, bath, coupling, st)[0] / stack
         assert peak <= self.INDEPENDENCE_STACKS, f"traced peak {peak:.2f} stacks"

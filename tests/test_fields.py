@@ -1,4 +1,3 @@
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from dampol.green import node_propagator
 from dampol.oracle import node_modes
 from dampol.susceptibility import Susceptibility
 
+from conftest import traced_peak
 from reference import (
     TensorKernel,
     longitudinal_matrix,
@@ -300,14 +300,10 @@ class TestFieldsStageCost:
         cfg = ScenarioConfig.from_file(Path(__file__).parent.parent / "configs" / "lorentz.ini")
         cfg.n_per_axis = 3
         pipe = Pipeline(cfg)
-        pipe.propagator, pipe.structure, np.random.default_rng(0)   # inputs, as in a run
+        pipe.propagator, pipe.structure   # inputs, as in a run
         stack = 16 * pipe.grid.n_nodes * pipe.lattice.sector_layout.size
-        tracemalloc.start()
-        try:
-            report = stage_fields(pipe, tmp_path)
-            peak = tracemalloc.get_traced_memory()[1] / stack
-        finally:
-            tracemalloc.stop()
+        peak, report = traced_peak(stage_fields, pipe, tmp_path)
+        peak /= stack
         assert report["passed"]
         assert (tmp_path / "field_trace.csv").exists()
         assert peak <= self.PEAK_STACKS, f"traced peak {peak:.2f} block stacks"

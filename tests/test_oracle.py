@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from dampol.oracle import (
 )
 from dampol.susceptibility import Susceptibility
 
+from conftest import traced_peak
 from reference import double_curl_matrix, random_coupling, transverse_basis, zero_coupling
 from test_coupling import scalar_coupling, site_kernels
 from test_fields import medium_mode_form
@@ -597,12 +597,7 @@ class TestSectorSpectrum:
         # measured at n = 2, K = 10
         lat, grid, coupling, st, ham = lorentz_setup
         symplectic_spectrum(ham)
-        tracemalloc.start()
-        try:
-            symplectic_spectrum(ham)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(symplectic_spectrum, ham)
         assert peak <= 1.25 * 8 * sum(g.size**2 for g in ham.groups)
 
 
@@ -663,12 +658,7 @@ class TestSectorBlocks:
         (K, d, dim) site rows stored as one (b, G) block per slot group."""
         pipe = Pipeline(replace(ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini"), n_per_axis=n))
         pipe.propagator, pipe.streamed, pipe.bath, pipe.chi.above_cut_blocks
-        tracemalloc.start()
-        try:
-            stage_oracle(pipe)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(stage_oracle, pipe)
         ham = pipe.hamiltonian
         assert ham.row_size < pipe.lattice.dim * ham.dim / 7   # the blocks hold a fraction of d dim
         return peak / (16 * pipe.grid.n_nodes * ham.row_size)

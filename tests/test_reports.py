@@ -1,5 +1,4 @@
 import csv
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +12,7 @@ from dampol.green import node_propagator
 from dampol.reports import chi_trace_csv, field_trace_csv
 from dampol.susceptibility import Susceptibility, chi_stack
 
+from conftest import traced_peak
 from reference import random_coupling
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -143,19 +143,10 @@ class TestChiTrace:
         chi.source.density   # cached before tracing: shared input, not writer memory
         zs = chi.grid.nodes + 1j * chi.eta
         d = chi.lattice.dim
-        tracemalloc.start()
-        try:
-            held = chi.blocks_at(zs)
-            _, evaluate_peak = tracemalloc.get_traced_memory()
-            del held
-            tracemalloc.reset_peak()
-            base, _ = tracemalloc.get_traced_memory()
-            chi_trace_csv(tmp_path / "chi.csv", chi, zs)
-            _, write_peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        evaluate_peak, _ = traced_peak(chi.blocks_at, zs)
+        write_peak, _ = traced_peak(chi_trace_csv, tmp_path / "chi.csv", chi, zs)
         row = max(len(line) for line in (tmp_path / "chi.csv").read_bytes().splitlines())
-        assert write_peak - base < evaluate_peak + zs.size * 3 * d * 16 + row
+        assert write_peak < evaluate_peak + zs.size * 3 * d * 16 + row
 
 
 def reference_field_trace(path, form, amplitudes, times):

@@ -10,7 +10,6 @@ same inputs through the dense reference.
 """
 
 import dataclasses
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +50,7 @@ from dampol.oracle import QuadraticHamiltonian
 from dampol.susceptibility import Susceptibility
 
 import reference
+from conftest import traced_peak
 from reference import (
     curl_matrix,
     double_curl_matrix,
@@ -113,12 +113,7 @@ class TestLayout:
             flat = rng.standard_normal((K, layout.size)) + 1j * rng.standard_normal((K, layout.size))
             vecs = rng.standard_normal((K, d)) + 1j * rng.standard_normal((K, d))
         layout.apply(flat[:1], vecs[:1])   # the momentum basis is built once, before tracing
-        tracemalloc.start()
-        try:
-            out = layout.apply(flat, vecs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, out = traced_peak(layout.apply, flat, vecs)
         assert peak <= flat.nbytes + vecs.nbytes + out.nbytes
         assert "basis" not in layout.__dict__
         ref = (layout.sites(flat) @ vecs[..., None])[..., 0]
@@ -233,12 +228,7 @@ class TestFoldedMatmul:
         op = rng.standard_normal(layout.size) + 1j * rng.standard_normal(layout.size)
         operands = (stack, op) if const == "b" else (op, stack)
         layout.matmul(*operands)   # numpy's first-call set-up, before tracing
-        tracemalloc.start()
-        try:
-            out = layout.matmul(*operands)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, out = traced_peak(layout.matmul, *operands)
         assert peak - out.nbytes <= 0.05 * stack.nbytes
         assert np.allclose(out, per_operator_matmul(layout, *operands), rtol=0, atol=1e-13)
 

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,8 @@ from dampol.errors import DampolError
 from dampol.lattice import FrequencyGrid, build_lattice
 from dampol.oracle import assemble_hamiltonian
 from dampol.serialize import MAGIC, dump_quadratic_form, load_quadratic_form
+
+from conftest import traced_peak
 
 
 class TestKernelDump:
@@ -131,10 +132,5 @@ class TestQuadraticFormDump:
         coupling = coupling_from_lagrangian(builtin_model("local_lorentz", lat, grid))
         ham = assemble_hamiltonian(coupling, structure_tensor(coupling))
         assert ham.dim == 2054
-        tracemalloc.start()
-        try:
-            dump_quadratic_form(tmp_path / "h.dak", ham)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(dump_quadratic_form, tmp_path / "h.dak", ham)
         assert peak < 16 * 2**20
