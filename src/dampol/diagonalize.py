@@ -47,7 +47,7 @@ import numpy as np
 
 from .constants import EPS0, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
-from .green import NodePropagator, wave_operator
+from .green import NodePropagator
 from .lattice import FrequencyGrid, Lattice, cauchy_sum, sq_norms
 
 #: smearing profiles used for weak-form residuals, as functions of w/w_max
@@ -186,15 +186,13 @@ def wave_diagnostic(prop: NodePropagator) -> float:
     T*(w_k) with W the wave operator at the solve's point; the residual
     vanishes to solver precision and validates the plumbing rather than the
     regularization.  Every node is one stacked product in the propagator's
-    layout, with chi at the nodes summed again from the density blocks
-    (`cauchy_sum`): about six (K, size) block stacks are live at the peak
-    (5.85 at n = 2, K = 128, and 6.06 at K = 1024).
+    layout with the operator v W(z_k) that the sweep inverted
+    (`NodePropagator.operator`), and sums no chi of its own: about three
+    (K, size) block stacks are live at the peak (3.03 at n = 2, K = 128,
+    and 3.00 at K = 1024).
     """
-    layout, v = prop.layout, prop.lattice.cell_volume
     source = prop.coupling.flat.conj()
-    res = layout.matmul(_transfer_blocks(prop),
-                        wave_operator(prop.chi.blocks_at(prop.z), prop.z, layout))
-    res *= v
+    res = prop.layout.matmul(_transfer_blocks(prop), prop.operator)
     res -= source
     return float(np.max(np.sqrt(sq_norms(res)) / np.maximum(np.sqrt(sq_norms(source)), 1e-300)))
 

@@ -56,10 +56,11 @@ def solve_stack(chi: Susceptibility, zs) -> tuple:
     sigma_min over the union of a point's blocks, as in
     `bath.require_invertible`; it is infinite at an exactly singular or a
     non-finite point.  Returns the kernel blocks (n, size), the relative
-    residuals and condition numbers (n,), and a dict from the index of each
-    failed point to its message: a point fails when dim times its condition
-    number, a bound of the 1-norm one, is beyond `COND_LIMIT` or its
-    residual beyond `TOL_SOLVE`.
+    residuals and condition numbers (n,), a dict from the index of each
+    failed point to its message, and the operator's matrix form v W(z) at
+    the points (n, size), which the kernels invert.  A point fails when dim
+    times its condition number, a bound of the 1-norm one, is beyond
+    `COND_LIMIT` or its residual beyond `TOL_SOLVE`.
     """
     zs = np.asarray(zs, dtype=complex)
     layout = chi.layout
@@ -88,7 +89,7 @@ def solve_stack(chi: Susceptibility, zs) -> tuple:
                            f"dim * cond is beyond {COND_LIMIT:.0e}; increase eta or move z")
         elif not residual[i] <= TOL_SOLVE:
             failures[i] = f"solve at z = {z} left relative residual {residual[i]:.3e} > {TOL_SOLVE}"
-    return inv, residual, cond, failures
+    return inv, residual, cond, failures, mat
 
 
 def solve_green(chi: Susceptibility, zs) -> np.ndarray:
@@ -102,7 +103,7 @@ def solve_green(chi: Susceptibility, zs) -> np.ndarray:
     zs = np.asarray(zs, dtype=complex)
     if np.any(zs.imag == 0.0):
         raise DampolError("solve_green needs Im z != 0; offset by the grid eta to pick a side")
-    blocks, _, cond, failures = solve_stack(chi, zs)
+    blocks, _, cond, failures, _ = solve_stack(chi, zs)
     if failures:
         first = min(failures)
         raise SingularOperatorError(failures[first], cond=float(cond[first]))
@@ -134,15 +135,17 @@ class NodePropagator:
     cut by construction.  It holds the (K, size) kernel blocks in
     `chi.layout` and the (K,) residuals and condition numbers of the solves,
     made with `chi`, whose source is the coupling that every consumer
-    contracts the propagator with; the upper side is the exact adjoint,
-    G(w + i eta) = G(w - i eta)^dagger.  Every consumer reads the blocks
-    as they are: `chi.layout` is the coupling's, the run's.
+    contracts the propagator with, and the operator blocks the solves
+    inverted, which `diagonalize.wave_diagnostic` reads; the upper side is
+    the exact adjoint, G(w + i eta) = G(w - i eta)^dagger.  Every consumer
+    reads the blocks as they are: `chi.layout` is the coupling's, the run's.
     """
 
     chi: Susceptibility
     blocks: np.ndarray     # (K, size), in node order
     residual: np.ndarray   # (K,)
     cond: np.ndarray       # (K,)
+    operator: np.ndarray   # (K, size), v W(z_k): the wave operator the solves inverted
 
     @property
     def layout(self) -> SectorLayout:
@@ -171,14 +174,15 @@ def node_propagator(chi: Susceptibility) -> NodePropagator:
     the condition numbers are one batched SVD per block size.  The peak
     holds about four (K, size) block stacks, chi's two node sums and chi,
     then the operator, its inverse and their product, whatever K (4.10 at
-    n = 2, K = 128, and 4.06 at K = 1024).
+    n = 2, K = 128, and 4.06 at K = 1024); the result keeps two of them,
+    the kernels and the operator.
     Every node is attempted; if any fails, one `SingularOperatorError`
     names all the failed nodes.
     """
     grid = chi.grid
     if grid.eta <= 0:
         raise DampolError("grid eta must be positive to pick a side of the cut")
-    blocks, residual, cond, failures = solve_stack(chi, grid.nodes - 1j * grid.eta)
+    blocks, residual, cond, failures, operator = solve_stack(chi, grid.nodes - 1j * grid.eta)
     if failures:
         raise SingularOperatorError(f"sweep failed at indices {sorted(failures)}: {failures}")
-    return NodePropagator(chi=chi, blocks=blocks, residual=residual, cond=cond)
+    return NodePropagator(chi=chi, blocks=blocks, residual=residual, cond=cond, operator=operator)

@@ -154,16 +154,20 @@ class QuadraticHamiltonian:
         group, so R = -2 i Sigma Re(h_sym) is assembled by row moves of the
         real part instead of a dense matmul.  The imaginary part of h is
         the form's Hermiticity defect, which `hermiticity_defect` measures.
+        R serves the Heisenberg and master checks and the general route of
+        `mode_frequencies`, which forms one group's R at a time.
         """
-        out = []
-        for (b, na, _, _), h in zip(self._frame, self.symmetric_blocks()):
-            a, p, x, y = self._slots(na, b)
-            h_real, r = h.real, np.empty(h.shape)
-            for dst, src, coef in ((a, p, 2.0 * HBAR), (p, a, -2.0 * HBAR),
-                                   (x, y, 2.0), (y, x, -2.0)):
-                np.multiply(h_real[src], coef, out=r[dst])
-            out.append(r)
-        return out
+        return [self._group_dynamics(f, h) for f, h in zip(self._frame, self.symmetric_blocks())]
+
+    def _group_dynamics(self, frame: tuple, h: np.ndarray) -> np.ndarray:
+        """R of one group, from its frame and its symmetric block h."""
+        b, na, _, _ = frame
+        a, p, x, y = self._slots(na, b)
+        h_real, r = h.real, np.empty(h.shape)
+        for dst, src, coef in ((a, p, 2.0 * HBAR), (p, a, -2.0 * HBAR),
+                               (x, y, 2.0), (y, x, -2.0)):
+            np.multiply(h_real[src], coef, out=r[dst])
+        return r
 
     def symmetric_blocks(self) -> list:
         """(h + h^T)/2 per block: the stored block itself when exactly symmetric, as both assemblers store it."""
@@ -494,36 +498,80 @@ def diagonal_form_check(ham: QuadraticHamiltonian, prop: NodePropagator) -> floa
     return float(np.max(np.sqrt(num / np.maximum(den, 1e-300))))
 
 
+def _split_frequencies(h: np.ndarray, na: int, slots: tuple) -> np.ndarray | None:
+    """A group's frequencies from the half-size symmetric problem, or None where it does not apply.
+
+    With the positions q = (a, x), the momenta m = (p, y), V = h[q, q],
+    T = h[m, m] of the real symmetric block h and D = diag(hbar on the a
+    and p slots, 1 on x and y), R^2 = -4 diag(D T D V, D V D T) whenever
+    h[q, m] = 0: the GF normal-mode problem, the time-reversal-even
+    case of Colpa (1978).  With D T D = L L^T the frequencies are
+    +-2 sqrt(lambda) / hbar, lambda the eigenvalues of L^T V L, and an
+    indefinite V gives imaginary ones.  None when h[q, m] is not exactly
+    zero or D T D has no Cholesky factor.
+    """
+    a, p, x, y = slots
+    if any(np.any(h[s, t]) for s in (a, x) for t in (p, y)):
+        return None
+    q, m = np.r_[a, x], np.r_[p, y]
+    d = np.ones(q.size)
+    d[:na] = HBAR
+    t = h[np.ix_(m, m)]
+    t *= d[:, None]
+    t *= d
+    try:
+        chol = np.linalg.cholesky(t)
+    except np.linalg.LinAlgError:
+        return None
+    del t
+    w = 2.0 * np.sqrt(np.linalg.eigvalsh(chol.T @ h[np.ix_(q, q)] @ chol) + 0j) / HBAR
+    return np.concatenate([w, -w])
+
+
 def mode_frequencies(ham: QuadraticHamiltonian) -> tuple[np.ndarray, int, float]:
-    """Every eigenvalue of K / hbar, as i eig(R) / hbar, one block of R at a time.
+    """Every eigenvalue of K / hbar, one group at a time.
 
     A form stored per momentum sector has one block per sector; a form
     whose inputs leak across sectors, as a random coupling's do, is one
-    block.  The solver is the general nonsymmetric one, so complex
-    frequencies of an unstable form still show.  A form that is not
-    dagger-Hermitian has no real R and raises instead of losing its
-    imaginary part.  Returns the eigenvalues, the number of blocks solved
-    and the form's input `sector_leak`.
+    block.  A group whose positions and momenta do not couple and whose
+    momentum half is positive definite is solved as the half-size
+    symmetric problem (`_split_frequencies`); any other, such as a
+    non-reciprocal coupling or a random form, as i eig(R) / hbar with the
+    general nonsymmetric solver.  Both routes show the complex frequencies
+    of an unstable form.  A form that is not dagger-Hermitian has no real
+    R and raises instead of losing its imaginary part.  Returns the
+    eigenvalues, the number of blocks solved and the form's input
+    `sector_leak`.
     """
     defect = ham.hermiticity_defect()
     if defect > HERMITICITY_TOL:
         raise DampolError(
             f"quadratic form is not dagger-Hermitian: relative defect {defect:.3e} "
             f"(limit {HERMITICITY_TOL:g})")
-    evals = np.concatenate([np.linalg.eigvals(r_g) for r_g in ham.dynamics()])
-    return 1j * evals / HBAR, len(ham.blocks), ham.sector_leak
+    out = []
+    for frame, h in zip(ham._frame, ham.symmetric_blocks()):
+        b, na, _, _ = frame
+        w = _split_frequencies(h.real, na, ham._slots(na, b))
+        if w is None:
+            w = 1j * np.linalg.eigvals(ham._group_dynamics(frame, h)) / HBAR
+        out.append(w)
+    return np.concatenate(out), len(ham.blocks), ham.sector_leak
 
 
 def symplectic_spectrum(ham: QuadraticHamiltonian) -> dict:
     """Eigenvalues of the dynamical matrix: the discrete mode frequencies.
 
     For a stable quadratic form the spectrum is real and comes in opposite
-    pairs.  When the k = 0 Fourier mode sits in the transverse subspace the
-    uniform vector-potential direction is exactly flat (the bilinear and
-    quadratic coupling terms complete a square), which contributes three
-    structural zero modes; they are counted separately, not as
-    instabilities.  Their Jordan structure makes the numerical eigenvalues
-    scatter at the square root of machine precision, hence the loose
+    pairs; an unstable one shows imaginary frequencies on either route of
+    `mode_frequencies`, on the half-size route as a negative eigenvalue
+    of its position half.  When the k = 0 Fourier mode sits in the
+    transverse subspace the uniform vector-potential direction is exactly
+    flat (the bilinear and quadratic coupling terms complete a square),
+    which contributes three structural zero modes; they are counted
+    separately, not as instabilities.  Their numerical frequencies scatter
+    at the square root of machine precision times the scale, on the general
+    route from their Jordan structure and on the half-size route as the
+    square roots of eigenvalues at rounding level, hence the loose
     `ZERO_MODE_TOL`.  The scale and the counts are taken over all sectors.
     """
     evals, n_sectors, leak = mode_frequencies(ham)

@@ -502,9 +502,11 @@ class TestSusceptibilityReuse:
     def test_above_cut_values_evaluated_once(self, tmp_path, monkeypatch):
         # bath coefficients, linkage, the P form and the constitutive check
         # share one chi(w_k + i eta) stack (36 evaluations fewer at K = 12),
-        # the asymptote check sums moments instead (2 fewer), and the green
-        # stage solves each random point once (4 fewer): 134 -> 92 points,
-        # counted through the one stacked evaluator every point goes through
+        # the asymptote check sums moments instead (2 fewer), the green
+        # stage solves each random point once (4 fewer), and the wave
+        # diagnostic reads the operator the node sweep inverted (12 fewer):
+        # 134 -> 80 points, counted through the one stacked evaluator every
+        # point goes through
         import dampol.susceptibility as sus
         points = []
         evaluate = sus.chi_stack
@@ -516,7 +518,7 @@ class TestSusceptibilityReuse:
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
         cfg.out = str(tmp_path / "o")
         assert run(cfg) == EXIT_PASS
-        assert len(points) == 92
+        assert len(points) == 80
 
     def test_moments_evaluated_once(self, tmp_path, monkeypatch):
         # the constraints, S, the sum rules, both asymptote residuals, the
@@ -551,9 +553,9 @@ class TestSweepFailure:
 
         def failing(chi, zs):
             calls.append(len(zs))
-            kernels, residual, cond, failures = solve(chi, zs)
+            kernels, residual, cond, failures, operator = solve(chi, zs)
             failures.update({i: "forced failure" for i, z in enumerate(zs) if z.real == node1})
-            return kernels, residual, cond, failures
+            return kernels, residual, cond, failures, operator
         monkeypatch.setattr(green, "solve_stack", failing)
         assert run(cfg) == EXIT_NUMERICAL
         # the sweep is attempted once, over all K nodes at once

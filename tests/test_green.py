@@ -75,7 +75,7 @@ class TestResiduals:
     def test_defining_residual_small(self, random_lagrangian, rng):
         chi = Susceptibility(random_lagrangian)
         zs = [complex(rng.uniform(0.3, 5.0), -rng.uniform(0.05, 1.0)) for _ in range(3)]
-        _, residual, _, failures = solve_stack(chi, zs)
+        _, residual, _, failures, _ = solve_stack(chi, zs)
         assert not failures
         assert np.all(residual <= TOL_SOLVE)
 
@@ -146,7 +146,7 @@ class TestSweep:
         chi = Susceptibility(random_lagrangian)
         prop = node_propagator(chi)
         for k, z in enumerate(prop.z):
-            blocks, residual, cond, _ = solve_stack(chi, [z])
+            blocks, residual, cond, _, _ = solve_stack(chi, [z])
             ref = prop.layout.sites(blocks[0])
             assert np.linalg.norm(prop.layout.sites(prop.blocks[k]) - ref) <= 1e-13 * np.linalg.norm(ref)
             assert prop.residual[k] == pytest.approx(residual[0], rel=1e-12, abs=1e-15)
@@ -201,7 +201,7 @@ class TestConditionNumber:
     def test_two_norm_condition_from_the_singular_values(self, random_lagrangian):
         chi = Susceptibility(random_lagrangian)
         z = 1.1 - 0.3j
-        _, _, cond, _ = solve_stack(chi, [z])
+        _, _, cond, _, _ = solve_stack(chi, [z])
         layout = chi.layout
         mat = chi.lattice.cell_volume * layout.sites(wave_operator(chi_stack(random_lagrangian, [z])[0], z, layout))
         assert cond[0] == pytest.approx(np.linalg.cond(mat), rel=1e-12, abs=0)

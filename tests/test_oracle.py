@@ -501,7 +501,12 @@ class TestSpectrum:
             raw = builtin_model(model, small_lattice, grid)
         coupling = coupling_from_lagrangian(raw)
         ham = assemble_hamiltonian(coupling, structure_tensor(coupling))
-        got = positive_frequencies(mode_frequencies(ham)[0])
+        # the random coupling's positions and momenta couple, so its one block
+        # takes the general route; every built-in model's sectors the half-size one
+        calls, (evals, _, _) = eigvals_calls(mode_frequencies, ham)
+        assert calls == (1 if model == "random_coupling" else 0)
+        assert (position_momentum_norm(ham) > 0.0) == (model == "random_coupling")
+        got = positive_frequencies(evals)
         ref = positive_frequencies(complex_route(ham))
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref) / ref) <= 1e-10
@@ -535,6 +540,96 @@ class TestSpectrum:
         assert close(1j * ham.dynamics()[0], k_dyn, 1e-15)
         ref = complex_route(ham)
         assert same_multiset(mode_frequencies(ham)[0], ref, 1e-9 * np.max(np.abs(ref)))
+
+
+def eigvals_calls(fn, *args):
+    """fn(*args) with `np.linalg.eigvals` counted: the number of calls and the result."""
+    calls, solve = [], np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return solve(a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvals", counted)
+        result = fn(*args)
+    return len(calls), result
+
+
+def position_momentum_norm(ham):
+    """||Re h_sym[q, m]|| / ||Re h_sym|| over every group: the block the half-size route needs to be 0."""
+    num = den = 0.0
+    for (b, na, _, _), h in zip(ham._frame, ham.symmetric_blocks()):
+        a, p, x, y = ham._slots(na, b)
+        q, m = np.r_[a, x], np.r_[p, y]
+        num += np.linalg.norm(h.real[np.ix_(q, m)]) ** 2
+        den += np.linalg.norm(h.real) ** 2
+    return float(np.sqrt(num / den))
+
+
+def decoupled_form(lat, grid, rng, v_eigs, t_eigs):
+    """A one-block form whose positions q = (a, x) and momenta m = (p, y) do not couple:
+    random symmetric halves V and T with the given eigenvalues."""
+    dim = canonical_dim(lat, grid.n_nodes)
+    h = np.zeros((dim, dim), dtype=complex)
+    a, p, x, y = canonical_slices(one_block(lat, grid, h))
+    for slots, eigs in (((a, x), v_eigs), ((p, y), t_eigs)):
+        idx = np.r_[slots]
+        o, _ = np.linalg.qr(rng.standard_normal((idx.size, idx.size)))
+        half = (o * eigs) @ o.T
+        h[np.ix_(idx, idx)] = (half + half.T) / 2.0
+    return one_block(lat, grid, h)
+
+
+def half_eigs(rng, n, negative):
+    """n eigenvalues in [0.5, 2] in magnitude, the first `negative` of them negative."""
+    eigs = rng.uniform(0.5, 2.0, n)
+    eigs[:negative] *= -1.0
+    return eigs
+
+
+class TestHalfSizeRoute:
+    """The spectrum from the position and momentum halves against the general eigensolver."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(on_lattice=st_.booleans(), n_nodes=st_.integers(1, 3), negative=st_.integers(0, 2),
+           seed=st_.integers(0, 2**32 - 1))
+    def test_decoupled_forms_match_dense_route(self, single_site, small_lattice, on_lattice,
+                                               n_nodes, negative, seed):
+        lat = small_lattice if on_lattice else single_site
+        grid, rng = FrequencyGrid.midpoint(n_nodes, 3.0), np.random.default_rng(seed)
+        n = canonical_dim(lat, n_nodes) // 2
+        ham = decoupled_form(lat, grid, rng, half_eigs(rng, n, negative), half_eigs(rng, n, 0))
+        calls, (got, _, _) = eigvals_calls(mode_frequencies, ham)
+        assert calls == 0
+        ref = dense_route(ham.dynamics()[0])
+        assert same_multiset(got, ref, 1e-10 * np.max(np.abs(ref)))
+        assert spectrum_counts(got) == spectrum_counts(ref)
+        # V has `negative` eigenvalues at or below -0.5, far above the zero threshold
+        imag = symplectic_spectrum(ham)["max_imag_rel"]
+        assert imag > 1e-6 if negative else imag == 0.0
+
+    @pytest.mark.parametrize("on_lattice", [False, True])
+    def test_indefinite_momentum_half_takes_the_general_route(self, single_site, small_lattice,
+                                                              on_lattice):
+        lat = small_lattice if on_lattice else single_site
+        grid, rng = FrequencyGrid.midpoint(2, 3.0), np.random.default_rng(5)
+        n = canonical_dim(lat, grid.n_nodes) // 2
+        ham = decoupled_form(lat, grid, rng, half_eigs(rng, n, 0), half_eigs(rng, n, 1))
+        assert position_momentum_norm(ham) == 0.0
+        calls, (got, _, _) = eigvals_calls(mode_frequencies, ham)
+        assert calls == 1
+        ref = complex_route(ham)
+        assert same_multiset(got, ref, 1e-9 * np.max(np.abs(ref)))
+        assert symplectic_spectrum(ham)["max_imag_rel"] > 1e-6
+
+    @pytest.mark.parametrize("name,n", [("lorentz", 2), ("gaussian", 2), ("uniaxial", 2),
+                                        ("lorentz", 3)])
+    def test_shipped_oracle_stage_never_calls_eigvals(self, name, n):
+        pipe = Pipeline(replace(ScenarioConfig.from_file(CONFIG_DIR / f"{name}.ini"), n_per_axis=n))
+        calls, report = eigvals_calls(stage_oracle, pipe)
+        assert calls == 0
+        assert report["passed"]
+        assert position_momentum_norm(pipe.hamiltonian) == 0.0
 
 
 def spectrum_counts(evals):
@@ -592,13 +687,13 @@ class TestSectorSpectrum:
         assert same_multiset(got, ref, 1e-10 * np.max(np.abs(ref)))
 
     def test_traced_peak_within_the_block_bytes(self, lorentz_setup):
-        # the R blocks, all alive at once, plus one block's eigensolver
-        # workspace: 1.05 times the float64 bytes of the blocks, 8 sum b^2,
-        # measured at n = 2, K = 10
+        # one group at a time, its position and momentum halves, the Cholesky
+        # factor and L^T V L: 0.286 times the float64 bytes of the blocks,
+        # 8 sum G^2, measured at n = 2, K = 10 (eight groups of about 64)
         lat, grid, coupling, st, ham = lorentz_setup
         symplectic_spectrum(ham)
         peak, _ = traced_peak(symplectic_spectrum, ham)
-        assert peak <= 1.25 * 8 * sum(g.size**2 for g in ham.groups)
+        assert peak <= 0.31 * 8 * sum(g.size**2 for g in ham.groups)
 
 
 def oracle_pipeline(model, n, K, k0_transverse=True):
