@@ -34,7 +34,7 @@ from .fields import (
     medium_momentum_form,
     medium_polarization_form,
 )
-from .lattice import SectorLayout, cauchy_sum, sq_norms
+from .lattice import SectorLayout, cauchy_sum, frobenius_cond, sq_norms
 from .oracle import QuadraticHamiltonian
 from .susceptibility import Susceptibility, discontinuity
 
@@ -43,22 +43,30 @@ INVERTIBILITY_RTOL = 1e-10
 
 
 def require_invertible(layout: SectorLayout, *named: tuple) -> None:
-    """Raise `SingularOperatorError` unless every (what, (K, size) stack in `layout`) pair is invertible.
+    """Raise `SingularOperatorError` unless the (K, size) stack of every (what, stack, inverses) triple is invertible.
 
-    Each stack is checked by one batched SVD per block size; a node's
-    singular values are the union of its blocks'.  The error names the
-    first failing node, and at that node the first failing stack in the
-    order given, with the node's singular-value ratio, and its condition
-    number, infinite when the ratio of the largest to the smallest
-    singular value overflows.
+    A node is invertible when its singular-value ratio sigma_min / sigma_max,
+    over the union of its blocks', is above `INVERTIBILITY_RTOL`.  The
+    inverses, NaN at an exactly singular node (`SectorLayout.inv_or_nan`),
+    screen the check: kappa_2 <= kappa_F (`lattice.frobenius_cond`), so a
+    node with kappa_F <= 0.5 / INVERTIBILITY_RTOL passes, the factor 2
+    covering rounding, and only the other nodes, non-finite ones included,
+    take one batched SVD per block size.  The error names the first
+    failing node, and at that node the first failing stack in the order
+    given, with the node's singular-value ratio, and its condition number,
+    infinite when the ratio of the largest to the smallest singular value
+    overflows.
     """
     first = None
-    for what, stack in named:
-        sv = layout.svdvals(stack)
+    for what, stack, inverse in named:
+        screened = np.flatnonzero(~(frobenius_cond(stack, inverse) <= 0.5 / INVERTIBILITY_RTOL))
+        if not screened.size:
+            continue
+        sv = layout.svdvals(stack[screened])
         top, low = sv.max(axis=-1), sv.min(axis=-1)
         bad = np.flatnonzero((low <= INVERTIBILITY_RTOL * top) | (top == 0.0))
-        if bad.size and (first is None or bad[0] < first[0]):
-            first = (int(bad[0]), what, top[bad[0]], low[bad[0]])
+        if bad.size and (first is None or screened[bad[0]] < first[0]):
+            first = (int(screened[bad[0]]), what, top[bad[0]], low[bad[0]])
     if first is not None:
         node, what, top, low = first
         raise SingularOperatorError(
@@ -117,19 +125,20 @@ def bath_coefficients(coupling: CouplingTensor, chi: Susceptibility) -> BathCoef
 
     Requires the coupling kernel and the susceptibility just above the cut
     to be invertible at every node; degenerate nodes raise with the node
-    named rather than silently pseudo-inverting.  Every node is checked,
-    inverted and multiplied as one batched operation per block size over
-    the node axis; about six (K, size) block stacks are live at the peak
-    (6.0 at n = 2, K = 128 and 1024).
+    named rather than silently pseudo-inverting.  Every node is inverted,
+    checked and multiplied as one batched operation per block size over
+    the node axis; the check reads the inverses (`require_invertible`), so
+    nothing is inverted twice.  About six (K, size) block stacks are live
+    at the peak (6.0 at n = 2, K = 128 and 1024).
     """
     lattice, grid, layout = coupling.lattice, coupling.grid, coupling.layout
     v = lattice.cell_volume
     t = coupling.flat
-    require_invertible(layout, ("coupling kernel", t), ("susceptibility", chi.above_cut_blocks))
     t_t = layout.transpose(t)
-    delta = layout.inv(t_t)
+    delta = layout.inv_or_nan(t_t)   # (T^T)^-1: its Frobenius norm is T^-1's
+    chi_inv = layout.inv_or_nan(chi.above_cut_blocks)
+    require_invertible(layout, ("coupling kernel", t, delta), ("susceptibility", chi.above_cut_blocks, chi_inv))
     delta /= v**2
-    chi_inv = layout.inv(chi.above_cut_blocks)
     chi_inv /= v**2
     pole = layout.matmul((HBAR / EPS0) * v * t.conj(), chi_inv)
     del chi_inv

@@ -428,9 +428,12 @@ def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> Mo
     there is no per-node loop.  A product against a node-independent
     operator (the projectors, `mom_wave`, the smeared sums `t_sm`) folds
     the node axis into the GEMM rows: S_b b GEMMs of (K x b) @ (b x b) per
-    block size in place of K S_b of b x b, when K > b.  Cost O(K^2 size +
-    K sum_b S_b b^3).  The smear profiles are taken one at a time: the four
-    smeared families of a profile are formed and reduced by
+    block size in place of K S_b of b x b, when K > b.  A product of two
+    node-varying stacks, such as X G_wave, is one GEMM per node and block,
+    or for complex 3 x 3 blocks with K S_3 >= 256 nine entries of three
+    multiply-adds along the whole stack (`SectorLayout.matmul`).  Cost
+    O(K^2 size + K sum_b S_b b^3).  The smear profiles are taken one at a
+    time: the four smeared families of a profile are formed and reduced by
     `_ModeCheckSums.add_profile` before the next profile's, so the working
     set does not grow with the number of profiles.  The peak comes while a
     profile's families are reduced: about 13 (K, size) block stacks beside

@@ -9,13 +9,14 @@ systems are rejected instead of silently regularized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .constants import C_LIGHT
 from .coupling import CouplingTensor
 from .errors import DampolError, SingularOperatorError
-from .lattice import Lattice, SectorLayout, sq_norms
+from .lattice import Lattice, SectorLayout, frobenius_cond, sq_norms
 from .susceptibility import Susceptibility
 
 #: relative residual every emitted kernel must satisfy
@@ -46,50 +47,56 @@ def _identity_residuals(prod: np.ndarray, layout: SectorLayout, v: float) -> np.
     return np.sqrt(sq_norms(prod)) / np.linalg.norm(eye)
 
 
+def condition_numbers(layout: SectorLayout, mat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The 2-norm condition number sigma_max / sigma_min of each operator of an (n, size) stack.
+
+    A node's singular values are the union of its blocks', one batched SVD
+    per block size.  It is infinite where the operator or its inverse
+    `inv` (any finite multiple of it) is not finite.
+    """
+    cond = np.full(len(mat), np.inf)
+    ok = np.isfinite(mat).all(axis=-1) & np.isfinite(inv).all(axis=-1)
+    if ok.any():
+        sv = layout.svdvals(mat if ok.all() else mat[ok])
+        cond[ok] = sv.max(axis=-1) / sv.min(axis=-1)
+    return cond
+
+
 def solve_stack(chi: Susceptibility, zs) -> tuple:
     """Solve the defining wave equation at every point of zs at once, in `chi.layout`.
 
     Every point must sit off the real axis.  The inverses come from one
-    batched `inv` per block size; only when a point is exactly singular,
-    which makes the batched call raise, are the points inverted one at a
-    time to find it.  The condition number is the 2-norm one, sigma_max /
-    sigma_min over the union of a point's blocks, as in
-    `bath.require_invertible`; it is infinite at an exactly singular or a
-    non-finite point.  Returns the kernel blocks (n, size), the relative
-    residuals and condition numbers (n,), a dict from the index of each
-    failed point to its message, and the operator's matrix form v W(z) at
-    the points (n, size), which the kernels invert.  A point fails when dim
-    times its condition number, a bound of the 1-norm one, is beyond
-    `COND_LIMIT` or its residual beyond `TOL_SOLVE`.
+    batched `inv` per block size (`SectorLayout.inv_or_nan`: NaN at an
+    exactly singular point).  A point fails when dim times its 2-norm
+    condition number, a bound of the 1-norm one, is beyond `COND_LIMIT`,
+    or its residual beyond `TOL_SOLVE`.  The condition gate is screened:
+    kappa_2 <= kappa_F = ||A||_F ||A^-1||_F (`lattice.frobenius_cond`, from
+    the inverses at hand), so a point with dim kappa_F <= COND_LIMIT / 2
+    passes it, the factor 2 covering rounding; only the other points,
+    non-finite ones included, take the exact kappa_2 of
+    `condition_numbers`, which their messages state.  Returns the kernel
+    blocks (n, size), the relative residuals (n,), a dict from the index of
+    each failed point to its message, and the operator's matrix form v W(z)
+    at the points (n, size), which the kernels invert.
     """
     zs = np.asarray(zs, dtype=complex)
     layout = chi.layout
     v, dim = layout.lattice.cell_volume, layout.lattice.dim
     mat = wave_operator(chi.blocks_at(zs), zs, layout)
     mat *= v   # matrix form of the operator
-    try:
-        inv = layout.inv(mat)
-    except np.linalg.LinAlgError:
-        inv = np.empty_like(mat)
-        for i, m in enumerate(mat):
-            try:
-                inv[i] = layout.inv(m)
-            except np.linalg.LinAlgError:
-                inv[i] = np.nan   # an exactly singular point
-    cond = np.full(len(mat), np.inf)   # at an exactly singular or a non-finite point
-    ok = np.isfinite(mat).all(axis=-1) & np.isfinite(inv).all(axis=-1)
-    sv = layout.svdvals(mat if ok.all() else mat[ok])
-    cond[ok] = sv.max(axis=-1) / sv.min(axis=-1)
+    inv = layout.inv_or_nan(mat)
+    screened = np.flatnonzero(~(dim * frobenius_cond(mat, inv) <= COND_LIMIT / 2))
+    cond = dict(zip(screened.tolist(), condition_numbers(layout, mat[screened], inv[screened]).tolist()))
     inv /= v   # the kernel matrices
     residual = _identity_residuals(layout.matmul(inv, mat), layout, v)
     failures = {}
     for i, z in enumerate(zs.tolist()):
-        if not dim * cond[i] <= COND_LIMIT:
+        if not dim * cond.get(i, 0.0) <= COND_LIMIT:
             failures[i] = (f"wave operator at z = {z} is near-singular (cond = {cond[i]:.3e}); "
                            f"dim * cond is beyond {COND_LIMIT:.0e}; increase eta or move z")
         elif not residual[i] <= TOL_SOLVE:
             failures[i] = f"solve at z = {z} left relative residual {residual[i]:.3e} > {TOL_SOLVE}"
-    return inv, residual, cond, failures, mat
+    return inv, residual, failures, mat
 
 
 def solve_green(chi: Susceptibility, zs) -> np.ndarray:
@@ -98,15 +105,17 @@ def solve_green(chi: Susceptibility, zs) -> np.ndarray:
     Every z must sit off the real axis; pick a side of the cut explicitly via
     the susceptibility's eta.  A failed point (dim times its condition
     number beyond `COND_LIMIT`, or residual beyond `TOL_SOLVE`) raises for
-    the first one instead of returning a silently regularized kernel.
+    the first one, with its exact condition number, instead of returning a
+    silently regularized kernel.
     """
     zs = np.asarray(zs, dtype=complex)
     if np.any(zs.imag == 0.0):
         raise DampolError("solve_green needs Im z != 0; offset by the grid eta to pick a side")
-    blocks, _, cond, failures, _ = solve_stack(chi, zs)
+    blocks, _, failures, mat = solve_stack(chi, zs)
     if failures:
         first = min(failures)
-        raise SingularOperatorError(failures[first], cond=float(cond[first]))
+        cond = condition_numbers(chi.layout, mat[first:first + 1], blocks[first:first + 1])[0]
+        raise SingularOperatorError(failures[first], cond=float(cond))
     return blocks
 
 
@@ -133,19 +142,24 @@ class NodePropagator:
 
     Only `node_propagator` builds one, so it is complete and sits below the
     cut by construction.  It holds the (K, size) kernel blocks in
-    `chi.layout` and the (K,) residuals and condition numbers of the solves,
-    made with `chi`, whose source is the coupling that every consumer
-    contracts the propagator with, and the operator blocks the solves
-    inverted, which `diagonalize.wave_diagnostic` reads; the upper side is
-    the exact adjoint, G(w + i eta) = G(w - i eta)^dagger.  Every consumer
-    reads the blocks as they are: `chi.layout` is the coupling's, the run's.
+    `chi.layout` and the (K,) residuals of the solves, made with `chi`,
+    whose source is the coupling that every consumer contracts the
+    propagator with, and the operator blocks the solves inverted, which
+    `diagonalize.wave_diagnostic` reads and `cond` takes its singular
+    values from; the upper side is the exact adjoint, G(w + i eta) =
+    G(w - i eta)^dagger.  Every consumer reads the blocks as they are:
+    `chi.layout` is the coupling's, the run's.
     """
 
     chi: Susceptibility
     blocks: np.ndarray     # (K, size), in node order
     residual: np.ndarray   # (K,)
-    cond: np.ndarray       # (K,)
     operator: np.ndarray   # (K, size), v W(z_k): the wave operator the solves inverted
+
+    @cached_property
+    def cond(self) -> np.ndarray:
+        """The (K,) 2-norm condition numbers of the solves (`condition_numbers`), taken when first read."""
+        return condition_numbers(self.layout, self.operator, self.blocks)
 
     @property
     def layout(self) -> SectorLayout:
@@ -171,7 +185,9 @@ def node_propagator(chi: Susceptibility) -> NodePropagator:
     chi at every node is one (2 K, K) @ (K, size) GEMM whose coefficient
     rows come a bounded chunk at a time (`lattice.cauchy_sum`), the inverses
     one batched `inv` per block size and the residuals one batched product;
-    the condition numbers are one batched SVD per block size.  The peak
+    the condition gate takes singular values only at the nodes its
+    Frobenius bound does not clear (`solve_stack`), and `NodePropagator.cond`
+    takes them when it is read.  The peak
     holds about four (K, size) block stacks, chi's two node sums and chi,
     then the operator, its inverse and their product, whatever K (4.10 at
     n = 2, K = 128, and 4.06 at K = 1024); the result keeps two of them,
@@ -182,7 +198,7 @@ def node_propagator(chi: Susceptibility) -> NodePropagator:
     grid = chi.grid
     if grid.eta <= 0:
         raise DampolError("grid eta must be positive to pick a side of the cut")
-    blocks, residual, cond, failures, operator = solve_stack(chi, grid.nodes - 1j * grid.eta)
+    blocks, residual, failures, operator = solve_stack(chi, grid.nodes - 1j * grid.eta)
     if failures:
         raise SingularOperatorError(f"sweep failed at indices {sorted(failures)}: {failures}")
-    return NodePropagator(chi=chi, blocks=blocks, residual=residual, cond=cond, operator=operator)
+    return NodePropagator(chi=chi, blocks=blocks, residual=residual, operator=operator)

@@ -37,6 +37,19 @@ SECTOR_LEAK_TOL = 1e-13
 #: stacks of a layout rotation and the coefficient rows of a node sum
 CHUNK_BYTES = 1 << 20
 
+#: largest block size that `SectorLayout.matmul` folds against a node-independent left
+#: factor.  Measured with one BLAS thread, complex (count, b, b) @ (K, count, b, b) at
+#: K = 32 to 256: folded in 0.67-0.75 of the per-operator GEMMs' time at b = 6, level
+#: at b = 9, 1.3-2.0 times as long at b = 12, 16 and 24
+FOLD_A_MAX_BLOCK = 6
+
+#: fewest 3 x 3 products of a complex part that `SectorLayout.matmul` forms entry by
+#: entry (`_entrywise_3x3`) instead of by one GEMM each.  Measured with one BLAS thread,
+#: (K, size) @ (K, size) at n = 2 (eight 3 x 3 blocks): 78 against 116 us at 128
+#: products, level at 256, 232 against 143 us at 512 and 309 against 139 us at 1024.
+#: Real products stay GEMMs, faster there (139 against 268 us at 2048)
+ENTRYWISE_MIN_PRODUCTS = 256
+
 _LEVI_CIVITA = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _LEVI_CIVITA[_i, _j, _k] = 1.0
@@ -285,9 +298,10 @@ class SectorLayout:
     the other.  Blocks of
     one size are adjacent, so a flat array is viewed as one
     (..., count, b, b) array per block size (`parts`) and every product is
-    one batched `matmul` per size, over every leading axis at once; against
+    one batched product per size, over every leading axis at once: against
     an operand that is the same at every node, the node axis is folded into
-    the GEMM rows through strides (`matmul`).  The Frobenius norm of an
+    the GEMM rows through strides, and many complex 3 x 3 products are
+    formed entry by entry (`matmul`).  The Frobenius norm of an
     operator is that of its flat row, and a sum over a node axis is one GEMM
     on the flat rows.
 
@@ -455,7 +469,7 @@ class SectorLayout:
     # -- block algebra ----------------------------------------------------
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b for every operator pair, leading axes broadcast: one batched `matmul` per block size.
+        """a @ b for every operator pair, leading axes broadcast: one batched product per block size.
 
         A leading axis i along which one operand is constant and the other
         varies (a node axis against a node-independent operator) is folded
@@ -465,8 +479,14 @@ class SectorLayout:
         blocks makes count * b GEMMs (n_i x b) @ (b x b) in place of n_i *
         count GEMMs b x b; with a constant, the transposed blocks are folded
         likewise, b^T a^T.  Nothing is copied.  A block size folds only when
-        n_i > b, where folding makes fewer GEMMs; otherwise, and when both
-        operands vary along every axis, each operator pair is one GEMM.
+        n_i > b, where folding makes fewer GEMMs, and with a constant only
+        up to `FOLD_A_MAX_BLOCK`: that fold has no BLAS layout, and numpy's
+        strided loop is slower than a GEMM per operator for large blocks.
+        A part that does not fold is one `np.matmul`, a GEMM per operator
+        pair, unless its blocks are 3 x 3, its product complex and it holds
+        at least `ENTRYWISE_MIN_PRODUCTS` products: then each entry of the
+        product is three multiply-adds along the whole part
+        (`_entrywise_3x3`).
         """
         lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
         n = len(lead)
@@ -480,12 +500,14 @@ class SectorLayout:
         # with a constant (rest, block, column, i, row) @ (rest, block, 1, row, row) of the transposes
         rows, cols = (n + 1, n + 2) if b_const else (n + 2, n + 1)
         perm, const_perm = [*rest, n, rows, axis, cols], [*rest, n, axis, rows, cols]
-        for (blk, _, _), pa, pb, po in zip(self.part_sizes, self.parts(a), self.parts(b), self.parts(out)):
-            if length <= blk:
-                np.matmul(pa, pb, out=po)
-            else:
+        for (blk, count, _), pa, pb, po in zip(self.part_sizes, self.parts(a), self.parts(b), self.parts(out)):
+            if length > blk and (b_const or blk <= FOLD_A_MAX_BLOCK):
                 vary, const = (pa, pb) if b_const else (pb, pa)
                 np.matmul(vary.transpose(perm), const.transpose(const_perm), out=po.transpose(perm))
+            elif blk == 3 and out.dtype.kind == "c" and count * np.prod(lead) >= ENTRYWISE_MIN_PRODUCTS:
+                _entrywise_3x3(pa, pb, po)
+            else:
+                np.matmul(pa, pb, out=po)
         return out
 
     def transpose(self, a: np.ndarray) -> np.ndarray:
@@ -501,6 +523,23 @@ class SectorLayout:
         for pa, po in zip(self.parts(a), self.parts(out)):
             po[...] = np.linalg.inv(pa)
         return out
+
+    def inv_or_nan(self, stack: np.ndarray) -> np.ndarray:
+        """The inverse of every operator of an (n, size) stack, NaN where a block is exactly singular.
+
+        One batched `inv` per block size; only when it raises are the
+        operators inverted one at a time, to find the singular ones.
+        """
+        try:
+            return self.inv(stack)
+        except np.linalg.LinAlgError:
+            out = np.empty(stack.shape, dtype=np.result_type(stack, float))
+            for op, res in zip(stack, out):
+                try:
+                    res[...] = self.inv(op)
+                except np.linalg.LinAlgError:
+                    res[...] = np.nan
+            return out
 
     def svdvals(self, a: np.ndarray) -> np.ndarray:
         """The singular values of every operator, the union of its blocks', (..., d) unsorted."""
@@ -527,6 +566,23 @@ class SectorLayout:
             rhs = np.moveaxis(pb, -4, -3).swapaxes(-1, -2).reshape(pb.shape[:-4] + (c, n * k, k))
             np.matmul(lhs, rhs, out=po)
         return out
+
+
+def _entrywise_3x3(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b for (..., 3, 3) stacks, leading axes broadcast, one entry at a time.
+
+    Entry (i, k) of every product is a[..., i, 0] b[..., 0, k] plus two
+    more multiply-adds over the contraction index, each one ufunc call
+    along the whole stack, so the scratch is one entry's: a ninth of `out`.
+    """
+    scratch = np.empty(out.shape[:-2], dtype=out.dtype)
+    for i in range(3):
+        for k in range(3):
+            entry = out[..., i, k]
+            np.multiply(a[..., i, 0], b[..., 0, k], out=entry)
+            for j in (1, 2):
+                np.multiply(a[..., i, j], b[..., j, k], out=scratch)
+                entry += scratch
 
 
 def _momentum_rotate(vecs: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -592,6 +648,23 @@ def unit_scale(big) -> np.ndarray:
     ratio of two norms of the scaled arrays, bit for bit.
     """
     return np.ldexp(1.0, -np.frexp(big)[1])
+
+
+def frobenius_cond(a: np.ndarray, a_inv: np.ndarray) -> np.ndarray:
+    """||a||_F ||a^-1||_F for each row of an operator stack and of its inverses', two (..., n) arrays.
+
+    It bounds the 2-norm condition number, kappa_2 <= kappa_F, so a gate on
+    kappa_2 clears an operator whose bound is well inside it without its
+    singular values.  Each row is scaled by a power of two (`unit_scale`
+    of its largest modulus) before it is squared; a product beyond the
+    largest float is infinite, and a non-finite row gives a non-finite
+    bound, which clears nothing.
+    """
+    def norms(x):
+        unit = unit_scale(np.abs(x).max(axis=-1))
+        return np.sqrt(sq_norms(x * unit[..., None])) / unit
+    with np.errstate(over="ignore", invalid="ignore"):
+        return norms(a) * norms(a_inv)
 
 
 def rel_norms(num: np.ndarray, den: np.ndarray) -> np.ndarray:

@@ -170,8 +170,22 @@ class QuadraticHamiltonian:
         return r
 
     def symmetric_blocks(self) -> list:
-        """(h + h^T)/2 per block: the stored block itself when exactly symmetric, as both assemblers store it."""
+        """(h + h^T)/2 per block: the stored block itself when exactly symmetric, as both assemblers store it.
+
+        Taken once per state of the blocks, as is `hermiticity_defect`: the
+        methods that change a block in place drop both, and each assembler
+        ends in `symmetrize`.
+        """
+        return self._symmetric
+
+    @cached_property
+    def _symmetric(self) -> list:
         return [b if np.array_equal(b, b.T) else (b + b.T) / 2.0 for b in self.blocks]
+
+    def _changed(self):
+        """Drop what was derived from the blocks: called by every method that changes them."""
+        self.__dict__.pop("_symmetric", None)
+        self.__dict__.pop("_defect", None)
 
     # -- assembly, block by block -------------------------------------------
 
@@ -192,12 +206,14 @@ class QuadraticHamiltonian:
 
     def accumulate(self, left: np.ndarray, right: np.ndarray, coef: complex):
         """h += coef left^T right, each block's product scaled in place."""
+        self._changed()
         for block, prod in self._products(left, right):
             prod *= coef
             block += prod
 
     def add_hermitian(self, left: np.ndarray, right: np.ndarray):
         """h += left^T right plus its adjoint."""
+        self._changed()
         for block, half in self._products(left, right):
             block += half
             block += half.conj().T
@@ -210,6 +226,7 @@ class QuadraticHamiltonian:
 
     def symmetrize(self):
         """h = (h + h^T)/2 in place."""
+        self._changed()
         for block in self.blocks:
             block += block.T   # numpy buffers the overlapping transpose: one temporary, not two
             block /= 2.0
@@ -222,6 +239,10 @@ class QuadraticHamiltonian:
         symmetric part is twice its imaginary part.  The squared norms are
         summed over the blocks.
         """
+        return self._defect
+
+    @cached_property
+    def _defect(self) -> float:
         sym = self.symmetric_blocks()
         imag = np.sqrt(sum(np.linalg.norm(b.imag) ** 2 for b in sym))
         whole = np.sqrt(sum(np.linalg.norm(b) ** 2 for b in sym))

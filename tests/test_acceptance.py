@@ -179,7 +179,7 @@ class TestCriterion2GreenSuite:
             chi = Susceptibility(coupling)
             z = complex(rng.uniform(0.1, 0.95) * OMEGA_MAX,
                         rng.choice([-1, 1]) * rng.uniform(0.3, 3.0) * coupling.grid.eta)
-            blocks, residual, _, failures, _ = solve_stack(chi, [z])
+            blocks, residual, failures, _ = solve_stack(chi, [z])
             assert not failures
             sym = reflection_residuals(chi.layout, lambda zs: solve_green(chi, zs), [z])
             worst["defining"] = max(worst["defining"], residual[0])

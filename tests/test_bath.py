@@ -12,6 +12,7 @@ from dampol.coupling import (
     gram_stack,
     structure_tensor,
 )
+from dampol import bath as bath_module
 from dampol.bath import (
     INVERTIBILITY_RTOL,
     assemble_bath_hamiltonian,
@@ -19,12 +20,13 @@ from dampol.bath import (
     bath_mode_form,
     hamiltonian_equivalence,
     polarization_selfenergy_kernel,
+    require_invertible,
     verify_bath_canonical,
     verify_bath_independence,
     verify_linkage,
 )
 from dampol.fields import medium_polarization_form
-from dampol.lattice import FrequencyGrid, build_lattice
+from dampol.lattice import FrequencyGrid, build_lattice, frobenius_cond
 from dampol.oracle import assemble_hamiltonian
 from dampol.susceptibility import Susceptibility, chi_stack
 
@@ -101,6 +103,84 @@ def first_singular_reference(coupling, chi):
             if sv[-1] <= INVERTIBILITY_RTOL * sv[0] or sv[0] == 0.0:
                 return what, k, sv[0] / sv[-1] if sv[-1] > sv[0] / np.finfo(float).max else np.inf
     raise AssertionError("every node invertible")
+
+
+def invertibility_verdict(layout, named):
+    """(node, message, cond) of the `SingularOperatorError` that `require_invertible` raises, or None."""
+    try:
+        require_invertible(layout, *((what, stack, layout.inv_or_nan(stack)) for what, stack in named))
+    except SingularOperatorError as err:
+        return err.node, str(err), err.cond
+    return None
+
+
+def unscreened(monkeypatch):
+    """The check with no node cleared by its Frobenius bound: every node takes the batched SVD."""
+    monkeypatch.setattr(bath_module, "frobenius_cond", lambda a, a_inv: np.full(len(a), np.inf))
+
+
+class TestInvertibilityScreen:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st_.integers(0, 2**32 - 1), low=st_.sampled_from([-9.5, -10.2, -12.0]),
+           scale=st_.sampled_from([1.0, 8.795355955080751e-240, 1e200]),
+           zero=st_.sampled_from([None, None, "block", "node"]))
+    def test_sweep_gives_the_unscreened_verdict(self, seed, low, scale, zero):
+        # n = 2: node k of each stack is the identity but for one block, a
+        # random orthogonal pair around diag(1, 1, s) with s from 10^low to 1e-8,
+        # across both the screen (kappa_F about 5 / s against 5e9) and the gate
+        # (kappa_2 = 1 / s against 1e10), optionally with an exactly singular
+        # block or a zero node; at every scale, the screened check raises for
+        # the node, with the message and cond, that the unscreened one does
+        layout = build_lattice(2, 1.0).sector_layout
+        rng = np.random.default_rng(seed)
+        K = 12
+
+        def sweep():
+            stack = np.tile(layout.identity, (K, 1)) + 0j
+            (part,) = layout.parts(stack)
+            for k, s in enumerate(10.0 ** rng.uniform(low, -8.0, K)):
+                q1, q2 = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+                part[k, rng.integers(8)] = q1 @ np.diag([1.0, 1.0, s]) @ q2
+            if zero == "block":
+                part[rng.integers(K), rng.integers(8)] = np.diag([1.0, 1.0, 0.0])
+            elif zero == "node":
+                stack[rng.integers(K)] = 0.0
+            return scale * stack
+
+        named = [("coupling kernel", sweep()), ("susceptibility", sweep())]
+        got = invertibility_verdict(layout, named)
+        with pytest.MonkeyPatch.context() as mp:
+            unscreened(mp)
+            assert invertibility_verdict(layout, named) == got
+        # against the per-node loop on the site operators
+        def singular(mat):
+            sv = np.linalg.svd(mat, compute_uv=False)
+            return sv[-1] <= INVERTIBILITY_RTOL * sv[0] or sv[0] == 0.0
+
+        first = next(((k, what) for k in range(K) for what, stack in named if singular(layout.sites(stack[k]))),
+                     None)
+        if first is None:
+            assert got is None
+        else:
+            k, what = first
+            assert got[0] == k and got[1].startswith(f"{what} not invertible at node {k} ")
+
+    def test_tiny_strength_screened_without_warnings(self, single_site, monkeypatch):
+        # n = 1, K = 1 at strength 8.8e-240: the coupling's inverse has entries
+        # near 1e240, whose squares overflow unscaled; under the suite's warning
+        # filter its bound is finite and clears it, and chi, which underflows
+        # to zero, is named as the unscreened check names it
+        grid = FrequencyGrid.midpoint(1, 3.0)
+        coupling = coupling_from_lagrangian(builtin_model(
+            "local_lorentz", single_site, grid, {"strength": 8.795355955080751e-240}))
+        chi = Susceptibility(coupling)
+        layout, t = coupling.layout, coupling.flat
+        assert frobenius_cond(t, layout.inv_or_nan(t))[0] <= 0.5 / INVERTIBILITY_RTOL
+        named = [("coupling kernel", t), ("susceptibility", chi.above_cut_blocks)]
+        got = invertibility_verdict(layout, named)
+        assert got[:2] == (0, "susceptibility not invertible at node 0 (singular-value ratio 0.000e+00)")
+        unscreened(monkeypatch)
+        assert invertibility_verdict(layout, named) == got
 
 
 class TestRowBuilder:

@@ -126,6 +126,19 @@ class TestConfigParsing:
         assert main(argv) == EXIT_PASS
         assert sorted(built) == ["_symbols", "build_lattice", "momentum_sector", "sector_layout"]
 
+    def test_refine_kernels_takes_no_singular_values(self, tmp_path, monkeypatch):
+        # every node of the sweep and of the bath stacks is cleared by its
+        # Frobenius bound, and refine writes no condition numbers
+        svd, calls = np.linalg.svd, []
+
+        def spy(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        argv = ["refine", "--levels", "3", "--config", str(CONFIG_DIR / "refine_kernels.ini"), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_PASS
+        assert calls == []
+
     def test_bad_model_refine_writes_nothing(self, tmp_path, capsys):
         # refine builds its first level's pipeline, and so the model, before its output directory
         cfg, out = tmp_path / "bad_model.ini", tmp_path / "o"
@@ -553,9 +566,9 @@ class TestSweepFailure:
 
         def failing(chi, zs):
             calls.append(len(zs))
-            kernels, residual, cond, failures, operator = solve(chi, zs)
+            kernels, residual, failures, operator = solve(chi, zs)
             failures.update({i: "forced failure" for i, z in enumerate(zs) if z.real == node1})
-            return kernels, residual, cond, failures, operator
+            return kernels, residual, failures, operator
         monkeypatch.setattr(green, "solve_stack", failing)
         assert run(cfg) == EXIT_NUMERICAL
         # the sweep is attempted once, over all K nodes at once

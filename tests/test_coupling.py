@@ -271,12 +271,14 @@ class TestBuiltinModels:
 class TestInvertibility:
     def test_builtin_nodes_invertible(self, lorentz_coupling):
         for coupling in (lorentz_coupling, lorentz_coupling.relaid(lorentz_coupling.lattice.one_block)):
-            require_invertible(coupling.layout, ("coupling kernel", coupling.flat))
+            require_invertible(coupling.layout, ("coupling kernel", coupling.flat,
+                                                 coupling.layout.inv_or_nan(coupling.flat)))
 
     def test_zero_singular_value_detected(self, single_site):
         layout = single_site.one_block
         with pytest.raises(SingularOperatorError, match="coupling kernel not invertible at node 0") as exc:
-            require_invertible(layout, ("coupling kernel", layout.blocks(np.diag([1.0, 1.0, 0.0])[None])))
+            blocks = layout.blocks(np.diag([1.0, 1.0, 0.0])[None])
+            require_invertible(layout, ("coupling kernel", blocks, layout.inv_or_nan(blocks)))
         assert exc.value.node == 0 and exc.value.cond > 1e10
 
 

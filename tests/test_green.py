@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from dampol.errors import DampolError, SingularOperatorError
+from dampol import green
 from dampol.green import (
+    COND_LIMIT,
     TOL_SOLVE,
+    condition_numbers,
     node_propagator,
     solve_green,
     solve_stack,
     verify_adjoint,
     wave_operator,
 )
-from dampol.lattice import FrequencyGrid, build_lattice
+from dampol.lattice import FrequencyGrid, build_lattice, frobenius_cond
 from dampol.susceptibility import Susceptibility, chi_stack, reflection_residuals
 
 from reference import TensorKernel, longitudinal_matrix, sites, zero_coupling
@@ -75,7 +78,7 @@ class TestResiduals:
     def test_defining_residual_small(self, random_lagrangian, rng):
         chi = Susceptibility(random_lagrangian)
         zs = [complex(rng.uniform(0.3, 5.0), -rng.uniform(0.05, 1.0)) for _ in range(3)]
-        _, residual, _, failures, _ = solve_stack(chi, zs)
+        _, residual, failures, _ = solve_stack(chi, zs)
         assert not failures
         assert np.all(residual <= TOL_SOLVE)
 
@@ -146,11 +149,11 @@ class TestSweep:
         chi = Susceptibility(random_lagrangian)
         prop = node_propagator(chi)
         for k, z in enumerate(prop.z):
-            blocks, residual, cond, _, _ = solve_stack(chi, [z])
+            blocks, residual, _, mat = solve_stack(chi, [z])
             ref = prop.layout.sites(blocks[0])
             assert np.linalg.norm(prop.layout.sites(prop.blocks[k]) - ref) <= 1e-13 * np.linalg.norm(ref)
             assert prop.residual[k] == pytest.approx(residual[0], rel=1e-12, abs=1e-15)
-            assert prop.cond[k] == pytest.approx(cond[0], rel=1e-12)
+            assert prop.cond[k] == pytest.approx(condition_numbers(prop.layout, mat, blocks)[0], rel=1e-12)
 
     def test_exactly_singular_nodes_named_together(self, lorentz_coupling, monkeypatch):
         # an exactly singular node makes the batched inv raise for the whole
@@ -201,10 +204,36 @@ class TestConditionNumber:
     def test_two_norm_condition_from_the_singular_values(self, random_lagrangian):
         chi = Susceptibility(random_lagrangian)
         z = 1.1 - 0.3j
-        _, _, cond, _, _ = solve_stack(chi, [z])
+        blocks, _, _, operator = solve_stack(chi, [z])
         layout = chi.layout
+        cond = condition_numbers(layout, operator, blocks)
         mat = chi.lattice.cell_volume * layout.sites(wave_operator(chi_stack(random_lagrangian, [z])[0], z, layout))
         assert cond[0] == pytest.approx(np.linalg.cond(mat), rel=1e-12, abs=0)
+
+    def test_sweep_gives_the_unscreened_failures(self, small_lattice, monkeypatch):
+        # vacuum at n = 2 near the light line |k| = pi, where cond grows as 1 / eta:
+        # points cleared by their Frobenius bound, points screened that pass, and
+        # points that fail, besides two far off the line; every point fails or
+        # passes with the message, and the first failure raises with the cond,
+        # of the check without the screen, in which every point takes an SVD
+        chi = vacuum_chi(small_lattice, FrequencyGrid.midpoint(4, 4.0))
+        dim = small_lattice.dim
+        zs = np.r_[np.pi - 1j * np.logspace(-3, -13, 41), 1.0 - 0.3j, 2.0 + 0.5j]
+        blocks, residual, failures, mat = solve_stack(chi, zs)
+        bound = dim * frobenius_cond(mat, blocks * small_lattice.cell_volume)
+        cond = dim * condition_numbers(chi.layout, mat, blocks)
+        assert np.any(bound <= COND_LIMIT / 2)
+        assert np.any((bound > COND_LIMIT / 2) & (cond <= COND_LIMIT))
+        assert np.any(cond > COND_LIMIT)
+        with pytest.raises(SingularOperatorError) as screened:
+            solve_green(chi, zs)
+        monkeypatch.setattr(green, "frobenius_cond", lambda a, a_inv: np.full(len(a), np.inf))
+        _, ref_residual, ref_failures, _ = solve_stack(chi, zs)
+        assert failures == ref_failures
+        assert np.array_equal(residual, ref_residual)
+        with pytest.raises(SingularOperatorError) as ref:
+            solve_green(chi, zs)
+        assert (str(screened.value), screened.value.cond) == (str(ref.value), ref.value.cond)
 
     def test_exactly_singular_raises_singular_operator(self, small_lattice, monkeypatch):
         def singular(mat):

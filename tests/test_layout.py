@@ -27,7 +27,9 @@ its slots through `SectorLayout.slot_groups`.
 
 `coupling.py`, `susceptibility.py` and `green.py` derive, evaluate, solve
 and check every kernel as blocks: none calls `SectorLayout.sites`, and the
-propagator's condition number comes from `SectorLayout.svdvals`.  `oracle.py` forms every
+propagator's condition number comes from `SectorLayout.svdvals`, at the
+nodes its Frobenius bound (`lattice.frobenius_cond`) does not clear and
+when `NodePropagator.cond` is read.  `oracle.py` forms every
 canonical row stack per slot group, in its form's layout: it calls no
 `sites` method and no `tensordot`, so no row is rotated through sites.
 """

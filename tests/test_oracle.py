@@ -183,6 +183,30 @@ class TestAssembly:
         rand = one_block(lat, grid, h)
         assert np.array_equal(rand.symmetric_blocks()[0], (h + h.T) / 2.0)
 
+    def test_symmetric_part_and_defect_taken_once_per_stage(self, monkeypatch):
+        # the stage reads the symmetric part five times and the defect twice
+        counts = dict.fromkeys(("_symmetric", "_defect"), 0)
+        for name in counts:
+            prop = QuadraticHamiltonian.__dict__[name]
+
+            def counted(ham, func=prop.func, name=name):
+                counts[name] += 1
+                return func(ham)
+            monkeypatch.setattr(prop, "func", counted)
+        stage_oracle(oracle_pipeline("local_lorentz", 2, 4))
+        assert counts == {"_symmetric": 1, "_defect": 1}
+
+    def test_a_change_drops_the_symmetric_part_and_defect(self, lorentz_setup):
+        lat, grid, coupling, st, ham = lorentz_setup
+        h = np.arange(ham.dim**2, dtype=float).reshape(ham.dim, ham.dim)
+        form = one_block(lat, grid, (h + h.T).astype(complex))
+        assert form.hermiticity_defect() == 0.0 and form.symmetric_blocks()[0] is form.blocks[0]
+        left, right = np.random.default_rng(2).standard_normal((2, 2, form.row_size)) + 0j
+        form.accumulate(right, right, 1j)   # a symmetric imaginary part
+        assert form.hermiticity_defect() > 0.0
+        form.accumulate(left, right, 1.0)   # an asymmetric real part
+        assert np.array_equal(form.symmetric_blocks()[0], (form.blocks[0] + form.blocks[0].T) / 2.0)
+
     def test_hermiticity_defect_matches_permuted_adjoint(self, lorentz_setup):
         # the ladder-basis definition: the adjoint of zeta^T q zeta has the
         # coefficients conj(q)^T with the c and c^dag slots swapped

@@ -171,6 +171,12 @@ FOLD_LAYOUTS = [(2, "sector_layout"), (3, "sector_layout"), (1, "one_block"), (2
 FOLD_SHAPES = [lambda P, K: (), lambda P, K: (K,), lambda P, K: (P, 1), lambda P, K: (1, K),
                lambda P, K: (P, K)]
 
+#: leading shapes of operand pairs that fold along no axis: both vary along
+#: every axis, or only along a profile axis of at most 3, no longer than a block
+UNFOLDED_SHAPES = [(lambda P, K: (K,), lambda P, K: (K,)), (lambda P, K: (P, K), lambda P, K: (P, K)),
+                   (lambda P, K: (P, K), lambda P, K: (K,)), (lambda P, K: (K,), lambda P, K: (P, K)),
+                   (lambda P, K: (P, K), lambda P, K: (1, K)), (lambda P, K: (1, K), lambda P, K: (P, K))]
+
 
 class TestFoldedMatmul:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -199,25 +205,66 @@ class TestFoldedMatmul:
         bound = per_operator_matmul(layout, np.abs(a), np.abs(b)) * (4 * layout.sizes.max() * np.finfo(float).eps)
         assert np.all(np.abs(got - want) <= bound)
 
-    @pytest.mark.parametrize("const, leads, shapes", [
-        ("b", [(256,), ()], [(8, 3, 256, 3), (8, 1, 3, 3)]),
-        ("a", [(), (256,)], [(8, 3, 256, 3), (8, 1, 3, 3)]),
-        ("b", [(2, 256), (256,)], [(256, 8, 3, 3)] * 2),   # two profiles: the 3x3 blocks are longer
-        ("neither", [(256,), (256,)], [(256, 8, 3, 3)] * 2),
+    @pytest.mark.parametrize("name, const, leads, dtype, calls", [
+        pytest.param("sector_layout", "b", [(256,), ()], complex, [[(8, 3, 256, 3), (8, 1, 3, 3)]],
+                     id="b-leads0-shapes0"),
+        pytest.param("sector_layout", "a", [(), (256,)], complex, [[(8, 3, 256, 3), (8, 1, 3, 3)]],
+                     id="a-leads1-shapes1"),
+        # two profiles: the 3x3 blocks are longer, and the 4096 products are formed entry by entry
+        pytest.param("sector_layout", "b", [(2, 256), (256,)], complex, [], id="b-leads2-shapes2"),
+        pytest.param("sector_layout", "neither", [(256,), (256,)], complex, [], id="neither-leads3-shapes3"),
+        # 128 products, or real ones: a GEMM each
+        pytest.param("sector_layout", "neither", [(16,), (16,)], complex, [[(16, 8, 3, 3)] * 2],
+                     id="neither-few-complex"),
+        pytest.param("sector_layout", "neither", [(256,), (256,)], float, [[(256, 8, 3, 3)] * 2],
+                     id="neither-real"),
+        # a constant 24x24 left factor: a GEMM per operator
+        pytest.param("one_block", "a", [(), (64,)], complex, [[(1, 1, 24, 24), (64, 1, 24, 24)]],
+                     id="a-one-block-24"),
     ])
-    def test_node_axis_folded_into_the_rows(self, monkeypatch, const, leads, shapes):
+    def test_node_axis_folded_into_the_rows(self, monkeypatch, name, const, leads, dtype, calls):
         # at n = 2 (eight 3x3 blocks) a node-independent operand makes the
         # 256 nodes the rows of 8 * 3 GEMMs (256 x 3) @ (3 x 3)
-        layout = build_lattice(2, 1.0).sector_layout
-        calls, matmul = [], np.matmul
+        layout = getattr(build_lattice(2, 1.0), name)
+        seen, matmul = [], np.matmul
 
         def spy(x, y, **kwargs):
-            calls.append([x.shape[-4:], y.shape[-4:]])
+            seen.append([x.shape[-4:], y.shape[-4:]])
             return matmul(x, y, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
-        layout.matmul(*(np.ones(lead + (layout.size,), dtype=complex) for lead in leads))
-        assert calls == [shapes]
+        layout.matmul(*(np.ones(lead + (layout.size,), dtype=dtype) for lead in leads))
+        assert seen == calls
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(where=st_.sampled_from([(2, "sector_layout"), (3, "sector_layout"), (1, "one_block")]),
+           P=st_.integers(1, 3), K=st_.sampled_from([40, 97, 300]), shapes=st_.sampled_from(UNFOLDED_SHAPES),
+           kinds=st_.sampled_from([(complex, complex), (float, complex), (complex, float), (float, float)]),
+           seed=st_.integers(0, 2**32 - 1))
+    def test_entrywise_matches_per_operator_matmul(self, where, P, K, shapes, kinds, seed):
+        # products that do not fold, with enough 3x3 blocks for the entry-by-entry
+        # route where the product is complex: against one np.matmul per block and
+        # operator pair, within the GEMM error bound; a real product stays one
+        # GEMM per pair
+        n, name = where
+        layout = getattr(build_lattice(n, 1.0), name)
+        rng = np.random.default_rng(seed)
+
+        def draw(lead, kind):
+            x = rng.standard_normal(lead + (layout.size,))
+            return x + 1j * rng.standard_normal(x.shape) if kind is complex else x
+
+        a, b = (draw(shape(P, K), kind) for shape, kind in zip(shapes, kinds))
+        calls, entrywise = [], lattice._entrywise_3x3
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "_entrywise_3x3", lambda *args: (calls.append(args[2].shape), entrywise(*args)))
+            got = layout.matmul(a, b)
+        want = per_operator_matmul(layout, a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        bound = per_operator_matmul(layout, np.abs(a), np.abs(b)) * (4 * layout.sizes.max() * np.finfo(float).eps)
+        assert np.all(np.abs(got - want) <= bound)
+        products = got[..., 0].size * layout.part_sizes[0][1]   # the 3x3 part comes first
+        assert bool(calls) == (got.dtype == complex and products >= lattice.ENTRYWISE_MIN_PRODUCTS)
 
     @pytest.mark.parametrize("const", ["b", "a"])
     def test_fold_copies_no_operand(self, const):
@@ -422,7 +469,7 @@ def test_invertibility_ratio_over_the_union_of_blocks(small_lattice):
     part[1, 2] = np.diag([3.0, 1.0, 1.0])
     part[1, 5] = np.diag([1.0, 1.0, 1e-10])
     with pytest.raises(SingularOperatorError, match="^coupling kernel not invertible at node 1 ") as err:
-        require_invertible(layout, ("coupling kernel", blocks))
+        require_invertible(layout, ("coupling kernel", blocks, layout.inv_or_nan(blocks)))
     sv = np.linalg.svd(layout.sites(blocks)[1], compute_uv=False)
     assert err.value.node == 1
     assert err.value.cond == pytest.approx(3e10, rel=1e-12)
