@@ -1,16 +1,14 @@
 """Medium coupling tensors: construction, spectral-density moments, model library.
 
 The frequency-indexed coupling tensor T(r, r', w) is the single free input
-of the model.  Couplings are generated through the Lagrangian route (a real
-coefficient tensor plus a unitary gauge per node), which makes the canonical
-pair constraints hold per node at machine precision instead of merely to
-quadrature accuracy.  The built-in models are lattice convolutions, given by
-one 3x3 symbol per wave vector (`SymbolCoupling`), so their kernels are built
-per momentum sector with no site operator; a dense input (`RealCoupling`) is
-rotated once into one dense block, which is laid into the sector blocks or
-kept when it leaks across sectors.  The coupling's layout,
-`CouplingTensor.layout`, is the layout of the whole run: every operator
-derived from it is blocks in it.
+of the model.  Couplings are generated through the Lagrangian route (real
+coefficients in the identity gauge I/v per node), which makes the
+canonical pair constraints hold per node at machine precision instead of
+merely to quadrature accuracy.  The built-in models are lattice
+convolutions, given by one 3x3 symbol per wave vector (`SymbolCoupling`),
+so their kernels are built per momentum sector with no site operator.  The
+coupling's layout, `CouplingTensor.layout`, is the layout of the whole run:
+every operator derived from it is blocks in it.
 The frequency moments s_n = sum_k w_k w_k^n D_k of the spectral densities
 have one evaluator, `CouplingTensor.moments`, which the constraints, the
 structure tensor, the sum rules, the asymptote and the self-energy all read.
@@ -29,39 +27,6 @@ from .lattice import FrequencyGrid, Lattice, SectorLayout
 
 #: relative tolerance of the canonical-pair constraints
 DEFAULT_TOL_CONSTRAINT = 1e-10
-
-
-def gram_stack(a: np.ndarray) -> np.ndarray:
-    """Per-node Gram products a_k^T conj(a_k) of a (K, n, n) stack, as one stacked GEMM."""
-    return np.matmul(a.transpose(0, 2, 1), a.conj())
-
-
-@dataclass(frozen=True, eq=False)
-class RealCoupling:
-    """Lagrangian-route input: real coefficient kernels plus a unitary gauge.
-
-    `t0` and `unitary` are stacks of shape (K, 3M, 3M), one kernel per
-    frequency node.
-    """
-
-    lattice: Lattice
-    grid: FrequencyGrid
-    t0: np.ndarray
-    unitary: np.ndarray
-
-    def __post_init__(self):
-        t0 = np.asarray(self.t0, dtype=float)
-        uni = np.asarray(self.unitary, dtype=complex)
-        shape = (self.grid.n_nodes, self.lattice.dim, self.lattice.dim)
-        if t0.shape != shape or uni.shape != shape:
-            raise DampolError(f"coupling stacks must have shape {shape}")
-        # kernel unitarity: Utilde o U* = delta  <=>  v^2 U^T conj(U) = 1
-        gram = gram_stack(uni)
-        gram *= self.lattice.cell_volume**2
-        if not np.allclose(gram, np.eye(self.lattice.dim), atol=1e-10):
-            raise DampolError("unitary gauge kernels are not unitary")
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "unitary", uni)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,13 +84,12 @@ def spectral_moments(nodes: np.ndarray, weights: np.ndarray, density: np.ndarray
 class CouplingTensor:
     """Coupling kernels T(w_k) stacked over the frequency grid, as (K, size) blocks `flat` in `layout`.
 
-    `layout` is `Lattice.sector_layout` unless the kernels leak out of its
-    blocks by more than `lattice.SECTOR_LEAK_TOL`, then `Lattice.one_block`;
-    `sector_leak` is the leak that chose `layout`: the kernels', exactly 0
-    for kernels built from per-k symbols, or that of the run's other inputs
-    when they leak and the coupling is re-laid into their layout (`relaid`).
-    It is the layout of the run: every operator derived from the coupling is
-    blocks in `layout` too.
+    `layout` is `Lattice.sector_layout` for a coupling built from per-k
+    symbols, whose `sector_leak` is exactly 0.  A run whose other inputs
+    leak out of it, as a symmetry-violating perturbation of chi does,
+    re-lays the coupling into their layout (`relaid`) and keeps their leak
+    as `sector_leak`.  It is the layout of the run: every operator derived
+    from the coupling is blocks in `layout` too.
     """
 
     lattice: Lattice
@@ -142,20 +106,6 @@ class CouplingTensor:
         if not np.all(np.isfinite(flat)):
             raise DampolError("coupling kernels contain non-finite entries")
         object.__setattr__(self, "flat", flat)
-
-    @classmethod
-    def from_kernels(cls, lattice: Lattice, grid: FrequencyGrid, kernels: np.ndarray) -> "CouplingTensor":
-        """The coupling of a dense (K, 3M, 3M) kernel stack: rotated once into the one dense block
-        and laid into the sector blocks, or kept dense when it leaks out of them."""
-        kern = np.asarray(kernels, dtype=complex)
-        shape = (grid.n_nodes, lattice.dim, lattice.dim)
-        if kern.shape != shape:
-            raise DampolError(f"coupling kernel stack must have shape {shape}")
-        if not np.all(np.isfinite(kern)):
-            raise DampolError("coupling kernels contain non-finite entries")
-        leak, dense = lattice.split(kern)
-        layout = lattice.layout(leak)
-        return cls(lattice, grid, layout, lattice.one_block.relay(dense, layout), leak)
 
     def relaid(self, layout: SectorLayout, leak: float | None = None) -> "CouplingTensor":
         """The same coupling as blocks of `layout`, which must hold the blocks of its own.
@@ -220,22 +170,17 @@ def _lagrangian_prefactor(nodes: np.ndarray) -> np.ndarray:
     return -((2.0 * HBAR * nodes) ** -0.5)
 
 
-def coupling_from_lagrangian(t0: RealCoupling | SymbolCoupling) -> CouplingTensor:
-    """Build the coupling tensor from real coefficients and a unitary gauge.
+def coupling_from_lagrangian(t0: SymbolCoupling) -> CouplingTensor:
+    """Build the coupling tensor from real coefficients in the identity gauge I/v.
 
-    Per node, T(w) = -(2 hbar w)^(-1/2) U(w) o T0(w), which is
-    -(2 hbar w)^(-1/2) T0(w) in the identity gauge of a `SymbolCoupling`,
-    built per momentum sector from its symbols.  The resulting spectral
+    Per node, T(w) = -(2 hbar w)^(-1/2) T0(w), built per momentum sector
+    from the symbols of the `SymbolCoupling`.  The resulting spectral
     density is real node by node, so the quadrature constraints hold
     automatically; residuals above tolerance signal corrupted inputs.
     """
-    lattice, grid, pref = t0.lattice, t0.grid, _lagrangian_prefactor(t0.grid.nodes)
-    if isinstance(t0, SymbolCoupling):
-        flat = pref[:, None] * (t0.tau[:, None] * lattice.sector_blocks(t0.symbols))
-        coupling = CouplingTensor(lattice, grid, lattice.sector_layout, flat)
-    else:
-        kernels = pref[:, None, None] * lattice.cell_volume * np.matmul(t0.unitary, t0.t0)
-        coupling = CouplingTensor.from_kernels(lattice, grid, kernels)
+    lattice, grid = t0.lattice, t0.grid
+    flat = _lagrangian_prefactor(grid.nodes)[:, None] * (t0.tau[:, None] * lattice.sector_blocks(t0.symbols))
+    coupling = CouplingTensor(lattice, grid, lattice.sector_layout, flat)
     report = check_constraints(coupling)
     if not report.passed:
         raise DampolError(

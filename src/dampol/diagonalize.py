@@ -32,11 +32,10 @@ time), shifted sums reduce to unshifted ones by exact pole-shift
 identities, and no pair row is ever formed: O(K^2 size + K sum_b S_b b^3)
 time and O(K size) memory, with size = sum_b S_b b^2 the entries of the
 S_b blocks of each size b.
-`fano_residual`, the tests' reference, sums the 2 K^2 d^2 pair families
-that `mode_coefficients` stacks as site operators, split into the same
-layout.  The assembled-Hamiltonian oracle reads the explicit rows of every
-node from `node_families` as (K, K, size) blocks; no production path holds a
-(K, K, d, d) site stack.
+`fano_residual`, the tests' reference, sums the explicit pair rows that
+`mode_coefficients` holds as (K, K, size) blocks in the same layout.  The
+assembled-Hamiltonian oracle reads the same rows of every node from
+`node_families`; no code of the package forms a site operator.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import numpy as np
 from .constants import EPS0, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
 from .green import NodePropagator
-from .lattice import FrequencyGrid, Lattice, cauchy_sum, sq_norms
+from .lattice import FrequencyGrid, SectorLayout, cauchy_sum, sq_norms
 
 #: smearing profiles used for weak-form residuals, as functions of w/w_max
 SMEAR_PROFILES = {
@@ -65,14 +64,14 @@ def smear_profiles(grid: FrequencyGrid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ModeCoefficients:
-    """Coefficient kernels of the diagonalizing transformation."""
+    """Coefficient kernels of the diagonalizing transformation, as blocks in `layout`, the propagator's."""
 
-    lattice: Lattice
+    layout: SectorLayout
     grid: FrequencyGrid
-    potential: np.ndarray      # (K, d, d)
-    momentum: np.ndarray       # (K, d, d)
-    resonant: np.ndarray       # (K, K, d, d), regular part only
-    antiresonant: np.ndarray   # (K, K, d, d)
+    potential: np.ndarray      # (K, size)
+    momentum: np.ndarray       # (K, size)
+    resonant: np.ndarray       # (K, K, size), regular part only
+    antiresonant: np.ndarray   # (K, K, size)
 
 
 class _NodeKernels:
@@ -171,11 +170,10 @@ def node_families(prop: NodePropagator) -> tuple:
 
 
 def mode_coefficients(prop: NodePropagator) -> ModeCoefficients:
-    """The four coefficient families as site stacks, node-pair stacks included."""
-    potential, momentum, resonant, antiresonant = map(prop.layout.sites, node_families(prop))
-    return ModeCoefficients(lattice=prop.coupling.lattice, grid=prop.coupling.grid,
-                            potential=potential, momentum=momentum, resonant=resonant,
-                            antiresonant=antiresonant)
+    """The four coefficient families of `node_families`, the node-pair rows included, as one record."""
+    potential, momentum, resonant, antiresonant = node_families(prop)
+    return ModeCoefficients(layout=prop.layout, grid=prop.coupling.grid, potential=potential,
+                            momentum=momentum, resonant=resonant, antiresonant=antiresonant)
 
 
 def wave_diagnostic(prop: NodePropagator) -> float:
@@ -376,23 +374,23 @@ class _ModeCheckSums:
 
 def fano_residual(modes: ModeCoefficients, coupling: CouplingTensor,
                   structure: StructureTensor) -> ModeChecks:
-    """Every mode-kernel identity, with the pair sums taken over the stacks.
+    """Every mode-kernel identity, with the pair sums taken over the explicit rows.
 
-    The reference of `streamed_mode_checks`: it sums the rows of
-    `mode_coefficients` directly, split into the coupling's layout, and
-    feeds `_ModeCheckSums` the resulting stacks, one smear profile at a
-    time through the same per-profile entry.
+    The reference of `streamed_mode_checks`: it sums the (K, K, size) rows
+    of `mode_coefficients` directly, in the coupling's layout, and feeds
+    `_ModeCheckSums` the resulting stacks, one smear profile at a time
+    through the same per-profile entry.
     """
-    grid, v, layout = modes.grid, modes.lattice.cell_volume, coupling.layout
-    K, nodes, w = grid.n_nodes, grid.nodes, grid.weights
+    grid, layout = modes.grid, coupling.layout
+    K, nodes, w, v = grid.n_nodes, grid.nodes, grid.weights, layout.lattice.cell_volume
     sums = _ModeCheckSums(coupling, structure)
     phi = sums.phi
-    res, anti = layout.blocks(modes.resonant), layout.blocks(modes.antiresonant)
+    res, anti = modes.resonant, modes.antiresonant
     # the pair sums against T* and T of every row: sum_l q_l rows[k, l] @ (T^H_l)^T, ...
     t_h, t_t = sums.t_t.conj(), sums.t_t
     wave = v * (layout.pair_contract(w * nodes, res, t_h) - layout.pair_contract(w * nodes, anti, t_t))
     brace = v * (layout.pair_contract(w, res, t_h) + layout.pair_contract(w, anti, t_t))
-    sums.add(layout.blocks(modes.potential), layout.blocks(modes.momentum), wave, brace)
+    sums.add(modes.potential, modes.momentum, wave, brace)
     for p, phi_p in enumerate(phi):
         families = np.empty((4, K, layout.size), dtype=complex)
         for k in range(K):

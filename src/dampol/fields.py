@@ -62,11 +62,6 @@ class LinearBosonicForm:
     def dagger(self) -> "LinearBosonicForm":
         return replace(self, alpha=self.beta.conj(), creators=self.alpha.conj())
 
-    def __mul__(self, scalar):
-        return replace(self, alpha=scalar * self.alpha, creators=np.conj(scalar) * self.beta)
-
-    __rmul__ = __mul__
-
     def _check(self, other):
         if self.basis != other.basis:
             raise DampolError(f"forms live over different mode families: {self.basis} vs {other.basis}")

@@ -33,8 +33,8 @@ from .errors import DampolError
 #: its kernel stacks (`SectorLayout`) and the oracle's quadratic forms
 SECTOR_LEAK_TOL = 1e-13
 
-#: largest temporary a chunked loop holds at once, in bytes: the (d, d)
-#: stacks of a layout rotation and the coefficient rows of a node sum
+#: largest temporary a chunked loop holds at once, in bytes: the coefficient
+#: rows of a node sum
 CHUNK_BYTES = 1 << 20
 
 #: largest block size that `SectorLayout.matmul` folds against a node-independent left
@@ -254,8 +254,9 @@ class Lattice:
         """The dense layout: one d x d block in the basis kron(F, I_3) of `momentum_basis`, in its column order.
 
         It holds any operator, so it is the layout of a run whose inputs
-        leak across momentum sectors and the dense reference of the sector
-        route; an oracle form in it has one slot group, every slot in order.
+        leak across momentum sectors, as the `chi_symmetry` violation does,
+        and the dense reference of the sector route; an oracle form in it
+        has one slot group, every slot in order.
         """
         return SectorLayout(self, np.array([self.dim]), np.arange(self.dim))
 
@@ -271,16 +272,6 @@ class Lattice:
         outside = sq_norms(np.delete(dense, self.sector_layout.places, axis=-1).ravel())
         return float(np.sqrt(outside) / max(np.sqrt(sq_norms(dense.ravel())), 1e-300))
 
-    def split(self, stack: np.ndarray) -> tuple:
-        """(leak, blocks) of a (..., d, d) stack of site operators: its `one_block` blocks, rotated once,
-        and their `leak`.
-
-        The blocks are laid into the layout the leak chooses by
-        `one_block.relay`, so no operator is rotated twice.
-        """
-        dense = self.one_block.blocks(stack)
-        return self.leak(dense), dense
-
 
 def build_lattice(n_per_axis: int, spacing: float, k0_transverse: bool = True) -> Lattice:
     """Construct a periodic lattice; rejects non-positive sizes."""
@@ -290,12 +281,11 @@ def build_lattice(n_per_axis: int, spacing: float, k0_transverse: bool = True) -
 class SectorLayout:
     """Block-diagonal (..., d, d) site operators stored as flat (..., size) arrays.
 
-    `basis` is the real orthogonal (d, d) column selection `columns` of
+    The basis is the real orthogonal (d, d) column selection `columns` of
     kron(F, I_3), F the lattice's `momentum_basis`, its columns running over
-    the blocks in order; it is built only when a site operator is rotated,
-    by `blocks` or `sites`.  The blocks are the diagonal blocks of
-    basis^T A basis, of the sizes in `sizes`, stored row-major one after
-    the other.  Blocks of
+    the blocks in order; no code of the package forms it, or any site
+    operator.  The blocks are the diagonal blocks of basis^T A basis, of
+    the sizes in `sizes`, stored row-major one after the other.  Blocks of
     one size are adjacent, so a flat array is viewed as one
     (..., count, b, b) array per block size (`parts`) and every product is
     one batched product per size, over every leading axis at once: against
@@ -323,11 +313,6 @@ class SectorLayout:
                 self.part_sizes.append([b, 1, self.size])
             self.size += b * b
         self._ops = {}
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        """The (d, d) basis matrix, built when a site operator is first rotated."""
-        return np.ascontiguousarray(np.kron(self.lattice.momentum_basis, np.eye(3))[:, self.columns])
 
     @cached_property
     def _entries(self) -> tuple:
@@ -379,38 +364,6 @@ class SectorLayout:
                            (self.columns[f:f + b] + n_transverse * mt
                             + d * np.arange(n_site)[:, None]).ravel()]
                      for (mine, _), f, b in zip(self.transverse, first, self.sizes))
-
-    # -- conversion ------------------------------------------------------
-
-    def _chunks(self, n: int):
-        """Slices of a leading axis of n operators, each at most an eighth of it and of bounded bytes."""
-        step = max(1, min(CHUNK_BYTES // (16 * self.lattice.dim**2), -(-n // 8)))
-        return (slice(i, i + step) for i in range(0, n, step))
-
-    def blocks(self, stack: np.ndarray) -> np.ndarray:
-        """The blocks of a (..., d, d) stack of site operators, (..., size).
-
-        The rotation runs a chunk of operators at a time, so its temporaries
-        stay below a fraction of the stack.
-        """
-        stack = np.asarray(stack)
-        lead, d = stack.shape[:-2], self.lattice.dim
-        mats, (rows, cols) = stack.reshape(-1, d, d), self._entries
-        out = np.empty((len(mats), self.size), dtype=stack.dtype)
-        for chunk in self._chunks(len(mats)):
-            out[chunk] = (self.basis.T @ mats[chunk] @ self.basis)[:, rows, cols]
-        return out.reshape(lead + (self.size,))
-
-    def sites(self, flat: np.ndarray) -> np.ndarray:
-        """The (..., d, d) site operators of a (..., size) array."""
-        lead, d = flat.shape[:-1], self.lattice.dim
-        ops, (rows, cols) = flat.reshape(-1, self.size), self._entries
-        out = np.empty((len(ops), d, d), dtype=flat.dtype)
-        for chunk in self._chunks(len(ops)):
-            dense = np.zeros((len(ops[chunk]), d, d), dtype=flat.dtype)
-            dense[:, rows, cols] = ops[chunk]
-            np.matmul(self.basis @ dense, self.basis.T, out=out[chunk])
-        return out.reshape(lead + (d, d))
 
     def apply(self, flat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """The site operators of a (..., size) array applied to (..., d) site vectors, leading axes broadcast.

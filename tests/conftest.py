@@ -8,7 +8,7 @@ import pytest
 from dampol.coupling import builtin_model, coupling_from_lagrangian, structure_tensor
 from dampol.lattice import FrequencyGrid, build_lattice
 
-from reference import random_coupling
+from reference import coupling_from_real, random_coupling
 
 # `pythonpath` in pyproject.toml puts src/ on the tests' own path; the CLI
 # subprocesses some tests start find the package through PYTHONPATH
@@ -58,4 +58,4 @@ def lorentz_structure(lorentz_coupling):
 
 @pytest.fixture
 def random_lagrangian(small_lattice, grid12, rng):
-    return coupling_from_lagrangian(random_coupling(small_lattice, grid12, rng))
+    return coupling_from_real(random_coupling(small_lattice, grid12, rng))

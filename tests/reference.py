@@ -6,9 +6,13 @@ of dimension ``3M`` with row index ``(site, component)`` (`TensorKernel`),
 and kernel composition carries the volume factor, ``A o B = v * A @ B``.
 The lattice operators are assembled as site matrices from the same per-k
 symbols the package builds its blocks from (`Lattice._symbols`), and the
-transverse basis from the same column vectors; a few quantities that no
-production path needs (the pair-resolved commutator, the asymptote, a
-form's time derivative, random dense couplings) are formed here too.
+transverse basis from the same column vectors.  The site rotation of a
+layout (`basis`, `blocks`, `sites`) and the dense-input route (a
+`RealCoupling` of real coefficients and a unitary gauge per node, built
+through `from_kernels` and `split` into the layout its leak picks) live
+here too, with a few quantities that no production path needs (the
+pair-resolved commutator, the asymptote, a form's time derivative and its
+multiple, random dense couplings).
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ from functools import lru_cache
 import numpy as np
 
 from dampol.constants import EPS0, HBAR
-from dampol.coupling import CouplingTensor, RealCoupling, StructureTensor
+from dampol.coupling import CouplingTensor, StructureTensor, _lagrangian_prefactor, check_constraints
 from dampol.diagonalize import ModeCoefficients
 from dampol.errors import DampolError
 from dampol.fields import LinearBosonicForm
-from dampol.lattice import FrequencyGrid, Lattice
+from dampol.lattice import CHUNK_BYTES, FrequencyGrid, Lattice, SectorLayout
 
 
 def compatible(lattice: Lattice, other: Lattice) -> bool:
@@ -111,7 +115,7 @@ class TensorKernel:
 # the matrices of the last few lattices are kept, so a test reads each one built once
 
 
-def sites(lattice: Lattice) -> np.ndarray:
+def site_positions(lattice: Lattice) -> np.ndarray:
     """(M, 3) array of site positions, C-ordered over integer triples."""
     n = lattice.n_per_axis
     idx = np.indices((n, n, n)).reshape(3, -1).T
@@ -166,6 +170,126 @@ def transverse_basis(lattice: Lattice) -> np.ndarray:
     return np.ascontiguousarray(cols.reshape(lattice.dim, -1))
 
 
+# -- the site rotation of a layout ---------------------------------------------
+
+
+@lru_cache(maxsize=4)
+def basis(layout: SectorLayout) -> np.ndarray:
+    """The real orthogonal (d, d) basis of a layout: the columns `columns` of kron(F, I_3), F the momentum basis."""
+    return np.ascontiguousarray(np.kron(layout.lattice.momentum_basis, np.eye(3))[:, layout.columns])
+
+
+def _chunks(layout: SectorLayout, n: int):
+    """Slices of a leading axis of n operators, each at most an eighth of it and of bounded bytes."""
+    step = max(1, min(CHUNK_BYTES // (16 * layout.lattice.dim**2), -(-n // 8)))
+    return (slice(i, i + step) for i in range(0, n, step))
+
+
+def blocks(layout: SectorLayout, stack: np.ndarray) -> np.ndarray:
+    """The blocks of a (..., d, d) stack of site operators in `layout`, (..., size).
+
+    The rotation runs a chunk of operators at a time, so its temporaries
+    stay below a fraction of the stack.
+    """
+    stack = np.asarray(stack)
+    lead, d = stack.shape[:-2], layout.lattice.dim
+    mats, (rows, cols) = stack.reshape(-1, d, d), layout._entries
+    rot, out = basis(layout), np.empty((len(mats), layout.size), dtype=stack.dtype)
+    for chunk in _chunks(layout, len(mats)):
+        out[chunk] = (rot.T @ mats[chunk] @ rot)[:, rows, cols]
+    return out.reshape(lead + (layout.size,))
+
+
+def sites(layout: SectorLayout, flat: np.ndarray) -> np.ndarray:
+    """The (..., d, d) site operators of a (..., size) array of `layout`."""
+    lead, d = flat.shape[:-1], layout.lattice.dim
+    ops, (rows, cols) = flat.reshape(-1, layout.size), layout._entries
+    rot, out = basis(layout), np.empty((len(ops), d, d), dtype=flat.dtype)
+    for chunk in _chunks(layout, len(ops)):
+        dense = np.zeros((len(ops[chunk]), d, d), dtype=flat.dtype)
+        dense[:, rows, cols] = ops[chunk]
+        np.matmul(rot @ dense, rot.T, out=out[chunk])
+    return out.reshape(lead + (d, d))
+
+
+def split(lattice: Lattice, stack: np.ndarray) -> tuple:
+    """(leak, blocks) of a (..., d, d) stack of site operators: its `one_block` blocks, rotated once,
+    and their `Lattice.leak`.
+
+    The blocks are laid into the layout the leak chooses by
+    `one_block.relay`, so no operator is rotated twice.
+    """
+    dense = blocks(lattice.one_block, stack)
+    return lattice.leak(dense), dense
+
+
+# -- the dense-input route -----------------------------------------------------
+
+
+def gram_stack(a: np.ndarray) -> np.ndarray:
+    """Per-node Gram products a_k^T conj(a_k) of a (K, n, n) stack, as one stacked GEMM."""
+    return np.matmul(a.transpose(0, 2, 1), a.conj())
+
+
+@dataclass(frozen=True, eq=False)
+class RealCoupling:
+    """Lagrangian-route input: real coefficient kernels plus a unitary gauge.
+
+    `t0` and `unitary` are stacks of shape (K, 3M, 3M), one kernel per
+    frequency node.
+    """
+
+    lattice: Lattice
+    grid: FrequencyGrid
+    t0: np.ndarray
+    unitary: np.ndarray
+
+    def __post_init__(self):
+        t0 = np.asarray(self.t0, dtype=float)
+        uni = np.asarray(self.unitary, dtype=complex)
+        shape = (self.grid.n_nodes, self.lattice.dim, self.lattice.dim)
+        if t0.shape != shape or uni.shape != shape:
+            raise DampolError(f"coupling stacks must have shape {shape}")
+        # kernel unitarity: Utilde o U* = delta  <=>  v^2 U^T conj(U) = 1
+        gram = gram_stack(uni)
+        gram *= self.lattice.cell_volume**2
+        if not np.allclose(gram, np.eye(self.lattice.dim), atol=1e-10):
+            raise DampolError("unitary gauge kernels are not unitary")
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "unitary", uni)
+
+
+def from_kernels(lattice: Lattice, grid: FrequencyGrid, kernels: np.ndarray) -> CouplingTensor:
+    """The coupling of a dense (K, 3M, 3M) kernel stack: rotated once into the one dense block
+    and laid into the sector blocks, or kept dense when it leaks out of them."""
+    kern = np.asarray(kernels, dtype=complex)
+    shape = (grid.n_nodes, lattice.dim, lattice.dim)
+    if kern.shape != shape:
+        raise DampolError(f"coupling kernel stack must have shape {shape}")
+    if not np.all(np.isfinite(kern)):
+        raise DampolError("coupling kernels contain non-finite entries")
+    leak, dense = split(lattice, kern)
+    layout = lattice.layout(leak)
+    return CouplingTensor(lattice, grid, layout, lattice.one_block.relay(dense, layout), leak)
+
+
+def coupling_from_real(t0: RealCoupling) -> CouplingTensor:
+    """The coupling of a `RealCoupling`: per node T(w) = -(2 hbar w)^(-1/2) U(w) o T0(w).
+
+    The dense counterpart of `coupling_from_lagrangian`, with the same
+    constraint check.
+    """
+    lattice, grid = t0.lattice, t0.grid
+    kernels = _lagrangian_prefactor(grid.nodes)[:, None, None] * lattice.cell_volume * np.matmul(t0.unitary, t0.t0)
+    coupling = from_kernels(lattice, grid, kernels)
+    report = check_constraints(coupling)
+    if not report.passed:
+        raise DampolError(
+            f"constraint residuals {report.moment0:.3e}/{report.moment2:.3e} "
+            f"exceed tolerance; quadrature or gauge input is inconsistent")
+    return coupling
+
+
 # -- references no production path needs ---------------------------------------
 
 
@@ -214,23 +338,26 @@ def time_derivative(form: LinearBosonicForm) -> LinearBosonicForm:
     return replace(form, alpha=-1j * nodes * form.alpha, creators=1j * nodes * form.beta)
 
 
+def scaled(form: LinearBosonicForm, scalar: complex) -> LinearBosonicForm:
+    """The form of scalar times the operator."""
+    return replace(form, alpha=scalar * form.alpha, creators=np.conj(scalar) * form.beta)
+
+
 def commutation_matrix(modes: ModeCoefficients, k: int, l: int) -> TensorKernel:
     """Left-hand side of the canonical commutator condition for a node pair.
 
     The expected value is the identity kernel times the node Kronecker over
     the weight.
     """
-    lattice = modes.lattice
-    v = lattice.cell_volume
-    w = modes.grid.weights
-    f1k, f2k = modes.potential[k], modes.momentum[k]
-    f1l, f2l = modes.potential[l], modes.momentum[l]
-    out = 1j * HBAR * v * (f1k @ f2l.conj().T - f2k @ f1l.conj().T)
+    layout = modes.layout
+    lattice, v, w = layout.lattice, layout.lattice.cell_volume, modes.grid.weights
+    f1, f2 = sites(layout, modes.potential[[k, l]]), sites(layout, modes.momentum[[k, l]])
+    res, anti = sites(layout, modes.resonant[[k, l]]), sites(layout, modes.antiresonant[[k, l]])
+    out = 1j * HBAR * v * (f1[0] @ f2[1].conj().T - f2[0] @ f1[1].conj().T)
     # delta-delta and delta-regular cross terms of the resonant family
     if k == l:
         out = out + np.eye(lattice.dim) / v / w[k]
-    out = out + modes.resonant[k, l] + modes.resonant[l, k].conj().T
-    res, anti = modes.resonant, modes.antiresonant
-    pairs = np.einsum("m,mab,mcb->ac", w, res[k], res[l].conj()) \
-        - np.einsum("m,mab,mcb->ac", w, anti[k], anti[l].conj())
+    out = out + res[0, l] + res[1, k].conj().T
+    pairs = np.einsum("m,mab,mcb->ac", w, res[0], res[1].conj()) \
+        - np.einsum("m,mab,mcb->ac", w, anti[0], anti[1].conj())
     return TensorKernel(lattice, out + v * pairs)

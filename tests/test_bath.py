@@ -6,10 +6,8 @@ from hypothesis import strategies as st_
 from dampol.constants import EPS0, HBAR
 from dampol.errors import SingularOperatorError
 from dampol.coupling import (
-    CouplingTensor,
     builtin_model,
     coupling_from_lagrangian,
-    gram_stack,
     structure_tensor,
 )
 from dampol import bath as bath_module
@@ -30,7 +28,7 @@ from dampol.lattice import FrequencyGrid, build_lattice, frobenius_cond
 from dampol.oracle import assemble_hamiltonian
 from dampol.susceptibility import Susceptibility, chi_stack
 
-from reference import random_coupling
+from reference import blocks, coupling_from_real, from_kernels, gram_stack, random_coupling, sites
 from test_coupling import scalar_coupling, site_kernels
 from test_fields import medium_mode_form, site_commutator
 from test_oracle import embed
@@ -54,9 +52,9 @@ class TestCoefficients:
         coupling = scalar_coupling(single_site, grid, tau)
         chi = Susceptibility(coupling)
         bath = bath_coefficients(coupling, chi)
-        assert np.allclose(bath.layout.sites(bath.delta_blocks[0]), np.eye(3) / tau)
-        chi_up = chi.layout.sites(chi_stack(coupling, [grid.nodes[0] + 1j * grid.eta]))[0, 0, 0]
-        assert np.allclose(bath.layout.sites(bath.pole_blocks[0]), (HBAR / EPS0) * tau / chi_up * np.eye(3))
+        assert np.allclose(sites(bath.layout, bath.delta_blocks[0]), np.eye(3) / tau)
+        chi_up = sites(chi.layout, chi_stack(coupling, [grid.nodes[0] + 1j * grid.eta]))[0, 0, 0]
+        assert np.allclose(sites(bath.layout, bath.pole_blocks[0]), (HBAR / EPS0) * tau / chi_up * np.eye(3))
 
     def test_linkage_definitional(self, bath_setup):
         lat, grid, coupling, st, chi, bath = bath_setup
@@ -67,7 +65,7 @@ class TestCoefficients:
         kern = np.zeros((2, 3, 3), dtype=complex)
         kern[0] = np.diag([1.0, 1.0, 0.0])
         kern[1] = np.eye(3)
-        coupling = CouplingTensor.from_kernels(single_site, grid, kern)
+        coupling = from_kernels(single_site, grid, kern)
         with pytest.raises(SingularOperatorError) as err:
             bath_coefficients(coupling, Susceptibility(coupling))
         assert err.value.node == 0
@@ -80,13 +78,13 @@ class TestCoefficients:
         kern = np.stack([np.diag([1.0, 1.2, 0.8]) + 0.1j * k for k in range(4)])
         if coupling_node is not None:
             kern[coupling_node] = np.diag([1.0, 1.0, 0.0])
-        coupling = CouplingTensor.from_kernels(single_site, grid, kern)
+        coupling = from_kernels(single_site, grid, kern)
         chi = Susceptibility(coupling)
         if chi_node is not None:
             # remove one direction of chi at that node: rank d - 1 up to round-off
-            up = chi.layout.sites(chi.above_cut_blocks[chi_node])
+            up = sites(chi.layout, chi.above_cut_blocks[chi_node])
             u = np.linalg.svd(up)[2][0].conj()
-            chi = chi.perturbed(single_site.one_block.blocks(-up @ np.outer(u, u.conj())))
+            chi = chi.perturbed(blocks(single_site.one_block, -up @ np.outer(u, u.conj())))
         what, node, cond = first_singular_reference(coupling, chi)
         with pytest.raises(SingularOperatorError, match=f"^{what} not invertible at node {node} ") as err:
             bath_coefficients(coupling, chi)
@@ -98,7 +96,7 @@ def first_singular_reference(coupling, chi):
     """The per-node invertibility loop the batched check replaced: (what, node, cond)."""
     for k in range(coupling.grid.n_nodes):
         for what, mat in (("coupling kernel", site_kernels(coupling)[k]),
-                          ("susceptibility", chi.layout.sites(chi.above_cut_blocks[k]))):
+                          ("susceptibility", sites(chi.layout, chi.above_cut_blocks[k]))):
             sv = np.linalg.svd(mat, compute_uv=False)
             if sv[-1] <= INVERTIBILITY_RTOL * sv[0] or sv[0] == 0.0:
                 return what, k, sv[0] / sv[-1] if sv[-1] > sv[0] / np.finfo(float).max else np.inf
@@ -157,7 +155,7 @@ class TestInvertibilityScreen:
             sv = np.linalg.svd(mat, compute_uv=False)
             return sv[-1] <= INVERTIBILITY_RTOL * sv[0] or sv[0] == 0.0
 
-        first = next(((k, what) for k in range(K) for what, stack in named if singular(layout.sites(stack[k]))),
+        first = next(((k, what) for k in range(K) for what, stack in named if singular(sites(layout, stack[k]))),
                      None)
         if first is None:
             assert got is None
@@ -196,15 +194,15 @@ class TestRowBuilder:
         # in the sector layout, and in the dense layout a leaking run takes
         for coupling in (sectors, sectors.relaid(small_lattice.one_block)):
             bath, layout, t = bath_coefficients(coupling, Susceptibility(coupling)), coupling.layout, site_kernels(coupling)
-            delta_coeff, pole_coeff = (layout.sites(b) for b in (bath.delta_blocks, bath.pole_blocks))
+            delta_coeff, pole_coeff = (sites(layout, b) for b in (bath.delta_blocks, bath.pole_blocks))
             for k in range(K):
-                co, counter = (layout.sites(r) for r in bath.rows(k))
+                co, counter = (sites(layout, r) for r in bath.rows(k))
                 for l in range(K):
                     pole = 1.0 / (nodes[k] - nodes[l] + 1j * bath.grid.eta)
                     assert close(co[l], pole * v * pole_coeff[k] @ t[l].T)
                     anti = -1.0 / (nodes[k] + nodes[l])
                     assert close(counter[l], anti * v * pole_coeff[k] @ t[l].conj().T)
-                delta = layout.sites(bath.delta_row(k))
+                delta = sites(layout, bath.delta_row(k))
                 assert close(delta, v * delta_coeff[k] @ t[k].T)
 
 
@@ -233,7 +231,7 @@ def independence_reference(bath, coupling):
     w, nodes = grid.weights, grid.nodes
     dens = v * gram_stack(site_kernels(coupling))
     dens_flat = dens.reshape(K, d * d)
-    delta_coeff, pole_coeff = (bath.layout.sites(b) for b in (bath.delta_blocks, bath.pole_blocks))
+    delta_coeff, pole_coeff = (sites(bath.layout, b) for b in (bath.delta_blocks, bath.pole_blocks))
     num_p = num_w = den_p = den_w = 0.0
     for k in range(K):
         res = w / (nodes[k] - nodes + 1j * bath.grid.eta)
@@ -263,10 +261,9 @@ class TestIndependence:
         # have the nonzero imaginary node sum that a sum rule would cancel
         grid = FrequencyGrid.midpoint(n_nodes, 3.0)
         rng = np.random.default_rng(seed)
-        lagrangian = coupling_from_lagrangian(random_coupling(single_site, grid, rng))
+        lagrangian = coupling_from_real(random_coupling(single_site, grid, rng))
         shape = (n_nodes, single_site.dim, single_site.dim)
-        violator = CouplingTensor.from_kernels(single_site, grid, rng.standard_normal(shape)
-                                  + 1j * rng.standard_normal(shape))
+        violator = from_kernels(single_site, grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         for coupling in (lagrangian, violator):
             bath = bath_coefficients(coupling, Susceptibility(coupling))
             got = verify_bath_independence(bath, coupling, structure_tensor(coupling))
@@ -353,7 +350,7 @@ class TestHamiltonianForms:
 
     def test_local_model_selfenergy_site_diagonal(self, bath_setup):
         lat, grid, coupling, st, chi, bath = bath_setup
-        se = st.layout.sites(polarization_selfenergy_kernel(coupling, st))
+        se = sites(st.layout, polarization_selfenergy_kernel(coupling, st))
         offsite = se.copy()
         for s in range(lat.n_sites):
             offsite[3 * s: 3 * s + 3, 3 * s: 3 * s + 3] = 0.0
@@ -363,7 +360,7 @@ class TestHamiltonianForms:
         coupling = coupling_from_lagrangian(
             builtin_model("gaussian_nonlocal", small_lattice, grid12, {"corr_length": 0.9}))
         st = structure_tensor(coupling)
-        se = st.layout.sites(polarization_selfenergy_kernel(coupling, st))
+        se = sites(st.layout, polarization_selfenergy_kernel(coupling, st))
         offsite = se.copy()
         for s in range(small_lattice.n_sites):
             offsite[3 * s: 3 * s + 3, 3 * s: 3 * s + 3] = 0.0

@@ -17,6 +17,8 @@ from dampol.coupling import builtin_model
 from dampol.errors import ConfigError
 from dampol.lattice import SECTOR_LEAK_TOL, build_lattice
 
+from reference import split
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 #: the `[model]` parameters most shipped configs give
@@ -663,7 +665,7 @@ class TestViolationBlocks:
         lat = build_lattice(n, 1.0, k0_transverse)
         site = np.zeros((lat.dim, lat.dim), dtype=complex)
         site[0, 1] = magnitude
-        leak, dense = lat.split(site)
+        leak, dense = split(lat, site)
         blocks = violation_blocks(lat, magnitude)
         assert blocks.dtype == dense.dtype and np.array_equal(blocks, dense)
         assert lat.leak(blocks) == leak
@@ -677,23 +679,24 @@ class TestViolationBlocks:
         assert lat.leak(blocks.real).hex() == lat.leak(blocks).hex()
 
     def test_violator_rotates_no_site_operator(self, tmp_path, monkeypatch):
-        # the violator's perturbation is built as its block: no shipped
-        # command splits a site operator into blocks
-        from dampol.lattice import Lattice, SectorLayout
-        calls = []
+        # the violator's perturbation is built as its block, once, and the
+        # run works in the dense layout; the package has no site rotation
+        # (tests/test_layout.py), so no shipped command splits a site operator
+        import dampol.cli as cli
+        built, pipes, init = [], [], cli.Pipeline.__init__
 
-        def recorded(owner, name):
-            original = getattr(owner, name)
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            pipes.append(self)
 
-            def recording(self, *args):
-                calls.append(name)
-                return original(self, *args)
-            monkeypatch.setattr(owner, name, recording)
-        for owner, name in ((Lattice, "split"), (SectorLayout, "blocks")):
-            recorded(owner, name)
+        def counted(lattice, magnitude):
+            built.append(magnitude)
+            return violation_blocks(lattice, magnitude)
+        monkeypatch.setattr(cli.Pipeline, "__init__", recording)
+        monkeypatch.setattr(cli, "violation_blocks", counted)
         argv = ["verify-all", "--config", str(CONFIG_DIR / "violator_chi.ini"), "--out", str(tmp_path)]
         assert main(argv) == EXIT_NUMERICAL
-        assert calls == []
+        assert len(built) == 1 and [pipe.chi.layout for pipe in pipes] == [pipes[0].lattice.one_block]
         assert not read_report(tmp_path, "green")["passed"]
 
 
@@ -711,26 +714,23 @@ class TestStackFreeProduction:
         # operators are built from their per-k symbols, and the coupling's
         # derived operators, the node sweep and its condition numbers, the
         # streamed pass, the chi trace, the field forms, the noise and
-        # canonical-pair commutators and the bath cross-check stay in blocks:
-        # no site operator is split into blocks or rotated back
-        from dampol.lattice import Lattice, SectorLayout
-        calls = []
+        # canonical-pair commutators and the bath cross-check stay in the
+        # sector blocks; the package has no site rotation (tests/test_layout.py)
+        import dampol.cli as cli
+        pipes, init = [], cli.Pipeline.__init__
 
-        def recorded(owner, name):
-            original = getattr(owner, name)
-
-            def recording(self, *args):
-                calls.append(name)
-                return original(self, *args)
-            monkeypatch.setattr(owner, name, recording)
-        for owner, name in ((SectorLayout, "sites"), (SectorLayout, "blocks"), (Lattice, "split")):
-            recorded(owner, name)
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            pipes.append(self)
+        monkeypatch.setattr(cli.Pipeline, "__init__", recording)
         for config in ("lorentz", "gaussian", "uniaxial"):
             cfg = ScenarioConfig.from_file(CONFIG_DIR / f"{config}.ini")
             cfg.out = str(tmp_path / config)
             cfg.n_nodes = 16
             assert run(cfg, stages=("model", "chi", "green", "diag", "fields", "bath")) == EXIT_PASS
-            assert calls == [], config
+            pipe = pipes[-1]
+            assert pipe.coupling.sector_leak == 0.0, config
+            assert pipe.propagator.layout is pipe.bath.layout is pipe.lattice.sector_layout, config
             assert (Path(cfg.out) / "chi_trace.csv").exists()
             assert (Path(cfg.out) / "field_trace.csv").exists()
 
@@ -776,27 +776,20 @@ class TestRefine:
         assert len(calls) == 2
 
     def test_kernels_track_builds_no_site_stack(self, tmp_path, monkeypatch):
-        # the kernel stages run on sector blocks; no site operator is rotated
-        # back, not even a single commutator
+        # the kernel stages run on sector blocks; the package has no site
+        # rotation (tests/test_layout.py), so no operator is rotated back
         import dampol.cli as cli
-        from dampol.lattice import SectorLayout
-        pipes, init, sites = [], cli.Pipeline.__init__, SectorLayout.sites
-        rotated = []   # operators rotated back per call
+        pipes, init = [], cli.Pipeline.__init__
 
         def recording(self, *args, **kwargs):
             init(self, *args, **kwargs)
             pipes.append(self)
-
-        def counted(self, flat):
-            rotated.append(int(np.prod(flat.shape[:-1])))
-            return sites(self, flat)
         monkeypatch.setattr(cli.Pipeline, "__init__", recording)
-        monkeypatch.setattr(SectorLayout, "sites", counted)
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "refine_kernels.ini")
         cfg.out = str(tmp_path)
         cfg.n_nodes = 8
         assert refine(cfg, 2) in (EXIT_PASS, EXIT_NUMERICAL)
-        assert pipes and rotated == []
+        assert pipes
         for pipe in pipes:
             assert pipe.propagator.layout is pipe.lattice.sector_layout
 

@@ -7,12 +7,9 @@ from dampol.constants import EPS0, HBAR
 from dampol.bath import polarization_selfenergy_kernel, require_invertible
 from dampol.errors import DampolError, DegenerateCouplingError, ModelError, SingularOperatorError
 from dampol.coupling import (
-    CouplingTensor,
-    RealCoupling,
     builtin_model,
     check_constraints,
     coupling_from_lagrangian,
-    gram_stack,
     spectral_moments,
     structure_tensor,
 )
@@ -20,7 +17,19 @@ from dampol.fields import medium_momentum_form
 from dampol.lattice import FrequencyGrid, build_lattice
 from dampol.susceptibility import verify_sum_rules
 
-from reference import TensorKernel, _assemble, random_coupling, sites, zero_coupling
+from reference import (
+    RealCoupling,
+    TensorKernel,
+    _assemble,
+    blocks,
+    coupling_from_real,
+    from_kernels,
+    gram_stack,
+    random_coupling,
+    site_positions,
+    sites,
+    zero_coupling,
+)
 
 
 def pernode_reality_residual(coupling):
@@ -37,7 +46,7 @@ def pernode_reality_residual(coupling):
 
 def site_kernels(coupling):
     """The coupling's (K, d, d) site kernels, its blocks rotated back to sites: the dense reference."""
-    return coupling.layout.sites(coupling.flat)
+    return sites(coupling.layout, coupling.flat)
 
 
 def dense_density(coupling):
@@ -47,7 +56,7 @@ def dense_density(coupling):
 
 def dense_structure(st):
     """The structure tensor as one (d, d) site matrix."""
-    return st.layout.sites(st.blocks)
+    return sites(st.layout, st.blocks)
 
 
 def identity_gauge(lattice, grid):
@@ -58,7 +67,7 @@ def identity_gauge(lattice, grid):
 def min_image_sq_dist(lattice):
     """(M, M) squared minimum-image distances on the periodic lattice."""
     period = lattice.n_per_axis * lattice.spacing
-    diff = np.abs(sites(lattice)[:, None, :] - sites(lattice)[None, :, :])
+    diff = np.abs(site_positions(lattice)[:, None, :] - site_positions(lattice)[None, :, :])
     diff = np.minimum(diff, period - diff)
     return np.einsum("ijk,ijk->ij", diff, diff)
 
@@ -94,14 +103,14 @@ def scalar_coupling(lattice, grid, tau):
     """Coupling kernels tau * identity at every node (direct construction)."""
     d = lattice.dim
     kern = np.broadcast_to(tau * np.eye(d) / lattice.cell_volume, (grid.n_nodes, d, d))
-    return CouplingTensor.from_kernels(lattice, grid, kern.astype(complex).copy())
+    return from_kernels(lattice, grid, kern.astype(complex).copy())
 
 
 class TestLagrangianRoute:
     def test_zero_input_gives_zero_coupling(self, single_site):
         grid = FrequencyGrid.midpoint(4, 2.0)
         t0 = np.zeros((4, 3, 3))
-        built = coupling_from_lagrangian(RealCoupling(single_site, grid, t0, identity_gauge(single_site, grid)))
+        built = coupling_from_real(RealCoupling(single_site, grid, t0, identity_gauge(single_site, grid)))
         assert not np.any(site_kernels(built))
 
     def test_identity_gauge_scalar_formula(self, single_site):
@@ -109,13 +118,13 @@ class TestLagrangianRoute:
         grid = FrequencyGrid.midpoint(1, 2.0)
         tau = 0.7
         t0 = tau * np.eye(3)[None, :, :] / single_site.cell_volume
-        built = coupling_from_lagrangian(RealCoupling(single_site, grid, t0, identity_gauge(single_site, grid)))
+        built = coupling_from_real(RealCoupling(single_site, grid, t0, identity_gauge(single_site, grid)))
         expected = -((2.0 * HBAR * grid.nodes[0]) ** -0.5) * tau * np.eye(3) / single_site.cell_volume
         assert np.allclose(site_kernels(built)[0], expected)
 
     def test_random_gauge_density_is_real_per_node(self, small_lattice, rng):
         grid = FrequencyGrid.midpoint(6, 5.0)
-        built = coupling_from_lagrangian(random_coupling(small_lattice, grid, rng))
+        built = coupling_from_real(random_coupling(small_lattice, grid, rng))
         assert pernode_reality_residual(built) < 1e-12
 
     def test_rejects_non_unitary_gauge(self, single_site):
@@ -134,14 +143,14 @@ class TestGaugeAndGram:
         model = builtin_model(name, small_lattice, grid12)
         dense = RealCoupling(lattice=small_lattice, grid=grid12, t0=dense_model_t0(name, small_lattice, grid12),
                              unitary=identity_gauge(small_lattice, grid12))
-        built, ref = coupling_from_lagrangian(model), coupling_from_lagrangian(dense)
+        built, ref = coupling_from_lagrangian(model), coupling_from_real(dense)
         assert built.sector_leak == 0.0
         assert built.layout is ref.layout is small_lattice.sector_layout
         assert np.linalg.norm(built.flat - ref.flat) <= 1e-14 * np.linalg.norm(ref.flat)
 
     def test_gram_products_match_einsum(self, small_lattice, grid12, rng):
         model = random_coupling(small_lattice, grid12, rng)
-        built = coupling_from_lagrangian(model)
+        built = coupling_from_real(model)
         # the unitarity Gram of the gauge, and the spectral densities
         for fast, stack, scale in ((gram_stack(model.unitary), model.unitary, 1.0),
                                    (dense_density(built), site_kernels(built), small_lattice.cell_volume)):
@@ -167,7 +176,7 @@ class TestConstraints:
         grid = FrequencyGrid.midpoint(3, 3.0)
         kern = np.zeros((3, 3, 3), dtype=complex)
         kern[1] = np.eye(3) + 0.3j * np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        report = check_constraints(CouplingTensor.from_kernels(single_site, grid, kern))
+        report = check_constraints(from_kernels(single_site, grid, kern))
         assert not report.passed
         assert report.moment0 > 0
 
@@ -216,7 +225,7 @@ class TestMomentumKernel:
         coupling = scalar_coupling(single_site, grid, tau)
         st = structure_tensor(coupling)
         # the momentum form's kernel -w T(w) o F^-1 at the one node
-        kernel = TensorKernel(single_site, coupling.layout.sites(medium_momentum_form(coupling, st).alpha)[0].T)
+        kernel = TensorKernel(single_site, sites(coupling.layout, medium_momentum_form(coupling, st).alpha)[0].T)
         # -w tau / (2 w w1 |tau|^2) times the identity kernel
         expected = -tau / (2.0 * grid.weights[0] * abs(tau) ** 2)
         ident = TensorKernel.identity(single_site)
@@ -277,8 +286,8 @@ class TestInvertibility:
     def test_zero_singular_value_detected(self, single_site):
         layout = single_site.one_block
         with pytest.raises(SingularOperatorError, match="coupling kernel not invertible at node 0") as exc:
-            blocks = layout.blocks(np.diag([1.0, 1.0, 0.0])[None])
-            require_invertible(layout, ("coupling kernel", blocks, layout.inv_or_nan(blocks)))
+            stack = blocks(layout, np.diag([1.0, 1.0, 0.0])[None])
+            require_invertible(layout, ("coupling kernel", stack, layout.inv_or_nan(stack)))
         assert exc.value.node == 0 and exc.value.cond > 1e10
 
 
@@ -318,10 +327,9 @@ class TestSpectralMoments:
         lattice = build_lattice(1, 1.0)
         grid = FrequencyGrid.midpoint(n_nodes, 3.0)
         rng = np.random.default_rng(seed)
-        lagrangian = coupling_from_lagrangian(random_coupling(lattice, grid, rng))
+        lagrangian = coupling_from_real(random_coupling(lattice, grid, rng))
         shape = (n_nodes, lattice.dim, lattice.dim)
-        violator = CouplingTensor.from_kernels(lattice, grid, rng.standard_normal(shape)
-                                  + 1j * rng.standard_normal(shape))
+        violator = from_kernels(lattice, grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         eps = np.finfo(float).eps
 
         def close(new, ref, size):
@@ -338,7 +346,7 @@ class TestSpectralMoments:
             got = verify_sum_rules(coupling, st)
             for new, ref in zip((got.moment0, got.moment1, got.moment2), rules):
                 assert close(new, ref, 1.0)
-            diff = st.layout.sites(polarization_selfenergy_kernel(coupling, st)) - selfenergy.mat
+            diff = sites(st.layout, polarization_selfenergy_kernel(coupling, st)) - selfenergy.mat
             assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(selfenergy.mat)
         assert not check_constraints(violator).passed
 
@@ -370,7 +378,7 @@ class TestBlockRouteMatchesDense:
         lattice = build_lattice(n, 1.0)
         grid = FrequencyGrid.midpoint(n_nodes, 3.0)
         if model == "random":
-            coupling = coupling_from_lagrangian(random_coupling(lattice, grid, np.random.default_rng(seed)))
+            coupling = coupling_from_real(random_coupling(lattice, grid, np.random.default_rng(seed)))
         else:
             coupling = coupling_from_lagrangian(builtin_model(model, lattice, grid))
         layout = coupling.layout
@@ -392,7 +400,7 @@ class TestBlockRouteMatchesDense:
             return np.linalg.norm(got - ref) <= 1e-13 * scale
 
         # the densities also against the site-basis Gram, through the rotation
-        site = layout.blocks(dense_density(coupling))
+        site = blocks(layout, dense_density(coupling))
         assert np.linalg.norm(coupling.density - site) <= 1e-13 * np.linalg.norm(site)
         assert close(coupling.density, dens)
         # each moment field against the dense one, relative to the moment it is part of

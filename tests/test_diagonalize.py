@@ -8,7 +8,6 @@ from hypothesis import strategies as st_
 from dampol import diagonalize
 from dampol.constants import MU0
 from dampol.coupling import (
-    CouplingTensor,
     builtin_model,
     coupling_from_lagrangian,
     structure_tensor,
@@ -25,7 +24,16 @@ from dampol.lattice import FrequencyGrid, build_lattice
 from dampol.susceptibility import Susceptibility
 
 from conftest import traced_peak
-from reference import TensorKernel, commutation_matrix, random_coupling, transverse_matrix, zero_coupling
+from reference import (
+    TensorKernel,
+    commutation_matrix,
+    coupling_from_real,
+    from_kernels,
+    random_coupling,
+    sites,
+    transverse_matrix,
+    zero_coupling,
+)
 from test_coupling import scalar_coupling
 
 
@@ -51,13 +59,13 @@ class TestAssembly:
         modes, prop = make_modes(coupling)
         k = 1
         om = grid.nodes[k]
-        g = prop.layout.sites(prop.blocks[k])[0, 0]
-        assert modes.momentum[k][0, 0] == pytest.approx(1j * MU0 * om * tau * g)
+        g = sites(prop.layout, prop.blocks[k])[0, 0]
+        assert sites(prop.layout, modes.momentum[k])[0, 0] == pytest.approx(1j * MU0 * om * tau * g)
 
     def test_transversality_of_first_two_families(self, random_lagrangian):
-        modes, _ = make_modes(random_lagrangian)
+        modes, prop = make_modes(random_lagrangian)
         pt = transverse_matrix(random_lagrangian.lattice)
-        for fam in (modes.potential, modes.momentum):
+        for fam in (sites(prop.layout, modes.potential), sites(prop.layout, modes.momentum)):
             proj = fam @ pt
             assert np.linalg.norm(proj - fam) <= 1e-12 * max(np.linalg.norm(fam), 1e-300)
 
@@ -65,7 +73,7 @@ class TestAssembly:
 class TestMomentumFamily:
     def test_matches_mode_coefficients(self, random_lagrangian):
         modes, prop = make_modes(random_lagrangian)
-        assert np.array_equal(prop.layout.sites(diagonalize.momentum_family(prop)), modes.momentum)
+        assert np.array_equal(diagonalize.momentum_family(prop), modes.momentum)
 
     def test_traced_peak_below_two_stacks(self):
         # the shipped lattice and node count: the (K, size) transfer and result
@@ -156,13 +164,12 @@ class TestCommutationChecks:
         # one dense block, the streamed pass in the sector blocks
         lattice, grid = build_lattice(n, 1.0), FrequencyGrid.midpoint(12, 8.0)
         if name == "random_coupling":
-            model = random_coupling(lattice, grid, np.random.default_rng(20240817))
+            coupling = coupling_from_real(random_coupling(lattice, grid, np.random.default_rng(20240817)))
         else:
-            model = builtin_model("local_lorentz" if name == "third_profile" else name,
-                                  lattice, grid)
+            coupling = coupling_from_lagrangian(builtin_model(
+                "local_lorentz" if name == "third_profile" else name, lattice, grid))
         if name == "third_profile":
             monkeypatch.setitem(diagonalize.SMEAR_PROFILES, "quadratic", lambda x: x**2)
-        coupling = coupling_from_lagrangian(model)
         ref = coupling.relaid(lattice.one_block) if dense else coupling
         modes, _ = make_modes(ref)
         rep = fano_residual(modes, ref, structure_tensor(ref))
@@ -178,10 +185,9 @@ class TestCommutationChecks:
         # constraints that make some of the streamed pass's terms vanish
         grid = FrequencyGrid.midpoint(n_nodes, 3.0)
         rng = np.random.default_rng(seed)
-        lagrangian = coupling_from_lagrangian(random_coupling(single_site, grid, rng))
+        lagrangian = coupling_from_real(random_coupling(single_site, grid, rng))
         shape = (n_nodes, single_site.dim, single_site.dim)
-        violator = CouplingTensor.from_kernels(single_site, grid, rng.standard_normal(shape)
-                                  + 1j * rng.standard_normal(shape))
+        violator = from_kernels(single_site, grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         for coupling in (lagrangian, violator):
             modes, prop = make_modes(coupling)
             st = structure_tensor(coupling)

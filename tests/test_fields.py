@@ -29,8 +29,12 @@ from dampol.susceptibility import Susceptibility
 from conftest import traced_peak
 from reference import (
     TensorKernel,
+    blocks,
+    coupling_from_real,
     longitudinal_matrix,
     random_coupling,
+    scaled,
+    sites,
     time_derivative,
     transverse_matrix,
     zero_coupling,
@@ -47,19 +51,18 @@ def medium_mode_form(coupling, k):
 
 def site_commutator(a, b):
     """`commutator` as a site kernel, rotated back from its blocks: the dense view the assertions compare."""
-    return TensorKernel(a.layout.lattice, a.layout.sites(commutator(a, b)))
+    return TensorKernel(a.layout.lattice, sites(a.layout, commutator(a, b)))
 
 
 @pytest.fixture(scope="module")
 def setup(request):
     # one random Lagrangian model shared by the whole module
     import numpy as np
-    from dampol.coupling import coupling_from_lagrangian
     from dampol.lattice import FrequencyGrid, build_lattice
     lat = build_lattice(2, 1.0)
     grid = FrequencyGrid.midpoint(10, 6.0)
     rng = np.random.default_rng(42)
-    coupling = coupling_from_lagrangian(random_coupling(lat, grid, rng))
+    coupling = coupling_from_real(random_coupling(lat, grid, rng))
     st = structure_tensor(coupling)
     chi = Susceptibility(coupling)
     prop = node_propagator(chi)
@@ -115,7 +118,7 @@ class TestNoiseCommutator:
         for k in (0, 4, grid.n_nodes - 1):
             pn = noise_mode_form(coupling, k)
             got = site_commutator(pn, pn.dagger())
-            expected = TensorKernel(lat, chi.layout.sites(noise_commutator_expected(coupling, k)))
+            expected = TensorKernel(lat, sites(chi.layout, noise_commutator_expected(coupling, k)))
             assert got.allclose(expected, tol=1e-10)
 
     def test_distinct_nodes_commute(self, setup):
@@ -156,7 +159,7 @@ class TestFieldForms:
     def test_displacement_is_transverse(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
         d_form = field_forms(prop)["D"]
-        alpha = d_form.layout.sites(d_form.alpha)
+        alpha = sites(d_form.layout, d_form.alpha)
         long_part = longitudinal_matrix(lat)[None] @ alpha
         assert np.linalg.norm(long_part) <= 1e-12 * np.linalg.norm(alpha)
         assert longitudinal_defect(d_form) <= 1e-12
@@ -165,10 +168,10 @@ class TestFieldForms:
         lat, grid, coupling, st, chi, prop, modes = setup
         a_form = field_forms(prop)["A"]
         layout = a_form.layout
-        assert vector_potential_route_defect(a_form, layout.blocks(modes.momentum)) <= 1e-10
+        assert vector_potential_route_defect(a_form, modes.momentum) <= 1e-10
         # the stack-free family the CLI reads is the same kernel set
         momentum = momentum_family(prop)
-        assert np.array_equal(layout.sites(momentum), modes.momentum)
+        assert np.array_equal(momentum, modes.momentum)
         assert vector_potential_route_defect(a_form, momentum) <= 1e-10
 
     def test_single_site_electric_field_scalar(self, single_site):
@@ -182,9 +185,9 @@ class TestFieldForms:
         e_form = field_forms(prop)["E"]
         from dampol.green import solve_green
         om = grid.nodes[0]
-        g_up = chi.layout.sites(solve_green(chi, [om + 1j * grid.eta]))[0]
+        g_up = sites(chi.layout, solve_green(chi, [om + 1j * grid.eta]))[0]
         expected = 1j * HBAR * om**2 * g_up[0, 0] * tau
-        assert e_form.layout.sites(e_form.alpha)[0][0, 0] == pytest.approx(expected, rel=1e-12)
+        assert sites(e_form.layout, e_form.alpha)[0][0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_hermitian_fields(self, setup):
         lat, grid, coupling, st, chi, prop, modes = setup
@@ -196,8 +199,8 @@ class TestFieldForms:
         lat, grid, coupling, st, chi, prop, modes = setup
         forms = field_forms(prop)
         e_form, a_form = forms["E"], forms["A"]
-        et = transverse_matrix(lat)[None] @ e_form.layout.sites(e_form.alpha)
-        adot = a_form.layout.sites(time_derivative(a_form).alpha)
+        et = transverse_matrix(lat)[None] @ sites(e_form.layout, e_form.alpha)
+        adot = sites(a_form.layout, time_derivative(a_form).alpha)
         assert np.linalg.norm(et + adot) <= 1e-10 * np.linalg.norm(et)
 
     def test_longitudinal_decomposition_converges(self, setup):
@@ -211,7 +214,7 @@ class TestFieldForms:
             grid = FrequencyGrid.midpoint(K, 3.0, eta_factor=1.0)
             coupling = coupling_from_lagrangian(builtin_model("local_lorentz", lat, grid))
             forms = field_forms(node_propagator(Susceptibility(coupling)))
-            e_alpha, p_alpha = (forms[kind].layout.sites(forms[kind].alpha) for kind in "EP")
+            e_alpha, p_alpha = (sites(forms[kind].layout, forms[kind].alpha) for kind in "EP")
             pl = longitudinal_matrix(lat)
             num = np.linalg.norm(pl[None] @ (e_alpha + p_alpha))
             den = max(np.linalg.norm(pl[None] @ e_alpha), 1e-300)
@@ -243,7 +246,7 @@ class TestConsistencyChecks:
         lat, grid, coupling, st, chi, prop, modes = setup
         pert = np.zeros((lat.dim, lat.dim))
         pert[0, 1] = 0.05
-        broken = chi.perturbed(lat.one_block.blocks(pert))
+        broken = chi.perturbed(blocks(lat.one_block, pert))
         forms = field_forms(node_propagator(broken))
         assert constitutive_check(forms["P"], forms["E"], forms["Pn"], broken) <= 1e-10
 
@@ -281,7 +284,7 @@ class TestEqualTimeCanonicalCommutator:
                 "local_lorentz", lat, grid,
                 {"resonance": 3.5, "width": 2.0, "strength": 2.0}))
             a_form = field_forms(node_propagator(Susceptibility(coupling)))["A"]
-            pi_form = EPS0 * time_derivative(a_form)
+            pi_form = scaled(time_derivative(a_form), EPS0)
             got = site_commutator(pi_form, a_form).mat
             expected = -1j * HBAR * q / lat.cell_volume
             devs.append(np.linalg.norm(q @ got @ q - expected) / np.linalg.norm(expected))

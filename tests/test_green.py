@@ -16,7 +16,7 @@ from dampol.green import (
 from dampol.lattice import FrequencyGrid, build_lattice, frobenius_cond
 from dampol.susceptibility import Susceptibility, chi_stack, reflection_residuals
 
-from reference import TensorKernel, longitudinal_matrix, sites, zero_coupling
+from reference import TensorKernel, blocks, longitudinal_matrix, site_positions, sites, zero_coupling
 from test_coupling import scalar_coupling
 
 
@@ -26,7 +26,7 @@ def vacuum_chi(lattice, grid):
 
 def green_at(chi, z):
     """The propagator kernel at one point, rotated back to sites."""
-    return TensorKernel(chi.lattice, chi.layout.sites(solve_green(chi, [z]))[0])
+    return TensorKernel(chi.lattice, sites(chi.layout, solve_green(chi, [z]))[0])
 
 
 class TestVacuumClosedForms:
@@ -55,7 +55,7 @@ class TestVacuumClosedForms:
                 khat = kvec / np.sqrt(ksq)
                 pt_block = np.eye(3) - np.outer(khat, khat)
                 block = pt_block / (z**2 - ksq) + np.outer(khat, khat) / z**2
-            phase = np.exp(1j * (sites(lat) @ kvec))
+            phase = np.exp(1j * (site_positions(lat) @ kvec))
             site_mat = np.outer(phase, phase.conj()) / lat.n_sites
             oracle += np.kron(site_mat, block)
         assert np.allclose(g.mat, oracle / lat.cell_volume, atol=1e-12)
@@ -69,7 +69,7 @@ class TestSingleSiteClosedForm:
         coupling = scalar_coupling(lat, grid, tau)
         z = 1.4 - 0.3j
         g = green_at(Susceptibility(coupling), z)
-        chi_scalar = coupling.layout.sites(chi_stack(coupling, [z]))[0, 0, 0]
+        chi_scalar = sites(coupling.layout, chi_stack(coupling, [z]))[0, 0, 0]
         expected = 1.0 / (z**2 * (1.0 + chi_scalar))
         assert np.allclose(g.mat, expected * np.eye(3), atol=1e-12 * abs(expected))
 
@@ -93,7 +93,7 @@ class TestResiduals:
         d = random_lagrangian.lattice.dim
         pert = np.zeros((d, d))
         pert[0, 1] = 0.05
-        broken = chi.perturbed(random_lagrangian.lattice.one_block.blocks(pert))
+        broken = chi.perturbed(blocks(random_lagrangian.lattice.one_block, pert))
         assert verify_adjoint(broken, [1.0 - 0.4j], solve_green(broken, [1.0 - 0.4j])) > 1e-6
 
     def test_real_z_rejected(self, random_lagrangian):
@@ -135,7 +135,7 @@ class TestSweep:
         prop = node_propagator(chi)
         grid, d = lorentz_coupling.grid, lorentz_coupling.lattice.dim
         assert prop.coupling is lorentz_coupling
-        assert prop.layout.sites(prop.blocks).shape == (grid.n_nodes, d, d)
+        assert sites(prop.layout, prop.blocks).shape == (grid.n_nodes, d, d)
         assert prop.residual.shape == prop.cond.shape == (grid.n_nodes,)
         assert np.all(prop.residual <= TOL_SOLVE)
         assert np.all(prop.z.imag == -grid.eta)
@@ -150,8 +150,8 @@ class TestSweep:
         prop = node_propagator(chi)
         for k, z in enumerate(prop.z):
             blocks, residual, _, mat = solve_stack(chi, [z])
-            ref = prop.layout.sites(blocks[0])
-            assert np.linalg.norm(prop.layout.sites(prop.blocks[k]) - ref) <= 1e-13 * np.linalg.norm(ref)
+            ref = sites(prop.layout, blocks[0])
+            assert np.linalg.norm(sites(prop.layout, prop.blocks[k]) - ref) <= 1e-13 * np.linalg.norm(ref)
             assert prop.residual[k] == pytest.approx(residual[0], rel=1e-12, abs=1e-15)
             assert prop.cond[k] == pytest.approx(condition_numbers(prop.layout, mat, blocks)[0], rel=1e-12)
 
@@ -197,7 +197,7 @@ class TestSweep:
         layout = small_lattice.sector_layout
         w = wave_operator(chi.blocks_at([1.0 + 1.0j])[0], 1.0 + 1.0j, layout)
         assert w.shape == (layout.size,)
-        assert layout.sites(w).shape == (small_lattice.dim, small_lattice.dim)
+        assert sites(layout, w).shape == (small_lattice.dim, small_lattice.dim)
 
 
 class TestConditionNumber:
@@ -207,7 +207,7 @@ class TestConditionNumber:
         blocks, _, _, operator = solve_stack(chi, [z])
         layout = chi.layout
         cond = condition_numbers(layout, operator, blocks)
-        mat = chi.lattice.cell_volume * layout.sites(wave_operator(chi_stack(random_lagrangian, [z])[0], z, layout))
+        mat = chi.lattice.cell_volume * sites(layout, wave_operator(chi_stack(random_lagrangian, [z])[0], z, layout))
         assert cond[0] == pytest.approx(np.linalg.cond(mat), rel=1e-12, abs=0)
 
     def test_sweep_gives_the_unscreened_failures(self, small_lattice, monkeypatch):

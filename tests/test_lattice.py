@@ -8,10 +8,13 @@ from dampol.lattice import FrequencyGrid, build_lattice
 
 from reference import (
     TensorKernel,
+    basis,
+    blocks,
     curl_matrix,
     double_curl_matrix,
     laplacian_matrix,
     longitudinal_matrix,
+    site_positions,
     sites,
     transverse_basis,
     transverse_matrix,
@@ -99,7 +102,7 @@ class TestMomentumSectors:
     def test_phases_are_the_direct_plane_waves(self, n, k0_transverse, spacing):
         # the Kronecker cube of one (n, n) axis factor against exp(i k . r) / sqrt(M)
         lat = build_lattice(n, spacing, k0_transverse)
-        direct = np.exp(1j * sites(lat) @ lat.kvecs.T) / np.sqrt(lat.n_sites)
+        direct = np.exp(1j * site_positions(lat) @ lat.kvecs.T) / np.sqrt(lat.n_sites)
         assert lat._phases.shape == direct.shape
         assert np.max(np.abs(lat._phases - direct)) <= 1e-15
 
@@ -120,7 +123,7 @@ class TestMomentumSectors:
         lat = build_lattice(n, 1.0, k0_transverse)
         phi = transverse_basis(lat)
         for layout in (lat.sector_layout, lat.one_block):
-            rot = layout.basis.T @ phi
+            rot = basis(layout).T @ phi
             first, seen = 0, []
             for mine, coords in layout.transverse:
                 inside = np.zeros(lat.dim, dtype=bool)
@@ -201,7 +204,7 @@ class TestDoubleCurl:
         if np.linalg.norm(pol) < 1e-12:
             pol = np.array([0.0, kvec[2], -kvec[1]])
         pol = pol / np.linalg.norm(pol)
-        wave = np.exp(-1j * sites(lat) @ kvec)
+        wave = np.exp(-1j * site_positions(lat) @ kvec)
         mat = np.zeros((lat.dim, lat.dim), dtype=complex)
         col = (wave[:, None] * pol[None, :]).ravel()
         mat[:, :] = np.outer(np.ones(lat.dim), col.conj())
@@ -222,7 +225,7 @@ class TestDoubleCurl:
                 continue
             khat = kvec / np.sqrt(ksq)
             block = ksq * (np.eye(3) - np.outer(khat, khat))
-            phase = np.exp(1j * (sites(lat) @ kvec))
+            phase = np.exp(1j * (site_positions(lat) @ kvec))
             site_mat = np.outer(phase, phase.conj()) / M
             oracle += np.kron(site_mat, block)
         direct = TensorKernel(lat, -TensorKernel.identity(lat).mat @ double_curl_matrix(lat))
@@ -276,7 +279,7 @@ class TestKernelAlgebra:
         w = rng.uniform(0.1, 1.0, shape[1])
         ref = np.einsum("m,kmab,mcb->kac", w, a, b[0])
         scale = np.linalg.norm(ref)
-        got = one.sites(one.pair_contract(w, one.blocks(a), one.blocks(b[0])))
+        got = sites(one, one.pair_contract(w, blocks(one, a), blocks(one, b[0])))
         assert np.linalg.norm(got - ref) <= 1e-14 * scale
 
     def test_rejects_nonfinite(self):

@@ -1,16 +1,21 @@
-"""Every function in `src/dampol` has a caller in `src/`, or is listed in README,
-only `oracle.py` reads the canonical-basis layout, and only `lattice.py`
-builds or indexes the momentum-sector partition.
+"""Every function in `src/dampol` runs in a shipped command or is listed in README,
+the package rotates nothing to sites, only `oracle.py` reads the
+canonical-basis layout, and only `lattice.py` builds or indexes the
+momentum-sector partition.
 
-A function (dunders excluded) passes when its name is read somewhere in
-`src/dampol` outside its own body, or appears backticked in the README
-section "Reference code kept for the tests", which names each function kept
-only for the benchmark or for the tests; being exported in `dampol.__all__`
-exempts nothing, and a backticked name elsewhere in README neither.  Every
-name that section lists must be defined in `src/dampol`.  A module-level
-function counts as read through a `Name` or an `Attribute`, a method only
-through an `Attribute`; an attribute of `np` never counts, so `np.allclose`
-is no call of a method `allclose`.
+The shipped commands (`SHIPPED`) run in-process under `sys.setprofile`:
+`verify-all` on every verify config, lorentz with `dump_hamiltonian = true`,
+and `refine --levels 3` on both refine configs.  Every function defined in
+`src/dampol`, lambdas and comprehensions aside, must run in them, but those
+listed in backticks in the README section "Reference code kept for the
+tests", which names each function kept only for the benchmark or for the
+tests; every name that section lists must be defined in `src/dampol`.  A
+function that only a never-run function calls never runs either, so a
+chain of them is reported whole.
+
+The package holds every kernel as blocks: `SectorLayout` defines no site
+rotation (`sites`, `blocks`, `basis`) and `Lattice` no `split`; the dense
+site route is `tests/reference.py`.
 
 The slot order of `QuadraticHamiltonian` (its members `_slots`, the a, p, x
 and y slots of a group, and `_frame`, each group's block size, transverse
@@ -20,41 +25,64 @@ instead.
 
 The sector partition is the sector labels of `Lattice` and the block
 indexing of `SectorLayout`, each member of it defined in `lattice.py`;
-every other module converts and multiplies
-kernel stacks through the layout's methods (`SectorLayout.blocks`,
-`SectorLayout.matmul`, ...), gets a layout from `Lattice.layout`, and groups
-its slots through `SectorLayout.slot_groups`.
+every other module multiplies and re-lays kernel stacks through the
+layout's methods (`SectorLayout.matmul`, `SectorLayout.relay`, ...), gets a
+layout from `Lattice.layout`, and groups its slots through
+`SectorLayout.slot_groups`.
 
-`coupling.py`, `susceptibility.py` and `green.py` derive, evaluate, solve
-and check every kernel as blocks: none calls `SectorLayout.sites`, and the
-propagator's condition number comes from `SectorLayout.svdvals`, at the
-nodes its Frobenius bound (`lattice.frobenius_cond`) does not clear and
-when `NodePropagator.cond` is read.  `oracle.py` forms every
-canonical row stack per slot group, in its form's layout: it calls no
-`sites` method and no `tensordot`, so no row is rotated through sites.
+`oracle.py` forms every canonical row stack per slot group, in its form's
+layout: it calls no `tensordot`, so no row is contracted over a site
+index.
 """
 
 import ast
+import importlib.util
+import inspect
+import os
 import re
+import sys
+import types
 from pathlib import Path
+
+import pytest
+
+from dampol.cli import EXIT_NUMERICAL, EXIT_PASS, main
+from dampol.lattice import Lattice, SectorLayout
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "dampol").glob("*.py"))
+CONFIG_DIR = ROOT / "configs"
 
-#: the README section that lists the functions kept without a caller in `src/`
+#: the README section that lists the functions kept although no shipped command runs them
 REFERENCE_SECTION = "## Reference code kept for the tests"
 
+#: the shipped commands, each as (output name, config, command and flags, exit code);
+#: "dump" is lorentz.ini with `dump_hamiltonian = true`
+SHIPPED = (
+    *((name, f"{name}.ini", ["verify-all"], code) for name, code in (
+        ("lorentz", EXIT_PASS), ("gaussian", EXIT_PASS), ("uniaxial", EXIT_PASS),
+        ("violator_chi", EXIT_NUMERICAL), ("violator_bath", EXIT_NUMERICAL),
+        ("degenerate", EXIT_NUMERICAL))),
+    ("dump", "dump.ini", ["verify-all"], EXIT_PASS),
+    ("refine", "refine.ini", ["refine", "--levels", "3"], EXIT_PASS),
+    ("refine_kernels", "refine_kernels.ini", ["refine", "--levels", "3"], EXIT_PASS),
+)
 
-def readme_names(readme: Path) -> set:
-    """Each component of every dotted name written in backticks in README's `REFERENCE_SECTION`."""
+
+def readme_spans(readme: Path) -> set:
+    """Every dotted name written in backticks in README's `REFERENCE_SECTION`, without a trailing ``()``."""
     text = readme.read_text()
     start = text.find(REFERENCE_SECTION + "\n")
     if start < 0:
         return set()
     section = re.split(r"^## ", text[start + len(REFERENCE_SECTION):], maxsplit=1, flags=re.M)[0]
     spans = re.findall(r"`([^`\n]+)`", section)
-    return {part for span in spans if re.fullmatch(r"[A-Za-z_][\w.]*(\(\))?", span)
-            for part in span.removesuffix("()").split(".")}
+    return {span.removesuffix("()") for span in spans if re.fullmatch(r"[A-Za-z_][\w.]*(\(\))?", span)}
+
+
+def readme_names(readme: Path) -> set:
+    """Each component of every dotted name written in backticks in README's `REFERENCE_SECTION`."""
+    return {part for span in readme_spans(readme) for part in span.split(".")}
 
 
 def defined_names(sources=SOURCES) -> set:
@@ -75,56 +103,106 @@ def defined_names(sources=SOURCES) -> set:
     return names
 
 
-def uncalled_functions(sources=SOURCES, readme=ROOT / "README.md") -> list:
-    trees = {path.name: ast.parse(path.read_text()) for path in sources}
-    reads = []   # (name, node id, through an attribute) of every read in src/ but np.*
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                reads.append((node.id, id(node), False))
-            elif isinstance(node, ast.Attribute) and not (
-                    isinstance(node.value, ast.Name) and node.value.id == "np"):
-                reads.append((node.attr, id(node), True))
-    methods = {id(fn) for tree in trees.values() for cls in ast.walk(tree)
-               if isinstance(cls, ast.ClassDef) for fn in cls.body}
-    documented = readme_names(readme)
-    found = []
-    for module, tree in trees.items():
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if fn.name.startswith("__") and fn.name.endswith("__") or fn.name in documented:
-                continue
-            own = {id(node) for node in ast.walk(fn)}
-            method = id(fn) in methods
-            if not any(name == fn.name and node not in own and (attr or not method)
-                       for name, node, attr in reads):
-                found.append(f"{module}:{fn.lineno} {fn.name}")
+def defined_functions(sources=SOURCES) -> dict:
+    """The qualified name of every function defined in the sources, lambdas and comprehensions aside,
+    keyed by its code's (real path, first line, name); a class body is no function."""
+    found = {}
+
+    def walk(code, path):
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                if const.co_flags & inspect.CO_OPTIMIZED and not const.co_name.startswith("<"):
+                    found[(path, const.co_firstlineno, const.co_name)] = const.co_qualname
+                walk(const, path)
+    for source in sources:
+        path = os.path.realpath(source)
+        walk(compile(Path(source).read_text(), path, "exec"), path)
     return found
+
+
+def never_run(run, sources=SOURCES) -> list:
+    """The qualified names of the functions in `sources` that `run()` does not call, sorted.
+
+    `run` runs under a `sys.setprofile` hook that records the code of every
+    Python call; the hook that was set before is restored after it.
+    """
+    codes = {}
+
+    def hook(frame, event, arg):
+        if event == "call":
+            codes[id(frame.f_code)] = frame.f_code
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    ran = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in codes.values()}
+    return sorted(name for key, name in defined_functions(sources).items() if key not in ran)
+
+
+def run_shipped(out: Path) -> list:
+    """Run every `SHIPPED` command in-process with its outputs under `out`; their exit codes."""
+    dump = out / "dump.ini"
+    dump.write_text((CONFIG_DIR / "lorentz.ini").read_text().replace("[run]\n", "[run]\ndump_hamiltonian = true\n"))
+    return [main([*command, "--config", str(dump if config == "dump.ini" else CONFIG_DIR / config),
+                  "--out", str(out / name)])
+            for name, config, command, _ in SHIPPED]
 
 
 def test_sources_found():
     assert len(SOURCES) >= 10
 
 
-def test_every_function_has_a_caller_or_is_documented():
-    assert uncalled_functions() == []
+@pytest.fixture(scope="module")
+def shipped(tmp_path_factory):
+    """The exit codes of the `SHIPPED` commands, the functions they never run, and their output directory."""
+    out, codes = tmp_path_factory.mktemp("shipped"), []
+    unrun = never_run(lambda: codes.extend(run_shipped(out)))
+    return codes, unrun, out
 
 
-def test_np_attributes_and_bare_names_call_no_method(tmp_path):
-    source = tmp_path / "mod.py"
+def test_shipped_commands_exit_as_documented(shipped):
+    codes, _, out = shipped
+    assert codes == [code for *_, code in SHIPPED]
+    assert (out / "dump" / "hamiltonian.dak").exists()
+
+
+def test_shipped_commands_run_every_function_but_the_reference_list(shipped):
+    _, unrun, _ = shipped
+    assert unrun == sorted(readme_spans(ROOT / "README.md"))
+
+
+def test_never_run_reports_a_chain_and_restores_the_hook(tmp_path):
+    # `helper` has a caller, but only `dead` calls it and `dead` never runs;
+    # the method `norm` is reported by its qualified name
+    source = tmp_path / "chain_mod.py"
     source.write_text(
-        "import numpy as np\n"
         "class Kernel:\n"
-        "    def allclose(self): pass\n"
-        "    def zero(self): pass\n"
-        "    def norm(self): pass\n"
-        "def scale(a):\n"
-        "    zero = 0\n"
-        "    return np.allclose(a.norm(), zero)\n")
-    readme = tmp_path / "README.md"
-    readme.write_text(f"{REFERENCE_SECTION}\n\n`scale`\n")
-    assert uncalled_functions([source], readme) == ["mod.py:3 allclose", "mod.py:4 zero"]
+        "    def norm(self): return 0\n"
+        "def helper(): return [x for x in (1, 2)]\n"
+        "def dead(): return helper()\n"
+        "def used(): return (lambda: 1)()\n"
+        "def entry(): return used()\n")
+    spec = importlib.util.spec_from_file_location("chain_mod", source)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+
+    def outer(frame, event, arg):
+        pass
+    before = sys.getprofile()
+    sys.setprofile(outer)
+    try:
+        unrun = never_run(mod.entry, [source])
+        assert sys.getprofile() is outer
+    finally:
+        sys.setprofile(before)
+    assert unrun == ["Kernel.norm", "dead", "helper"]
+
+
+def test_package_has_no_site_rotation():
+    assert [name for owner, names in ((SectorLayout, ("sites", "blocks", "basis")), (Lattice, ("split",)))
+            for name in names if hasattr(owner, name)] == []
 
 
 def test_readme_lists_only_names_defined_in_src():
@@ -140,7 +218,6 @@ def test_only_the_reference_section_exempts(tmp_path):
     readme.write_text(f"# mod\n\n`named_elsewhere`\n\n{REFERENCE_SECTION}\n\n* `kept`: a reference.\n\n"
                       "## Usage\n\n`named_elsewhere()` again\n")
     assert readme_names(readme) == {"kept"}
-    assert uncalled_functions([source], readme) == ["mod.py:2 named_elsewhere", "mod.py:3 exported"]
     assert defined_names([source]) == {"kept", "named_elsewhere", "exported", "__all__"}
 
 
@@ -220,40 +297,14 @@ def test_partition_reads_found_outside_the_owner(tmp_path):
         "green.py:3 SectorLayout()", "green.py:3 momentum_sector", "green.py:3 parts"]
 
 
-#: the modules that hold every kernel as blocks and rotate none back to sites
-BLOCK_ONLY = ("coupling.py", "susceptibility.py", "green.py")
-
-
-def site_rotations(sources=SOURCES, modules=BLOCK_ONLY) -> list:
-    """Calls of a `sites` method in the block-only modules."""
-    return sorted(f"{path.name}:{node.lineno} sites()"
-                  for path in sources if path.name in modules
-                  for node in ast.walk(ast.parse(path.read_text()))
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "sites")
-
-
-def test_chi_and_green_rotate_nothing_back_to_sites():
-    assert site_rotations() == []
-
-
-def test_site_rotations_found_in_the_block_only_modules(tmp_path):
-    green = tmp_path / "green.py"
-    green.write_text("def f(lat, layout, x):\n    cond = layout.svdvals(x)\n"
-                     "    return lat.sites, layout.sites(x)\n")
-    other = tmp_path / "fields.py"
-    other.write_text("def g(layout, x):\n    return layout.sites(x)\n")
-    assert site_rotations([green, other]) == ["green.py:3 sites()"]
-
-
 def oracle_site_work(sources=SOURCES, module="oracle.py") -> list:
-    """Calls of a `sites` method or of `tensordot` in the oracle."""
+    """Calls of `tensordot` in the oracle."""
     return sorted(f"{path.name}:{node.lineno} {name}()"
                   for path in sources if path.name == module
                   for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, ast.Call)
                   for name in [getattr(node.func, "attr", getattr(node.func, "id", None))]
-                  if name in ("sites", "tensordot"))
+                  if name == "tensordot")
 
 
 def test_oracle_forms_its_rows_in_blocks():
@@ -263,9 +314,8 @@ def test_oracle_forms_its_rows_in_blocks():
 def test_oracle_site_work_found(tmp_path):
     oracle = tmp_path / "oracle.py"
     oracle.write_text("import numpy as np\nfrom numpy import tensordot\n"
-                      "def f(layout, x, f3):\n    y = layout.sites(x)\n"
-                      "    return np.tensordot(y, f3, 1), tensordot(y, f3, 1), layout.blocks(y)\n")
+                      "def f(layout, x, f3):\n    y = layout.matmul(x, x)\n"
+                      "    return np.tensordot(y, f3, 1), tensordot(y, f3, 1)\n")
     other = tmp_path / "fields.py"
-    other.write_text("import numpy as np\ndef g(layout, x):\n    return np.tensordot(layout.sites(x), x, 1)\n")
-    assert oracle_site_work([oracle, other]) == [
-        "oracle.py:4 sites()", "oracle.py:5 tensordot()", "oracle.py:5 tensordot()"]
+    other.write_text("import numpy as np\ndef g(layout, x):\n    return np.tensordot(x, x, 1)\n")
+    assert oracle_site_work([oracle, other]) == ["oracle.py:5 tensordot()", "oracle.py:5 tensordot()"]

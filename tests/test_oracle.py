@@ -34,7 +34,15 @@ from dampol.oracle import (
 from dampol.susceptibility import Susceptibility
 
 from conftest import traced_peak
-from reference import double_curl_matrix, random_coupling, transverse_basis, zero_coupling
+from reference import (
+    basis,
+    coupling_from_real,
+    double_curl_matrix,
+    random_coupling,
+    sites,
+    transverse_basis,
+    zero_coupling,
+)
 from test_coupling import scalar_coupling, site_kernels
 from test_fields import medium_mode_form
 
@@ -142,12 +150,12 @@ def dense_rows(ham, rows):
     Each group's (b, G) block has the rows of its block's basis columns:
     they are rotated back to sites and placed in the group's slots.
     """
-    basis = ham.layout.basis
+    rot = basis(ham.layout)
     out = np.zeros(rows.shape[:-1] + (ham.lattice.dim, ham.dim), dtype=complex)
     first = 0
     for group, view in zip(ham.groups, ham.row_views(rows)):
         b = view.shape[-2]
-        out[..., group] = basis[:, first:first + b] @ view
+        out[..., group] = rot[:, first:first + b] @ view
         first += b
     return out
 
@@ -305,17 +313,16 @@ class TestLadderRows:
     def case(self, request):
         if request.param == "random_n1_K7":   # w = 3/7 is not dyadic
             lat, grid = build_lattice(1, 1.0), FrequencyGrid.midpoint(7, 3.0, eta_factor=1.0)
-            raw = random_coupling(lat, grid, np.random.default_rng(7), diag_weight=3.0)
+            coupling = coupling_from_real(random_coupling(lat, grid, np.random.default_rng(7), diag_weight=3.0))
         else:
             lat, grid = build_lattice(2, 1.0), FrequencyGrid.midpoint(12, 3.0, eta_factor=1.0)
-            raw = builtin_model("local_lorentz", lat, grid)
-        coupling = coupling_from_lagrangian(raw)
+            coupling = coupling_from_lagrangian(builtin_model("local_lorentz", lat, grid))
         st = structure_tensor(coupling)
         return lat, grid, coupling, st, assemble_hamiltonian(coupling, st)
 
     def test_polarization_and_momentum(self, case):
         lat, grid, coupling, st, ham = case
-        v, finv, t = lat.cell_volume, st.layout.sites(st.inverse), site_kernels(coupling)
+        v, finv, t = lat.cell_volume, sites(st.layout, st.inverse), site_kernels(coupling)
         u_p = np.zeros((lat.dim, ham.dim), dtype=complex)
         u_w = np.zeros((lat.dim, ham.dim), dtype=complex)
         for k in range(grid.n_nodes):
@@ -347,7 +354,7 @@ class TestLadderRows:
         v, w = lat.cell_volume, grid.weights
         u = ladder_unitary(ham) @ momentum_rotation(ham)
         for k in range(grid.n_nodes):
-            co, counter = (bath.layout.sites(r) for r in bath.rows(k))
+            co, counter = (sites(bath.layout, r) for r in bath.rows(k))
             old = np.zeros((lat.dim, ham.dim), dtype=complex)
             for l in range(grid.n_nodes):
                 c, cdag = ladder_slices(ham, l)
@@ -360,6 +367,8 @@ class TestLadderRows:
         lat, grid, coupling, st, ham = case
         prop = node_propagator(Susceptibility(coupling))
         modes = mode_coefficients(prop)
+        potential, momentum, res, anti = (sites(modes.layout, f) for f in (
+            modes.potential, modes.momentum, modes.resonant, modes.antiresonant))
         v, phi = lat.cell_volume, transverse_basis(lat)
         u = ladder_unitary(ham) @ momentum_rotation(ham)
         a, p = canonical_slices(ham)[:2]
@@ -368,13 +377,13 @@ class TestLadderRows:
         got = dense_rows(ham, mode_rows(ham, *families))
         for k in range(grid.n_nodes):
             old = np.zeros((lat.dim, ham.dim), dtype=complex)
-            old[:, a] = np.sqrt(v) * modes.potential[k] @ phi
-            old[:, p] = np.sqrt(v) * modes.momentum[k] @ phi
+            old[:, a] = np.sqrt(v) * potential[k] @ phi
+            old[:, p] = np.sqrt(v) * momentum[k] @ phi
             for l in range(grid.n_nodes):
                 s = np.sqrt(v * grid.weights[l])
                 c, cdag = ladder_slices(ham, l)
-                old[:, c] += s * modes.resonant[k, l]
-                old[:, cdag] += s * modes.antiresonant[k, l]
+                old[:, c] += s * res[k, l]
+                old[:, cdag] += s * anti[k, l]
             old[:, ladder_slices(ham, k)[0]] += np.eye(lat.dim) / np.sqrt(v * grid.weights[k])
             assert close(got[k], old @ u, 1e-15)
         assert np.array_equal(resonant, families[2])   # the caller's stack is kept
@@ -401,7 +410,7 @@ class TestHeisenberg:
 
     def test_random_model(self, small_lattice, rng):
         grid = FrequencyGrid.midpoint(6, 4.0)
-        coupling = coupling_from_lagrangian(random_coupling(small_lattice, grid, rng))
+        coupling = coupling_from_real(random_coupling(small_lattice, grid, rng))
         st = structure_tensor(coupling)
         ham = assemble_hamiltonian(coupling, st)
         res = heisenberg_residual(ham, coupling, st)
@@ -520,10 +529,9 @@ class TestSpectrum:
     def test_matches_complex_route(self, small_lattice, model, monkeypatch):
         grid = FrequencyGrid.midpoint(6, 3.0, eta_factor=1.0)
         if model == "random_coupling":
-            raw = random_coupling(small_lattice, grid, np.random.default_rng(3))
+            coupling = coupling_from_real(random_coupling(small_lattice, grid, np.random.default_rng(3)))
         else:
-            raw = builtin_model(model, small_lattice, grid)
-        coupling = coupling_from_lagrangian(raw)
+            coupling = coupling_from_lagrangian(builtin_model(model, small_lattice, grid))
         ham = assemble_hamiltonian(coupling, structure_tensor(coupling))
         # the random coupling's positions and momenta couple, so its one block
         # takes the general route; every built-in model's sectors the half-size one
@@ -698,7 +706,7 @@ class TestSectorSpectrum:
 
     def test_random_coupling_is_one_group(self, small_lattice):
         grid = FrequencyGrid.midpoint(6, 3.0, eta_factor=1.0)
-        coupling = coupling_from_lagrangian(
+        coupling = coupling_from_real(
             random_coupling(small_lattice, grid, np.random.default_rng(3)))
         ham = assemble_hamiltonian(coupling, structure_tensor(coupling))
         spec = symplectic_spectrum(ham)

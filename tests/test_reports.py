@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dampol.cli import Pipeline, ScenarioConfig
-from dampol.coupling import coupling_from_lagrangian
 from dampol.lattice import FrequencyGrid, build_lattice
 from dampol.fields import field_forms
 from dampol.green import node_propagator
@@ -13,14 +12,14 @@ from dampol.reports import chi_trace_csv, field_trace_csv
 from dampol.susceptibility import Susceptibility, chi_stack
 
 from conftest import traced_peak
-from reference import random_coupling
+from reference import coupling_from_real, random_coupling, sites
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def site_chi(coupling, z_values):
     """chi at the points rotated back to sites, (n, d, d): the dense reference of the values."""
-    return coupling.layout.sites(chi_stack(coupling, z_values))
+    return sites(coupling.layout, chi_stack(coupling, z_values))
 
 
 def applied_chi(coupling, z_values):
@@ -46,7 +45,7 @@ def reference_chi_trace(path, z_values, mats):
 def random_trace_coupling(n, n_nodes):
     grid = FrequencyGrid.midpoint(n_nodes, 3.0)
     lat = build_lattice(n, 1.0)
-    return coupling_from_lagrangian(random_coupling(lat, grid, np.random.default_rng(11 + n)))
+    return coupling_from_real(random_coupling(lat, grid, np.random.default_rng(11 + n)))
 
 
 def site0_rows(path) -> bytes:

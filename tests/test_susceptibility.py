@@ -7,10 +7,8 @@ import pytest
 from dampol.constants import EPS0, HBAR
 from dampol.errors import PoleError
 from dampol.coupling import (
-    CouplingTensor,
     builtin_model,
     coupling_from_lagrangian,
-    gram_stack,
     spectral_moments,
     structure_tensor,
 )
@@ -25,18 +23,18 @@ from dampol.susceptibility import (
     verify_sum_rules,
 )
 
-from reference import TensorKernel, chi_asymptotic, zero_coupling
+from reference import TensorKernel, blocks, chi_asymptotic, from_kernels, gram_stack, sites, zero_coupling
 from test_coupling import scalar_coupling, site_kernels
 
 
 def chi_kernel(coupling, z):
     """The susceptibility kernel at one point, its blocks rotated back to sites."""
-    return TensorKernel(coupling.lattice, coupling.layout.sites(chi_stack(coupling, [z]))[0])
+    return TensorKernel(coupling.lattice, sites(coupling.layout, chi_stack(coupling, [z]))[0])
 
 
 def site_discontinuity(coupling):
     """The (K, d, d) cut discontinuity in the site basis."""
-    return coupling.layout.sites(discontinuity(coupling))
+    return sites(coupling.layout, discontinuity(coupling))
 
 
 def scalar_chi_oracle(grid, tau, z):
@@ -106,19 +104,19 @@ class TestChiStack:
     def test_sector_blocks_match_site_stack(self, lorentz_coupling):
         zs = np.array([1.2 + 0.3j, -0.7 - 0.1j, 2.0j])
         sector, one = lorentz_coupling.lattice.sector_layout, lorentz_coupling.lattice.one_block
-        ref = one.sites(chi_stack(lorentz_coupling.relaid(one), zs))
-        got = sector.sites(chi_stack(lorentz_coupling, zs))
+        ref = sites(one, chi_stack(lorentz_coupling.relaid(one), zs))
+        got = sites(sector, chi_stack(lorentz_coupling, zs))
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_perturbed_blocks_add_the_perturbation(self, random_lagrangian):
         d = random_lagrangian.lattice.dim
         pert = np.zeros((d, d))
         pert[0, 1] = 0.3
-        chi = Susceptibility(random_lagrangian).perturbed(random_lagrangian.lattice.one_block.blocks(pert))
+        chi = Susceptibility(random_lagrangian).perturbed(blocks(random_lagrangian.lattice.one_block, pert))
         zs = np.array([1.2 + 0.3j, -0.7 - 0.1j])
         assert chi.layout is random_lagrangian.lattice.one_block
         assert chi.source is random_lagrangian
-        assert np.array_equal(chi.blocks_at(zs), chi_stack(random_lagrangian, zs) + chi.layout.blocks(pert))
+        assert np.array_equal(chi.blocks_at(zs), chi_stack(random_lagrangian, zs) + blocks(chi.layout, pert))
 
     def test_pole_error_names_the_point_on_a_node(self, lorentz_coupling):
         node = lorentz_coupling.grid.nodes[3]
@@ -232,7 +230,7 @@ class TestTinyCoupling:
         d = coupling.lattice.dim
         pert = np.zeros((d, d), dtype=complex)
         pert[0, 1] = (1.0 + 1.0j) * 1e-8 * top   # breaks both reflections in the block it enters
-        bad = chi.perturbed(coupling.lattice.one_block.blocks(pert))
+        bad = chi.perturbed(blocks(coupling.lattice.one_block, pert))
         res = reflection_residuals(bad.layout, bad.blocks_at, self.ZS)
         assert res["transpose"] > 1e-9 and res["conjugation"] > 1e-9
 
@@ -259,7 +257,7 @@ class TestAsymptotics:
         st = structure_tensor(lorentz_coupling)
         z = 1e3 * lorentz_coupling.grid.omega_max * (1.0 + 0.3j)
         chi = chi_kernel(lorentz_coupling, z)
-        asym = TensorKernel(lorentz_coupling.lattice, st.layout.sites(chi_asymptotic(st, z)))
+        asym = TensorKernel(lorentz_coupling.lattice, sites(st.layout, chi_asymptotic(st, z)))
         assert (chi - asym).norm() <= 1e-5 * asym.norm()
 
     def test_quartic_decay_ratio(self, lorentz_coupling):
@@ -296,7 +294,7 @@ def shipped_or_violating_coupling(name, lattice):
     rng = np.random.default_rng(8)
     d = lattice.dim
     kernels = 0.5 * (rng.standard_normal((12, d, d)) + 1j * rng.standard_normal((12, d, d)))
-    return CouplingTensor.from_kernels(lattice, grid, kernels / lattice.cell_volume)
+    return from_kernels(lattice, grid, kernels / lattice.cell_volume)
 
 
 def reversed_nodes(coupling):
@@ -402,10 +400,10 @@ class TestSusceptibilityObject:
         d = lorentz_coupling.lattice.dim
         rng = np.random.default_rng(3)
         pert = rng.standard_normal((d, d)) * 1e-3
-        broken = chi.perturbed(lorentz_coupling.lattice.one_block.blocks(pert))
+        broken = chi.perturbed(blocks(lorentz_coupling.lattice.one_block, pert))
         z = 1.1 + 0.4j
         for c in (chi, broken):
-            here, minus, mirror = (TensorKernel(c.lattice, m) for m in c.layout.sites(
+            here, minus, mirror = (TensorKernel(c.lattice, m) for m in sites(c.layout,
                 c.blocks_at([z, -z, -np.conj(z)])))
             res = reflection_residuals(c.layout, c.blocks_at, [z])
             assert res["transpose"] == pytest.approx((here.T - minus).norm() / here.norm(),
@@ -418,7 +416,7 @@ class TestSusceptibilityObject:
         d = random_lagrangian.lattice.dim
         asym = np.zeros((d, d))
         asym[0, 1] = 0.05
-        broken = chi.perturbed(random_lagrangian.lattice.one_block.blocks(asym))
+        broken = chi.perturbed(blocks(random_lagrangian.lattice.one_block, asym))
         res = reflection_residuals(broken.layout, broken.blocks_at, [1.0 + 0.5j])
         assert res["transpose"] > 1e-6
 
