@@ -34,7 +34,7 @@ from .fields import (
     medium_momentum_form,
     medium_polarization_form,
 )
-from .lattice import SectorLayout, cauchy_sum, frobenius_cond, sq_norms
+from .lattice import SectorLayout, cauchy_sum, frobenius_cond, rel_norms, sq_norms
 from .oracle import QuadraticHamiltonian
 from .susceptibility import Susceptibility, discontinuity
 
@@ -157,7 +157,7 @@ def verify_linkage(bath: BathCoefficients, coupling: CouplingTensor,
                         discontinuity(coupling))
     diff = layout.matmul(v * bath.pole_blocks, chi.above_cut_blocks)
     diff -= rhs
-    return float(np.max(np.sqrt(sq_norms(diff)) / np.maximum(np.sqrt(sq_norms(rhs)), 1e-300)))
+    return float(rel_norms(diff, rhs).max())
 
 
 def bath_mode_form(bath: BathCoefficients, k: int) -> LinearBosonicForm:

@@ -208,7 +208,9 @@ def violation_blocks(lattice: Lattice, magnitude: float) -> np.ndarray:
     momentum basis: rows 0 and 1 of B are row 0 of F times the unit vectors
     e_x and e_y.  No d x d operator is formed or rotated.
     """
-    row = lattice.momentum_basis[0]
+    (cos, sin), row = lattice.momentum_pairs, np.full(lattice.n_sites, 1.0 / np.sqrt(lattice.n_sites))
+    row[cos] *= np.sqrt(2.0)   # row 0 of F: every column's wave at site 0
+    row[sin] = 0.0
     b0, b1 = np.kron(row, [1.0, 0.0, 0.0]), np.kron(row, [0.0, 1.0, 0.0])
     return np.outer(magnitude * b0, b1).ravel().astype(complex)
 
@@ -282,7 +284,7 @@ class Pipeline:
 # -- stages ---------------------------------------------------------------
 
 
-def stage_model(pipe: Pipeline) -> dict:
+def stage_model(pipe: Pipeline, out: Path | None = None) -> dict:
     report = check_constraints(pipe.coupling)
     st = pipe.structure
     evals = st.eigenvalues
@@ -339,7 +341,7 @@ def stage_green(pipe: Pipeline, out: Path | None) -> dict:
     return reports.stage_report("green", checks)
 
 
-def stage_diag(pipe: Pipeline) -> dict:
+def stage_diag(pipe: Pipeline, out: Path | None = None) -> dict:
     sc = pipe.streamed
     checks = [
         pipe.entry("diag.potential_ratio", sc.potential_ratio, TOL_EXACT),
@@ -394,7 +396,7 @@ def stage_fields(pipe: Pipeline, out: Path | None = None) -> dict:
     return reports.stage_report("fields", checks)
 
 
-def stage_bath(pipe: Pipeline) -> dict:
+def stage_bath(pipe: Pipeline, out: Path | None = None) -> dict:
     bath = pipe.bath
     coupling = pipe.coupling
     checks = [
@@ -439,12 +441,12 @@ def stage_oracle(pipe: Pipeline, out: Path | None = None) -> dict:
 
 
 _STAGE_FUNCS = {
-    "model": lambda pipe, out: stage_model(pipe),
+    "model": stage_model,
     "chi": stage_chi,
     "green": stage_green,
-    "diag": lambda pipe, out: stage_diag(pipe),
+    "diag": stage_diag,
     "fields": stage_fields,
-    "bath": lambda pipe, out: stage_bath(pipe),
+    "bath": stage_bath,
     "oracle": stage_oracle,
 }
 

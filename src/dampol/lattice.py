@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DampolError
 
-#: largest off-sector part of a run's inputs in `Lattice.momentum_basis`,
+#: largest off-sector part of a run's inputs in the momentum basis,
 #: relative to each input, for which the run is laid out per momentum sector:
 #: its kernel stacks (`SectorLayout`) and the oracle's quadratic forms
 SECTOR_LEAK_TOL = 1e-13
@@ -97,19 +97,6 @@ class Lattice:
         return np.stack([g.ravel() for g in grids], axis=1)
 
     @cached_property
-    def _phases(self) -> np.ndarray:
-        # (M, M) matrix exp(i k . r) / sqrt(M); columns indexed by k.  Sites and wave
-        # vectors run C-ordered over integer triples, so it is kron(p, p, p) / sqrt(M)
-        # of the (n, n) axis factor p[x, j] = exp(2 pi i x j / n), whatever the
-        # spacing, read from the n-th roots of unity, each root past the half the
-        # exact conjugate of its partner
-        n = self.n_per_axis
-        m = np.arange(n)
-        low = np.exp(2j * np.pi * np.minimum(m, n - m) / n)
-        p = np.where(2 * m > n, low.conj(), low)[np.outer(m, m) % n]
-        return np.kron(np.kron(p, p), p) / np.sqrt(self.n_sites)
-
-    @cached_property
     def _dkvecs(self) -> np.ndarray:
         """Wave vectors of the derivative blocks: `kvecs` with Nyquist components zeroed.
 
@@ -173,22 +160,48 @@ class Lattice:
 
     @cached_property
     def momentum_sector(self) -> np.ndarray:
-        """(M,) sector label of each `momentum_basis` column: the lower index of {q, -q}."""
+        """(M,) sector label of each column of the momentum basis: the lower index of {q, -q}."""
         return np.minimum(np.arange(self.n_sites), self._conjugate)
 
     @cached_property
-    def momentum_basis(self) -> np.ndarray:
-        """Real orthogonal (M, M) site matrix adapted to the lattice-momentum sectors.
+    def momentum_pairs(self) -> tuple:
+        """The cos and the sin column of each {q, -q} pair of the momentum basis F, two (P,) index arrays.
 
-        Column j belongs to wave vector ``kvecs[j]``.  A self-conjugate q
-        (q = -q modulo the reciprocal lattice) has its plane wave, which is
-        real; a pair {q, -q} has sqrt(2) cos(q.r) at the lower index and
-        sqrt(2) sin(q.r) at the higher.  A real translation-invariant
-        operator maps each sector's span into itself.
-        """
-        j, conj = np.arange(self.n_sites), self._conjugate
-        waves = self._phases[:, self.momentum_sector] * np.where(j == conj, 1.0, np.sqrt(2.0))
-        return np.where(j <= conj, waves.real, waves.imag)
+        F, real orthogonal (M, M) and applied by FFT, has at column j the plane wave of kvecs[j] if it is
+        self-conjugate, else sqrt(2) cos(q.r) at a pair's lower index and sqrt(2) sin(q.r) at its higher."""
+        cos = np.flatnonzero(np.arange(self.n_sites) < self._conjugate)
+        return cos, self._conjugate[cos]
+
+    def to_momentum(self, vecs: np.ndarray) -> np.ndarray:
+        """F^T v for every (..., 3M) site vector v, real if v is: with E = P v (`_transform`), a pair's cos
+        column s and sin column p are (E_s + E_p) / sqrt(2) and -i (E_s - E_p) / sqrt(2)."""
+        return self._transform(vecs, False)
+
+    def from_momentum(self, coords: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """F u for every (..., 3M) vector u, real if u is: P c, c_s = (u_s - i u_p) / sqrt(2) and c_p =
+        (u_s + i u_p) / sqrt(2) on a pair.  With `overwrite`, a complex C-ordered u is transformed in place."""
+        return self._transform(coords, True, overwrite)
+
+    def _transform(self, vecs, inverse: bool, overwrite: bool = False) -> np.ndarray:
+        """P x, P[r, j] = exp(i kvecs[j] . r) / sqrt(M) being symmetric, by one `np.fft.ifftn` over the site axes,
+        and the pair mix (a, b) <- (a + x b, y (a - x b)) / sqrt(2) after it, or before it when `inverse`."""
+        n, lead = self.n_per_axis, np.shape(vecs)[:-1]
+        buf = vecs if overwrite and vecs.dtype == complex else np.array(vecs, dtype=complex, order="C")
+        cube, waves = buf.reshape(lead + (n, n, n, 3)), buf.reshape(lead + (self.n_sites, 3))
+        if not inverse:
+            np.fft.ifftn(cube, axes=(-4, -3, -2), norm="ortho", out=cube)
+        (cos, sin), (x, y) = self.momentum_pairs, ((-1j, 1.0) if inverse else (1.0, -1j))
+        a, b = waves[..., cos, :], waves[..., sin, :]   # mixed in place: no temporary but these
+        b *= x * np.sqrt(0.5)
+        a *= np.sqrt(0.5)
+        a += b
+        b *= -2.0
+        b += a
+        b *= y
+        waves[..., cos, :], waves[..., sin, :] = a, b
+        if inverse:
+            np.fft.ifftn(cube, axes=(-4, -3, -2), norm="ortho", out=cube)
+        return buf.real.copy() if np.isrealobj(vecs) else buf
 
     @cached_property
     def _transverse_columns(self) -> tuple:
@@ -210,7 +223,7 @@ class Lattice:
 
     @cached_property
     def sector_layout(self) -> "SectorLayout":
-        """Per-sector storage: one block per {q, -q} sector of `momentum_basis`, 3x3 or 6x6.
+        """Per-sector storage: one block per {q, -q} sector of the momentum basis, 3x3 or 6x6.
 
         The basis columns are those of kron(F, I_3) with F the momentum basis,
         ordered by block size, then by sector label, then by momentum column
@@ -227,7 +240,7 @@ class Lattice:
 
         `symbols` is (..., M, 3, 3), one 3x3 matrix per row of `kvecs`, as
         in `_symbols`.  A self-conjugate q gives the 3x3 block B(q); a pair
-        {q, -q}, its cos column first as in `momentum_basis`, gives the 6x6
+        {q, -q}, its cos column first as in the momentum basis, gives the 6x6
         block [[P, -iQ], [iQ, P]] with P = (B(q) + B(-q)) / 2 and
         Q = (B(q) - B(-q)) / 2.  No site operator is formed.
         """
@@ -251,7 +264,7 @@ class Lattice:
 
     @cached_property
     def one_block(self) -> "SectorLayout":
-        """The dense layout: one d x d block in the basis kron(F, I_3) of `momentum_basis`, in its column order.
+        """The dense layout: one d x d block in the basis kron(F, I_3), F the momentum basis, in its column order.
 
         It holds any operator, so it is the layout of a run whose inputs
         leak across momentum sectors, as the `chi_symmetry` violation does,
@@ -282,7 +295,7 @@ class SectorLayout:
     """Block-diagonal (..., d, d) site operators stored as flat (..., size) arrays.
 
     The basis is the real orthogonal (d, d) column selection `columns` of
-    kron(F, I_3), F the lattice's `momentum_basis`, its columns running over
+    kron(F, I_3), F the lattice's momentum basis, its columns running over
     the blocks in order; no code of the package forms it, or any site
     operator.  The blocks are the diagonal blocks of basis^T A basis, of
     the sizes in `sizes`, stored row-major one after the other.  Blocks of
@@ -296,7 +309,7 @@ class SectorLayout:
     on the flat rows.
 
     A translation-invariant operator maps every {q, -q} sector of
-    `Lattice.momentum_basis` into itself, so `Lattice.sector_layout` keeps it
+    the momentum basis into itself, so `Lattice.sector_layout` keeps it
     whole in blocks of 3 or 6; `Lattice.one_block` keeps any operator as
     one d x d block, which is the dense reference.  Both bases are columns
     of one matrix, so an operator of one layout is laid into the other
@@ -370,17 +383,15 @@ class SectorLayout:
 
         The vectors are rotated into the basis and back, A v = B A_blocks
         (B^T v).  The basis B = kron(F, I_3)[:, columns] is applied as the
-        (M, M) momentum basis F and the column selection, so no site
-        operator and no d x d matrix is formed.
+        FFTs of the momentum basis F (`Lattice.to_momentum`, `from_momentum`)
+        and the column selection, so no site operator and no matrix is formed.
         """
-        rot = _momentum_rotate(vecs, self.lattice.momentum_basis.T)
+        rot = self.lattice.to_momentum(vecs)
         out = np.empty(np.broadcast_shapes(flat.shape[:-1], vecs.shape[:-1]) + (self.lattice.dim,),
                        dtype=np.result_type(flat, vecs))
-        first = np.cumsum(self.sizes) - self.sizes
-        for blk, f, b in zip(self.per_block(flat), first, self.sizes):
-            rows = self.columns[f:f + b]   # in kron(F, I_3) column order
-            out[..., rows] = (blk @ rot[..., rows, None])[..., 0]
-        return _momentum_rotate(out, self.lattice.momentum_basis)
+        for blk, rows in zip(self.per_block(flat), np.split(self.columns, np.cumsum(self.sizes)[:-1])):
+            out[..., rows] = (blk @ rot[..., rows, None])[..., 0]   # rows in kron(F, I_3) column order
+        return self.lattice.from_momentum(out, overwrite=True)
 
     def relay(self, flat: np.ndarray, layout: "SectorLayout") -> np.ndarray:
         """A (..., size) array of this layout as blocks of `layout`, entry by entry; `flat` itself in this one.
@@ -536,20 +547,6 @@ def _entrywise_3x3(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
             for j in (1, 2):
                 np.multiply(a[..., i, j], b[..., j, k], out=scratch)
                 entry += scratch
-
-
-def _momentum_rotate(vecs: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """f @ V for the (M, 3) view V of every (..., 3M) vector, f a real (M, M) matrix, as (..., 3M).
-
-    A complex V is multiplied part by part, into the result's own parts,
-    so f is never cast to a complex copy.
-    """
-    lead, m = vecs.shape[:-1], f.shape[0]
-    grid = vecs.reshape(lead + (m, 3))
-    out = np.empty(grid.shape, dtype=np.result_type(vecs, f))
-    for part, res in ((grid.real, out.real), (grid.imag, out.imag)) if np.iscomplexobj(vecs) else ((grid, out),):
-        np.matmul(f, part, out=res)
-    return out.reshape(vecs.shape)
 
 
 def cauchy_sum(nodes: np.ndarray, weights: np.ndarray, poles, stack: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ operators per frequency node, c = (x + i y)/sqrt(2):
 
     xi = ( a, p, x[k=0..K-1], y[k=0..K-1] )
 
-Each node's x and y slots run over the real `Lattice.momentum_basis`
+Each node's x and y slots run over the real momentum basis of `lattice.py`
 (momentum column, then component) instead of the lattice sites; the
 transverse basis of a and p is built per momentum sector already.  The
 Hamiltonian becomes H = xi^T h xi up to an additive constant.  Every basis
@@ -47,7 +47,7 @@ from .diagonalize import node_families, smear_profiles
 from .errors import ConfigError, DampolError
 from .fields import medium_momentum_form, medium_polarization_form
 from .green import NodePropagator
-from .lattice import FrequencyGrid, Lattice, SectorLayout, sq_norms
+from .lattice import FrequencyGrid, Lattice, SectorLayout, rel_norms, sq_norms
 
 #: largest canonical dimension the oracle assembles.  It bounds the largest
 #: row stacks, the rows of every node at once (the master check's and the bath
@@ -428,8 +428,7 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     rhs -= 1j * nodes[:, None] * u_c
     res = ddt(u_c)
     res -= rhs
-    out["medium_rate"] = float(np.max(np.sqrt(sq_norms(res))
-                                      / np.maximum(np.sqrt(sq_norms(rhs)), 1e-300)))
+    out["medium_rate"] = float(rel_norms(res, rhs).max())
     del res, rhs
     coef, tt = -HBAR * v * grid.weights * nodes, layout.transpose(t)
     t1 = coef @ act(tt, u_c)

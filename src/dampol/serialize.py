@@ -6,11 +6,11 @@ each of its slot groups), then the raw row-major complex128 bytes of the
 form's blocks, one after another in group order: block i is the (G, G)
 restriction of the form to the slots `groups[i]`, and the form has no entry
 outside its blocks.  Version 4 holds the form over the Hermitian
-quadratures (a, p, x, y) with every node's x and y slots in
-`Lattice.momentum_basis` order (momentum column, then component).  Version
-3 held the same form as its dense dim x dim embedding, version 2 had the
-ladder slots in site order, and version 1 held the form over the ladder
-operators (a, p, c, c^dag).  None of them is read.
+quadratures (a, p, x, y) with every node's x and y slots in the order of
+the momentum basis of `lattice.py` (momentum column, then component).
+Version 3 held the same form as its dense dim x dim embedding, version 2
+had the ladder slots in site order, and version 1 held the form over the
+ladder operators (a, p, c, c^dag).  None of them is read.
 """
 
 from __future__ import annotations

@@ -5,12 +5,15 @@ blocks (`SectorLayout`).  Here a kernel is one dense complex square matrix
 of dimension ``3M`` with row index ``(site, component)`` (`TensorKernel`),
 and kernel composition carries the volume factor, ``A o B = v * A @ B``.
 The lattice operators are assembled as site matrices from the same per-k
-symbols the package builds its blocks from (`Lattice._symbols`), and the
-transverse basis from the same column vectors.  The site rotation of a
-layout (`basis`, `blocks`, `sites`) and the dense-input route (a
-`RealCoupling` of real coefficients and a unitary gauge per node, built
-through `from_kernels` and `split` into the layout its leak picks) live
-here too, with a few quantities that no production path needs (the
+symbols the package builds its blocks from (`Lattice._symbols`), through
+the dense (M, M) plane waves (`phases`), and the transverse basis from the
+same column vectors in the dense momentum basis (`momentum_basis`), whose
+rotation of site vectors (`momentum_rotate`) the package's FFT transforms
+(`Lattice.to_momentum`, `Lattice.from_momentum`) stand for.  The site
+rotation of a layout (`basis`, `blocks`, `sites`) and the dense-input
+route (a `RealCoupling` of real coefficients and a unitary gauge per node,
+built through `from_kernels` and `split` into the layout its leak picks)
+live here too, with a few quantities that no production path needs (the
 pair-resolved commutator, the asymptote, a form's time derivative and its
 multiple, random dense couplings).
 """
@@ -122,9 +125,52 @@ def site_positions(lattice: Lattice) -> np.ndarray:
     return idx * lattice.spacing
 
 
+@lru_cache(maxsize=4)
+def phases(lattice: Lattice) -> np.ndarray:
+    # (M, M) matrix exp(i k . r) / sqrt(M); columns indexed by k.  Sites and wave
+    # vectors run C-ordered over integer triples, so it is kron(p, p, p) / sqrt(M)
+    # of the (n, n) axis factor p[x, j] = exp(2 pi i x j / n), whatever the
+    # spacing, read from the n-th roots of unity, each root past the half the
+    # exact conjugate of its partner
+    n = lattice.n_per_axis
+    m = np.arange(n)
+    low = np.exp(2j * np.pi * np.minimum(m, n - m) / n)
+    p = np.where(2 * m > n, low.conj(), low)[np.outer(m, m) % n]
+    return np.kron(np.kron(p, p), p) / np.sqrt(lattice.n_sites)
+
+
+@lru_cache(maxsize=4)
+def momentum_basis(lattice: Lattice) -> np.ndarray:
+    """Real orthogonal (M, M) site matrix adapted to the lattice-momentum sectors.
+
+    Column j belongs to wave vector ``kvecs[j]``.  A self-conjugate q
+    (q = -q modulo the reciprocal lattice) has its plane wave, which is
+    real; a pair {q, -q} has sqrt(2) cos(q.r) at the lower index and
+    sqrt(2) sin(q.r) at the higher.  A real translation-invariant
+    operator maps each sector's span into itself.
+    """
+    j, conj = np.arange(lattice.n_sites), lattice._conjugate
+    waves = phases(lattice)[:, lattice.momentum_sector] * np.where(j == conj, 1.0, np.sqrt(2.0))
+    return np.where(j <= conj, waves.real, waves.imag)
+
+
+def momentum_rotate(vecs: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """f @ V for the (M, 3) view V of every (..., 3M) vector, f a real (M, M) matrix, as (..., 3M).
+
+    A complex V is multiplied part by part, into the result's own parts,
+    so f is never cast to a complex copy.
+    """
+    lead, m = vecs.shape[:-1], f.shape[0]
+    grid = vecs.reshape(lead + (m, 3))
+    out = np.empty(grid.shape, dtype=np.result_type(vecs, f))
+    for part, res in ((grid.real, out.real), (grid.imag, out.imag)) if np.iscomplexobj(vecs) else ((grid, out),):
+        np.matmul(f, part, out=res)
+    return out.reshape(vecs.shape)
+
+
 def _assemble(lattice: Lattice, blocks: np.ndarray) -> np.ndarray:
     """Assemble a position-space operator matrix from per-k 3x3 blocks."""
-    ph = lattice._phases
+    ph = phases(lattice)
     op = np.einsum("rk,kab,sk->rasb", ph, blocks, ph.conj(), optimize=True)
     return np.ascontiguousarray(op.reshape(lattice.dim, lattice.dim))
 
@@ -166,7 +212,7 @@ def transverse_basis(lattice: Lattice) -> np.ndarray:
     coordinates (`SectorLayout.transverse`) stand for.
     """
     column, vectors = lattice._transverse_columns
-    cols = np.einsum("ri,ia->rai", lattice.momentum_basis[:, column], vectors)
+    cols = np.einsum("ri,ia->rai", momentum_basis(lattice)[:, column], vectors)
     return np.ascontiguousarray(cols.reshape(lattice.dim, -1))
 
 
@@ -176,7 +222,7 @@ def transverse_basis(lattice: Lattice) -> np.ndarray:
 @lru_cache(maxsize=4)
 def basis(layout: SectorLayout) -> np.ndarray:
     """The real orthogonal (d, d) basis of a layout: the columns `columns` of kron(F, I_3), F the momentum basis."""
-    return np.ascontiguousarray(np.kron(layout.lattice.momentum_basis, np.eye(3))[:, layout.columns])
+    return np.ascontiguousarray(np.kron(momentum_basis(layout.lattice), np.eye(3))[:, layout.columns])
 
 
 def _chunks(layout: SectorLayout, n: int):

@@ -14,6 +14,9 @@ from reference import (
     double_curl_matrix,
     laplacian_matrix,
     longitudinal_matrix,
+    momentum_basis,
+    momentum_rotate,
+    phases,
     site_positions,
     sites,
     transverse_basis,
@@ -103,11 +106,27 @@ class TestMomentumSectors:
         # the Kronecker cube of one (n, n) axis factor against exp(i k . r) / sqrt(M)
         lat = build_lattice(n, spacing, k0_transverse)
         direct = np.exp(1j * site_positions(lat) @ lat.kvecs.T) / np.sqrt(lat.n_sites)
-        assert lat._phases.shape == direct.shape
-        assert np.max(np.abs(lat._phases - direct)) <= 1e-15
+        assert phases(lat).shape == direct.shape
+        assert np.max(np.abs(phases(lat) - direct)) <= 1e-15
+
+    @pytest.mark.parametrize("spacing", [1.0, 0.37, 2.5])
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(lead=st_.lists(st_.integers(1, 3), max_size=2), complex_=st_.booleans(),
+           seed=st_.integers(0, 2**32 - 1))
+    def test_transforms_are_the_dense_rotation(self, n, k0_transverse, spacing, lead, complex_, seed):
+        # F^T v and F u through the FFT against the dense momentum basis, each
+        # vector within 1e-15 of its norm, and real in, real out
+        lat, rng = build_lattice(n, spacing, k0_transverse), np.random.default_rng(seed)
+        shape = tuple(lead) + (lat.dim,)
+        vecs = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_ else 0.0)
+        f = momentum_basis(lat)
+        for got, ref in ((lat.to_momentum(vecs), momentum_rotate(vecs, f.T)),
+                         (lat.from_momentum(vecs), momentum_rotate(vecs, f))):
+            assert got.shape == vecs.shape and got.dtype == vecs.dtype
+            assert np.all(np.linalg.norm(got - ref, axis=-1) <= 1e-15 * np.linalg.norm(ref, axis=-1))
 
     def test_momentum_basis_orthogonal(self, n, k0_transverse):
-        f = build_lattice(n, 1.0, k0_transverse).momentum_basis
+        f = momentum_basis(build_lattice(n, 1.0, k0_transverse))
         assert f.dtype == float
         assert np.max(np.abs(f.T @ f - np.eye(n**3))) <= 1e-13
 

@@ -46,6 +46,7 @@ from pathlib import Path
 
 import pytest
 
+from dampol import lattice
 from dampol.cli import EXIT_NUMERICAL, EXIT_PASS, main
 from dampol.lattice import Lattice, SectorLayout
 
@@ -201,8 +202,10 @@ def test_never_run_reports_a_chain_and_restores_the_hook(tmp_path):
 
 
 def test_package_has_no_site_rotation():
-    assert [name for owner, names in ((SectorLayout, ("sites", "blocks", "basis")), (Lattice, ("split",)))
-            for name in names if hasattr(owner, name)] == []
+    # nor a dense (M, M) momentum basis: the traces rotate through FFTs
+    owners = ((SectorLayout, ("sites", "blocks", "basis")), (Lattice, ("split", "_phases", "momentum_basis")),
+              (lattice, ("_momentum_rotate",)))
+    assert [name for owner, names in owners for name in names if hasattr(owner, name)] == []
 
 
 def test_readme_lists_only_names_defined_in_src():

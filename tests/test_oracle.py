@@ -38,6 +38,7 @@ from reference import (
     basis,
     coupling_from_real,
     double_curl_matrix,
+    momentum_basis,
     random_coupling,
     sites,
     transverse_basis,
@@ -168,7 +169,7 @@ def momentum_rotation(ham):
     """
     q = np.eye(ham.dim)
     ladder = slice(2 * ham.mt, ham.dim)
-    f3 = np.kron(ham.lattice.momentum_basis, np.eye(3))
+    f3 = np.kron(momentum_basis(ham.lattice), np.eye(3))
     q[ladder, ladder] = np.kron(np.eye(2 * ham.grid.n_nodes), f3)
     return q
 
