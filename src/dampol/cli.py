@@ -209,8 +209,7 @@ def violation_blocks(lattice: Lattice, magnitude: float) -> np.ndarray:
     e_x and e_y.  No d x d operator is formed or rotated.
     """
     (cos, sin), row = lattice.momentum_pairs, np.full(lattice.n_sites, 1.0 / np.sqrt(lattice.n_sites))
-    row[cos] *= np.sqrt(2.0)   # row 0 of F: every column's wave at site 0
-    row[sin] = 0.0
+    row[cos], row[sin] = row[cos] * np.sqrt(2.0), 0.0   # row 0 of F: every column's wave at site 0
     b0, b1 = np.kron(row, [1.0, 0.0, 0.0]), np.kron(row, [0.0, 1.0, 0.0])
     return np.outer(magnitude * b0, b1).ravel().astype(complex)
 

@@ -186,8 +186,8 @@ def wave_diagnostic(prop: NodePropagator) -> float:
     regularization.  Every node is one stacked product in the propagator's
     layout with the operator v W(z_k) that the sweep inverted
     (`NodePropagator.operator`), and sums no chi of its own: about three
-    (K, size) block stacks are live at the peak (tracemalloc, n = 2: 3.13
-    at K = 1024, and 3.91 at K = 128, where fixed-size buffers count).
+    (K, size) block stacks are live at the peak (3.03 at n = 2, K = 128,
+    and 3.00 at K = 1024).
     """
     source = prop.coupling.flat.conj()
     res = prop.layout.matmul(_transfer_blocks(prop), prop.operator)

@@ -165,28 +165,26 @@ class Lattice:
 
     @cached_property
     def momentum_pairs(self) -> tuple:
-        """The cos and the sin column of each {q, -q} pair of the momentum basis F, two (P,) index arrays.
-
-        F, real orthogonal (M, M) and applied by FFT, has at column j the plane wave of kvecs[j] if it is
-        self-conjugate, else sqrt(2) cos(q.r) at a pair's lower index and sqrt(2) sin(q.r) at its higher."""
+        """The cos and the sin column of each {q, -q} pair of the momentum basis F, two (P,) index arrays:
+        column j of F, real orthogonal (M, M), is the plane wave of kvecs[j] if it is self-conjugate,
+        else sqrt(2) cos(q.r) at a pair's lower index and sqrt(2) sin(q.r) at its higher."""
         cos = np.flatnonzero(np.arange(self.n_sites) < self._conjugate)
         return cos, self._conjugate[cos]
 
-    def to_momentum(self, vecs: np.ndarray) -> np.ndarray:
-        """F^T v for every (..., 3M) site vector v, real if v is: with E = P v (`_transform`), a pair's cos
-        column s and sin column p are (E_s + E_p) / sqrt(2) and -i (E_s - E_p) / sqrt(2)."""
-        return self._transform(vecs, False)
+    def to_momentum(self, buf: np.ndarray) -> np.ndarray:
+        """F^T v in place for every (..., 3M) site vector v of a complex array, which it returns (`_transform`)."""
+        return self._transform(buf, False)
 
-    def from_momentum(self, coords: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """F u for every (..., 3M) vector u, real if u is: P c, c_s = (u_s - i u_p) / sqrt(2) and c_p =
-        (u_s + i u_p) / sqrt(2) on a pair.  With `overwrite`, a complex C-ordered u is transformed in place."""
-        return self._transform(coords, True, overwrite)
+    def from_momentum(self, buf: np.ndarray) -> np.ndarray:
+        """F u in place for every (..., 3M) vector u of a complex array, which it returns (`_transform`)."""
+        return self._transform(buf, True)
 
-    def _transform(self, vecs, inverse: bool, overwrite: bool = False) -> np.ndarray:
-        """P x, P[r, j] = exp(i kvecs[j] . r) / sqrt(M) being symmetric, by one `np.fft.ifftn` over the site axes,
-        and the pair mix (a, b) <- (a + x b, y (a - x b)) / sqrt(2) after it, or before it when `inverse`."""
-        n, lead = self.n_per_axis, np.shape(vecs)[:-1]
-        buf = vecs if overwrite and vecs.dtype == complex else np.array(vecs, dtype=complex, order="C")
+    def _transform(self, buf: np.ndarray, inverse: bool) -> np.ndarray:
+        """P x, P[r, j] = exp(i kvecs[j] . r) / sqrt(M) being symmetric, by one in-place `np.fft.ifftn` over the
+        site axes (a view of any layout), and a mix of each pair's cos and sin column s and p: with E = P v,
+        F^T v is (E_s + E_p) / sqrt(2) and -i (E_s - E_p) / sqrt(2) there, real up to round-off for a real v;
+        F u is P c with c_s = (u_s - i u_p) / sqrt(2) and c_p = (u_s + i u_p) / sqrt(2)."""
+        n, lead = self.n_per_axis, buf.shape[:-1]
         cube, waves = buf.reshape(lead + (n, n, n, 3)), buf.reshape(lead + (self.n_sites, 3))
         if not inverse:
             np.fft.ifftn(cube, axes=(-4, -3, -2), norm="ortho", out=cube)
@@ -201,7 +199,7 @@ class Lattice:
         waves[..., cos, :], waves[..., sin, :] = a, b
         if inverse:
             np.fft.ifftn(cube, axes=(-4, -3, -2), norm="ortho", out=cube)
-        return buf.real.copy() if np.isrealobj(vecs) else buf
+        return buf
 
     @cached_property
     def _transverse_columns(self) -> tuple:
@@ -379,19 +377,19 @@ class SectorLayout:
                      for (mine, _), f, b in zip(self.transverse, first, self.sizes))
 
     def apply(self, flat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-        """The site operators of a (..., size) array applied to (..., d) site vectors, leading axes broadcast.
+        """The site operators of a (..., size) array applied to (..., d) site vectors, leading axes broadcast, complex.
 
         The vectors are rotated into the basis and back, A v = B A_blocks
         (B^T v).  The basis B = kron(F, I_3)[:, columns] is applied as the
         FFTs of the momentum basis F (`Lattice.to_momentum`, `from_momentum`)
         and the column selection, so no site operator and no matrix is formed.
         """
-        rot = self.lattice.to_momentum(vecs)
-        out = np.empty(np.broadcast_shapes(flat.shape[:-1], vecs.shape[:-1]) + (self.lattice.dim,),
-                       dtype=np.result_type(flat, vecs))
+        rot = self.lattice.to_momentum(np.array(vecs, dtype=complex))
+        rot = rot if np.iscomplexobj(vecs) else rot.real
+        out = np.empty(np.broadcast_shapes(flat.shape[:-1], vecs.shape[:-1]) + (self.lattice.dim,), dtype=complex)
         for blk, rows in zip(self.per_block(flat), np.split(self.columns, np.cumsum(self.sizes)[:-1])):
             out[..., rows] = (blk @ rot[..., rows, None])[..., 0]   # rows in kron(F, I_3) column order
-        return self.lattice.from_momentum(out, overwrite=True)
+        return self.lattice.from_momentum(out)
 
     def relay(self, flat: np.ndarray, layout: "SectorLayout") -> np.ndarray:
         """A (..., size) array of this layout as blocks of `layout`, entry by entry; `flat` itself in this one.
@@ -618,13 +616,19 @@ def frobenius_cond(a: np.ndarray, a_inv: np.ndarray) -> np.ndarray:
 
 
 def rel_norms(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """||num|| / ||den|| for each row of two (..., n) arrays, a zero scale counting as 1e-300.
+    """||num|| / ||den|| for each row of two (..., n) arrays of one shape, a zero scale counting as 1e-300.
 
     Each pair of rows is scaled by one power of two (`unit_scale` of their
-    largest modulus) before its squared norms are summed.
+    largest modulus) before its squared norms are summed, an eighth of the
+    rows at a time or fewer within `CHUNK_BYTES`, but never one row out of
+    several, which `np.einsum` would sum in another order.
     """
-    unit = unit_scale(np.maximum(np.abs(num).max(axis=-1), np.abs(den).max(axis=-1)))[..., None]
-    return np.sqrt(sq_norms(num * unit)) / np.maximum(np.sqrt(sq_norms(den * unit)), 1e-300)
+    rows, flat = num[..., 0].size, [x.reshape(-1, x.shape[-1]) for x in (num, den)]
+    sq, m = np.empty((2, rows)), max(1, min(rows // 2, max(8, -(-num.nbytes // CHUNK_BYTES))))
+    for chunk in (slice(i * rows // m, (i + 1) * rows // m) for i in range(m)):
+        unit = unit_scale(np.maximum(*(np.abs(x[chunk]).max(axis=-1) for x in flat)))[:, None]
+        sq[:, chunk] = [sq_norms(x[chunk] * unit) for x in flat]
+    return (np.sqrt(sq[0]) / np.maximum(np.sqrt(sq[1]), 1e-300)).reshape(num.shape[:-1])
 
 
 @dataclass(frozen=True)

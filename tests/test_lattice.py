@@ -114,16 +114,36 @@ class TestMomentumSectors:
     @given(lead=st_.lists(st_.integers(1, 3), max_size=2), complex_=st_.booleans(),
            seed=st_.integers(0, 2**32 - 1))
     def test_transforms_are_the_dense_rotation(self, n, k0_transverse, spacing, lead, complex_, seed):
-        # F^T v and F u through the FFT against the dense momentum basis, each
-        # vector within 1e-15 of its norm, and real in, real out
+        # F^T v and F u through the FFT, in place on a complex copy of v or u,
+        # against the dense momentum basis: each vector within 1e-15 of its
+        # norm, and a real input's imaginary part within 1e-15 of it too
         lat, rng = build_lattice(n, spacing, k0_transverse), np.random.default_rng(seed)
         shape = tuple(lead) + (lat.dim,)
         vecs = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_ else 0.0)
         f = momentum_basis(lat)
-        for got, ref in ((lat.to_momentum(vecs), momentum_rotate(vecs, f.T)),
-                         (lat.from_momentum(vecs), momentum_rotate(vecs, f))):
-            assert got.shape == vecs.shape and got.dtype == vecs.dtype
-            assert np.all(np.linalg.norm(got - ref, axis=-1) <= 1e-15 * np.linalg.norm(ref, axis=-1))
+        for transform, rot in ((lat.to_momentum, f.T), (lat.from_momentum, f)):
+            buf = np.array(vecs, dtype=complex)
+            got, ref = transform(buf), momentum_rotate(vecs, rot)
+            assert got is buf and got.shape == vecs.shape
+            bound = 1e-15 * np.linalg.norm(ref, axis=-1)
+            if complex_:
+                assert np.all(np.linalg.norm(got - ref, axis=-1) <= bound)
+            else:
+                assert np.all(np.linalg.norm(got.real - ref, axis=-1) <= bound)
+                assert np.all(np.linalg.norm(got.imag, axis=-1) <= bound)
+
+    def test_transforms_work_in_place_on_any_layout(self, n, k0_transverse):
+        # a transposed or strided complex array is transformed in its own
+        # memory, and a real one, which cannot hold the result, is refused
+        lat, rng = build_lattice(n, 1.0, k0_transverse), np.random.default_rng(n)
+        vecs = rng.standard_normal((2, lat.dim)) + 1j * rng.standard_normal((2, lat.dim))
+        f = momentum_basis(lat)
+        for transform, rot in ((lat.to_momentum, f.T), (lat.from_momentum, f)):
+            for view in (vecs.T.copy().T, np.stack([vecs, 0.0 * vecs], axis=-1)[..., 0]):
+                assert transform(view) is view
+                assert np.linalg.norm(view - momentum_rotate(vecs, rot)) <= 1e-15 * np.linalg.norm(vecs)
+            with pytest.raises(TypeError):
+                transform(vecs.real.copy())
 
     def test_momentum_basis_orthogonal(self, n, k0_transverse):
         f = momentum_basis(build_lattice(n, 1.0, k0_transverse))

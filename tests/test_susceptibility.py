@@ -23,6 +23,7 @@ from dampol.susceptibility import (
     verify_sum_rules,
 )
 
+from conftest import traced_peak
 from reference import TensorKernel, blocks, chi_asymptotic, from_kernels, gram_stack, sites, zero_coupling
 from test_coupling import scalar_coupling, site_kernels
 
@@ -250,6 +251,19 @@ class TestTinyCoupling:
         num, den = rng.standard_normal((2, 4, 30)) * 37.0
         assert np.array_equal(rel_norms(num, den), np.sqrt(sq_norms(num)) / np.sqrt(sq_norms(den)))
         assert unit_scale(0.0) == 1.0 and unit_scale(3.0) == 0.25 and unit_scale(1e-300) * 1e-300 >= 0.5
+
+    def test_long_rows_give_the_unscaled_ratio_bit_for_bit(self, rng):
+        # 5 MB of complex rows go in chunks of two and three: a lone row of
+        # this length would come out of np.einsum in another order
+        num, den = rng.standard_normal((2, 9, 36864)) + 1j * rng.standard_normal((2, 9, 36864))
+        assert np.array_equal(rel_norms(num, den), np.sqrt(sq_norms(num)) / np.sqrt(sq_norms(den)))
+
+    def test_ratio_holds_no_copy_of_an_operand(self, rng):
+        # the rows are scaled an eighth at a time, so the call allocates about
+        # an eighth of one operand, not a scaled copy of each
+        num, den = rng.standard_normal((2, 64, 4096)) + 1j * rng.standard_normal((2, 64, 4096))
+        peak, _ = traced_peak(rel_norms, num, den)
+        assert peak <= num.nbytes / 4
 
 
 class TestAsymptotics:
