@@ -1,7 +1,7 @@
 """Scenario runner: parse configs, drive the verification pipeline, emit reports.
 
 Configs are flat INI files (diff-friendly, no schema engine); reports are
-one JSON file per stage plus CSV traces.  Exit status: 0 when all requested
+one JSON file per stage plus `.npy` traces.  Exit status: 0 when all requested
 checks pass their tolerances, 1 on numerical failures (partial results are
 still written), 2 on configuration or usage errors.
 """
@@ -320,7 +320,7 @@ def stage_chi(pipe: Pipeline, out: Path | None) -> dict:
                              measured_ratio=float(ratio)))
     if out is not None:
         zs = pipe.grid.nodes + 1j * pipe.grid.eta
-        reports.chi_trace_csv(out / "chi_trace.csv", pipe.chi, zs)
+        reports.chi_trace(out / "chi_trace.npy", pipe.chi, zs)
     return reports.stage_report("chi", checks)
 
 
@@ -336,7 +336,7 @@ def stage_green(pipe: Pipeline, out: Path | None) -> dict:
     checks.append(pipe.entry("green.reciprocity", sym["transpose"], 1e-9))
     checks.append(pipe.entry("green.conjugation", sym["conjugation"], 1e-9))
     if out is not None:
-        reports.green_trace_csv(out / "green_trace.csv", prop)
+        reports.green_trace(out / "green_trace.npy", prop)
     return reports.stage_report("green", checks)
 
 
@@ -377,8 +377,8 @@ def stage_fields(pipe: Pipeline, out: Path | None = None) -> dict:
         bits = np.frombuffer(random.Random(pipe.config.seed + 2).randbytes(16 * shape[0] * shape[1]), dtype="<u8")
         # real and imaginary parts uniform on [-1, 1), 53 random bits each
         amp = ((bits >> 11) * 2.0**-52 - 1.0).view(complex).reshape(shape)
-        reports.field_trace_csv(out / "field_trace.csv", e_form, amp,
-                                np.linspace(0.0, 4.0 * np.pi / pipe.grid.omega_max, 32))
+        reports.field_trace(out / "field_trace.npy", e_form, amp,
+                            np.linspace(0.0, 4.0 * np.pi / pipe.grid.omega_max, 32))
     worst = max(noise_commutator_residual(coupling, k) for k in (0, pipe.grid.n_nodes // 2, pipe.grid.n_nodes - 1))
     checks.append(pipe.entry("fields.noise_commutator", worst, TOL_EXACT))
     w_form = medium_momentum_form(coupling, pipe.structure)

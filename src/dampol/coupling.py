@@ -252,13 +252,15 @@ def _gaussian_symbol(lattice: Lattice, corr: float) -> np.ndarray:
     """(M,) symbol of the convolution with exp(-|r|^2 / 2 l^2), |r| the minimum-image distance.
 
     It is the DFT of the kernel's row at site 0, which is even in r, so
-    the symbol is real.
+    the symbol is real; a mixed-radix FFT rounds q and -q apart, so it is
+    averaged with its reflection to be exactly even, as a real coupling needs.
     """
     n = lattice.n_per_axis
     idx = np.indices((n, n, n))
     dist = np.minimum(idx, n - idx) * lattice.spacing   # minimum image, exactly even in r
     row = np.exp(-np.einsum("i...,i...->...", dist, dist) / (2.0 * corr**2))
-    return np.fft.fftn(row).real.ravel()
+    g = np.fft.fftn(row).real.ravel()
+    return (g + g[lattice._conjugate]) / 2
 
 
 def builtin_model(name: str, lattice: Lattice, grid: FrequencyGrid, params: dict | None = None) -> SymbolCoupling:

@@ -598,34 +598,46 @@ def unit_scale(big) -> np.ndarray:
     return np.ldexp(1.0, -np.frexp(big)[1])
 
 
+def row_chunks(rows: int, nbytes: int):
+    """Slices of an eighth of `rows` rows of `nbytes` bytes, or fewer within `CHUNK_BYTES`.
+
+    No chunk is one row out of several, which `np.einsum` would sum in another order.
+    """
+    m = max(1, min(rows // 2, max(8, -(-nbytes // CHUNK_BYTES))))
+    return (slice(i * rows // m, (i + 1) * rows // m) for i in range(m))
+
+
 def frobenius_cond(a: np.ndarray, a_inv: np.ndarray) -> np.ndarray:
     """||a||_F ||a^-1||_F for each row of an operator stack and of its inverses', two (..., n) arrays.
 
     It bounds the 2-norm condition number, kappa_2 <= kappa_F, so a gate on
     kappa_2 clears an operator whose bound is well inside it without its
     singular values.  Each row is scaled by a power of two (`unit_scale`
-    of its largest modulus) before it is squared; a product beyond the
-    largest float is infinite, and a non-finite row gives a non-finite
-    bound, which clears nothing.
+    of its largest modulus) before it is squared, a chunk of rows at a time
+    (`row_chunks`), so no scaled copy of an operand is held; a product
+    beyond the largest float is infinite, and a non-finite row gives a
+    non-finite bound, which clears nothing.
     """
-    def norms(x):
-        unit = unit_scale(np.abs(x).max(axis=-1))
-        return np.sqrt(sq_norms(x * unit[..., None])) / unit
+    rows, flat = a[..., 0].size, [x.reshape(-1, x.shape[-1]) for x in (a, a_inv)]
+    norms = np.empty((2, rows))
     with np.errstate(over="ignore", invalid="ignore"):
-        return norms(a) * norms(a_inv)
+        for chunk in row_chunks(rows, a.nbytes):
+            for dst, x in zip(norms, flat):
+                unit = unit_scale(np.abs(x[chunk]).max(axis=-1))
+                dst[chunk] = np.sqrt(sq_norms(x[chunk] * unit[:, None])) / unit
+        return (norms[0] * norms[1]).reshape(a.shape[:-1])
 
 
 def rel_norms(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """||num|| / ||den|| for each row of two (..., n) arrays of one shape, a zero scale counting as 1e-300.
 
     Each pair of rows is scaled by one power of two (`unit_scale` of their
-    largest modulus) before its squared norms are summed, an eighth of the
-    rows at a time or fewer within `CHUNK_BYTES`, but never one row out of
-    several, which `np.einsum` would sum in another order.
+    largest modulus) before its squared norms are summed, a chunk of rows
+    at a time (`row_chunks`).
     """
     rows, flat = num[..., 0].size, [x.reshape(-1, x.shape[-1]) for x in (num, den)]
-    sq, m = np.empty((2, rows)), max(1, min(rows // 2, max(8, -(-num.nbytes // CHUNK_BYTES))))
-    for chunk in (slice(i * rows // m, (i + 1) * rows // m) for i in range(m)):
+    sq = np.empty((2, rows))
+    for chunk in row_chunks(rows, num.nbytes):
         unit = unit_scale(np.maximum(*(np.abs(x[chunk]).max(axis=-1) for x in flat)))[:, None]
         sq[:, chunk] = [sq_norms(x[chunk] * unit) for x in flat]
     return (np.sqrt(sq[0]) / np.maximum(np.sqrt(sq[1]), 1e-300)).reshape(num.shape[:-1])

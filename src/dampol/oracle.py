@@ -147,20 +147,14 @@ class QuadraticHamiltonian:
         return [rows[..., o:o + b * g.size].reshape(lead + (b, g.size))
                 for (b, _, _, o), g in zip(self._frame, self.groups)]
 
-    def dynamics(self) -> list:
-        """The real R with [xi, H] = i R xi, one fresh block per group.
+    def _group_dynamics(self, frame: tuple, h: np.ndarray) -> np.ndarray:
+        """The real R with [xi, H] = i R xi of one group, from its frame and its symmetric block h.
 
         The commutation matrix pairs a with p and x with y inside each
         group, so R = -2 i Sigma Re(h_sym) is assembled by row moves of the
         real part instead of a dense matmul.  The imaginary part of h is
         the form's Hermiticity defect, which `hermiticity_defect` measures.
-        R serves the Heisenberg and master checks and the general route of
-        `mode_frequencies`, which forms one group's R at a time.
         """
-        return [self._group_dynamics(f, h) for f, h in zip(self._frame, self.symmetric_blocks())]
-
-    def _group_dynamics(self, frame: tuple, h: np.ndarray) -> np.ndarray:
-        """R of one group, from its frame and its symmetric block h."""
         b, na, _, _ = frame
         a, p, x, y = self._slots(na, b)
         h_real, r = h.real, np.empty(h.shape)
@@ -168,6 +162,19 @@ class QuadraticHamiltonian:
                                (x, y, 2.0), (y, x, -2.0)):
             np.multiply(h_real[src], coef, out=r[dst])
         return r
+
+    def times_dynamics(self, rows: np.ndarray) -> np.ndarray:
+        """rows R = (-i) [O, H] for the (..., E) rows of operators O, group by group.
+
+        Each group's R is formed, applied to the real and imaginary parts of
+        its rows as two real GEMMs, and dropped: no R outlives the call.
+        """
+        out = np.empty_like(rows)
+        for frame, h, src, dst in zip(self._frame, self.symmetric_blocks(),
+                                      self.row_views(rows), self.row_views(out)):
+            r = self._group_dynamics(frame, h)
+            dst[...] = src.real @ r + 1j * (src.imag @ r)
+        return out
 
     def symmetric_blocks(self) -> list:
         """(h + h^T)/2 per block: the stored block itself when exactly symmetric, as both assemblers store it.
@@ -395,20 +402,17 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     pt, pl = layout.op("transverse_matrix"), layout.op("longitudinal_matrix")
     lap = layout.op("laplacian_matrix")
     fmat, t = structure.blocks, coupling.flat
-    r = ham.dynamics()
     out = {}
 
     def ddt(rows):
-        # (-i / hbar) [O, H] = rows R / hbar, group by group as real GEMMs: no complex copy of R
-        rate = np.empty_like(rows)
-        for src, dst, r_g in zip(ham.row_views(rows), ham.row_views(rate), r):
-            dst[...] = src.real @ r_g + 1j * (src.imag @ r_g)
+        rate = ham.times_dynamics(rows)   # (-i / hbar) [O, H] = rows R / hbar
         rate /= HBAR
         return rate
 
     # potential rate
     rhs = u_pi / EPS0
-    out["potential_rate"] = _rel(ddt(u_a) - rhs, rhs)
+    rate_a = ddt(u_a)
+    out["potential_rate"] = _rel(rate_a - rhs, rhs)
 
     # field-momentum rate
     pt_f = mm(pt, fmat)
@@ -439,15 +443,16 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     t3 = (HBAR / EPS0) * v * act(mm(coupling.moments.imag0, pl), u_p)
     rhs_half = t1 + t2 + t3
     rhs = rhs_half + rhs_half.conj()
-    out["polarization_rate"] = _rel(ddt(u_p) - rhs, rhs)
+    rate_p = ddt(u_p)
+    out["polarization_rate"] = _rel(rate_p - rhs, rhs)
     vanishing = t3 + t3.conj()
     out["polarization_rate_last_term"] = _rel(vanishing, rhs)
 
     # wave equation with the transverse polarization rate as source; L A and
     # the second rate nearly cancel at weak coupling, so the scale is the
     # largest of the three terms, not the source alone
-    lap_a, acc = act(lap, u_a), ddt(ddt(u_a))
-    src = -MU0 * act(pt, ddt(u_p))
+    lap_a, acc = act(lap, u_a), ddt(rate_a)
+    src = -MU0 * act(pt, rate_p)
     scale = max(np.linalg.norm(lap_a), np.linalg.norm(acc), np.linalg.norm(src), 1e-300)
     out["wave_source"] = float(np.linalg.norm(lap_a - acc - src) / scale)
     return out
@@ -505,9 +510,7 @@ def diagonal_form_check(ham: QuadraticHamiltonian, prop: NodePropagator) -> floa
     P = len(ham._smear_scale)
     rows = mode_rows(ham, *node_families(prop))
     num, den = np.zeros(4), np.zeros(4)
-    for (b, na, _, _), view, r_g in zip(ham._frame, ham.row_views(rows), ham.dynamics()):
-        flat = view.reshape(-1, view.shape[-1])
-        kr = (flat.real @ r_g + 1j * (flat.imag @ r_g)).reshape(view.shape)
+    for (b, na, _, _), view, kr in zip(ham._frame, ham.row_views(rows), ham.row_views(ham.times_dynamics(rows))):
         rhs = (HBAR * grid.nodes)[:, None, None] * ham._smear(na, b, view)
         res = 1j * ham._smear(na, b, kr) - rhs
         edges = (0, na, 2 * na, 2 * na + P * b, res.shape[-1])   # a, p, c, c^dag

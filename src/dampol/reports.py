@@ -1,4 +1,4 @@
-"""Machine-readable verification reports and CSV trace emitters.
+"""Machine-readable verification reports, `.npy` traces and the refinement table.
 
 Reports are one JSON object per stage; every check entry carries the
 residual, its tolerance, and the regularization it was computed with, so
@@ -17,7 +17,7 @@ import numpy as np
 
 from .lattice import sq_norms
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def check_entry(check_id: str, residual: float, tolerance: float, *,
@@ -54,39 +54,46 @@ def write_json(path, payload: dict):
         fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")   # one write, not one per chunk
 
 
-def chi_trace_csv(path, chi, zs):
-    """chi(r, 0), the response at every site to a unit source at site 0, at the points zs.
+def write_trace(path, **columns):
+    """Save the column arrays, each with the rows on its first axis, by `np.save` as one structured array.
 
-    Row (site, i, j) of a point is chi[(site, i), (0, j)], 3 d rows per point:
-    on a translation-invariant medium they carry every entry of chi, on a
-    leaking input they are a partial trace, a diagnostic and not a check.
-    One `blocks_at` stack, the perturbation included, is applied to the three
-    source vectors, so no site operator is formed.  The rows of a point are
-    one `writelines` batch of the bytes `csv.writer` gives (no field needs
-    quoting), so no more than one row's text is held at a time.
+    A trace is a diagnostic, not a check; it loads with `np.load(path, allow_pickle=False)`.
     """
+    trace = np.empty(len(next(iter(columns.values()))),
+                     dtype=[(name, col.dtype, col.shape[1:]) for name, col in columns.items()])
+    for name, col in columns.items():
+        trace[name] = col
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    d = chi.lattice.dim
-    cols = chi.layout.apply(chi.blocks_at(zs)[:, None], np.eye(3, d))   # cols[n, j, a]
-    mids = [f"{a // 3},{a % 3},{j}," for a in range(d) for j in range(3)]
-    with open(path, "w", newline="") as fh:
-        fh.write("re_z,im_z,site,i,j,re_chi,im_chi\r\n")
-        for z, col in zip(zs, cols):
-            head = f"{z.real:.12g},{z.imag:.12g},"
-            fh.writelines(f"{head}{mid}{x.real:.12g},{x.imag:.12g}\r\n"
-                          for mid, x in zip(mids, col.T.ravel().tolist()))
+    np.save(path, trace)
 
 
-def green_trace_csv(path, prop):
-    """Frobenius magnitude, residual and condition of the propagator at each node."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re_z", "im_z", "norm", "residual", "cond"])
-        norms = prop.lattice.cell_volume * np.sqrt(sq_norms(prop.blocks))   # basis-independent
-        for z, norm, residual, cond in zip(prop.z, norms.tolist(), prop.residual, prop.cond):
-            writer.writerow([f"{z.real:.12g}", f"{z.imag:.12g}",
-                             f"{norm:.12g}", f"{residual:.6g}", f"{cond:.6g}"])
+def chi_trace(path, chi, zs):
+    """Fields `z` and `chi`, chi[site, i, j] = chi[(site, i), (0, j)]: the response to a unit source at site 0.
+
+    One `blocks_at` stack, the perturbation included, is applied to the three
+    source vectors, so no site operator is formed.  On a leaking input it is a partial trace.
+    """
+    cols = chi.layout.apply(chi.blocks_at(zs)[:, None], np.eye(3, chi.lattice.dim))   # cols[n, j, (site, i)]
+    write_trace(path, z=zs, chi=cols.reshape(len(zs), 3, -1, 3).transpose(0, 2, 3, 1))
+
+
+def green_trace(path, prop):
+    """Fields `z`, `norm`, `residual` and `cond`: the propagator's Frobenius magnitude, residual and condition at each node."""
+    norms = prop.lattice.cell_volume * np.sqrt(sq_norms(prop.blocks))   # basis-independent
+    write_trace(path, z=prop.z, norm=norms, residual=prop.residual, cond=prop.cond)
+
+
+def field_trace(path, form, amplitudes, times):
+    """Fields `t` and `value`, (M, 3): a field form's expectation under a complex amplitude per (node, site, component).
+
+    The blocks are applied to the amplitudes once (`SectorLayout.apply`), so no
+    site operator is formed; every time is one row of a (T, K) @ (K, d) product.
+    """
+    grid, layout = form.grid, form.layout
+    weighted = layout.apply(form.alpha, np.asarray(amplitudes))
+    weighted *= (layout.lattice.cell_volume * grid.weights)[:, None]
+    values = 2.0 * (np.exp(-1j * np.outer(times, grid.nodes)) @ weighted).real   # plus the conjugate pairing
+    write_trace(path, t=times, value=values.reshape(len(times), -1, 3))
 
 
 def refinement_csv(path, levels: list, sequences: dict):
@@ -111,28 +118,3 @@ def convergence_orders(values) -> list:
         else:
             out.append(float(np.log2(a / b)))
     return out
-
-
-def field_trace_csv(path, form, amplitudes, times):
-    """Expectation trace of a field form under a coherent-like weighting.
-
-    `amplitudes` assigns a complex amplitude per (node, site, component);
-    the emitted expectation is the amplitude-weighted coefficient sum at
-    each requested time.  The form's blocks are contracted with the
-    amplitudes once, rotated into the layout basis and back
-    (`SectorLayout.apply`), so no site operator is formed and each time is
-    one (K,) @ (K, d) product.  The rows of a time are one `writelines`
-    batch of the bytes `csv.writer` gives (no field needs quoting).
-    Diagnostic output for plotting only.
-    """
-    grid, layout = form.grid, form.layout
-    weighted = layout.apply(form.alpha, np.asarray(amplitudes))
-    weighted *= (layout.lattice.cell_volume * grid.weights)[:, None]
-    mids = [f",{a // 3},{a % 3}," for a in range(layout.lattice.dim)]
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write("t,site,component,value\r\n")
-        for t in times:
-            values = 2.0 * (np.exp(-1j * grid.nodes * t) @ weighted).real   # plus the conjugate pairing
-            head = f"{t:.12g}"
-            fh.writelines(f"{head}{mid}{val:.12g}\r\n" for mid, val in zip(mids, values.tolist()))

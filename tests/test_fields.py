@@ -308,5 +308,5 @@ class TestFieldsStageCost:
         peak, report = traced_peak(stage_fields, pipe, tmp_path)
         peak /= stack
         assert report["passed"]
-        assert (tmp_path / "field_trace.csv").exists()
+        assert (tmp_path / "field_trace.npy").exists()
         assert peak <= self.PEAK_STACKS, f"traced peak {peak:.2f} block stacks"

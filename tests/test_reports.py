@@ -1,14 +1,13 @@
-import csv
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dampol.cli import Pipeline, ScenarioConfig
+from dampol.cli import Pipeline, ScenarioConfig, run
 from dampol.lattice import FrequencyGrid, build_lattice
 from dampol.fields import field_forms
 from dampol.green import node_propagator
-from dampol.reports import chi_trace_csv, field_trace_csv
+from dampol.reports import chi_trace, field_trace, green_trace, write_trace
 from dampol.susceptibility import Susceptibility, chi_stack
 
 from conftest import traced_peak
@@ -17,29 +16,14 @@ from reference import coupling_from_real, random_coupling, sites
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def site_chi(coupling, z_values):
-    """chi at the points rotated back to sites, (n, d, d): the dense reference of the values."""
-    return sites(coupling.layout, chi_stack(coupling, z_values))
+def load(path):
+    return np.load(path, allow_pickle=False)
 
 
-def applied_chi(coupling, z_values):
-    """chi at the points, (n, d, d), each column applied to its unit source as the writer applies it."""
-    flat, d = chi_stack(coupling, z_values), coupling.lattice.dim
-    return coupling.layout.apply(flat[:, None], np.eye(d)).swapaxes(-1, -2)
-
-
-def reference_chi_trace(path, z_values, mats):
-    """Every entry of the (n, d, d) chi matrices at the points, as `csv.writer` writes it, one row per entry."""
-    d = mats.shape[-1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re_z", "im_z", "site", "site_prime", "i", "j", "re_chi", "im_chi"])
-        for z, mat in zip(z_values, mats):
-            for a in range(d):
-                for b in range(d):
-                    writer.writerow([f"{z.real:.12g}", f"{z.imag:.12g}",
-                                     a // 3, b // 3, a % 3, b % 3,
-                                     f"{mat[a, b].real:.12g}", f"{mat[a, b].imag:.12g}"])
+def site0_chi(coupling, z_values):
+    """chi[(site, i), (0, j)] at the points, (n, M, 3, 3): block column 0 of the dense site route."""
+    mats = sites(coupling.layout, chi_stack(coupling, z_values))
+    return mats[:, :, :3].reshape(len(z_values), -1, 3, 3)
 
 
 def random_trace_coupling(n, n_nodes):
@@ -48,46 +32,38 @@ def random_trace_coupling(n, n_nodes):
     return coupling_from_real(random_coupling(lat, grid, np.random.default_rng(11 + n)))
 
 
-def site0_rows(path) -> bytes:
-    """The reference rows with `site_prime == 0`, that column dropped, in the writer's bytes."""
-    header, *rows = Path(path).read_bytes().decode().splitlines()
-    kept = [header.replace("site_prime,", "")]
-    kept += [",".join(f[:3] + f[4:]) for f in (row.split(",") for row in rows) if f[3] == "0"]
-    return "".join(f"{row}\r\n" for row in kept).encode()
+def assert_close(got, ref, rtol=1e-12):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
 
 
-def read_trace(path):
-    """(index and z columns, complex values) of a trace written by `chi_trace_csv`."""
-    table = np.loadtxt(path, delimiter=",", skiprows=1)
-    return table[:, :5], table[:, 5] + 1j * table[:, 6]
+class TestWriteTrace:
+    def test_one_record_per_row_one_field_per_column(self, tmp_path):
+        z = np.array([1.0 + 0.5j, -2.0 + 0.25j])
+        mats = np.arange(2 * 4 * 3, dtype=float).reshape(2, 4, 3)
+        write_trace(tmp_path / "sub" / "t.npy", z=z, value=mats)
+        trace = load(tmp_path / "sub" / "t.npy")
+        assert trace.shape == (2,)
+        assert trace.dtype.names == ("z", "value")
+        assert trace.dtype["value"].shape == (4, 3)
+        assert np.array_equal(trace["z"], z) and np.array_equal(trace["value"], mats)
+
+    def test_run_writes_three_npy_traces_and_no_csv(self, tmp_path):
+        cfg = ScenarioConfig.from_file(CONFIG_DIR / "lorentz.ini")
+        cfg.n_nodes = 6
+        outs = []
+        for sub in ("a", "b"):
+            cfg.out = str(tmp_path / sub)
+            run(cfg, stages=("model", "chi", "green", "fields"))
+            outs.append({p.name: p.read_bytes() for p in Path(cfg.out).iterdir()})
+        assert outs[0] == outs[1]
+        assert not [name for name in outs[0] if name.endswith(".csv")]
+        traces = sorted(name for name in outs[0] if name.endswith(".npy"))
+        assert traces == ["chi_trace.npy", "field_trace.npy", "green_trace.npy"]
+        assert [len(load(tmp_path / "a" / name)) for name in traces] == [6, 32, 6]
 
 
 class TestChiTrace:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_bytes_match_csv_writer(self, tmp_path, n):
-        # at n = 1 the basis is the identity, so the site rotation is exact and
-        # the bytes compare values and format; at n >= 2 a random coupling
-        # leaks across sectors and chi is one dense block, whose site rotation
-        # rounds: the reference reads every column as the writer reads the
-        # site-0 ones, so the bytes compare the format (the values are compared
-        # with the site rotation in test_dense_block_matches_site_trace)
-        coupling = random_trace_coupling(n, 3)
-        grid = coupling.grid
-        # on the imaginary axis both node sums share their coefficients, so
-        # every imaginary part is an exact zero; far up it chi is small
-        # enough to print with an exponent
-        zs = np.append(grid.nodes + 1j * grid.eta, 1j * grid.omega_max * np.array([1 / 3, 1e4]))
-        chi_trace_csv(tmp_path / "fast.csv", Susceptibility(coupling), zs)
-        reference_chi_trace(tmp_path / "ref.csv", zs,
-                            site_chi(coupling, zs) if n == 1 else applied_chi(coupling, zs))
-        ref = site0_rows(tmp_path / "ref.csv")
-        assert (tmp_path / "fast.csv").read_bytes() == ref
-        values = [f for row in ref.decode().split("\r\n")[1:] for f in row.split(",")[5:]]
-        assert any(v.startswith("-") for v in values)
-        assert any("e" in v for v in values)
-        assert "0" in values
-        assert ref.count(b"\r\n") == 1 + zs.size * 3 * coupling.lattice.dim
-
     @pytest.mark.parametrize("name,n", [("lorentz.ini", 2), ("gaussian.ini", 2),
                                         ("uniaxial.ini", 2), ("lorentz.ini", 3)])
     def test_sector_blocks_match_dense_trace(self, tmp_path, name, n):
@@ -96,87 +72,85 @@ class TestChiTrace:
         pipe = Pipeline(cfg)
         assert pipe.chi.layout is pipe.lattice.sector_layout
         zs = pipe.grid.nodes + 1j * pipe.grid.eta
-        chi_trace_csv(tmp_path / "fast.csv", pipe.chi, zs)
-        reference_chi_trace(tmp_path / "ref.csv", zs, site_chi(pipe.coupling, zs))
-        (tmp_path / "ref0.csv").write_bytes(site0_rows(tmp_path / "ref.csv"))
-        index, values = read_trace(tmp_path / "fast.csv")
-        ref_index, ref_values = read_trace(tmp_path / "ref0.csv")
-        assert np.array_equal(index, ref_index)
-        assert np.abs(values - ref_values).max() <= 1e-12 * np.abs(ref_values).max()
+        chi_trace(tmp_path / "chi.npy", pipe.chi, zs)
+        trace = load(tmp_path / "chi.npy")
+        assert trace.dtype.names == ("z", "chi")
+        assert np.array_equal(trace["z"], zs)
+        assert_close(trace["chi"], site0_chi(pipe.coupling, zs))
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dense_block_matches_site_trace(self, tmp_path, n):
-        # a leaking coupling's one block is in the momentum basis: the writer's
-        # columns against the site rotation of the same blocks
+        # from n = 2 on a random coupling leaks across sectors, and its one
+        # block is in the momentum basis; on it the trace is a partial one.
+        # Far up the imaginary axis chi is small
         coupling = random_trace_coupling(n, 3)
-        assert coupling.layout is coupling.lattice.one_block
-        zs = coupling.grid.nodes + 1j * coupling.grid.eta
-        chi_trace_csv(tmp_path / "fast.csv", Susceptibility(coupling), zs)
-        reference_chi_trace(tmp_path / "ref.csv", zs, site_chi(coupling, zs))
-        (tmp_path / "ref0.csv").write_bytes(site0_rows(tmp_path / "ref.csv"))
-        index, values = read_trace(tmp_path / "fast.csv")
-        ref_index, ref_values = read_trace(tmp_path / "ref0.csv")
-        assert np.array_equal(index, ref_index)
-        assert np.abs(values - ref_values).max() <= 1e-12 * np.abs(ref_values).max()
+        assert (coupling.layout is coupling.lattice.one_block) == (n > 1)
+        grid = coupling.grid
+        zs = np.append(grid.nodes + 1j * grid.eta, 1j * grid.omega_max * np.array([1 / 3, 1e4]))
+        chi_trace(tmp_path / "chi.npy", Susceptibility(coupling), zs)
+        got, ref = load(tmp_path / "chi.npy")["chi"], site0_chi(coupling, zs)
+        assert_close(got, ref)
+        assert_close(got[-1], ref[-1])
 
     def test_perturbation_included(self, tmp_path):
         # the violator adds its magnitude at entry (0, 1) of every evaluation:
         # the trace shows the chi that the checks read, not the unperturbed source
         pipe = Pipeline(ScenarioConfig.from_file(CONFIG_DIR / "violator_chi.ini"))
         zs = pipe.grid.nodes + 1j * pipe.grid.eta
-        chi_trace_csv(tmp_path / "perturbed.csv", pipe.chi, zs)
-        chi_trace_csv(tmp_path / "source.csv", Susceptibility(pipe.coupling), zs)
-        index, values = read_trace(tmp_path / "perturbed.csv")
-        src_index, src_values = read_trace(tmp_path / "source.csv")
-        assert np.array_equal(index, src_index)
-        hit = (index[:, 2] == 0) & (index[:, 3] == 0) & (index[:, 4] == 1)
-        assert hit.sum() == zs.size
-        assert np.all(values[hit] - src_values[hit] == pipe.config.violation_magnitude)
-        assert np.abs(values[~hit] - src_values[~hit]).max() <= 1e-12 * np.abs(src_values).max()
+        chi_trace(tmp_path / "perturbed.npy", pipe.chi, zs)
+        chi_trace(tmp_path / "source.npy", Susceptibility(pipe.coupling), zs)
+        values, src = load(tmp_path / "perturbed.npy")["chi"], load(tmp_path / "source.npy")["chi"]
+        hit = np.zeros(values.shape[1:], dtype=bool)
+        hit[0, 0, 1] = True
+        scale = np.abs(src).max()
+        assert np.abs(values[:, hit] - src[:, hit] - pipe.config.violation_magnitude).max() <= 1e-12 * scale
+        assert np.abs(values[:, ~hit] - src[:, ~hit]).max() <= 1e-12 * scale
 
-    def test_memory_flat_in_the_node_text(self, tmp_path):
-        # the writer holds the one stacked chi evaluation of every point, the
-        # (K, 3, d) source columns and at most one row's text besides: no
-        # d x d site operator
+    def test_memory_within_the_evaluation_and_the_columns(self, tmp_path):
+        # the writer holds the one stacked chi evaluation of every point and
+        # the (K, 3, d) source columns: no d x d site operator
         chi = Susceptibility(random_trace_coupling(3, 4))
         chi.source.density   # cached before tracing: shared input, not writer memory
         zs = chi.grid.nodes + 1j * chi.eta
         d = chi.lattice.dim
         evaluate_peak, _ = traced_peak(chi.blocks_at, zs)
-        write_peak, _ = traced_peak(chi_trace_csv, tmp_path / "chi.csv", chi, zs)
-        row = max(len(line) for line in (tmp_path / "chi.csv").read_bytes().splitlines())
-        assert write_peak < evaluate_peak + zs.size * 3 * d * 16 + row
-
-
-def reference_field_trace(path, form, amplitudes, times):
-    """`field_trace_csv` as `csv.writer` writes it, one `writerow` per row."""
-    grid, layout = form.grid, form.layout
-    weighted = layout.apply(form.alpha, np.asarray(amplitudes))
-    weighted *= (layout.lattice.cell_volume * grid.weights)[:, None]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "site", "component", "value"])
-        for t in times:
-            values = 2.0 * (np.exp(-1j * grid.nodes * t) @ weighted).real
-            for a, val in enumerate(values):
-                writer.writerow([f"{t:.12g}", a // 3, a % 3, f"{val:.12g}"])
+        write_peak, _ = traced_peak(chi_trace, tmp_path / "chi.npy", chi, zs)
+        assert write_peak < evaluate_peak + zs.size * 3 * d * 16
 
 
 class TestFieldTrace:
     @pytest.mark.parametrize("n", [2, 3])
-    def test_bytes_match_csv_writer(self, tmp_path, n):
+    def test_matches_a_product_per_time(self, tmp_path, n):
         cfg = ScenarioConfig.from_file(CONFIG_DIR / "uniaxial.ini")
         cfg.n_per_axis = n
         pipe = Pipeline(cfg)
+        grid, lat = pipe.grid, pipe.lattice
         e_form = field_forms(node_propagator(pipe.chi))["E"]
         rng = np.random.default_rng(n)
-        amp = rng.standard_normal((pipe.grid.n_nodes, pipe.lattice.dim)) \
-            + 1j * rng.standard_normal((pipe.grid.n_nodes, pipe.lattice.dim))
-        # a time far out makes some values print with an exponent
-        times = np.append(np.linspace(0.0, 4.0 * np.pi / pipe.grid.omega_max, 8), 1e13)
-        field_trace_csv(tmp_path / "fast.csv", e_form, amp, times)
-        reference_field_trace(tmp_path / "ref.csv", e_form, amp, times)
-        ref = (tmp_path / "ref.csv").read_bytes()
-        assert (tmp_path / "fast.csv").read_bytes() == ref
-        assert ref.count(b"\r\n") == 1 + times.size * pipe.lattice.dim
-        assert b"e+13," in ref and b",-" in ref
+        amp = rng.standard_normal((grid.n_nodes, lat.dim)) + 1j * rng.standard_normal((grid.n_nodes, lat.dim))
+        times = np.append(np.linspace(0.0, 4.0 * np.pi / grid.omega_max, 8), 1e13)
+        field_trace(tmp_path / "field.npy", e_form, amp, times)
+        trace = load(tmp_path / "field.npy")
+        assert trace.dtype.names == ("t", "value")
+        assert np.array_equal(trace["t"], times)
+        # the dense route: the site kernels applied to the amplitudes node by node
+        weighted = np.einsum("kab,kb->ka", sites(e_form.layout, e_form.alpha), amp)
+        weighted *= (lat.cell_volume * grid.weights)[:, None]
+        for t, got in zip(times, trace["value"]):
+            ref = 2.0 * (np.exp(-1j * grid.nodes * t) @ weighted).real
+            assert_close(got, ref.reshape(lat.n_sites, 3))
+
+
+class TestGreenTrace:
+    @pytest.mark.parametrize("name,spacing", [("lorentz.ini", 0.7), ("violator_chi.ini", 1.0)])
+    def test_fields_are_the_propagators(self, tmp_path, name, spacing):
+        pipe = Pipeline(ScenarioConfig.from_file(CONFIG_DIR / name, spacing=spacing))
+        prop = pipe.propagator
+        green_trace(tmp_path / "green.npy", prop)
+        trace = load(tmp_path / "green.npy")
+        assert trace.dtype.names == ("z", "norm", "residual", "cond")
+        assert np.array_equal(trace["z"], prop.z)
+        assert np.array_equal(trace["residual"], prop.residual)
+        assert np.array_equal(trace["cond"], prop.cond)
+        ref = prop.lattice.cell_volume * np.linalg.norm(sites(prop.layout, prop.blocks), axis=(1, 2))
+        assert_close(trace["norm"], ref)

@@ -12,7 +12,7 @@ from dampol.coupling import (
     spectral_moments,
     structure_tensor,
 )
-from dampol.lattice import FrequencyGrid, build_lattice, rel_norms, sq_norms, unit_scale
+from dampol.lattice import FrequencyGrid, build_lattice, frobenius_cond, rel_norms, sq_norms, unit_scale
 from dampol.susceptibility import (
     Susceptibility,
     asymptote_residual,
@@ -264,6 +264,24 @@ class TestTinyCoupling:
         num, den = rng.standard_normal((2, 64, 4096)) + 1j * rng.standard_normal((2, 64, 4096))
         peak, _ = traced_peak(rel_norms, num, den)
         assert peak <= num.nbytes / 4
+
+    def test_chunked_bound_is_the_whole_stack_one_bit_for_bit(self, rng):
+        # 5 MB of complex rows go in chunks of two and three, each row scaled
+        # by its own power of two, as a scaled copy of the whole stack scales it
+        def bound(x):
+            unit = unit_scale(np.abs(x).max(axis=-1))
+            return np.sqrt(sq_norms(x * unit[:, None])) / unit
+        a, a_inv = rng.standard_normal((2, 9, 36864)) + 1j * rng.standard_normal((2, 9, 36864))
+        a[0] *= 1e200
+        a_inv[1] *= 1e-200
+        a_inv[2] = 0.0
+        assert np.array_equal(frobenius_cond(a, a_inv), bound(a) * bound(a_inv))
+
+    def test_bound_holds_no_copy_of_an_operand(self, rng):
+        # the rows are scaled a chunk at a time, as in `rel_norms`
+        a, a_inv = rng.standard_normal((2, 256, 4096)) + 1j * rng.standard_normal((2, 256, 4096))
+        peak, _ = traced_peak(frobenius_cond, a, a_inv)
+        assert peak <= a.nbytes / 4
 
 
 class TestAsymptotics:
