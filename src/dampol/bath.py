@@ -51,9 +51,10 @@ def require_invertible(layout: SectorLayout, *named: tuple) -> None:
     screen the check: kappa_2 <= kappa_F (`lattice.frobenius_cond`), so a
     node with kappa_F <= 0.5 / INVERTIBILITY_RTOL passes, the factor 2
     covering rounding, and only the other nodes, non-finite ones included,
-    take one batched SVD per block size.  The error names the first
-    failing node, and at that node the first failing stack in the order
-    given, with the node's singular-value ratio, and its condition number,
+    take one batched SVD.  The error names the first failing node, and at
+    that node the first failing stack in the order given, with the node's
+    singular-value ratio, the wave vector of the block holding the smallest
+    singular value in `Lattice.sector_layout`, and its condition number,
     infinite when the ratio of the largest to the smallest singular value
     overflows.
     """
@@ -66,12 +67,13 @@ def require_invertible(layout: SectorLayout, *named: tuple) -> None:
         top, low = sv.max(axis=-1), sv.min(axis=-1)
         bad = np.flatnonzero((low <= INVERTIBILITY_RTOL * top) | (top == 0.0))
         if bad.size and (first is None or screened[bad[0]] < first[0]):
-            first = (int(screened[bad[0]]), what, top[bad[0]], low[bad[0]])
+            first = (int(screened[bad[0]]), what, top[bad[0]], low[bad[0]],
+                     layout.wave_vector(int(np.argmin(sv[bad[0]]))))
     if first is not None:
-        node, what, top, low = first
+        node, what, top, low, where = first
         raise SingularOperatorError(
             f"{what} not invertible at node {node} "
-            f"(singular-value ratio {low / max(top, 1e-300):.3e})",
+            f"(singular-value ratio {low / max(top, 1e-300):.3e}{where})",
             cond=top / low if low > top / np.finfo(float).max else np.inf, node=node)
 
 
@@ -105,8 +107,7 @@ class BathCoefficients:
         nodes, layout = self.grid.nodes, self.layout
         pole_k = self.lattice.cell_volume * self.pole_blocks[k]
         co = layout.matmul(pole_k, self.coupling_t)
-        counter = layout.matmul(pole_k.conj(), self.coupling_t)
-        np.conj(counter, out=counter)
+        counter = layout.conj(layout.matmul(layout.conj(pole_k), self.coupling_t))
         co *= (1.0 / (nodes[k] - nodes + 1j * self.grid.eta))[:, None]
         counter *= (-1.0 / (nodes[k] + nodes))[:, None]
         return co, counter
@@ -126,8 +127,7 @@ def bath_coefficients(coupling: CouplingTensor, chi: Susceptibility) -> BathCoef
     Requires the coupling kernel and the susceptibility just above the cut
     to be invertible at every node; degenerate nodes raise with the node
     named rather than silently pseudo-inverting.  Every node is inverted,
-    checked and multiplied as one batched operation per block size over
-    the node axis; the check reads the inverses (`require_invertible`), so
+    checked and multiplied as one batched operation over the node axis; the check reads the inverses (`require_invertible`), so
     nothing is inverted twice.  About six (K, size) block stacks are live
     at the peak (6.0 at n = 2, K = 128 and 1024).
     """
@@ -140,7 +140,7 @@ def bath_coefficients(coupling: CouplingTensor, chi: Susceptibility) -> BathCoef
     require_invertible(layout, ("coupling kernel", t, delta), ("susceptibility", chi.above_cut_blocks, chi_inv))
     delta /= v**2
     chi_inv /= v**2
-    pole = layout.matmul((HBAR / EPS0) * v * t.conj(), chi_inv)
+    pole = layout.matmul((HBAR / EPS0) * v * layout.conj(t), chi_inv)
     del chi_inv
     return BathCoefficients(lattice=lattice, grid=grid, layout=layout, delta_blocks=delta,
                             pole_blocks=pole, coupling_t=t_t)
@@ -202,8 +202,7 @@ def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
     np.negative(s_res, out=s_res)
     # the anti-resonant weights are real, so their sums against conj(dens)
     # are the conjugates of the product rows
-    pol_sum = cauchy_sum(nodes, w, -nodes, dens)
-    np.conj(pol_sum, out=pol_sum)
+    pol_sum = layout.conj(cauchy_sum(nodes, w, -nodes, dens))
     np.subtract(s_res, pol_sum, out=pol_sum)   # sum_l res D_l - anti conj(D_l)
     base = layout.matmul(bath.delta_blocks, dens)
     base *= v
@@ -220,7 +219,8 @@ def verify_bath_independence(bath: BathCoefficients, coupling: CouplingTensor,
     pol_sum *= om
     mom_sum += pol_sum
     del pol_sum
-    mom_sum -= 2j * (w @ dens).imag
+    dens_sum = w @ dens
+    mom_sum -= dens_sum - layout.conj(dens_sum)   # 2i Im sum_l q_l D_l
     mom = layout.matmul(bath.pole_blocks, mom_sum)
     del mom_sum, s_res
     mom *= v
@@ -257,7 +257,7 @@ def verify_bath_canonical(bath: BathCoefficients, coupling: CouplingTensor) -> f
     layout, v = bath.layout, coupling.lattice.cell_volume
     target = (np.pi * HBAR / EPS0) * layout.identity / v
     form = layout.matmul((0.5 / 1j) * v**2 * bath.delta_blocks, discontinuity(coupling))
-    form = layout.matmul(form, layout.transpose(bath.delta_blocks).conj())
+    form = layout.matmul(form, layout.conj(layout.transpose(bath.delta_blocks)))
     form -= target
     return float(np.sqrt(sq_norms(form).max()) / np.linalg.norm(target))
 

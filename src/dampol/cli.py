@@ -204,12 +204,10 @@ def violation_blocks(lattice: Lattice, magnitude: float) -> np.ndarray:
     """The `chi_symmetry` violation, the site operator whose one entry, at [0, 1], is `magnitude`,
     as its (d*d,) `Lattice.one_block` block, complex as the chi blocks it is added to.
 
-    The block is magnitude outer(B[0], B[1]), B = kron(F, I_3) with F the
-    momentum basis: rows 0 and 1 of B are row 0 of F times the unit vectors
-    e_x and e_y.  No d x d operator is formed or rotated.
+    The block is magnitude outer(conj(B[0]), B[1]), B = kron(U, I_3): rows 0 and 1 of B are row 0 of U,
+    every plane wave at site 0, 1 / sqrt(M), times e_x and e_y.  No d x d operator is formed or rotated.
     """
-    (cos, sin), row = lattice.momentum_pairs, np.full(lattice.n_sites, 1.0 / np.sqrt(lattice.n_sites))
-    row[cos], row[sin] = row[cos] * np.sqrt(2.0), 0.0   # row 0 of F: every column's wave at site 0
+    row = np.full(lattice.n_sites, 1.0 / np.sqrt(lattice.n_sites))
     b0, b1 = np.kron(row, [1.0, 0.0, 0.0]), np.kron(row, [0.0, 1.0, 0.0])
     return np.outer(magnitude * b0, b1).ravel().astype(complex)
 

@@ -6,7 +6,7 @@ coefficients in the identity gauge I/v per node), which makes the
 canonical pair constraints hold per node at machine precision instead of
 merely to quadrature accuracy.  The built-in models are lattice
 convolutions, given by one 3x3 symbol per wave vector (`SymbolCoupling`),
-so their kernels are built per momentum sector with no site operator.  The
+so their kernels are built per wave vector with no site operator.  The
 coupling's layout, `CouplingTensor.layout`, is the layout of the whole run:
 every operator derived from it is blocks in it.
 The frequency moments s_n = sum_k w_k w_k^n D_k of the spectral densities
@@ -36,7 +36,7 @@ class SymbolCoupling:
     The coefficient kernel at node k is tau[k] times the lattice
     convolution whose 3x3 symbol at the wave vector ``kvecs[j]`` is
     ``symbols[j]`` (`Lattice.sector_blocks`): `tau` is (K,) and `symbols`
-    (M, 3, 3), real.  The coupling is built per momentum sector from them,
+    (M, 3, 3), real.  The coupling is built per wave vector from them,
     with no site operator.
     """
 
@@ -51,11 +51,12 @@ class SpectralMoments:
     """The parts of s_n = sum_k w_k w_k^n D_k, n = 0..3, that the checks read, (size,) blocks each.
 
     Each is summed in extended precision and rounded to float64 once, so no
-    value depends on the order of the node sum.
+    value depends on the order of the node sum.  Re and Im are those of the
+    operators, elementwise on sites, taken through `SectorLayout.conj`.
     """
 
     imag0: np.ndarray         # Im s_0, zero under the polarization constraint
-    structure: np.ndarray     # S = 2 Re s_1, read-only complex: the structure tensor's blocks
+    structure: np.ndarray     # S = 2 Re s_1, read-only: the structure tensor's blocks
     structure_lo: np.ndarray  # 2 Re s_1 - S, which rounding S to float64 dropped
     imag2: np.ndarray         # Im s_2, zero under the momentum constraint
     cubic: np.ndarray         # s_3, for the polarization self-energy
@@ -65,19 +66,22 @@ class SpectralMoments:
         return (self.structure - mat) + self.structure_lo
 
 
-def spectral_moments(nodes: np.ndarray, weights: np.ndarray, density: np.ndarray) -> SpectralMoments:
-    """s_0..s_3 of a (K, ...) density stack: one (4, K) @ (K, n) extended-precision product."""
+def spectral_moments(nodes: np.ndarray, weights: np.ndarray, density: np.ndarray,
+                     layout: SectorLayout) -> SpectralMoments:
+    """s_0..s_3 of a (K, size) density stack in `layout`: one (4, K) @ (K, size) extended-precision product."""
     powers = np.vander(np.asarray(nodes, np.longdouble), 4, increasing=True).T \
         * np.asarray(weights, np.longdouble)
     flat = density.reshape(len(nodes), -1)
     # blocks of 128 columns keep the extended-precision copy of the densities small
     s = np.concatenate([powers @ flat[:, j:j + 128].astype(np.clongdouble)
                         for j in range(0, flat.shape[1], 128)], axis=1).reshape(4, *density.shape[1:])
-    first = 2 * s[1].real
+    mirror = layout.conj(s)   # conj(s_n), so s_n - conj(s_n) = 2i Im s_n
+    first = s[1] + mirror[1]
     structure = first.astype(complex)
     structure.flags.writeable = False
-    return SpectralMoments(s[0].imag.astype(float), structure, (first - structure.real).astype(float),
-                           s[2].imag.astype(float), s[3].astype(complex))
+    imag = (s - mirror) * -0.5j
+    return SpectralMoments(imag[0].astype(complex), structure, (first - structure).astype(complex),
+                           imag[2].astype(complex), s[3].astype(complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,14 +133,14 @@ class CouplingTensor:
         proportional to them.
         """
         t, layout = self.flat, self.layout
-        dens = layout.matmul(layout.transpose(t), t.conj())
+        dens = layout.matmul(layout.transpose(t), layout.conj(t))
         dens *= self.lattice.cell_volume
         return dens
 
     @cached_property
     def moments(self) -> SpectralMoments:
         """The frequency moments s_0..s_3 of the spectral densities, (size,) each in `layout`, evaluated once."""
-        return spectral_moments(self.grid.nodes, self.grid.weights, self.density)
+        return spectral_moments(self.grid.nodes, self.grid.weights, self.density, self.layout)
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,7 @@ def _lagrangian_prefactor(nodes: np.ndarray) -> np.ndarray:
 def coupling_from_lagrangian(t0: SymbolCoupling) -> CouplingTensor:
     """Build the coupling tensor from real coefficients in the identity gauge I/v.
 
-    Per node, T(w) = -(2 hbar w)^(-1/2) T0(w), built per momentum sector
+    Per node, T(w) = -(2 hbar w)^(-1/2) T0(w), built per wave vector
     from the symbols of the `SymbolCoupling`.  The resulting spectral
     density is real node by node, so the quadrature constraints hold
     automatically; residuals above tolerance signal corrupted inputs.
@@ -203,9 +207,13 @@ class StructureTensor:
         return self.layout.inv(self.blocks) / self.layout.lattice.cell_volume**2
 
     @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues of the Hermitian part (S + S^H) / 2, the union of every block's, block by block."""
+        return self.layout.eigvalsh((self.blocks + self.layout.conj(self.layout.transpose(self.blocks))) / 2.0)
+
+    @property
     def eigenvalues(self) -> np.ndarray:
-        """The eigenvalues of the symmetric part, the union of every block's, ascending."""
-        return np.sort(self.layout.eigvalsh((self.blocks.real + self.layout.transpose(self.blocks.real)) / 2.0))
+        return np.sort(self.spectrum)
 
 
 def structure_tensor(coupling: CouplingTensor) -> StructureTensor:
@@ -219,8 +227,9 @@ def structure_tensor(coupling: CouplingTensor) -> StructureTensor:
     st = StructureTensor(coupling.layout, coupling.moments.structure)
     evals = st.eigenvalues
     if evals.size and evals[0] <= 1e-12 * max(abs(evals[-1]), 1e-300):
+        where = st.layout.wave_vector(int(np.argmin(st.spectrum)))
         raise DegenerateCouplingError(
-            f"structure tensor not positive-definite (min eigenvalue {evals[0]:.3e})")
+            f"structure tensor not positive-definite (min eigenvalue {evals[0]:.3e}{where})")
     return st
 
 
@@ -260,7 +269,7 @@ def _gaussian_symbol(lattice: Lattice, corr: float) -> np.ndarray:
     dist = np.minimum(idx, n - idx) * lattice.spacing   # minimum image, exactly even in r
     row = np.exp(-np.einsum("i...,i...->...", dist, dist) / (2.0 * corr**2))
     g = np.fft.fftn(row).real.ravel()
-    return (g + g[lattice._conjugate]) / 2
+    return (g + lattice.reflected(g)) / 2
 
 
 def builtin_model(name: str, lattice: Lattice, grid: FrequencyGrid, params: dict | None = None) -> SymbolCoupling:
@@ -314,9 +323,10 @@ def builtin_model(name: str, lattice: Lattice, grid: FrequencyGrid, params: dict
             raise ModelError("corr_length must be positive, with a finite square")
         symbol = _gaussian_symbol(lattice, corr)[:, None, None] * (np.eye(3) / v)
     symbols = np.broadcast_to(symbol, (lattice.n_sites, 3, 3))
+    lattice.require_real(f"the {name} model's symbol", symbols)
 
-    # a spectral density is v T^T conj(T) per block, and a 6 x 6 block holds two symbols,
-    # so 2 v |pref tau|^2 |B|^2 over the nodes and symbols bounds every entry
+    # a spectral density is v T^T conj(T) per block, and the oracle's real frame adds the
+    # blocks of q and -q, so 2 v |pref tau|^2 |B|^2 over the nodes and symbols bounds every entry
     with np.errstate(over="ignore"):
         peak = np.sqrt(v) * np.max(np.abs(_lagrangian_prefactor(grid.nodes) * tau)) \
             * np.max(np.linalg.norm(symbols, axis=(1, 2)))

@@ -22,16 +22,18 @@ Every family is built from the per-node formulas of `_NodeKernels`, read
 from one `green.NodePropagator`: the propagator at every node just below
 the cut, with the coupling it was solved for.  Every identity is defined
 once, in `_ModeCheckSums`, from per-node sums of the pair rows, taken for
-every node at once as flat block stacks in the coupling's layout, the run's;
-two routes form those sums and both return `ModeChecks`.
+every node at once as flat block stacks in the coupling's layout, the run's:
+one 3x3 block per wave vector in the plane-wave basis, where the transpose
+and the conjugate of a stack are the layout's gathers (`SectorLayout.transpose`,
+`SectorLayout.conj`); two routes form those sums and both return `ModeChecks`.
 `streamed_mode_checks`, the production route, factorizes the pair rows into
 a per-node transfer kernel, a (K, K) frequency factor and the coupling, so
 every sum over the pair index is a (K, K) @ (K, size) GEMM (a
 `lattice.cauchy_sum`, whose coefficients come a bounded chunk of rows at a
 time), shifted sums reduce to unshifted ones by exact pole-shift
-identities, and no pair row is ever formed: O(K^2 size + K sum_b S_b b^3)
-time and O(K size) memory, with size = sum_b S_b b^2 the entries of the
-S_b blocks of each size b.
+identities, and no pair row is ever formed: O(K^2 9M + 27 K M) time and
+O(K 9M) memory on a lattice of M sites, whose per-q stacks hold M 3x3
+blocks, size = 9M entries.
 `fano_residual`, the tests' reference, sums the explicit pair rows that
 `mode_coefficients` holds as (K, K, size) blocks in the same layout.  The
 assembled-Hamiltonian oracle reads the same rows of every node from
@@ -135,7 +137,7 @@ class _NodeKernels:
 
 def _transfer_blocks(prop: NodePropagator) -> np.ndarray:
     """X_k = v T*(w_k) o G(w_k - i eta) of every node in the propagator's layout, (K, size): one stacked product."""
-    return prop.layout.matmul(prop.lattice.cell_volume * prop.coupling.flat.conj(), prop.blocks)
+    return prop.layout.matmul(prop.lattice.cell_volume * prop.layout.conj(prop.coupling.flat), prop.blocks)
 
 
 def momentum_family(prop: NodePropagator) -> np.ndarray:
@@ -165,7 +167,7 @@ def node_families(prop: NodePropagator) -> tuple:
     t_t = layout.transpose(prop.coupling.flat)
     resonant = layout.matmul(c * (pole[:, :, None] * x[:, None] - (om * xt)[:, None]), t_t)
     antiresonant = layout.matmul(c * ((om * xt)[:, None] - anti[:, :, None] * x[:, None]),
-                                 t_t.conj())
+                                 layout.conj(t_t))
     return om**2 * xt, 1j * MU0 * om * xt, resonant, antiresonant
 
 
@@ -189,7 +191,7 @@ def wave_diagnostic(prop: NodePropagator) -> float:
     (K, size) block stacks are live at the peak (3.03 at n = 2, K = 128,
     and 3.00 at K = 1024).
     """
-    source = prop.coupling.flat.conj()
+    source = prop.layout.conj(prop.coupling.flat)
     res = prop.layout.matmul(_transfer_blocks(prop), prop.operator)
     res -= source
     return float(rel_norms(res, source).max())
@@ -279,7 +281,7 @@ class _ModeCheckSums:
         # sum_l phi_l T_l^T, sum_l phi_l w_l T_l^T and their conjugates, (P, size) each
         self.t_t = layout.transpose(self.t)
         t_sm, t_sm_w = (phi @ self.t_t for phi in (self.phi, self.phi * grid.nodes))
-        self.t_sm = (t_sm, t_sm_w, t_sm.conj(), t_sm_w.conj())
+        self.t_sm = (t_sm, t_sm_w, layout.conj(t_sm), layout.conj(t_sm_w))
         self.res_n, self.res_d, self.anti_n = np.zeros(P), np.zeros(P), np.zeros(P)
         self.r_sum = np.empty((P, layout.size), dtype=complex)
         self.f4_sum = np.empty((P, P, layout.size), dtype=complex)
@@ -287,7 +289,7 @@ class _ModeCheckSums:
     def add(self, pot: np.ndarray, mom: np.ndarray, wave: np.ndarray, brace: np.ndarray):
         mm = self.layout.matmul
         om, wk = self.grid.nodes[:, None], self.grid.weights
-        tc = self.t.conj()
+        tc = self.layout.conj(self.t)
 
         # ratio identity
         scale = om * mom
@@ -333,7 +335,7 @@ class _ModeCheckSums:
     def finish(self, s3, s4) -> ModeChecks:
         """The commutator norms from the k-smeared families, and every residual."""
         layout, v, w = self.layout, self.v, self.grid.weights
-        mm, tr, contract = layout.matmul, layout.transpose, layout.pair_contract
+        mm, tr, cj, contract = layout.matmul, layout.transpose, layout.conj, layout.pair_contract
         f1s, f2s, r_sum, f4_sum, names = self.f1s, self.f2s, self.r_sum, self.f4_sum, self.names
         eye_norm = np.linalg.norm(self.eye_v)
 
@@ -344,10 +346,10 @@ class _ModeCheckSums:
 
         commutation = {}
         for p, name in enumerate(names):
-            dev = 1j * HBAR * v * (mm(f1s[p], tr(f2s[p]).conj()) - mm(f2s[p], tr(f1s[p]).conj()))
-            dev += r_sum[p] + tr(r_sum[p]).conj()
-            dev += v * contract(w, s3[p], s3[p].conj())
-            dev -= v * contract(w, s4[p], s4[p].conj())
+            dev = 1j * HBAR * v * (mm(f1s[p], cj(tr(f2s[p]))) - mm(f2s[p], cj(tr(f1s[p]))))
+            dev += r_sum[p] + cj(tr(r_sum[p]))
+            dev += v * contract(w, s3[p], cj(s3[p]))
+            dev -= v * contract(w, s4[p], cj(s4[p]))
             commutation[name] = relative(dev, p, p)
 
         annihilator = {}
@@ -387,7 +389,7 @@ def fano_residual(modes: ModeCoefficients, coupling: CouplingTensor,
     phi = sums.phi
     res, anti = modes.resonant, modes.antiresonant
     # the pair sums against T* and T of every row: sum_l q_l rows[k, l] @ (T^H_l)^T, ...
-    t_h, t_t = sums.t_t.conj(), sums.t_t
+    t_h, t_t = layout.conj(sums.t_t), sums.t_t
     wave = v * (layout.pair_contract(w * nodes, res, t_h) - layout.pair_contract(w * nodes, anti, t_t))
     brace = v * (layout.pair_contract(w, res, t_h) + layout.pair_contract(w, anti, t_t))
     sums.add(modes.potential, modes.momentum, wave, brace)
@@ -422,21 +424,19 @@ def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> Mo
     over k, pole^T @ (phi X).
 
     Every operator is a flat block stack in the propagator's layout, and
-    every product one batched `matmul` per block size over the node axis:
-    there is no per-node loop.  A product against a node-independent
-    operator (the projectors, `mom_wave`, the smeared sums `t_sm`) folds
-    the node axis into the GEMM rows: S_b b GEMMs of (K x b) @ (b x b) per
-    block size in place of K S_b of b x b, when K > b.  A product of two
-    node-varying stacks, such as X G_wave, is one GEMM per node and block,
-    or for complex 3 x 3 blocks with K S_3 >= 256 nine entries of three
-    multiply-adds along the whole stack (`SectorLayout.matmul`).  Cost
-    O(K^2 size + K sum_b S_b b^3).  The smear profiles are taken one at a
+    every product one batched `matmul` over the node axis: there is no
+    per-node loop.  A product against a node-independent operator (the
+    projectors, `mom_wave`, the smeared sums `t_sm`) folds the node axis
+    into the GEMM rows: 3M GEMMs of (K x 3) @ (3 x 3) in place of K M of
+    3 x 3, when K > 3.  A product of two node-varying stacks, such as X
+    G_wave, is for K M >= 256 nine entries of three multiply-adds along the
+    whole stack (`SectorLayout.matmul`).  Cost O(K^2 9M + 27 K M).  The smear profiles are taken one at a
     time: the four smeared families of a profile are formed and reduced by
     `_ModeCheckSums.add_profile` before the next profile's, so the working
     set does not grow with the number of profiles.  The peak comes while a
     profile's families are reduced: about 13 (K, size) block stacks beside
     the propagator and the coupling (13.15 at n = 2, K = 128, where a block
-    stack is an eighth of a (K, d, d) one), five of them held through the
+    stack is 1/M of a (K, d, d) one), five of them held through the
     pass (X, Xt, T^T, the momentum kernels and the brace).
     """
     coupling = prop.coupling
@@ -455,8 +455,8 @@ def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> Mo
     # wave and brace: M_l = T_l* (Q3_l = T_l^T T_l*) and M_l = T_l (Q4_l = T_l^H T_l);
     # by the shift identities the w_l-weighted sums are the unweighted ones,
     # g_wave = w_k g_brace - i eta (pole @ (q Q3)) + w_k^2 s_brace
-    q4 = mm(t_t.conj(), t)
-    q3 = q4.conj()
+    q4 = mm(prop.layout.conj(t_t), t)
+    q3 = prop.layout.conj(q4)
     wn = w * nodes
     s_wave = (wn @ q3) + (wn @ q4)
     s_brace = (w @ q4) - (w @ q3)
@@ -487,7 +487,7 @@ def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> Mo
         t_sm, t_sm_w, tc_sm, tc_sm_w = (a[p] for a in sums.t_sm)
         res = mm(x, rows.pole_sum(phi_p, t_t))
         ant = rows.anti_sum(phi_p, t_t)
-        ant = mm(x, np.conj(ant, out=ant))
+        ant = mm(x, prop.layout.conj(ant))
         xt_t = om * mm(xt, t_sm)
         omdiff = c * (-om**2 * mm(x, t_sm) - 1j * eta * res - om * (mm(xt, t_sm_w) - xt_t))
         res = c * (res - xt_t)
@@ -503,6 +503,6 @@ def streamed_mode_checks(prop: NodePropagator, structure: StructureTensor) -> Mo
     y = (phi * nodes) @ xt   # sum_k phi_k w_k Xt_k, (P, size)
     del xt
     s3 = [mm(c * (rows.pole_sum(phi_p, x, over_k=True) - y_p), t_t) for phi_p, y_p in zip(phi, y)]
-    s4 = [mm(c * (y_p - rows.anti_sum(phi_p, x, over_k=True)), t_t.conj()) for phi_p, y_p in zip(phi, y)]
+    s4 = [mm(c * (y_p - rows.anti_sum(phi_p, x, over_k=True)), prop.layout.conj(t_t)) for phi_p, y_p in zip(phi, y)]
     del x
     return sums.finish(s3, s4)

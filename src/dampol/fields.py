@@ -57,10 +57,10 @@ class LinearBosonicForm:
     @property
     def beta(self) -> np.ndarray:
         """The creator coefficients, (K, size): of a Hermitian operator conj(alpha), formed on each read."""
-        return self.alpha.conj() if self.creators is None else self.creators
+        return self.layout.conj(self.alpha) if self.creators is None else self.creators
 
     def dagger(self) -> "LinearBosonicForm":
-        return replace(self, alpha=self.beta.conj(), creators=self.alpha.conj())
+        return replace(self, alpha=self.layout.conj(self.beta), creators=self.layout.conj(self.alpha))
 
     def _check(self, other):
         if self.basis != other.basis:
@@ -73,7 +73,7 @@ def commutator(a: LinearBosonicForm, b: LinearBosonicForm) -> np.ndarray:
     """c-number commutator kernel of two forms over the same mode family, as (size,) blocks in their layout.
 
     The pair sums are taken on the blocks and nothing is rotated back: the
-    layout basis is orthogonal, so the kernel's Frobenius norm is that of
+    layout basis is unitary, so the kernel's Frobenius norm is that of
     the blocks, and in kernel units that times the cell volume.
     """
     a._check(b)
@@ -113,7 +113,7 @@ def field_forms(prop: NodePropagator) -> dict:
     mm = layout.matmul
 
     # G(w + i eta) o T-transpose contraction per node
-    gt = mm(v * layout.transpose(prop.blocks).conj(), t_t)
+    gt = mm(v * layout.conj(layout.transpose(prop.blocks)), t_t)
     alphas = {
         "A": MU0 * HBAR * nodes * mm(layout.op("transverse_matrix"), gt),
         "B": MU0 * HBAR * nodes * mm(layout.op("curl_matrix"), gt),
@@ -136,8 +136,8 @@ def vector_potential_route_defect(a_form: LinearBosonicForm, momentum: np.ndarra
     coefficient family, (K, size) in the form's layout; both routes agree
     exactly at the discrete level.
     """
-    # alpha^T - i hbar conj(momentum), the adjoint taken blockwise, in one (K, size) temporary
-    diff = momentum.conj()
+    # alpha^T - i hbar conj(momentum), in one (K, size) temporary
+    diff = a_form.layout.conj(momentum)
     diff *= 1j * HBAR
     np.subtract(a_form.layout.transpose(a_form.alpha), diff, out=diff)
     return float(np.linalg.norm(diff) / max(np.linalg.norm(a_form.alpha), 1e-300))

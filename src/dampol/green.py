@@ -50,8 +50,8 @@ def _identity_residuals(prod: np.ndarray, layout: SectorLayout, v: float) -> np.
 def condition_numbers(layout: SectorLayout, mat: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """The 2-norm condition number sigma_max / sigma_min of each operator of an (n, size) stack.
 
-    A node's singular values are the union of its blocks', one batched SVD
-    per block size.  It is infinite where the operator or its inverse
+    A node's singular values are the union of its blocks', one batched
+    SVD.  It is infinite where the operator or its inverse
     `inv` (any finite multiple of it) is not finite.
     """
     cond = np.full(len(mat), np.inf)
@@ -66,7 +66,7 @@ def solve_stack(chi: Susceptibility, zs) -> tuple:
     """Solve the defining wave equation at every point of zs at once, in `chi.layout`.
 
     Every point must sit off the real axis.  The inverses come from one
-    batched `inv` per block size (`SectorLayout.inv_or_nan`: NaN at an
+    batched `inv` (`SectorLayout.inv_or_nan`: NaN at an
     exactly singular point).  A point fails when dim times its 2-norm
     condition number, a bound of the 1-norm one, is beyond `COND_LIMIT`,
     or its residual beyond `TOL_SOLVE`.  The condition gate is screened:
@@ -184,7 +184,7 @@ def node_propagator(chi: Susceptibility) -> NodePropagator:
 
     chi at every node is one (2 K, K) @ (K, size) GEMM whose coefficient
     rows come a bounded chunk at a time (`lattice.cauchy_sum`), the inverses
-    one batched `inv` per block size and the residuals one batched product;
+    one batched `inv` and the residuals one batched product;
     the condition gate takes singular values only at the nodes its
     Frobenius bound does not clear (`solve_stack`), and `NodePropagator.cond`
     takes them when it is read.  The peak

@@ -8,11 +8,13 @@ Discretization conventions used by the whole package:
 * frequency integrals become quadrature sums over a `FrequencyGrid`,
   with the frequency delta equal to ``1/w_k`` at node ``k``;
 * a two-point tensor kernel ``K_ij(r, r')``, a ``3M x 3M`` operator on the
-  ``(site, component)`` index, is stored as its blocks in the real
-  orthogonal basis kron(F, I_3), F the momentum basis (`SectorLayout`): one
-  block per momentum sector, or one dense block for a run whose inputs
-  leak across sectors.  Kernel composition carries the volume factor,
-  ``A o B = v * A @ B``.
+  ``(site, component)`` index, is stored as its blocks in the plane-wave
+  basis kron(U, I_3), U the unitary plane waves of `Lattice.kvecs`
+  (`SectorLayout`): one 3x3 block per wave vector, or one dense block for a
+  run whose inputs leak.  Kernel composition carries the volume factor,
+  ``A o B = v * A @ B``.  The oracle's variables are real, so it reads the
+  blocks in the real basis F = U C, C mixing each {q, -q} pair into
+  sqrt(2) cos(q.r) and sqrt(2) sin(q.r) (`SectorLayout.real_blocks`).
 
 Differential operators (curl, double curl, Laplacian) are realized
 spectrally with the exact discrete wave vectors, so transversality
@@ -28,8 +30,8 @@ import numpy as np
 
 from .errors import DampolError
 
-#: largest off-sector part of a run's inputs in the momentum basis,
-#: relative to each input, for which the run is laid out per momentum sector:
+#: largest part of a run's inputs off the per-q blocks of the plane-wave basis,
+#: relative to each input, for which the run is laid out per wave vector:
 #: its kernel stacks (`SectorLayout`) and the oracle's quadratic forms
 SECTOR_LEAK_TOL = 1e-13
 
@@ -131,7 +133,7 @@ class Lattice:
 
         The operator acts on the plane wave of ``kvecs[j]`` as the 3x3
         matrix ``symbols[j]``.  Every operator but the curl has real-valued
-        symbols and is real: B(-q) = conj(B(q)), which is checked here.
+        symbols and is real, which is checked here (`require_real`).
         """
         k, khat = self._dkvecs, self._unit_k
         ksq = np.einsum("ki,ki->k", k, k)
@@ -145,11 +147,19 @@ class Lattice:
         }
         for name, sym in symbols.items():
             if np.isrealobj(sym):
-                residue = np.linalg.norm(sym[self._conjugate] - sym.conj()) / max(np.linalg.norm(sym), 1e-300)
-                if residue > 1e-12:
-                    raise DampolError(f"n_per_axis = {self.n_per_axis}: the {name} symbol is not even "
-                                      f"in k (relative residue {residue:.2e}), so the operator is not real")
+                self.require_real(f"the {name} symbol", sym)
         return symbols
+
+    def reflected(self, symbols: np.ndarray) -> np.ndarray:
+        """conj(B(-q)) at every q of per-k symbols B, (M, ...) in `kvecs` order: the symbols of conj(B)."""
+        return np.conj(symbols[self._conjugate])
+
+    def require_real(self, what: str, symbols: np.ndarray) -> None:
+        """Raise `DampolError` unless the operator of per-k symbols is real, B(-q) = conj(B(q)) bit for bit,
+        as the oracle's real frame needs (`SectorLayout.real_blocks`)."""
+        if not np.array_equal(self.reflected(symbols), symbols):
+            raise DampolError(f"n_per_axis = {self.n_per_axis}: {what} is not even in k, B(-q) != conj(B(q)), "
+                              "so the operator is not real")
 
     @cached_property
     def _conjugate(self) -> np.ndarray:
@@ -159,54 +169,33 @@ class Lattice:
         return np.ravel_multi_index((-idx) % n, (n, n, n))
 
     @cached_property
-    def momentum_sector(self) -> np.ndarray:
-        """(M,) sector label of each column of the momentum basis: the lower index of {q, -q}."""
-        return np.minimum(np.arange(self.n_sites), self._conjugate)
-
-    @cached_property
     def momentum_pairs(self) -> tuple:
-        """The cos and the sin column of each {q, -q} pair of the momentum basis F, two (P,) index arrays:
-        column j of F, real orthogonal (M, M), is the plane wave of kvecs[j] if it is self-conjugate,
-        else sqrt(2) cos(q.r) at a pair's lower index and sqrt(2) sin(q.r) at its higher."""
+        """The cos and the sin column of each {q, -q} pair of the real momentum basis F, two (P,) index arrays:
+        column j of F, real orthogonal (M, M), is the plane wave of kvecs[j] if it is self-conjugate, else
+        sqrt(2) cos(q.r) at a pair's lower index and sqrt(2) sin(q.r) at its higher."""
         cos = np.flatnonzero(np.arange(self.n_sites) < self._conjugate)
         return cos, self._conjugate[cos]
 
     def to_momentum(self, buf: np.ndarray) -> np.ndarray:
-        """F^T v in place for every (..., 3M) site vector v of a complex array, which it returns (`_transform`)."""
-        return self._transform(buf, False)
+        """U^H v in place for every (..., 3M) site vector v of a complex array of any layout, which it returns,
+        U[r, j] = exp(i kvecs[j] . r) / sqrt(M) the plane waves: one unitary `np.fft.fftn` over the site axes."""
+        return self._transform(buf, np.fft.fftn)
 
     def from_momentum(self, buf: np.ndarray) -> np.ndarray:
-        """F u in place for every (..., 3M) vector u of a complex array, which it returns (`_transform`)."""
-        return self._transform(buf, True)
+        """U u in place, as `to_momentum` does U^H: one unitary `np.fft.ifftn`."""
+        return self._transform(buf, np.fft.ifftn)
 
-    def _transform(self, buf: np.ndarray, inverse: bool) -> np.ndarray:
-        """P x, P[r, j] = exp(i kvecs[j] . r) / sqrt(M) being symmetric, by one in-place `np.fft.ifftn` over the
-        site axes (a view of any layout), and a mix of each pair's cos and sin column s and p: with E = P v,
-        F^T v is (E_s + E_p) / sqrt(2) and -i (E_s - E_p) / sqrt(2) there, real up to round-off for a real v;
-        F u is P c with c_s = (u_s - i u_p) / sqrt(2) and c_p = (u_s + i u_p) / sqrt(2)."""
-        n, lead = self.n_per_axis, buf.shape[:-1]
-        cube, waves = buf.reshape(lead + (n, n, n, 3)), buf.reshape(lead + (self.n_sites, 3))
-        if not inverse:
-            np.fft.ifftn(cube, axes=(-4, -3, -2), norm="ortho", out=cube)
-        (cos, sin), (x, y) = self.momentum_pairs, ((-1j, 1.0) if inverse else (1.0, -1j))
-        a, b = waves[..., cos, :], waves[..., sin, :]   # mixed in place: no temporary but these
-        b *= x * np.sqrt(0.5)
-        a *= np.sqrt(0.5)
-        a += b
-        b *= -2.0
-        b += a
-        b *= y
-        waves[..., cos, :], waves[..., sin, :] = a, b
-        if inverse:
-            np.fft.ifftn(cube, axes=(-4, -3, -2), norm="ortho", out=cube)
+    def _transform(self, buf: np.ndarray, fft) -> np.ndarray:
+        cube = buf.reshape(buf.shape[:-1] + (self.n_per_axis,) * 3 + (3,))
+        fft(cube, axes=(-4, -3, -2), norm="ortho", out=cube)
         return buf
 
     @cached_property
     def _transverse_columns(self) -> tuple:
-        """The transverse basis, as the momentum column j and the vector e of each of its columns.
+        """The transverse basis, as the real momentum column j and the vector e of each of its columns.
 
-        Its columns are kron(F[:, j], e), F the momentum basis, for each
-        unit eigenvector e of the transverse 3x3 block at kvecs[j].
+        Its columns are kron(F[:, j], e), F the real momentum basis, for
+        each unit eigenvector e of the transverse 3x3 block at kvecs[j].
         """
         evals, evecs = np.linalg.eigh(self._transverse_blocks)
         keep = (evals > 0.5).ravel()
@@ -221,55 +210,24 @@ class Lattice:
 
     @cached_property
     def sector_layout(self) -> "SectorLayout":
-        """Per-sector storage: one block per {q, -q} sector of the momentum basis, 3x3 or 6x6.
-
-        The basis columns are those of kron(F, I_3) with F the momentum basis,
-        ordered by block size, then by sector label, then by momentum column
-        and component.
-        """
-        m, label = self.n_sites, self.momentum_sector
-        count = np.bincount(label)[label]   # momentum columns in each column's sector
-        order = np.argsort(count * m + label, kind="stable")
-        starts = np.flatnonzero(np.r_[True, np.diff(label[order]) != 0])
-        return SectorLayout(self, 3 * count[order[starts]], (3 * order[:, None] + np.arange(3)).ravel())
+        """Per-q storage: one 3x3 block per wave vector, in `kvecs` order."""
+        return SectorLayout(self, 3)
 
     def sector_blocks(self, symbols: np.ndarray) -> np.ndarray:
-        """The `sector_layout` blocks, (..., size), of translation-invariant operators with per-k symbols.
-
-        `symbols` is (..., M, 3, 3), one 3x3 matrix per row of `kvecs`, as
-        in `_symbols`.  A self-conjugate q gives the 3x3 block B(q); a pair
-        {q, -q}, its cos column first as in the momentum basis, gives the 6x6
-        block [[P, -iQ], [iQ, P]] with P = (B(q) + B(-q)) / 2 and
-        Q = (B(q) - B(-q)) / 2.  No site operator is formed.
-        """
-        layout = self.sector_layout
-        out = np.empty(symbols.shape[:-3] + (layout.size,), dtype=complex)
-        column = layout.columns[::3] // 3   # the momentum column of each triple of basis columns, in order
-        start = 0
-        for part, (b, count, _) in zip(layout.parts(out), layout.part_sizes):
-            cols = column[start:start + count * b // 3].reshape(count, b // 3)
-            start += cols.size
-            if b == 3:
-                part[...] = symbols[..., cols[:, 0], :, :]
-                continue
-            plus, minus = symbols[..., cols[:, 0], :, :], symbols[..., cols[:, 1], :, :]
-            p, q = (plus + minus) / 2.0, (plus - minus) / 2.0
-            part[..., :3, :3] = p
-            part[..., 3:, 3:] = p
-            part[..., :3, 3:] = -1j * q
-            part[..., 3:, :3] = 1j * q
-        return out
+        """The `sector_layout` blocks, (..., size), of operators with (..., M, 3, 3) per-k symbols, as in
+        `_symbols`: block j is symbols[j], so no site operator is formed."""
+        return np.ascontiguousarray(symbols).reshape(symbols.shape[:-3] + (self.sector_layout.size,))
 
     @cached_property
     def one_block(self) -> "SectorLayout":
-        """The dense layout: one d x d block in the basis kron(F, I_3), F the momentum basis, in its column order.
+        """The dense layout: one d x d block in the basis kron(U, I_3), the basis of `sector_layout`.
 
         It holds any operator, so it is the layout of a run whose inputs
-        leak across momentum sectors, as the `chi_symmetry` violation does,
-        and the dense reference of the sector route; an oracle form in it
+        leak across wave vectors, as the `chi_symmetry` violation does,
+        and the dense reference of the per-q route; an oracle form in it
         has one slot group, every slot in order.
         """
-        return SectorLayout(self, np.array([self.dim]), np.arange(self.dim))
+        return SectorLayout(self, self.dim)
 
     def layout(self, leak: float) -> "SectorLayout":
         """The layout of a run whose inputs leak by `leak` in all: `sector_layout` within
@@ -290,76 +248,108 @@ def build_lattice(n_per_axis: int, spacing: float, k0_transverse: bool = True) -
 
 
 class SectorLayout:
-    """Block-diagonal (..., d, d) site operators stored as flat (..., size) arrays.
+    """Block-diagonal (..., d, d) site operators stored as flat (..., size) arrays of `count` b x b blocks.
 
-    The basis is the real orthogonal (d, d) column selection `columns` of
-    kron(F, I_3), F the lattice's momentum basis, its columns running over
-    the blocks in order; no code of the package forms it, or any site
-    operator.  The blocks are the diagonal blocks of basis^T A basis, of
-    the sizes in `sizes`, stored row-major one after the other.  Blocks of
-    one size are adjacent, so a flat array is viewed as one
-    (..., count, b, b) array per block size (`parts`) and every product is
-    one batched product per size, over every leading axis at once: against
-    an operand that is the same at every node, the node axis is folded into
-    the GEMM rows through strides, and many complex 3 x 3 products are
-    formed entry by entry (`matmul`).  The Frobenius norm of an
-    operator is that of its flat row, and a sum over a node axis is one GEMM
-    on the flat rows.
+    The basis is kron(U, I_3), U the unitary plane waves of the lattice's
+    `kvecs`; no code of the package forms it, or any site operator.  The
+    blocks are the diagonal blocks of basis^H A basis, of size b = `block`,
+    stored row-major one after the other, so a flat array is one
+    (..., count, b, b) array (`block_view`) and every product is one batched
+    product over every leading axis at once (`matmul`).  The basis is
+    unitary, so the Frobenius norm of an operator is that of its flat row.
 
-    A translation-invariant operator maps every {q, -q} sector of
-    the momentum basis into itself, so `Lattice.sector_layout` keeps it
-    whole in blocks of 3 or 6; `Lattice.one_block` keeps any operator as
-    one d x d block, which is the dense reference.  Both bases are columns
-    of one matrix, so an operator of one layout is laid into the other
-    entry by entry (`relay`).
+    A translation-invariant operator maps each plane wave into itself, so
+    `Lattice.sector_layout` keeps it whole in one 3 x 3 block B(q) per wave
+    vector; `Lattice.one_block` keeps any operator as one d x d block, the
+    dense reference.  Both layouts share the basis, so an operator of one is
+    laid into the other entry by entry (`relay`).  The basis is not real:
+    the transpose has the block B(-q)^T at q and the elementwise conjugate
+    conj(B(-q)), both gathers of the flat entries (`transpose`, `conj`).
     """
 
-    def __init__(self, lattice: Lattice, sizes: np.ndarray, columns: np.ndarray):
-        self.lattice, self.sizes, self.columns = lattice, sizes, columns
-        self.part_sizes, self.size = [], 0   # (block size, count, flat offset) of each run
-        for b in sizes.tolist():
-            if self.part_sizes and self.part_sizes[-1][0] == b:
-                self.part_sizes[-1][1] += 1
-            else:
-                self.part_sizes.append([b, 1, self.size])
-            self.size += b * b
+    def __init__(self, lattice: Lattice, block: int):
+        self.lattice, self.block = lattice, block
+        self.count = lattice.dim // block
+        self.size = self.count * block * block
         self._ops = {}
-
-    @cached_property
-    def _entries(self) -> tuple:
-        """The rows and columns of basis^T A basis that the blocks keep, in flat order."""
-        first = np.cumsum(self.sizes) - self.sizes
-        return (np.concatenate([f + np.repeat(np.arange(b), b) for f, b in zip(first, self.sizes)]),
-                np.concatenate([f + np.tile(np.arange(b), b) for f, b in zip(first, self.sizes)]))
 
     @cached_property
     def places(self) -> np.ndarray:
         """The index of each entry of the blocks, in flat order, in a flat (d, d) matrix in the basis
-        kron(F, I_3): the flat order of `Lattice.one_block`."""
-        rows, cols = self._entries
-        return self.columns[rows] * self.lattice.dim + self.columns[cols]
+        kron(U, I_3): the flat order of `Lattice.one_block`."""
+        first, b = self.block * np.arange(self.count)[:, None, None], np.arange(self.block)
+        return ((first + b[:, None]) * self.lattice.dim + first + b).ravel()
 
-    def parts(self, flat: np.ndarray) -> list:
-        """Views of a (..., size) array as one (..., count, b, b) array per block size."""
-        lead = flat.shape[:-1]
-        return [flat[..., o:o + c * b * b].reshape(lead + (c, b, b)) for b, c, o in self.part_sizes]
+    @cached_property
+    def _mirrors(self) -> tuple:
+        """The flat gather indices of the transpose and of the conjugate, (size,) each: conj(U[:, j]) is the
+        plane wave of -kvecs[j], so the entry (r, c) of A^T is A's at (c, r) mirrored, basis column (j, a)
+        to (-j, a), and conj(A)'s is the conjugate of A's at (r, c) mirrored."""
+        b, (rows, cols) = self.block, divmod(self.places, self.lattice.dim)
+        mirror = (3 * self.lattice._conjugate[:, None] + np.arange(3)).ravel()
+        return mirror[cols] * b + mirror[rows] % b, mirror[rows] * b + mirror[cols] % b   # entry (r, c) at r b + c % b
 
-    def per_block(self, flat: np.ndarray) -> list:
-        """Views of a (..., size) array as one (..., b, b) array per block, in order."""
-        return [part[..., i, :, :] for part in self.parts(flat) for i in range(part.shape[-3])]
+    def block_view(self, flat: np.ndarray) -> np.ndarray:
+        """A (..., size) array as one (..., count, b, b) view."""
+        return flat.reshape(flat.shape[:-1] + (self.count, self.block, self.block))
+
+    def wave_vector(self, i: int) -> str:
+        """The text ' at q = (qx, qy, qz)', the wave vector of the block holding entry i of an `svdvals` or
+        `eigvalsh` row of `Lattice.sector_layout`; empty in another layout."""
+        if self is not self.lattice.sector_layout:
+            return ""
+        return " at q = ({:.6g}, {:.6g}, {:.6g})".format(*self.lattice.kvecs[i // self.block])
+
+    # -- the oracle's real frame ---------------------------------------------
+
+    @cached_property
+    def _real_groups(self) -> tuple:
+        """The slot groups of the real frame, the size and the kron(F, I_3) columns of each, F the real
+        momentum basis: in `Lattice.sector_layout` each self-conjugate q, then each {q, -q} pair, cos column
+        first, each kind in `kvecs` order; in another layout every column in order."""
+        lat = self.lattice
+        if self.block != 3:
+            return np.array([lat.dim]), np.arange(lat.dim)
+        (cos, sin), single = lat.momentum_pairs, np.flatnonzero(lat._conjugate == np.arange(lat.n_sites))
+        order = np.r_[single, np.stack([cos, sin], axis=1).ravel()]
+        return np.repeat([3, 6], [single.size, cos.size]), (3 * order[:, None] + np.arange(3)).ravel()
+
+    def real_blocks(self, flat: np.ndarray):
+        """The operators of a (..., size) array in the real frame, basis^T A basis over each slot group's
+        columns of kron(F, I_3), F = U C: one (..., b, b) block per group, each formed as it is read.  In
+        `Lattice.sector_layout` a self-conjugate q keeps B(q), and a pair {q, -q}, cos column first, gives
+        [[P, -iQ], [iQ, P]] with P = (B(q) + B(-q)) / 2 and Q = (B(q) - B(-q)) / 2, real for a real operator,
+        B(-q) = conj(B(q)); the dense block is mixed by C^H on the left and C on the right, pair by pair."""
+        view, (cos, sin) = self.block_view(flat), self.lattice.momentum_pairs
+        if self.block != 3:
+            out = view[..., 0, :, :].astype(complex)
+            lo, hi = ((3 * c[:, None] + np.arange(3)).ravel() for c in (cos, sin))
+            for axis, sign in ((-1, -1.0), (-2, 1.0)):   # X C, then C^H X
+                x = np.moveaxis(out, axis, -1)
+                c, s = x[..., lo], x[..., hi]
+                x[..., lo], x[..., hi] = (c + s) * np.sqrt(0.5), (c - s) * (sign * 1j * np.sqrt(0.5))
+            yield out
+            return
+        sizes, columns = self._real_groups
+        for j in columns[:3 * np.sum(sizes == 3):3] // 3:
+            yield view[..., j, :, :]
+        for c, s in zip(cos, sin):
+            p, q = (view[..., c, :, :] + view[..., s, :, :]) / 2.0, (view[..., c, :, :] - view[..., s, :, :]) / 2.0
+            yield np.block([[p, -1j * q], [1j * q, p]])
 
     @cached_property
     def transverse(self) -> list:
-        """Per block, the transverse-basis columns in its span, ascending, and their (b, n) coordinates.
+        """Per slot group, the transverse-basis columns in its span, ascending, and their (b, n) coordinates.
 
-        The coordinates are in the block's basis columns.
+        The coordinates are in the group's columns of kron(F, I_3).
         """
+        sizes, columns = self._real_groups
         column, vectors = self.lattice._transverse_columns
-        pos = np.argsort(self.columns)[3 * column]   # a column's 3 components are adjacent, in order
-        first = np.cumsum(self.sizes) - self.sizes
-        block = np.repeat(np.arange(self.sizes.size), self.sizes)[pos]
+        pos = np.argsort(columns)[3 * column]   # a column's 3 components are adjacent, in order
+        first = np.cumsum(sizes) - sizes
+        block = np.repeat(np.arange(sizes.size), sizes)[pos]
         out = []
-        for g, (f, b) in enumerate(zip(first, self.sizes)):
+        for g, (f, b) in enumerate(zip(first, sizes)):
             mine = np.flatnonzero(block == g)
             coords = np.zeros((b, mine.size))
             coords[pos[mine] - f + np.arange(3)[:, None], np.arange(mine.size)] = vectors[mine].T
@@ -367,38 +357,40 @@ class SectorLayout:
         return out
 
     def slot_groups(self, n_transverse: int, n_site: int) -> tuple:
-        """Per block, ascending, its slots among `n_transverse` transverse-basis copies, then `n_site`
-        momentum-basis ones (momentum column, then component), each copy of one basis in order."""
+        """Per slot group, ascending, its slots among `n_transverse` transverse-basis copies, then `n_site`
+        real momentum-basis ones (momentum column, then component), each copy of one basis in order."""
+        sizes, columns = self._real_groups
         mt, d = self.lattice.n_transverse, self.lattice.dim
-        first = np.cumsum(self.sizes) - self.sizes
+        first = np.cumsum(sizes) - sizes
         return tuple(np.r_[(mine + mt * np.arange(n_transverse)[:, None]).ravel(),
-                           (self.columns[f:f + b] + n_transverse * mt
+                           (columns[f:f + b] + n_transverse * mt
                             + d * np.arange(n_site)[:, None]).ravel()]
-                     for (mine, _), f, b in zip(self.transverse, first, self.sizes))
+                     for (mine, _), f, b in zip(self.transverse, first, sizes))
+
+    # -- vectors, re-lays and lattice operators ---------------------------------
 
     def apply(self, flat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """The site operators of a (..., size) array applied to (..., d) site vectors, leading axes broadcast, complex.
 
-        The vectors are rotated into the basis and back, A v = B A_blocks
-        (B^T v).  The basis B = kron(F, I_3)[:, columns] is applied as the
-        FFTs of the momentum basis F (`Lattice.to_momentum`, `from_momentum`)
-        and the column selection, so no site operator and no matrix is formed.
+        The vectors are rotated into the basis and back, A v = W A_blocks
+        (W^H v), W = kron(U, I_3) applied as the FFTs of U
+        (`Lattice.to_momentum`, `from_momentum`), so no site operator and no
+        matrix is formed.
         """
         rot = self.lattice.to_momentum(np.array(vecs, dtype=complex))
-        rot = rot if np.iscomplexobj(vecs) else rot.real
         out = np.empty(np.broadcast_shapes(flat.shape[:-1], vecs.shape[:-1]) + (self.lattice.dim,), dtype=complex)
-        for blk, rows in zip(self.per_block(flat), np.split(self.columns, np.cumsum(self.sizes)[:-1])):
-            out[..., rows] = (blk @ rot[..., rows, None])[..., 0]   # rows in kron(F, I_3) column order
+        cols = (self.count, self.block, 1)
+        np.matmul(self.block_view(flat), rot.reshape(rot.shape[:-1] + cols), out=out.reshape(out.shape[:-1] + cols))
         return self.lattice.from_momentum(out)
 
     def relay(self, flat: np.ndarray, layout: "SectorLayout") -> np.ndarray:
         """A (..., size) array of this layout as blocks of `layout`, entry by entry; `flat` itself in this one.
 
-        Both bases are columns of kron(F, I_3), so no entry is rotated: each
-        keeps its value at its pair of kron(F, I_3) columns.  An entry
-        outside the blocks of `layout` is dropped, so a layout whose blocks
-        hold this one's, as `Lattice.one_block` holds every layout's, takes
-        the operators exactly.
+        Both layouts share the basis kron(U, I_3), so no entry is rotated:
+        each keeps its value at its pair of basis columns.  An entry outside
+        the blocks of `layout` is dropped, so a layout whose blocks hold this
+        one's, as `Lattice.one_block` holds every layout's, takes the
+        operators exactly.
         """
         if layout is self:
             return flat
@@ -409,16 +401,14 @@ class SectorLayout:
     def op(self, name: str) -> np.ndarray:
         """The blocks of the lattice operator whose per-k symbols are `Lattice._symbols[name]`, (size,), built once.
 
-        In `Lattice.sector_layout` they come from the operator's per-k
-        symbols (`Lattice.sector_blocks`), real for a real operator; in
-        another layout, from those blocks laid into it (`relay`).
+        In `Lattice.sector_layout` they are the operator's per-k symbols
+        (`Lattice.sector_blocks`), real for a real-valued symbol; in another
+        layout, those blocks laid into it (`relay`).
         """
         if name not in self._ops:
             lat, sector = self.lattice, self.lattice.sector_layout
             if self is sector:
-                symbols = lat._symbols[name]
-                blocks = lat.sector_blocks(symbols)
-                self._ops[name] = np.ascontiguousarray(blocks.real) if np.isrealobj(symbols) else blocks
+                self._ops[name] = lat.sector_blocks(lat._symbols[name])
             else:
                 self._ops[name] = sector.relay(sector.op(name), self)
         return self._ops[name]
@@ -426,71 +416,66 @@ class SectorLayout:
     @cached_property
     def identity(self) -> np.ndarray:
         """The identity, (size,)."""
-        return np.concatenate([np.tile(np.eye(b).ravel(), c) for b, c, _ in self.part_sizes])
+        return np.tile(np.eye(self.block).ravel(), self.count)
 
     # -- block algebra ----------------------------------------------------
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b for every operator pair, leading axes broadcast: one batched product per block size.
+        """a @ b for every operator pair, leading axes broadcast: one batched product.
 
         A leading axis i along which one operand is constant and the other
         varies (a node axis against a node-independent operator) is folded
         into the GEMM through strides, the longest such axis: with b
         constant, row r of every block of a at all n_i values of i is one
-        (n_i, b) matrix of row stride `size`, so a block size of `count`
-        blocks makes count * b GEMMs (n_i x b) @ (b x b) in place of n_i *
-        count GEMMs b x b; with a constant, the transposed blocks are folded
-        likewise, b^T a^T.  Nothing is copied.  A block size folds only when
-        n_i > b, where folding makes fewer GEMMs, and with a constant only
-        up to `FOLD_A_MAX_BLOCK`: that fold has no BLAS layout, and numpy's
-        strided loop is slower than a GEMM per operator for large blocks.
-        A part that does not fold is one `np.matmul`, a GEMM per operator
-        pair, unless its blocks are 3 x 3, its product complex and it holds
-        at least `ENTRYWISE_MIN_PRODUCTS` products: then each entry of the
-        product is three multiply-adds along the whole part
-        (`_entrywise_3x3`).
+        (n_i, b) matrix of row stride `size`, so count * b GEMMs (n_i x b)
+        @ (b x b) replace n_i * count GEMMs b x b; with a constant, the
+        transposed blocks fold likewise, b^T a^T.  Nothing is copied.  The
+        blocks fold only when n_i > b, and with a constant only up to
+        `FOLD_A_MAX_BLOCK`, past which numpy's strided loop is slower than a
+        GEMM per operator.  Otherwise a complex product of at least
+        `ENTRYWISE_MIN_PRODUCTS` 3 x 3 blocks is formed entry by entry
+        (`_entrywise_3x3`), and any other is one `np.matmul`.
         """
         lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-        n = len(lead)
+        n, blk = len(lead), self.block
         out = np.empty(lead + (self.size,), dtype=np.result_type(a, b))
         a, b = a[(None,) * (n + 1 - a.ndim)], b[(None,) * (n + 1 - b.ndim)]
         length, b_const, axis = max(((lead[j], b.shape[j] == 1, j) for j in range(n)
                                      if (a.shape[j] == 1) != (b.shape[j] == 1)), default=(0, True, 0))
         rest = [j for j in range(n) if j != axis]
-        # a part's axes are lead 0..n-1, block n, row n + 1, column n + 2:
+        # the view's axes are lead 0..n-1, block n, row n + 1, column n + 2:
         # (rest, block, row, i, column) @ (rest, block, 1, column, column), or
         # with a constant (rest, block, column, i, row) @ (rest, block, 1, row, row) of the transposes
         rows, cols = (n + 1, n + 2) if b_const else (n + 2, n + 1)
         perm, const_perm = [*rest, n, rows, axis, cols], [*rest, n, axis, rows, cols]
-        for (blk, count, _), pa, pb, po in zip(self.part_sizes, self.parts(a), self.parts(b), self.parts(out)):
-            if length > blk and (b_const or blk <= FOLD_A_MAX_BLOCK):
-                vary, const = (pa, pb) if b_const else (pb, pa)
-                np.matmul(vary.transpose(perm), const.transpose(const_perm), out=po.transpose(perm))
-            elif blk == 3 and out.dtype.kind == "c" and count * np.prod(lead) >= ENTRYWISE_MIN_PRODUCTS:
-                _entrywise_3x3(pa, pb, po)
-            else:
-                np.matmul(pa, pb, out=po)
+        pa, pb, po = self.block_view(a), self.block_view(b), self.block_view(out)
+        if length > blk and (b_const or blk <= FOLD_A_MAX_BLOCK):
+            vary, const = (pa, pb) if b_const else (pb, pa)
+            np.matmul(vary.transpose(perm), const.transpose(const_perm), out=po.transpose(perm))
+        elif blk == 3 and out.dtype.kind == "c" and self.count * np.prod(lead) >= ENTRYWISE_MIN_PRODUCTS:
+            _entrywise_3x3(pa, pb, po)
+        else:
+            np.matmul(pa, pb, out=po)
         return out
 
     def transpose(self, a: np.ndarray) -> np.ndarray:
-        """The transpose of every operator; the basis is real, so it is each block's."""
-        out = np.empty(a.shape, dtype=a.dtype)   # C order, so `parts` views it
-        for pa, po in zip(self.parts(a), self.parts(out)):
-            po[...] = pa.swapaxes(-1, -2)
-        return out
+        """The transpose of every operator: block B(-q)^T at q, a gather of the flat entries."""
+        return np.take(a, self._mirrors[0], axis=-1)   # C order, unlike a[..., index]
+
+    def conj(self, a: np.ndarray) -> np.ndarray:
+        """The elementwise conjugate of every operator: block conj(B(-q)) at q, a gather of the flat entries."""
+        out = np.take(a, self._mirrors[1], axis=-1)
+        return np.conj(out, out=out)
 
     def inv(self, a: np.ndarray) -> np.ndarray:
         """The inverse of every operator: raises `LinAlgError` if any block is exactly singular."""
-        out = np.empty(a.shape, dtype=np.result_type(a, float))
-        for pa, po in zip(self.parts(a), self.parts(out)):
-            po[...] = np.linalg.inv(pa)
-        return out
+        return np.linalg.inv(self.block_view(a)).reshape(a.shape)
 
     def inv_or_nan(self, stack: np.ndarray) -> np.ndarray:
         """The inverse of every operator of an (n, size) stack, NaN where a block is exactly singular.
 
-        One batched `inv` per block size; only when it raises are the
-        operators inverted one at a time, to find the singular ones.
+        One batched `inv`; only when it raises are the operators inverted
+        one at a time, to find the singular ones.
         """
         try:
             return self.inv(stack)
@@ -504,29 +489,32 @@ class SectorLayout:
             return out
 
     def svdvals(self, a: np.ndarray) -> np.ndarray:
-        """The singular values of every operator, the union of its blocks', (..., d) unsorted."""
-        lead = a.shape[:-1]
-        return np.concatenate([np.linalg.svd(p, compute_uv=False).reshape(lead + (p.shape[-3] * p.shape[-1],))
-                               for p in self.parts(a)], axis=-1)
+        """The singular values of every operator, the union of its blocks', (..., d) block by block."""
+        return np.linalg.svd(self.block_view(a), compute_uv=False).reshape(a.shape[:-1] + (self.lattice.dim,))
 
     def eigvalsh(self, a: np.ndarray) -> np.ndarray:
-        """The eigenvalues of every Hermitian operator, the union of its blocks', (..., d) unsorted."""
-        lead = a.shape[:-1]
-        return np.concatenate([np.linalg.eigvalsh(p).reshape(lead + (p.shape[-3] * p.shape[-1],))
-                               for p in self.parts(a)], axis=-1)
+        """The eigenvalues of every Hermitian operator, the union of its blocks', (..., d) block by block."""
+        return np.linalg.eigvalsh(self.block_view(a)).reshape(a.shape[:-1] + (self.lattice.dim,))
 
     def pair_contract(self, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """sum_m w[m] a[..., m] @ b[..., m]^T over the node axis -2 of (..., n, size) arrays.
 
-        One GEMM per block size: the node and column indices are contracted jointly.
+        One GEMM: the node and column indices are contracted jointly.  Its
+        right operand is the transposes of b (`transpose`), gathered into the
+        GEMM's order an eighth of the nodes at a time, so the gather's index
+        and temporary are an eighth of the operand's copy.
         """
-        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        lead, (n, c, k) = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]), (a.shape[-2], self.count, self.block)
         out = np.empty(lead + (self.size,), dtype=np.result_type(a, b))
-        for pa, pb, po in zip(self.parts(a), self.parts(b), self.parts(out)):
-            n, (c, k) = pa.shape[-4], pa.shape[-3:-1]
-            lhs = np.moveaxis(w[:, None, None, None] * pa, -4, -2).reshape(pa.shape[:-4] + (c, k, n * k))
-            rhs = np.moveaxis(pb, -4, -3).swapaxes(-1, -2).reshape(pb.shape[:-4] + (c, n * k, k))
-            np.matmul(lhs, rhs, out=po)
+        lhs = np.moveaxis(w[:, None, None, None] * self.block_view(a), -4, -2).reshape(a.shape[:-2] + (c, k, n * k))
+        rhs = np.empty(b.shape[:-2] + (c, n, k, k), dtype=b.dtype)   # [c, m, j, i] = b_m^T[c, j, i]
+        step = -(-n // 8)
+        index = self._mirrors[0].reshape(c, 1, k, k) + self.size * np.arange(step)[:, None, None]
+        nodes = b.reshape(b.shape[:-2] + (n * self.size,))
+        for m in range(0, n, step):
+            rhs[..., m:m + step, :, :] = np.take(nodes[..., m * self.size:(m + step) * self.size],
+                                                 index[:, :n - m], axis=-1)
+        np.matmul(lhs, rhs.reshape(rhs.shape[:-4] + (c, n * k, k)), out=self.block_view(out))
         return out
 
 

@@ -7,10 +7,10 @@ operators per frequency node, c = (x + i y)/sqrt(2):
 
     xi = ( a, p, x[k=0..K-1], y[k=0..K-1] )
 
-Each node's x and y slots run over the real momentum basis of `lattice.py`
-(momentum column, then component) instead of the lattice sites; the
-transverse basis of a and p is built per momentum sector already.  The
-Hamiltonian becomes H = xi^T h xi up to an additive constant.  Every basis
+Each node's x and y slots run over the real momentum basis F of
+`lattice.py` (momentum column, then component) instead of the lattice
+sites; the transverse basis of a and p is built per momentum sector
+already.  The Hamiltonian becomes H = xi^T h xi up to an additive constant.  Every basis
 operator is Hermitian, so the adjoint of a form or of an operator's rows is
 its complex conjugate, H is Hermitian exactly when the symmetric part of h
 is real, and the dynamical matrix is i times a real matrix R (Colpa,
@@ -20,15 +20,15 @@ when the run's inputs leak across sectors, as a random coupling does, the
 form is one block.  Every Heisenberg equation and mode identity reduces to
 matrix algebra with R, block by block.
 
-Only `QuadraticHamiltonian` knows this layout.  Its slot groups are the
-blocks of the coupling's kernel layout, `Lattice.sector_layout` or
-`Lattice.one_block`, and the medium operators keep their one definition
-as forms over the medium modes (`fields.py`, `bath.py`), built in that
-layout.  The canonical rows of an operator are stored the same way: their
-row index is rotated into the layout's basis, so the rows are one (b, G)
-block per group, b the block's size and G the group's, and
-`QuadraticHamiltonian.ladder_rows` places a form's (K, size) blocks by a
-reshape.  No row stack spans two groups.  The assembly, Heisenberg
+Only `QuadraticHamiltonian` knows this layout.  The medium operators keep
+their one definition as forms over the medium modes (`fields.py`,
+`bath.py`), built in the coupling's kernel layout in the complex plane-wave
+basis, which the oracle reads in its real frame (`SectorLayout.real_blocks`):
+the basis F, one slot group per {q, -q} sector, or one of every slot for a
+dense block.  The canonical rows of an operator are one (b, G) block per
+group, b the group's size in F and G its slots, and
+`QuadraticHamiltonian.ladder_rows` places a form's blocks in the real frame
+by a reshape.  No row stack spans two groups.  The assembly, Heisenberg
 equations and spectrum use neither the propagator nor the analytic mode
 formulas, so they are an independent route; the master check tests those
 formulas against it, every node's families at once.
@@ -53,7 +53,7 @@ from .lattice import FrequencyGrid, Lattice, SectorLayout, rel_norms, sq_norms
 #: row stacks, the rows of every node at once (the master check's and the bath
 #: form's): 16 K E bytes, with E = sum_g b_g G_g <= d dim the entries of one
 #: operator's rows, below 8 dim^2 as 2 K d < dim, 128 MB at the cap.  Per
-#: momentum sector E is about 2 K size, at most about 6 / d of d dim.
+#: momentum sector E is about 2 K sum_g b_g^2, at most about 6 / d of d dim.
 MAX_CANONICAL_DIM = 4000
 
 #: relative dagger-Hermiticity defect a quadratic form may carry
@@ -81,7 +81,7 @@ def check_canonical_dim(lattice: Lattice, n_nodes: int) -> int:
 class QuadraticHamiltonian:
     """Hermitian quadratic form over the canonical operator basis, one block per slot group.
 
-    The groups are those of the blocks of `layout` (`SectorLayout.slot_groups`):
+    The groups are those of the real frame of `layout` (`SectorLayout.slot_groups`):
     `groups[i]` holds the canonical slots of `blocks[i]` in ascending order,
     so inside a block the a, p, x and y slots follow one another and pair
     in order; no term of the form couples two groups.  `sector_leak` is the
@@ -197,10 +197,10 @@ class QuadraticHamiltonian:
     # -- assembly, block by block -------------------------------------------
 
     def act(self, op: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """op @ rows for (..., size) blocks in `layout` and (..., E) rows, leading axes broadcast."""
+        """op @ rows for (..., size) blocks in `layout`, read in its real frame, and (..., E) rows, leading axes broadcast."""
         lead = np.broadcast_shapes(op.shape[:-1], rows.shape[:-1])
         out = np.empty(lead + (self.row_size,), dtype=np.result_type(op, rows))
-        for o, r, dst in zip(self.layout.per_block(op), self.row_views(rows), self.row_views(out)):
+        for o, r, dst in zip(self.layout.real_blocks(op), self.row_views(rows), self.row_views(out)):
             np.matmul(o, r, out=dst)
         return out
 
@@ -278,9 +278,9 @@ class QuadraticHamiltonian:
         holds the quadratures of c_l = sqrt(v w_l) C(w_l) = (x_l + i y_l)/sqrt(2),
         so the pair enters the x slots as s (alpha + beta) and the y slots as
         i s (alpha - beta), with s = sqrt(v w_l / 2).  A group's x slots of
-        node l are its block's basis columns, so each block of the
-        coefficients is placed as it is: a reshape, no rotation.  The
-        adjoint of the operator has the conjugate rows.
+        node l are its columns of F, so each block of the coefficients in
+        the real frame (`SectorLayout.real_blocks`) is placed as it is: a
+        reshape.  The adjoint of the operator has the conjugate rows.
         """
         K = self.grid.n_nodes
         s = np.sqrt(0.5 * self.lattice.cell_volume * self.grid.weights)[:, None]
@@ -289,7 +289,7 @@ class QuadraticHamiltonian:
         y *= 1j * s
         rows = np.zeros(alpha.shape[:-2] + (self.row_size,), dtype=complex)
         for (b, na, _, _), view, xg, yg in zip(self._frame, self.row_views(rows),
-                                               self.layout.per_block(x), self.layout.per_block(y)):
+                                               self.layout.real_blocks(x), self.layout.real_blocks(y)):
             for coef, slots in zip((xg, yg), self._slots(na, b)[2:]):
                 # (..., l, row, column) coefficients into (..., row, (l, column)) slots
                 dst = view[..., slots].reshape(view.shape[:-1] + (K, b))
@@ -340,8 +340,8 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor) -
     structure tensor, and the electrostatic energy of the longitudinal
     polarization.  The bilinear and quadratic coupling pieces enter
     together or not at all: both are linear/quadratic in the same kernels.
-    The form is stored in the coupling's layout, per momentum sector when
-    its kernels conserve lattice momentum.  A canonical dimension
+    The form is stored in the real frame of the coupling's layout, per
+    momentum sector when its kernels conserve lattice momentum.  A canonical dimension
     above `MAX_CANONICAL_DIM` is a configuration error, raised before
     anything is allocated.
     """
@@ -357,7 +357,7 @@ def assemble_hamiltonian(coupling: CouplingTensor, structure: StructureTensor) -
     # the node kernels hbar omega_k v (T_k phi)^T, the c^dag kernels their
     # conjugates: the rows of hbar omega_k sqrt(v) T_k^T, whose a rows are phi^T times them
     alpha = (HBAR * np.sqrt(v) * grid.nodes)[:, None] * layout.transpose(coupling.flat)
-    a_rows = ham.ladder_rows(alpha, alpha.conj())
+    a_rows = ham.ladder_rows(alpha, layout.conj(alpha))
     for (b, na, coords, _), view, group, block in zip(ham._frame, ham.row_views(a_rows),
                                                      ham.groups, ham.blocks):
         a, _, x, _ = ham._slots(na, b)
@@ -425,7 +425,7 @@ def heisenberg_residual(ham: QuadraticHamiltonian, coupling: CouplingTensor,
     alpha = node_modes(layout, grid, np.zeros((K, K, layout.size), dtype=complex))
     u_c = ham.ladder_rows(alpha, np.zeros_like(alpha))
     del alpha
-    tc = t.conj()
+    tc = layout.conj(t)
     rhs = act(tc, act(pl, u_p))
     rhs *= v / EPS0
     rhs -= (1j * v * nodes)[:, None] * act(tc, u_a)
@@ -476,14 +476,14 @@ def mode_rows(ham: QuadraticHamiltonian, potential: np.ndarray, momentum: np.nda
               resonant: np.ndarray, antiresonant: np.ndarray) -> np.ndarray:
     """Canonical rows of the diagonalizing annihilator of every node, (K, E), from its four families.
 
-    The families are blocks in the form's layout (`diagonalize.node_families`).
+    The families are blocks in the form's layout (`diagonalize.node_families`), read in its real frame.
     The medium part of node k is its resonant row plus the node's own mode
     C(w_k), whose kernel is the Kronecker delta over the quadrature weight.
     """
     layout, v = ham.layout, ham.lattice.cell_volume
     rows = ham.ladder_rows(node_modes(layout, ham.grid, resonant.copy()), antiresonant)
     for (b, na, coords, _), view, pot, mom in zip(ham._frame, ham.row_views(rows),
-                                                  layout.per_block(potential), layout.per_block(momentum)):
+                                                  layout.real_blocks(potential), layout.real_blocks(momentum)):
         a, p, _, _ = ham._slots(na, b)
         view[..., a] = np.sqrt(v) * pot @ coords
         view[..., p] = np.sqrt(v) * mom @ coords

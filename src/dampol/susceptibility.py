@@ -45,7 +45,7 @@ def chi_stack(coupling: CouplingTensor, zs) -> np.ndarray:
     # sum_k c_k conj(D_k) = conj(sum_k conj(c_k) D_k) with conj(w_k / (w_k + z))
     # = w_k / (w_k - (-conj z)): both node sums of a point in one GEMM
     both = cauchy_sum(nodes, coupling.grid.weights, np.concatenate([zs, -zs.conj()]), coupling.density)
-    mat = both[n:].conj()
+    mat = coupling.layout.conj(both[n:])
     mat += both[:n]
     mat *= HBAR / EPS0
     return mat
@@ -136,7 +136,7 @@ def verify_kramers_kronig(chi: Susceptibility, zs) -> float:
     lhs = chi_stack(coupling, zs)
     disc = discontinuity(coupling)
     # w_k / (-w_k - z) = -w_k / (w_k - (-z))
-    rhs = (cauchy_sum(nodes, w, zs, disc) - cauchy_sum(nodes, w, -zs, disc.conj())) / (2.0j * np.pi)
+    rhs = (cauchy_sum(nodes, w, zs, disc) - cauchy_sum(nodes, w, -zs, chi.layout.conj(disc))) / (2.0j * np.pi)
     return float(rel_norms(lhs - rhs, lhs).max())
 
 
@@ -198,7 +198,7 @@ def asymptote_residual(coupling: CouplingTensor, structure: StructureTensor, z: 
     # = c_k / (w_k - (-conj z)): both tail sums in one GEMM
     tail_res, tail_anti = cauchy_sum(nodes, w * nodes**3, np.array([z, -z.conjugate()]), dens)
     corr = -2j * mom.imag0 / z - mom.structure_gap(structure.blocks) / z**2 \
-        + (tail_res - tail_anti.conj() - 2j * mom.imag2) / z**3
+        + (tail_res - coupling.layout.conj(tail_anti) - 2j * mom.imag2) / z**3
     scale = v * float(np.linalg.norm(structure.blocks))
     return v * float(np.linalg.norm((HBAR / EPS0) * corr)) / max(scale, 1e-300)
 
@@ -209,12 +209,12 @@ def reflection_residuals(layout: SectorLayout, evaluate, zs) -> dict:
     `evaluate` maps (m,) points to their (m, size) blocks in `layout`; it is
     called once, on zs, -zs and -conj(zs) as one stack.  The full matrix
     transpose of a kernel swaps positions and components jointly, which is
-    how the reversal symmetry is stated.  The layout basis is real, so the
-    transpose and the conjugate are taken block by block.
+    how the reversal symmetry is stated; both it and the conjugate are the
+    layout's (`SectorLayout.transpose`, `SectorLayout.conj`).
     """
     zs = np.asarray(zs, dtype=complex)
     here, minus, mirror = np.split(evaluate(np.concatenate([zs, -zs, -zs.conj()])), 3)
     minus -= layout.transpose(here)
-    mirror -= here.conj()
+    mirror -= layout.conj(here)
     return {"transpose": float(rel_norms(minus, here).max()),
             "conjugation": float(rel_norms(mirror, here).max())}

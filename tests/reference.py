@@ -6,11 +6,12 @@ of dimension ``3M`` with row index ``(site, component)`` (`TensorKernel`),
 and kernel composition carries the volume factor, ``A o B = v * A @ B``.
 The lattice operators are assembled as site matrices from the same per-k
 symbols the package builds its blocks from (`Lattice._symbols`), through
-the dense (M, M) plane waves (`phases`), and the transverse basis from the
-same column vectors in the dense momentum basis (`momentum_basis`), whose
-rotation of site vectors (`momentum_rotate`) the package's FFT transforms
-(`Lattice.to_momentum`, `Lattice.from_momentum`) stand for.  The site
-rotation of a layout (`basis`, `blocks`, `sites`) and the dense-input
+the dense (M, M) plane waves (`phases`), whose rotation of site vectors
+(`momentum_rotate`) the package's FFT transforms (`Lattice.to_momentum`,
+`Lattice.from_momentum`) stand for, and the transverse basis from the same
+column vectors in the dense real momentum basis (`momentum_basis`), the
+oracle's real frame (`real_basis`).  The site rotation of a layout
+(`basis`, `blocks`, `sites`) and the dense-input
 route (a `RealCoupling` of real coefficients and a unitary gauge per node,
 built through `from_kernels` and `split` into the layout its leak picks)
 live here too, with a few quantities that no production path needs (the
@@ -150,22 +151,14 @@ def momentum_basis(lattice: Lattice) -> np.ndarray:
     operator maps each sector's span into itself.
     """
     j, conj = np.arange(lattice.n_sites), lattice._conjugate
-    waves = phases(lattice)[:, lattice.momentum_sector] * np.where(j == conj, 1.0, np.sqrt(2.0))
+    waves = phases(lattice)[:, np.minimum(j, conj)] * np.where(j == conj, 1.0, np.sqrt(2.0))
     return np.where(j <= conj, waves.real, waves.imag)
 
 
 def momentum_rotate(vecs: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """f @ V for the (M, 3) view V of every (..., 3M) vector, f a real (M, M) matrix, as (..., 3M).
-
-    A complex V is multiplied part by part, into the result's own parts,
-    so f is never cast to a complex copy.
-    """
+    """f @ V for the (M, 3) view V of every (..., 3M) vector, f an (M, M) matrix, as (..., 3M)."""
     lead, m = vecs.shape[:-1], f.shape[0]
-    grid = vecs.reshape(lead + (m, 3))
-    out = np.empty(grid.shape, dtype=np.result_type(vecs, f))
-    for part, res in ((grid.real, out.real), (grid.imag, out.imag)) if np.iscomplexobj(vecs) else ((grid, out),):
-        np.matmul(f, part, out=res)
-    return out.reshape(vecs.shape)
+    return (f @ vecs.reshape(lead + (m, 3))).reshape(lead + (3 * m,))
 
 
 def _assemble(lattice: Lattice, blocks: np.ndarray) -> np.ndarray:
@@ -221,8 +214,23 @@ def transverse_basis(lattice: Lattice) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def basis(layout: SectorLayout) -> np.ndarray:
-    """The real orthogonal (d, d) basis of a layout: the columns `columns` of kron(F, I_3), F the momentum basis."""
-    return np.ascontiguousarray(np.kron(momentum_basis(layout.lattice), np.eye(3))[:, layout.columns])
+    """The unitary (d, d) basis of every layout: kron(U, I_3), U the plane waves (`phases`)."""
+    return np.kron(phases(layout.lattice), np.eye(3))
+
+
+@lru_cache(maxsize=4)
+def real_basis(layout: SectorLayout) -> np.ndarray:
+    """The real orthogonal (d, d) basis of a layout's real frame: its group columns of kron(F, I_3),
+    F the real momentum basis (`SectorLayout.real_blocks`)."""
+    return np.kron(momentum_basis(layout.lattice), np.eye(3))[:, layout._real_groups[1]]
+
+
+def real_blocks(layout: SectorLayout, stack: np.ndarray) -> list:
+    """The diagonal blocks of real_basis^T A real_basis of (..., d, d) site operators, one per slot group."""
+    rot = real_basis(layout)
+    dense = rot.T @ np.asarray(stack) @ rot
+    edges = np.cumsum(layout._real_groups[0])
+    return [dense[..., a:b, a:b] for a, b in zip(edges - layout._real_groups[0], edges)]
 
 
 def _chunks(layout: SectorLayout, n: int):
@@ -239,22 +247,22 @@ def blocks(layout: SectorLayout, stack: np.ndarray) -> np.ndarray:
     """
     stack = np.asarray(stack)
     lead, d = stack.shape[:-2], layout.lattice.dim
-    mats, (rows, cols) = stack.reshape(-1, d, d), layout._entries
-    rot, out = basis(layout), np.empty((len(mats), layout.size), dtype=stack.dtype)
+    mats, (rows, cols) = stack.reshape(-1, d, d), divmod(layout.places, d)
+    rot, out = basis(layout), np.empty((len(mats), layout.size), dtype=complex)
     for chunk in _chunks(layout, len(mats)):
-        out[chunk] = (rot.T @ mats[chunk] @ rot)[:, rows, cols]
+        out[chunk] = (rot.conj().T @ mats[chunk] @ rot)[:, rows, cols]
     return out.reshape(lead + (layout.size,))
 
 
 def sites(layout: SectorLayout, flat: np.ndarray) -> np.ndarray:
     """The (..., d, d) site operators of a (..., size) array of `layout`."""
     lead, d = flat.shape[:-1], layout.lattice.dim
-    ops, (rows, cols) = flat.reshape(-1, layout.size), layout._entries
-    rot, out = basis(layout), np.empty((len(ops), d, d), dtype=flat.dtype)
+    ops, (rows, cols) = flat.reshape(-1, layout.size), divmod(layout.places, d)
+    rot, out = basis(layout), np.empty((len(ops), d, d), dtype=complex)
     for chunk in _chunks(layout, len(ops)):
-        dense = np.zeros((len(ops[chunk]), d, d), dtype=flat.dtype)
+        dense = np.zeros((len(ops[chunk]), d, d), dtype=complex)
         dense[:, rows, cols] = ops[chunk]
-        np.matmul(rot @ dense, rot.T, out=out[chunk])
+        np.matmul(rot @ dense, rot.conj().T, out=out[chunk])
     return out.reshape(lead + (d, d))
 
 

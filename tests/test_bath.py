@@ -135,7 +135,7 @@ class TestInvertibilityScreen:
 
         def sweep():
             stack = np.tile(layout.identity, (K, 1)) + 0j
-            (part,) = layout.parts(stack)
+            part = layout.block_view(stack)
             for k, s in enumerate(10.0 ** rng.uniform(low, -8.0, K)):
                 q1, q2 = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
                 part[k, rng.integers(8)] = q1 @ np.diag([1.0, 1.0, s]) @ q2
@@ -176,7 +176,7 @@ class TestInvertibilityScreen:
         assert frobenius_cond(t, layout.inv_or_nan(t))[0] <= 0.5 / INVERTIBILITY_RTOL
         named = [("coupling kernel", t), ("susceptibility", chi.above_cut_blocks)]
         got = invertibility_verdict(layout, named)
-        assert got[:2] == (0, "susceptibility not invertible at node 0 (singular-value ratio 0.000e+00)")
+        assert got[:2] == (0, "susceptibility not invertible at node 0 (singular-value ratio 0.000e+00 at q = (0, 0, 0))")
         unscreened(monkeypatch)
         assert invertibility_verdict(layout, named) == got
 

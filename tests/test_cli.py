@@ -121,12 +121,12 @@ class TestConfigParsing:
                 return build(*args, **kwargs)
             return counting
         monkeypatch.setattr(cli, "build_lattice", counted("build_lattice", cli.build_lattice))
-        for name in ("_symbols", "momentum_sector", "sector_layout"):
+        for name in ("_symbols", "_conjugate", "sector_layout"):
             prop = Lattice.__dict__[name]
             monkeypatch.setattr(prop, "func", counted(name, prop.func))
         argv = ["refine", "--levels", "3", "--config", str(CONFIG_DIR / config), "--out", str(tmp_path)]
         assert main(argv) == EXIT_PASS
-        assert sorted(built) == ["_symbols", "build_lattice", "momentum_sector", "sector_layout"]
+        assert sorted(built) == ["_conjugate", "_symbols", "build_lattice", "sector_layout"]
 
     def test_refine_kernels_takes_no_singular_values(self, tmp_path, monkeypatch):
         # every node of the sweep and of the bath stacks is cleared by its
@@ -594,24 +594,47 @@ class TestEvenLattice:
         assert main(["verify-all", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
         assert read_report(out, "fields")["passed"]
 
-    @pytest.mark.parametrize("n", [6, 9])
-    def test_gaussian_exact_checks_close(self, tmp_path, n):
+    #: the susceptibility of gaussian at n = 4, spacing 0.37, is below the invertibility
+    #: ratio at node 0, whichever k0_transverse
+    GAUSSIAN_N4_BATH = "susceptibility not invertible at node 0 (singular-value ratio 1.922e-11"
+
+    @pytest.mark.parametrize("name, n, k0_transverse, n_nodes, last", [
         # a mixed-radix FFT rounds q and -q apart; the odd part it left in
         # the Gaussian symbol, about 1e-16, made the coupling not exactly
         # real, and the momentum self-commutator read 9.3e-10 at n = 6 and
         # 3.2e-7 at n = 9.  The exit code is not asserted: the sanity cap
         # diag.wave_equation reads 2.07 against 2.0 at n = 9
-        text = (CONFIG_DIR / "gaussian.ini").read_text().replace(
-            "n_per_axis = 2", f"n_per_axis = {n}").replace("spacing = 1.0", "spacing = 0.37").replace(
-            "stages = all", "stages = model,chi,green,diag,fields")
-        cfg = tmp_path / "g.ini"
-        cfg.write_text(text)
-        out = tmp_path / "o"
-        main(["verify-all", "--config", str(cfg), "--out", str(out)])
-        exact = [c for stage in ("model", "chi", "green", "diag", "fields")
-                 for c in read_report(out, stage)["checks"] if c["tolerance"] <= TOL_EXACT]
+        *(pytest.param("gaussian", n, True, 12, "fields", id=str(n)) for n in (6, 9)),
+        # every model on the lattices no shipped config reaches, both k0_transverse
+        # values, stages model..bath: only the weak-form sanity caps may fail
+        *(pytest.param(name, n, k0, 8, "bath", id=f"{name}-{n}-{k0}") for name in ("lorentz", "gaussian", "uniaxial")
+          for n in (3, 4, 5, 6) for k0 in (True, False)),
+    ])
+    def test_gaussian_exact_checks_close(self, tmp_path, name, n, k0_transverse, n_nodes, last):
+        stages = STAGES[:STAGES.index(last) + 1]
+        cfg = ScenarioConfig.from_file(CONFIG_DIR / f"{name}.ini", n_per_axis=n, spacing=0.37, k0_transverse=k0_transverse,
+                                       n_nodes=n_nodes, stages=stages, out=str(tmp_path / "o"))
+        run(cfg)
+        reports = [read_report(cfg.out, stage) for stage in stages]
+        errors = {r["stage"]: r["error"][:len(self.GAUSSIAN_N4_BATH)] for r in reports if "error" in r}
+        assert errors == ({"bath": self.GAUSSIAN_N4_BATH} if (name, n) == ("gaussian", 4) else {})
+        exact = [c for r in reports for c in r["checks"] if c["tolerance"] <= TOL_EXACT]
         assert len(exact) >= 15
         assert [c["check_id"] for c in exact if not c["passed"]] == []
+
+    @pytest.mark.parametrize("n, spacing, n_nodes, stage, message", [
+        # the minimum-image Gaussian on a periodic box of 1.6 is not a positive kernel
+        (8, 0.2, 4, "model", "structure tensor not positive-definite (min eigenvalue 6.569e-08 "
+                             "at q = (7.85398, 7.85398, 7.85398))"),
+        (4, 0.37, 8, "bath", GAUSSIAN_N4_BATH + " at q = (-8.49079, -8.49079, -8.49079))"),
+    ])
+    def test_degenerate_kernels_name_the_wave_vector(self, tmp_path, n, spacing, n_nodes, stage, message):
+        # each per-q block is one wave vector: the error names the one holding the
+        # smallest eigenvalue or singular value, a zone corner here
+        cfg = ScenarioConfig.from_file(CONFIG_DIR / "gaussian.ini", n_per_axis=n, spacing=spacing, n_nodes=n_nodes,
+                                       stages=(stage,), out=str(tmp_path / "o"))
+        assert run(cfg) == EXIT_NUMERICAL
+        assert read_report(cfg.out, stage)["error"] == message
 
 
 class TestGreenStage:

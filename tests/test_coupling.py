@@ -352,15 +352,20 @@ class TestSpectralMoments:
 
 
 def dense_reference(coupling, kernels):
-    """Every coupling-derived operator from a dense (K, d, d) stack of the coupling's kernels.
+    """Every coupling-derived operator from a dense (K, d, d) stack of the coupling's kernels in the one block.
 
-    Returns the densities v gram_stack(T), the moments of `spectral_moments`
+    Returns the densities v T^T conj(T), the moments of `spectral_moments`
     over them, and the structure tensor, its inverse and the self-energy as
-    (d, d) matrices in the basis of `kernels`.
+    (d, d) matrices in the basis of `kernels`, kron(U, I_3): there the
+    transpose and the conjugate of an operator are the matrix's with rows
+    and columns both taken at -q.
     """
-    v, grid = coupling.lattice.cell_volume, coupling.grid
-    dens = v * gram_stack(kernels)
-    mom = spectral_moments(grid.nodes, grid.weights, dens)
+    lattice, v, grid, d = coupling.lattice, coupling.lattice.cell_volume, coupling.grid, coupling.lattice.dim
+    mirror = (3 * lattice._conjugate[:, None] + np.arange(3)).ravel()
+    at_minus_q = np.ix_(mirror, mirror)
+    dens = v * np.stack([t.T[at_minus_q] @ t.conj()[at_minus_q] for t in kernels])
+    mom = spectral_moments(grid.nodes, grid.weights, dens.reshape(-1, d * d), lattice.one_block)
+    mom = type(mom)(*(x.reshape(d, d) for x in vars(mom).values()))
     s_mat = mom.structure
     s_inv = np.linalg.inv(s_mat) / v**2
     selfenergy = v**2 * (s_inv @ mom.cubic @ s_inv) / HBAR
@@ -415,3 +420,21 @@ class TestBlockRouteMatchesDense:
         assert close(st.blocks, s_mat)
         assert close(st.inverse, s_inv)
         assert close(polarization_selfenergy_kernel(coupling, st), selfenergy)
+
+
+def test_an_uneven_model_symbol_is_refused(monkeypatch):
+    # the Gaussian symbol without its reflection average: the FFT rounds q and
+    # -q apart at n = 6, so the model is not real and `builtin_model` says which
+    import dampol.coupling as coupling_module
+
+    def uneven(lattice, corr):
+        n = lattice.n_per_axis
+        idx = np.indices((n, n, n))
+        dist = np.minimum(idx, n - idx) * lattice.spacing
+        return np.fft.fftn(np.exp(-np.einsum("i...,i...->...", dist, dist) / (2.0 * corr**2))).real.ravel()
+
+    lattice, grid = build_lattice(6, 0.37), FrequencyGrid.midpoint(4, 3.0)
+    builtin_model("gaussian_nonlocal", lattice, grid)
+    monkeypatch.setattr(coupling_module, "_gaussian_symbol", uneven)
+    with pytest.raises(DampolError, match="the gaussian_nonlocal model's symbol is not even in k"):
+        builtin_model("gaussian_nonlocal", lattice, grid)

@@ -23,12 +23,17 @@ coordinates and row offset) is the canonical-basis layout; every other
 module places a medium operator through `QuadraticHamiltonian.ladder_rows`
 instead.
 
-The sector partition is the sector labels of `Lattice` and the block
-indexing of `SectorLayout`, each member of it defined in `lattice.py`;
-every other module multiplies and re-lays kernel stacks through the
-layout's methods (`SectorLayout.matmul`, `SectorLayout.relay`, ...), gets a
-layout from `Lattice.layout`, and groups its slots through
-`SectorLayout.slot_groups`.
+The partition is the {q, -q} pairing of `Lattice` (`_conjugate`,
+`momentum_pairs`) and the block indexing of `SectorLayout` (its flat
+places, the gather indices of its transpose and conjugate, its block view
+and the slot groups of its real frame), each member of it defined in
+`lattice.py`; every other module multiplies, transposes, conjugates and
+re-lays kernel stacks through the layout's methods (`SectorLayout.matmul`,
+`SectorLayout.conj`, `SectorLayout.relay`, ...), gets a layout from
+`Lattice.layout`, reads the oracle's real frame through
+`SectorLayout.real_blocks`, groups its slots through
+`SectorLayout.slot_groups`, and makes a symbol even through
+`Lattice.reflected`.
 
 `oracle.py` forms every canonical row stack per slot group, in its form's
 layout: it calls no `tensordot`, so no row is contracted over a site
@@ -263,8 +268,8 @@ def test_layout_reads_found_outside_the_owner(tmp_path):
     assert layout_reads([owner, other]) == ["bath.py:3 _frame", "bath.py:3 _slots"]
 
 
-#: the members that hold or index the sector partition
-PARTITION = ("momentum_sector", "sizes", "part_sizes", "_entries", "parts", "columns")
+#: the members that hold or index the partition: the {q, -q} pairing and the block indexing
+PARTITION = ("_conjugate", "momentum_pairs", "places", "_mirrors", "block_view", "count", "block", "_real_groups")
 
 
 def test_partition_names_defined_in_the_lattice():
@@ -291,13 +296,13 @@ def test_only_the_lattice_builds_or_indexes_the_partition():
 
 def test_partition_reads_found_outside_the_owner(tmp_path):
     owner = tmp_path / "lattice.py"
-    owner.write_text("class SectorLayout:\n    part_sizes = ()\n"
-                     "def f(lat):\n    return SectorLayout(lat.momentum_sector)\n")
+    owner.write_text("class SectorLayout:\n    count = 0\n"
+                     "def f(lat):\n    return SectorLayout(lat._conjugate)\n")
     other = tmp_path / "green.py"
     other.write_text("def g(lat, layout, x):\n    layout.matmul(x, x)\n"
-                     "    return lat.momentum_sector, layout.parts(x), SectorLayout(lat)\n")
+                     "    return lat._conjugate, layout.block_view(x), SectorLayout(lat)\n")
     assert partition_reads([owner, other]) == [
-        "green.py:3 SectorLayout()", "green.py:3 momentum_sector", "green.py:3 parts"]
+        "green.py:3 SectorLayout()", "green.py:3 _conjugate", "green.py:3 block_view"]
 
 
 def oracle_site_work(sources=SOURCES, module="oracle.py") -> list:

@@ -74,18 +74,6 @@ def agree(a, b, rel=1e-12):
 
 
 class TestLayout:
-    @pytest.mark.parametrize("n, parts", [(1, [[3, 1, 0]]), (2, [[3, 8, 0]]),
-                                          (3, [[3, 1, 0], [6, 13, 9]]),
-                                          (4, [[3, 8, 0], [6, 28, 72]])])
-    def test_block_sizes(self, n, parts):
-        # a self-conjugate q has one real wave, a {q, -q} pair two
-        lat = build_lattice(n, 1.0)
-        layout = lat.sector_layout
-        assert layout.part_sizes == parts
-        assert layout.size == sum(b * b * c for b, c, _ in parts)
-        assert np.allclose(basis(layout).T @ basis(layout), np.eye(lat.dim), atol=1e-14)
-        assert lat.one_block.part_sizes == [[lat.dim, 1, 0]]
-
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_lattice_operators_round_trip(self, n):
         # in the sector blocks, and in the dense layout's one block
@@ -161,19 +149,76 @@ class TestLayout:
         assert np.array_equal(one.relay(dense, sector), flat)
 
 
+class TestLayoutAlgebra:
+    """The layout algebra against site operators in the dense complex basis of `reference`.
+
+    Random complex per-q stacks at n = 1 to 6, both k0_transverse values (a
+    lattice operator among the operands): the transpose and the conjugate
+    are gathers of the flat entries, so they match the dense operators'
+    within the rounding of the rotations, in both layouts; products,
+    inverses, the application to vectors and the re-lay into the one block
+    match within 1e-13 of the largest entry.
+    """
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(n=st_.integers(1, 6), k0_transverse=st_.booleans(), seed=st_.integers(0, 2**32 - 1))
+    def test_matches_the_dense_operators(self, n, k0_transverse, seed):
+        lat, rng = build_lattice(n, 1.0, k0_transverse), np.random.default_rng(seed)
+        layout, one = lat.sector_layout, lat.one_block
+
+        def draw(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        def near(got, want, rel=1e-13):
+            return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+        a = np.stack([draw(layout.size), layout.op("curl_matrix") + 1j * layout.op("transverse_matrix")])
+        b = draw((2, layout.size)) + 3.0 * layout.identity
+        sa, sb = sites(layout, a), sites(layout, b)
+        # the transpose and the conjugate, of the dense operators' one blocks and of their per-q blocks
+        dense = blocks(one, sa)
+        for transform, want in (("transpose", sa.swapaxes(-1, -2)), ("conj", sa.conj())):
+            ref = blocks(one, want)
+            for lay in (one, layout):
+                got = getattr(lay, transform)(one.relay(dense, lay))
+                assert np.linalg.norm(got - one.relay(ref, lay)) <= 1e-15 * np.linalg.norm(one.relay(ref, lay))
+        assert near(sites(layout, layout.matmul(a, b)), sa @ sb)
+        assert near(sites(layout, layout.matmul(a, b[0])), sa @ sb[0])
+        assert near(sites(layout, layout.inv(b)), np.linalg.inv(sb))
+        vecs = draw((3, 1, lat.dim))
+        assert near(layout.apply(a, vecs), (sa @ vecs[..., None])[..., 0])
+        assert near(sites(one, layout.relay(a, one)), sa)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_real_frame_is_the_dense_one(self, n):
+        # the oracle's groups in the real momentum basis F, per sector and for the
+        # dense block, against the rotation of the site operators; a real operator
+        # (B(-q) = conj(B(q)) bit for bit) is real there to the bit
+        lat, rng = build_lattice(n, 0.8), np.random.default_rng(n)
+        for layout in (lat.sector_layout, lat.one_block):
+            flat = rng.standard_normal((2, layout.size)) + 1j * rng.standard_normal((2, layout.size))
+            got, want = list(layout.real_blocks(flat)), reference.real_blocks(layout, sites(layout, flat))
+            assert [g.shape for g in got] == [w.shape for w in want]
+            for g, w in zip(got, want):
+                assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+            real = layout.op("double_curl_matrix") + layout.op("curl_matrix") * (n != 2)   # not real at n = 2
+            assert all(np.all(blk.imag == 0) for blk in layout.real_blocks(real))
+
+
 def per_operator_matmul(layout, a, b):
     """The reference product: one `np.matmul` per block of every broadcast operator pair."""
     lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     a, b = np.broadcast_to(a, lead + a.shape[-1:]), np.broadcast_to(b, lead + b.shape[-1:])
     out = np.empty(lead + (layout.size,), dtype=np.result_type(a, b))
     for idx in np.ndindex(lead):
-        for pa, pb, po in zip(layout.per_block(a[idx]), layout.per_block(b[idx]), layout.per_block(out[idx])):
+        for pa, pb, po in zip(layout.block_view(a[idx]), layout.block_view(b[idx]), layout.block_view(out[idx])):
             po[...] = np.matmul(pa, pb)
     return out
 
 
-#: (lattice size, layout) pairs: the sector layout's 3x3 and 6x6 parts and the
-#: dense one-block reference, whose 3x3 (n = 1) and 24x24 (n = 2) blocks fold
+#: (lattice size, layout) pairs: the per-q layout's 3x3 blocks and the dense
+#: one-block reference, whose 3x3 (n = 1) and 24x24 (n = 2) blocks fold
 #: along an axis longer than the block
 FOLD_LAYOUTS = [(2, "sector_layout"), (3, "sector_layout"), (1, "one_block"), (2, "one_block")]
 
@@ -212,7 +257,7 @@ class TestFoldedMatmul:
         a, b = (draw(shape(P, K), kind) for shape, kind in zip(shapes, kinds))
         got, want = layout.matmul(a, b), per_operator_matmul(layout, a, b)
         assert got.shape == want.shape and got.dtype == want.dtype
-        bound = per_operator_matmul(layout, np.abs(a), np.abs(b)) * (4 * layout.sizes.max() * np.finfo(float).eps)
+        bound = per_operator_matmul(layout, np.abs(a), np.abs(b)) * (4 * layout.block * np.finfo(float).eps)
         assert np.all(np.abs(got - want) <= bound)
 
     @pytest.mark.parametrize("name, const, leads, dtype, calls", [
@@ -271,10 +316,11 @@ class TestFoldedMatmul:
             got = layout.matmul(a, b)
         want = per_operator_matmul(layout, a, b)
         assert got.shape == want.shape and got.dtype == want.dtype
-        bound = per_operator_matmul(layout, np.abs(a), np.abs(b)) * (4 * layout.sizes.max() * np.finfo(float).eps)
+        bound = per_operator_matmul(layout, np.abs(a), np.abs(b)) * (4 * layout.block * np.finfo(float).eps)
         assert np.all(np.abs(got - want) <= bound)
-        products = got[..., 0].size * layout.part_sizes[0][1]   # the 3x3 part comes first
-        assert bool(calls) == (got.dtype == complex and products >= lattice.ENTRYWISE_MIN_PRODUCTS)
+        products = got[..., 0].size * layout.count
+        assert bool(calls) == (layout.block == 3 and got.dtype == complex
+                               and products >= lattice.ENTRYWISE_MIN_PRODUCTS)
 
     @pytest.mark.parametrize("const", ["b", "a"])
     def test_fold_copies_no_operand(self, const):
@@ -410,12 +456,14 @@ class TestSymbolBlocks:
                           lat.sector_layout)
 
 
-def kernel_values(model, n, K, dense=False):
+def kernel_values(model, n, K, dense=False, k0_transverse=True):
     """Every value of the node sweep, the bath checks and the streamed pass, and the layout.
 
-    With `dense`, the coupling is re-laid into one dense block.
+    With `dense`, the coupling is re-laid into one dense block.  Both layouts
+    share the plane-wave basis, so each kernel stack is compared laid into
+    the one block (`SectorLayout.relay`), entry by entry.
     """
-    lat = build_lattice(n, 1.0)
+    lat = build_lattice(n, 1.0, k0_transverse)
     grid = FrequencyGrid.midpoint(K, 3.0, eta_factor=1.0)
     coupling = coupling_from_lagrangian(builtin_model(model, lat, grid))
     if dense:
@@ -424,15 +472,19 @@ def kernel_values(model, n, K, dense=False):
     chi = Susceptibility(coupling)
     prop = node_propagator(chi)
     bath = bath_coefficients(coupling, chi)
+
+    def dense_blocks(flat):
+        return prop.layout.relay(flat, lat.one_block).reshape(len(flat), lat.dim, lat.dim)
+
     values = {
-        "kernels": sites(prop.layout, prop.blocks),
-        "momentum": sites(prop.layout, momentum_family(prop)),
+        "kernels": dense_blocks(prop.blocks),
+        "momentum": dense_blocks(momentum_family(prop)),
         "residual": prop.residual,
         "cond": prop.cond,
         "adjoint": verify_adjoint(chi, prop.z, prop.blocks),
         "wave_diagnostic": wave_diagnostic(prop),
-        "delta_coeff": sites(bath.layout, bath.delta_blocks),
-        "pole_coeff": sites(bath.layout, bath.pole_blocks),
+        "delta_coeff": dense_blocks(bath.delta_blocks),
+        "pole_coeff": dense_blocks(bath.pole_blocks),
         "linkage": verify_linkage(bath, coupling, chi),
         "canonical": verify_bath_canonical(bath, coupling),
         **verify_bath_independence(bath, coupling, st),
@@ -445,18 +497,19 @@ def kernel_values(model, n, K, dense=False):
     return prop.layout, values
 
 
-@pytest.mark.parametrize("model, n, K", [
-    ("local_lorentz", 2, 6),
-    ("gaussian_nonlocal", 2, 5),
-    ("uniaxial_local", 2, 4),
-    ("local_lorentz", 3, 3),
-    ("gaussian_nonlocal", 3, 2),
-    ("local_lorentz", 4, 2),
+@pytest.mark.parametrize("model, n, K, k0_transverse", [
+    *(pytest.param(model, n, K, True, id=f"{model}-{n}-{K}") for model, n, K in (
+        ("local_lorentz", 2, 6), ("gaussian_nonlocal", 2, 5), ("uniaxial_local", 2, 4),
+        ("local_lorentz", 3, 3), ("gaussian_nonlocal", 3, 2), ("local_lorentz", 4, 2))),
+    # every model at n = 3, 4 and 6 with both k0_transverse values; one node past n = 3
+    *(pytest.param(model, n, 2 if n == 3 else 1, k0, id=f"{model}-{n}-k0{'TL'[not k0]}")
+      for model in ("local_lorentz", "gaussian_nonlocal", "uniaxial_local") for n in (3, 4, 6)
+      for k0 in (True, False)),
 ])
-def test_sector_layout_matches_one_block(model, n, K):
-    layout, sectors = kernel_values(model, n, K)
-    one_layout, one = kernel_values(model, n, K, dense=True)
-    assert layout.part_sizes != one_layout.part_sizes == [[3 * n**3, 1, 0]]
+def test_sector_layout_matches_one_block(model, n, K, k0_transverse):
+    layout, sectors = kernel_values(model, n, K, k0_transverse=k0_transverse)
+    one_layout, one = kernel_values(model, n, K, dense=True, k0_transverse=k0_transverse)
+    assert (layout.block, layout.count, one_layout.block, one_layout.count) == (3, n**3, 3 * n**3, 1)
     assert sectors.keys() == one.keys()
     for key, a in sectors.items():
         b = one[key]
@@ -473,7 +526,7 @@ def test_invertibility_ratio_over_the_union_of_blocks(small_lattice):
     from dampol.errors import SingularOperatorError
     layout = small_lattice.sector_layout
     stack = np.tile(layout.identity, (2, 1))
-    (part,) = layout.parts(stack)
+    part = layout.block_view(stack)
     part[1, 2] = np.diag([3.0, 1.0, 1.0])
     part[1, 5] = np.diag([1.0, 1.0, 1e-10])
     with pytest.raises(SingularOperatorError, match="^coupling kernel not invertible at node 1 ") as err:

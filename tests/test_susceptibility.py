@@ -339,7 +339,7 @@ def reversed_nodes(coupling):
     nodes, weights, dens = grid.nodes[::-1], grid.weights[::-1], coupling.density[::-1]
     return SimpleNamespace(lattice=coupling.lattice, layout=layout, density=dens,
                            grid=SimpleNamespace(nodes=nodes, weights=weights),
-                           moments=spectral_moments(nodes, weights, dens))
+                           moments=spectral_moments(nodes, weights, dens, layout))
 
 
 class TestAsymptoteExpansion:
