@@ -9,13 +9,14 @@ their independence from the canonical pair and their canonical algebra, and
 rewrites the Hamiltonian in bath form to compare against the direct
 assembly.
 
-Every bath coefficient comes from one per-node row builder,
-`BathCoefficients.rows` (plus `delta_row` for the Kronecker part), read
-through the bath mode forms; the bath-form Hamiltonian places those forms
-in the canonical basis.  Every coefficient is blocks in the coupling's
-layout, which is the run's.  Independence is
-evaluated once, by collapsed quadrature sums; the generic form-commutator
-route runs at node 0 only, as a cross-check of that evaluator.
+Every bath mode comes from one builder, `BathCoefficients.modes`, which
+forms the modes of any set of nodes, Kronecker part included, as one
+broadcast product: the bath mode form reads one node's, and the bath-form
+Hamiltonian places every node's in the canonical basis at once.  Every
+coefficient is blocks in the coupling's layout, which is the run's.
+Independence is evaluated once, by collapsed quadrature sums; the generic
+form-commutator route runs at node 0 only, as a cross-check of that
+evaluator.
 """
 
 from __future__ import annotations
@@ -50,30 +51,33 @@ def require_invertible(layout: SectorLayout, *named: tuple) -> None:
     inverses, NaN at an exactly singular node (`SectorLayout.inv_or_nan`),
     screen the check: kappa_2 <= kappa_F (`lattice.frobenius_cond`), so a
     node with kappa_F <= 0.5 / INVERTIBILITY_RTOL passes, the factor 2
-    covering rounding, and only the other nodes, non-finite ones included,
-    take one batched SVD.  The error names the first failing node, and at
-    that node the first failing stack in the order given, with the node's
-    singular-value ratio, the wave vector of the block holding the smallest
-    singular value in `Lattice.sector_layout`, and its condition number,
-    infinite when the ratio of the largest to the smallest singular value
-    overflows.
+    covering rounding, and only the other nodes take one batched SVD; a
+    node whose stack is not finite fails without one.  The error names the
+    first failing node, and at that node the first failing stack in the
+    order given, with the node's singular-value ratio, the wave vector of
+    the block holding the smallest singular value in `Lattice.sector_layout`,
+    and its condition number, infinite when the ratio of the largest to the
+    smallest singular value overflows or the stack is not finite.
     """
     first = None
     for what, stack, inverse in named:
         screened = np.flatnonzero(~(frobenius_cond(stack, inverse) <= 0.5 / INVERTIBILITY_RTOL))
         if not screened.size:
             continue
-        sv = layout.svdvals(stack[screened])
+        finite = np.isfinite(stack[screened]).all(axis=-1)
+        sv = np.full((screened.size, layout.lattice.dim), np.nan)
+        sv[finite] = layout.svdvals(stack[screened[finite]])
         top, low = sv.max(axis=-1), sv.min(axis=-1)
-        bad = np.flatnonzero((low <= INVERTIBILITY_RTOL * top) | (top == 0.0))
+        bad = np.flatnonzero(~(low > INVERTIBILITY_RTOL * top))
         if bad.size and (first is None or screened[bad[0]] < first[0]):
-            first = (int(screened[bad[0]]), what, top[bad[0]], low[bad[0]],
-                     layout.wave_vector(int(np.argmin(sv[bad[0]]))))
+            first = (int(screened[bad[0]]), what, top[bad[0]], low[bad[0]], sv[bad[0]])
     if first is not None:
-        node, what, top, low, where = first
+        node, what, top, low, sv = first
+        if np.isnan(top):
+            raise SingularOperatorError(f"{what} not finite at node {node}", cond=np.inf, node=node)
         raise SingularOperatorError(
             f"{what} not invertible at node {node} "
-            f"(singular-value ratio {low / max(top, 1e-300):.3e}{where})",
+            f"(singular-value ratio {low / max(top, 1e-300):.3e}{layout.wave_vector(int(np.argmin(sv)))})",
             cond=top / low if low > top / np.finfo(float).max else np.inf, node=node)
 
 
@@ -96,25 +100,26 @@ class BathCoefficients:
     pole_blocks: np.ndarray    # (K, size)
     coupling_t: np.ndarray     # (K, size)
 
-    def rows(self, k: int) -> tuple:
-        """Pair rows of node k over every node l in `layout`, (K, size) each.
+    def modes(self, ks) -> tuple:
+        """The bath annihilators of the nodes `ks` over the medium modes, (len(ks), K, size) each in `layout`.
 
-        The co-rotating row multiplies the medium annihilators (regular
-        part), the counter-rotating row the creators.  Each is one stacked
-        product of the pole coefficient against the transposed kernels T^T,
-        the counter-rotating one conjugated: v P T^H = conj(conj(v P) T^T).
+        Row i of the first stack multiplies the medium annihilators, its
+        node's Kronecker part v D_k T_k^T over the quadrature weight
+        included, and row i of the second the creators.  Each is one
+        broadcast product of the pole coefficients against the transposed
+        kernels T^T, the counter-rotating one conjugated:
+        v P T^H = conj(conj(v P) T^T).
         """
-        nodes, layout = self.grid.nodes, self.layout
-        pole_k = self.lattice.cell_volume * self.pole_blocks[k]
-        co = layout.matmul(pole_k, self.coupling_t)
-        counter = layout.conj(layout.matmul(layout.conj(pole_k), self.coupling_t))
-        co *= (1.0 / (nodes[k] - nodes + 1j * self.grid.eta))[:, None]
-        counter *= (-1.0 / (nodes[k] + nodes))[:, None]
+        nodes, layout, v = self.grid.nodes, self.layout, self.lattice.cell_volume
+        ks = np.asarray(ks)
+        om, pole = nodes[ks, None], v * self.pole_blocks[ks, None]
+        co = layout.matmul(pole, self.coupling_t)
+        counter = layout.conj(layout.matmul(layout.conj(pole), self.coupling_t))
+        co *= (1.0 / (om - nodes + 1j * self.grid.eta))[..., None]
+        counter *= (-1.0 / (om + nodes))[..., None]
+        delta = layout.matmul(v * self.delta_blocks[ks], self.coupling_t[ks])
+        co[np.arange(ks.size), ks] += delta / self.grid.weights[ks, None]
         return co, counter
-
-    def delta_row(self, k: int) -> np.ndarray:
-        """Kernel multiplying the node Kronecker in the annihilator pairing, (size,) in `layout`."""
-        return self.layout.matmul(self.lattice.cell_volume * self.delta_blocks[k], self.coupling_t[k])
 
     def perturbed_delta(self, scale: float) -> "BathCoefficients":
         """Violator fixture: rescale the frequency-diagonal coefficient."""
@@ -162,8 +167,7 @@ def verify_linkage(bath: BathCoefficients, coupling: CouplingTensor,
 
 def bath_mode_form(bath: BathCoefficients, k: int) -> LinearBosonicForm:
     """The bath annihilator at node k as a form over the medium modes, in the bath's layout."""
-    alpha, beta = bath.rows(k)
-    alpha[k] += bath.delta_row(k) / bath.grid.weights[k]
+    (alpha,), (beta,) = bath.modes([k])
     return LinearBosonicForm(layout=bath.layout, grid=bath.grid, alpha=alpha, basis=BASIS_MEDIUM,
                              creators=beta)
 
@@ -280,7 +284,6 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     ham = QuadraticHamiltonian.zero(coupling)
     layout, act = ham.layout, ham.act
     v = lattice.cell_volume
-    K = grid.n_nodes
     w, nodes = grid.weights, grid.nodes
 
     u_a = ham.rows_vector_potential
@@ -295,13 +298,7 @@ def assemble_bath_hamiltonian(coupling: CouplingTensor, structure: StructureTens
     # the oscillators plus the exchange; adding the adjoint completes both: the
     # oscillator term is its own adjoint, and the minus on the exchange's
     # conjugate bracket is absorbed by conjugating the -i prefactor.
-    alpha = np.empty((K, K, layout.size), dtype=complex)   # row k: the bath mode of node k
-    beta = np.empty_like(alpha)
-    for k in range(K):
-        form = bath_mode_form(bath, k)
-        alpha[k], beta[k] = form.alpha, form.beta
-    u_cb = ham.ladder_rows(alpha, beta)
-    del alpha, beta, form
+    u_cb = ham.ladder_rows(*bath.modes(np.arange(grid.n_nodes)))   # row k: the bath mode of node k
     right = act(bath.pole_blocks, u_p)
     right *= -1j * v**2
     right += (0.5 * HBAR * v * nodes)[:, None] * u_cb

@@ -35,9 +35,9 @@ identities, and no pair row is ever formed: O(K^2 9M + 27 K M) time and
 O(K 9M) memory on a lattice of M sites, whose per-q stacks hold M 3x3
 blocks, size = 9M entries.
 `fano_residual`, the tests' reference, sums the explicit pair rows that
-`mode_coefficients` holds as (K, K, size) blocks in the same layout.  The
-assembled-Hamiltonian oracle reads the same rows of every node from
-`node_families`; no code of the package forms a site operator.
+`mode_coefficients` holds as (K, K, size) blocks in the same layout; the
+assembled-Hamiltonian oracle's master check reads the same record.  No code
+of the package forms a site operator.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class _NodeKernels:
         w_l anti[k, l]         =  w_k^2 - w_k anti[k, l]
 
     These apply only the shift, never a smear profile, so they hold for any
-    `SMEAR_PROFILES`.  `node_families` forms the families of every node
+    `SMEAR_PROFILES`.  `mode_coefficients` forms the families of every node
     from X (`_transfer_blocks`) and the whole matrices.
     """
 
@@ -152,11 +152,11 @@ def momentum_family(prop: NodePropagator) -> np.ndarray:
     return xt
 
 
-def node_families(prop: NodePropagator) -> tuple:
-    """The four coefficient families of every node as blocks in the propagator's layout.
+def mode_coefficients(prop: NodePropagator) -> ModeCoefficients:
+    """The four coefficient families of every node as one record of blocks in the propagator's layout.
 
-    Returns the potential and momentum kernels, (K, size), and the resonant
-    (regular part) and antiresonant rows, (K, K, size) with row k the
+    The potential and momentum kernels are (K, size) and the resonant
+    (regular part) and antiresonant rows (K, K, size) with row k the
     node's: each pair stack is one broadcast product against the coupling.
     """
     grid, v, layout = prop.coupling.grid, prop.lattice.cell_volume, prop.layout
@@ -168,14 +168,8 @@ def node_families(prop: NodePropagator) -> tuple:
     resonant = layout.matmul(c * (pole[:, :, None] * x[:, None] - (om * xt)[:, None]), t_t)
     antiresonant = layout.matmul(c * ((om * xt)[:, None] - anti[:, :, None] * x[:, None]),
                                  layout.conj(t_t))
-    return om**2 * xt, 1j * MU0 * om * xt, resonant, antiresonant
-
-
-def mode_coefficients(prop: NodePropagator) -> ModeCoefficients:
-    """The four coefficient families of `node_families`, the node-pair rows included, as one record."""
-    potential, momentum, resonant, antiresonant = node_families(prop)
-    return ModeCoefficients(layout=prop.layout, grid=prop.coupling.grid, potential=potential,
-                            momentum=momentum, resonant=resonant, antiresonant=antiresonant)
+    return ModeCoefficients(layout=layout, grid=grid, potential=om**2 * xt, momentum=1j * MU0 * om * xt,
+                            resonant=resonant, antiresonant=antiresonant)
 
 
 def wave_diagnostic(prop: NodePropagator) -> float:

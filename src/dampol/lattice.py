@@ -39,12 +39,6 @@ SECTOR_LEAK_TOL = 1e-13
 #: rows of a node sum
 CHUNK_BYTES = 1 << 20
 
-#: largest block size that `SectorLayout.matmul` folds against a node-independent left
-#: factor.  Measured with one BLAS thread, complex (count, b, b) @ (K, count, b, b) at
-#: K = 32 to 256: folded in 0.67-0.75 of the per-operator GEMMs' time at b = 6, level
-#: at b = 9, 1.3-2.0 times as long at b = 12, 16 and 24
-FOLD_A_MAX_BLOCK = 6
-
 #: fewest 3 x 3 products of a complex part that `SectorLayout.matmul` forms entry by
 #: entry (`_entrywise_3x3`) instead of by one GEMM each.  Measured with one BLAS thread,
 #: (K, size) @ (K, size) at n = 2 (eight 3 x 3 blocks): 78 against 116 us at 128
@@ -430,11 +424,13 @@ class SectorLayout:
         (n_i, b) matrix of row stride `size`, so count * b GEMMs (n_i x b)
         @ (b x b) replace n_i * count GEMMs b x b; with a constant, the
         transposed blocks fold likewise, b^T a^T.  Nothing is copied.  The
-        blocks fold only when n_i > b, and with a constant only up to
-        `FOLD_A_MAX_BLOCK`, past which numpy's strided loop is slower than a
-        GEMM per operator.  Otherwise a complex product of at least
-        `ENTRYWISE_MIN_PRODUCTS` 3 x 3 blocks is formed entry by entry
-        (`_entrywise_3x3`), and any other is one `np.matmul`.
+        blocks fold only when n_i > b, and with a constant only when they
+        are 3 x 3: the dense block of `Lattice.one_block` is 24 x 24 or
+        larger past n = 1, where numpy's strided loop is slower than a GEMM
+        per operator (1.3-2.0 times as long at b = 12 to 24).  Otherwise a
+        complex product of at least `ENTRYWISE_MIN_PRODUCTS` 3 x 3 blocks is
+        formed entry by entry (`_entrywise_3x3`), and any other is one
+        `np.matmul`.
         """
         lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
         n, blk = len(lead), self.block
@@ -449,7 +445,7 @@ class SectorLayout:
         rows, cols = (n + 1, n + 2) if b_const else (n + 2, n + 1)
         perm, const_perm = [*rest, n, rows, axis, cols], [*rest, n, axis, rows, cols]
         pa, pb, po = self.block_view(a), self.block_view(b), self.block_view(out)
-        if length > blk and (b_const or blk <= FOLD_A_MAX_BLOCK):
+        if length > blk and (b_const or blk == 3):
             vary, const = (pa, pb) if b_const else (pb, pa)
             np.matmul(vary.transpose(perm), const.transpose(const_perm), out=po.transpose(perm))
         elif blk == 3 and out.dtype.kind == "c" and self.count * np.prod(lead) >= ENTRYWISE_MIN_PRODUCTS:

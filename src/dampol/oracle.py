@@ -43,7 +43,7 @@ import numpy as np
 
 from .constants import EPS0, HBAR, MU0
 from .coupling import CouplingTensor, StructureTensor
-from .diagonalize import node_families, smear_profiles
+from .diagonalize import ModeCoefficients, mode_coefficients, smear_profiles
 from .errors import ConfigError, DampolError
 from .fields import medium_momentum_form, medium_polarization_form
 from .green import NodePropagator
@@ -472,18 +472,20 @@ def node_modes(layout: SectorLayout, grid: FrequencyGrid, alpha: np.ndarray) -> 
     return alpha
 
 
-def mode_rows(ham: QuadraticHamiltonian, potential: np.ndarray, momentum: np.ndarray,
-              resonant: np.ndarray, antiresonant: np.ndarray) -> np.ndarray:
+def mode_rows(ham: QuadraticHamiltonian, modes: ModeCoefficients) -> np.ndarray:
     """Canonical rows of the diagonalizing annihilator of every node, (K, E), from its four families.
 
-    The families are blocks in the form's layout (`diagonalize.node_families`), read in its real frame.
-    The medium part of node k is its resonant row plus the node's own mode
-    C(w_k), whose kernel is the Kronecker delta over the quadrature weight.
+    The families are the record of `diagonalize.mode_coefficients`, blocks
+    in the form's layout, read in its real frame.  The medium part of node
+    k is its resonant row plus the node's own mode C(w_k), whose kernel is
+    the Kronecker delta over the quadrature weight: it is added to
+    `modes.resonant` in place (`node_modes`).
     """
     layout, v = ham.layout, ham.lattice.cell_volume
-    rows = ham.ladder_rows(node_modes(layout, ham.grid, resonant.copy()), antiresonant)
+    rows = ham.ladder_rows(node_modes(layout, ham.grid, modes.resonant), modes.antiresonant)
     for (b, na, coords, _), view, pot, mom in zip(ham._frame, ham.row_views(rows),
-                                                  layout.real_blocks(potential), layout.real_blocks(momentum)):
+                                                  layout.real_blocks(modes.potential),
+                                                  layout.real_blocks(modes.momentum)):
         a, p, _, _ = ham._slots(na, b)
         view[..., a] = np.sqrt(v) * pot @ coords
         view[..., p] = np.sqrt(v) * mom @ coords
@@ -508,7 +510,7 @@ def diagonal_form_check(ham: QuadraticHamiltonian, prop: NodePropagator) -> floa
     grid = ham.grid
     K, w = grid.n_nodes, grid.weights
     P = len(ham._smear_scale)
-    rows = mode_rows(ham, *node_families(prop))
+    rows = mode_rows(ham, mode_coefficients(prop))
     num, den = np.zeros(4), np.zeros(4)
     for (b, na, _, _), view, kr in zip(ham._frame, ham.row_views(rows), ham.row_views(ham.times_dynamics(rows))):
         rhs = (HBAR * grid.nodes)[:, None, None] * ham._smear(na, b, view)

@@ -13,6 +13,7 @@ from dampol.coupling import (
 from dampol import bath as bath_module
 from dampol.bath import (
     INVERTIBILITY_RTOL,
+    BathCoefficients,
     assemble_bath_hamiltonian,
     bath_coefficients,
     bath_mode_form,
@@ -163,6 +164,16 @@ class TestInvertibilityScreen:
             k, what = first
             assert got[0] == k and got[1].startswith(f"{what} not invertible at node {k} ")
 
+    def test_non_finite_node_named(self):
+        # a NaN at node 3 of the second stack and an infinity at node 5 of the
+        # first: the first failing node is named, with cond = inf as the sweep's
+        # gate reports it, and no SVD is taken of a non-finite node
+        layout = build_lattice(2, 1.0).sector_layout
+        t, chi = (np.tile(layout.identity, (8, 1)) + 0j for _ in range(2))
+        chi[3, 4], t[5, 0] = np.nan, np.inf
+        got = invertibility_verdict(layout, [("coupling kernel", t), ("susceptibility", chi)])
+        assert got == (3, "susceptibility not finite at node 3", np.inf)
+
     def test_tiny_strength_screened_without_warnings(self, single_site, monkeypatch):
         # n = 1, K = 1 at strength 8.8e-240: the coupling's inverse has entries
         # near 1e240, whose squares overflow unscaled; under the suite's warning
@@ -183,10 +194,11 @@ class TestInvertibilityScreen:
 
 class TestRowBuilder:
     def test_rows_match_pair_formulas(self, small_lattice):
+        # the modes of a subset of nodes, out of order, and of every node
         K = 8
         grid = FrequencyGrid.midpoint(K, 3.0, eta_factor=1.0)
         sectors = coupling_from_lagrangian(builtin_model("local_lorentz", small_lattice, grid))
-        v, nodes = small_lattice.cell_volume, grid.nodes
+        v, nodes, w = small_lattice.cell_volume, grid.nodes, grid.weights
 
         def close(got, ref):
             return np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
@@ -195,15 +207,29 @@ class TestRowBuilder:
         for coupling in (sectors, sectors.relaid(small_lattice.one_block)):
             bath, layout, t = bath_coefficients(coupling, Susceptibility(coupling)), coupling.layout, site_kernels(coupling)
             delta_coeff, pole_coeff = (sites(layout, b) for b in (bath.delta_blocks, bath.pole_blocks))
-            for k in range(K):
-                co, counter = (sites(layout, r) for r in bath.rows(k))
-                for l in range(K):
-                    pole = 1.0 / (nodes[k] - nodes[l] + 1j * bath.grid.eta)
-                    assert close(co[l], pole * v * pole_coeff[k] @ t[l].T)
-                    anti = -1.0 / (nodes[k] + nodes[l])
-                    assert close(counter[l], anti * v * pole_coeff[k] @ t[l].conj().T)
-                delta = sites(layout, bath.delta_row(k))
-                assert close(delta, v * delta_coeff[k] @ t[k].T)
+            for ks in ([5, 2], np.arange(K)):
+                alpha, beta = bath.modes(ks)
+                assert alpha.shape == beta.shape == (len(ks), K, layout.size)
+                for k, co, counter in zip(ks, sites(layout, alpha), sites(layout, beta)):
+                    for l in range(K):
+                        pole = 1.0 / (nodes[k] - nodes[l] + 1j * bath.grid.eta)
+                        ref = pole * v * pole_coeff[k] @ t[l].T
+                        if l == k:
+                            ref += v * delta_coeff[k] @ t[k].T / w[k]
+                        assert close(co[l], ref)
+                        anti = -1.0 / (nodes[k] + nodes[l])
+                        assert close(counter[l], anti * v * pole_coeff[k] @ t[l].conj().T)
+
+    def test_bath_hamiltonian_forms_every_mode_at_once(self, bath_setup, monkeypatch):
+        lat, grid, coupling, st, chi, bath = bath_setup
+        calls, modes = [], BathCoefficients.modes
+
+        def counted(self, ks):
+            calls.append(np.asarray(ks).tolist())
+            return modes(self, ks)
+        monkeypatch.setattr(BathCoefficients, "modes", counted)
+        assemble_bath_hamiltonian(coupling, st, bath)
+        assert calls == [list(range(grid.n_nodes))]
 
 
 class TestCanonicalIdentity:

@@ -229,7 +229,7 @@ class TestStreamedCost:
         def refuse(*args):
             raise AssertionError("the streamed pass formed the pair rows")
 
-        monkeypatch.setattr(diagonalize, "node_families", refuse)
+        monkeypatch.setattr(diagonalize, "mode_coefficients", refuse)
         assert streamed_mode_checks(prop, lorentz_structure) == expected
 
     # traced peaks in (K, size) complex block stacks of the n = 2 sector layout

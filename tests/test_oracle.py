@@ -17,7 +17,7 @@ from dampol.coupling import (
     coupling_from_lagrangian,
     structure_tensor,
 )
-from dampol.diagonalize import fano_residual, mode_coefficients, node_families
+from dampol.diagonalize import fano_residual, mode_coefficients
 from dampol.fields import medium_momentum_form, medium_polarization_form
 from dampol.green import node_propagator
 from dampol.lattice import FrequencyGrid, build_lattice
@@ -29,6 +29,7 @@ from dampol.oracle import (
     heisenberg_residual,
     mode_frequencies,
     mode_rows,
+    node_modes,
     symplectic_spectrum,
 )
 from dampol.susceptibility import Susceptibility
@@ -359,15 +360,15 @@ class TestLadderRows:
         bath = bath_coefficients(coupling, Susceptibility(coupling))
         v, w = lat.cell_volume, grid.weights
         u = ladder_unitary(ham) @ momentum_rotation(ham)
-        for k in range(grid.n_nodes):
-            co, counter = (sites(bath.layout, r) for r in bath.rows(k))
+        alpha, beta = bath.modes(np.arange(grid.n_nodes))
+        got = dense_rows(ham, ham.ladder_rows(alpha, beta))
+        for k, co, counter in zip(range(grid.n_nodes), sites(bath.layout, alpha), sites(bath.layout, beta)):
             old = np.zeros((lat.dim, ham.dim), dtype=complex)
             for l in range(grid.n_nodes):
                 c, cdag = ladder_slices(ham, l)
                 old[:, c] = np.sqrt(v * w[l]) * co[l]
                 old[:, cdag] = np.sqrt(v * w[l]) * counter[l]
-            got = ham.ladder_rows(*bath.rows(k))
-            assert close(dense_rows(ham, got), old @ u, 1e-15)
+            assert close(got[k], old @ u, 1e-15)
 
     def test_mode_rows(self, case):
         lat, grid, coupling, st, ham = case
@@ -378,9 +379,8 @@ class TestLadderRows:
         v, phi = lat.cell_volume, transverse_basis(lat)
         u = ladder_unitary(ham) @ momentum_rotation(ham)
         a, p = canonical_slices(ham)[:2]
-        families = node_families(prop)
-        resonant = families[2].copy()
-        got = dense_rows(ham, mode_rows(ham, *families))
+        resonant = modes.resonant.copy()
+        got = dense_rows(ham, mode_rows(ham, modes))
         for k in range(grid.n_nodes):
             old = np.zeros((lat.dim, ham.dim), dtype=complex)
             old[:, a] = np.sqrt(v) * potential[k] @ phi
@@ -392,7 +392,8 @@ class TestLadderRows:
                 old[:, cdag] += s * anti[k, l]
             old[:, ladder_slices(ham, k)[0]] += np.eye(lat.dim) / np.sqrt(v * grid.weights[k])
             assert close(got[k], old @ u, 1e-15)
-        assert np.array_equal(resonant, families[2])   # the caller's stack is kept
+        # the node modes join the record's resonant rows in place
+        assert np.array_equal(modes.resonant, node_modes(modes.layout, grid, resonant))
 
 
 class TestHeisenberg:
@@ -534,7 +535,7 @@ class TestSpectrum:
     def test_mode_rows_shape(self, lorentz_setup):
         lat, grid, coupling, st, ham = lorentz_setup
         prop = node_propagator(Susceptibility(coupling))
-        rows = mode_rows(ham, *node_families(prop))
+        rows = mode_rows(ham, mode_coefficients(prop))
         assert rows.shape == (grid.n_nodes, ham.row_size)
         assert [v.shape for v in ham.row_views(rows)] == [
             (grid.n_nodes, 3, g.size) for g in ham.groups]
